@@ -9,11 +9,12 @@
 //! would actually have blocked.
 
 use std::collections::HashSet;
+use synscan_wire::impl_to_json;
 
 use crate::campaign::Campaign;
 
 /// The efficacy of one (list window → evaluation window) pairing.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlocklistEfficacy {
     /// Addresses on the list.
     pub list_size: u64,
@@ -22,6 +23,11 @@ pub struct BlocklistEfficacy {
     /// Fraction of the evaluation window's scan packets from listed sources.
     pub packets_blocked: f64,
 }
+impl_to_json!(BlocklistEfficacy {
+    list_size,
+    sources_blocked,
+    packets_blocked
+});
 
 /// Build a list from campaigns *starting* in `[list_start, list_end)` µs and
 /// evaluate it against campaigns starting in `[eval_start, eval_end)`.

@@ -29,7 +29,7 @@ use crate::sketch::{HeavyHitterConfig, HeavyHitters};
 const DAY_MICROS: u64 = 86_400 * 1_000_000;
 
 /// Per-(week, /16) activity cell for the volatility analysis.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WeekCell {
     /// Distinct scanning sources seen from this /16 this week.
     pub sources: u64,
@@ -40,7 +40,7 @@ pub struct WeekCell {
 }
 
 /// Everything the figure modules need about one year.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct YearAnalysis {
     /// Calendar year of the capture window.
     pub year: u16,
@@ -879,18 +879,14 @@ mod tests {
 
     #[test]
     fn tool_slot_names_match_the_campaign_layer() {
-        // The sketch module names tool slots without depending on ToolKind
-        // (so it compiles standalone); this pins its slot order to the
-        // campaign layer's TOOL_BY_SLOT.
+        // The sketch module names tool slots without depending on ToolKind;
+        // this pins its slot order and names to the campaign layer's
+        // TOOL_BY_SLOT.
         use crate::sketch::TOOL_SLOT_NAMES;
         assert_eq!(TOOL_SLOT_NAMES.len(), TOOL_BY_SLOT.len() + 1);
         assert_eq!(TOOL_SLOT_NAMES[0], "unattributed");
         for (slot, tool) in TOOL_BY_SLOT.iter().enumerate() {
-            assert_eq!(
-                TOOL_SLOT_NAMES[slot + 1],
-                format!("{tool:?}").to_lowercase(),
-                "slot {slot}"
-            );
+            assert_eq!(TOOL_SLOT_NAMES[slot + 1], tool.name(), "slot {slot}");
         }
     }
 

@@ -11,7 +11,7 @@ use synscan_stats::ks::{ks_test_freq, KsResult};
 use super::collect::YearAnalysis;
 
 /// A disclosure event to analyze.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventSpec {
     /// The affected port.
     pub port: u16,
@@ -20,7 +20,7 @@ pub struct EventSpec {
 }
 
 /// The decay curve of one event.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct EventCurve {
     /// The event.
     pub event: EventSpec,

@@ -119,11 +119,10 @@ pub fn tool_country_mix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use std::collections::BTreeMap as Map;
     use synscan_netmodel::ScannerClass;
     use synscan_scanners::traits::ToolKind;
+    use synscan_stats::Rng;
 
     use synscan_wire::Ipv4Address;
 
@@ -143,7 +142,7 @@ mod tests {
         }
     }
 
-    fn source(registry: &InternetRegistry, rng: &mut StdRng, country: Country) -> Ipv4Address {
+    fn source(registry: &InternetRegistry, rng: &mut Rng, country: Country) -> Ipv4Address {
         registry
             .sample_source(rng, country, ScannerClass::Hosting)
             .unwrap()
@@ -152,7 +151,7 @@ mod tests {
     #[test]
     fn shares_and_concentration() {
         let registry = InternetRegistry::build(51, &[]);
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = Rng::seed_from_u64(6);
         let cn = source(&registry, &mut rng, Country::China);
         let us = source(&registry, &mut rng, Country::UnitedStates);
         let campaigns = vec![campaign(cn, 3389, 300, None), campaign(us, 443, 100, None)];
@@ -166,7 +165,7 @@ mod tests {
     #[test]
     fn port_dominance_finds_the_biases() {
         let registry = InternetRegistry::build(52, &[]);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         let cn = source(&registry, &mut rng, Country::China);
         let cn2 = source(&registry, &mut rng, Country::China);
         let us = source(&registry, &mut rng, Country::UnitedStates);
@@ -188,7 +187,7 @@ mod tests {
     #[test]
     fn dominance_min_packets_filters_thin_ports() {
         let registry = InternetRegistry::build(54, &[]);
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = Rng::seed_from_u64(9);
         let cn = source(&registry, &mut rng, Country::China);
         let campaigns = vec![
             campaign(cn, 3306, 500, None),
@@ -204,7 +203,7 @@ mod tests {
     #[test]
     fn tool_mix_filters_by_attribution() {
         let registry = InternetRegistry::build(53, &[]);
-        let mut rng = StdRng::seed_from_u64(8);
+        let mut rng = Rng::seed_from_u64(8);
         let ru = source(&registry, &mut rng, Country::Russia);
         let cn = source(&registry, &mut rng, Country::China);
         let campaigns = vec![

@@ -7,13 +7,14 @@
 //! full between 2023 and 2024, and universities flat at a handful of ports.
 
 use std::collections::{BTreeMap, HashSet};
+use synscan_wire::impl_to_json;
 
 use synscan_netmodel::InternetRegistry;
 
 use crate::campaign::Campaign;
 
 /// One row of Figure 8/9/10.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct OrgCoverageRow {
     /// Organization name.
     pub org: String,
@@ -26,6 +27,13 @@ pub struct OrgCoverageRow {
     /// Distinct source IPs of the org seen scanning.
     pub sources: u64,
 }
+impl_to_json!(OrgCoverageRow {
+    org,
+    ports_scanned,
+    port_range_fraction,
+    campaigns,
+    sources
+});
 
 /// Compute per-org port coverage from a year's campaigns.
 pub fn org_port_coverage(

@@ -85,10 +85,9 @@ pub fn recurrence(campaigns: &[Campaign], registry: &InternetRegistry) -> Recurr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use std::collections::BTreeMap as Map;
     use synscan_netmodel::Country;
+    use synscan_stats::Rng;
 
     fn campaign(src: Ipv4Address, start_secs: u64, end_secs: u64) -> Campaign {
         Campaign {
@@ -106,7 +105,7 @@ mod tests {
     fn daily_recurrence_shows_as_a_mode() {
         let registry = InternetRegistry::build(31, &[]);
         let inst = registry.org_source_ip(registry.orgs()[0].id, 0);
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         let res = registry
             .sample_source(&mut rng, Country::Brazil, ScannerClass::Residential)
             .unwrap();
@@ -138,7 +137,7 @@ mod tests {
     #[test]
     fn counts_group_by_source_not_campaign() {
         let registry = InternetRegistry::build(32, &[]);
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
         let a = registry
             .sample_source(&mut rng, Country::Germany, ScannerClass::Hosting)
             .unwrap();

@@ -1,6 +1,7 @@
 //! Figure 4: the top traffic ports and the mix of tools probing them.
 
 use std::collections::BTreeMap;
+use synscan_wire::impl_to_json;
 
 use synscan_scanners::traits::ToolKind;
 
@@ -12,7 +13,7 @@ pub type ToolMix = BTreeMap<String, f64>;
 
 /// One row of Figure 4: a port, its share of total traffic, and the mix of
 /// tools the traffic originates from.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct PortToolRow {
     /// The port.
     pub port: u16,
@@ -21,6 +22,11 @@ pub struct PortToolRow {
     /// Per-tool share of this port's packets.
     pub mix: ToolMix,
 }
+impl_to_json!(PortToolRow {
+    port,
+    traffic_share,
+    mix
+});
 
 /// Compute the Figure 4 matrix: the `top_n` ports by packets with the tool
 /// mix of each.

@@ -7,6 +7,7 @@
 //! institutional scanners are 0.16% of sources but send 32.63% of packets.
 
 use std::collections::BTreeMap;
+use synscan_wire::impl_to_json;
 
 use synscan_netmodel::{InternetRegistry, ScannerClass};
 use synscan_wire::Ipv4Address;
@@ -14,7 +15,7 @@ use synscan_wire::Ipv4Address;
 use super::collect::YearAnalysis;
 
 /// One Table 2 row.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassShares {
     /// Share of distinct source IPs.
     pub sources: f64,
@@ -82,13 +83,14 @@ pub fn non_institutional_port_packets(
 }
 
 /// One Figure 5 row: a port and the class mix of its campaigns' traffic.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct PortClassRow {
     /// The port.
     pub port: u16,
     /// Share of this port's campaign packets per class.
     pub mix: BTreeMap<ScannerClass, f64>,
 }
+impl_to_json!(PortClassRow { port, mix });
 
 /// Figure 5: class distribution over the `top_n` ports by campaign traffic.
 ///
@@ -135,9 +137,8 @@ mod tests {
     use super::*;
     use crate::analysis::collect::YearCollector;
     use crate::campaign::CampaignConfig;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use synscan_netmodel::Country;
+    use synscan_stats::Rng;
     use synscan_wire::{ProbeRecord, TcpFlags};
 
     fn record(src: Ipv4Address, dst: u32, port: u16, ts: u64) -> ProbeRecord {
@@ -158,7 +159,7 @@ mod tests {
     #[test]
     fn shares_reflect_class_activity() {
         let registry = InternetRegistry::build(21, &[]);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let residential = registry
             .sample_source(&mut rng, Country::China, ScannerClass::Residential)
             .unwrap();
@@ -203,7 +204,7 @@ mod tests {
     fn non_institutional_filter_removes_org_traffic() {
         let registry = InternetRegistry::build(23, &[]);
         let inst = registry.org_source_ip(registry.orgs()[0].id, 0);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         let bot = registry
             .sample_source(&mut rng, Country::Brazil, ScannerClass::Residential)
             .unwrap();
@@ -231,7 +232,7 @@ mod tests {
     #[test]
     fn shares_sum_to_one() {
         let registry = InternetRegistry::build(22, &[]);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let mut collector = YearCollector::new(2022, CampaignConfig::scaled(1 << 12));
         for class in ScannerClass::ALL {
             if class == ScannerClass::Unknown {

@@ -6,11 +6,12 @@
 //! of ~14 Mbps.
 
 use synscan_stats::TelescopeModel;
+use synscan_wire::impl_to_json;
 
 use crate::campaign::Campaign;
 
 /// Vertical-scan statistics for one year.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VerticalStats {
     /// Campaigns targeting more than 100 distinct ports.
     pub over_100_ports: u64,
@@ -27,6 +28,15 @@ pub struct VerticalStats {
     /// Mean estimated bandwidth (bps) over all campaigns.
     pub overall_mean_bps: f64,
 }
+impl_to_json!(VerticalStats {
+    over_100_ports,
+    over_1000_ports,
+    over_10000_ports,
+    max_ports,
+    over_100_fraction,
+    over_1000_mean_bps,
+    overall_mean_bps,
+});
 
 /// Compute vertical-scan statistics.
 pub fn vertical_stats(campaigns: &[Campaign], monitored: u64) -> VerticalStats {

@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 
 use synscan_scanners::traits::ToolKind;
+use synscan_wire::impl_to_json;
 
 use super::collect::YearAnalysis;
 
@@ -10,7 +11,7 @@ use super::collect::YearAnalysis;
 pub type PortRanking = Vec<(u16, f64)>;
 
 /// One Table 1 column.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct YearSummary {
     /// Calendar year.
     pub year: u16,
@@ -33,6 +34,18 @@ pub struct YearSummary {
     /// Share of packets per tracked tool.
     pub tool_packet_shares: BTreeMap<String, f64>,
 }
+impl_to_json!(YearSummary {
+    year,
+    packets_per_day,
+    distinct_sources,
+    scans_per_month,
+    total_scans,
+    top_ports_by_packets,
+    top_ports_by_sources,
+    top_ports_by_scans,
+    tool_scan_shares,
+    tool_packet_shares,
+});
 
 /// Build a Table 1 column from a year's aggregates.
 ///
@@ -82,11 +95,17 @@ pub fn summarize(analysis: &YearAnalysis, top_n: usize) -> YearSummary {
         })
         .collect();
 
-    let mut tool_packets: BTreeMap<String, f64> = BTreeMap::new();
+    // Integer packets per tool, divided once: `tool_port_packets` is a hash
+    // map, and a float sum would depend on its iteration order.
+    let mut tool_packets: BTreeMap<&str, u64> = BTreeMap::new();
     for ((tool, _), count) in &analysis.tool_port_packets {
         let name = tool.map(|t| t.name()).unwrap_or("custom");
-        *tool_packets.entry(name.to_string()).or_default() += *count as f64 / total_packets;
+        *tool_packets.entry(name).or_default() += count;
     }
+    let tool_packet_shares = tool_packets
+        .into_iter()
+        .map(|(name, packets)| (name.to_string(), packets as f64 / total_packets))
+        .collect();
 
     YearSummary {
         year: analysis.year,
@@ -98,7 +117,7 @@ pub fn summarize(analysis: &YearAnalysis, top_n: usize) -> YearSummary {
         top_ports_by_sources,
         top_ports_by_scans,
         tool_scan_shares,
-        tool_packet_shares: tool_packets,
+        tool_packet_shares,
     }
 }
 
@@ -186,5 +205,53 @@ mod tests {
         assert_eq!(summary.tool_scan_shares["masscan"], 0.0);
         // All packets fall under the custom/unattributed bucket.
         assert!((summary.tool_packet_shares["custom"] - 1.0).abs() < 1e-9);
+    }
+
+    /// Tool-marked traffic over many ports: ZMap's IP ID on every fifth
+    /// probe, counts that differ per (tool, port) so a float sum over them
+    /// depends on the order.
+    fn marked_records() -> Vec<ProbeRecord> {
+        (0..6000u32)
+            .map(|i| ProbeRecord {
+                ip_id: if i % 5 == 0 { 54_321 } else { 7 },
+                dst_port: 1 + (i % if i % 3 == 0 { 97 } else { 13 }) as u16,
+                ..record(1 + i % 23, 0x0b00_0000 + i, 0, u64::from(i) * 997)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn summary_is_bit_equal_across_insertion_orders_and_pipeline_modes() {
+        use crate::pipeline::{collect_year_sharded, SizeHints};
+        let cfg = CampaignConfig {
+            min_distinct_dests: 5,
+            min_rate_pps: 1.0,
+            expiry_secs: 3600.0,
+            monitored_addresses: 1 << 16,
+        };
+        let records = marked_records();
+        let run = |workers| {
+            let hints = SizeHints::default();
+            collect_year_sharded(2020, cfg, 7.0, workers, hints, &records, |_| true)
+        };
+        let sequential = run(1);
+        assert!(sequential.tool_port_packets.len() > 100);
+        let expected = summarize(&sequential, 5);
+        assert!(expected.tool_packet_shares["zmap"] > 0.1);
+
+        // The same aggregates inserted in the opposite order: a fresh
+        // `HashMap` iterates differently, the summary must not.
+        let mut reversed = sequential.clone();
+        let mut entries: Vec<_> = reversed.tool_port_packets.drain().collect();
+        entries.sort_unstable();
+        entries.reverse();
+        reversed.tool_port_packets.extend(entries);
+        for other in [reversed, run(2)] {
+            let got = summarize(&other, 5);
+            assert_eq!(got, expected);
+            for (tool, share) in &expected.tool_packet_shares {
+                assert_eq!(got.tool_packet_shares[tool].to_bits(), share.to_bits());
+            }
+        }
     }
 }

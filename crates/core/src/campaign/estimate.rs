@@ -16,7 +16,7 @@ use super::Campaign;
 pub const SYN_FRAME_BYTES: f64 = 64.0;
 
 /// Extrapolated, Internet-wide view of one campaign.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignEstimates {
     /// Estimated Internet-wide probing rate, packets/second.
     pub rate_pps: f64,

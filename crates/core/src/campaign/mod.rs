@@ -108,7 +108,7 @@ impl Default for CampaignConfig {
 }
 
 /// One identified scan campaign with its observed and extrapolated metrics.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Campaign {
     /// The scanning source.
     pub src_ip: Ipv4Address,
@@ -206,9 +206,9 @@ impl Campaign {
 /// Why a finalized probe sequence was not a campaign.
 ///
 /// Declaration order matches the lexicographic order of the variant names,
-/// so a `BTreeMap<RejectReason, _>` iterates (and serializes) in the same
-/// order the old string-keyed map did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize)]
+/// so a `BTreeMap<RejectReason, _>` iterates in the same order the old
+/// string-keyed map did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RejectReason {
     /// Fewer distinct destinations than the threshold.
     TooFewDestinations,
@@ -217,8 +217,8 @@ pub enum RejectReason {
 }
 
 impl RejectReason {
-    /// The stable string name of the reason (identical to its `Debug` and
-    /// serde renderings) — the report-time stringification point.
+    /// The stable string name of the reason (identical to its `Debug`
+    /// rendering) — the report-time stringification point.
     pub fn as_str(self) -> &'static str {
         match self {
             RejectReason::TooFewDestinations => "TooFewDestinations",
@@ -254,9 +254,8 @@ fn reject_from_code(code: u8) -> Result<RejectReason, CheckpointError> {
 ///
 /// Counters are keyed by the [`RejectReason`] enum — zero allocation on the
 /// reject path — and stringified only at report time
-/// ([`crate::report::render_noise`]). The serialized form is unchanged:
-/// serde renders unit-variant map keys as their names.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
+/// ([`crate::report::render_noise`]).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NoiseStats {
     /// Probe sequences rejected, by reason.
     pub rejected_sequences: BTreeMap<RejectReason, u64>,
@@ -1137,8 +1136,8 @@ mod tests {
 
     #[test]
     fn reject_reason_names_are_stable() {
-        // The report and serde renderings both lean on these exact strings,
-        // and BTreeMap order must match their lexicographic order.
+        // The report rendering leans on these exact strings, and BTreeMap
+        // order must match their lexicographic order.
         assert_eq!(
             RejectReason::TooFewDestinations.as_str(),
             "TooFewDestinations"
@@ -1152,21 +1151,6 @@ mod tests {
         assert!(
             RejectReason::TooFewDestinations.as_str() < RejectReason::TooSlow.as_str(),
             "enum order tracks string order"
-        );
-    }
-
-    #[test]
-    fn noise_stats_serialize_with_string_reason_keys() {
-        let mut noise = NoiseStats::default();
-        noise
-            .rejected_sequences
-            .insert(RejectReason::TooFewDestinations, 3);
-        noise.rejected_sequences.insert(RejectReason::TooSlow, 1);
-        noise.rejected_packets = 44;
-        let json = serde_json::to_string(&noise).unwrap();
-        assert_eq!(
-            json,
-            r#"{"rejected_sequences":{"TooFewDestinations":3,"TooSlow":1},"rejected_packets":44}"#
         );
     }
 
@@ -1200,9 +1184,11 @@ mod tests {
         for i in 0..3u32 {
             det.offer(&record(2, 200 + i, 22, (i as u64) * 1000), None);
         }
-        // A long gap closes both, then sources 3 and 4 open fresh scans that
-        // are still in flight at snapshot time.
+        // A long gap closes both (the detector closes an idle scan only on
+        // that source's next record or an expiry sweep), then sources 3 and
+        // 4 open fresh scans that are still in flight at snapshot time.
         let later = 3 * 3600 * 1_000_000u64;
+        det.expire_idle(later);
         for i in 0..8u32 {
             det.offer(&record(3, 300 + i, 443, later + (i as u64) * 1000), None);
             det.offer(

@@ -357,6 +357,7 @@ pub struct CheckpointHeader {
 }
 
 /// One complete, self-contained snapshot of a year run in flight.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// Identity and progress.
     pub header: CheckpointHeader,

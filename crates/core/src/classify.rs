@@ -35,9 +35,8 @@ pub fn classify_with_org(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use synscan_netmodel::Country;
+    use synscan_stats::Rng;
 
     #[test]
     fn known_org_sources_are_institutional() {
@@ -52,7 +51,7 @@ mod tests {
     #[test]
     fn as_category_drives_the_label() {
         let registry = InternetRegistry::build(12, &[]);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         for class in [
             ScannerClass::Hosting,
             ScannerClass::Enterprise,

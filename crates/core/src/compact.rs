@@ -33,7 +33,7 @@ const PORT_WORDS: usize = 1 << 10;
 /// hybrid).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IdSet {
-    /// Sorted, deduplicated inline ids (≤ [`ID_SMALL_MAX`]).
+    /// Sorted, deduplicated inline ids (≤ `ID_SMALL_MAX`).
     Small(Vec<u32>),
     /// Bitmap over ids, sized to the largest id seen.
     Bits {
@@ -294,7 +294,7 @@ impl Iterator for IdSetIter<'_> {
 /// never needs to iterate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PortSet {
-    /// Sorted, deduplicated inline ports (≤ [`PORT_SMALL_MAX`]).
+    /// Sorted, deduplicated inline ports (≤ `PORT_SMALL_MAX`).
     Small(Vec<u16>),
     /// Full 8 KiB port bitmap — only for the rare wide (vertical) scanners.
     Bits {
@@ -398,7 +398,7 @@ impl PortSet {
     }
 
     /// Rebuild a set written by [`PortSet::snapshot_to`]. The bitmap variant
-    /// is always exactly [`PORT_WORDS`] words, so only the inline length is
+    /// is always exactly `PORT_WORDS` words, so only the inline length is
     /// encoded.
     pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
         match r.take_u8()? {

@@ -9,7 +9,7 @@
 //! sharded pipeline: the same [`shard_of`] source partition, the same
 //! [`YearAnalysis::merge_partials`] recombination, the same `SYNCKPT`
 //! checkpoint state — but carried over a byte pipe
-//! ([`synscan_wire::frame`]) instead of a crossbeam channel, so the workers
+//! ([`synscan_wire::frame`]) instead of an in-process channel, so the workers
 //! can live in other processes or on other hosts.
 //!
 //! Determinism argument, in three steps:

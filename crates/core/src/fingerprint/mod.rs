@@ -435,7 +435,6 @@ mod tests {
 
         // The restored engine classifies the continuation of each stream
         // exactly like the original would.
-        let mut engine = engine;
         for rec in records_for(&NmapScanner::new(31), 500, 8).iter().skip(6) {
             let sid = table.intern(rec.src_ip.0);
             assert_eq!(restored.classify(sid, rec), engine.classify(sid, rec));

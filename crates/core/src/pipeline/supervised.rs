@@ -21,24 +21,22 @@
 //!    output to an uninterrupted one — asserted by this module's tests in
 //!    both sequential and sharded modes.
 //! 3. **Supervision** — sharded workers run under
-//!    [`contain`](crate::supervise::contain): a panic becomes a typed
+//!    [`contain`]: a panic becomes a typed
 //!    [`PipelineError::WorkerFailed`] carrying the shard index instead of a
 //!    process abort, healthy shards are joined and drained, and a watchdog
 //!    thread flags workers that stop heartbeating within a deadline.
 //!
 //! The consistent cut in sharded mode is a message-order barrier: the feeder
 //! flushes every partial per-shard batch, then sends each worker a
-//! [`SupMsg::Snapshot`] request. Workers process messages in order, so the
+//! `SupMsg::Snapshot` request. Workers process messages in order, so the
 //! snapshot they reply with reflects exactly the records the cursor counts —
 //! no locks, no pausing the world beyond one reply per shard.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
-
-use crossbeam::channel;
 
 use synscan_wire::stream::{skip_records, BatchPool, FaultPolicy, TryRecordStream};
 use synscan_wire::ProbeRecord;
@@ -136,6 +134,7 @@ pub struct CheckpointOptions {
 
 /// Everything around the run: supervision knobs, checkpointing, resume
 /// state, and fault-injection hooks.
+#[derive(Default)]
 pub struct SupervisorOptions<'a> {
     /// Watchdog and heartbeat timing.
     pub supervision: SupervisionConfig,
@@ -150,18 +149,6 @@ pub struct SupervisorOptions<'a> {
     /// Deterministic fault injection for supervision tests (sharded mode
     /// only; the sequential arm has no workers to fail).
     pub inject: Option<Arc<InjectedFaults>>,
-}
-
-impl Default for SupervisorOptions<'_> {
-    fn default() -> Self {
-        Self {
-            supervision: SupervisionConfig::default(),
-            checkpoint: None,
-            resume: None,
-            stop: None,
-            inject: None,
-        }
-    }
 }
 
 /// Why a supervised run did not complete.
@@ -197,6 +184,8 @@ impl From<CheckpointError> for RunError {
 }
 
 /// How a supervised run ended.
+// One value per run, matched once: boxing the finished analysis buys nothing.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunStatus {
     /// The stream was fully processed.
@@ -493,13 +482,13 @@ enum SupMsg {
     /// Consistent-cut request: reply with the serialized collector. Sent
     /// after all partial batches were flushed, so the in-order reply
     /// reflects exactly the records the checkpoint cursor counts.
-    Snapshot(channel::Sender<Vec<u8>>),
+    Snapshot(mpsc::SyncSender<Vec<u8>>),
 }
 
 /// Flush partial batches and take a consistent cut of every shard's
 /// collector. On failure returns the index of the dead shard.
 fn collect_cut(
-    txs: &[channel::Sender<SupMsg>],
+    txs: &[mpsc::SyncSender<SupMsg>],
     batches: &mut [Vec<ProbeRecord>],
     pool: &mut BatchPool,
 ) -> Result<Vec<Vec<u8>>, u32> {
@@ -514,7 +503,7 @@ fn collect_cut(
     }
     let mut blobs = Vec::with_capacity(txs.len());
     for (shard, tx) in txs.iter().enumerate() {
-        let (reply_tx, reply_rx) = channel::bounded::<Vec<u8>>(1);
+        let (reply_tx, reply_rx) = mpsc::sync_channel::<Vec<u8>>(1);
         if tx.send(SupMsg::Snapshot(reply_tx)).is_err() {
             return Err(shard as u32);
         }
@@ -565,11 +554,11 @@ where
 
     thread::scope(|scope| {
         let (recycle_tx, recycle_rx) =
-            channel::bounded::<Vec<ProbeRecord>>(workers * (CHANNEL_DEPTH + 2));
+            mpsc::sync_channel::<Vec<ProbeRecord>>(workers * (CHANNEL_DEPTH + 2));
         let mut txs = Vec::with_capacity(workers);
         let mut joins = Vec::with_capacity(workers);
         for (shard, slot) in restored.iter_mut().enumerate() {
-            let (tx, rx) = channel::bounded::<SupMsg>(CHANNEL_DEPTH);
+            let (tx, rx) = mpsc::sync_channel::<SupMsg>(CHANNEL_DEPTH);
             txs.push(tx);
             let spec = *spec;
             let hint = spec.hints.per_worker(workers);
@@ -831,8 +820,8 @@ fn supervised_worker(
     spec: RunSpec,
     hints: SizeHints,
     restored: Option<YearCollector>,
-    rx: channel::Receiver<SupMsg>,
-    recycle: channel::Sender<Vec<ProbeRecord>>,
+    rx: mpsc::Receiver<SupMsg>,
+    recycle: mpsc::SyncSender<Vec<ProbeRecord>>,
     board: &HeartbeatBoard,
     beat_every: Duration,
     inject: Option<Arc<InjectedFaults>>,
@@ -896,8 +885,8 @@ fn supervised_worker(
                         }
                     }
                     // A quiet channel is not a stalled worker: beat and wait.
-                    Err(channel::RecvTimeoutError::Timeout) => board.beat(shard as usize),
-                    Err(channel::RecvTimeoutError::Disconnected) => break,
+                    Err(mpsc::RecvTimeoutError::Timeout) => board.beat(shard as usize),
+                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
                 }
             }
             collector.map(YearCollector::finish)

@@ -9,18 +9,19 @@
 
 use std::fmt::Write as _;
 
-use synscan_wire::Ipv4Address;
+use synscan_wire::{impl_to_json, Ipv4Address};
 
 use crate::analysis::collect::YearAnalysis;
 use crate::analysis::yearly::{summarize, YearSummary};
 use crate::campaign::NoiseStats;
 
 /// A multi-year (Table 1 style) report.
-#[derive(Debug, Clone, Default, serde::Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DecadeReport {
     /// One summary per simulated year, ascending.
     pub years: Vec<YearSummary>,
 }
+impl_to_json!(DecadeReport { years });
 
 impl DecadeReport {
     /// Assemble the Table 1 report from per-year store slices (ascending),
@@ -100,11 +101,6 @@ impl DecadeReport {
         }
         out
     }
-
-    /// Serialize the whole report to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serializes")
-    }
 }
 
 /// Render noise/rejection statistics as an aligned text block. Rejection
@@ -133,7 +129,7 @@ pub fn render_series<L: std::fmt::Display, V: std::fmt::Display>(
 }
 
 /// One year of a single source's activity, for [`source_history`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SourceYear {
     /// Calendar year.
     pub year: u16,
@@ -146,10 +142,17 @@ pub struct SourceYear {
     /// Its share of the year's admitted packets.
     pub packet_share: f64,
 }
+impl_to_json!(SourceYear {
+    year,
+    packets,
+    ports,
+    campaigns,
+    packet_share
+});
 
 /// A source's decade history — the per-source view the paper's
 /// Greynoise-shaped consumer asks for.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SourceHistory {
     /// Dotted-quad source address.
     pub source: String,
@@ -158,13 +161,11 @@ pub struct SourceHistory {
     /// One row per year the source appeared, ascending.
     pub years: Vec<SourceYear>,
 }
-
-impl SourceHistory {
-    /// Pretty JSON, the serve/batch artifact form.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("source history serializes")
-    }
-}
+impl_to_json!(SourceHistory {
+    source,
+    years_seen,
+    years
+});
 
 /// Per-source history across store slices: one row for every year the
 /// source sent at least one admitted packet.
@@ -198,7 +199,7 @@ pub fn source_history(years: &[YearAnalysis], source: Ipv4Address) -> SourceHist
 }
 
 /// One year of a single port's targeting, for [`port_trend`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PortYear {
     /// Calendar year.
     pub year: u16,
@@ -211,9 +212,16 @@ pub struct PortYear {
     /// Its share of the year's distinct sources.
     pub source_share: f64,
 }
+impl_to_json!(PortYear {
+    year,
+    packets,
+    sources,
+    packet_share,
+    source_share
+});
 
 /// A port's yearly targeting trend across the decade.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PortTrend {
     /// The destination port.
     pub port: u16,
@@ -221,13 +229,7 @@ pub struct PortTrend {
     /// time axis), ascending.
     pub years: Vec<PortYear>,
 }
-
-impl PortTrend {
-    /// Pretty JSON, the serve/batch artifact form.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("port trend serializes")
-    }
-}
+impl_to_json!(PortTrend { port, years });
 
 /// Per-port yearly trend across store slices.
 pub fn port_trend(years: &[YearAnalysis], port: u16) -> PortTrend {
@@ -249,7 +251,7 @@ pub fn port_trend(years: &[YearAnalysis], port: u16) -> PortTrend {
 }
 
 /// One campaign attributed to a looked-up source, for [`campaign_lookup`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignHit {
     /// Calendar year the campaign ran in.
     pub year: u16,
@@ -266,9 +268,18 @@ pub struct CampaignHit {
     /// Majority-vote tool attribution, if any tracked tool matched.
     pub tool: Option<String>,
 }
+impl_to_json!(CampaignHit {
+    year,
+    first_ts_micros,
+    last_ts_micros,
+    packets,
+    distinct_dests,
+    ports,
+    tool
+});
 
 /// Every campaign a source ran across the decade.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignLookup {
     /// Dotted-quad source address.
     pub source: String,
@@ -277,13 +288,11 @@ pub struct CampaignLookup {
     /// Campaign rows in (year, start time) order.
     pub campaigns: Vec<CampaignHit>,
 }
-
-impl CampaignLookup {
-    /// Pretty JSON, the serve/batch artifact form.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("campaign lookup serializes")
-    }
-}
+impl_to_json!(CampaignLookup {
+    source,
+    total,
+    campaigns
+});
 
 /// Campaign lookup across store slices: all campaigns attributed to
 /// `source`, in (year, start time) order.
@@ -323,16 +332,11 @@ pub fn network_impact_of(analysis: &YearAnalysis) -> Option<crate::sketch::Netwo
     Some(heavy.network_impact(analysis.year, window_secs, &sources))
 }
 
-/// Pretty-JSON form of [`network_impact_of`]'s result, the serve/batch
-/// artifact bytes.
-pub fn network_impact_json(impact: &crate::sketch::NetworkImpact) -> String {
-    serde_json::to_string_pretty(impact).expect("network impact serializes")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
+    use synscan_wire::json::{ToJson, Value};
 
     fn summary(year: u16, ppd: f64, spm: f64) -> YearSummary {
         YearSummary {
@@ -403,9 +407,12 @@ mod tests {
         let report = DecadeReport {
             years: vec![summary(2020, 283e6, 222_000.0)],
         };
-        let json = report.to_json();
-        let value: serde_json::Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(value["years"][0]["year"], 2020);
+        let json = report.to_json().to_string_pretty();
+        let value = synscan_wire::json::parse(&json).unwrap();
+        let Some(Value::Array(years)) = value.get("years") else {
+            panic!("no years array in {json}")
+        };
+        assert_eq!(years[0].get("year").and_then(Value::as_u64), Some(2020));
     }
 
     #[test]
@@ -483,7 +490,7 @@ mod tests {
         assert_eq!(lookup.campaigns[0].year, 2015);
         assert_eq!(lookup.campaigns[1].year, 2016);
         assert_eq!(lookup.campaigns[0].ports, 1);
-        let json = lookup.to_json();
+        let json = lookup.to_json().to_string_pretty();
         assert!(json.contains("\"source\": \"0.0.0.9\""));
     }
 }

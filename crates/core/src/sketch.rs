@@ -36,16 +36,13 @@
 //! sharded merge, the `SnapWriter`/`SnapReader` codec for `SYNCKPT`
 //! checkpoints and `SYNSTORE` slices, and [`HeavyHitters::network_impact`]
 //! to derive the report section. The formal guarantees are enforced against
-//! a dense reference by `tests/sketch_equivalence.rs`, which also runs
-//! registry-free under `tools/standalone/`.
-//!
-//! This module is standalone-portable: it depends only on
-//! [`crate::fasthash`] and the [`crate::checkpoint`] codec (`u8`–`u64`
-//! primitives), and its serde derives are stripped under
-//! `--cfg synscan_standalone` like the wire layer's.
+//! a dense reference by `tests/sketch_equivalence.rs`.
 
 use std::collections::BTreeMap;
 use std::hash::Hasher as _;
+
+use synscan_stats::mix64;
+use synscan_wire::impl_to_json;
 
 use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use crate::fasthash::FxHasher;
@@ -64,26 +61,15 @@ pub const TOOL_SLOT_NAMES: [&str; TOOL_SLOTS] = [
     "masscan",
     "nmap",
     "mirai",
-    "unicornscan",
+    "unicorn",
     "custom",
 ];
-
-/// splitmix64 finalizer: seeds the per-row hash lanes deterministically
-/// (kept local so the module compiles standalone, without the scanners
-/// crate's `mix64`).
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Sketch sizing: top-K capacity plus the count-min matrix dimensions.
 ///
 /// Parsed from the CLI as `k[,width,depth]` (`--heavy-hitters 10,2048,4`);
 /// omitted dimensions fall back to the defaults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(not(synscan_standalone), derive(serde::Serialize))]
 pub struct HeavyHitterConfig {
     /// Top-K slots the space-saving tracker keeps.
     pub k: u32,
@@ -92,6 +78,7 @@ pub struct HeavyHitterConfig {
     /// Count-min depth (independent rows). Failure odds `δ = e^-depth`.
     pub depth: u32,
 }
+impl_to_json!(HeavyHitterConfig { k, width, depth });
 
 impl Default for HeavyHitterConfig {
     fn default() -> Self {
@@ -184,7 +171,6 @@ impl std::str::FromStr for HeavyHitterConfig {
 /// comparable and mergeable cell by cell, and equal logical state always
 /// snapshots to equal bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(not(synscan_standalone), derive(serde::Serialize))]
 pub struct CountMinSketch {
     width: u32,
     depth: u32,
@@ -226,7 +212,7 @@ impl CountMinSketch {
     /// mixed from the row index), reduced mod width.
     fn cell_of(&self, row: u32, key: u64) -> usize {
         let mut hasher = FxHasher::default();
-        hasher.write_u64(mix(0x5359_4e5f_434d_5300 ^ u64::from(row)));
+        hasher.write_u64(mix64(0x5359_4e5f_434d_5300 ^ u64::from(row)));
         hasher.write_u64(key);
         row as usize * self.width as usize + (hasher.finish() % u64::from(self.width)) as usize
     }
@@ -340,7 +326,6 @@ impl CountMinSketch {
 /// explicit overcount bound, the active window, and per-tool attribution
 /// tallies for the census.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(not(synscan_standalone), derive(serde::Serialize))]
 pub struct HeavySlot {
     /// Tracked packet count — an upper bound on the true count.
     pub packets: u64,
@@ -401,7 +386,6 @@ impl HeavySlot {
 /// true count is at least `packets - err`, and any key with true count
 /// `> total/capacity` is tracked.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(not(synscan_standalone), derive(serde::Serialize))]
 pub struct SpaceSaving {
     capacity: u32,
     /// Total offers absorbed (`N` in the guarantees).
@@ -622,7 +606,6 @@ impl SpaceSaving {
 /// config. This is the state that rides in `YearAnalysis`, checkpoints,
 /// and store slices; [`HeavyHitters::network_impact`] derives the report.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(not(synscan_standalone), derive(serde::Serialize))]
 pub struct HeavyHitters {
     config: HeavyHitterConfig,
     count_min: CountMinSketch,
@@ -839,7 +822,6 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 
 /// One ranked source in the network-impact report.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(not(synscan_standalone), derive(serde::Serialize))]
 pub struct HeavyHitterEntry {
     /// Source address, dotted quad.
     pub source: String,
@@ -854,11 +836,18 @@ pub struct HeavyHitterEntry {
     /// Origin /8 of the source.
     pub origin: String,
 }
+impl_to_json!(HeavyHitterEntry {
+    source,
+    packets,
+    count_error,
+    pps,
+    tool,
+    origin
+});
 
 /// Per-source rate percentiles (pps over the capture window), estimated
 /// from the count-min sketch across every distinct source.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(not(synscan_standalone), derive(serde::Serialize))]
 pub struct RatePercentiles {
     /// Median estimated rate.
     pub p50: f64,
@@ -869,11 +858,11 @@ pub struct RatePercentiles {
     /// Maximum estimated rate.
     pub max: f64,
 }
+impl_to_json!(RatePercentiles { p50, p90, p99, max });
 
 /// One aggressive-scanner census row: tracked heavy hitters grouped by
 /// dominant tool and origin /8.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(not(synscan_standalone), derive(serde::Serialize))]
 pub struct AggressiveCensusRow {
     /// Dominant tool name (`"unattributed"` when no fingerprint matched).
     pub tool: String,
@@ -884,11 +873,16 @@ pub struct AggressiveCensusRow {
     /// Combined tracked packets of those sources.
     pub packets: u64,
 }
+impl_to_json!(AggressiveCensusRow {
+    tool,
+    origin,
+    sources,
+    packets
+});
 
 /// The "network impact" report section for one year — everything derived
 /// from the sketch state at report time.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(not(synscan_standalone), derive(serde::Serialize))]
 pub struct NetworkImpact {
     /// Calendar year the section covers.
     pub year: u16,
@@ -917,6 +911,21 @@ pub struct NetworkImpact {
     /// Aggressive-scanner census per (dominant tool, origin /8).
     pub census: Vec<AggressiveCensusRow>,
 }
+impl_to_json!(NetworkImpact {
+    year,
+    config,
+    window_secs,
+    total_packets,
+    tracked_sources,
+    evictions,
+    epsilon,
+    delta,
+    sketch_bytes,
+    top_by_packets,
+    top_by_pps,
+    rate_percentiles,
+    census
+});
 
 #[cfg(test)]
 mod tests {
@@ -967,7 +976,7 @@ mod tests {
             cm.add(key, key % 7 + 1);
         }
         for key in 0u64..500 {
-            assert!(cm.estimate(key) >= key % 7 + 1, "undercount at {key}");
+            assert!(cm.estimate(key) > key % 7, "undercount at {key}");
         }
         assert_eq!(cm.total(), (0u64..500).map(|k| k % 7 + 1).sum::<u64>());
         assert_eq!(cm.estimate(10_000), cm.estimate(10_000)); // deterministic
@@ -975,7 +984,7 @@ mod tests {
 
     #[test]
     fn plain_count_min_merge_is_byte_identical_to_sequential() {
-        let keys: Vec<u64> = (0..2000).map(|i| mix(i) % 300).collect();
+        let keys: Vec<u64> = (0..2000).map(|i| mix64(i) % 300).collect();
         let mut sequential = CountMinSketch::new(128, 4);
         let mut even = CountMinSketch::new(128, 4);
         let mut odd = CountMinSketch::new(128, 4);
@@ -1000,7 +1009,9 @@ mod tests {
     #[test]
     fn conservative_update_is_tighter_but_not_mergeable() {
         // Tighter: conservative estimates never exceed plain ones.
-        let keys: Vec<u64> = (0..3000).map(|i| mix(i.wrapping_mul(3)) % 100).collect();
+        let keys: Vec<u64> = (0..3000u64)
+            .map(|i| mix64(i.wrapping_mul(3)) % 100)
+            .collect();
         let mut plain = CountMinSketch::new(16, 2);
         let mut conservative = CountMinSketch::new(16, 2);
         for &k in &keys {
@@ -1015,8 +1026,10 @@ mod tests {
 
         // Not mergeable: find two keys sharing a row-0 cell but not a
         // row-1 cell, add 5 of one then 1 of the other — the sequential
-        // conservative state differs from the merged shard states.
-        let probe = CountMinSketch::new(2, 2);
+        // conservative state differs from the merged shard states. (Width
+        // 3, not 2: FxHash's low bit is the key's low bit in every row, so
+        // at a power-of-two width no pair separates in one row only.)
+        let probe = CountMinSketch::new(3, 2);
         let (mut a, mut b) = (None, None);
         'search: for x in 0u64..64 {
             for y in 0u64..64 {
@@ -1031,12 +1044,12 @@ mod tests {
             }
         }
         let (a, b) = (a.expect("collision pair exists"), b.expect("pair"));
-        let mut sequential = CountMinSketch::new(2, 2);
+        let mut sequential = CountMinSketch::new(3, 2);
         sequential.add_conservative(a, 5);
         sequential.add_conservative(b, 1);
-        let mut shard_a = CountMinSketch::new(2, 2);
+        let mut shard_a = CountMinSketch::new(3, 2);
         shard_a.add_conservative(a, 5);
-        let mut shard_b = CountMinSketch::new(2, 2);
+        let mut shard_b = CountMinSketch::new(3, 2);
         shard_b.add_conservative(b, 1);
         shard_a.merge(&shard_b);
         assert_ne!(
@@ -1069,7 +1082,7 @@ mod tests {
         let mut ss = SpaceSaving::new(4);
         let mut n = 0u64;
         for i in 0..1000u64 {
-            let key = if i % 5 < 2 { 7 } else { 100 + (mix(i) % 50) };
+            let key = if i % 5 < 2 { 7 } else { 100 + (mix64(i) % 50) };
             ss.offer(key, i, 0);
             n += 1;
         }
@@ -1108,11 +1121,11 @@ mod tests {
         let mut shard0 = HeavyHitters::new(cfg);
         let mut shard1 = HeavyHitters::new(cfg);
         for i in 0..4000u64 {
-            let src = 0x0a00_0000 + (mix(i) % 10) as u32; // 10 sources < k
+            let src = 0x0a00_0000 + (mix64(i) % 10) as u32; // 10 sources < k
             let ts = i * 777;
             let tool = (i % 3) as usize;
             sequential.offer(src, ts, tool);
-            if src % 2 == 0 {
+            if src.is_multiple_of(2) {
                 shard0.offer(src, ts, tool);
             } else {
                 shard1.offer(src, ts, tool);
@@ -1132,7 +1145,7 @@ mod tests {
             depth: 4,
         });
         for i in 0..500u64 {
-            h.offer((mix(i) % 40) as u32, i * 10_000, (i % 7) as usize);
+            h.offer((mix64(i) % 40) as u32, i * 10_000, (i % 7) as usize);
         }
         let bytes = snapshot_of(&h);
         let mut r = SnapReader::new(&bytes);

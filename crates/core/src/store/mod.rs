@@ -712,7 +712,7 @@ fn annotate_slice_error(err: StoreError, path: &Path) -> StoreError {
 /// Per-year slice accounting the `stats` query reports: how many files back
 /// the year, their combined on-disk size, and the format version they were
 /// written with (the newest minor among the year's files).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct YearSliceStat {
     /// Calendar year the slices cover.
     pub year: u16,
@@ -1065,7 +1065,7 @@ mod tests {
             expiry_secs: 3600.0,
             monitored_addresses: 1 << 16,
         };
-        let mut c1 = YearCollector::new(2018, cfg.clone());
+        let mut c1 = YearCollector::new(2018, cfg);
         let mut c2 = YearCollector::new(2018, cfg);
         for i in 0..20u32 {
             c1.offer(&record(21, 400 + i, 443, u64::from(i) * 100_000));

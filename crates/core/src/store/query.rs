@@ -35,16 +35,13 @@
 //! thread applies reloads; [`answer`] treats them as no-ops so the offline
 //! (`--store-dir --query`) client stays a drop-in stand-in for a daemon.
 
-use serde::Serialize;
-
+use synscan_wire::json::{self, ToJson, Value};
 use synscan_wire::Ipv4Address;
 
 use super::StoreImage;
+use crate::analysis::collect::YearAnalysis;
 use crate::analysis::yearly::summarize;
-use crate::report::{
-    campaign_lookup, network_impact_json, network_impact_of, port_trend, source_history,
-    DecadeReport,
-};
+use crate::report::{campaign_lookup, network_impact_of, port_trend, source_history, DecadeReport};
 
 /// Ranking depth for table/summary bodies — the paper prints 5, and the
 /// batch `repro` artifacts use the same depth, which the byte-equivalence
@@ -113,59 +110,41 @@ pub struct HealthCounters {
     pub draining: bool,
 }
 
-/// The `health` body: image identity next to the live gate counters.
-#[derive(Debug, Serialize)]
-struct HealthBody {
-    generation: u64,
-    years: usize,
-    uptime_ms: u64,
-    in_flight: u64,
-    served: u64,
-    shed: u64,
-    draining: bool,
-}
-
-/// Render the `health` response line from an image and live counters.
+/// Render the `health` response line — image identity next to the live
+/// gate counters — from an image and live counters.
 pub fn health_line(image: &StoreImage, live: &HealthCounters) -> String {
-    let body = HealthBody {
-        generation: image.generation,
-        years: image.year_list().len(),
-        uptime_ms: live.uptime_ms,
-        in_flight: live.in_flight,
-        served: live.served,
-        shed: live.shed,
-        draining: live.draining,
-    };
-    ok_line(&serde_json::to_string_pretty(&body).expect("health serializes"))
-}
-
-#[derive(Serialize)]
-struct OkResponse<'a> {
-    ok: bool,
-    body: &'a str,
-}
-
-#[derive(Serialize)]
-struct ErrResponse<'a> {
-    ok: bool,
-    error: &'a str,
+    ok_body(&json::object([
+        ("generation", image.generation.to_json()),
+        ("years", image.year_list().len().to_json()),
+        ("uptime_ms", live.uptime_ms.to_json()),
+        ("in_flight", live.in_flight.to_json()),
+        ("served", live.served.to_json()),
+        ("shed", live.shed.to_json()),
+        ("draining", live.draining.to_json()),
+    ]))
 }
 
 /// A single-line success response with `body` embedded as a JSON string.
 pub fn ok_line(body: &str) -> String {
-    serde_json::to_string(&OkResponse { ok: true, body }).expect("response serializes")
+    json::object([("ok", Value::Bool(true)), ("body", body.to_json())]).to_string()
+}
+
+/// [`ok_line`] around a value's pretty JSON — the artifact form the batch
+/// binaries write, so a response body diffs byte-for-byte against the file.
+fn ok_body(value: &impl ToJson) -> String {
+    ok_line(&value.to_json().to_string_pretty())
 }
 
 /// A single-line error response.
 pub fn err_line(error: &str) -> String {
-    serde_json::to_string(&ErrResponse { ok: false, error }).expect("response serializes")
+    json::object([("ok", Value::Bool(false)), ("error", error.to_json())]).to_string()
 }
 
 /// Extract the `body` string from a response line produced by [`ok_line`].
 /// Returns `None` for error responses or non-protocol lines — used by the
 /// client's `--bodies` mode and the CI diff scripts.
 pub fn body_of(line: &str) -> Option<String> {
-    let value: serde_json::Value = serde_json::from_str(line).ok()?;
+    let value = json::parse(line).ok()?;
     if value.get("ok")?.as_bool()? {
         Some(value.get("body")?.as_str()?.to_string())
     } else {
@@ -176,13 +155,12 @@ pub fn body_of(line: &str) -> Option<String> {
 /// Parse one request line. Errors are human-readable strings ready for
 /// [`err_line`] — a malformed request must never take the daemon down.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let value: serde_json::Value =
-        serde_json::from_str(line).map_err(|e| format!("bad request JSON: {e}"))?;
+    let value = json::parse(line).map_err(|e| format!("bad request JSON: {e}"))?;
     let op = value
         .get("op")
         .and_then(|v| v.as_str())
         .ok_or_else(|| "request has no \"op\" field".to_string())?;
-    let year_field = |value: &serde_json::Value| -> Result<u16, String> {
+    let year_field = |value: &Value| -> Result<u16, String> {
         value
             .get("year")
             .and_then(|v| v.as_u64())
@@ -190,7 +168,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             .map(|y| y as u16)
             .ok_or_else(|| format!("op {op:?} needs a \"year\" field"))
     };
-    let ip_field = |value: &serde_json::Value| -> Result<Ipv4Address, String> {
+    let ip_field = |value: &Value| -> Result<Ipv4Address, String> {
         let text = value
             .get("ip")
             .and_then(|v| v.as_str())
@@ -230,29 +208,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-/// One year's slice accounting inside the `stats` body.
-#[derive(Debug, Serialize)]
-struct SliceStatRow {
-    year: u16,
-    files: u64,
-    bytes: u64,
-    /// Format version the year's slices were written with, `major.minor`.
-    version: String,
-}
-
-/// Image statistics for the `stats` op.
-#[derive(Debug, Serialize)]
-struct ImageStats {
-    generation: u64,
-    slice_files: usize,
-    years: Vec<u16>,
-    total_packets: u64,
-    distinct_sources: u64,
-    campaigns: u64,
-    /// Per-year slice accounting (file count, on-disk bytes, version).
-    slices: Vec<SliceStatRow>,
-}
-
 /// Answer a data request from an image, returning the full response line.
 ///
 /// Admin requests ([`Request::Reload`], [`Request::Shutdown`]) get a no-op
@@ -260,47 +215,48 @@ struct ImageStats {
 pub fn answer(image: &StoreImage, request: &Request) -> String {
     match request {
         Request::Ping => ok_line("pong"),
-        Request::Years => {
-            let body = serde_json::to_string(&image.year_list()).expect("years serialize");
-            ok_line(&body)
-        }
+        Request::Years => ok_line(&image.year_list().to_json().to_string()),
         Request::Stats => {
-            let stats = ImageStats {
-                generation: image.generation,
-                slice_files: image.slice_files,
-                years: image.year_list(),
-                total_packets: image.years.iter().map(|y| y.total_packets).sum(),
-                distinct_sources: image.years.iter().map(|y| y.distinct_sources).sum(),
-                campaigns: image.years.iter().map(|y| y.campaigns.len() as u64).sum(),
-                slices: image
-                    .slices
-                    .iter()
-                    .map(|s| SliceStatRow {
-                        year: s.year,
-                        files: s.files,
-                        bytes: s.bytes,
-                        version: format!("{}.{}", s.format_major, s.format_minor),
-                    })
-                    .collect(),
-            };
-            let body = serde_json::to_string_pretty(&stats).expect("stats serialize");
-            ok_line(&body)
+            // Per-year slice accounting (file count, on-disk bytes, format
+            // version as `major.minor`) next to the aggregate totals.
+            let slices: Vec<Value> = image
+                .slices
+                .iter()
+                .map(|s| {
+                    json::object([
+                        ("year", s.year.to_json()),
+                        ("files", s.files.to_json()),
+                        ("bytes", s.bytes.to_json()),
+                        (
+                            "version",
+                            format!("{}.{}", s.format_major, s.format_minor).to_json(),
+                        ),
+                    ])
+                })
+                .collect();
+            let sum =
+                |per_year: fn(&YearAnalysis) -> u64| image.years.iter().map(per_year).sum::<u64>();
+            ok_body(&json::object([
+                ("generation", image.generation.to_json()),
+                ("slice_files", image.slice_files.to_json()),
+                ("years", image.year_list().to_json()),
+                ("total_packets", sum(|y| y.total_packets).to_json()),
+                ("distinct_sources", sum(|y| y.distinct_sources).to_json()),
+                ("campaigns", sum(|y| y.campaigns.len() as u64).to_json()),
+                ("slices", Value::Array(slices)),
+            ]))
         }
-        Request::Table1 => ok_line(&DecadeReport::from_years(&image.years, TOP_N).to_json()),
+        Request::Table1 => ok_body(&DecadeReport::from_years(&image.years, TOP_N)),
         Request::Summary { year } => match image.year(*year) {
-            Some(analysis) => {
-                let body = serde_json::to_string_pretty(&summarize(analysis, TOP_N))
-                    .expect("summary serializes");
-                ok_line(&body)
-            }
+            Some(analysis) => ok_body(&summarize(analysis, TOP_N)),
             None => err_line(&format!("no store slice covers year {year}")),
         },
-        Request::Source { ip } => ok_line(&source_history(&image.years, *ip).to_json()),
-        Request::Port { port } => ok_line(&port_trend(&image.years, *port).to_json()),
-        Request::Campaigns { ip } => ok_line(&campaign_lookup(&image.years, *ip).to_json()),
+        Request::Source { ip } => ok_body(&source_history(&image.years, *ip)),
+        Request::Port { port } => ok_body(&port_trend(&image.years, *port)),
+        Request::Campaigns { ip } => ok_body(&campaign_lookup(&image.years, *ip)),
         Request::Heavy { year } => match image.year(*year) {
             Some(analysis) => match network_impact_of(analysis) {
-                Some(impact) => ok_line(&network_impact_json(&impact)),
+                Some(impact) => ok_body(&impact),
                 None => err_line(&format!(
                     "year {year} was analyzed without --heavy-hitters; re-run with the flag \
                      to enable the network-impact section"
@@ -386,11 +342,10 @@ mod tests {
         ];
         let line = answer_line(&image, "{\"op\":\"stats\"}");
         let body = body_of(&line).expect("stats body");
-        let value: serde_json::Value = serde_json::from_str(&body).expect("stats JSON");
-        let slices = value
-            .get("slices")
-            .and_then(|v| v.as_array())
-            .expect("stats body has a slices array");
+        let value = json::parse(&body).expect("stats JSON");
+        let Some(Value::Array(slices)) = value.get("slices") else {
+            panic!("stats body has no slices array: {body}")
+        };
         assert_eq!(slices.len(), 2);
         let expect_version = format!("{STORE_FORMAT_MAJOR}.{STORE_FORMAT_MINOR}");
         for (row, (year, files, bytes)) in slices.iter().zip([(2019, 1, 4096), (2020, 2, 8192)]) {
@@ -425,7 +380,12 @@ mod tests {
         assert!(!table.contains('\n'));
         assert_eq!(
             body_of(&table).as_deref(),
-            Some(DecadeReport::from_years(&[], TOP_N).to_json().as_str())
+            Some(
+                DecadeReport::from_years(&[], TOP_N)
+                    .to_json()
+                    .to_string_pretty()
+                    .as_str()
+            )
         );
     }
 
@@ -434,7 +394,7 @@ mod tests {
         let image = StoreImage::empty();
         let line = answer_line(&image, "{\"op\":\"health\"}");
         let body = body_of(&line).expect("health body");
-        let value: serde_json::Value = serde_json::from_str(&body).expect("health JSON");
+        let value = json::parse(&body).expect("health JSON");
         assert!(value.get("generation").is_some());
         assert_eq!(value.get("in_flight").and_then(|v| v.as_u64()), Some(0));
         assert_eq!(value.get("shed").and_then(|v| v.as_u64()), Some(0));
@@ -446,5 +406,40 @@ mod tests {
         let image = StoreImage::empty();
         let line = answer_line(&image, "{\"op\":\"summary\",\"year\":2020}");
         assert!(line.starts_with("{\"ok\":false"));
+    }
+
+    #[test]
+    fn damaged_request_lines_get_exactly_one_response_line() {
+        let image = StoreImage::empty();
+        let request = "{\"op\":\"source\",\"ip\":\"10.0.0.1\"}";
+        assert!(answer_line(&image, request).starts_with("{\"ok\":true"));
+        let one_line = |line: &str| {
+            let response = answer_line(&image, line);
+            assert!(!response.contains('\n'), "{line:?} -> {response:?}");
+            assert!(json::parse(&response).is_ok(), "{line:?} -> {response:?}");
+            response
+        };
+        for junk in [
+            "",
+            "junk",
+            "\u{0}",
+            "[]",
+            "{\"op\":7}",
+            "{\"op\":\"ping\"} x",
+        ] {
+            assert!(one_line(junk).starts_with("{\"ok\":false"), "{junk:?}");
+        }
+        // Every strict prefix is refused; a flipped byte is refused or still
+        // a well-formed request, never a panic or a second line.
+        for cut in 0..request.len() {
+            assert!(one_line(&request[..cut]).starts_with("{\"ok\":false"));
+        }
+        for at in 0..request.len() {
+            for byte in [b'"', b'\\', b'{', b'}', b',', b'\n', b'9', 0x7f] {
+                let mut bytes = request.as_bytes().to_vec();
+                bytes[at] = byte;
+                one_line(std::str::from_utf8(&bytes).expect("ASCII stays UTF-8"));
+            }
+        }
     }
 }

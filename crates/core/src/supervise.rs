@@ -211,13 +211,13 @@ pub fn watch(
     let mut events = Vec::new();
     let stall_ms = config.stall_after.as_millis() as u64;
     while !done.load(Ordering::Acquire) {
-        for shard in 0..board.len() {
-            if flagged[shard] || board.is_finished(shard) {
+        for (shard, flagged) in flagged.iter_mut().enumerate() {
+            if *flagged || board.is_finished(shard) {
                 continue;
             }
             let silent = board.silent_ms(shard);
             if silent > stall_ms {
-                flagged[shard] = true;
+                *flagged = true;
                 events.push(StallEvent {
                     shard: shard as u32,
                     silent_ms: silent,

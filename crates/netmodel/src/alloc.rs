@@ -11,9 +11,7 @@
 
 use std::collections::HashMap;
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{RngExt, SeedableRng};
+use synscan_stats::Rng;
 
 use synscan_wire::Ipv4Address;
 
@@ -67,7 +65,7 @@ impl AddressPlan {
     /// Build the plan. `dark_blocks` are /16 indices (upper 16 bits of the
     /// address) that stay unassigned — the telescope space.
     pub fn build(seed: u64, dark_blocks: &[u16]) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5ca1_ab1e_0000_0001);
+        let mut rng = Rng::seed_from_u64(seed ^ 0x5ca1_ab1e_0000_0001);
 
         // 1. Collect usable /16s.
         let mut usable: Vec<u16> = Vec::new();
@@ -85,7 +83,7 @@ impl AddressPlan {
                 usable.push(hi);
             }
         }
-        usable.shuffle(&mut rng);
+        rng.shuffle(&mut usable);
 
         // 2. Partition across countries by IPv4 share, then classes.
         let mut blocks: Vec<Option<BlockInfo>> = vec![None; 65_536];
@@ -145,7 +143,7 @@ impl AddressPlan {
                 }
 
                 for &b16 in class_blocks {
-                    let asn = class_asns[rng.random_range(0..class_asns.len())];
+                    let asn = class_asns[rng.range(0..class_asns.len())];
                     blocks[b16 as usize] = Some(BlockInfo {
                         country,
                         class,
@@ -249,20 +247,20 @@ impl AddressPlan {
     /// Sample a source address from (country, class) space.
     pub fn sample_source(
         &self,
-        rng: &mut StdRng,
+        rng: &mut Rng,
         country: Country,
         class: ScannerClass,
     ) -> Option<Ipv4Address> {
         let blocks = self.sampling.get(&(country, class))?;
-        let b16 = blocks[rng.random_range(0..blocks.len())];
-        let low: u16 = rng.random_range(1..65_535);
+        let b16 = blocks[rng.range(0..blocks.len())];
+        let low: u16 = rng.range(1..65_535);
         Some(Ipv4Address(((b16 as u32) << 16) | low as u32))
     }
 
     /// Sample a source from a class in *any* country, weighted by space.
     pub fn sample_source_any_country(
         &self,
-        rng: &mut StdRng,
+        rng: &mut Rng,
         class: ScannerClass,
     ) -> Option<Ipv4Address> {
         // Collect candidate countries once per call; cheap relative to use.
@@ -274,7 +272,7 @@ impl AddressPlan {
         if candidates.is_empty() {
             return None;
         }
-        let country = candidates[rng.random_range(0..candidates.len())];
+        let country = candidates[rng.range(0..candidates.len())];
         self.sample_source(rng, country, class)
     }
 
@@ -365,7 +363,7 @@ mod tests {
     #[test]
     fn sampling_respects_country_and_class() {
         let p = plan();
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         for _ in 0..50 {
             let ip = p
                 .sample_source(&mut rng, Country::China, ScannerClass::Residential)
@@ -379,7 +377,7 @@ mod tests {
     #[test]
     fn sampled_sources_never_land_in_dark_space() {
         let p = plan();
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = Rng::seed_from_u64(9);
         for _ in 0..500 {
             let ip = p
                 .sample_source_any_country(&mut rng, ScannerClass::Hosting)
@@ -391,7 +389,7 @@ mod tests {
     #[test]
     fn fpt_asn_exists_in_vietnam_enterprise_space() {
         let p = plan();
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = Rng::seed_from_u64(11);
         let mut found = false;
         for _ in 0..2000 {
             if let Some(ip) = p.sample_source(&mut rng, Country::Vietnam, ScannerClass::Enterprise)

@@ -8,9 +8,7 @@
 use crate::country::Country;
 
 /// The five origin classes of Table 2.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ScannerClass {
     /// Research institutes, universities, and commercial entities with
     /// publicized scanning (Censys, Shodan, Rapid7, ...).
@@ -54,9 +52,7 @@ impl core::fmt::Display for ScannerClass {
 }
 
 /// Opaque ASN identifier (the AS number).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AsnId(pub u32);
 
 impl core::fmt::Display for AsnId {
@@ -66,7 +62,7 @@ impl core::fmt::Display for AsnId {
 }
 
 /// One autonomous system in the synthetic registry.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Asn {
     /// AS number.
     pub id: AsnId,

@@ -7,8 +7,7 @@
 //! identity across multiple IPs, and the recurrence analysis (§6.6) observe
 //! the resulting non-persistence of residential sources.
 
-use rand::rngs::StdRng;
-use rand::RngExt;
+use synscan_stats::Rng;
 
 use synscan_wire::Ipv4Address;
 
@@ -39,16 +38,16 @@ impl ChurnModel {
     }
 
     /// Draw one lease duration (exponential via inverse CDF).
-    pub fn sample_lease_secs(&self, rng: &mut StdRng) -> f64 {
-        let u: f64 = 1.0 - rng.random::<f64>();
+    pub fn sample_lease_secs(&self, rng: &mut Rng) -> f64 {
+        let u = 1.0 - rng.f64();
         -self.mean_lease_secs * u.ln()
     }
 
     /// The next address after a lease expires: a uniformly random host in
     /// the same /16 pool.
-    pub fn rotate(&self, rng: &mut StdRng, current: Ipv4Address) -> Ipv4Address {
+    pub fn rotate(&self, rng: &mut Rng, current: Ipv4Address) -> Ipv4Address {
         let block = (current.0 >> 16) << 16;
-        let low: u32 = rng.random_range(1..65_535);
+        let low: u32 = rng.range(1..65_535);
         Ipv4Address(block | low)
     }
 
@@ -62,12 +61,11 @@ impl ChurnModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn lease_durations_are_positive_with_correct_mean() {
         let m = ChurnModel::new(1000.0);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let n = 20_000;
         let mut total = 0.0;
         for _ in 0..n {
@@ -82,7 +80,7 @@ mod tests {
     #[test]
     fn rotation_stays_in_the_slash16() {
         let m = ChurnModel::default();
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let start = Ipv4Address::new(83, 41, 7, 9);
         let mut current = start;
         let mut changed = false;

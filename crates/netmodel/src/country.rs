@@ -8,9 +8,7 @@
 //! the geo analysis (§5.4, §6.5) can recover them.
 
 /// Countries tracked by the model. `Other` aggregates the long tail.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum Country {
     China,

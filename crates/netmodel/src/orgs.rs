@@ -10,13 +10,11 @@
 use crate::country::Country;
 
 /// Opaque organization identifier (index into [`roster`]).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OrgId(pub u16);
 
 /// Broad kind of a known scanner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OrgKind {
     /// Commercial attack-surface / search-engine scanners (Censys, Shodan...).
     Commercial,
@@ -27,7 +25,7 @@ pub enum OrgKind {
 }
 
 /// How an organization selects the ports it scans in a given year.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortStrategy {
     /// The full 65,536-port TCP range.
     FullRange,
@@ -49,7 +47,7 @@ impl PortStrategy {
 }
 
 /// One known scanning organization.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KnownOrg {
     /// Stable identifier.
     pub id: OrgId,

@@ -1,7 +1,7 @@
 //! The `InternetRegistry` façade: one object the pipeline queries for every
 //! enrichment the paper performs (country, AS, class, known-org lookup).
 
-use rand::rngs::StdRng;
+use synscan_stats::Rng;
 
 use synscan_wire::Ipv4Address;
 
@@ -83,7 +83,7 @@ impl InternetRegistry {
     /// Sample a source for (country, class).
     pub fn sample_source(
         &self,
-        rng: &mut StdRng,
+        rng: &mut Rng,
         country: Country,
         class: ScannerClass,
     ) -> Option<Ipv4Address> {
@@ -91,7 +91,7 @@ impl InternetRegistry {
     }
 
     /// Sample a source of a class from any country.
-    pub fn sample_source_any(&self, rng: &mut StdRng, class: ScannerClass) -> Option<Ipv4Address> {
+    pub fn sample_source_any(&self, rng: &mut Rng, class: ScannerClass) -> Option<Ipv4Address> {
         self.plan.sample_source_any_country(rng, class)
     }
 }
@@ -99,12 +99,11 @@ impl InternetRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn facade_is_consistent_with_plan() {
         let reg = InternetRegistry::build(5, &[0x0a0a]);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let ip = reg
             .sample_source(&mut rng, Country::Germany, ScannerClass::Hosting)
             .unwrap();

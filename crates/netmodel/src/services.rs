@@ -13,9 +13,8 @@
 //! paper's no-correlation finding has the same cause here as there: what is
 //! deployed and what is scanned are driven by different incentives.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
+use synscan_stats::Rng;
 
 /// Relative deployment frequency of services on their ports, modeled on
 /// public census data (HTTPS ubiquitous; web-alt ports common; databases
@@ -52,7 +51,7 @@ const DEPLOYMENT: &[(u16, f64)] = &[
 ];
 
 /// The result of a synthetic vertical census over `hosts` addresses.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PortCensus {
     /// Number of addresses probed.
     pub hosts: u64,
@@ -65,18 +64,17 @@ impl PortCensus {
     /// the deployment distribution (mean ≈ 1.2 exposed services per
     /// responsive host, ~70% of hosts silent — typical census yields).
     pub fn synthesize(seed: u64, hosts: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x00ce_0505_u64);
+        let mut rng = Rng::seed_from_u64(seed ^ 0x00ce_0505_u64);
         let total_weight: f64 = DEPLOYMENT.iter().map(|(_, w)| w).sum();
         let mut open_ports: BTreeMap<u16, u64> = BTreeMap::new();
         for _ in 0..hosts {
-            if rng.random::<f64>() < 0.70 {
+            if rng.chance(0.70) {
                 continue; // unresponsive / fully filtered host
             }
             // 1..=3 services, geometric-ish.
-            let services =
-                1 + (rng.random::<f64>() < 0.25) as u32 + (rng.random::<f64>() < 0.06) as u32;
+            let services = 1 + u32::from(rng.chance(0.25)) + u32::from(rng.chance(0.06));
             for _ in 0..services {
-                let mut pick = rng.random::<f64>() * total_weight;
+                let mut pick = rng.f64() * total_weight;
                 for &(port, weight) in DEPLOYMENT {
                     pick -= weight;
                     if pick <= 0.0 {

@@ -21,8 +21,7 @@
 //! [`ProbeRecord`] is crafted by the actual tool implementation, so the §3.3
 //! fingerprints survive the projection.
 
-use rand::rngs::StdRng;
-use rand::RngExt;
+use synscan_stats::Rng;
 
 use synscan_stats::sampling::sample_binomial;
 use synscan_wire::{Ipv4Address, ProbeRecord};
@@ -141,7 +140,7 @@ pub struct ProjectedScan {
 ///
 /// `path_ttl_decrement` models hop count between scanner and telescope.
 pub fn project_onto_telescope<C: ProbeCrafter + ?Sized, D: DarkSpace + ?Sized>(
-    rng: &mut StdRng,
+    rng: &mut Rng,
     crafter: &C,
     src: Ipv4Address,
     spec: &ScanSpec,
@@ -217,9 +216,9 @@ pub fn project_onto_telescope<C: ProbeCrafter + ?Sized, D: DarkSpace + ?Sized>(
             if with_replacement || hits * 4 > pair_count * 3 {
                 // Dense regime (or with replacement): draw pairs directly.
                 for _ in 0..hits {
-                    let addr = in_range[rng.random_range(0..in_range.len())];
-                    let port = ports[rng.random_range(0..ports.len())];
-                    let ts = spec.start_micros + rng.random_range(0..duration_micros.max(1));
+                    let addr = in_range[rng.range(0..in_range.len())];
+                    let port = ports[rng.range(0..ports.len())];
+                    let ts = spec.start_micros + rng.range(0..duration_micros.max(1));
                     records.push(craft_record(
                         crafter,
                         src,
@@ -235,7 +234,7 @@ pub fn project_onto_telescope<C: ProbeCrafter + ?Sized, D: DarkSpace + ?Sized>(
                 // Sparse regime: sample distinct pair indices by rejection.
                 let mut chosen = std::collections::HashSet::with_capacity(hits as usize);
                 while (chosen.len() as u64) < hits {
-                    chosen.insert(rng.random_range(0..pair_count));
+                    chosen.insert(rng.range(0..pair_count));
                 }
                 for idx in chosen {
                     // Decorrelate pair index from address via a keyed mix, so
@@ -243,7 +242,7 @@ pub fn project_onto_telescope<C: ProbeCrafter + ?Sized, D: DarkSpace + ?Sized>(
                     let scrambled = mix64(idx ^ spec.start_micros) % pair_count;
                     let addr = in_range[(scrambled % in_range.len() as u64) as usize];
                     let port = ports[(scrambled / in_range.len() as u64) as usize];
-                    let ts = spec.start_micros + rng.random_range(0..duration_micros.max(1));
+                    let ts = spec.start_micros + rng.range(0..duration_micros.max(1));
                     records.push(craft_record(
                         crafter,
                         src,
@@ -274,7 +273,6 @@ mod tests {
     use crate::masscan::MasscanScanner;
     use crate::mirai::MiraiScanner;
     use crate::zmap::ZmapScanner;
-    use rand::SeedableRng;
 
     /// A small telescope: one dark /24 at 192.0.2.0 plus one at 198.51.100.0.
     fn telescope() -> Vec<Ipv4Address> {
@@ -290,7 +288,7 @@ mod tests {
     #[test]
     fn internet_wide_permutation_hits_expected_count() {
         let dark = telescope(); // 512 addresses
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let z = ZmapScanner::new(1);
         let spec = ScanSpec {
             start_micros: 0,
@@ -317,7 +315,7 @@ mod tests {
     #[test]
     fn partial_coverage_scales_hits() {
         let dark = telescope();
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let m = MasscanScanner::new(2);
         let spec = ScanSpec {
             start_micros: 0,
@@ -335,7 +333,7 @@ mod tests {
     #[test]
     fn projected_records_keep_tool_fingerprints() {
         let dark = telescope();
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let z = ZmapScanner::new(3);
         let spec = ScanSpec {
             start_micros: 500,
@@ -360,7 +358,7 @@ mod tests {
     #[test]
     fn sequential_scan_hits_in_address_order_and_clusters() {
         let dark = telescope();
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         let c = CustomScanner::new(5);
         // Sweep 192.0.0.0..192.1.0.0 (covers the first dark /24).
         let spec = ScanSpec {
@@ -383,7 +381,7 @@ mod tests {
     #[test]
     fn scan_outside_telescope_range_yields_nothing() {
         let dark = telescope();
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
         let c = CustomScanner::new(6);
         let spec = ScanSpec {
             start_micros: 0,
@@ -400,7 +398,7 @@ mod tests {
     #[test]
     fn multi_port_scans_hit_multiple_ports() {
         let dark = telescope();
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = Rng::seed_from_u64(6);
         let m = MasscanScanner::new(7);
         let spec = ScanSpec {
             start_micros: 0,
@@ -421,7 +419,7 @@ mod tests {
         // With replacement, hits = Binomial(probes, p) can exceed the number
         // of distinct pairs when probes >> space.
         let dark: Vec<Ipv4Address> = (0..16u32).map(|i| Ipv4Address(0x0100_0000 | i)).collect();
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         let m = MiraiScanner::new(8);
         let spec = ScanSpec {
             start_micros: 0,

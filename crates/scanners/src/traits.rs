@@ -3,9 +3,7 @@
 use synscan_wire::{Ipv4Address, ProbeRecord, TcpFlags};
 
 /// The tools the paper tracks, plus the fingerprint-free rest.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ToolKind {
     /// ZMap (Durumeric et al., 2013).
     Zmap,
@@ -107,7 +105,7 @@ pub fn craft_record<C: ProbeCrafter + ?Sized>(
 
 /// How a scan walks its target space. Lee et al. find 91% of port scanners
 /// target addresses sequentially; the high-speed tools permute instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TargetOrder {
     /// Linear walk (classic custom tools, most of the 2015 population).
     Sequential,
@@ -119,15 +117,7 @@ pub enum TargetOrder {
     UniformRandom,
 }
 
-/// A deterministic 64-bit mixer (splitmix64 finalizer) used by several tools
-/// to derive per-probe pseudo-random values without carrying RNG state.
-#[inline]
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+pub use synscan_stats::mix64;
 
 #[cfg(test)]
 mod tests {

@@ -13,7 +13,8 @@
 //! * the **geometric telescope-detection model** of Moore et al. used in §3.4
 //!   to justify the campaign thresholds,
 //! * heavy-tailed **samplers** (Zipf, log-normal, bounded Pareto) driving the
-//!   synthetic workload generator, and
+//!   synthetic workload generator, on the workspace's one seeded **PRNG**
+//!   ([`rng`]: xoshiro256++ and the splitmix64 mixer), and
 //! * streaming **moments** for single-pass mean/variance.
 
 #![forbid(unsafe_code)]
@@ -24,6 +25,7 @@ pub mod histogram;
 pub mod ks;
 pub mod moments;
 pub mod pearson;
+pub mod rng;
 pub mod sampling;
 pub mod telescope_model;
 
@@ -32,5 +34,6 @@ pub use histogram::{Histogram, LogHistogram};
 pub use ks::{ks_statistic, ks_test, KsResult};
 pub use moments::StreamingMoments;
 pub use pearson::{pearson, PearsonResult};
+pub use rng::{mix64, Rng};
 pub use sampling::{BoundedPareto, LogNormal, Reservoir, Zipf};
 pub use telescope_model::TelescopeModel;

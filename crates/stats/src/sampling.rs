@@ -5,7 +5,7 @@
 //! few hundred each. The synthetic generator draws campaign sizes, speeds,
 //! and port popularity from the distributions here.
 
-use rand::{Rng, RngExt};
+use crate::rng::Rng;
 
 /// Zipf (discrete power-law) sampler over ranks `1..=n` with exponent `s`.
 ///
@@ -46,8 +46,8 @@ impl Zipf {
     }
 
     /// Sample a rank in `1..=n` (rank 1 is the most popular).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.random();
+    pub fn sample(&self, rng: &mut Rng) -> usize {
+        let u = rng.f64();
         self.cumulative.partition_point(|&c| c < u) + 1
     }
 
@@ -90,10 +90,10 @@ impl LogNormal {
     }
 
     /// Draw one sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub fn sample(&self, rng: &mut Rng) -> f64 {
         // Box–Muller transform; u1 in (0,1] to avoid ln(0).
-        let u1: f64 = 1.0 - rng.random::<f64>();
-        let u2: f64 = rng.random();
+        let u1 = 1.0 - rng.f64();
+        let u2 = rng.f64();
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         (self.mu + self.sigma * z).exp()
     }
@@ -124,8 +124,8 @@ impl BoundedPareto {
     }
 
     /// Draw one sample using the inverse CDF.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.random();
+    pub fn sample(&self, rng: &mut Rng) -> f64 {
+        let u = rng.f64();
         let la = self.lo.powf(self.alpha);
         let ha = self.hi.powf(self.alpha);
         // Inverse of the bounded-Pareto CDF.
@@ -156,12 +156,12 @@ impl<T> Reservoir<T> {
     }
 
     /// Offer one item from the stream.
-    pub fn offer<R: Rng + ?Sized>(&mut self, rng: &mut R, item: T) {
+    pub fn offer(&mut self, rng: &mut Rng, item: T) {
         self.seen += 1;
         if self.items.len() < self.capacity {
             self.items.push(item);
         } else {
-            let j = rng.random_range(0..self.seen);
+            let j = rng.range(0..self.seen);
             if (j as usize) < self.capacity {
                 self.items[j as usize] = item;
             }
@@ -187,8 +187,6 @@ impl<T> Reservoir<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn zipf_pmf_sums_to_one() {
@@ -210,7 +208,7 @@ mod tests {
     #[test]
     fn zipf_sampling_matches_pmf() {
         let z = Zipf::new(50, 1.2);
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = Rng::seed_from_u64(42);
         let mut counts = vec![0u64; 51];
         let n = 200_000;
         for _ in 0..n {
@@ -229,7 +227,7 @@ mod tests {
     #[test]
     fn lognormal_median_is_calibrated() {
         let d = LogNormal::from_median(5000.0, 1.0);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         let mut samples: Vec<f64> = (0..50_000).map(|_| d.sample(&mut rng)).collect();
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = samples[samples.len() / 2];
@@ -242,7 +240,7 @@ mod tests {
     #[test]
     fn lognormal_is_positive_and_heavy_tailed() {
         let d = LogNormal::new(0.0, 2.0);
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = Rng::seed_from_u64(11);
         let samples: Vec<f64> = (0..10_000).map(|_| d.sample(&mut rng)).collect();
         assert!(samples.iter().all(|&v| v > 0.0));
         let max = samples.iter().cloned().fold(0.0, f64::max);
@@ -252,7 +250,7 @@ mod tests {
     #[test]
     fn bounded_pareto_respects_bounds() {
         let d = BoundedPareto::new(100.0, 1e9, 1.2);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         for _ in 0..10_000 {
             let v = d.sample(&mut rng);
             assert!((100.0..=1e9).contains(&v), "out of bounds: {v}");
@@ -262,7 +260,7 @@ mod tests {
     #[test]
     fn bounded_pareto_is_heavy_tailed() {
         let d = BoundedPareto::new(1.0, 1e6, 1.0);
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
         let samples: Vec<f64> = (0..100_000).map(|_| d.sample(&mut rng)).collect();
         let below_10 = samples.iter().filter(|&&v| v < 10.0).count() as f64;
         let above_1000 = samples.iter().filter(|&&v| v > 1000.0).count() as f64;
@@ -274,7 +272,7 @@ mod tests {
 
     #[test]
     fn reservoir_keeps_capacity_items() {
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = Rng::seed_from_u64(9);
         let mut res = Reservoir::new(10);
         for i in 0..1000 {
             res.offer(&mut rng, i);
@@ -289,7 +287,7 @@ mod tests {
         // be retained about half the time.
         let mut hits = vec![0u32; 100];
         for seed in 0..2000u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let mut res = Reservoir::new(50);
             for i in 0..100usize {
                 res.offer(&mut rng, i);
@@ -309,7 +307,7 @@ mod tests {
 
     #[test]
     fn reservoir_short_stream_keeps_everything() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let mut res = Reservoir::new(10);
         for i in 0..5 {
             res.offer(&mut rng, i);
@@ -322,7 +320,7 @@ mod tests {
 /// exact Bernoulli summation for small `n`, Poisson for rare events,
 /// a normal approximation for the bulk regime. Intended for simulation
 /// (telescope hit counts), not for exact-tail statistics.
-pub fn sample_binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
+pub fn sample_binomial(rng: &mut Rng, n: u64, p: f64) -> u64 {
     if n == 0 || p <= 0.0 {
         return 0;
     }
@@ -334,7 +332,7 @@ pub fn sample_binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
         // Exact.
         let mut k = 0;
         for _ in 0..n {
-            if rng.random::<f64>() < p {
+            if rng.chance(p) {
                 k += 1;
             }
         }
@@ -346,7 +344,7 @@ pub fn sample_binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
         let mut k = 0u64;
         let mut prod = 1.0;
         loop {
-            prod *= rng.random::<f64>();
+            prod *= rng.f64();
             if prod <= l || k > n {
                 return k.min(n);
             }
@@ -355,8 +353,8 @@ pub fn sample_binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
     }
     // Normal approximation with continuity correction.
     let sd = (mean * (1.0 - p)).sqrt();
-    let u1: f64 = 1.0 - rng.random::<f64>();
-    let u2: f64 = rng.random();
+    let u1 = 1.0 - rng.f64();
+    let u2 = rng.f64();
     let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
     let v = (mean + sd * z + 0.5).floor();
     v.clamp(0.0, n as f64) as u64
@@ -365,12 +363,10 @@ pub fn sample_binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
 #[cfg(test)]
 mod binomial_tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn edge_cases() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         assert_eq!(sample_binomial(&mut rng, 0, 0.5), 0);
         assert_eq!(sample_binomial(&mut rng, 100, 0.0), 0);
         assert_eq!(sample_binomial(&mut rng, 100, 1.0), 100);
@@ -378,7 +374,7 @@ mod binomial_tests {
 
     #[test]
     fn small_n_mean_is_correct() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let trials = 20_000;
         let total: u64 = (0..trials)
             .map(|_| sample_binomial(&mut rng, 20, 0.3))
@@ -390,7 +386,7 @@ mod binomial_tests {
     #[test]
     fn poisson_regime_mean_is_correct() {
         // n large, p tiny: telescope-hit regime.
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let trials = 5_000;
         let total: u64 = (0..trials)
             .map(|_| sample_binomial(&mut rng, 1_000_000, 5e-6))
@@ -401,7 +397,7 @@ mod binomial_tests {
 
     #[test]
     fn normal_regime_mean_and_bounds() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         let trials = 5_000;
         let mut total = 0u64;
         for _ in 0..trials {

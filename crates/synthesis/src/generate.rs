@@ -21,9 +21,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use rayon::prelude::*;
+use synscan_stats::Rng;
 
 use synscan_netmodel::orgs::PortStrategy;
 use synscan_netmodel::{InternetRegistry, ScannerClass};
@@ -103,7 +101,7 @@ impl GeneratorConfig {
 }
 
 /// What the generator actually created — ground truth for calibration tests.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GroundTruth {
     /// Calendar year.
     pub year: u16,
@@ -188,7 +186,7 @@ pub fn top_ports(n: u32) -> Vec<u16> {
 /// Emit `budget` telescope hits for one campaign into any sink.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn emit_campaign<S: RecordSink + ?Sized>(
-    rng: &mut StdRng,
+    rng: &mut Rng,
     sink: &mut S,
     crafter: &(dyn ProbeCrafter + Send),
     src: Ipv4Address,
@@ -200,17 +198,17 @@ pub(crate) fn emit_campaign<S: RecordSink + ?Sized>(
 ) {
     let ttl_decrement = 5 + (mix64(u64::from(src.0)) % 20) as u8;
     for i in 0..budget {
-        let dst = dark.addresses()[rng.random_range(0..dark.len())];
-        let port = ports[rng.random_range(0..ports.len())];
-        let ts = start_micros + rng.random_range(0..duration_micros.max(1));
+        let dst = dark.addresses()[rng.range(0..dark.len())];
+        let port = ports[rng.range(0..ports.len())];
+        let ts = start_micros + rng.range(0..duration_micros.max(1));
         sink.accept(craft_record(crafter, src, dst, port, i, ts, ttl_decrement));
     }
 }
 
 /// Sample a weighted item.
-fn weighted<'a, T>(rng: &mut StdRng, items: &'a [(T, f64)]) -> &'a T {
+fn weighted<'a, T>(rng: &mut Rng, items: &'a [(T, f64)]) -> &'a T {
     let total: f64 = items.iter().map(|(_, w)| w).sum();
-    let mut pick = rng.random::<f64>() * total;
+    let mut pick = rng.f64() * total;
     for (item, weight) in items {
         pick -= weight;
         if pick <= 0.0 {
@@ -222,7 +220,7 @@ fn weighted<'a, T>(rng: &mut StdRng, items: &'a [(T, f64)]) -> &'a T {
 
 /// Pick a source address for a group scan.
 fn pick_source(
-    rng: &mut StdRng,
+    rng: &mut Rng,
     registry: &InternetRegistry,
     group: &GroupSpec,
     year: u16,
@@ -250,7 +248,7 @@ fn pick_source(
 /// Sample distinct scan ports from the group's pool, honouring the §5.1
 /// alias affinity: multi-port scans usually pair a port with its
 /// protocol alias (80→8080 etc.) before reaching back into the pool.
-fn pick_ports(rng: &mut StdRng, group: &GroupSpec, year: u16) -> Vec<u16> {
+fn pick_ports(rng: &mut Rng, group: &GroupSpec, year: u16) -> Vec<u16> {
     let n = *weighted(
         rng,
         &group
@@ -264,7 +262,7 @@ fn pick_ports(rng: &mut StdRng, group: &GroupSpec, year: u16) -> Vec<u16> {
     ports.push(first);
     if n >= 2 {
         if let Some(alias) = synscan_netmodel::ports::alias_of(first) {
-            if rng.random::<f64>() < crate::yearcfg::family_affinity(year) {
+            if rng.chance(crate::yearcfg::family_affinity(year)) {
                 ports.push(alias);
             }
         }
@@ -287,7 +285,7 @@ fn pick_ports(rng: &mut StdRng, group: &GroupSpec, year: u16) -> Vec<u16> {
 /// for populations without a dedicated group spec (vertical scanners,
 /// disclosure surges, background stragglers).
 fn sample_activity_source(
-    rng: &mut StdRng,
+    rng: &mut Rng,
     registry: &InternetRegistry,
     year: u16,
     class: ScannerClass,
@@ -335,7 +333,7 @@ pub fn plan_year(
     registry: &InternetRegistry,
     dark: &AddressSet,
 ) -> YearPlan {
-    let mut rng = StdRng::seed_from_u64(gen.seed ^ (u64::from(year_cfg.year) << 32));
+    let mut rng = Rng::seed_from_u64(gen.seed ^ (u64::from(year_cfg.year) << 32));
     let window_micros = (gen.days * 86_400.0 * 1e6) as u64;
     let mut truth = GroundTruth {
         year: year_cfg.year,
@@ -431,14 +429,14 @@ pub fn plan_year(
             let crafter_seed = gen.seed ^ mix64(u64::from(src.0) ^ scan_idx);
             let (start, duration) = if group.tool == ToolKind::Mirai {
                 // Bots scan continuously for (most of) the window.
-                let d = (window_micros as f64 * (0.5 + rng.random::<f64>() * 0.5)) as u64;
-                (rng.random_range(0..window_micros - d + 1), d)
+                let d = (window_micros as f64 * (0.5 + rng.f64() * 0.5)) as u64;
+                (rng.range(0..window_micros - d + 1), d)
             } else {
                 let rate = rate_dist.sample(&mut rng).max(100.0);
                 let duration_secs =
                     (budget as f64 / (rate * hit_prob)).clamp(1.0, gen.days * 86_400.0 * 0.8);
                 let d = (duration_secs * 1e6) as u64;
-                (rng.random_range(0..(window_micros - d).max(1)), d)
+                (rng.range(0..(window_micros - d).max(1)), d)
             };
 
             // Residential DHCP churn: long-running residential scans hop
@@ -501,7 +499,7 @@ pub fn plan_year(
             // §5.4: China originates >80% of traffic on 14,444 unique ports
             // (2022) — the signature of bulk multi-port scanning from
             // Chinese hosting space; most vertical scanners live there.
-            let src = if rng.random::<f64>() < 0.6 {
+            let src = if rng.chance(0.6) {
                 registry
                     .sample_source(
                         &mut rng,
@@ -520,8 +518,8 @@ pub fn plan_year(
             let crafter_seed = gen.seed ^ mix64(v ^ (u64::from(n_ports) << 24));
             // §5.2: >1,000-port scans average ~0.3 Gbps — far faster than
             // ordinary scans; compress the whole budget into a few hours.
-            let duration = (3600.0e6 * (1.0 + rng.random::<f64>() * 5.0)) as u64;
-            let start = rng.random_range(0..(window_micros - duration).max(1));
+            let duration = (3600.0e6 * (1.0 + rng.f64() * 5.0)) as u64;
+            let start = rng.range(0..(window_micros - duration).max(1));
             // Each targeted port is observed at least once (shuffled sweep),
             // plus ~15% revisits — the cheapest emission that lets the
             // campaign detector count the full port set.
@@ -561,7 +559,7 @@ pub fn plan_year(
             let src =
                 sample_activity_source(&mut rng, registry, year_cfg.year, ScannerClass::Hosting);
             let tool = *weighted(&mut rng, &event_tool_mix);
-            let start = u64::from(day) * 86_400_000_000 + rng.random_range(0..43_200_000_000u64);
+            let start = u64::from(day) * 86_400_000_000 + rng.range(0..43_200_000_000u64);
             plan_emit(
                 &mut specs,
                 &mut rng,
@@ -640,7 +638,7 @@ pub fn plan_year(
             }
             if bg_scan_ports.len() >= 2 {
                 if let Some(alias) = synscan_netmodel::ports::alias_of(bg_scan_ports[0]) {
-                    if rng.random::<f64>() < crate::yearcfg::family_affinity(year_cfg.year) {
+                    if rng.chance(crate::yearcfg::family_affinity(year_cfg.year)) {
                         bg_scan_ports[1] = alias;
                     }
                 }
@@ -653,7 +651,7 @@ pub fn plan_year(
                 bg_scan_ports[0] = (mix64(b ^ 0x9047) % 65_536) as u16;
             }
             let packets = bg_scan_ports.len() as u64 + 1 + (mix64(b) % 4);
-            let start = rng.random_range(0..window_micros);
+            let start = rng.range(0..window_micros);
             plan_emit(
                 &mut specs,
                 &mut rng,
@@ -681,7 +679,7 @@ pub fn plan_year(
     if matches!(year_cfg.year, 2015 | 2017) {
         let src = sample_activity_source(&mut rng, registry, year_cfg.year, ScannerClass::Unknown);
         let budget = 60 + mix64(u64::from(year_cfg.year)) % 60;
-        let start = rng.random_range(0..window_micros / 2);
+        let start = rng.range(0..window_micros / 2);
         plan_emit(
             &mut specs,
             &mut rng,
@@ -747,7 +745,7 @@ pub fn plan_year(
 /// one source so the Figure 8-10 coverage maps are fully populated.
 #[allow(clippy::too_many_arguments)]
 fn generate_orgs(
-    rng: &mut StdRng,
+    rng: &mut Rng,
     specs: &mut Vec<EmitterSpec>,
     truth: &mut GroundTruth,
     year_cfg: &YearConfig,
@@ -817,7 +815,7 @@ fn generate_orgs(
         for s in 0..sources {
             let src = registry.org_source_ip(org.id, s);
             let crafter_seed = gen.seed ^ mix64(u64::from(org.id.0) << 20 | u64::from(s));
-            let phase = rng.random_range(0..3_600_000_000u64);
+            let phase = rng.range(0..3_600_000_000u64);
             for c in 0..campaigns_per_source {
                 // Daily mode: a ~3 h scan at the same hour every day — the
                 // Figure 6 institutional recurrence signature.
@@ -882,17 +880,15 @@ fn generate_orgs(
     }
 }
 
-/// Generate the whole decade, one year per rayon task.
+/// Generate the whole decade, years fanned out over the machine's cores.
 pub fn generate_decade(
     gen: &GeneratorConfig,
     registry: &InternetRegistry,
     dark: &AddressSet,
 ) -> Vec<YearOutput> {
     let configs = YearConfig::decade();
-    let mut outputs: Vec<YearOutput> = configs
-        .par_iter()
-        .map(|cfg| generate_year(cfg, gen, registry, dark))
-        .collect();
+    let mut outputs =
+        crate::fanout::par_map(&configs, |cfg| generate_year(cfg, gen, registry, dark));
     outputs.sort_by_key(|o| o.year);
     outputs
 }

@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fanout;
 pub mod generate;
 pub mod stream;
 pub mod yearcfg;

@@ -6,7 +6,7 @@
 //! [`EmitterSpec`]: the exact RNG state at the moment the campaign's
 //! per-record draws would begin, plus everything needed to replay those
 //! draws (tool, crafter seed, source, ports, interval, budget). Replaying a
-//! spec through [`run_emitter`] is *the same code path* the planner drained
+//! spec through `run_emitter` is *the same code path* the planner drained
 //! through a [`NullSink`], so the draw sequence — and therefore every byte
 //! of every record — is identical by construction.
 //!
@@ -38,9 +38,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::RngExt;
+use synscan_stats::Rng;
 
 use synscan_scanners::traits::{craft_record, mix64, ToolKind};
 use synscan_telescope::{AddressSet, BackscatterGenerator};
@@ -85,7 +83,7 @@ pub(crate) enum EmitterKind {
 pub struct EmitterSpec {
     /// The shared generator RNG, snapshotted right before this emitter's
     /// per-record draws.
-    pub(crate) rng: StdRng,
+    pub(crate) rng: Rng,
     /// Earliest timestamp this emitter can produce.
     pub(crate) start_micros: u64,
     /// Exact number of records a replay produces (from the plan-time drain).
@@ -100,7 +98,7 @@ pub struct EmitterSpec {
 pub(crate) fn run_emitter<S: RecordSink + ?Sized>(
     kind: &EmitterKind,
     start_micros: u64,
-    rng: &mut StdRng,
+    rng: &mut Rng,
     dark: &AddressSet,
     sink: &mut S,
 ) -> u64 {
@@ -139,10 +137,10 @@ pub(crate) fn run_emitter<S: RecordSink + ?Sized>(
             let crafter = make_crafter(*tool, *crafter_seed, true);
             let ttl_dec = 5 + (mix64(u64::from(src.0)) % 20) as u8;
             let mut shuffled = ports.to_vec();
-            shuffled.shuffle(rng);
+            rng.shuffle(&mut shuffled);
             for (i, &port) in shuffled.iter().enumerate() {
-                let dst = dark.addresses()[rng.random_range(0..dark.len())];
-                let ts = start_micros + rng.random_range(0..duration_micros.max(1));
+                let dst = dark.addresses()[rng.range(0..dark.len())];
+                let ts = start_micros + rng.range(0..(*duration_micros).max(1));
                 sink.accept(craft_record(
                     crafter.as_ref(),
                     *src,
@@ -188,7 +186,7 @@ pub(crate) fn run_emitter<S: RecordSink + ?Sized>(
 /// generator. Returns the emitter's record count.
 pub(crate) fn plan_emit(
     specs: &mut Vec<EmitterSpec>,
-    rng: &mut StdRng,
+    rng: &mut Rng,
     dark: &AddressSet,
     start_micros: u64,
     kind: EmitterKind,
@@ -392,7 +390,6 @@ impl RecordStream for YearStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
     use synscan_telescope::TelescopeConfig;
 
     fn dark() -> AddressSet {
@@ -406,7 +403,7 @@ mod tests {
         budget: u64,
     ) -> EmitterSpec {
         EmitterSpec {
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seed_from_u64(seed),
             start_micros,
             count: budget,
             kind: EmitterKind::Campaign {

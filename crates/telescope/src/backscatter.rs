@@ -8,8 +8,7 @@
 //! filters are exercised against realistic contamination — roughly 2% of
 //! unsolicited TCP traffic in the paper's data (98% is SYN scanning).
 
-use rand::rngs::StdRng;
-use rand::RngExt;
+use synscan_stats::Rng;
 
 use synscan_scanners::traits::mix64;
 use synscan_wire::{Ipv4Address, ProbeRecord, TcpFlags};
@@ -34,7 +33,7 @@ impl BackscatterGenerator {
     /// Generate the replies arriving during `[start, start+duration)`.
     pub fn generate(
         &self,
-        rng: &mut StdRng,
+        rng: &mut Rng,
         set: &AddressSet,
         start_micros: u64,
         duration_secs: f64,
@@ -43,14 +42,14 @@ impl BackscatterGenerator {
         let count = (self.rate_pps * duration_secs).round() as u64;
         let mut records = Vec::with_capacity(count as usize);
         for i in 0..count {
-            let dst = set.addresses()[rng.random_range(0..set.len())];
-            let flags = if rng.random::<f64>() < self.syn_ack_fraction {
+            let dst = set.addresses()[rng.range(0..set.len())];
+            let flags = if rng.chance(self.syn_ack_fraction) {
                 TcpFlags::SYN_ACK
             } else {
                 TcpFlags::RST
             };
             records.push(ProbeRecord {
-                ts_micros: start_micros + rng.random_range(0..(duration_secs * 1e6) as u64 + 1),
+                ts_micros: start_micros + rng.range(0..(duration_secs * 1e6) as u64 + 1),
                 src_ip: self.victim,
                 dst_ip: dst,
                 // The reply goes to whatever ephemeral port the spoofed SYN
@@ -73,12 +72,11 @@ impl BackscatterGenerator {
 mod tests {
     use super::*;
     use crate::config::TelescopeConfig;
-    use rand::SeedableRng;
 
     #[test]
     fn backscatter_is_never_pure_syn() {
         let set = AddressSet::build(&TelescopeConfig::paper_scaled(128));
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let gen = BackscatterGenerator {
             victim: Ipv4Address::new(203, 0, 113, 80),
             service_port: 80,
@@ -98,7 +96,7 @@ mod tests {
     #[test]
     fn replies_come_from_the_victim_to_dark_space() {
         let set = AddressSet::build(&TelescopeConfig::paper_scaled(128));
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let victim = Ipv4Address::new(198, 51, 100, 5);
         let gen = BackscatterGenerator {
             victim,
@@ -117,7 +115,7 @@ mod tests {
     #[test]
     fn zero_rate_generates_nothing() {
         let set = AddressSet::build(&TelescopeConfig::paper_scaled(128));
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let gen = BackscatterGenerator {
             victim: Ipv4Address(1),
             service_port: 80,

@@ -19,7 +19,7 @@ use crate::ingress::IngressPolicy;
 
 /// The TCP scan techniques of §3.1. SYN scans dominate (>98% of TCP scans);
 /// the "stealthy" variants of hacker folklore are classified but rare.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScanTechnique {
     /// A pure SYN — the standard probe and the paper's subject.
     Syn,
@@ -57,7 +57,7 @@ pub fn classify_technique(flags: TcpFlags) -> ScanTechnique {
 }
 
 /// Counters describing one capture run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CaptureStats {
     /// Frames offered to the session.
     pub offered: u64,

@@ -371,7 +371,7 @@ impl<R: Read> Read for ChaosReader<R> {
                 let period = period.max(1);
                 for (i, byte) in buf[..n].iter_mut().enumerate() {
                     let pos = self.offset + i as u64;
-                    if pos >= skip && (pos - skip) % period == 0 {
+                    if pos >= skip && (pos - skip).is_multiple_of(period) {
                         // `| 1` keeps the mask nonzero so the byte changes.
                         *byte ^= (mix64(self.plan.seed ^ pos) as u8) | 1;
                         self.log.corrupted_bytes += 1;

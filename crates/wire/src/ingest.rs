@@ -1042,6 +1042,11 @@ impl InlineIngest {
         let mut batch = std::mem::take(&mut self.batch);
         let filled = stream.fill_into(&mut batch);
         self.batch = batch;
+        // Sticky, like `ThreadedIngest::fill`: `error()` keeps what
+        // `try_next_batch` returned.
+        if let Err(e) = filled {
+            stream.error = Some(e);
+        }
         self.state = Some(stream.suspend());
         filled
     }

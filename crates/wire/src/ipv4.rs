@@ -17,7 +17,6 @@ pub const HEADER_LEN: usize = 20;
 /// arithmetic (netblock bucketing, XOR fingerprints) without conversions,
 /// while still formatting in dotted-quad notation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(not(synscan_standalone), derive(serde::Serialize, serde::Deserialize))]
 pub struct Address(pub u32);
 
 impl Address {

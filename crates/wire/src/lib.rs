@@ -57,6 +57,7 @@ pub mod ethernet;
 pub mod frame;
 pub mod ingest;
 pub mod ipv4;
+pub mod json;
 pub mod net;
 pub mod pcap;
 pub mod probe;

@@ -15,9 +15,6 @@
 //!   (partial writes, read stalls, mid-stream disconnects, byte corruption)
 //!   in the same splitmix64 idiom as [`crate::chaos::ChaosReader`];
 //! * [`Backoff`] — jittered exponential delays for dial/reconnect loops.
-//!
-//! Everything here is dependency-free std so it also compiles under the
-//! registry-free standalone harness (`--cfg synscan_standalone`).
 
 use std::io::{self, Read, Write};
 use std::time::{Duration, Instant};
@@ -691,7 +688,7 @@ where
             }
         }
     }
-    Err(last.unwrap_or_else(|| io::Error::new(io::ErrorKind::Other, "dial: no attempts made")))
+    Err(last.unwrap_or_else(|| io::Error::other("dial: no attempts made")))
 }
 
 #[cfg(test)]
@@ -904,7 +901,7 @@ mod tests {
         assert!(socket.log().corrupted_bytes > 0);
         let bytes = socket.into_inner();
         match crate::frame::read_frame(&mut Cursor::new(bytes), crate::frame::MAX_FRAME_PAYLOAD) {
-            Err(crate::frame::FrameError::ChecksumMismatch { .. })
+            Err(crate::frame::FrameError::ChecksumMismatch)
             | Err(crate::frame::FrameError::BadMagic)
             | Err(crate::frame::FrameError::UnsupportedVersion(_))
             | Err(crate::frame::FrameError::Oversized { .. }) => {}

@@ -548,71 +548,3 @@ mod tests {
         );
     }
 }
-
-#[cfg(all(test, not(synscan_standalone)))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-    use std::io::Cursor;
-
-    proptest! {
-        /// Arbitrary frame payloads with arbitrary timestamps survive the
-        /// pcap writer/reader pair byte-for-byte.
-        #[test]
-        fn arbitrary_captures_round_trip(
-            records in prop::collection::vec(
-                (0u64..4_000_000_000_000_000, prop::collection::vec(any::<u8>(), 0..200)),
-                0..30,
-            )
-        ) {
-            let mut writer = PcapWriter::new(Vec::new(), LINKTYPE_ETHERNET).unwrap();
-            for (ts, frame) in &records {
-                writer.write_record(*ts, frame).unwrap();
-            }
-            let bytes = writer.into_inner().unwrap();
-            let reader = PcapReader::new(Cursor::new(bytes)).unwrap();
-            let back: Vec<(u64, Vec<u8>)> = reader
-                .map(|r| {
-                    let r = r.unwrap();
-                    (r.ts_micros, r.data)
-                })
-                .collect();
-            prop_assert_eq!(back, records);
-        }
-
-        /// Truncating a capture anywhere either yields a clean prefix of the
-        /// records or a typed truncation error — never garbage records or a
-        /// panic.
-        #[test]
-        fn truncation_is_detected(cut in 24usize..200) {
-            let mut writer = PcapWriter::new(Vec::new(), LINKTYPE_ETHERNET).unwrap();
-            for i in 0..5u64 {
-                writer.write_record(i * 1000, &[0xabu8; 20]).unwrap();
-            }
-            let mut bytes = writer.into_inner().unwrap();
-            prop_assume!(cut < bytes.len());
-            bytes.truncate(cut);
-            let mut reader = PcapReader::new(Cursor::new(bytes)).unwrap();
-            let mut seen = 0;
-            loop {
-                match reader.next_record() {
-                    Ok(Some(rec)) => {
-                        prop_assert_eq!(rec.data.as_slice(), &[0xabu8; 20][..]);
-                        seen += 1;
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        prop_assert!(matches!(
-                            e,
-                            PcapError::TruncatedRecordHeader { got: 1..=15 }
-                                | PcapError::TruncatedRecordBody { .. }
-                        ));
-                        prop_assert!(!e.recoverable());
-                        break;
-                    }
-                }
-            }
-            prop_assert!(seen <= 5);
-        }
-    }
-}

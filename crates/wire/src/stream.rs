@@ -87,7 +87,6 @@ impl core::str::FromStr for FaultPolicy {
 
 /// Per-run tally of everything a non-strict [`FaultPolicy`] swallowed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(not(synscan_standalone), derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultCounters {
     /// Records dropped because they were unparseable or out of order.
     pub records_skipped: u64,

@@ -13,7 +13,6 @@ pub const HEADER_LEN: usize = 20;
 
 /// TCP control flags, stored as the low 6 bits of the flags byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(not(synscan_standalone), derive(serde::Serialize, serde::Deserialize))]
 pub struct TcpFlags(pub u8);
 
 impl TcpFlags {

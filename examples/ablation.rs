@@ -1,5 +1,6 @@
 //! Ablations of the methodology's design choices (§3.4's thresholds and the
-//! fingerprint engine's pairwise machinery), run on a fixed generated year.
+//! fingerprint engine's pairwise machinery), run on a fixed generated year:
+//! `cargo run --release --example ablation`.
 //!
 //! Printed tables show how the measured ecosystem changes as each knob
 //! moves — the justification behind the paper's parameter choices:
@@ -13,23 +14,30 @@
 //! * **pairwise fingerprinting**: disabling the NMap/Unicorn matchers shows
 //!   how much attribution the single-packet rules alone would lose.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-
-use synscan_bench::{banner, bench_config};
-use synscan_core::analysis::YearCollector;
 use synscan_core::campaign::{CampaignConfig, CampaignDetector};
 use synscan_core::fingerprint::rules::single_packet_verdict;
 use synscan_core::FingerprintEngine;
 use synscan_netmodel::InternetRegistry;
 use synscan_scanners::traits::ToolKind;
-use synscan_synthesis::generate::generate_year;
+use synscan_synthesis::generate::{generate_year, GeneratorConfig};
 use synscan_synthesis::yearcfg::YearConfig;
 use synscan_telescope::{AddressSet, CaptureSession};
 use synscan_wire::ProbeRecord;
 
+fn banner(artifact: &str, paper_ref: &str) {
+    println!("\n================================================================");
+    println!("{artifact}  ({paper_ref})");
+    println!("================================================================");
+}
+
 fn admitted(year: u16) -> (Vec<ProbeRecord>, u64) {
-    let gen = bench_config();
+    // 1/16 telescope, 1/1200 population, 5 days: seconds per table.
+    let gen = GeneratorConfig {
+        telescope_denominator: 16,
+        population_denominator: 1200,
+        days: 5.0,
+        ..GeneratorConfig::default()
+    };
     let telescope = gen.telescope();
     let dark = AddressSet::build(&telescope);
     let registry = InternetRegistry::build(gen.seed, &telescope.blocks);
@@ -131,7 +139,7 @@ fn ablate_pairwise(records: &[ProbeRecord], year: u16) {
     );
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let (records, monitored) = admitted(2024);
     println!("ablation dataset: {} admitted 2024 records", records.len());
     ablate_thresholds(&records, monitored);
@@ -139,42 +147,4 @@ fn bench(c: &mut Criterion) {
     let (records_2015, _) = admitted(2015);
     ablate_pairwise(&records_2015, 2015);
     ablate_pairwise(&records, 2024);
-
-    // Criterion: detection cost vs threshold (the loose threshold pays for
-    // tracking everything).
-    let base = CampaignConfig::scaled(monitored);
-    let mut group = c.benchmark_group("ablation");
-    group.sample_size(10);
-    group.bench_function("detect_threshold_baseline", |b| {
-        b.iter(|| detect(black_box(&records), base))
-    });
-    group.bench_function("detect_threshold_1", |b| {
-        b.iter(|| {
-            detect(
-                black_box(&records),
-                CampaignConfig {
-                    min_distinct_dests: 1,
-                    ..base
-                },
-            )
-        })
-    });
-    group.finish();
-
-    // Year-collector end-to-end as the reference cost.
-    let mut group2 = c.benchmark_group("ablation_pipeline");
-    group2.sample_size(10);
-    group2.bench_function("full_collector_2024", |b| {
-        b.iter(|| {
-            let mut collector = YearCollector::new(2024, base);
-            for r in &records {
-                collector.offer(black_box(r));
-            }
-            collector.finish().campaigns.len()
-        })
-    });
-    group2.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

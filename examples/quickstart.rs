@@ -18,8 +18,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use synscan::stats::Rng;
 
 use synscan::core::analysis::YearCollector;
 use synscan::core::CampaignConfig;
@@ -42,7 +41,7 @@ fn main() {
     );
 
     // ---- Scan 1: Internet-wide ZMap at 100 kpps ------------------------
-    let mut rng = StdRng::seed_from_u64(1);
+    let mut rng = Rng::seed_from_u64(1);
     let zmap_wide = ZmapScanner::new(0xa11);
     let spec = ScanSpec {
         start_micros: 0,

@@ -13,9 +13,8 @@
 //! cargo run --release --example telescope_live
 //! ```
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::BTreeMap;
+use synscan::stats::Rng;
 
 use synscan::core::FingerprintEngine;
 use synscan::scanners::custom::CustomScanner;
@@ -30,7 +29,7 @@ use synscan::ToolKind;
 fn main() {
     let telescope = TelescopeConfig::paper_scaled(32);
     let dark = AddressSet::build(&telescope);
-    let mut rng = StdRng::seed_from_u64(99);
+    let mut rng = Rng::seed_from_u64(99);
 
     // ---- Generate one hour of mixed arrivals ----------------------------
     let mut arrivals: Vec<ProbeRecord> = Vec::new();

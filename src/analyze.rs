@@ -449,6 +449,8 @@ impl From<RunError> for CheckpointedAnalyzeError {
 }
 
 /// How a checkpointed capture analysis ended.
+// One value per run, matched once: boxing the finished analysis buys nothing.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum AnalyzeStatus {
     /// The capture was analyzed to the end.

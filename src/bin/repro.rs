@@ -70,6 +70,7 @@ use synscan::core::store::{AnalysisStore, StoreImage};
 use synscan::experiment::{CheckpointSpec, DecadeRun, DecadeStatus, Experiment};
 use synscan::netmodel::{InternetRegistry, ScannerClass};
 use synscan::wire::ingest::{IngestMode, MappedCapture};
+use synscan::wire::json::{self, ToJson};
 use synscan::wire::{ChaosPlan, FaultPolicy};
 use synscan::{GeneratorConfig, PipelineMode, ToolKind, YearConfig};
 
@@ -806,21 +807,20 @@ fn etl(view: &StoreView, out: &Path) -> Result<(), String> {
     write_json(
         out,
         "etl.json",
-        &serde_json::json!({
-            "feed_records": feed.len(),
-            "phase1": result.phase1_matches,
-            "phase2": result.phase2_matches,
-            "organizations": result.organizations(),
-            "keywords": result.keywords,
-        }),
+        &json::object([
+            ("feed_records", feed.len().to_json()),
+            ("phase1", result.phase1_matches.to_json()),
+            ("phase2", result.phase2_matches.to_json()),
+            ("organizations", result.organizations().to_json()),
+            ("keywords", result.keywords.to_json()),
+        ]),
     )
 }
 
-fn write_json(out_dir: &Path, name: &str, value: &impl serde::Serialize) -> Result<(), String> {
+fn write_json(out_dir: &Path, name: &str, value: &impl ToJson) -> Result<(), String> {
     let path = out_dir.join(name);
-    let body =
-        serde_json::to_string_pretty(value).map_err(|e| format!("cannot serialize {name}: {e}"))?;
-    fs::write(&path, body).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    fs::write(&path, value.to_json().to_string_pretty())
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     eprintln!("[repro] wrote {}", path.display());
     Ok(())
 }
@@ -845,7 +845,7 @@ fn table2(view: &StoreView, out: &Path) -> Result<(), String> {
     let mut agg: BTreeMap<ScannerClass, [f64; 3]> = BTreeMap::new();
     let mut totals = [0.0f64; 3];
     for analysis in &view.years {
-        let shares = types::class_shares(&analysis, &view.registry);
+        let shares = types::class_shares(analysis, &view.registry);
         let sources = analysis.distinct_sources as f64;
         let scans = analysis.campaigns.len() as f64;
         let packets = analysis.total_packets as f64;
@@ -892,8 +892,8 @@ fn fig1(view: &StoreView, out: &Path) -> Result<(), String> {
                 port: event.port,
                 disclosure_day: event.day,
             };
-            let curve = events::event_curve(&analysis, spec, 6);
-            let ks = events::ks_return_to_normal(&analysis, spec, 2, 4);
+            let curve = events::event_curve(analysis, spec, 6);
+            let ks = events::ks_return_to_normal(analysis, spec, 2, 4);
             println!(
                 "{} port {:>5}: peak {:>5.1}x baseline, back under 2x after {:?} days, KS(after) D={}",
                 analysis.year,
@@ -913,7 +913,7 @@ fn fig2(view: &StoreView, out: &Path) -> Result<(), String> {
     println!("=== Figure 2: weekly change per /16 (latest year) ===");
     let mut artifact = BTreeMap::new();
     for analysis in &view.years {
-        let v = volatility::weekly_change(&analysis);
+        let v = volatility::weekly_change(analysis);
         if v.packets.is_empty() {
             continue;
         }
@@ -931,12 +931,12 @@ fn fig2(view: &StoreView, out: &Path) -> Result<(), String> {
         let grid: Vec<f64> = (0..40).map(|i| 1.0 + f64::from(i) * 0.25).collect();
         artifact.insert(
             analysis.year,
-            serde_json::json!({
-                "ge2x": (s2, c2, p2),
-                "ge3x_sources": s3,
-                "sources_cdf": v.sources.series_on_grid(&grid),
-                "packets_cdf": v.packets.series_on_grid(&grid),
-            }),
+            json::object([
+                ("ge2x", (s2, c2, p2).to_json()),
+                ("ge3x_sources", s3.to_json()),
+                ("sources_cdf", v.sources.series_on_grid(&grid).to_json()),
+                ("packets_cdf", v.packets.series_on_grid(&grid).to_json()),
+            ]),
         );
     }
     write_json(out, "fig2.json", &artifact)
@@ -946,9 +946,9 @@ fn fig3(view: &StoreView, out: &Path) -> Result<(), String> {
     println!("=== Figure 3: distinct ports per source (CDF head) ===");
     let mut artifact = BTreeMap::new();
     for analysis in &view.years {
-        let single = portspread::single_port_fraction(&analysis);
-        let five_plus = portspread::at_least_n_ports_fraction(&analysis, 5);
-        let ten_plus = portspread::at_least_n_ports_fraction(&analysis, 10);
+        let single = portspread::single_port_fraction(analysis);
+        let five_plus = portspread::at_least_n_ports_fraction(analysis, 5);
+        let ten_plus = portspread::at_least_n_ports_fraction(analysis, 10);
         println!(
             "{}: exactly-1-port {:.0}%, >=5 ports {:.1}%, >=10 ports {:.1}%",
             analysis.year,
@@ -956,16 +956,16 @@ fn fig3(view: &StoreView, out: &Path) -> Result<(), String> {
             five_plus * 100.0,
             ten_plus * 100.0
         );
-        let cdf = portspread::ports_per_source_cdf(&analysis);
+        let cdf = portspread::ports_per_source_cdf(analysis);
         let grid: Vec<f64> = [1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 1000.0].to_vec();
         artifact.insert(
             analysis.year,
-            serde_json::json!({
-                "single": single,
-                "ge5": five_plus,
-                "ge10": ten_plus,
-                "cdf": cdf.series_on_grid(&grid),
-            }),
+            json::object([
+                ("single", single.to_json()),
+                ("ge5", five_plus.to_json()),
+                ("ge10", ten_plus.to_json()),
+                ("cdf", cdf.series_on_grid(&grid).to_json()),
+            ]),
         );
     }
     write_json(out, "fig3.json", &artifact)
@@ -975,8 +975,8 @@ fn fig4(view: &StoreView, out: &Path) -> Result<(), String> {
     println!("=== Figure 4: top-10 ports x tool mix ===");
     let mut artifact = BTreeMap::new();
     for analysis in &view.years {
-        let rows = toolports::tool_mix_by_port(&analysis, 10);
-        let tracked = toolports::tracked_tool_traffic_share(&analysis);
+        let rows = toolports::tool_mix_by_port(analysis, 10);
+        let tracked = toolports::tracked_tool_traffic_share(analysis);
         println!(
             "{} (tracked tools carry {:.0}% of traffic):",
             analysis.year,
@@ -1102,14 +1102,14 @@ fn fig8_9_10(view: &StoreView, out: &Path) -> Result<(), String> {
 
 fn prose(view: &StoreView, out: &Path) -> Result<(), String> {
     println!("=== Prose claims (P1-P5) ===");
-    let mut artifact: BTreeMap<String, serde_json::Value> = BTreeMap::new();
+    let mut artifact: BTreeMap<String, json::Value> = BTreeMap::new();
 
     // P2: port-space coverage and co-scanning.
     for analysis in &view.years {
         let y = analysis.year;
         if y == 2015 || y == 2020 || y == 2022 || y == 2024 {
-            let cov = portspread::privileged_port_coverage(&analysis, 0.01);
-            let co = portspread::campaign_co_scan_fraction(&analysis, 80, 8080).unwrap_or(0.0);
+            let cov = portspread::privileged_port_coverage(analysis, 0.01);
+            let co = portspread::campaign_co_scan_fraction(analysis, 80, 8080).unwrap_or(0.0);
             println!(
                 "{y}: privileged-port coverage {:.0}% | 80->8080 co-scan (campaigns) {:.0}%",
                 cov * 100.0,
@@ -1117,7 +1117,10 @@ fn prose(view: &StoreView, out: &Path) -> Result<(), String> {
             );
             artifact.insert(
                 format!("P2-{y}"),
-                serde_json::json!({"privileged_coverage": cov, "co_scan_80_8080": co}),
+                json::object([
+                    ("privileged_coverage", cov.to_json()),
+                    ("co_scan_80_8080", co.to_json()),
+                ]),
             );
         }
     }
@@ -1137,10 +1140,7 @@ fn prose(view: &StoreView, out: &Path) -> Result<(), String> {
                 stats.overall_mean_bps / 1e6,
             );
         }
-        artifact.insert(
-            format!("P3-{}", analysis.year),
-            serde_json::to_value(stats).map_err(|e| format!("cannot serialize P3 stats: {e}"))?,
-        );
+        artifact.insert(format!("P3-{}", analysis.year), stats.to_json());
     }
 
     // P4: speed <-> ports correlation, geography.
@@ -1156,7 +1156,7 @@ fn prose(view: &StoreView, out: &Path) -> Result<(), String> {
         );
         artifact.insert(
             "P4-speed-ports".into(),
-            serde_json::json!({"r": r.r, "p": r.p_value}),
+            json::object([("r", r.r.to_json()), ("p", r.p_value.to_json())]),
         );
     }
     for year in [2015u16, 2024] {
@@ -1178,7 +1178,10 @@ fn prose(view: &StoreView, out: &Path) -> Result<(), String> {
             );
             artifact.insert(
                 format!("P4-geo-{year}"),
-                serde_json::json!({"hhi": hhi, "top": top.into_iter().take(5).collect::<Vec<_>>()}),
+                json::object([
+                    ("hhi", hhi.to_json()),
+                    ("top", top[..top.len().min(5)].to_json()),
+                ]),
             );
         }
     }
@@ -1201,10 +1204,7 @@ fn prose(view: &StoreView, out: &Path) -> Result<(), String> {
                 "2022: {} dominates >80% of traffic on {count} ports",
                 country.code()
             );
-            artifact.insert(
-                format!("P4-dominated-{}", country.code()),
-                serde_json::json!(count),
-            );
+            artifact.insert(format!("P4-dominated-{}", country.code()), count.to_json());
         }
     }
 
@@ -1214,7 +1214,7 @@ fn prose(view: &StoreView, out: &Path) -> Result<(), String> {
         if let Some(yr) = view.year(y) {
             let n = portspread::ports_above_daily_floor(yr, 2.0);
             println!("{y}: {n} distinct ports receive >=2 probes/day (scaled floor)");
-            artifact.insert(format!("P2-floor-{y}"), serde_json::json!(n));
+            artifact.insert(format!("P2-floor-{y}"), n.to_json());
         }
     }
 
@@ -1231,7 +1231,7 @@ fn prose(view: &StoreView, out: &Path) -> Result<(), String> {
         );
         artifact.insert(
             "P5-top-speed-trend".into(),
-            serde_json::json!({"r": trend.r, "p": trend.p_value}),
+            json::object([("r", trend.r.to_json()), ("p", trend.p_value.to_json())]),
         );
     }
     let sc = speedcov::by_tool(&campaigns, view.monitored);
@@ -1243,7 +1243,7 @@ fn prose(view: &StoreView, out: &Path) -> Result<(), String> {
     ] {
         if let Some(mean) = sc.mean_speed(&tool) {
             println!("  mean est. speed {:<8} {:>12.0} pps", tool.name(), mean);
-            artifact.insert(format!("P5-speed-{}", tool.name()), serde_json::json!(mean));
+            artifact.insert(format!("P5-speed-{}", tool.name()), mean.to_json());
         }
     }
 
@@ -1260,7 +1260,7 @@ fn prose(view: &StoreView, out: &Path) -> Result<(), String> {
             );
             artifact.insert(
                 "P2-services-scans".into(),
-                serde_json::json!({"r": r.r, "p": r.p_value}),
+                json::object([("r", r.r.to_json()), ("p", r.p_value.to_json())]),
             );
         }
     }
@@ -1278,10 +1278,7 @@ fn prose(view: &StoreView, out: &Path) -> Result<(), String> {
             "blocklist decay (2022, day-0 list vs days 1-5 sources): {}",
             series.join(" ")
         );
-        artifact.insert(
-            "P-blocklist-decay".into(),
-            serde_json::to_value(&decay).map_err(|e| format!("cannot serialize decay: {e}"))?,
-        );
+        artifact.insert("P-blocklist-decay".into(), decay.to_json());
     }
 
     // §6.1: the Unicorn rarity — 2 distinct source IPs across the decade.
@@ -1296,10 +1293,7 @@ fn prose(view: &StoreView, out: &Path) -> Result<(), String> {
         "Unicornscan sources across the decade: {} (paper: exactly 2)",
         unicorn_sources.len()
     );
-    artifact.insert(
-        "P5-unicorn-sources".into(),
-        serde_json::json!(unicorn_sources.len()),
-    );
+    artifact.insert("P5-unicorn-sources".into(), unicorn_sources.len().to_json());
 
     // §6.2: Mirai fingerprint port spread in 2020 (paper: 99.6% of ports —
     // here bounded by the scaled packet budget, reported as a count).
@@ -1316,7 +1310,7 @@ fn prose(view: &StoreView, out: &Path) -> Result<(), String> {
         );
         artifact.insert(
             "P6-mirai-port-spread-2020".into(),
-            serde_json::json!(mirai_ports.len()),
+            mirai_ports.len().to_json(),
         );
     }
 
@@ -1338,7 +1332,7 @@ fn prose(view: &StoreView, out: &Path) -> Result<(), String> {
             println!("{y}: ZMap scans/day min {min} max {max}");
             artifact.insert(
                 format!("P1-zmap-per-day-{y}"),
-                serde_json::json!({"min": min, "max": max}),
+                json::object([("min", min.to_json()), ("max", max.to_json())]),
             );
         }
     }
@@ -1357,10 +1351,7 @@ fn prose(view: &StoreView, out: &Path) -> Result<(), String> {
         "{}",
         render_series("ZMap campaigns per year (P1: 2024 surge)", series.clone())
     );
-    artifact.insert(
-        "P1-zmap-scans".into(),
-        serde_json::to_value(series).map_err(|e| format!("cannot serialize series: {e}"))?,
-    );
+    artifact.insert("P1-zmap-scans".into(), series.to_json());
 
     write_json(out, "prose.json", &artifact)
 }

@@ -398,6 +398,9 @@ fn spec_seed(spec: &str) -> u64 {
     hash
 }
 
+/// The read and write halves of a worker's connection to its coordinator.
+pub type WorkerPipes = (Box<dyn Read + Send>, Box<dyn Write + Send>);
+
 /// Dial out to a coordinator listening on `spec` and return the two pipe
 /// halves a worker loop reads and writes.
 ///
@@ -405,9 +408,7 @@ fn spec_seed(spec: &str) -> u64 {
 /// attempts, 100 ms doubling to 5 s), so a worker started before its
 /// coordinator — the normal race in a multi-host launch — connects as soon
 /// as the listener is up instead of dying on the first refused connection.
-pub fn connect_worker(
-    spec: &str,
-) -> Result<(Box<dyn Read + Send>, Box<dyn Write + Send>), CoordError> {
+pub fn connect_worker(spec: &str) -> Result<WorkerPipes, CoordError> {
     let endpoint = Endpoint::parse(spec).map_err(CoordError::Io)?;
     let mut backoff = Backoff::dial(spec_seed(spec));
     let on_retry = |attempt: u32, delay: std::time::Duration, err: &std::io::Error| {
@@ -677,7 +678,7 @@ impl WorkerConn {
     ) -> Self {
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || loop {
-            let item = recv(&mut *reader);
+            let item = recv(&mut reader);
             let done = matches!(item, Ok(None) | Err(_));
             if tx.send(item).is_err() || done {
                 break;

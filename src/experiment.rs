@@ -30,8 +30,6 @@ use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use rayon::prelude::*;
-
 use synscan_core::analysis::YearAnalysis;
 use synscan_core::checkpoint::{SnapReader, SnapWriter};
 use synscan_core::pipeline::{try_collect_year_stream, PipelineError, PipelineMode, SizeHints};
@@ -43,6 +41,7 @@ use synscan_core::{
     SupervisionReport, SupervisorOptions,
 };
 use synscan_netmodel::InternetRegistry;
+use synscan_synthesis::fanout;
 use synscan_synthesis::generate::{plan_year, GeneratorConfig, GroundTruth};
 use synscan_synthesis::stream::YearPlan;
 use synscan_synthesis::yearcfg::YearConfig;
@@ -201,6 +200,8 @@ impl CheckpointSpec {
 }
 
 /// How a supervised, checkpointed year run ended.
+// One value per run, matched once: boxing the finished analysis buys nothing.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum YearStatus {
     /// The year ran to completion.
@@ -224,6 +225,8 @@ pub enum YearStatus {
 }
 
 /// How a supervised, checkpointed decade run ended.
+// One value per run, matched once: boxing the finished analysis buys nothing.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum DecadeStatus {
     /// Every year completed.
@@ -258,11 +261,6 @@ impl<'a> SessionAdmit<'a> {
         Self {
             session: CaptureSession::new(dark, year),
         }
-    }
-
-    /// The capture counters accumulated so far.
-    pub(crate) fn stats(&self) -> CaptureStats {
-        self.session.stats()
     }
 }
 
@@ -591,7 +589,7 @@ impl Experiment {
 
     /// Run the whole decade, years in parallel.
     ///
-    /// The intra-year shard budget composes with this cross-year rayon
+    /// The intra-year shard budget composes with this cross-year
     /// fan-out: each concurrently running year gets `workers / years` shard
     /// threads so the two levels together stay within one machine's budget.
     ///
@@ -607,12 +605,12 @@ impl Experiment {
     /// fault aborts the decade with its error.
     pub fn try_run_decade(self) -> Result<DecadeRun, PipelineError> {
         let configs = YearConfig::decade();
-        let concurrent = configs.len().min(rayon::current_num_threads()).max(1);
+        let concurrent = configs.len().min(fanout::width()).max(1);
         let year_mode = self.mode.with_budget(concurrent);
-        let mut years: Vec<YearRun> = configs
-            .par_iter()
-            .map(|cfg| self.try_run_year_cfg_mode(cfg, year_mode))
-            .collect::<Result<_, _>>()?;
+        let mut years: Vec<YearRun> =
+            fanout::par_map(&configs, |cfg| self.try_run_year_cfg_mode(cfg, year_mode))
+                .into_iter()
+                .collect::<Result<_, _>>()?;
         years.sort_by_key(|y| y.analysis.year);
         Ok(DecadeRun {
             years,
@@ -629,15 +627,15 @@ impl Experiment {
     /// atomic store write path.
     pub fn run_decade_into(self, store: &AnalysisStore) -> Result<DecadeRun, StoreRunError> {
         let configs = YearConfig::decade();
-        let concurrent = configs.len().min(rayon::current_num_threads()).max(1);
+        let concurrent = configs.len().min(fanout::width()).max(1);
         let year_mode = self.mode.with_budget(concurrent);
-        let mut years: Vec<YearRun> = configs
-            .par_iter()
-            .map(|cfg| -> Result<YearRun, StoreRunError> {
+        let mut years: Vec<YearRun> =
+            fanout::par_map(&configs, |cfg| -> Result<YearRun, StoreRunError> {
                 let run = self.try_run_year_cfg_mode(cfg, year_mode)?;
                 run.persist(store)?;
                 Ok(run)
             })
+            .into_iter()
             .collect::<Result<_, _>>()?;
         years.sort_by_key(|y| y.analysis.year);
         Ok(DecadeRun {
@@ -795,15 +793,14 @@ impl Experiment {
         stop: Option<&AtomicBool>,
     ) -> Result<DecadeStatus, RunError> {
         let configs = YearConfig::decade();
-        let concurrent = configs.len().min(rayon::current_num_threads()).max(1);
+        let concurrent = configs.len().min(fanout::width()).max(1);
         let year_mode = self.mode.with_budget(concurrent);
-        let statuses: Vec<(u16, YearStatus)> = configs
-            .par_iter()
-            .map(|cfg| {
-                self.try_run_year_checkpointed(cfg, year_mode, ckpt, stop)
-                    .map(|status| (cfg.year, status))
-            })
-            .collect::<Result<_, _>>()?;
+        let statuses: Vec<(u16, YearStatus)> = fanout::par_map(&configs, |cfg| {
+            self.try_run_year_checkpointed(cfg, year_mode, ckpt, stop)
+                .map(|status| (cfg.year, status))
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?;
         let mut years = Vec::new();
         let mut interrupted = Vec::new();
         let mut supervision = SupervisionReport::default();

@@ -22,7 +22,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -640,9 +640,7 @@ fn serve_connection(
                 let _ = out.flush();
                 return Ok(false);
             }
-            Err(NetError::Io(msg)) => {
-                return Err(std::io::Error::new(std::io::ErrorKind::Other, msg))
-            }
+            Err(NetError::Io(msg)) => return Err(std::io::Error::other(msg)),
         };
         let trimmed = line.trim();
         if trimmed.is_empty() {
@@ -675,6 +673,7 @@ fn serve_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader};
 
     fn seeded_store(dir: &Path) -> AnalysisStore {
         use crate::experiment::Experiment;

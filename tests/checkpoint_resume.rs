@@ -13,6 +13,7 @@ use std::sync::atomic::AtomicBool;
 
 use synscan::core::InjectedFaults;
 use synscan::experiment::{CheckpointSpec, DecadeStatus, Experiment, YearRun, YearStatus};
+use synscan::wire::json::ToJson;
 use synscan::wire::{ChaosPlan, FaultPolicy};
 use synscan::{GeneratorConfig, PipelineMode, YearConfig};
 
@@ -160,7 +161,7 @@ fn stop_flag_interrupts_the_decade_and_resume_finishes_it_byte_identically() {
     let plain = Experiment::new(GeneratorConfig::tiny())
         .try_run_decade()
         .expect("plain decade runs clean");
-    let plain_json = serde_json::to_string(&plain.report()).unwrap();
+    let plain_json = plain.report().to_json().to_string();
 
     let dir = temp_dir("ckpt-decade");
     let stop = AtomicBool::new(true);
@@ -190,7 +191,7 @@ fn stop_flag_interrupts_the_decade_and_resume_finishes_it_byte_identically() {
     };
     assert!(supervision.failures.is_empty());
     assert_eq!(supervision.retried, 0);
-    let resumed_json = serde_json::to_string(&run.report()).unwrap();
+    let resumed_json = run.report().to_json().to_string();
     assert_eq!(
         resumed_json, plain_json,
         "table1 bytes identical across kill+resume"

@@ -2,8 +2,7 @@
 //! telescope through the thinning machinery, must be attributed correctly
 //! by the measurement pipeline — and fingerprint-free tools must not.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use synscan::stats::Rng;
 
 use synscan::core::analysis::YearCollector;
 use synscan::core::CampaignConfig;
@@ -30,7 +29,7 @@ fn run_scan<C: ProbeCrafter>(
     ports: Vec<u16>,
 ) -> Option<ToolKind> {
     let dark = dark();
-    let mut rng = StdRng::seed_from_u64(u64::from(src));
+    let mut rng = Rng::seed_from_u64(u64::from(src));
     let spec = ScanSpec {
         start_micros: 0,
         rate_pps: 50_000.0,
@@ -137,7 +136,7 @@ fn interleaved_tools_do_not_cross_contaminate() {
     // Two scanners interleaved in one stream: each campaign attributes to
     // its own tool even though their packets alternate at the telescope.
     let dark = dark();
-    let mut rng = StdRng::seed_from_u64(7);
+    let mut rng = Rng::seed_from_u64(7);
     let zmap = ZmapScanner::new(7);
     let nmap = NmapScanner::new(8);
     let spec = ScanSpec {

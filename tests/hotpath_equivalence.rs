@@ -17,6 +17,7 @@ use synscan_core::campaign::{Campaign, CampaignConfig, NoiseStats, RejectReason}
 use synscan_core::fingerprint::FingerprintEngine;
 use synscan_core::pipeline::SizeHints;
 use synscan_core::{collect_year_sharded, ToolKind};
+use synscan_stats::mix64;
 use synscan_wire::{Ipv4Address, ProbeRecord, TcpFlags};
 
 const YEAR: u16 = 2020;
@@ -32,14 +33,6 @@ fn config() -> CampaignConfig {
         expiry_secs: 600.0,
         monitored_addresses: 1 << 16,
     }
-}
-
-/// splitmix64: deterministic, dependency-free stream of fuzz words.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// ~50k records from a 256-source pool: nondecreasing timestamps with
@@ -66,14 +59,14 @@ fn fuzz_records(seed: u64) -> Vec<ProbeRecord> {
         let src = sources[src_idx];
         // A quarter of the pool scans few destinations (noise candidates);
         // the rest range widely (campaign candidates).
-        let dst = if src_idx % 4 == 0 {
+        let dst = if src_idx.is_multiple_of(4) {
             0x0100_0000 + (r >> 16) as u32 % 6
         } else {
             0x0100_0000 + (r >> 16) as u32 % 4_096
         };
         // Half the pool sticks to popular ports (many sources per port:
         // IdSet spills); the other half sprays ports (PortSet spills).
-        let dst_port = if src_idx % 2 == 0 {
+        let dst_port = if src_idx.is_multiple_of(2) {
             [22u16, 23, 80, 443, 7547, 8080][(r >> 24) as usize % 6]
         } else {
             1024 + ((r >> 24) % 5_000) as u16

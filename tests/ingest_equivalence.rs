@@ -139,11 +139,7 @@ fn analysis_is_identical_for_read_and_mapped_ingest_in_every_shape() {
                     analyze_pcap_mapped(bytes.clone(), &options).expect("mapped analysis succeeds");
                 let label = format!("{pipeline:?} materialize={materialize} ingest={ingest}");
                 assert_eq!(reference.analysis, mapped.analysis, "{label}: analysis");
-                assert_eq!(
-                    serde_json::to_value(&reference.summary).unwrap(),
-                    serde_json::to_value(&mapped.summary).unwrap(),
-                    "{label}: summary"
-                );
+                assert_eq!(reference.summary, mapped.summary, "{label}: summary");
                 assert_eq!(reference.faults, mapped.faults, "{label}: faults");
                 assert_eq!(
                     reference.non_tcp_frames, mapped.non_tcp_frames,

@@ -1,5 +1,4 @@
-//! Standalone hostile-network drill for `synscan_wire::net`, runnable with
-//! bare `rustc` (no registry). Two halves:
+//! Hostile-network drill for `synscan_wire::net`. Two halves:
 //!
 //! 1. deterministic fault-injection drills over in-memory streams —
 //!    `ChaosSocket` replay (same seed, same flipped bytes), benign-plan
@@ -13,8 +12,7 @@
 //!    absorbed, corrupting faults must surface as typed errors, never
 //!    hangs).
 //!
-//! Exits non-zero on any violated assertion. Run by
-//! `tools/standalone/run.sh` and the CI `net-chaos` job.
+//! Run by `cargo test --test net_chaos` and the CI `net-chaos` job.
 
 use std::io::{BufRead, BufReader, Cursor, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -23,8 +21,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use synscan_wire::net::{
-    dial_with_backoff, Backoff, BoundedLineReader, ChaosSocket, Deadline, HasDeadlines, NetChaosPlan,
-    NetError, NetFault,
+    dial_with_backoff, Backoff, BoundedLineReader, ChaosSocket, Deadline, HasDeadlines,
+    NetChaosPlan, NetError, NetFault,
 };
 
 // ---------------------------------------------------------------------------
@@ -38,10 +36,14 @@ fn corrupt_through(seed: u64, payload: &[u8]) -> Vec<u8> {
     };
     let mut sock = ChaosSocket::new(Vec::new(), plan);
     sock.write_all(payload).expect("in-memory write");
-    assert!(sock.log().corrupted_bytes > 0, "period-8 plan never corrupted");
+    assert!(
+        sock.log().corrupted_bytes > 0,
+        "period-8 plan never corrupted"
+    );
     sock.into_inner()
 }
 
+#[test]
 fn drill_chaos_socket() {
     let payload: Vec<u8> = (0..=255u8).collect();
 
@@ -61,7 +63,10 @@ fn drill_chaos_socket() {
         benign.write_all(&payload).expect("benign write");
     }
     let log = benign.log();
-    assert!(log.partial_writes > 0, "benign plan never shortened a write");
+    assert!(
+        log.partial_writes > 0,
+        "benign plan never shortened a write"
+    );
     assert_eq!(log.corrupted_bytes, 0, "benign plan corrupted bytes");
     let written = benign.into_inner();
     assert_eq!(written.len(), payload.len() * 16);
@@ -90,11 +95,15 @@ fn drill_chaos_socket() {
     let mut back = Vec::new();
     stalled.read_to_end(&mut back).expect("stalled read");
     assert_eq!(back, payload, "stalls damaged the byte stream");
-    assert!(stalled.log().stalls > 0, "period-1 stall plan never stalled");
+    assert!(
+        stalled.log().stalls > 0,
+        "period-1 stall plan never stalled"
+    );
 
     eprintln!("net_chaos: chaos-socket replay/transparency drills passed");
 }
 
+#[test]
 fn drill_backoff() {
     let delays = |seed: u64| -> Vec<Duration> {
         let mut backoff = Backoff::dial(seed);
@@ -105,13 +114,21 @@ fn drill_backoff() {
     assert_ne!(a, delays(43), "different seeds produced identical jitter");
     // Jitter stays within [base/2, cap*3/2] and the schedule grows.
     assert!(a[0] >= Duration::from_millis(50) && a[0] <= Duration::from_millis(150));
-    assert!(a[5] <= Duration::from_millis(7_500), "cap not applied: {:?}", a[5]);
+    assert!(
+        a[5] <= Duration::from_millis(7_500),
+        "cap not applied: {:?}",
+        a[5]
+    );
     assert!(a[3] > a[0], "schedule never grew: {a:?}");
     let mut backoff = Backoff::dial(42);
     let first = backoff.next_delay();
     backoff.next_delay();
     backoff.reset();
-    assert_eq!(backoff.next_delay(), first, "reset did not restart the schedule");
+    assert_eq!(
+        backoff.next_delay(),
+        first,
+        "reset did not restart the schedule"
+    );
 
     // dial_with_backoff: two failures, then success — exactly two retry
     // callbacks; all-fail returns the last error after attempts-1 retries.
@@ -124,7 +141,10 @@ fn drill_backoff() {
         || {
             calls += 1;
             if calls < 3 {
-                Err(std::io::Error::new(std::io::ErrorKind::ConnectionRefused, "down"))
+                Err(std::io::Error::new(
+                    std::io::ErrorKind::ConnectionRefused,
+                    "down",
+                ))
             } else {
                 Ok("up")
             }
@@ -139,7 +159,12 @@ fn drill_backoff() {
     let refused = dial_with_backoff(
         3,
         &mut fast,
-        || Err::<(), _>(std::io::Error::new(std::io::ErrorKind::ConnectionRefused, "down")),
+        || {
+            Err::<(), _>(std::io::Error::new(
+                std::io::ErrorKind::ConnectionRefused,
+                "down",
+            ))
+        },
         |_, _, _| retries += 1,
     );
     assert!(refused.is_err(), "all-fail dial must surface the error");
@@ -282,6 +307,7 @@ fn wait_for_drain(responder: &Responder) {
     }
 }
 
+#[test]
 fn drill_hostile_matrix() {
     let responder = start_responder();
     let addr = responder.addr;
@@ -301,7 +327,11 @@ fn drill_hostile_matrix() {
     assert_eq!(line.trim_end(), "error: unrecognized request");
     line.clear();
     replies.read_line(&mut line).expect("follow-up reply");
-    assert_eq!(line.trim_end(), "pong", "connection did not survive garbage");
+    assert_eq!(
+        line.trim_end(),
+        "pong",
+        "connection did not survive garbage"
+    );
     drop(replies);
     drop(stream);
 
@@ -315,9 +345,15 @@ fn drill_hostile_matrix() {
         rejection.contains("deadline exceeded"),
         "slow-loris rejection untyped: {rejection}"
     );
-    assert!(started.elapsed() < Duration::from_secs(5), "slow-loris hung");
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "slow-loris hung"
+    );
     drop(stream);
-    eprintln!("net_chaos: slow-loris cut off typed in {:?}", started.elapsed());
+    eprintln!(
+        "net_chaos: slow-loris cut off typed in {:?}",
+        started.elapsed()
+    );
 
     // Oversized request: rejected at the byte cap, not buffered whole.
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -372,7 +408,10 @@ fn drill_hostile_matrix() {
     );
     let _ = corrupting.write_all(b"ping\n");
     let _ = corrupting.flush();
-    assert!(corrupting.log().corrupted_bytes > 0, "corruption never fired");
+    assert!(
+        corrupting.log().corrupted_bytes > 0,
+        "corruption never fired"
+    );
     let rejection = read_reply(&stream);
     assert!(
         rejection.starts_with("error:"),
@@ -388,7 +427,10 @@ fn drill_hostile_matrix() {
     let hold_b = TcpStream::connect(addr).expect("hold b");
     let started = Instant::now();
     while responder.in_flight.load(Ordering::Relaxed) < MAX_IN_FLIGHT {
-        assert!(started.elapsed() < Duration::from_secs(5), "gate never filled");
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "gate never filled"
+        );
         std::thread::sleep(Duration::from_millis(10));
     }
     for _ in 0..3 {
@@ -406,13 +448,8 @@ fn drill_hostile_matrix() {
 
     responder.stop.store(true, Ordering::Relaxed);
     let _ = TcpStream::connect(addr); // wake the acceptor so it can exit
-    eprintln!("net_chaos: hostile-client TCP matrix passed (shed={})",
-        responder.shed.load(Ordering::Relaxed));
-}
-
-fn main() {
-    drill_chaos_socket();
-    drill_backoff();
-    drill_hostile_matrix();
-    eprintln!("net_chaos: all drills passed");
+    eprintln!(
+        "net_chaos: hostile-client TCP matrix passed (shed={})",
+        responder.shed.load(Ordering::Relaxed)
+    );
 }

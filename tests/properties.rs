@@ -1,22 +1,19 @@
-//! Cross-crate property-based tests (proptest), plus a deterministic
-//! seed-matrix replay of the load-bearing properties.
+//! Cross-crate properties, replayed over a deterministic seed matrix.
 //!
-//! The per-crate unit suites already property-test local invariants; these
-//! properties span crate boundaries: wire round trips through pcap, crafted
-//! fingerprints through the detection engine, permutation generators
-//! against set semantics, and campaign accounting under arbitrary streams.
-//!
-//! The proptest runner draws its own RNG, so a red run reproduces only
-//! through its persistence file. The [`seed_matrix`] module at the bottom
-//! complements it: the same properties replayed over a splitmix64-derived
-//! seed matrix (base overridable via `PROPERTIES_SEED_BASE`), with the
-//! failing seed printed in every assert. Setting `PROPERTIES_SEED_BASE` to a
-//! printed failing seed collapses the matrix to exactly that seed, so a red
-//! run reproduces with one copy-pasteable command:
-//! `PROPERTIES_SEED_BASE=0xdeadbeef cargo test -q --test properties seed_matrix`.
+//! The per-crate unit suites test local invariants; these properties span
+//! crate boundaries: wire round trips through pcap, crafted fingerprints
+//! through the detection engine, permutation generators against set
+//! semantics, campaign and capture accounting under arbitrary streams, and
+//! the JSON writer against its parser. Each property draws its inputs from a
+//! [`Rng`] seeded per matrix entry (see `support`), and every assertion
+//! prints the seed, so a red run replays with
+//! `PROPERTIES_SEED_BASE=<seed> cargo test -q --test properties`.
 
-use proptest::prelude::*;
+mod support;
 
+use std::io::Cursor;
+
+use support::seeds;
 use synscan::core::analysis::YearCollector;
 use synscan::core::fingerprint::rules::single_packet_verdict;
 use synscan::core::CampaignConfig;
@@ -26,414 +23,482 @@ use synscan::scanners::mirai::MiraiScanner;
 use synscan::scanners::traits::craft_record;
 use synscan::scanners::zmap::ZmapScanner;
 use synscan::scanners::CyclicIter;
+use synscan::stats::{mix64, Rng};
 use synscan::telescope::capture::{export_pcap, import_pcap};
-use synscan::wire::{Ipv4Address, ProbeRecord, TcpFlags};
+use synscan::telescope::{AddressSet, CaptureSession, TelescopeConfig};
+use synscan::wire::json::{self, Value};
+use synscan::wire::pcap::{PcapError, PcapReader, PcapWriter, LINKTYPE_ETHERNET};
+use synscan::wire::{ethernet, Ipv4Address, Ipv4Packet, ProbeRecord, SynFrameBuilder};
+use synscan::wire::{TcpFlags, TcpPacket};
 use synscan::ToolKind;
 
-fn arb_record() -> impl Strategy<Value = ProbeRecord> {
-    (
-        any::<u32>(),
-        any::<u32>(),
-        any::<u16>(),
-        any::<u16>(),
-        any::<u32>(),
-        any::<u16>(),
-        any::<u8>(),
-        any::<u16>(),
-        0u64..=253_402_300_799_000_000, // pcap ts_sec fits u32
-    )
-        .prop_map(
-            |(src, dst, sport, dport, seq, ip_id, ttl, window, ts)| ProbeRecord {
-                ts_micros: ts % (u64::from(u32::MAX) * 1_000_000),
-                src_ip: Ipv4Address(src),
-                dst_ip: Ipv4Address(dst),
-                src_port: sport,
-                dst_port: dport,
-                seq,
-                ip_id,
-                ttl,
-                flags: TcpFlags::SYN,
-                window,
-            },
-        )
+/// Random cases drawn per seed (six seeds: about the 64 cases the properties
+/// ran under before).
+const CASES: usize = 10;
+
+/// Run `case` on [`CASES`] independent generators per matrix seed.
+fn for_each_case(case: impl Fn(u64, &mut Rng)) {
+    for seed in seeds() {
+        let mut rng = Rng::seed_from_u64(seed);
+        for _ in 0..CASES {
+            case(seed, &mut rng);
+        }
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Arbitrary records survive frame building, pcap export and re-import.
-    #[test]
-    fn pcap_round_trip_arbitrary_records(records in prop::collection::vec(arb_record(), 1..50)) {
-        let mut sorted = records;
-        sorted.sort_by_key(|r| r.ts_micros);
-        let bytes = export_pcap(&sorted, Vec::new()).unwrap();
-        let back = import_pcap(std::io::Cursor::new(bytes)).unwrap();
-        prop_assert_eq!(back, sorted);
+/// A record with every field arbitrary, flags included; the timestamp fits
+/// pcap's 32-bit seconds.
+fn arb_record(rng: &mut Rng) -> ProbeRecord {
+    ProbeRecord {
+        ts_micros: rng.range(0..u64::from(u32::MAX) * 1_000_000),
+        src_ip: Ipv4Address(rng.range(..)),
+        dst_ip: Ipv4Address(rng.range(..)),
+        src_port: rng.range(..),
+        dst_port: rng.range(..),
+        seq: rng.range(..),
+        ip_id: rng.range(..),
+        ttl: rng.range(..),
+        flags: TcpFlags(rng.range(0..=0x3f)),
+        window: rng.range(..),
     }
+}
 
-    /// BlackRock is a bijection for arbitrary domain sizes and keys.
-    #[test]
-    fn blackrock_bijective(range in 1u64..5_000, seed in any::<u64>()) {
-        let br = BlackRock::new(range, seed);
-        let mut seen = vec![false; range as usize];
-        for i in 0..range {
-            let c = br.shuffle(i);
-            prop_assert!(c < range);
-            prop_assert!(!seen[c as usize], "collision at {}", c);
-            seen[c as usize] = true;
-            prop_assert_eq!(br.unshuffle(c), i);
+fn arb_syn_records(rng: &mut Rng, max: usize) -> Vec<ProbeRecord> {
+    (0..rng.range(1..max))
+        .map(|_| ProbeRecord {
+            flags: TcpFlags::SYN,
+            ..arb_record(rng)
+        })
+        .collect()
+}
+
+/// Deterministic record stream with few sources, so campaigns form: the seed
+/// fans out through splitmix64 into every field, timestamps stay sorted.
+fn seeded_records(seed: u64, n: usize) -> Vec<ProbeRecord> {
+    (0..n as u64)
+        .map(|i| {
+            let r = mix64(seed ^ mix64(i));
+            ProbeRecord {
+                ts_micros: 1_577_836_800_000_000 + i * 250_000 + (r >> 56),
+                src_ip: Ipv4Address((r >> 32) as u32 & 0xff),
+                dst_ip: Ipv4Address(r as u32),
+                src_port: 32_768 | (r >> 16) as u16,
+                dst_port: [23u16, 80, 443, 2323][(r & 3) as usize],
+                seq: (r >> 8) as u32,
+                ip_id: (r >> 24) as u16,
+                ttl: 32 + (r & 63) as u8,
+                flags: TcpFlags::SYN,
+                window: 1024,
+            }
+        })
+        .collect()
+}
+
+fn campaign_cfg() -> CampaignConfig {
+    CampaignConfig {
+        min_distinct_dests: 5,
+        min_rate_pps: 1.0,
+        expiry_secs: 3600.0,
+        monitored_addresses: 1 << 16,
+    }
+}
+
+/// Arbitrary (sorted) records survive frame building, pcap export and
+/// re-import — and so do campaign-shaped ones.
+#[test]
+fn pcap_round_trip_arbitrary_records() {
+    let round_trip = |seed: u64, records: Vec<ProbeRecord>| {
+        let bytes = export_pcap(&records, Vec::new())
+            .unwrap_or_else(|e| panic!("seed={seed:#x}: export failed: {e}"));
+        let back = import_pcap(Cursor::new(bytes))
+            .unwrap_or_else(|e| panic!("seed={seed:#x}: import failed: {e}"));
+        assert_eq!(back, records, "seed={seed:#x}: pcap round trip diverged");
+    };
+    for_each_case(|seed, rng| {
+        let mut records = arb_syn_records(rng, 50);
+        records.sort_by_key(|r| r.ts_micros);
+        round_trip(seed, records);
+    });
+    for seed in seeds() {
+        round_trip(seed, seeded_records(seed, 64));
+    }
+}
+
+/// Arbitrary frame payloads with arbitrary timestamps survive the pcap
+/// writer/reader pair byte-for-byte.
+#[test]
+fn pcap_arbitrary_captures_round_trip() {
+    for_each_case(|seed, rng| {
+        let records: Vec<(u64, Vec<u8>)> = (0..rng.range(0..30usize))
+            .map(|_| {
+                let frame = (0..rng.range(0..200usize)).map(|_| rng.range(..)).collect();
+                (rng.range(0..4_000_000_000_000_000u64), frame)
+            })
+            .collect();
+        let mut writer = PcapWriter::new(Vec::new(), LINKTYPE_ETHERNET).unwrap();
+        for (ts, frame) in &records {
+            writer.write_record(*ts, frame).unwrap();
+        }
+        let bytes = writer.into_inner().unwrap();
+        let back: Vec<(u64, Vec<u8>)> = PcapReader::new(Cursor::new(bytes))
+            .unwrap()
+            .map(|r| {
+                let r = r.unwrap_or_else(|e| panic!("seed={seed:#x}: read failed: {e}"));
+                (r.ts_micros, r.data)
+            })
+            .collect();
+        assert_eq!(back, records, "seed={seed:#x}");
+    });
+}
+
+/// Truncating a capture anywhere yields a clean prefix of the records or a
+/// typed truncation error — never garbage records or a panic. Every cut
+/// point is tried, so no seed is involved.
+#[test]
+fn pcap_truncation_is_detected() {
+    let mut writer = PcapWriter::new(Vec::new(), LINKTYPE_ETHERNET).unwrap();
+    for i in 0..5u64 {
+        writer.write_record(i * 1000, &[0xabu8; 20]).unwrap();
+    }
+    let full = writer.into_inner().unwrap();
+    for cut in 24..full.len() {
+        let mut reader = PcapReader::new(Cursor::new(&full[..cut])).unwrap();
+        let mut seen = 0;
+        loop {
+            match reader.next_record() {
+                Ok(Some(rec)) => {
+                    assert_eq!(rec.data, [0xabu8; 20], "cut={cut}");
+                    seen += 1;
+                }
+                Ok(None) => break,
+                Err(e) => {
+                    assert!(
+                        matches!(
+                            e,
+                            PcapError::TruncatedRecordHeader { got: 1..=15 }
+                                | PcapError::TruncatedRecordBody { .. }
+                        ),
+                        "cut={cut}: {e:?}"
+                    );
+                    assert!(!e.recoverable(), "cut={cut}");
+                    break;
+                }
+            }
+        }
+        assert!(seen <= 5, "cut={cut}");
+    }
+}
+
+/// Any record (any flag combination, any timestamp) survives serialization
+/// to a full frame and back, and the emitted frame carries valid checksums.
+#[test]
+fn frame_round_trip() {
+    for_each_case(|seed, rng| {
+        let mut record = arb_record(rng);
+        record.ts_micros = rng.range(..);
+        let frame = SynFrameBuilder::default().build(&record);
+        let parsed = ProbeRecord::from_ethernet(record.ts_micros, &frame).unwrap();
+        assert_eq!(parsed, record, "seed={seed:#x}");
+
+        let eth = ethernet::EthernetFrame::new_checked(&frame[..]).unwrap();
+        let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
+        assert!(ip.verify_checksum(), "seed={seed:#x}");
+        let tcp = TcpPacket::new_checked(ip.payload()).unwrap();
+        assert!(
+            tcp.verify_checksum(ip.src_addr(), ip.dst_addr()),
+            "seed={seed:#x}"
+        );
+    });
+}
+
+/// Flipping any single bit of the IPv4 header breaks its checksum (the
+/// checksum field itself aside). Every (byte, bit) is tried per record.
+#[test]
+fn ipv4_checksum_detects_any_corruption() {
+    for_each_case(|seed, rng| {
+        let record = arb_record(rng);
+        let clean = SynFrameBuilder::default().build(&record);
+        for byte in (0..20usize).filter(|b| *b != 10 && *b != 11) {
+            for bit in 0..8 {
+                let mut frame = clean.clone();
+                frame[ethernet::HEADER_LEN + byte] ^= 1 << bit;
+                // Err means the flip invalidated a length/version field —
+                // equally detected.
+                if let Ok(ip) = Ipv4Packet::new_checked(&frame[ethernet::HEADER_LEN..]) {
+                    assert!(
+                        !ip.verify_checksum(),
+                        "seed={seed:#x}: byte {byte} bit {bit} went unnoticed"
+                    );
+                }
+            }
+        }
+    });
+}
+
+fn assert_blackrock_bijective(seed: u64, range: u64) {
+    let br = BlackRock::new(range, seed);
+    let mut seen = vec![false; range as usize];
+    for i in 0..range {
+        let c = br.shuffle(i);
+        assert!(c < range, "seed={seed:#x} range={range}: {c} out of range");
+        assert!(
+            !seen[c as usize],
+            "seed={seed:#x} range={range}: collision at {c}"
+        );
+        seen[c as usize] = true;
+        assert_eq!(
+            br.unshuffle(c),
+            i,
+            "seed={seed:#x} range={range}: unshuffle({c}) != {i}"
+        );
+    }
+}
+
+/// BlackRock is a bijection for arbitrary domain sizes and keys.
+#[test]
+fn blackrock_bijective() {
+    for seed in seeds() {
+        for range in [1u64, 2, 255, 1024, 4099] {
+            assert_blackrock_bijective(seed, range);
         }
     }
+    for_each_case(|_, rng| assert_blackrock_bijective(rng.range(..), rng.range(1..5_000)));
+}
 
-    /// The cyclic-group walk is a permutation for arbitrary domains.
-    #[test]
-    fn cyclic_iter_permutes(domain in 1u64..3_000, seed in any::<u64>()) {
-        let values: Vec<u64> = CyclicIter::new(domain, seed).collect();
-        prop_assert_eq!(values.len() as u64, domain);
-        let set: std::collections::HashSet<u64> = values.iter().copied().collect();
-        prop_assert_eq!(set.len() as u64, domain);
-    }
+fn assert_cyclic_permutes(seed: u64, domain: u64) {
+    let values: Vec<u64> = CyclicIter::new(domain, seed).collect();
+    assert_eq!(
+        values.len() as u64,
+        domain,
+        "seed={seed:#x} domain={domain}: wrong walk length"
+    );
+    let set: std::collections::HashSet<u64> = values.iter().copied().collect();
+    assert_eq!(
+        set.len() as u64,
+        domain,
+        "seed={seed:#x} domain={domain}: walk repeated a value"
+    );
+}
 
-    /// ZMap shards partition the permutation for any shard count.
-    #[test]
-    fn shards_partition(domain in 1u64..2_000, shards in 1u32..9, seed in any::<u64>()) {
-        let mut all: Vec<u64> = Vec::new();
-        for s in 0..shards {
-            all.extend(ZmapScanner::shard_targets(domain, seed, s, shards));
+/// The cyclic-group walk is a permutation for arbitrary domains.
+#[test]
+fn cyclic_iter_permutes() {
+    for seed in seeds() {
+        for domain in [1u64, 7, 64, 2047] {
+            assert_cyclic_permutes(seed, domain);
         }
-        all.sort_unstable();
-        let expected: Vec<u64> = (0..domain).collect();
-        prop_assert_eq!(all, expected);
     }
+    for_each_case(|_, rng| assert_cyclic_permutes(rng.range(..), rng.range(1..3_000)));
+}
 
-    /// Every probe crafted by a single-packet-fingerprint tool is attributed
-    /// to that tool, regardless of destination and index.
-    #[test]
-    fn crafted_fingerprints_always_match(
-        seed in any::<u64>(),
-        dst in any::<u32>(),
-        port in any::<u16>(),
-        idx in any::<u64>(),
-    ) {
-        let dst = Ipv4Address(dst);
+fn assert_shards_partition(seed: u64, domain: u64, shards: u32) {
+    let mut all: Vec<u64> = Vec::new();
+    for s in 0..shards {
+        all.extend(ZmapScanner::shard_targets(domain, seed, s, shards));
+    }
+    all.sort_unstable();
+    let expected: Vec<u64> = (0..domain).collect();
+    assert_eq!(
+        all, expected,
+        "seed={seed:#x} domain={domain} shards={shards}: not a partition"
+    );
+}
+
+/// ZMap shards partition the permutation for any shard count.
+#[test]
+fn shards_partition() {
+    for seed in seeds() {
+        for (domain, shards) in [(1u64, 1u32), (1000, 3), (1999, 8)] {
+            assert_shards_partition(seed, domain, shards);
+        }
+    }
+    for_each_case(|_, rng| {
+        assert_shards_partition(rng.range(..), rng.range(1..2_000), rng.range(1..9));
+    });
+}
+
+/// Every probe crafted by a single-packet-fingerprint tool is attributed to
+/// that tool, regardless of destination, port and index.
+#[test]
+fn crafted_fingerprints_always_match() {
+    for_each_case(|_, rng| {
+        let seed: u64 = rng.range(..);
+        let dst = Ipv4Address(rng.range(..));
+        let port: u16 = rng.range(..);
+        let idx: u64 = rng.range(..);
         let src = Ipv4Address(1);
 
         let zmap = craft_record(&ZmapScanner::new(seed), src, dst, port, idx, 0, 5);
-        prop_assert_eq!(single_packet_verdict(&zmap), Some(ToolKind::Zmap));
-
+        assert_eq!(
+            single_packet_verdict(&zmap),
+            Some(ToolKind::Zmap),
+            "seed={seed:#x}: zmap probe misattributed"
+        );
         let mirai = craft_record(&MiraiScanner::new(seed), src, dst, port, idx, 0, 5);
-        prop_assert_eq!(single_packet_verdict(&mirai), Some(ToolKind::Mirai));
-
-        let masscan = craft_record(&MasscanScanner::new(seed), src, dst, port, idx, 0, 5);
+        assert_eq!(
+            single_packet_verdict(&mirai),
+            Some(ToolKind::Mirai),
+            "seed={seed:#x}: mirai probe misattributed"
+        );
         // Masscan's relation may coincidentally also be Mirai's (seq == dst)
         // with probability 2^-32; the verdict is then Mirai by specificity.
+        let masscan = craft_record(&MasscanScanner::new(seed), src, dst, port, idx, 0, 5);
         let verdict = single_packet_verdict(&masscan);
-        prop_assert!(verdict == Some(ToolKind::Masscan) || verdict == Some(ToolKind::Mirai));
-    }
-
-    /// The campaign detector conserves packets for arbitrary streams:
-    /// campaigns + noise == offered.
-    #[test]
-    fn campaign_accounting_conserves_packets(records in prop::collection::vec(arb_record(), 1..300)) {
-        let mut sorted = records;
-        sorted.sort_by_key(|r| r.ts_micros);
-        let mut collector = YearCollector::new(
-            2020,
-            CampaignConfig {
-                min_distinct_dests: 5,
-                min_rate_pps: 1.0,
-                expiry_secs: 3600.0,
-                monitored_addresses: 1 << 16,
-            },
+        assert!(
+            verdict == Some(ToolKind::Masscan) || verdict == Some(ToolKind::Mirai),
+            "seed={seed:#x}: masscan probe misattributed as {verdict:?}"
         );
-        for r in &sorted {
-            collector.offer(r);
-        }
-        let analysis = collector.finish();
-        let campaign_packets: u64 = analysis.campaigns.iter().map(|c| c.packets).sum();
-        prop_assert_eq!(
-            campaign_packets + analysis.noise.rejected_packets,
-            sorted.len() as u64
-        );
-        // Aggregates agree.
-        prop_assert_eq!(analysis.total_packets, sorted.len() as u64);
-        let port_sum: u64 = analysis.port_packets.values().sum();
-        prop_assert_eq!(port_sum, sorted.len() as u64);
-    }
+    });
+}
 
-    /// Telescope extrapolation is monotone: more distinct destinations never
-    /// estimate fewer targets.
-    #[test]
-    fn extrapolation_is_monotone(monitored in 100u64..100_000, hits in 0u64..1_000) {
-        let model = synscan::stats::TelescopeModel::new(monitored);
-        let a = model.extrapolate_targets(hits.min(monitored));
-        let b = model.extrapolate_targets((hits + 1).min(monitored));
-        prop_assert!(b >= a);
-        prop_assert!(model.coverage_fraction(hits.min(monitored)) <= 1.0);
+/// campaigns + noise == offered, and the aggregates agree.
+fn assert_packets_conserved(seed: u64, records: &[ProbeRecord]) {
+    let mut collector = YearCollector::new(2020, campaign_cfg());
+    for r in records {
+        collector.offer(r);
+    }
+    let analysis = collector.finish();
+    let offered = records.len() as u64;
+    let campaign_packets: u64 = analysis.campaigns.iter().map(|c| c.packets).sum();
+    assert_eq!(
+        campaign_packets + analysis.noise.rejected_packets,
+        offered,
+        "seed={seed:#x}: campaigns + noise != offered"
+    );
+    assert_eq!(
+        analysis.total_packets, offered,
+        "seed={seed:#x}: total_packets drifted"
+    );
+    assert_eq!(
+        analysis.port_packets.values().sum::<u64>(),
+        offered,
+        "seed={seed:#x}: port aggregation lost packets"
+    );
+    for campaign in &analysis.campaigns {
+        assert!(
+            campaign.first_ts_micros <= campaign.last_ts_micros,
+            "seed={seed:#x}"
+        );
+        assert!(campaign.duration_secs() >= 0.0, "seed={seed:#x}");
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The detector neither panics nor loses packets on UNSORTED streams
-    /// (merged pcaps deliver mild reordering in practice).
-    #[test]
-    fn campaign_accounting_survives_unsorted_input(records in prop::collection::vec(arb_record(), 1..200)) {
-        let mut collector = YearCollector::new(
-            2020,
-            CampaignConfig {
-                min_distinct_dests: 5,
-                min_rate_pps: 1.0,
-                expiry_secs: 3600.0,
-                monitored_addresses: 1 << 16,
-            },
-        );
-        for r in &records {
-            collector.offer(r);
-        }
-        let analysis = collector.finish();
-        let campaign_packets: u64 = analysis.campaigns.iter().map(|c| c.packets).sum();
-        prop_assert_eq!(
-            campaign_packets + analysis.noise.rejected_packets,
-            records.len() as u64
-        );
-        for campaign in &analysis.campaigns {
-            prop_assert!(campaign.first_ts_micros <= campaign.last_ts_micros);
-            prop_assert!(campaign.duration_secs() >= 0.0);
-        }
+/// The campaign detector conserves packets for arbitrary sorted streams,
+/// noise-dominated and campaign-forming alike.
+#[test]
+fn campaign_accounting_conserves_packets() {
+    for_each_case(|seed, rng| {
+        let mut records = arb_syn_records(rng, 300);
+        records.sort_by_key(|r| r.ts_micros);
+        assert_packets_conserved(seed, &records);
+    });
+    for seed in seeds() {
+        assert_packets_conserved(seed, &seeded_records(seed, 400));
     }
+}
 
-    /// The capture session accounts for every frame exactly once, for any
-    /// flag combination and destination.
-    #[test]
-    fn capture_accounting_is_exhaustive(
-        records in prop::collection::vec(arb_record(), 1..100),
-        flags in prop::collection::vec(0u8..=0x3f, 100),
-    ) {
-        use synscan::telescope::{AddressSet, CaptureSession, TelescopeConfig};
-        use synscan::wire::TcpFlags;
-        let set = AddressSet::build(&TelescopeConfig::paper_scaled(256));
+/// The detector neither panics nor loses packets on UNSORTED streams (merged
+/// pcaps deliver mild reordering in practice).
+#[test]
+fn campaign_accounting_survives_unsorted_input() {
+    for_each_case(|seed, rng| assert_packets_conserved(seed, &arb_syn_records(rng, 200)));
+    for seed in seeds() {
+        let mut records = seeded_records(seed, 400);
+        Rng::seed_from_u64(seed).shuffle(&mut records);
+        assert_packets_conserved(seed, &records);
+    }
+}
+
+/// The capture session accounts for every frame exactly once, for any flag
+/// combination and destination.
+#[test]
+fn capture_accounting_is_exhaustive() {
+    let set = AddressSet::build(&TelescopeConfig::paper_scaled(256));
+    for_each_case(|seed, rng| {
         let mut session = CaptureSession::new(&set, 2020);
-        for (i, r) in records.iter().enumerate() {
-            let mut r = *r;
-            r.flags = TcpFlags(flags[i % flags.len()]);
-            session.offer(&r);
+        for _ in 0..rng.range(1..100usize) {
+            let mut record = arb_record(rng);
+            // Half the frames land on monitored space, so every outcome is
+            // reachable, not just `not_dark`.
+            if rng.chance(0.5) {
+                record.dst_ip = set.addresses()[rng.range(0..set.len())];
+            }
+            session.offer(&record);
         }
         let stats = session.stats();
-        prop_assert_eq!(
+        assert_eq!(
             stats.offered,
             stats.admitted
                 + stats.not_dark
                 + stats.ingress_blocked
                 + stats.backscatter
                 + stats.other_scan_techniques
-                + stats.outage_lost
+                + stats.outage_lost,
+            "seed={seed:#x}"
         );
+    });
+}
+
+/// Telescope extrapolation is monotone: more distinct destinations never
+/// estimate fewer targets.
+#[test]
+fn extrapolation_is_monotone() {
+    for_each_case(|seed, rng| {
+        let monitored: u64 = rng.range(100..100_000);
+        let hits: u64 = rng.range(0..1_000);
+        let model = synscan::stats::TelescopeModel::new(monitored);
+        let a = model.extrapolate_targets(hits.min(monitored));
+        let b = model.extrapolate_targets((hits + 1).min(monitored));
+        assert!(b >= a, "seed={seed:#x} monitored={monitored} hits={hits}");
+        assert!(
+            model.coverage_fraction(hits.min(monitored)) <= 1.0,
+            "seed={seed:#x} monitored={monitored} hits={hits}"
+        );
+    });
+}
+
+/// An arbitrary document in the writer's canonical form: `I64` only for
+/// negatives, finite floats, unique keys.
+fn arb_json(rng: &mut Rng, depth: usize) -> Value {
+    let arb_string = |rng: &mut Rng| -> String {
+        (0..rng.range(0..12usize))
+            .map(|_| char::from_u32(rng.range(0..0x2_0000u32)).unwrap_or('\u{fffd}'))
+            .collect()
+    };
+    match rng.range(0..if depth < 4 { 8u8 } else { 6 }) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.chance(0.5)),
+        2 => Value::U64(rng.next_u64() >> rng.range(0..64u32)),
+        3 => Value::I64(-1 - (rng.range(..=i64::MAX as u64) >> rng.range(0..63u32)) as i64),
+        4 => Value::F64(match f64::from_bits(rng.next_u64()) {
+            v if v.is_finite() => v,
+            _ => rng.f64() - 0.5,
+        }),
+        5 => Value::Str(arb_string(rng)),
+        6 => Value::Array(
+            (0..rng.range(0..5usize))
+                .map(|_| arb_json(rng, depth + 1))
+                .collect(),
+        ),
+        _ => Value::Object(
+            (0..rng.range(0..5usize))
+                .map(|i| (format!("{i}{}", arb_string(rng)), arb_json(rng, depth + 1)))
+                .collect(),
+        ),
     }
 }
 
-/// Deterministic replay of the seeded properties over a derived seed matrix.
-///
-/// The proptest blocks above draw seeds from the runner's own RNG, so a
-/// failure only reproduces through proptest's persistence file — useless in
-/// a bug report. Here every seed is derived by splitmix64 from one base
-/// (`DEFAULT_SEED_BASE`, overridable via `PROPERTIES_SEED_BASE` as decimal
-/// or `0x`-hex), and every assertion message carries the seed that failed.
-/// When the env var is set the matrix collapses to exactly that one seed,
-/// so the printed seed IS the repro command.
-mod seed_matrix {
-    use super::*;
-
-    const DEFAULT_SEED_BASE: u64 = 0x5eed_ba5e;
-    const MATRIX_LEN: usize = 6;
-
-    /// splitmix64 finalizer: the same derivation the sketch differential
-    /// suite uses, so one mental model covers both harnesses.
-    fn mix64(mut x: u64) -> u64 {
-        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^ (x >> 31)
-    }
-
-    /// The seed matrix: derived from the default base, or exactly the
-    /// override so a printed failing seed replays verbatim.
-    fn seeds() -> Vec<u64> {
-        if let Ok(raw) = std::env::var("PROPERTIES_SEED_BASE") {
-            let parsed = raw
-                .strip_prefix("0x")
-                .map(|hex| u64::from_str_radix(hex, 16))
-                .unwrap_or_else(|| raw.parse());
-            match parsed {
-                Ok(seed) => return vec![seed],
-                Err(err) => panic!("PROPERTIES_SEED_BASE={raw:?} did not parse: {err}"),
-            }
+/// `parse(to_string(v)) == v`, compact and pretty, bit-exact on floats.
+#[test]
+fn json_round_trips_through_both_layouts() {
+    // `Value`'s `==` treats 0.0 and -0.0 alike; the rendered text does not.
+    for_each_case(|seed, rng| {
+        let value = arb_json(rng, 0);
+        for text in [value.to_string(), value.to_string_pretty()] {
+            let back =
+                json::parse(&text).unwrap_or_else(|e| panic!("seed={seed:#x}: {e} in {text}"));
+            assert_eq!(back, value, "seed={seed:#x}");
+            assert_eq!(back.to_string(), value.to_string(), "seed={seed:#x}");
         }
-        (0..MATRIX_LEN as u64)
-            .map(|i| mix64(DEFAULT_SEED_BASE.wrapping_add(i)))
-            .collect()
-    }
-
-    /// Deterministic record stream: the seed fans out through splitmix64
-    /// into every field, with timestamps kept sorted.
-    fn seeded_records(seed: u64, n: usize) -> Vec<ProbeRecord> {
-        (0..n as u64)
-            .map(|i| {
-                let r = mix64(seed ^ mix64(i));
-                ProbeRecord {
-                    ts_micros: 1_577_836_800_000_000 + i * 250_000 + (r >> 56),
-                    src_ip: Ipv4Address((r >> 32) as u32 & 0xff), // few sources => campaigns form
-                    dst_ip: Ipv4Address(r as u32),
-                    src_port: 32_768 | (r >> 16) as u16,
-                    dst_port: [23u16, 80, 443, 2323][(r & 3) as usize],
-                    seq: (r >> 8) as u32,
-                    ip_id: (r >> 24) as u16,
-                    ttl: 32 + (r & 63) as u8,
-                    flags: TcpFlags::SYN,
-                    window: 1024,
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn blackrock_bijective_across_the_matrix() {
-        for seed in seeds() {
-            for range in [1u64, 2, 255, 1024, 4099] {
-                let br = BlackRock::new(range, seed);
-                let mut seen = vec![false; range as usize];
-                for i in 0..range {
-                    let c = br.shuffle(i);
-                    assert!(c < range, "seed={seed:#x} range={range}: {c} out of range");
-                    assert!(
-                        !seen[c as usize],
-                        "seed={seed:#x} range={range}: collision at {c}"
-                    );
-                    seen[c as usize] = true;
-                    assert_eq!(
-                        br.unshuffle(c),
-                        i,
-                        "seed={seed:#x} range={range}: unshuffle({c}) != {i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cyclic_iter_permutes_across_the_matrix() {
-        for seed in seeds() {
-            for domain in [1u64, 7, 64, 2047] {
-                let values: Vec<u64> = CyclicIter::new(domain, seed).collect();
-                assert_eq!(
-                    values.len() as u64,
-                    domain,
-                    "seed={seed:#x} domain={domain}: wrong walk length"
-                );
-                let set: std::collections::HashSet<u64> = values.iter().copied().collect();
-                assert_eq!(
-                    set.len() as u64,
-                    domain,
-                    "seed={seed:#x} domain={domain}: walk repeated a value"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shards_partition_across_the_matrix() {
-        for seed in seeds() {
-            for (domain, shards) in [(1u64, 1u32), (1000, 3), (1999, 8)] {
-                let mut all: Vec<u64> = Vec::new();
-                for s in 0..shards {
-                    all.extend(ZmapScanner::shard_targets(domain, seed, s, shards));
-                }
-                all.sort_unstable();
-                let expected: Vec<u64> = (0..domain).collect();
-                assert_eq!(
-                    all, expected,
-                    "seed={seed:#x} domain={domain} shards={shards}: not a partition"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn crafted_fingerprints_match_across_the_matrix() {
-        for seed in seeds() {
-            let dst = Ipv4Address(mix64(seed) as u32);
-            let port = (mix64(seed ^ 1) & 0xffff) as u16;
-            let idx = mix64(seed ^ 2);
-            let src = Ipv4Address(1);
-
-            let zmap = craft_record(&ZmapScanner::new(seed), src, dst, port, idx, 0, 5);
-            assert_eq!(
-                single_packet_verdict(&zmap),
-                Some(ToolKind::Zmap),
-                "seed={seed:#x}: zmap probe misattributed"
-            );
-            let mirai = craft_record(&MiraiScanner::new(seed), src, dst, port, idx, 0, 5);
-            assert_eq!(
-                single_packet_verdict(&mirai),
-                Some(ToolKind::Mirai),
-                "seed={seed:#x}: mirai probe misattributed"
-            );
-            let masscan = craft_record(&MasscanScanner::new(seed), src, dst, port, idx, 0, 5);
-            let verdict = single_packet_verdict(&masscan);
-            assert!(
-                verdict == Some(ToolKind::Masscan) || verdict == Some(ToolKind::Mirai),
-                "seed={seed:#x}: masscan probe misattributed as {verdict:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn campaign_accounting_conserves_packets_across_the_matrix() {
-        for seed in seeds() {
-            let records = seeded_records(seed, 400);
-            let mut collector = YearCollector::new(
-                2020,
-                CampaignConfig {
-                    min_distinct_dests: 5,
-                    min_rate_pps: 1.0,
-                    expiry_secs: 3600.0,
-                    monitored_addresses: 1 << 16,
-                },
-            );
-            for r in &records {
-                collector.offer(r);
-            }
-            let analysis = collector.finish();
-            let campaign_packets: u64 = analysis.campaigns.iter().map(|c| c.packets).sum();
-            assert_eq!(
-                campaign_packets + analysis.noise.rejected_packets,
-                records.len() as u64,
-                "seed={seed:#x}: campaigns + noise != offered"
-            );
-            assert_eq!(
-                analysis.total_packets,
-                records.len() as u64,
-                "seed={seed:#x}: total_packets drifted"
-            );
-            let port_sum: u64 = analysis.port_packets.values().sum();
-            assert_eq!(
-                port_sum,
-                records.len() as u64,
-                "seed={seed:#x}: port aggregation lost packets"
-            );
-        }
-    }
-
-    #[test]
-    fn pcap_round_trip_across_the_matrix() {
-        for seed in seeds() {
-            let records = seeded_records(seed, 64);
-            let bytes = export_pcap(&records, Vec::new())
-                .unwrap_or_else(|e| panic!("seed={seed:#x}: export failed: {e}"));
-            let back = import_pcap(std::io::Cursor::new(bytes))
-                .unwrap_or_else(|e| panic!("seed={seed:#x}: import failed: {e}"));
-            assert_eq!(back, records, "seed={seed:#x}: pcap round trip diverged");
-        }
-    }
+    });
 }

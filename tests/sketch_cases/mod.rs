@@ -1,8 +1,5 @@
-//! Differential test cases for the sketch layer, shared between the
-//! workspace suite (`tests/sketch_equivalence.rs` mounts this file with
-//! `#[path]`) and the registry-free harness
-//! (`tools/standalone/sketch_equiv.rs` compiles it with bare `rustc`
-//! against the `core_hotpath` mount).
+//! Differential test cases for the sketch layer, mounted by
+//! `tests/sketch_equivalence.rs`.
 //!
 //! Every case pits the sketch structures against a naive dense reference
 //! (`HashMap<u64, u64>` of exact counts) over deterministic workloads —
@@ -18,25 +15,11 @@
 //! * checkpoint snapshots round-trip byte-for-byte under fuzzed configs and
 //!   workloads, and truncated snapshots fail typed, never panic.
 
-#[cfg(not(synscan_standalone))]
-use synscan_core::sketch::{CountMinSketch, HeavyHitterConfig, HeavyHitters, SpaceSaving};
-#[cfg(synscan_standalone)]
-use synscan_core_hotpath::sketch::{CountMinSketch, HeavyHitterConfig, HeavyHitters, SpaceSaving};
-
-#[cfg(not(synscan_standalone))]
 use synscan_core::checkpoint::{CheckpointError, SnapReader, SnapWriter};
-#[cfg(synscan_standalone)]
-use synscan_core_hotpath::checkpoint::{CheckpointError, SnapReader, SnapWriter};
+use synscan_core::sketch::{CountMinSketch, HeavyHitterConfig, HeavyHitters, SpaceSaving};
+use synscan_stats::mix64;
 
 use std::collections::HashMap;
-
-/// splitmix64: deterministic, dependency-free fuzz words.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// One synthetic offer: source key, timestamp, tool slot.
 #[derive(Debug, Clone, Copy)]
@@ -197,7 +180,7 @@ pub fn space_saving_recall(kind: Workload, seed: u64, n: usize, capacity: u32) {
         // Below capacity the tracker is exact.
         for (key, slot) in top.top() {
             assert_eq!(slot.err, 0);
-            assert_eq!(Some(&slot.packets), truth.get(&key).as_deref());
+            assert_eq!(Some(&slot.packets), truth.get(&key));
         }
     }
 }
@@ -357,31 +340,12 @@ pub fn checkpoint_round_trip_fuzz(iters: u64, base_seed: u64) {
                     "truncated snapshot ({len}/{} bytes) restored cleanly (seed {seed:#x})",
                     bytes.len()
                 ),
-                #[allow(unreachable_patterns)]
                 Err(e) => panic!("unexpected restore error {e:?} (seed {seed:#x})"),
             }
         }
     }
 }
 
-/// The deterministic seed matrix both harnesses sweep (satellite callers
-/// derive extra seeds from `SKETCH_SEED_BASE` on top of these).
+/// The deterministic seed matrix the suite sweeps (the checkpoint fuzz
+/// derives extra seeds from `SKETCH_SEED_BASE` on top of these).
 pub const SEED_MATRIX: [u64; 3] = [0x5eed_0001, 0x5eed_0002, 0x5eed_0003];
-
-/// Run every case across the seed matrix — the standalone harness's entry
-/// point; the workspace test wrappers call the cases individually (so the
-/// function is intentionally unused under cargo).
-#[cfg_attr(not(synscan_standalone), allow(dead_code))]
-pub fn run_all(fuzz_iters: u64, fuzz_seed: u64) {
-    for kind in WORKLOADS {
-        for seed in SEED_MATRIX {
-            count_min_bounds(kind, seed, 20_000);
-            space_saving_recall(kind, seed, 20_000, 16);
-            space_saving_recall(kind, seed, 20_000, 2048);
-            shard_merge_matches_sequential(kind, seed, 20_000);
-            shard_merge_bounds_past_capacity(kind, seed, 20_000);
-            conservative_update_tightens(kind, seed, 8_000);
-        }
-    }
-    checkpoint_round_trip_fuzz(fuzz_iters, fuzz_seed);
-}

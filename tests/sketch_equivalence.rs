@@ -2,11 +2,9 @@
 //! naive dense reference, over zipf / uniform / flood / interleaved-shard
 //! workloads.
 //!
-//! The cases live in `tools/standalone/sketch_cases.rs` so the exact same
-//! assertions run registry-free under `tools/standalone/run.sh` (bare
-//! `rustc`, `--cfg synscan_standalone`); this file is the cargo mount.
+//! The dense reference and the cases live in `tests/sketch_cases/`.
 //!
-//! Knobs (also honored by the standalone harness):
+//! Knobs:
 //! * `SKETCH_FUZZ_ITERS` — checkpoint-fuzz iterations (default 25; CI's
 //!   `sketch-drill` deep lane runs 200).
 //! * `SKETCH_SEED_BASE` — base seed for the fuzz loop (default 0xf).
@@ -14,10 +12,10 @@
 //! Every assert message carries the failing seed, so a red run reproduces
 //! with `SKETCH_SEED_BASE=<seed> cargo test -q --test sketch_equivalence`.
 
-#[path = "../tools/standalone/sketch_cases.rs"]
-mod cases;
+mod sketch_cases;
+mod support;
 
-use cases::{Workload, SEED_MATRIX, WORKLOADS};
+use sketch_cases::{self as cases, Workload, SEED_MATRIX, WORKLOADS};
 
 fn fuzz_iters() -> u64 {
     std::env::var("SKETCH_FUZZ_ITERS")
@@ -29,15 +27,8 @@ fn fuzz_iters() -> u64 {
 fn fuzz_seed() -> u64 {
     std::env::var("SKETCH_SEED_BASE")
         .ok()
-        .and_then(|v| parse_seed(&v))
+        .and_then(|v| support::parse_seed(&v))
         .unwrap_or(0xf)
-}
-
-fn parse_seed(v: &str) -> Option<u64> {
-    match v.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => v.parse().ok(),
-    }
 }
 
 fn sweep(case: impl Fn(Workload, u64)) {

@@ -13,6 +13,7 @@ use synscan::core::report::DecadeReport;
 use synscan::core::store::query::{answer_line, body_of, TOP_N};
 use synscan::core::store::{AnalysisStore, ImageCell, StoreError, StoreImage};
 use synscan::experiment::Experiment;
+use synscan::wire::json::ToJson;
 use synscan::wire::Ipv4Address;
 use synscan::{GeneratorConfig, PipelineMode, YearConfig};
 
@@ -175,7 +176,9 @@ fn eight_readers_stay_byte_identical_during_live_reloads() {
     // The table1 body IS the batch `report` artifact, byte for byte.
     assert_eq!(
         body_of(&expected[0]).expect("table1 body"),
-        DecadeReport::from_years(&reference.years, TOP_N).to_json()
+        DecadeReport::from_years(&reference.years, TOP_N)
+            .to_json()
+            .to_string_pretty()
     );
 
     let cell = ImageCell::new(StoreImage::load(&store).expect("load image"));

@@ -222,7 +222,8 @@ mod tests {
 
     #[test]
     fn summary_is_bit_equal_across_insertion_orders_and_pipeline_modes() {
-        use crate::pipeline::{collect_year_sharded, SizeHints};
+        use crate::pipeline::{try_collect_year_stream, PipelineMode, SizeHints};
+        use synscan_wire::stream::{FaultPolicy, InfallibleStream, SliceStream};
         let cfg = CampaignConfig {
             min_distinct_dests: 5,
             min_rate_pps: 1.0,
@@ -231,8 +232,18 @@ mod tests {
         };
         let records = marked_records();
         let run = |workers| {
-            let hints = SizeHints::default();
-            collect_year_sharded(2020, cfg, 7.0, workers, hints, &records, |_| true)
+            try_collect_year_stream(
+                2020,
+                cfg,
+                7.0,
+                PipelineMode::Sharded { workers },
+                SizeHints::default(),
+                FaultPolicy::Fail,
+                &mut InfallibleStream(&mut SliceStream::new(&records)),
+                |_| true,
+            )
+            .expect("a clean ordered slice cannot fault")
+            .analysis
         };
         let sequential = run(1);
         assert!(sequential.tool_port_packets.len() > 100);

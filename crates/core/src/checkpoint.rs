@@ -349,10 +349,8 @@ pub struct CheckpointHeader {
     pub cursor: u64,
     /// Monotonic checkpoint sequence number within the run.
     pub seq: u64,
-    /// Timestamp of the first admitted record ([`ShardMsg::Origin`] in the
-    /// sharded arm), if any record was admitted yet.
-    ///
-    /// [`ShardMsg::Origin`]: crate::pipeline
+    /// Timestamp of the first admitted record (what the fan-out broadcasts
+    /// to its shards as the binning origin), if any record was admitted yet.
     pub origin: Option<u64>,
 }
 

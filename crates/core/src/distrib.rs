@@ -6,9 +6,9 @@
 //! `(year, source-partition)` pair each — that worker *processes* compute
 //! independently and a coordinator merges back bit-identically to the
 //! sequential run. It is the process-level generalization of the in-process
-//! sharded pipeline: the same [`shard_of`] source partition, the same
-//! [`YearAnalysis::merge_partials`] recombination, the same `SYNCKPT`
-//! checkpoint state — but carried over a byte pipe
+//! sharded pipeline: the same [`shard_of`](crate::pipeline::shard_of) source
+//! partition, the same [`YearAnalysis::merge_partials`] recombination, the
+//! same `SYNCKPT` checkpoint state — but carried over a byte pipe
 //! ([`synscan_wire::frame`]) instead of an in-process channel, so the workers
 //! can live in other processes or on other hosts.
 //!
@@ -68,13 +68,13 @@
 use std::io::{Read, Write};
 
 use synscan_wire::frame::{read_frame, write_frame, FrameError, MAX_FRAME_PAYLOAD};
-use synscan_wire::stream::{skip_records, FaultCounters, FaultPolicy, TryRecordStream};
+use synscan_wire::stream::{FaultCounters, FaultPolicy, TryRecordStream};
 
 use crate::analysis::{YearAnalysis, YearCollector};
 use crate::campaign::CampaignConfig;
-use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointHeader, SnapReader, SnapWriter};
-use crate::pipeline::supervised::AdmitState;
-use crate::pipeline::{shard_of, FaultGate, Gate, PipelineError, SizeHints};
+use crate::checkpoint::{Checkpoint, CheckpointError, SnapReader, SnapWriter};
+use crate::pipeline::feed::{Feed, SinkPlan};
+use crate::pipeline::{AdmitState, PipelineError, PipelineMode, RunSpec, SizeHints};
 
 /// Protocol version spoken in [`Message::Hello`]. Independent of the frame
 /// envelope version: the envelope carries bytes, this governs their
@@ -458,10 +458,10 @@ pub struct SliceOutcome {
 
 /// Drive one `(year, partition)` slice over a full year stream.
 ///
-/// The loop is the sequential supervised driver with one twist: the fault
-/// gate and the admit filter see **every** record (so fault counters,
-/// capture statistics, and the origin timestamp are global), but only
-/// records whose source hashes into this slice's partition reach the
+/// This is the pipeline's one feed loop with an inline, partition-filtered
+/// sink: the fault gate and the admit filter see **every** record (so fault
+/// counters, capture statistics, and the origin timestamp are global), but
+/// only records whose source hashes into this slice's partition reach the
 /// collector. Checkpoints — complete single-shard `SYNCKPT` images — are
 /// handed to `on_checkpoint` at batch boundaries every `task.every` pulled
 /// records; the coordinator keeps the newest as the slice's retry state.
@@ -482,116 +482,28 @@ where
     A: AdmitState + ?Sized,
 {
     let slice = task.slice;
-    let parts = slice.parts.max(1) as usize;
-    let part = slice.part as usize;
-    let mut gate = FaultGate::new(task.policy);
-    let mut cursor = 0u64;
-    let mut seq = 0u64;
-    let mut origin: Option<u64> = None;
-    let mut collector: Option<YearCollector> = None;
-
-    if let Some(ck) = resume {
-        ck.validate(slice.year, task.seed, 1)?;
-        admit.restore(&ck.admit_state)?;
-        gate.counters = ck.faults;
-        gate.last = ck.gate_last;
-        cursor = ck.header.cursor;
-        seq = ck.header.seq;
-        origin = ck.header.origin;
-        collector = ck.shard_collector(0)?;
-        let consumed = skip_records(stream, cursor).map_err(PipelineError::Stream)?;
-        if consumed != cursor {
-            return Err(CheckpointError::Mismatch {
-                field: "cursor",
-                expected: cursor,
-                found: consumed,
-            }
-            .into());
-        }
-    }
-
-    let make_collector = |origin: u64| {
-        let mut fresh =
-            YearCollector::with_origin(slice.year, task.config, task.period_days, origin);
-        task.hints.per_worker(parts).apply_to(&mut fresh);
-        fresh
+    let spec = RunSpec {
+        year: slice.year,
+        config: task.config,
+        period_days: task.period_days,
+        mode: PipelineMode::Sequential,
+        hints: task.hints,
+        policy: task.policy,
     };
-    // A resumed slice whose checkpoint predates the partition's first
-    // record carries an origin but no collector yet.
-    if collector.is_none() {
-        if let Some(t0) = origin {
-            collector = Some(make_collector(t0));
-        }
-    }
-
-    let mut next_due = if task.every > 0 {
-        cursor + task.every
-    } else {
-        u64::MAX
+    let mut feed = Feed::start(&spec, on_checkpoint);
+    (feed.seed, feed.every) = (task.seed, task.every);
+    let restored = match resume {
+        Some(ck) => feed.resume(ck, 1, stream, admit)?,
+        None => Vec::new(),
     };
-    let mut written = 0u64;
-    'feed: loop {
-        let batch = match stream.try_next_batch() {
-            Ok(Some(batch)) => batch,
-            Ok(None) => break,
-            Err(e) => {
-                gate.stream_error(e)?;
-                break;
-            }
-        };
-        cursor += batch.len() as u64;
-        let mut last_admitted = None;
-        for record in batch {
-            match gate.offer(record).map_err(PipelineError::Stream)? {
-                Gate::Pass => {
-                    if admit.admit(record) {
-                        if origin.is_none() {
-                            origin = Some(record.ts_micros);
-                            collector = Some(make_collector(record.ts_micros));
-                        }
-                        if shard_of(record.src_ip, parts) == part {
-                            let collector =
-                                collector.as_mut().expect("collector exists after origin");
-                            collector.offer(record);
-                            last_admitted = Some(record.ts_micros);
-                        }
-                    }
-                }
-                Gate::Drop => {}
-                Gate::Stop => break 'feed,
-            }
-        }
-        if let Some(ts) = last_admitted {
-            if let Some(collector) = collector.as_mut() {
-                collector.housekeeping(ts);
-            }
-        }
-        if cursor >= next_due {
-            seq += 1;
-            let ck = Checkpoint {
-                header: CheckpointHeader {
-                    year: slice.year,
-                    seed: task.seed,
-                    workers: 1,
-                    cursor,
-                    seq,
-                    origin,
-                },
-                gate_last: gate.last,
-                faults: gate.counters,
-                admit_state: admit.snapshot(),
-                shards: vec![Checkpoint::encode_collector(collector.as_ref())],
-            };
-            on_checkpoint(&ck)?;
-            written += 1;
-            next_due = cursor + task.every;
-        }
-    }
+    let partition = Some((slice.part as usize, slice.parts.max(1) as usize));
+    let plan = SinkPlan::Inline { partition };
+    let (_, analysis, _) = feed.drive(plan, restored, stream, admit)?;
     Ok(SliceOutcome {
-        analysis: collector.map(YearCollector::finish),
-        faults: gate.counters,
-        cursor,
-        checkpoints: written,
+        analysis,
+        faults: feed.faults(),
+        cursor: feed.cursor,
+        checkpoints: feed.written,
     })
 }
 

@@ -74,12 +74,11 @@ pub use fasthash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use fingerprint::{FingerprintEngine, InternedFingerprint, PacketVerdict};
 pub use intern::{SourceId, SourceTable};
 pub use pipeline::supervised::{
-    run_year_supervised, AdmitState, CheckpointOptions, FilterAdmit, RunError, RunSpec, RunStatus,
-    SupervisorOptions,
+    run_year_supervised, CheckpointOptions, RunError, RunStatus, SupervisorOptions,
 };
 pub use pipeline::{
-    collect_year_sharded, collect_year_stream, try_collect_year_mapped, try_collect_year_stream,
-    MappedIngestReport, PipelineError, PipelineMode, PipelineOutcome, SizeHints,
+    try_collect_year_stream, AdmitState, FilterAdmit, PipelineError, PipelineMode, PipelineOutcome,
+    RunSpec, SizeHints,
 };
 pub use sketch::{CountMinSketch, HeavyHitterConfig, HeavyHitters, NetworkImpact, SpaceSaving};
 pub use store::{

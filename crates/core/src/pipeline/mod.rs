@@ -15,42 +15,35 @@
 //! subsequence of every source it owns, and the shard outputs combine with
 //! [`YearAnalysis::merge_partials`] into a result **bit-identical** to the
 //! sequential run (campaigns are canonically re-sorted by start time, then
-//! source). The equivalence is enforced by tests here and by the
-//! `pipeline_equivalence` integration test at generator scale.
+//! source). The equivalence is enforced by the driver matrix test beside the
+//! loop and by the `pipeline_equivalence` integration test at generator
+//! scale.
 //!
-//! Records travel over bounded `std::sync::mpsc` channels in ~16k-record batches so
-//! per-record channel overhead amortizes away; the feeder (which also runs
-//! the ingress/SYN filter, keeping capture statistics exact and ordered)
-//! applies backpressure naturally when workers fall behind.
-//!
-//! Input arrives as a [`RecordStream`] ([`collect_year_stream`]): the
-//! pipeline pulls one batch at a time and never needs the year materialized.
-//! [`collect_year_sharded`] remains as the slice-input convenience wrapper
-//! (a [`SliceStream`] adapter over the same engine).
+//! There is one feed loop (the private `feed` module, whose docs describe
+//! it) over two sinks: one collector inline, or a fan-out of shard workers
+//! behind bounded channels of ~16k-record batches. The three public drivers
+//! — [`try_collect_year_stream`] here, [`supervised::run_year_supervised`]
+//! and [`crate::distrib::run_slice`] — configure that loop; none of them has
+//! a loop of its own.
 
-use std::sync::{mpsc, Arc};
 use std::thread;
 
 use synscan_scanners::traits::mix64;
-use synscan_wire::ingest::{IngestQueues, MappedCapture, MappedPcapStream};
-use synscan_wire::stream::{
-    BatchPool, FaultCounters, FaultPolicy, InfallibleStream, RecordStream, SliceStream,
-    StreamError, TryRecordStream,
-};
+use synscan_wire::stream::{FaultCounters, FaultPolicy, StreamError, TryRecordStream};
 use synscan_wire::{Ipv4Address, ProbeRecord};
 
 use crate::analysis::{YearAnalysis, YearCollector};
 use crate::campaign::CampaignConfig;
+use crate::checkpoint::CheckpointError;
 use crate::sketch::HeavyHitterConfig;
+use crate::supervise::SupervisionConfig;
 
+pub(crate) mod feed;
 pub mod supervised;
 
 /// Records per channel message / stream batch — re-exported from the wire
 /// layer so every stage of the pipeline agrees on the batch granularity.
 pub use synscan_wire::stream::BATCH_RECORDS;
-
-/// In-flight batches per worker channel (bounded: backpressure, not OOM).
-const CHANNEL_DEPTH: usize = 4;
 
 /// How a year's measurement loop executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,27 +208,14 @@ impl SizeHints {
     }
 }
 
-/// One message on a shard channel.
-enum ShardMsg {
-    /// Timestamp of the first admitted record of the whole stream. Sent to
-    /// every worker before any batch, so all shards compute day/week indices
-    /// against the same origin the sequential collector would use.
-    Origin(u64),
-    /// A run of admitted records, in stream order, all owned by this shard.
-    Batch(Vec<ProbeRecord>),
-}
-
 /// Why a fallible pipeline run did not produce an analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipelineError {
     /// The input stream surfaced a fault under [`FaultPolicy::Fail`].
     Stream(StreamError),
-    /// A shard worker panicked; its partial analysis is unrecoverable.
-    WorkerPanicked,
-    /// A specific shard worker died mid-run (its channel closed early or its
-    /// panic was contained by the supervisor). Unlike
-    /// [`PipelineError::WorkerPanicked`] the shard is known, so a supervised
-    /// caller can retry the run from that shard's last checkpoint.
+    /// A shard worker died mid-run: its panic was contained and its channel
+    /// closed early. The shard is known, so a caller that checkpoints can
+    /// retry the run from the last cut.
     WorkerFailed {
         /// Index of the shard whose worker failed.
         shard: u32,
@@ -246,7 +226,6 @@ impl std::fmt::Display for PipelineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PipelineError::Stream(e) => write!(f, "input stream fault: {e}"),
-            PipelineError::WorkerPanicked => write!(f, "pipeline worker panicked"),
             PipelineError::WorkerFailed { shard } => {
                 write!(f, "pipeline worker for shard {shard} failed")
             }
@@ -274,142 +253,103 @@ pub struct PipelineOutcome {
     pub faults: FaultCounters,
 }
 
-/// Verdict of the driver's per-record fault gate.
-pub(crate) enum Gate {
-    /// Clean: hand the record to the admit filter.
-    Pass,
-    /// Drop this record (injected duplicate / order regression under skip).
-    Drop,
-    /// End the run cleanly, keeping everything admitted so far.
-    Stop,
+/// What to run: the parameters every year driver shares.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunSpec {
+    /// Capture year under analysis.
+    pub year: u16,
+    /// Campaign-detection thresholds.
+    pub config: CampaignConfig,
+    /// Temporal bin width for the week×/16 matrix, in days.
+    pub period_days: f64,
+    /// Sequential or sharded execution.
+    pub mode: PipelineMode,
+    /// Pre-sizing hints for collector state.
+    pub hints: SizeHints,
+    /// Driver-side fault policy.
+    pub policy: FaultPolicy,
 }
 
-/// The driver-side recovery layer: every record from the input stream goes
-/// through here *before* the ingress filter, so a recovered stream presents
-/// the identical record sequence — and therefore identical capture
-/// statistics — as the clean stream it decayed from.
+impl RunSpec {
+    /// A hinted collector for one of `shards` source shards of this run.
+    /// With `origin` it bins days and weeks against that timestamp — a
+    /// shard must use the origin of the *whole* stream; without, against
+    /// its own first record.
+    pub(crate) fn collector(&self, origin: Option<u64>, shards: usize) -> YearCollector {
+        let mut collector = match origin {
+            Some(t0) => YearCollector::with_origin(self.year, self.config, self.period_days, t0),
+            None => YearCollector::with_period(self.year, self.config, self.period_days),
+        };
+        self.hints.per_worker(shards).apply_to(&mut collector);
+        collector
+    }
+
+    /// What a run that admitted nothing analyzes to, whatever its sink —
+    /// including the (empty) heavy-hitter state when the hints enable it.
+    pub(crate) fn empty_analysis(&self) -> YearAnalysis {
+        self.collector(None, 1).finish()
+    }
+}
+
+/// The admit filter of a run: the ingress/SYN filter plus whatever state it
+/// keeps.
 ///
-/// Two faults are detectable at this layer: exact back-to-back duplicates
-/// (a re-flushed capture buffer; under a lossy policy the replay is
-/// dropped), and timestamp regressions (the [`TryRecordStream`] contract
-/// is non-decreasing order; under [`FaultPolicy::Fail`] a regression is an
-/// [`StreamError::Unordered`] error, under skip the offender is dropped).
-pub(crate) struct FaultGate {
-    pub(crate) policy: FaultPolicy,
-    pub(crate) counters: FaultCounters,
-    pub(crate) last: Option<ProbeRecord>,
+/// Capture-layer filters carry counters (offered, blocked, admitted…) that
+/// are part of a run's observable output, so a checkpoint must carry them
+/// too. Implementors serialize whatever state they own into an opaque blob;
+/// the checkpoint layer stores and returns it verbatim.
+pub trait AdmitState {
+    /// Decide whether `record` enters the analysis, updating any state.
+    fn admit(&mut self, record: &ProbeRecord) -> bool;
+
+    /// Serialize the filter state for a checkpoint.
+    fn snapshot(&self) -> Vec<u8>;
+
+    /// Restore state written by [`AdmitState::snapshot`].
+    fn restore(&mut self, blob: &[u8]) -> Result<(), CheckpointError>;
 }
 
-impl FaultGate {
-    pub(crate) fn new(policy: FaultPolicy) -> Self {
-        Self {
-            policy,
-            counters: FaultCounters::default(),
-            last: None,
-        }
+/// Adapts a stateless admit closure into an [`AdmitState`] (the plain
+/// driver, tests, ad-hoc runs): the snapshot is empty and restore accepts
+/// only emptiness.
+#[derive(Debug)]
+pub struct FilterAdmit<F>(pub F);
+
+impl<F: FnMut(&ProbeRecord) -> bool> AdmitState for FilterAdmit<F> {
+    fn admit(&mut self, record: &ProbeRecord) -> bool {
+        (self.0)(record)
     }
 
-    pub(crate) fn offer(&mut self, record: &ProbeRecord) -> Result<Gate, StreamError> {
-        if let Some(last) = &self.last {
-            // Duplicate check first: an exact replay carries an equal (not
-            // regressed) timestamp, so it never reaches the order check.
-            if record == last {
-                match self.policy {
-                    // Strict mode forwards duplicates untouched: equal
-                    // timestamps do not violate the stream contract, and
-                    // strict means "analyze exactly what arrived".
-                    FaultPolicy::Fail => return Ok(Gate::Pass),
-                    FaultPolicy::SkipRecord | FaultPolicy::StopClean => {
-                        self.counters.duplicates_dropped += 1;
-                        return Ok(Gate::Drop);
-                    }
-                }
-            }
-            if record.ts_micros < last.ts_micros {
-                match self.policy {
-                    FaultPolicy::Fail => {
-                        return Err(StreamError::Unordered { violations: 1 });
-                    }
-                    FaultPolicy::SkipRecord => {
-                        self.counters.records_skipped += 1;
-                        return Ok(Gate::Drop);
-                    }
-                    FaultPolicy::StopClean => {
-                        self.counters.streams_truncated += 1;
-                        return Ok(Gate::Stop);
-                    }
-                }
-            }
-        }
-        self.last = Some(*record);
-        Ok(Gate::Pass)
+    fn snapshot(&self) -> Vec<u8> {
+        Vec::new()
     }
 
-    /// A terminal error from the stream itself: fatal under strict policy,
-    /// a counted clean truncation under the lossy ones.
-    pub(crate) fn stream_error(&mut self, e: StreamError) -> Result<(), PipelineError> {
-        match self.policy {
-            FaultPolicy::Fail => Err(PipelineError::Stream(e)),
-            FaultPolicy::SkipRecord | FaultPolicy::StopClean => {
-                self.counters.streams_truncated += 1;
-                Ok(())
-            }
+    fn restore(&mut self, blob: &[u8]) -> Result<(), CheckpointError> {
+        if blob.is_empty() {
+            Ok(())
+        } else {
+            Err(CheckpointError::Corrupt(format!(
+                "{} bytes of admit state for a stateless filter",
+                blob.len()
+            )))
         }
     }
 }
 
-/// Run one year's collection from any [`RecordStream`], sequentially or
-/// fanned out over shard threads.
-///
-/// Infallible convenience over [`try_collect_year_stream`]: the stream must
-/// honor the [`RecordStream`] contract (records in non-decreasing timestamp
-/// order — the generator's heap merge and pcap import both guarantee this).
-/// A contract violation, or a worker panic, panics here; callers that ingest
-/// untrusted or fault-injected input use the fallible driver with a
-/// [`FaultPolicy`] instead.
+/// Run one year's collection from any fallible record stream, sequentially
+/// or fanned out over shard threads — the driver every uncheckpointed front
+/// end (synthesis, pcap import, chaos tests, the benchmark) goes through.
 ///
 /// `admit` is the ingress/SYN filter — it runs on the calling thread, in
 /// stream order, exactly once per record, so stateful filters
 /// ([`synscan_telescope::CaptureSession`]) keep exact statistics.
 /// `hints` pre-sizes the collector's hot state ([`SizeHints::none`] = grow
 /// on demand).
-pub fn collect_year_stream<S, F>(
-    year: u16,
-    config: CampaignConfig,
-    period_days: f64,
-    mode: PipelineMode,
-    hints: SizeHints,
-    stream: &mut S,
-    admit: F,
-) -> YearAnalysis
-where
-    S: RecordStream + ?Sized,
-    F: FnMut(&ProbeRecord) -> bool,
-{
-    let mut stream = InfallibleStream(stream);
-    match try_collect_year_stream(
-        year,
-        config,
-        period_days,
-        mode,
-        hints,
-        FaultPolicy::Fail,
-        &mut stream,
-        admit,
-    ) {
-        Ok(outcome) => outcome.analysis,
-        Err(e) => panic!("record stream violated the RecordStream contract: {e}"),
-    }
-}
-
-/// Run one year's collection from any fallible record stream, sequentially
-/// or fanned out over shard threads — the single driver every front end
-/// (synthesis, pcap import, chaos tests, benches) ultimately goes through.
 ///
 /// Faults travel two ways:
 ///
 /// * **in-band**, as records that should not be there — exact back-to-back
-///   duplicates and timestamp regressions. The driver's fault gate screens
+///   duplicates and timestamp regressions. The loop's fault gate screens
 ///   every record *before* the `admit` filter, so what the filter (and its
 ///   statistics) sees under a lossy policy is the clean sequence.
 /// * **out-of-band**, as a [`StreamError`] from the stream itself (pcap
@@ -420,14 +360,13 @@ where
 ///
 /// In sharded mode a fatal fault tears the fan-out down in order: the
 /// channels close, every worker drains and exits, partial analyses are
-/// discarded, and the error is returned — never a panic. A worker panic
-/// itself surfaces as [`PipelineError::WorkerPanicked`].
+/// discarded, and the error is returned — never a panic. A worker panic is
+/// contained and surfaces as [`PipelineError::WorkerFailed`].
 ///
 /// Memory is O(batch): the caller's stream lends one batch at a time, and
-/// the sharded arm keeps at most `CHANNEL_DEPTH + 1` batches in flight per
-/// worker (bounded channels give natural backpressure). Both modes are
-/// bit-identical to offering every gate-surviving admitted record to one
-/// [`YearCollector`] built with the same config and period.
+/// the fan-out keeps a bounded number of batches in flight per worker. Both
+/// modes are bit-identical to offering every gate-surviving admitted record
+/// to one [`YearCollector`] built with the same config and period.
 #[allow(clippy::too_many_arguments)]
 pub fn try_collect_year_stream<S, F>(
     year: u16,
@@ -437,363 +376,41 @@ pub fn try_collect_year_stream<S, F>(
     hints: SizeHints,
     policy: FaultPolicy,
     stream: &mut S,
-    mut admit: F,
+    admit: F,
 ) -> Result<PipelineOutcome, PipelineError>
 where
     S: TryRecordStream + ?Sized,
     F: FnMut(&ProbeRecord) -> bool,
 {
-    let mut gate = FaultGate::new(policy);
-    let workers = match mode {
-        PipelineMode::Sequential => {
-            let mut collector = YearCollector::with_period(year, config, period_days);
-            hints.apply_to(&mut collector);
-            'feed: loop {
-                let batch = match stream.try_next_batch() {
-                    Ok(Some(batch)) => batch,
-                    Ok(None) => break,
-                    Err(e) => {
-                        gate.stream_error(e)?;
-                        break;
-                    }
-                };
-                let mut last_admitted = None;
-                let mut stop = false;
-                for record in batch {
-                    match gate.offer(record).map_err(PipelineError::Stream)? {
-                        Gate::Pass => {
-                            if admit(record) {
-                                collector.offer(record);
-                                last_admitted = Some(record.ts_micros);
-                            }
-                        }
-                        Gate::Drop => {}
-                        Gate::Stop => {
-                            stop = true;
-                            break;
-                        }
-                    }
-                }
-                // Per-batch housekeeping bounds memory; result-neutral
-                // because per-source expiry is deterministic (lazy-reset
-                // fingerprinting, idempotent scan expiry) — asserted by the
-                // equivalence tests.
-                if let Some(ts) = last_admitted {
-                    collector.housekeeping(ts);
-                }
-                if stop {
-                    break 'feed;
-                }
-            }
-            return Ok(PipelineOutcome {
-                analysis: collector.finish(),
-                faults: gate.counters,
-            });
-        }
-        PipelineMode::Sharded { workers } => workers.max(1),
-    };
-
-    let partials: Result<Vec<Option<YearAnalysis>>, PipelineError> = thread::scope(|scope| {
-        // Consumed batch buffers flow back to the feeder over this channel
-        // (bounded to the fan-out's maximum in-flight count, so try_send
-        // from a worker can only fail if the feeder stopped draining — in
-        // which case the buffer is simply dropped).
-        let (recycle_tx, recycle_rx) =
-            mpsc::sync_channel::<Vec<ProbeRecord>>(workers * (CHANNEL_DEPTH + 2));
-        let mut txs = Vec::with_capacity(workers);
-        let mut joins = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = mpsc::sync_channel::<ShardMsg>(CHANNEL_DEPTH);
-            txs.push(tx);
-            let hint = hints.per_worker(workers);
-            let recycle = recycle_tx.clone();
-            joins.push(
-                scope.spawn(move || worker_loop(year, config, period_days, hint, rx, recycle)),
-            );
-        }
-        drop(recycle_tx);
-
-        // The feeder: gate, filter in stream order, route by source hash.
-        // Batch buffers come from the pool, which refills from workers'
-        // returned buffers — steady state allocates nothing per batch.
-        let mut pool = BatchPool::new();
-        let mut batches: Vec<Vec<ProbeRecord>> =
-            (0..workers).map(|_| pool.acquire(BATCH_RECORDS)).collect();
-        let mut origin_sent = false;
-        let mut fatal: Option<PipelineError> = None;
-        'feed: loop {
-            let pulled = match stream.try_next_batch() {
-                Ok(Some(pulled)) => pulled,
-                Ok(None) => break,
-                Err(e) => {
-                    if let Err(fault) = gate.stream_error(e) {
-                        fatal = Some(fault);
-                    }
-                    break;
-                }
-            };
-            for record in pulled {
-                match gate.offer(record) {
-                    Ok(Gate::Pass) => {}
-                    Ok(Gate::Drop) => continue,
-                    Ok(Gate::Stop) => break 'feed,
-                    Err(e) => {
-                        fatal = Some(PipelineError::Stream(e));
-                        break 'feed;
-                    }
-                }
-                if !admit(record) {
-                    continue;
-                }
-                if !origin_sent {
-                    for (shard, tx) in txs.iter().enumerate() {
-                        if tx.send(ShardMsg::Origin(record.ts_micros)).is_err() {
-                            fatal = Some(PipelineError::WorkerFailed {
-                                shard: shard as u32,
-                            });
-                            break 'feed;
-                        }
-                    }
-                    origin_sent = true;
-                }
-                let shard = shard_of(record.src_ip, workers);
-                let batch = &mut batches[shard];
-                batch.push(*record);
-                if batch.len() >= BATCH_RECORDS {
-                    while let Ok(returned) = recycle_rx.try_recv() {
-                        pool.release(returned);
-                    }
-                    let replacement = pool.acquire(BATCH_RECORDS);
-                    let full = std::mem::replace(batch, replacement);
-                    // A send on a closed channel means the worker is gone
-                    // (it panicked and dropped its receiver): stop feeding
-                    // and surface the shard instead of pushing into the void.
-                    if txs[shard].send(ShardMsg::Batch(full)).is_err() {
-                        fatal = Some(PipelineError::WorkerFailed {
-                            shard: shard as u32,
-                        });
-                        break 'feed;
-                    }
-                }
-            }
-        }
-        if fatal.is_none() {
-            for (shard, (tx, batch)) in txs.iter().zip(batches).enumerate() {
-                if !batch.is_empty() && tx.send(ShardMsg::Batch(batch)).is_err() {
-                    fatal = Some(PipelineError::WorkerFailed {
-                        shard: shard as u32,
-                    });
-                    break;
-                }
-            }
-        }
-        drop(txs); // close the channels: workers drain and finish
-
-        // Join every worker before deciding the outcome: a fatal fault must
-        // not leave threads running, and a worker panic must not propagate.
-        let mut partials = Vec::with_capacity(workers);
-        let mut panicked = false;
-        for join in joins {
-            match join.join() {
-                Ok(partial) => partials.push(partial),
-                Err(_) => panicked = true,
-            }
-        }
-        if let Some(fault) = fatal {
-            return Err(fault);
-        }
-        if panicked {
-            return Err(PipelineError::WorkerPanicked);
-        }
-        Ok(partials)
-    });
-
-    let partials: Vec<YearAnalysis> = partials?.into_iter().flatten().collect();
-    let analysis = if partials.is_empty() {
-        // Nothing was admitted: same empty analysis the sequential path
-        // would produce — including the (empty) heavy-hitter state when the
-        // hints enable it, so the equivalence to sequential holds exactly.
-        let mut collector = YearCollector::with_period(year, config, period_days);
-        hints.apply_to(&mut collector);
-        collector.finish()
-    } else {
-        YearAnalysis::merge_partials(partials)
-    };
-    Ok(PipelineOutcome {
-        analysis,
-        faults: gate.counters,
-    })
-}
-
-/// Run one year's collection fanned out over `workers` shard threads, from
-/// an in-memory slice. Convenience wrapper: adapts `records` through a
-/// [`SliceStream`] into [`collect_year_stream`].
-///
-/// `records` must be in timestamp order (the generator and pcap import both
-/// guarantee this).
-pub fn collect_year_sharded<F>(
-    year: u16,
-    config: CampaignConfig,
-    period_days: f64,
-    workers: usize,
-    hints: SizeHints,
-    records: &[ProbeRecord],
-    admit: F,
-) -> YearAnalysis
-where
-    F: FnMut(&ProbeRecord) -> bool,
-{
-    let mut stream = SliceStream::new(records);
-    collect_year_stream(
+    let spec = RunSpec {
         year,
         config,
         period_days,
-        PipelineMode::Sharded {
-            workers: workers.max(1),
-        },
+        mode,
         hints,
-        &mut stream,
-        admit,
-    )
-}
-
-/// What the zero-copy ingest front end observed while feeding a mapped run:
-/// the source-side counters that [`PipelineOutcome::faults`] deliberately
-/// excludes, plus the parse census.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MappedIngestReport {
-    /// Faults the ingest-side [`FaultPolicy`] skipped or truncated on.
-    pub faults: FaultCounters,
-    /// Frames that were not parseable IPv4/TCP.
-    pub non_tcp_frames: u64,
-    /// Consecutive-record timestamp inversions (including multi-queue
-    /// boundary comparisons).
-    pub order_violations: u64,
-}
-
-/// Run one year's collection straight off a mapped capture through the
-/// zero-copy ingest layer: `queues = 1` decodes on the calling thread via
-/// [`MappedPcapStream`]; more queues partition the mapping on record
-/// boundaries and decode in parallel ([`IngestQueues`]), merging back in
-/// capture order before the driver's fault gate. Either way the driver is
-/// [`try_collect_year_stream`] — chaos and checkpoint semantics downstream
-/// are untouched, and the result is bit-identical to feeding the same
-/// capture through the `Read`-based stream.
-#[allow(clippy::too_many_arguments)]
-pub fn try_collect_year_mapped<F>(
-    year: u16,
-    config: CampaignConfig,
-    period_days: f64,
-    mode: PipelineMode,
-    hints: SizeHints,
-    policy: FaultPolicy,
-    capture: &Arc<MappedCapture>,
-    queues: usize,
-    admit: F,
-) -> Result<(PipelineOutcome, MappedIngestReport), PipelineError>
-where
-    F: FnMut(&ProbeRecord) -> bool,
-{
-    if queues <= 1 {
-        let mut stream = MappedPcapStream::with_policy(capture.as_slice(), policy)
-            .map_err(|e| PipelineError::Stream(StreamError::Pcap(e)))?;
-        let outcome = try_collect_year_stream(
-            year,
-            config,
-            period_days,
-            mode,
-            hints,
-            policy,
-            &mut stream,
-            admit,
-        )?;
-        let report = MappedIngestReport {
-            faults: stream.faults(),
-            non_tcp_frames: stream.non_tcp_frames(),
-            order_violations: stream.order_violations(),
-        };
-        Ok((outcome, report))
-    } else {
-        let mut stream = IngestQueues::new(Arc::clone(capture), queues, policy)
-            .map_err(|e| PipelineError::Stream(StreamError::Pcap(e)))?
-            .spawn();
-        let outcome = try_collect_year_stream(
-            year,
-            config,
-            period_days,
-            mode,
-            hints,
-            policy,
-            &mut stream,
-            admit,
-        )?;
-        let report = MappedIngestReport {
-            faults: stream.faults(),
-            non_tcp_frames: stream.non_tcp_frames(),
-            order_violations: stream.order_violations(),
-        };
-        Ok((outcome, report))
-    }
-}
-
-/// One shard: own a full collector (fingerprint + campaigns + aggregates)
-/// for the sources routed here. Consumed batch buffers go back to the
-/// feeder via `recycle`.
-fn worker_loop(
-    year: u16,
-    config: CampaignConfig,
-    period_days: f64,
-    hints: SizeHints,
-    rx: mpsc::Receiver<ShardMsg>,
-    recycle: mpsc::SyncSender<Vec<ProbeRecord>>,
-) -> Option<YearAnalysis> {
-    let mut collector: Option<YearCollector> = None;
-    for msg in rx {
-        match msg {
-            ShardMsg::Origin(t0) => {
-                let mut fresh = YearCollector::with_origin(year, config, period_days, t0);
-                hints.apply_to(&mut fresh);
-                collector = Some(fresh);
-            }
-            ShardMsg::Batch(mut batch) => {
-                // The feeder's protocol sends Origin before any batch; if the
-                // protocol ever drifts, degrade to this shard's first record
-                // as the origin instead of panicking the worker. (A shifted
-                // origin skews day/week bins; a panic loses the whole run.)
-                let Some(first) = batch.first() else {
-                    continue;
-                };
-                let first_ts = first.ts_micros;
-                let collector = collector.get_or_insert_with(|| {
-                    let mut fresh = YearCollector::with_origin(year, config, period_days, first_ts);
-                    hints.apply_to(&mut fresh);
-                    fresh
-                });
-                for record in &batch {
-                    collector.offer(record);
-                }
-                // Per-batch housekeeping bounds memory; harmless for the
-                // result because per-source expiry is deterministic
-                // (lazy-reset fingerprinting, idempotent scan expiry).
-                if let Some(last) = batch.last() {
-                    collector.housekeeping(last.ts_micros);
-                }
-                batch.clear();
-                // Best-effort: a full (or closed) recycle channel just means
-                // this buffer is dropped instead of reused.
-                let _ = recycle.try_send(batch);
-            }
-        }
-    }
-    collector.map(YearCollector::finish)
+        policy,
+    };
+    let mut never_cut = |_: &_| Ok(());
+    let mut feed = feed::Feed::<PipelineError>::start(&spec, &mut never_cut);
+    let (_, analysis, _) = feed.drive(
+        feed::SinkPlan::for_mode(mode, SupervisionConfig::default(), None),
+        Vec::new(),
+        stream,
+        &mut FilterAdmit(admit),
+    )?;
+    Ok(PipelineOutcome {
+        analysis: analysis.unwrap_or_else(|| spec.empty_analysis()),
+        faults: feed.faults(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use synscan_wire::stream::{InfallibleStream, SliceStream};
     use synscan_wire::TcpFlags;
 
-    fn cfg() -> CampaignConfig {
+    pub(super) fn cfg() -> CampaignConfig {
         CampaignConfig {
             min_distinct_dests: 5,
             min_rate_pps: 10.0,
@@ -804,7 +421,7 @@ mod tests {
 
     /// A deterministic interleaved stream: 40 sources, two ports, a mix of
     /// ZMap-marked and anonymous probes, in timestamp order.
-    fn stream() -> Vec<ProbeRecord> {
+    pub(super) fn stream() -> Vec<ProbeRecord> {
         (0..4000u32)
             .map(|i| ProbeRecord {
                 ts_micros: u64::from(i) * 997,
@@ -831,18 +448,44 @@ mod tests {
         collector.finish()
     }
 
+    /// The driver over an in-memory slice under the strict policy, pulled in
+    /// `batch`-record batches.
+    fn collect(
+        mode: PipelineMode,
+        hints: SizeHints,
+        records: &[ProbeRecord],
+        batch: usize,
+        admit: impl FnMut(&ProbeRecord) -> bool,
+    ) -> YearAnalysis {
+        let mut input = SliceStream::with_batch_size(records, batch);
+        try_collect_year_stream(
+            2020,
+            cfg(),
+            7.0,
+            mode,
+            hints,
+            FaultPolicy::Fail,
+            &mut InfallibleStream(&mut input),
+            admit,
+        )
+        .expect("a clean ordered slice cannot fault")
+        .analysis
+    }
+
+    fn sharded(workers: usize) -> PipelineMode {
+        PipelineMode::Sharded { workers }
+    }
+
     #[test]
     fn sharded_matches_sequential_for_any_worker_count() {
         let records = stream();
         let expected = sequential(&records);
         for workers in [1usize, 2, 3, 8] {
-            let got = collect_year_sharded(
-                2020,
-                cfg(),
-                7.0,
-                workers,
+            let got = collect(
+                sharded(workers),
                 SizeHints::sources(64),
                 &records,
+                BATCH_RECORDS,
                 |r| r.dst_port != 23,
             );
             assert_eq!(expected, got, "workers = {workers}");
@@ -859,16 +502,9 @@ mod tests {
         ] {
             // An adversarial batch size: prime, far from BATCH_RECORDS, so
             // batch boundaries land mid-source and mid-burst.
-            let mut input = SliceStream::with_batch_size(&records, 257);
-            let got = collect_year_stream(
-                2020,
-                cfg(),
-                7.0,
-                mode,
-                SizeHints::sources(64),
-                &mut input,
-                |r| r.dst_port != 23,
-            );
+            let got = collect(mode, SizeHints::sources(64), &records, 257, |r| {
+                r.dst_port != 23
+            });
             assert_eq!(expected, got, "mode = {mode}");
         }
     }
@@ -876,7 +512,13 @@ mod tests {
     #[test]
     fn nothing_admitted_produces_an_empty_analysis() {
         let records = stream();
-        let got = collect_year_sharded(2020, cfg(), 7.0, 4, SizeHints::none(), &records, |_| false);
+        let got = collect(
+            sharded(4),
+            SizeHints::none(),
+            &records,
+            BATCH_RECORDS,
+            |_| false,
+        );
         assert_eq!(got.total_packets, 0);
         assert_eq!(got.distinct_sources, 0);
         assert!(got.campaigns.is_empty());
@@ -905,14 +547,14 @@ mod tests {
             "sequential arm carries the sketch"
         );
         for workers in [1usize, 3] {
-            let got = collect_year_sharded(2020, cfg(), 7.0, workers, hints, &records, |r| {
+            let got = collect(sharded(workers), hints, &records, BATCH_RECORDS, |r| {
                 r.dst_port != 23
             });
             assert_eq!(expected, got, "workers = {workers}");
         }
         // The nothing-admitted fallback must agree with an empty sequential
         // run too — including the (empty) sketch state.
-        let empty = collect_year_sharded(2020, cfg(), 7.0, 4, hints, &records, |_| false);
+        let empty = collect(sharded(4), hints, &records, BATCH_RECORDS, |_| false);
         let empty_heavy = empty.heavy.expect("fallback carries the sketch");
         assert_eq!(empty_heavy.count_min().total(), 0);
         assert!(empty_heavy.top_sources().is_empty());
@@ -961,16 +603,7 @@ mod tests {
             PipelineMode::Sequential,
             PipelineMode::Sharded { workers: 3 },
         ] {
-            let mut stream = SliceStream::new(&[]);
-            let got = collect_year_stream(
-                2020,
-                cfg(),
-                7.0,
-                mode,
-                SizeHints::none(),
-                &mut stream,
-                |_| true,
-            );
+            let got = collect(mode, SizeHints::none(), &[], BATCH_RECORDS, |_| true);
             assert_eq!(got.total_packets, 0, "mode = {mode}");
             assert_eq!(got.distinct_sources, 0);
             assert!(got.campaigns.is_empty());

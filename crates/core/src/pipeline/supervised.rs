@@ -3,8 +3,7 @@
 //!
 //! The plain pipeline driver answers "what does this stream analyze to?";
 //! this module answers "and what if the machine dies halfway through a
-//! decade?". It layers three guarantees over the same record-for-record
-//! processing loop:
+//! decade?". It configures the same feed loop with three more guarantees:
 //!
 //! 1. **Checkpoints** — at configurable record-count intervals the complete
 //!    run state (fault-gate, admit-filter state, every shard's collector) is
@@ -18,103 +17,25 @@
 //!    skips the already-processed prefix, and continues. Because shard
 //!    routing, expiry housekeeping, and fault gating are all deterministic
 //!    and batch-boundary-neutral, a resumed run produces **bit-identical**
-//!    output to an uninterrupted one — asserted by this module's tests in
-//!    both sequential and sharded modes.
-//! 3. **Supervision** — sharded workers run under
-//!    [`contain`]: a panic becomes a typed
+//!    output to an uninterrupted one — asserted by this module's tests and
+//!    the driver matrix in both sequential and sharded modes.
+//! 3. **Supervision** — shard workers run under
+//!    [`contain`](crate::supervise::contain): a panic becomes a typed
 //!    [`PipelineError::WorkerFailed`] carrying the shard index instead of a
 //!    process abort, healthy shards are joined and drained, and a watchdog
 //!    thread flags workers that stop heartbeating within a deadline.
-//!
-//! The consistent cut in sharded mode is a message-order barrier: the feeder
-//! flushes every partial per-shard batch, then sends each worker a
-//! `SupMsg::Snapshot` request. Workers process messages in order, so the
-//! snapshot they reply with reflects exactly the records the cursor counts —
-//! no locks, no pausing the world beyond one reply per shard.
 
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread;
-use std::time::Duration;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
-use synscan_wire::stream::{skip_records, BatchPool, FaultPolicy, TryRecordStream};
-use synscan_wire::ProbeRecord;
+use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::supervise::{InjectedFaults, SupervisionConfig, SupervisionReport};
+use synscan_wire::stream::TryRecordStream;
 
-use crate::analysis::{YearAnalysis, YearCollector};
-use crate::campaign::CampaignConfig;
-use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointHeader};
-use crate::supervise::{
-    contain, watch, HeartbeatBoard, InjectedFaults, SupervisionConfig, SupervisionReport,
-    WorkerFailure,
-};
+use super::feed::{Feed, SinkPlan};
+use super::{PipelineError, PipelineOutcome};
 
-use super::{
-    shard_of, FaultGate, Gate, PipelineError, PipelineMode, PipelineOutcome, SizeHints,
-    BATCH_RECORDS, CHANNEL_DEPTH,
-};
-
-/// The admit filter of a supervised run: the stateful generalization of the
-/// plain driver's `FnMut(&ProbeRecord) -> bool` closure.
-///
-/// Capture-layer filters carry counters (offered, blocked, admitted…) that
-/// are part of a run's observable output, so a checkpoint must carry them
-/// too. Implementors serialize whatever state they own into an opaque blob;
-/// the checkpoint layer stores and returns it verbatim.
-pub trait AdmitState {
-    /// Decide whether `record` enters the analysis, updating any state.
-    fn admit(&mut self, record: &ProbeRecord) -> bool;
-
-    /// Serialize the filter state for a checkpoint.
-    fn snapshot(&self) -> Vec<u8>;
-
-    /// Restore state written by [`AdmitState::snapshot`].
-    fn restore(&mut self, blob: &[u8]) -> Result<(), CheckpointError>;
-}
-
-/// Adapts a stateless admit closure into an [`AdmitState`] (tests, ad-hoc
-/// runs): the snapshot is empty and restore accepts only emptiness.
-#[derive(Debug)]
-pub struct FilterAdmit<F>(pub F);
-
-impl<F: FnMut(&ProbeRecord) -> bool> AdmitState for FilterAdmit<F> {
-    fn admit(&mut self, record: &ProbeRecord) -> bool {
-        (self.0)(record)
-    }
-
-    fn snapshot(&self) -> Vec<u8> {
-        Vec::new()
-    }
-
-    fn restore(&mut self, blob: &[u8]) -> Result<(), CheckpointError> {
-        if blob.is_empty() {
-            Ok(())
-        } else {
-            Err(CheckpointError::Corrupt(format!(
-                "{} bytes of admit state for a stateless filter",
-                blob.len()
-            )))
-        }
-    }
-}
-
-/// What to run: the year-pipeline parameters a supervised run shares with
-/// [`try_collect_year_stream`](super::try_collect_year_stream).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunSpec {
-    /// Capture year under analysis.
-    pub year: u16,
-    /// Campaign-detection thresholds.
-    pub config: CampaignConfig,
-    /// Temporal bin width for the week×/16 matrix, in days.
-    pub period_days: f64,
-    /// Sequential or sharded execution.
-    pub mode: PipelineMode,
-    /// Pre-sizing hints for collector state.
-    pub hints: SizeHints,
-    /// Driver-side fault policy.
-    pub policy: FaultPolicy,
-}
+pub use super::{AdmitState, FilterAdmit, RunSpec};
 
 /// Where, how often, and under what identity to checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -207,23 +128,6 @@ pub enum RunStatus {
     },
 }
 
-/// How the feed loop ended (sharded arm).
-enum FeedEnd {
-    /// Clean stream exhaustion: flush, final checkpoint, merge.
-    Eof,
-    /// Early but complete: a `StopClean` gate stop or a counted lossy stream
-    /// truncation. Flush and merge, but no completion checkpoint — the
-    /// cursor of a mid-batch stop does not mark a resumable position.
-    Graceful,
-    /// The stop flag was raised: final checkpoint, then interrupt.
-    Halt,
-    /// The `interrupt_after` drill limit was reached (checkpoint already
-    /// written).
-    DrillHalt,
-    /// A fatal error: tear down without flushing.
-    Dead,
-}
-
 /// Run one year under supervision, with optional checkpointing and resume.
 ///
 /// This is the crash-safe entry point the `Experiment` and analyze layers
@@ -235,9 +139,12 @@ enum FeedEnd {
 ///   stream* the checkpoint was taken from — is fast-forwarded past the
 ///   already-processed prefix. The continued run produces output identical
 ///   to an uninterrupted one.
-/// * With `opts.checkpoint`, a snapshot is written every `every` records
-///   (0 = only final snapshots), plus a final snapshot on clean completion
-///   (so completed years resume trivially) and on a raised stop flag.
+/// * With `opts.checkpoint`, a snapshot is written at the first batch
+///   boundary `every` records after the last one (0 = only final
+///   snapshots), plus a final snapshot on clean completion (so completed
+///   years resume trivially) and on a raised stop flag — but not after a
+///   `StopClean` stop or a lossy truncation, whose cursor is not a
+///   resumable position.
 /// * A sharded worker panic is contained and surfaced as
 ///   [`PipelineError::WorkerFailed`] with the shard index; healthy workers
 ///   are joined and the process never aborts. Callers that checkpoint can
@@ -259,648 +166,56 @@ where
         stop,
         inject,
     } = opts;
-    let workers = spec.mode.workers();
-
-    if let Some(ck) = &resume {
-        let seed = checkpoint.as_ref().map_or(ck.header.seed, |c| c.seed);
-        ck.validate(spec.year, seed, workers)?;
-        admit.restore(&ck.admit_state)?;
-        let consumed = skip_records(stream, ck.header.cursor).map_err(PipelineError::Stream)?;
-        if consumed != ck.header.cursor {
-            return Err(RunError::Checkpoint(CheckpointError::Mismatch {
-                field: "cursor",
-                expected: ck.header.cursor,
-                found: consumed,
-            }));
+    let mut write = |cut: &Checkpoint| -> Result<(), RunError> {
+        if let Some(c) = &checkpoint {
+            cut.write_atomic(&c.dir)?;
         }
-    }
-
-    match spec.mode {
-        PipelineMode::Sequential => {
-            run_sequential(spec, checkpoint.as_ref(), resume, stop, stream, admit)
-        }
-        PipelineMode::Sharded { .. } => run_sharded(
-            spec,
-            workers,
-            supervision,
-            checkpoint.as_ref(),
-            resume,
-            stop,
-            inject,
-            stream,
-            admit,
-        ),
-    }
-}
-
-/// Assemble and atomically write one checkpoint file.
-#[allow(clippy::too_many_arguments)]
-fn write_cut(
-    opts: &CheckpointOptions,
-    spec: &RunSpec,
-    workers: usize,
-    cursor: u64,
-    seq: u64,
-    origin: Option<u64>,
-    gate: &FaultGate,
-    admit_state: Vec<u8>,
-    shards: Vec<Vec<u8>>,
-) -> Result<(), CheckpointError> {
-    let ck = Checkpoint {
-        header: CheckpointHeader {
-            year: spec.year,
-            seed: opts.seed,
-            workers: workers as u32,
-            cursor,
-            seq,
-            origin,
-        },
-        gate_last: gate.last,
-        faults: gate.counters,
-        admit_state,
-        shards,
+        Ok(())
     };
-    ck.write_atomic(&opts.dir)?;
-    Ok(())
-}
-
-/// The supervised sequential driver: the reference loop plus checkpoint /
-/// stop-flag handling at batch boundaries.
-fn run_sequential<S, A>(
-    spec: &RunSpec,
-    checkpoint: Option<&CheckpointOptions>,
-    resume: Option<Checkpoint>,
-    stop: Option<&AtomicBool>,
-    stream: &mut S,
-    admit: &mut A,
-) -> Result<RunStatus, RunError>
-where
-    S: TryRecordStream + ?Sized,
-    A: AdmitState + ?Sized,
-{
-    let mut gate = FaultGate::new(spec.policy);
-    let mut cursor = 0u64;
-    let mut seq = 0u64;
-    let mut restored = None;
-    if let Some(ck) = &resume {
-        gate.counters = ck.faults;
-        gate.last = ck.gate_last;
-        cursor = ck.header.cursor;
-        seq = ck.header.seq;
-        restored = ck.shard_collector(0)?;
+    let mut feed = Feed::start(spec, &mut write);
+    feed.stop = stop;
+    feed.at_end = checkpoint.is_some();
+    if let Some(c) = &checkpoint {
+        (feed.seed, feed.every, feed.halt_after) = (c.seed, c.every, c.interrupt_after);
+    } else if let Some(ck) = &resume {
+        // Nothing will be cut, so any seed the checkpoint carries resumes.
+        feed.seed = ck.header.seed;
     }
-    let mut collector = restored.unwrap_or_else(|| {
-        let mut fresh = YearCollector::with_period(spec.year, spec.config, spec.period_days);
-        spec.hints.apply_to(&mut fresh);
-        fresh
-    });
-
-    let every = checkpoint.map_or(0, |c| c.every);
-    let mut next_due = if every > 0 { cursor + every } else { u64::MAX };
-    let mut written = 0u64;
-    let mut clean_eof = false;
-    'feed: loop {
-        if stop.is_some_and(|s| s.load(Ordering::Acquire)) {
-            if let Some(c) = checkpoint {
-                seq += 1;
-                write_cut(
-                    c,
-                    spec,
-                    1,
-                    cursor,
-                    seq,
-                    collector.origin(),
-                    &gate,
-                    admit.snapshot(),
-                    vec![Checkpoint::encode_collector(Some(&collector))],
-                )?;
-                written += 1;
-            }
-            return Ok(RunStatus::Interrupted {
-                checkpoints: written,
-                cursor,
-            });
-        }
-        let batch = match stream.try_next_batch() {
-            Ok(Some(batch)) => batch,
-            Ok(None) => {
-                clean_eof = true;
-                break;
-            }
-            Err(e) => {
-                gate.stream_error(e)?;
-                break;
-            }
-        };
-        cursor += batch.len() as u64;
-        let mut last_admitted = None;
-        let mut stopped = false;
-        for record in batch {
-            match gate.offer(record).map_err(PipelineError::Stream)? {
-                Gate::Pass => {
-                    if admit.admit(record) {
-                        collector.offer(record);
-                        last_admitted = Some(record.ts_micros);
-                    }
-                }
-                Gate::Drop => {}
-                Gate::Stop => {
-                    stopped = true;
-                    break;
-                }
-            }
-        }
-        if let Some(ts) = last_admitted {
-            collector.housekeeping(ts);
-        }
-        if stopped {
-            break 'feed;
-        }
-        if cursor >= next_due {
-            if let Some(c) = checkpoint {
-                seq += 1;
-                write_cut(
-                    c,
-                    spec,
-                    1,
-                    cursor,
-                    seq,
-                    collector.origin(),
-                    &gate,
-                    admit.snapshot(),
-                    vec![Checkpoint::encode_collector(Some(&collector))],
-                )?;
-                written += 1;
-                next_due = cursor + every;
-                if c.interrupt_after.is_some_and(|k| written >= k) {
-                    return Ok(RunStatus::Interrupted {
-                        checkpoints: written,
-                        cursor,
-                    });
-                }
-            }
-        }
-    }
-    // A completion checkpoint is written only on clean exhaustion: the
-    // cursor of a mid-batch `StopClean` stop or a lossy stream truncation
-    // is not a resumable position (replaying from it would re-process
-    // records the original run declined, or re-count the truncation).
-    if clean_eof {
-        if let Some(c) = checkpoint {
-            seq += 1;
-            write_cut(
-                c,
-                spec,
-                1,
-                cursor,
-                seq,
-                collector.origin(),
-                &gate,
-                admit.snapshot(),
-                vec![Checkpoint::encode_collector(Some(&collector))],
-            )?;
-            written += 1;
-        }
-    }
-    Ok(RunStatus::Completed {
-        outcome: PipelineOutcome {
-            analysis: collector.finish(),
-            faults: gate.counters,
-        },
-        report: SupervisionReport::default(),
-        checkpoints: written,
-    })
-}
-
-/// One message on a supervised shard channel.
-enum SupMsg {
-    /// Timestamp of the first admitted record of the whole stream; workers
-    /// that already restored a collector from a checkpoint ignore it.
-    Origin(u64),
-    /// A run of admitted records, in stream order, all owned by this shard.
-    Batch(Vec<ProbeRecord>),
-    /// Consistent-cut request: reply with the serialized collector. Sent
-    /// after all partial batches were flushed, so the in-order reply
-    /// reflects exactly the records the checkpoint cursor counts.
-    Snapshot(mpsc::SyncSender<Vec<u8>>),
-}
-
-/// Flush partial batches and take a consistent cut of every shard's
-/// collector. On failure returns the index of the dead shard.
-fn collect_cut(
-    txs: &[mpsc::SyncSender<SupMsg>],
-    batches: &mut [Vec<ProbeRecord>],
-    pool: &mut BatchPool,
-) -> Result<Vec<Vec<u8>>, u32> {
-    for (shard, batch) in batches.iter_mut().enumerate() {
-        if !batch.is_empty() {
-            let replacement = pool.acquire(BATCH_RECORDS);
-            let full = std::mem::replace(batch, replacement);
-            if txs[shard].send(SupMsg::Batch(full)).is_err() {
-                return Err(shard as u32);
-            }
-        }
-    }
-    let mut blobs = Vec::with_capacity(txs.len());
-    for (shard, tx) in txs.iter().enumerate() {
-        let (reply_tx, reply_rx) = mpsc::sync_channel::<Vec<u8>>(1);
-        if tx.send(SupMsg::Snapshot(reply_tx)).is_err() {
-            return Err(shard as u32);
-        }
-        match reply_rx.recv() {
-            Ok(blob) => blobs.push(blob),
-            Err(_) => return Err(shard as u32),
-        }
-    }
-    Ok(blobs)
-}
-
-/// The supervised sharded driver: heartbeats, panic containment, stall
-/// watchdog, and consistent-cut checkpointing around the fan-out loop.
-#[allow(clippy::too_many_arguments)]
-fn run_sharded<S, A>(
-    spec: &RunSpec,
-    workers: usize,
-    supervision: SupervisionConfig,
-    checkpoint: Option<&CheckpointOptions>,
-    resume: Option<Checkpoint>,
-    stop: Option<&AtomicBool>,
-    inject: Option<Arc<InjectedFaults>>,
-    stream: &mut S,
-    admit: &mut A,
-) -> Result<RunStatus, RunError>
-where
-    S: TryRecordStream + ?Sized,
-    A: AdmitState + ?Sized,
-{
-    let mut gate = FaultGate::new(spec.policy);
-    let mut cursor = 0u64;
-    let mut seq = 0u64;
-    let mut origin: Option<u64> = None;
-    let mut restored: Vec<Option<YearCollector>> = (0..workers).map(|_| None).collect();
-    if let Some(ck) = &resume {
-        gate.counters = ck.faults;
-        gate.last = ck.gate_last;
-        cursor = ck.header.cursor;
-        seq = ck.header.seq;
-        origin = ck.header.origin;
-        for (shard, slot) in restored.iter_mut().enumerate() {
-            *slot = ck.shard_collector(shard)?;
-        }
-    }
-
-    let board = HeartbeatBoard::new(workers);
-    let done = AtomicBool::new(false);
-
-    thread::scope(|scope| {
-        let (recycle_tx, recycle_rx) =
-            mpsc::sync_channel::<Vec<ProbeRecord>>(workers * (CHANNEL_DEPTH + 2));
-        let mut txs = Vec::with_capacity(workers);
-        let mut joins = Vec::with_capacity(workers);
-        for (shard, slot) in restored.iter_mut().enumerate() {
-            let (tx, rx) = mpsc::sync_channel::<SupMsg>(CHANNEL_DEPTH);
-            txs.push(tx);
-            let spec = *spec;
-            let hint = spec.hints.per_worker(workers);
-            let recycle = recycle_tx.clone();
-            let restored_collector = slot.take();
-            let board = &board;
-            let inject = inject.clone();
-            joins.push(scope.spawn(move || {
-                supervised_worker(
-                    shard as u32,
-                    spec,
-                    hint,
-                    restored_collector,
-                    rx,
-                    recycle,
-                    board,
-                    supervision.beat_every,
-                    inject,
-                )
-            }));
-        }
-        drop(recycle_tx);
-        let watchdog = scope.spawn(|| watch(&board, &supervision, &done));
-
-        let mut pool = BatchPool::new();
-        let mut batches: Vec<Vec<ProbeRecord>> =
-            (0..workers).map(|_| pool.acquire(BATCH_RECORDS)).collect();
-        let mut fatal: Option<RunError> = None;
-        let mut end = FeedEnd::Eof;
-        let mut written = 0u64;
-
-        // On resume, re-broadcast the recorded origin so shards that had no
-        // records yet bin against the same epoch; restored workers ignore it.
-        let mut origin_sent = false;
-        if let Some(t0) = origin {
-            for (shard, tx) in txs.iter().enumerate() {
-                if tx.send(SupMsg::Origin(t0)).is_err() {
-                    fatal = Some(RunError::Pipeline(PipelineError::WorkerFailed {
-                        shard: shard as u32,
-                    }));
-                    end = FeedEnd::Dead;
-                    break;
-                }
-            }
-            origin_sent = true;
-        }
-
-        let every = checkpoint.map_or(0, |c| c.every);
-        let mut next_due = if every > 0 { cursor + every } else { u64::MAX };
-        if fatal.is_none() {
-            'feed: loop {
-                if stop.is_some_and(|s| s.load(Ordering::Acquire)) {
-                    end = FeedEnd::Halt;
-                    break;
-                }
-                // `next_due` is finite only when checkpointing is enabled.
-                if let (true, Some(c)) = (cursor >= next_due, checkpoint) {
-                    seq += 1;
-                    match collect_cut(&txs, &mut batches, &mut pool)
-                        .map_err(|shard| RunError::Pipeline(PipelineError::WorkerFailed { shard }))
-                        .and_then(|blobs| {
-                            write_cut(
-                                c,
-                                spec,
-                                workers,
-                                cursor,
-                                seq,
-                                origin,
-                                &gate,
-                                admit.snapshot(),
-                                blobs,
-                            )
-                            .map_err(RunError::Checkpoint)
-                        }) {
-                        Ok(()) => {
-                            written += 1;
-                            next_due = cursor + every;
-                            if c.interrupt_after.is_some_and(|k| written >= k) {
-                                end = FeedEnd::DrillHalt;
-                                break;
-                            }
-                        }
-                        Err(e) => {
-                            fatal = Some(e);
-                            end = FeedEnd::Dead;
-                            break;
-                        }
-                    }
-                }
-                let pulled = match stream.try_next_batch() {
-                    Ok(Some(pulled)) => pulled,
-                    Ok(None) => {
-                        end = FeedEnd::Eof;
-                        break;
-                    }
-                    Err(e) => {
-                        match gate.stream_error(e) {
-                            Ok(()) => end = FeedEnd::Graceful,
-                            Err(fault) => {
-                                fatal = Some(RunError::Pipeline(fault));
-                                end = FeedEnd::Dead;
-                            }
-                        }
-                        break;
-                    }
-                };
-                cursor += pulled.len() as u64;
-                for record in pulled {
-                    match gate.offer(record) {
-                        Ok(Gate::Pass) => {}
-                        Ok(Gate::Drop) => continue,
-                        Ok(Gate::Stop) => {
-                            end = FeedEnd::Graceful;
-                            break 'feed;
-                        }
-                        Err(e) => {
-                            fatal = Some(RunError::Pipeline(PipelineError::Stream(e)));
-                            end = FeedEnd::Dead;
-                            break 'feed;
-                        }
-                    }
-                    if !admit.admit(record) {
-                        continue;
-                    }
-                    if !origin_sent {
-                        origin = Some(record.ts_micros);
-                        for (shard, tx) in txs.iter().enumerate() {
-                            if tx.send(SupMsg::Origin(record.ts_micros)).is_err() {
-                                fatal = Some(RunError::Pipeline(PipelineError::WorkerFailed {
-                                    shard: shard as u32,
-                                }));
-                                end = FeedEnd::Dead;
-                                break 'feed;
-                            }
-                        }
-                        origin_sent = true;
-                    }
-                    let shard = shard_of(record.src_ip, workers);
-                    let batch = &mut batches[shard];
-                    batch.push(*record);
-                    if batch.len() >= BATCH_RECORDS {
-                        while let Ok(returned) = recycle_rx.try_recv() {
-                            pool.release(returned);
-                        }
-                        let replacement = pool.acquire(BATCH_RECORDS);
-                        let full = std::mem::replace(batch, replacement);
-                        if txs[shard].send(SupMsg::Batch(full)).is_err() {
-                            fatal = Some(RunError::Pipeline(PipelineError::WorkerFailed {
-                                shard: shard as u32,
-                            }));
-                            end = FeedEnd::Dead;
-                            break 'feed;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Wind down while the workers are still alive: a final consistent
-        // cut on clean exhaustion or a raised stop flag, a plain flush on
-        // graceful early completion.
-        if fatal.is_none() {
-            let final_cut = match end {
-                FeedEnd::Eof | FeedEnd::Halt => checkpoint,
-                FeedEnd::Graceful | FeedEnd::DrillHalt | FeedEnd::Dead => None,
-            };
-            if let Some(c) = final_cut {
-                seq += 1;
-                match collect_cut(&txs, &mut batches, &mut pool)
-                    .map_err(|shard| RunError::Pipeline(PipelineError::WorkerFailed { shard }))
-                    .and_then(|blobs| {
-                        write_cut(
-                            c,
-                            spec,
-                            workers,
-                            cursor,
-                            seq,
-                            origin,
-                            &gate,
-                            admit.snapshot(),
-                            blobs,
-                        )
-                        .map_err(RunError::Checkpoint)
-                    }) {
-                    Ok(()) => written += 1,
-                    Err(e) => fatal = Some(e),
-                }
-            } else if matches!(end, FeedEnd::Eof | FeedEnd::Graceful) {
-                for (shard, (tx, batch)) in txs.iter().zip(batches).enumerate() {
-                    if !batch.is_empty() && tx.send(SupMsg::Batch(batch)).is_err() {
-                        fatal = Some(RunError::Pipeline(PipelineError::WorkerFailed {
-                            shard: shard as u32,
-                        }));
-                        break;
-                    }
-                }
-            }
-        }
-
-        // Close the channels so workers drain and finish, join them all
-        // (containing panics), then release the watchdog.
-        drop(txs);
-        let mut partials = Vec::with_capacity(workers);
-        let mut failures: Vec<WorkerFailure> = Vec::new();
-        for (shard, join) in joins.into_iter().enumerate() {
-            match join.join() {
-                Ok(Ok(partial)) => partials.push(partial),
-                Ok(Err(failure)) => failures.push(failure),
-                Err(_) => failures.push(WorkerFailure {
-                    shard: shard as u32,
-                    message: "worker thread died outside containment".into(),
-                }),
-            }
-        }
-        done.store(true, Ordering::Release);
-        let stalls = watchdog.join().unwrap_or_default();
-
-        if let Some(f) = fatal {
-            return Err(f);
-        }
-        if let Some(f) = failures.first() {
-            return Err(RunError::Pipeline(PipelineError::WorkerFailed {
-                shard: f.shard,
-            }));
-        }
-        if matches!(end, FeedEnd::Halt | FeedEnd::DrillHalt) {
-            return Ok(RunStatus::Interrupted {
-                checkpoints: written,
-                cursor,
-            });
-        }
-
-        let partials: Vec<YearAnalysis> = partials.into_iter().flatten().collect();
-        let analysis = if partials.is_empty() {
-            YearCollector::with_period(spec.year, spec.config, spec.period_days).finish()
-        } else {
-            YearAnalysis::merge_partials(partials)
-        };
-        Ok(RunStatus::Completed {
+    let restored = match &resume {
+        Some(ck) => feed.resume(ck, spec.mode.workers(), stream, admit)?,
+        None => Vec::new(),
+    };
+    let plan = SinkPlan::for_mode(spec.mode, supervision, inject);
+    let (completed, analysis, stalls) = feed.drive(plan, restored, stream, admit)?;
+    Ok(if completed {
+        RunStatus::Completed {
             outcome: PipelineOutcome {
-                analysis,
-                faults: gate.counters,
+                analysis: analysis.unwrap_or_else(|| spec.empty_analysis()),
+                faults: feed.faults(),
             },
             report: SupervisionReport {
                 stalls,
-                failures,
-                retried: 0,
+                ..SupervisionReport::default()
             },
-            checkpoints: written,
-        })
+            checkpoints: feed.written,
+        }
+    } else {
+        RunStatus::Interrupted {
+            checkpoints: feed.written,
+            cursor: feed.cursor,
+        }
     })
-}
-
-/// One supervised shard worker: the plain worker loop plus heartbeats,
-/// snapshot replies, fault-injection hooks, and panic containment.
-#[allow(clippy::too_many_arguments)]
-fn supervised_worker(
-    shard: u32,
-    spec: RunSpec,
-    hints: SizeHints,
-    restored: Option<YearCollector>,
-    rx: mpsc::Receiver<SupMsg>,
-    recycle: mpsc::SyncSender<Vec<ProbeRecord>>,
-    board: &HeartbeatBoard,
-    beat_every: Duration,
-    inject: Option<Arc<InjectedFaults>>,
-) -> Result<Option<YearAnalysis>, WorkerFailure> {
-    let result = contain(
-        shard,
-        AssertUnwindSafe(move || {
-            let mut collector = restored;
-            loop {
-                match rx.recv_timeout(beat_every) {
-                    Ok(msg) => {
-                        board.beat(shard as usize);
-                        match msg {
-                            SupMsg::Origin(t0) => {
-                                if collector.is_none() {
-                                    let mut fresh = YearCollector::with_origin(
-                                        spec.year,
-                                        spec.config,
-                                        spec.period_days,
-                                        t0,
-                                    );
-                                    hints.apply_to(&mut fresh);
-                                    collector = Some(fresh);
-                                }
-                            }
-                            SupMsg::Batch(mut batch) => {
-                                if let Some(faults) = &inject {
-                                    if faults.should_panic(shard) {
-                                        panic!("injected fault: worker for shard {shard} panics");
-                                    }
-                                    faults.maybe_stall(shard);
-                                }
-                                let Some(first) = batch.first() else {
-                                    continue;
-                                };
-                                let first_ts = first.ts_micros;
-                                let collector = collector.get_or_insert_with(|| {
-                                    let mut fresh = YearCollector::with_origin(
-                                        spec.year,
-                                        spec.config,
-                                        spec.period_days,
-                                        first_ts,
-                                    );
-                                    hints.apply_to(&mut fresh);
-                                    fresh
-                                });
-                                for record in &batch {
-                                    collector.offer(record);
-                                }
-                                if let Some(last) = batch.last() {
-                                    collector.housekeeping(last.ts_micros);
-                                }
-                                board.add_records(shard as usize, batch.len() as u64);
-                                batch.clear();
-                                let _ = recycle.try_send(batch);
-                            }
-                            SupMsg::Snapshot(reply) => {
-                                let _ =
-                                    reply.send(Checkpoint::encode_collector(collector.as_ref()));
-                            }
-                        }
-                    }
-                    // A quiet channel is not a stalled worker: beat and wait.
-                    Err(mpsc::RecvTimeoutError::Timeout) => board.beat(shard as usize),
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            collector.map(YearCollector::finish)
-        }),
-    );
-    board.finish(shard as usize);
-    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synscan_wire::stream::{InfallibleStream, SliceStream, StreamError};
-    use synscan_wire::{Ipv4Address, TcpFlags};
+    use crate::campaign::CampaignConfig;
+    use crate::pipeline::{PipelineMode, SizeHints};
+    use crate::sketch::HeavyHitterConfig;
+    use std::time::{Duration, Instant};
+    use synscan_wire::stream::{FaultPolicy, InfallibleStream, SliceStream, StreamError};
+    use synscan_wire::{Ipv4Address, ProbeRecord, TcpFlags};
 
     fn cfg() -> CampaignConfig {
         CampaignConfig {
@@ -1177,6 +492,62 @@ mod tests {
             }
             other => panic!("run did not complete: {other:?}"),
         }
+    }
+
+    #[test]
+    fn nothing_admitted_is_the_same_hinted_empty_analysis_in_every_mode() {
+        // An empty stream, and a stream whose admit filter rejects
+        // everything: the sharded fallback must carry the same (empty)
+        // heavy-hitter state the sequential collector does.
+        let recs = records(1_000);
+        let hints = SizeHints::none().with_heavy(Some(HeavyHitterConfig::default()));
+        let outcome = |mode, recs: &[ProbeRecord]| {
+            let spec = RunSpec {
+                hints,
+                ..spec(mode)
+            };
+            let mut inner = SliceStream::with_batch_size(recs, 257);
+            let mut admit = FilterAdmit(|_: &ProbeRecord| false);
+            let status = run_year_supervised(
+                &spec,
+                SupervisorOptions::default(),
+                &mut InfallibleStream(&mut inner),
+                &mut admit,
+            );
+            match status.unwrap() {
+                RunStatus::Completed { outcome, .. } => outcome,
+                other => panic!("run did not complete: {other:?}"),
+            }
+        };
+        for input in [&[][..], &recs[..]] {
+            let sequential = outcome(PipelineMode::Sequential, input);
+            assert!(sequential.analysis.heavy.is_some());
+            assert_eq!(sequential.analysis.total_packets, 0);
+            assert_eq!(
+                sequential,
+                outcome(PipelineMode::Sharded { workers: 4 }, input)
+            );
+        }
+    }
+
+    #[test]
+    fn the_watchdog_does_not_outlive_the_workers_by_a_poll_interval() {
+        let spec = spec(PipelineMode::Sharded { workers: 2 });
+        let opts = SupervisorOptions {
+            supervision: SupervisionConfig {
+                poll_every: Duration::from_secs(5),
+                ..SupervisionConfig::default()
+            },
+            ..SupervisorOptions::default()
+        };
+        let started = Instant::now();
+        let status = run(&spec, opts, &[]).unwrap();
+        assert!(matches!(status, RunStatus::Completed { .. }));
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "the run waited {:?} for its watchdog",
+            started.elapsed()
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use std::panic;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Timing knobs for worker supervision.
@@ -196,21 +196,23 @@ impl SupervisionReport {
     }
 }
 
-/// Scan the heartbeat board until `done`, flagging each unfinished worker
-/// that stays silent past `config.stall_after` — once per worker, so a
-/// genuinely wedged worker produces one event, not one per poll.
+/// Scan the heartbeat board every `config.poll_every` until `done`
+/// disconnects (or is sent to), flagging each unfinished worker that stays
+/// silent past `config.stall_after` — once per worker, so a genuinely
+/// wedged worker produces one event, not one per poll.
 ///
-/// Runs on its own thread inside the driver's scope; returns the collected
-/// events when the driver signals `done` after joining the workers.
+/// Runs on its own thread inside the driver's scope. The wait between scans
+/// blocks on `done`, so the driver dropping its sender after joining the
+/// workers releases the watchdog at once rather than a poll interval later.
 pub fn watch(
     board: &HeartbeatBoard,
     config: &SupervisionConfig,
-    done: &AtomicBool,
+    done: mpsc::Receiver<()>,
 ) -> Vec<StallEvent> {
     let mut flagged = vec![false; board.len()];
     let mut events = Vec::new();
     let stall_ms = config.stall_after.as_millis() as u64;
-    while !done.load(Ordering::Acquire) {
+    loop {
         for (shard, flagged) in flagged.iter_mut().enumerate() {
             if *flagged || board.is_finished(shard) {
                 continue;
@@ -225,9 +227,13 @@ pub fn watch(
                 });
             }
         }
-        std::thread::sleep(config.poll_every);
+        if !matches!(
+            done.recv_timeout(config.poll_every),
+            Err(mpsc::RecvTimeoutError::Timeout)
+        ) {
+            return events;
+        }
     }
-    events
 }
 
 /// Stringify a caught panic payload (`&str` and `String` payloads pass
@@ -321,7 +327,6 @@ pub fn contain<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
 
     fn fast_config() -> SupervisionConfig {
         SupervisionConfig {
@@ -351,9 +356,9 @@ mod tests {
     fn watchdog_flags_a_silent_worker_exactly_once() {
         let board = HeartbeatBoard::new(2);
         let config = fast_config();
-        let done = AtomicBool::new(false);
+        let (done, finished) = mpsc::channel();
         let events = std::thread::scope(|scope| {
-            let watcher = scope.spawn(|| watch(&board, &config, &done));
+            let watcher = scope.spawn(|| watch(&board, &config, finished));
             // Worker 0 beats continuously; worker 1 goes silent.
             for _ in 0..30 {
                 board.beat(0);
@@ -361,7 +366,7 @@ mod tests {
             }
             board.finish(0);
             board.finish(1);
-            done.store(true, Ordering::Release);
+            drop(done);
             watcher.join().unwrap()
         });
         assert_eq!(events.len(), 1, "{events:?}");
@@ -373,14 +378,14 @@ mod tests {
     fn watchdog_ignores_finished_workers() {
         let board = HeartbeatBoard::new(1);
         let config = fast_config();
-        let done = AtomicBool::new(false);
+        let (done, finished) = mpsc::channel();
         let events = std::thread::scope(|scope| {
-            let watcher = scope.spawn(|| watch(&board, &config, &done));
+            let watcher = scope.spawn(|| watch(&board, &config, finished));
             // The worker finishes immediately and then never beats: silence
             // after finish must not be a stall.
             board.finish(0);
             std::thread::sleep(Duration::from_millis(80));
-            done.store(true, Ordering::Release);
+            drop(done);
             watcher.join().unwrap()
         });
         assert!(events.is_empty(), "{events:?}");

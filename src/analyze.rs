@@ -46,14 +46,16 @@ use synscan_core::pipeline::{try_collect_year_stream, PipelineError, SizeHints};
 use synscan_core::sketch::HeavyHitterConfig;
 use synscan_core::{
     run_year_supervised, AdmitState, CampaignConfig, Checkpoint, CheckpointError,
-    CheckpointOptions, PipelineMode, RunError, RunSpec, RunStatus, SupervisionConfig,
+    CheckpointOptions, PipelineMode, PipelineOutcome, RunError, RunSpec, RunStatus,
     SupervisionReport, SupervisorOptions,
 };
 use synscan_telescope::capture::{
     classify_technique, import_pcap_mapped, import_pcap_with_policy, PcapStream, ScanTechnique,
 };
 use synscan_wire::chaos::{ChaosPlan, ChaosReader};
-use synscan_wire::ingest::{IngestMode, MappedCapture, MappedPcapStream};
+use synscan_wire::ingest::{
+    IngestMode, IngestQueues, MappedCapture, MappedPcapStream, ParallelIngest,
+};
 use synscan_wire::stream::{
     FaultCounters, FaultPolicy, InfallibleStream, SliceStream, StreamError, TryRecordStream,
 };
@@ -182,9 +184,7 @@ impl From<PipelineError> for AnalyzeError {
     fn from(e: PipelineError) -> Self {
         match e {
             PipelineError::Stream(e) => e.into(),
-            PipelineError::WorkerPanicked | PipelineError::WorkerFailed { .. } => {
-                AnalyzeError::WorkerPanicked
-            }
+            PipelineError::WorkerFailed { .. } => AnalyzeError::WorkerPanicked,
         }
     }
 }
@@ -222,27 +222,27 @@ impl AnalyzeResult {
 }
 
 /// Count the distinct probed destinations of a capture in one streaming
-/// pass — the monitored-address inference without holding any records. The
-/// `analyze` binary uses this as pass one of its two-pass streaming mode.
-pub fn infer_monitored<R: Read>(reader: R) -> Result<u64, AnalyzeError> {
-    infer_monitored_with_policy(reader, FaultPolicy::Fail).map(|(monitored, _)| monitored)
-}
-
-/// As [`infer_monitored`] under an explicit [`FaultPolicy`], with the fault
-/// tally of the pass. Under a lossy policy a malformed capture still infers
-/// from every record the policy could salvage.
+/// pass — the monitored-address inference without holding any records —
+/// with the fault tally of the pass. The `analyze` binary uses this as pass
+/// one of its two-pass streaming mode. Under a lossy policy a malformed
+/// capture still infers from every record the policy could salvage.
 pub fn infer_monitored_with_policy<R: Read>(
     reader: R,
     policy: FaultPolicy,
 ) -> Result<(u64, FaultCounters), AnalyzeError> {
     let mut stream = PcapStream::with_policy(reader, policy)?;
+    Ok((distinct_destinations(&mut stream)?, stream.faults()))
+}
+
+/// Drain `stream`, counting the distinct destinations it probed.
+fn distinct_destinations(stream: &mut impl TryRecordStream) -> Result<u64, AnalyzeError> {
     let mut dsts = std::collections::HashSet::new();
     while let Some(batch) = stream.try_next_batch()? {
         for record in batch {
             dsts.insert(record.dst_ip.0);
         }
     }
-    Ok((dsts.len() as u64, stream.faults()))
+    Ok(dsts.len() as u64)
 }
 
 /// Run the pipeline over a pcap stream.
@@ -273,36 +273,66 @@ fn analyze_pcap_inner<R: Read>(
         return Ok(result);
     };
 
-    let config = CampaignConfig::scaled(monitored.max(1));
-    let mut stream = PcapStream::with_policy(reader, options.policy)?;
-    let mut techniques: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let admit = |record: &ProbeRecord| {
-        let technique = classify_technique(record.flags);
-        *techniques.entry(technique_label(technique)).or_default() += 1;
-        technique == ScanTechnique::Syn
-    };
+    let stream = PcapStream::with_policy(reader, options.policy)?;
+    let parsed = |s: &PcapStream<R>| (s.faults(), s.non_tcp_frames());
+    analyze_stream(stream, parsed, monitored, options)
+}
+
+/// The run parameters of a capture analysis against `monitored` addresses.
+fn run_spec(options: &AnalyzeOptions, monitored: u64) -> RunSpec {
+    RunSpec {
+        year: options.year,
+        config: CampaignConfig::scaled(monitored.max(1)),
+        period_days: 7.0,
+        mode: options.pipeline,
+        hints: SizeHints::none().with_heavy(options.heavy),
+        policy: options.policy,
+    }
+}
+
+/// The streaming shape, whatever parses the capture: one pass through the
+/// driver with the technique census as the admit filter. `parsed` reads the
+/// parser's `(faults, non-TCP frames)` tallies, which the driver never sees.
+fn analyze_stream<S: TryRecordStream>(
+    mut stream: S,
+    parsed: impl FnOnce(&S) -> (FaultCounters, u64),
+    monitored: u64,
+    options: &AnalyzeOptions,
+) -> Result<AnalyzeResult, AnalyzeError> {
+    let spec = run_spec(options, monitored);
+    let mut census = TechniqueAdmit::default();
     let outcome = try_collect_year_stream(
-        options.year,
-        config,
-        7.0,
-        options.pipeline,
-        SizeHints::none().with_heavy(options.heavy),
-        options.policy,
+        spec.year,
+        spec.config,
+        spec.period_days,
+        spec.mode,
+        spec.hints,
+        spec.policy,
         &mut stream,
-        admit,
+        |record| census.admit(record),
     )?;
-    let mut faults = stream.faults();
+    let parsed = parsed(&stream);
+    Ok(result_of(outcome, &census, parsed, monitored, options))
+}
+
+/// Assemble the result of a finished run from the driver's outcome, the
+/// technique census, and the parser's `(faults, non-TCP frames)` tallies.
+fn result_of(
+    outcome: PipelineOutcome,
+    census: &TechniqueAdmit,
+    (mut faults, non_tcp_frames): (FaultCounters, u64),
+    monitored: u64,
+    options: &AnalyzeOptions,
+) -> AnalyzeResult {
     faults.absorb(&outcome.faults);
-    let analysis = outcome.analysis;
-    let summary = yearly::summarize(&analysis, options.top_ports);
-    Ok(AnalyzeResult {
-        summary,
-        techniques,
-        non_tcp_frames: stream.non_tcp_frames(),
+    AnalyzeResult {
+        summary: yearly::summarize(&outcome.analysis, options.top_ports),
+        techniques: census.census(),
+        non_tcp_frames,
         monitored,
-        analysis,
+        analysis: outcome.analysis,
         faults,
-    })
+    }
 }
 
 /// Run the pipeline over an in-memory capture image through the zero-copy
@@ -340,36 +370,11 @@ pub fn analyze_pcap_mapped(
         return Ok(result);
     };
 
-    let config = CampaignConfig::scaled(monitored.max(1));
-    let mut techniques: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let admit = |record: &ProbeRecord| {
-        let technique = classify_technique(record.flags);
-        *techniques.entry(technique_label(technique)).or_default() += 1;
-        technique == ScanTechnique::Syn
-    };
-    let (outcome, report) = synscan_core::try_collect_year_mapped(
-        options.year,
-        config,
-        7.0,
-        options.pipeline,
-        SizeHints::none().with_heavy(options.heavy),
-        options.policy,
-        &capture,
-        queues,
-        admit,
-    )?;
-    let mut faults = report.faults;
-    faults.absorb(&outcome.faults);
-    let analysis = outcome.analysis;
-    let summary = yearly::summarize(&analysis, options.top_ports);
-    Ok(AnalyzeResult {
-        summary,
-        techniques,
-        non_tcp_frames: report.non_tcp_frames,
-        monitored,
-        analysis,
-        faults,
-    })
+    let stream = IngestQueues::new(capture, queues, options.policy)
+        .map_err(|e| AnalyzeError::from(StreamError::Pcap(e)))?
+        .spawn();
+    let parsed = |s: &ParallelIngest| (s.faults(), s.non_tcp_frames());
+    analyze_stream(stream, parsed, monitored, options)
 }
 
 /// Count the distinct probed destinations of a mapped capture — the
@@ -382,13 +387,7 @@ pub fn infer_monitored_mapped(
 ) -> Result<(u64, FaultCounters), AnalyzeError> {
     let mut stream = MappedPcapStream::with_policy(capture, policy)
         .map_err(|e| AnalyzeError::from(StreamError::Pcap(e)))?;
-    let mut dsts = std::collections::HashSet::new();
-    while let Some(batch) = stream.try_next_batch()? {
-        for record in batch {
-            dsts.insert(record.dst_ip.0);
-        }
-    }
-    Ok((dsts.len() as u64, stream.faults()))
+    Ok((distinct_destinations(&mut stream)?, stream.faults()))
 }
 
 /// Why a checkpointed capture analysis failed.
@@ -472,16 +471,16 @@ pub enum AnalyzeStatus {
     },
 }
 
-/// The §3.1 techniques in snapshot order; `Other` last so unknown flag
-/// combinations index safely.
-const TECHNIQUES: [ScanTechnique; 7] = [
-    ScanTechnique::Syn,
-    ScanTechnique::Fin,
-    ScanTechnique::Null,
-    ScanTechnique::Xmas,
-    ScanTechnique::Ack,
-    ScanTechnique::Backscatter,
-    ScanTechnique::Other,
+/// The §3.1 techniques and their report labels, in snapshot order; `Other`
+/// last so unknown flag combinations index safely.
+const TECHNIQUES: [(ScanTechnique, &str); 7] = [
+    (ScanTechnique::Syn, "syn"),
+    (ScanTechnique::Fin, "fin"),
+    (ScanTechnique::Null, "null"),
+    (ScanTechnique::Xmas, "xmas"),
+    (ScanTechnique::Ack, "ack"),
+    (ScanTechnique::Backscatter, "backscatter"),
+    (ScanTechnique::Other, "other"),
 ];
 
 /// [`AdmitState`] adapter for the capture analysis: the SYN filter doubles
@@ -497,7 +496,7 @@ impl TechniqueAdmit {
             .iter()
             .zip(self.counts)
             .filter(|(_, n)| *n > 0)
-            .map(|(t, n)| (technique_label(*t), n))
+            .map(|((_, label), n)| (*label, n))
             .collect()
     }
 }
@@ -507,7 +506,7 @@ impl AdmitState for TechniqueAdmit {
         let technique = classify_technique(record.flags);
         let idx = TECHNIQUES
             .iter()
-            .position(|t| *t == technique)
+            .position(|(t, _)| *t == technique)
             .unwrap_or(TECHNIQUES.len() - 1);
         self.counts[idx] += 1;
         technique == ScanTechnique::Syn
@@ -577,16 +576,8 @@ fn checkpointed_inner<R: Read>(
     };
     let mut stream = PcapStream::with_policy(reader, options.policy).map_err(AnalyzeError::from)?;
     let mut admit = TechniqueAdmit::default();
-    let spec = RunSpec {
-        year: options.year,
-        config: CampaignConfig::scaled(monitored.max(1)),
-        period_days: 7.0,
-        mode: options.pipeline,
-        hints: SizeHints::none().with_heavy(options.heavy),
-        policy: options.policy,
-    };
+    let spec = run_spec(options, monitored);
     let opts = SupervisorOptions {
-        supervision: SupervisionConfig::default(),
         checkpoint: Some(CheckpointOptions {
             dir: ckpt.dir.clone(),
             every: ckpt.every,
@@ -595,7 +586,7 @@ fn checkpointed_inner<R: Read>(
         }),
         resume,
         stop,
-        inject: None,
+        ..SupervisorOptions::default()
     };
     let status = run_year_supervised(&spec, opts, &mut stream, &mut admit)?;
     Ok(match status {
@@ -607,19 +598,9 @@ fn checkpointed_inner<R: Read>(
             // The parser re-reads the whole capture on resume (the
             // fast-forward replays it), so its parse-level fault tally and
             // frame counts cover the full file either way.
-            let mut faults = stream.faults();
-            faults.absorb(&outcome.faults);
-            let analysis = outcome.analysis;
-            let summary = yearly::summarize(&analysis, options.top_ports);
+            let parsed = (stream.faults(), stream.non_tcp_frames());
             AnalyzeStatus::Completed {
-                result: AnalyzeResult {
-                    summary,
-                    techniques: admit.census(),
-                    non_tcp_frames: stream.non_tcp_frames(),
-                    monitored,
-                    analysis,
-                    faults,
-                },
+                result: result_of(outcome, &admit, parsed, monitored, options),
                 report,
                 checkpoints,
             }
@@ -650,51 +631,13 @@ pub fn analyze_records(mut records: Vec<ProbeRecord>, options: &AnalyzeOptions) 
             .len() as u64
     });
 
-    let config = CampaignConfig::scaled(monitored.max(1));
-    let mut techniques: BTreeMap<&'static str, u64> = BTreeMap::new();
-    // The SYN filter doubles as the technique census; it runs once per
-    // record, in stream order, under either pipeline mode.
-    let admit = |record: &ProbeRecord| {
-        let technique = classify_technique(record.flags);
-        *techniques.entry(technique_label(technique)).or_default() += 1;
-        technique == ScanTechnique::Syn
-    };
     let mut stream = SliceStream::new(&records);
-    let mut stream = InfallibleStream(&mut stream);
-    let outcome = try_collect_year_stream(
-        options.year,
-        config,
-        7.0,
-        options.pipeline,
-        SizeHints::none().with_heavy(options.heavy),
-        options.policy,
-        &mut stream,
-        admit,
-    )
-    // Sorted in-memory input cannot regress in time or end mid-stream, so
-    // the driver has nothing to fail on under any policy.
-    .expect("sorted in-memory input cannot fault");
-    let summary = yearly::summarize(&outcome.analysis, options.top_ports);
-    AnalyzeResult {
-        summary,
-        techniques,
-        non_tcp_frames: 0, // the pcap importer already skipped them
-        monitored,
-        faults: outcome.faults,
-        analysis: outcome.analysis,
-    }
-}
-
-fn technique_label(technique: ScanTechnique) -> &'static str {
-    match technique {
-        ScanTechnique::Syn => "syn",
-        ScanTechnique::Fin => "fin",
-        ScanTechnique::Null => "null",
-        ScanTechnique::Xmas => "xmas",
-        ScanTechnique::Ack => "ack",
-        ScanTechnique::Backscatter => "backscatter",
-        ScanTechnique::Other => "other",
-    }
+    // No parser tallies: the pcap importer already skipped non-TCP frames.
+    let parsed = |_: &_| (FaultCounters::default(), 0);
+    analyze_stream(InfallibleStream(&mut stream), parsed, monitored, options)
+        // Sorted in-memory input cannot regress in time or end mid-stream,
+        // so the driver has nothing to fail on under any policy.
+        .expect("sorted in-memory input cannot fault")
 }
 
 /// Render the result as the text report the `analyze` binary prints.
@@ -840,7 +783,9 @@ mod tests {
     #[test]
     fn streaming_analysis_matches_materialized() {
         let bytes = capture_bytes();
-        let monitored = infer_monitored(std::io::Cursor::new(bytes.clone())).unwrap();
+        let (monitored, _) =
+            infer_monitored_with_policy(std::io::Cursor::new(bytes.clone()), FaultPolicy::Fail)
+                .unwrap();
         assert_eq!(monitored, 100);
         for pipeline in [
             PipelineMode::Sequential,

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--scale tiny|small|default] [--out DIR] [--store-dir DIR]
-//!       [--pipeline sequential|auto|sharded:N] [--materialize]
+//!       [--pipeline sequential|auto|sharded:N]
 //!       [--ingest read|mmap|mmap:N] [--heavy-hitters K[,WIDTH,DEPTH]]
 //!       [--chaos-seed N] [--fault-policy fail|skip|stop]
 //!       [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
@@ -15,8 +15,7 @@
 //! `--pipeline` selects how each year's measurement loop executes; `auto`
 //! (the default) shards across the machine's cores, sharing the thread
 //! budget with the cross-year fan-out. Each year is *streamed* from the
-//! generator plan into the pipeline in O(batch) memory; `--materialize`
-//! restores the generate-then-analyze shape. Every mode produces
+//! generator plan into the pipeline in O(batch) memory. Every mode produces
 //! bit-identical output.
 //!
 //! `--chaos-seed N` decays every year's record stream with the seeded
@@ -76,7 +75,7 @@ use synscan::{GeneratorConfig, PipelineMode, ToolKind, YearConfig};
 
 const USAGE: &str = "usage: repro [--scale tiny|small|default] [--seed N] [--out DIR] \
                      [--store-dir DIR] \
-                     [--pipeline sequential|auto|sharded:N] [--materialize] \
+                     [--pipeline sequential|auto|sharded:N] \
                      [--ingest read|mmap|mmap:N] [--heavy-hitters K[,WIDTH,DEPTH]] \
                      [--chaos-seed N] [--fault-policy fail|skip|stop] \
                      [--checkpoint-dir DIR] [--checkpoint-every N] [--resume] \
@@ -92,8 +91,6 @@ const USAGE: &str = "usage: repro [--scale tiny|small|default] [--seed N] [--out
                      slices every run persists and all rendering reads back \
                      (default OUT/store)\
                      \n  --pipeline MODE     sequential | auto | sharded:N (default auto)\
-                     \n  --materialize       build each year's full record vector before \
-                     analysis instead of streaming it (same bytes, O(year) memory)\
                      \n  --ingest MODE       read | mmap | mmap:N: how the pcap target's \
                      read-back verification parses the export (default read)\
                      \n  --heavy-hitters K[,WIDTH,DEPTH]  track the top-K sources per year \
@@ -195,7 +192,6 @@ fn run() -> Result<(), String> {
     let mut store_dir: Option<PathBuf> = None;
     let mut seed_override: Option<u64> = None;
     let mut pipeline = PipelineMode::auto();
-    let mut materialize = false;
     let mut ingest = IngestMode::default();
     let mut heavy: Option<HeavyHitterConfig> = None;
     let mut chaos_seed: Option<u64> = None;
@@ -283,7 +279,6 @@ fn run() -> Result<(), String> {
             "--pipeline" => {
                 pipeline = flag_value(&mut args, "--pipeline", "sequential|auto|sharded:N")?
             }
-            "--materialize" => materialize = true,
             "--ingest" => ingest = flag_value(&mut args, "--ingest", "read|mmap|mmap:N")?,
             "--heavy-hitters" => {
                 let config: HeavyHitterConfig =
@@ -348,11 +343,10 @@ fn run() -> Result<(), String> {
         .map_err(|e| format!("cannot open analysis store {}: {e}", store_dir.display()))?;
 
     eprintln!(
-        "[repro] scale={scale}: telescope 1/{}, population 1/{}, {} days/year, pipeline {pipeline}{}{}",
+        "[repro] scale={scale}: telescope 1/{}, population 1/{}, {} days/year, pipeline {pipeline}{}",
         gen.telescope_denominator,
         gen.population_denominator,
         gen.days,
-        if materialize { ", materialized" } else { "" },
         match chaos_seed {
             Some(seed) => format!(", chaos seed {seed} ({fault_policy} policy)"),
             None => String::new(),
@@ -362,7 +356,6 @@ fn run() -> Result<(), String> {
     let started = std::time::Instant::now();
     let mut experiment = Experiment::new(gen)
         .with_pipeline_mode(pipeline)
-        .with_materialize(materialize)
         .with_fault_policy(fault_policy)
         .with_heavy_hitters(heavy);
     if let Some(seed) = chaos_seed {
@@ -376,13 +369,6 @@ fn run() -> Result<(), String> {
             return Err(
                 "--distributed cannot carry --chaos-seed (the job spec has no \
                         chaos plan); run the chaos drill sequentially"
-                    .into(),
-            );
-        }
-        if materialize {
-            return Err(
-                "--distributed workers always stream from the generator plan; \
-                        drop --materialize"
                     .into(),
             );
         }

@@ -54,7 +54,7 @@ use synscan_core::{
 };
 use synscan_synthesis::generate::GeneratorConfig;
 use synscan_synthesis::yearcfg::YearConfig;
-use synscan_telescope::CaptureStats;
+use synscan_telescope::{CaptureSession, CaptureStats};
 use synscan_wire::net::{dial_with_backoff, Backoff, ChaosSocket, NetChaosPlan, NetFault};
 use synscan_wire::stream::{FaultCounters, InfallibleStream};
 
@@ -293,7 +293,7 @@ fn serve_slice(
     let resume = resume.map(Checkpoint::from_bytes).transpose()?;
     let year_cfg = YearConfig::for_year(slice.year);
     let plan = experiment.plan(&year_cfg);
-    let mut admit = SessionAdmit::new(experiment.dark(), slice.year);
+    let mut admit = SessionAdmit(CaptureSession::new(experiment.dark(), slice.year));
     let task = SliceTask {
         slice,
         config: experiment.campaign_config(),
@@ -1173,11 +1173,6 @@ pub fn run_distributed(
     options: &DistribOptions,
     store: Option<&AnalysisStore>,
 ) -> Result<(DecadeRun, SupervisionReport), CoordError> {
-    if experiment.materialize() {
-        return Err(CoordError::Inconsistent(
-            "materialized runs cannot be distributed (workers stream from the plan)".into(),
-        ));
-    }
     let parts = options.source.workers() as u32;
     let configs = YearConfig::decade();
     let years: Vec<u16> = configs.iter().map(|c| c.year).collect();
@@ -1313,21 +1308,12 @@ pub fn run_distributed(
             faults: faults.expect("parts >= 1"),
         });
     }
-    runs.sort_by_key(|y| y.analysis.year);
     let supervision = SupervisionReport {
         stalls: shared.stalls.into_inner().expect("stalls lock"),
         failures: shared.failures.into_inner().expect("failures lock"),
         retried: shared.retried.into_inner(),
     };
-    let (registry, monitored) = experiment.into_world();
-    Ok((
-        DecadeRun {
-            years: runs,
-            registry,
-            monitored,
-        },
-        supervision,
-    ))
+    Ok((experiment.into_decade(runs), supervision))
 }
 
 // Re-exported so binaries speak the protocol without reaching into core.

@@ -3,11 +3,8 @@
 //! through the telescope capture (ingress + SYN filter), run the §3
 //! measurement pipeline, and collect the per-year analysis bundle.
 //!
-//! By default each year flows *streamed*: the generator's lazy emitter plan
-//! feeds the pipeline one batch at a time and the full record vector never
-//! exists. [`Experiment::with_materialize`] restores the old
-//! generate-then-analyze shape (same bytes, O(year) memory) — useful when
-//! the records themselves are wanted, e.g. for pcap export.
+//! Each year flows *streamed*: the generator's lazy emitter plan feeds the
+//! pipeline one batch at a time and the full record vector never exists.
 //!
 //! For robustness drills the harness can decay its own input:
 //! [`Experiment::with_chaos`] wraps every year's record stream in a
@@ -47,7 +44,7 @@ use synscan_synthesis::stream::YearPlan;
 use synscan_synthesis::yearcfg::YearConfig;
 use synscan_telescope::{AddressSet, CaptureSession, CaptureStats};
 use synscan_wire::chaos::{ChaosPlan, ChaosStream};
-use synscan_wire::stream::{FaultCounters, FaultPolicy, InfallibleStream, SliceStream};
+use synscan_wire::stream::{FaultCounters, FaultPolicy, InfallibleStream, TryRecordStream};
 use synscan_wire::ProbeRecord;
 
 /// Why a store-backed run failed: the measurement run itself, or
@@ -251,18 +248,7 @@ pub enum DecadeStatus {
 /// resumed run's capture statistics continue exactly where the interrupted
 /// run's stopped. The distributed worker reuses it verbatim, which is what
 /// makes a worker's capture-counter blob decodable by the coordinator.
-pub(crate) struct SessionAdmit<'a> {
-    session: CaptureSession<'a>,
-}
-
-impl<'a> SessionAdmit<'a> {
-    /// A fresh capture session over `dark` for `year`.
-    pub(crate) fn new(dark: &'a AddressSet, year: u16) -> Self {
-        Self {
-            session: CaptureSession::new(dark, year),
-        }
-    }
-}
+pub(crate) struct SessionAdmit<'a>(pub(crate) CaptureSession<'a>);
 
 /// Decode the seven-counter capture blob produced by
 /// [`SessionAdmit::snapshot`] — the coordinator uses this to reconstruct a
@@ -288,11 +274,11 @@ pub(crate) fn decode_capture_stats(blob: &[u8]) -> Result<CaptureStats, Checkpoi
 
 impl AdmitState for SessionAdmit<'_> {
     fn admit(&mut self, record: &ProbeRecord) -> bool {
-        self.session.offer(record)
+        self.0.offer(record)
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        let s = self.session.stats();
+        let s = self.0.stats();
         let mut w = SnapWriter::new();
         for v in [
             s.offered,
@@ -309,7 +295,7 @@ impl AdmitState for SessionAdmit<'_> {
     }
 
     fn restore(&mut self, blob: &[u8]) -> Result<(), CheckpointError> {
-        self.session.restore_stats(decode_capture_stats(blob)?);
+        self.0.restore_stats(decode_capture_stats(blob)?);
         Ok(())
     }
 }
@@ -321,7 +307,6 @@ pub struct Experiment {
     registry: InternetRegistry,
     dark: AddressSet,
     mode: PipelineMode,
-    materialize: bool,
     policy: FaultPolicy,
     chaos: Option<ChaosPlan>,
     inject: Option<Arc<InjectedFaults>>,
@@ -339,7 +324,6 @@ impl Experiment {
             registry,
             dark,
             mode: PipelineMode::Sequential,
-            materialize: false,
             policy: FaultPolicy::Fail,
             chaos: None,
             inject: None,
@@ -363,14 +347,6 @@ impl Experiment {
         self
     }
 
-    /// Materialize each year's record vector before analysis instead of
-    /// streaming it from the generator plan. Same results byte for byte;
-    /// O(year) instead of O(batch) memory.
-    pub fn with_materialize(mut self, materialize: bool) -> Self {
-        self.materialize = materialize;
-        self
-    }
-
     /// Select how the pipeline reacts to faulty records (relevant when a
     /// chaos plan is installed; a clean generator stream never faults).
     pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
@@ -384,11 +360,6 @@ impl Experiment {
     pub fn with_chaos(mut self, plan: ChaosPlan) -> Self {
         self.chaos = Some(plan);
         self
-    }
-
-    /// Whether years are materialized before analysis.
-    pub fn materialize(&self) -> bool {
-        self.materialize
     }
 
     /// The pipeline mode in use.
@@ -430,7 +401,7 @@ impl Experiment {
     /// week over week inside a 29–61 day window; a short simulated window
     /// uses proportionally shorter periods so Figure 2 still gets several
     /// period pairs.
-    pub(crate) fn period_days(&self) -> f64 {
+    pub fn period_days(&self) -> f64 {
         (self.gen.days / 5.0).clamp(1.0, 7.0)
     }
 
@@ -458,12 +429,63 @@ impl Experiment {
         plan_year(year_cfg, &self.gen, &self.registry, &self.dark)
     }
 
-    /// Tear the experiment down into the pieces a [`DecadeRun`] carries
-    /// beyond the per-year results: the shared registry and the monitored
-    /// address count.
-    pub(crate) fn into_world(self) -> (InternetRegistry, u64) {
-        let monitored = self.dark.len() as u64;
-        (self.registry, monitored)
+    /// The run parameters both year drivers share, for a planned year.
+    fn run_spec(&self, year: u16, mode: PipelineMode, truth: &GroundTruth) -> RunSpec {
+        RunSpec {
+            year,
+            config: self.campaign_config(),
+            period_days: self.period_days(),
+            mode,
+            hints: self.hints_for(truth),
+            policy: self.policy,
+        }
+    }
+
+    /// Hand `drive` the year's record stream as either driver wants it:
+    /// lazily replayed from the plan, decayed through the chaos plan when
+    /// one is installed. The plan is re-seeded per year: one user-facing
+    /// seed, distinct (but reproducible) injection offsets for every year
+    /// of the decade.
+    fn with_stream<T>(
+        &self,
+        plan: &YearPlan,
+        drive: impl FnOnce(&mut dyn TryRecordStream) -> T,
+    ) -> T {
+        let mut stream = plan.stream(&self.dark);
+        match &self.chaos {
+            Some(chaos) => {
+                let chaos = chaos.reseeded(u64::from(plan.year));
+                drive(&mut ChaosStream::new(stream, chaos))
+            }
+            None => drive(&mut InfallibleStream(&mut stream)),
+        }
+    }
+
+    /// Assemble the decade from its finished years (in any order), handing
+    /// over the shared registry.
+    pub(crate) fn into_decade(self, mut years: Vec<YearRun>) -> DecadeRun {
+        years.sort_by_key(|y| y.analysis.year);
+        DecadeRun {
+            years,
+            monitored: self.dark.len() as u64,
+            registry: self.registry,
+        }
+    }
+
+    /// Run `year` over every year of the decade in parallel, first error
+    /// wins. The intra-year shard budget composes with this cross-year
+    /// fan-out: each concurrently running year gets `workers / years` shard
+    /// threads so the two levels together stay within one machine's budget.
+    fn decade<T: Send, E: Send>(
+        &self,
+        year: impl Fn(&YearConfig, PipelineMode) -> Result<T, E> + Sync,
+    ) -> Result<Vec<T>, E> {
+        let configs = YearConfig::decade();
+        let concurrent = configs.len().min(fanout::width()).max(1);
+        let year_mode = self.mode.with_budget(concurrent);
+        fanout::par_map(&configs, |cfg| year(cfg, year_mode))
+            .into_iter()
+            .collect()
     }
 
     /// Run one year end to end.
@@ -472,20 +494,12 @@ impl Experiment {
     /// If a chaos plan is installed and a fault is fatal under the current
     /// policy; use [`Experiment::try_run_year`] for a `Result`.
     pub fn run_year(&self, year: u16) -> YearRun {
-        self.run_year_cfg(&YearConfig::for_year(year))
+        self.run_year_cfg_mode(&YearConfig::for_year(year), self.mode)
     }
 
-    /// Run one year with an explicit (possibly customized) year config.
-    ///
-    /// # Panics
-    /// As [`Experiment::run_year`].
-    pub fn run_year_cfg(&self, year_cfg: &YearConfig) -> YearRun {
-        self.run_year_cfg_mode(year_cfg, self.mode)
-    }
-
-    /// Run one year with an explicit pipeline mode, overriding the
-    /// experiment-wide setting (the decade fan-out uses this to hand each
-    /// year its share of the worker budget).
+    /// Run one year with an explicit (possibly customized) year config and
+    /// pipeline mode, overriding the experiment-wide setting (the decade
+    /// fan-out uses this to hand each year its share of the worker budget).
     ///
     /// # Panics
     /// As [`Experiment::run_year`].
@@ -508,77 +522,19 @@ impl Experiment {
     ) -> Result<YearRun, PipelineError> {
         let plan = self.plan(year_cfg);
         let mut session = CaptureSession::new(&self.dark, year_cfg.year);
-        let period_days = self.period_days();
-        let hints = self.hints_for(&plan.truth);
-        // Per-year reseeding: one user-facing seed, distinct (but
-        // reproducible) injection offsets for every year of the decade.
-        let chaos = self
-            .chaos
-            .as_ref()
-            .map(|plan| plan.reseeded(u64::from(year_cfg.year)));
-        let admit = |record: &synscan_wire::ProbeRecord| session.offer(record);
-        let cfg = self.campaign_config();
-        let year = year_cfg.year;
-        let outcome = match (self.materialize, chaos) {
-            (true, None) => {
-                let records = plan.materialize(&self.dark);
-                let mut stream = SliceStream::new(&records);
-                let mut stream = InfallibleStream(&mut stream);
-                try_collect_year_stream(
-                    year,
-                    cfg,
-                    period_days,
-                    mode,
-                    hints,
-                    self.policy,
-                    &mut stream,
-                    admit,
-                )?
-            }
-            (true, Some(chaos_plan)) => {
-                let records = plan.materialize(&self.dark);
-                let stream = SliceStream::new(&records);
-                let mut stream = ChaosStream::new(stream, chaos_plan);
-                try_collect_year_stream(
-                    year,
-                    cfg,
-                    period_days,
-                    mode,
-                    hints,
-                    self.policy,
-                    &mut stream,
-                    admit,
-                )?
-            }
-            (false, None) => {
-                let mut stream = plan.stream(&self.dark);
-                let mut stream = InfallibleStream(&mut stream);
-                try_collect_year_stream(
-                    year,
-                    cfg,
-                    period_days,
-                    mode,
-                    hints,
-                    self.policy,
-                    &mut stream,
-                    admit,
-                )?
-            }
-            (false, Some(chaos_plan)) => {
-                let stream = plan.stream(&self.dark);
-                let mut stream = ChaosStream::new(stream, chaos_plan);
-                try_collect_year_stream(
-                    year,
-                    cfg,
-                    period_days,
-                    mode,
-                    hints,
-                    self.policy,
-                    &mut stream,
-                    admit,
-                )?
-            }
-        };
+        let spec = self.run_spec(year_cfg.year, mode, &plan.truth);
+        let outcome = self.with_stream(&plan, |stream| {
+            try_collect_year_stream(
+                spec.year,
+                spec.config,
+                spec.period_days,
+                spec.mode,
+                spec.hints,
+                spec.policy,
+                stream,
+                |record| session.offer(record),
+            )
+        })?;
         Ok(YearRun {
             analysis: outcome.analysis,
             truth: plan.truth,
@@ -588,10 +544,6 @@ impl Experiment {
     }
 
     /// Run the whole decade, years in parallel.
-    ///
-    /// The intra-year shard budget composes with this cross-year
-    /// fan-out: each concurrently running year gets `workers / years` shard
-    /// threads so the two levels together stay within one machine's budget.
     ///
     /// # Panics
     /// As [`Experiment::run_year`]; use [`Experiment::try_run_decade`] for
@@ -604,19 +556,8 @@ impl Experiment {
     /// Fallible [`Experiment::run_decade`]: the first year with a fatal
     /// fault aborts the decade with its error.
     pub fn try_run_decade(self) -> Result<DecadeRun, PipelineError> {
-        let configs = YearConfig::decade();
-        let concurrent = configs.len().min(fanout::width()).max(1);
-        let year_mode = self.mode.with_budget(concurrent);
-        let mut years: Vec<YearRun> =
-            fanout::par_map(&configs, |cfg| self.try_run_year_cfg_mode(cfg, year_mode))
-                .into_iter()
-                .collect::<Result<_, _>>()?;
-        years.sort_by_key(|y| y.analysis.year);
-        Ok(DecadeRun {
-            years,
-            monitored: self.dark.len() as u64,
-            registry: self.registry,
-        })
+        let years = self.decade(|cfg, mode| self.try_run_year_cfg_mode(cfg, mode))?;
+        Ok(self.into_decade(years))
     }
 
     /// Run the whole decade, persisting each year into the analysis store
@@ -626,23 +567,12 @@ impl Experiment {
     /// [`DecadeRun::persist`] — funnels terminal state through the one
     /// atomic store write path.
     pub fn run_decade_into(self, store: &AnalysisStore) -> Result<DecadeRun, StoreRunError> {
-        let configs = YearConfig::decade();
-        let concurrent = configs.len().min(fanout::width()).max(1);
-        let year_mode = self.mode.with_budget(concurrent);
-        let mut years: Vec<YearRun> =
-            fanout::par_map(&configs, |cfg| -> Result<YearRun, StoreRunError> {
-                let run = self.try_run_year_cfg_mode(cfg, year_mode)?;
-                run.persist(store)?;
-                Ok(run)
-            })
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-        years.sort_by_key(|y| y.analysis.year);
-        Ok(DecadeRun {
-            years,
-            monitored: self.dark.len() as u64,
-            registry: self.registry,
-        })
+        let years = self.decade(|cfg, mode| -> Result<YearRun, StoreRunError> {
+            let run = self.try_run_year_cfg_mode(cfg, mode)?;
+            run.persist(store)?;
+            Ok(run)
+        })?;
+        Ok(self.into_decade(years))
     }
 
     /// Arm deterministic one-shot faults in the supervised shard workers —
@@ -702,21 +632,8 @@ impl Experiment {
         stop: Option<&AtomicBool>,
     ) -> Result<YearStatus, RunError> {
         let plan = self.plan(year_cfg);
-        let mut admit = SessionAdmit::new(&self.dark, year_cfg.year);
-        let period_days = self.period_days();
-        let hints = self.hints_for(&plan.truth);
-        let chaos = self
-            .chaos
-            .as_ref()
-            .map(|plan| plan.reseeded(u64::from(year_cfg.year)));
-        let spec = RunSpec {
-            year: year_cfg.year,
-            config: self.campaign_config(),
-            period_days,
-            mode,
-            hints,
-            policy: self.policy,
-        };
+        let mut admit = SessionAdmit(CaptureSession::new(&self.dark, year_cfg.year));
+        let spec = self.run_spec(year_cfg.year, mode, &plan.truth);
         let opts = SupervisorOptions {
             supervision: SupervisionConfig::default(),
             checkpoint: Some(CheckpointOptions {
@@ -729,30 +646,9 @@ impl Experiment {
             stop,
             inject: self.inject.clone(),
         };
-        let status = match (self.materialize, chaos) {
-            (true, None) => {
-                let records = plan.materialize(&self.dark);
-                let mut stream = SliceStream::new(&records);
-                let mut stream = InfallibleStream(&mut stream);
-                run_year_supervised(&spec, opts, &mut stream, &mut admit)?
-            }
-            (true, Some(chaos_plan)) => {
-                let records = plan.materialize(&self.dark);
-                let stream = SliceStream::new(&records);
-                let mut stream = ChaosStream::new(stream, chaos_plan);
-                run_year_supervised(&spec, opts, &mut stream, &mut admit)?
-            }
-            (false, None) => {
-                let mut stream = plan.stream(&self.dark);
-                let mut stream = InfallibleStream(&mut stream);
-                run_year_supervised(&spec, opts, &mut stream, &mut admit)?
-            }
-            (false, Some(chaos_plan)) => {
-                let stream = plan.stream(&self.dark);
-                let mut stream = ChaosStream::new(stream, chaos_plan);
-                run_year_supervised(&spec, opts, &mut stream, &mut admit)?
-            }
-        };
+        let status = self.with_stream(&plan, |stream| {
+            run_year_supervised(&spec, opts, stream, &mut admit)
+        })?;
         Ok(match status {
             RunStatus::Completed {
                 outcome,
@@ -762,7 +658,7 @@ impl Experiment {
                 run: YearRun {
                     analysis: outcome.analysis,
                     truth: plan.truth,
-                    capture: admit.session.stats(),
+                    capture: admit.0.stats(),
                     faults: outcome.faults,
                 },
                 report,
@@ -792,15 +688,10 @@ impl Experiment {
         ckpt: &CheckpointSpec,
         stop: Option<&AtomicBool>,
     ) -> Result<DecadeStatus, RunError> {
-        let configs = YearConfig::decade();
-        let concurrent = configs.len().min(fanout::width()).max(1);
-        let year_mode = self.mode.with_budget(concurrent);
-        let statuses: Vec<(u16, YearStatus)> = fanout::par_map(&configs, |cfg| {
-            self.try_run_year_checkpointed(cfg, year_mode, ckpt, stop)
+        let statuses = self.decade(|cfg, mode| {
+            self.try_run_year_checkpointed(cfg, mode, ckpt, stop)
                 .map(|status| (cfg.year, status))
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?;
+        })?;
         let mut years = Vec::new();
         let mut interrupted = Vec::new();
         let mut supervision = SupervisionReport::default();
@@ -814,13 +705,8 @@ impl Experiment {
             }
         }
         if interrupted.is_empty() {
-            years.sort_by_key(|y| y.analysis.year);
             Ok(DecadeStatus::Completed {
-                run: DecadeRun {
-                    years,
-                    monitored: self.dark.len() as u64,
-                    registry: self.registry,
-                },
+                run: self.into_decade(years),
                 supervision,
             })
         } else {

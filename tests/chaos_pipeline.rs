@@ -6,12 +6,14 @@
 //!    policy recovers from *losslessly* (injected adjacent duplicates at the
 //!    record level, inserted garbage frames at the pcap level) must produce
 //!    a `YearAnalysis` — and capture statistics — byte-identical to the
-//!    clean run, in every execution shape: sequential and sharded, streamed
-//!    and materialized.
+//!    clean run — itself anchored on the materialized reference — in every
+//!    execution shape: sequential and sharded.
 //! 2. **Fatal faults are errors, not panics**: under the strict `Fail`
 //!    policy a truncation surfaces as a typed `Err` from both pipeline
 //!    drivers, and no file in the malformed-pcap corpus can panic any code
 //!    path under any policy.
+
+mod support;
 
 use std::fs::File;
 use std::io::BufReader;
@@ -56,40 +58,43 @@ fn clean_capture() -> Vec<u8> {
 
 #[test]
 fn benign_record_faults_are_invisible_in_every_execution_shape() {
-    let run_with = |chaos: Option<ChaosPlan>, mode: PipelineMode, materialize: bool| {
+    let run_with = |chaos: Option<ChaosPlan>, mode: PipelineMode| {
         let mut experiment = Experiment::new(GeneratorConfig::tiny())
             .with_pipeline_mode(mode)
-            .with_materialize(materialize)
             .with_fault_policy(FaultPolicy::SkipRecord);
         if let Some(plan) = chaos {
             experiment = experiment.with_chaos(plan);
         }
         experiment.run_year(2020)
     };
-    let clean = run_with(None, PipelineMode::Sequential, false);
+    let clean = run_with(None, PipelineMode::Sequential);
     assert!(!clean.faults.any());
-    for materialize in [false, true] {
-        for mode in [
-            PipelineMode::Sequential,
-            PipelineMode::Sharded { workers: 3 },
-        ] {
-            let chaotic = run_with(Some(ChaosPlan::benign(0xbead)), mode, materialize);
-            let label = format!("mode={mode:?} materialize={materialize}");
-            assert_eq!(
-                clean.analysis, chaotic.analysis,
-                "{label}: benign faults leaked into the analysis"
-            );
-            assert_eq!(
-                clean.capture, chaotic.capture,
-                "{label}: benign faults leaked into the capture statistics"
-            );
-            assert!(
-                chaotic.faults.duplicates_dropped > 0,
-                "{label}: the drill must actually have injected something"
-            );
-            assert_eq!(chaotic.faults.records_skipped, 0, "{label}");
-            assert_eq!(chaotic.faults.streams_truncated, 0, "{label}");
-        }
+    // The clean run is what the materialized year analyzes to without the
+    // driver: sorted vector → capture session → one collector.
+    let (analysis, capture, _) =
+        support::materialized_year(&Experiment::new(GeneratorConfig::tiny()), 2020);
+    assert_eq!(clean.analysis, analysis);
+    assert_eq!(clean.capture, capture);
+    for mode in [
+        PipelineMode::Sequential,
+        PipelineMode::Sharded { workers: 3 },
+    ] {
+        let chaotic = run_with(Some(ChaosPlan::benign(0xbead)), mode);
+        let label = format!("mode={mode:?}");
+        assert_eq!(
+            clean.analysis, chaotic.analysis,
+            "{label}: benign faults leaked into the analysis"
+        );
+        assert_eq!(
+            clean.capture, chaotic.capture,
+            "{label}: benign faults leaked into the capture statistics"
+        );
+        assert!(
+            chaotic.faults.duplicates_dropped > 0,
+            "{label}: the drill must actually have injected something"
+        );
+        assert_eq!(chaotic.faults.records_skipped, 0, "{label}");
+        assert_eq!(chaotic.faults.streams_truncated, 0, "{label}");
     }
 }
 
@@ -148,28 +153,19 @@ fn mid_stream_eof_is_an_error_from_both_drivers_under_fail() {
         seed: 0xe0f0,
         faults: vec![Fault::MidStreamEof { after_records: 500 }],
     };
-    for materialize in [false, true] {
-        for mode in [
-            PipelineMode::Sequential,
-            PipelineMode::Sharded { workers: 3 },
-        ] {
-            let result = Experiment::new(GeneratorConfig::tiny())
-                .with_pipeline_mode(mode)
-                .with_materialize(materialize)
-                .with_chaos(plan.clone())
-                .try_run_year(2020);
-            match result {
-                Err(PipelineError::Stream(StreamError::Truncated { records_seen })) => {
-                    assert_eq!(
-                        records_seen, 500,
-                        "mode={mode:?} materialize={materialize}: cut offset is exact"
-                    );
-                }
-                other => panic!(
-                    "mode={mode:?} materialize={materialize}: expected a truncation error, \
-                     got {other:?}"
-                ),
+    for mode in [
+        PipelineMode::Sequential,
+        PipelineMode::Sharded { workers: 3 },
+    ] {
+        let result = Experiment::new(GeneratorConfig::tiny())
+            .with_pipeline_mode(mode)
+            .with_chaos(plan.clone())
+            .try_run_year(2020);
+        match result {
+            Err(PipelineError::Stream(StreamError::Truncated { records_seen })) => {
+                assert_eq!(records_seen, 500, "mode={mode:?}: cut offset is exact");
             }
+            other => panic!("mode={mode:?}: expected a truncation error, got {other:?}"),
         }
     }
 }

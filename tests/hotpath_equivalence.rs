@@ -15,9 +15,10 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use synscan_core::analysis::{WeekCell, YearAnalysis, YearCollector};
 use synscan_core::campaign::{Campaign, CampaignConfig, NoiseStats, RejectReason};
 use synscan_core::fingerprint::FingerprintEngine;
-use synscan_core::pipeline::SizeHints;
-use synscan_core::{collect_year_sharded, ToolKind};
+use synscan_core::pipeline::{try_collect_year_stream, PipelineMode, SizeHints};
+use synscan_core::ToolKind;
 use synscan_stats::mix64;
+use synscan_wire::stream::{FaultPolicy, InfallibleStream, SliceStream};
 use synscan_wire::{Ipv4Address, ProbeRecord, TcpFlags};
 
 const YEAR: u16 = 2020;
@@ -352,15 +353,18 @@ fn compact_collector_matches_naive_reference_on_fuzzed_records() {
         let presized = fast_pass(&records, SizeHints::new(SOURCE_POOL, 64));
         assert_eq!(presized, reference, "pre-sized diverged (seed {seed:#x})");
         for workers in [1usize, 3] {
-            let sharded = collect_year_sharded(
+            let sharded = try_collect_year_stream(
                 YEAR,
                 config(),
                 PERIOD_DAYS,
-                workers,
+                PipelineMode::Sharded { workers },
                 SizeHints::new(SOURCE_POOL, 64),
-                &records,
+                FaultPolicy::Fail,
+                &mut InfallibleStream(&mut SliceStream::new(&records)),
                 |_| true,
-            );
+            )
+            .expect("a clean ordered slice cannot fault")
+            .analysis;
             assert_eq!(
                 sharded, reference,
                 "sharded:{workers} diverged (seed {seed:#x})"

@@ -1,54 +1,47 @@
 //! Streaming ↔ materialized ↔ sharded pipeline equivalence at generator
 //! scale.
 //!
-//! Both execution knobs must be pure performance knobs: for any worker count
-//! and for either record flow (the streaming default, where the generator
-//! plan feeds the pipeline one batch at a time, or `--materialize`, where
-//! the full year vector is built and sorted first), the `YearAnalysis` —
-//! campaign list, every aggregate map, noise statistics, window bounds —
-//! the capture statistics and the generator ground truth must be
-//! bit-identical to the materialized sequential reference. 2017 is included
-//! so the year-dependent ingress-policy path (telnet blocking) runs under
-//! every combination.
+//! The pipeline mode must be a pure performance knob: for any worker count,
+//! the `YearAnalysis` — campaign list, every aggregate map, noise
+//! statistics, window bounds — the capture statistics and the generator
+//! ground truth of a streamed run must be bit-identical to the materialized
+//! sequential reference: the full year vector built and sorted first, then
+//! offered record by record to one capture session and one collector
+//! (`support::materialized_year`, which shares no code with the driver).
+//! 2017 is included so the year-dependent ingress-policy path (telnet
+//! blocking) runs under every combination.
 
+mod support;
+
+use support::materialized_year;
 use synscan::core::PipelineMode;
 use synscan::experiment::Experiment;
-use synscan::GeneratorConfig;
+use synscan::{GeneratorConfig, YearConfig};
 
-fn run(year: u16, mode: PipelineMode, materialize: bool) -> synscan::experiment::YearRun {
+fn run(year: u16, mode: PipelineMode) -> synscan::experiment::YearRun {
     Experiment::new(GeneratorConfig::tiny())
         .with_pipeline_mode(mode)
-        .with_materialize(materialize)
         .run_year(year)
 }
 
 #[test]
 fn streaming_and_sharding_are_bit_identical_to_the_materialized_sequential_reference() {
-    // The full {streaming, materialized} x {sequential, sharded} matrix,
-    // anchored on the materialized sequential run (the pre-streaming shape).
+    let experiment = Experiment::new(GeneratorConfig::tiny());
     for year in [2017u16, 2020] {
-        let reference = run(year, PipelineMode::Sequential, true);
-        for materialize in [false, true] {
-            for mode in [
-                PipelineMode::Sequential,
-                PipelineMode::Sharded { workers: 1 },
-                PipelineMode::Sharded { workers: 4 },
-            ] {
-                let other = run(year, mode, materialize);
-                let label = format!("{year} mode={mode:?} materialize={materialize}");
-                assert_eq!(
-                    reference.capture, other.capture,
-                    "{label}: capture stats diverged"
-                );
-                assert_eq!(
-                    reference.truth, other.truth,
-                    "{label}: generation is flow-independent"
-                );
-                assert_eq!(
-                    reference.analysis, other.analysis,
-                    "{label}: analysis diverged"
-                );
-            }
+        let (analysis, capture, truth) = materialized_year(&experiment, year);
+        for mode in [
+            PipelineMode::Sequential,
+            PipelineMode::Sharded { workers: 1 },
+            PipelineMode::Sharded { workers: 4 },
+        ] {
+            let other = run(year, mode);
+            let label = format!("{year} mode={mode:?}");
+            assert_eq!(capture, other.capture, "{label}: capture stats diverged");
+            assert_eq!(
+                truth, other.truth,
+                "{label}: generation is flow-independent"
+            );
+            assert_eq!(analysis, other.analysis, "{label}: analysis diverged");
         }
     }
 }
@@ -57,7 +50,7 @@ fn streaming_and_sharding_are_bit_identical_to_the_materialized_sequential_refer
 fn sharded_run_still_detects_real_structure() {
     // Not just equal — equal and non-trivial: campaigns, tool attributions
     // and the 2017 ingress policy all survive the fan-out, streamed.
-    let run = run(2017, PipelineMode::Sharded { workers: 4 }, false);
+    let run = run(2017, PipelineMode::Sharded { workers: 4 });
     assert!(run.capture.admitted > 0);
     assert!(run.capture.ingress_blocked > 0, "2017 blocks telnet");
     assert!(!run.analysis.campaigns.is_empty());
@@ -83,14 +76,14 @@ fn decade_budget_composes_with_sharding() {
 
 #[test]
 fn materialized_decade_equals_the_streamed_decade() {
+    let experiment = Experiment::new(GeneratorConfig::tiny());
     let streamed = Experiment::new(GeneratorConfig::tiny()).run_decade();
-    let materialized = Experiment::new(GeneratorConfig::tiny())
-        .with_materialize(true)
-        .run_decade();
-    assert_eq!(streamed.years.len(), materialized.years.len());
-    for (a, b) in streamed.years.iter().zip(&materialized.years) {
-        assert_eq!(a.analysis, b.analysis, "year {}", a.analysis.year);
-        assert_eq!(a.capture, b.capture);
-        assert_eq!(a.truth, b.truth);
+    assert_eq!(streamed.years.len(), YearConfig::decade().len());
+    for run in &streamed.years {
+        let year = run.analysis.year;
+        let (analysis, capture, truth) = materialized_year(&experiment, year);
+        assert_eq!(run.analysis, analysis, "year {year}");
+        assert_eq!(run.capture, capture, "year {year}");
+        assert_eq!(run.truth, truth, "year {year}");
     }
 }

@@ -10,7 +10,12 @@
 // Each suite mounts this file and uses its own subset.
 #![allow(dead_code)]
 
+use synscan::core::analysis::{YearAnalysis, YearCollector};
+use synscan::experiment::Experiment;
 use synscan::stats::mix64;
+use synscan::synthesis::generate::{plan_year, GroundTruth};
+use synscan::telescope::{CaptureSession, CaptureStats};
+use synscan::YearConfig;
 
 const DEFAULT_SEED_BASE: u64 = 0x5eed_ba5e;
 const MATRIX_LEN: u64 = 6;
@@ -34,4 +39,30 @@ pub fn seeds() -> Vec<u64> {
     (0..MATRIX_LEN)
         .map(|i| mix64(DEFAULT_SEED_BASE.wrapping_add(i)))
         .collect()
+}
+
+/// One year analyzed the pre-streaming way, without the product's driver:
+/// the plan materialized into one sorted vector, every record offered to
+/// the capture session, every admitted one to a single collector. The
+/// reference the streamed and sharded shapes are held to.
+pub fn materialized_year(
+    experiment: &Experiment,
+    year: u16,
+) -> (YearAnalysis, CaptureStats, GroundTruth) {
+    let plan = plan_year(
+        &YearConfig::for_year(year),
+        experiment.config(),
+        experiment.registry(),
+        experiment.dark(),
+    );
+    let records = plan.materialize(experiment.dark());
+    let mut session = CaptureSession::new(experiment.dark(), year);
+    let mut collector =
+        YearCollector::with_period(year, experiment.campaign_config(), experiment.period_days());
+    for record in &records {
+        if session.offer(record) {
+            collector.offer(record);
+        }
+    }
+    (collector.finish(), session.stats(), plan.truth)
 }

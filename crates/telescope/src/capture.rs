@@ -8,11 +8,12 @@
 
 use std::io::{Read, Write};
 
-use synscan_wire::ingest::{IngestQueues, MappedCapture, MappedPcapStream};
-use synscan_wire::stream::{
-    FaultCounters, FaultPolicy, RecordStream, StreamError, TryRecordStream, BATCH_RECORDS,
-};
-use synscan_wire::{pcap, PcapError, ProbeRecord, SynFrameBuilder, TcpFlags};
+/// The incremental pcap import, re-exported where it has always been named:
+/// the stream itself now lives with the window it reads through.
+pub use synscan_wire::ingest::PcapStream;
+use synscan_wire::ingest::{IngestQueues, MappedCapture};
+use synscan_wire::stream::{FaultCounters, FaultPolicy, StreamError};
+use synscan_wire::{pcap, ProbeRecord, SynFrameBuilder, TcpFlags};
 
 use crate::addrset::AddressSet;
 use crate::ingress::IngressPolicy;
@@ -171,166 +172,6 @@ pub fn export_pcap<W: Write>(records: &[ProbeRecord], writer: W) -> std::io::Res
     pcap_writer.into_inner()
 }
 
-/// An incremental pcap import: parses records off the reader one
-/// [`BATCH_RECORDS`]-sized batch at a time instead of collecting the whole
-/// capture first, so analysis memory stays O(batch) for arbitrarily large
-/// files (and for stdin, which cannot be sized up front at all).
-///
-/// Non-TCP frames are skipped and counted ([`PcapStream::non_tcp_frames`]).
-/// Timestamp-order violations *between consecutive parsed records* are
-/// counted ([`PcapStream::order_violations`]) so a streaming consumer —
-/// whose [`RecordStream`] contract promises time order — can detect an
-/// unsorted capture and tell the caller to materialize-and-sort instead.
-///
-/// What happens on a pcap fault depends on the [`FaultPolicy`]:
-///
-/// * [`FaultPolicy::Fail`] (default) — the fault is terminal. Through the
-///   fallible [`TryRecordStream`] interface it surfaces as `Err`; through
-///   the legacy [`RecordStream`] interface the stream ends early and the
-///   fault is readable via [`PcapStream::error`].
-/// * [`FaultPolicy::SkipRecord`] — recoverable faults (the reader is still
-///   aligned) drop that record and continue; unrecoverable ones end the
-///   stream cleanly. Everything dropped is tallied in
-///   [`PcapStream::faults`].
-/// * [`FaultPolicy::StopClean`] — the first fault ends the stream cleanly,
-///   keeping the parsed prefix.
-#[derive(Debug)]
-pub struct PcapStream<R: Read> {
-    reader: pcap::PcapReader<R>,
-    policy: FaultPolicy,
-    batch: Vec<ProbeRecord>,
-    non_tcp: u64,
-    last_ts: u64,
-    order_violations: u64,
-    faults: FaultCounters,
-    error: Option<StreamError>,
-    done: bool,
-}
-
-impl<R: Read> PcapStream<R> {
-    /// Open a classic pcap stream (parses the global header eagerly, so a
-    /// non-pcap input fails here, not on the first batch) with the strict
-    /// [`FaultPolicy::Fail`] policy.
-    pub fn new(reader: R) -> Result<Self, PcapError> {
-        Self::with_policy(reader, FaultPolicy::Fail)
-    }
-
-    /// As [`PcapStream::new`] with an explicit fault policy. The global
-    /// header must parse under every policy — without it there is no
-    /// framing to recover to.
-    pub fn with_policy(reader: R, policy: FaultPolicy) -> Result<Self, PcapError> {
-        Ok(Self {
-            reader: pcap::PcapReader::new(reader)?,
-            policy,
-            batch: Vec::with_capacity(BATCH_RECORDS),
-            non_tcp: 0,
-            last_ts: 0,
-            order_violations: 0,
-            faults: FaultCounters::default(),
-            error: None,
-            done: false,
-        })
-    }
-
-    /// Frames that were not parseable IPv4/TCP (skipped, as the SYN filter
-    /// would drop them anyway).
-    pub fn non_tcp_frames(&self) -> u64 {
-        self.non_tcp
-    }
-
-    /// Consecutive-record timestamp inversions seen so far. Zero for every
-    /// capture written in arrival order (telescope captures are).
-    pub fn order_violations(&self) -> u64 {
-        self.order_violations
-    }
-
-    /// What the fault policy skipped or cut short on this stream.
-    pub fn faults(&self) -> FaultCounters {
-        self.faults
-    }
-
-    /// The error that ended the stream, if it did not end at a clean EOF
-    /// (only ever set under [`FaultPolicy::Fail`]).
-    pub fn error(&self) -> Option<StreamError> {
-        self.error
-    }
-
-    /// Fill `self.batch`; `Ok(true)` when it holds records, `Ok(false)` at
-    /// clean exhaustion, `Err` on a fatal fault under [`FaultPolicy::Fail`].
-    fn fill(&mut self) -> Result<bool, StreamError> {
-        if self.done {
-            return Ok(false);
-        }
-        self.batch.clear();
-        while self.batch.len() < BATCH_RECORDS {
-            match self.reader.next_record() {
-                Ok(Some(rec)) => {
-                    if let Ok(parsed) = ProbeRecord::from_ethernet(rec.ts_micros, &rec.data) {
-                        if parsed.ts_micros < self.last_ts {
-                            self.order_violations += 1;
-                        }
-                        self.last_ts = parsed.ts_micros;
-                        self.batch.push(parsed);
-                    } else {
-                        self.non_tcp += 1;
-                    }
-                }
-                Ok(None) => {
-                    self.done = true;
-                    break;
-                }
-                Err(e) => match self.policy {
-                    FaultPolicy::Fail => {
-                        self.done = true;
-                        return Err(StreamError::Pcap(e));
-                    }
-                    FaultPolicy::SkipRecord if e.recoverable() => {
-                        self.faults.records_skipped += 1;
-                        self.faults.bytes_dropped += e.bytes_lost();
-                    }
-                    FaultPolicy::SkipRecord => {
-                        // Framing is lost — the rest of the file is
-                        // unreadable, so degrade to a clean early end.
-                        self.faults.streams_truncated += 1;
-                        self.faults.bytes_dropped += e.bytes_lost();
-                        self.done = true;
-                        break;
-                    }
-                    FaultPolicy::StopClean => {
-                        self.faults.streams_truncated += 1;
-                        self.faults.bytes_dropped += e.bytes_lost();
-                        self.done = true;
-                        break;
-                    }
-                },
-            }
-        }
-        Ok(!self.batch.is_empty())
-    }
-}
-
-impl<R: Read> RecordStream for PcapStream<R> {
-    fn next_batch(&mut self) -> Option<&[ProbeRecord]> {
-        match self.fill() {
-            Ok(true) => Some(&self.batch),
-            Ok(false) => None,
-            Err(e) => {
-                self.error = Some(e);
-                None
-            }
-        }
-    }
-}
-
-impl<R: Read> TryRecordStream for PcapStream<R> {
-    fn try_next_batch(&mut self) -> Result<Option<&[ProbeRecord]>, StreamError> {
-        match self.fill()? {
-            true => Ok(Some(&self.batch)),
-            false => Ok(None),
-        }
-    }
-}
-
 /// Read records back from a pcap stream produced by [`export_pcap`] (or any
 /// Ethernet pcap of TCP traffic); non-TCP frames are skipped.
 ///
@@ -347,18 +188,12 @@ pub fn import_pcap_with_policy<R: Read>(
     reader: R,
     policy: FaultPolicy,
 ) -> Result<(Vec<ProbeRecord>, FaultCounters), StreamError> {
-    let mut stream = PcapStream::with_policy(reader, policy)?;
-    let mut records = Vec::new();
-    while let Some(batch) = stream.try_next_batch()? {
-        records.extend_from_slice(batch);
-    }
-    Ok((records, stream.faults()))
+    PcapStream::with_policy(reader, policy)?.into_records()
 }
 
-/// As [`import_pcap_with_policy`] over an in-memory mapping via the
-/// zero-copy ingest layer ([`synscan_wire::ingest`]): `queues = 1` decodes
-/// on the calling thread with [`MappedPcapStream`]; more queues partition
-/// the mapping and decode in parallel, merging back in capture order.
+/// As [`import_pcap_with_policy`] over a reopenable capture, with the decode
+/// fanned out over `queues` threads ([`synscan_wire::ingest`]) and merged
+/// back in capture order.
 ///
 /// Byte-for-byte equivalent to the `Read`-based import on every input —
 /// same records, same counters, same terminal error — which the
@@ -368,29 +203,16 @@ pub fn import_pcap_mapped(
     policy: FaultPolicy,
     queues: usize,
 ) -> Result<(Vec<ProbeRecord>, FaultCounters), StreamError> {
-    let mut records = Vec::new();
-    if queues <= 1 {
-        let mut stream =
-            MappedPcapStream::with_policy(capture.as_slice(), policy).map_err(StreamError::Pcap)?;
-        while let Some(batch) = stream.try_next_batch()? {
-            records.extend_from_slice(batch);
-        }
-        Ok((records, stream.faults()))
-    } else {
-        let mut stream = IngestQueues::new(std::sync::Arc::clone(capture), queues, policy)
-            .map_err(StreamError::Pcap)?
-            .spawn();
-        while let Some(batch) = stream.try_next_batch()? {
-            records.extend_from_slice(batch);
-        }
-        Ok((records, stream.faults()))
-    }
+    IngestQueues::new(std::sync::Arc::clone(capture), queues, policy)?
+        .spawn()
+        .into_records()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::TelescopeConfig;
+    use synscan_wire::stream::RecordStream;
     use synscan_wire::{Ipv4Address, TcpFlags};
 
     fn set() -> AddressSet {

@@ -1,38 +1,40 @@
-//! Zero-copy batched pcap ingest: the line-rate front end of the pipeline.
+//! Windowed batched pcap ingest: the line-rate front end of the pipeline.
 //!
-//! The `Read`-based [`crate::pcap::PcapReader`] allocates and copies a
-//! `Vec<u8>` per record — fine for correctness work, but at telescope scale
-//! (the paper's decade of captures) the copy-and-allocate loop, not the
-//! analysis, is the throughput ceiling. This module replaces it on the hot
-//! path with a *mapping*:
+//! Nobody holds a year of telescope pcap in memory, so nothing here does
+//! either. A capture is read through one recycled *window*, and every reader
+//! in the workspace — the `Read` path, `--ingest mmap`, `mmap:N` — is the
+//! same three stages:
 //!
-//! * [`MappedCapture`] owns one contiguous byte buffer holding the whole
-//!   capture (loaded with a single `fs::read`; stdin and pipes are buffered
-//!   through [`MappedCapture::from_reader`]). The crate is
-//!   `#![forbid(unsafe_code)]`, so the mapping is a fully-buffered region
-//!   rather than a raw `mmap(2)` — the access pattern and API are identical,
-//!   and a future unsafe-gated mmap backend can slot in behind the same type.
-//! * [`PcapSlice`] is a cursor over that mapping yielding borrowed
-//!   [`RawFrame`]s — no per-record allocation, no copy; the frame bytes are
-//!   `&[u8]` views into the mapping. Its fault taxonomy is byte-identical to
-//!   [`crate::pcap::PcapReader`]: same [`PcapError`] variants at the same
-//!   stream positions.
-//! * [`FrameBatch`] gathers a run of raw frames and decodes the run into
-//!   [`ProbeRecord`]s in one pass. The canonical Ethernet/IPv4/TCP probe
-//!   frame (14 + 20 + 20 bytes, no options) is decoded by fixed-offset field
-//!   extraction — a straight-line, bounds-check-free loop the compiler can
-//!   vectorize — with fallback to [`ProbeRecord::from_ethernet`] for frames
-//!   with options, padding, or odd link types.
-//! * [`MappedPcapStream`] is the policy-aware [`TryRecordStream`] over a
-//!   slice, behaviorally identical to the `Read`-based
-//!   `telescope::capture::PcapStream` (same batches, same fault counters,
-//!   same order-violation census) — proven by the equivalence suite.
-//! * [`IngestQueues`] partitions the mapping into record-boundary-aligned
-//!   byte ranges and decodes them on one thread per queue, merging the
-//!   decoded batches back *in capture order* so the single-consumer
-//!   `TryRecordStream` contract (and therefore chaos/checkpoint semantics
-//!   downstream) is preserved while header parsing and field extraction run
-//!   in parallel.
+//! * **Framer.** One sequential reader refills a window buffer from any
+//!   `Read`, walks the record headers once to find the longest run of whole
+//!   records, and carries the torn remainder into the next window. Each run
+//!   is a *chunk*. A record is declared torn only at end of input, never at
+//!   a window edge, and a length field that loses framing ends the walk — so
+//!   whatever is wrong with a capture's framing is in the **last** chunk,
+//!   and every other chunk decodes without a framing fault by construction.
+//! * **Decoders.** A chunk is decoded by the per-slice decoder:
+//!   [`PcapSlice`] yields borrowed [`RawFrame`]s (no per-record allocation or
+//!   copy), [`FrameBatch`] gathers a run and decodes it in one pass — the
+//!   canonical 54-byte Ethernet/IPv4/TCP probe by fixed-offset extraction,
+//!   anything else through [`ProbeRecord::from_ethernet`] — and
+//!   [`MappedPcapStream`] applies the [`FaultPolicy`]. With one queue the
+//!   chunk is decoded on the consumer's thread; with `N` ([`IngestQueues`])
+//!   chunk `n` goes to decode thread `n % N`.
+//! * **Ordered merge.** [`PcapStream`] takes decoded chunks strictly in
+//!   sequence order, so capture order — and with it per-source order, which
+//!   the sharded pipeline's fault gate depends on — is the file's. Counters
+//!   are summed, the one timestamp comparison a chunk cannot make (its first
+//!   record against the previous chunk's last) is made here, and the first
+//!   chunk whose decoder stopped (a fault under [`FaultPolicy::Fail`] or
+//!   [`FaultPolicy::StopClean`], lost framing under any policy) ends the
+//!   stream exactly where a sequential reader would have.
+//!
+//! Memory is O(window × chunks in flight), whatever the capture's size: a
+//! fixed set of chunk buffers (bytes and decoded records together) cycles
+//! framer → decoder → merger → framer, so a warm pass allocates no buffer
+//! (only the decoder's small gather scratch, per chunk).
+//! [`MappedCapture`] names *where* the bytes are (a file, reopened per
+//! stream; or a buffer, for stdin and tests) and reads none of them.
 //!
 //! Checksums are *not* verified by default ([`ChecksumPolicy::Trust`]),
 //! matching the historical parse path: telescope captures were checksummed
@@ -40,15 +42,16 @@
 //! construction. [`ChecksumPolicy::Verify`] opts into full IPv4 + TCP
 //! verification, counting failures as unparseable frames.
 
+use std::fs::File;
 use std::io::{self, Read};
-use std::path::Path;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Arc};
 use std::thread;
 
 use crate::checksum;
 use crate::pcap::{
-    header_u32, GlobalHeader, PcapError, GLOBAL_HEADER_LEN, MAX_SNAPLEN, RECORD_HEADER_LEN,
+    header_u32, read_fully, GlobalHeader, PcapError, GLOBAL_HEADER_LEN, MAX_SNAPLEN,
+    RECORD_HEADER_LEN,
 };
 use crate::probe::ProbeRecord;
 use crate::stream::{
@@ -61,15 +64,16 @@ use crate::Ipv4Address;
 /// `--ingest` flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IngestMode {
-    /// The streaming `Read`-based reader: O(batch) memory, one allocation
-    /// and copy per record. The only mode that can stream an unbounded pipe.
+    /// Stream the input as it arrives, decoding on the calling thread. The
+    /// only mode that can stream an unbounded pipe.
     #[default]
     Read,
-    /// The zero-copy mapped reader over a fully-buffered capture, decoding
-    /// on `queues` parallel queues (1 = decode on the calling thread).
-    /// Stdin and pipes are buffered whole before parsing.
+    /// Open the capture as a [`MappedCapture`] and decode its windows on
+    /// `queues` threads (1 = on the calling thread). Files are never read
+    /// whole; stdin and pipes are buffered whole, because the two-pass
+    /// analysis has to read them twice.
     Mapped {
-        /// Decode queues feeding the merger (clamped to at least 1).
+        /// Decode threads feeding the ordered merge (at least 1).
         queues: usize,
     },
 }
@@ -125,72 +129,118 @@ pub enum ChecksumPolicy {
     Verify,
 }
 
-/// A contiguous, owned in-memory image of a capture file — the "mapping"
-/// every zero-copy reader borrows from. Frames yielded by [`PcapSlice`] and
-/// [`FrameBatch`] are `&[u8]` views into this buffer, so it must outlive
-/// every reader derived from it (the borrow checker enforces exactly that;
-/// the multi-queue front end shares it through an [`Arc`] instead).
+/// A capture that can be read from the start any number of times: a file
+/// (opened by path for every stream, so streams share no cursor) or an
+/// in-memory image (stdin, tests).
+///
+/// The name is historical. This was once the whole file in one buffer; it
+/// is now a handle that reads nothing until a stream is opened over it, and
+/// keeps its name only because the benchmark spells it — renaming it waits
+/// for a benchmark change.
 #[derive(Debug, Clone)]
 pub struct MappedCapture {
-    bytes: Vec<u8>,
+    source: CaptureSource,
+}
+
+#[derive(Debug, Clone)]
+enum CaptureSource {
+    File { path: PathBuf, len: u64 },
+    Bytes(Arc<Vec<u8>>),
+}
+
+/// A `Read` over a shared in-memory capture image.
+struct SharedBytes {
+    bytes: Arc<Vec<u8>>,
+    pos: usize,
+}
+
+impl Read for SharedBytes {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = (&self.bytes[self.pos..]).read(buf)?;
+        self.pos += n;
+        Ok(n)
+    }
 }
 
 impl MappedCapture {
-    /// Map a capture file by loading it whole.
+    /// Open a capture file: checks that `path` is a readable regular file
+    /// and reads nothing. Anything else (a missing path, a directory — which
+    /// opens fine and fails only when read) is an error here, not a
+    /// mysteriously empty stream later.
     pub fn load(path: impl AsRef<Path>) -> io::Result<Self> {
+        let path = path.as_ref().to_path_buf();
+        let meta = File::open(&path)?.metadata()?;
+        if !meta.is_file() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("{} is not a regular file", path.display()),
+            ));
+        }
+        let len = meta.len();
         Ok(Self {
-            bytes: std::fs::read(path)?,
+            source: CaptureSource::File { path, len },
         })
     }
 
-    /// Buffer a non-seekable source (stdin, a pipe) whole. This is the
-    /// documented fallback when a real file path is not available; it trades
-    /// the O(batch) memory of the `Read` path for the zero-copy parse.
+    /// Buffer a source that cannot be reopened (stdin, a pipe) whole — the
+    /// documented price of reading it more than once.
     pub fn from_reader<R: Read>(mut reader: R) -> io::Result<Self> {
         let mut bytes = Vec::new();
         reader.read_to_end(&mut bytes)?;
-        Ok(Self { bytes })
+        Ok(Self::from_bytes(bytes))
     }
 
     /// Wrap an already-materialized capture image.
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        Self { bytes }
+        Self {
+            source: CaptureSource::Bytes(Arc::new(bytes)),
+        }
     }
 
-    /// The mapped bytes.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.bytes
+    /// A fresh reader positioned at the first byte of the capture,
+    /// independent of every other reader of it. A file that can no longer be
+    /// opened reads as empty, which every consumer reports as a truncated
+    /// global header — the same convention as any other unreadable tail.
+    pub fn reader(&self) -> Box<dyn Read + Send> {
+        match &self.source {
+            CaptureSource::File { path, .. } => match File::open(path) {
+                Ok(file) => Box::new(file),
+                Err(_) => Box::new(io::empty()),
+            },
+            CaptureSource::Bytes(bytes) => Box::new(SharedBytes {
+                bytes: Arc::clone(bytes),
+                pos: 0,
+            }),
+        }
     }
 
-    /// Unwrap the mapping back into its buffer.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
-    }
-
-    /// Size of the mapping in bytes.
+    /// Size of the capture in bytes (for a file, as of [`MappedCapture::load`]).
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        match &self.source {
+            CaptureSource::File { len, .. } => *len as usize,
+            CaptureSource::Bytes(bytes) => bytes.len(),
+        }
     }
 
-    /// Whether the mapping is empty.
+    /// Whether the capture is empty.
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.len() == 0
     }
 }
 
-/// One captured frame, borrowed from the mapping: the zero-copy counterpart
-/// of [`crate::pcap::PcapRecord`].
+/// One captured frame, borrowed from the buffer it was read into: the
+/// zero-copy counterpart of [`crate::pcap::PcapRecord`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawFrame<'a> {
     /// Timestamp in microseconds since the epoch.
     pub ts_micros: u64,
     /// Original length of the frame on the wire.
     pub orig_len: u32,
-    /// Captured bytes — a view into the mapping, never a copy.
+    /// Captured bytes — a view into the buffer, never a copy.
     pub data: &'a [u8],
 }
 
-/// A cursor over a mapped capture yielding borrowed frames.
+/// A cursor over capture bytes yielding borrowed frames.
 ///
 /// Error-for-error identical to [`crate::pcap::PcapReader`]: the same
 /// [`PcapError`] variants surface at the same stream positions, recoverable
@@ -200,37 +250,27 @@ pub struct RawFrame<'a> {
 pub struct PcapSlice<'a> {
     data: &'a [u8],
     cursor: usize,
-    end: usize,
     meta: GlobalHeader,
 }
 
 impl<'a> PcapSlice<'a> {
-    /// Open a mapped capture, parsing and validating the global header.
+    /// Open a whole capture image, parsing and validating the global header.
     pub fn new(data: &'a [u8]) -> Result<Self, PcapError> {
-        if data.len() < GLOBAL_HEADER_LEN {
-            return Err(PcapError::TruncatedGlobalHeader);
-        }
-        let mut header = [0u8; GLOBAL_HEADER_LEN];
-        header.copy_from_slice(&data[..GLOBAL_HEADER_LEN]);
-        let meta = GlobalHeader::parse(&header)?;
+        let meta = GlobalHeader::read(&mut &data[..])?;
         Ok(Self {
             data,
             cursor: GLOBAL_HEADER_LEN,
-            end: data.len(),
             meta,
         })
     }
 
-    /// A sub-slice over `[start, end)` byte offsets of the same mapping
-    /// (offsets into the full mapped file, so `start` must sit on a record
-    /// boundary produced by [`PcapSlice::partition`]).
-    pub fn segment(&self, start: usize, end: usize) -> Self {
-        debug_assert!(start >= GLOBAL_HEADER_LEN && start <= end && end <= self.data.len());
+    /// A cursor over a run of records — one chunk of a capture whose global
+    /// header `meta` was read when the stream was opened.
+    fn records(data: &'a [u8], meta: GlobalHeader) -> Self {
         Self {
-            data: self.data,
-            cursor: start,
-            end,
-            meta: self.meta,
+            data,
+            cursor: 0,
+            meta,
         }
     }
 
@@ -246,7 +286,7 @@ impl<'a> PcapSlice<'a> {
 
     /// Bytes between the cursor and the end of this slice.
     pub fn remaining(&self) -> usize {
-        self.end - self.cursor
+        self.data.len() - self.cursor
     }
 
     /// Yield the next frame as a borrowed view; `Ok(None)` is a clean end.
@@ -256,12 +296,13 @@ impl<'a> PcapSlice<'a> {
     /// framing is lost.
     #[inline]
     pub fn next_frame(&mut self) -> Result<Option<RawFrame<'a>>, PcapError> {
-        let remaining = self.end - self.cursor;
+        let end = self.data.len();
+        let remaining = end - self.cursor;
         if remaining == 0 {
             return Ok(None);
         }
         if remaining < RECORD_HEADER_LEN {
-            self.cursor = self.end;
+            self.cursor = end;
             return Err(PcapError::TruncatedRecordHeader {
                 got: remaining as u32,
             });
@@ -276,9 +317,9 @@ impl<'a> PcapSlice<'a> {
         if incl_len > MAX_SNAPLEN {
             return Err(PcapError::SnapLenOverflow(incl_len));
         }
-        let avail = self.end - self.cursor;
+        let avail = end - self.cursor;
         if (incl_len as usize) > avail {
-            self.cursor = self.end;
+            self.cursor = end;
             return Err(PcapError::TruncatedRecordBody {
                 expected: incl_len,
                 got: avail as u32,
@@ -301,74 +342,6 @@ impl<'a> PcapSlice<'a> {
             orig_len,
             data,
         }))
-    }
-
-    /// Walk the record framing without decoding, returning the byte offset
-    /// and record count of the longest cleanly-framed prefix. The walk stops
-    /// at the first framing fault that loses alignment (torn header or body,
-    /// snaplen overflow); zero-length records keep framing and are walked
-    /// over.
-    fn framed_prefix(&self) -> (usize, u64) {
-        let mut off = self.cursor;
-        let mut records = 0u64;
-        loop {
-            let remaining = self.end - off;
-            if remaining < RECORD_HEADER_LEN {
-                // 0 = clean end; 1-15 = torn header. Either way the walk
-                // cannot continue, and `off` is the last good boundary.
-                return (off, records);
-            }
-            let header = &self.data[off..off + RECORD_HEADER_LEN];
-            let incl_len = header_u32(header, 8, self.meta.swapped) as usize;
-            if incl_len > MAX_SNAPLEN as usize || RECORD_HEADER_LEN + incl_len > remaining {
-                return (off, records);
-            }
-            off += RECORD_HEADER_LEN + incl_len;
-            records += 1;
-        }
-    }
-
-    /// Partition this slice into `parts` byte ranges aligned on record
-    /// boundaries, balanced by record count.
-    ///
-    /// Invariants (the queue front end depends on all three):
-    /// * every range starts on a record boundary of the cleanly-framed
-    ///   prefix, so every queue but the last parses without framing faults;
-    /// * the ranges concatenate, in order, to exactly `[cursor, end)` — no
-    ///   byte is dropped or read twice;
-    /// * any framing fault (torn tail, snaplen corruption) lies in the
-    ///   *last* range, so fault-policy semantics collapse to the sequential
-    ///   case at the point the merged stream reaches it.
-    pub fn partition(&self, parts: usize) -> Vec<(usize, usize)> {
-        let parts = parts.max(1);
-        if parts == 1 {
-            // One part is the whole slice; skip the framing walk — on a
-            // decade-scale capture that walk reads every record header.
-            return vec![(self.cursor, self.end)];
-        }
-        let (clean_end, records) = self.framed_prefix();
-        let per = records.div_ceil(parts as u64).max(1);
-        let mut ranges = Vec::with_capacity(parts);
-        let mut off = self.cursor;
-        let mut walked = 0u64;
-        let mut start = self.cursor;
-        let mut emitted = 0u64;
-        while off < clean_end && ranges.len() + 1 < parts {
-            let header = &self.data[off..off + RECORD_HEADER_LEN];
-            let incl_len = header_u32(header, 8, self.meta.swapped) as usize;
-            off += RECORD_HEADER_LEN + incl_len;
-            walked += 1;
-            if walked - emitted == per {
-                ranges.push((start, off));
-                start = off;
-                emitted = walked;
-            }
-        }
-        ranges.push((start, self.end));
-        while ranges.len() < parts {
-            ranges.push((self.end, self.end));
-        }
-        ranges
     }
 }
 
@@ -517,14 +490,13 @@ impl<'a> FrameBatch<'a> {
     }
 }
 
-/// The zero-copy, policy-aware record stream over a mapped capture — the
-/// drop-in replacement for the `Read`-based `PcapStream` on the
-/// [`TryRecordStream`] side of the pipeline.
+/// The zero-copy, policy-aware record stream over a capture image already in
+/// memory — the per-chunk decoder of [`PcapStream`], and, over a whole
+/// buffer, the reference the windowed stream is tested against.
 ///
-/// Behavioral contract (held byte-for-byte against the streaming reader by
-/// the equivalence suite): same records in the same order, same
-/// [`FaultCounters`] under every [`FaultPolicy`], same non-TCP and
-/// order-violation counts, same terminal error under [`FaultPolicy::Fail`].
+/// Behavioral contract: records in capture order, [`FaultCounters`] per the
+/// [`FaultPolicy`], non-TCP and order-violation censuses, and under
+/// [`FaultPolicy::Fail`] the first fault as the terminal error.
 #[derive(Debug)]
 pub struct MappedPcapStream<'a> {
     slice: PcapSlice<'a>,
@@ -547,7 +519,7 @@ pub struct MappedPcapStream<'a> {
 const RUN_FRAMES: usize = 1024;
 
 impl<'a> MappedPcapStream<'a> {
-    /// Open a mapped capture under the strict [`FaultPolicy::Fail`] policy.
+    /// Open a capture image under the strict [`FaultPolicy::Fail`] policy.
     pub fn new(data: &'a [u8]) -> Result<Self, PcapError> {
         Self::with_policy(data, FaultPolicy::Fail)
     }
@@ -557,11 +529,10 @@ impl<'a> MappedPcapStream<'a> {
         Ok(Self::over(PcapSlice::new(data)?, policy))
     }
 
-    /// Stream an already-opened slice (used by the queue front end for
-    /// segments, which share one global header).
+    /// Stream an already-opened slice.
     pub fn over(slice: PcapSlice<'a>, policy: FaultPolicy) -> Self {
-        // The owned buffer grows lazily on first use: callers that only
-        // ever decode through `try_next_owned` never touch it.
+        // The owned buffer grows lazily on first use: the chunk decoder,
+        // which fills its caller's buffer, never touches it.
         Self {
             slice,
             policy,
@@ -575,48 +546,6 @@ impl<'a> MappedPcapStream<'a> {
             faults: FaultCounters::default(),
             error: None,
             done: false,
-        }
-    }
-
-    /// Rebuild a stream over `data` from a [`suspend`]ed state.
-    ///
-    /// [`suspend`]: MappedPcapStream::suspend
-    pub fn resume(data: &'a [u8], state: MappedStreamState) -> Result<Self, PcapError> {
-        let base = PcapSlice::new(data)?;
-        Ok(Self {
-            slice: base.segment(state.cursor, state.end),
-            policy: state.policy,
-            checksums: state.checksums,
-            batch_target: state.batch_target,
-            batch: Vec::new(),
-            run: FrameBatch::with_capacity(RUN_FRAMES),
-            non_tcp: state.non_tcp,
-            last_ts: state.last_ts,
-            order_violations: state.order_violations,
-            faults: state.faults,
-            error: state.error,
-            done: state.done,
-        })
-    }
-
-    /// Detach the decode state from the mapping borrow, so an owner of the
-    /// mapping can park the stream beside it and [`resume`] later — the
-    /// no-self-reference idiom the inline single-queue ingest path uses.
-    ///
-    /// [`resume`]: MappedPcapStream::resume
-    pub fn suspend(self) -> MappedStreamState {
-        MappedStreamState {
-            cursor: self.slice.cursor,
-            end: self.slice.end,
-            policy: self.policy,
-            checksums: self.checksums,
-            batch_target: self.batch_target,
-            non_tcp: self.non_tcp,
-            last_ts: self.last_ts,
-            order_violations: self.order_violations,
-            faults: self.faults,
-            error: self.error,
-            done: self.done,
         }
     }
 
@@ -666,20 +595,8 @@ impl<'a> MappedPcapStream<'a> {
         filled
     }
 
-    /// Decode the next batch into `buf` (cleared first) and hand it back by
-    /// value — the owned-batch variant of [`TryRecordStream::try_next_batch`].
-    /// The queue front end moves these buffers across threads and recycles
-    /// them, so a decoded record is written exactly once and never copied.
-    pub fn try_next_owned(
-        &mut self,
-        mut buf: Vec<ProbeRecord>,
-    ) -> Result<Option<Vec<ProbeRecord>>, StreamError> {
-        match self.fill_into(&mut buf)? {
-            true => Ok(Some(buf)),
-            false => Ok(None),
-        }
-    }
-
+    /// The one place a pcap fault meets the [`FaultPolicy`]. On `Err` the
+    /// records decoded ahead of the fault are still in `out`.
     fn fill_into(&mut self, out: &mut Vec<ProbeRecord>) -> Result<bool, StreamError> {
         if self.done {
             return Ok(false);
@@ -711,13 +628,10 @@ impl<'a> MappedPcapStream<'a> {
                         self.faults.records_skipped += 1;
                         self.faults.bytes_dropped += e.bytes_lost();
                     }
-                    FaultPolicy::SkipRecord => {
-                        self.faults.streams_truncated += 1;
-                        self.faults.bytes_dropped += e.bytes_lost();
-                        self.done = true;
-                        break;
-                    }
-                    FaultPolicy::StopClean => {
+                    // Framing is lost (or the policy stops at the first
+                    // fault): the rest is unreadable, so degrade to a clean
+                    // early end. Nothing else sets `streams_truncated`.
+                    FaultPolicy::SkipRecord | FaultPolicy::StopClean => {
                         self.faults.streams_truncated += 1;
                         self.faults.bytes_dropped += e.bytes_lost();
                         self.done = true;
@@ -752,135 +666,224 @@ impl TryRecordStream for MappedPcapStream<'_> {
     }
 }
 
-/// A [`MappedPcapStream`] with the mapping borrow detached: byte cursor,
-/// policies, and every running counter — everything but the `&[u8]` and the
-/// scratch buffers. See [`MappedPcapStream::suspend`].
-#[derive(Debug, Clone)]
-pub struct MappedStreamState {
-    cursor: usize,
-    end: usize,
+/// Size of a window buffer: one `read` call and one header walk per ~15 k
+/// canonical probe records, and a decoded chunk about the size of a
+/// [`BATCH_RECORDS`] batch.
+const WINDOW_BYTES: usize = 1 << 20;
+// A window that holds a maximal record always ends past a record boundary,
+// so in production a buffer is allocated once, at exactly this size.
+const _: () = assert!(WINDOW_BYTES >= MAX_SNAPLEN as usize + RECORD_HEADER_LEN);
+
+/// One window's worth of the capture on its way through the stages: the
+/// framer fills `bytes`, a decoder fills everything else, the merger lends
+/// `records` to the consumer and sends the whole thing back to the framer.
+/// Both buffers keep their capacity around the cycle.
+#[derive(Debug, Default)]
+struct Chunk {
+    /// Window buffer; the first `len` bytes are this chunk's records.
+    bytes: Vec<u8>,
+    len: usize,
+    /// The framer reads nothing after this chunk.
+    last: bool,
+    records: Vec<ProbeRecord>,
+    faults: FaultCounters,
+    non_tcp: u64,
+    order_violations: u64,
+    error: Option<StreamError>,
+}
+
+impl Chunk {
+    /// Whether a sequential reader would have stopped inside this chunk: end
+    /// of input, a terminal error, or a policy stop (see `fill_into`).
+    fn ends_stream(&self) -> bool {
+        self.last || self.error.is_some() || self.faults.streams_truncated > 0
+    }
+}
+
+/// The windowed framer: cuts the record area of a capture, read sequentially
+/// from any `Read`, into chunks of whole records.
+#[derive(Debug)]
+struct Framer<R> {
+    reader: R,
+    swapped: bool,
+    window: usize,
+    /// The tail of the previous window: the head of a record whose end had
+    /// not been read yet.
+    carry: Vec<u8>,
+}
+
+impl<R: Read> Framer<R> {
+    fn new(reader: R, meta: GlobalHeader, window: usize) -> Self {
+        Self {
+            reader,
+            swapped: meta.swapped,
+            window: window.max(1),
+            carry: Vec::new(),
+        }
+    }
+
+    /// Refill `chunk` with the next run of whole records. Returns `true` for
+    /// the final chunk, which alone may carry what is *not* whole records: a
+    /// record torn by end of input (an I/O error counts as one, as in
+    /// [`read_fully`]) or a length field past [`MAX_SNAPLEN`], after which
+    /// there is no framing left to follow. Nothing is read after it.
+    fn next_chunk(&mut self, chunk: &mut Chunk) -> bool {
+        loop {
+            // The carry is shorter than one record, so it leaves room in any
+            // window worth the name; under a test window smaller than a
+            // record, grow until the record at the front fits.
+            let carried = self.carry.len();
+            let room = if carried < self.window {
+                self.window
+            } else {
+                carried + self.window
+            };
+            if chunk.bytes.len() < room {
+                chunk.bytes.resize(room, 0);
+            }
+            chunk.bytes[..carried].copy_from_slice(&self.carry);
+            let filled = carried + read_fully(&mut self.reader, &mut chunk.bytes[carried..room]);
+            let at_eof = filled < room;
+
+            // Walk the headers to the end of the last whole record.
+            // Zero-length records keep framing and are walked over; the
+            // decoder is the one to report them.
+            let mut whole = 0;
+            let mut framing_lost = false;
+            while filled - whole >= RECORD_HEADER_LEN {
+                let incl = header_u32(&chunk.bytes[whole..], 8, self.swapped);
+                if incl > MAX_SNAPLEN {
+                    framing_lost = true;
+                    break;
+                }
+                let record = RECORD_HEADER_LEN + incl as usize;
+                if record > filled - whole {
+                    break;
+                }
+                whole += record;
+            }
+
+            self.carry.clear();
+            if at_eof || framing_lost {
+                chunk.len = filled;
+                return true;
+            }
+            self.carry.extend_from_slice(&chunk.bytes[whole..filled]);
+            if whole > 0 {
+                chunk.len = whole;
+                return false;
+            }
+            // The record at the front is longer than the window: read on.
+        }
+    }
+}
+
+/// Everything a decoder needs to know besides the bytes.
+#[derive(Debug, Clone, Copy)]
+struct Decode {
+    meta: GlobalHeader,
     policy: FaultPolicy,
     checksums: ChecksumPolicy,
-    batch_target: usize,
-    non_tcp: u64,
-    last_ts: u64,
-    order_violations: u64,
-    faults: FaultCounters,
-    error: Option<StreamError>,
-    done: bool,
 }
 
-/// What one decode queue reports when it finishes its segment.
-#[derive(Debug)]
-struct QueueSummary {
-    faults: FaultCounters,
-    non_tcp: u64,
-    order_violations: u64,
-    error: Option<StreamError>,
+impl Decode {
+    /// Read the global header off the front of `reader`; checksums trusted.
+    fn open(reader: &mut impl Read, policy: FaultPolicy) -> Result<Self, PcapError> {
+        Ok(Self {
+            meta: GlobalHeader::read(reader)?,
+            policy,
+            checksums: ChecksumPolicy::Trust,
+        })
+    }
+
+    /// Decode a framed chunk in one pass, exactly as a sequential reader
+    /// that started at its first byte would.
+    fn run(self, chunk: &mut Chunk) {
+        let slice = PcapSlice::records(&chunk.bytes[..chunk.len], self.meta);
+        let mut stream = MappedPcapStream::over(slice, self.policy)
+            .checksums(self.checksums)
+            .batch_target(usize::MAX);
+        chunk.error = stream.fill_into(&mut chunk.records).err();
+        chunk.faults = stream.faults;
+        chunk.non_tcp = stream.non_tcp;
+        chunk.order_violations = stream.order_violations;
+    }
 }
 
-enum QueueMsg {
-    Batch(Vec<ProbeRecord>),
-    Done(QueueSummary),
-}
-
-/// The multi-queue ingest front end: partitions a mapped capture on record
-/// boundaries, decodes each partition on its own thread, and yields the
-/// decoded batches *in capture order* through the ordinary
-/// [`TryRecordStream`] interface.
-///
-/// Order is preserved because the partitions tile the capture: the merger
-/// drains queue 0 to completion, then queue 1, and so on. Queues decode
-/// ahead behind a bounded channel whose depth is derived from the
-/// [`RUNAHEAD_BYTES`] budget (see [`queue_depth`]): deep enough that a
-/// later queue keeps decoding while the merger is still draining an
-/// earlier one — run-ahead is exactly the parallelism this front end buys,
-/// a rendezvous-shallow channel serializes the queues behind the merger —
-/// yet bounded, so memory stays O(budget) however large the capture is.
-/// Batches move by value through the channel and spent buffers recycle
-/// back to the decoders through a shared pool, so a decoded record is
-/// written once and never copied again. Per-source record order — the
-/// invariant the sharded pipeline's [`FaultPolicy`] gate depends on — is
-/// therefore exactly the capture's, same as sequential ingest.
-#[derive(Debug)]
+/// A planned ingest of one capture: the reader, positioned after the global
+/// header (the only bytes read so far), and how to decode what follows.
 pub struct IngestQueues {
-    capture: Arc<MappedCapture>,
-    policy: FaultPolicy,
-    checksums: ChecksumPolicy,
+    reader: Box<dyn Read + Send>,
+    decode: Decode,
     queues: usize,
-    ranges: Vec<(usize, usize)>,
 }
 
-/// Decoded bytes the whole queue set may buffer ahead of the merger.
-///
-/// Sizing rationale: the merger consumes queues strictly in capture order,
-/// so every queue after the current one makes progress *only* into its
-/// channel buffer. The old fixed depth of 4 batches (~2 MiB decoded) meant
-/// later queues filled their channels in microseconds and then sat blocked
-/// — the whole decode degenerated to sequential, plus a per-batch copy and
-/// a thread rendezvous per hand-off (measured 2.7× slower than the
-/// single-stream mapped reader). 64 MiB of run-ahead lets each queue of a
-/// typical multi-queue split decode a large fraction of its segment before
-/// ever blocking, which is what actually overlaps the work.
-pub const RUNAHEAD_BYTES: usize = 64 << 20;
-
-/// Per-queue channel depth (in batches) for a `queues`-way split: the
-/// shared [`RUNAHEAD_BYTES`] budget divided evenly, floored at two batches
-/// so a queue can always overlap one decode with one hand-off.
-pub fn queue_depth(queues: usize) -> usize {
-    let batch_bytes = (BATCH_RECORDS * core::mem::size_of::<ProbeRecord>()).max(1);
-    (RUNAHEAD_BYTES / queues.max(1) / batch_bytes).max(2)
+impl core::fmt::Debug for IngestQueues {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("IngestQueues")
+            .field("decode", &self.decode)
+            .field("queues", &self.queues)
+            .finish_non_exhaustive()
+    }
 }
 
-/// Spent batch buffers on their way back to the decode threads. Capacity
-/// recycles through here instead of being freed and re-grown per batch;
-/// the population is naturally bounded by the channel depths (a buffer is
-/// either in a channel, in the merger's hands, or parked here). Distinct
-/// from [`crate::stream::BatchPool`], which recycles inside one thread.
-type RecycledBatches = Arc<Mutex<Vec<Vec<ProbeRecord>>>>;
+fn right_sized(queues: usize) -> usize {
+    queues.min(thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 impl IngestQueues {
-    /// Plan a right-sized multi-queue ingest over a shared mapping: the
-    /// requested queue count is clamped to the machine's available
-    /// parallelism, because queues past the core count cannot overlap any
-    /// work — they only add hand-off and scheduling cost (on a one-core
-    /// box, the unclamped 4-queue decode measured 2.7× slower than the
-    /// single stream). A clamp to one queue decodes *inline*, with no
-    /// threads at all. Fails only if the global header does not parse (no
-    /// framing to partition).
+    /// Plan an ingest of `capture` on `queues` decode threads. The requested
+    /// count is clamped to the machine's available parallelism, because
+    /// decoders past the core count cannot overlap any work — they only add
+    /// hand-off and scheduling cost. A clamp to one queue decodes *inline*,
+    /// with no threads at all. Fails only if the global header does not
+    /// parse (there is no framing to follow).
     pub fn new(
         capture: Arc<MappedCapture>,
         queues: usize,
         policy: FaultPolicy,
     ) -> Result<Self, PcapError> {
-        let cores = thread::available_parallelism().map_or(1, |n| n.get());
-        Self::exact(capture, queues.max(1).min(cores), policy)
+        Self::plan(capture.reader(), right_sized(queues), policy)
     }
 
-    /// Plan exactly `queues` decode queues, even past the machine's
+    /// As [`IngestQueues::new`] over any sendable reader — a capture's
+    /// [`MappedCapture::reader`] under a chaos wrapper, say.
+    pub fn over(
+        reader: impl Read + Send + 'static,
+        queues: usize,
+        policy: FaultPolicy,
+    ) -> Result<Self, PcapError> {
+        Self::plan(Box::new(reader), right_sized(queues), policy)
+    }
+
+    /// Plan exactly `queues` decode threads, even past the machine's
     /// parallelism. The equivalence suite uses this to exercise the
-    /// multi-queue merge paths on any box; production callers want the
-    /// right-sizing of [`IngestQueues::new`].
+    /// threaded merge on any box; production callers want the right-sizing
+    /// of [`IngestQueues::new`].
     pub fn exact(
         capture: Arc<MappedCapture>,
         queues: usize,
         policy: FaultPolicy,
     ) -> Result<Self, PcapError> {
-        let queues = queues.max(1);
-        let slice = PcapSlice::new(capture.as_slice())?;
-        let ranges = slice.partition(queues);
+        Self::plan(capture.reader(), queues, policy)
+    }
+
+    fn plan(
+        mut reader: Box<dyn Read + Send>,
+        queues: usize,
+        policy: FaultPolicy,
+    ) -> Result<Self, PcapError> {
+        let decode = Decode::open(&mut reader, policy)?;
         Ok(Self {
-            capture,
-            policy,
-            checksums: ChecksumPolicy::Trust,
-            queues,
-            ranges,
+            reader,
+            decode,
+            queues: queues.max(1),
         })
     }
 
     /// Set the checksum policy (builder style).
     pub fn checksums(mut self, checksums: ChecksumPolicy) -> Self {
-        self.checksums = checksums;
+        self.decode.checksums = checksums;
         self
     }
 
@@ -889,189 +892,148 @@ impl IngestQueues {
         self.queues
     }
 
-    /// The planned record-boundary-aligned byte ranges, one per queue.
-    pub fn ranges(&self) -> &[(usize, usize)] {
-        &self.ranges
+    /// Start the planned ingest and return the merged, ordered stream: a
+    /// framer thread and one decode thread per queue, or no thread at all
+    /// when the plan is a single queue.
+    pub fn spawn(self) -> PcapStream<Box<dyn Read + Send>> {
+        PcapStream::start(self.reader, self.decode, WINDOW_BYTES, self.queues)
     }
+}
 
-    /// Start the planned ingest and return the merged, ordered stream: one
-    /// decode thread per queue, or the threadless inline decoder when the
-    /// plan collapsed to a single queue.
-    pub fn spawn(self) -> ParallelIngest {
-        if self.queues == 1 {
-            let (start, end) = self.ranges[0];
-            let state = MappedPcapStream::over(
-                // The planner parsed this header in `new`, so the segment
-                // bounds are valid; re-deriving the slice per batch is how
-                // the inline path avoids a self-referential borrow.
-                PcapSlice::new(self.capture.as_slice())
-                    .expect("header parsed at plan time")
-                    .segment(start, end),
-                self.policy,
-            )
-            .checksums(self.checksums)
-            .suspend();
-            return ParallelIngest {
-                backend: IngestBackend::Inline(InlineIngest {
-                    capture: self.capture,
-                    state: Some(state),
-                    batch: Vec::new(),
-                }),
-            };
+/// The framer thread and the decode threads of a multi-queue ingest, seen
+/// from the merger.
+#[derive(Debug)]
+struct Workers {
+    /// Decoded chunks: chunk `n` arrives on channel `n % queues`, so taking
+    /// the channels in rotation is taking the chunks in capture order.
+    decoded: Vec<mpsc::Receiver<Chunk>>,
+    /// Spent chunks on their way back to the framer (`None` once dropping).
+    spent: Option<mpsc::Sender<Chunk>>,
+    next: usize,
+    threads: Vec<thread::JoinHandle<()>>,
+}
+
+impl Workers {
+    /// The channels are unbounded; what bounds memory is the number of
+    /// chunks in existence. The framer can only refill a chunk the merger
+    /// has sent back, so it runs at most that many windows ahead of the
+    /// consumer: one chunk being filled, one being decoded and one decoded
+    /// and waiting per queue — and the stream's own first chunk, which joins
+    /// the cycle at the first hand-back.
+    fn spawn<R>(mut framer: Framer<R>, decode: Decode, queues: usize) -> Self
+    where
+        R: Read + Send + 'static,
+    {
+        let (spent, refill) = mpsc::channel();
+        for _ in 0..2 * queues {
+            spent.send(Chunk::default()).expect("receiver is in scope");
         }
-        let mut receivers = Vec::with_capacity(self.queues);
-        let mut workers = Vec::with_capacity(self.queues);
-        let depth = queue_depth(self.queues);
-        let pool: RecycledBatches = Arc::new(Mutex::new(Vec::new()));
-        for &(start, end) in &self.ranges {
-            let (tx, rx) = mpsc::sync_channel::<QueueMsg>(depth);
-            let capture = Arc::clone(&self.capture);
-            let pool = Arc::clone(&pool);
-            let (policy, checksums) = (self.policy, self.checksums);
-            let handle = thread::spawn(move || {
-                let slice = match PcapSlice::new(capture.as_slice()) {
-                    Ok(slice) => slice.segment(start, end),
-                    Err(e) => {
-                        // The planner already parsed this header; this arm
-                        // is unreachable but must not panic the worker.
-                        let _ = tx.send(QueueMsg::Done(QueueSummary {
-                            faults: FaultCounters::default(),
-                            non_tcp: 0,
-                            order_violations: 0,
-                            error: Some(StreamError::Pcap(e)),
-                        }));
-                        return;
-                    }
-                };
-                let mut stream = MappedPcapStream::over(slice, policy).checksums(checksums);
-                let mut error = None;
-                loop {
-                    let buf = pool
-                        .lock()
-                        .map(|mut parked| parked.pop())
-                        .unwrap_or_default()
-                        .unwrap_or_else(|| Vec::with_capacity(BATCH_RECORDS));
-                    match stream.try_next_owned(buf) {
-                        Ok(Some(batch)) => {
-                            if tx.send(QueueMsg::Batch(batch)).is_err() {
-                                return; // merger dropped; stop decoding
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            error = Some(e);
-                            break;
-                        }
+        let (mut inputs, mut decoded, mut threads) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..queues {
+            let (input, framed) = mpsc::channel::<Chunk>();
+            let (output, results) = mpsc::channel();
+            threads.push(thread::spawn(move || {
+                for mut chunk in framed {
+                    decode.run(&mut chunk);
+                    if output.send(chunk).is_err() {
+                        return; // merger dropped; stop decoding
                     }
                 }
-                let _ = tx.send(QueueMsg::Done(QueueSummary {
-                    faults: stream.faults(),
-                    non_tcp: stream.non_tcp_frames(),
-                    order_violations: stream.order_violations(),
-                    error,
-                }));
-            });
-            receivers.push(rx);
-            workers.push(handle);
+            }));
+            inputs.push(input);
+            decoded.push(results);
         }
-        ParallelIngest {
-            backend: IngestBackend::Threaded(ThreadedIngest {
-                receivers,
-                workers,
-                pool,
-                current_queue: 0,
-                batch: Vec::new(),
-                last_ts: None,
-                at_boundary: false,
-                non_tcp: 0,
-                order_violations: 0,
-                faults: FaultCounters::default(),
-                error: None,
-                done: false,
-            }),
-        }
-    }
-}
-
-/// The merged, capture-ordered stream over an [`IngestQueues`] plan.
-///
-/// Implements [`TryRecordStream`] with the exact single-stream semantics:
-/// batches arrive in capture order, fault counters aggregate across queues,
-/// and the consecutive-record order census accounts for queue boundaries
-/// (the one comparison per boundary the per-queue censuses cannot see).
-/// When the plan collapsed to a single queue this is the threadless inline
-/// decoder — same interface, same bytes, no hand-off cost.
-#[derive(Debug)]
-pub struct ParallelIngest {
-    backend: IngestBackend,
-}
-
-#[derive(Debug)]
-enum IngestBackend {
-    Inline(InlineIngest),
-    Threaded(ThreadedIngest),
-}
-
-/// The single-queue degenerate case: decode on the consumer's own thread.
-/// The stream state is held [`suspend`]ed beside the owned mapping and the
-/// borrow is re-derived per batch, which is cheap (one 24-byte header
-/// parse) and avoids a self-referential struct.
-///
-/// [`suspend`]: MappedPcapStream::suspend
-#[derive(Debug)]
-struct InlineIngest {
-    capture: Arc<MappedCapture>,
-    state: Option<MappedStreamState>,
-    batch: Vec<ProbeRecord>,
-}
-
-impl InlineIngest {
-    fn fill(&mut self) -> Result<bool, StreamError> {
-        let mut state = self.state.take().expect("inline state always parked");
-        let mut stream = match MappedPcapStream::resume(self.capture.as_slice(), state.clone()) {
-            Ok(stream) => stream,
-            Err(e) => {
-                // Unreachable (the header parsed at plan time), but keep
-                // the typed-error contract rather than panicking.
-                state.done = true;
-                state.error = Some(StreamError::Pcap(e));
-                self.state = Some(state);
-                return Err(StreamError::Pcap(e));
+        threads.push(thread::spawn(move || {
+            for seq in 0.. {
+                // Err: the merger is gone and so is every chunk.
+                let Ok(mut chunk) = refill.recv() else { return };
+                chunk.last = framer.next_chunk(&mut chunk);
+                let last = chunk.last;
+                if inputs[seq % queues].send(chunk).is_err() || last {
+                    return;
+                }
             }
-        };
-        let mut batch = std::mem::take(&mut self.batch);
-        let filled = stream.fill_into(&mut batch);
-        self.batch = batch;
-        // Sticky, like `ThreadedIngest::fill`: `error()` keeps what
-        // `try_next_batch` returned.
-        if let Err(e) = filled {
-            stream.error = Some(e);
+        }));
+        Self {
+            decoded,
+            spent: Some(spent),
+            next: 0,
+            threads,
         }
-        self.state = Some(stream.suspend());
-        filled
     }
 
-    fn view(&self) -> (&MappedStreamState, &[ProbeRecord]) {
-        (
-            self.state.as_ref().expect("inline state always parked"),
-            &self.batch,
-        )
+    /// Hand back the chunk the consumer is done with and wait for the next
+    /// one in capture order. `None` if its thread died before producing it.
+    fn next(&mut self, spent: Chunk) -> Option<Chunk> {
+        if let Some(framer) = &self.spent {
+            // A send fails only if the framer died; the recv below says so.
+            let _ = framer.send(spent);
+        }
+        let chunk = self.decoded[self.next % self.decoded.len()].recv().ok()?;
+        self.next += 1;
+        Some(chunk)
+    }
+}
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        // With both ends of the cycle closed every thread's next channel
+        // operation fails and it returns; then reap. A thread that panicked
+        // has already been reported as a truncated stream.
+        self.decoded.clear();
+        self.spent = None;
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
     }
 }
 
 #[derive(Debug)]
-struct ThreadedIngest {
-    receivers: Vec<mpsc::Receiver<QueueMsg>>,
-    workers: Vec<thread::JoinHandle<()>>,
-    pool: RecycledBatches,
-    current_queue: usize,
-    batch: Vec<ProbeRecord>,
-    /// Timestamp of the last record delivered to the consumer, across queue
-    /// boundaries (`None` until the first record).
-    last_ts: Option<u64>,
-    /// True when the next batch is the first since a queue switch, so its
-    /// leading record must be order-checked against `last_ts`.
-    at_boundary: bool,
+enum Source<R> {
+    /// Frame and decode on the consumer's thread, one chunk at a time.
+    Inline(Framer<R>, Decode),
+    /// Framed and decoded ahead of the consumer on other threads.
+    Threaded(Workers),
+}
+
+/// An incremental pcap import: the capture-ordered, policy-aware record
+/// stream every ingest mode ends in. Records are parsed off the reader one
+/// window at a time, so analysis memory stays O(window) for arbitrarily
+/// large files (and for stdin, which cannot be sized up front at all).
+///
+/// Non-TCP frames are skipped and counted ([`PcapStream::non_tcp_frames`]).
+/// Timestamp-order violations *between consecutive parsed records* are
+/// counted ([`PcapStream::order_violations`]) so a streaming consumer —
+/// whose [`RecordStream`] contract promises time order — can detect an
+/// unsorted capture and tell the caller to materialize-and-sort instead.
+///
+/// What happens on a pcap fault depends on the [`FaultPolicy`]:
+///
+/// * [`FaultPolicy::Fail`] (default) — the fault is terminal. Through the
+///   fallible [`TryRecordStream`] interface every record ahead of the fault
+///   is yielded, then the fault surfaces as `Err`; through the legacy
+///   [`RecordStream`] interface the stream ends early and the fault is
+///   readable via [`PcapStream::error`].
+/// * [`FaultPolicy::SkipRecord`] — recoverable faults (the reader is still
+///   aligned) drop that record and continue; unrecoverable ones end the
+///   stream cleanly. Everything dropped is tallied in
+///   [`PcapStream::faults`].
+/// * [`FaultPolicy::StopClean`] — the first fault ends the stream cleanly,
+///   keeping the parsed prefix.
+///
+/// [`PcapStream::new`] decodes on the calling thread; [`IngestQueues`]
+/// starts the same stream with the decode fanned out. Either way the
+/// records, counters and terminal error are those of one sequential reader.
+#[derive(Debug)]
+pub struct PcapStream<R: Read> {
+    source: Source<R>,
+    /// The chunk whose records the consumer currently borrows.
+    current: Chunk,
+    /// Timestamp of the last record merged so far (the decoders' census
+    /// starts from 0, so this one does too).
+    last_ts: u64,
+    /// Records handed to the consumer so far.
+    delivered: u64,
     non_tcp: u64,
     order_violations: u64,
     faults: FaultCounters,
@@ -1079,123 +1041,155 @@ struct ThreadedIngest {
     done: bool,
 }
 
-impl ParallelIngest {
-    /// Frames that were not parseable IPv4/TCP, across all queues drained
-    /// so far.
+impl<R: Read> PcapStream<R> {
+    /// Open a classic pcap stream (parses the global header eagerly, so a
+    /// non-pcap input fails here, not on the first batch) with the strict
+    /// [`FaultPolicy::Fail`] policy.
+    pub fn new(reader: R) -> Result<Self, PcapError> {
+        Self::with_policy(reader, FaultPolicy::Fail)
+    }
+
+    /// As [`PcapStream::new`] with an explicit fault policy. The global
+    /// header must parse under every policy — without it there is no
+    /// framing to recover to.
+    pub fn with_policy(mut reader: R, policy: FaultPolicy) -> Result<Self, PcapError> {
+        let decode = Decode::open(&mut reader, policy)?;
+        let framer = Framer::new(reader, decode.meta, WINDOW_BYTES);
+        Ok(Self::from_source(Source::Inline(framer, decode)))
+    }
+
+    fn from_source(source: Source<R>) -> Self {
+        Self {
+            source,
+            current: Chunk::default(),
+            last_ts: 0,
+            delivered: 0,
+            non_tcp: 0,
+            order_violations: 0,
+            faults: FaultCounters::default(),
+            error: None,
+            done: false,
+        }
+    }
+
+    /// Frames that were not parseable IPv4/TCP (skipped, as the SYN filter
+    /// would drop them anyway), in the chunks merged so far.
     pub fn non_tcp_frames(&self) -> u64 {
-        match &self.backend {
-            IngestBackend::Inline(inline) => inline.view().0.non_tcp,
-            IngestBackend::Threaded(threaded) => threaded.non_tcp,
-        }
+        self.non_tcp
     }
 
-    /// Consecutive-record timestamp inversions, including queue-boundary
-    /// comparisons.
+    /// Consecutive-record timestamp inversions seen so far, chunk
+    /// boundaries included. Zero for every capture written in arrival order
+    /// (telescope captures are).
     pub fn order_violations(&self) -> u64 {
-        match &self.backend {
-            IngestBackend::Inline(inline) => inline.view().0.order_violations,
-            IngestBackend::Threaded(threaded) => threaded.order_violations,
-        }
+        self.order_violations
     }
 
-    /// Aggregated fault tally of all queues drained so far.
+    /// What the fault policy skipped or cut short on this stream.
     pub fn faults(&self) -> FaultCounters {
-        match &self.backend {
-            IngestBackend::Inline(inline) => inline.view().0.faults,
-            IngestBackend::Threaded(threaded) => threaded.faults,
-        }
+        self.faults
     }
 
-    /// The error that ended the stream, if any (also surfaced through
-    /// [`TryRecordStream::try_next_batch`] under [`FaultPolicy::Fail`]).
+    /// The error that ended the stream, if it did not end at a clean EOF.
     pub fn error(&self) -> Option<StreamError> {
-        match &self.backend {
-            IngestBackend::Inline(inline) => inline.view().0.error,
-            IngestBackend::Threaded(threaded) => threaded.error,
-        }
+        self.error
     }
-}
 
-impl ThreadedIngest {
-    fn fill(&mut self) -> Result<bool, StreamError> {
-        if self.done {
-            return Ok(false);
+    /// Drain the stream into memory: the records, and what the policy had
+    /// to skip to produce them.
+    pub fn into_records(mut self) -> Result<(Vec<ProbeRecord>, FaultCounters), StreamError> {
+        let mut records = Vec::new();
+        while let Some(batch) = self.try_next_batch()? {
+            records.extend_from_slice(batch);
         }
-        while self.current_queue < self.receivers.len() {
-            match self.receivers[self.current_queue].recv() {
-                Ok(QueueMsg::Batch(batch)) => {
-                    debug_assert!(!batch.is_empty(), "streams never yield empty batches");
-                    if self.at_boundary {
-                        // The queue-boundary comparison: inside a queue the
-                        // worker's own census counts every consecutive pair
-                        // (its local last_ts persists across its batches),
-                        // but a worker starts at last_ts = 0, so the pair
-                        // spanning the queue switch is visible only here.
-                        if let (Some(last), Some(first)) = (self.last_ts, batch.first()) {
-                            if first.ts_micros < last {
-                                self.order_violations += 1;
-                            }
-                        }
-                        self.at_boundary = false;
-                    }
-                    self.last_ts = batch.last().map(|r| r.ts_micros).or(self.last_ts);
-                    let spent = std::mem::replace(&mut self.batch, batch);
-                    if spent.capacity() > 0 {
-                        if let Ok(mut parked) = self.pool.lock() {
-                            parked.push(spent);
-                        }
-                    }
-                    return Ok(true);
-                }
-                Ok(QueueMsg::Done(summary)) => {
-                    self.faults.absorb(&summary.faults);
-                    self.non_tcp += summary.non_tcp;
-                    self.order_violations += summary.order_violations;
-                    if let Some(e) = summary.error {
+        Ok((records, self.faults))
+    }
+
+    fn fail(&mut self, e: StreamError) -> Result<bool, StreamError> {
+        self.done = true;
+        self.error = Some(e);
+        Err(e)
+    }
+
+    /// Merge the next chunk with records into `self.current`; `Ok(false)` at
+    /// the end of the stream, which is sticky.
+    fn fill(&mut self) -> Result<bool, StreamError> {
+        while !self.done {
+            if self.current.ends_stream() {
+                return match self.current.error {
+                    Some(e) => self.fail(e),
+                    None => {
                         self.done = true;
-                        self.error = Some(e);
-                        return Err(e);
+                        Ok(false)
                     }
-                    self.current_queue += 1;
-                    self.at_boundary = true;
+                };
+            }
+            let spent = std::mem::take(&mut self.current);
+            let chunk = match &mut self.source {
+                Source::Inline(framer, decode) => {
+                    let mut chunk = spent;
+                    chunk.last = framer.next_chunk(&mut chunk);
+                    decode.run(&mut chunk);
+                    chunk
                 }
-                Err(_) => {
-                    // Worker died without a summary (panic); surface as a
-                    // truncation rather than hanging or panicking the
-                    // consumer.
-                    self.done = true;
-                    let e = StreamError::Truncated { records_seen: 0 };
-                    self.error = Some(e);
-                    return Err(e);
+                Source::Threaded(workers) => match workers.next(spent) {
+                    Some(chunk) => chunk,
+                    // A thread died mid-capture (a panicking reader, say):
+                    // surface a truncation rather than hang or unwind into
+                    // the consumer.
+                    None => {
+                        return self.fail(StreamError::Truncated {
+                            records_seen: self.delivered,
+                        })
+                    }
+                },
+            };
+            // Inside a chunk the decoder's own census compares every
+            // consecutive pair, but it starts from nothing, so the pair
+            // spanning two chunks is visible only here.
+            if let (Some(first), Some(last)) = (chunk.records.first(), chunk.records.last()) {
+                if first.ts_micros < self.last_ts {
+                    self.order_violations += 1;
                 }
+                self.last_ts = last.ts_micros;
+            }
+            self.order_violations += chunk.order_violations;
+            self.non_tcp += chunk.non_tcp;
+            self.faults.absorb(&chunk.faults);
+            self.delivered += chunk.records.len() as u64;
+            self.current = chunk;
+            if !self.current.records.is_empty() {
+                return Ok(true);
             }
         }
-        self.done = true;
         Ok(false)
     }
 }
 
-impl TryRecordStream for ParallelIngest {
-    fn try_next_batch(&mut self) -> Result<Option<&[ProbeRecord]>, StreamError> {
-        match &mut self.backend {
-            IngestBackend::Inline(inline) => match inline.fill()? {
-                true => Ok(Some(&inline.batch)),
-                false => Ok(None),
-            },
-            IngestBackend::Threaded(threaded) => match threaded.fill()? {
-                true => Ok(Some(&threaded.batch)),
-                false => Ok(None),
-            },
-        }
+impl<R: Read + Send + 'static> PcapStream<R> {
+    /// Start a stream over `reader` (positioned after the global header)
+    /// with `queues` decoders and `window` fresh bytes per refill.
+    fn start(reader: R, decode: Decode, window: usize, queues: usize) -> Self {
+        let framer = Framer::new(reader, decode.meta, window);
+        Self::from_source(match queues {
+            0 | 1 => Source::Inline(framer, decode),
+            _ => Source::Threaded(Workers::spawn(framer, decode, queues)),
+        })
     }
 }
 
-impl Drop for ThreadedIngest {
-    fn drop(&mut self) {
-        // Unblock producers by dropping the receivers, then reap.
-        self.receivers.clear();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+impl<R: Read> RecordStream for PcapStream<R> {
+    fn next_batch(&mut self) -> Option<&[ProbeRecord]> {
+        // The error, if any, stays readable through `error()`.
+        self.try_next_batch().ok().flatten()
+    }
+}
+
+impl<R: Read> TryRecordStream for PcapStream<R> {
+    fn try_next_batch(&mut self) -> Result<Option<&[ProbeRecord]>, StreamError> {
+        match self.fill()? {
+            true => Ok(Some(&self.current.records)),
+            false => Ok(None),
         }
     }
 }
@@ -1205,7 +1199,17 @@ mod tests {
     use super::*;
     use crate::pcap::{PcapReader, PcapWriter, LINKTYPE_ETHERNET};
     use crate::probe::SynFrameBuilder;
+    use std::collections::HashSet;
     use std::io::Cursor;
+
+    const POLICIES: [FaultPolicy; 3] = [
+        FaultPolicy::Fail,
+        FaultPolicy::SkipRecord,
+        FaultPolicy::StopClean,
+    ];
+
+    /// Bytes of one canonical probe record in a capture.
+    const RECORD: usize = RECORD_HEADER_LEN + 54;
 
     fn record(i: u64) -> ProbeRecord {
         ProbeRecord {
@@ -1233,12 +1237,153 @@ mod tests {
         writer.into_inner().unwrap()
     }
 
-    fn drain(stream: &mut impl TryRecordStream) -> Result<Vec<ProbeRecord>, StreamError> {
-        let mut out = Vec::new();
-        while let Some(batch) = stream.try_next_batch()? {
-            out.extend_from_slice(batch);
+    /// Deterministic xorshift so the drills need no RNG dependency.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A capture of `n` records with pseudo-random frame sizes and contents
+    /// (mostly non-TCP, so decode outcomes vary across chunk edges) — the
+    /// generator of `tests/ingest_equivalence.rs`.
+    fn fuzz_capture(seed: u64, n: usize) -> Vec<u8> {
+        let mut state = seed | 1;
+        let mut writer = PcapWriter::new(Vec::new(), LINKTYPE_ETHERNET).unwrap();
+        for i in 0..n {
+            let len = 1 + (xorshift(&mut state) % 120) as usize;
+            let frame: Vec<u8> = (0..len)
+                .map(|j| (xorshift(&mut state) ^ j as u64) as u8)
+                .collect();
+            writer.write_record(1_000_000 + i as u64, &frame).unwrap();
         }
-        Ok(out)
+        writer.into_inner().unwrap()
+    }
+
+    /// A record header with free-form lengths, followed by `body` bytes.
+    fn raw_record(bytes: &mut Vec<u8>, incl: u32, orig: u32, body: usize) {
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&incl.to_le_bytes());
+        bytes.extend_from_slice(&orig.to_le_bytes());
+        bytes.resize(bytes.len() + body, 0xa5);
+    }
+
+    /// The corrupt-capture corpus of the integration suites.
+    fn corpus() -> Vec<(String, Vec<u8>)> {
+        macro_rules! corpus_file {
+            ($name:literal) => {
+                (
+                    $name.to_string(),
+                    include_bytes!(concat!("../../../tests/data/corrupt/", $name, ".pcap"))
+                        .to_vec(),
+                )
+            };
+        }
+        vec![
+            corpus_file!("bad_magic"),
+            corpus_file!("truncated_header"),
+            corpus_file!("truncated_record"),
+            corpus_file!("snaplen_overflow"),
+            corpus_file!("zero_length"),
+        ]
+    }
+
+    /// A `Read` that hands out one byte per call: every refill is made of
+    /// short reads, and end of input arrives on a call of its own.
+    struct Trickle(Cursor<Vec<u8>>);
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(1);
+            self.0.read(&mut buf[..n])
+        }
+    }
+
+    /// Everything observable about one pass over a capture.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        records: Vec<ProbeRecord>,
+        terminal: Option<StreamError>,
+        non_tcp: u64,
+        order_violations: u64,
+        faults: FaultCounters,
+    }
+
+    fn drain(stream: &mut impl TryRecordStream) -> (Vec<ProbeRecord>, Option<StreamError>) {
+        let mut records = Vec::new();
+        loop {
+            match stream.try_next_batch() {
+                Ok(Some(batch)) => records.extend_from_slice(batch),
+                Ok(None) => return (records, None),
+                Err(e) => return (records, Some(e)),
+            }
+        }
+    }
+
+    /// The reference: one [`MappedPcapStream`] over the whole buffer. Batches
+    /// of one, because it drops the batch a terminal error interrupts, and
+    /// the windowed stream promises every record ahead of the fault.
+    fn reference(bytes: &[u8], policy: FaultPolicy) -> Result<Outcome, PcapError> {
+        let mut stream = MappedPcapStream::with_policy(bytes, policy)?.batch_target(1);
+        let (records, terminal) = drain(&mut stream);
+        Ok(Outcome {
+            records,
+            terminal,
+            non_tcp: stream.non_tcp_frames(),
+            order_violations: stream.order_violations(),
+            faults: stream.faults(),
+        })
+    }
+
+    fn windowed_over<R: Read + Send + 'static>(
+        mut reader: R,
+        policy: FaultPolicy,
+        window: usize,
+        queues: usize,
+    ) -> Result<Outcome, PcapError> {
+        let decode = Decode::open(&mut reader, policy)?;
+        let mut stream = PcapStream::start(reader, decode, window, queues);
+        let (records, terminal) = drain(&mut stream);
+        assert_eq!(stream.error(), terminal, "the terminal error sticks");
+        assert!(
+            matches!(stream.try_next_batch(), Ok(None)),
+            "the end is sticky"
+        );
+        Ok(Outcome {
+            records,
+            terminal,
+            non_tcp: stream.non_tcp_frames(),
+            order_violations: stream.order_violations(),
+            faults: stream.faults(),
+        })
+    }
+
+    fn windowed(
+        bytes: &[u8],
+        policy: FaultPolicy,
+        window: usize,
+        queues: usize,
+    ) -> Result<Outcome, PcapError> {
+        windowed_over(Cursor::new(bytes.to_vec()), policy, window, queues)
+    }
+
+    /// The framer's chunks over the record area of `bytes`, as
+    /// `(bytes, last)` pairs.
+    fn chunks_of(bytes: &[u8], window: usize) -> Vec<(Vec<u8>, bool)> {
+        let mut reader = Cursor::new(bytes.to_vec());
+        let meta = GlobalHeader::read(&mut reader).unwrap();
+        let mut framer = Framer::new(reader, meta, window);
+        let mut chunk = Chunk::default();
+        let mut chunks = Vec::new();
+        loop {
+            let last = framer.next_chunk(&mut chunk);
+            chunks.push((chunk.bytes[..chunk.len].to_vec(), last));
+            if last {
+                return chunks;
+            }
+        }
     }
 
     #[test]
@@ -1316,7 +1461,7 @@ mod tests {
         let records: Vec<ProbeRecord> = (0..5000).map(record).collect();
         let bytes = capture_of(&records);
         let mut stream = MappedPcapStream::new(&bytes).unwrap();
-        assert_eq!(drain(&mut stream).unwrap(), records);
+        assert_eq!(drain(&mut stream), (records, None));
         assert_eq!(stream.non_tcp_frames(), 0);
         assert_eq!(stream.order_violations(), 0);
         assert!(!stream.faults().any());
@@ -1337,147 +1482,332 @@ mod tests {
 
         // Under the skip policy the tear's bytes land in the counters.
         let mut stream = MappedPcapStream::with_policy(&bytes, FaultPolicy::SkipRecord).unwrap();
-        let parsed = drain(&mut stream).unwrap();
-        assert_eq!(parsed.len(), 3);
+        let (parsed, terminal) = drain(&mut stream);
+        assert_eq!((parsed.len(), terminal), (3, None));
         assert_eq!(stream.faults().streams_truncated, 1);
         assert_eq!(stream.faults().bytes_dropped, 11);
     }
 
-    #[test]
-    fn partition_tiles_the_capture_on_record_boundaries() {
-        let records: Vec<ProbeRecord> = (0..100).map(record).collect();
-        let bytes = capture_of(&records);
-        let slice = PcapSlice::new(&bytes).unwrap();
-        for parts in [1usize, 2, 3, 7, 100, 128] {
-            let ranges = slice.partition(parts);
-            assert_eq!(ranges.len(), parts);
-            assert_eq!(ranges[0].0, GLOBAL_HEADER_LEN);
-            assert_eq!(ranges.last().unwrap().1, bytes.len());
-            let mut total = 0usize;
-            for window in ranges.windows(2) {
-                assert_eq!(window[0].1, window[1].0, "ranges tile with no gaps");
-            }
-            for &(start, end) in &ranges {
-                let mut seg = slice.segment(start, end);
-                let mut n = 0;
-                while seg.next_frame().unwrap().is_some() {
-                    n += 1;
-                }
-                total += n;
-            }
-            assert_eq!(total, 100, "{parts} parts re-parse every record");
-        }
-    }
+    /// The window sizes that put every kind of edge somewhere in a capture
+    /// of canonical records: mid-header, mid-body, on a boundary, one byte
+    /// either side of it, many records per window, and everything in one.
+    const WINDOWS: [usize; 7] = [1, 2, RECORD - 1, RECORD, RECORD + 1, 4096, WINDOW_BYTES];
 
-    #[test]
-    fn partition_keeps_the_fault_in_the_last_range() {
-        let mut bytes = capture_of(&(0..40).map(record).collect::<Vec<_>>());
-        bytes.truncate(bytes.len() - 5); // tear the last record's body
-        let slice = PcapSlice::new(&bytes).unwrap();
-        let ranges = slice.partition(4);
-        for &(start, end) in &ranges[..3] {
-            let mut seg = slice.segment(start, end);
-            while seg.next_frame().expect("early ranges are clean").is_some() {}
-        }
-        let mut last = slice.segment(ranges[3].0, ranges[3].1);
-        let mut saw_fault = false;
-        loop {
-            match last.next_frame() {
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(e) => {
-                    assert!(matches!(e, PcapError::TruncatedRecordBody { .. }));
-                    saw_fault = true;
-                    break;
-                }
+    /// What the matrix runs over: the corrupt corpus, a clean capture a few
+    /// 4 KiB windows long, the fuzzed captures, and hand-built captures with
+    /// a fault in the middle (so chunks *after* the terminal one exist).
+    fn matrix_captures() -> Vec<(String, Vec<u8>)> {
+        let mut captures = corpus();
+        let clean = capture_of(&(0..300).map(record).collect::<Vec<_>>());
+        for seed in [7u64, 0xf00d, 0xfeed_5eed] {
+            for n in [1, 13, 64] {
+                captures.push((format!("fuzz {seed:#x}/{n}"), fuzz_capture(seed, n)));
             }
         }
-        assert!(saw_fault, "the tear replays in the final range");
-    }
-
-    #[test]
-    fn parallel_ingest_equals_sequential_order_and_counters() {
-        let records: Vec<ProbeRecord> = (0..10_000).map(record).collect();
-        let bytes = capture_of(&records);
-        for queues in [1usize, 2, 3, 8] {
-            let capture = Arc::new(MappedCapture::from_bytes(bytes.clone()));
-            let mut merged = IngestQueues::exact(capture, queues, FaultPolicy::Fail)
-                .unwrap()
-                .spawn();
-            assert_eq!(drain(&mut merged).unwrap(), records, "queues={queues}");
-            assert_eq!(merged.non_tcp_frames(), 0);
-            assert_eq!(merged.order_violations(), 0);
-            assert!(!merged.faults().any());
-        }
-    }
-
-    #[test]
-    fn parallel_ingest_counts_queue_boundary_order_violations() {
-        // Records in *descending* time order: every consecutive pair is a
-        // violation (n-1 of them), wherever the queue boundaries fall.
-        let records: Vec<ProbeRecord> = (0..500)
+        // A zero-length record, then an oversized length field, each with
+        // clean records on both sides.
+        let tail = &clean[GLOBAL_HEADER_LEN + 200 * RECORD..];
+        let mut zero_mid = clean[..GLOBAL_HEADER_LEN + 200 * RECORD].to_vec();
+        raw_record(&mut zero_mid, 4, 0, 4);
+        zero_mid.extend_from_slice(tail);
+        let mut snap_mid = clean[..GLOBAL_HEADER_LEN + 200 * RECORD].to_vec();
+        raw_record(&mut snap_mid, MAX_SNAPLEN + 1, 60, 0);
+        snap_mid.extend_from_slice(tail);
+        // Descending timestamps: every consecutive pair is an inversion,
+        // wherever the chunk edges fall.
+        let unordered: Vec<ProbeRecord> = (0..300)
             .map(|i| ProbeRecord {
                 ts_micros: 1_000_000 - i,
                 ..record(i)
             })
             .collect();
-        let bytes = capture_of(&records);
-        let mut sequential = MappedPcapStream::new(&bytes).unwrap();
-        drain(&mut sequential).unwrap();
-        assert_eq!(sequential.order_violations(), 499);
-        for queues in [2usize, 3, 5] {
-            let capture = Arc::new(MappedCapture::from_bytes(bytes.clone()));
-            let mut merged = IngestQueues::exact(capture, queues, FaultPolicy::Fail)
-                .unwrap()
-                .spawn();
-            drain(&mut merged).unwrap();
-            assert_eq!(
-                merged.order_violations(),
-                499,
-                "queues={queues}: boundary comparisons are accounted"
+        captures.push(("clean".into(), clean));
+        captures.push(("zero-length mid-capture".into(), zero_mid));
+        captures.push(("snaplen overflow mid-capture".into(), snap_mid));
+        captures.push(("unordered".into(), capture_of(&unordered)));
+        captures
+    }
+
+    #[test]
+    fn window_edge_matrix_equals_the_whole_buffer_stream() {
+        for (name, bytes) in matrix_captures() {
+            for policy in POLICIES {
+                let expected = reference(&bytes, policy);
+                for window in WINDOWS {
+                    for queues in [1, 2, 3, 7] {
+                        let label = format!("{name} {policy:?} window={window} queues={queues}");
+                        assert_eq!(
+                            expected,
+                            windowed(&bytes, policy, window, queues),
+                            "{label}"
+                        );
+                        assert_eq!(
+                            expected,
+                            windowed_over(
+                                Trickle(Cursor::new(bytes.clone())),
+                                policy,
+                                window,
+                                queues
+                            ),
+                            "{label}, one byte per read"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn truncation_at_every_byte_offset_equals_the_whole_buffer_stream() {
+        // Mixed record sizes, one of them a recoverable zero-length record,
+        // so a cut lands in every kind of place.
+        let mut full = fuzz_capture(0x7ea2, 3);
+        raw_record(&mut full, 4, 0, 4);
+        full.extend_from_slice(&capture_of(&[record(1), record(2)])[GLOBAL_HEADER_LEN..]);
+        for cut in 0..=full.len() {
+            let bytes = &full[..cut];
+            for policy in POLICIES {
+                let expected = reference(bytes, policy);
+                for window in [1, RECORD - 1, 4096] {
+                    for queues in [1, 3] {
+                        assert_eq!(
+                            expected,
+                            windowed(bytes, policy, window, queues),
+                            "cut at {cut} of {} {policy:?} window={window} queues={queues}",
+                            full.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn framer_chunks_tile_the_record_area_and_only_the_last_is_not_whole_records() {
+        let mut captures: Vec<(String, Vec<u8>)> = matrix_captures()
+            .into_iter()
+            .filter(|(_, bytes)| PcapSlice::new(bytes).is_ok())
+            .collect();
+        let mut torn = capture_of(&(0..40).map(record).collect::<Vec<_>>());
+        torn.truncate(torn.len() - 5);
+        captures.push(("torn tail".into(), torn));
+        for (name, bytes) in captures {
+            let meta = PcapSlice::new(&bytes).unwrap().header();
+            for window in WINDOWS {
+                let label = format!("{name} window={window}");
+                let chunks = chunks_of(&bytes, window);
+                let tiled: Vec<u8> = chunks.iter().flat_map(|(b, _)| b.clone()).collect();
+                let area = &bytes[GLOBAL_HEADER_LEN..];
+                let (last, body) = chunks.split_last().unwrap();
+                assert!(last.1, "{label}: the final chunk says so");
+                if tiled != area {
+                    // Stopping short is for lost framing only: the final
+                    // chunk then holds the length field that lost it.
+                    assert!(area.starts_with(&tiled), "{label}: no gap, no overlap");
+                    let mut slice = PcapSlice::records(&last.0, meta);
+                    let lost = loop {
+                        match slice.next_frame() {
+                            Ok(Some(_)) => {}
+                            Ok(None) => break None,
+                            Err(e) => break Some(e),
+                        }
+                    };
+                    assert!(
+                        matches!(lost, Some(PcapError::SnapLenOverflow(_))),
+                        "{label}: stopped short of the end on {lost:?}"
+                    );
+                }
+                for (chunk, is_last) in body {
+                    assert!(!is_last && !chunk.is_empty(), "{label}");
+                    let mut slice = PcapSlice::records(chunk, meta);
+                    loop {
+                        match slice.next_frame() {
+                            Ok(Some(_)) => {}
+                            Ok(None) => break,
+                            // Keeps framing, so the framer walks over it.
+                            Err(e) if e.recoverable() => {}
+                            Err(e) => panic!("{label}: {e} ahead of the final chunk"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_io_error_is_a_truncation_with_the_usual_typed_fault() {
+        /// Fails for good once `good` bytes have been read.
+        struct Failing(Cursor<Vec<u8>>, usize);
+        impl Read for Failing {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let left = self.1 - self.0.position() as usize;
+                if left == 0 {
+                    return Err(io::Error::other("disk on fire"));
+                }
+                let n = buf.len().min(left);
+                self.0.read(&mut buf[..n])
+            }
+        }
+        let bytes = capture_of(&(0..100).map(record).collect::<Vec<_>>());
+        let good = GLOBAL_HEADER_LEN + 40 * RECORD + 30;
+        for policy in POLICIES {
+            let expected = reference(&bytes[..good], policy);
+            for (window, queues) in [(4096, 1), (4096, 2), (WINDOW_BYTES, 3)] {
+                let failing = Failing(Cursor::new(bytes.clone()), good);
+                assert_eq!(
+                    expected,
+                    windowed_over(failing, policy, window, queues),
+                    "{policy:?} window={window} queues={queues}"
+                );
+            }
+        }
+        // An unreadable global header fails at open, as a short one does.
+        let failing = Failing(Cursor::new(bytes), 10);
+        assert_eq!(
+            PcapStream::new(failing).err(),
+            Some(PcapError::TruncatedGlobalHeader)
+        );
+    }
+
+    #[test]
+    fn a_dead_worker_reports_the_records_actually_delivered() {
+        /// Panics on its `k`-th call.
+        struct Panicking(Cursor<Vec<u8>>, usize);
+        impl Read for Panicking {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.1 -= 1;
+                assert!(self.1 > 0, "reader gives up (this panic is the test)");
+                self.0.read(buf)
+            }
+        }
+        let records: Vec<ProbeRecord> = (0..2_000).map(record).collect();
+        let mut reader = Panicking(Cursor::new(capture_of(&records)), 6);
+        let decode = Decode::open(&mut reader, FaultPolicy::Fail).unwrap();
+        // One read per 4 KiB window: four windows are framed before the
+        // sixth call (the header took the first) kills the framer thread.
+        let mut stream = PcapStream::start(reader, decode, 4096, 2);
+        let (delivered, terminal) = drain(&mut stream);
+        // 4096 = 58 records + 36 bytes, and the 36-byte carry repeats.
+        let whole_records = 4 * 58;
+        assert_eq!(delivered.len() as u64, whole_records);
+        assert_eq!(delivered, records[..delivered.len()]);
+        assert_eq!(
+            terminal,
+            Some(StreamError::Truncated {
+                records_seen: whole_records
+            })
+        );
+        assert_eq!(stream.error(), terminal);
+    }
+
+    #[test]
+    fn buffers_recycle_so_memory_is_bounded_by_the_chunks_in_flight() {
+        // 64 windows of capture; the stream may only ever touch the buffers
+        // of its fixed set of chunks, each allocated once at window size.
+        let window = 4096;
+        let bytes = capture_of(
+            &(0..(64 * window / RECORD) as u64)
+                .map(record)
+                .collect::<Vec<_>>(),
+        );
+        for queues in [1usize, 2, 3] {
+            let mut reader = Cursor::new(bytes.clone());
+            let decode = Decode::open(&mut reader, FaultPolicy::Fail).unwrap();
+            let mut stream = PcapStream::start(reader, decode, window, queues);
+            let (mut byte_buffers, mut batches, mut chunks) = (HashSet::new(), HashSet::new(), 0);
+            while let Some(batch) = stream.try_next_batch().unwrap() {
+                batches.insert(batch.as_ptr());
+                byte_buffers.insert(stream.current.bytes.as_ptr());
+                assert_eq!(stream.current.bytes.len(), window);
+                chunks += 1;
+            }
+            assert!(chunks >= 64, "queues={queues}: {chunks} chunks");
+            let in_flight = if queues == 1 { 1 } else { 2 * queues + 1 };
+            assert!(
+                byte_buffers.len() <= in_flight && batches.len() <= in_flight,
+                "queues={queues}: {} byte buffers and {} batch buffers for {in_flight} chunks",
+                byte_buffers.len(),
+                batches.len()
             );
         }
     }
 
     #[test]
-    fn parallel_ingest_surfaces_the_tail_fault_under_fail() {
-        let mut bytes = capture_of(&(0..200).map(record).collect::<Vec<_>>());
-        bytes.truncate(bytes.len() - 9);
-        let capture = Arc::new(MappedCapture::from_bytes(bytes));
-        let mut merged = IngestQueues::exact(capture, 3, FaultPolicy::Fail)
-            .unwrap()
-            .spawn();
-        let err = drain(&mut merged).unwrap_err();
-        assert!(matches!(
-            err,
-            StreamError::Pcap(PcapError::TruncatedRecordBody { .. })
-        ));
+    fn dropping_the_stream_early_stops_the_workers() {
+        // The capture is far longer than the chunks in flight, so the framer
+        // is parked waiting for a buffer when the stream goes away; drop
+        // must wake it and join every thread rather than hang.
+        let bytes = capture_of(&(0..20_000).map(record).collect::<Vec<_>>());
+        let mut stream = {
+            let mut reader = Cursor::new(bytes);
+            let decode = Decode::open(&mut reader, FaultPolicy::Fail).unwrap();
+            PcapStream::start(reader, decode, 4096, 3)
+        };
+        assert!(stream.try_next_batch().unwrap().is_some());
+        drop(stream);
     }
 
     #[test]
-    fn parallel_ingest_skip_policy_keeps_the_clean_prefix() {
+    fn ingest_queues_equal_the_sequential_stream_over_a_shared_capture() {
+        let records: Vec<ProbeRecord> = (0..10_000).map(record).collect();
+        let capture = Arc::new(MappedCapture::from_bytes(capture_of(&records)));
+        for queues in [1usize, 2, 3, 8] {
+            let mut merged = IngestQueues::exact(Arc::clone(&capture), queues, FaultPolicy::Fail)
+                .unwrap()
+                .spawn();
+            assert_eq!(
+                drain(&mut merged),
+                (records.clone(), None),
+                "queues={queues}"
+            );
+            assert_eq!(merged.non_tcp_frames(), 0);
+            assert_eq!(merged.order_violations(), 0);
+            assert!(!merged.faults().any());
+            assert_eq!(merged.error(), None);
+        }
+    }
+
+    #[test]
+    fn ingest_queues_apply_the_policy_to_a_torn_tail() {
         let records: Vec<ProbeRecord> = (0..200).map(record).collect();
         let mut bytes = capture_of(&records);
         bytes.truncate(bytes.len() - 9);
         let capture = Arc::new(MappedCapture::from_bytes(bytes));
-        let mut merged = IngestQueues::exact(capture, 4, FaultPolicy::SkipRecord)
-            .unwrap()
-            .spawn();
-        let parsed = drain(&mut merged).unwrap();
-        assert_eq!(parsed, records[..199].to_vec());
-        assert_eq!(merged.faults().streams_truncated, 1);
+        for queues in [1usize, 3] {
+            let mut strict = IngestQueues::exact(Arc::clone(&capture), queues, FaultPolicy::Fail)
+                .unwrap()
+                .spawn();
+            let (parsed, terminal) = drain(&mut strict);
+            assert_eq!(parsed, records[..199], "every record ahead of the tear");
+            assert!(matches!(
+                terminal,
+                Some(StreamError::Pcap(PcapError::TruncatedRecordBody { .. }))
+            ));
+            assert_eq!(strict.error(), terminal, "and the error sticks");
+
+            let (parsed, faults) =
+                IngestQueues::exact(Arc::clone(&capture), queues, FaultPolicy::SkipRecord)
+                    .unwrap()
+                    .spawn()
+                    .into_records()
+                    .unwrap();
+            assert_eq!(parsed, records[..199]);
+            assert_eq!(faults.streams_truncated, 1);
+        }
     }
 
     #[test]
     fn empty_capture_yields_nothing_on_every_path() {
         let bytes = capture_of(&[]);
         let mut stream = MappedPcapStream::new(&bytes).unwrap();
-        assert!(drain(&mut stream).unwrap().is_empty());
+        assert!(drain(&mut stream).0.is_empty());
         let capture = Arc::new(MappedCapture::from_bytes(bytes));
-        let mut merged = IngestQueues::exact(capture, 4, FaultPolicy::Fail)
-            .unwrap()
-            .spawn();
-        assert!(drain(&mut merged).unwrap().is_empty());
+        for queues in [1, 4] {
+            let mut merged = IngestQueues::exact(Arc::clone(&capture), queues, FaultPolicy::Fail)
+                .unwrap()
+                .spawn();
+            assert_eq!(drain(&mut merged), (Vec::new(), None));
+        }
     }
 
     #[test]
@@ -1487,58 +1817,8 @@ mod tests {
         let capture = Arc::new(MappedCapture::from_bytes(bytes));
         let planned = IngestQueues::new(Arc::clone(&capture), 4, FaultPolicy::Fail).unwrap();
         assert_eq!(planned.queues(), 4.min(cores));
-        assert_eq!(planned.ranges().len(), 4.min(cores));
         let exact = IngestQueues::exact(capture, 4, FaultPolicy::Fail).unwrap();
         assert_eq!(exact.queues(), 4);
-    }
-
-    #[test]
-    fn inline_single_queue_equals_sequential_counters_and_faults() {
-        // Clean capture: the threadless inline backend must reproduce the
-        // sequential stream exactly, counters included.
-        let records: Vec<ProbeRecord> = (0..5_000).map(record).collect();
-        let bytes = capture_of(&records);
-        let capture = Arc::new(MappedCapture::from_bytes(bytes.clone()));
-        let mut inline = IngestQueues::exact(Arc::clone(&capture), 1, FaultPolicy::Fail)
-            .unwrap()
-            .spawn();
-        assert_eq!(drain(&mut inline).unwrap(), records);
-        assert_eq!(inline.non_tcp_frames(), 0);
-        assert_eq!(inline.order_violations(), 0);
-        assert!(!inline.faults().any());
-        assert_eq!(inline.error(), None);
-
-        // Torn tail under Fail: the typed error surfaces through the same
-        // interface, and sticks.
-        let mut torn = bytes;
-        torn.truncate(torn.len() - 9);
-        let capture = Arc::new(MappedCapture::from_bytes(torn));
-        let mut inline = IngestQueues::exact(capture, 1, FaultPolicy::Fail)
-            .unwrap()
-            .spawn();
-        let err = drain(&mut inline).unwrap_err();
-        assert!(matches!(
-            err,
-            StreamError::Pcap(PcapError::TruncatedRecordBody { .. })
-        ));
-        assert_eq!(inline.error(), Some(err));
-    }
-
-    #[test]
-    fn suspend_resume_roundtrips_mid_stream() {
-        let records: Vec<ProbeRecord> = (0..3_000).map(record).collect();
-        let bytes = capture_of(&records);
-        let mut stream = MappedPcapStream::new(&bytes).unwrap().batch_target(512);
-        let mut collected = Vec::new();
-        collected.extend_from_slice(stream.try_next_batch().unwrap().unwrap());
-        // Park the state, drop the stream, resume against the same bytes.
-        let state = stream.suspend();
-        let mut resumed = MappedPcapStream::resume(&bytes, state).unwrap();
-        while let Some(batch) = resumed.try_next_batch().unwrap() {
-            collected.extend_from_slice(batch);
-        }
-        assert_eq!(collected, records);
-        assert_eq!(resumed.order_violations(), 0);
     }
 
     #[test]
@@ -1563,8 +1843,84 @@ mod tests {
     fn mapped_capture_from_reader_buffers_pipes() {
         let bytes = capture_of(&(0..10).map(record).collect::<Vec<_>>());
         let capture = MappedCapture::from_reader(Cursor::new(bytes.clone())).unwrap();
-        assert_eq!(capture.as_slice(), bytes.as_slice());
         assert_eq!(capture.len(), bytes.len());
         assert!(!capture.is_empty());
+        // Every reader starts at the first byte, whatever the others did.
+        let (mut first, mut second) = (capture.reader(), capture.reader());
+        let mut half = vec![0u8; bytes.len() / 2];
+        first.read_exact(&mut half).unwrap();
+        let mut whole = Vec::new();
+        second.read_to_end(&mut whole).unwrap();
+        assert_eq!(whole, bytes);
+    }
+
+    /// A scratch directory unique to this test process and `name`.
+    fn scratch(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("synscan-ingest-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn load_fails_fast_on_what_cannot_be_a_capture() {
+        let dir = scratch("load");
+        let missing = MappedCapture::load(dir.join("no-such.pcap")).unwrap_err();
+        assert_eq!(missing.kind(), io::ErrorKind::NotFound);
+        // A directory opens fine and fails only when read; refuse it here.
+        let directory = MappedCapture::load(&dir).unwrap_err();
+        assert_eq!(directory.kind(), io::ErrorKind::InvalidInput);
+        // An empty file is a file; it is the header parse that rejects it.
+        let empty = dir.join("empty.pcap");
+        std::fs::write(&empty, []).unwrap();
+        let capture = Arc::new(MappedCapture::load(&empty).unwrap());
+        assert!(capture.is_empty());
+        assert_eq!(
+            IngestQueues::new(capture, 2, FaultPolicy::SkipRecord).unwrap_err(),
+            PcapError::TruncatedGlobalHeader
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn streams_over_one_loaded_file_are_independent() {
+        let dir = scratch("shared");
+        // Three default windows long, so the reads really interleave.
+        let records: Vec<ProbeRecord> = (0..40_000).map(record).collect();
+        let path = dir.join("capture.pcap");
+        std::fs::write(&path, capture_of(&records)).unwrap();
+        let capture = Arc::new(MappedCapture::load(&path).unwrap());
+        assert_eq!(capture.len(), GLOBAL_HEADER_LEN + 40_000 * RECORD);
+        // Two streams open at once, pulled alternately: a shared file cursor
+        // would interleave their reads.
+        let open = |queues| {
+            IngestQueues::exact(Arc::clone(&capture), queues, FaultPolicy::Fail)
+                .unwrap()
+                .spawn()
+        };
+        let (mut a, mut b) = (open(1), open(2));
+        let (mut from_a, mut from_b) = (Vec::new(), Vec::new());
+        loop {
+            let more_a = a
+                .try_next_batch()
+                .unwrap()
+                .map(|batch| from_a.extend_from_slice(batch));
+            let more_b = b
+                .try_next_batch()
+                .unwrap()
+                .map(|batch| from_b.extend_from_slice(batch));
+            if more_a.is_none() && more_b.is_none() {
+                break;
+            }
+        }
+        assert_eq!(from_a, records);
+        assert_eq!(from_b, records);
+        // The file vanishing after `load` reads as an empty capture.
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(
+            IngestQueues::new(capture, 1, FaultPolicy::Fail).unwrap_err(),
+            PcapError::TruncatedGlobalHeader
+        );
     }
 }

@@ -70,9 +70,8 @@ pub use chaos::{ChaosPlan, ChaosReader, ChaosStream, Fault, InjectionLog};
 pub use ethernet::{EtherType, EthernetFrame, EthernetRepr};
 pub use frame::{read_frame, write_frame, FrameError, FramedMessage};
 pub use ingest::{
-    decode_frame, queue_depth, ChecksumPolicy, FrameBatch, GatherOutcome, IngestMode, IngestQueues,
-    MappedCapture, MappedPcapStream, MappedStreamState, ParallelIngest, PcapSlice, RawFrame,
-    RUNAHEAD_BYTES,
+    decode_frame, ChecksumPolicy, FrameBatch, GatherOutcome, IngestMode, IngestQueues,
+    MappedCapture, MappedPcapStream, PcapSlice, PcapStream, RawFrame,
 };
 pub use ipv4::{Address as Ipv4Address, Ipv4Packet, Ipv4Repr, Protocol};
 pub use net::{

@@ -196,7 +196,7 @@ impl PcapWriter<Vec<u8>> {
 /// the byte count, so callers can tell a clean boundary (0) from a torn one.
 /// Non-EOF I/O errors surface as a short read too — sans-I/O consumers treat
 /// an unreadable tail exactly like a truncated one.
-fn read_fully<R: Read>(reader: &mut R, buf: &mut [u8]) -> usize {
+pub(crate) fn read_fully<R: Read>(reader: &mut R, buf: &mut [u8]) -> usize {
     let mut filled = 0;
     while filled < buf.len() {
         match reader.read(&mut buf[filled..]) {
@@ -227,8 +227,8 @@ fn u32_at(buf: &[u8], offset: usize, swapped: bool) -> u32 {
 }
 
 /// The decoded global header of a classic pcap stream: byte order, timestamp
-/// resolution, and link type. Shared by the `Read`-based [`PcapReader`] and
-/// the slice-based [`crate::ingest::PcapSlice`] so both accept exactly the
+/// resolution, and link type. Shared by the record-at-a-time [`PcapReader`]
+/// and the windowed [`crate::ingest::PcapStream`] so both accept exactly the
 /// same set of captures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GlobalHeader {
@@ -257,6 +257,16 @@ impl GlobalHeader {
             linktype: u32_at(header, 20, swapped),
         })
     }
+
+    /// Read and validate the global header off the front of a stream, so a
+    /// non-pcap input fails when it is opened, not at its first record.
+    pub fn read<R: Read>(reader: &mut R) -> Result<Self, PcapError> {
+        let mut header = [0u8; GLOBAL_HEADER_LEN];
+        if read_fully(reader, &mut header) < header.len() {
+            return Err(PcapError::TruncatedGlobalHeader);
+        }
+        Self::parse(&header)
+    }
 }
 
 /// Little-endian `u32` at a fixed offset, swapped when the capture is
@@ -278,11 +288,7 @@ pub struct PcapReader<R: Read> {
 impl<R: Read> PcapReader<R> {
     /// Open a pcap stream, parsing and validating the global header.
     pub fn new(mut inner: R) -> Result<Self, PcapError> {
-        let mut header = [0u8; GLOBAL_HEADER_LEN];
-        if read_fully(&mut inner, &mut header) < header.len() {
-            return Err(PcapError::TruncatedGlobalHeader);
-        }
-        let meta = GlobalHeader::parse(&header)?;
+        let meta = GlobalHeader::read(&mut inner)?;
         Ok(Self {
             inner,
             swapped: meta.swapped,

@@ -49,13 +49,9 @@ use synscan_core::{
     CheckpointOptions, PipelineMode, PipelineOutcome, RunError, RunSpec, RunStatus,
     SupervisionReport, SupervisorOptions,
 };
-use synscan_telescope::capture::{
-    classify_technique, import_pcap_mapped, import_pcap_with_policy, PcapStream, ScanTechnique,
-};
+use synscan_telescope::capture::{classify_technique, PcapStream, ScanTechnique};
 use synscan_wire::chaos::{ChaosPlan, ChaosReader};
-use synscan_wire::ingest::{
-    IngestMode, IngestQueues, MappedCapture, MappedPcapStream, ParallelIngest,
-};
+use synscan_wire::ingest::{IngestMode, IngestQueues, MappedCapture};
 use synscan_wire::stream::{
     FaultCounters, FaultPolicy, InfallibleStream, SliceStream, StreamError, TryRecordStream,
 };
@@ -85,10 +81,10 @@ pub struct AnalyzeOptions {
     /// drills): `Some(seed)` wraps the input in a
     /// [`synscan_wire::chaos::ChaosReader`] with [`ChaosPlan::byte_noise`].
     pub chaos_seed: Option<u64>,
-    /// How the capture bytes reach the parser: the streaming `Read` reader,
-    /// or the zero-copy mapped reader (optionally multi-queue). Only
+    /// How the capture bytes reach the parser: streamed off a `Read`, or
+    /// opened as a reopenable capture and decoded on N threads. Only
     /// [`analyze_pcap_mapped`] honors the mapped modes; [`analyze_pcap`]
-    /// always streams.
+    /// always decodes on the calling thread.
     pub ingest: IngestMode,
     /// Sublinear heavy-hitter tracking (`--heavy-hitters`): when set, the
     /// analysis carries a space-saving top-K + count-min sketch over raw
@@ -231,18 +227,13 @@ pub fn infer_monitored_with_policy<R: Read>(
     policy: FaultPolicy,
 ) -> Result<(u64, FaultCounters), AnalyzeError> {
     let mut stream = PcapStream::with_policy(reader, policy)?;
-    Ok((distinct_destinations(&mut stream)?, stream.faults()))
-}
-
-/// Drain `stream`, counting the distinct destinations it probed.
-fn distinct_destinations(stream: &mut impl TryRecordStream) -> Result<u64, AnalyzeError> {
     let mut dsts = std::collections::HashSet::new();
     while let Some(batch) = stream.try_next_batch()? {
         for record in batch {
             dsts.insert(record.dst_ip.0);
         }
     }
-    Ok(dsts.len() as u64)
+    Ok((dsts.len() as u64, stream.faults()))
 }
 
 /// Run the pipeline over a pcap stream.
@@ -254,26 +245,26 @@ pub fn analyze_pcap<R: Read>(
     options: &AnalyzeOptions,
 ) -> Result<AnalyzeResult, AnalyzeError> {
     match options.chaos_seed {
-        Some(seed) => analyze_pcap_inner(
-            ChaosReader::new(reader, ChaosPlan::byte_noise(seed)),
-            options,
-        ),
-        None => analyze_pcap_inner(reader, options),
+        Some(seed) => {
+            let reader = ChaosReader::new(reader, ChaosPlan::byte_noise(seed));
+            analyze_opened(PcapStream::with_policy(reader, options.policy)?, options)
+        }
+        None => analyze_opened(PcapStream::with_policy(reader, options.policy)?, options),
     }
 }
 
-fn analyze_pcap_inner<R: Read>(
-    reader: R,
+/// Both shapes of the analysis over an opened capture, however many threads
+/// decode it.
+fn analyze_opened<R: Read>(
+    stream: PcapStream<R>,
     options: &AnalyzeOptions,
 ) -> Result<AnalyzeResult, AnalyzeError> {
     let (Some(monitored), false) = (options.monitored, options.materialize) else {
-        let (records, import_faults) = import_pcap_with_policy(reader, options.policy)?;
+        let (records, import_faults) = stream.into_records()?;
         let mut result = analyze_records(records, options);
         result.faults.absorb(&import_faults);
         return Ok(result);
     };
-
-    let stream = PcapStream::with_policy(reader, options.policy)?;
     let parsed = |s: &PcapStream<R>| (s.faults(), s.non_tcp_frames());
     analyze_stream(stream, parsed, monitored, options)
 }
@@ -335,59 +326,32 @@ fn result_of(
     }
 }
 
-/// Run the pipeline over an in-memory capture image through the zero-copy
-/// ingest layer — the `--ingest mmap[:N]` path of the `analyze` binary.
+/// Run the pipeline over a reopenable capture — the `--ingest mmap[:N]` path
+/// of the `analyze` binary, with the decode fanned out over `N` threads.
 ///
 /// Mirrors [`analyze_pcap`] exactly: same streaming-versus-materialized
-/// split, same chaos injection (the byte noise decays the mapping before
-/// parsing, so the parser sees the same decayed bytes the `Read` path
-/// would), same results on every input. [`IngestMode::Read`] simply streams
-/// from the buffered bytes.
+/// split, same chaos injection (the noise wraps the capture's reader, so
+/// the parser sees the same decayed bytes the `Read` path would), same
+/// results on every input. [`IngestMode::Read`] decodes on the calling
+/// thread, as `mmap` does.
 pub fn analyze_pcap_mapped(
-    capture: Vec<u8>,
+    capture: &MappedCapture,
     options: &AnalyzeOptions,
 ) -> Result<AnalyzeResult, AnalyzeError> {
     let queues = match options.ingest {
-        IngestMode::Read => return analyze_pcap(capture.as_slice(), options),
-        IngestMode::Mapped { queues } => queues.max(1),
+        IngestMode::Read => 1,
+        IngestMode::Mapped { queues } => queues,
     };
-    let capture = match options.chaos_seed {
-        Some(seed) => {
-            let mut decayed = Vec::with_capacity(capture.len());
-            ChaosReader::new(capture.as_slice(), ChaosPlan::byte_noise(seed))
-                .read_to_end(&mut decayed)
-                .expect("in-memory chaos decay cannot fail");
-            decayed
-        }
-        None => capture,
-    };
-    let capture = std::sync::Arc::new(MappedCapture::from_bytes(capture));
-
-    let (Some(monitored), false) = (options.monitored, options.materialize) else {
-        let (records, import_faults) = import_pcap_mapped(&capture, options.policy, queues)?;
-        let mut result = analyze_records(records, options);
-        result.faults.absorb(&import_faults);
-        return Ok(result);
-    };
-
-    let stream = IngestQueues::new(capture, queues, options.policy)
-        .map_err(|e| AnalyzeError::from(StreamError::Pcap(e)))?
-        .spawn();
-    let parsed = |s: &ParallelIngest| (s.faults(), s.non_tcp_frames());
-    analyze_stream(stream, parsed, monitored, options)
-}
-
-/// Count the distinct probed destinations of a mapped capture — the
-/// monitored-address inference of the two-pass mode, off the mapping
-/// instead of a reader. The mapping makes the second pass free: no re-read,
-/// no re-buffer.
-pub fn infer_monitored_mapped(
-    capture: &[u8],
-    policy: FaultPolicy,
-) -> Result<(u64, FaultCounters), AnalyzeError> {
-    let mut stream = MappedPcapStream::with_policy(capture, policy)
-        .map_err(|e| AnalyzeError::from(StreamError::Pcap(e)))?;
-    Ok((distinct_destinations(&mut stream)?, stream.faults()))
+    let reader = capture.reader();
+    let plan = match options.chaos_seed {
+        Some(seed) => IngestQueues::over(
+            ChaosReader::new(reader, ChaosPlan::byte_noise(seed)),
+            queues,
+            options.policy,
+        ),
+        None => IngestQueues::over(reader, queues, options.policy),
+    }?;
+    analyze_opened(plan.spawn(), options)
 }
 
 /// Why a checkpointed capture analysis failed.

@@ -23,12 +23,13 @@
 //! load-and-sort path, which also accepts captures that are not
 //! time-ordered.
 //!
-//! `--ingest mmap` switches the parser to the zero-copy mapped reader: the
-//! capture is held as one contiguous buffer and frames are decoded as
-//! borrowed slices, with `mmap:N` decoding on N parallel queues merged back
-//! in capture order. Results are byte-identical to `--ingest read` (the
-//! default) on every input, including corrupt ones; stdin and pipes are
-//! buffered whole before parsing under mmap modes.
+//! `--ingest mmap:N` decodes the capture's windows on N threads (clamped to
+//! the core count) behind one sequential reader, merged back in capture
+//! order; plain `mmap` is N = 1. A file is opened once and streamed through
+//! a recycled window on every pass — never read whole. Results are
+//! byte-identical to `--ingest read` (the default) on every input,
+//! including corrupt ones; stdin and pipes are buffered whole under mmap
+//! modes, because the inference pass has to read them twice.
 //!
 //! Real captures get torn and corrupted; by default (`--fault-policy
 //! fail`) the first malformed record aborts with a typed error.
@@ -77,8 +78,8 @@ use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
 use synscan::analyze::{
-    analyze_pcap, analyze_pcap_checkpointed, analyze_pcap_mapped, infer_monitored_mapped,
-    infer_monitored_with_policy, render_report, AnalyzeOptions, AnalyzeResult, AnalyzeStatus,
+    analyze_pcap, analyze_pcap_checkpointed, analyze_pcap_mapped, infer_monitored_with_policy,
+    render_report, AnalyzeOptions, AnalyzeResult, AnalyzeStatus,
 };
 use synscan::core::store::AnalysisStore;
 use synscan::experiment::CheckpointSpec;
@@ -98,8 +99,8 @@ const USAGE: &str = "usage: analyze <capture.pcap | -> [--monitored N] [--year Y
                      \n  --pipeline MODE     sequential | auto | sharded:N (default sequential)\
                      \n  --materialize       load and sort the whole capture instead of \
                      streaming it (required for unordered captures)\
-                     \n  --ingest MODE       read (streaming, default) | mmap (zero-copy \
-                     mapped) | mmap:N (mapped, N decode queues); mmap buffers stdin/pipes whole\
+                     \n  --ingest MODE       read (streaming, default) | mmap (reopenable \
+                     capture) | mmap:N (N decode threads); mmap buffers stdin/pipes whole\
                      \n  --heavy-hitters K[,WIDTH,DEPTH]  track the top-K sources in \
                      sublinear space (space-saving + count-min; default sketch 2048x4) \
                      and report the network-impact section\
@@ -261,31 +262,30 @@ fn run() -> Result<(), String> {
     }
     if let IngestMode::Mapped { .. } = options.ingest {
         if checkpoint_dir.is_some() {
-            // The checkpointed driver fast-forwards a Read-based parser on
-            // resume; the mapped front end has no cursor protocol yet.
+            // The checkpointed driver opens its own `Read`-based stream and
+            // has no fanned-out variant.
             return Err("--checkpoint-dir uses the streaming reader; drop --ingest mmap".into());
         }
-        // Mapped ingest: one contiguous buffer, parsed zero-copy. Files load
-        // whole; stdin/pipes are buffered whole (the documented fallback).
-        let bytes = if path == "-" {
-            let stdin = std::io::stdin();
-            MappedCapture::from_reader(stdin.lock())
+        // Files are opened, not loaded: each pass streams the capture
+        // through a recycled window. stdin cannot be re-read, so it is
+        // buffered whole, once (the documented fallback).
+        let capture = if path == "-" {
+            MappedCapture::from_reader(std::io::stdin().lock())
                 .map_err(|e| format!("cannot buffer stdin: {e}"))?
-                .into_bytes()
         } else {
-            std::fs::read(&path).map_err(|e| format!("cannot read {path}: {e}"))?
+            MappedCapture::load(&path).map_err(|e| format!("cannot read {path}: {e}"))?
         };
-        // The inference pass re-reads the mapping for free — no second file
-        // read, unlike the two-pass streaming default.
+        // The inference pass reads the capture as-is, like the two-pass
+        // streaming default; for a file the second read is the page cache's.
         if options.monitored.is_none() && !options.materialize {
-            let (monitored, faults) = infer_monitored_mapped(&bytes, options.policy)
+            let (monitored, faults) = infer_monitored_with_policy(capture.reader(), options.policy)
                 .map_err(|e| format!("cannot read {path} for dark-set inference: {e}"))?;
             if faults.any() {
                 eprintln!("[analyze] dark-set inference pass: {faults}");
             }
             options.monitored = Some(monitored);
         }
-        let result = analyze_pcap_mapped(bytes, &options)
+        let result = analyze_pcap_mapped(&capture, &options)
             .map_err(|e| format!("cannot analyze {path}: {e}"))?;
         persist_result(&result, store_dir.as_deref())?;
         print!("{}", render_report(&result));

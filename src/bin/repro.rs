@@ -25,9 +25,10 @@
 //! `fail` policy the first injected fault aborts the run with an error.
 //!
 //! `--ingest` selects how the `pcap` target's read-back verification pass
-//! parses the exported capture: the streaming reader (`read`, default), the
-//! zero-copy mapped reader (`mmap`), or the multi-queue mapped front end
-//! (`mmap:N`). All modes re-import the identical record sequence.
+//! parses the exported capture: streamed off the open file (`read`,
+//! default), or opened as a reopenable capture and decoded on one (`mmap`)
+//! or N (`mmap:N`) threads. All modes read through the same window and
+//! re-import the identical record sequence.
 //!
 //! `--checkpoint-dir DIR` makes the run crash-safe: each year periodically
 //! persists an atomic checkpoint of its full pipeline state, SIGINT/SIGTERM

@@ -1,13 +1,15 @@
-//! Mapped-ingest equivalence: the zero-copy mapped reader (single-queue and
-//! multi-queue) must be observably identical to the Read-based
+//! Ingest equivalence: a capture opened as a `MappedCapture` and decoded on
+//! one or many threads must be observably identical to the `Read`-based
 //! `PcapStream` — same records in the same order, same fault counters, same
 //! terminal errors — on clean captures and on the corrupt corpus, under
 //! every fault policy, in every pipeline shape.
 //!
-//! Plus a record-boundary fuzz drill: for pseudo-random captures of mixed
-//! frame sizes, `PcapSlice::partition` must tile the record area exactly,
-//! and the multi-queue merge must reproduce the sequential drain for every
-//! queue count.
+//! Plus a record-boundary fuzz drill (pseudo-random captures of mixed frame
+//! sizes must drain identically for every queue count) and a capture several
+//! default windows long, so the suite crosses real window edges. The
+//! window-edge matrix proper — every window size against every kind of edge
+//! — sits beside the framer in `crates/wire/src/ingest.rs`, where a test can
+//! set the window.
 
 use std::fs;
 use std::path::PathBuf;
@@ -17,8 +19,8 @@ use synscan::analyze::{analyze_pcap, analyze_pcap_mapped, AnalyzeOptions};
 use synscan::core::PipelineMode;
 use synscan::experiment::Experiment;
 use synscan::telescope::capture::{export_pcap, import_pcap_mapped, import_pcap_with_policy};
-use synscan::wire::ingest::{IngestMode, IngestQueues, MappedCapture, MappedPcapStream, PcapSlice};
-use synscan::wire::pcap::{PcapWriter, GLOBAL_HEADER_LEN, LINKTYPE_ETHERNET};
+use synscan::wire::ingest::{IngestMode, IngestQueues, MappedCapture, MappedPcapStream};
+use synscan::wire::pcap::{PcapWriter, LINKTYPE_ETHERNET};
 use synscan::wire::stream::{FaultCounters, FaultPolicy, StreamError, TryRecordStream};
 use synscan::wire::ProbeRecord;
 use synscan::GeneratorConfig;
@@ -113,6 +115,7 @@ fn clean_capture_imports_identically_across_every_ingest_path() {
 #[test]
 fn analysis_is_identical_for_read_and_mapped_ingest_in_every_shape() {
     let bytes = clean_capture();
+    let capture = MappedCapture::from_bytes(bytes.clone());
     for pipeline in [
         PipelineMode::Sequential,
         PipelineMode::Sharded { workers: 3 },
@@ -136,7 +139,7 @@ fn analysis_is_identical_for_read_and_mapped_ingest_in_every_shape() {
                     ..base.clone()
                 };
                 let mapped =
-                    analyze_pcap_mapped(bytes.clone(), &options).expect("mapped analysis succeeds");
+                    analyze_pcap_mapped(&capture, &options).expect("mapped analysis succeeds");
                 let label = format!("{pipeline:?} materialize={materialize} ingest={ingest}");
                 assert_eq!(reference.analysis, mapped.analysis, "{label}: analysis");
                 assert_eq!(reference.summary, mapped.summary, "{label}: summary");
@@ -163,7 +166,7 @@ fn corrupt_corpus_analysis_matches_read_ingest_under_every_policy() {
                 };
                 let reference = analyze_pcap(bytes.as_slice(), &base);
                 let mapped = analyze_pcap_mapped(
-                    bytes.clone(),
+                    &MappedCapture::from_bytes(bytes.clone()),
                     &AnalyzeOptions {
                         ingest: IngestMode::Mapped { queues },
                         ..base
@@ -184,7 +187,7 @@ fn corrupt_corpus_analysis_matches_read_ingest_under_every_policy() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Record-boundary partition fuzz
+// 3. Record-boundary fuzz, and real window edges
 // ---------------------------------------------------------------------------
 
 /// Deterministic xorshift so the drill needs no RNG dependency.
@@ -196,7 +199,7 @@ fn xorshift(state: &mut u64) -> u64 {
 }
 
 /// A capture of `n` records with pseudo-random frame sizes (including many
-/// non-TCP frames, so decode outcomes vary across partition points).
+/// non-TCP frames, so decode outcomes vary across chunk edges).
 fn fuzz_capture(seed: u64, n: usize) -> Vec<u8> {
     let mut state = seed | 1;
     let mut writer = PcapWriter::new(Vec::new(), LINKTYPE_ETHERNET).expect("in-memory header");
@@ -210,35 +213,6 @@ fn fuzz_capture(seed: u64, n: usize) -> Vec<u8> {
             .expect("in-memory record");
     }
     writer.into_inner().expect("in-memory flush")
-}
-
-#[test]
-fn partition_tiles_every_fuzzed_capture_exactly() {
-    for seed in [3, 0x5eed, 0xdead_beef] {
-        for n in [0, 1, 2, 7, 40] {
-            let bytes = fuzz_capture(seed, n);
-            let slice = PcapSlice::new(&bytes).expect("valid header");
-            for parts in 1..=8 {
-                let ranges = slice.partition(parts);
-                assert_eq!(ranges.len(), parts, "seed={seed:#x} n={n} parts={parts}");
-                assert_eq!(
-                    ranges[0].0, GLOBAL_HEADER_LEN,
-                    "first range starts at the record area"
-                );
-                assert_eq!(
-                    ranges[parts - 1].1,
-                    bytes.len(),
-                    "last range ends at the capture end"
-                );
-                for pair in ranges.windows(2) {
-                    assert_eq!(
-                        pair[0].1, pair[1].0,
-                        "seed={seed:#x} n={n} parts={parts}: ranges must tile"
-                    );
-                }
-            }
-        }
-    }
 }
 
 #[test]
@@ -269,8 +243,8 @@ fn fuzzed_captures_drain_identically_sequential_and_parallel() {
                 let capture = Arc::new(MappedCapture::from_bytes(bytes.clone()));
                 for queues in [1, 2, 3, 5] {
                     // `exact` bypasses the core-count clamp so the threaded
-                    // merge paths (and the queues=1 inline backend) are
-                    // exercised whatever box runs the suite.
+                    // merge (and the queues=1 inline decode) are exercised
+                    // whatever box runs the suite.
                     let mut parallel = IngestQueues::exact(Arc::clone(&capture), queues, policy)
                         .expect("valid header")
                         .spawn();
@@ -289,4 +263,76 @@ fn fuzzed_captures_drain_identically_sequential_and_parallel() {
             }
         }
     }
+}
+
+/// A time-ordered capture a little over three default (1 MiB) windows long,
+/// with a frame the fast path rejects every 97 records, written to a file:
+/// the one input here on which the shipped window size meets real edges and
+/// `MappedCapture::load` meets a real file.
+#[test]
+fn a_capture_of_several_default_windows_is_identical_on_every_path() {
+    let experiment = Experiment::new(GeneratorConfig::tiny());
+    let seed_records = synscan::synthesis::generate::generate_year(
+        &synscan::YearConfig::for_year(2020),
+        experiment.config(),
+        experiment.registry(),
+        experiment.dark(),
+    )
+    .records;
+    let builder = synscan::wire::SynFrameBuilder::default();
+    let mut writer = PcapWriter::new(Vec::new(), LINKTYPE_ETHERNET).expect("in-memory header");
+    let mut i = 0u64;
+    while writer.buffered_len() < 3 * (1 << 20) + 4096 {
+        let record = ProbeRecord {
+            ts_micros: 1_000_000 + i,
+            ..seed_records[i as usize % seed_records.len()]
+        };
+        let mut frame = builder.build(&record);
+        if i.is_multiple_of(97) {
+            frame.truncate(20); // not even an IPv4 header: counted, not parsed
+        }
+        writer
+            .write_record(record.ts_micros, &frame)
+            .expect("in-memory record");
+        i += 1;
+    }
+    let mut bytes = writer.into_inner().expect("in-memory flush");
+    bytes.truncate(bytes.len() - 7); // and a torn tail for the policies to meet
+
+    let dir = std::env::temp_dir().join(format!("synscan-ingest-windows-{}", std::process::id()));
+    fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("windows.pcap");
+    fs::write(&path, &bytes).expect("write capture");
+    let capture = Arc::new(MappedCapture::load(&path).expect("regular file"));
+
+    for policy in POLICIES {
+        let reference = import_read(&bytes, policy);
+        match (&reference, policy) {
+            (Err(_), FaultPolicy::Fail) => {}
+            (Ok((records, faults)), _) => {
+                assert_eq!(records.len() as u64, i - 1 - (i - 1).div_ceil(97));
+                assert_eq!(faults.streams_truncated, 1);
+            }
+            other => panic!("unexpected reference outcome {other:?}"),
+        }
+        for queues in [1, 2, 5] {
+            let mut stream = IngestQueues::exact(Arc::clone(&capture), queues, policy)
+                .expect("valid header")
+                .spawn();
+            let non_tcp = (i - 1).div_ceil(97);
+            let label = format!("{policy:?} queues={queues}");
+            let mut records = Vec::new();
+            let outcome = loop {
+                match stream.try_next_batch() {
+                    Ok(Some(batch)) => records.extend_from_slice(batch),
+                    Ok(None) => break Ok((records, stream.faults())),
+                    Err(e) => break Err(e),
+                }
+            };
+            assert_eq!(reference, outcome, "{label}");
+            assert_eq!(stream.non_tcp_frames(), non_tcp, "{label}: non-TCP census");
+            assert_eq!(stream.order_violations(), 0, "{label}: order census");
+        }
+    }
+    fs::remove_dir_all(&dir).expect("remove scratch dir");
 }

@@ -57,8 +57,8 @@ fn slices_are_byte_identical_across_pipeline_modes() {
 
 #[test]
 fn slices_are_byte_identical_across_ingest_modes() {
-    // Export a small capture, then analyze it through the streaming reader
-    // and the zero-copy mapped reader: the persisted slices must match.
+    // Export a small capture, then analyze it off an open file and as a
+    // reopenable capture: the persisted slices must match.
     let experiment = Experiment::new(GeneratorConfig::tiny());
     let output = synscan::synthesis::generate::generate_year(
         &YearConfig::for_year(2020),
@@ -81,8 +81,8 @@ fn slices_are_byte_identical_across_ingest_modes() {
         &options,
     )
     .expect("streamed analysis");
-    let mapped = analyze_pcap_mapped(std::fs::read(&pcap).expect("read pcap"), &options)
-        .expect("mapped analysis");
+    let capture = synscan::wire::ingest::MappedCapture::load(&pcap).expect("open pcap");
+    let mapped = analyze_pcap_mapped(&capture, &options).expect("mapped analysis");
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(

@@ -19,7 +19,9 @@ use synscan_wire::{Ipv4Address, ProbeRecord};
 
 use synscan_scanners::traits::ToolKind;
 
-use crate::campaign::{tool_slot, Campaign, CampaignConfig, NoiseStats, Pipeline, TOOL_BY_SLOT};
+use crate::campaign::{
+    tool_slot, Campaign, CampaignConfig, NoiseStats, Pipeline, TOOL_BY_SLOT, TOOL_SLOTS,
+};
 use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use crate::compact::{IdSet, PortSet};
 use crate::fasthash::FxHashMap;
@@ -37,6 +39,89 @@ pub struct WeekCell {
     pub packets: u64,
     /// Campaigns that *started* in this /16 this week.
     pub campaigns: u64,
+}
+
+/// Lookup structures derived from one year's final campaign list: what the
+/// answer path (`report::source_history`, `report::campaign_lookup`,
+/// `yearly::summarize`) reads instead of walking `campaigns` per query.
+///
+/// A pure function of [`YearAnalysis::campaigns`] and
+/// [`YearAnalysis::tool_port_packets`], built once where those become final
+/// and never serialized. The tallies are integers; `summarize` divides them
+/// once, exactly as it did when it counted them itself.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct YearIndex {
+    /// `(source, position in campaigns)`, sorted: one source's campaigns are
+    /// one contiguous run, in list order.
+    postings: Vec<(u32, u32)>,
+    /// Campaigns per dominant port (the port that drew most of the
+    /// campaign's packets), ascending by port.
+    scan_ports: Vec<(u16, u64)>,
+    /// Campaigns per majority-vote tool, by vote slot.
+    tool_scans: [u64; TOOL_SLOTS],
+    /// Packets per tool name, unattributed packets under `"custom"`.
+    tool_packets: BTreeMap<&'static str, u64>,
+}
+
+impl YearIndex {
+    /// Index `campaigns` (positions refer to this slice) and tally
+    /// `tool_port_packets`.
+    pub(crate) fn build(
+        campaigns: &[Campaign],
+        tool_port_packets: &HashMap<(Option<ToolKind>, u16), u64>,
+    ) -> Self {
+        let mut postings = Vec::with_capacity(campaigns.len());
+        let mut scan_ports: BTreeMap<u16, u64> = BTreeMap::new();
+        let mut tool_scans = [0u64; TOOL_SLOTS];
+        for (position, campaign) in campaigns.iter().enumerate() {
+            let position = u32::try_from(position).expect("fewer than 2^32 campaigns in a year");
+            postings.push((campaign.src_ip.0, position));
+            if let Some((port, _)) = campaign
+                .port_packets
+                .iter()
+                .max_by_key(|(_, count)| **count)
+            {
+                *scan_ports.entry(*port).or_default() += 1;
+            }
+            if let Some(tool) = campaign.tool() {
+                tool_scans[tool_slot(tool)] += 1;
+            }
+        }
+        postings.sort_unstable();
+        let mut tool_packets: BTreeMap<&'static str, u64> = BTreeMap::new();
+        for ((tool, _), count) in tool_port_packets {
+            let name = tool.map(|t| t.name()).unwrap_or("custom");
+            *tool_packets.entry(name).or_default() += count;
+        }
+        Self {
+            postings,
+            scan_ports: scan_ports.into_iter().collect(),
+            tool_scans,
+            tool_packets,
+        }
+    }
+
+    /// Positions of `source`'s campaigns in the indexed list, ascending.
+    fn positions_of(&self, source: Ipv4Address) -> &[(u32, u32)] {
+        let start = self.postings.partition_point(|&(src, _)| src < source.0);
+        let run = self.postings[start..].partition_point(|&(src, _)| src == source.0);
+        &self.postings[start..start + run]
+    }
+
+    /// Campaigns per dominant port, ascending by port.
+    pub fn scan_ports(&self) -> &[(u16, u64)] {
+        &self.scan_ports
+    }
+
+    /// Campaigns whose majority-vote tool is `tool`.
+    pub fn tool_scans(&self, tool: ToolKind) -> u64 {
+        self.tool_scans[tool_slot(tool)]
+    }
+
+    /// Packets per tool name, unattributed packets under `"custom"`.
+    pub fn tool_packets(&self) -> &BTreeMap<&'static str, u64> {
+        &self.tool_packets
+    }
 }
 
 /// Everything the figure modules need about one year.
@@ -80,9 +165,34 @@ pub struct YearAnalysis {
     /// when the run enabled `--heavy-hitters`. The "network impact" report
     /// section is derived from this at render time.
     pub heavy: Option<HeavyHitters>,
+    /// Derived from `campaigns` and `tool_port_packets` by whatever made
+    /// them final; read through [`YearAnalysis::index`].
+    pub(crate) index: YearIndex,
 }
 
 impl YearAnalysis {
+    /// The year's lookup index.
+    pub fn index(&self) -> &YearIndex {
+        &self.index
+    }
+
+    /// Rebuild the index after changing `campaigns` or `tool_port_packets`
+    /// by hand. Every constructor in this crate has already done so.
+    pub fn reindex(&mut self) {
+        self.index = YearIndex::build(&self.campaigns, &self.tool_port_packets);
+    }
+
+    /// `source`'s campaigns this year, in list order (start time).
+    pub fn campaigns_of(
+        &self,
+        source: Ipv4Address,
+    ) -> impl ExactSizeIterator<Item = &Campaign> + '_ {
+        self.index
+            .positions_of(source)
+            .iter()
+            .map(|&(_, position)| &self.campaigns[position as usize])
+    }
+
     /// Observation window length in days (at least one day).
     pub fn window_days(&self) -> f64 {
         ((self.end_micros.saturating_sub(self.start_micros)) as f64 / DAY_MICROS as f64).max(1.0)
@@ -135,6 +245,7 @@ impl YearAnalysis {
             .iter()
             .map(|(port, set)| (*port, set.len() as u64))
             .collect();
+        merged.reindex();
         merged
     }
 
@@ -573,7 +684,20 @@ impl YearCollector {
             );
         }
 
+        let tool_port_packets = self
+            .tool_port_packets
+            .iter()
+            .map(|(&key, &n)| {
+                let tool = match key >> 16 {
+                    0 => None,
+                    slot => Some(TOOL_BY_SLOT[slot as usize - 1]),
+                };
+                ((tool, (key & 0xffff) as u16), n)
+            })
+            .collect();
+
         YearAnalysis {
+            index: YearIndex::build(&campaigns, &tool_port_packets),
             year: self.year,
             start_micros: t0,
             end_micros: self.end_micros,
@@ -599,17 +723,7 @@ impl YearCollector {
                 .iter()
                 .map(|(&key, &n)| (((key >> 16) as u32, (key & 0xffff) as u16), n))
                 .collect(),
-            tool_port_packets: self
-                .tool_port_packets
-                .iter()
-                .map(|(&key, &n)| {
-                    let tool = match key >> 16 {
-                        0 => None,
-                        slot => Some(TOOL_BY_SLOT[slot as usize - 1]),
-                    };
-                    ((tool, (key & 0xffff) as u16), n)
-                })
-                .collect(),
+            tool_port_packets,
             week_blocks,
             campaigns,
             noise,
@@ -745,6 +859,37 @@ mod tests {
             .campaigns
             .windows(2)
             .all(|w| (w[0].first_ts_micros, w[0].src_ip) <= (w[1].first_ts_micros, w[1].src_ip)));
+    }
+
+    #[test]
+    fn index_follows_the_campaign_list_through_absorb_and_merge() {
+        let shard = |src: u32, port: u16, n: u32| {
+            let mut collector = YearCollector::with_origin(2020, cfg(), 7.0, 0);
+            for i in 0..n {
+                collector.offer(&record(src, 100 + i, port, 500 + u64::from(i) * 1000));
+            }
+            collector.finish()
+        };
+        let fresh = |a: &YearAnalysis| YearIndex::build(&a.campaigns, &a.tool_port_packets);
+        let (a, b, c) = (shard(3, 80, 12), shard(1, 443, 16), shard(2, 80, 8));
+        assert_eq!(*a.index(), fresh(&a));
+
+        // `absorb` alone leaves the receiver's index describing its old
+        // list; `reindex` is what `merge_partials` runs once at the end.
+        let mut absorbed = a.clone();
+        absorbed.absorb(b.clone());
+        assert_ne!(*absorbed.index(), fresh(&absorbed));
+        absorbed.reindex();
+        assert_eq!(*absorbed.index(), fresh(&absorbed));
+
+        let merged = YearAnalysis::merge_partials(vec![a, b, c]);
+        assert_eq!(*merged.index(), fresh(&merged));
+        for src in 1..=3 {
+            let hits: Vec<_> = merged.campaigns_of(Ipv4Address(src)).collect();
+            assert_eq!(hits.len(), 1);
+            assert_eq!(hits[0].src_ip, Ipv4Address(src));
+        }
+        assert_eq!(merged.campaigns_of(Ipv4Address(4)).len(), 0);
     }
 
     #[test]

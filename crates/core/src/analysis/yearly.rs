@@ -64,22 +64,13 @@ pub fn summarize(analysis: &YearAnalysis, top_n: usize) -> YearSummary {
         top_n,
     );
 
-    // Campaigns are attributed to their dominant port (most packets).
-    let mut scan_port_counts: BTreeMap<u16, u64> = BTreeMap::new();
-    let mut tool_scans: BTreeMap<Option<ToolKind>, u64> = BTreeMap::new();
-    for campaign in &analysis.campaigns {
-        if let Some((port, _)) = campaign
-            .port_packets
-            .iter()
-            .max_by_key(|(_, count)| **count)
-        {
-            *scan_port_counts.entry(*port).or_default() += 1;
-        }
-        *tool_scans.entry(campaign.tool()).or_default() += 1;
-    }
+    // Campaigns are attributed to their dominant port (most packets); the
+    // year's index tallied them, and the tool counts, when the campaign list
+    // became final.
+    let index = analysis.index();
     let total_scans = analysis.campaigns.len() as u64;
     let top_ports_by_scans = rank(
-        scan_port_counts.iter().map(|(p, c)| (*p, *c as f64)),
+        index.scan_ports().iter().map(|&(p, c)| (p, c as f64)),
         total_scans.max(1) as f64,
         top_n,
     );
@@ -87,24 +78,19 @@ pub fn summarize(analysis: &YearAnalysis, top_n: usize) -> YearSummary {
     let tool_scan_shares = ToolKind::ALL
         .iter()
         .map(|tool| {
-            let count = tool_scans.get(&Some(*tool)).copied().unwrap_or(0);
             (
                 tool.name().to_string(),
-                count as f64 / total_scans.max(1) as f64,
+                index.tool_scans(*tool) as f64 / total_scans.max(1) as f64,
             )
         })
         .collect();
 
     // Integer packets per tool, divided once: `tool_port_packets` is a hash
     // map, and a float sum would depend on its iteration order.
-    let mut tool_packets: BTreeMap<&str, u64> = BTreeMap::new();
-    for ((tool, _), count) in &analysis.tool_port_packets {
-        let name = tool.map(|t| t.name()).unwrap_or("custom");
-        *tool_packets.entry(name).or_default() += count;
-    }
-    let tool_packet_shares = tool_packets
-        .into_iter()
-        .map(|(name, packets)| (name.to_string(), packets as f64 / total_packets))
+    let tool_packet_shares = index
+        .tool_packets()
+        .iter()
+        .map(|(name, &packets)| (name.to_string(), packets as f64 / total_packets))
         .collect();
 
     YearSummary {
@@ -121,10 +107,17 @@ pub fn summarize(analysis: &YearAnalysis, top_n: usize) -> YearSummary {
     }
 }
 
+/// The `top_n` largest shares, descending, ties by ascending port. Ports are
+/// distinct, so the order is total: selecting the head and sorting only it
+/// gives what sorting everything and truncating would.
 fn rank(counts: impl Iterator<Item = (u16, f64)>, total: f64, top_n: usize) -> PortRanking {
+    let by_share = |a: &(u16, f64), b: &(u16, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
     let mut entries: Vec<(u16, f64)> = counts.map(|(p, c)| (p, c / total)).collect();
-    entries.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    entries.truncate(top_n);
+    if top_n < entries.len() {
+        entries.select_nth_unstable_by(top_n, by_share);
+        entries.truncate(top_n);
+    }
+    entries.sort_unstable_by(by_share);
     entries
 }
 
@@ -257,6 +250,7 @@ mod tests {
         entries.sort_unstable();
         entries.reverse();
         reversed.tool_port_packets.extend(entries);
+        reversed.reindex();
         for other in [reversed, run(2)] {
             let got = summarize(&other, 5);
             assert_eq!(got, expected);

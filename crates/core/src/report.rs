@@ -183,11 +183,7 @@ pub fn source_history(years: &[YearAnalysis], source: Ipv4Address) -> SourceHist
                 .get(&source.0)
                 .copied()
                 .unwrap_or(0),
-            campaigns: analysis
-                .campaigns
-                .iter()
-                .filter(|c| c.src_ip == source)
-                .count() as u64,
+            campaigns: analysis.campaigns_of(source).len() as u64,
             packet_share: packets as f64 / analysis.total_packets.max(1) as f64,
         });
     }
@@ -299,7 +295,7 @@ impl_to_json!(CampaignLookup {
 pub fn campaign_lookup(years: &[YearAnalysis], source: Ipv4Address) -> CampaignLookup {
     let mut hits = Vec::new();
     for analysis in years {
-        for campaign in analysis.campaigns.iter().filter(|c| c.src_ip == source) {
+        for campaign in analysis.campaigns_of(source) {
             hits.push(CampaignHit {
                 year: analysis.year,
                 first_ts_micros: campaign.first_ts_micros,
@@ -492,5 +488,340 @@ mod tests {
         assert_eq!(lookup.campaigns[0].ports, 1);
         let json = lookup.to_json().to_string_pretty();
         assert!(json.contains("\"source\": \"0.0.0.9\""));
+    }
+
+    /// The linear scans the year index replaced, kept as the reference the
+    /// indexed answers are compared against.
+    mod scan {
+        use super::super::*;
+        use crate::analysis::yearly::PortRanking;
+        use std::collections::BTreeMap;
+        use synscan_scanners::traits::ToolKind;
+
+        pub fn source_history(years: &[YearAnalysis], source: Ipv4Address) -> SourceHistory {
+            let mut rows = Vec::new();
+            for analysis in years {
+                let Some(&packets) = analysis.source_packets.get(&source.0) else {
+                    continue;
+                };
+                rows.push(SourceYear {
+                    year: analysis.year,
+                    packets,
+                    ports: analysis
+                        .source_port_counts
+                        .get(&source.0)
+                        .copied()
+                        .unwrap_or(0),
+                    campaigns: analysis
+                        .campaigns
+                        .iter()
+                        .filter(|c| c.src_ip == source)
+                        .count() as u64,
+                    packet_share: packets as f64 / analysis.total_packets.max(1) as f64,
+                });
+            }
+            SourceHistory {
+                source: source.to_string(),
+                years_seen: rows.len(),
+                years: rows,
+            }
+        }
+
+        pub fn campaign_lookup(years: &[YearAnalysis], source: Ipv4Address) -> CampaignLookup {
+            let mut hits = Vec::new();
+            for analysis in years {
+                for campaign in analysis.campaigns.iter().filter(|c| c.src_ip == source) {
+                    hits.push(CampaignHit {
+                        year: analysis.year,
+                        first_ts_micros: campaign.first_ts_micros,
+                        last_ts_micros: campaign.last_ts_micros,
+                        packets: campaign.packets,
+                        distinct_dests: campaign.distinct_dests,
+                        ports: campaign.distinct_ports(),
+                        tool: campaign.tool().map(|t| t.name().to_string()),
+                    });
+                }
+            }
+            CampaignLookup {
+                source: source.to_string(),
+                total: hits.len(),
+                campaigns: hits,
+            }
+        }
+
+        fn rank(counts: impl Iterator<Item = (u16, f64)>, total: f64, top_n: usize) -> PortRanking {
+            let mut entries: Vec<(u16, f64)> = counts.map(|(p, c)| (p, c / total)).collect();
+            entries.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+            entries.truncate(top_n);
+            entries
+        }
+
+        pub fn summarize(analysis: &YearAnalysis, top_n: usize) -> YearSummary {
+            let total_packets = analysis.total_packets.max(1) as f64;
+            let top_ports_by_packets = rank(
+                analysis.port_packets.iter().map(|(p, c)| (*p, *c as f64)),
+                total_packets,
+                top_n,
+            );
+            let top_ports_by_sources = rank(
+                analysis.port_sources.iter().map(|(p, c)| (*p, *c as f64)),
+                analysis.distinct_sources.max(1) as f64,
+                top_n,
+            );
+            let mut scan_port_counts: BTreeMap<u16, u64> = BTreeMap::new();
+            let mut tool_scans: BTreeMap<Option<ToolKind>, u64> = BTreeMap::new();
+            for campaign in &analysis.campaigns {
+                if let Some((port, _)) = campaign
+                    .port_packets
+                    .iter()
+                    .max_by_key(|(_, count)| **count)
+                {
+                    *scan_port_counts.entry(*port).or_default() += 1;
+                }
+                *tool_scans.entry(campaign.tool()).or_default() += 1;
+            }
+            let total_scans = analysis.campaigns.len() as u64;
+            let top_ports_by_scans = rank(
+                scan_port_counts.iter().map(|(p, c)| (*p, *c as f64)),
+                total_scans.max(1) as f64,
+                top_n,
+            );
+            let tool_scan_shares = ToolKind::ALL
+                .iter()
+                .map(|tool| {
+                    let count = tool_scans.get(&Some(*tool)).copied().unwrap_or(0);
+                    (
+                        tool.name().to_string(),
+                        count as f64 / total_scans.max(1) as f64,
+                    )
+                })
+                .collect();
+            let mut tool_packets: BTreeMap<&str, u64> = BTreeMap::new();
+            for ((tool, _), count) in &analysis.tool_port_packets {
+                let name = tool.map(|t| t.name()).unwrap_or("custom");
+                *tool_packets.entry(name).or_default() += count;
+            }
+            let tool_packet_shares = tool_packets
+                .into_iter()
+                .map(|(name, packets)| (name.to_string(), packets as f64 / total_packets))
+                .collect();
+            YearSummary {
+                year: analysis.year,
+                packets_per_day: analysis.packets_per_day(),
+                distinct_sources: analysis.distinct_sources,
+                scans_per_month: analysis.scans_per_month(),
+                total_scans,
+                top_ports_by_packets,
+                top_ports_by_sources,
+                top_ports_by_scans,
+                tool_scan_shares,
+                tool_packet_shares,
+            }
+        }
+    }
+
+    const QUIET: u32 = 0x0c00_0001;
+    const ABSENT: u32 = 0x0d00_0001;
+
+    fn index_cfg() -> crate::campaign::CampaignConfig {
+        crate::campaign::CampaignConfig {
+            min_distinct_dests: 5,
+            min_rate_pps: 1.0,
+            expiry_secs: 600.0,
+            monitored_addresses: 1 << 16,
+        }
+    }
+
+    /// Thirty scanners, each bursting in one to four epochs an expiry apart
+    /// (so most run several campaigns, interleaved with everyone else's),
+    /// over port mixes that tie and differ per burst, a third of them with
+    /// ZMap's mark on every other probe; plus `QUIET`, whose three packets
+    /// never make a campaign. `year` shifts the mix so years differ.
+    fn index_records(year: u16) -> Vec<synscan_wire::ProbeRecord> {
+        use synscan_wire::{ProbeRecord, TcpFlags};
+        let shift = u32::from(year % 7);
+        let mut records = Vec::new();
+        for epoch in 0..4u32 {
+            let base = u64::from(epoch) * 1_000_000_000;
+            for s in 0..30u32 {
+                if (s + shift) % 4 > 3 - epoch {
+                    continue;
+                }
+                for i in 0..(12 + (s + epoch) % 9) {
+                    records.push(ProbeRecord {
+                        ts_micros: base + u64::from(i) * 200_000 + u64::from(s) * 7,
+                        src_ip: Ipv4Address(0x0a00_0000 + s * 5),
+                        dst_ip: Ipv4Address(0x0b00_0000 + epoch * 4096 + s * 64 + i),
+                        src_port: 40_000,
+                        dst_port: [22u16, 23, 80, 443, 7547, 8080, 8443]
+                            [((s + shift) % 5 + i % (2 + epoch)) as usize % 7],
+                        seq: i ^ 0x1234_5678,
+                        ip_id: if s % 3 == 0 && i % 2 == 0 { 54_321 } else { 7 },
+                        ttl: 55,
+                        flags: TcpFlags::SYN,
+                        window: 1024,
+                    });
+                }
+            }
+        }
+        for i in 0..3u32 {
+            records.push(ProbeRecord {
+                ts_micros: 5_000 + u64::from(i),
+                src_ip: Ipv4Address(QUIET),
+                dst_ip: Ipv4Address(0x0b00_0000 + i),
+                src_port: 40_000,
+                dst_port: 5060,
+                seq: 1,
+                ip_id: 7,
+                ttl: 55,
+                flags: TcpFlags::SYN,
+                window: 1024,
+            });
+        }
+        records.sort_by_key(|r| (r.ts_micros, r.src_ip));
+        records
+    }
+
+    /// `records` split by source into `parts` collectors, each finished.
+    fn index_partials(
+        year: u16,
+        records: &[synscan_wire::ProbeRecord],
+        parts: u32,
+    ) -> Vec<YearAnalysis> {
+        use crate::analysis::collect::YearCollector;
+        let t0 = records.first().map_or(0, |r| r.ts_micros);
+        (0..parts)
+            .map(|part| {
+                let mut collector = YearCollector::with_origin(year, index_cfg(), 7.0, t0);
+                for record in records.iter().filter(|r| r.src_ip.0 % parts == part) {
+                    collector.offer(record);
+                }
+                collector.finish()
+            })
+            .collect()
+    }
+
+    /// Every `f64` of a summary as bits, so "equal" means the same bytes out.
+    fn summary_bits(summary: &YearSummary) -> Vec<u64> {
+        let rankings = [
+            &summary.top_ports_by_packets,
+            &summary.top_ports_by_sources,
+            &summary.top_ports_by_scans,
+        ];
+        let shares = [&summary.tool_scan_shares, &summary.tool_packet_shares];
+        [summary.packets_per_day, summary.scans_per_month]
+            .into_iter()
+            .chain(rankings.into_iter().flatten().map(|&(_, share)| share))
+            .chain(shares.into_iter().flat_map(|m| m.values().copied()))
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn indexed_answers_equal_the_linear_scans() {
+        use crate::store::{decode_year, encode_year};
+        let year_of = |year: u16, route: u8| {
+            let records = index_records(year);
+            let mut sequential = index_partials(year, &records, 1);
+            let sequential = sequential.pop().expect("one partition");
+            match route {
+                0 => sequential,
+                1 => {
+                    let merged = YearAnalysis::merge_partials(index_partials(year, &records, 3));
+                    assert_eq!(merged, sequential);
+                    merged
+                }
+                _ => {
+                    let decoded = decode_year(&encode_year(&sequential)).expect("decodes");
+                    assert_eq!(decoded, sequential);
+                    decoded
+                }
+            }
+        };
+        // A year with traffic but no campaign, between the busy years.
+        let quiet_year = {
+            let records: Vec<_> = index_records(2018)
+                .into_iter()
+                .filter(|r| r.src_ip.0 == QUIET)
+                .collect();
+            index_partials(2018, &records, 1).pop().expect("one")
+        };
+        assert!(quiet_year.campaigns.is_empty() && quiet_year.total_packets == 3);
+
+        for route in 0..3u8 {
+            let years = vec![
+                year_of(2017, route),
+                quiet_year.clone(),
+                year_of(2019, route),
+            ];
+            let mut sources: Vec<u32> = years
+                .iter()
+                .flat_map(|a| a.source_packets.keys().copied())
+                .collect();
+            sources.sort_unstable();
+            sources.dedup();
+            let repeaters = sources
+                .iter()
+                .filter(|&&src| {
+                    years[0]
+                        .campaigns
+                        .iter()
+                        .filter(|c| c.src_ip.0 == src)
+                        .count()
+                        >= 2
+                })
+                .count();
+            assert!(
+                repeaters >= 10,
+                "route {route}: {repeaters} repeat scanners"
+            );
+            assert!(sources.contains(&QUIET) && !sources.contains(&ABSENT));
+
+            for &src in sources.iter().chain([&ABSENT, &0, &u32::MAX]) {
+                let src = Ipv4Address(src);
+                assert_eq!(
+                    source_history(&years, src),
+                    scan::source_history(&years, src),
+                    "route {route} {src}"
+                );
+                assert_eq!(
+                    campaign_lookup(&years, src),
+                    scan::campaign_lookup(&years, src),
+                    "route {route} {src}"
+                );
+            }
+            let quiet = source_history(&years, Ipv4Address(QUIET));
+            assert_eq!(quiet.years_seen, 3);
+            assert!(quiet.years.iter().all(|y| y.campaigns == 0));
+            assert_eq!(campaign_lookup(&years, Ipv4Address(ABSENT)).total, 0);
+
+            for analysis in &years {
+                let ports = analysis.port_packets.len();
+                for top_n in [0, 1, 5, ports + 1, usize::MAX] {
+                    let got = summarize(analysis, top_n);
+                    let want = scan::summarize(analysis, top_n);
+                    assert_eq!(got, want, "route {route} top_n {top_n}");
+                    assert_eq!(summary_bits(&got), summary_bits(&want));
+                    assert_eq!(got.top_ports_by_packets.len(), top_n.min(ports));
+                }
+            }
+            assert!(summarize(&years[0], 5).tool_scan_shares["zmap"] > 0.0);
+        }
+    }
+
+    #[test]
+    fn the_index_is_derived_never_stored() {
+        use crate::analysis::collect::YearIndex;
+        use crate::store::{decode_year, encode_year};
+        let year = index_partials(2017, &index_records(2017), 1)
+            .pop()
+            .expect("one");
+        assert_ne!(*year.index(), YearIndex::default());
+        let mut bare = year.clone();
+        bare.index = YearIndex::default();
+        let bytes = encode_year(&year);
+        assert_eq!(encode_year(&bare), bytes);
+        // Decoding derives it again, from bytes that never carried it.
+        assert_eq!(decode_year(&bytes).expect("decodes").index(), year.index());
     }
 }

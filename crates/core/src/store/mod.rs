@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex};
 
 use synscan_scanners::traits::ToolKind;
 
-use crate::analysis::collect::{WeekCell, YearAnalysis};
+use crate::analysis::collect::{WeekCell, YearAnalysis, YearIndex};
 use crate::campaign::{Campaign, NoiseStats};
 use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use crate::fasthash::FxHasher;
@@ -193,7 +193,7 @@ pub struct SliceMeta {
     /// Every scanning source (host-order IPv4), ascending.
     pub sources: Vec<u32>,
     /// Format major version the slice file was written with (from the
-    /// envelope, not the payload; [`read_meta`] fills it).
+    /// envelope, not the payload).
     pub format_major: u16,
     /// Format minor version the slice file was written with.
     pub format_minor: u16,
@@ -250,7 +250,7 @@ fn decode_meta(r: &mut SnapReader<'_>) -> Result<SliceMeta, StoreError> {
         campaigns,
         ports,
         sources,
-        // Envelope-level facts; the caller (read_meta) fills them in.
+        // Envelope-level facts; the caller (open_slice) fills them in.
         format_major: 0,
         format_minor: 0,
         file_bytes: 0,
@@ -387,16 +387,23 @@ pub fn encode_year(analysis: &YearAnalysis) -> Vec<u8> {
     seal(&w.into_bytes())
 }
 
-/// Read just the index section of slice-file bytes, plus the envelope-level
-/// facts (format version, file size) the `stats` query reports.
-pub fn read_meta(bytes: &[u8]) -> Result<SliceMeta, StoreError> {
+/// Verify the envelope and decode the index section, leaving the reader at
+/// the body. Every reader goes through this once per file: whoever wants the
+/// body too decodes it from the same bytes ([`decode_body`]).
+fn open_slice(bytes: &[u8]) -> Result<(SliceMeta, SnapReader<'_>), StoreError> {
     let (minor, payload) = unseal(bytes)?;
     let mut r = SnapReader::new(payload);
     let mut meta = decode_meta(&mut r)?;
     meta.format_major = STORE_FORMAT_MAJOR;
     meta.format_minor = minor;
     meta.file_bytes = bytes.len() as u64;
-    Ok(meta)
+    Ok((meta, r))
+}
+
+/// Read just the index section of slice-file bytes, plus the envelope-level
+/// facts (format version, file size) the `stats` query reports.
+pub fn read_meta(bytes: &[u8]) -> Result<SliceMeta, StoreError> {
+    Ok(open_slice(bytes)?.0)
 }
 
 /// Decode complete slice-file bytes back into a [`YearAnalysis`].
@@ -404,9 +411,13 @@ pub fn read_meta(bytes: &[u8]) -> Result<SliceMeta, StoreError> {
 /// Corrupted, truncated, or wrong-version input yields a typed
 /// [`StoreError`]; this function never panics on hostile bytes.
 pub fn decode_year(bytes: &[u8]) -> Result<YearAnalysis, StoreError> {
-    let (minor, payload) = unseal(bytes)?;
-    let mut r = SnapReader::new(payload);
-    let meta = decode_meta(&mut r)?;
+    let (meta, body) = open_slice(bytes)?;
+    decode_body(&meta, body)
+}
+
+/// Decode the body behind an opened slice's index section.
+fn decode_body(meta: &SliceMeta, mut r: SnapReader<'_>) -> Result<YearAnalysis, StoreError> {
+    let minor = meta.format_minor;
 
     let port_packet_count = r.take_len(10)?;
     let mut port_packets = BTreeMap::new();
@@ -522,6 +533,7 @@ pub fn decode_year(bytes: &[u8]) -> Result<YearAnalysis, StoreError> {
     }
 
     Ok(YearAnalysis {
+        index: YearIndex::build(&campaigns, &tool_port_packets),
         year: meta.year,
         start_micros: meta.start_micros,
         end_micros: meta.end_micros,
@@ -641,13 +653,16 @@ impl AnalysisStore {
         Ok(files)
     }
 
+    fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
+        fs::read(path).map_err(|e| StoreError::Io(format!("read {}: {e}", path.display())))
+    }
+
     /// Index every slice without decoding bodies: `(path, meta)` pairs in
     /// file-name order.
     pub fn index(&self) -> Result<Vec<(PathBuf, SliceMeta)>, StoreError> {
         let mut out = Vec::new();
         for path in self.slice_files()? {
-            let bytes = fs::read(&path)
-                .map_err(|e| StoreError::Io(format!("read {}: {e}", path.display())))?;
+            let bytes = Self::read_file(&path)?;
             let meta = read_meta(&bytes).map_err(|e| annotate_slice_error(e, &path))?;
             out.push((path, meta));
         }
@@ -662,43 +677,57 @@ impl AnalysisStore {
         Ok(years)
     }
 
+    /// Read every slice file once — one read, one checksum — and decode the
+    /// body of those whose index section passes `wanted`, in file-name order.
+    fn read_slices(
+        &self,
+        wanted: impl Fn(&SliceMeta) -> bool,
+    ) -> Result<Vec<(SliceMeta, YearAnalysis)>, StoreError> {
+        let mut out = Vec::new();
+        for path in self.slice_files()? {
+            let bytes = Self::read_file(&path)?;
+            let slice = open_slice(&bytes).and_then(|(meta, body)| {
+                if !wanted(&meta) {
+                    return Ok(None);
+                }
+                let analysis = decode_body(&meta, body)?;
+                Ok(Some((meta, analysis)))
+            });
+            out.extend(slice.map_err(|e| annotate_slice_error(e, &path))?);
+        }
+        Ok(out)
+    }
+
     /// Load one year, merging same-year partial slices bit-identically.
     pub fn load_year(&self, year: u16) -> Result<YearAnalysis, StoreError> {
-        let mut partials = Vec::new();
-        for (path, meta) in self.index()? {
-            if meta.year == year {
-                let bytes = fs::read(&path)
-                    .map_err(|e| StoreError::Io(format!("read {}: {e}", path.display())))?;
-                partials.push(decode_year(&bytes).map_err(|e| annotate_slice_error(e, &path))?);
-            }
-        }
-        match partials.len() {
-            0 => Err(StoreError::MissingYear(year)),
-            1 => Ok(partials.pop().expect("one partial")),
-            _ => Ok(YearAnalysis::merge_partials(partials)),
-        }
+        merge_years(self.read_slices(|meta| meta.year == year)?)
+            .pop()
+            .ok_or(StoreError::MissingYear(year))
     }
 
     /// Load every year in the store, ascending, partials merged.
     pub fn load_all(&self) -> Result<Vec<YearAnalysis>, StoreError> {
-        let mut by_year: BTreeMap<u16, Vec<YearAnalysis>> = BTreeMap::new();
-        for (path, _) in self.index()? {
-            let bytes = fs::read(&path)
-                .map_err(|e| StoreError::Io(format!("read {}: {e}", path.display())))?;
-            let analysis = decode_year(&bytes).map_err(|e| annotate_slice_error(e, &path))?;
-            by_year.entry(analysis.year).or_default().push(analysis);
-        }
-        Ok(by_year
-            .into_values()
-            .map(|mut partials| {
-                if partials.len() == 1 {
-                    partials.pop().expect("one partial")
-                } else {
-                    YearAnalysis::merge_partials(partials)
-                }
-            })
-            .collect())
+        Ok(merge_years(self.read_slices(|_| true)?))
     }
+}
+
+/// Group decoded slices by year, ascending, recombining same-year partials
+/// through [`YearAnalysis::merge_partials`].
+fn merge_years(slices: Vec<(SliceMeta, YearAnalysis)>) -> Vec<YearAnalysis> {
+    let mut by_year: BTreeMap<u16, Vec<YearAnalysis>> = BTreeMap::new();
+    for (_, analysis) in slices {
+        by_year.entry(analysis.year).or_default().push(analysis);
+    }
+    by_year
+        .into_values()
+        .map(|mut partials| {
+            if partials.len() == 1 {
+                partials.pop().expect("one partial")
+            } else {
+                YearAnalysis::merge_partials(partials)
+            }
+        })
+        .collect()
 }
 
 /// Attach the offending file path to a decode error's message.
@@ -749,12 +778,13 @@ impl StoreImage {
         Self::default()
     }
 
-    /// Build an image from everything currently in `store`.
+    /// Build an image from everything currently in `store`, reading each
+    /// slice file once: the accounting comes from the same bytes as the body.
     pub fn load(store: &AnalysisStore) -> Result<Self, StoreError> {
-        let index = store.index()?;
-        let slice_files = index.len();
+        let slices = store.read_slices(|_| true)?;
+        let slice_files = slices.len();
         let mut by_year: BTreeMap<u16, YearSliceStat> = BTreeMap::new();
-        for (_, meta) in &index {
+        for (meta, _) in &slices {
             let stat = by_year.entry(meta.year).or_insert(YearSliceStat {
                 year: meta.year,
                 files: 0,
@@ -766,12 +796,11 @@ impl StoreImage {
             stat.bytes += meta.file_bytes;
             stat.format_minor = stat.format_minor.max(meta.format_minor);
         }
-        let years = store.load_all()?;
         Ok(Self {
             generation: 0,
             slice_files,
             slices: by_year.into_values().collect(),
-            years,
+            years: merge_years(slices),
         })
     }
 

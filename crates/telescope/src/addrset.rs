@@ -3,8 +3,10 @@
 //! Within each telescope /16, a deterministic keyed hash decides which
 //! addresses are dark (unused, routed to the capture host) and which are
 //! populated (real hosts — their traffic never reaches the telescope). The
-//! set supports O(log n) membership, indexing, and range queries, and
-//! implements the scanners' [`DarkSpace`] projection interface.
+//! set supports O(1) membership (a per-/16 bitmap — the capture filter asks
+//! once per offered record), O(log n) indexing and range queries over the
+//! sorted vector, and implements the scanners' [`DarkSpace`] projection
+//! interface.
 
 use synscan_scanners::thinning::DarkSpace;
 use synscan_scanners::traits::mix64;
@@ -12,25 +14,37 @@ use synscan_wire::Ipv4Address;
 
 use crate::config::TelescopeConfig;
 
+/// One bit per address of a /16: 1024 words, 8 KiB.
+type BlockBitmap = [u64; 1024];
+
 /// A concrete, sorted set of dark addresses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddressSet {
     addresses: Vec<Ipv4Address>,
     blocks: Vec<u16>,
+    /// Membership bits, one bitmap per entry of `blocks`. A block listed
+    /// twice keeps all its bits in its first entry's bitmap.
+    bitmaps: Vec<BlockBitmap>,
 }
 
 impl AddressSet {
     /// Materialize the dark set for a configuration.
     pub fn build(cfg: &TelescopeConfig) -> Self {
         let mut addresses = Vec::new();
+        let mut bitmaps = vec![[0u64; 1024]; cfg.blocks.len()];
         for (bi, &block) in cfg.blocks.iter().enumerate() {
             let keep = cfg.dark_fraction[bi] * cfg.scale;
+            let slot = cfg.blocks[..bi]
+                .iter()
+                .position(|&b| b == block)
+                .unwrap_or(bi);
             for low in 0u32..65_536 {
                 let addr = ((block as u32) << 16) | low;
                 // Keyed hash → uniform in [0,1); dark iff below the keep rate.
                 let u = mix64(cfg.seed ^ u64::from(addr)) as f64 / u64::MAX as f64;
                 if u < keep {
                     addresses.push(Ipv4Address(addr));
+                    bitmaps[slot][(low >> 6) as usize] |= 1 << (low & 63);
                 }
             }
         }
@@ -38,6 +52,7 @@ impl AddressSet {
         Self {
             addresses,
             blocks: cfg.blocks.to_vec(),
+            bitmaps,
         }
     }
 
@@ -51,9 +66,14 @@ impl AddressSet {
         self.addresses.is_empty()
     }
 
-    /// Membership test.
+    /// Membership test: find the address's /16 among the (three) blocks,
+    /// then one bit of that block's bitmap.
     pub fn contains(&self, addr: Ipv4Address) -> bool {
-        self.addresses.binary_search(&addr).is_ok()
+        let low = addr.0 & 0xffff;
+        self.blocks
+            .iter()
+            .position(|&block| block == addr.slash16())
+            .is_some_and(|slot| self.bitmaps[slot][(low >> 6) as usize] >> (low & 63) & 1 == 1)
     }
 
     /// The telescope /16 blocks.
@@ -127,6 +147,37 @@ mod tests {
         let inside = set.address_at(set.len() as u64 / 2);
         assert!(set.contains(inside));
         assert!(!set.contains(Ipv4Address::new(8, 8, 8, 8)));
+    }
+
+    #[test]
+    fn bitmap_membership_agrees_with_the_sorted_vector() {
+        let set = small();
+        let listed = |addr: Ipv4Address| set.addresses().binary_search(&addr).is_ok();
+        // Every address of the three /16s, dark or populated.
+        for &block in set.blocks() {
+            for low in 0u32..65_536 {
+                let addr = Ipv4Address((u32::from(block) << 16) | low);
+                assert_eq!(set.contains(addr), listed(addr), "{addr}");
+            }
+        }
+        // Outside them: the /16s either side of each block, the ends of the
+        // address space, and a dark address's low half under a foreign /16.
+        let dark_low = set.address_at(0).0 & 0xffff;
+        let mut outside = vec![0, u32::MAX, 0x0808_0808, dark_low, 0xffff_0000 | dark_low];
+        for &block in set.blocks() {
+            let base = u32::from(block) << 16;
+            outside.extend([
+                base - 1,
+                base - 65_536 + dark_low,
+                base + 65_536,
+                base + 65_536 + dark_low,
+            ]);
+        }
+        for addr in outside.into_iter().map(Ipv4Address) {
+            assert!(!set.blocks().contains(&addr.slash16()), "{addr} is inside");
+            assert!(!listed(addr));
+            assert!(!set.contains(addr), "{addr}");
+        }
     }
 
     #[test]

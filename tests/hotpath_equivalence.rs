@@ -274,33 +274,34 @@ impl NaiveCollector {
                 .campaigns += 1;
         }
 
-        YearAnalysis {
-            year: YEAR,
-            start_micros: t0,
-            end_micros: self.end,
-            total_packets: self.total,
-            distinct_sources: self.sources.len() as u64,
-            port_sources: self
-                .port_source_sets
-                .iter()
-                .map(|(&port, set)| (port, set.len() as u64))
-                .collect(),
-            port_packets: self.port_packets,
-            source_port_counts: self
-                .source_ports
-                .into_iter()
-                .map(|(src, ports)| (src, ports.len() as u32))
-                .collect(),
-            source_packets: self.source_packets,
-            port_source_sets: self.port_source_sets,
-            day_port_packets: self.day_port_packets,
-            tool_port_packets: self.tool_port_packets,
-            week_blocks,
-            campaigns: self.campaigns,
-            noise: self.noise,
-            monitored: self.config.monitored_addresses,
-            heavy: None,
-        }
+        // The index is private to the crate, so no literal: the shipped
+        // collector's empty year (which fixes year, telescope size and no
+        // sketch), every aggregate overwritten, the index derived again.
+        let mut analysis = YearCollector::with_period(YEAR, self.config, PERIOD_DAYS).finish();
+        analysis.start_micros = t0;
+        analysis.end_micros = self.end;
+        analysis.total_packets = self.total;
+        analysis.distinct_sources = self.sources.len() as u64;
+        analysis.port_sources = self
+            .port_source_sets
+            .iter()
+            .map(|(&port, set)| (port, set.len() as u64))
+            .collect();
+        analysis.port_packets = self.port_packets;
+        analysis.source_port_counts = self
+            .source_ports
+            .into_iter()
+            .map(|(src, ports)| (src, ports.len() as u32))
+            .collect();
+        analysis.source_packets = self.source_packets;
+        analysis.port_source_sets = self.port_source_sets;
+        analysis.day_port_packets = self.day_port_packets;
+        analysis.tool_port_packets = self.tool_port_packets;
+        analysis.week_blocks = week_blocks;
+        analysis.campaigns = self.campaigns;
+        analysis.noise = self.noise;
+        analysis.reindex();
+        analysis
     }
 }
 

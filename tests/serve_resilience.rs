@@ -212,28 +212,31 @@ fn connections_past_the_gate_are_shed_typed_and_counted() {
     drop(hold_a);
     drop(hold_b);
 
-    // Once the held connections die, the gate reopens and health reports
-    // what happened.
+    // Wait for the held connections to be reaped without connecting: a
+    // probe sent while they linger is shed itself and counted with the burst.
     let started = Instant::now();
-    loop {
-        let mut stream = TcpStream::connect(addr).expect("health connect");
-        stream
-            .write_all(b"{\"op\":\"health\"}\n")
-            .expect("health request");
-        let reply = read_reply(&stream);
-        if reply.starts_with("{\"ok\":true") {
-            assert!(
-                reply.contains("\\\"shed\\\": 3") || reply.contains("\"shed\": 3"),
-                "health does not report the 3 shed connections: {reply}"
-            );
-            break;
-        }
+    while control.counters().in_flight > 0 {
         assert!(
             started.elapsed() < Duration::from_secs(10),
-            "gate never reopened; last reply: {reply}"
+            "gate never reopened: {:?}",
+            control.counters()
         );
-        std::thread::sleep(Duration::from_millis(50));
+        std::thread::sleep(Duration::from_millis(10));
     }
+    assert_eq!(control.counters().shed, 3, "{:?}", control.counters());
+
+    // The gate is open again, and health reports what happened.
+    let mut stream = TcpStream::connect(addr).expect("health connect");
+    stream
+        .write_all(b"{\"op\":\"health\"}\n")
+        .expect("health request");
+    let reply = read_reply(&stream);
+    assert!(reply.starts_with("{\"ok\":true"), "health failed: {reply}");
+    assert!(
+        reply.contains("\\\"shed\\\": 3") || reply.contains("\"shed\": 3"),
+        "health does not report the 3 shed connections: {reply}"
+    );
+    drop(stream);
 
     server.stop();
     server.join().expect("clean join");

@@ -11,9 +11,11 @@
 //! hybrids ([`crate::compact`]), and the remaining tuple-keyed maps pack
 //! their keys into single integers hashed with [`crate::fasthash`]. The
 //! public [`YearAnalysis`] is assembled from this state at
-//! [`YearCollector::finish`] with its historical field types unchanged.
+//! [`YearCollector::finish`] as key-sorted columns ([`SortedMap`]): the
+//! order the store format writes and every later stage — merge, encode,
+//! decode, lookup — reads, so hashing and sorting both end there.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use synscan_wire::{Ipv4Address, ProbeRecord};
 
@@ -23,7 +25,7 @@ use crate::campaign::{
     tool_slot, Campaign, CampaignConfig, NoiseStats, Pipeline, TOOL_BY_SLOT, TOOL_SLOTS,
 };
 use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
-use crate::compact::{IdSet, PortSet};
+use crate::compact::{sorted_union, IdSet, PortSet, SortedMap};
 use crate::fasthash::FxHashMap;
 use crate::sketch::{HeavyHitterConfig, HeavyHitters};
 
@@ -39,6 +41,15 @@ pub struct WeekCell {
     pub packets: u64,
     /// Campaigns that *started* in this /16 this week.
     pub campaigns: u64,
+}
+
+impl WeekCell {
+    /// Add another partial's tallies for the same (week, /16).
+    fn absorb(&mut self, other: &WeekCell) {
+        self.sources += other.sources;
+        self.packets += other.packets;
+        self.campaigns += other.campaigns;
+    }
 }
 
 /// Lookup structures derived from one year's final campaign list: what the
@@ -68,7 +79,7 @@ impl YearIndex {
     /// `tool_port_packets`.
     pub(crate) fn build(
         campaigns: &[Campaign],
-        tool_port_packets: &HashMap<(Option<ToolKind>, u16), u64>,
+        tool_port_packets: &SortedMap<(Option<ToolKind>, u16), u64>,
     ) -> Self {
         let mut postings = Vec::with_capacity(campaigns.len());
         let mut scan_ports: BTreeMap<u16, u64> = BTreeMap::new();
@@ -142,19 +153,19 @@ pub struct YearAnalysis {
     /// Distinct sources per destination port.
     pub port_sources: BTreeMap<u16, u64>,
     /// Distinct ports contacted per source.
-    pub source_port_counts: HashMap<u32, u32>,
+    pub source_port_counts: SortedMap<u32, u32>,
     /// Packets sent by each source.
-    pub source_packets: HashMap<u32, u64>,
+    pub source_packets: SortedMap<u32, u64>,
     /// Sources that contacted both ports of interest pairs are derived from
-    /// this: port -> set of sources, kept for the co-scanning analysis
-    /// (bounded by distinct sources × their ports).
-    pub port_source_sets: HashMap<u16, HashSet<u32>>,
+    /// this: port -> its sources, ascending, kept for the co-scanning
+    /// analysis (bounded by distinct sources × their ports).
+    pub port_source_sets: SortedMap<u16, Vec<u32>>,
     /// Packets per (day index, port) — the event-decay input.
-    pub day_port_packets: HashMap<(u32, u16), u64>,
+    pub day_port_packets: SortedMap<(u32, u16), u64>,
     /// Packets per (tool, port); unattributed packets under `None`.
-    pub tool_port_packets: HashMap<(Option<ToolKind>, u16), u64>,
+    pub tool_port_packets: SortedMap<(Option<ToolKind>, u16), u64>,
     /// Week × /16 volatility cells.
-    pub week_blocks: HashMap<(u32, u16), WeekCell>,
+    pub week_blocks: SortedMap<(u32, u16), WeekCell>,
     /// The identified campaigns.
     pub campaigns: Vec<Campaign>,
     /// Rejected (non-campaign) traffic.
@@ -218,10 +229,11 @@ impl YearAnalysis {
     ///
     /// **Invariant:** the partials must come from a *partition by source* of
     /// one admitted stream, all built against the same origin timestamp,
-    /// year, and telescope. Source-keyed maps are then key-disjoint and every
-    /// aggregate is a plain sum or set union, so the merge is exact and
-    /// order-independent; campaigns are re-sorted into the canonical
-    /// (start time, source) order the sequential detector emits.
+    /// year, and telescope. Source-keyed columns are then key-disjoint and
+    /// every aggregate is a plain sum or set union, so the merge — one sorted
+    /// pass per column — is exact and order-independent; campaigns are
+    /// re-sorted into the canonical (start time, source) order the
+    /// sequential detector emits.
     ///
     /// # Panics
     /// If `partials` is empty or the partials disagree on year/telescope.
@@ -265,23 +277,22 @@ impl YearAnalysis {
         for (port, n) in other.port_packets {
             *self.port_packets.entry(port).or_default() += n;
         }
-        for (port, set) in other.port_source_sets {
-            self.port_source_sets.entry(port).or_default().extend(set);
-        }
-        self.source_port_counts.extend(other.source_port_counts);
-        self.source_packets.extend(other.source_packets);
-        for (key, n) in other.day_port_packets {
-            *self.day_port_packets.entry(key).or_default() += n;
-        }
-        for (key, n) in other.tool_port_packets {
-            *self.tool_port_packets.entry(key).or_default() += n;
-        }
-        for (key, cell) in other.week_blocks {
-            let mine = self.week_blocks.entry(key).or_default();
-            mine.sources += cell.sources;
-            mine.packets += cell.packets;
-            mine.campaigns += cell.campaigns;
-        }
+        self.port_source_sets
+            .merge_from(other.port_source_sets, |mine, theirs| {
+                *mine = sorted_union(mine, &theirs)
+            });
+        // Disjoint under the partition invariant; a source two partials both
+        // list keeps the later one's row.
+        self.source_port_counts
+            .merge_from(other.source_port_counts, |mine, theirs| *mine = theirs);
+        self.source_packets
+            .merge_from(other.source_packets, |mine, theirs| *mine = theirs);
+        self.day_port_packets
+            .merge_from(other.day_port_packets, |mine, theirs| *mine += theirs);
+        self.tool_port_packets
+            .merge_from(other.tool_port_packets, |mine, theirs| *mine += theirs);
+        self.week_blocks
+            .merge_from(other.week_blocks, |mine, theirs| mine.absorb(&theirs));
         self.campaigns.extend(other.campaigns);
         for (reason, n) in other.noise.rejected_sequences {
             *self.noise.rejected_sequences.entry(reason).or_default() += n;
@@ -644,45 +655,61 @@ impl YearCollector {
     }
 
     /// Finish the year: close campaigns and assemble the analysis bundle,
-    /// converting the compact internal state back to the public (IP-keyed,
-    /// std-collection) `YearAnalysis` representation.
+    /// converting the compact internal state to the public (IP-keyed,
+    /// key-sorted) `YearAnalysis` representation.
     pub fn finish(self) -> YearAnalysis {
         let t0 = self.start_micros.unwrap_or(0);
         let (campaigns, noise, table) = self.pipeline.finish_with_sources();
         let ips = table.ips();
 
-        let mut week_blocks: HashMap<(u32, u16), WeekCell> =
-            HashMap::with_capacity(self.week_cells.len());
-        for (key, state) in &self.week_cells {
-            week_blocks.insert(
-                ((key >> 16) as u32, (key & 0xffff) as u16),
-                WeekCell {
-                    sources: state.sources.len() as u64,
-                    packets: state.packets,
-                    campaigns: 0,
-                },
-            );
-        }
+        // The one sort over the year's sources: interned ids are in
+        // first-seen order, the columns are in address order. Both
+        // source-keyed columns are emitted through this permutation, already
+        // ascending.
+        let mut by_address: Vec<(u32, u32)> = (0..self.source_packets.len())
+            .map(|sid| (ips[sid], sid as u32))
+            .collect();
+        by_address.sort_unstable();
+        let source_port_counts =
+            source_column(&by_address, |sid| self.source_ports[sid].len() as u32);
+        let source_packets = source_column(&by_address, |sid| self.source_packets[sid]);
+
+        let mut week_blocks: SortedMap<(u32, u16), WeekCell> = self
+            .week_cells
+            .iter()
+            .map(|(key, state)| {
+                (
+                    ((key >> 16) as u32, (key & 0xffff) as u16),
+                    WeekCell {
+                        sources: state.sources.len() as u64,
+                        packets: state.packets,
+                        campaigns: 0,
+                    },
+                )
+            })
+            .collect();
+        let mut campaign_starts: BTreeMap<(u32, u16), WeekCell> = BTreeMap::new();
         for campaign in &campaigns {
             let week = (campaign.first_ts_micros.saturating_sub(t0) / self.period_micros) as u32;
-            week_blocks
+            campaign_starts
                 .entry((week, campaign.src_ip.slash16()))
                 .or_default()
                 .campaigns += 1;
         }
+        week_blocks.merge_from(campaign_starts.into_iter().collect(), |cell, starts| {
+            cell.absorb(&starts)
+        });
 
-        let mut port_packets = BTreeMap::new();
-        let mut port_sources = BTreeMap::new();
-        let mut port_source_sets: HashMap<u16, HashSet<u32>> =
-            HashMap::with_capacity(self.port_stats.len());
-        for (&port, stat) in &self.port_stats {
-            port_packets.insert(port, stat.packets);
-            port_sources.insert(port, stat.sources.len() as u64);
-            port_source_sets.insert(
-                port,
-                stat.sources.iter().map(|sid| ips[sid as usize]).collect(),
-            );
-        }
+        let port_source_sets = self
+            .port_stats
+            .iter()
+            .map(|(&port, stat)| {
+                let mut members: Vec<u32> =
+                    stat.sources.iter().map(|sid| ips[sid as usize]).collect();
+                members.sort_unstable();
+                (port, members)
+            })
+            .collect();
 
         let tool_port_packets = self
             .tool_port_packets
@@ -703,20 +730,18 @@ impl YearCollector {
             end_micros: self.end_micros,
             total_packets: self.total_packets,
             distinct_sources: table.len() as u64,
-            port_packets,
-            port_sources,
-            source_port_counts: self
-                .source_ports
+            port_packets: self
+                .port_stats
                 .iter()
-                .enumerate()
-                .map(|(sid, ports)| (ips[sid], ports.len() as u32))
+                .map(|(&port, stat)| (port, stat.packets))
                 .collect(),
-            source_packets: self
-                .source_packets
+            port_sources: self
+                .port_stats
                 .iter()
-                .enumerate()
-                .map(|(sid, &packets)| (ips[sid], packets))
+                .map(|(&port, stat)| (port, stat.sources.len() as u64))
                 .collect(),
+            source_port_counts,
+            source_packets,
             port_source_sets,
             day_port_packets: self
                 .day_port_packets
@@ -731,6 +756,16 @@ impl YearCollector {
             heavy: self.heavy,
         }
     }
+}
+
+/// One source-keyed column: `value(id)` for every source, in the address
+/// order `by_address` (sorted `(address, id)` pairs) lists them.
+fn source_column<V>(by_address: &[(u32, u32)], value: impl Fn(usize) -> V) -> SortedMap<u32, V> {
+    let entries = by_address
+        .iter()
+        .map(|&(ip, sid)| (ip, value(sid as usize)))
+        .collect();
+    SortedMap::from_sorted(entries).expect("interned addresses are distinct")
 }
 
 /// Bundle a source address into the campaign's /16 key space (helper shared

@@ -92,10 +92,14 @@ pub fn ks_return_to_normal(
 ) -> Option<KsResult> {
     let collect_window = |from: i64, to: i64| -> Vec<(u32, f64)> {
         let mut freq: std::collections::BTreeMap<u16, u64> = std::collections::BTreeMap::new();
-        for (&(day, port), &count) in &analysis.day_port_packets {
-            if (day as i64) >= from && (day as i64) < to {
-                *freq.entry(port).or_default() += count;
-            }
+        // Sorted by (day, port): the window is one contiguous run.
+        let cells = analysis.day_port_packets.as_slice();
+        let start = cells.partition_point(|((day, _), _)| i64::from(*day) < from);
+        for ((_, port), count) in cells[start..]
+            .iter()
+            .take_while(|((day, _), _)| i64::from(*day) < to)
+        {
+            *freq.entry(*port).or_default() += count;
         }
         freq.into_iter()
             .map(|(port, count)| (u32::from(port), count as f64))

@@ -10,6 +10,7 @@ use synscan_netmodel::PortCensus;
 use synscan_stats::{pearson, Ecdf, PearsonResult};
 
 use super::collect::YearAnalysis;
+use crate::compact::sorted_intersection_len;
 
 /// The Figure 3 CDF: distinct destination ports per source.
 pub fn ports_per_source_cdf(analysis: &YearAnalysis) -> Ecdf {
@@ -49,11 +50,10 @@ pub fn co_scan_fraction(analysis: &YearAnalysis, port_a: u16, port_b: u16) -> Op
     if a.is_empty() {
         return None;
     }
-    let b = analysis.port_source_sets.get(&port_b);
-    let both = match b {
-        Some(b) => a.iter().filter(|src| b.contains(src)).count(),
-        None => 0,
-    };
+    let both = analysis
+        .port_source_sets
+        .get(&port_b)
+        .map_or(0, |b| sorted_intersection_len(a, b));
     Some(both as f64 / a.len() as f64)
 }
 

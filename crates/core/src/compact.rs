@@ -1,4 +1,5 @@
-//! Compact distinct-element sets for the per-record accumulation layer.
+//! Compact collections: distinct-element sets for the per-record
+//! accumulation layer, and the sorted columns of the finished analysis.
 //!
 //! The collector used to keep a heap-allocated `HashSet` behind every
 //! port→sources and source→ports relation — one allocation plus one SipHash
@@ -15,8 +16,12 @@
 //!
 //! Both keep an exact element count, so cardinality queries (the only thing
 //! most call sites need at `finish()` time) are O(1). Iteration is always
-//! ascending, which makes the `finish()`-time conversion to the public
-//! IP-keyed maps deterministic.
+//! ascending.
+//!
+//! Once a year is finished nothing is inserted any more: the analysis is
+//! merged, encoded, decoded and queried. [`SortedMap`] is the map for that
+//! half of the life cycle — one key-ascending vector, which is also the
+//! order the store format writes, so no stage hashes or re-sorts.
 
 use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 
@@ -220,8 +225,191 @@ impl IdSet {
     }
 }
 
+/// A map kept as one key-ascending `Vec<(K, V)>`: lookup is a binary search,
+/// iteration is in key order, and two maps combine in one sorted merge.
+///
+/// The entries are private so the order cannot be broken from outside: a map
+/// is built by [`FromIterator`] (which sorts), by [`SortedMap::from_sorted`]
+/// (which checks), or by [`SortedMap::merge_from`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SortedMap<K, V> {
+    entries: Vec<(K, V)>,
+}
+
+impl<K, V> Default for SortedMap<K, V> {
+    fn default() -> Self {
+        Self {
+            entries: Vec::new(),
+        }
+    }
+}
+
+/// Borrowing iterator over a [`SortedMap`], ascending by key.
+pub type SortedMapIter<'a, K, V> =
+    std::iter::Map<std::slice::Iter<'a, (K, V)>, fn(&'a (K, V)) -> (&'a K, &'a V)>;
+
+impl<K: Ord, V> SortedMap<K, V> {
+    /// Adopt `entries` as they are, or `None` unless their keys are strictly
+    /// ascending (which also rules out duplicates).
+    pub fn from_sorted(entries: Vec<(K, V)>) -> Option<Self> {
+        entries
+            .windows(2)
+            .all(|pair| pair[0].0 < pair[1].0)
+            .then_some(Self { entries })
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the map is empty.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The entries, ascending by key.
+    pub fn as_slice(&self) -> &[(K, V)] {
+        &self.entries
+    }
+
+    /// Position of `key` in [`SortedMap::as_slice`].
+    pub fn position(&self, key: &K) -> Option<usize> {
+        self.entries.binary_search_by(|(k, _)| k.cmp(key)).ok()
+    }
+
+    /// The value stored under `key`.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.position(key).map(|at| &self.entries[at].1)
+    }
+
+    /// As [`SortedMap::get`], trying position `hint` before searching: two
+    /// maps over the same key set hold a key at the same position.
+    pub fn get_near(&self, hint: usize, key: &K) -> Option<&V> {
+        match self.entries.get(hint) {
+            Some((k, value)) if k == key => Some(value),
+            _ => self.get(key),
+        }
+    }
+
+    /// Whether `key` is present.
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.position(key).is_some()
+    }
+
+    /// `(key, value)` pairs, ascending by key.
+    pub fn iter(&self) -> SortedMapIter<'_, K, V> {
+        let project: fn(&(K, V)) -> (&K, &V) = |(k, v)| (k, v);
+        self.entries.iter().map(project)
+    }
+
+    /// Keys, ascending.
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = &K> + DoubleEndedIterator + Clone {
+        self.entries.iter().map(|(k, _)| k)
+    }
+
+    /// Values, in key order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &V> + DoubleEndedIterator + Clone {
+        self.entries.iter().map(|(_, v)| v)
+    }
+
+    /// Merge `other` into `self` in one pass over both. A key only one side
+    /// holds moves across unchanged; for a key both hold, `combine(mine,
+    /// theirs)` decides what stays.
+    pub fn merge_from(&mut self, other: Self, mut combine: impl FnMut(&mut V, V)) {
+        if other.is_empty() {
+            return;
+        }
+        if self.is_empty() {
+            *self = other;
+            return;
+        }
+        let mut merged = Vec::with_capacity(self.len() + other.len());
+        let mut mine = std::mem::take(&mut self.entries).into_iter().peekable();
+        let mut theirs = other.entries.into_iter().peekable();
+        while let (Some(a), Some(b)) = (mine.peek(), theirs.peek()) {
+            let order = a.0.cmp(&b.0);
+            let mut entry = if order == std::cmp::Ordering::Greater {
+                theirs.next()
+            } else {
+                mine.next()
+            }
+            .expect("peeked");
+            if order == std::cmp::Ordering::Equal {
+                combine(&mut entry.1, theirs.next().expect("peeked").1);
+            }
+            merged.push(entry);
+        }
+        merged.extend(mine);
+        merged.extend(theirs);
+        self.entries = merged;
+    }
+}
+
+impl<K: Ord, V> std::ops::Index<&K> for SortedMap<K, V> {
+    type Output = V;
+
+    /// # Panics
+    /// If `key` is absent, as `HashMap`'s and `BTreeMap`'s `Index` do.
+    fn index(&self, key: &K) -> &V {
+        self.get(key).expect("no entry found for key")
+    }
+}
+
+impl<K: Ord, V> FromIterator<(K, V)> for SortedMap<K, V> {
+    /// Sorts by key; of entries with equal keys the last one wins, as when
+    /// collecting into a std map.
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
+        let mut entries: Vec<(K, V)> = iter.into_iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries.dedup_by(|later, earlier| {
+            let same = later.0 == earlier.0;
+            if same {
+                std::mem::swap(later, earlier);
+            }
+            same
+        });
+        Self { entries }
+    }
+}
+
+impl<K, V> IntoIterator for SortedMap<K, V> {
+    type Item = (K, V);
+    type IntoIter = std::vec::IntoIter<(K, V)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries.into_iter()
+    }
+}
+
+impl<'a, K: Ord, V> IntoIterator for &'a SortedMap<K, V> {
+    type Item = (&'a K, &'a V);
+    type IntoIter = SortedMapIter<'a, K, V>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// How many elements two sorted, deduplicated slices share.
+pub fn sorted_intersection_len(a: &[u32], b: &[u32]) -> usize {
+    let (mut i, mut j, mut shared) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                shared += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    shared
+}
+
 /// Union of two sorted, deduplicated slices, preserving both invariants.
-fn sorted_union(a: &[u32], b: &[u32]) -> Vec<u32> {
+pub fn sorted_union(a: &[u32], b: &[u32]) -> Vec<u32> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -664,6 +852,68 @@ mod tests {
         }
         assert!(matches!(bitmap, PortSet::Bits { .. }));
         assert_eq!(round_trip_portset(&bitmap), bitmap);
+    }
+
+    #[test]
+    fn sorted_map_sorts_on_collect_and_checks_on_adopt() {
+        let map: SortedMap<u32, &str> = [(7, "g"), (3, "c"), (7, "G"), (5, "e")]
+            .into_iter()
+            .collect();
+        assert_eq!(map.as_slice(), &[(3, "c"), (5, "e"), (7, "G")], "last wins");
+        assert_eq!(map.get(&5), Some(&"e"));
+        assert_eq!(map.get(&4), None);
+        assert!(map.contains_key(&7) && !map.contains_key(&8));
+        assert_eq!(map[&3], "c");
+        assert_eq!(map.position(&7), Some(2));
+        assert_eq!(map.get_near(2, &7), Some(&"G"), "hint hits");
+        assert_eq!(map.get_near(0, &7), Some(&"G"), "wrong hint searches");
+        assert_eq!(map.get_near(9, &4), None, "hint past the end, key absent");
+        assert_eq!(map.keys().copied().collect::<Vec<_>>(), vec![3, 5, 7]);
+        assert_eq!(
+            map.values().copied().collect::<Vec<_>>(),
+            vec!["c", "e", "G"]
+        );
+        assert_eq!((&map).into_iter().len(), map.len());
+
+        assert_eq!(
+            SortedMap::from_sorted(vec![(1, ()), (2, ())]).map(|m| m.len()),
+            Some(2)
+        );
+        assert!(
+            SortedMap::from_sorted(vec![(2, ()), (1, ())]).is_none(),
+            "descending"
+        );
+        assert!(
+            SortedMap::from_sorted(vec![(1, ()), (1, ())]).is_none(),
+            "repeated"
+        );
+        assert!(SortedMap::<u8, ()>::from_sorted(Vec::new()).is_some_and(|m| m.is_empty()));
+    }
+
+    #[test]
+    fn sorted_map_merge_combines_shared_keys_and_keeps_the_rest() {
+        let of = |entries: &[(u32, u64)]| entries.iter().copied().collect::<SortedMap<_, _>>();
+        let mut sum = of(&[(1, 10), (4, 40), (9, 90)]);
+        sum.merge_from(of(&[(0, 1), (4, 2), (5, 3), (12, 4)]), |mine, theirs| {
+            *mine += theirs
+        });
+        assert_eq!(
+            sum.as_slice(),
+            &[(0, 1), (1, 10), (4, 42), (5, 3), (9, 90), (12, 4)]
+        );
+
+        let mut empty = SortedMap::default();
+        empty.merge_from(sum.clone(), |_: &mut u64, _| unreachable!("no shared key"));
+        assert_eq!(empty, sum);
+        empty.merge_from(SortedMap::default(), |_, _| unreachable!("no shared key"));
+        assert_eq!(empty, sum);
+    }
+
+    #[test]
+    fn sorted_intersection_counts_shared_members() {
+        assert_eq!(sorted_intersection_len(&[], &[1, 2]), 0);
+        assert_eq!(sorted_intersection_len(&[1, 3, 5, 7], &[2, 3, 4, 7, 9]), 2);
+        assert_eq!(sorted_intersection_len(&[4, 5], &[4, 5]), 2);
     }
 
     #[test]

@@ -172,15 +172,18 @@ impl_to_json!(SourceHistory {
 pub fn source_history(years: &[YearAnalysis], source: Ipv4Address) -> SourceHistory {
     let mut rows = Vec::new();
     for analysis in years {
-        let Some(&packets) = analysis.source_packets.get(&source.0) else {
+        // One binary search a year: both per-source columns list the same
+        // sources, so the position found in one serves the other.
+        let Some(at) = analysis.source_packets.position(&source.0) else {
             continue;
         };
+        let packets = analysis.source_packets.as_slice()[at].1;
         rows.push(SourceYear {
             year: analysis.year,
             packets,
             ports: analysis
                 .source_port_counts
-                .get(&source.0)
+                .get_near(at, &source.0)
                 .copied()
                 .unwrap_or(0),
             campaigns: analysis.campaigns_of(source).len() as u64,

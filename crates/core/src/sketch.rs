@@ -44,7 +44,7 @@ use std::hash::Hasher as _;
 use synscan_stats::mix64;
 use synscan_wire::impl_to_json;
 
-use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
+use crate::checkpoint::{Ascending, CheckpointError, SnapReader, SnapWriter};
 use crate::fasthash::FxHasher;
 
 /// Tool-attribution slots a heavy-hitter slot tallies: slot 0 is
@@ -564,8 +564,9 @@ impl SpaceSaving {
             )));
         }
         let mut slots = BTreeMap::new();
+        let mut order = Ascending::new("space-saving slots");
         for _ in 0..n_slots {
-            let key = r.take_u64()?;
+            let key = order.admit(r.take_u64()?)?;
             let packets = r.take_u64()?;
             let err = r.take_u64()?;
             let first_ts_micros = r.take_u64()?;
@@ -574,23 +575,16 @@ impl SpaceSaving {
             for n in &mut tool_packets {
                 *n = r.take_u64()?;
             }
-            if slots
-                .insert(
-                    key,
-                    HeavySlot {
-                        packets,
-                        err,
-                        first_ts_micros,
-                        last_ts_micros,
-                        tool_packets,
-                    },
-                )
-                .is_some()
-            {
-                return Err(CheckpointError::Corrupt(format!(
-                    "duplicate space-saving key {key}"
-                )));
-            }
+            slots.insert(
+                key,
+                HeavySlot {
+                    packets,
+                    err,
+                    first_ts_micros,
+                    last_ts_micros,
+                    tool_packets,
+                },
+            );
         }
         Ok(Self {
             capacity,
@@ -1163,6 +1157,18 @@ mod tests {
         zeroed[0..4].copy_from_slice(&0u32.to_le_bytes()); // k = 0
         let mut r = SnapReader::new(&zeroed);
         assert!(HeavyHitters::restore_from(&mut r).is_err());
+
+        // The tracked slots close the snapshot, ascending by key; the same
+        // slots in another order are not the bytes any writer emits.
+        let slot = 8 * (5 + TOOL_SLOTS);
+        let mut swapped = bytes.clone();
+        let (head, last) = swapped.split_at_mut(bytes.len() - slot);
+        head[bytes.len() - 2 * slot..].swap_with_slice(last);
+        let mut r = SnapReader::new(&swapped);
+        assert!(matches!(
+            HeavyHitters::restore_from(&mut r),
+            Err(CheckpointError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -13,8 +13,11 @@
 //! 1. an **index** (year, window, totals, sorted port list, sorted source
 //!    list, campaign count) that can be read without decoding the body, and
 //! 2. the full [`YearAnalysis`] **body**, every map serialized in sorted key
-//!    order so encoding is deterministic: encode → decode → encode is
-//!    byte-identical, which is what the equivalence suites lean on.
+//!    order — the order the analysis already holds them in — so encoding is
+//!    deterministic: encode → decode → encode is byte-identical, which is
+//!    what the equivalence suites lean on. The decoder holds a slice to that
+//!    canonical form: keys strictly ascending, the index equal to the body's
+//!    own keys. A slice it accepts re-encodes to the bytes it was read from.
 //!
 //! On the read side, [`StoreImage`] is the compact in-memory image the
 //! `synscan-serve` daemon holds resident: all slices loaded, same-year
@@ -24,7 +27,7 @@
 //! steady state and only touch a lock when the installed generation has
 //! actually changed; a single writer installs reloaded images.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::hash::Hasher;
@@ -33,11 +36,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use synscan_scanners::traits::ToolKind;
-
 use crate::analysis::collect::{WeekCell, YearAnalysis, YearIndex};
 use crate::campaign::{Campaign, NoiseStats};
-use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
+use crate::checkpoint::{Ascending, CheckpointError, SnapReader, SnapWriter};
+use crate::compact::SortedMap;
 use crate::fasthash::FxHasher;
 
 pub mod query;
@@ -214,11 +216,9 @@ fn encode_meta(w: &mut SnapWriter, analysis: &YearAnalysis) {
     for port in analysis.port_packets.keys() {
         w.put_u16(*port);
     }
-    let mut sources: Vec<u32> = analysis.source_packets.keys().copied().collect();
-    sources.sort_unstable();
-    w.put_u64(sources.len() as u64);
-    for src in sources {
-        w.put_u32(src);
+    w.put_u64(analysis.source_packets.len() as u64);
+    for src in analysis.source_packets.keys() {
+        w.put_u32(*src);
     }
 }
 
@@ -258,10 +258,9 @@ fn decode_meta(r: &mut SnapReader<'_>) -> Result<SliceMeta, StoreError> {
 }
 
 /// Serialize a [`YearAnalysis`] to complete slice-file bytes (envelope
-/// included). Every map is emitted in sorted key order, so the encoding is
-/// a pure function of the analysis value: equal analyses produce
-/// byte-identical files regardless of hash-map iteration order or which
-/// pipeline mode produced them.
+/// included). Every map is key-sorted in memory and written as it stands, so
+/// the encoding is a pure function of the analysis value: equal analyses
+/// produce byte-identical files whichever pipeline mode produced them.
 pub fn encode_year(analysis: &YearAnalysis) -> Vec<u8> {
     let mut w = SnapWriter::new();
     encode_meta(&mut w, analysis);
@@ -277,70 +276,32 @@ pub fn encode_year(analysis: &YearAnalysis) -> Vec<u8> {
         w.put_u64(sources);
     }
 
-    let mut source_ports: Vec<(u32, u32)> = analysis
-        .source_port_counts
-        .iter()
-        .map(|(&s, &n)| (s, n))
-        .collect();
-    source_ports.sort_unstable();
-    w.put_u64(source_ports.len() as u64);
-    for (src, ports) in source_ports {
+    w.put_u64(analysis.source_port_counts.len() as u64);
+    for (&src, &ports) in &analysis.source_port_counts {
         w.put_u32(src);
         w.put_u32(ports);
     }
-
-    let mut source_packets: Vec<(u32, u64)> = analysis
-        .source_packets
-        .iter()
-        .map(|(&s, &n)| (s, n))
-        .collect();
-    source_packets.sort_unstable();
-    w.put_u64(source_packets.len() as u64);
-    for (src, packets) in source_packets {
+    w.put_u64(analysis.source_packets.len() as u64);
+    for (&src, &packets) in &analysis.source_packets {
         w.put_u32(src);
         w.put_u64(packets);
     }
-
-    let mut port_sets: Vec<(u16, Vec<u32>)> = analysis
-        .port_source_sets
-        .iter()
-        .map(|(&port, set)| {
-            let mut members: Vec<u32> = set.iter().copied().collect();
-            members.sort_unstable();
-            (port, members)
-        })
-        .collect();
-    port_sets.sort_unstable_by_key(|(port, _)| *port);
-    w.put_u64(port_sets.len() as u64);
-    for (port, members) in port_sets {
+    w.put_u64(analysis.port_source_sets.len() as u64);
+    for (&port, members) in &analysis.port_source_sets {
         w.put_u16(port);
         w.put_u64(members.len() as u64);
-        for src in members {
+        for &src in members {
             w.put_u32(src);
         }
     }
-
-    let mut day_ports: Vec<(u32, u16, u64)> = analysis
-        .day_port_packets
-        .iter()
-        .map(|(&(day, port), &n)| (day, port, n))
-        .collect();
-    day_ports.sort_unstable();
-    w.put_u64(day_ports.len() as u64);
-    for (day, port, packets) in day_ports {
+    w.put_u64(analysis.day_port_packets.len() as u64);
+    for (&(day, port), &packets) in &analysis.day_port_packets {
         w.put_u32(day);
         w.put_u16(port);
         w.put_u64(packets);
     }
-
-    let mut tool_ports: Vec<(Option<ToolKind>, u16, u64)> = analysis
-        .tool_port_packets
-        .iter()
-        .map(|(&(tool, port), &n)| (tool, port, n))
-        .collect();
-    tool_ports.sort_unstable();
-    w.put_u64(tool_ports.len() as u64);
-    for (tool, port, packets) in tool_ports {
+    w.put_u64(analysis.tool_port_packets.len() as u64);
+    for (&(tool, port), &packets) in &analysis.tool_port_packets {
         match tool {
             Some(t) => {
                 w.put_u8(1);
@@ -351,15 +312,8 @@ pub fn encode_year(analysis: &YearAnalysis) -> Vec<u8> {
         w.put_u16(port);
         w.put_u64(packets);
     }
-
-    let mut weeks: Vec<(u32, u16, WeekCell)> = analysis
-        .week_blocks
-        .iter()
-        .map(|(&(week, block), cell)| (week, block, cell.clone()))
-        .collect();
-    weeks.sort_unstable_by_key(|(week, block, _)| (*week, *block));
-    w.put_u64(weeks.len() as u64);
-    for (week, block, cell) in weeks {
+    w.put_u64(analysis.week_blocks.len() as u64);
+    for (&(week, block), cell) in &analysis.week_blocks {
         w.put_u32(week);
         w.put_u16(block);
         w.put_u64(cell.sources);
@@ -415,85 +369,83 @@ pub fn decode_year(bytes: &[u8]) -> Result<YearAnalysis, StoreError> {
     decode_body(&meta, body)
 }
 
+/// Read one keyed section of the body: `min_entry_bytes` bounds the announced
+/// length before anything is allocated, `entry` reads one `(key, value)`, and
+/// the keys must come strictly ascending, as [`encode_year`] writes them.
+fn take_column<K: Ord, V>(
+    r: &mut SnapReader<'_>,
+    section: &str,
+    min_entry_bytes: usize,
+    mut entry: impl FnMut(&mut SnapReader<'_>) -> Result<(K, V), CheckpointError>,
+) -> Result<SortedMap<K, V>, StoreError> {
+    let len = r.take_len(min_entry_bytes)?;
+    let mut entries = Vec::with_capacity(len);
+    for _ in 0..len {
+        entries.push(entry(r)?);
+    }
+    SortedMap::from_sorted(entries)
+        .ok_or_else(|| StoreError::Corrupt(format!("{section} keys not strictly ascending")))
+}
+
 /// Decode the body behind an opened slice's index section.
 fn decode_body(meta: &SliceMeta, mut r: SnapReader<'_>) -> Result<YearAnalysis, StoreError> {
     let minor = meta.format_minor;
+    let r = &mut r;
 
-    let port_packet_count = r.take_len(10)?;
-    let mut port_packets = BTreeMap::new();
-    for _ in 0..port_packet_count {
+    let port_packets = take_column(r, "port packets", 10, |r| {
+        Ok((r.take_u16()?, r.take_u64()?))
+    })?;
+    let port_sources = take_column(r, "port sources", 10, |r| {
+        Ok((r.take_u16()?, r.take_u64()?))
+    })?;
+    let source_port_counts = take_column(r, "source port counts", 8, |r| {
+        Ok((r.take_u32()?, r.take_u32()?))
+    })?;
+    let source_packets = take_column(r, "source packets", 12, |r| {
+        Ok((r.take_u32()?, r.take_u64()?))
+    })?;
+    let port_source_sets = take_column(r, "port source sets", 10, |r| {
         let port = r.take_u16()?;
-        let packets = r.take_u64()?;
-        port_packets.insert(port, packets);
-    }
-    let port_source_count = r.take_len(10)?;
-    let mut port_sources = BTreeMap::new();
-    for _ in 0..port_source_count {
-        let port = r.take_u16()?;
-        let sources = r.take_u64()?;
-        port_sources.insert(port, sources);
-    }
-
-    let source_port_len = r.take_len(8)?;
-    let mut source_port_counts = HashMap::with_capacity(source_port_len);
-    for _ in 0..source_port_len {
-        let src = r.take_u32()?;
-        let ports = r.take_u32()?;
-        source_port_counts.insert(src, ports);
-    }
-    let source_packet_len = r.take_len(12)?;
-    let mut source_packets = HashMap::with_capacity(source_packet_len);
-    for _ in 0..source_packet_len {
-        let src = r.take_u32()?;
-        let packets = r.take_u64()?;
-        source_packets.insert(src, packets);
-    }
-
-    let set_count = r.take_len(10)?;
-    let mut port_source_sets: HashMap<u16, HashSet<u32>> = HashMap::with_capacity(set_count);
-    for _ in 0..set_count {
-        let port = r.take_u16()?;
-        let members = r.take_len(4)?;
-        let mut set = HashSet::with_capacity(members);
-        for _ in 0..members {
-            set.insert(r.take_u32()?);
+        let len = r.take_len(4)?;
+        let mut members = Vec::with_capacity(len);
+        let mut order = Ascending::new("port source sets members");
+        for _ in 0..len {
+            members.push(order.admit(r.take_u32()?)?);
         }
-        port_source_sets.insert(port, set);
-    }
-
-    let day_count = r.take_len(14)?;
-    let mut day_port_packets = HashMap::with_capacity(day_count);
-    for _ in 0..day_count {
-        let day = r.take_u32()?;
-        let port = r.take_u16()?;
-        let packets = r.take_u64()?;
-        day_port_packets.insert((day, port), packets);
-    }
-
-    let tool_count = r.take_len(11)?;
-    let mut tool_port_packets = HashMap::with_capacity(tool_count);
-    for _ in 0..tool_count {
+        Ok((port, members))
+    })?;
+    let day_port_packets = take_column(r, "day port packets", 14, |r| {
+        Ok(((r.take_u32()?, r.take_u16()?), r.take_u64()?))
+    })?;
+    let tool_port_packets = take_column(r, "tool port packets", 11, |r| {
         let tool = match r.take_u8()? {
             0 => None,
             1 => Some(r.take_tool()?),
-            t => return Err(StoreError::Corrupt(format!("tool tag {t}"))),
+            t => return Err(CheckpointError::Corrupt(format!("tool tag {t}"))),
         };
-        let port = r.take_u16()?;
-        let packets = r.take_u64()?;
-        tool_port_packets.insert((tool, port), packets);
-    }
-
-    let week_count = r.take_len(30)?;
-    let mut week_blocks = HashMap::with_capacity(week_count);
-    for _ in 0..week_count {
-        let week = r.take_u32()?;
-        let block = r.take_u16()?;
+        Ok(((tool, r.take_u16()?), r.take_u64()?))
+    })?;
+    let week_blocks = take_column(r, "week blocks", 30, |r| {
+        let key = (r.take_u32()?, r.take_u16()?);
         let cell = WeekCell {
             sources: r.take_u64()?,
             packets: r.take_u64()?,
             campaigns: r.take_u64()?,
         };
-        week_blocks.insert((week, block), cell);
+        Ok((key, cell))
+    })?;
+
+    // The index section is derived from the body at encode time; a slice
+    // whose two halves disagree was not written by `encode_year`.
+    if !meta.ports.iter().eq(port_packets.keys()) {
+        return Err(StoreError::Corrupt(
+            "index ports differ from the body's port packets keys".into(),
+        ));
+    }
+    if !meta.sources.iter().eq(source_packets.keys()) {
+        return Err(StoreError::Corrupt(
+            "index sources differ from the body's source packets keys".into(),
+        ));
     }
 
     let campaign_count = r.take_len(37)?;
@@ -505,16 +457,16 @@ fn decode_body(meta: &SliceMeta, mut r: SnapReader<'_>) -> Result<YearAnalysis, 
     }
     let mut campaigns = Vec::with_capacity(campaign_count);
     for _ in 0..campaign_count {
-        campaigns.push(Campaign::restore_from(&mut r)?);
+        campaigns.push(Campaign::restore_from(r)?);
     }
-    let noise = NoiseStats::restore_from(&mut r)?;
+    let noise = NoiseStats::restore_from(r)?;
 
     // Minor-1 section: heavy-hitter sketch state. A minor-0 slice simply
     // does not have it.
     let heavy = if minor >= 1 {
         match r.take_u8()? {
             0 => None,
-            1 => Some(crate::sketch::HeavyHitters::restore_from(&mut r)?),
+            1 => Some(crate::sketch::HeavyHitters::restore_from(r)?),
             t => return Err(StoreError::Corrupt(format!("heavy tag {t}"))),
         }
     } else {
@@ -539,8 +491,8 @@ fn decode_body(meta: &SliceMeta, mut r: SnapReader<'_>) -> Result<YearAnalysis, 
         end_micros: meta.end_micros,
         total_packets: meta.total_packets,
         distinct_sources: meta.distinct_sources,
-        port_packets,
-        port_sources,
+        port_packets: port_packets.into_iter().collect(),
+        port_sources: port_sources.into_iter().collect(),
         source_port_counts,
         source_packets,
         port_source_sets,
@@ -940,6 +892,7 @@ mod tests {
             collector.offer(&record(11, 200 + i, 22, u64::from(i) * 900_000 + 3));
         }
         collector.offer(&record(12, 300, 80, 5));
+        collector.offer(&record(12, 301, 443, 6));
         collector.finish()
     }
 
@@ -1002,6 +955,200 @@ mod tests {
         let word = (major as u32) | ((minor as u32) << 16);
         bytes[8..12].copy_from_slice(&word.to_le_bytes());
         bytes
+    }
+
+    /// Payload offsets of the sections the damage tests edit, from the
+    /// layout `encode_year` writes: the fixed index fields, then
+    /// length-prefixed runs whose entry sizes are fixed up to the sets.
+    struct Layout {
+        index_sources: usize,
+        source_packets: usize,
+        port_source_sets: usize,
+    }
+
+    fn layout(analysis: &YearAnalysis) -> Layout {
+        let (ports, sources) = (analysis.port_packets.len(), analysis.source_packets.len());
+        let index_ports = 2 + 6 * 8;
+        let index_sources = index_ports + 8 + 2 * ports;
+        let port_packets = index_sources + 8 + 4 * sources;
+        let source_port_counts = port_packets + 2 * (8 + 10 * ports);
+        let source_packets = source_port_counts + 8 + 8 * sources;
+        Layout {
+            index_sources,
+            source_packets,
+            port_source_sets: source_packets + 8 + 12 * sources,
+        }
+    }
+
+    fn u32_at(payload: &[u8], at: usize) -> u32 {
+        u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes"))
+    }
+
+    /// The fixture year's payload after `damage`, under a valid checksum:
+    /// what a writer that is not `encode_year` could have produced.
+    fn damaged(damage: impl FnOnce(&mut Vec<u8>, Layout)) -> Result<YearAnalysis, StoreError> {
+        let original = analysis(2019);
+        let mut payload = encode_year(&original)[ENVELOPE_LEN..].to_vec();
+        damage(&mut payload, layout(&original));
+        decode_year(&seal_as(&payload, STORE_FORMAT_MAJOR, STORE_FORMAT_MINOR))
+    }
+
+    fn assert_corrupt(result: Result<YearAnalysis, StoreError>, section: &str) {
+        match result {
+            Err(StoreError::Corrupt(msg)) => assert!(msg.contains(section), "{msg}"),
+            other => panic!("expected Corrupt naming {section:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn duplicate_source_is_corrupt_not_last_wins() {
+        let result = damaged(|payload, at| {
+            let first = at.source_packets + 8;
+            assert_eq!(u32_at(payload, first), 10);
+            assert_eq!(u32_at(payload, first + 12), 11);
+            payload.copy_within(first..first + 4, first + 12);
+        });
+        assert_corrupt(result, "source packets");
+    }
+
+    #[test]
+    fn swapped_adjacent_sources_are_corrupt() {
+        let result = damaged(|payload, at| {
+            let first = at.source_packets + 8;
+            assert_eq!(u32_at(payload, first + 12), 11);
+            let (a, b) = payload[first..first + 24].split_at_mut(12);
+            a.swap_with_slice(b);
+        });
+        assert_corrupt(result, "source packets");
+    }
+
+    #[test]
+    fn duplicate_member_in_a_port_set_is_corrupt() {
+        let result = damaged(|payload, at| {
+            // Ports 22 and 80 have one source each; 443 has sources 10, 12.
+            let members = at.port_source_sets + 8 + 2 * (2 + 8 + 4) + 2 + 8;
+            assert_eq!(u32_at(payload, members), 10);
+            assert_eq!(u32_at(payload, members + 4), 12);
+            payload.copy_within(members..members + 4, members + 4);
+        });
+        assert_corrupt(result, "port source sets");
+    }
+
+    #[test]
+    fn index_listing_a_source_the_body_lacks_is_corrupt() {
+        let result = damaged(|payload, at| {
+            let last = at.index_sources + 8 + 2 * 4;
+            assert_eq!(u32_at(payload, last), 12);
+            payload[last..last + 4].copy_from_slice(&13u32.to_le_bytes());
+        });
+        assert_corrupt(result, "index sources");
+    }
+
+    /// A slice small enough to damage exhaustively: four sources over three
+    /// ports, one of them a campaign, optionally with the sketch section.
+    fn small_slice(heavy: bool) -> Vec<u8> {
+        let mut collector = YearCollector::new(2020, tiny_cfg());
+        if heavy {
+            collector.enable_heavy_hitters(crate::sketch::HeavyHitterConfig {
+                k: 2,
+                width: 4,
+                depth: 2,
+            });
+        }
+        for i in 0..8u32 {
+            collector.offer(&record(10, 100 + i, 443, u64::from(i) * 250_000));
+        }
+        collector.offer(&record(11, 200, 22, 3));
+        collector.offer(&record(12, 300, 80, 5));
+        collector.offer(&record(13, 301, 443, 6));
+        let original = collector.finish();
+        assert!(original.source_packets.len() >= 3 && original.port_packets.len() >= 2);
+        assert_eq!(original.campaigns.len(), 1);
+        assert_eq!(original.heavy.is_some(), heavy);
+        let sealed = encode_year(&original);
+        assert!(sealed.len() - ENVELOPE_LEN <= 4096);
+        sealed
+    }
+
+    /// The canonical-decode rule: whatever `decode_year` accepts, it accepts
+    /// in exactly one spelling — the bytes `encode_year` gives back.
+    fn assert_typed_error_or_canonical(sealed: &[u8], what: &str) {
+        if let Ok(decoded) = decode_year(sealed) {
+            assert!(
+                encode_year(&decoded) == sealed,
+                "{what}: loaded, but re-encodes to different bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn resealed_damage_is_a_typed_error_or_decodes_canonically() {
+        for heavy in [false, true] {
+            let sealed = small_slice(heavy);
+            let payload = &sealed[ENVELOPE_LEN..];
+            for cut in 0..payload.len() {
+                let cut_slice = seal(&payload[..cut]);
+                assert!(
+                    decode_year(&cut_slice).is_err(),
+                    "heavy={heavy}: payload cut at {cut} still loads"
+                );
+            }
+            let mut flipped = payload.to_vec();
+            for bit in 0..payload.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_typed_error_or_canonical(
+                    &seal(&flipped),
+                    &format!("heavy={heavy}, payload bit {bit}"),
+                );
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
+    #[test]
+    fn unsealed_damage_never_gets_past_the_envelope() {
+        for heavy in [false, true] {
+            let sealed = small_slice(heavy);
+            let clean = decode_year(&sealed).expect("clean slice loads");
+            for cut in 0..sealed.len() {
+                assert_eq!(
+                    decode_year(&sealed[..cut]),
+                    Err(StoreError::Truncated),
+                    "heavy={heavy}: file cut at {cut}"
+                );
+            }
+            let mut flipped = sealed.clone();
+            for bit in 0..sealed.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let result = decode_year(&flipped);
+                if (10..12).contains(&(bit / 8)) {
+                    // The one field neither the checksum nor a fixed value
+                    // guards: the writer's minor version. Every minor of our
+                    // major is a legal reader input, so a flip there reads
+                    // the intact payload under another minor's rules — an
+                    // older one (the sketch section becomes trailing bytes)
+                    // or a newer one (trailing sections tolerated; the same
+                    // year loads).
+                    assert!(
+                        matches!(result, Err(StoreError::Corrupt(_)))
+                            || result.as_ref() == Ok(&clean),
+                        "heavy={heavy}, minor-version bit {bit}: {result:?}"
+                    );
+                } else {
+                    assert!(
+                        matches!(
+                            result,
+                            Err(StoreError::Truncated
+                                | StoreError::ChecksumMismatch
+                                | StoreError::BadMagic
+                                | StoreError::UnsupportedVersion(_))
+                        ),
+                        "heavy={heavy}, file bit {bit}: {result:?}"
+                    );
+                }
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
     }
 
     #[test]

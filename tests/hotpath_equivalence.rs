@@ -293,11 +293,19 @@ impl NaiveCollector {
             .into_iter()
             .map(|(src, ports)| (src, ports.len() as u32))
             .collect();
-        analysis.source_packets = self.source_packets;
-        analysis.port_source_sets = self.port_source_sets;
-        analysis.day_port_packets = self.day_port_packets;
-        analysis.tool_port_packets = self.tool_port_packets;
-        analysis.week_blocks = week_blocks;
+        analysis.source_packets = self.source_packets.into_iter().collect();
+        analysis.port_source_sets = self
+            .port_source_sets
+            .into_iter()
+            .map(|(port, set)| {
+                let mut members: Vec<u32> = set.into_iter().collect();
+                members.sort_unstable();
+                (port, members)
+            })
+            .collect();
+        analysis.day_port_packets = self.day_port_packets.into_iter().collect();
+        analysis.tool_port_packets = self.tool_port_packets.into_iter().collect();
+        analysis.week_blocks = week_blocks.into_iter().collect();
         analysis.campaigns = self.campaigns;
         analysis.noise = self.noise;
         analysis.reindex();

@@ -175,6 +175,12 @@ impl Campaign {
         let src_ip = Ipv4Address(r.take_u32()?);
         let first_ts_micros = r.take_u64()?;
         let last_ts_micros = r.take_u64()?;
+        if last_ts_micros < first_ts_micros {
+            // `duration_secs` subtracts the two.
+            return Err(CheckpointError::Corrupt(
+                "campaign ends before it starts".into(),
+            ));
+        }
         let packets = r.take_u64()?;
         let distinct_dests = r.take_u64()?;
         let ports = r.take_len(10)?;
@@ -1284,6 +1290,24 @@ mod tests {
                 Err(CheckpointError::Corrupt(_))
             ));
         }
+    }
+
+    #[test]
+    fn campaign_restore_rejects_an_end_before_the_start() {
+        let mut campaign = restore_campaign(&campaign_bytes(&[(80, 30)], &[])).unwrap();
+        assert_eq!(campaign.duration_secs(), 0.001);
+        std::mem::swap(&mut campaign.first_ts_micros, &mut campaign.last_ts_micros);
+        let mut w = SnapWriter::new();
+        campaign.snapshot_to(&mut w);
+        assert!(matches!(
+            restore_campaign(&w.into_bytes()),
+            Err(CheckpointError::Corrupt(_))
+        ));
+        // A single-burst campaign (equal timestamps) still restores.
+        campaign.first_ts_micros = campaign.last_ts_micros;
+        let mut w = SnapWriter::new();
+        campaign.snapshot_to(&mut w);
+        assert_eq!(restore_campaign(&w.into_bytes()), Ok(campaign));
     }
 
     #[test]

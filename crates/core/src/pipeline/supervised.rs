@@ -104,15 +104,18 @@ impl From<CheckpointError> for RunError {
     }
 }
 
-/// How a supervised run ended.
+/// How a supervised run ended. `T` is what a completed run hands back: the
+/// driver's own [`PipelineOutcome`], or whatever a front end [`map`]s it to.
+///
+/// [`map`]: RunStatus::map
 // One value per run, matched once: boxing the finished analysis buys nothing.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
-pub enum RunStatus {
+pub enum RunStatus<T = PipelineOutcome> {
     /// The stream was fully processed.
     Completed {
         /// The analysis and driver-side fault tally.
-        outcome: PipelineOutcome,
+        outcome: T,
         /// Stalls and contained failures observed along the way.
         report: SupervisionReport,
         /// Checkpoints written during this run.
@@ -126,6 +129,38 @@ pub enum RunStatus {
         /// Records pulled from the stream when the run stopped.
         cursor: u64,
     },
+}
+
+impl<T> RunStatus<T> {
+    /// The same ending around a converted outcome.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> RunStatus<U> {
+        match self {
+            RunStatus::Completed {
+                outcome,
+                report,
+                checkpoints,
+            } => RunStatus::Completed {
+                outcome: f(outcome),
+                report,
+                checkpoints,
+            },
+            RunStatus::Interrupted {
+                checkpoints,
+                cursor,
+            } => RunStatus::Interrupted {
+                checkpoints,
+                cursor,
+            },
+        }
+    }
+
+    /// The outcome of a completed run; `None` for an interrupted one.
+    pub fn completed(self) -> Option<T> {
+        match self {
+            RunStatus::Completed { outcome, .. } => Some(outcome),
+            RunStatus::Interrupted { .. } => None,
+        }
+    }
 }
 
 /// Run one year under supervision, with optional checkpointing and resume.

@@ -1044,6 +1044,25 @@ mod tests {
         assert_corrupt(result, "index sources");
     }
 
+    #[test]
+    fn campaign_ending_before_it_starts_is_corrupt() {
+        // Swapped back they re-encode identically, so the canonical-decode
+        // matrix below cannot see this one.
+        let campaign = analysis(2019).campaigns[0].clone();
+        assert!(campaign.first_ts_micros < campaign.last_ts_micros);
+        let mut w = SnapWriter::new();
+        campaign.snapshot_to(&mut w);
+        let encoded = w.into_bytes();
+        let result = damaged(|payload, _| {
+            let at = (payload.windows(encoded.len()))
+                .position(|window| window == encoded)
+                .expect("the campaign is in the payload");
+            let (first, last) = payload[at + 4..at + 20].split_at_mut(8);
+            first.swap_with_slice(last);
+        });
+        assert_corrupt(result, "campaign ends before it starts");
+    }
+
     /// A slice small enough to damage exhaustively: four sources over three
     /// ports, one of them a campaign, optionally with the sketch section.
     fn small_slice(heavy: bool) -> Vec<u8> {

@@ -6,7 +6,7 @@
 //! ```
 
 use synscan::core::analysis::{portspread, toolports, types};
-use synscan::experiment::Experiment;
+use synscan::experiment::{Experiment, RunOptions};
 use synscan::netmodel::ScannerClass;
 use synscan::GeneratorConfig;
 
@@ -23,7 +23,13 @@ fn main() {
         "simulating 2015-2024: telescope 1/{}, population 1/{}, {} days per year ...\n",
         gen.telescope_denominator, gen.population_denominator, gen.days
     );
-    let run = Experiment::new(gen).run_decade();
+    // The default options are the plain run: no checkpoint, no stop flag,
+    // no store — so nothing can interrupt it.
+    let run = Experiment::new(gen)
+        .decade(&RunOptions::default())
+        .expect("a clean generator stream never faults")
+        .completed()
+        .expect("a plain run completes");
 
     let report = run.report();
     println!("{}", report.render_table1());

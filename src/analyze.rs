@@ -1,26 +1,20 @@
 //! Analysis of externally captured telescope traffic.
 //!
-//! [`analyze_pcap`] runs the paper's full §3 pipeline over any classic-pcap
+//! [`analyze`] runs the paper's full §3 pipeline over any classic-pcap
 //! capture of TCP traffic: SYN filtering, tool fingerprinting, campaign
 //! detection, and summary statistics. When the telescope's address set is
-//! not known, it is inferred from the capture itself — every destination
-//! that received unsolicited traffic is dark space, which is exactly how
-//! real telescope datasets are delimited.
+//! not known, it is inferred from the capture itself in a first, record-free
+//! pass — every destination that received unsolicited traffic is dark space,
+//! which is exactly how real telescope datasets are delimited.
 //!
-//! Two execution shapes:
+//! The capture is parsed incrementally, on one decode queue or several
+//! ([`AnalyzeOptions::ingest`]), and fed batch-by-batch through the
+//! supervised driver in O(batch) memory. That needs the capture to be
+//! time-ordered (real telescope captures are); unordered input is rejected
+//! with [`AnalyzeError::UnorderedCapture`] unless
+//! [`AnalyzeOptions::materialize`] loads and sorts it in memory first.
 //!
-//! * **Streaming** (default when the monitored-address count is known):
-//!   the capture is parsed incrementally through
-//!   [`synscan_telescope::PcapStream`] and fed batch-by-batch into
-//!   [`try_collect_year_stream`] — O(batch) memory, one pass. Requires the
-//!   capture to be time-ordered (real telescope captures are); unordered
-//!   input is rejected with [`AnalyzeError::UnorderedCapture`].
-//! * **Materialized** (`materialize: true`, or when `monitored` must be
-//!   inferred): the whole capture is loaded, sorted, and analyzed from
-//!   memory — the escape hatch for unordered captures and the inference
-//!   path (the dark set can only be counted after seeing every record).
-//!
-//! Real archives decay, so both shapes take a [`FaultPolicy`]: strict
+//! Real archives decay, so the analysis takes a [`FaultPolicy`]: strict
 //! (`Fail`, the default) turns the first malformed record, truncation, or
 //! timestamp regression into a typed [`AnalyzeError`]; `SkipRecord` /
 //! `StopClean` degrade gracefully instead and tally everything dropped in
@@ -28,26 +22,27 @@
 //! deterministic [`synscan_wire::chaos::ChaosReader`] under the parser for
 //! reproducible fault drills.
 //!
-//! For captures large enough that a crash mid-analysis hurts,
-//! [`analyze_pcap_checkpointed`] runs the streaming shape under the
-//! supervised driver: the full pipeline state (including the technique
-//! census) checkpoints atomically to a directory, a caller-owned stop flag
-//! triggers a final checkpoint, and a resumed run fast-forwards the capture
-//! to produce output bit-identical to an uninterrupted one.
+//! For captures large enough that a crash mid-analysis hurts, the
+//! [`RunOptions`] carry the same checkpoint, stop flag and store as an
+//! experiment year's: the full pipeline state (including the technique
+//! census) checkpoints atomically to a directory, a raised stop flag
+//! triggers a final checkpoint, and a resumed run re-reads the capture only
+//! to fast-forward the parser, producing output bit-identical to an
+//! uninterrupted one — in every ingest mode, materialized or not, with the
+//! dark set given or inferred.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::io::Read;
-use std::sync::atomic::AtomicBool;
 
-use crate::experiment::CheckpointSpec;
+use crate::experiment::{identity_word, supervised, RunError, RunOptions};
 use synscan_core::analysis::{toolports, yearly, YearAnalysis};
 use synscan_core::checkpoint::{SnapReader, SnapWriter};
-use synscan_core::pipeline::{try_collect_year_stream, PipelineError, SizeHints};
+use synscan_core::pipeline::{PipelineError, SizeHints};
 use synscan_core::sketch::HeavyHitterConfig;
+use synscan_core::store::StoreError;
 use synscan_core::{
-    run_year_supervised, AdmitState, CampaignConfig, Checkpoint, CheckpointError,
-    CheckpointOptions, PipelineMode, PipelineOutcome, RunError, RunSpec, RunStatus,
-    SupervisionReport, SupervisorOptions,
+    run_year_supervised, AdmitState, CampaignConfig, CheckpointError, PipelineMode,
+    PipelineOutcome, RunSpec, RunStatus,
 };
 use synscan_telescope::capture::{classify_technique, PcapStream, ScanTechnique};
 use synscan_wire::chaos::{ChaosPlan, ChaosReader};
@@ -61,7 +56,7 @@ use synscan_wire::{PcapError, ProbeRecord};
 #[derive(Debug, Clone)]
 pub struct AnalyzeOptions {
     /// Monitored-address count for extrapolations. `None` = infer from the
-    /// capture (distinct destinations; forces a materialized pass).
+    /// capture (distinct destinations, counted in a pass of its own).
     pub monitored: Option<u64>,
     /// Label year (affects nothing but reporting; ingress filtering is NOT
     /// applied to external captures — they already passed a real ingress).
@@ -80,11 +75,11 @@ pub struct AnalyzeOptions {
     /// Inject deterministic byte-level faults under the parser (testing /
     /// drills): `Some(seed)` wraps the input in a
     /// [`synscan_wire::chaos::ChaosReader`] with [`ChaosPlan::byte_noise`].
+    /// The dark-set inference pass reads the capture as it is.
     pub chaos_seed: Option<u64>,
-    /// How the capture bytes reach the parser: streamed off a `Read`, or
-    /// opened as a reopenable capture and decoded on N threads. Only
-    /// [`analyze_pcap_mapped`] honors the mapped modes; [`analyze_pcap`]
-    /// always decodes on the calling thread.
+    /// How many threads decode the capture: one ([`IngestMode::Read`] and
+    /// plain `mmap`, on the calling thread) or N behind one sequential
+    /// reader. The records, counters and terminal error are the same.
     pub ingest: IngestMode,
     /// Sublinear heavy-hitter tracking (`--heavy-hitters`): when set, the
     /// analysis carries a space-saving top-K + count-min sketch over raw
@@ -108,8 +103,24 @@ impl Default for AnalyzeOptions {
     }
 }
 
+/// The capture to analyze.
+pub enum CaptureInput<'a> {
+    /// A capture that can be read from the start any number of times.
+    Capture(&'a MappedCapture),
+    /// A one-shot byte source (stdin, a pipe). It is buffered whole when the
+    /// dark set has to be inferred, and cannot be checkpointed.
+    Reader(Box<dyn Read + Send>),
+}
+
+impl CaptureInput<'_> {
+    /// A one-shot input over any sendable reader.
+    pub fn reader(reader: impl Read + Send + 'static) -> Self {
+        CaptureInput::Reader(Box::new(reader))
+    }
+}
+
 /// Why an external-capture analysis failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AnalyzeError {
     /// The capture could not be parsed as classic pcap.
     Pcap(PcapError),
@@ -125,8 +136,21 @@ pub enum AnalyzeError {
         /// Consecutive timestamp inversions observed in the capture.
         violations: u64,
     },
-    /// A pipeline shard worker died; the analysis is unrecoverable.
-    WorkerPanicked,
+    /// A pipeline shard worker died (and, under a checkpoint, its one retry
+    /// died too).
+    WorkerFailed {
+        /// Index of the shard whose worker failed.
+        shard: u32,
+    },
+    /// Persisting or resuming a checkpoint failed.
+    Checkpoint(CheckpointError),
+    /// The analysis was computed but could not be persisted.
+    Store(StoreError),
+    /// A one-shot input could not be buffered for the dark-set inference.
+    Io(String),
+    /// A checkpoint was asked for over a one-shot input: a resumed run has
+    /// to re-read the capture, and this one cannot be.
+    NotReopenable,
 }
 
 impl std::fmt::Display for AnalyzeError {
@@ -146,7 +170,17 @@ impl std::fmt::Display for AnalyzeError {
                 "capture is not time-ordered ({violations} timestamp inversions); \
                  re-run with --materialize to sort it in memory"
             ),
-            AnalyzeError::WorkerPanicked => write!(f, "analysis pipeline worker panicked"),
+            AnalyzeError::WorkerFailed { shard } => {
+                write!(f, "analysis pipeline worker for shard {shard} failed")
+            }
+            AnalyzeError::Checkpoint(e) => write!(f, "{}", RunError::Checkpoint(e.clone())),
+            AnalyzeError::Store(e) => write!(f, "{e}"),
+            AnalyzeError::Io(e) => write!(f, "cannot buffer the capture: {e}"),
+            AnalyzeError::NotReopenable => write!(
+                f,
+                "a checkpointed analysis needs a file input (a resume re-reads the \
+                 capture, and stdin cannot be re-read)"
+            ),
         }
     }
 }
@@ -176,11 +210,15 @@ impl From<StreamError> for AnalyzeError {
     }
 }
 
-impl From<PipelineError> for AnalyzeError {
-    fn from(e: PipelineError) -> Self {
+impl From<RunError> for AnalyzeError {
+    fn from(e: RunError) -> Self {
         match e {
-            PipelineError::Stream(e) => e.into(),
-            PipelineError::WorkerFailed { .. } => AnalyzeError::WorkerPanicked,
+            RunError::Pipeline(PipelineError::Stream(e)) => e.into(),
+            RunError::Pipeline(PipelineError::WorkerFailed { shard }) => {
+                AnalyzeError::WorkerFailed { shard }
+            }
+            RunError::Checkpoint(e) => AnalyzeError::Checkpoint(e),
+            RunError::Store(e) => AnalyzeError::Store(e),
         }
     }
 }
@@ -194,8 +232,7 @@ pub struct AnalyzeResult {
     pub summary: yearly::YearSummary,
     /// Frames per §3.1 scan technique (before the SYN filter).
     pub techniques: BTreeMap<&'static str, u64>,
-    /// Frames that were not IPv4/TCP at all (streaming runs only; the
-    /// materialized importer skips them silently).
+    /// Frames that were not IPv4/TCP at all.
     pub non_tcp_frames: u64,
     /// The monitored-address count used for extrapolation.
     pub monitored: u64,
@@ -204,146 +241,18 @@ pub struct AnalyzeResult {
     pub faults: FaultCounters,
 }
 
-impl AnalyzeResult {
-    /// Persist the analysis as a full store slice for its label year — the
-    /// same atomic write path (`--store-dir`) every run variant funnels
-    /// terminal state through, making the capture queryable by
-    /// `synscan-serve` without re-running the analysis.
-    pub fn persist(
-        &self,
-        store: &synscan_core::store::AnalysisStore,
-    ) -> Result<std::path::PathBuf, synscan_core::store::StoreError> {
-        store.write_year(&self.analysis)
-    }
-}
-
-/// Count the distinct probed destinations of a capture in one streaming
-/// pass — the monitored-address inference without holding any records —
-/// with the fault tally of the pass. The `analyze` binary uses this as pass
-/// one of its two-pass streaming mode. Under a lossy policy a malformed
-/// capture still infers from every record the policy could salvage.
-pub fn infer_monitored_with_policy<R: Read>(
-    reader: R,
-    policy: FaultPolicy,
-) -> Result<(u64, FaultCounters), AnalyzeError> {
-    let mut stream = PcapStream::with_policy(reader, policy)?;
-    let mut dsts = std::collections::HashSet::new();
-    while let Some(batch) = stream.try_next_batch()? {
-        for record in batch {
-            dsts.insert(record.dst_ip.0);
-        }
-    }
-    Ok((dsts.len() as u64, stream.faults()))
-}
-
-/// Run the pipeline over a pcap stream.
-///
-/// Streams single-pass when the monitored-address count is supplied and
-/// `materialize` is off; otherwise falls back to loading the capture.
-pub fn analyze_pcap<R: Read>(
-    reader: R,
+/// Open `reader` as a record stream on the decode queues `options` asks
+/// for, decayed by byte noise when `chaos_seed` is set.
+fn open(
+    reader: Box<dyn Read + Send>,
+    chaos_seed: Option<u64>,
     options: &AnalyzeOptions,
-) -> Result<AnalyzeResult, AnalyzeError> {
-    match options.chaos_seed {
-        Some(seed) => {
-            let reader = ChaosReader::new(reader, ChaosPlan::byte_noise(seed));
-            analyze_opened(PcapStream::with_policy(reader, options.policy)?, options)
-        }
-        None => analyze_opened(PcapStream::with_policy(reader, options.policy)?, options),
-    }
-}
-
-/// Both shapes of the analysis over an opened capture, however many threads
-/// decode it.
-fn analyze_opened<R: Read>(
-    stream: PcapStream<R>,
-    options: &AnalyzeOptions,
-) -> Result<AnalyzeResult, AnalyzeError> {
-    let (Some(monitored), false) = (options.monitored, options.materialize) else {
-        let (records, import_faults) = stream.into_records()?;
-        let mut result = analyze_records(records, options);
-        result.faults.absorb(&import_faults);
-        return Ok(result);
-    };
-    let parsed = |s: &PcapStream<R>| (s.faults(), s.non_tcp_frames());
-    analyze_stream(stream, parsed, monitored, options)
-}
-
-/// The run parameters of a capture analysis against `monitored` addresses.
-fn run_spec(options: &AnalyzeOptions, monitored: u64) -> RunSpec {
-    RunSpec {
-        year: options.year,
-        config: CampaignConfig::scaled(monitored.max(1)),
-        period_days: 7.0,
-        mode: options.pipeline,
-        hints: SizeHints::none().with_heavy(options.heavy),
-        policy: options.policy,
-    }
-}
-
-/// The streaming shape, whatever parses the capture: one pass through the
-/// driver with the technique census as the admit filter. `parsed` reads the
-/// parser's `(faults, non-TCP frames)` tallies, which the driver never sees.
-fn analyze_stream<S: TryRecordStream>(
-    mut stream: S,
-    parsed: impl FnOnce(&S) -> (FaultCounters, u64),
-    monitored: u64,
-    options: &AnalyzeOptions,
-) -> Result<AnalyzeResult, AnalyzeError> {
-    let spec = run_spec(options, monitored);
-    let mut census = TechniqueAdmit::default();
-    let outcome = try_collect_year_stream(
-        spec.year,
-        spec.config,
-        spec.period_days,
-        spec.mode,
-        spec.hints,
-        spec.policy,
-        &mut stream,
-        |record| census.admit(record),
-    )?;
-    let parsed = parsed(&stream);
-    Ok(result_of(outcome, &census, parsed, monitored, options))
-}
-
-/// Assemble the result of a finished run from the driver's outcome, the
-/// technique census, and the parser's `(faults, non-TCP frames)` tallies.
-fn result_of(
-    outcome: PipelineOutcome,
-    census: &TechniqueAdmit,
-    (mut faults, non_tcp_frames): (FaultCounters, u64),
-    monitored: u64,
-    options: &AnalyzeOptions,
-) -> AnalyzeResult {
-    faults.absorb(&outcome.faults);
-    AnalyzeResult {
-        summary: yearly::summarize(&outcome.analysis, options.top_ports),
-        techniques: census.census(),
-        non_tcp_frames,
-        monitored,
-        analysis: outcome.analysis,
-        faults,
-    }
-}
-
-/// Run the pipeline over a reopenable capture — the `--ingest mmap[:N]` path
-/// of the `analyze` binary, with the decode fanned out over `N` threads.
-///
-/// Mirrors [`analyze_pcap`] exactly: same streaming-versus-materialized
-/// split, same chaos injection (the noise wraps the capture's reader, so
-/// the parser sees the same decayed bytes the `Read` path would), same
-/// results on every input. [`IngestMode::Read`] decodes on the calling
-/// thread, as `mmap` does.
-pub fn analyze_pcap_mapped(
-    capture: &MappedCapture,
-    options: &AnalyzeOptions,
-) -> Result<AnalyzeResult, AnalyzeError> {
+) -> Result<PcapStream<Box<dyn Read + Send>>, PcapError> {
     let queues = match options.ingest {
         IngestMode::Read => 1,
         IngestMode::Mapped { queues } => queues,
     };
-    let reader = capture.reader();
-    let plan = match options.chaos_seed {
+    let plan = match chaos_seed {
         Some(seed) => IngestQueues::over(
             ChaosReader::new(reader, ChaosPlan::byte_noise(seed)),
             queues,
@@ -351,88 +260,124 @@ pub fn analyze_pcap_mapped(
         ),
         None => IngestQueues::over(reader, queues, options.policy),
     }?;
-    analyze_opened(plan.spawn(), options)
+    Ok(plan.spawn())
 }
 
-/// Why a checkpointed capture analysis failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckpointedAnalyzeError {
-    /// The underlying analysis failed.
-    Analyze(AnalyzeError),
-    /// Persisting or resuming a checkpoint failed.
-    Checkpoint(CheckpointError),
-    /// Checkpointed analysis only runs in the streaming shape: supply the
-    /// monitored-address count and do not materialize.
-    NeedsStreaming,
+/// Count the distinct probed destinations of a capture in one streaming
+/// pass — the monitored-address inference without holding any records.
+/// Under a lossy policy a malformed capture still infers from every record
+/// the policy could salvage; the analysis pass meets (and tallies) the same
+/// faults again.
+fn infer_monitored(capture: &MappedCapture, options: &AnalyzeOptions) -> Result<u64, AnalyzeError> {
+    let mut stream = open(capture.reader(), None, options)?;
+    let mut dsts = HashSet::new();
+    while let Some(batch) = stream.try_next_batch()? {
+        dsts.extend(batch.iter().map(|record| record.dst_ip.0));
+    }
+    Ok(dsts.len() as u64)
 }
 
-impl std::fmt::Display for CheckpointedAnalyzeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointedAnalyzeError::Analyze(e) => write!(f, "{e}"),
-            CheckpointedAnalyzeError::Checkpoint(e) => write!(f, "{e}"),
-            CheckpointedAnalyzeError::NeedsStreaming => write!(
-                f,
-                "checkpointed analysis is streaming-only: supply --monitored \
-                 and drop --materialize"
-            ),
+/// Run the pipeline over a capture: infer the dark set when
+/// `options.monitored` is absent, open the capture on the decode queues
+/// `options.ingest` asks for, sort it in memory first iff
+/// `options.materialize`, and drive it once — plain under
+/// `RunOptions::default()`, checkpointed, interruptible and persisted as
+/// `run` says.
+///
+/// With a resuming [`CheckpointSpec`](crate::experiment::CheckpointSpec) the
+/// analysis restarts from its latest checkpoint in the directory and the
+/// finished result is bit-identical to an uninterrupted run's. The
+/// checkpoint's identity word covers the capture's byte length, the
+/// monitored-address count, `materialize`, the fault policy, the chaos seed
+/// and the heavy-hitter configuration, so a resume against another capture
+/// or under other options is a typed mismatch.
+pub fn analyze(
+    input: CaptureInput<'_>,
+    options: &AnalyzeOptions,
+    run: &RunOptions<'_>,
+) -> Result<RunStatus<AnalyzeResult>, AnalyzeError> {
+    // Two things read a capture more than once: a resume, which a one-shot
+    // input cannot serve, and the dark-set inference, which it serves from a
+    // buffer.
+    let buffered;
+    let (monitored, capture, mut one_shot) = match (input, options.monitored) {
+        (CaptureInput::Reader(_), _) if run.checkpoint.is_some() => {
+            return Err(AnalyzeError::NotReopenable)
         }
-    }
-}
-
-impl std::error::Error for CheckpointedAnalyzeError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckpointedAnalyzeError::Analyze(e) => Some(e),
-            CheckpointedAnalyzeError::Checkpoint(e) => Some(e),
-            CheckpointedAnalyzeError::NeedsStreaming => None,
+        (CaptureInput::Reader(reader), Some(monitored)) => (monitored, None, Some(reader)),
+        (CaptureInput::Reader(reader), None) => {
+            buffered =
+                MappedCapture::from_reader(reader).map_err(|e| AnalyzeError::Io(e.to_string()))?;
+            let monitored = infer_monitored(&buffered, options)?;
+            (monitored, Some(&buffered), None)
         }
-    }
-}
-
-impl From<AnalyzeError> for CheckpointedAnalyzeError {
-    fn from(e: AnalyzeError) -> Self {
-        CheckpointedAnalyzeError::Analyze(e)
-    }
-}
-
-impl From<CheckpointError> for CheckpointedAnalyzeError {
-    fn from(e: CheckpointError) -> Self {
-        CheckpointedAnalyzeError::Checkpoint(e)
-    }
-}
-
-impl From<RunError> for CheckpointedAnalyzeError {
-    fn from(e: RunError) -> Self {
-        match e {
-            RunError::Pipeline(e) => CheckpointedAnalyzeError::Analyze(e.into()),
-            RunError::Checkpoint(e) => CheckpointedAnalyzeError::Checkpoint(e),
+        (CaptureInput::Capture(capture), Some(monitored)) => (monitored, Some(capture), None),
+        (CaptureInput::Capture(capture), None) => {
+            (infer_monitored(capture, options)?, Some(capture), None)
         }
-    }
-}
-
-/// How a checkpointed capture analysis ended.
-// One value per run, matched once: boxing the finished analysis buys nothing.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum AnalyzeStatus {
-    /// The capture was analyzed to the end.
-    Completed {
-        /// The finished analysis, identical to [`analyze_pcap`]'s.
-        result: AnalyzeResult,
-        /// Supervision events of the run.
-        report: SupervisionReport,
-        /// Checkpoints written during this run.
-        checkpoints: u64,
-    },
-    /// The run stopped early — stop flag or interrupt drill — after
-    /// persisting a checkpoint to resume from.
-    Interrupted {
-        /// Checkpoints written during this run.
-        checkpoints: u64,
-        /// Capture records consumed when the run stopped.
-        cursor: u64,
-    },
+    };
+    let spec = RunSpec {
+        year: options.year,
+        config: CampaignConfig::scaled(monitored.max(1)),
+        period_days: 7.0,
+        mode: options.pipeline,
+        hints: SizeHints::none().with_heavy(options.heavy),
+        policy: options.policy,
+    };
+    let identity = format!(
+        "{} {monitored} {} {:?} {:?} {:?}",
+        capture.map_or(0, MappedCapture::len),
+        options.materialize,
+        options.policy,
+        options.chaos_seed,
+        options.heavy,
+    );
+    let identity = identity_word(identity.as_bytes());
+    let attempt = |supervisor| {
+        let reader = match capture {
+            Some(capture) => capture.reader(),
+            // Only a checkpointed run makes a second attempt, and a one-shot
+            // input is never checkpointed.
+            None => one_shot
+                .take()
+                .unwrap_or_else(|| Box::new(std::io::empty())),
+        };
+        let stream_error = |e| RunError::Pipeline(PipelineError::Stream(e));
+        let mut stream = open(reader, options.chaos_seed, options)
+            .map_err(|e| stream_error(StreamError::Pcap(e)))?;
+        // The SYN filter doubles as the technique census.
+        let mut census = TechniqueAdmit::default();
+        let status = if options.materialize {
+            let mut records = Vec::new();
+            while let Some(batch) = stream.try_next_batch().map_err(stream_error)? {
+                records.extend_from_slice(batch);
+            }
+            records.sort_by_key(|r| r.ts_micros);
+            let mut sorted = SliceStream::new(&records);
+            let mut sorted = InfallibleStream(&mut sorted);
+            run_year_supervised(&spec, supervisor, &mut sorted, &mut census)?
+        } else {
+            run_year_supervised(&spec, supervisor, &mut stream, &mut census)?
+        };
+        // The parser's own tallies, which the driver never sees. A resumed
+        // run re-reads the whole capture (the fast-forward replays it), so
+        // they cover the full file either way.
+        let (mut faults, non_tcp_frames) = (stream.faults(), stream.non_tcp_frames());
+        Ok(status.map(|outcome: PipelineOutcome| {
+            faults.absorb(&outcome.faults);
+            AnalyzeResult {
+                summary: yearly::summarize(&outcome.analysis, options.top_ports),
+                techniques: census.census(),
+                non_tcp_frames,
+                monitored,
+                analysis: outcome.analysis,
+                faults,
+            }
+        }))
+    };
+    Ok(supervised(spec.year, identity, run, attempt, |result| {
+        &result.analysis
+    })?)
 }
 
 /// The §3.1 techniques and their report labels, in snapshot order; `Other`
@@ -496,112 +441,6 @@ impl AdmitState for TechniqueAdmit {
         }
         Ok(())
     }
-}
-
-/// [`analyze_pcap`]'s streaming shape under the supervised, checkpointed
-/// driver.
-///
-/// Requires the streaming preconditions (`monitored` known, `materialize`
-/// off). With [`CheckpointSpec::resume`], the analysis restarts from its
-/// latest checkpoint in the directory: the capture is re-read only to
-/// fast-forward the parser, and the finished result is bit-identical to an
-/// uninterrupted run's. The checkpoint identity seed is the chaos seed (0
-/// without chaos), so a resume under different noise is rejected.
-pub fn analyze_pcap_checkpointed<R: Read>(
-    reader: R,
-    options: &AnalyzeOptions,
-    ckpt: &CheckpointSpec,
-    stop: Option<&AtomicBool>,
-) -> Result<AnalyzeStatus, CheckpointedAnalyzeError> {
-    match options.chaos_seed {
-        Some(seed) => checkpointed_inner(
-            ChaosReader::new(reader, ChaosPlan::byte_noise(seed)),
-            options,
-            ckpt,
-            stop,
-        ),
-        None => checkpointed_inner(reader, options, ckpt, stop),
-    }
-}
-
-fn checkpointed_inner<R: Read>(
-    reader: R,
-    options: &AnalyzeOptions,
-    ckpt: &CheckpointSpec,
-    stop: Option<&AtomicBool>,
-) -> Result<AnalyzeStatus, CheckpointedAnalyzeError> {
-    let (Some(monitored), false) = (options.monitored, options.materialize) else {
-        return Err(CheckpointedAnalyzeError::NeedsStreaming);
-    };
-    let resume = if ckpt.resume {
-        Checkpoint::load_latest(&ckpt.dir, options.year)?
-    } else {
-        None
-    };
-    let mut stream = PcapStream::with_policy(reader, options.policy).map_err(AnalyzeError::from)?;
-    let mut admit = TechniqueAdmit::default();
-    let spec = run_spec(options, monitored);
-    let opts = SupervisorOptions {
-        checkpoint: Some(CheckpointOptions {
-            dir: ckpt.dir.clone(),
-            every: ckpt.every,
-            seed: options.chaos_seed.unwrap_or(0),
-            interrupt_after: ckpt.interrupt_after,
-        }),
-        resume,
-        stop,
-        ..SupervisorOptions::default()
-    };
-    let status = run_year_supervised(&spec, opts, &mut stream, &mut admit)?;
-    Ok(match status {
-        RunStatus::Completed {
-            outcome,
-            report,
-            checkpoints,
-        } => {
-            // The parser re-reads the whole capture on resume (the
-            // fast-forward replays it), so its parse-level fault tally and
-            // frame counts cover the full file either way.
-            let parsed = (stream.faults(), stream.non_tcp_frames());
-            AnalyzeStatus::Completed {
-                result: result_of(outcome, &admit, parsed, monitored, options),
-                report,
-                checkpoints,
-            }
-        }
-        RunStatus::Interrupted {
-            checkpoints,
-            cursor,
-        } => AnalyzeStatus::Interrupted {
-            checkpoints,
-            cursor,
-        },
-    })
-}
-
-/// Run the pipeline over already-parsed records (exposed for tests and for
-/// callers with their own capture path). Sorts, so unordered input is fine;
-/// under a lossy policy, exact adjacent duplicates are dropped and counted
-/// exactly as the streaming path would.
-pub fn analyze_records(mut records: Vec<ProbeRecord>, options: &AnalyzeOptions) -> AnalyzeResult {
-    records.sort_by_key(|r| r.ts_micros);
-
-    // Infer the dark set when not supplied: every probed destination.
-    let monitored = options.monitored.unwrap_or_else(|| {
-        records
-            .iter()
-            .map(|r| r.dst_ip.0)
-            .collect::<std::collections::HashSet<u32>>()
-            .len() as u64
-    });
-
-    let mut stream = SliceStream::new(&records);
-    // No parser tallies: the pcap importer already skipped non-TCP frames.
-    let parsed = |_: &_| (FaultCounters::default(), 0);
-    analyze_stream(InfallibleStream(&mut stream), parsed, monitored, options)
-        // Sorted in-memory input cannot regress in time or end mid-stream,
-        // so the driver has nothing to fail on under any policy.
-        .expect("sorted in-memory input cannot fault")
 }
 
 /// Render the result as the text report the `analyze` binary prints.
@@ -680,10 +519,21 @@ pub fn render_report(result: &AnalyzeResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::CheckpointSpec;
     use synscan_scanners::traits::craft_record;
     use synscan_scanners::zmap::ZmapScanner;
     use synscan_telescope::capture::export_pcap;
     use synscan_wire::Ipv4Address;
+
+    /// A plain analysis of an in-memory capture, read once.
+    fn analyze_bytes(
+        bytes: Vec<u8>,
+        options: &AnalyzeOptions,
+    ) -> Result<AnalyzeResult, AnalyzeError> {
+        let input = CaptureInput::reader(std::io::Cursor::new(bytes));
+        let status = analyze(input, options, &RunOptions::default())?;
+        Ok(status.completed().expect("nothing interrupts a plain run"))
+    }
 
     fn capture_bytes() -> Vec<u8> {
         let z = ZmapScanner::new(5);
@@ -706,8 +556,7 @@ mod tests {
     #[test]
     fn analyzes_an_external_capture_end_to_end() {
         let bytes = capture_bytes();
-        let result = analyze_pcap(std::io::Cursor::new(bytes), &AnalyzeOptions::default())
-            .expect("valid pcap");
+        let result = analyze_bytes(bytes, &AnalyzeOptions::default()).expect("valid pcap");
         assert_eq!(result.analysis.total_packets, 200);
         assert_eq!(result.monitored, 100, "dark set inferred from capture");
         assert_eq!(result.techniques["syn"], 200);
@@ -721,63 +570,6 @@ mod tests {
         assert!(report.contains("zmap"));
         assert!(report.contains("443"));
         assert!(!report.contains("capture faults"));
-    }
-
-    #[test]
-    fn sharded_analysis_matches_sequential() {
-        let bytes = capture_bytes();
-        let sequential = analyze_pcap(
-            std::io::Cursor::new(bytes.clone()),
-            &AnalyzeOptions::default(),
-        )
-        .unwrap();
-        let sharded = analyze_pcap(
-            std::io::Cursor::new(bytes),
-            &AnalyzeOptions {
-                pipeline: synscan_core::PipelineMode::Sharded { workers: 3 },
-                ..AnalyzeOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(sequential.analysis, sharded.analysis);
-        assert_eq!(sequential.techniques, sharded.techniques);
-        assert_eq!(sequential.monitored, sharded.monitored);
-    }
-
-    #[test]
-    fn streaming_analysis_matches_materialized() {
-        let bytes = capture_bytes();
-        let (monitored, _) =
-            infer_monitored_with_policy(std::io::Cursor::new(bytes.clone()), FaultPolicy::Fail)
-                .unwrap();
-        assert_eq!(monitored, 100);
-        for pipeline in [
-            PipelineMode::Sequential,
-            PipelineMode::Sharded { workers: 3 },
-        ] {
-            let streamed = analyze_pcap(
-                std::io::Cursor::new(bytes.clone()),
-                &AnalyzeOptions {
-                    monitored: Some(monitored),
-                    pipeline,
-                    ..AnalyzeOptions::default()
-                },
-            )
-            .unwrap();
-            let materialized = analyze_pcap(
-                std::io::Cursor::new(bytes.clone()),
-                &AnalyzeOptions {
-                    monitored: Some(monitored),
-                    pipeline,
-                    materialize: true,
-                    ..AnalyzeOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(streamed.analysis, materialized.analysis, "{pipeline}");
-            assert_eq!(streamed.techniques, materialized.techniques);
-            assert_eq!(streamed.monitored, materialized.monitored);
-        }
     }
 
     #[test]
@@ -801,13 +593,13 @@ mod tests {
             monitored: Some(10),
             ..AnalyzeOptions::default()
         };
-        let err = analyze_pcap(std::io::Cursor::new(bytes.clone()), &streaming_options)
+        let err = analyze_bytes(bytes.clone(), &streaming_options)
             .expect_err("unordered capture must not stream");
         assert!(matches!(err, AnalyzeError::UnorderedCapture { violations } if violations > 0));
         assert!(err.to_string().contains("--materialize"));
 
-        let materialized = analyze_pcap(
-            std::io::Cursor::new(bytes),
+        let materialized = analyze_bytes(
+            bytes,
             &AnalyzeOptions {
                 materialize: true,
                 ..streaming_options
@@ -820,8 +612,8 @@ mod tests {
     #[test]
     fn explicit_monitored_count_overrides_inference() {
         let bytes = capture_bytes();
-        let result = analyze_pcap(
-            std::io::Cursor::new(bytes),
+        let result = analyze_bytes(
+            bytes,
             &AnalyzeOptions {
                 monitored: Some(71_536),
                 ..AnalyzeOptions::default()
@@ -838,8 +630,8 @@ mod tests {
             FaultPolicy::SkipRecord,
             FaultPolicy::StopClean,
         ] {
-            let result = analyze_pcap(
-                std::io::Cursor::new(vec![0u8; 100]),
+            let result = analyze_bytes(
+                vec![0u8; 100],
                 &AnalyzeOptions {
                     policy,
                     ..AnalyzeOptions::default()
@@ -859,15 +651,15 @@ mod tests {
             monitored: Some(100),
             ..AnalyzeOptions::default()
         };
-        let err = analyze_pcap(std::io::Cursor::new(bytes.clone()), &strict).unwrap_err();
+        let err = analyze_bytes(bytes.clone(), &strict).unwrap_err();
         assert!(matches!(
             err,
             AnalyzeError::Pcap(PcapError::TruncatedRecordBody { .. })
         ));
         assert!(err.to_string().contains("--fault-policy skip"));
 
-        let result = analyze_pcap(
-            std::io::Cursor::new(bytes),
+        let result = analyze_bytes(
+            bytes,
             &AnalyzeOptions {
                 policy: FaultPolicy::SkipRecord,
                 ..strict
@@ -881,53 +673,90 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_streaming_analysis_resumes_bit_identical() {
-        let bytes = capture_bytes();
-        let options = AnalyzeOptions {
-            monitored: Some(100),
-            ..AnalyzeOptions::default()
-        };
-        let baseline = analyze_pcap(std::io::Cursor::new(bytes.clone()), &options).unwrap();
+    fn a_checkpoint_cut_from_another_capture_is_a_mismatch_under_every_policy() {
+        let capture_a = MappedCapture::from_bytes(capture_bytes());
+        let mut shorter = capture_bytes();
+        shorter.truncate(shorter.len() - 2 * (16 + 54)); // two whole frames fewer
+        let capture_b = MappedCapture::from_bytes(shorter);
+        for policy in [
+            FaultPolicy::Fail,
+            FaultPolicy::SkipRecord,
+            FaultPolicy::StopClean,
+        ] {
+            let options = AnalyzeOptions {
+                monitored: Some(100),
+                policy,
+                ..AnalyzeOptions::default()
+            };
+            let dir = std::env::temp_dir().join(format!(
+                "synscan-analyze-identity-{policy}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let cut = CheckpointSpec::new(&dir).every(50).interrupt_after(Some(1));
+            let status = analyze(
+                CaptureInput::Capture(&capture_a),
+                &options,
+                &RunOptions {
+                    checkpoint: Some(&cut),
+                    ..RunOptions::default()
+                },
+            )
+            .expect("the drill is not an error");
+            assert!(matches!(status, RunStatus::Interrupted { .. }), "{policy}");
 
-        let dir = std::env::temp_dir().join(format!("synscan-analyze-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-
-        // Interrupt right after the first checkpoint ...
-        let spec = CheckpointSpec::new(&dir).every(50).interrupt_after(Some(1));
-        let status =
-            analyze_pcap_checkpointed(std::io::Cursor::new(bytes.clone()), &options, &spec, None)
-                .unwrap();
-        assert!(matches!(status, AnalyzeStatus::Interrupted { .. }));
-
-        // ... and resume: the finished result equals the uninterrupted one.
-        let spec = CheckpointSpec::new(&dir).every(50).resume(true);
-        let status =
-            analyze_pcap_checkpointed(std::io::Cursor::new(bytes), &options, &spec, None).unwrap();
-        let AnalyzeStatus::Completed { result, .. } = status else {
-            panic!("resumed analysis completes");
-        };
-        assert_eq!(result.analysis, baseline.analysis);
-        assert_eq!(result.techniques, baseline.techniques);
-        assert_eq!(result.faults, baseline.faults);
-        assert_eq!(result.non_tcp_frames, baseline.non_tcp_frames);
-        assert_eq!(result.monitored, baseline.monitored);
-        let _ = std::fs::remove_dir_all(&dir);
+            let resume = CheckpointSpec::new(&dir).every(50).resume(true);
+            let resumed = |capture, options: &AnalyzeOptions| {
+                analyze(
+                    CaptureInput::Capture(capture),
+                    options,
+                    &RunOptions {
+                        checkpoint: Some(&resume),
+                        ..RunOptions::default()
+                    },
+                )
+            };
+            let foreign = |err| {
+                matches!(
+                    err,
+                    AnalyzeError::Checkpoint(CheckpointError::Mismatch { field: "seed", .. })
+                )
+            };
+            let err = resumed(&capture_b, &options).expect_err("capture B is not capture A");
+            assert!(foreign(err.clone()), "{policy}: {err:?}");
+            assert!(err.to_string().contains("checkpoint does not match"));
+            // The same capture under another dark-set size is another run too.
+            let other = AnalyzeOptions {
+                monitored: Some(101),
+                ..options.clone()
+            };
+            assert!(
+                foreign(resumed(&capture_a, &other).unwrap_err()),
+                "{policy}"
+            );
+            // And capture A itself still resumes.
+            let status = resumed(&capture_a, &options).expect("same run resumes");
+            assert!(matches!(status, RunStatus::Completed { .. }), "{policy}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
-    fn checkpointed_analysis_requires_the_streaming_shape() {
+    fn a_one_shot_input_cannot_be_checkpointed() {
         let dir =
-            std::env::temp_dir().join(format!("synscan-analyze-ckpt-shape-{}", std::process::id()));
+            std::env::temp_dir().join(format!("synscan-analyze-oneshot-{}", std::process::id()));
         let spec = CheckpointSpec::new(&dir);
-        let err = analyze_pcap_checkpointed(
-            std::io::Cursor::new(capture_bytes()),
-            &AnalyzeOptions::default(), // monitored unknown
-            &spec,
-            None,
+        let err = analyze(
+            CaptureInput::reader(std::io::Cursor::new(capture_bytes())),
+            &AnalyzeOptions::default(),
+            &RunOptions {
+                checkpoint: Some(&spec),
+                ..RunOptions::default()
+            },
         )
         .unwrap_err();
-        assert_eq!(err, CheckpointedAnalyzeError::NeedsStreaming);
+        assert_eq!(err, AnalyzeError::NotReopenable);
+        assert!(!dir.exists(), "refused before anything was written");
     }
 
     #[test]
@@ -938,7 +767,7 @@ mod tests {
             heavy: Some(HeavyHitterConfig::with_k(8)),
             ..AnalyzeOptions::default()
         };
-        let streamed = analyze_pcap(std::io::Cursor::new(bytes.clone()), &options).unwrap();
+        let streamed = analyze_bytes(bytes.clone(), &options).unwrap();
         let heavy = streamed
             .analysis
             .heavy
@@ -948,8 +777,8 @@ mod tests {
 
         // Sharded, materialized, and streamed runs agree on the sketch too
         // (it rides inside YearAnalysis equality).
-        let sharded = analyze_pcap(
-            std::io::Cursor::new(bytes.clone()),
+        let sharded = analyze_bytes(
+            bytes.clone(),
             &AnalyzeOptions {
                 pipeline: PipelineMode::Sharded { workers: 3 },
                 ..options.clone()
@@ -957,8 +786,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(streamed.analysis, sharded.analysis);
-        let materialized = analyze_pcap(
-            std::io::Cursor::new(bytes),
+        let materialized = analyze_bytes(
+            bytes,
             &AnalyzeOptions {
                 materialize: true,
                 ..options
@@ -973,8 +802,8 @@ mod tests {
         assert!(report.contains("source pps percentiles"));
 
         // Without the option the section stays out of the report.
-        let plain = analyze_pcap(
-            std::io::Cursor::new(capture_bytes()),
+        let plain = analyze_bytes(
+            capture_bytes(),
             &AnalyzeOptions {
                 monitored: Some(100),
                 ..AnalyzeOptions::default()
@@ -994,16 +823,15 @@ mod tests {
             chaos_seed: Some(0xc0ffee),
             ..AnalyzeOptions::default()
         };
-        let a = analyze_pcap(std::io::Cursor::new(bytes.clone()), &options)
-            .expect("skip policy survives byte noise");
-        let b = analyze_pcap(std::io::Cursor::new(bytes.clone()), &options).unwrap();
+        let a = analyze_bytes(bytes.clone(), &options).expect("skip policy survives byte noise");
+        let b = analyze_bytes(bytes.clone(), &options).unwrap();
         assert_eq!(a.analysis, b.analysis, "same seed, same outcome");
         assert_eq!(a.faults, b.faults);
         // Byte noise over a ~13KB capture lands somewhere: either a frame
         // stopped parsing (non-TCP), a record was skipped, or the stream was
         // cut — but never a panic, and the clean run is unaffected.
-        let clean = analyze_pcap(
-            std::io::Cursor::new(bytes),
+        let clean = analyze_bytes(
+            bytes,
             &AnalyzeOptions {
                 chaos_seed: None,
                 ..options

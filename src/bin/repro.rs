@@ -33,16 +33,19 @@
 //! `--checkpoint-dir DIR` makes the run crash-safe: each year periodically
 //! persists an atomic checkpoint of its full pipeline state, SIGINT/SIGTERM
 //! trigger a final checkpoint before exiting, and `--resume` restarts a
-//! killed run from the per-year checkpoints with bit-identical output.
+//! killed run from the per-year checkpoints with bit-identical output — and
+//! refuses checkpoints cut at another scale, seed or fault policy.
 //! `--die-after-checkpoints K` is the kill-and-resume drill: abort the
 //! process (as a crash would) right after K checkpoints per year.
 //!
 //! Every run's terminal state is written through the versioned analysis
 //! store (`--store-dir`, default `OUT/store`): one `year-YYYY.store` slice
-//! per year, written atomically. The tables and figures are then rendered
-//! from the *reloaded* store image — not from the in-memory run — so the
-//! artifacts double as a store round-trip proof, and `synscan-serve` can
-//! answer queries over the same slices the batch run produced.
+//! per year, written atomically the moment the year completes, so an
+//! interrupted run leaves its finished years queryable. The tables and
+//! figures are then rendered from the *reloaded* store image — not from the
+//! in-memory run — so the artifacts double as a store round-trip proof, and
+//! `synscan-serve` can answer queries over the same slices the batch run
+//! produced.
 //!
 //! `--heavy-hitters K[,WIDTH,DEPTH]` turns on the sublinear heavy-hitter
 //! layer: every year additionally carries a space-saving top-K tracker and
@@ -67,12 +70,16 @@ use synscan::core::analysis::{
 use synscan::core::report::render_series;
 use synscan::core::sketch::HeavyHitterConfig;
 use synscan::core::store::{AnalysisStore, StoreImage};
-use synscan::experiment::{CheckpointSpec, DecadeRun, DecadeStatus, Experiment};
+use synscan::core::PipelineError;
+use synscan::experiment::{DecadeRun, DecadeStatus, Experiment, RunError, RunOptions};
 use synscan::netmodel::{InternetRegistry, ScannerClass};
 use synscan::wire::ingest::{IngestMode, MappedCapture};
 use synscan::wire::json::{self, ToJson};
 use synscan::wire::{ChaosPlan, FaultPolicy};
 use synscan::{GeneratorConfig, PipelineMode, ToolKind, YearConfig};
+
+mod cli;
+use cli::{flag_dir, flag_value, sig, CheckpointFlags};
 
 const USAGE: &str = "usage: repro [--scale tiny|small|default] [--seed N] [--out DIR] \
                      [--store-dir DIR] \
@@ -142,50 +149,10 @@ const TARGETS: &[&str] = &[
     "fig10", "prose", "etl", "pcap", "all",
 ];
 
-fn flag_value<T: std::str::FromStr>(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-    what: &str,
-) -> Result<T, String> {
-    let value = args
-        .next()
-        .ok_or_else(|| format!("{flag} needs a value ({what})"))?;
-    value
-        .parse()
-        .map_err(|_| format!("{flag}: invalid value `{value}` ({what})"))
-}
-
-/// Worker mode: the whole process is one protocol loop. Over stdin/stdout
-/// when spawned as a local child, or dialing out to a listening
-/// coordinator when given an endpoint. Everything else (scale, seed,
-/// policy) arrives in the job spec of each assignment, so no other flags
-/// apply.
-fn worker_main(endpoint: Option<&str>) -> Result<(), String> {
-    let label = format!("repro-worker-{}", std::process::id());
-    let result = match endpoint {
-        None => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            let mut input = stdin.lock();
-            let mut output = stdout.lock();
-            synscan::run_worker(&mut input, &mut output, &label)
-        }
-        Some(spec) => {
-            let (mut input, mut output) =
-                synscan::connect_worker(spec).map_err(|e| e.to_string())?;
-            synscan::run_worker(&mut input, &mut output, &label)
-        }
-    };
-    result.map_err(|e| format!("worker: {e}"))
-}
-
 fn run() -> Result<(), String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("--worker") {
-        if argv.len() > 2 {
-            return Err(format!("--worker takes at most one endpoint\n{USAGE}"));
-        }
-        return worker_main(argv.get(1).map(String::as_str));
+        return cli::worker_main("repro", &argv);
     }
     let mut args = argv.into_iter();
     let mut scale = "default".to_string();
@@ -197,10 +164,7 @@ fn run() -> Result<(), String> {
     let mut heavy: Option<HeavyHitterConfig> = None;
     let mut chaos_seed: Option<u64> = None;
     let mut fault_policy = FaultPolicy::Fail;
-    let mut checkpoint_dir: Option<PathBuf> = None;
-    let mut checkpoint_every: u64 = 500_000;
-    let mut resume = false;
-    let mut die_after: Option<u64> = None;
+    let mut checkpoint = CheckpointFlags::default();
     let mut distributed: Option<usize> = None;
     let mut worker_cmd: Option<String> = None;
     let mut listen: Option<String> = None;
@@ -210,6 +174,9 @@ fn run() -> Result<(), String> {
     let mut net_chaos_mode = synscan::NetChaosMode::Benign;
     let mut targets: Vec<String> = Vec::new();
     while let Some(arg) = args.next() {
+        if checkpoint.take(&arg, &mut args)? {
+            continue;
+        }
         match arg.as_str() {
             "--worker" => {
                 return Err("--worker must be the first argument (worker mode takes no \
@@ -247,48 +214,15 @@ fn run() -> Result<(), String> {
                 net_chaos_mode = synscan::NetChaosMode::parse(&spec)
                     .map_err(|e| format!("--net-chaos-profile: {e}"))?;
             }
-            "--checkpoint-dir" => {
-                checkpoint_dir = Some(PathBuf::from(flag_value::<String>(
-                    &mut args,
-                    "--checkpoint-dir",
-                    "a directory",
-                )?))
-            }
-            "--checkpoint-every" => {
-                checkpoint_every = flag_value(&mut args, "--checkpoint-every", "a record count")?
-            }
-            "--resume" => resume = true,
-            "--die-after-checkpoints" => {
-                die_after = Some(flag_value(
-                    &mut args,
-                    "--die-after-checkpoints",
-                    "a checkpoint count",
-                )?)
-            }
             "--scale" => scale = flag_value(&mut args, "--scale", "tiny|small|default")?,
-            "--out" => {
-                out_dir = PathBuf::from(flag_value::<String>(&mut args, "--out", "a directory")?)
-            }
-            "--store-dir" => {
-                store_dir = Some(PathBuf::from(flag_value::<String>(
-                    &mut args,
-                    "--store-dir",
-                    "a directory",
-                )?))
-            }
+            "--out" => out_dir = flag_dir(&mut args, "--out")?,
+            "--store-dir" => store_dir = Some(flag_dir(&mut args, "--store-dir")?),
             "--seed" => seed_override = Some(flag_value(&mut args, "--seed", "a u64 seed")?),
             "--pipeline" => {
                 pipeline = flag_value(&mut args, "--pipeline", "sequential|auto|sharded:N")?
             }
             "--ingest" => ingest = flag_value(&mut args, "--ingest", "read|mmap|mmap:N")?,
-            "--heavy-hitters" => {
-                let config: HeavyHitterConfig =
-                    flag_value(&mut args, "--heavy-hitters", "K[,WIDTH,DEPTH]")?;
-                config
-                    .validate()
-                    .map_err(|e| format!("--heavy-hitters: {e}"))?;
-                heavy = Some(config);
-            }
+            "--heavy-hitters" => heavy = Some(cli::heavy_hitters(&mut args)?),
             "--chaos-seed" => {
                 chaos_seed = Some(flag_value(&mut args, "--chaos-seed", "a u64 seed")?)
             }
@@ -378,7 +312,7 @@ fn run() -> Result<(), String> {
         // --checkpoint-dir is allowed as a worker-local *spill* (an
         // operator-visible audit trail the run never reads back); resume
         // and the sequential kill drill stay rejected.
-        if resume || die_after.is_some() {
+        if checkpoint.resume || checkpoint.die_after.is_some() {
             return Err("--distributed resumes from coordinator-held checkpoints \
                         automatically; drop --resume / --die-after-checkpoints \
                         (use --distributed-kill-drill for the recovery drill)"
@@ -404,10 +338,7 @@ fn run() -> Result<(), String> {
                 }
             }
         };
-        if let Some(dir) = &checkpoint_dir {
-            fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create checkpoint dir {}: {e}", dir.display()))?;
-        }
+        checkpoint.create_dir()?;
         let supervision = match stall_timeout {
             Some(secs) => synscan::core::SupervisionConfig::with_stall_timeout(
                 std::time::Duration::from_secs(secs.max(1)),
@@ -416,10 +347,10 @@ fn run() -> Result<(), String> {
         };
         let options = synscan::DistribOptions {
             source,
-            every: checkpoint_every,
+            every: checkpoint.every,
             kill_drill,
             supervision,
-            checkpoint_dir: checkpoint_dir.clone(),
+            checkpoint_dir: checkpoint.dir.clone(),
             net_chaos: net_chaos_seed.map(|seed| synscan::NetChaos {
                 seed,
                 mode: net_chaos_mode,
@@ -427,82 +358,45 @@ fn run() -> Result<(), String> {
         };
         eprintln!(
             "[repro] distributing {} slices across {workers} worker(s), checkpoint \
-             cadence {checkpoint_every}",
-            10 * workers
+             cadence {}",
+            10 * workers,
+            checkpoint.every
         );
         let (run, supervision) = synscan::run_distributed(experiment, &options, Some(&store))
             .map_err(|e| format!("distributed decade run failed: {e}"))?;
-        if !supervision.stalls.is_empty()
-            || !supervision.failures.is_empty()
-            || supervision.retried > 0
-        {
-            eprintln!(
-                "[repro] distributed supervision: {} stalls, {} slice failures, {} retries",
-                supervision.stalls.len(),
-                supervision.failures.len(),
-                supervision.retried
-            );
-        }
+        cli::supervision_summary("[repro] distributed", &supervision);
         run
     } else {
-        match &checkpoint_dir {
-            None => {
-                if resume || die_after.is_some() {
-                    return Err("--resume / --die-after-checkpoints need --checkpoint-dir".into());
-                }
-                experiment
-                    .run_decade_into(&store)
-                    .map_err(|e| format!("decade run failed: {e} (try --fault-policy skip)"))?
+        let spec = checkpoint.spec()?;
+        let opts = RunOptions {
+            checkpoint: spec.as_ref(),
+            // Without a checkpoint to cut there is nothing to stop for.
+            stop: spec
+                .as_ref()
+                .map(|_| sig::install(&[sig::SIGINT, sig::SIGTERM])),
+            store: Some(&store),
+        };
+        let status = experiment.decade(&opts).map_err(|e| match e {
+            // Only a faulty record is something a lossy policy gets past.
+            RunError::Pipeline(PipelineError::Stream(_)) => {
+                format!("decade run failed: {e} (try --fault-policy skip)")
             }
-            Some(dir) => {
-                fs::create_dir_all(dir)
-                    .map_err(|e| format!("cannot create checkpoint dir {}: {e}", dir.display()))?;
-                let spec = CheckpointSpec::new(dir)
-                    .every(checkpoint_every)
-                    .resume(resume)
-                    .interrupt_after(die_after);
-                let stop = sig::install();
-                match experiment
-                    .try_run_decade_checkpointed(&spec, Some(stop))
-                    .map_err(|e| format!("decade run failed: {e} (try --fault-policy skip)"))?
-                {
-                    DecadeStatus::Completed { run, supervision } => {
-                        if !supervision.stalls.is_empty()
-                            || !supervision.failures.is_empty()
-                            || supervision.retried > 0
-                        {
-                            eprintln!(
-                                "[repro] supervision: {} stalls, {} contained failures, {} retries",
-                                supervision.stalls.len(),
-                                supervision.failures.len(),
-                                supervision.retried
-                            );
-                        }
-                        // The checkpointed driver does not stream per-year
-                        // persistence; funnel its terminal state through the
-                        // same store write path here.
-                        run.persist(&store).map_err(|e| {
-                            format!("cannot persist run into {}: {e}", store_dir.display())
-                        })?;
-                        run
-                    }
-                    DecadeStatus::Interrupted {
-                        completed,
-                        interrupted,
-                    } => {
-                        eprintln!(
-                        "[repro] interrupted: {completed} years completed, years {interrupted:?} \
-                         checkpointed in {}",
-                        dir.display()
-                    );
-                        if die_after.is_some() {
-                            // The kill-and-resume drill dies the way a crash
-                            // would: no unwinding, no cleanup.
-                            std::process::abort();
-                        }
-                        return Err("run interrupted; re-run with --resume to continue".into());
-                    }
-                }
+            _ => format!("decade run failed: {e}"),
+        })?;
+        match status {
+            DecadeStatus::Completed { run, supervision } => {
+                cli::supervision_summary("[repro]", &supervision);
+                run
+            }
+            DecadeStatus::Interrupted {
+                completed,
+                interrupted,
+            } => {
+                eprintln!(
+                    "[repro] interrupted: {completed} years completed and stored, years \
+                     {interrupted:?} checkpointed"
+                );
+                return Err(checkpoint.interrupted("run"));
             }
         }
     };
@@ -546,41 +440,25 @@ fn run() -> Result<(), String> {
     };
 
     let want = |t: &str| targets.iter().any(|x| x == t || x == "all");
-    if want("table1") {
-        table1(&view, &out_dir)?;
-    }
-    if want("table2") {
-        table2(&view, &out_dir)?;
-    }
-    if want("fig1") {
-        fig1(&view, &out_dir)?;
-    }
-    if want("fig2") {
-        fig2(&view, &out_dir)?;
-    }
-    if want("fig3") {
-        fig3(&view, &out_dir)?;
-    }
-    if want("fig4") {
-        fig4(&view, &out_dir)?;
-    }
-    if want("fig5") {
-        fig5(&view, &out_dir)?;
-    }
-    if want("fig6") {
-        fig6(&view, &out_dir)?;
-    }
-    if want("fig7") {
-        fig7(&view, &out_dir)?;
-    }
-    if want("fig8") || want("fig9") || want("fig10") {
-        fig8_9_10(&view, &out_dir)?;
-    }
-    if want("prose") {
-        prose(&view, &out_dir)?;
-    }
-    if want("etl") {
-        etl(&view, &out_dir)?;
+    type Render = fn(&StoreView, &Path) -> Result<(), String>;
+    let renderers: [(&[&str], Render); 12] = [
+        (&["table1"], table1),
+        (&["table2"], table2),
+        (&["fig1"], fig1),
+        (&["fig2"], fig2),
+        (&["fig3"], fig3),
+        (&["fig4"], fig4),
+        (&["fig5"], fig5),
+        (&["fig6"], fig6),
+        (&["fig7"], fig7),
+        (&["fig8", "fig9", "fig10"], fig8_9_10),
+        (&["prose"], prose),
+        (&["etl"], etl),
+    ];
+    for (names, render) in renderers {
+        if names.iter().any(|name| want(name)) {
+            render(&view, &out_dir)?;
+        }
     }
     if want("pcap") {
         pcap_export(&gen, &out_dir, ingest)?;
@@ -653,37 +531,6 @@ fn main() {
     if let Err(e) = run() {
         eprintln!("repro: {e}");
         std::process::exit(1);
-    }
-}
-
-/// Minimal SIGINT/SIGTERM hook with no signal-handling crate: the handler
-/// flips one atomic, and the supervised driver checkpoints and exits at the
-/// next batch boundary. Only an atomic store happens in signal context.
-mod sig {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static STOP: AtomicBool = AtomicBool::new(false);
-
-    #[cfg(unix)]
-    pub fn install() -> &'static AtomicBool {
-        extern "C" {
-            fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-        }
-        extern "C" fn on_signal(_signum: i32) {
-            STOP.store(true, Ordering::SeqCst);
-        }
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
-        &STOP
-    }
-
-    #[cfg(not(unix))]
-    pub fn install() -> &'static AtomicBool {
-        &STOP
     }
 }
 

@@ -31,6 +31,9 @@ use synscan::core::store::query::{answer_line, body_of};
 use synscan::core::store::{AnalysisStore, StoreImage};
 use synscan::serve::{Listen, ServeOptions, Server};
 
+mod cli;
+use cli::{flag_dir, flag_value};
+
 const USAGE: &str = "usage: synscan-serve (--listen SPEC | --connect SPEC | --query FILE) \
                      [--store-dir DIR] [--readers N] [--query FILE] [--bodies]\n\
                      \n  --store-dir DIR     analysis store directory (default out/store)\
@@ -63,17 +66,10 @@ impl From<String> for Failure {
     }
 }
 
-fn flag_value<T: std::str::FromStr>(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-    what: &str,
-) -> Result<T, Failure> {
-    let value = args
-        .next()
-        .ok_or_else(|| Failure::Usage(format!("{flag} needs a value ({what})")))?;
-    value
-        .parse()
-        .map_err(|_| Failure::Usage(format!("{flag}: invalid value `{value}` ({what})")))
+impl From<cli::Usage> for Failure {
+    fn from(usage: cli::Usage) -> Self {
+        Failure::Usage(usage.0)
+    }
 }
 
 fn run() -> Result<(), Failure> {
@@ -86,13 +82,7 @@ fn run() -> Result<(), Failure> {
     let mut bodies = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--store-dir" => {
-                store_dir = PathBuf::from(flag_value::<String>(
-                    &mut args,
-                    "--store-dir",
-                    "a directory",
-                )?)
-            }
+            "--store-dir" => store_dir = flag_dir(&mut args, "--store-dir")?,
             "--listen" => {
                 listen = Some(flag_value(&mut args, "--listen", "HOST:PORT or unix:PATH")?)
             }
@@ -145,35 +135,6 @@ fn run() -> Result<(), Failure> {
     }
 }
 
-/// SIGTERM latch for the graceful drain (signal handlers may only do
-/// async-signal-safe work, so the handler just flips a flag a watcher
-/// thread polls).
-mod sig {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    pub static TERM: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_term(_: i32) {
-        TERM.store(true, Ordering::SeqCst);
-    }
-
-    /// Install the SIGTERM hook (no-op off Unix).
-    pub fn install() {
-        #[cfg(unix)]
-        {
-            extern "C" {
-                fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-            }
-            const SIGTERM: i32 = 15;
-            unsafe {
-                signal(SIGTERM, on_term);
-            }
-        }
-        #[cfg(not(unix))]
-        let _ = on_term as extern "C" fn(i32);
-    }
-}
-
 fn run_daemon(
     store_dir: &std::path::Path,
     spec: &str,
@@ -192,12 +153,12 @@ fn run_daemon(
 
     // Graceful drain on SIGTERM: finish in-flight conversations, refuse new
     // ones with a typed reply, then stop once idle (30 s grace).
-    sig::install();
+    let term = cli::sig::install(&[cli::sig::SIGTERM]);
     let control = server.control();
     std::thread::Builder::new()
         .name("serve-sigterm".to_string())
         .spawn(move || loop {
-            if sig::TERM.load(std::sync::atomic::Ordering::SeqCst) {
+            if term.load(std::sync::atomic::Ordering::SeqCst) {
                 eprintln!("[synscan-serve] SIGTERM: draining (in-flight finish, new refused)");
                 control.drain_then_stop(std::time::Duration::from_secs(30));
                 return;

@@ -1161,7 +1161,7 @@ fn pump_slice(
 }
 
 /// Run the decade distributed across N workers and persist it into
-/// `store` exactly as the sequential `run_decade_into` would: every
+/// `store` exactly as the sequential `Experiment::decade` would: every
 /// arriving partial lands via `write_partial`, and each year's final merge
 /// is promoted via `write_year` (which atomically replaces the partials).
 ///
@@ -1488,10 +1488,18 @@ mod tests {
         );
     }
 
+    fn sequential_decade(gen: GeneratorConfig) -> DecadeRun {
+        Experiment::new(gen)
+            .decade(&crate::experiment::RunOptions::default())
+            .expect("clean decade")
+            .completed()
+            .expect("nothing interrupts a plain run")
+    }
+
     #[test]
     fn distributed_decade_over_thread_workers_matches_sequential() {
         let gen = GeneratorConfig::tiny();
-        let sequential = Experiment::new(gen).run_decade();
+        let sequential = sequential_decade(gen);
         let options = DistribOptions {
             source: WorkerSource::Threads(2),
             every: 5_000,
@@ -1529,7 +1537,7 @@ mod tests {
             checkpoint_dir: None,
             net_chaos: None,
         };
-        let sequential = Experiment::new(gen).run_decade();
+        let sequential = sequential_decade(gen);
         let (distributed, _) =
             run_distributed(Experiment::new(gen), &options, None).expect("1-thread run");
         for (d, s) in distributed.years.iter().zip(&sequential.years) {

@@ -6,36 +6,37 @@
 //! Each year flows *streamed*: the generator's lazy emitter plan feeds the
 //! pipeline one batch at a time and the full record vector never exists.
 //!
+//! There is one way to run a year, [`Experiment::year`], and one way to run
+//! the decade, [`Experiment::decade`]; both take a [`RunOptions`] and drive
+//! [`synscan_core::run_year_supervised`]. The default options are the plain
+//! run: nothing is cut, nothing stops it, nothing is persisted. A
+//! [`CheckpointSpec`] adds atomic per-year checkpoints, resume from them
+//! with bit-identical results, and one retry of a panicked shard worker
+//! from the last cut; a stop flag (raised from a SIGINT handler, say) ends
+//! the run at the next batch boundary behind a final checkpoint; a store
+//! receives every year the moment it completes. [`Experiment::run_year`] is
+//! the panicking shorthand for a plain year.
+//!
 //! For robustness drills the harness can decay its own input:
 //! [`Experiment::with_chaos`] wraps every year's record stream in a
 //! [`ChaosStream`] (the plan is re-seeded per year, so a decade run injects
 //! at distinct but reproducible offsets), and
-//! [`Experiment::with_fault_policy`] selects how the pipeline responds. The
-//! fallible entry points ([`Experiment::try_run_year`],
-//! [`Experiment::try_run_decade`]) return `Err` instead of panicking when a
-//! fault is fatal under the chosen policy.
-//!
-//! Long runs survive crashes: [`Experiment::try_run_year_checkpointed`] and
-//! [`Experiment::try_run_decade_checkpointed`] route through the supervised
-//! driver ([`synscan_core::run_year_supervised`]), which persists atomic
-//! per-year checkpoints to a directory, stops cleanly when a caller-owned
-//! stop flag is raised (e.g. from a SIGINT handler), resumes a killed run
-//! from its last checkpoint with bit-identical results, and retries a
-//! panicked shard worker once from the last checkpoint before giving up.
+//! [`Experiment::with_fault_policy`] selects how the pipeline responds.
 
-use std::path::PathBuf;
+use std::hash::Hasher as _;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use synscan_core::analysis::YearAnalysis;
 use synscan_core::checkpoint::{SnapReader, SnapWriter};
-use synscan_core::pipeline::{try_collect_year_stream, PipelineError, PipelineMode, SizeHints};
+use synscan_core::pipeline::{PipelineError, PipelineMode, SizeHints};
 use synscan_core::sketch::HeavyHitterConfig;
 use synscan_core::store::{AnalysisStore, StoreError};
 use synscan_core::{
     run_year_supervised, AdmitState, CampaignConfig, Checkpoint, CheckpointError,
-    CheckpointOptions, InjectedFaults, RunError, RunSpec, RunStatus, SupervisionConfig,
-    SupervisionReport, SupervisorOptions,
+    CheckpointOptions, FxHasher, InjectedFaults, RunSpec, RunStatus, SupervisionReport,
+    SupervisorOptions,
 };
 use synscan_netmodel::InternetRegistry;
 use synscan_synthesis::fanout;
@@ -47,36 +48,53 @@ use synscan_wire::chaos::{ChaosPlan, ChaosStream};
 use synscan_wire::stream::{FaultCounters, FaultPolicy, InfallibleStream, TryRecordStream};
 use synscan_wire::ProbeRecord;
 
-/// Why a store-backed run failed: the measurement run itself, or
-/// persisting its terminal state into the analysis store.
-#[derive(Debug)]
-pub enum StoreRunError {
-    /// The pipeline failed before the year produced an analysis.
-    Run(PipelineError),
+/// Why a run failed: in the pipeline, at a checkpoint, or persisting a
+/// finished year into the analysis store.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunError {
+    /// The pipeline itself failed (stream fault, worker panic).
+    Pipeline(PipelineError),
+    /// Checkpoint I/O or validation failed.
+    Checkpoint(CheckpointError),
     /// The analysis was computed but could not be persisted.
     Store(StoreError),
 }
 
-impl std::fmt::Display for StoreRunError {
+impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StoreRunError::Run(e) => write!(f, "{e}"),
-            StoreRunError::Store(e) => write!(f, "{e}"),
+            RunError::Pipeline(e) => write!(f, "{e}"),
+            RunError::Checkpoint(e @ CheckpointError::Mismatch { field: "seed", .. }) => write!(
+                f,
+                "checkpoint: {e} (the seed is the run's identity word: the input or an \
+                 option that shapes the analysis differs from the interrupted run's)"
+            ),
+            RunError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
+            RunError::Store(e) => write!(f, "{e}"),
         }
     }
 }
 
-impl std::error::Error for StoreRunError {}
+impl std::error::Error for RunError {}
 
-impl From<PipelineError> for StoreRunError {
-    fn from(e: PipelineError) -> Self {
-        StoreRunError::Run(e)
+impl From<CheckpointError> for RunError {
+    fn from(e: CheckpointError) -> Self {
+        RunError::Checkpoint(e)
     }
 }
 
-impl From<StoreError> for StoreRunError {
+impl From<StoreError> for RunError {
     fn from(e: StoreError) -> Self {
-        StoreRunError::Store(e)
+        RunError::Store(e)
+    }
+}
+
+impl From<synscan_core::RunError> for RunError {
+    fn from(e: synscan_core::RunError) -> Self {
+        match e {
+            synscan_core::RunError::Pipeline(e) => RunError::Pipeline(e),
+            synscan_core::RunError::Checkpoint(e) => RunError::Checkpoint(e),
+        }
     }
 }
 
@@ -91,14 +109,6 @@ pub struct YearRun {
     pub capture: CaptureStats,
     /// What the fault policy dropped or cut short (zero without chaos).
     pub faults: FaultCounters,
-}
-
-impl YearRun {
-    /// Persist this year's terminal state as a full store slice — the one
-    /// write path every run variant funnels through.
-    pub fn persist(&self, store: &AnalysisStore) -> Result<PathBuf, StoreError> {
-        store.write_year(&self.analysis)
-    }
 }
 
 /// The full decade, plus the shared world.
@@ -141,106 +151,167 @@ impl DecadeRun {
         }
         total
     }
-
-    /// Persist every year's terminal state into the analysis store, one
-    /// full slice per year, returning the written paths ascending by year.
-    pub fn persist(&self, store: &AnalysisStore) -> Result<Vec<PathBuf>, StoreError> {
-        self.years.iter().map(|y| y.persist(store)).collect()
-    }
 }
 
-/// Where and how often a supervised run checkpoints.
+/// Where and how often a run checkpoints, and whether it starts from what
+/// is already there.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointSpec {
-    /// Directory holding one `checkpoint-year{year}.ckpt` file per year.
-    pub dir: PathBuf,
-    /// Checkpoint after at least this many stream records since the last
-    /// cut. `0` = only the final completion checkpoint.
-    pub every: u64,
-    /// Restart each year from its latest on-disk checkpoint (from scratch
-    /// when none exists) instead of ignoring old state.
-    pub resume: bool,
-    /// Abort the run right after writing this many checkpoints — the
-    /// kill-and-resume drill hook (`--die-after-checkpoints`); `None` in
-    /// normal operation.
-    pub interrupt_after: Option<u64>,
+    /// The driver's own options. Their `seed` is not the caller's to set:
+    /// every run call overwrites it with its identity word.
+    options: CheckpointOptions,
+    resume: bool,
 }
 
 impl CheckpointSpec {
-    /// Checkpoint into `dir` with completion-only cuts, no resume.
+    /// Checkpoint into `dir` (one `checkpoint-year{year}.ckpt` per year)
+    /// with completion-only cuts, no resume.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
-            dir: dir.into(),
-            every: 0,
+            options: CheckpointOptions {
+                dir: dir.into(),
+                every: 0,
+                seed: 0,
+                interrupt_after: None,
+            },
             resume: false,
-            interrupt_after: None,
         }
     }
 
-    /// Set the record-count checkpoint interval.
+    /// Checkpoint after at least this many stream records since the last
+    /// cut. `0` = only the final completion checkpoint.
     pub fn every(mut self, every: u64) -> Self {
-        self.every = every;
+        self.options.every = every;
         self
     }
 
-    /// Enable resuming from the latest on-disk checkpoint.
+    /// Restart each year from its latest on-disk checkpoint (from scratch
+    /// when none exists) instead of ignoring old state.
     pub fn resume(mut self, resume: bool) -> Self {
         self.resume = resume;
         self
     }
 
-    /// Arm the interrupt-after-N-checkpoints drill.
+    /// Stop the run right after writing this many checkpoints — the
+    /// kill-and-resume drill hook (`--die-after-checkpoints`); `None` in
+    /// normal operation.
     pub fn interrupt_after(mut self, after: Option<u64>) -> Self {
-        self.interrupt_after = after;
+        self.options.interrupt_after = after;
         self
+    }
+
+    /// The checkpoint directory.
+    pub fn dir(&self) -> &Path {
+        &self.options.dir
     }
 }
 
-/// How a supervised, checkpointed year run ended.
-// One value per run, matched once: boxing the finished analysis buys nothing.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum YearStatus {
-    /// The year ran to completion.
-    Completed {
-        /// The finished year, identical to an unsupervised run's.
-        run: YearRun,
-        /// Stalls observed, failures survived, and retries spent.
-        report: SupervisionReport,
-        /// Checkpoints written during this run (not counting resumed-from
-        /// state).
-        checkpoints: u64,
-    },
-    /// The run stopped early — stop flag or interrupt drill — after
-    /// persisting a checkpoint to resume from.
-    Interrupted {
-        /// Checkpoints written during this run.
-        checkpoints: u64,
-        /// Stream records consumed when the run stopped.
-        cursor: u64,
-    },
+/// Everything around a run that is not the run: all optional, and the
+/// default — no checkpoint, no stop flag, no store — is the plain run.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunOptions<'a> {
+    /// Checkpoint (and resume, and retry a failed worker once) as specified.
+    pub checkpoint: Option<&'a CheckpointSpec>,
+    /// Cooperative interrupt flag, checked at batch boundaries: when raised
+    /// the run cuts a final checkpoint (if it checkpoints at all) and ends
+    /// [`RunStatus::Interrupted`].
+    pub stop: Option<&'a AtomicBool>,
+    /// Write every year into this store the moment it completes, so an
+    /// interrupted decade leaves its finished years queryable.
+    pub store: Option<&'a AnalysisStore>,
 }
 
-/// How a supervised, checkpointed decade run ended.
+/// The identity word of a checkpointed run: an FxHash over everything that
+/// determines its stream and its collectors, stored in the checkpoint
+/// header's `seed`. A checkpoint cut under another word is a typed
+/// [`CheckpointError::Mismatch`], never a resumed chimera.
+pub(crate) fn identity_word(what: &[u8]) -> u64 {
+    let mut hasher = FxHasher::default();
+    hasher.write(what);
+    hasher.finish()
+}
+
+/// The one supervised run both front ends make: resume from the latest
+/// checkpoint when asked to, run `attempt`, retry it once from the latest
+/// checkpoint when a shard worker failed, and persist a completed year.
+///
+/// `attempt` rebuilds its stream and admit filter on every call. The retry
+/// needs a checkpoint directory: the failed attempt drained its healthy
+/// shards but wrote no further cut, so the latest file on disk is a
+/// consistent earlier cut (or absent — then the retry starts fresh).
+pub(crate) fn supervised<'a, T>(
+    year: u16,
+    identity: u64,
+    opts: &RunOptions<'a>,
+    mut attempt: impl FnMut(SupervisorOptions<'a>) -> Result<RunStatus<T>, RunError>,
+    analysis: impl Fn(&T) -> &YearAnalysis,
+) -> Result<RunStatus<T>, RunError> {
+    let latest = || match opts.checkpoint {
+        Some(ckpt) => Checkpoint::load_latest(ckpt.dir(), year),
+        None => Ok(None),
+    };
+    let with = |resume| SupervisorOptions {
+        checkpoint: opts.checkpoint.map(|ckpt| CheckpointOptions {
+            seed: identity,
+            ..ckpt.options.clone()
+        }),
+        resume,
+        stop: opts.stop,
+        ..SupervisorOptions::default()
+    };
+    let resume = match opts.checkpoint {
+        Some(ckpt) if ckpt.resume => latest()?,
+        _ => None,
+    };
+    let status = match attempt(with(resume)) {
+        Err(RunError::Pipeline(PipelineError::WorkerFailed { .. }))
+            if opts.checkpoint.is_some() =>
+        {
+            let mut status = attempt(with(latest()?))?;
+            if let RunStatus::Completed { report, .. } = &mut status {
+                report.retried += 1;
+            }
+            status
+        }
+        other => other?,
+    };
+    if let (RunStatus::Completed { outcome, .. }, Some(store)) = (&status, opts.store) {
+        store.write_year(analysis(outcome))?;
+    }
+    Ok(status)
+}
+
+/// How a decade run ended.
 // One value per run, matched once: boxing the finished analysis buys nothing.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum DecadeStatus {
     /// Every year completed.
     Completed {
-        /// The assembled decade, identical to an unsupervised run's.
+        /// The assembled decade.
         run: DecadeRun,
         /// Supervision events merged across all ten years.
         supervision: SupervisionReport,
     },
     /// At least one year stopped early; every interrupted year left a
-    /// checkpoint, so re-running with `resume` finishes the decade.
+    /// checkpoint, so re-running with `resume` finishes the decade. The
+    /// completed years are already in the run's store.
     Interrupted {
         /// Years that completed during this invocation.
         completed: usize,
         /// Years that stopped early, ascending.
         interrupted: Vec<u16>,
     },
+}
+
+impl DecadeStatus {
+    /// The decade of a completed run; `None` for an interrupted one.
+    pub fn completed(self) -> Option<DecadeRun> {
+        match self {
+            DecadeStatus::Completed { run, .. } => Some(run),
+            DecadeStatus::Interrupted { .. } => None,
+        }
+    }
 }
 
 /// [`AdmitState`] adapter over the telescope capture: admits records via
@@ -355,8 +426,8 @@ impl Experiment {
     }
 
     /// Decay every year's record stream through a [`ChaosStream`] driven by
-    /// this plan, re-seeded per year. Use the fallible `try_run_*` entry
-    /// points with a non-strict [`FaultPolicy`] to run through the faults.
+    /// this plan, re-seeded per year. Pair it with a non-strict
+    /// [`FaultPolicy`] to run through the faults.
     pub fn with_chaos(mut self, plan: ChaosPlan) -> Self {
         self.chaos = Some(plan);
         self
@@ -429,7 +500,7 @@ impl Experiment {
         plan_year(year_cfg, &self.gen, &self.registry, &self.dark)
     }
 
-    /// The run parameters both year drivers share, for a planned year.
+    /// The run parameters of a planned year.
     fn run_spec(&self, year: u16, mode: PipelineMode, truth: &GroundTruth) -> RunSpec {
         RunSpec {
             year,
@@ -441,7 +512,7 @@ impl Experiment {
         }
     }
 
-    /// Hand `drive` the year's record stream as either driver wants it:
+    /// Hand `drive` the year's record stream as the driver wants it:
     /// lazily replayed from the plan, decayed through the chaos plan when
     /// one is installed. The plan is re-seeded per year: one user-facing
     /// seed, distinct (but reproducible) injection offsets for every year
@@ -472,250 +543,106 @@ impl Experiment {
         }
     }
 
-    /// Run `year` over every year of the decade in parallel, first error
-    /// wins. The intra-year shard budget composes with this cross-year
-    /// fan-out: each concurrently running year gets `workers / years` shard
-    /// threads so the two levels together stay within one machine's budget.
-    fn decade<T: Send, E: Send>(
-        &self,
-        year: impl Fn(&YearConfig, PipelineMode) -> Result<T, E> + Sync,
-    ) -> Result<Vec<T>, E> {
-        let configs = YearConfig::decade();
-        let concurrent = configs.len().min(fanout::width()).max(1);
-        let year_mode = self.mode.with_budget(concurrent);
-        fanout::par_map(&configs, |cfg| year(cfg, year_mode))
-            .into_iter()
-            .collect()
-    }
-
-    /// Run one year end to end.
-    ///
-    /// # Panics
-    /// If a chaos plan is installed and a fault is fatal under the current
-    /// policy; use [`Experiment::try_run_year`] for a `Result`.
-    pub fn run_year(&self, year: u16) -> YearRun {
-        self.run_year_cfg_mode(&YearConfig::for_year(year), self.mode)
-    }
-
-    /// Run one year with an explicit (possibly customized) year config and
-    /// pipeline mode, overriding the experiment-wide setting (the decade
-    /// fan-out uses this to hand each year its share of the worker budget).
-    ///
-    /// # Panics
-    /// As [`Experiment::run_year`].
-    pub fn run_year_cfg_mode(&self, year_cfg: &YearConfig, mode: PipelineMode) -> YearRun {
-        self.try_run_year_cfg_mode(year_cfg, mode)
-            .unwrap_or_else(|e| panic!("year {} failed: {e}", year_cfg.year))
-    }
-
-    /// Fallible [`Experiment::run_year`].
-    pub fn try_run_year(&self, year: u16) -> Result<YearRun, PipelineError> {
-        self.try_run_year_cfg_mode(&YearConfig::for_year(year), self.mode)
-    }
-
-    /// Run one year end to end, surfacing fatal faults as `Err` — the entry
-    /// point for chaos-decayed runs under [`FaultPolicy::Fail`].
-    pub fn try_run_year_cfg_mode(
-        &self,
-        year_cfg: &YearConfig,
-        mode: PipelineMode,
-    ) -> Result<YearRun, PipelineError> {
-        let plan = self.plan(year_cfg);
-        let mut session = CaptureSession::new(&self.dark, year_cfg.year);
-        let spec = self.run_spec(year_cfg.year, mode, &plan.truth);
-        let outcome = self.with_stream(&plan, |stream| {
-            try_collect_year_stream(
-                spec.year,
-                spec.config,
-                spec.period_days,
-                spec.mode,
-                spec.hints,
-                spec.policy,
-                stream,
-                |record| session.offer(record),
-            )
-        })?;
-        Ok(YearRun {
-            analysis: outcome.analysis,
-            truth: plan.truth,
-            capture: session.stats(),
-            faults: outcome.faults,
-        })
-    }
-
-    /// Run the whole decade, years in parallel.
-    ///
-    /// # Panics
-    /// As [`Experiment::run_year`]; use [`Experiment::try_run_decade`] for
-    /// chaos-decayed runs.
-    pub fn run_decade(self) -> DecadeRun {
-        self.try_run_decade()
-            .unwrap_or_else(|e| panic!("decade run failed: {e}"))
-    }
-
-    /// Fallible [`Experiment::run_decade`]: the first year with a fatal
-    /// fault aborts the decade with its error.
-    pub fn try_run_decade(self) -> Result<DecadeRun, PipelineError> {
-        let years = self.decade(|cfg, mode| self.try_run_year_cfg_mode(cfg, mode))?;
-        Ok(self.into_decade(years))
-    }
-
-    /// Run the whole decade, persisting each year into the analysis store
-    /// *as it completes* (not after the decade finishes), so an interrupted
-    /// decade leaves its finished years queryable and a resumed run only
-    /// recomputes the rest. This — like [`YearRun::persist`] and
-    /// [`DecadeRun::persist`] — funnels terminal state through the one
-    /// atomic store write path.
-    pub fn run_decade_into(self, store: &AnalysisStore) -> Result<DecadeRun, StoreRunError> {
-        let years = self.decade(|cfg, mode| -> Result<YearRun, StoreRunError> {
-            let run = self.try_run_year_cfg_mode(cfg, mode)?;
-            run.persist(store)?;
-            Ok(run)
-        })?;
-        Ok(self.into_decade(years))
-    }
-
-    /// Arm deterministic one-shot faults in the supervised shard workers —
-    /// the test hook for the panic-containment and retry-from-checkpoint
-    /// paths.
+    /// Arm deterministic one-shot faults in the shard workers — the test
+    /// hook for the panic-containment and retry-from-checkpoint paths.
     #[doc(hidden)]
     pub fn with_injected_faults(mut self, faults: Arc<InjectedFaults>) -> Self {
         self.inject = Some(faults);
         self
     }
 
-    /// Run one year under the supervised, checkpointed driver.
+    /// Run one plain year end to end, in the experiment-wide pipeline mode.
     ///
-    /// With [`CheckpointSpec::resume`] set, the year restarts from its
+    /// # Panics
+    /// If a chaos plan is installed and a fault is fatal under the current
+    /// policy; use [`Experiment::year`] for a `Result`.
+    pub fn run_year(&self, year: u16) -> YearRun {
+        let cfg = YearConfig::for_year(year);
+        self.year(&cfg, self.mode, &RunOptions::default())
+            .unwrap_or_else(|e| panic!("year {year} failed: {e}"))
+            .completed()
+            .expect("nothing interrupts a plain run")
+    }
+
+    /// Run one year end to end, with an explicit (possibly customized) year
+    /// config and pipeline mode (the decade fan-out hands each year its share
+    /// of the worker budget this way). A fault that is fatal under the
+    /// current policy is an `Err`.
+    ///
+    /// With a [`CheckpointSpec`] that resumes, the year restarts from its
     /// latest on-disk checkpoint (from scratch if none exists) and produces
-    /// output bit-identical to an uninterrupted run. A shard-worker failure
-    /// is retried once from the last persisted checkpoint before surfacing;
-    /// a spent retry is counted in the returned supervision report.
-    pub fn try_run_year_checkpointed(
+    /// output bit-identical to an uninterrupted run; a spent worker-failure
+    /// retry is counted in the returned supervision report. The checkpoint's
+    /// identity word covers the generator and heavy-hitter configuration,
+    /// the year configuration, the fault policy and the chaos plan.
+    pub fn year(
         &self,
         year_cfg: &YearConfig,
         mode: PipelineMode,
-        ckpt: &CheckpointSpec,
-        stop: Option<&AtomicBool>,
-    ) -> Result<YearStatus, RunError> {
-        let resume = if ckpt.resume {
-            Checkpoint::load_latest(&ckpt.dir, year_cfg.year)?
-        } else {
-            None
-        };
-        match self.supervised_attempt(year_cfg, mode, ckpt, resume, stop) {
-            Err(RunError::Pipeline(PipelineError::WorkerFailed { .. })) => {
-                // The failed attempt drained its healthy shards but wrote no
-                // further cut, so the latest file on disk is a consistent
-                // earlier cut (or absent — then the retry starts fresh).
-                let resume = Checkpoint::load_latest(&ckpt.dir, year_cfg.year)?;
-                let mut status = self.supervised_attempt(year_cfg, mode, ckpt, resume, stop)?;
-                if let YearStatus::Completed { report, .. } = &mut status {
-                    report.retried += 1;
-                }
-                Ok(status)
-            }
-            other => other,
-        }
-    }
-
-    /// One supervised pass over a year: build the plan and stream exactly as
-    /// [`Experiment::try_run_year_cfg_mode`] does, but drive them through
-    /// [`run_year_supervised`] with this experiment's checkpoint directory,
-    /// stop flag, and injected faults.
-    fn supervised_attempt(
-        &self,
-        year_cfg: &YearConfig,
-        mode: PipelineMode,
-        ckpt: &CheckpointSpec,
-        resume: Option<Checkpoint>,
-        stop: Option<&AtomicBool>,
-    ) -> Result<YearStatus, RunError> {
+        opts: &RunOptions<'_>,
+    ) -> Result<RunStatus<YearRun>, RunError> {
         let plan = self.plan(year_cfg);
-        let mut admit = SessionAdmit(CaptureSession::new(&self.dark, year_cfg.year));
         let spec = self.run_spec(year_cfg.year, mode, &plan.truth);
-        let opts = SupervisorOptions {
-            supervision: SupervisionConfig::default(),
-            checkpoint: Some(CheckpointOptions {
-                dir: ckpt.dir.clone(),
-                every: ckpt.every,
-                seed: self.gen.seed,
-                interrupt_after: ckpt.interrupt_after,
-            }),
-            resume,
-            stop,
-            inject: self.inject.clone(),
+        let mut identity = crate::distrib::encode_job(&self.gen, self.heavy);
+        identity.extend(format!("{year_cfg:?} {:?} {:?}", self.policy, self.chaos).bytes());
+        let identity = identity_word(&identity);
+        let attempt = |options| {
+            let options = SupervisorOptions {
+                inject: self.inject.clone(),
+                ..options
+            };
+            let mut admit = SessionAdmit(CaptureSession::new(&self.dark, spec.year));
+            let status = self.with_stream(&plan, |stream| {
+                run_year_supervised(&spec, options, stream, &mut admit)
+            })?;
+            Ok(status.map(|outcome| YearRun {
+                analysis: outcome.analysis,
+                truth: plan.truth.clone(),
+                capture: admit.0.stats(),
+                faults: outcome.faults,
+            }))
         };
-        let status = self.with_stream(&plan, |stream| {
-            run_year_supervised(&spec, opts, stream, &mut admit)
-        })?;
-        Ok(match status {
-            RunStatus::Completed {
-                outcome,
-                report,
-                checkpoints,
-            } => YearStatus::Completed {
-                run: YearRun {
-                    analysis: outcome.analysis,
-                    truth: plan.truth,
-                    capture: admit.0.stats(),
-                    faults: outcome.faults,
-                },
-                report,
-                checkpoints,
-            },
-            RunStatus::Interrupted {
-                checkpoints,
-                cursor,
-            } => YearStatus::Interrupted {
-                checkpoints,
-                cursor,
-            },
-        })
+        supervised(spec.year, identity, opts, attempt, |run| &run.analysis)
     }
 
-    /// Run the whole decade under the supervised driver, years in parallel,
-    /// each year checkpointing to (and resuming from) its own per-year file
-    /// in [`CheckpointSpec::dir`].
+    /// Run the whole decade, years in parallel, first error wins. Each year
+    /// checkpoints to (and resumes from) its own file and is written to
+    /// `opts.store` as it completes, so after an interrupt the store holds
+    /// the finished years and a resumed run only recomputes the rest.
     ///
-    /// When a stop flag interrupts some years mid-run, the completed years'
-    /// results are discarded (their checkpoints remain final and complete on
-    /// disk) and the interrupted years are reported; re-running with
-    /// `resume` fast-forwards completed years from their final checkpoints
-    /// and finishes the rest.
-    pub fn try_run_decade_checkpointed(
-        self,
-        ckpt: &CheckpointSpec,
-        stop: Option<&AtomicBool>,
-    ) -> Result<DecadeStatus, RunError> {
-        let statuses = self.decade(|cfg, mode| {
-            self.try_run_year_checkpointed(cfg, mode, ckpt, stop)
-                .map(|status| (cfg.year, status))
-        })?;
+    /// The intra-year shard budget composes with the cross-year fan-out:
+    /// each concurrently running year gets `workers / years` shard threads
+    /// so the two levels together stay within one machine's budget.
+    pub fn decade(self, opts: &RunOptions<'_>) -> Result<DecadeStatus, RunError> {
+        let configs = YearConfig::decade();
+        let concurrent = configs.len().min(fanout::width()).max(1);
+        let year_mode = self.mode.with_budget(concurrent);
+        let statuses = fanout::par_map(&configs, |cfg| self.year(cfg, year_mode, opts));
         let mut years = Vec::new();
         let mut interrupted = Vec::new();
         let mut supervision = SupervisionReport::default();
-        for (year, status) in statuses {
-            match status {
-                YearStatus::Completed { run, report, .. } => {
+        for (cfg, status) in configs.iter().zip(statuses) {
+            match status? {
+                RunStatus::Completed {
+                    outcome, report, ..
+                } => {
                     supervision.absorb(report);
-                    years.push(run);
+                    years.push(outcome);
                 }
-                YearStatus::Interrupted { .. } => interrupted.push(year),
+                RunStatus::Interrupted { .. } => interrupted.push(cfg.year),
             }
         }
-        if interrupted.is_empty() {
-            Ok(DecadeStatus::Completed {
+        Ok(if interrupted.is_empty() {
+            DecadeStatus::Completed {
                 run: self.into_decade(years),
                 supervision,
-            })
+            }
         } else {
-            interrupted.sort_unstable();
-            Ok(DecadeStatus::Interrupted {
+            DecadeStatus::Interrupted {
                 completed: years.len(),
                 interrupted,
-            })
-        }
+            }
+        })
     }
 }
 
@@ -740,7 +667,11 @@ mod tests {
     #[test]
     fn decade_runs_sorted_and_consistent() {
         let gen = GeneratorConfig::tiny();
-        let run = Experiment::new(gen).run_decade();
+        let run = Experiment::new(gen)
+            .decade(&RunOptions::default())
+            .expect("clean decade")
+            .completed()
+            .expect("nothing interrupts a plain run");
         assert_eq!(run.years.len(), 10);
         assert!(run
             .years
@@ -782,8 +713,15 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("synstore-exp-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = AnalysisStore::open(&dir).expect("open store");
-        let run = Experiment::new(GeneratorConfig::tiny()).run_year(2020);
-        run.persist(&store).expect("persist");
+        let opts = RunOptions {
+            store: Some(&store),
+            ..RunOptions::default()
+        };
+        let run = Experiment::new(GeneratorConfig::tiny())
+            .year(&YearConfig::for_year(2020), PipelineMode::Sequential, &opts)
+            .expect("clean year")
+            .completed()
+            .expect("nothing interrupts this run");
         assert_eq!(store.load_year(2020).expect("reload"), run.analysis);
         let _ = std::fs::remove_dir_all(&dir);
     }

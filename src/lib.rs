@@ -47,8 +47,8 @@ pub use distrib::{
     connect_worker, run_distributed, run_worker, CoordError, DistribOptions, Endpoint, NetChaos,
     NetChaosMode, WorkerSource,
 };
-pub use experiment::{CheckpointSpec, DecadeStatus, Experiment, YearStatus};
+pub use experiment::{CheckpointSpec, DecadeStatus, Experiment, RunError, RunOptions};
 pub use synscan_core::{
-    Campaign, CampaignConfig, FingerprintEngine, PipelineMode, RunError, ToolKind,
+    Campaign, CampaignConfig, FingerprintEngine, PipelineMode, RunStatus, ToolKind,
 };
 pub use synscan_synthesis::{GeneratorConfig, YearConfig};

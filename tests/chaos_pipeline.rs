@@ -19,15 +19,15 @@ use std::fs::File;
 use std::io::BufReader;
 use std::path::PathBuf;
 
-use synscan::analyze::{analyze_pcap, AnalyzeError, AnalyzeOptions};
+use synscan::analyze::{analyze, AnalyzeError, AnalyzeOptions, AnalyzeResult, CaptureInput};
 use synscan::core::pipeline::PipelineError;
 use synscan::core::PipelineMode;
-use synscan::experiment::Experiment;
+use synscan::experiment::{Experiment, RunError, RunOptions, YearRun};
 use synscan::wire::chaos::{corrupt_pcap, ChaosPlan, Fault};
 use synscan::wire::pcap::PcapReader;
 use synscan::wire::stream::{FaultPolicy, StreamError};
 use synscan::wire::PcapError;
-use synscan::GeneratorConfig;
+use synscan::{GeneratorConfig, YearConfig};
 
 fn corpus_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -37,6 +37,26 @@ fn corpus_path(name: &str) -> PathBuf {
 
 fn corpus_file(name: &str) -> BufReader<File> {
     BufReader::new(File::open(corpus_path(name)).expect("corpus file exists"))
+}
+
+/// A plain analysis of a capture read once.
+fn analyze_once(
+    reader: impl std::io::Read + Send + 'static,
+    options: &AnalyzeOptions,
+) -> Result<AnalyzeResult, AnalyzeError> {
+    let status = analyze(
+        CaptureInput::reader(reader),
+        options,
+        &RunOptions::default(),
+    )?;
+    Ok(status.completed().expect("nothing interrupts a plain run"))
+}
+
+/// A plain 2020 in the experiment's own pipeline mode, as a `Result`.
+fn try_year(experiment: &Experiment) -> Result<YearRun, RunError> {
+    let mode = experiment.pipeline_mode();
+    let status = experiment.year(&YearConfig::for_year(2020), mode, &RunOptions::default())?;
+    Ok(status.completed().expect("nothing interrupts a plain run"))
 }
 
 /// A small clean capture for the pcap-level drills.
@@ -112,8 +132,8 @@ fn garbage_frames_in_a_pcap_are_counted_but_do_not_change_the_analysis() {
     assert!(log.garbage_frames > 0);
 
     let options = AnalyzeOptions::default();
-    let clean = analyze_pcap(std::io::Cursor::new(bytes), &options).expect("clean capture");
-    let decayed = analyze_pcap(std::io::Cursor::new(dirty), &options).expect("garbage is benign");
+    let clean = analyze_once(std::io::Cursor::new(bytes), &options).expect("clean capture");
+    let decayed = analyze_once(std::io::Cursor::new(dirty), &options).expect("garbage is benign");
     assert_eq!(clean.analysis, decayed.analysis);
     assert!(!decayed.faults.any(), "nothing was skipped — only ignored");
 }
@@ -132,8 +152,8 @@ fn duplicated_pcap_records_are_dropped_under_skip_and_match_the_clean_run() {
         policy: FaultPolicy::SkipRecord,
         ..AnalyzeOptions::default()
     };
-    let clean = analyze_pcap(std::io::Cursor::new(bytes), &options).expect("clean capture");
-    let decayed = analyze_pcap(std::io::Cursor::new(dirty), &options).expect("skip drops dupes");
+    let clean = analyze_once(std::io::Cursor::new(bytes), &options).expect("clean capture");
+    let decayed = analyze_once(std::io::Cursor::new(dirty), &options).expect("skip drops dupes");
     assert_eq!(clean.analysis, decayed.analysis);
     // Any duplicates native to the capture are dropped in both runs; the
     // decayed run drops the injected ones on top.
@@ -157,12 +177,15 @@ fn mid_stream_eof_is_an_error_from_both_drivers_under_fail() {
         PipelineMode::Sequential,
         PipelineMode::Sharded { workers: 3 },
     ] {
-        let result = Experiment::new(GeneratorConfig::tiny())
-            .with_pipeline_mode(mode)
-            .with_chaos(plan.clone())
-            .try_run_year(2020);
+        let result = try_year(
+            &Experiment::new(GeneratorConfig::tiny())
+                .with_pipeline_mode(mode)
+                .with_chaos(plan.clone()),
+        );
         match result {
-            Err(PipelineError::Stream(StreamError::Truncated { records_seen })) => {
+            Err(RunError::Pipeline(PipelineError::Stream(StreamError::Truncated {
+                records_seen,
+            }))) => {
                 assert_eq!(records_seen, 500, "mode={mode:?}: cut offset is exact");
             }
             other => panic!("mode={mode:?}: expected a truncation error, got {other:?}"),
@@ -180,12 +203,13 @@ fn mid_stream_eof_under_stop_clean_keeps_the_prefix() {
         PipelineMode::Sequential,
         PipelineMode::Sharded { workers: 3 },
     ] {
-        let run = Experiment::new(GeneratorConfig::tiny())
-            .with_pipeline_mode(mode)
-            .with_fault_policy(FaultPolicy::StopClean)
-            .with_chaos(plan.clone())
-            .try_run_year(2020)
-            .expect("stop-clean turns the cut into a clean end");
+        let run = try_year(
+            &Experiment::new(GeneratorConfig::tiny())
+                .with_pipeline_mode(mode)
+                .with_fault_policy(FaultPolicy::StopClean)
+                .with_chaos(plan.clone()),
+        )
+        .expect("stop-clean turns the cut into a clean end");
         assert_eq!(run.faults.streams_truncated, 1, "{mode:?}");
         assert!(
             run.analysis.total_packets <= 500,
@@ -209,12 +233,13 @@ fn heavy_timestamp_jitter_never_panics_under_skip() {
         PipelineMode::Sequential,
         PipelineMode::Sharded { workers: 3 },
     ] {
-        let run = Experiment::new(GeneratorConfig::tiny())
-            .with_pipeline_mode(mode)
-            .with_fault_policy(FaultPolicy::SkipRecord)
-            .with_chaos(plan.clone())
-            .try_run_year(2020)
-            .expect("skip policy survives jitter");
+        let run = try_year(
+            &Experiment::new(GeneratorConfig::tiny())
+                .with_pipeline_mode(mode)
+                .with_fault_policy(FaultPolicy::SkipRecord)
+                .with_chaos(plan.clone()),
+        )
+        .expect("skip policy survives jitter");
         assert!(run.analysis.total_packets > 0, "{mode:?}");
     }
 }
@@ -283,7 +308,7 @@ fn no_corpus_file_panics_any_policy_or_pipeline_path() {
                 };
                 // Ok (recovered to an empty/partial analysis) or a typed
                 // error — anything but a panic.
-                let _ = analyze_pcap(corpus_file(name), &options);
+                let _ = analyze_once(corpus_file(name), &options);
             }
         }
     }
@@ -298,12 +323,12 @@ fn skip_policy_recovers_what_the_corpus_allows() {
         policy: FaultPolicy::SkipRecord,
         ..AnalyzeOptions::default()
     };
-    let torn = analyze_pcap(corpus_file("truncated_record.pcap"), &options)
+    let torn = analyze_once(corpus_file("truncated_record.pcap"), &options)
         .expect("skip policy survives a torn record");
     assert_eq!(torn.analysis.total_packets, 0);
     assert_eq!(torn.faults.streams_truncated, 1);
 
-    let zero = analyze_pcap(corpus_file("zero_length.pcap"), &options)
+    let zero = analyze_once(corpus_file("zero_length.pcap"), &options)
         .expect("skip policy steps over a zero-length record");
     assert_eq!(zero.faults.records_skipped, 1);
     assert_eq!(zero.faults.bytes_dropped, 8);
@@ -314,11 +339,11 @@ fn skip_policy_recovers_what_the_corpus_allows() {
         ..options
     };
     assert!(matches!(
-        analyze_pcap(corpus_file("truncated_record.pcap"), &strict),
+        analyze_once(corpus_file("truncated_record.pcap"), &strict),
         Err(AnalyzeError::Pcap(PcapError::TruncatedRecordBody { .. }))
     ));
     assert!(matches!(
-        analyze_pcap(corpus_file("zero_length.pcap"), &strict),
+        analyze_once(corpus_file("zero_length.pcap"), &strict),
         Err(AnalyzeError::Pcap(PcapError::ZeroLengthRecord { .. }))
     ));
 }

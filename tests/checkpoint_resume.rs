@@ -11,11 +11,14 @@
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 
-use synscan::core::InjectedFaults;
-use synscan::experiment::{CheckpointSpec, DecadeStatus, Experiment, YearRun, YearStatus};
+use synscan::core::store::AnalysisStore;
+use synscan::core::{CheckpointError, InjectedFaults};
+use synscan::experiment::{
+    CheckpointSpec, DecadeStatus, Experiment, RunError, RunOptions, YearRun,
+};
 use synscan::wire::json::ToJson;
 use synscan::wire::{ChaosPlan, FaultPolicy};
-use synscan::{GeneratorConfig, PipelineMode, YearConfig};
+use synscan::{GeneratorConfig, PipelineMode, RunStatus, YearConfig};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("synscan-{name}-{}", std::process::id()));
@@ -31,32 +34,50 @@ fn assert_same_run(resumed: &YearRun, baseline: &YearRun) {
     assert_eq!(resumed.truth, baseline.truth);
 }
 
+fn plain_year(experiment: &Experiment, cfg: &YearConfig, mode: PipelineMode) -> YearRun {
+    experiment
+        .year(cfg, mode, &RunOptions::default())
+        .expect("baseline year runs clean")
+        .completed()
+        .expect("nothing interrupts a plain run")
+}
+
+fn checkpointed_year(
+    experiment: &Experiment,
+    cfg: &YearConfig,
+    mode: PipelineMode,
+    spec: CheckpointSpec,
+) -> Result<RunStatus<YearRun>, RunError> {
+    let opts = RunOptions {
+        checkpoint: Some(&spec),
+        ..RunOptions::default()
+    };
+    experiment.year(cfg, mode, &opts)
+}
+
 /// Interrupt after the first checkpoint, resume, and demand bit-identical
 /// output versus the uninterrupted run.
 fn interrupt_resume_roundtrip(name: &str, experiment: &Experiment, mode: PipelineMode) {
     let cfg = YearConfig::for_year(2020);
-    let baseline = experiment
-        .try_run_year_cfg_mode(&cfg, mode)
-        .expect("baseline year runs clean");
+    let baseline = plain_year(experiment, &cfg, mode);
 
     let dir = temp_dir(name);
-    let interrupted = experiment
-        .try_run_year_checkpointed(
-            &cfg,
-            mode,
-            &CheckpointSpec::new(&dir).every(1).interrupt_after(Some(1)),
-            None,
-        )
-        .expect("interrupt drill is not an error");
-    let YearStatus::Interrupted { checkpoints, .. } = interrupted else {
+    let drill = CheckpointSpec::new(&dir).every(1).interrupt_after(Some(1));
+    let interrupted =
+        checkpointed_year(experiment, &cfg, mode, drill).expect("interrupt drill is not an error");
+    let RunStatus::Interrupted { checkpoints, .. } = interrupted else {
         panic!("the drill must interrupt the run, got {interrupted:?}");
     };
     assert_eq!(checkpoints, 1, "interrupted right after the first cut");
 
-    let resumed = experiment
-        .try_run_year_checkpointed(&cfg, mode, &CheckpointSpec::new(&dir).resume(true), None)
-        .expect("resume completes");
-    let YearStatus::Completed { run, report, .. } = resumed else {
+    let resume = CheckpointSpec::new(&dir).resume(true);
+    let resumed = checkpointed_year(experiment, &cfg, mode, resume).expect("resume completes");
+    let RunStatus::Completed {
+        outcome: run,
+        report,
+        ..
+    } = resumed
+    else {
         panic!("resumed run must complete, got {resumed:?}");
     };
     assert!(report.failures.is_empty());
@@ -94,56 +115,81 @@ fn chaotic_interrupted_run_equals_uninterrupted_chaotic_run() {
         let experiment = Experiment::new(GeneratorConfig::tiny())
             .with_fault_policy(FaultPolicy::SkipRecord)
             .with_chaos(ChaosPlan::benign(0xfeed));
-        let cfg = YearConfig::for_year(2020);
-        let baseline = experiment
-            .try_run_year_cfg_mode(&cfg, mode)
-            .expect("chaotic year survives under skip");
+        let baseline = plain_year(&experiment, &YearConfig::for_year(2020), mode);
         assert!(
             baseline.faults.duplicates_dropped > 0,
             "the chaos plan must actually fire for this test to mean anything"
         );
-
-        let dir = temp_dir(&format!("ckpt-chaos-{mode}"));
-        let interrupted = experiment
-            .try_run_year_checkpointed(
-                &cfg,
-                mode,
-                &CheckpointSpec::new(&dir).every(1).interrupt_after(Some(1)),
-                None,
-            )
-            .expect("interrupt drill is not an error");
-        assert!(matches!(interrupted, YearStatus::Interrupted { .. }));
-
-        let resumed = experiment
-            .try_run_year_checkpointed(&cfg, mode, &CheckpointSpec::new(&dir).resume(true), None)
-            .expect("chaotic resume completes");
-        let YearStatus::Completed { run, .. } = resumed else {
-            panic!("resumed chaotic run must complete, got {resumed:?}");
-        };
-        assert_same_run(&run, &baseline);
-        let _ = std::fs::remove_dir_all(&dir);
+        interrupt_resume_roundtrip(&format!("ckpt-chaos-{mode}"), &experiment, mode);
     }
+}
+
+#[test]
+fn a_checkpoint_cut_at_another_scale_is_a_mismatch() {
+    // Same seed, same year, same shard count — and another stream: the
+    // identity word has to cover the whole generator configuration.
+    let cfg = YearConfig::for_year(2020);
+    let mode = PipelineMode::Sequential;
+    let dir = temp_dir("ckpt-identity");
+    let drill = CheckpointSpec::new(&dir).every(1).interrupt_after(Some(1));
+    let interrupted =
+        checkpointed_year(&Experiment::new(GeneratorConfig::tiny()), &cfg, mode, drill)
+            .expect("interrupt drill is not an error");
+    assert!(matches!(interrupted, RunStatus::Interrupted { .. }));
+
+    let thinner = GeneratorConfig {
+        population_denominator: GeneratorConfig::tiny().population_denominator * 2,
+        ..GeneratorConfig::tiny()
+    };
+    let resume = || CheckpointSpec::new(&dir).resume(true);
+    let err = checkpointed_year(&Experiment::new(thinner), &cfg, mode, resume())
+        .expect_err("another population is another run");
+    assert!(
+        matches!(
+            err,
+            RunError::Checkpoint(CheckpointError::Mismatch { field: "seed", .. })
+        ),
+        "{err:?}"
+    );
+    // So is the same generator under another fault policy.
+    let lossy = Experiment::new(GeneratorConfig::tiny()).with_fault_policy(FaultPolicy::SkipRecord);
+    assert!(matches!(
+        checkpointed_year(&lossy, &cfg, mode, resume()),
+        Err(RunError::Checkpoint(CheckpointError::Mismatch { .. }))
+    ));
+    // The run it was cut from still resumes.
+    let resumed = checkpointed_year(
+        &Experiment::new(GeneratorConfig::tiny()),
+        &cfg,
+        mode,
+        resume(),
+    )
+    .expect("same run resumes");
+    assert!(matches!(resumed, RunStatus::Completed { .. }));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn injected_worker_panic_recovers_via_one_retry_from_checkpoint() {
     // A shard worker panics mid-run; the supervisor contains it, the
-    // experiment layer retries once from the last on-disk checkpoint, and
-    // the final result is indistinguishable from a clean run (the injected
+    // run call retries once from the last on-disk checkpoint, and the
+    // final result is indistinguishable from a clean run (the injected
     // fault is one-shot, so the retry succeeds).
     let mode = PipelineMode::Sharded { workers: 3 };
     let clean = Experiment::new(GeneratorConfig::tiny());
     let cfg = YearConfig::for_year(2020);
-    let baseline = clean
-        .try_run_year_cfg_mode(&cfg, mode)
-        .expect("clean baseline");
+    let baseline = plain_year(&clean, &cfg, mode);
 
     let experiment = clean.with_injected_faults(InjectedFaults::panic_once(1));
     let dir = temp_dir("ckpt-panic-retry");
-    let status = experiment
-        .try_run_year_checkpointed(&cfg, mode, &CheckpointSpec::new(&dir).every(1), None)
+    let status = checkpointed_year(&experiment, &cfg, mode, CheckpointSpec::new(&dir).every(1))
         .expect("the contained panic is retried, not surfaced");
-    let YearStatus::Completed { run, report, .. } = status else {
+    let RunStatus::Completed {
+        outcome: run,
+        report,
+        ..
+    } = status
+    else {
         panic!("retried run must complete, got {status:?}");
     };
     assert_eq!(report.retried, 1, "exactly one retry was spent");
@@ -151,24 +197,57 @@ fn injected_worker_panic_recovers_via_one_retry_from_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The years a store holds, each with its slice bytes.
+fn slices(store: &AnalysisStore) -> Vec<(u16, Vec<u8>)> {
+    let years = store.years().expect("store lists its years");
+    years
+        .into_iter()
+        .map(|year| {
+            let bytes = std::fs::read(store.slice_path(year)).expect("slice file reads");
+            (year, bytes)
+        })
+        .collect()
+}
+
 #[test]
 fn stop_flag_interrupts_the_decade_and_resume_finishes_it_byte_identically() {
-    // The SIGINT path end to end, minus the actual signal: a pre-raised
-    // stop flag makes every year checkpoint and stop immediately; a second
-    // invocation with --resume semantics finishes the decade, and the
-    // rendered report (the actual table1.json bytes) equals the
-    // uninterrupted run's.
+    // The SIGINT path end to end, minus the actual signal. A pre-raised
+    // stop flag makes every year checkpoint and stop immediately; the drill
+    // then stops the years long enough to reach a periodic cut and lets the
+    // short ones finish; a last invocation with --resume semantics finishes
+    // the decade. The store holds exactly the finished years all along, and
+    // the rendered report (the actual table1.json bytes) and every slice
+    // equal the uninterrupted run's.
+    let plain_dir = temp_dir("ckpt-decade-plain-store");
+    let plain_store = AnalysisStore::open(&plain_dir).expect("open store");
     let plain = Experiment::new(GeneratorConfig::tiny())
-        .try_run_decade()
-        .expect("plain decade runs clean");
+        .decade(&RunOptions {
+            store: Some(&plain_store),
+            ..RunOptions::default()
+        })
+        .expect("plain decade runs clean")
+        .completed()
+        .expect("nothing interrupts a plain run");
     let plain_json = plain.report().to_json().to_string();
+    let plain_slices = slices(&plain_store);
+    assert_eq!(plain_slices.len(), 10);
 
     let dir = temp_dir("ckpt-decade");
+    let store_dir = temp_dir("ckpt-decade-store");
+    let store = AnalysisStore::open(&store_dir).expect("open store");
+    let decade = |spec: &CheckpointSpec, stop: Option<&AtomicBool>| {
+        let opts = RunOptions {
+            checkpoint: Some(spec),
+            stop,
+            store: Some(&store),
+        };
+        Experiment::new(GeneratorConfig::tiny())
+            .decade(&opts)
+            .expect("stopping is not an error")
+    };
+
     let stop = AtomicBool::new(true);
-    let spec = CheckpointSpec::new(&dir).every(1);
-    let status = Experiment::new(GeneratorConfig::tiny())
-        .try_run_decade_checkpointed(&spec, Some(&stop))
-        .expect("stopping is not an error");
+    let status = decade(&CheckpointSpec::new(&dir).every(1), Some(&stop));
     let DecadeStatus::Interrupted {
         completed,
         interrupted,
@@ -182,10 +261,37 @@ fn stop_flag_interrupts_the_decade_and_resume_finishes_it_byte_identically() {
         10,
         "all ten years stopped and checkpointed"
     );
+    assert!(
+        slices(&store).is_empty(),
+        "no year finished, none is stored"
+    );
 
-    let status = Experiment::new(GeneratorConfig::tiny())
-        .try_run_decade_checkpointed(&spec.clone().resume(true), None)
-        .expect("resumed decade completes");
+    // A cadence between the shortest and the longest year's stream.
+    let cadence = (plain.years.iter()).map(|y| y.capture.offered).sum::<u64>() / 10;
+    let drill = CheckpointSpec::new(&dir)
+        .every(cadence)
+        .resume(true)
+        .interrupt_after(Some(1));
+    let DecadeStatus::Interrupted {
+        completed,
+        interrupted,
+    } = decade(&drill, None)
+    else {
+        panic!("the long years must meet the drill");
+    };
+    assert!(completed > 0 && !interrupted.is_empty());
+    assert_eq!(completed + interrupted.len(), 10);
+    let finished: Vec<_> = (plain_slices.iter())
+        .filter(|(year, _)| !interrupted.contains(year))
+        .cloned()
+        .collect();
+    assert_eq!(
+        slices(&store),
+        finished,
+        "exactly the finished years are queryable, byte for byte"
+    );
+
+    let status = decade(&CheckpointSpec::new(&dir).every(1).resume(true), None);
     let DecadeStatus::Completed { run, supervision } = status else {
         panic!("resumed decade must complete");
     };
@@ -196,5 +302,8 @@ fn stop_flag_interrupts_the_decade_and_resume_finishes_it_byte_identically() {
         resumed_json, plain_json,
         "table1 bytes identical across kill+resume"
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(slices(&store), plain_slices, "and so is every slice");
+    for dir in [dir, store_dir, plain_dir] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -2,7 +2,9 @@
 //! one or many threads must be observably identical to the `Read`-based
 //! `PcapStream` — same records in the same order, same fault counters, same
 //! terminal errors — on clean captures and on the corrupt corpus, under
-//! every fault policy, in every pipeline shape.
+//! every fault policy. And `analyze()` must give one answer in every shape
+//! it can be asked for: the one matrix of pipeline × materialize × ingest ×
+//! dark set × input × plain-or-interrupted-and-resumed.
 //!
 //! Plus a record-boundary fuzz drill (pseudo-random captures of mixed frame
 //! sizes must drain identically for every queue count) and a capture several
@@ -15,15 +17,15 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use synscan::analyze::{analyze_pcap, analyze_pcap_mapped, AnalyzeOptions};
+use synscan::analyze::{analyze, AnalyzeError, AnalyzeOptions, AnalyzeResult, CaptureInput};
 use synscan::core::PipelineMode;
-use synscan::experiment::Experiment;
+use synscan::experiment::{CheckpointSpec, Experiment, RunOptions};
 use synscan::telescope::capture::{export_pcap, import_pcap_mapped, import_pcap_with_policy};
 use synscan::wire::ingest::{IngestMode, IngestQueues, MappedCapture, MappedPcapStream};
 use synscan::wire::pcap::{PcapWriter, LINKTYPE_ETHERNET};
 use synscan::wire::stream::{FaultCounters, FaultPolicy, StreamError, TryRecordStream};
 use synscan::wire::ProbeRecord;
-use synscan::GeneratorConfig;
+use synscan::{GeneratorConfig, RunStatus};
 
 const POLICIES: [FaultPolicy; 3] = [
     FaultPolicy::Fail,
@@ -112,45 +114,114 @@ fn clean_capture_imports_identically_across_every_ingest_path() {
 // 2. Full analysis equivalence, sequential and sharded
 // ---------------------------------------------------------------------------
 
+/// A plain analysis, which nothing interrupts.
+fn plain(input: CaptureInput<'_>, options: &AnalyzeOptions) -> Result<AnalyzeResult, AnalyzeError> {
+    let status = analyze(input, options, &RunOptions::default())?;
+    Ok(status.completed().expect("nothing interrupts a plain run"))
+}
+
+/// The same analysis interrupted right after its first checkpoint (cut at
+/// the first batch boundary 50 records in) and resumed from it.
+fn interrupted_and_resumed<'a>(
+    input: impl Fn() -> CaptureInput<'a>,
+    options: &AnalyzeOptions,
+    label: &str,
+) -> Result<AnalyzeResult, AnalyzeError> {
+    let dir = std::env::temp_dir().join(format!("synscan-ingest-matrix-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let checkpointed = |spec: &CheckpointSpec| {
+        let run = RunOptions {
+            checkpoint: Some(spec),
+            ..RunOptions::default()
+        };
+        analyze(input(), options, &run)
+    };
+    let first = checkpointed(&CheckpointSpec::new(&dir).every(50).interrupt_after(Some(1)))?;
+    assert!(
+        matches!(first, RunStatus::Interrupted { checkpoints: 1, .. }),
+        "{label}: {first:?}"
+    );
+    let resumed = checkpointed(&CheckpointSpec::new(&dir).every(50).resume(true))?;
+    let _ = fs::remove_dir_all(&dir);
+    Ok(resumed.completed().expect("a resumed run completes"))
+}
+
 #[test]
 fn analysis_is_identical_for_read_and_mapped_ingest_in_every_shape() {
     let bytes = clean_capture();
     let capture = MappedCapture::from_bytes(bytes.clone());
-    for pipeline in [
+    let (records, _) = import_read(&bytes, FaultPolicy::Fail).expect("clean capture imports");
+    let dark = (records.iter().map(|r| r.dst_ip.0))
+        .collect::<std::collections::HashSet<_>>()
+        .len() as u64;
+    // The one reference: sequential, streamed on one queue, the dark set
+    // given, never interrupted.
+    let base = AnalyzeOptions {
+        monitored: Some(dark),
+        year: 2020,
+        ..AnalyzeOptions::default()
+    };
+    let reference = plain(CaptureInput::Capture(&capture), &base).expect("reference analysis");
+    assert!(reference.analysis.total_packets > 0 && reference.techniques["syn"] > 0);
+
+    let pipelines = [
         PipelineMode::Sequential,
         PipelineMode::Sharded { workers: 3 },
-    ] {
-        for materialize in [false, true] {
-            let base = AnalyzeOptions {
-                monitored: Some(64),
-                year: 2020,
-                pipeline,
-                materialize,
-                ..AnalyzeOptions::default()
-            };
-            let reference =
-                analyze_pcap(bytes.as_slice(), &base).expect("read-based analysis succeeds");
-            for ingest in [
-                IngestMode::Mapped { queues: 1 },
-                IngestMode::Mapped { queues: 3 },
-            ] {
-                let options = AnalyzeOptions {
-                    ingest,
-                    ..base.clone()
-                };
-                let mapped =
-                    analyze_pcap_mapped(&capture, &options).expect("mapped analysis succeeds");
-                let label = format!("{pipeline:?} materialize={materialize} ingest={ingest}");
-                assert_eq!(reference.analysis, mapped.analysis, "{label}: analysis");
-                assert_eq!(reference.summary, mapped.summary, "{label}: summary");
-                assert_eq!(reference.faults, mapped.faults, "{label}: faults");
-                assert_eq!(
-                    reference.non_tcp_frames, mapped.non_tcp_frames,
-                    "{label}: non-TCP tally"
-                );
-            }
+    ];
+    let ingests = [
+        IngestMode::Read,
+        IngestMode::Mapped { queues: 1 },
+        IngestMode::Mapped { queues: 3 },
+    ];
+    let mut cells = 0;
+    for (pipeline, materialize, ingest, monitored, one_shot, resumed) in pipelines
+        .into_iter()
+        .flat_map(|p| [false, true].map(|m| (p, m)))
+        .flat_map(|(p, m)| ingests.map(|i| (p, m, i)))
+        .flat_map(|(p, m, i)| [Some(dark), None].map(|d| (p, m, i, d)))
+        .flat_map(|(p, m, i, d)| [false, true].map(|o| (p, m, i, d, o)))
+        .flat_map(|(p, m, i, d, o)| [false, true].map(|r| (p, m, i, d, o, r)))
+    {
+        let label = format!(
+            "{pipeline:?} materialize={materialize} ingest={ingest} monitored={monitored:?} \
+             one_shot={one_shot} resumed={resumed}"
+        );
+        let options = AnalyzeOptions {
+            monitored,
+            pipeline,
+            materialize,
+            ingest,
+            ..base.clone()
+        };
+        let input = || match one_shot {
+            true => CaptureInput::reader(std::io::Cursor::new(bytes.clone())),
+            false => CaptureInput::Capture(&capture),
+        };
+        let result = match resumed {
+            false => plain(input(), &options),
+            true => interrupted_and_resumed(input, &options, &label),
+        };
+        cells += 1;
+        if one_shot && resumed {
+            // A resume re-reads the bytes, and these come only once.
+            assert_eq!(result.unwrap_err(), AnalyzeError::NotReopenable, "{label}");
+            continue;
         }
+        let result = result.unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(reference.analysis, result.analysis, "{label}: analysis");
+        assert_eq!(reference.summary, result.summary, "{label}: summary");
+        assert_eq!(reference.faults, result.faults, "{label}: faults");
+        assert_eq!(
+            reference.non_tcp_frames, result.non_tcp_frames,
+            "{label}: non-TCP tally"
+        );
+        assert_eq!(
+            reference.techniques, result.techniques,
+            "{label}: techniques"
+        );
+        assert_eq!(reference.monitored, result.monitored, "{label}: dark set");
     }
+    assert_eq!(cells, 2 * 2 * 3 * 2 * 2 * 2);
 }
 
 #[test]
@@ -164,9 +235,10 @@ fn corrupt_corpus_analysis_matches_read_ingest_under_every_policy() {
                     policy,
                     ..AnalyzeOptions::default()
                 };
-                let reference = analyze_pcap(bytes.as_slice(), &base);
-                let mapped = analyze_pcap_mapped(
-                    &MappedCapture::from_bytes(bytes.clone()),
+                let read = CaptureInput::reader(std::io::Cursor::new(bytes.clone()));
+                let reference = plain(read, &base);
+                let mapped = plain(
+                    CaptureInput::Capture(&MappedCapture::from_bytes(bytes.clone())),
                     &AnalyzeOptions {
                         ingest: IngestMode::Mapped { queues },
                         ..base

@@ -8,7 +8,7 @@
 use std::sync::OnceLock;
 
 use synscan::core::analysis::{portspread, recurrence, speedcov, toolports, types, volatility};
-use synscan::experiment::{DecadeRun, Experiment};
+use synscan::experiment::{DecadeRun, Experiment, RunOptions};
 use synscan::netmodel::ScannerClass;
 use synscan::{GeneratorConfig, ToolKind};
 
@@ -21,7 +21,11 @@ fn decade() -> &'static DecadeRun {
             days: 5.0,
             ..GeneratorConfig::default()
         };
-        Experiment::new(gen).run_decade()
+        Experiment::new(gen)
+            .decade(&RunOptions::default())
+            .expect("clean decade")
+            .completed()
+            .expect("nothing interrupts a plain run")
     })
 }
 

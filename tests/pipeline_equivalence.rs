@@ -15,13 +15,21 @@ mod support;
 
 use support::materialized_year;
 use synscan::core::PipelineMode;
-use synscan::experiment::Experiment;
+use synscan::experiment::{DecadeRun, Experiment, RunOptions};
 use synscan::{GeneratorConfig, YearConfig};
 
 fn run(year: u16, mode: PipelineMode) -> synscan::experiment::YearRun {
     Experiment::new(GeneratorConfig::tiny())
         .with_pipeline_mode(mode)
         .run_year(year)
+}
+
+fn decade(experiment: Experiment) -> DecadeRun {
+    experiment
+        .decade(&RunOptions::default())
+        .expect("clean decade")
+        .completed()
+        .expect("nothing interrupts a plain run")
 }
 
 #[test]
@@ -63,10 +71,11 @@ fn decade_budget_composes_with_sharding() {
     // A sharded decade run equals the sequential decade run year by year
     // (with_budget may collapse the per-year share to sequential on small
     // machines — that is exactly the point).
-    let sequential = Experiment::new(GeneratorConfig::tiny()).run_decade();
-    let sharded = Experiment::new(GeneratorConfig::tiny())
-        .with_pipeline_mode(PipelineMode::Sharded { workers: 8 })
-        .run_decade();
+    let sequential = decade(Experiment::new(GeneratorConfig::tiny()));
+    let sharded = decade(
+        Experiment::new(GeneratorConfig::tiny())
+            .with_pipeline_mode(PipelineMode::Sharded { workers: 8 }),
+    );
     assert_eq!(sequential.years.len(), sharded.years.len());
     for (a, b) in sequential.years.iter().zip(&sharded.years) {
         assert_eq!(a.analysis, b.analysis, "year {}", a.analysis.year);
@@ -77,7 +86,7 @@ fn decade_budget_composes_with_sharding() {
 #[test]
 fn materialized_decade_equals_the_streamed_decade() {
     let experiment = Experiment::new(GeneratorConfig::tiny());
-    let streamed = Experiment::new(GeneratorConfig::tiny()).run_decade();
+    let streamed = decade(Experiment::new(GeneratorConfig::tiny()));
     assert_eq!(streamed.years.len(), YearConfig::decade().len());
     for run in &streamed.years {
         let year = run.analysis.year;

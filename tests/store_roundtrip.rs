@@ -8,11 +8,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use synscan::analyze::{analyze_pcap, analyze_pcap_mapped, AnalyzeOptions};
+use synscan::analyze::{analyze, AnalyzeOptions, CaptureInput};
 use synscan::core::report::DecadeReport;
 use synscan::core::store::query::{answer_line, body_of, TOP_N};
 use synscan::core::store::{AnalysisStore, ImageCell, StoreError, StoreImage};
-use synscan::experiment::Experiment;
+use synscan::experiment::{Experiment, RunOptions};
 use synscan::wire::json::ToJson;
 use synscan::wire::Ipv4Address;
 use synscan::{GeneratorConfig, PipelineMode, YearConfig};
@@ -46,7 +46,8 @@ fn slices_are_byte_identical_across_pipeline_modes() {
     ];
     let mut all = Vec::new();
     for (tag, mode) in modes {
-        let run = experiment.run_year_cfg_mode(&cfg, mode);
+        let status = experiment.year(&cfg, mode, &RunOptions::default());
+        let run = status.expect("clean year").completed().expect("plain run");
         all.push(slice_bytes(tag, &run.analysis));
     }
     assert!(
@@ -76,13 +77,20 @@ fn slices_are_byte_identical_across_ingest_modes() {
         year: 2020,
         ..AnalyzeOptions::default()
     };
-    let streamed = analyze_pcap(
-        std::io::BufReader::new(std::fs::File::open(&pcap).expect("open pcap")),
-        &options,
-    )
-    .expect("streamed analysis");
+    let analyzed = |input, options: &AnalyzeOptions| {
+        let status = analyze(input, options, &RunOptions::default()).expect("clean capture");
+        status.completed().expect("plain run")
+    };
+    let file = std::fs::File::open(&pcap).expect("open pcap");
+    let streamed = analyzed(CaptureInput::reader(file), &options);
     let capture = synscan::wire::ingest::MappedCapture::load(&pcap).expect("open pcap");
-    let mapped = analyze_pcap_mapped(&capture, &options).expect("mapped analysis");
+    let mapped = analyzed(
+        CaptureInput::Capture(&capture),
+        &AnalyzeOptions {
+            ingest: synscan::wire::ingest::IngestMode::Mapped { queues: 2 },
+            ..options.clone()
+        },
+    );
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(

@@ -14,7 +14,7 @@ use synscan::core::analysis::{
     events, portspread, toolports, types, volatility, yearly, YearAnalysis,
 };
 use synscan::core::store::{decode_year, encode_year, read_meta};
-use synscan::experiment::Experiment;
+use synscan::experiment::{Experiment, RunOptions};
 use synscan::netmodel::InternetRegistry;
 use synscan::{GeneratorConfig, PipelineMode, YearConfig};
 
@@ -160,12 +160,13 @@ fn figure_floats_are_bit_identical_however_the_year_was_assembled() {
         !cfg.events.is_empty(),
         "2020 has a disclosure for events::*"
     );
-    let sequential = experiment
-        .run_year_cfg_mode(&cfg, PipelineMode::Sequential)
-        .analysis;
-    let merged = experiment
-        .run_year_cfg_mode(&cfg, PipelineMode::Sharded { workers: 3 })
-        .analysis;
+    let analyzed = |mode| {
+        let status = experiment.year(&cfg, mode, &RunOptions::default());
+        let run = status.expect("clean year").completed().expect("plain run");
+        run.analysis
+    };
+    let sequential = analyzed(PipelineMode::Sequential);
+    let merged = analyzed(PipelineMode::Sharded { workers: 3 });
     let reloaded = decode_year(&encode_year(&sequential)).expect("round trip");
 
     let expected = float_bits(&sequential, experiment.registry());

@@ -24,7 +24,7 @@ use synscan_scanners::traits::ToolKind;
 use crate::campaign::{
     tool_slot, Campaign, CampaignConfig, NoiseStats, Pipeline, TOOL_BY_SLOT, TOOL_SLOTS,
 };
-use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
+use crate::checkpoint::{Ascending, CheckpointError, SnapReader, SnapWriter};
 use crate::compact::{sorted_union, IdSet, PortSet, SortedMap};
 use crate::fasthash::FxHashMap;
 use crate::sketch::{HeavyHitterConfig, HeavyHitters};
@@ -575,16 +575,12 @@ impl YearCollector {
         let n_ports = r.take_len(11)?;
         let mut port_stats = FxHashMap::default();
         port_stats.reserve(n_ports);
+        let mut order = Ascending::new("collector ports");
         for _ in 0..n_ports {
-            let port = r.take_u16()?;
+            let port = order.admit(r.take_u16()?)?;
             let packets = r.take_u64()?;
             let sources = IdSet::restore_from(r)?;
             port_stats.insert(port, PortStat { packets, sources });
-        }
-        if port_stats.len() != n_ports {
-            return Err(CheckpointError::Corrupt(
-                "duplicate port in collector snapshot".into(),
-            ));
         }
 
         let n_sources = r.take_len(8)?;
@@ -601,8 +597,9 @@ impl YearCollector {
         let n_days = r.take_len(16)?;
         let mut day_port_packets = FxHashMap::default();
         day_port_packets.reserve(n_days);
+        let mut order = Ascending::new("collector (day, port) keys");
         for _ in 0..n_days {
-            let key = r.take_u64()?;
+            let key = order.admit(r.take_u64()?)?;
             let n = r.take_u64()?;
             day_port_packets.insert(key, n);
         }
@@ -610,8 +607,9 @@ impl YearCollector {
         let n_tools = r.take_len(12)?;
         let mut tool_port_packets = FxHashMap::default();
         tool_port_packets.reserve(n_tools);
+        let mut order = Ascending::new("collector (tool, port) keys");
         for _ in 0..n_tools {
-            let key = r.take_u32()?;
+            let key = order.admit(r.take_u32()?)?;
             let n = r.take_u64()?;
             tool_port_packets.insert(key, n);
         }
@@ -619,8 +617,9 @@ impl YearCollector {
         let n_weeks = r.take_len(17)?;
         let mut week_cells = FxHashMap::default();
         week_cells.reserve(n_weeks);
+        let mut order = Ascending::new("collector (week, /16) keys");
         for _ in 0..n_weeks {
-            let key = r.take_u64()?;
+            let key = order.admit(r.take_u64()?)?;
             let packets = r.take_u64()?;
             let sources = IdSet::restore_from(r)?;
             week_cells.insert(key, WeekState { packets, sources });

@@ -451,13 +451,9 @@ impl OpenScan {
         let n_dests = r.take_len(4)?;
         let mut dests = FxHashSet::default();
         dests.reserve(n_dests);
+        let mut order = Ascending::new("open-scan destinations");
         for _ in 0..n_dests {
-            dests.insert(r.take_u32()?);
-        }
-        if dests.len() != n_dests {
-            return Err(CheckpointError::Corrupt(
-                "duplicate destination in open-scan snapshot".into(),
-            ));
+            dests.insert(order.admit(r.take_u32()?)?);
         }
         let n_ports = r.take_len(10)?;
         let mut port_packets = Vec::with_capacity(n_ports);

@@ -20,30 +20,19 @@
 //! `checkpoint_resume` integration suite enforces this in both sequential
 //! and sharded modes.
 //!
-//! # File format (version 1)
+//! # File format
 //!
-//! ```text
-//! magic    8 B   "SYNCKPT\0"
-//! version  4 B   u32 LE — readers reject versions they don't know
-//! length   8 B   u64 LE — payload byte count
-//! checksum 8 B   u64 LE — FxHash of the payload bytes
-//! payload        header fields, gate state, fault counters,
-//!                admit-state blob, per-shard collector snapshots
-//! ```
-//!
-//! Everything after the fixed prologue is covered by the checksum, so a torn
-//! or bit-flipped file is rejected as [`CheckpointError::ChecksumMismatch`]
-//! / [`CheckpointError::Truncated`] rather than silently resumed. Writes are
-//! atomic: the file is staged as `<name>.tmp`, fsynced, then renamed over
-//! the rolling per-year checkpoint (`checkpoint-year<YYYY>.ckpt`), so a kill
-//! mid-write leaves the previous checkpoint intact.
+//! A `SYNCKPT` envelope ([`crate::envelope`]) around the header fields,
+//! gate state, fault counters, admit-state blob and per-shard collector
+//! snapshots, written atomically over the rolling per-year file
+//! (`checkpoint-year<YYYY>.ckpt`): a torn or bit-flipped file is a typed
+//! error, and a kill mid-write leaves the previous checkpoint intact.
 //!
 //! All multi-byte integers are little-endian. Hash maps are serialized in
-//! sorted key order, so the same state always snapshots to the same bytes.
+//! sorted key order, and every decoder accepts only that order, so a
+//! checkpoint it loads re-encodes to the bytes it was read from.
 
 use std::fs;
-use std::hash::Hasher as _;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use synscan_scanners::traits::ToolKind;
@@ -51,33 +40,17 @@ use synscan_wire::stream::FaultCounters;
 use synscan_wire::{Ipv4Address, ProbeRecord, TcpFlags};
 
 use crate::analysis::YearCollector;
-use crate::fasthash::FxHasher;
-
-/// File magic: identifies a synscan checkpoint.
-pub const MAGIC: [u8; 8] = *b"SYNCKPT\0";
-
-/// Current checkpoint format version. Bumped on any layout change; readers
-/// reject files with a version they do not understand. Version 2 appended
-/// the presence-tagged heavy-hitter sketch section to collector snapshots.
-pub const FORMAT_VERSION: u32 = 2;
+use crate::envelope::{self, EnvelopeError, CHECKPOINT};
 
 /// Why a checkpoint could not be written, read, or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// Filesystem I/O failed (message carries the path and OS error).
-    Io(String),
-    /// The file does not start with the checkpoint magic.
-    BadMagic,
-    /// The file's format version is newer than this reader understands.
-    UnsupportedVersion(u32),
-    /// The payload hash does not match the header checksum.
-    ChecksumMismatch,
-    /// The payload ended before a complete structure was read.
-    Truncated,
+    /// The envelope was unreadable, or the payload ended mid-structure.
+    Envelope(EnvelopeError),
     /// A structurally invalid payload (bad tag, impossible length, …).
     Corrupt(String),
-    /// The checkpoint does not belong to this run (wrong year, seed, shard
-    /// count, or an un-replayable cursor).
+    /// The checkpoint does not belong to this run (wrong year, identity
+    /// word, shard count, or an un-replayable cursor).
     Mismatch {
         /// Which identity field disagreed.
         field: &'static str,
@@ -91,18 +64,7 @@ pub enum CheckpointError {
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CheckpointError::Io(msg) => write!(f, "checkpoint I/O error: {msg}"),
-            CheckpointError::BadMagic => write!(f, "not a synscan checkpoint (bad magic)"),
-            CheckpointError::UnsupportedVersion(v) => {
-                write!(f, "unsupported checkpoint format version {v}")
-            }
-            CheckpointError::ChecksumMismatch => {
-                write!(
-                    f,
-                    "checkpoint payload checksum mismatch (corrupt or torn file)"
-                )
-            }
-            CheckpointError::Truncated => write!(f, "checkpoint payload is truncated"),
+            CheckpointError::Envelope(e) => write!(f, "checkpoint {e}"),
             CheckpointError::Corrupt(what) => write!(f, "corrupt checkpoint payload: {what}"),
             CheckpointError::Mismatch {
                 field,
@@ -117,6 +79,12 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+impl From<EnvelopeError> for CheckpointError {
+    fn from(e: EnvelopeError) -> Self {
+        CheckpointError::Envelope(e)
+    }
+}
 
 /// Incremental little-endian snapshot encoder. Every stateful pipeline
 /// component writes itself through one of these; the driver concatenates
@@ -197,10 +165,18 @@ impl SnapWriter {
     pub fn put_tool(&mut self, tool: ToolKind) {
         self.put_u8(tool_code(tool));
     }
+
+    /// Append a fault gate's four counters.
+    pub fn put_faults(&mut self, faults: &FaultCounters) {
+        self.put_u64(faults.records_skipped);
+        self.put_u64(faults.duplicates_dropped);
+        self.put_u64(faults.bytes_dropped);
+        self.put_u64(faults.streams_truncated);
+    }
 }
 
 /// Decoder over a snapshot payload; the mirror of [`SnapWriter`]. Every
-/// `take_*` fails with [`CheckpointError::Truncated`] past the end.
+/// `take_*` fails with [`EnvelopeError::Truncated`] past the end.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     buf: &'a [u8],
@@ -220,7 +196,7 @@ impl<'a> SnapReader<'a> {
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
         if self.remaining() < n {
-            return Err(CheckpointError::Truncated);
+            return Err(EnvelopeError::Truncated.into());
         }
         let slice = &self.buf[self.pos..self.pos + n];
         self.pos += n;
@@ -265,9 +241,20 @@ impl<'a> SnapReader<'a> {
     pub fn take_bytes(&mut self) -> Result<&'a [u8], CheckpointError> {
         let len = self.take_u64()?;
         if len > self.remaining() as u64 {
-            return Err(CheckpointError::Truncated);
+            return Err(EnvelopeError::Truncated.into());
         }
         self.take(len as usize)
+    }
+
+    /// `Corrupt` unless every byte was read: bytes after the `what` that
+    /// should end the payload would be dropped by a re-encode.
+    pub fn finish(&self, what: &str) -> Result<(), CheckpointError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(CheckpointError::Corrupt(format!(
+                "{n} trailing bytes after the {what}"
+            ))),
+        }
     }
 
     /// Read a collection length written as `u64`, bounding it by what the
@@ -275,6 +262,12 @@ impl<'a> SnapReader<'a> {
     /// so a corrupt length cannot trigger a huge allocation.
     pub fn take_len(&mut self, min_element_bytes: usize) -> Result<usize, CheckpointError> {
         let len = self.take_u64()?;
+        self.bound(len, min_element_bytes)
+    }
+
+    /// `len` items of at least `min_element_bytes` each, or `Corrupt` when
+    /// the remaining payload could not hold them.
+    fn bound(&self, len: u64, min_element_bytes: usize) -> Result<usize, CheckpointError> {
         let cap = (self.remaining() / min_element_bytes.max(1)) as u64;
         if len > cap {
             return Err(CheckpointError::Corrupt(format!(
@@ -303,6 +296,16 @@ impl<'a> SnapReader<'a> {
     /// Read one [`ToolKind`] from its stable wire code.
     pub fn take_tool(&mut self) -> Result<ToolKind, CheckpointError> {
         tool_from_code(self.take_u8()?)
+    }
+
+    /// Read a fault gate's four counters.
+    pub fn take_faults(&mut self) -> Result<FaultCounters, CheckpointError> {
+        Ok(FaultCounters {
+            records_skipped: self.take_u64()?,
+            duplicates_dropped: self.take_u64()?,
+            bytes_dropped: self.take_u64()?,
+            streams_truncated: self.take_u64()?,
+        })
     }
 }
 
@@ -366,9 +369,10 @@ fn tool_from_code(code: u8) -> Result<ToolKind, CheckpointError> {
 pub struct CheckpointHeader {
     /// Capture year the run analyzes.
     pub year: u16,
-    /// Run identity seed (generator master seed, chaos seed, or 0): a resume
-    /// against a different seed would silently replay a different stream.
-    pub seed: u64,
+    /// The run's identity word: a hash of everything that determines its
+    /// stream and its collectors. A resume under another word would
+    /// silently replay a different stream.
+    pub identity: u64,
     /// Shard count the snapshots were taken under (1 = sequential). Shard
     /// state is keyed by `hash(src) % workers`, so it only re-applies under
     /// the identical fan-out.
@@ -418,11 +422,13 @@ impl Checkpoint {
     /// Decode the shard blob written by [`Checkpoint::encode_collector`].
     pub fn decode_collector(blob: &[u8]) -> Result<Option<YearCollector>, CheckpointError> {
         let mut r = SnapReader::new(blob);
-        match r.take_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(YearCollector::restore_from(&mut r)?)),
-            t => Err(CheckpointError::Corrupt(format!("collector tag {t}"))),
-        }
+        let collector = match r.take_u8()? {
+            0 => None,
+            1 => Some(YearCollector::restore_from(&mut r)?),
+            t => return Err(CheckpointError::Corrupt(format!("collector tag {t}"))),
+        };
+        r.finish("collector")?;
+        Ok(collector)
     }
 
     /// Decode shard `i`'s collector snapshot.
@@ -434,11 +440,11 @@ impl Checkpoint {
         Self::decode_collector(blob)
     }
 
-    /// Serialize to the version-1 on-disk byte layout.
+    /// Serialize to the sealed on-disk byte layout.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.put_u16(self.header.year);
-        w.put_u64(self.header.seed);
+        w.put_u64(self.header.identity);
         w.put_u32(self.header.workers);
         w.put_u64(self.header.cursor);
         w.put_u64(self.header.seq);
@@ -450,52 +456,21 @@ impl Checkpoint {
             }
             None => w.put_u8(0),
         }
-        w.put_u64(self.faults.records_skipped);
-        w.put_u64(self.faults.duplicates_dropped);
-        w.put_u64(self.faults.bytes_dropped);
-        w.put_u64(self.faults.streams_truncated);
+        w.put_faults(&self.faults);
         w.put_bytes(&self.admit_state);
         w.put_u32(self.shards.len() as u32);
         for shard in &self.shards {
             w.put_bytes(shard);
         }
-        let payload = w.into_bytes();
-
-        let mut out = Vec::with_capacity(28 + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload_checksum(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        envelope::seal(&CHECKPOINT, &w.into_bytes())
     }
 
-    /// Parse and verify the on-disk byte layout.
+    /// Verify the envelope and parse the on-disk byte layout.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() < 28 {
-            return Err(CheckpointError::Truncated);
-        }
-        if bytes[..8] != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != FORMAT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
-        let len = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-        let checksum = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-        let payload = &bytes[28..];
-        if (payload.len() as u64) != len {
-            return Err(CheckpointError::Truncated);
-        }
-        if payload_checksum(payload) != checksum {
-            return Err(CheckpointError::ChecksumMismatch);
-        }
-
-        let mut r = SnapReader::new(payload);
+        let mut r = SnapReader::new(envelope::open(&CHECKPOINT, bytes)?);
         let header = CheckpointHeader {
             year: r.take_u16()?,
-            seed: r.take_u64()?,
+            identity: r.take_u64()?,
             workers: r.take_u32()?,
             cursor: r.take_u64()?,
             seq: r.take_u64()?,
@@ -506,14 +481,11 @@ impl Checkpoint {
             1 => Some(r.take_record()?),
             t => return Err(CheckpointError::Corrupt(format!("gate tag {t}"))),
         };
-        let faults = FaultCounters {
-            records_skipped: r.take_u64()?,
-            duplicates_dropped: r.take_u64()?,
-            bytes_dropped: r.take_u64()?,
-            streams_truncated: r.take_u64()?,
-        };
+        let faults = r.take_faults()?;
         let admit_state = r.take_bytes()?.to_vec();
-        let shard_count = r.take_u32()? as usize;
+        // Each shard blob carries at least its u64 length prefix.
+        let shard_count = r.take_u32()?;
+        let shard_count = r.bound(u64::from(shard_count), 8)?;
         if shard_count != header.workers as usize {
             return Err(CheckpointError::Corrupt(format!(
                 "shard section count {shard_count} != header workers {}",
@@ -524,6 +496,7 @@ impl Checkpoint {
         for _ in 0..shard_count {
             shards.push(r.take_bytes()?.to_vec());
         }
+        r.finish("last shard")?;
         Ok(Self {
             header,
             gate_last,
@@ -539,76 +512,50 @@ impl Checkpoint {
     }
 
     /// Atomically write this checkpoint as the rolling per-year file in
-    /// `dir` (created if missing): staged to a `.tmp` sibling, fsynced,
-    /// then renamed into place so a crash mid-write can never destroy the
-    /// previous checkpoint.
+    /// `dir` (created if missing), so a crash mid-write can never destroy
+    /// the previous checkpoint.
     pub fn write_atomic(&self, dir: &Path) -> Result<PathBuf, CheckpointError> {
-        let io_err = |what: &str, path: &Path, e: std::io::Error| {
-            CheckpointError::Io(format!("{what} {}: {e}", path.display()))
-        };
-        fs::create_dir_all(dir).map_err(|e| io_err("create dir", dir, e))?;
+        fs::create_dir_all(dir).map_err(|e| envelope::io_error("create dir", dir, e))?;
         let path = Self::path_for(dir, self.header.year);
-        let tmp = path.with_extension("ckpt.tmp");
-        let bytes = self.to_bytes();
-        {
-            let mut file = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-            file.write_all(&bytes)
-                .map_err(|e| io_err("write", &tmp, e))?;
-            file.sync_all().map_err(|e| io_err("sync", &tmp, e))?;
-        }
-        fs::rename(&tmp, &path).map_err(|e| io_err("rename", &tmp, e))?;
+        envelope::write_atomic(&path, &self.to_bytes())?;
         Ok(path)
     }
 
     /// Load the rolling checkpoint for `year` from `dir`, if one exists.
     pub fn load_latest(dir: &Path, year: u16) -> Result<Option<Self>, CheckpointError> {
         let path = Self::path_for(dir, year);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => {
-                return Err(CheckpointError::Io(format!("read {}: {e}", path.display())));
-            }
-        };
-        Self::from_bytes(&bytes).map(Some)
+        match fs::read(&path) {
+            Ok(bytes) => Self::from_bytes(&bytes).map(Some),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(envelope::io_error("read", &path, e).into()),
+        }
     }
 
     /// Check that this checkpoint belongs to the run described by
-    /// `(year, seed, workers)`; a mismatch on any field is a typed error
+    /// `(year, identity, workers)`; a mismatch on any field is a typed error
     /// rather than a silently wrong resume.
-    pub fn validate(&self, year: u16, seed: u64, workers: usize) -> Result<(), CheckpointError> {
-        if self.header.year != year {
-            return Err(CheckpointError::Mismatch {
-                field: "year",
-                expected: u64::from(year),
-                found: u64::from(self.header.year),
-            });
-        }
-        if self.header.seed != seed {
-            return Err(CheckpointError::Mismatch {
-                field: "seed",
-                expected: seed,
-                found: self.header.seed,
-            });
-        }
-        if self.header.workers as usize != workers {
-            return Err(CheckpointError::Mismatch {
-                field: "workers",
-                expected: workers as u64,
-                found: u64::from(self.header.workers),
-            });
+    pub fn validate(
+        &self,
+        year: u16,
+        identity: u64,
+        workers: usize,
+    ) -> Result<(), CheckpointError> {
+        let header = &self.header;
+        for (field, expected, found) in [
+            ("year", u64::from(year), u64::from(header.year)),
+            ("identity", identity, header.identity),
+            ("workers", workers as u64, u64::from(header.workers)),
+        ] {
+            if expected != found {
+                return Err(CheckpointError::Mismatch {
+                    field,
+                    expected,
+                    found,
+                });
+            }
         }
         Ok(())
     }
-}
-
-/// FxHash of a payload — the checkpoint integrity checksum. FxHash is
-/// seedless and process-independent, so a checkpoint written by one process
-/// verifies in any other.
-fn payload_checksum(payload: &[u8]) -> u64 {
-    let mut hasher = FxHasher::default();
-    hasher.write(payload);
-    hasher.finish()
 }
 
 #[cfg(test)]
@@ -634,7 +581,7 @@ mod tests {
         Checkpoint {
             header: CheckpointHeader {
                 year: 2020,
-                seed: 0x5359_4e5f_5343,
+                identity: 0x5359_4e5f_5343,
                 workers: 3,
                 cursor: 123_456,
                 seq: 9,
@@ -679,7 +626,7 @@ mod tests {
         assert_eq!(r.take_record().unwrap(), record(5));
         assert_eq!(r.take_tool().unwrap(), ToolKind::Unicorn);
         assert_eq!(r.remaining(), 0);
-        assert_eq!(r.take_u8(), Err(CheckpointError::Truncated));
+        assert_eq!(r.take_u8(), Err(EnvelopeError::Truncated.into()));
     }
 
     #[test]
@@ -717,7 +664,7 @@ mod tests {
         let ck = Checkpoint {
             header: CheckpointHeader {
                 year: 2015,
-                seed: 0,
+                identity: 0,
                 workers: 1,
                 cursor: 0,
                 seq: 0,
@@ -735,39 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn corruption_is_detected() {
-        let bytes = sample().to_bytes();
-
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] ^= 0xff;
-        assert_eq!(
-            Checkpoint::from_bytes(&bad_magic),
-            Err(CheckpointError::BadMagic)
-        );
-
-        let mut bad_version = bytes.clone();
-        bad_version[8] = 0xfe;
-        assert!(matches!(
-            Checkpoint::from_bytes(&bad_version),
-            Err(CheckpointError::UnsupportedVersion(_))
-        ));
-
-        let mut flipped = bytes.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x01;
-        assert_eq!(
-            Checkpoint::from_bytes(&flipped),
-            Err(CheckpointError::ChecksumMismatch)
-        );
-
-        let torn = &bytes[..bytes.len() - 3];
-        assert_eq!(
-            Checkpoint::from_bytes(torn),
-            Err(CheckpointError::Truncated)
-        );
-    }
-
-    #[test]
     fn validate_rejects_identity_mismatches() {
         let ck = sample();
         assert_eq!(ck.validate(2020, 0x5359_4e5f_5343, 3), Ok(()));
@@ -777,7 +691,10 @@ mod tests {
         ));
         assert!(matches!(
             ck.validate(2020, 1, 3),
-            Err(CheckpointError::Mismatch { field: "seed", .. })
+            Err(CheckpointError::Mismatch {
+                field: "identity",
+                ..
+            })
         ));
         assert!(matches!(
             ck.validate(2020, 0x5359_4e5f_5343, 4),
@@ -793,7 +710,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!(
             "synscan-ckpt-unit-{}-{:p}",
             std::process::id(),
-            &MAGIC
+            &CHECKPOINT
         ));
         let ck = sample();
         let path = ck.write_atomic(&dir).unwrap();
@@ -817,5 +734,224 @@ mod tests {
         assert_eq!(back.header.seq, 10);
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn corruption_is_detected() {
+        // Each kind of envelope damage reaches `from_bytes`' caller as that
+        // envelope error (every other cut and flip: `envelope`'s matrix).
+        let bytes = sample().to_bytes();
+        let envelope_error = |e: EnvelopeError| Err(CheckpointError::Envelope(e));
+
+        let mut bad_magic = bytes.clone();
+        bad_magic[0] ^= 0xff;
+        assert_eq!(
+            Checkpoint::from_bytes(&bad_magic),
+            envelope_error(EnvelopeError::BadMagic)
+        );
+
+        let mut bad_version = bytes.clone();
+        bad_version[8] = 0xfe;
+        assert_eq!(
+            Checkpoint::from_bytes(&bad_version),
+            envelope_error(EnvelopeError::UnsupportedVersion {
+                found: 0xfe,
+                expected: 2
+            })
+        );
+
+        let mut flipped = bytes.clone();
+        let last = flipped.len() - 1;
+        flipped[last] ^= 0x01;
+        assert_eq!(
+            Checkpoint::from_bytes(&flipped),
+            envelope_error(EnvelopeError::ChecksumMismatch)
+        );
+
+        let torn = &bytes[..bytes.len() - 3];
+        assert_eq!(
+            Checkpoint::from_bytes(torn),
+            envelope_error(EnvelopeError::Truncated)
+        );
+    }
+
+    /// The payload of `ck`, edited by `edit`, then sealed again: what a
+    /// writer that is not `to_bytes` could have produced.
+    fn resealed(ck: &Checkpoint, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut payload = envelope::open(&CHECKPOINT, &ck.to_bytes())
+            .unwrap()
+            .to_vec();
+        edit(&mut payload);
+        envelope::seal(&CHECKPOINT, &payload)
+    }
+
+    #[test]
+    fn a_shard_count_past_the_payload_is_corrupt_not_an_allocation() {
+        let mut ck = sample();
+        ck.header.workers = u32::MAX;
+        ck.shards.clear();
+        // The shard count is the payload's last field.
+        let bytes = resealed(&ck, |payload| {
+            let at = payload.len() - 4;
+            payload[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
+        assert!(matches!(
+            Checkpoint::from_bytes(&bytes),
+            Err(CheckpointError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn bytes_after_the_last_shard_are_corrupt() {
+        let bytes = resealed(&sample(), |payload| payload.push(0));
+        match Checkpoint::from_bytes(&bytes) {
+            Err(CheckpointError::Corrupt(what)) => assert!(what.contains("trailing"), "{what}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// A two-shard checkpoint small enough to damage exhaustively, with
+    /// heavy-hitter state on: a finished campaign, noise, open scans over
+    /// several destinations and ports, and a port whose source set has
+    /// spilled to a bitmap.
+    fn small_sharded() -> Checkpoint {
+        use crate::campaign::CampaignConfig;
+        use crate::pipeline::shard_of;
+        use crate::sketch::HeavyHitterConfig;
+
+        let cfg = CampaignConfig {
+            min_distinct_dests: 5,
+            min_rate_pps: 1.0,
+            expiry_secs: 3600.0,
+            monitored_addresses: 1 << 16,
+        };
+        let mut shards = [0, 1].map(|_| {
+            let mut c = YearCollector::with_origin(2020, cfg, 7.0, 0);
+            c.enable_heavy_hitters(HeavyHitterConfig {
+                k: 2,
+                width: 4,
+                depth: 2,
+            });
+            c
+        });
+        let probe = |src: u32, dst: u32, port: u16, ts: u64| ProbeRecord {
+            src_ip: Ipv4Address(src),
+            dst_ip: Ipv4Address(dst),
+            dst_port: port,
+            ..record(ts)
+        };
+        let mut first: Vec<ProbeRecord> = (0..8)
+            .map(|i| probe(10, 100 + i, 443, u64::from(i) * 250_000))
+            .collect();
+        // Seventeen one-packet sources of shard 0 on one port (more than an
+        // inline source set holds), two of shard 1, each in its own /16.
+        let blocks = || (1u32..).map(|block| block << 16 | 20);
+        let singles = blocks().filter(|&src| shard_of(Ipv4Address(src), 2) == 0);
+        let others = blocks().filter(|&src| shard_of(Ipv4Address(src), 2) == 1);
+        for (i, src) in singles.take(17).chain(others.take(2)).enumerate() {
+            first.push(probe(src, 300, 23, 3_000_000 + i as u64));
+        }
+        // An hour later the campaign and the noise have closed, and two
+        // sources hold open scans over several destinations and ports.
+        let later = 3_700_000_000;
+        let second: Vec<ProbeRecord> = (0..3)
+            .flat_map(|i| {
+                let ts = later + u64::from(i);
+                [
+                    probe(10, 200 + i, 80 - i as u16, ts),
+                    probe(11, 210 - i, 22, ts + 10),
+                ]
+            })
+            .collect();
+        let offer = |shards: &mut [YearCollector; 2], records: &[ProbeRecord]| {
+            for r in records {
+                shards[shard_of(r.src_ip, 2)].offer(r);
+            }
+        };
+        offer(&mut shards, &first);
+        shards
+            .iter_mut()
+            .for_each(|shard| shard.housekeeping(later));
+        offer(&mut shards, &second);
+        let ck = Checkpoint {
+            header: CheckpointHeader {
+                year: 2020,
+                identity: 7,
+                workers: 2,
+                cursor: 31,
+                seq: 1,
+                origin: Some(0),
+            },
+            gate_last: Some(record(later + 12)),
+            faults: FaultCounters::default(),
+            admit_state: Vec::new(),
+            shards: shards
+                .iter()
+                .map(|shard| Checkpoint::encode_collector(Some(shard)))
+                .collect(),
+        };
+        let years: Vec<_> = (0..2)
+            .map(|shard| {
+                ck.shard_collector(shard)
+                    .unwrap()
+                    .expect("saw records")
+                    .finish()
+            })
+            .collect();
+        assert_eq!(years.iter().map(|y| y.campaigns.len()).sum::<usize>(), 1);
+        assert!(years
+            .iter()
+            .all(|y| y.noise.rejected_packets > 0 && y.heavy.is_some()));
+        assert!(ck.to_bytes().len() <= 8 << 10);
+        ck
+    }
+
+    /// The canonical-decode rule: whatever `from_bytes` accepts, with its
+    /// admit blob and every shard decoded, re-encodes to exactly its bytes.
+    ///
+    /// One order this cannot see: inline `IdSet` / `PortSet` members
+    /// re-encode in the order they were read, so an unsorted set loads and
+    /// re-encodes to the same bytes. `compact::tests` pins that order.
+    fn assert_typed_error_or_canonical(sealed: &[u8], what: &str) {
+        let Ok(ck) = Checkpoint::from_bytes(sealed) else {
+            return;
+        };
+        let mut admit = crate::pipeline::FilterAdmit(|_: &ProbeRecord| true);
+        if crate::pipeline::AdmitState::restore(&mut admit, &ck.admit_state).is_err() {
+            return;
+        }
+        let mut shards = Vec::new();
+        for shard in 0..ck.shards.len() {
+            match ck.shard_collector(shard) {
+                Ok(collector) => shards.push(Checkpoint::encode_collector(collector.as_ref())),
+                Err(_) => return,
+            }
+        }
+        let again = Checkpoint { shards, ..ck }.to_bytes();
+        assert!(
+            again == sealed,
+            "{what}: loaded, but re-encodes differently"
+        );
+    }
+
+    #[test]
+    fn resealed_damage_is_a_typed_error_or_decodes_canonically() {
+        let ck = small_sharded();
+        let payload = envelope::open(&CHECKPOINT, &ck.to_bytes())
+            .unwrap()
+            .to_vec();
+        for cut in 0..payload.len() {
+            assert!(
+                Checkpoint::from_bytes(&envelope::seal(&CHECKPOINT, &payload[..cut])).is_err(),
+                "payload cut at {cut} still loads"
+            );
+        }
+        let mut flipped = payload.clone();
+        for bit in 0..payload.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let sealed = envelope::seal(&CHECKPOINT, &flipped);
+            assert_typed_error_or_canonical(&sealed, &format!("payload bit {bit}"));
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 }

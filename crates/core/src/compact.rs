@@ -23,7 +23,7 @@
 //! half of the life cycle — one key-ascending vector, which is also the
 //! order the store format writes, so no stage hashes or re-sorts.
 
-use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
+use crate::checkpoint::{Ascending, CheckpointError, SnapReader, SnapWriter};
 
 /// Inline capacity of [`IdSet`] before it spills to a bitmap.
 const ID_SMALL_MAX: usize = 16;
@@ -178,8 +178,9 @@ impl IdSet {
                     )));
                 }
                 let mut items = Vec::with_capacity(len);
+                let mut order = Ascending::new("inline IdSet ids");
                 for _ in 0..len {
-                    items.push(r.take_u32()?);
+                    items.push(order.admit(r.take_u32()?)?);
                 }
                 Ok(IdSet::Small(items))
             }
@@ -598,8 +599,9 @@ impl PortSet {
                     )));
                 }
                 let mut items = Vec::with_capacity(len);
+                let mut order = Ascending::new("inline PortSet ports");
                 for _ in 0..len {
-                    items.push(r.take_u16()?);
+                    items.push(order.admit(r.take_u16()?)?);
                 }
                 Ok(PortSet::Small(items))
             }
@@ -834,6 +836,35 @@ mod tests {
             IdSet::restore_from(&mut r),
             Err(CheckpointError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn inline_sets_restore_only_strictly_ascending_members() {
+        // Tag 0, two members: swapped, then duplicated. Either would load
+        // as a set whose binary search misses a member it holds.
+        for members in [[9u32, 3], [3, 3]] {
+            let mut w = SnapWriter::new();
+            w.put_u8(0);
+            w.put_u64(2);
+            members.iter().for_each(|&id| w.put_u32(id));
+            let bytes = w.into_bytes();
+            let result = IdSet::restore_from(&mut SnapReader::new(&bytes));
+            assert!(
+                matches!(result, Err(CheckpointError::Corrupt(_))),
+                "{members:?}"
+            );
+
+            let mut w = SnapWriter::new();
+            w.put_u8(0);
+            w.put_u64(2);
+            members.iter().for_each(|&port| w.put_u16(port as u16));
+            let bytes = w.into_bytes();
+            let result = PortSet::restore_from(&mut SnapReader::new(&bytes));
+            assert!(
+                matches!(result, Err(CheckpointError::Corrupt(_))),
+                "{members:?}"
+            );
+        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! sequential run. It is the process-level generalization of the in-process
 //! sharded pipeline: the same [`shard_of`](crate::pipeline::shard_of) source
 //! partition, the same [`YearAnalysis::merge_partials`] recombination, the
-//! same `SYNCKPT` checkpoint state — but carried over a byte pipe
-//! ([`synscan_wire::frame`]) instead of an in-process channel, so the workers
-//! can live in other processes or on other hosts.
+//! same `SYNCKPT` checkpoint state — but carried over a byte pipe in
+//! `SYNDIST` [envelopes](crate::envelope) instead of an in-process channel,
+//! so the workers can live in other processes or on other hosts.
 //!
 //! Determinism argument, in three steps:
 //!
@@ -29,21 +29,7 @@
 //!    merged year equals the sequential year — and the store slices and
 //!    rendered tables equal byte for byte.
 //!
-//! The protocol is deliberately small — six message kinds over
-//! length-prefixed [`synscan_wire::frame`] envelopes:
-//!
-//! ```text
-//! worker → coordinator   Hello     protocol version + worker label
-//! coordinator → worker   Assign    slice + opaque job spec + optional
-//!                                  resume checkpoint + drill knobs
-//! worker → coordinator   Progress  streamed SYNCKPT checkpoint for the
-//!                                  active slice (the retry state)
-//! worker → coordinator   Partial   finished slice: partial analysis,
-//!                                  admit snapshot, fault counters
-//! worker → coordinator   Failed    typed per-slice failure (the worker
-//!                                  stays alive for the next assignment)
-//! coordinator → worker   Shutdown  drain and exit
-//! ```
+//! The protocol is deliberately small: six [`Message`] kinds, one per frame.
 //!
 //! The coordinator-side scheduling (work-stealing queue, stall watchdog,
 //! retry-from-last-`Progress`) lives with the binaries in
@@ -63,21 +49,21 @@
 //! [`synscan_wire::net::DEFAULT_STALL_TIMEOUT_MS`] notion of "stalled",
 //! and frame corruption injected by
 //! [`synscan_wire::net::ChaosSocket`] must surface through
-//! [`FrameError`]'s typed taxonomy — the checksum row, not a hang.
+//! [`EnvelopeError`]'s typed taxonomy — the checksum row, not a hang.
 
 use std::io::{Read, Write};
 
-use synscan_wire::frame::{read_frame, write_frame, FrameError, MAX_FRAME_PAYLOAD};
 use synscan_wire::stream::{FaultCounters, FaultPolicy, TryRecordStream};
 
 use crate::analysis::{YearAnalysis, YearCollector};
 use crate::campaign::CampaignConfig;
 use crate::checkpoint::{Checkpoint, CheckpointError, SnapReader, SnapWriter};
+use crate::envelope::{read_frame, write_frame, EnvelopeError};
 use crate::pipeline::feed::{Feed, SinkPlan};
 use crate::pipeline::{AdmitState, PipelineError, PipelineMode, RunSpec, SizeHints};
 
 /// Protocol version spoken in [`Message::Hello`]. Independent of the frame
-/// envelope version: the envelope carries bytes, this governs their
+/// envelope's version: the envelope carries bytes, this governs their
 /// meaning.
 pub const PROTO_VERSION: u32 = 1;
 
@@ -120,7 +106,7 @@ pub fn plan_slices(years: &[u16], parts: u32) -> Vec<SliceSpec> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DistribError {
     /// The frame envelope was unreadable (I/O, magic, checksum, length).
-    Frame(FrameError),
+    Envelope(EnvelopeError),
     /// A frame payload did not decode as its announced message kind.
     Checkpoint(CheckpointError),
     /// The pipeline under a slice failed (stream fault under strict
@@ -141,7 +127,7 @@ pub enum DistribError {
 impl std::fmt::Display for DistribError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DistribError::Frame(e) => write!(f, "distrib frame error: {e}"),
+            DistribError::Envelope(e) => write!(f, "distrib frame {e}"),
             DistribError::Checkpoint(e) => write!(f, "distrib payload error: {e}"),
             DistribError::Pipeline(e) => write!(f, "distrib pipeline error: {e}"),
             DistribError::Protocol(what) => write!(f, "distrib protocol violation: {what}"),
@@ -154,9 +140,9 @@ impl std::fmt::Display for DistribError {
 
 impl std::error::Error for DistribError {}
 
-impl From<FrameError> for DistribError {
-    fn from(e: FrameError) -> Self {
-        DistribError::Frame(e)
+impl From<EnvelopeError> for DistribError {
+    fn from(e: EnvelopeError) -> Self {
+        DistribError::Envelope(e)
     }
 }
 
@@ -276,22 +262,6 @@ fn take_opt_bytes(r: &mut SnapReader) -> Result<Option<Vec<u8>>, CheckpointError
     }
 }
 
-fn put_faults(w: &mut SnapWriter, faults: &FaultCounters) {
-    w.put_u64(faults.records_skipped);
-    w.put_u64(faults.duplicates_dropped);
-    w.put_u64(faults.bytes_dropped);
-    w.put_u64(faults.streams_truncated);
-}
-
-fn take_faults(r: &mut SnapReader) -> Result<FaultCounters, CheckpointError> {
-    Ok(FaultCounters {
-        records_skipped: r.take_u64()?,
-        duplicates_dropped: r.take_u64()?,
-        bytes_dropped: r.take_u64()?,
-        streams_truncated: r.take_u64()?,
-    })
-}
-
 impl Message {
     fn kind(&self) -> u8 {
         match self {
@@ -344,7 +314,7 @@ impl Message {
                 w.put_u64(*cursor);
                 put_opt_bytes(&mut w, analysis.as_deref());
                 w.put_bytes(admit_state);
-                put_faults(&mut w, faults);
+                w.put_faults(faults);
             }
             Message::Failed { slice, message } => {
                 put_slice(&mut w, slice);
@@ -379,7 +349,7 @@ impl Message {
                 cursor: r.take_u64()?,
                 analysis: take_opt_bytes(&mut r)?,
                 admit_state: r.take_bytes()?.to_vec(),
-                faults: take_faults(&mut r)?,
+                faults: r.take_faults()?,
             },
             KIND_FAILED => Message::Failed {
                 slice: take_slice(&mut r)?,
@@ -392,12 +362,7 @@ impl Message {
                 )))
             }
         };
-        if r.remaining() != 0 {
-            return Err(DistribError::Checkpoint(CheckpointError::Corrupt(format!(
-                "{} trailing bytes after message kind {kind}",
-                r.remaining()
-            ))));
-        }
+        r.finish(&format!("message of kind {kind}"))?;
         Ok(message)
     }
 }
@@ -417,9 +382,9 @@ pub fn send(w: &mut impl Write, message: &Message) -> Result<(), DistribError> {
 /// Receive one message. `Ok(None)` means the peer closed cleanly between
 /// frames; every malformed byte sequence is a typed error.
 pub fn recv(r: &mut impl Read) -> Result<Option<Message>, DistribError> {
-    match read_frame(r, MAX_FRAME_PAYLOAD)? {
+    match read_frame(r)? {
         None => Ok(None),
-        Some(frame) => Message::decode(frame.kind, &frame.payload).map(Some),
+        Some((kind, payload)) => Message::decode(kind, &payload).map(Some),
     }
 }
 
@@ -467,7 +432,7 @@ pub struct SliceOutcome {
 /// records; the coordinator keeps the newest as the slice's retry state.
 ///
 /// With `resume`, the checkpoint is identity-validated against
-/// `(year, seed, 1)`, the admit filter and gate are restored, and the
+/// `(year, task.seed, 1)`, the admit filter and gate are restored, and the
 /// stream is fast-forwarded by exactly `cursor` records — a short or
 /// misaligned replay is a typed mismatch, not a silently wrong resume.
 pub fn run_slice<S, A>(
@@ -491,7 +456,7 @@ where
         policy: task.policy,
     };
     let mut feed = Feed::start(&spec, on_checkpoint);
-    (feed.seed, feed.every) = (task.seed, task.every);
+    (feed.identity, feed.every) = (task.seed, task.every);
     let restored = match resume {
         Some(ck) => feed.resume(ck, 1, stream, admit)?,
         None => Vec::new(),
@@ -691,7 +656,7 @@ mod tests {
         assert_eq!(
             err,
             DistribError::Checkpoint(CheckpointError::Mismatch {
-                field: "seed",
+                field: "identity",
                 expected: 43,
                 found: 42,
             })
@@ -845,7 +810,7 @@ mod tests {
             let err = recv(&mut std::io::Cursor::new(clean[..cut].to_vec()))
                 .expect_err("truncated frame must error");
             assert!(
-                matches!(err, DistribError::Frame(_)),
+                matches!(err, DistribError::Envelope(_)),
                 "cut {cut}: got {err:?}"
             );
         }
@@ -881,7 +846,7 @@ mod tests {
         flipped[last] ^= 0x40;
         assert_eq!(
             recv(&mut std::io::Cursor::new(flipped)).unwrap_err(),
-            DistribError::Frame(FrameError::ChecksumMismatch)
+            DistribError::Envelope(EnvelopeError::ChecksumMismatch)
         );
 
         // A non-UTF-8 worker label is a protocol violation, not a panic.

@@ -31,8 +31,9 @@
 //! result bit-identical to the sequential pass.
 //!
 //! Long (decade-scale) runs are made crash-safe by [`checkpoint`] (atomic,
-//! checksummed snapshots of the full pipeline state), [`supervise`] (worker
-//! heartbeats, panic containment, stall watchdog), and
+//! checksummed snapshots of the full pipeline state, sealed by the one
+//! [`envelope`] that also seals store slices and protocol frames),
+//! [`supervise`] (worker heartbeats, panic containment, stall watchdog), and
 //! [`pipeline::supervised`] (the checkpointed, resumable driver tying both
 //! together). [`distrib`] lifts the same sharded-merge architecture across
 //! process (and host) boundaries: workers compute `(year, partition)` slice
@@ -53,8 +54,11 @@ pub mod checkpoint;
 pub mod classify;
 pub mod compact;
 pub mod distrib;
+pub mod envelope;
 pub mod fasthash;
 pub mod fingerprint;
+#[cfg(test)]
+mod frame;
 pub mod intern;
 pub mod pipeline;
 pub mod report;
@@ -70,6 +74,7 @@ pub use distrib::{
     merge_slices, plan_slices, run_slice, DistribError, Message, SliceOutcome, SliceSpec,
     SliceTask, PROTO_VERSION,
 };
+pub use envelope::EnvelopeError;
 pub use fasthash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use fingerprint::{FingerprintEngine, InternedFingerprint, PacketVerdict};
 pub use intern::{SourceId, SourceTable};

@@ -129,8 +129,8 @@ pub(crate) struct Feed<'a, E> {
     seq: u64,
     /// Timestamp of the stream's first admitted record, once there is one.
     origin: Option<u64>,
-    /// Run identity baked into every checkpoint header.
-    pub(crate) seed: u64,
+    /// Run identity word baked into every checkpoint header.
+    pub(crate) identity: u64,
     /// Cut at the first batch boundary at least this many pulled records
     /// after the previous cut; `0` = no periodic cuts.
     pub(crate) every: u64,
@@ -166,7 +166,7 @@ impl<'a, E: From<PipelineError>> Feed<'a, E> {
             cursor: 0,
             seq: 0,
             origin: None,
-            seed: 0,
+            identity: 0,
             every: 0,
             at_end: false,
             halt_after: None,
@@ -181,9 +181,9 @@ impl<'a, E: From<PipelineError>> Feed<'a, E> {
         self.gate.counters
     }
 
-    /// Restore the run from `ck`: validate its identity against this run's
-    /// year and seed and the sink's `width`, restore the admit filter and
-    /// the gate, decode one collector per shard, and fast-forward `stream` —
+    /// Restore the run from `ck`: validate it against this run's year,
+    /// identity word and sink `width`, restore the admit filter and the
+    /// gate, decode one collector per shard, and fast-forward `stream` —
     /// a fresh instance of the *same deterministic stream* the checkpoint
     /// was cut from — by exactly `cursor` records. A short or misaligned
     /// replay is a typed mismatch, not a silently wrong resume.
@@ -199,7 +199,7 @@ impl<'a, E: From<PipelineError>> Feed<'a, E> {
         A: AdmitState + ?Sized,
         E: From<CheckpointError>,
     {
-        ck.validate(self.spec.year, self.seed, width)?;
+        ck.validate(self.spec.year, self.identity, width)?;
         admit.restore(&ck.admit_state)?;
         let restored = (0..width)
             .map(|shard| ck.shard_collector(shard))
@@ -365,7 +365,7 @@ impl<'a, E: From<PipelineError>> Feed<'a, E> {
         let checkpoint = Checkpoint {
             header: CheckpointHeader {
                 year: self.spec.year,
-                seed: self.seed,
+                identity: self.identity,
                 workers: shards.len() as u32,
                 cursor: self.cursor,
                 seq: self.seq,
@@ -869,7 +869,7 @@ mod tests {
         };
         let result = (|| {
             let mut feed = Feed::start(&spec(policy), &mut emit);
-            (feed.seed, feed.every) = (SEED, every);
+            (feed.identity, feed.every) = (SEED, every);
             let restored = match from {
                 Some(ck) => feed.resume(ck, width, &mut stream, &mut admit)?,
                 None => Vec::new(),

@@ -13,12 +13,13 @@
 //!    batches and a resumed run can fast-forward the deterministic input
 //!    stream to land exactly on it.
 //! 2. **Resume** — [`run_year_supervised`] accepts a prior [`Checkpoint`],
-//!    validates its identity (year, seed, shard count), restores all state,
-//!    skips the already-processed prefix, and continues. Because shard
-//!    routing, expiry housekeeping, and fault gating are all deterministic
-//!    and batch-boundary-neutral, a resumed run produces **bit-identical**
-//!    output to an uninterrupted one — asserted by this module's tests and
-//!    the driver matrix in both sequential and sharded modes.
+//!    validates its identity (year, identity word, shard count), restores
+//!    all state, skips the already-processed prefix, and continues. Because
+//!    shard routing, expiry housekeeping, and fault gating are all
+//!    deterministic and batch-boundary-neutral, a resumed run produces
+//!    **bit-identical** output to an uninterrupted one — asserted by this
+//!    module's tests and the driver matrix in both sequential and sharded
+//!    modes.
 //! 3. **Supervision** — shard workers run under
 //!    [`contain`](crate::supervise::contain): a panic becomes a typed
 //!    [`PipelineError::WorkerFailed`] carrying the shard index instead of a
@@ -45,9 +46,9 @@ pub struct CheckpointOptions {
     /// Records pulled between periodic checkpoints; `0` writes only the
     /// final snapshots (completion, stop-flag interrupt).
     pub every: u64,
-    /// Run identity seed baked into the header; a resume under a different
-    /// seed is rejected before any work.
-    pub seed: u64,
+    /// Run identity word baked into the header; a resume under a different
+    /// word is rejected before any work.
+    pub identity: u64,
     /// Stop cleanly after this many periodic checkpoints — the
     /// deterministic interruption hook the kill-and-resume drills use.
     pub interrupt_after: Option<u64>,
@@ -169,7 +170,7 @@ impl<T> RunStatus<T> {
 /// build on. Semantics:
 ///
 /// * With `opts.resume`, the checkpoint is validated against the spec (year,
-///   shard count) and the configured seed, all state is restored, and
+///   shard count) and the configured identity word, all state is restored, and
 ///   `stream` — which must be a fresh instance of the *same deterministic
 ///   stream* the checkpoint was taken from — is fast-forwarded past the
 ///   already-processed prefix. The continued run produces output identical
@@ -211,10 +212,10 @@ where
     feed.stop = stop;
     feed.at_end = checkpoint.is_some();
     if let Some(c) = &checkpoint {
-        (feed.seed, feed.every, feed.halt_after) = (c.seed, c.every, c.interrupt_after);
+        (feed.identity, feed.every, feed.halt_after) = (c.identity, c.every, c.interrupt_after);
     } else if let Some(ck) = &resume {
-        // Nothing will be cut, so any seed the checkpoint carries resumes.
-        feed.seed = ck.header.seed;
+        // Nothing will be cut, so any identity the checkpoint carries resumes.
+        feed.identity = ck.header.identity;
     }
     let restored = match &resume {
         Some(ck) => feed.resume(ck, spec.mode.workers(), stream, admit)?,
@@ -324,7 +325,7 @@ mod tests {
         CheckpointOptions {
             dir: dir.to_path_buf(),
             every,
-            seed: 7,
+            identity: 7,
             interrupt_after: after,
         }
     }
@@ -599,18 +600,18 @@ mod tests {
         run(&seq, opts, &recs).unwrap();
         let saved = || Checkpoint::load_latest(&dir, seq.year).unwrap().unwrap();
 
-        // Wrong seed.
-        let mut wrong_seed = ckpt_opts(&dir, 0, None);
-        wrong_seed.seed = 8;
+        // Wrong identity word.
+        let mut wrong_identity = ckpt_opts(&dir, 0, None);
+        wrong_identity.identity = 8;
         let opts = SupervisorOptions {
-            checkpoint: Some(wrong_seed),
+            checkpoint: Some(wrong_identity),
             resume: Some(saved()),
             ..SupervisorOptions::default()
         };
         assert!(matches!(
             run(&seq, opts, &recs),
             Err(RunError::Checkpoint(CheckpointError::Mismatch {
-                field: "seed",
+                field: "identity",
                 ..
             }))
         ));

@@ -307,7 +307,7 @@ impl CountMinSketch {
         let total = r.take_u64()?;
         let n_cells = width as usize * depth as usize;
         if r.remaining() < n_cells * 8 {
-            return Err(CheckpointError::Truncated);
+            return Err(crate::envelope::EnvelopeError::Truncated.into());
         }
         let mut cells = Vec::with_capacity(n_cells);
         for _ in 0..n_cells {

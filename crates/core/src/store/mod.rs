@@ -2,11 +2,10 @@
 //! batch pipeline and the resident query daemon.
 //!
 //! A store is a directory of `*.store` files, one (or, for incrementally
-//! ingested runs, several partial) slice(s) per year. Each file carries the
-//! same envelope as the PR 5 checkpoints — `magic | version | payload len |
-//! FxHash-64 checksum | payload` — with its own magic (`SYNSTORE`) and its
-//! own version counter, and is written atomically (temp → fsync → rename) so
-//! a crash mid-write can never destroy a previous slice.
+//! ingested runs, several partial) slice(s) per year. Each file is a
+//! `SYNSTORE` envelope ([`crate::envelope`]: magic, version, payload length,
+//! checksum), written atomically so a crash mid-write can never destroy a
+//! previous slice.
 //!
 //! The payload is two sections:
 //!
@@ -22,16 +21,11 @@
 //! On the read side, [`StoreImage`] is the compact in-memory image the
 //! `synscan-serve` daemon holds resident: all slices loaded, same-year
 //! partials recombined through [`YearAnalysis::merge_partials`], years
-//! ascending. [`ImageCell`] publishes an image to N reader threads with an
-//! `Arc`-swap-style protocol: readers pay one atomic load per query in the
-//! steady state and only touch a lock when the installed generation has
-//! actually changed; a single writer installs reloaded images.
+//! ascending, published to reader threads through an [`ImageCell`].
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::hash::Hasher;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -40,136 +34,52 @@ use crate::analysis::collect::{WeekCell, YearAnalysis, YearIndex};
 use crate::campaign::{Campaign, NoiseStats};
 use crate::checkpoint::{Ascending, CheckpointError, SnapReader, SnapWriter};
 use crate::compact::SortedMap;
-use crate::fasthash::FxHasher;
+use crate::envelope::{self, EnvelopeError, STORE};
 
 pub mod query;
 
-/// Magic prefix of every analysis-store slice file.
-pub const STORE_MAGIC: [u8; 8] = *b"SYNSTORE";
-
-/// Store format **major** version: bumped on incompatible layout changes.
-/// Readers reject any other major with a typed error instead of misparsing.
-pub const STORE_FORMAT_MAJOR: u16 = 1;
-
-/// Store format **minor** version: bumped on backward-compatible additions
-/// (new sections appended to the body). Readers accept any minor of their
-/// major — sections introduced after their own minor are tolerated as
-/// trailing bytes, so a slice written by a *newer* minor still loads.
-/// Minor 1 appended the presence-tagged heavy-hitter sketch section.
-pub const STORE_FORMAT_MINOR: u16 = 1;
-
-/// The packed version word written to the envelope: major in the low 16
-/// bits, minor in the high 16 bits. The pre-minor era wrote a bare `1`,
-/// which under this packing reads back naturally as (major 1, minor 0).
-pub const STORE_VERSION: u32 = (STORE_FORMAT_MAJOR as u32) | ((STORE_FORMAT_MINOR as u32) << 16);
-
-/// Split an envelope version word into `(major, minor)`.
-fn split_version(word: u32) -> (u16, u16) {
-    ((word & 0xffff) as u16, (word >> 16) as u16)
-}
-
-/// Fixed envelope prefix: magic (8) + version (4) + payload len (8) +
-/// checksum (8).
-const ENVELOPE_LEN: usize = 28;
+/// How `stats` names the one slice version this build reads and writes:
+/// the envelope's word `0x0001_0001` is major 1 in its low half, minor 1 in
+/// its high half.
+pub const STORE_VERSION: &str = "1.1";
 
 /// Everything that can go wrong writing, reading, or decoding a store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
-    /// Filesystem-level failure (path context + OS error in the message).
-    Io(String),
-    /// The file does not start with [`STORE_MAGIC`].
-    BadMagic,
-    /// The file's format major version (low 16 bits of the carried word) is
-    /// not [`STORE_FORMAT_MAJOR`].
-    UnsupportedVersion(u32),
-    /// The payload hash does not match the stored checksum.
-    ChecksumMismatch,
-    /// The file ended before the announced payload length.
-    Truncated,
+    /// The file system failed, or a slice's envelope did not verify.
+    Envelope(EnvelopeError),
     /// Structurally invalid slice contents.
     Corrupt(String),
     /// A year was requested that no slice in the store covers.
     MissingYear(u16),
-    /// The store directory holds no slices at all.
-    Empty,
 }
 
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StoreError::Io(msg) => write!(f, "store I/O error: {msg}"),
-            StoreError::BadMagic => write!(f, "not an analysis store file (bad magic)"),
-            StoreError::UnsupportedVersion(v) => {
-                let (major, minor) = split_version(*v);
-                write!(
-                    f,
-                    "unsupported store version {major}.{minor} (reader is \
-                     {STORE_FORMAT_MAJOR}.{STORE_FORMAT_MINOR})"
-                )
-            }
-            StoreError::ChecksumMismatch => write!(f, "store checksum mismatch"),
-            StoreError::Truncated => write!(f, "store file truncated"),
+            StoreError::Envelope(e) => write!(f, "store slice {e}"),
             StoreError::Corrupt(msg) => write!(f, "corrupt store slice: {msg}"),
             StoreError::MissingYear(y) => write!(f, "no store slice covers year {y}"),
-            StoreError::Empty => write!(f, "store directory holds no slices"),
         }
     }
 }
 
 impl std::error::Error for StoreError {}
 
+impl From<EnvelopeError> for StoreError {
+    fn from(e: EnvelopeError) -> Self {
+        StoreError::Envelope(e)
+    }
+}
+
 impl From<CheckpointError> for StoreError {
     fn from(err: CheckpointError) -> Self {
         match err {
-            CheckpointError::Truncated => StoreError::Truncated,
+            CheckpointError::Envelope(e) => StoreError::Envelope(e),
+            CheckpointError::Corrupt(msg) => StoreError::Corrupt(msg),
             other => StoreError::Corrupt(other.to_string()),
         }
     }
-}
-
-/// FxHash of a payload — the same seedless, process-independent integrity
-/// checksum the checkpoint envelope uses.
-fn payload_checksum(payload: &[u8]) -> u64 {
-    let mut hasher = FxHasher::default();
-    hasher.write(payload);
-    hasher.finish()
-}
-
-/// Wrap a payload in the `SYNSTORE` envelope.
-fn seal(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(ENVELOPE_LEN + payload.len());
-    out.extend_from_slice(&STORE_MAGIC);
-    out.extend_from_slice(&STORE_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload_checksum(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Verify the envelope and return the writer's minor version plus the
-/// payload, or a typed error. Never panics on hostile bytes.
-fn unseal(bytes: &[u8]) -> Result<(u16, &[u8]), StoreError> {
-    if bytes.len() < ENVELOPE_LEN {
-        return Err(StoreError::Truncated);
-    }
-    if bytes[..8] != STORE_MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4-byte slice"));
-    let (major, minor) = split_version(version);
-    if major != STORE_FORMAT_MAJOR {
-        return Err(StoreError::UnsupportedVersion(version));
-    }
-    let len = u64::from_le_bytes(bytes[12..20].try_into().expect("8-byte slice"));
-    let checksum = u64::from_le_bytes(bytes[20..28].try_into().expect("8-byte slice"));
-    let payload = &bytes[ENVELOPE_LEN..];
-    if payload.len() as u64 != len {
-        return Err(StoreError::Truncated);
-    }
-    if payload_checksum(payload) != checksum {
-        return Err(StoreError::ChecksumMismatch);
-    }
-    Ok((minor, payload))
 }
 
 /// The decoded index section of one slice file — enough to route queries
@@ -194,11 +104,6 @@ pub struct SliceMeta {
     pub ports: Vec<u16>,
     /// Every scanning source (host-order IPv4), ascending.
     pub sources: Vec<u32>,
-    /// Format major version the slice file was written with (from the
-    /// envelope, not the payload).
-    pub format_major: u16,
-    /// Format minor version the slice file was written with.
-    pub format_minor: u16,
     /// Whole slice-file size in bytes, envelope included.
     pub file_bytes: u64,
 }
@@ -222,7 +127,7 @@ fn encode_meta(w: &mut SnapWriter, analysis: &YearAnalysis) {
     }
 }
 
-fn decode_meta(r: &mut SnapReader<'_>) -> Result<SliceMeta, StoreError> {
+fn decode_meta(r: &mut SnapReader<'_>, file_bytes: u64) -> Result<SliceMeta, StoreError> {
     let year = r.take_u16()?;
     let monitored = r.take_u64()?;
     let start_micros = r.take_u64()?;
@@ -250,10 +155,7 @@ fn decode_meta(r: &mut SnapReader<'_>) -> Result<SliceMeta, StoreError> {
         campaigns,
         ports,
         sources,
-        // Envelope-level facts; the caller (open_slice) fills them in.
-        format_major: 0,
-        format_minor: 0,
-        file_bytes: 0,
+        file_bytes,
     })
 }
 
@@ -327,9 +229,7 @@ pub fn encode_year(analysis: &YearAnalysis) -> Vec<u8> {
     }
     analysis.noise.snapshot_to(&mut w);
 
-    // Minor-1 section: the heavy-hitter sketch state, presence-tagged.
-    // Appended after everything a minor-0 reader knows, so older sections
-    // keep their offsets.
+    // The heavy-hitter sketch state, presence-tagged.
     match &analysis.heavy {
         None => w.put_u8(0),
         Some(heavy) => {
@@ -338,24 +238,20 @@ pub fn encode_year(analysis: &YearAnalysis) -> Vec<u8> {
         }
     }
 
-    seal(&w.into_bytes())
+    envelope::seal(&STORE, &w.into_bytes())
 }
 
 /// Verify the envelope and decode the index section, leaving the reader at
 /// the body. Every reader goes through this once per file: whoever wants the
 /// body too decodes it from the same bytes ([`decode_body`]).
 fn open_slice(bytes: &[u8]) -> Result<(SliceMeta, SnapReader<'_>), StoreError> {
-    let (minor, payload) = unseal(bytes)?;
-    let mut r = SnapReader::new(payload);
-    let mut meta = decode_meta(&mut r)?;
-    meta.format_major = STORE_FORMAT_MAJOR;
-    meta.format_minor = minor;
-    meta.file_bytes = bytes.len() as u64;
+    let mut r = SnapReader::new(envelope::open(&STORE, bytes)?);
+    let meta = decode_meta(&mut r, bytes.len() as u64)?;
     Ok((meta, r))
 }
 
-/// Read just the index section of slice-file bytes, plus the envelope-level
-/// facts (format version, file size) the `stats` query reports.
+/// Read just the index section of slice-file bytes, plus the file size the
+/// `stats` query reports.
 pub fn read_meta(bytes: &[u8]) -> Result<SliceMeta, StoreError> {
     Ok(open_slice(bytes)?.0)
 }
@@ -389,7 +285,6 @@ fn take_column<K: Ord, V>(
 
 /// Decode the body behind an opened slice's index section.
 fn decode_body(meta: &SliceMeta, mut r: SnapReader<'_>) -> Result<YearAnalysis, StoreError> {
-    let minor = meta.format_minor;
     let r = &mut r;
 
     let port_packets = take_column(r, "port packets", 10, |r| {
@@ -461,28 +356,12 @@ fn decode_body(meta: &SliceMeta, mut r: SnapReader<'_>) -> Result<YearAnalysis, 
     }
     let noise = NoiseStats::restore_from(r)?;
 
-    // Minor-1 section: heavy-hitter sketch state. A minor-0 slice simply
-    // does not have it.
-    let heavy = if minor >= 1 {
-        match r.take_u8()? {
-            0 => None,
-            1 => Some(crate::sketch::HeavyHitters::restore_from(r)?),
-            t => return Err(StoreError::Corrupt(format!("heavy tag {t}"))),
-        }
-    } else {
-        None
+    let heavy = match r.take_u8()? {
+        0 => None,
+        1 => Some(crate::sketch::HeavyHitters::restore_from(r)?),
+        t => return Err(StoreError::Corrupt(format!("heavy tag {t}"))),
     };
-
-    // A slice written by a *newer* minor of our major may append sections
-    // we do not know; tolerate the trailing bytes (the checksum already
-    // vouched for them). For our own minor and older, trailing bytes mean
-    // corruption.
-    if minor <= STORE_FORMAT_MINOR && r.remaining() != 0 {
-        return Err(StoreError::Corrupt(format!(
-            "{} trailing bytes after slice body",
-            r.remaining()
-        )));
-    }
+    r.finish("slice body")?;
 
     Ok(YearAnalysis {
         index: YearIndex::build(&campaigns, &tool_port_packets),
@@ -517,8 +396,7 @@ impl AnalysisStore {
     /// Open (creating if needed) the store rooted at `dir`.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
         let dir = dir.into();
-        fs::create_dir_all(&dir)
-            .map_err(|e| StoreError::Io(format!("create dir {}: {e}", dir.display())))?;
+        fs::create_dir_all(&dir).map_err(|e| envelope::io_error("create dir", &dir, e))?;
         Ok(Self { dir })
     }
 
@@ -538,33 +416,17 @@ impl AnalysisStore {
         self.dir.join(format!("year-{year}.part-{label}.store"))
     }
 
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-        let io_err = |what: &str, p: &Path, e: std::io::Error| {
-            StoreError::Io(format!("{what} {}: {e}", p.display()))
-        };
-        let tmp = path.with_extension("store.tmp");
-        {
-            let mut file = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-            file.write_all(bytes)
-                .map_err(|e| io_err("write", &tmp, e))?;
-            file.sync_all().map_err(|e| io_err("sync", &tmp, e))?;
-        }
-        fs::rename(&tmp, path).map_err(|e| io_err("rename", &tmp, e))?;
-        Ok(())
-    }
-
     /// Atomically write the full slice for `analysis.year`, then retire any
     /// partial slices for the same year (the full slice supersedes them —
     /// keeping both would double-count at load time).
     pub fn write_year(&self, analysis: &YearAnalysis) -> Result<PathBuf, StoreError> {
         let path = self.slice_path(analysis.year);
-        self.write_atomic(&path, &encode_year(analysis))?;
+        envelope::write_atomic(&path, &encode_year(analysis))?;
         let partial_prefix = format!("year-{}.part-", analysis.year);
         for file in self.slice_files()? {
             let name = file.file_name().and_then(|n| n.to_str()).unwrap_or("");
             if name.starts_with(&partial_prefix) {
-                fs::remove_file(&file)
-                    .map_err(|e| StoreError::Io(format!("remove {}: {e}", file.display())))?;
+                fs::remove_file(&file).map_err(|e| envelope::io_error("remove", &file, e))?;
             }
         }
         Ok(path)
@@ -584,18 +446,17 @@ impl AnalysisStore {
             )));
         }
         let path = self.partial_path(analysis.year, label);
-        self.write_atomic(&path, &encode_year(analysis))?;
+        envelope::write_atomic(&path, &encode_year(analysis))?;
         Ok(path)
     }
 
     /// Every slice file currently in the store, sorted by file name.
     pub fn slice_files(&self) -> Result<Vec<PathBuf>, StoreError> {
-        let entries = fs::read_dir(&self.dir)
-            .map_err(|e| StoreError::Io(format!("read dir {}: {e}", self.dir.display())))?;
+        let scan_error = |what, e| envelope::io_error(what, &self.dir, e);
+        let entries = fs::read_dir(&self.dir).map_err(|e| scan_error("read dir", e))?;
         let mut files = Vec::new();
         for entry in entries {
-            let entry =
-                entry.map_err(|e| StoreError::Io(format!("scan {}: {e}", self.dir.display())))?;
+            let entry = entry.map_err(|e| scan_error("scan", e))?;
             let path = entry.path();
             if path.extension().and_then(|e| e.to_str()) == Some("store") {
                 files.push(path);
@@ -606,7 +467,7 @@ impl AnalysisStore {
     }
 
     fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
-        fs::read(path).map_err(|e| StoreError::Io(format!("read {}: {e}", path.display())))
+        fs::read(path).map_err(|e| envelope::io_error("read", path, e).into())
     }
 
     /// Index every slice without decoding bodies: `(path, meta)` pairs in
@@ -691,8 +552,7 @@ fn annotate_slice_error(err: StoreError, path: &Path) -> StoreError {
 }
 
 /// Per-year slice accounting the `stats` query reports: how many files back
-/// the year, their combined on-disk size, and the format version they were
-/// written with (the newest minor among the year's files).
+/// the year and their combined on-disk size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct YearSliceStat {
     /// Calendar year the slices cover.
@@ -701,10 +561,6 @@ pub struct YearSliceStat {
     pub files: u64,
     /// Combined slice-file bytes, envelopes included.
     pub bytes: u64,
-    /// Format major version of the year's slices.
-    pub format_major: u16,
-    /// Newest format minor among the year's slice files.
-    pub format_minor: u16,
 }
 
 /// The read-mostly in-memory image the daemon serves from: every year in
@@ -716,8 +572,7 @@ pub struct StoreImage {
     pub generation: u64,
     /// Number of slice files the image was built from.
     pub slice_files: usize,
-    /// Per-year slice accounting (files, bytes, format version), ascending
-    /// by year.
+    /// Per-year slice accounting (files, bytes), ascending by year.
     pub slices: Vec<YearSliceStat>,
     /// Per-year analyses, ascending by year.
     pub years: Vec<YearAnalysis>,
@@ -741,12 +596,9 @@ impl StoreImage {
                 year: meta.year,
                 files: 0,
                 bytes: 0,
-                format_major: meta.format_major,
-                format_minor: 0,
             });
             stat.files += 1;
             stat.bytes += meta.file_bytes;
-            stat.format_minor = stat.format_minor.max(meta.format_minor);
         }
         Ok(Self {
             generation: 0,
@@ -925,36 +777,30 @@ mod tests {
     #[test]
     fn corruption_yields_typed_errors_never_panics() {
         let bytes = encode_year(&analysis(2017));
+        let envelope_error = |e: EnvelopeError| Err(StoreError::Envelope(e));
         // Truncated at every prefix length: typed error, no panic.
         for cut in [0, 7, 8, 12, 20, 27, 28, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_year(&bytes[..cut]).is_err(), "cut={cut}");
+            let torn = envelope_error(EnvelopeError::Truncated);
+            assert_eq!(decode_year(&bytes[..cut]), torn, "cut={cut}");
         }
         // Bad magic.
         let mut bad = bytes.clone();
         bad[0] ^= 0xff;
-        assert_eq!(decode_year(&bad), Err(StoreError::BadMagic));
+        assert_eq!(decode_year(&bad), envelope_error(EnvelopeError::BadMagic));
         // Unsupported major version (byte 8 is the major's low byte).
         let mut bad = bytes.clone();
         bad[8] = 99;
-        match decode_year(&bad) {
-            Err(StoreError::UnsupportedVersion(word)) => {
-                assert_eq!(split_version(word).0, 99);
-            }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
-        }
+        let (found, expected) = (0x0001_0063, 0x0001_0001);
+        assert_eq!(
+            decode_year(&bad),
+            envelope_error(EnvelopeError::UnsupportedVersion { found, expected })
+        );
         // Flipped payload byte → checksum mismatch.
         let mut bad = bytes.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
-        assert_eq!(decode_year(&bad), Err(StoreError::ChecksumMismatch));
-    }
-
-    /// Re-seal `payload` with an arbitrary (major, minor) version word.
-    fn seal_as(payload: &[u8], major: u16, minor: u16) -> Vec<u8> {
-        let mut bytes = seal(payload);
-        let word = (major as u32) | ((minor as u32) << 16);
-        bytes[8..12].copy_from_slice(&word.to_le_bytes());
-        bytes
+        let rotten = envelope_error(EnvelopeError::ChecksumMismatch);
+        assert_eq!(decode_year(&bad), rotten);
     }
 
     /// Payload offsets of the sections the damage tests edit, from the
@@ -980,6 +826,13 @@ mod tests {
         }
     }
 
+    /// The payload a sealed slice carries.
+    fn payload_of(sealed: &[u8]) -> Vec<u8> {
+        envelope::open(&STORE, sealed)
+            .expect("sealed slice")
+            .to_vec()
+    }
+
     fn u32_at(payload: &[u8], at: usize) -> u32 {
         u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes"))
     }
@@ -988,9 +841,9 @@ mod tests {
     /// what a writer that is not `encode_year` could have produced.
     fn damaged(damage: impl FnOnce(&mut Vec<u8>, Layout)) -> Result<YearAnalysis, StoreError> {
         let original = analysis(2019);
-        let mut payload = encode_year(&original)[ENVELOPE_LEN..].to_vec();
+        let mut payload = payload_of(&encode_year(&original));
         damage(&mut payload, layout(&original));
-        decode_year(&seal_as(&payload, STORE_FORMAT_MAJOR, STORE_FORMAT_MINOR))
+        decode_year(&envelope::seal(&STORE, &payload))
     }
 
     fn assert_corrupt(result: Result<YearAnalysis, StoreError>, section: &str) {
@@ -1085,7 +938,7 @@ mod tests {
         assert_eq!(original.campaigns.len(), 1);
         assert_eq!(original.heavy.is_some(), heavy);
         let sealed = encode_year(&original);
-        assert!(sealed.len() - ENVELOPE_LEN <= 4096);
+        assert!(payload_of(&sealed).len() <= 4096);
         sealed
     }
 
@@ -1103,10 +956,9 @@ mod tests {
     #[test]
     fn resealed_damage_is_a_typed_error_or_decodes_canonically() {
         for heavy in [false, true] {
-            let sealed = small_slice(heavy);
-            let payload = &sealed[ENVELOPE_LEN..];
+            let payload = payload_of(&small_slice(heavy));
             for cut in 0..payload.len() {
-                let cut_slice = seal(&payload[..cut]);
+                let cut_slice = envelope::seal(&STORE, &payload[..cut]);
                 assert!(
                     decode_year(&cut_slice).is_err(),
                     "heavy={heavy}: payload cut at {cut} still loads"
@@ -1116,7 +968,7 @@ mod tests {
             for bit in 0..payload.len() * 8 {
                 flipped[bit / 8] ^= 1 << (bit % 8);
                 assert_typed_error_or_canonical(
-                    &seal(&flipped),
+                    &envelope::seal(&STORE, &flipped),
                     &format!("heavy={heavy}, payload bit {bit}"),
                 );
                 flipped[bit / 8] ^= 1 << (bit % 8);
@@ -1126,13 +978,14 @@ mod tests {
 
     #[test]
     fn unsealed_damage_never_gets_past_the_envelope() {
+        // No field is exempt: the checksum covers the payload, and the whole
+        // version word, minor half included, must match.
         for heavy in [false, true] {
             let sealed = small_slice(heavy);
-            let clean = decode_year(&sealed).expect("clean slice loads");
             for cut in 0..sealed.len() {
                 assert_eq!(
                     decode_year(&sealed[..cut]),
-                    Err(StoreError::Truncated),
+                    Err(StoreError::Envelope(EnvelopeError::Truncated)),
                     "heavy={heavy}: file cut at {cut}"
                 );
             }
@@ -1140,76 +993,22 @@ mod tests {
             for bit in 0..sealed.len() * 8 {
                 flipped[bit / 8] ^= 1 << (bit % 8);
                 let result = decode_year(&flipped);
-                if (10..12).contains(&(bit / 8)) {
-                    // The one field neither the checksum nor a fixed value
-                    // guards: the writer's minor version. Every minor of our
-                    // major is a legal reader input, so a flip there reads
-                    // the intact payload under another minor's rules — an
-                    // older one (the sketch section becomes trailing bytes)
-                    // or a newer one (trailing sections tolerated; the same
-                    // year loads).
-                    assert!(
-                        matches!(result, Err(StoreError::Corrupt(_)))
-                            || result.as_ref() == Ok(&clean),
-                        "heavy={heavy}, minor-version bit {bit}: {result:?}"
-                    );
-                } else {
-                    assert!(
-                        matches!(
-                            result,
-                            Err(StoreError::Truncated
-                                | StoreError::ChecksumMismatch
-                                | StoreError::BadMagic
-                                | StoreError::UnsupportedVersion(_))
-                        ),
-                        "heavy={heavy}, file bit {bit}: {result:?}"
-                    );
-                }
+                assert!(
+                    matches!(
+                        result,
+                        Err(StoreError::Envelope(
+                            EnvelopeError::Truncated
+                                | EnvelopeError::Oversized(_)
+                                | EnvelopeError::ChecksumMismatch
+                                | EnvelopeError::BadMagic
+                                | EnvelopeError::UnsupportedVersion { .. }
+                        ))
+                    ),
+                    "heavy={heavy}, file bit {bit}: {result:?}"
+                );
                 flipped[bit / 8] ^= 1 << (bit % 8);
             }
         }
-    }
-
-    #[test]
-    fn version_word_packs_major_low_minor_high() {
-        assert_eq!(split_version(STORE_VERSION), (1, 1));
-        // The pre-minor era wrote a bare 1: reads back as major 1, minor 0.
-        assert_eq!(split_version(1), (1, 0));
-    }
-
-    #[test]
-    fn legacy_minor_zero_slices_still_load() {
-        // A minor-0 slice is today's encoding minus the heavy section.
-        let original = analysis(2016);
-        let sealed = encode_year(&original);
-        let payload = &sealed[ENVELOPE_LEN..];
-        assert_eq!(payload.last(), Some(&0u8), "heavy absent ⇒ tag byte 0");
-        let legacy = seal_as(&payload[..payload.len() - 1], 1, 0);
-        let decoded = decode_year(&legacy).expect("minor-0 slice loads");
-        assert_eq!(decoded, original);
-        let meta = read_meta(&legacy).expect("meta reads");
-        assert_eq!((meta.format_major, meta.format_minor), (1, 0));
-        assert_eq!(meta.file_bytes, legacy.len() as u64);
-    }
-
-    #[test]
-    fn higher_minor_slices_load_with_trailing_sections_tolerated() {
-        // A slice written by minor 2 of our major: today's body plus an
-        // unknown appended section. It must load (the new section is
-        // skipped), not error.
-        let original = analysis(2022);
-        let sealed = encode_year(&original);
-        let mut payload = sealed[ENVELOPE_LEN..].to_vec();
-        payload.extend_from_slice(b"future-section-bytes");
-        let newer = seal_as(&payload, 1, STORE_FORMAT_MINOR + 1);
-        let decoded = decode_year(&newer).expect("higher-minor slice loads");
-        assert_eq!(decoded, original);
-        // The same trailing bytes under our *own* minor are corruption.
-        let same_minor = seal_as(&payload, 1, STORE_FORMAT_MINOR);
-        assert!(matches!(
-            decode_year(&same_minor),
-            Err(StoreError::Corrupt(_))
-        ));
     }
 
     #[test]
@@ -1232,6 +1031,84 @@ mod tests {
         let decoded = decode_year(&bytes).expect("decodes");
         assert_eq!(decoded, original);
         assert_eq!(encode_year(&decoded), bytes);
+    }
+
+    #[test]
+    fn version_word_packs_major_low_minor_high() {
+        // The word every slice since the heavy-hitter section carries, and
+        // the only one this build reads; `stats` names it `STORE_VERSION`.
+        let sealed = encode_year(&analysis(2016));
+        assert_eq!(sealed[8..12], 0x0001_0001u32.to_le_bytes());
+        let major = u16::from_le_bytes([sealed[8], sealed[9]]);
+        let minor = u16::from_le_bytes([sealed[10], sealed[11]]);
+        assert_eq!(format!("{major}.{minor}"), STORE_VERSION);
+    }
+
+    /// `sealed` under the version word `found`, which no checksum covers.
+    fn sealed_as(mut sealed: Vec<u8>, found: u32) -> Vec<u8> {
+        sealed[8..12].copy_from_slice(&found.to_le_bytes());
+        sealed
+    }
+
+    /// The typed error a slice sealed under `found` gets from this build.
+    fn unsupported(found: u32) -> StoreError {
+        let expected = 0x0001_0001;
+        StoreError::Envelope(EnvelopeError::UnsupportedVersion { found, expected })
+    }
+
+    #[test]
+    fn a_slice_of_another_version_is_unsupported_and_says_re_run() {
+        let dir = std::env::temp_dir().join(format!("synstore-t5-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = AnalysisStore::open(&dir).expect("open");
+        // A 1.0 slice (the bare word 1) and a newer minor of major 1.
+        for found in [1u32, 0x0002_0001] {
+            let other = sealed_as(encode_year(&analysis(2022)), found);
+            let err = decode_year(&other).unwrap_err();
+            assert_eq!(err, unsupported(found));
+            assert!(err.to_string().contains("re-run"), "{err}");
+            fs::write(store.slice_path(2022), &other).expect("write slice");
+            assert_eq!(store.load_year(2022), Err(err));
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_newer_minor_slice_is_unsupported_and_appended_sections_are_corrupt() {
+        // What a minor-2 writer might add: today's body plus a new section.
+        let mut payload = payload_of(&encode_year(&analysis(2022)));
+        payload.extend_from_slice(b"future-section-bytes");
+        let newer = sealed_as(envelope::seal(&STORE, &payload), 0x0002_0001);
+        assert_eq!(decode_year(&newer), Err(unsupported(0x0002_0001)));
+        // The same trailing bytes under this build's own word are corruption.
+        assert!(matches!(
+            decode_year(&envelope::seal(&STORE, &payload)),
+            Err(StoreError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn a_newer_minor_partial_fails_its_year_through_the_store() {
+        // A partial from a newer worker build is refused, typed, not merged
+        // or skipped: the year it would have changed does not load.
+        let dir = std::env::temp_dir().join(format!("synstore-t7-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = AnalysisStore::open(&dir).expect("open");
+        let shard = |src: u32| {
+            let mut c = YearCollector::with_origin(2023, tiny_cfg(), 7.0, 0);
+            for i in 0..30u32 {
+                c.offer(&record(src, 100 + i, 22, u64::from(i) * 100_000));
+            }
+            c.finish()
+        };
+        store
+            .write_partial(&shard(51), "old")
+            .expect("current partial");
+        let newer = sealed_as(encode_year(&shard(52)), 0x0002_0001);
+        fs::write(store.partial_path(2023, "new"), &newer).expect("write newer partial");
+        assert_eq!(store.index(), Err(unsupported(0x0002_0001)));
+        assert_eq!(store.load_year(2023), Err(unsupported(0x0002_0001)));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1359,48 +1236,6 @@ mod tests {
     }
 
     #[test]
-    fn higher_minor_partial_loads_through_the_store() {
-        // A partial written by a future minor of our major (e.g. a newer
-        // worker build) must load and merge, not error out the whole year.
-        let dir = std::env::temp_dir().join(format!("synstore-t5-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let store = AnalysisStore::open(&dir).expect("open");
-
-        let mut c = YearCollector::with_origin(2023, tiny_cfg(), 7.0, 0);
-        for i in 0..30u32 {
-            c.offer(&record(51, 100 + i, 22, u64::from(i) * 100_000));
-        }
-        let part = c.finish();
-        store.write_partial(&part, "old").expect("current partial");
-
-        // Hand-craft the future-minor sibling: a disjoint-source shard's
-        // body plus an unknown appended section, version word minor+1.
-        let mut c = YearCollector::with_origin(2023, tiny_cfg(), 7.0, 0);
-        for i in 0..10u32 {
-            c.offer(&record(52, 300 + i, 22, u64::from(i) * 100_000 + 7));
-        }
-        let future_part = c.finish();
-        let sealed = encode_year(&future_part);
-        let mut payload = sealed[ENVELOPE_LEN..].to_vec();
-        payload.extend_from_slice(&[0xAB; 9]);
-        let newer = seal_as(&payload, STORE_FORMAT_MAJOR, STORE_FORMAT_MINOR + 1);
-        std::fs::write(store.partial_path(2023, "new"), &newer).expect("write future partial");
-
-        let index = store.index().expect("index reads both");
-        assert_eq!(index.len(), 2);
-        let minors: Vec<u16> = index.iter().map(|(_, m)| m.format_minor).collect();
-        assert!(minors.contains(&STORE_FORMAT_MINOR));
-        assert!(minors.contains(&(STORE_FORMAT_MINOR + 1)));
-
-        let loaded = store.load_year(2023).expect("future-minor partial loads");
-        assert_eq!(
-            loaded,
-            YearAnalysis::merge_partials(vec![part, future_part])
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn image_carries_per_year_slice_stats() {
         let dir = std::env::temp_dir().join(format!("synstore-t6-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -1418,10 +1253,6 @@ mod tests {
         assert_eq!(
             s2015.bytes,
             fs::metadata(store.slice_path(2015)).expect("meta").len()
-        );
-        assert_eq!(
-            (s2015.format_major, s2015.format_minor),
-            (STORE_FORMAT_MAJOR, STORE_FORMAT_MINOR)
         );
         let s2016 = image.slice_stat(2016).expect("2016 stat");
         assert_eq!(s2016.files, 2);

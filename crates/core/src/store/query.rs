@@ -38,7 +38,7 @@
 use synscan_wire::json::{self, ToJson, Value};
 use synscan_wire::Ipv4Address;
 
-use super::StoreImage;
+use super::{StoreImage, STORE_VERSION};
 use crate::analysis::collect::YearAnalysis;
 use crate::analysis::yearly::summarize;
 use crate::report::{campaign_lookup, network_impact_of, port_trend, source_history, DecadeReport};
@@ -218,7 +218,8 @@ pub fn answer(image: &StoreImage, request: &Request) -> String {
         Request::Years => ok_line(&image.year_list().to_json().to_string()),
         Request::Stats => {
             // Per-year slice accounting (file count, on-disk bytes, format
-            // version as `major.minor`) next to the aggregate totals.
+            // version as `major.minor`) next to the aggregate totals. Every
+            // loaded slice carries the one version this build reads.
             let slices: Vec<Value> = image
                 .slices
                 .iter()
@@ -227,10 +228,7 @@ pub fn answer(image: &StoreImage, request: &Request) -> String {
                         ("year", s.year.to_json()),
                         ("files", s.files.to_json()),
                         ("bytes", s.bytes.to_json()),
-                        (
-                            "version",
-                            format!("{}.{}", s.format_major, s.format_minor).to_json(),
-                        ),
+                        ("version", STORE_VERSION.to_json()),
                     ])
                 })
                 .collect();
@@ -321,7 +319,7 @@ mod tests {
 
     #[test]
     fn stats_reports_per_year_slice_version_and_bytes() {
-        use crate::store::{YearSliceStat, STORE_FORMAT_MAJOR, STORE_FORMAT_MINOR};
+        use crate::store::YearSliceStat;
         let mut image = StoreImage::empty();
         image.slice_files = 3;
         image.slices = vec![
@@ -329,15 +327,11 @@ mod tests {
                 year: 2019,
                 files: 1,
                 bytes: 4096,
-                format_major: STORE_FORMAT_MAJOR,
-                format_minor: STORE_FORMAT_MINOR,
             },
             YearSliceStat {
                 year: 2020,
                 files: 2,
                 bytes: 8192,
-                format_major: STORE_FORMAT_MAJOR,
-                format_minor: STORE_FORMAT_MINOR,
             },
         ];
         let line = answer_line(&image, "{\"op\":\"stats\"}");
@@ -347,15 +341,11 @@ mod tests {
             panic!("stats body has no slices array: {body}")
         };
         assert_eq!(slices.len(), 2);
-        let expect_version = format!("{STORE_FORMAT_MAJOR}.{STORE_FORMAT_MINOR}");
         for (row, (year, files, bytes)) in slices.iter().zip([(2019, 1, 4096), (2020, 2, 8192)]) {
             assert_eq!(row.get("year").and_then(|v| v.as_u64()), Some(year));
             assert_eq!(row.get("files").and_then(|v| v.as_u64()), Some(files));
             assert_eq!(row.get("bytes").and_then(|v| v.as_u64()), Some(bytes));
-            assert_eq!(
-                row.get("version").and_then(|v| v.as_str()),
-                Some(expect_version.as_str())
-            );
+            assert_eq!(row.get("version").and_then(|v| v.as_str()), Some("1.1"));
         }
     }
 

@@ -54,7 +54,6 @@
 pub mod chaos;
 pub mod checksum;
 pub mod ethernet;
-pub mod frame;
 pub mod ingest;
 pub mod ipv4;
 pub mod json;
@@ -68,7 +67,6 @@ pub mod udp;
 
 pub use chaos::{ChaosPlan, ChaosReader, ChaosStream, Fault, InjectionLog};
 pub use ethernet::{EtherType, EthernetFrame, EthernetRepr};
-pub use frame::{read_frame, write_frame, FrameError, FramedMessage};
 pub use ingest::{
     decode_frame, ChecksumPolicy, FrameBatch, GatherOutcome, IngestMode, IngestQueues,
     MappedCapture, MappedPcapStream, PcapSlice, PcapStream, RawFrame,

@@ -894,22 +894,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_frames_fail_the_checksum() {
-        let payload = vec![0x5au8; 600];
-        let mut socket = ChaosSocket::new(Vec::new(), NetChaosPlan::corrupting(9));
-        crate::frame::write_frame(&mut socket, 1, &payload).unwrap();
-        assert!(socket.log().corrupted_bytes > 0);
-        let bytes = socket.into_inner();
-        match crate::frame::read_frame(&mut Cursor::new(bytes), crate::frame::MAX_FRAME_PAYLOAD) {
-            Err(crate::frame::FrameError::ChecksumMismatch)
-            | Err(crate::frame::FrameError::BadMagic)
-            | Err(crate::frame::FrameError::UnsupportedVersion(_))
-            | Err(crate::frame::FrameError::Oversized { .. }) => {}
-            other => panic!("corrupted frame must fail typed, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn backoff_is_deterministic_and_grows_to_the_cap() {
         let mut a = Backoff::new(11, Duration::from_millis(100), Duration::from_secs(5));
         let mut b = Backoff::new(11, Duration::from_millis(100), Duration::from_secs(5));

@@ -434,12 +434,7 @@ impl AdmitState for TechniqueAdmit {
         for slot in &mut self.counts {
             *slot = r.take_u64()?;
         }
-        if r.remaining() != 0 {
-            return Err(CheckpointError::Corrupt(
-                "trailing bytes after technique census".into(),
-            ));
-        }
-        Ok(())
+        r.finish("technique census")
     }
 }
 
@@ -719,7 +714,10 @@ mod tests {
             let foreign = |err| {
                 matches!(
                     err,
-                    AnalyzeError::Checkpoint(CheckpointError::Mismatch { field: "seed", .. })
+                    AnalyzeError::Checkpoint(CheckpointError::Mismatch {
+                        field: "identity",
+                        ..
+                    })
                 )
             };
             let err = resumed(&capture_b, &options).expect_err("capture B is not capture A");

@@ -35,6 +35,7 @@
 //!    the run fails with a typed [`CoordError`]; nothing panics.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::Hasher as _;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -49,8 +50,9 @@ use synscan_core::sketch::HeavyHitterConfig;
 use synscan_core::store::{decode_year, encode_year, AnalysisStore, StoreError};
 use synscan_core::supervise::HeartbeatBoard;
 use synscan_core::{
-    merge_slices, plan_slices, run_slice, AdmitState, Checkpoint, DistribError, Message, SliceSpec,
-    SliceTask, StallEvent, SupervisionConfig, SupervisionReport, WorkerFailure, PROTO_VERSION,
+    merge_slices, plan_slices, run_slice, AdmitState, Checkpoint, DistribError, FxHasher, Message,
+    SliceSpec, SliceTask, StallEvent, SupervisionConfig, SupervisionReport, WorkerFailure,
+    PROTO_VERSION,
 };
 use synscan_synthesis::generate::GeneratorConfig;
 use synscan_synthesis::yearcfg::YearConfig;
@@ -259,7 +261,7 @@ pub fn run_worker(
                 ) {
                     Ok(reply) => send(output, &reply)?,
                     // A dead pipe cannot carry a Failed report; bail.
-                    Err(DistribError::Frame(e)) => return Err(DistribError::Frame(e)),
+                    Err(DistribError::Envelope(e)) => return Err(DistribError::Envelope(e)),
                     Err(e) => send(
                         output,
                         &Message::Failed {
@@ -386,16 +388,13 @@ impl Endpoint {
     }
 }
 
-/// FNV-1a-64 over the endpoint spec: a stable per-endpoint backoff seed,
-/// so two workers dialing different coordinators jitter differently but a
-/// given worker replays the same schedule.
+/// FxHash of the endpoint spec: a stable per-endpoint backoff seed, so two
+/// workers dialing different coordinators jitter differently but a given
+/// worker replays the same schedule.
 fn spec_seed(spec: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in spec.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let mut hasher = FxHasher::default();
+    hasher.write(spec.as_bytes());
+    hasher.finish()
 }
 
 /// The read and write halves of a worker's connection to its coordinator.
@@ -1483,7 +1482,7 @@ mod tests {
         ours.shutdown(Shutdown::Write).expect("half close");
         let result = handle.join().expect("worker must not panic");
         assert!(
-            matches!(result, Err(DistribError::Frame(_))),
+            matches!(result, Err(DistribError::Envelope(_))),
             "got {result:?}"
         );
     }

@@ -64,10 +64,14 @@ impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RunError::Pipeline(e) => write!(f, "{e}"),
-            RunError::Checkpoint(e @ CheckpointError::Mismatch { field: "seed", .. }) => write!(
+            RunError::Checkpoint(
+                e @ CheckpointError::Mismatch {
+                    field: "identity", ..
+                },
+            ) => write!(
                 f,
-                "checkpoint: {e} (the seed is the run's identity word: the input or an \
-                 option that shapes the analysis differs from the interrupted run's)"
+                "checkpoint: {e} (the identity word hashes the input and every option \
+                 that shapes the analysis: one of them differs from the interrupted run's)"
             ),
             RunError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
             RunError::Store(e) => write!(f, "{e}"),
@@ -157,7 +161,7 @@ impl DecadeRun {
 /// is already there.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointSpec {
-    /// The driver's own options. Their `seed` is not the caller's to set:
+    /// The driver's own options. Their `identity` is not the caller's to set:
     /// every run call overwrites it with its identity word.
     options: CheckpointOptions,
     resume: bool,
@@ -171,7 +175,7 @@ impl CheckpointSpec {
             options: CheckpointOptions {
                 dir: dir.into(),
                 every: 0,
-                seed: 0,
+                identity: 0,
                 interrupt_after: None,
             },
             resume: false,
@@ -223,7 +227,7 @@ pub struct RunOptions<'a> {
 
 /// The identity word of a checkpointed run: an FxHash over everything that
 /// determines its stream and its collectors, stored in the checkpoint
-/// header's `seed`. A checkpoint cut under another word is a typed
+/// header's `identity`. A checkpoint cut under another word is a typed
 /// [`CheckpointError::Mismatch`], never a resumed chimera.
 pub(crate) fn identity_word(what: &[u8]) -> u64 {
     let mut hasher = FxHasher::default();
@@ -252,7 +256,7 @@ pub(crate) fn supervised<'a, T>(
     };
     let with = |resume| SupervisorOptions {
         checkpoint: opts.checkpoint.map(|ckpt| CheckpointOptions {
-            seed: identity,
+            identity,
             ..ckpt.options.clone()
         }),
         resume,
@@ -335,11 +339,7 @@ pub(crate) fn decode_capture_stats(blob: &[u8]) -> Result<CaptureStats, Checkpoi
         other_scan_techniques: r.take_u64()?,
         admitted: r.take_u64()?,
     };
-    if r.remaining() != 0 {
-        return Err(CheckpointError::Corrupt(
-            "trailing bytes after capture statistics".into(),
-        ));
-    }
+    r.finish("capture statistics")?;
     Ok(stats)
 }
 

@@ -11,8 +11,8 @@
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 
-use synscan::core::store::AnalysisStore;
-use synscan::core::{CheckpointError, InjectedFaults};
+use synscan::core::store::{encode_year, AnalysisStore};
+use synscan::core::{Checkpoint, CheckpointError, InjectedFaults};
 use synscan::experiment::{
     CheckpointSpec, DecadeStatus, Experiment, RunError, RunOptions, YearRun,
 };
@@ -147,7 +147,10 @@ fn a_checkpoint_cut_at_another_scale_is_a_mismatch() {
     assert!(
         matches!(
             err,
-            RunError::Checkpoint(CheckpointError::Mismatch { field: "seed", .. })
+            RunError::Checkpoint(CheckpointError::Mismatch {
+                field: "identity",
+                ..
+            })
         ),
         "{err:?}"
     );
@@ -195,6 +198,53 @@ fn injected_worker_panic_recovers_via_one_retry_from_checkpoint() {
     assert_eq!(report.retried, 1, "exactly one retry was spent");
     assert_same_run(&run, &baseline);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_checkpoint_written_by_an_earlier_build_reencodes_and_resumes() {
+    // Tiny-scale 2015 of seed 20240915 under `Sharded { workers: 2 }`, cut
+    // after its first checkpoint by the build before the shared envelope.
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/data/ckpt/year-2015-sharded2.ckpt");
+    let bytes = std::fs::read(&path).expect("golden checkpoint");
+    let golden = Checkpoint::from_bytes(&bytes).expect("golden checkpoint decodes");
+    assert_eq!((golden.header.year, golden.header.workers), (2015, 2));
+    assert!(golden.header.cursor > 0, "cut mid-stream");
+    assert!(golden.to_bytes() == bytes, "re-encodes to its own bytes");
+
+    let gen = GeneratorConfig {
+        seed: 20240915,
+        ..GeneratorConfig::tiny()
+    };
+    let (cfg, mode) = (
+        YearConfig::for_year(2015),
+        PipelineMode::Sharded { workers: 2 },
+    );
+    let plain = plain_year(&Experiment::new(gen), &cfg, mode);
+
+    let dir = temp_dir("ckpt-golden");
+    std::fs::write(Checkpoint::path_for(&dir, 2015), &bytes).expect("stage golden");
+    let store_dir = temp_dir("ckpt-golden-store");
+    let store = AnalysisStore::open(&store_dir).expect("open store");
+    let resume = CheckpointSpec::new(&dir).resume(true);
+    let opts = RunOptions {
+        checkpoint: Some(&resume),
+        store: Some(&store),
+        ..RunOptions::default()
+    };
+    let status = Experiment::new(gen).year(&cfg, mode, &opts);
+    assert!(
+        matches!(status, Ok(RunStatus::Completed { .. })),
+        "{status:?}"
+    );
+    let slice = std::fs::read(store.slice_path(2015)).expect("resumed slice");
+    assert!(
+        slice == encode_year(&plain.analysis),
+        "the resumed slice differs from a plain run's"
+    );
+    for dir in [dir, store_dir] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// The years a store holds, each with its slice bytes.

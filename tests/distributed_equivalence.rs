@@ -4,17 +4,16 @@
 //! on-disk store slice — including when a worker is killed mid-slice and
 //! the coordinator recovers from its last checkpoint. Plus the protocol
 //! hardening matrix: malformed and truncated SYNDIST frames yield typed
-//! errors at both the frame layer and a live `--worker` process, and
-//! nothing ever panics.
+//! errors at the protocol layer and at a live `--worker` process, and
+//! nothing ever panics (every cut and bit flip: `core::envelope`'s matrix).
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
-use synscan::core::Message;
-use synscan::distrib::send;
-use synscan::wire::frame::{FRAME_HEADER_BYTES, FRAME_MAGIC, FRAME_VERSION, MAX_FRAME_PAYLOAD};
-use synscan::wire::{read_frame, write_frame, FrameError};
+use synscan::core::envelope::write_frame;
+use synscan::core::{DistribError, EnvelopeError, Message};
+use synscan::distrib::{recv, send};
 
 const REPRO: &str = env!("CARGO_BIN_EXE_repro");
 
@@ -232,22 +231,30 @@ fn valid_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
     bytes
 }
 
-fn read_back(bytes: &[u8]) -> Result<Option<synscan::wire::FramedMessage>, FrameError> {
-    read_frame(&mut std::io::Cursor::new(bytes), MAX_FRAME_PAYLOAD)
+fn read_back(bytes: &[u8]) -> Result<Option<Message>, DistribError> {
+    recv(&mut std::io::Cursor::new(bytes))
 }
 
 #[test]
 fn malformed_and_truncated_frames_yield_typed_errors_never_panics() {
-    let frame = valid_frame(3, b"have you SYN me?");
-    assert!(matches!(read_back(&frame), Ok(Some(_))));
+    let hello = Message::Hello {
+        proto: synscan::core::PROTO_VERSION,
+        worker: "have you SYN me?".into(),
+    };
+    let mut frame = Vec::new();
+    send(&mut frame, &hello).expect("in-memory frame");
+    assert_eq!(read_back(&frame), Ok(Some(hello)));
+    let envelope_error = |e: EnvelopeError| Err(DistribError::Envelope(e));
 
     // Truncation at every byte boundary: empty input is a clean close,
-    // dying anywhere inside the header or the payload is Truncated (the
-    // reader maps `UnexpectedEof` to it). No cut may panic.
+    // dying anywhere inside the header or the payload is Truncated. No cut
+    // may panic.
     for cut in 0..frame.len() {
         match read_back(&frame[..cut]) {
             Ok(None) => assert_eq!(cut, 0, "only EOF-between-frames is a clean close"),
-            Err(FrameError::Truncated) => assert_ne!(cut, 0, "EOF between frames is clean"),
+            Err(DistribError::Envelope(EnvelopeError::Truncated)) => {
+                assert_ne!(cut, 0, "EOF between frames is clean")
+            }
             other => panic!("cut at {cut}: unexpected {other:?}"),
         }
     }
@@ -255,42 +262,34 @@ fn malformed_and_truncated_frames_yield_typed_errors_never_panics() {
     // Corrupted magic.
     let mut bad = frame.clone();
     bad[0] ^= 0xff;
-    assert!(matches!(read_back(&bad), Err(FrameError::BadMagic)));
+    assert_eq!(read_back(&bad), envelope_error(EnvelopeError::BadMagic));
 
-    // Unsupported protocol version.
+    // Unsupported frame version (this build reads only version 2).
     let mut bad = frame.clone();
-    bad[8..12].copy_from_slice(&(FRAME_VERSION + 9).to_le_bytes());
-    assert!(matches!(
+    bad[8..12].copy_from_slice(&11u32.to_le_bytes());
+    assert_eq!(
         read_back(&bad),
-        Err(FrameError::UnsupportedVersion(v)) if v == FRAME_VERSION + 9
-    ));
+        envelope_error(EnvelopeError::UnsupportedVersion {
+            found: 11,
+            expected: 2
+        })
+    );
 
     // A length field past the cap must be rejected before any allocation.
     let mut bad = frame.clone();
     bad[13..21].copy_from_slice(&u64::MAX.to_le_bytes());
-    assert!(matches!(
-        read_back(&bad),
-        Err(FrameError::Oversized {
-            announced: u64::MAX,
-            ..
-        })
-    ));
+    let oversized = envelope_error(EnvelopeError::Oversized(u64::MAX));
+    assert_eq!(read_back(&bad), oversized);
 
-    // Payload corruption and checksum corruption both fail the checksum.
-    let mut bad = frame.clone();
-    bad[FRAME_HEADER_BYTES] ^= 0x01;
-    assert!(matches!(read_back(&bad), Err(FrameError::ChecksumMismatch)));
-    let mut bad = frame.clone();
-    bad[21] ^= 0x01;
-    assert!(matches!(read_back(&bad), Err(FrameError::ChecksumMismatch)));
-
-    // The kind byte is deliberately outside the checksum (the protocol
-    // layer validates it): flipping it still reads as a whole frame.
-    let mut flipped = frame;
-    flipped[12] = 250;
-    let message = read_back(&flipped).expect("frame").expect("whole");
-    assert_eq!(message.kind, 250);
-    assert_eq!(message.payload, b"have you SYN me?");
+    // Payload, checksum-field and kind-byte corruption all fail the
+    // checksum: the kind is summed with the payload, so a flipped kind can
+    // never pass for another message.
+    for (at, what) in [(29, "payload"), (21, "checksum"), (12, "kind")] {
+        let mut bad = frame.clone();
+        bad[at] ^= 0x01;
+        let rotten = envelope_error(EnvelopeError::ChecksumMismatch);
+        assert_eq!(read_back(&bad), rotten, "{what} byte {at}");
+    }
 }
 
 /// Feed a live `repro --worker` process hostile stdin bytes; the worker
@@ -332,7 +331,7 @@ fn a_live_worker_survives_the_hostile_stdin_matrix_with_typed_errors() {
     worker_rejects("bad-magic", b"this is not a SYNDIST frame, not even close");
 
     // A half-written header: death mid-frame.
-    worker_rejects("truncated-header", &FRAME_MAGIC[..6]);
+    worker_rejects("truncated-header", &b"SYNDIST\0"[..6]);
 
     // A whole, checksum-valid frame whose payload is not a decodable
     // protocol message.

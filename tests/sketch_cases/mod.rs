@@ -16,6 +16,7 @@
 //!   workloads, and truncated snapshots fail typed, never panic.
 
 use synscan_core::checkpoint::{CheckpointError, SnapReader, SnapWriter};
+use synscan_core::envelope::EnvelopeError;
 use synscan_core::sketch::{CountMinSketch, HeavyHitterConfig, HeavyHitters, SpaceSaving};
 use synscan_stats::mix64;
 
@@ -335,7 +336,8 @@ pub fn checkpoint_round_trip_fuzz(iters: u64, base_seed: u64) {
             let len = (mix64(seed ^ (100 + cut)) % bytes.len() as u64) as usize;
             let mut r = SnapReader::new(&bytes[..len]);
             match HeavyHitters::restore_from(&mut r) {
-                Err(CheckpointError::Truncated) | Err(CheckpointError::Corrupt(_)) => {}
+                Err(CheckpointError::Envelope(EnvelopeError::Truncated))
+                | Err(CheckpointError::Corrupt(_)) => {}
                 Ok(_) => panic!(
                     "truncated snapshot ({len}/{} bytes) restored cleanly (seed {seed:#x})",
                     bytes.len()

@@ -12,6 +12,7 @@ use synscan::analyze::{analyze, AnalyzeOptions, CaptureInput};
 use synscan::core::report::DecadeReport;
 use synscan::core::store::query::{answer_line, body_of, TOP_N};
 use synscan::core::store::{AnalysisStore, ImageCell, StoreError, StoreImage};
+use synscan::core::EnvelopeError;
 use synscan::experiment::{Experiment, RunOptions};
 use synscan::wire::json::ToJson;
 use synscan::wire::Ipv4Address;
@@ -116,26 +117,16 @@ fn damaged_slices_are_typed_errors_never_panics() {
             .expect_err("damaged slice must not load")
     };
 
-    // Magic byte flipped.
-    let mut bad = clean.clone();
-    bad[0] = b'X';
-    assert!(matches!(reload(&bad), StoreError::BadMagic));
-
-    // Future format version.
-    let mut bad = clean.clone();
-    bad[8] = 0xEE;
-    assert!(matches!(reload(&bad), StoreError::UnsupportedVersion(_)));
-
-    // Payload bit rot.
+    // A torn write and bit rot on disk surface through the store as the
+    // envelope's typed errors (every other cut and flip: `core::envelope`).
+    let cut = clean.len() - clean.len() / 3;
+    let torn = StoreError::Envelope(EnvelopeError::Truncated);
+    assert_eq!(reload(&clean[..cut]), torn);
     let mut bad = clean.clone();
     let last = bad.len() - 1;
     bad[last] ^= 0xFF;
-    assert!(matches!(reload(&bad), StoreError::ChecksumMismatch));
-
-    // Truncated inside the envelope and inside the payload.
-    assert!(matches!(reload(&clean[..10]), StoreError::Truncated));
-    let cut = clean.len() - clean.len() / 3;
-    assert!(matches!(reload(&clean[..cut]), StoreError::Truncated));
+    let rotten = StoreError::Envelope(EnvelopeError::ChecksumMismatch);
+    assert_eq!(reload(&bad), rotten);
 
     // And a missing year is its own error, not a panic.
     std::fs::write(&path, &clean).expect("restore slice");

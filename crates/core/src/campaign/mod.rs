@@ -9,10 +9,13 @@
 //! simulations scale `min_distinct_dests` proportionally.
 //!
 //! Internally the detector is built around interned source ids
-//! ([`crate::intern::SourceTable`]): per-source open-scan state lives in a
+//! ([`crate::intern::SourceTable`]): each source has a 24-byte slot in a
 //! dense `Vec` indexed by id rather than an IP-keyed hash map, so the admit
 //! path performs no per-source hashing of its own (the caller either passes
-//! an already-interned id or the detector's table does the one probe).
+//! an already-interned id or the detector's table does the one probe). The
+//! body of an open scan (packets, destinations, ports, votes) lives beside
+//! the active list only while the scan is open, so an idle source costs its
+//! slot and nothing more.
 
 pub mod estimate;
 
@@ -324,13 +327,13 @@ pub(crate) fn tool_slot(tool: ToolKind) -> usize {
     }
 }
 
-/// In-flight per-source scan state, laid out for reuse: the sorted port vec
-/// and the destination set keep their capacity across open/close cycles of
-/// the same source, and tool votes are a fixed array instead of a map.
-#[derive(Debug, Clone, PartialEq)]
-struct OpenScan {
-    first_ts_micros: u64,
-    last_ts_micros: u64,
+/// The body of one open scan: everything but its time window, which stays in
+/// the source's [`SourceSlot`]. Bodies exist only while a scan is open (plus
+/// a spare pool of released ones), so a source that is not scanning holds
+/// none. The sorted port vec and the destination set keep their capacity
+/// across reuse, and tool votes are a fixed array instead of a map.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct ScanBody {
     packets: u64,
     dests: FxHashSet<u32>,
     /// Sorted by port; campaigns rarely touch more than a handful.
@@ -338,39 +341,13 @@ struct OpenScan {
     tool_votes: [u64; TOOL_SLOTS],
 }
 
-impl Default for OpenScan {
-    fn default() -> Self {
-        Self {
-            first_ts_micros: 0,
-            last_ts_micros: 0,
-            packets: 0,
-            dests: FxHashSet::default(),
-            port_packets: Vec::new(),
-            tool_votes: [0; TOOL_SLOTS],
-        }
-    }
-}
-
 /// Past this many retained destination buckets, a released scan's set is
 /// dropped instead of cleared, so one giant historical campaign cannot pin
 /// memory for the rest of the year.
 const DESTS_KEEP_CAPACITY: usize = 4096;
 
-impl OpenScan {
-    /// Reset for a fresh sequence starting at `record` (counters were already
-    /// cleared by the previous [`OpenScan::release`], but resetting here too
-    /// keeps the invariant local).
-    fn open(&mut self, record: &ProbeRecord) {
-        self.release();
-        self.first_ts_micros = record.ts_micros;
-        self.last_ts_micros = record.ts_micros;
-    }
-
+impl ScanBody {
     fn add(&mut self, record: &ProbeRecord, tool: Option<ToolKind>) {
-        // Robust to mildly out-of-order input (pcap merge artifacts): the
-        // interval only ever widens, so durations never underflow.
-        self.first_ts_micros = self.first_ts_micros.min(record.ts_micros);
-        self.last_ts_micros = self.last_ts_micros.max(record.ts_micros);
         self.packets += 1;
         self.dests.insert(record.dst_ip.0);
         match self
@@ -385,30 +362,26 @@ impl OpenScan {
         }
     }
 
-    /// Convert the accumulated state into a [`Campaign`] and clear it for
-    /// reuse.
-    fn take_campaign(&mut self, src_ip: Ipv4Address) -> Campaign {
-        let port_packets: BTreeMap<u16, u64> = self.port_packets.iter().copied().collect();
+    /// The accumulated state as a [`Campaign`] over `slot`'s window.
+    fn campaign(&self, src_ip: Ipv4Address, slot: &SourceSlot) -> Campaign {
         let mut tool_votes = BTreeMap::new();
-        for (slot, &votes) in self.tool_votes.iter().enumerate() {
+        for (i, &votes) in self.tool_votes.iter().enumerate() {
             if votes > 0 {
-                tool_votes.insert(TOOL_BY_SLOT[slot], votes);
+                tool_votes.insert(TOOL_BY_SLOT[i], votes);
             }
         }
-        let campaign = Campaign {
+        Campaign {
             src_ip,
-            first_ts_micros: self.first_ts_micros,
-            last_ts_micros: self.last_ts_micros,
+            first_ts_micros: slot.first_ts_micros,
+            last_ts_micros: slot.last_ts_micros,
             packets: self.packets,
             distinct_dests: self.dests.len() as u64,
-            port_packets,
+            port_packets: self.port_packets.iter().copied().collect(),
             tool_votes,
-        };
-        self.release();
-        campaign
+        }
     }
 
-    /// Clear counters, retaining (bounded) capacity for the next sequence.
+    /// Clear counters, retaining (bounded) capacity for the next scan.
     fn release(&mut self) {
         self.packets = 0;
         self.port_packets.clear();
@@ -420,12 +393,18 @@ impl OpenScan {
         }
     }
 
+    /// Whether the body holds nothing: what every idle slot snapshots.
+    fn is_empty(&self) -> bool {
+        self.packets == 0
+            && self.dests.is_empty()
+            && self.port_packets.is_empty()
+            && self.tool_votes == [0; TOOL_SLOTS]
+    }
+
     /// Serialize for a pipeline checkpoint. Destinations are written in
     /// sorted order so the byte stream is independent of hash-set iteration
     /// order.
     fn snapshot_to(&self, w: &mut SnapWriter) {
-        w.put_u64(self.first_ts_micros);
-        w.put_u64(self.last_ts_micros);
         w.put_u64(self.packets);
         let mut dests: Vec<u32> = self.dests.iter().copied().collect();
         dests.sort_unstable();
@@ -443,10 +422,8 @@ impl OpenScan {
         }
     }
 
-    /// Rebuild state written by [`OpenScan::snapshot_to`].
+    /// Rebuild state written by [`ScanBody::snapshot_to`].
     fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
-        let first_ts_micros = r.take_u64()?;
-        let last_ts_micros = r.take_u64()?;
         let packets = r.take_u64()?;
         let n_dests = r.take_len(4)?;
         let mut dests = FxHashSet::default();
@@ -467,8 +444,6 @@ impl OpenScan {
             *votes = r.take_u64()?;
         }
         Ok(Self {
-            first_ts_micros,
-            last_ts_micros,
             packets,
             dests,
             port_packets,
@@ -480,20 +455,29 @@ impl OpenScan {
 /// Sentinel for "this source has no open scan".
 const NOT_ACTIVE: u32 = u32::MAX;
 
-/// Per-source slot: position in the active list (or [`NOT_ACTIVE`]) plus the
-/// reusable scan state.
-#[derive(Debug, Clone, PartialEq)]
+/// Per-source slot: the position of the source's open scan in the active
+/// list (or [`NOT_ACTIVE`]) and that scan's time window. An idle slot keeps
+/// the window of its last scan, which is what checkpoints have always
+/// recorded for it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct SourceSlot {
     active_pos: u32,
-    scan: OpenScan,
+    first_ts_micros: u64,
+    last_ts_micros: u64,
 }
 
-impl Default for SourceSlot {
-    fn default() -> Self {
-        Self {
-            active_pos: NOT_ACTIVE,
-            scan: OpenScan::default(),
-        }
+// Every source the detector has seen holds one slot, scanning or not.
+const _: () = assert!(std::mem::size_of::<SourceSlot>() <= 24);
+
+impl SourceSlot {
+    const IDLE: Self = Self {
+        active_pos: NOT_ACTIVE,
+        first_ts_micros: 0,
+        last_ts_micros: 0,
+    };
+
+    fn is_active(&self) -> bool {
+        self.active_pos != NOT_ACTIVE
     }
 }
 
@@ -534,19 +518,38 @@ impl Default for SourceSlot {
 /// assert_eq!(campaigns[0].tool(), Some(synscan_core::ToolKind::Zmap));
 /// assert_eq!(noise.rejected_packets, 0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct CampaignDetector {
     config: CampaignConfig,
     /// `config.expiry_secs` in µs, precomputed off the per-record path.
     expiry_micros: u64,
     table: SourceTable,
-    /// Per-source state, indexed by interned id.
+    /// Per-source slots, indexed by interned id.
     slots: Vec<SourceSlot>,
     /// Ids with an open scan, for O(active) expiry sweeps. Unordered;
     /// membership position is mirrored in `SourceSlot::active_pos`.
     active: Vec<SourceId>,
+    /// Scan bodies: `bodies[..active.len()]` are the open scans', aligned
+    /// with `active`; the rest are released and empty, a spare pool reused
+    /// by the next scans to open. So the bodies number the peak of
+    /// concurrently open scans. The spares are capacity, not state:
+    /// equality and checkpoints ignore them.
+    bodies: Vec<ScanBody>,
     campaigns: Vec<Campaign>,
     noise: NoiseStats,
+}
+
+impl PartialEq for CampaignDetector {
+    fn eq(&self, other: &Self) -> bool {
+        self.config == other.config
+            && self.expiry_micros == other.expiry_micros
+            && self.table == other.table
+            && self.slots == other.slots
+            && self.active == other.active
+            && self.open_bodies() == other.open_bodies()
+            && self.campaigns == other.campaigns
+            && self.noise == other.noise
+    }
 }
 
 impl CampaignDetector {
@@ -558,6 +561,7 @@ impl CampaignDetector {
             table: SourceTable::new(),
             slots: Vec::new(),
             active: Vec::new(),
+            bodies: Vec::new(),
             campaigns: Vec::new(),
             noise: NoiseStats::default(),
         }
@@ -592,6 +596,17 @@ impl CampaignDetector {
         self.active.len()
     }
 
+    /// Open-scan bodies held, in use or spare: never more than the peak of
+    /// [`CampaignDetector::open_scans`], whatever the number of sources.
+    pub fn scan_bodies(&self) -> usize {
+        self.bodies.len()
+    }
+
+    /// The open scans' bodies, aligned with `active`.
+    fn open_bodies(&self) -> &[ScanBody] {
+        &self.bodies[..self.active.len()]
+    }
+
     /// Offer one record with its fingerprint verdict.
     pub fn offer(&mut self, record: &ProbeRecord, tool: Option<ToolKind>) {
         let sid = self.table.intern(record.src_ip.0);
@@ -604,22 +619,32 @@ impl CampaignDetector {
     #[inline]
     pub fn offer_interned(&mut self, sid: SourceId, record: &ProbeRecord, tool: Option<ToolKind>) {
         if sid as usize >= self.slots.len() {
-            self.slots
-                .resize_with(sid as usize + 1, SourceSlot::default);
+            self.slots.resize(sid as usize + 1, SourceSlot::IDLE);
         }
         let slot = &self.slots[sid as usize];
-        if slot.active_pos != NOT_ACTIVE
-            && record.ts_micros.saturating_sub(slot.scan.last_ts_micros) > self.expiry_micros
+        if slot.is_active()
+            && record.ts_micros.saturating_sub(slot.last_ts_micros) > self.expiry_micros
         {
             self.close(sid);
         }
         let slot = &mut self.slots[sid as usize];
-        if slot.active_pos == NOT_ACTIVE {
-            slot.scan.open(record);
-            slot.active_pos = self.active.len() as u32;
+        if slot.is_active() {
+            // Robust to mildly out-of-order input (pcap merge artifacts):
+            // the window only ever widens, so durations never underflow.
+            slot.first_ts_micros = slot.first_ts_micros.min(record.ts_micros);
+            slot.last_ts_micros = slot.last_ts_micros.max(record.ts_micros);
+        } else {
+            *slot = SourceSlot {
+                active_pos: self.active.len() as u32,
+                first_ts_micros: record.ts_micros,
+                last_ts_micros: record.ts_micros,
+            };
             self.active.push(sid);
+            if self.bodies.len() < self.active.len() {
+                self.bodies.push(ScanBody::default());
+            }
         }
-        self.slots[sid as usize].scan.add(record, tool);
+        self.bodies[slot.active_pos as usize].add(record, tool);
     }
 
     /// Expire every open scan idle since before `now_micros` (bounded-memory
@@ -629,7 +654,7 @@ impl CampaignDetector {
         let mut i = 0;
         while i < self.active.len() {
             let sid = self.active[i];
-            let last = self.slots[sid as usize].scan.last_ts_micros;
+            let last = self.slots[sid as usize].last_ts_micros;
             if now_micros.saturating_sub(last) > self.expiry_micros {
                 // close() swap-removes: index i now holds a different id.
                 self.close(sid);
@@ -657,30 +682,33 @@ impl CampaignDetector {
         (self.campaigns, self.noise, self.table)
     }
 
-    /// Close the open scan of `sid`: remove it from the active list and
-    /// either emit a campaign or count it as noise.
+    /// Close the open scan of `sid`: swap-remove it from the active list
+    /// and its body to the head of the spare pool, then either emit a
+    /// campaign or count it as noise, and clear the body for reuse.
     fn close(&mut self, sid: SourceId) {
         let pos = self.slots[sid as usize].active_pos as usize;
         debug_assert_eq!(self.active[pos], sid);
         self.active.swap_remove(pos);
+        let spare = self.active.len();
+        self.bodies.swap(pos, spare);
+        let body = &mut self.bodies[spare];
         if let Some(&moved) = self.active.get(pos) {
             self.slots[moved as usize].active_pos = pos as u32;
         }
-        self.slots[sid as usize].active_pos = NOT_ACTIVE;
+        let slot = &mut self.slots[sid as usize];
+        slot.active_pos = NOT_ACTIVE;
 
-        match check(&self.config, &self.slots[sid as usize].scan) {
+        match check(&self.config, slot, body) {
             None => {
                 let src_ip = Ipv4Address(self.table.ip_of(sid));
-                let campaign = self.slots[sid as usize].scan.take_campaign(src_ip);
-                self.campaigns.push(campaign);
+                self.campaigns.push(body.campaign(src_ip, slot));
             }
             Some(reason) => {
-                let scan = &mut self.slots[sid as usize].scan;
                 *self.noise.rejected_sequences.entry(reason).or_default() += 1;
-                self.noise.rejected_packets += scan.packets;
-                scan.release();
+                self.noise.rejected_packets += body.packets;
             }
         }
+        body.release();
     }
 
     /// Serialize the full detector state — interner, per-source slots, the
@@ -688,12 +716,22 @@ impl CampaignDetector {
     /// checkpoint. The configuration is *not* written; it is supplied again
     /// on [`CampaignDetector::restore_from`] (the caller owns it and writes
     /// it alongside, so restore stays self-contained at the collector layer).
+    ///
+    /// Each slot is written with a body: its open scan's, or for an idle
+    /// slot an empty one.
     pub fn snapshot_to(&self, w: &mut SnapWriter) {
         self.table.snapshot_to(w);
         w.put_u64(self.slots.len() as u64);
+        let idle = ScanBody::default();
         for slot in &self.slots {
             w.put_u32(slot.active_pos);
-            slot.scan.snapshot_to(w);
+            w.put_u64(slot.first_ts_micros);
+            w.put_u64(slot.last_ts_micros);
+            if slot.is_active() {
+                self.bodies[slot.active_pos as usize].snapshot_to(w);
+            } else {
+                idle.snapshot_to(w);
+            }
         }
         w.put_u64(self.active.len() as u64);
         for &sid in &self.active {
@@ -708,7 +746,9 @@ impl CampaignDetector {
 
     /// Rebuild a detector written by [`CampaignDetector::snapshot_to`],
     /// re-deriving the precomputed expiry from `config` and validating the
-    /// active-list ↔ slot mirror invariant.
+    /// active-list ↔ slot mirror invariant. An idle slot with a non-empty
+    /// body is corrupt: no writer emits one, and dropping it would decode
+    /// two byte strings to one detector.
     pub fn restore_from(
         config: CampaignConfig,
         r: &mut SnapReader<'_>,
@@ -716,10 +756,22 @@ impl CampaignDetector {
         let table = SourceTable::restore_from(r)?;
         let n_slots = r.take_len(44)?;
         let mut slots = Vec::with_capacity(n_slots);
-        for _ in 0..n_slots {
-            let active_pos = r.take_u32()?;
-            let scan = OpenScan::restore_from(r)?;
-            slots.push(SourceSlot { active_pos, scan });
+        let mut open = Vec::new();
+        for sid in 0..n_slots {
+            let slot = SourceSlot {
+                active_pos: r.take_u32()?,
+                first_ts_micros: r.take_u64()?,
+                last_ts_micros: r.take_u64()?,
+            };
+            let body = ScanBody::restore_from(r)?;
+            if slot.is_active() {
+                open.push((slot.active_pos, body));
+            } else if !body.is_empty() {
+                return Err(CheckpointError::Corrupt(format!(
+                    "idle source {sid} carries an open-scan body"
+                )));
+            }
+            slots.push(slot);
         }
         let n_active = r.take_len(4)?;
         let mut active = Vec::with_capacity(n_active);
@@ -737,16 +789,17 @@ impl CampaignDetector {
                 )));
             }
         }
-        let open = slots
-            .iter()
-            .filter(|slot| slot.active_pos != NOT_ACTIVE)
-            .count();
-        if open != active.len() {
+        if open.len() != active.len() {
             return Err(CheckpointError::Corrupt(format!(
-                "{open} slots marked active but {} active-list entries",
+                "{} slots marked active but {} active-list entries",
+                open.len(),
                 active.len()
             )));
         }
+        // The mirror check makes the open slots' positions exactly
+        // 0..active.len(), so sorting by position aligns bodies with `active`.
+        open.sort_unstable_by_key(|&(pos, _)| pos);
+        let bodies = open.into_iter().map(|(_, body)| body).collect();
         let n_campaigns = r.take_len(40)?;
         let mut campaigns = Vec::with_capacity(n_campaigns);
         for _ in 0..n_campaigns {
@@ -759,6 +812,7 @@ impl CampaignDetector {
             table,
             slots,
             active,
+            bodies,
             campaigns,
             noise,
         })
@@ -767,13 +821,13 @@ impl CampaignDetector {
 
 /// The §3.4 campaign test, as a free function so [`CampaignDetector::close`]
 /// can borrow the scan and the config independently.
-fn check(config: &CampaignConfig, scan: &OpenScan) -> Option<RejectReason> {
-    if (scan.dests.len() as u64) < config.min_distinct_dests {
+fn check(config: &CampaignConfig, slot: &SourceSlot, body: &ScanBody) -> Option<RejectReason> {
+    if (body.dests.len() as u64) < config.min_distinct_dests {
         return Some(RejectReason::TooFewDestinations);
     }
-    let duration = (scan.last_ts_micros - scan.first_ts_micros) as f64 / 1e6;
+    let duration = (slot.last_ts_micros - slot.first_ts_micros) as f64 / 1e6;
     if duration > 0.0 {
-        let telescope_rate = scan.packets as f64 / duration;
+        let telescope_rate = body.packets as f64 / duration;
         let est = config.model().extrapolate_rate(telescope_rate);
         if est < config.min_rate_pps {
             return Some(RejectReason::TooSlow);
@@ -1232,6 +1286,38 @@ mod tests {
         let mut r = SnapReader::new(&bytes);
         assert!(matches!(
             CampaignDetector::restore_from(cfg(), &mut r),
+            Err(CheckpointError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn an_idle_slot_restores_only_with_the_empty_body() {
+        // One source scans, goes quiet and is swept: its slot is idle and
+        // its body back in the spare pool.
+        let mut det = CampaignDetector::new(cfg());
+        for i in 0..5u32 {
+            det.offer(&record(1, 100 + i, 80, (i as u64) * 1000), None);
+        }
+        det.expire_idle(2 * 3600 * 1_000_000);
+        assert_eq!((det.open_scans(), det.scan_bodies()), (0, 1));
+        let mut w = SnapWriter::new();
+        det.snapshot_to(&mut w);
+        let bytes = w.into_bytes();
+        let back = detector_round_trip(&det);
+        assert_eq!(back, det, "spare bodies are not state");
+        let mut again = SnapWriter::new();
+        back.snapshot_to(&mut again);
+        assert_eq!(again.into_bytes(), bytes, "re-encodes to the same bytes");
+
+        // The slot's body starts after the interner (len + one ip), the
+        // slot count, `active_pos` and the window; its first field is the
+        // packet count. A non-empty idle body is not dropped: it is corrupt.
+        let packets = 8 + 4 + 8 + 4 + 8 + 8;
+        assert_eq!(bytes[packets..packets + 8], [0; 8]);
+        let mut damaged = bytes.clone();
+        damaged[packets] = 1;
+        assert!(matches!(
+            CampaignDetector::restore_from(cfg(), &mut SnapReader::new(&damaged)),
             Err(CheckpointError::Corrupt(_))
         ));
     }

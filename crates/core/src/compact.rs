@@ -7,16 +7,21 @@
 //! to dense ids ([`crate::intern`]) both relations become sets of *small
 //! dense integers*, for which two representations beat a hash set:
 //!
-//! * a **sorted inline vector** while the set is small (the common case:
-//!   most sources touch a handful of ports, most ports see few sources),
-//!   where insertion is a short `memmove` and membership a binary search;
-//! * a **bitmap** once the set grows past the inline bound, where insertion
+//! * **sorted members** while the set is small (the common case: most
+//!   sources touch a handful of ports, most ports and (week, /16) cells see
+//!   few sources), where insertion is a short `memmove` and membership a
+//!   binary search. The smallest sets keep their members *inline* in the
+//!   enum's own 32 bytes and never allocate; past the inline bound they move
+//!   to a sorted heap vector;
+//! * a **bitmap** once the set grows past the sorted bound, where insertion
 //!   and membership are single word operations and memory is `max_id/8`
 //!   bytes — compact precisely because interned ids are dense.
 //!
-//! Both keep an exact element count, so cardinality queries (the only thing
+//! All keep an exact element count, so cardinality queries (the only thing
 //! most call sites need at `finish()` time) are O(1). Iteration is always
-//! ascending.
+//! ascending. Which variant a set is in follows from its members alone, and
+//! both sorted variants snapshot as the same tag, so the representation is
+//! invisible in checkpoints.
 //!
 //! Once a year is finished nothing is inserted any more: the analysis is
 //! merged, encoded, decoded and queried. [`SortedMap`] is the map for that
@@ -25,20 +30,39 @@
 
 use crate::checkpoint::{Ascending, CheckpointError, SnapReader, SnapWriter};
 
-/// Inline capacity of [`IdSet`] before it spills to a bitmap.
+/// Members an [`IdSet`] keeps inline, in the enum's own 32 bytes.
+const ID_INLINE_MAX: usize = 7;
+
+/// Sorted capacity of [`IdSet`] before it spills to a bitmap.
 const ID_SMALL_MAX: usize = 16;
 
-/// Inline capacity of [`PortSet`] before it spills to a bitmap.
+/// Members a [`PortSet`] keeps inline, in the enum's own 32 bytes.
+const PORT_INLINE_MAX: usize = 14;
+
+/// Sorted capacity of [`PortSet`] before it spills to a bitmap.
 const PORT_SMALL_MAX: usize = 32;
+
+// The inline variants ride in space the heap variants already need: one set
+// per source and per (week, /16) cell.
+const _: () = assert!(std::mem::size_of::<IdSet>() <= 32);
+const _: () = assert!(std::mem::size_of::<PortSet>() <= 32);
 
 /// Words in a full 16-bit port bitmap (65536 bits).
 const PORT_WORDS: usize = 1 << 10;
 
-/// A set of dense [`crate::intern::SourceId`]s (sorted small-vec / bitmap
+/// A set of dense [`crate::intern::SourceId`]s (inline / sorted vec / bitmap
 /// hybrid).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IdSet {
-    /// Sorted, deduplicated inline ids (≤ `ID_SMALL_MAX`).
+    /// Sorted, deduplicated ids held in place (≤ `ID_INLINE_MAX`); the
+    /// slots past `len` are zero.
+    Inline {
+        /// Number of ids in `ids`.
+        len: u8,
+        /// The ids, ascending in `ids[..len]`.
+        ids: [u32; ID_INLINE_MAX],
+    },
+    /// Sorted, deduplicated ids on the heap (≤ `ID_SMALL_MAX`).
     Small(Vec<u32>),
     /// Bitmap over ids, sized to the largest id seen.
     Bits {
@@ -51,7 +75,10 @@ pub enum IdSet {
 
 impl Default for IdSet {
     fn default() -> Self {
-        IdSet::Small(Vec::new())
+        IdSet::Inline {
+            len: 0,
+            ids: [0; ID_INLINE_MAX],
+        }
     }
 }
 
@@ -61,10 +88,37 @@ impl IdSet {
         Self::default()
     }
 
+    /// The set of `items` (sorted, deduplicated, at most `ID_SMALL_MAX`), in
+    /// the variant its size calls for.
+    fn from_sorted(items: Vec<u32>) -> Self {
+        if items.len() <= ID_INLINE_MAX {
+            let (len, ids) = inline_of(&items);
+            IdSet::Inline { len, ids }
+        } else {
+            IdSet::Small(items)
+        }
+    }
+
+    /// The members, ascending, unless the set is a bitmap.
+    fn sorted(&self) -> Option<&[u32]> {
+        match self {
+            IdSet::Inline { len, ids } => Some(&ids[..usize::from(*len)]),
+            IdSet::Small(items) => Some(items),
+            IdSet::Bits { .. } => None,
+        }
+    }
+
     /// Insert `id`; returns `true` when it was not already present.
     #[inline]
     pub fn insert(&mut self, id: u32) -> bool {
         match self {
+            IdSet::Inline { len, ids } => match insert_inline(len, ids, id) {
+                Ok(inserted) => inserted,
+                Err(pos) => {
+                    *self = IdSet::Small(spill(ids, pos, id, ID_SMALL_MAX));
+                    true
+                }
+            },
             IdSet::Small(items) => match items.binary_search(&id) {
                 Ok(_) => false,
                 Err(pos) => {
@@ -112,19 +166,21 @@ impl IdSet {
     /// Whether `id` is in the set.
     pub fn contains(&self, id: u32) -> bool {
         match self {
-            IdSet::Small(items) => items.binary_search(&id).is_ok(),
             IdSet::Bits { words, .. } => {
                 let word = (id >> 6) as usize;
                 word < words.len() && words[word] & (1u64 << (id & 63)) != 0
             }
+            _ => self
+                .sorted()
+                .is_some_and(|ids| ids.binary_search(&id).is_ok()),
         }
     }
 
     /// Number of distinct ids.
     pub fn len(&self) -> usize {
         match self {
-            IdSet::Small(items) => items.len(),
             IdSet::Bits { len, .. } => *len as usize,
+            _ => self.sorted().map_or(0, <[u32]>::len),
         }
     }
 
@@ -136,32 +192,34 @@ impl IdSet {
     /// Iterate ids in ascending order.
     pub fn iter(&self) -> IdSetIter<'_> {
         match self {
-            IdSet::Small(items) => IdSetIter::Small(items.iter()),
             IdSet::Bits { words, .. } => IdSetIter::Bits {
                 words,
                 word: 0,
                 current: words.first().copied().unwrap_or(0),
             },
+            _ => IdSetIter::Small(self.sorted().unwrap_or_default().iter()),
         }
     }
 
-    /// Serialize the exact representation (variant included, so a restored
-    /// set is bit-identical, not just set-equal) for a pipeline checkpoint.
+    /// Serialize for a pipeline checkpoint: tag 0 and the members for both
+    /// sorted variants (which one a set is in follows from its size), tag 1
+    /// and the words for a bitmap.
     pub fn snapshot_to(&self, w: &mut SnapWriter) {
         match self {
-            IdSet::Small(items) => {
-                w.put_u8(0);
-                w.put_u64(items.len() as u64);
-                for &id in items {
-                    w.put_u32(id);
-                }
-            }
             IdSet::Bits { words, len } => {
                 w.put_u8(1);
                 w.put_u32(*len);
                 w.put_u64(words.len() as u64);
                 for &word in words {
                     w.put_u64(word);
+                }
+            }
+            _ => {
+                let items = self.sorted().unwrap_or_default();
+                w.put_u8(0);
+                w.put_u64(items.len() as u64);
+                for &id in items {
+                    w.put_u32(id);
                 }
             }
         }
@@ -182,7 +240,7 @@ impl IdSet {
                 for _ in 0..len {
                     items.push(order.admit(r.take_u32()?)?);
                 }
-                Ok(IdSet::Small(items))
+                Ok(IdSet::from_sorted(items))
             }
             1 => {
                 let len = r.take_u32()?;
@@ -204,18 +262,15 @@ impl IdSet {
     }
 
     /// Merge `other` into `self` (set union) — the cross-shard combine for
-    /// compact sets. Sorted inputs merge sequentially; bitmap pairs OR word
-    /// by word.
+    /// compact sets. Sorted inputs merge sequentially; anything else inserts
+    /// `other`'s members one by one. Either way the result is the variant
+    /// inserting the union into a fresh set would give.
     pub fn union_with(&mut self, other: &IdSet) {
-        match (&mut *self, other) {
-            (IdSet::Small(mine), IdSet::Small(theirs))
-                if mine.len() + theirs.len() <= ID_SMALL_MAX =>
-            {
-                // Sorted two-pointer merge with dedup; the bound check above
-                // guarantees the merged set still fits inline (it can only
-                // shrink under dedup).
-                let merged = sorted_union(mine, theirs);
-                *mine = merged;
+        match (self.sorted(), other.sorted()) {
+            (Some(mine), Some(theirs)) if mine.len() + theirs.len() <= ID_SMALL_MAX => {
+                // The bound check guarantees the merged set is still sorted
+                // (it can only shrink under dedup).
+                *self = IdSet::from_sorted(sorted_union(mine, theirs));
             }
             _ => {
                 for id in other.iter() {
@@ -224,6 +279,45 @@ impl IdSet {
             }
         }
     }
+}
+
+/// Insert `x` into the ascending, deduplicated `members[..*len]`: `Ok`
+/// with whether it was new, or `Err(position)` when it is new but the
+/// array is full.
+#[inline]
+fn insert_inline<T: Ord + Copy, const N: usize>(
+    len: &mut u8,
+    members: &mut [T; N],
+    x: T,
+) -> Result<bool, usize> {
+    let n = usize::from(*len);
+    match members[..n].binary_search(&x) {
+        Ok(_) => Ok(false),
+        Err(pos) if n < N => {
+            members.copy_within(pos..n, pos + 1);
+            members[pos] = x;
+            *len += 1;
+            Ok(true)
+        }
+        Err(pos) => Err(pos),
+    }
+}
+
+/// The full inline `members` plus `x` at `pos`, as a heap vector with room
+/// for `capacity` members.
+fn spill<T: Copy>(members: &[T], pos: usize, x: T, capacity: usize) -> Vec<T> {
+    let mut items = Vec::with_capacity(capacity);
+    items.extend_from_slice(&members[..pos]);
+    items.push(x);
+    items.extend_from_slice(&members[pos..]);
+    items
+}
+
+/// `items` (at most `N`) as an inline length and zero-padded array.
+fn inline_of<T: Copy + Default, const N: usize>(items: &[T]) -> (u8, [T; N]) {
+    let mut members = [T::default(); N];
+    members[..items.len()].copy_from_slice(items);
+    (items.len() as u8, members)
 }
 
 /// A map kept as one key-ascending `Vec<(K, V)>`: lookup is a binary search,
@@ -477,13 +571,21 @@ impl Iterator for IdSetIter<'_> {
     }
 }
 
-/// A set of 16-bit destination ports (sorted small-vec / fixed bitmap
+/// A set of 16-bit destination ports (inline / sorted vec / fixed bitmap
 /// hybrid). Only the cardinality is consumed at `finish()` time
 /// (`source_port_counts`), so the bitmap variant keeps an exact counter and
 /// never needs to iterate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PortSet {
-    /// Sorted, deduplicated inline ports (≤ `PORT_SMALL_MAX`).
+    /// Sorted, deduplicated ports held in place (≤ `PORT_INLINE_MAX`); the
+    /// slots past `len` are zero.
+    Inline {
+        /// Number of ports in `ports`.
+        len: u8,
+        /// The ports, ascending in `ports[..len]`.
+        ports: [u16; PORT_INLINE_MAX],
+    },
+    /// Sorted, deduplicated ports on the heap (≤ `PORT_SMALL_MAX`).
     Small(Vec<u16>),
     /// Full 8 KiB port bitmap — only for the rare wide (vertical) scanners.
     Bits {
@@ -496,7 +598,10 @@ pub enum PortSet {
 
 impl Default for PortSet {
     fn default() -> Self {
-        PortSet::Small(Vec::new())
+        PortSet::Inline {
+            len: 0,
+            ports: [0; PORT_INLINE_MAX],
+        }
     }
 }
 
@@ -506,10 +611,26 @@ impl PortSet {
         Self::default()
     }
 
+    /// The members, ascending, unless the set is a bitmap.
+    fn sorted(&self) -> Option<&[u16]> {
+        match self {
+            PortSet::Inline { len, ports } => Some(&ports[..usize::from(*len)]),
+            PortSet::Small(items) => Some(items),
+            PortSet::Bits { .. } => None,
+        }
+    }
+
     /// Insert `port`; returns `true` when it was not already present.
     #[inline]
     pub fn insert(&mut self, port: u16) -> bool {
         match self {
+            PortSet::Inline { len, ports } => match insert_inline(len, ports, port) {
+                Ok(inserted) => inserted,
+                Err(pos) => {
+                    *self = PortSet::Small(spill(ports, pos, port, PORT_SMALL_MAX));
+                    true
+                }
+            },
             PortSet::Small(items) => match items.binary_search(&port) {
                 Ok(_) => false,
                 Err(pos) => {
@@ -546,18 +667,20 @@ impl PortSet {
     /// Whether `port` is in the set.
     pub fn contains(&self, port: u16) -> bool {
         match self {
-            PortSet::Small(items) => items.binary_search(&port).is_ok(),
             PortSet::Bits { words, .. } => {
                 words[usize::from(port >> 6)] & (1u64 << (port & 63)) != 0
             }
+            _ => self
+                .sorted()
+                .is_some_and(|ports| ports.binary_search(&port).is_ok()),
         }
     }
 
     /// Number of distinct ports.
     pub fn len(&self) -> usize {
         match self {
-            PortSet::Small(items) => items.len(),
             PortSet::Bits { len, .. } => *len as usize,
+            _ => self.sorted().map_or(0, <[u16]>::len),
         }
     }
 
@@ -566,16 +689,10 @@ impl PortSet {
         self.len() == 0
     }
 
-    /// Serialize the exact representation for a pipeline checkpoint.
+    /// Serialize for a pipeline checkpoint: tag 0 and the members for both
+    /// sorted variants, tag 1 and the fixed-size bitmap otherwise.
     pub fn snapshot_to(&self, w: &mut SnapWriter) {
         match self {
-            PortSet::Small(items) => {
-                w.put_u8(0);
-                w.put_u64(items.len() as u64);
-                for &port in items {
-                    w.put_u16(port);
-                }
-            }
             PortSet::Bits { words, len } => {
                 w.put_u8(1);
                 w.put_u32(*len);
@@ -583,11 +700,19 @@ impl PortSet {
                     w.put_u64(word);
                 }
             }
+            _ => {
+                let items = self.sorted().unwrap_or_default();
+                w.put_u8(0);
+                w.put_u64(items.len() as u64);
+                for &port in items {
+                    w.put_u16(port);
+                }
+            }
         }
     }
 
     /// Rebuild a set written by [`PortSet::snapshot_to`]. The bitmap variant
-    /// is always exactly `PORT_WORDS` words, so only the inline length is
+    /// is always exactly `PORT_WORDS` words, so only the sorted length is
     /// encoded.
     pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
         match r.take_u8()? {
@@ -603,7 +728,12 @@ impl PortSet {
                 for _ in 0..len {
                     items.push(order.admit(r.take_u16()?)?);
                 }
-                Ok(PortSet::Small(items))
+                if items.len() <= PORT_INLINE_MAX {
+                    let (len, ports) = inline_of(&items);
+                    Ok(PortSet::Inline { len, ports })
+                } else {
+                    Ok(PortSet::Small(items))
+                }
             }
             1 => {
                 let len = r.take_u32()?;
@@ -692,7 +822,7 @@ mod tests {
         }
         a.union_with(&c);
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 5, 7, 9]);
-        assert!(matches!(a, IdSet::Small(_)));
+        assert!(matches!(a, IdSet::Inline { .. }), "four ids stay inline");
     }
 
     #[test]
@@ -883,6 +1013,118 @@ mod tests {
         }
         assert!(matches!(bitmap, PortSet::Bits { .. }));
         assert_eq!(round_trip_portset(&bitmap), bitmap);
+    }
+
+    /// Ids at the representation boundaries: the inline bound, one past
+    /// it, the sorted bound, and one past that (the bitmap spill).
+    fn idset_at_each_bound() -> Vec<(usize, IdSet)> {
+        [
+            0,
+            ID_INLINE_MAX,
+            ID_INLINE_MAX + 1,
+            ID_SMALL_MAX,
+            ID_SMALL_MAX + 1,
+        ]
+        .into_iter()
+        .map(|n| {
+            let mut set = IdSet::new();
+            // Descending, spread ids: every insert shifts the members.
+            for i in (0..n as u32).rev() {
+                assert!(set.insert(i * 97 + 3));
+            }
+            (n, set)
+        })
+        .collect()
+    }
+
+    fn idset_bytes(set: &IdSet) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        set.snapshot_to(&mut w);
+        w.into_bytes()
+    }
+
+    fn portset_bytes(set: &PortSet) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        set.snapshot_to(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn idset_variant_follows_size_through_snapshot_and_re_encode() {
+        for (n, set) in idset_at_each_bound() {
+            let expected_variant = match n {
+                n if n <= ID_INLINE_MAX => matches!(set, IdSet::Inline { .. }),
+                n if n <= ID_SMALL_MAX => matches!(set, IdSet::Small(_)),
+                _ => matches!(set, IdSet::Bits { .. }),
+            };
+            assert!(expected_variant, "{n} ids: {set:?}");
+            assert_eq!(set.len(), n);
+            let bytes = idset_bytes(&set);
+            // Both sorted variants write tag 0 and the members.
+            assert_eq!(bytes[0], u8::from(n > ID_SMALL_MAX), "{n} ids");
+            let back = round_trip_idset(&set);
+            assert_eq!(back, set, "{n} ids restore to the same variant");
+            assert_eq!(idset_bytes(&back), bytes, "{n} ids re-encode");
+            assert!(set.iter().all(|id| back.contains(id)));
+        }
+    }
+
+    #[test]
+    fn idset_union_over_every_variant_pair_matches_fresh_inserts() {
+        // Overlapping (shared ids) and disjoint (shifted ids) partners for
+        // every pair of sizes around the bounds.
+        let left = idset_at_each_bound();
+        for (n, mine) in &left {
+            for (m, base) in idset_at_each_bound() {
+                for shift in [0u32, 1_000_000] {
+                    let theirs: IdSet = {
+                        let mut set = IdSet::new();
+                        base.iter().for_each(|id| {
+                            set.insert(id + shift);
+                        });
+                        set
+                    };
+                    let mut union = mine.clone();
+                    union.union_with(&theirs);
+                    let mut fresh = IdSet::new();
+                    for id in mine.iter().chain(theirs.iter()) {
+                        fresh.insert(id);
+                    }
+                    assert_eq!(union, fresh, "{n} ∪ {m} ids, shift {shift}");
+                    let back = round_trip_idset(&union);
+                    assert_eq!(idset_bytes(&back), idset_bytes(&union));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn portset_variant_follows_size_through_snapshot_and_re_encode() {
+        for n in [
+            0,
+            PORT_INLINE_MAX,
+            PORT_INLINE_MAX + 1,
+            PORT_SMALL_MAX,
+            PORT_SMALL_MAX + 1,
+        ] {
+            let mut set = PortSet::new();
+            for i in (0..n as u16).rev() {
+                assert!(set.insert(i * 1999 + 7));
+            }
+            let expected_variant = match n {
+                n if n <= PORT_INLINE_MAX => matches!(set, PortSet::Inline { .. }),
+                n if n <= PORT_SMALL_MAX => matches!(set, PortSet::Small(_)),
+                _ => matches!(set, PortSet::Bits { .. }),
+            };
+            assert!(expected_variant, "{n} ports: {set:?}");
+            assert_eq!(set.len(), n);
+            let bytes = portset_bytes(&set);
+            assert_eq!(bytes[0], u8::from(n > PORT_SMALL_MAX), "{n} ports");
+            let back = round_trip_portset(&set);
+            assert_eq!(back, set, "{n} ports restore to the same variant");
+            assert_eq!(portset_bytes(&back), bytes, "{n} ports re-encode");
+            assert!((0..n as u16).all(|i| back.contains(i * 1999 + 7)));
+        }
     }
 
     #[test]

@@ -23,9 +23,11 @@
 //!   `capacity` slots. Every tracked count is an upper bound with an
 //!   explicit per-slot error, and any source with true count `> N/capacity`
 //!   is guaranteed to be tracked. Eviction and merge truncation break ties
-//!   deterministically by `(count, key)`, and the slots live in a `BTreeMap`
-//!   (key-ascending), so equal logical state always serializes to equal
-//!   bytes. Merge follows Agarwal et al.'s mergeable-summaries rule
+//!   deterministically by `(count, key)`. The slots live in an indexed
+//!   min-heap on that pair, so a miss finds its victim at the root and an
+//!   offer costs `O(log capacity)`; snapshots write the slots key-ascending,
+//!   so equal logical state always serializes to equal bytes, whatever the
+//!   heap's layout. Merge follows Agarwal et al.'s mergeable-summaries rule
 //!   (union, then truncate back to capacity): while no shard has ever
 //!   evicted, the merged state is *exactly* the sequential state — the
 //!   regime the sharded pipeline proves byte-identical — and past capacity
@@ -45,7 +47,7 @@ use synscan_stats::mix64;
 use synscan_wire::impl_to_json;
 
 use crate::checkpoint::{Ascending, CheckpointError, SnapReader, SnapWriter};
-use crate::fasthash::FxHasher;
+use crate::fasthash::{FxHashMap, FxHasher};
 
 /// Tool-attribution slots a heavy-hitter slot tallies: slot 0 is
 /// "no attribution", slots 1–6 follow the campaign layer's
@@ -375,26 +377,36 @@ impl HeavySlot {
 }
 
 /// Metwally et al.'s space-saving top-K tracker with deterministic
-/// `(count, key)` tie-breaking and a canonical (key-ascending) layout.
+/// `(count, key)` tie-breaking.
 ///
 /// While fewer than `capacity` distinct keys have been offered the tracker
 /// is exact (`err == 0` everywhere, `evictions == 0`). Past capacity, an
 /// unseen key replaces the minimum slot — chosen as the smallest
-/// `(packets, key)` pair, so the choice never depends on map iteration
-/// order — inheriting its count as the new slot's `err`. Invariants:
-/// every tracked `packets` is an upper bound on the key's true count, the
-/// true count is at least `packets - err`, and any key with true count
-/// `> total/capacity` is tracked.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// `(packets, key)` pair, so the choice never depends on layout — inheriting
+/// its count as the new slot's `err`. Invariants: every tracked `packets` is
+/// an upper bound on the key's true count, the true count is at least
+/// `packets - err`, and any key with true count `> total/capacity` is
+/// tracked.
+///
+/// The slots form a binary min-heap on `(packets, key)` with a key → position
+/// index, so the victim is always the root. The heap's layout depends on
+/// history; equality and snapshots see only the key-sorted slots.
+#[derive(Debug, Clone)]
 pub struct SpaceSaving {
     capacity: u32,
     /// Total offers absorbed (`N` in the guarantees).
     total: u64,
     /// Evictions performed; 0 means the tracker is still exact.
     evictions: u64,
-    /// Tracked slots, keyed by source key. `BTreeMap` so iteration (and
-    /// therefore serialization) is canonical.
-    slots: BTreeMap<u64, HeavySlot>,
+    /// Tracked `(key, slot)` pairs, a min-heap on `(slot.packets, key)`.
+    heap: Vec<(u64, HeavySlot)>,
+    /// Heap position of every tracked key.
+    position: FxHashMap<u64, u32>,
+}
+
+/// Heap order of a tracked slot: the eviction order.
+fn rank(&(key, slot): &(u64, HeavySlot)) -> (u64, u64) {
+    (slot.packets, key)
 }
 
 impl SpaceSaving {
@@ -402,12 +414,25 @@ impl SpaceSaving {
     /// callers validate through [`HeavyHitterConfig::validate`]).
     pub fn new(capacity: u32) -> Self {
         assert!(capacity > 0, "space-saving capacity must be >= 1");
-        Self {
+        Self::from_slots(capacity, 0, 0, Vec::new())
+    }
+
+    /// A tracker holding `slots` (distinct keys, any order).
+    fn from_slots(capacity: u32, total: u64, evictions: u64, slots: Vec<(u64, HeavySlot)>) -> Self {
+        let position = slots
+            .iter()
+            .enumerate()
+            .map(|(at, &(key, _))| (key, at as u32))
+            .collect();
+        let mut tracker = Self {
             capacity,
-            total: 0,
-            evictions: 0,
-            slots: BTreeMap::new(),
-        }
+            total,
+            evictions,
+            heap: slots,
+            position,
+        };
+        tracker.heapify();
+        tracker
     }
 
     /// Slot budget.
@@ -428,47 +453,49 @@ impl SpaceSaving {
 
     /// Currently tracked keys (≤ capacity).
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.heap.len()
     }
 
     /// True when nothing has been offered yet.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.heap.is_empty()
     }
 
     /// The tracked slot for `key`, if present.
     pub fn get(&self, key: u64) -> Option<&HeavySlot> {
-        self.slots.get(&key)
+        self.position.get(&key).map(|&at| &self.heap[at as usize].1)
     }
 
     /// Offer one packet for `key` at `ts_micros`, attributed to
     /// `tool_slot` (0 = unattributed).
     pub fn offer(&mut self, key: u64, ts_micros: u64, tool_slot: usize) {
         self.total += 1;
-        if let Some(slot) = self.slots.get_mut(&key) {
+        if let Some(&at) = self.position.get(&key) {
+            let slot = &mut self.heap[at as usize].1;
             slot.packets += 1;
             slot.first_ts_micros = slot.first_ts_micros.min(ts_micros);
             slot.last_ts_micros = slot.last_ts_micros.max(ts_micros);
             slot.tool_packets[tool_slot.min(TOOL_SLOTS - 1)] += 1;
+            self.sift_down(at as usize);
             return;
         }
-        if self.slots.len() < self.capacity as usize {
-            self.slots
-                .insert(key, HeavySlot::fresh(ts_micros, tool_slot));
-            return;
-        }
-        // Evict the minimum (packets, key) slot; the newcomer inherits its
-        // count as an upper bound and carries it as explicit error.
-        let (&victim, &victim_slot) = self
-            .slots
-            .iter()
-            .min_by_key(|(&k, slot)| (slot.packets, k))
-            .expect("capacity >= 1 so a full tracker has slots");
-        self.slots.remove(&victim);
         let mut fresh = HeavySlot::fresh(ts_micros, tool_slot);
+        if self.heap.len() < self.capacity as usize {
+            self.position.insert(key, self.heap.len() as u32);
+            self.heap.push((key, fresh));
+            self.sift_up(self.heap.len() - 1);
+            return;
+        }
+        // Evict the minimum (packets, key) slot — the root; the newcomer
+        // inherits its count as an upper bound and carries it as explicit
+        // error.
+        let (victim, victim_slot) = self.heap[0];
+        self.position.remove(&victim);
         fresh.packets += victim_slot.packets;
         fresh.err = victim_slot.packets;
-        self.slots.insert(key, fresh);
+        self.heap[0] = (key, fresh);
+        self.position.insert(key, 0);
+        self.sift_down(0);
         self.evictions += 1;
     }
 
@@ -487,9 +514,10 @@ impl SpaceSaving {
         );
         self.total += other.total;
         self.evictions += other.evictions;
-        for (key, theirs) in other.slots {
-            match self.slots.get_mut(&key) {
-                Some(mine) => {
+        for (key, theirs) in other.heap {
+            match self.position.get(&key) {
+                Some(&at) => {
+                    let mine = &mut self.heap[at as usize].1;
                     mine.packets += theirs.packets;
                     mine.err += theirs.err;
                     mine.first_ts_micros = mine.first_ts_micros.min(theirs.first_ts_micros);
@@ -499,34 +527,95 @@ impl SpaceSaving {
                     }
                 }
                 None => {
-                    self.slots.insert(key, theirs);
+                    self.position.insert(key, self.heap.len() as u32);
+                    self.heap.push((key, theirs));
                 }
             }
         }
-        while self.slots.len() > self.capacity as usize {
-            let (&victim, _) = self
-                .slots
-                .iter()
-                .min_by_key(|(&k, slot)| (slot.packets, k))
-                .expect("non-empty");
-            self.slots.remove(&victim);
+        self.heapify();
+        while self.heap.len() > self.capacity as usize {
+            let last = self.heap.len() - 1;
+            self.swap(0, last);
+            let (victim, _) = self.heap.pop().expect("non-empty");
+            self.position.remove(&victim);
+            self.sift_down(0);
             self.evictions += 1;
         }
+    }
+
+    /// Restore the heap order over the whole vector.
+    fn heapify(&mut self) {
+        for at in (0..self.heap.len() / 2).rev() {
+            self.sift_down(at);
+        }
+    }
+
+    /// Move the entry at `at` toward the root while it ranks below its
+    /// parent.
+    fn sift_up(&mut self, mut at: usize) {
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            if rank(&self.heap[parent]) <= rank(&self.heap[at]) {
+                break;
+            }
+            self.swap(at, parent);
+            at = parent;
+        }
+    }
+
+    /// Move the entry at `at` toward the leaves while a child ranks below
+    /// it.
+    fn sift_down(&mut self, mut at: usize) {
+        loop {
+            let left = 2 * at + 1;
+            let Some(left_entry) = self.heap.get(left) else {
+                break;
+            };
+            let child = match self.heap.get(left + 1) {
+                Some(right_entry) if rank(right_entry) < rank(left_entry) => left + 1,
+                _ => left,
+            };
+            if rank(&self.heap[at]) <= rank(&self.heap[child]) {
+                break;
+            }
+            self.swap(at, child);
+            at = child;
+        }
+    }
+
+    /// Swap two heap entries and their recorded positions.
+    fn swap(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        for at in [a, b] {
+            let key = self.heap[at].0;
+            *self
+                .position
+                .get_mut(&key)
+                .expect("every tracked key has a position") = at as u32;
+        }
+    }
+
+    /// The tracked slots, ascending by key: the logical state.
+    fn by_key(&self) -> Vec<(u64, HeavySlot)> {
+        let mut slots = self.heap.clone();
+        slots.sort_unstable_by_key(|&(key, _)| key);
+        slots
     }
 
     /// The tracked slots ranked by `(packets desc, key asc)` — the
     /// canonical top-K order every report renders in.
     pub fn top(&self) -> Vec<(u64, HeavySlot)> {
-        let mut out: Vec<(u64, HeavySlot)> =
-            self.slots.iter().map(|(&k, &slot)| (k, slot)).collect();
+        let mut out = self.heap.clone();
         out.sort_by(|(ka, a), (kb, b)| b.packets.cmp(&a.packets).then(ka.cmp(kb)));
         out
     }
 
-    /// Heap + inline bytes of the tracker state.
+    /// Heap + inline bytes of the tracker state: per tracked key, its heap
+    /// entry and its position-index entry.
     pub fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.slots.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<HeavySlot>())
+            + self.heap.len()
+                * (std::mem::size_of::<(u64, HeavySlot)>() + std::mem::size_of::<(u64, u32)>())
     }
 
     /// Serialize in canonical key-ascending order.
@@ -534,8 +623,8 @@ impl SpaceSaving {
         w.put_u32(self.capacity);
         w.put_u64(self.total);
         w.put_u64(self.evictions);
-        w.put_u64(self.slots.len() as u64);
-        for (&key, slot) in &self.slots {
+        w.put_u64(self.heap.len() as u64);
+        for (key, slot) in self.by_key() {
             w.put_u64(key);
             w.put_u64(slot.packets);
             w.put_u64(slot.err);
@@ -563,7 +652,7 @@ impl SpaceSaving {
                 "{n_slots} slots exceed capacity {capacity}"
             )));
         }
-        let mut slots = BTreeMap::new();
+        let mut slots = Vec::with_capacity(n_slots);
         let mut order = Ascending::new("space-saving slots");
         for _ in 0..n_slots {
             let key = order.admit(r.take_u64()?)?;
@@ -575,7 +664,7 @@ impl SpaceSaving {
             for n in &mut tool_packets {
                 *n = r.take_u64()?;
             }
-            slots.insert(
+            slots.push((
                 key,
                 HeavySlot {
                     packets,
@@ -584,16 +673,24 @@ impl SpaceSaving {
                     last_ts_micros,
                     tool_packets,
                 },
-            );
+            ));
         }
-        Ok(Self {
-            capacity,
-            total,
-            evictions,
-            slots,
-        })
+        Ok(Self::from_slots(capacity, total, evictions, slots))
     }
 }
+
+impl PartialEq for SpaceSaving {
+    /// Logical equality: the same counters and the same key-sorted slots,
+    /// whatever order the two heaps hold them in.
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity == other.capacity
+            && self.total == other.total
+            && self.evictions == other.evictions
+            && self.by_key() == other.by_key()
+    }
+}
+
+impl Eq for SpaceSaving {}
 
 /// The heavy-hitter state one collector (or one shard) accumulates: the
 /// count-min rate sketch plus the space-saving top-K tracker, under one
@@ -1102,6 +1199,178 @@ mod tests {
         assert!(ss.get(20).is_some());
         let slot = ss.get(30).expect("newcomer tracked");
         assert_eq!((slot.packets, slot.err), (2, 1));
+    }
+
+    /// The min-walk tracker the heap replaced: a key-ascending `BTreeMap`
+    /// whose eviction scans every slot for the smallest `(packets, key)`.
+    /// Its snapshot is the format's definition.
+    #[derive(Debug, Clone)]
+    struct MinWalk {
+        capacity: u32,
+        total: u64,
+        evictions: u64,
+        slots: BTreeMap<u64, HeavySlot>,
+    }
+
+    impl MinWalk {
+        fn new(capacity: u32) -> Self {
+            Self {
+                capacity,
+                total: 0,
+                evictions: 0,
+                slots: BTreeMap::new(),
+            }
+        }
+
+        fn min_key(&self) -> u64 {
+            let (&victim, _) = self
+                .slots
+                .iter()
+                .min_by_key(|(&k, slot)| (slot.packets, k))
+                .expect("non-empty");
+            victim
+        }
+
+        fn offer(&mut self, key: u64, ts_micros: u64, tool_slot: usize) {
+            self.total += 1;
+            if let Some(slot) = self.slots.get_mut(&key) {
+                slot.packets += 1;
+                slot.first_ts_micros = slot.first_ts_micros.min(ts_micros);
+                slot.last_ts_micros = slot.last_ts_micros.max(ts_micros);
+                slot.tool_packets[tool_slot.min(TOOL_SLOTS - 1)] += 1;
+                return;
+            }
+            let mut fresh = HeavySlot::fresh(ts_micros, tool_slot);
+            if self.slots.len() == self.capacity as usize {
+                let victim = self.slots.remove(&self.min_key()).expect("victim");
+                fresh.packets += victim.packets;
+                fresh.err = victim.packets;
+                self.evictions += 1;
+            }
+            self.slots.insert(key, fresh);
+        }
+
+        fn merge(&mut self, other: MinWalk) {
+            self.total += other.total;
+            self.evictions += other.evictions;
+            for (key, theirs) in other.slots {
+                let Some(mine) = self.slots.get_mut(&key) else {
+                    self.slots.insert(key, theirs);
+                    continue;
+                };
+                mine.packets += theirs.packets;
+                mine.err += theirs.err;
+                mine.first_ts_micros = mine.first_ts_micros.min(theirs.first_ts_micros);
+                mine.last_ts_micros = mine.last_ts_micros.max(theirs.last_ts_micros);
+                for (m, t) in mine.tool_packets.iter_mut().zip(theirs.tool_packets) {
+                    *m += t;
+                }
+            }
+            while self.slots.len() > self.capacity as usize {
+                self.slots.remove(&self.min_key());
+                self.evictions += 1;
+            }
+        }
+
+        fn snapshot(&self) -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            w.put_u32(self.capacity);
+            w.put_u64(self.total);
+            w.put_u64(self.evictions);
+            w.put_u64(self.slots.len() as u64);
+            for (&key, slot) in &self.slots {
+                for field in [
+                    key,
+                    slot.packets,
+                    slot.err,
+                    slot.first_ts_micros,
+                    slot.last_ts_micros,
+                ] {
+                    w.put_u64(field);
+                }
+                slot.tool_packets.iter().for_each(|&n| w.put_u64(n));
+            }
+            w.into_bytes()
+        }
+    }
+
+    fn tracker_bytes(tracker: &SpaceSaving) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        tracker.snapshot_to(&mut w);
+        w.into_bytes()
+    }
+
+    fn restored(tracker: &SpaceSaving) -> SpaceSaving {
+        let bytes = tracker_bytes(tracker);
+        let mut r = SnapReader::new(&bytes);
+        let back = SpaceSaving::restore_from(&mut r).expect("round trip");
+        assert_eq!(r.remaining(), 0);
+        back
+    }
+
+    /// A seeded skewed stream: a few heavy keys, many one-off keys, and
+    /// repeated counts so `(packets, key)` ties are common.
+    fn skewed_offer(seed: u64, i: u64) -> (u64, u64, usize) {
+        let draw = mix64(seed.wrapping_mul(0x9e37_79b9) ^ i);
+        let key = match draw % 10 {
+            0..=3 => draw % 5,
+            4..=6 => 100 + draw % 40,
+            _ => 1_000 + draw % 100_000,
+        };
+        (key, i * 1_000 + draw % 997, (draw >> 40) as usize % 9)
+    }
+
+    #[test]
+    fn heap_tracker_matches_the_min_walk_reference() {
+        for seed in 0..12u64 {
+            for capacity in [1u32, 2, 3, 8, 33] {
+                let what = format!("seed {seed}, capacity {capacity}");
+                let mut heap = SpaceSaving::new(capacity);
+                let mut walk = MinWalk::new(capacity);
+                let mut shards = [SpaceSaving::new(capacity), SpaceSaving::new(capacity)];
+                let mut walk_shards = [MinWalk::new(capacity), MinWalk::new(capacity)];
+                for i in 0..1_500u64 {
+                    let (key, ts, tool) = skewed_offer(seed, i);
+                    heap.offer(key, ts, tool);
+                    walk.offer(key, ts, tool);
+                    let shard = (key % 2) as usize;
+                    shards[shard].offer(key, ts, tool);
+                    walk_shards[shard].offer(key, ts, tool);
+                    if i % 250 == 249 {
+                        assert_eq!(tracker_bytes(&heap), walk.snapshot(), "{what}, offer {i}");
+                        // Cut and resume: the rebuilt heap continues alike.
+                        heap = restored(&heap);
+                    }
+                }
+                assert!(heap.evictions() > 0, "{what}: the stream must evict");
+                assert_eq!(tracker_bytes(&heap), walk.snapshot(), "{what}");
+                assert_eq!(heap, restored(&heap), "{what}: logical equality");
+                for (k, slot) in walk.slots.iter() {
+                    assert_eq!(heap.get(*k), Some(slot), "{what}: key {k}");
+                }
+
+                let [even, odd] = shards;
+                let [walk_even, walk_odd] = walk_shards;
+                let mut merged = even.clone();
+                merged.merge(odd.clone());
+                let mut walk_merged = walk_even.clone();
+                walk_merged.merge(walk_odd.clone());
+                assert_eq!(
+                    tracker_bytes(&merged),
+                    walk_merged.snapshot(),
+                    "{what}: merge"
+                );
+                let mut backward = restored(&odd);
+                backward.merge(restored(&even));
+                let mut walk_backward = walk_odd;
+                walk_backward.merge(walk_even);
+                assert_eq!(
+                    tracker_bytes(&backward),
+                    walk_backward.snapshot(),
+                    "{what}: merge of restored shards"
+                );
+            }
+        }
     }
 
     #[test]

@@ -299,15 +299,17 @@ impl InjectedFaults {
             .is_ok()
     }
 
-    /// Sleep if a stall is armed for `shard`. Disarms on first fire.
-    pub fn maybe_stall(&self, shard: u32) {
-        if self
+    /// Sleep if a stall is armed for `shard`, and say whether it did.
+    /// Disarms on first fire.
+    pub fn maybe_stall(&self, shard: u32) -> bool {
+        let armed = self
             .stall_shard
             .compare_exchange(i64::from(shard), -1, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok()
-        {
+            .is_ok();
+        if armed {
             std::thread::sleep(self.stall_for);
         }
+        armed
     }
 }
 
@@ -399,18 +401,16 @@ mod tests {
         assert!(!faults.should_panic(3), "one-shot: disarmed after firing");
 
         let stall = InjectedFaults::stall_once(1, Duration::from_millis(30));
+        assert!(!stall.maybe_stall(0), "wrong shard");
         let before = Instant::now();
-        stall.maybe_stall(0);
-        assert!(before.elapsed() < Duration::from_millis(20), "wrong shard");
-        stall.maybe_stall(1);
+        assert!(stall.maybe_stall(1), "armed stall fires");
+        // `sleep` guarantees at least the requested time, never at most.
         assert!(before.elapsed() >= Duration::from_millis(30));
-        let again = Instant::now();
-        stall.maybe_stall(1);
-        assert!(again.elapsed() < Duration::from_millis(20), "one-shot");
+        assert!(!stall.maybe_stall(1), "one-shot");
 
         let none = InjectedFaults::none();
         assert!(!none.should_panic(0));
-        none.maybe_stall(0);
+        assert!(!none.maybe_stall(0));
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //! Internally the detector is built around interned source ids
 //! ([`crate::intern::SourceTable`]): each source has a 24-byte slot in a
 //! dense `Vec` indexed by id rather than an IP-keyed hash map, so the admit
-//! path performs no per-source hashing of its own (the caller either passes
-//! an already-interned id or the detector's table does the one probe). The
-//! body of an open scan (packets, destinations, ports, votes) lives beside
-//! the active list only while the scan is open, so an idle source costs its
-//! slot and nothing more.
+//! path performs no per-source hashing beyond the table's one probe. The
+//! body of an open scan (packets, destinations, ports, votes and the §3.3
+//! pairwise fingerprint window) lives beside the active list only while the
+//! scan is open, so an idle source costs its slot and nothing more.
 
 pub mod estimate;
 
@@ -29,7 +28,8 @@ use synscan_scanners::traits::ToolKind;
 
 use crate::checkpoint::{Ascending, CheckpointError, SnapReader, SnapWriter};
 use crate::fasthash::FxHashSet;
-use crate::fingerprint::{InternedFingerprint, PacketVerdict};
+use crate::fingerprint::pairwise::PairwiseState;
+use crate::fingerprint::{classify_window, PacketVerdict};
 use crate::intern::{SourceId, SourceTable};
 
 pub use estimate::CampaignEstimates;
@@ -330,8 +330,9 @@ pub(crate) fn tool_slot(tool: ToolKind) -> usize {
 /// The body of one open scan: everything but its time window, which stays in
 /// the source's [`SourceSlot`]. Bodies exist only while a scan is open (plus
 /// a spare pool of released ones), so a source that is not scanning holds
-/// none. The sorted port vec and the destination set keep their capacity
-/// across reuse, and tool votes are a fixed array instead of a map.
+/// none. The sorted port vec, the destination set and the probe window keep
+/// their capacity across reuse, and tool votes are a fixed array instead of
+/// a map.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct ScanBody {
     packets: u64,
@@ -339,6 +340,10 @@ struct ScanBody {
     /// Sorted by port; campaigns rarely touch more than a handful.
     port_packets: Vec<(u16, u64)>,
     tool_votes: [u64; TOOL_SLOTS],
+    /// The source's pairwise fingerprint history. It needs no clock of its
+    /// own: the slot's `last_ts_micros` is its last probe, and the gap that
+    /// would reset it is exactly the gap that closes the scan.
+    window: PairwiseState,
 }
 
 /// Past this many retained destination buckets, a released scan's set is
@@ -381,24 +386,18 @@ impl ScanBody {
         }
     }
 
-    /// Clear counters, retaining (bounded) capacity for the next scan.
+    /// Clear counters and the fingerprint window, retaining (bounded)
+    /// capacity for the next scan.
     fn release(&mut self) {
         self.packets = 0;
         self.port_packets.clear();
         self.tool_votes = [0; TOOL_SLOTS];
+        self.window.reset();
         if self.dests.capacity() > DESTS_KEEP_CAPACITY {
             self.dests = FxHashSet::default();
         } else {
             self.dests.clear();
         }
-    }
-
-    /// Whether the body holds nothing: what every idle slot snapshots.
-    fn is_empty(&self) -> bool {
-        self.packets == 0
-            && self.dests.is_empty()
-            && self.port_packets.is_empty()
-            && self.tool_votes == [0; TOOL_SLOTS]
     }
 
     /// Serialize for a pipeline checkpoint. Destinations are written in
@@ -420,11 +419,16 @@ impl ScanBody {
         for &votes in &self.tool_votes {
             w.put_u64(votes);
         }
+        self.window.snapshot_to(w);
     }
 
-    /// Rebuild state written by [`ScanBody::snapshot_to`].
+    /// Rebuild state written by [`ScanBody::snapshot_to`]. A scan opens on
+    /// its first packet, so a body without one is `Corrupt`.
     fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
         let packets = r.take_u64()?;
+        if packets == 0 {
+            return Err(CheckpointError::Corrupt("open scan without packets".into()));
+        }
         let n_dests = r.take_len(4)?;
         let mut dests = FxHashSet::default();
         dests.reserve(n_dests);
@@ -448,6 +452,7 @@ impl ScanBody {
             dests,
             port_packets,
             tool_votes,
+            window: PairwiseState::restore_from(r)?,
         })
     }
 }
@@ -457,8 +462,7 @@ const NOT_ACTIVE: u32 = u32::MAX;
 
 /// Per-source slot: the position of the source's open scan in the active
 /// list (or [`NOT_ACTIVE`]) and that scan's time window. An idle slot keeps
-/// the window of its last scan, which is what checkpoints have always
-/// recorded for it.
+/// the window of its last scan, which is all a checkpoint records for it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct SourceSlot {
     active_pos: u32,
@@ -483,8 +487,10 @@ impl SourceSlot {
 
 /// The streaming campaign detector.
 ///
-/// Feed records in timestamp order via [`CampaignDetector::offer`]; call
-/// [`CampaignDetector::finish`] at end of stream.
+/// Feed records in timestamp order via [`CampaignDetector::admit`] (which
+/// fingerprints each record against its scan's window) or
+/// [`CampaignDetector::offer`] (which counts it under a verdict the caller
+/// reached); call [`CampaignDetector::finish`] at end of stream.
 ///
 /// ```
 /// use synscan_core::campaign::{CampaignConfig, CampaignDetector};
@@ -579,13 +585,6 @@ impl CampaignDetector {
         self.slots.reserve(sources);
     }
 
-    /// Intern `ip` in the detector's source table (the shared table callers
-    /// use to key their own per-source state).
-    #[inline]
-    pub fn intern(&mut self, ip: Ipv4Address) -> SourceId {
-        self.table.intern(ip.0)
-    }
-
     /// The source interner (id ↔ IP bridge).
     pub fn source_table(&self) -> &SourceTable {
         &self.table
@@ -607,49 +606,71 @@ impl CampaignDetector {
         &self.bodies[..self.active.len()]
     }
 
-    /// Offer one record with its fingerprint verdict.
+    /// Offer one record under a fingerprint verdict the caller reached. The
+    /// scan counts it; its pairwise window is neither consulted nor fed.
     pub fn offer(&mut self, record: &ProbeRecord, tool: Option<ToolKind>) {
         let sid = self.table.intern(record.src_ip.0);
-        self.offer_interned(sid, record, tool);
+        let pos = self.scan_of(sid, record.ts_micros);
+        self.bodies[pos].add(record, tool);
     }
 
-    /// As [`CampaignDetector::offer`], with the source already interned —
-    /// the zero-hash hot path ([`Pipeline`] interns once per record and
-    /// passes the id through).
+    /// Admit one record: intern its source, close the source's scan if it
+    /// has been silent past the expiry, open or continue its scan, classify
+    /// the record against that scan's pairwise window, and count it. Returns
+    /// the verdict and the interned id, which callers use to index their own
+    /// dense per-source state.
+    ///
+    /// Verdicts equal those of a per-source
+    /// [`crate::fingerprint::InternedFingerprint`] under the same expiry: a
+    /// window resets on a gap longer than the expiry, and a scan closes on
+    /// exactly that gap, here or in [`CampaignDetector::expire_idle`] (given
+    /// its caller's promise that later records are not older than `now`).
     #[inline]
-    pub fn offer_interned(&mut self, sid: SourceId, record: &ProbeRecord, tool: Option<ToolKind>) {
+    pub fn admit(&mut self, record: &ProbeRecord) -> (PacketVerdict, SourceId) {
+        let sid = self.table.intern(record.src_ip.0);
+        let pos = self.scan_of(sid, record.ts_micros);
+        let body = &mut self.bodies[pos];
+        let verdict = classify_window(&mut body.window, record);
+        body.add(record, verdict.tool());
+        (verdict, sid)
+    }
+
+    /// The body position of `sid`'s scan at `ts_micros`: the open scan,
+    /// widened to `ts_micros`, or a fresh one when there is none or the open
+    /// one has been silent past the expiry (which closes it).
+    #[inline]
+    fn scan_of(&mut self, sid: SourceId, ts_micros: u64) -> usize {
         if sid as usize >= self.slots.len() {
             self.slots.resize(sid as usize + 1, SourceSlot::IDLE);
         }
         let slot = &self.slots[sid as usize];
-        if slot.is_active()
-            && record.ts_micros.saturating_sub(slot.last_ts_micros) > self.expiry_micros
-        {
+        if slot.is_active() && ts_micros.saturating_sub(slot.last_ts_micros) > self.expiry_micros {
             self.close(sid);
         }
         let slot = &mut self.slots[sid as usize];
         if slot.is_active() {
             // Robust to mildly out-of-order input (pcap merge artifacts):
             // the window only ever widens, so durations never underflow.
-            slot.first_ts_micros = slot.first_ts_micros.min(record.ts_micros);
-            slot.last_ts_micros = slot.last_ts_micros.max(record.ts_micros);
+            slot.first_ts_micros = slot.first_ts_micros.min(ts_micros);
+            slot.last_ts_micros = slot.last_ts_micros.max(ts_micros);
         } else {
             *slot = SourceSlot {
                 active_pos: self.active.len() as u32,
-                first_ts_micros: record.ts_micros,
-                last_ts_micros: record.ts_micros,
+                first_ts_micros: ts_micros,
+                last_ts_micros: ts_micros,
             };
             self.active.push(sid);
             if self.bodies.len() < self.active.len() {
                 self.bodies.push(ScanBody::default());
             }
         }
-        self.bodies[slot.active_pos as usize].add(record, tool);
+        slot.active_pos as usize
     }
 
     /// Expire every open scan idle since before `now_micros` (bounded-memory
     /// operation over long streams). Cost is O(open scans), not O(sources
-    /// ever seen).
+    /// ever seen). The caller promises that no later record is older than
+    /// `now_micros`; the feed loop's order gate keeps that promise.
     pub fn expire_idle(&mut self, now_micros: u64) {
         let mut i = 0;
         while i < self.active.len() {
@@ -717,20 +738,18 @@ impl CampaignDetector {
     /// on [`CampaignDetector::restore_from`] (the caller owns it and writes
     /// it alongside, so restore stays self-contained at the collector layer).
     ///
-    /// Each slot is written with a body: its open scan's, or for an idle
-    /// slot an empty one.
+    /// A slot is its 20 bytes (`active_pos`, first and last timestamp); only
+    /// an open slot is followed by its scan's body, fingerprint window
+    /// included.
     pub fn snapshot_to(&self, w: &mut SnapWriter) {
         self.table.snapshot_to(w);
         w.put_u64(self.slots.len() as u64);
-        let idle = ScanBody::default();
         for slot in &self.slots {
             w.put_u32(slot.active_pos);
             w.put_u64(slot.first_ts_micros);
             w.put_u64(slot.last_ts_micros);
             if slot.is_active() {
                 self.bodies[slot.active_pos as usize].snapshot_to(w);
-            } else {
-                idle.snapshot_to(w);
             }
         }
         w.put_u64(self.active.len() as u64);
@@ -746,30 +765,24 @@ impl CampaignDetector {
 
     /// Rebuild a detector written by [`CampaignDetector::snapshot_to`],
     /// re-deriving the precomputed expiry from `config` and validating the
-    /// active-list ↔ slot mirror invariant. An idle slot with a non-empty
-    /// body is corrupt: no writer emits one, and dropping it would decode
-    /// two byte strings to one detector.
+    /// active-list ↔ slot mirror invariant.
     pub fn restore_from(
         config: CampaignConfig,
         r: &mut SnapReader<'_>,
     ) -> Result<Self, CheckpointError> {
         let table = SourceTable::restore_from(r)?;
-        let n_slots = r.take_len(44)?;
+        // An idle slot is 20 bytes, and an open one more.
+        let n_slots = r.take_len(20)?;
         let mut slots = Vec::with_capacity(n_slots);
         let mut open = Vec::new();
-        for sid in 0..n_slots {
+        for _ in 0..n_slots {
             let slot = SourceSlot {
                 active_pos: r.take_u32()?,
                 first_ts_micros: r.take_u64()?,
                 last_ts_micros: r.take_u64()?,
             };
-            let body = ScanBody::restore_from(r)?;
             if slot.is_active() {
-                open.push((slot.active_pos, body));
-            } else if !body.is_empty() {
-                return Err(CheckpointError::Corrupt(format!(
-                    "idle source {sid} carries an open-scan body"
-                )));
+                open.push((slot.active_pos, ScanBody::restore_from(r)?));
             }
             slots.push(slot);
         }
@@ -800,7 +813,7 @@ impl CampaignDetector {
         // 0..active.len(), so sorting by position aligns bodies with `active`.
         open.sort_unstable_by_key(|&(pos, _)| pos);
         let bodies = open.into_iter().map(|(_, body)| body).collect();
-        let n_campaigns = r.take_len(40)?;
+        let n_campaigns = r.take_len(52)?;
         let mut campaigns = Vec::with_capacity(n_campaigns);
         for _ in 0..n_campaigns {
             campaigns.push(Campaign::restore_from(r)?);
@@ -839,26 +852,24 @@ fn check(config: &CampaignConfig, slot: &SourceSlot, body: &ScanBody) -> Option<
 /// Convenience wrapper running fingerprinting and campaign detection in one
 /// pass — the §3 pipeline end to end.
 ///
-/// The detector's [`SourceTable`] is the single interner: each record is
-/// interned exactly once and the dense id keys both the fingerprint state
-/// vector and the open-scan slots, so the whole §3 admit path costs one
-/// hash probe per record.
+/// The detector's [`SourceTable`] is the single interner, and the pairwise
+/// fingerprint window lives in each open scan's body, so the whole §3 admit
+/// path is one [`CampaignDetector::admit`] call and one hash probe per
+/// record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pipeline {
-    engine: InternedFingerprint,
     detector: CampaignDetector,
 }
 
 impl Pipeline {
     /// New pipeline with the given campaign thresholds.
     ///
-    /// The fingerprint engine shares the detector's idle expiry, so a
-    /// source silent long enough to close its scan also restarts its
-    /// pairwise history — deterministically, whatever the housekeeping
-    /// cadence. This keeps sharded and sequential runs bit-identical.
+    /// The fingerprint window shares the scan's idle expiry: a source silent
+    /// long enough to close its scan also restarts its pairwise history,
+    /// deterministically, whatever the housekeeping cadence. This keeps
+    /// sharded and sequential runs bit-identical.
     pub fn new(config: CampaignConfig) -> Self {
         Self {
-            engine: InternedFingerprint::with_expiry((config.expiry_secs * 1e6) as u64),
             detector: CampaignDetector::new(config),
         }
     }
@@ -868,15 +879,14 @@ impl Pipeline {
         self.detector.config()
     }
 
-    /// Pre-size interner, fingerprint and campaign state for roughly
-    /// `sources` distinct addresses.
+    /// Pre-size interner and campaign slots for roughly `sources` distinct
+    /// addresses.
     pub fn reserve_sources(&mut self, sources: usize) {
-        self.engine.reserve(sources);
         self.detector.reserve(sources);
     }
 
-    /// Process one record: intern, fingerprint, then feed the detector.
-    /// Returns the per-packet verdict.
+    /// Process one record: intern, fingerprint and count it
+    /// ([`CampaignDetector::admit`]). Returns the per-packet verdict.
     pub fn process(&mut self, record: &ProbeRecord) -> PacketVerdict {
         self.process_interned(record).0
     }
@@ -886,17 +896,11 @@ impl Pipeline {
     /// re-hashing the address.
     #[inline]
     pub fn process_interned(&mut self, record: &ProbeRecord) -> (PacketVerdict, SourceId) {
-        let sid = self.detector.intern(record.src_ip);
-        let verdict = self.engine.classify(sid, record);
-        self.detector.offer_interned(sid, record, verdict.tool());
-        (verdict, sid)
+        self.detector.admit(record)
     }
 
-    /// Periodic housekeeping for long streams.
-    ///
-    /// Only the campaign side needs sweeping: fingerprint state is a dense
-    /// per-source window (resetting lazily on expiry inside `classify`),
-    /// already bounded by the interner's source count.
+    /// Periodic housekeeping for long streams: close the scans silent past
+    /// the expiry, and with them their fingerprint windows.
     pub fn housekeeping(&mut self, now_micros: u64) {
         self.detector.expire_idle(now_micros);
     }
@@ -911,9 +915,9 @@ impl Pipeline {
         self.detector.finish_with_sources()
     }
 
-    /// Serialize fingerprint and campaign state for a pipeline checkpoint.
+    /// Serialize fingerprint and campaign state for a pipeline checkpoint:
+    /// the detector's, which carries every open scan's window.
     pub fn snapshot_to(&self, w: &mut SnapWriter) {
-        self.engine.snapshot_to(w);
         self.detector.snapshot_to(w);
     }
 
@@ -924,7 +928,6 @@ impl Pipeline {
         r: &mut SnapReader<'_>,
     ) -> Result<Self, CheckpointError> {
         Ok(Self {
-            engine: InternedFingerprint::restore_from(r)?,
             detector: CampaignDetector::restore_from(config, r)?,
         })
     }
@@ -1291,35 +1294,101 @@ mod tests {
     }
 
     #[test]
-    fn an_idle_slot_restores_only_with_the_empty_body() {
-        // One source scans, goes quiet and is swept: its slot is idle and
-        // its body back in the spare pool.
+    fn idle_slots_are_their_twenty_bytes_and_round_trip_alone() {
+        // Sixty-four sources each scan too few destinations, fall silent and
+        // are swept: every slot is idle and every body back in the pool.
         let mut det = CampaignDetector::new(cfg());
-        for i in 0..5u32 {
-            det.offer(&record(1, 100 + i, 80, (i as u64) * 1000), None);
+        for src in 0..64u32 {
+            for i in 0..3u32 {
+                det.offer(&record(src, 100 + i, 80, u64::from(i) * 1000), None);
+            }
         }
         det.expire_idle(2 * 3600 * 1_000_000);
-        assert_eq!((det.open_scans(), det.scan_bodies()), (0, 1));
+        assert_eq!((det.open_scans(), det.scan_bodies()), (0, 64));
         let mut w = SnapWriter::new();
         det.snapshot_to(&mut w);
         let bytes = w.into_bytes();
+        // Interner (count + 64 ips), slot count, 64 bare slots, then the
+        // empty active list, no campaign and the noise counters (one reason).
+        let slots = 8 + 64 * 4 + 8;
+        assert_eq!(bytes.len(), slots + 64 * 20 + 8 + 8 + (8 + 9 + 8));
+        // The slots alone fill most of what follows the count: a floor
+        // sized for a slot with a body would call this detector corrupt.
+        assert!(bytes.len() - slots < 64 * 44);
         let back = detector_round_trip(&det);
         assert_eq!(back, det, "spare bodies are not state");
         let mut again = SnapWriter::new();
         back.snapshot_to(&mut again);
         assert_eq!(again.into_bytes(), bytes, "re-encodes to the same bytes");
+    }
 
-        // The slot's body starts after the interner (len + one ip), the
-        // slot count, `active_pos` and the window; its first field is the
-        // packet count. A non-empty idle body is not dropped: it is corrupt.
-        let packets = 8 + 4 + 8 + 4 + 8 + 8;
-        assert_eq!(bytes[packets..packets + 8], [0; 8]);
-        let mut damaged = bytes.clone();
-        damaged[packets] = 1;
-        assert!(matches!(
-            CampaignDetector::restore_from(cfg(), &mut SnapReader::new(&damaged)),
-            Err(CheckpointError::Corrupt(_))
-        ));
+    #[test]
+    fn an_open_body_without_packets_or_with_an_overlong_window_is_corrupt() {
+        // One open scan of two probes, both fingerprinted into its window.
+        let mut det = CampaignDetector::new(cfg());
+        for i in 0..2u32 {
+            det.admit(&record(1, 100 + i, 80, u64::from(i) * 1000));
+        }
+        let mut w = SnapWriter::new();
+        det.snapshot_to(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(detector_round_trip(&det), det);
+        // The body follows the interner (count + one ip), the slot count and
+        // the slot; its first field is the packet count. The window's length
+        // byte follows two destinations, one port and six votes.
+        let packets = 8 + 4 + 8 + 20;
+        let window = packets + 8 + (8 + 2 * 4) + (8 + 10) + 6 * 8;
+        assert_eq!(bytes[packets], 2);
+        assert_eq!(bytes[window], 2);
+        for (at, value) in [(packets, 0), (window, 9)] {
+            let mut damaged = bytes.clone();
+            damaged[at] = value;
+            assert!(
+                matches!(
+                    CampaignDetector::restore_from(cfg(), &mut SnapReader::new(&damaged)),
+                    Err(CheckpointError::Corrupt(_))
+                ),
+                "byte {at} set to {value}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_reopened_scan_starts_with_an_empty_window() {
+        // A confirmed NMap session goes silent past the expiry; its next
+        // probe opens a new scan with no history to pair against, as does
+        // another source that reuses the released body.
+        use synscan_scanners::nmap::NmapScanner;
+        use synscan_scanners::traits::craft_record;
+        let nmap = NmapScanner::new(3);
+        let probe = |src: u32, i: u64, ts: u64| {
+            craft_record(
+                &nmap,
+                Ipv4Address(src),
+                Ipv4Address(0x0a00_0000 + i as u32 * 17),
+                (i * 7 % 50_000) as u16 + 1,
+                i,
+                ts,
+                6,
+            )
+        };
+        let mut det = CampaignDetector::new(cfg());
+        for i in 0..4u64 {
+            det.admit(&probe(1, i, i * 1000));
+        }
+        assert_eq!(
+            det.admit(&probe(1, 4, 4000)).0,
+            PacketVerdict::Paired(ToolKind::Nmap)
+        );
+        let later = 4000 + det.expiry_micros + 1;
+        assert_eq!(
+            det.admit(&probe(1, 5, later)).0,
+            PacketVerdict::Unattributed
+        );
+        det.expire_idle(later + det.expiry_micros + 1);
+        assert_eq!(det.scan_bodies(), 1);
+        let other = det.admit(&probe(2, 6, later + det.expiry_micros + 2));
+        assert_eq!(other.0, PacketVerdict::Unattributed);
     }
 
     /// A campaign snapshot written field by field, so its two maps can list

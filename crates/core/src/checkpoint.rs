@@ -756,7 +756,7 @@ mod tests {
             Checkpoint::from_bytes(&bad_version),
             envelope_error(EnvelopeError::UnsupportedVersion {
                 found: 0xfe,
-                expected: 2
+                expected: 3
             })
         );
 

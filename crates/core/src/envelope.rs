@@ -43,10 +43,12 @@ impl Format {
     }
 }
 
-/// Pipeline checkpoints; version 2 added the heavy-hitter section.
+/// Pipeline checkpoints; version 2 added the heavy-hitter section, and
+/// version 3 writes a fingerprint window only inside an open scan's body
+/// (an idle source is its 20-byte slot).
 pub(crate) const CHECKPOINT: Format = Format {
     magic: *b"SYNCKPT\0",
-    version: 2,
+    version: 3,
     kinded: false,
 };
 

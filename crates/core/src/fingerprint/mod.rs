@@ -7,11 +7,15 @@
 //!   identification, Mirai's destination-as-sequence quirk.
 //! * **Pairwise relations** ([`pairwise`]) that hold between any two frames
 //!   of one tool session — NMap's reused keystream and Unicornscan's XOR
-//!   encoding. These need per-source state: the engine keeps a small window
-//!   of recent probes per source and tests new arrivals against it.
+//!   encoding. These need a short history of the source's recent probes.
 //!
-//! [`FingerprintEngine`] combines both into per-packet verdicts and
-//! per-source/per-campaign attributions.
+//! `classify_window` is the one rule set: it combines both against one
+//! history. The product keeps that history in the source's open scan
+//! ([`crate::campaign::CampaignDetector::admit`]), so it lives and dies
+//! with the scan. [`FingerprintEngine`] (address-keyed) and
+//! [`InternedFingerprint`] (id-keyed) keep one history per source instead,
+//! reset after a silence longer than their expiry; they are references for
+//! tests, examples and the benchmark.
 
 pub mod pairwise;
 pub mod rules;
@@ -25,7 +29,6 @@ use synscan_scanners::traits::ToolKind;
 use self::pairwise::PairwiseState;
 use self::rules::single_packet_verdict;
 
-use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use crate::intern::SourceId;
 
 /// The verdict for one packet.
@@ -49,27 +52,67 @@ impl PacketVerdict {
     }
 }
 
+/// Classify one probe against its source's pairwise history, then add it to
+/// that history.
+///
+/// Precedence: single-packet invariants are checked first (they are
+/// verifiable without history and far more specific); pairwise relations
+/// only fire for packets with no single-packet match, which prevents two
+/// Mirai probes (whose sequence numbers both equal their destinations) from
+/// accidentally satisfying the NMap half-equality and being
+/// double-attributed. A single-packet match still enters the history, so a
+/// later unmarked packet can pair against it.
+#[inline]
+pub(crate) fn classify_window(window: &mut PairwiseState, record: &ProbeRecord) -> PacketVerdict {
+    if let Some(tool) = single_packet_verdict(record) {
+        window.push(record);
+        return PacketVerdict::Single(tool);
+    }
+    let verdict = window.test(record);
+    window.push(record);
+    match verdict {
+        Some(tool) => PacketVerdict::Paired(tool),
+        None => PacketVerdict::Unattributed,
+    }
+}
+
+/// One source's pairwise history and the timestamp of its last probe, for
+/// the engines that keep a history per source rather than per open scan.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+struct SourceWindow {
+    last_seen_micros: u64,
+    window: PairwiseState,
+}
+
+impl SourceWindow {
+    /// Reset the history after a gap longer than `expiry_micros`, then
+    /// classify `record` against it.
+    #[inline]
+    fn classify(&mut self, record: &ProbeRecord, expiry_micros: u64) -> PacketVerdict {
+        if record.ts_micros.saturating_sub(self.last_seen_micros) > expiry_micros {
+            self.window.reset();
+        }
+        self.last_seen_micros = self.last_seen_micros.max(record.ts_micros);
+        classify_window(&mut self.window, record)
+    }
+}
+
 /// Streaming fingerprint engine with bounded per-source state.
 #[derive(Debug)]
 pub struct FingerprintEngine {
-    pairwise: HashMap<Ipv4Address, PairwiseState>,
+    pairwise: HashMap<Ipv4Address, SourceWindow>,
     /// Per-source gaps longer than this reset the source's pairwise state
     /// *inside* [`FingerprintEngine::classify`], deterministically.
     ///
     /// With the reset keyed to the record stream itself, the periodic
     /// [`FingerprintEngine::evict_idle`] housekeeping is purely a memory
-    /// bound — *when* it runs can no longer change any verdict, which is
-    /// what lets sharded workers housekeep on their own cadence and still
-    /// reproduce the sequential run bit for bit.
+    /// bound — *when* it runs can no longer change any verdict.
     expiry_micros: u64,
 }
 
 impl Default for FingerprintEngine {
     fn default() -> Self {
-        Self {
-            pairwise: HashMap::new(),
-            expiry_micros: u64::MAX,
-        }
+        Self::with_expiry(u64::MAX)
     }
 }
 
@@ -89,40 +132,20 @@ impl FingerprintEngine {
         }
     }
 
-    /// Classify one probe, updating per-source pairwise state.
-    ///
-    /// Precedence: single-packet invariants are checked first (they are
-    /// verifiable without history and far more specific); pairwise relations
-    /// only fire for packets with no single-packet match, which prevents two
-    /// Mirai probes (whose sequence numbers both equal their destinations)
-    /// from accidentally satisfying the NMap half-equality and being
-    /// double-attributed.
+    /// Classify one probe, updating per-source pairwise state
+    /// (`classify_window`'s precedence).
     pub fn classify(&mut self, record: &ProbeRecord) -> PacketVerdict {
-        // One hash lookup per packet: this is the hottest map access in the
-        // whole pipeline.
-        let state = self.pairwise.entry(record.src_ip).or_default();
-        if record.ts_micros.saturating_sub(state.last_seen_micros()) > self.expiry_micros {
-            state.reset();
-        }
-        if let Some(tool) = single_packet_verdict(record) {
-            // A single-packet match still refreshes pairwise history so a
-            // later unmarked packet can pair against it if needed.
-            state.push(record);
-            return PacketVerdict::Single(tool);
-        }
-        let verdict = state.test(record);
-        state.push(record);
-        match verdict {
-            Some(tool) => PacketVerdict::Paired(tool),
-            None => PacketVerdict::Unattributed,
-        }
+        self.pairwise
+            .entry(record.src_ip)
+            .or_default()
+            .classify(record, self.expiry_micros)
     }
 
     /// Drop per-source state for sources idle since before `cutoff_micros`
     /// (bounded-memory operation over long streams).
     pub fn evict_idle(&mut self, cutoff_micros: u64) {
         self.pairwise
-            .retain(|_, state| state.last_seen_micros() >= cutoff_micros);
+            .retain(|_, state| state.last_seen_micros >= cutoff_micros);
     }
 
     /// Number of sources currently tracked.
@@ -135,17 +158,14 @@ impl FingerprintEngine {
 ///
 /// Functionally identical to [`FingerprintEngine`] — same rules, same
 /// pairwise windows, same lazy expiry reset — but per-source state is a
-/// dense `Vec<PairwiseState>` indexed by [`SourceId`], so `classify` does no
-/// hashing at all: the caller interned the address already (one probe,
-/// shared with the campaign detector) and everything here is an array
-/// index. Memory is bounded by the interner: one fixed-size probe window
-/// per distinct source, no eviction needed.
+/// dense vector indexed by [`SourceId`], so `classify` does no hashing. It
+/// keeps one history per source ever seen, idle or not; the product keeps
+/// one per open scan instead and must agree with this engine verdict for
+/// verdict (`tests/verdict_equivalence.rs`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InternedFingerprint {
-    states: Vec<PairwiseState>,
-    /// Same lazy-reset contract as [`FingerprintEngine::with_expiry`]: gaps
-    /// longer than this reset the source's window inside `classify`,
-    /// deterministically, independent of any housekeeping cadence.
+    states: Vec<SourceWindow>,
+    /// Same lazy-reset contract as [`FingerprintEngine::with_expiry`].
     expiry_micros: u64,
 }
 
@@ -159,64 +179,15 @@ impl InternedFingerprint {
         }
     }
 
-    /// Pre-size the state vector for roughly `sources` distinct sources.
-    pub fn reserve(&mut self, sources: usize) {
-        self.states.reserve(sources);
-    }
-
     /// Classify one probe of the source interned as `sid`, updating its
-    /// pairwise state. Same precedence as [`FingerprintEngine::classify`].
+    /// pairwise state (`classify_window`'s precedence).
     #[inline]
     pub fn classify(&mut self, sid: SourceId, record: &ProbeRecord) -> PacketVerdict {
         let idx = sid as usize;
         if idx >= self.states.len() {
-            self.states.resize_with(idx + 1, PairwiseState::default);
+            self.states.resize_with(idx + 1, SourceWindow::default);
         }
-        let state = &mut self.states[idx];
-        if record.ts_micros.saturating_sub(state.last_seen_micros()) > self.expiry_micros {
-            state.reset();
-        }
-        if let Some(tool) = single_packet_verdict(record) {
-            // A single-packet match still refreshes pairwise history so a
-            // later unmarked packet can pair against it if needed.
-            state.push(record);
-            return PacketVerdict::Single(tool);
-        }
-        let verdict = state.test(record);
-        state.push(record);
-        match verdict {
-            Some(tool) => PacketVerdict::Paired(tool),
-            None => PacketVerdict::Unattributed,
-        }
-    }
-
-    /// Number of sources with allocated state.
-    pub fn tracked_sources(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Serialize every per-source pairwise window (dense-id order) and the
-    /// expiry for a pipeline checkpoint.
-    pub fn snapshot_to(&self, w: &mut SnapWriter) {
-        w.put_u64(self.expiry_micros);
-        w.put_u64(self.states.len() as u64);
-        for state in &self.states {
-            state.snapshot_to(w);
-        }
-    }
-
-    /// Rebuild an engine written by [`InternedFingerprint::snapshot_to`].
-    pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
-        let expiry_micros = r.take_u64()?;
-        let len = r.take_len(10)?;
-        let mut states = Vec::with_capacity(len);
-        for _ in 0..len {
-            states.push(PairwiseState::restore_from(r)?);
-        }
-        Ok(Self {
-            states,
-            expiry_micros,
-        })
+        self.states[idx].classify(record, self.expiry_micros)
     }
 }
 
@@ -395,49 +366,6 @@ mod tests {
         for rec in &stream {
             let sid = table.intern(rec.src_ip.0);
             assert_eq!(fast.classify(sid, rec), reference.classify(rec), "{rec:?}");
-        }
-        assert_eq!(fast.tracked_sources(), 3);
-    }
-
-    #[test]
-    fn interned_snapshot_round_trips_and_preserves_verdicts() {
-        use crate::intern::SourceTable;
-        let expiry = 2_000_000u64;
-
-        // Empty engine round-trips.
-        let empty = InternedFingerprint::with_expiry(expiry);
-        let mut w = SnapWriter::new();
-        empty.snapshot_to(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        let back = InternedFingerprint::restore_from(&mut r).unwrap();
-        assert_eq!(r.remaining(), 0);
-        assert_eq!(back, empty);
-
-        // Populated engine: pairwise windows, sticky confirmations, and a
-        // default (never-seen) slot in the middle of the dense range.
-        let nmap = records_for(&NmapScanner::new(31), 500, 6);
-        let custom = records_for(&CustomScanner::new(32), 501, 6);
-        let zmap = records_for(&ZmapScanner::new(33), 502, 6);
-        let mut engine = InternedFingerprint::with_expiry(expiry);
-        let mut table = SourceTable::new();
-        for rec in nmap.iter().chain(&custom).chain(&zmap) {
-            let sid = table.intern(rec.src_ip.0);
-            engine.classify(sid, rec);
-        }
-        let mut w = SnapWriter::new();
-        engine.snapshot_to(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        let mut restored = InternedFingerprint::restore_from(&mut r).unwrap();
-        assert_eq!(r.remaining(), 0, "snapshot fully consumed");
-        assert_eq!(restored, engine);
-
-        // The restored engine classifies the continuation of each stream
-        // exactly like the original would.
-        for rec in records_for(&NmapScanner::new(31), 500, 8).iter().skip(6) {
-            let sid = table.intern(rec.src_ip.0);
-            assert_eq!(restored.classify(sid, rec), engine.classify(sid, rec));
         }
     }
 

@@ -1,4 +1,5 @@
-//! Pairwise fingerprint relations (NMap, Unicornscan) with per-source state.
+//! Pairwise fingerprint relations (NMap, Unicornscan) over a short probe
+//! history.
 //!
 //! Both relations compare two probes of one source:
 //!
@@ -44,22 +45,19 @@ impl From<&ProbeRecord> for StoredProbe {
     }
 }
 
-/// Sliding pairwise state for one source.
+/// Sliding pairwise state: the last eight probes of one source and a
+/// sticky attribution. It keeps no clock; whoever owns it decides when the
+/// history has gone stale (the open scan it lives in, or a reference
+/// engine's per-source stamp).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PairwiseState {
     window: Vec<StoredProbe>,
-    last_seen_micros: u64,
     /// Sticky attribution: once a source has produced two confirming pairs,
     /// subsequent probes inherit the label without re-testing.
     confirmed: Option<ToolKind>,
 }
 
 impl PairwiseState {
-    /// Timestamp of the last probe pushed.
-    pub fn last_seen_micros(&self) -> u64 {
-        self.last_seen_micros
-    }
-
     /// Test a new probe against the stored window.
     pub fn test(&mut self, record: &ProbeRecord) -> Option<ToolKind> {
         if let Some(tool) = self.confirmed {
@@ -112,8 +110,7 @@ impl PairwiseState {
     }
 
     /// Forget the window and any sticky attribution, as if the source were
-    /// new. Used by the engine's deterministic per-source expiry; the last
-    /// seen timestamp is kept so eviction bookkeeping stays monotonic.
+    /// new; the probe vector keeps its capacity.
     pub fn reset(&mut self) {
         self.window.clear();
         self.confirmed = None;
@@ -121,15 +118,14 @@ impl PairwiseState {
 
     /// Record a probe into the window.
     pub fn push(&mut self, record: &ProbeRecord) {
-        self.last_seen_micros = self.last_seen_micros.max(record.ts_micros);
         if self.window.len() == WINDOW {
             self.window.remove(0);
         }
         self.window.push(record.into());
     }
 
-    /// Serialize the window, last-seen stamp, and sticky attribution for a
-    /// pipeline checkpoint.
+    /// Serialize the window and sticky attribution for a pipeline
+    /// checkpoint.
     pub fn snapshot_to(&self, w: &mut SnapWriter) {
         w.put_u8(self.window.len() as u8);
         for probe in &self.window {
@@ -138,7 +134,6 @@ impl PairwiseState {
             w.put_u16(probe.src_port);
             w.put_u16(probe.dst_port);
         }
-        w.put_u64(self.last_seen_micros);
         match self.confirmed {
             Some(tool) => {
                 w.put_u8(1);
@@ -165,17 +160,12 @@ impl PairwiseState {
                 dst_port: r.take_u16()?,
             });
         }
-        let last_seen_micros = r.take_u64()?;
         let confirmed = match r.take_u8()? {
             0 => None,
             1 => Some(r.take_tool()?),
             t => return Err(CheckpointError::Corrupt(format!("confirmed tag {t}"))),
         };
-        Ok(Self {
-            window,
-            last_seen_micros,
-            confirmed,
-        })
+        Ok(Self { window, confirmed })
     }
 }
 
@@ -328,7 +318,7 @@ mod tests {
             state.test(&p);
             state.push(&p);
         }
-        assert!(state.window.len() <= WINDOW);
-        assert_eq!(state.last_seen_micros(), 99 * 100);
+        assert_eq!(state.window.len(), WINDOW);
+        assert_eq!(state.window[WINDOW - 1], StoredProbe::from(&probe(&n, 99)));
     }
 }

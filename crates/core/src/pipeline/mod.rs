@@ -4,9 +4,8 @@
 //! campaign grouping, aggregation — is sequential in nature only at the
 //! *stream* level; every stateful stage is keyed by **source address**:
 //!
-//! * [`crate::FingerprintEngine`] keeps per-source pairwise state,
 //! * the campaign [`crate::campaign::Pipeline`] keeps per-source scan state
-//!   machines,
+//!   machines, each open scan with its pairwise fingerprint window,
 //! * [`YearCollector`]'s aggregates are commutative merges (per-port sums,
 //!   per-source sets, week × /16 cells).
 //!

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 
 use synscan::core::store::{encode_year, AnalysisStore};
-use synscan::core::{Checkpoint, CheckpointError, InjectedFaults};
+use synscan::core::{Checkpoint, CheckpointError, EnvelopeError, InjectedFaults};
 use synscan::experiment::{
     CheckpointSpec, DecadeStatus, Experiment, RunError, RunOptions, YearRun,
 };
@@ -200,27 +200,39 @@ fn injected_worker_panic_recovers_via_one_retry_from_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A golden checkpoint: tiny-scale 2015 of seed 20240915 under
+/// `Sharded { workers: 2 }`, cut after its first checkpoint (every 1 000
+/// records) by an earlier build.
+fn golden(name: &str) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/data/ckpt")
+        .join(name);
+    std::fs::read(&path).expect("golden checkpoint")
+}
+
+fn golden_run() -> (Experiment, YearConfig, PipelineMode) {
+    let gen = GeneratorConfig {
+        seed: 20240915,
+        ..GeneratorConfig::tiny()
+    };
+    (
+        Experiment::new(gen),
+        YearConfig::for_year(2015),
+        PipelineMode::Sharded { workers: 2 },
+    )
+}
+
 #[test]
 fn a_checkpoint_written_by_an_earlier_build_reencodes_and_resumes() {
-    // Tiny-scale 2015 of seed 20240915 under `Sharded { workers: 2 }`, cut
-    // after its first checkpoint by the build before the shared envelope.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/data/ckpt/year-2015-sharded2.ckpt");
-    let bytes = std::fs::read(&path).expect("golden checkpoint");
+    // Format version 3: an idle source is its bare slot.
+    let bytes = golden("year-2015-sharded2-v3.ckpt");
     let golden = Checkpoint::from_bytes(&bytes).expect("golden checkpoint decodes");
     assert_eq!((golden.header.year, golden.header.workers), (2015, 2));
     assert!(golden.header.cursor > 0, "cut mid-stream");
     assert!(golden.to_bytes() == bytes, "re-encodes to its own bytes");
 
-    let gen = GeneratorConfig {
-        seed: 20240915,
-        ..GeneratorConfig::tiny()
-    };
-    let (cfg, mode) = (
-        YearConfig::for_year(2015),
-        PipelineMode::Sharded { workers: 2 },
-    );
-    let plain = plain_year(&Experiment::new(gen), &cfg, mode);
+    let (experiment, cfg, mode) = golden_run();
+    let plain = plain_year(&experiment, &cfg, mode);
 
     let dir = temp_dir("ckpt-golden");
     std::fs::write(Checkpoint::path_for(&dir, 2015), &bytes).expect("stage golden");
@@ -232,7 +244,7 @@ fn a_checkpoint_written_by_an_earlier_build_reencodes_and_resumes() {
         store: Some(&store),
         ..RunOptions::default()
     };
-    let status = Experiment::new(gen).year(&cfg, mode, &opts);
+    let status = experiment.year(&cfg, mode, &opts);
     assert!(
         matches!(status, Ok(RunStatus::Completed { .. })),
         "{status:?}"
@@ -245,6 +257,38 @@ fn a_checkpoint_written_by_an_earlier_build_reencodes_and_resumes() {
     for dir in [dir, store_dir] {
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn a_checkpoint_of_the_previous_format_is_refused_with_a_rerun_message() {
+    // The same cut in format version 2, whose idle sources carried a
+    // fingerprint window and an empty scan body each.
+    let bytes = golden("year-2015-sharded2.ckpt");
+    let refused = |e: &CheckpointError| {
+        matches!(
+            e,
+            CheckpointError::Envelope(EnvelopeError::UnsupportedVersion {
+                found: 2,
+                expected: 3
+            })
+        ) && e.to_string().contains("re-run")
+    };
+    let err = Checkpoint::from_bytes(&bytes).expect_err("another format version");
+    assert!(refused(&err), "{err}");
+
+    let (experiment, cfg, mode) = golden_run();
+    let dir = temp_dir("ckpt-golden-v2");
+    std::fs::write(Checkpoint::path_for(&dir, 2015), &bytes).expect("stage golden");
+    let resume = CheckpointSpec::new(&dir).resume(true);
+    let opts = RunOptions {
+        checkpoint: Some(&resume),
+        ..RunOptions::default()
+    };
+    match experiment.year(&cfg, mode, &opts) {
+        Err(RunError::Checkpoint(e)) => assert!(refused(&e), "{e}"),
+        other => panic!("a version-2 checkpoint must be refused, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The years a store holds, each with its slice bytes.

@@ -80,12 +80,13 @@ const SOURCES: u32 = 14_000;
 const WINDOW_MICROS: u64 = 7 * 86_400 * 1_000_000;
 
 /// Heap bytes one source may cost a collector, all of its state included
-/// (interner, fingerprint window, detector slot, per-source columns, its
-/// (week, /16) cell). These streams measure 295 B (1 packet) and 322 B
-/// (5 packets) per source; a collector that keeps an open-scan body for
-/// every source ever seen and a heap vector behind every small set measures
-/// 499 B and 566 B.
-const MAX_BYTES_PER_SOURCE: isize = 352;
+/// (interner, detector slot, per-source columns, its (week, /16) cell, and a
+/// share of the open-scan bodies, fingerprint windows included). These
+/// streams measure 218 B (1 packet) and 195 B (5 packets) per source. A
+/// collector that also keeps a fingerprint window for every source ever
+/// seen measures 295 B and 322 B; one that further keeps an open-scan body
+/// per source and a heap vector behind every small set, 499 B and 566 B.
+const MAX_BYTES_PER_SOURCE: isize = 256;
 
 /// Telescope size the detector's thresholds are scaled to.
 const MONITORED: u64 = 1 << 12;

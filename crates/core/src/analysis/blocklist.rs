@@ -31,7 +31,7 @@ impl_to_json!(BlocklistEfficacy {
 
 /// Build a list from campaigns *starting* in `[list_start, list_end)` µs and
 /// evaluate it against campaigns starting in `[eval_start, eval_end)`.
-pub fn blocklist_efficacy(
+pub(crate) fn blocklist_efficacy(
     campaigns: &[Campaign],
     list_window: (u64, u64),
     eval_window: (u64, u64),

@@ -61,7 +61,7 @@ impl WeekCell {
 /// and never serialized. The tallies are integers; `summarize` divides them
 /// once, exactly as it did when it counted them itself.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct YearIndex {
+pub(crate) struct YearIndex {
     /// `(source, position in campaigns)`, sorted: one source's campaigns are
     /// one contiguous run, in list order.
     postings: Vec<(u32, u32)>,
@@ -120,17 +120,17 @@ impl YearIndex {
     }
 
     /// Campaigns per dominant port, ascending by port.
-    pub fn scan_ports(&self) -> &[(u16, u64)] {
+    pub(crate) fn scan_ports(&self) -> &[(u16, u64)] {
         &self.scan_ports
     }
 
     /// Campaigns whose majority-vote tool is `tool`.
-    pub fn tool_scans(&self, tool: ToolKind) -> u64 {
+    pub(crate) fn tool_scans(&self, tool: ToolKind) -> u64 {
         self.tool_scans[tool_slot(tool)]
     }
 
     /// Packets per tool name, unattributed packets under `"custom"`.
-    pub fn tool_packets(&self) -> &BTreeMap<&'static str, u64> {
+    pub(crate) fn tool_packets(&self) -> &BTreeMap<&'static str, u64> {
         &self.tool_packets
     }
 }
@@ -183,7 +183,7 @@ pub struct YearAnalysis {
 
 impl YearAnalysis {
     /// The year's lookup index.
-    pub fn index(&self) -> &YearIndex {
+    pub(crate) fn index(&self) -> &YearIndex {
         &self.index
     }
 
@@ -194,7 +194,7 @@ impl YearAnalysis {
     }
 
     /// `source`'s campaigns this year, in list order (start time).
-    pub fn campaigns_of(
+    pub(crate) fn campaigns_of(
         &self,
         source: Ipv4Address,
     ) -> impl ExactSizeIterator<Item = &Campaign> + '_ {
@@ -215,7 +215,7 @@ impl YearAnalysis {
     }
 
     /// Campaigns per 30-day month.
-    pub fn scans_per_month(&self) -> f64 {
+    pub(crate) fn scans_per_month(&self) -> f64 {
         self.campaigns.len() as f64 / self.window_days() * 30.0
     }
 
@@ -237,6 +237,7 @@ impl YearAnalysis {
     ///
     /// # Panics
     /// If `partials` is empty or the partials disagree on year/telescope.
+    /// Public only because the benchmark names it.
     pub fn merge_partials(partials: Vec<YearAnalysis>) -> YearAnalysis {
         let mut iter = partials.into_iter();
         let mut merged = iter
@@ -386,6 +387,7 @@ impl YearCollector {
     /// shard of a source-partitioned stream must instead use the origin of
     /// the *whole* stream, or its day and week bucket boundaries would drift
     /// from the sequential reference.
+    /// Public only because the benchmark names it.
     pub fn with_origin(
         year: u16,
         config: CampaignConfig,
@@ -397,24 +399,17 @@ impl YearCollector {
         collector
     }
 
-    /// Timestamp of the first admitted record — the day/week binning origin —
-    /// or `None` before any record has been offered. Checkpoints persist this
-    /// so resumed sharded runs can re-broadcast the origin to fresh workers.
-    pub fn origin(&self) -> Option<u64> {
-        self.start_micros
-    }
-
     /// Pre-size the per-source state for roughly `distinct_sources` sources,
     /// avoiding rehash/regrow churn when the caller knows the stream's width
     /// ahead of time (generator ground truth, shard fan-out).
-    pub fn reserve_sources(&mut self, distinct_sources: usize) {
+    pub(crate) fn reserve_sources(&mut self, distinct_sources: usize) {
         self.pipeline.reserve_sources(distinct_sources);
         self.source_ports.reserve(distinct_sources);
         self.source_packets.reserve(distinct_sources);
     }
 
     /// Pre-size the per-port maps for roughly `distinct_ports` ports.
-    pub fn reserve_ports(&mut self, distinct_ports: usize) {
+    pub(crate) fn reserve_ports(&mut self, distinct_ports: usize) {
         self.port_stats.reserve(distinct_ports);
         self.tool_port_packets.reserve(distinct_ports);
     }
@@ -423,7 +418,7 @@ impl YearCollector {
     /// before any record is offered (every shard of a run enables the same
     /// config up front, so merged partials agree); a second call is a no-op
     /// to keep the hint application idempotent.
-    pub fn enable_heavy_hitters(&mut self, config: HeavyHitterConfig) {
+    pub(crate) fn enable_heavy_hitters(&mut self, config: HeavyHitterConfig) {
         if self.heavy.is_none() {
             self.heavy = Some(HeavyHitters::new(config));
         }
@@ -493,7 +488,7 @@ impl YearCollector {
     /// [`YearCollector::restore_from`] is self-contained. Hash maps are
     /// serialized in sorted key order: the byte stream for a given logical
     /// state is unique, independent of map iteration order.
-    pub fn snapshot_to(&self, w: &mut SnapWriter) {
+    pub(crate) fn snapshot_to(&self, w: &mut SnapWriter) {
         self.pipeline.config().snapshot_to(w);
         w.put_u16(self.year);
         w.put_u64(self.monitored);
@@ -559,7 +554,7 @@ impl YearCollector {
     }
 
     /// Rebuild a collector written by [`YearCollector::snapshot_to`].
-    pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
+    pub(crate) fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
         let config = CampaignConfig::restore_from(r)?;
         let year = r.take_u16()?;
         let monitored = r.take_u64()?;
@@ -765,12 +760,6 @@ fn source_column<V>(by_address: &[(u32, u32)], value: impl Fn(usize) -> V) -> So
         .map(|&(ip, sid)| (ip, value(sid as usize)))
         .collect();
     SortedMap::from_sorted(entries).expect("interned addresses are distinct")
-}
-
-/// Bundle a source address into the campaign's /16 key space (helper shared
-/// by volatility consumers).
-pub fn slash16_of(src: Ipv4Address) -> u16 {
-    src.slash16()
 }
 
 #[cfg(test)]

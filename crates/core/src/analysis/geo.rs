@@ -36,19 +36,11 @@ pub fn country_concentration(shares: &BTreeMap<Country, f64>) -> f64 {
     shares.values().map(|s| s * s).sum()
 }
 
-/// Per-port country dominance: for each port, the country originating the
-/// largest share of its packets. Returns `port -> (country, share)`.
-pub fn port_country_dominance(
-    campaigns: &[Campaign],
-    registry: &InternetRegistry,
-) -> BTreeMap<u16, (Country, f64)> {
-    port_country_dominance_min(campaigns, registry, 0)
-}
-
-/// As [`port_country_dominance`], but only for ports carrying at least
-/// `min_packets` — dominance over a port seen twice is noise, and at
-/// simulation scale the long tail would otherwise be attributed to whoever
-/// sent its only packets.
+/// Per-port country dominance: for each port carrying at least
+/// `min_packets`, the country originating the largest share of its packets,
+/// as `port -> (country, share)`. Dominance over a port seen twice is noise,
+/// and at simulation scale the long tail would otherwise be attributed to
+/// whoever sent its only packets.
 pub fn port_country_dominance_min(
     campaigns: &[Campaign],
     registry: &InternetRegistry,
@@ -175,7 +167,7 @@ mod tests {
             campaign(us, 3306, 50, None),
             campaign(us, 443, 500, None),
         ];
-        let dom = port_country_dominance(&campaigns, &registry);
+        let dom = port_country_dominance_min(&campaigns, &registry, 0);
         assert_eq!(dom[&3306].0, Country::China);
         assert!(dom[&3306].1 > 0.9);
         assert_eq!(dom[&443].0, Country::UnitedStates);
@@ -193,7 +185,7 @@ mod tests {
             campaign(cn, 3306, 500, None),
             campaign(cn, 9999, 2, None), // a two-packet tail port
         ];
-        let all = port_country_dominance(&campaigns, &registry);
+        let all = port_country_dominance_min(&campaigns, &registry, 0);
         assert!(all.contains_key(&9999));
         let filtered = port_country_dominance_min(&campaigns, &registry, 10);
         assert!(!filtered.contains_key(&9999));

@@ -106,19 +106,11 @@ pub fn campaign_co_scan_fraction(analysis: &YearAnalysis, port_a: u16, port_b: u
 /// Pearson r between the open-service count per port (from a vertical
 /// census) and the scan packets per port. The paper finds R = 0.047 — "no
 /// relation between the number of services and the number of scans".
-/// Computed over the union of census ports and the year's 50 busiest ports,
-/// zero-filling the missing side.
-pub fn services_scans_correlation(
-    analysis: &YearAnalysis,
-    census: &PortCensus,
-) -> Option<PearsonResult> {
-    correlate_census(&analysis.port_packets, census)
-}
-
-/// The same correlation over an arbitrary per-port packet map — §6.8 advises
-/// filtering institutional traffic out first ("papers quantifying the
-/// Internet are essentially looking into the mirror" otherwise); callers can
-/// pass the filtered map.
+/// Computed over the union of census ports and the 50 busiest ports of
+/// `port_packets`, zero-filling the missing side. §6.8 advises filtering
+/// institutional traffic out first ("papers quantifying the Internet are
+/// essentially looking into the mirror" otherwise); callers can pass the
+/// filtered map.
 pub fn correlate_census(
     port_packets: &std::collections::BTreeMap<u16, u64>,
     census: &PortCensus,
@@ -222,7 +214,7 @@ mod tests {
         }
         let analysis = build(&offers);
         let census = synscan_netmodel::PortCensus::synthesize(1, 100_000);
-        let r = services_scans_correlation(&analysis, &census).unwrap();
+        let r = correlate_census(&analysis.port_packets, &census).unwrap();
         assert!(r.r.abs() < 0.3, "R = {} should be near zero", r.r);
     }
 
@@ -240,7 +232,7 @@ mod tests {
             }
         }
         let analysis = build(&offers);
-        let r = services_scans_correlation(&analysis, &census).unwrap();
+        let r = correlate_census(&analysis.port_packets, &census).unwrap();
         assert!(r.r > 0.9, "R = {} should be near one", r.r);
     }
 

@@ -9,7 +9,7 @@ use super::collect::YearAnalysis;
 
 /// The tool mix on one port: shares of the port's packets per tool, plus the
 /// unattributed remainder under `"custom"`.
-pub type ToolMix = BTreeMap<String, f64>;
+pub(crate) type ToolMix = BTreeMap<String, f64>;
 
 /// One row of Figure 4: a port, its share of total traffic, and the mix of
 /// tools the traffic originates from.

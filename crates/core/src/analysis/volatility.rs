@@ -49,7 +49,7 @@ const CAP: f64 = 1000.0;
 ///
 /// The cells are sorted by (week, /16), so a week is one contiguous run and
 /// a pair of weeks is compared by walking their two runs in step.
-pub fn weekly_change_from_cells(cells: &SortedMap<(u32, u16), WeekCell>) -> VolatilityCdfs {
+pub(crate) fn weekly_change_from_cells(cells: &SortedMap<(u32, u16), WeekCell>) -> VolatilityCdfs {
     let cells = cells.as_slice();
     let week_run = |week: u32| {
         let start = cells.partition_point(|((w, _), _)| *w < week);

@@ -8,7 +8,7 @@ use synscan_wire::impl_to_json;
 use super::collect::YearAnalysis;
 
 /// One "top ports" ranking: `(port, share)` pairs, descending by share.
-pub type PortRanking = Vec<(u16, f64)>;
+pub(crate) type PortRanking = Vec<(u16, f64)>;
 
 /// One Table 1 column.
 #[derive(Debug, Clone, PartialEq)]

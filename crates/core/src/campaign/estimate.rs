@@ -13,7 +13,7 @@ use super::Campaign;
 /// Bytes on the wire per bare SYN frame (Ethernet 14 + IPv4 20 + TCP 20 +
 /// FCS 4 — the figure the paper's Gbps numbers imply for minimum-size
 /// probes, padded to the 64-byte Ethernet minimum).
-pub const SYN_FRAME_BYTES: f64 = 64.0;
+pub(crate) const SYN_FRAME_BYTES: f64 = 64.0;
 
 /// Extrapolated, Internet-wide view of one campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,7 +32,7 @@ pub struct CampaignEstimates {
 
 impl CampaignEstimates {
     /// Compute estimates for a campaign under a telescope model.
-    pub fn from_campaign(campaign: &Campaign, model: &TelescopeModel) -> Self {
+    pub(crate) fn from_campaign(campaign: &Campaign, model: &TelescopeModel) -> Self {
         let duration = campaign.duration_secs();
         let telescope_rate = if duration > 0.0 {
             campaign.packets as f64 / duration

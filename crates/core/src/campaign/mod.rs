@@ -32,7 +32,7 @@ use crate::fingerprint::pairwise::PairwiseState;
 use crate::fingerprint::{classify_window, PacketVerdict};
 use crate::intern::{SourceId, SourceTable};
 
-pub use estimate::CampaignEstimates;
+pub(crate) use estimate::CampaignEstimates;
 
 /// Detection thresholds and the telescope geometry they are evaluated
 /// against.
@@ -51,7 +51,7 @@ pub struct CampaignConfig {
 
 impl CampaignConfig {
     /// The paper's §3.4 configuration for the full-size telescope.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Self {
             min_distinct_dests: 100,
             min_rate_pps: 100.0,
@@ -86,7 +86,7 @@ impl CampaignConfig {
 
     /// Serialize the thresholds for a pipeline checkpoint (floats as raw
     /// IEEE-754 bits, so the round trip is exact).
-    pub fn snapshot_to(&self, w: &mut SnapWriter) {
+    pub(crate) fn snapshot_to(&self, w: &mut SnapWriter) {
         w.put_u64(self.min_distinct_dests);
         w.put_f64(self.min_rate_pps);
         w.put_f64(self.expiry_secs);
@@ -94,7 +94,7 @@ impl CampaignConfig {
     }
 
     /// Rebuild a configuration written by [`CampaignConfig::snapshot_to`].
-    pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
+    pub(crate) fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
         Ok(Self {
             min_distinct_dests: r.take_u64()?,
             min_rate_pps: r.take_f64()?,
@@ -155,7 +155,7 @@ impl Campaign {
     }
 
     /// Serialize the campaign for a pipeline checkpoint.
-    pub fn snapshot_to(&self, w: &mut SnapWriter) {
+    pub(crate) fn snapshot_to(&self, w: &mut SnapWriter) {
         w.put_u32(self.src_ip.0);
         w.put_u64(self.first_ts_micros);
         w.put_u64(self.last_ts_micros);
@@ -174,7 +174,7 @@ impl Campaign {
     }
 
     /// Rebuild a campaign written by [`Campaign::snapshot_to`].
-    pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
+    pub(crate) fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
         let src_ip = Ipv4Address(r.take_u32()?);
         let first_ts_micros = r.take_u64()?;
         let last_ts_micros = r.take_u64()?;
@@ -228,7 +228,7 @@ pub enum RejectReason {
 impl RejectReason {
     /// The stable string name of the reason (identical to its `Debug`
     /// rendering) — the report-time stringification point.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             RejectReason::TooFewDestinations => "TooFewDestinations",
             RejectReason::TooSlow => "TooSlow",
@@ -274,7 +274,7 @@ pub struct NoiseStats {
 
 impl NoiseStats {
     /// Serialize the counters for a pipeline checkpoint.
-    pub fn snapshot_to(&self, w: &mut SnapWriter) {
+    pub(crate) fn snapshot_to(&self, w: &mut SnapWriter) {
         w.put_u64(self.rejected_sequences.len() as u64);
         for (&reason, &count) in &self.rejected_sequences {
             w.put_u8(reject_code(reason));
@@ -284,7 +284,7 @@ impl NoiseStats {
     }
 
     /// Rebuild counters written by [`NoiseStats::snapshot_to`].
-    pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
+    pub(crate) fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
         let len = r.take_len(9)?;
         let mut rejected_sequences = BTreeMap::new();
         let mut order = Ascending::new("reject reasons");
@@ -487,10 +487,9 @@ impl SourceSlot {
 
 /// The streaming campaign detector.
 ///
-/// Feed records in timestamp order via [`CampaignDetector::admit`] (which
-/// fingerprints each record against its scan's window) or
-/// [`CampaignDetector::offer`] (which counts it under a verdict the caller
-/// reached); call [`CampaignDetector::finish`] at end of stream.
+/// Feed records in timestamp order via [`CampaignDetector::admit`], which
+/// fingerprints each record against its scan's window and counts it; call
+/// [`CampaignDetector::finish`] at end of stream.
 ///
 /// ```
 /// use synscan_core::campaign::{CampaignConfig, CampaignDetector};
@@ -503,21 +502,18 @@ impl SourceSlot {
 ///     monitored_addresses: 1 << 16,
 /// });
 /// for i in 0..50u32 {
-///     detector.offer(
-///         &ProbeRecord {
-///             ts_micros: u64::from(i) * 10_000,
-///             src_ip: Ipv4Address::new(203, 0, 113, 9),
-///             dst_ip: Ipv4Address(0x0a00_0000 + i),
-///             src_port: 40000,
-///             dst_port: 443,
-///             seq: 7,
-///             ip_id: 54_321, // the ZMap mark
-///             ttl: 55,
-///             flags: TcpFlags::SYN,
-///             window: 1024,
-///         },
-///         Some(synscan_core::ToolKind::Zmap),
-///     );
+///     detector.admit(&ProbeRecord {
+///         ts_micros: u64::from(i) * 10_000,
+///         src_ip: Ipv4Address::new(203, 0, 113, 9),
+///         dst_ip: Ipv4Address(0x0a00_0000 + i),
+///         src_port: 40000,
+///         dst_port: 443,
+///         seq: 7,
+///         ip_id: 54_321, // the ZMap mark
+///         ttl: 55,
+///         flags: TcpFlags::SYN,
+///         window: 1024,
+///     });
 /// }
 /// let (campaigns, noise) = detector.finish();
 /// assert_eq!(campaigns.len(), 1);
@@ -574,20 +570,15 @@ impl CampaignDetector {
     }
 
     /// The configured thresholds.
-    pub fn config(&self) -> &CampaignConfig {
+    pub(crate) fn config(&self) -> &CampaignConfig {
         &self.config
     }
 
     /// Pre-size the interner and slot table for roughly `sources` distinct
     /// addresses.
-    pub fn reserve(&mut self, sources: usize) {
+    pub(crate) fn reserve(&mut self, sources: usize) {
         self.table.reserve(sources);
         self.slots.reserve(sources);
-    }
-
-    /// The source interner (id ↔ IP bridge).
-    pub fn source_table(&self) -> &SourceTable {
-        &self.table
     }
 
     /// Number of currently open scans.
@@ -604,14 +595,6 @@ impl CampaignDetector {
     /// The open scans' bodies, aligned with `active`.
     fn open_bodies(&self) -> &[ScanBody] {
         &self.bodies[..self.active.len()]
-    }
-
-    /// Offer one record under a fingerprint verdict the caller reached. The
-    /// scan counts it; its pairwise window is neither consulted nor fed.
-    pub fn offer(&mut self, record: &ProbeRecord, tool: Option<ToolKind>) {
-        let sid = self.table.intern(record.src_ip.0);
-        let pos = self.scan_of(sid, record.ts_micros);
-        self.bodies[pos].add(record, tool);
     }
 
     /// Admit one record: intern its source, close the source's scan if it
@@ -694,7 +677,7 @@ impl CampaignDetector {
     /// As [`CampaignDetector::finish`], also returning the source table so
     /// callers that keyed their own state by interned id can map back to
     /// IPs.
-    pub fn finish_with_sources(mut self) -> (Vec<Campaign>, NoiseStats, SourceTable) {
+    pub(crate) fn finish_with_sources(mut self) -> (Vec<Campaign>, NoiseStats, SourceTable) {
         while let Some(&sid) = self.active.last() {
             self.close(sid);
         }
@@ -741,7 +724,7 @@ impl CampaignDetector {
     /// A slot is its 20 bytes (`active_pos`, first and last timestamp); only
     /// an open slot is followed by its scan's body, fingerprint window
     /// included.
-    pub fn snapshot_to(&self, w: &mut SnapWriter) {
+    pub(crate) fn snapshot_to(&self, w: &mut SnapWriter) {
         self.table.snapshot_to(w);
         w.put_u64(self.slots.len() as u64);
         for slot in &self.slots {
@@ -766,7 +749,7 @@ impl CampaignDetector {
     /// Rebuild a detector written by [`CampaignDetector::snapshot_to`],
     /// re-deriving the precomputed expiry from `config` and validating the
     /// active-list ↔ slot mirror invariant.
-    pub fn restore_from(
+    pub(crate) fn restore_from(
         config: CampaignConfig,
         r: &mut SnapReader<'_>,
     ) -> Result<Self, CheckpointError> {
@@ -875,25 +858,20 @@ impl Pipeline {
     }
 
     /// The campaign thresholds this pipeline runs under.
-    pub fn config(&self) -> &CampaignConfig {
+    pub(crate) fn config(&self) -> &CampaignConfig {
         self.detector.config()
     }
 
     /// Pre-size interner and campaign slots for roughly `sources` distinct
     /// addresses.
-    pub fn reserve_sources(&mut self, sources: usize) {
+    pub(crate) fn reserve_sources(&mut self, sources: usize) {
         self.detector.reserve(sources);
     }
 
     /// Process one record: intern, fingerprint and count it
-    /// ([`CampaignDetector::admit`]). Returns the per-packet verdict.
-    pub fn process(&mut self, record: &ProbeRecord) -> PacketVerdict {
-        self.process_interned(record).0
-    }
-
-    /// As [`Pipeline::process`], also returning the record's interned source
-    /// id so the caller can index its own dense per-source state without
-    /// re-hashing the address.
+    /// ([`CampaignDetector::admit`]). Returns the per-packet verdict and the
+    /// record's interned source id, so the caller can index its own dense
+    /// per-source state without re-hashing the address.
     #[inline]
     pub fn process_interned(&mut self, record: &ProbeRecord) -> (PacketVerdict, SourceId) {
         self.detector.admit(record)
@@ -905,25 +883,21 @@ impl Pipeline {
         self.detector.expire_idle(now_micros);
     }
 
-    /// Finish and return campaigns plus noise statistics.
-    pub fn finish(self) -> (Vec<Campaign>, NoiseStats) {
-        self.detector.finish()
-    }
-
     /// Finish, also handing back the source table for id → IP conversion.
+    /// Public only because the benchmark names it.
     pub fn finish_with_sources(self) -> (Vec<Campaign>, NoiseStats, SourceTable) {
         self.detector.finish_with_sources()
     }
 
     /// Serialize fingerprint and campaign state for a pipeline checkpoint:
     /// the detector's, which carries every open scan's window.
-    pub fn snapshot_to(&self, w: &mut SnapWriter) {
+    pub(crate) fn snapshot_to(&self, w: &mut SnapWriter) {
         self.detector.snapshot_to(w);
     }
 
     /// Rebuild a pipeline written by [`Pipeline::snapshot_to`] under the
     /// given campaign thresholds (which the caller checkpoints alongside).
-    pub fn restore_from(
+    pub(crate) fn restore_from(
         config: CampaignConfig,
         r: &mut SnapReader<'_>,
     ) -> Result<Self, CheckpointError> {
@@ -954,12 +928,26 @@ mod tests {
             dst_ip: Ipv4Address(dst),
             src_port: 1000,
             dst_port: port,
-            seq: dst ^ 0x5555_aaaa,
+            // No single-packet mark and no pairwise relation between any
+            // two of these probes: the fingerprint leaves them unattributed.
+            seq: dst.wrapping_mul(0x9e37_79b9),
             ip_id: 7,
             ttl: 60,
             flags: TcpFlags::SYN,
             window: 1024,
         }
+    }
+
+    /// `r` re-marked so the single-packet rules attribute it to `tool`.
+    fn tagged(mut r: ProbeRecord, tool: ToolKind) -> ProbeRecord {
+        r.ip_id = match tool {
+            ToolKind::Zmap => 54_321,
+            ToolKind::Masscan => {
+                synscan_scanners::masscan::MasscanScanner::ip_id_for(r.dst_ip, r.dst_port, r.seq)
+            }
+            other => unreachable!("{other:?} has no single-packet mark"),
+        };
+        r
     }
 
     #[test]
@@ -968,7 +956,7 @@ mod tests {
         // 50 distinct destinations in 1 second: telescope rate 50 pps,
         // extrapolated 50 × 2^32/2^16 = 3.3M pps — clearly a campaign.
         for i in 0..50u32 {
-            det.offer(&record(1, 100 + i, 80, (i as u64) * 20_000), None);
+            det.admit(&record(1, 100 + i, 80, (i as u64) * 20_000));
         }
         let (campaigns, noise) = det.finish();
         assert_eq!(campaigns.len(), 1);
@@ -981,7 +969,7 @@ mod tests {
     fn too_few_destinations_is_noise() {
         let mut det = CampaignDetector::new(cfg());
         for i in 0..5u32 {
-            det.offer(&record(1, 100 + i, 80, (i as u64) * 1000), None);
+            det.admit(&record(1, 100 + i, 80, (i as u64) * 1000));
         }
         let (campaigns, noise) = det.finish();
         assert!(campaigns.is_empty());
@@ -1000,7 +988,7 @@ mod tests {
         // 20 destinations over 20,000 seconds: telescope rate 0.001 pps,
         // extrapolated ≈ 65 pps < 100 pps threshold.
         for i in 0..20u32 {
-            det.offer(&record(1, 100 + i, 80, (i as u64) * 1_000_000_000), None);
+            det.admit(&record(1, 100 + i, 80, (i as u64) * 1_000_000_000));
         }
         // All probes are within the 1 h expiry? No — 1000 s gaps, fine.
         let (campaigns, noise) = det.finish();
@@ -1015,12 +1003,12 @@ mod tests {
     fn idle_gap_splits_campaigns() {
         let mut det = CampaignDetector::new(cfg());
         for i in 0..15u32 {
-            det.offer(&record(1, 100 + i, 80, (i as u64) * 1000), None);
+            det.admit(&record(1, 100 + i, 80, (i as u64) * 1000));
         }
         // Resume two hours later.
         let later = 2 * 3600 * 1_000_000u64;
         for i in 0..15u32 {
-            det.offer(&record(1, 500 + i, 443, later + (i as u64) * 1000), None);
+            det.admit(&record(1, 500 + i, 443, later + (i as u64) * 1000));
         }
         let (campaigns, _) = det.finish();
         assert_eq!(campaigns.len(), 2);
@@ -1033,8 +1021,8 @@ mod tests {
     fn sources_are_tracked_independently() {
         let mut det = CampaignDetector::new(cfg());
         for i in 0..12u32 {
-            det.offer(&record(1, 100 + i, 80, (i as u64) * 1000), None);
-            det.offer(&record(2, 200 + i, 22, (i as u64) * 1000 + 7), None);
+            det.admit(&record(1, 100 + i, 80, (i as u64) * 1000));
+            det.admit(&record(2, 200 + i, 22, (i as u64) * 1000 + 7));
         }
         let (campaigns, _) = det.finish();
         assert_eq!(campaigns.len(), 2);
@@ -1046,7 +1034,7 @@ mod tests {
     fn repeated_destinations_do_not_inflate_distinct_count() {
         let mut det = CampaignDetector::new(cfg());
         for i in 0..100u32 {
-            det.offer(&record(1, 100 + (i % 5), 80, (i as u64) * 1000), None);
+            det.admit(&record(1, 100 + (i % 5), 80, (i as u64) * 1000));
         }
         let (campaigns, noise) = det.finish();
         assert!(campaigns.is_empty(), "only 5 distinct destinations");
@@ -1057,14 +1045,13 @@ mod tests {
     fn tool_votes_produce_majority_attribution() {
         let mut det = CampaignDetector::new(cfg());
         for i in 0..20u32 {
-            let tool = if i < 15 {
-                Some(ToolKind::Zmap)
-            } else if i < 18 {
-                Some(ToolKind::Masscan)
-            } else {
-                None
+            let r = record(1, 100 + i, 80, (i as u64) * 1000);
+            let r = match i {
+                0..=14 => tagged(r, ToolKind::Zmap),
+                15..=17 => tagged(r, ToolKind::Masscan),
+                _ => r,
             };
-            det.offer(&record(1, 100 + i, 80, (i as u64) * 1000), tool);
+            det.admit(&r);
         }
         let (campaigns, _) = det.finish();
         assert_eq!(campaigns[0].tool(), Some(ToolKind::Zmap));
@@ -1075,7 +1062,7 @@ mod tests {
     fn campaign_without_votes_has_no_tool() {
         let mut det = CampaignDetector::new(cfg());
         for i in 0..20u32 {
-            det.offer(&record(1, 100 + i, 80, (i as u64) * 1000), None);
+            det.admit(&record(1, 100 + i, 80, (i as u64) * 1000));
         }
         let (campaigns, _) = det.finish();
         assert_eq!(campaigns[0].tool(), None);
@@ -1086,7 +1073,7 @@ mod tests {
         let mut det = CampaignDetector::new(cfg());
         for i in 0..30u32 {
             let port = [80u16, 8080, 443][i as usize % 3];
-            det.offer(&record(1, 100 + i, port, (i as u64) * 1000), None);
+            det.admit(&record(1, 100 + i, port, (i as u64) * 1000));
         }
         let (campaigns, _) = det.finish();
         assert_eq!(campaigns[0].distinct_ports(), 3);
@@ -1098,9 +1085,9 @@ mod tests {
         // A record arriving with an older timestamp (pcap merge artifact)
         // must widen the interval instead of inverting it.
         let mut det = CampaignDetector::new(cfg());
-        det.offer(&record(1, 100, 80, 5_000_000), None);
+        det.admit(&record(1, 100, 80, 5_000_000));
         for i in 0..12u32 {
-            det.offer(&record(1, 101 + i, 80, 4_000_000 + (i as u64) * 1000), None);
+            det.admit(&record(1, 101 + i, 80, 4_000_000 + (i as u64) * 1000));
         }
         let (campaigns, _) = det.finish();
         assert_eq!(campaigns.len(), 1);
@@ -1113,7 +1100,7 @@ mod tests {
     fn expire_idle_flushes_old_scans() {
         let mut det = CampaignDetector::new(cfg());
         for i in 0..15u32 {
-            det.offer(&record(1, 100 + i, 80, (i as u64) * 1000), None);
+            det.admit(&record(1, 100 + i, 80, (i as u64) * 1000));
         }
         det.expire_idle(2 * 3600 * 1_000_000);
         assert_eq!(det.open_scans(), 0);
@@ -1127,14 +1114,14 @@ mod tests {
         // slot must not leak dests/ports/votes from the first sequence.
         let mut det = CampaignDetector::new(cfg());
         for i in 0..5u32 {
-            det.offer(
-                &record(9, 100 + i, 80, (i as u64) * 1000),
-                Some(ToolKind::Nmap),
-            );
+            det.admit(&tagged(
+                record(9, 100 + i, 80, (i as u64) * 1000),
+                ToolKind::Zmap,
+            ));
         }
         let later = 3 * 3600 * 1_000_000u64;
         for i in 0..15u32 {
-            det.offer(&record(9, 500 + i, 443, later + (i as u64) * 1000), None);
+            det.admit(&record(9, 500 + i, 443, later + (i as u64) * 1000));
         }
         let (campaigns, noise) = det.finish();
         assert_eq!(campaigns.len(), 1);
@@ -1161,7 +1148,7 @@ mod tests {
                 } else {
                     5 * 3600 * 1_000_000 + (i as u64) * 1000
                 };
-                det.offer(&record(src, 100 + src * 100 + i, 80, ts), None);
+                det.admit(&record(src, 100 + src * 100 + i, 80, ts));
             }
         }
         assert_eq!(det.open_scans(), 20);
@@ -1227,14 +1214,14 @@ mod tests {
         let mut det = CampaignDetector::new(cfg());
         // Source 1: a finalized campaign (closed by an expiry gap).
         for i in 0..15u32 {
-            det.offer(
-                &record(1, 100 + i, 80, (i as u64) * 1000),
-                Some(ToolKind::Zmap),
-            );
+            det.admit(&tagged(
+                record(1, 100 + i, 80, (i as u64) * 1000),
+                ToolKind::Zmap,
+            ));
         }
         // Source 2: finalized noise (too few destinations, closed by gap).
         for i in 0..3u32 {
-            det.offer(&record(2, 200 + i, 22, (i as u64) * 1000), None);
+            det.admit(&record(2, 200 + i, 22, (i as u64) * 1000));
         }
         // A long gap closes both (the detector closes an idle scan only on
         // that source's next record or an expiry sweep), then sources 3 and
@@ -1242,11 +1229,11 @@ mod tests {
         let later = 3 * 3600 * 1_000_000u64;
         det.expire_idle(later);
         for i in 0..8u32 {
-            det.offer(&record(3, 300 + i, 443, later + (i as u64) * 1000), None);
-            det.offer(
-                &record(4, 400 + i, 8080, later + (i as u64) * 1000 + 3),
-                Some(ToolKind::Masscan),
-            );
+            det.admit(&record(3, 300 + i, 443, later + (i as u64) * 1000));
+            det.admit(&tagged(
+                record(4, 400 + i, 8080, later + (i as u64) * 1000 + 3),
+                ToolKind::Masscan,
+            ));
         }
         assert_eq!(det.open_scans(), 2);
 
@@ -1258,11 +1245,11 @@ mod tests {
         let mut restored = restored;
         for i in 8..20u32 {
             for d in [&mut det, &mut restored] {
-                d.offer(&record(3, 300 + i, 443, later + (i as u64) * 1000), None);
-                d.offer(
-                    &record(4, 400 + i, 8080, later + (i as u64) * 1000 + 3),
-                    Some(ToolKind::Masscan),
-                );
+                d.admit(&record(3, 300 + i, 443, later + (i as u64) * 1000));
+                d.admit(&tagged(
+                    record(4, 400 + i, 8080, later + (i as u64) * 1000 + 3),
+                    ToolKind::Masscan,
+                ));
             }
         }
         let (campaigns_a, noise_a, table_a) = det.finish_with_sources();
@@ -1277,7 +1264,7 @@ mod tests {
     fn detector_snapshot_with_broken_active_mirror_is_rejected() {
         let mut det = CampaignDetector::new(cfg());
         for i in 0..5u32 {
-            det.offer(&record(1, 100 + i, 80, (i as u64) * 1000), None);
+            det.admit(&record(1, 100 + i, 80, (i as u64) * 1000));
         }
         let mut w = SnapWriter::new();
         det.snapshot_to(&mut w);
@@ -1300,7 +1287,7 @@ mod tests {
         let mut det = CampaignDetector::new(cfg());
         for src in 0..64u32 {
             for i in 0..3u32 {
-                det.offer(&record(src, 100 + i, 80, u64::from(i) * 1000), None);
+                det.admit(&record(src, 100 + i, 80, u64::from(i) * 1000));
             }
         }
         det.expire_idle(2 * 3600 * 1_000_000);
@@ -1508,7 +1495,7 @@ mod tests {
             )
         };
         for i in 0..10u64 {
-            pipeline.process(&mk(i));
+            pipeline.process_interned(&mk(i));
         }
         let mut w = SnapWriter::new();
         pipeline.snapshot_to(&mut w);
@@ -1521,10 +1508,13 @@ mod tests {
         let mut pipeline = pipeline;
         let mut restored = restored;
         for i in 10..25u64 {
-            assert_eq!(restored.process(&mk(i)), pipeline.process(&mk(i)));
+            assert_eq!(
+                restored.process_interned(&mk(i)).0,
+                pipeline.process_interned(&mk(i)).0
+            );
         }
-        let (campaigns_a, noise_a) = pipeline.finish();
-        let (campaigns_b, noise_b) = restored.finish();
+        let (campaigns_a, noise_a, _) = pipeline.finish_with_sources();
+        let (campaigns_b, noise_b, _) = restored.finish_with_sources();
         assert_eq!(campaigns_a, campaigns_b);
         assert_eq!(noise_a, noise_b);
         assert_eq!(campaigns_a[0].tool(), Some(ToolKind::Zmap));
@@ -1546,9 +1536,9 @@ mod tests {
                 i * 5000,
                 9,
             );
-            pipeline.process(&rec);
+            pipeline.process_interned(&rec);
         }
-        let (campaigns, _) = pipeline.finish();
+        let (campaigns, _, _) = pipeline.finish_with_sources();
         assert_eq!(campaigns.len(), 1);
         assert_eq!(campaigns[0].tool(), Some(ToolKind::Zmap));
     }

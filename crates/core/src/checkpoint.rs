@@ -111,7 +111,7 @@ impl SnapWriter {
     }
 
     /// Append a `u16`, little-endian.
-    pub fn put_u16(&mut self, v: u16) {
+    pub(crate) fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -131,7 +131,7 @@ impl SnapWriter {
     }
 
     /// Append an optional `u64`: presence tag byte, then the value.
-    pub fn put_opt_u64(&mut self, v: Option<u64>) {
+    pub(crate) fn put_opt_u64(&mut self, v: Option<u64>) {
         match v {
             Some(v) => {
                 self.put_u8(1);
@@ -142,13 +142,13 @@ impl SnapWriter {
     }
 
     /// Append a length-prefixed byte blob.
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_u64(bytes.len() as u64);
         self.buf.extend_from_slice(bytes);
     }
 
     /// Append one [`ProbeRecord`], field by field.
-    pub fn put_record(&mut self, r: &ProbeRecord) {
+    pub(crate) fn put_record(&mut self, r: &ProbeRecord) {
         self.put_u64(r.ts_micros);
         self.put_u32(r.src_ip.0);
         self.put_u32(r.dst_ip.0);
@@ -162,12 +162,12 @@ impl SnapWriter {
     }
 
     /// Append one [`ToolKind`] as its stable wire code.
-    pub fn put_tool(&mut self, tool: ToolKind) {
+    pub(crate) fn put_tool(&mut self, tool: ToolKind) {
         self.put_u8(tool_code(tool));
     }
 
     /// Append a fault gate's four counters.
-    pub fn put_faults(&mut self, faults: &FaultCounters) {
+    pub(crate) fn put_faults(&mut self, faults: &FaultCounters) {
         self.put_u64(faults.records_skipped);
         self.put_u64(faults.duplicates_dropped);
         self.put_u64(faults.bytes_dropped);
@@ -209,7 +209,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Read a little-endian `u16`.
-    pub fn take_u16(&mut self) -> Result<u16, CheckpointError> {
+    pub(crate) fn take_u16(&mut self) -> Result<u16, CheckpointError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
@@ -229,7 +229,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Read an optional `u64` (presence tag byte, then the value).
-    pub fn take_opt_u64(&mut self) -> Result<Option<u64>, CheckpointError> {
+    pub(crate) fn take_opt_u64(&mut self) -> Result<Option<u64>, CheckpointError> {
         match self.take_u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.take_u64()?)),
@@ -238,7 +238,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Read a length-prefixed byte blob.
-    pub fn take_bytes(&mut self) -> Result<&'a [u8], CheckpointError> {
+    pub(crate) fn take_bytes(&mut self) -> Result<&'a [u8], CheckpointError> {
         let len = self.take_u64()?;
         if len > self.remaining() as u64 {
             return Err(EnvelopeError::Truncated.into());
@@ -260,7 +260,7 @@ impl<'a> SnapReader<'a> {
     /// Read a collection length written as `u64`, bounding it by what the
     /// remaining payload could possibly hold (`min_element_bytes` per item)
     /// so a corrupt length cannot trigger a huge allocation.
-    pub fn take_len(&mut self, min_element_bytes: usize) -> Result<usize, CheckpointError> {
+    pub(crate) fn take_len(&mut self, min_element_bytes: usize) -> Result<usize, CheckpointError> {
         let len = self.take_u64()?;
         self.bound(len, min_element_bytes)
     }
@@ -278,7 +278,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Read one [`ProbeRecord`].
-    pub fn take_record(&mut self) -> Result<ProbeRecord, CheckpointError> {
+    pub(crate) fn take_record(&mut self) -> Result<ProbeRecord, CheckpointError> {
         Ok(ProbeRecord {
             ts_micros: self.take_u64()?,
             src_ip: Ipv4Address(self.take_u32()?),
@@ -294,12 +294,12 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Read one [`ToolKind`] from its stable wire code.
-    pub fn take_tool(&mut self) -> Result<ToolKind, CheckpointError> {
+    pub(crate) fn take_tool(&mut self) -> Result<ToolKind, CheckpointError> {
         tool_from_code(self.take_u8()?)
     }
 
     /// Read a fault gate's four counters.
-    pub fn take_faults(&mut self) -> Result<FaultCounters, CheckpointError> {
+    pub(crate) fn take_faults(&mut self) -> Result<FaultCounters, CheckpointError> {
         Ok(FaultCounters {
             records_skipped: self.take_u64()?,
             duplicates_dropped: self.take_u64()?,
@@ -314,19 +314,19 @@ impl<'a> SnapReader<'a> {
 /// duplicated or misplaced key as last-wins and load a different value than
 /// was written, without an error.
 #[derive(Debug)]
-pub struct Ascending<K> {
+pub(crate) struct Ascending<K> {
     what: &'static str,
     last: Option<K>,
 }
 
 impl<K: Ord + Copy> Ascending<K> {
     /// A check for the map called `what` in error messages.
-    pub fn new(what: &'static str) -> Self {
+    pub(crate) fn new(what: &'static str) -> Self {
         Self { what, last: None }
     }
 
     /// Pass `key` through, or `Corrupt` unless it is above every key before.
-    pub fn admit(&mut self, key: K) -> Result<K, CheckpointError> {
+    pub(crate) fn admit(&mut self, key: K) -> Result<K, CheckpointError> {
         if self.last.is_some_and(|last| last >= key) {
             return Err(CheckpointError::Corrupt(format!(
                 "{} not strictly ascending",
@@ -407,6 +407,7 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Encode one shard's collector (or its absence — a shard that has not
     /// seen a record yet) as an opaque snapshot blob.
+    /// Public only because the benchmark names it.
     pub fn encode_collector(collector: Option<&YearCollector>) -> Vec<u8> {
         let mut w = SnapWriter::new();
         match collector {
@@ -420,7 +421,7 @@ impl Checkpoint {
     }
 
     /// Decode the shard blob written by [`Checkpoint::encode_collector`].
-    pub fn decode_collector(blob: &[u8]) -> Result<Option<YearCollector>, CheckpointError> {
+    pub(crate) fn decode_collector(blob: &[u8]) -> Result<Option<YearCollector>, CheckpointError> {
         let mut r = SnapReader::new(blob);
         let collector = match r.take_u8()? {
             0 => None,
@@ -432,6 +433,7 @@ impl Checkpoint {
     }
 
     /// Decode shard `i`'s collector snapshot.
+    /// Public only because the benchmark names it.
     pub fn shard_collector(&self, shard: usize) -> Result<Option<YearCollector>, CheckpointError> {
         let blob = self
             .shards
@@ -514,7 +516,7 @@ impl Checkpoint {
     /// Atomically write this checkpoint as the rolling per-year file in
     /// `dir` (created if missing), so a crash mid-write can never destroy
     /// the previous checkpoint.
-    pub fn write_atomic(&self, dir: &Path) -> Result<PathBuf, CheckpointError> {
+    pub(crate) fn write_atomic(&self, dir: &Path) -> Result<PathBuf, CheckpointError> {
         fs::create_dir_all(dir).map_err(|e| envelope::io_error("create dir", dir, e))?;
         let path = Self::path_for(dir, self.header.year);
         envelope::write_atomic(&path, &self.to_bytes())?;
@@ -534,7 +536,7 @@ impl Checkpoint {
     /// Check that this checkpoint belongs to the run described by
     /// `(year, identity, workers)`; a mismatch on any field is a typed error
     /// rather than a silently wrong resume.
-    pub fn validate(
+    pub(crate) fn validate(
         &self,
         year: u16,
         identity: u64,

@@ -17,21 +17,6 @@ pub fn classify_source(registry: &InternetRegistry, src: Ipv4Address) -> Scanner
     registry.class(src)
 }
 
-/// Classify and also resolve the known organization, when one matches —
-/// used by the institutional-scanner analysis (Figures 8–10).
-pub fn classify_with_org(
-    registry: &InternetRegistry,
-    src: Ipv4Address,
-) -> (ScannerClass, Option<&synscan_netmodel::KnownOrg>) {
-    let org = registry.known_org(src);
-    let class = if org.is_some() {
-        ScannerClass::Institutional
-    } else {
-        registry.class(src)
-    };
-    (class, org)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -43,9 +28,8 @@ mod tests {
         let registry = InternetRegistry::build(11, &[]);
         let org = &registry.orgs()[0];
         let ip = registry.org_source_ip(org.id, 0);
-        let (class, resolved) = classify_with_org(&registry, ip);
-        assert_eq!(class, ScannerClass::Institutional);
-        assert_eq!(resolved.unwrap().id, org.id);
+        assert_eq!(classify_source(&registry, ip), ScannerClass::Institutional);
+        assert_eq!(registry.known_org(ip).unwrap().id, org.id);
     }
 
     #[test]

@@ -50,7 +50,7 @@ const _: () = assert!(std::mem::size_of::<PortSet>() <= 32);
 /// Words in a full 16-bit port bitmap (65536 bits).
 const PORT_WORDS: usize = 1 << 10;
 
-/// A set of dense [`crate::intern::SourceId`]s (inline / sorted vec / bitmap
+/// A set of dense `crate::intern::SourceId`s (inline / sorted vec / bitmap
 /// hybrid).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IdSet {
@@ -110,7 +110,7 @@ impl IdSet {
 
     /// Insert `id`; returns `true` when it was not already present.
     #[inline]
-    pub fn insert(&mut self, id: u32) -> bool {
+    pub(crate) fn insert(&mut self, id: u32) -> bool {
         match self {
             IdSet::Inline { len, ids } => match insert_inline(len, ids, id) {
                 Ok(inserted) => inserted,
@@ -177,7 +177,7 @@ impl IdSet {
     }
 
     /// Number of distinct ids.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             IdSet::Bits { len, .. } => *len as usize,
             _ => self.sorted().map_or(0, <[u32]>::len),
@@ -190,7 +190,7 @@ impl IdSet {
     }
 
     /// Iterate ids in ascending order.
-    pub fn iter(&self) -> IdSetIter<'_> {
+    pub(crate) fn iter(&self) -> IdSetIter<'_> {
         match self {
             IdSet::Bits { words, .. } => IdSetIter::Bits {
                 words,
@@ -204,7 +204,7 @@ impl IdSet {
     /// Serialize for a pipeline checkpoint: tag 0 and the members for both
     /// sorted variants (which one a set is in follows from its size), tag 1
     /// and the words for a bitmap.
-    pub fn snapshot_to(&self, w: &mut SnapWriter) {
+    pub(crate) fn snapshot_to(&self, w: &mut SnapWriter) {
         match self {
             IdSet::Bits { words, len } => {
                 w.put_u8(1);
@@ -226,7 +226,7 @@ impl IdSet {
     }
 
     /// Rebuild a set written by [`IdSet::snapshot_to`].
-    pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
+    pub(crate) fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
         match r.take_u8()? {
             0 => {
                 let len = r.take_len(4)?;
@@ -324,8 +324,8 @@ fn inline_of<T: Copy + Default, const N: usize>(items: &[T]) -> (u8, [T; N]) {
 /// iteration is in key order, and two maps combine in one sorted merge.
 ///
 /// The entries are private so the order cannot be broken from outside: a map
-/// is built by [`FromIterator`] (which sorts), by [`SortedMap::from_sorted`]
-/// (which checks), or by [`SortedMap::merge_from`].
+/// is built by [`FromIterator`] (which sorts), by `SortedMap::from_sorted`
+/// (which checks), or by `SortedMap::merge_from`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SortedMap<K, V> {
     entries: Vec<(K, V)>,
@@ -340,13 +340,13 @@ impl<K, V> Default for SortedMap<K, V> {
 }
 
 /// Borrowing iterator over a [`SortedMap`], ascending by key.
-pub type SortedMapIter<'a, K, V> =
+pub(crate) type SortedMapIter<'a, K, V> =
     std::iter::Map<std::slice::Iter<'a, (K, V)>, fn(&'a (K, V)) -> (&'a K, &'a V)>;
 
 impl<K: Ord, V> SortedMap<K, V> {
     /// Adopt `entries` as they are, or `None` unless their keys are strictly
     /// ascending (which also rules out duplicates).
-    pub fn from_sorted(entries: Vec<(K, V)>) -> Option<Self> {
+    pub(crate) fn from_sorted(entries: Vec<(K, V)>) -> Option<Self> {
         entries
             .windows(2)
             .all(|pair| pair[0].0 < pair[1].0)
@@ -364,32 +364,27 @@ impl<K: Ord, V> SortedMap<K, V> {
     }
 
     /// The entries, ascending by key.
-    pub fn as_slice(&self) -> &[(K, V)] {
+    pub(crate) fn as_slice(&self) -> &[(K, V)] {
         &self.entries
     }
 
     /// Position of `key` in [`SortedMap::as_slice`].
-    pub fn position(&self, key: &K) -> Option<usize> {
+    pub(crate) fn position(&self, key: &K) -> Option<usize> {
         self.entries.binary_search_by(|(k, _)| k.cmp(key)).ok()
     }
 
     /// The value stored under `key`.
-    pub fn get(&self, key: &K) -> Option<&V> {
+    pub(crate) fn get(&self, key: &K) -> Option<&V> {
         self.position(key).map(|at| &self.entries[at].1)
     }
 
     /// As [`SortedMap::get`], trying position `hint` before searching: two
     /// maps over the same key set hold a key at the same position.
-    pub fn get_near(&self, hint: usize, key: &K) -> Option<&V> {
+    pub(crate) fn get_near(&self, hint: usize, key: &K) -> Option<&V> {
         match self.entries.get(hint) {
             Some((k, value)) if k == key => Some(value),
             _ => self.get(key),
         }
-    }
-
-    /// Whether `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.position(key).is_some()
     }
 
     /// `(key, value)` pairs, ascending by key.
@@ -411,7 +406,7 @@ impl<K: Ord, V> SortedMap<K, V> {
     /// Merge `other` into `self` in one pass over both. A key only one side
     /// holds moves across unchanged; for a key both hold, `combine(mine,
     /// theirs)` decides what stays.
-    pub fn merge_from(&mut self, other: Self, mut combine: impl FnMut(&mut V, V)) {
+    pub(crate) fn merge_from(&mut self, other: Self, mut combine: impl FnMut(&mut V, V)) {
         if other.is_empty() {
             return;
         }
@@ -487,7 +482,7 @@ impl<'a, K: Ord, V> IntoIterator for &'a SortedMap<K, V> {
 }
 
 /// How many elements two sorted, deduplicated slices share.
-pub fn sorted_intersection_len(a: &[u32], b: &[u32]) -> usize {
+pub(crate) fn sorted_intersection_len(a: &[u32], b: &[u32]) -> usize {
     let (mut i, mut j, mut shared) = (0, 0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
@@ -504,7 +499,7 @@ pub fn sorted_intersection_len(a: &[u32], b: &[u32]) -> usize {
 }
 
 /// Union of two sorted, deduplicated slices, preserving both invariants.
-pub fn sorted_union(a: &[u32], b: &[u32]) -> Vec<u32> {
+pub(crate) fn sorted_union(a: &[u32], b: &[u32]) -> Vec<u32> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -622,7 +617,7 @@ impl PortSet {
 
     /// Insert `port`; returns `true` when it was not already present.
     #[inline]
-    pub fn insert(&mut self, port: u16) -> bool {
+    pub(crate) fn insert(&mut self, port: u16) -> bool {
         match self {
             PortSet::Inline { len, ports } => match insert_inline(len, ports, port) {
                 Ok(inserted) => inserted,
@@ -677,21 +672,16 @@ impl PortSet {
     }
 
     /// Number of distinct ports.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             PortSet::Bits { len, .. } => *len as usize,
             _ => self.sorted().map_or(0, <[u16]>::len),
         }
     }
 
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Serialize for a pipeline checkpoint: tag 0 and the members for both
     /// sorted variants, tag 1 and the fixed-size bitmap otherwise.
-    pub fn snapshot_to(&self, w: &mut SnapWriter) {
+    pub(crate) fn snapshot_to(&self, w: &mut SnapWriter) {
         match self {
             PortSet::Bits { words, len } => {
                 w.put_u8(1);
@@ -714,7 +704,7 @@ impl PortSet {
     /// Rebuild a set written by [`PortSet::snapshot_to`]. The bitmap variant
     /// is always exactly `PORT_WORDS` words, so only the sorted length is
     /// encoded.
-    pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
+    pub(crate) fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
         match r.take_u8()? {
             0 => {
                 let len = r.take_len(2)?;
@@ -1135,7 +1125,7 @@ mod tests {
         assert_eq!(map.as_slice(), &[(3, "c"), (5, "e"), (7, "G")], "last wins");
         assert_eq!(map.get(&5), Some(&"e"));
         assert_eq!(map.get(&4), None);
-        assert!(map.contains_key(&7) && !map.contains_key(&8));
+        assert!(map.get(&7).is_some() && map.get(&8).is_none());
         assert_eq!(map[&3], "c");
         assert_eq!(map.position(&7), Some(2));
         assert_eq!(map.get_near(2, &7), Some(&"G"), "hint hits");

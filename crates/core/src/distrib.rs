@@ -492,7 +492,7 @@ pub fn merge_slices(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::supervised::FilterAdmit;
+    use crate::pipeline::FilterAdmit;
     use crate::pipeline::{try_collect_year_stream, PipelineMode};
     use synscan_wire::stream::{InfallibleStream, SliceStream, StreamError};
     use synscan_wire::{Ipv4Address, ProbeRecord, TcpFlags};

@@ -11,7 +11,7 @@
 //! [`EnvelopeError::UnsupportedVersion`], and the remedy is to re-run. So one
 //! flipped bit anywhere is a typed error: bad magic, another version, a
 //! length that disagrees with the bytes present (`Truncated`, or `Oversized`
-//! past [`MAX_PAYLOAD`] before anything is allocated), or a checksum
+//! past `MAX_PAYLOAD` before anything is allocated), or a checksum
 //! mismatch. Files are whole slices (`seal`, `open`, `write_atomic`);
 //! frames come off a pipe ([`write_frame`], `read_frame`), where an end of
 //! stream *between* frames is a clean close.
@@ -25,7 +25,7 @@ use crate::fasthash::FxHasher;
 
 /// The largest payload an envelope may announce: a larger length is a
 /// corrupt field, which must not allocate.
-pub const MAX_PAYLOAD: u64 = 1 << 30;
+pub(crate) const MAX_PAYLOAD: u64 = 1 << 30;
 
 /// One sealed format: its magic, the one version it reads and writes, and
 /// whether its header carries a kind byte.
@@ -80,7 +80,7 @@ pub enum EnvelopeError {
         /// The one version this build reads.
         expected: u32,
     },
-    /// The announced payload length is past [`MAX_PAYLOAD`].
+    /// The announced payload length is past `MAX_PAYLOAD`.
     Oversized(u64),
     /// The checksum does not match the kind and payload.
     ChecksumMismatch,

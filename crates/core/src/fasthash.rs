@@ -103,13 +103,13 @@ impl Hasher for FxHasher {
 }
 
 /// `BuildHasher` producing [`FxHasher`]s (stateless, zero-sized).
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with [`FxHasher`] — the hot-path map type.
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
+pub(crate) type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

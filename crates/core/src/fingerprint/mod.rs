@@ -117,12 +117,6 @@ impl Default for FingerprintEngine {
 }
 
 impl FingerprintEngine {
-    /// Fresh engine that never expires pairwise state on its own (callers
-    /// manage memory via [`FingerprintEngine::evict_idle`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Fresh engine whose per-source state resets after `expiry_micros` of
     /// source silence, independent of eviction cadence.
     pub fn with_expiry(expiry_micros: u64) -> Self {
@@ -158,7 +152,7 @@ impl FingerprintEngine {
 ///
 /// Functionally identical to [`FingerprintEngine`] — same rules, same
 /// pairwise windows, same lazy expiry reset — but per-source state is a
-/// dense vector indexed by [`SourceId`], so `classify` does no hashing. It
+/// dense vector indexed by `SourceId`, so `classify` does no hashing. It
 /// keeps one history per source ever seen, idle or not; the product keeps
 /// one per open scan instead and must agree with this engine verdict for
 /// verdict (`tests/verdict_equivalence.rs`).
@@ -214,7 +208,7 @@ mod tests {
 
     #[test]
     fn zmap_is_attributed_on_the_first_packet() {
-        let mut engine = FingerprintEngine::new();
+        let mut engine = FingerprintEngine::default();
         for rec in records_for(&ZmapScanner::new(1), 100, 10) {
             assert_eq!(engine.classify(&rec), PacketVerdict::Single(ToolKind::Zmap));
         }
@@ -222,7 +216,7 @@ mod tests {
 
     #[test]
     fn masscan_is_attributed_on_the_first_packet() {
-        let mut engine = FingerprintEngine::new();
+        let mut engine = FingerprintEngine::default();
         for rec in records_for(&MasscanScanner::new(2), 101, 10) {
             assert_eq!(
                 engine.classify(&rec),
@@ -233,7 +227,7 @@ mod tests {
 
     #[test]
     fn mirai_is_attributed_on_the_first_packet() {
-        let mut engine = FingerprintEngine::new();
+        let mut engine = FingerprintEngine::default();
         let m = MiraiScanner::new(3);
         for i in 0..10u64 {
             let dst = m.pick_target(i);
@@ -247,7 +241,7 @@ mod tests {
 
     #[test]
     fn nmap_needs_two_packets() {
-        let mut engine = FingerprintEngine::new();
+        let mut engine = FingerprintEngine::default();
         let recs = records_for(&NmapScanner::new(4), 103, 10);
         assert_eq!(engine.classify(&recs[0]), PacketVerdict::Unattributed);
         for rec in &recs[1..] {
@@ -257,7 +251,7 @@ mod tests {
 
     #[test]
     fn unicorn_needs_two_packets() {
-        let mut engine = FingerprintEngine::new();
+        let mut engine = FingerprintEngine::default();
         let recs = records_for(&UnicornScanner::new(5), 104, 10);
         assert_eq!(engine.classify(&recs[0]), PacketVerdict::Unattributed);
         for rec in &recs[1..] {
@@ -270,7 +264,7 @@ mod tests {
 
     #[test]
     fn custom_tools_stay_unattributed() {
-        let mut engine = FingerprintEngine::new();
+        let mut engine = FingerprintEngine::default();
         let mut attributed = 0;
         for rec in records_for(&CustomScanner::new(6), 105, 500) {
             if engine.classify(&rec).tool().is_some() {
@@ -283,7 +277,7 @@ mod tests {
 
     #[test]
     fn sources_do_not_cross_contaminate() {
-        let mut engine = FingerprintEngine::new();
+        let mut engine = FingerprintEngine::default();
         // Interleave an NMap source and a custom source: the NMap pairing
         // must only consider same-source history.
         let nmap = records_for(&NmapScanner::new(7), 200, 5);
@@ -326,7 +320,7 @@ mod tests {
             PacketVerdict::Unattributed
         );
         // An engine without expiry still pairs across the gap.
-        let mut forever = FingerprintEngine::new();
+        let mut forever = FingerprintEngine::default();
         forever.classify(&mk(0, 0));
         forever.classify(&mk(1, 100));
         assert_eq!(
@@ -371,7 +365,7 @@ mod tests {
 
     #[test]
     fn eviction_bounds_memory() {
-        let mut engine = FingerprintEngine::new();
+        let mut engine = FingerprintEngine::default();
         for src in 0..100u32 {
             let rec = craft_record(
                 &CustomScanner::new(9),

@@ -50,7 +50,7 @@ impl From<&ProbeRecord> for StoredProbe {
 /// history has gone stale (the open scan it lives in, or a reference
 /// engine's per-source stamp).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct PairwiseState {
+pub(crate) struct PairwiseState {
     window: Vec<StoredProbe>,
     /// Sticky attribution: once a source has produced two confirming pairs,
     /// subsequent probes inherit the label without re-testing.
@@ -59,7 +59,7 @@ pub struct PairwiseState {
 
 impl PairwiseState {
     /// Test a new probe against the stored window.
-    pub fn test(&mut self, record: &ProbeRecord) -> Option<ToolKind> {
+    pub(crate) fn test(&mut self, record: &ProbeRecord) -> Option<ToolKind> {
         if let Some(tool) = self.confirmed {
             return Some(tool);
         }
@@ -111,13 +111,13 @@ impl PairwiseState {
 
     /// Forget the window and any sticky attribution, as if the source were
     /// new; the probe vector keeps its capacity.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.window.clear();
         self.confirmed = None;
     }
 
     /// Record a probe into the window.
-    pub fn push(&mut self, record: &ProbeRecord) {
+    pub(crate) fn push(&mut self, record: &ProbeRecord) {
         if self.window.len() == WINDOW {
             self.window.remove(0);
         }
@@ -126,7 +126,7 @@ impl PairwiseState {
 
     /// Serialize the window and sticky attribution for a pipeline
     /// checkpoint.
-    pub fn snapshot_to(&self, w: &mut SnapWriter) {
+    pub(crate) fn snapshot_to(&self, w: &mut SnapWriter) {
         w.put_u8(self.window.len() as u8);
         for probe in &self.window {
             w.put_u32(probe.seq);
@@ -144,7 +144,7 @@ impl PairwiseState {
     }
 
     /// Rebuild state written by [`PairwiseState::snapshot_to`].
-    pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
+    pub(crate) fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
         let len = usize::from(r.take_u8()?);
         if len > WINDOW {
             return Err(CheckpointError::Corrupt(format!(

@@ -7,17 +7,17 @@ use synscan_scanners::traits::ToolKind;
 use synscan_scanners::zmap::ZMAP_IP_ID;
 
 /// Does the Masscan relation `ip_id = (dstIP ⊕ dstPort ⊕ seq) & 0xffff` hold?
-pub fn is_masscan(record: &ProbeRecord) -> bool {
+pub(crate) fn is_masscan(record: &ProbeRecord) -> bool {
     record.ip_id == MasscanScanner::ip_id_for(record.dst_ip, record.dst_port, record.seq)
 }
 
 /// Does the ZMap constant identification hold?
-pub fn is_zmap(record: &ProbeRecord) -> bool {
+pub(crate) fn is_zmap(record: &ProbeRecord) -> bool {
     record.ip_id == ZMAP_IP_ID
 }
 
 /// Does the Mirai `seq = dstIP` quirk hold?
-pub fn is_mirai(record: &ProbeRecord) -> bool {
+pub(crate) fn is_mirai(record: &ProbeRecord) -> bool {
     record.seq == record.dst_ip.0
 }
 

@@ -12,16 +12,16 @@
 //! Ids are assigned in first-appearance order, which is deterministic for a
 //! given record stream. Nothing downstream depends on the numbering: all
 //! public output maps are re-keyed by IP at `finish()` time via
-//! [`SourceTable::ips`].
+//! `SourceTable::ips`.
 
 use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use crate::fasthash::FxHashMap;
 
 /// Dense index of an interned source address (assignment order = first
 /// appearance in the stream).
-pub type SourceId = u32;
+pub(crate) type SourceId = u32;
 
-/// Interner mapping `src_ip` ↔ dense [`SourceId`].
+/// Interner mapping `src_ip` ↔ dense `SourceId`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SourceTable {
     ids: FxHashMap<u32, SourceId>,
@@ -36,7 +36,7 @@ impl SourceTable {
 
     /// Pre-size for roughly `sources` distinct addresses (rehash avoidance;
     /// never load-bearing).
-    pub fn reserve(&mut self, sources: usize) {
+    pub(crate) fn reserve(&mut self, sources: usize) {
         self.ids.reserve(sources);
         self.ips.reserve(sources);
     }
@@ -65,18 +65,18 @@ impl SourceTable {
     ///
     /// # Panics
     /// If `id` was not produced by this table.
-    pub fn ip_of(&self, id: SourceId) -> u32 {
+    pub(crate) fn ip_of(&self, id: SourceId) -> u32 {
         self.ips[id as usize]
     }
 
     /// All interned addresses, indexed by id — the `finish()`-time bridge
     /// from dense per-source vectors back to IP-keyed public maps.
-    pub fn ips(&self) -> &[u32] {
+    pub(crate) fn ips(&self) -> &[u32] {
         &self.ips
     }
 
     /// Number of distinct addresses interned.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ips.len()
     }
 
@@ -88,7 +88,7 @@ impl SourceTable {
     /// Serialize for a pipeline checkpoint. The id-ordered `ips` vector is
     /// the whole state: the reverse map is rebuilt on restore by
     /// re-interning in order, which reassigns the identical dense ids.
-    pub fn snapshot_to(&self, w: &mut SnapWriter) {
+    pub(crate) fn snapshot_to(&self, w: &mut SnapWriter) {
         w.put_u64(self.ips.len() as u64);
         for &ip in &self.ips {
             w.put_u32(ip);
@@ -96,7 +96,7 @@ impl SourceTable {
     }
 
     /// Rebuild a table written by [`SourceTable::snapshot_to`].
-    pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
+    pub(crate) fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
         let len = r.take_len(4)?;
         let mut table = SourceTable::new();
         table.reserve(len);

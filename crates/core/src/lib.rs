@@ -66,30 +66,28 @@ pub mod sketch;
 pub mod store;
 pub mod supervise;
 
-pub use campaign::{Campaign, CampaignConfig, CampaignDetector, RejectReason};
-pub use checkpoint::{Checkpoint, CheckpointError, CheckpointHeader};
-pub use classify::classify_source;
-pub use compact::{IdSet, PortSet};
+pub use campaign::{Campaign, CampaignConfig};
+pub use checkpoint::{Checkpoint, CheckpointError};
 pub use distrib::{
     merge_slices, plan_slices, run_slice, DistribError, Message, SliceOutcome, SliceSpec,
     SliceTask, PROTO_VERSION,
 };
 pub use envelope::EnvelopeError;
-pub use fasthash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use fingerprint::{FingerprintEngine, InternedFingerprint, PacketVerdict};
-pub use intern::{SourceId, SourceTable};
+pub use fasthash::FxHasher;
+pub use fingerprint::{InternedFingerprint, PacketVerdict};
+pub use intern::SourceTable;
 pub use pipeline::supervised::{
     run_year_supervised, CheckpointOptions, RunError, RunStatus, SupervisorOptions,
 };
 pub use pipeline::{
-    try_collect_year_stream, AdmitState, FilterAdmit, PipelineError, PipelineMode, PipelineOutcome,
-    RunSpec, SizeHints,
-};
-pub use sketch::{CountMinSketch, HeavyHitterConfig, HeavyHitters, NetworkImpact, SpaceSaving};
-pub use store::{
-    AnalysisStore, ImageCell, ImageReader, SliceMeta, StoreError, StoreImage, YearSliceStat,
+    AdmitState, FilterAdmit, PipelineError, PipelineMode, PipelineOutcome, RunSpec,
 };
 pub use supervise::{
     InjectedFaults, StallEvent, SupervisionConfig, SupervisionReport, WorkerFailure,
 };
 pub use synscan_scanners::traits::ToolKind;
+
+// Re-exported at the root only because the benchmark names them here.
+pub use pipeline::{try_collect_year_stream, SizeHints};
+pub use sketch::{HeavyHitterConfig, HeavyHitters};
+pub use store::{AnalysisStore, StoreImage};

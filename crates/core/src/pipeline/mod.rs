@@ -42,7 +42,7 @@ pub mod supervised;
 
 /// Records per channel message / stream batch — re-exported from the wire
 /// layer so every stage of the pipeline agrees on the batch granularity.
-pub use synscan_wire::stream::BATCH_RECORDS;
+pub(crate) use synscan_wire::stream::BATCH_RECORDS;
 
 /// How a year's measurement loop executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +91,7 @@ impl PipelineMode {
     }
 
     /// Worker-thread count this mode uses (1 for sequential).
-    pub fn workers(self) -> usize {
+    pub(crate) fn workers(self) -> usize {
         match self {
             PipelineMode::Sequential => 1,
             PipelineMode::Sharded { workers } => workers.max(1),
@@ -132,6 +132,7 @@ impl std::str::FromStr for PipelineMode {
 
 /// The worker a source address is routed to. Stable for the process
 /// lifetime; every record of one source lands on the same shard.
+/// Public only because the benchmark names it.
 pub fn shard_of(src: Ipv4Address, workers: usize) -> usize {
     (mix64(u64::from(src.0)) % workers as u64) as usize
 }

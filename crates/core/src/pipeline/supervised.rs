@@ -21,7 +21,7 @@
 //!    module's tests and the driver matrix in both sequential and sharded
 //!    modes.
 //! 3. **Supervision** — shard workers run under
-//!    [`contain`](crate::supervise::contain): a panic becomes a typed
+//!    `supervise::contain`: a panic becomes a typed
 //!    [`PipelineError::WorkerFailed`] carrying the shard index instead of a
 //!    process abort, healthy shards are joined and drained, and a watchdog
 //!    thread flags workers that stop heartbeating within a deadline.
@@ -34,9 +34,10 @@ use crate::supervise::{InjectedFaults, SupervisionConfig, SupervisionReport};
 use synscan_wire::stream::TryRecordStream;
 
 use super::feed::{Feed, SinkPlan};
-use super::{PipelineError, PipelineOutcome};
+use super::{PipelineError, PipelineOutcome, RunSpec};
 
-pub use super::{AdmitState, FilterAdmit, RunSpec};
+/// Re-exported here only because the benchmark names it at this path.
+pub use super::AdmitState;
 
 /// Where, how often, and under what identity to checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -247,7 +248,7 @@ where
 mod tests {
     use super::*;
     use crate::campaign::CampaignConfig;
-    use crate::pipeline::{PipelineMode, SizeHints};
+    use crate::pipeline::{FilterAdmit, PipelineMode, SizeHints};
     use crate::sketch::HeavyHitterConfig;
     use std::time::{Duration, Instant};
     use synscan_wire::stream::{FaultPolicy, InfallibleStream, SliceStream, StreamError};

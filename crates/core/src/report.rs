@@ -129,6 +129,7 @@ pub fn render_series<L: std::fmt::Display, V: std::fmt::Display>(
 }
 
 /// One year of a single source's activity, for [`source_history`].
+/// Public only because the benchmark reads it through [`SourceHistory`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SourceYear {
     /// Calendar year.
@@ -152,6 +153,7 @@ impl_to_json!(SourceYear {
 
 /// A source's decade history — the per-source view the paper's
 /// Greynoise-shaped consumer asks for.
+/// Public only because the benchmark names it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SourceHistory {
     /// Dotted-quad source address.
@@ -169,6 +171,7 @@ impl_to_json!(SourceHistory {
 
 /// Per-source history across store slices: one row for every year the
 /// source sent at least one admitted packet.
+/// Public only because the benchmark names it.
 pub fn source_history(years: &[YearAnalysis], source: Ipv4Address) -> SourceHistory {
     let mut rows = Vec::new();
     for analysis in years {
@@ -198,6 +201,7 @@ pub fn source_history(years: &[YearAnalysis], source: Ipv4Address) -> SourceHist
 }
 
 /// One year of a single port's targeting, for [`port_trend`].
+/// Public only because the benchmark reads it through [`PortTrend`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PortYear {
     /// Calendar year.
@@ -220,6 +224,7 @@ impl_to_json!(PortYear {
 });
 
 /// A port's yearly targeting trend across the decade.
+/// Public only because the benchmark names it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PortTrend {
     /// The destination port.
@@ -231,6 +236,7 @@ pub struct PortTrend {
 impl_to_json!(PortTrend { port, years });
 
 /// Per-port yearly trend across store slices.
+/// Public only because the benchmark names it.
 pub fn port_trend(years: &[YearAnalysis], port: u16) -> PortTrend {
     let rows = years
         .iter()
@@ -250,6 +256,7 @@ pub fn port_trend(years: &[YearAnalysis], port: u16) -> PortTrend {
 }
 
 /// One campaign attributed to a looked-up source, for [`campaign_lookup`].
+/// Public only because the benchmark reads it through [`CampaignLookup`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignHit {
     /// Calendar year the campaign ran in.
@@ -278,6 +285,7 @@ impl_to_json!(CampaignHit {
 });
 
 /// Every campaign a source ran across the decade.
+/// Public only because the benchmark names it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignLookup {
     /// Dotted-quad source address.
@@ -295,6 +303,7 @@ impl_to_json!(CampaignLookup {
 
 /// Campaign lookup across store slices: all campaigns attributed to
 /// `source`, in (year, start time) order.
+/// Public only because the benchmark names it.
 pub fn campaign_lookup(years: &[YearAnalysis], source: Ipv4Address) -> CampaignLookup {
     let mut hits = Vec::new();
     for analysis in years {
@@ -501,7 +510,7 @@ mod tests {
         use std::collections::BTreeMap;
         use synscan_scanners::traits::ToolKind;
 
-        pub fn source_history(years: &[YearAnalysis], source: Ipv4Address) -> SourceHistory {
+        pub(crate) fn source_history(years: &[YearAnalysis], source: Ipv4Address) -> SourceHistory {
             let mut rows = Vec::new();
             for analysis in years {
                 let Some(&packets) = analysis.source_packets.get(&source.0) else {
@@ -530,7 +539,10 @@ mod tests {
             }
         }
 
-        pub fn campaign_lookup(years: &[YearAnalysis], source: Ipv4Address) -> CampaignLookup {
+        pub(crate) fn campaign_lookup(
+            years: &[YearAnalysis],
+            source: Ipv4Address,
+        ) -> CampaignLookup {
             let mut hits = Vec::new();
             for analysis in years {
                 for campaign in analysis.campaigns.iter().filter(|c| c.src_ip == source) {
@@ -559,7 +571,7 @@ mod tests {
             entries
         }
 
-        pub fn summarize(analysis: &YearAnalysis, top_n: usize) -> YearSummary {
+        pub(crate) fn summarize(analysis: &YearAnalysis, top_n: usize) -> YearSummary {
             let total_packets = analysis.total_packets.max(1) as f64;
             let top_ports_by_packets = rank(
                 analysis.port_packets.iter().map(|(p, c)| (*p, *c as f64)),

@@ -15,10 +15,7 @@
 //!   (Cormode & Muthukrishnan). The pipeline uses the **plain** update rule,
 //!   whose state is a cellwise sum over the input multiset: shard sketches
 //!   merge by cellwise addition into a state *byte-identical* to the
-//!   sequential sketch, in any merge order. The tighter conservative-update
-//!   rule is also provided ([`CountMinSketch::add_conservative`]) but is
-//!   **not mergeable** — see its docs for the two-shard counterexample — so
-//!   the sharded pipeline never uses it.
+//!   sequential sketch, in any merge order.
 //! * [`SpaceSaving`] — Metwally et al.'s top-K tracker over at most
 //!   `capacity` slots. Every tracked count is an upper bound with an
 //!   explicit per-slot error, and any source with true count `> N/capacity`
@@ -36,7 +33,7 @@
 //! [`HeavyHitters`] bundles both behind the collector-facing API: one
 //! `offer(src, ts, tool_slot)` per admitted record, `absorb` for the
 //! sharded merge, the `SnapWriter`/`SnapReader` codec for `SYNCKPT`
-//! checkpoints and `SYNSTORE` slices, and [`HeavyHitters::network_impact`]
+//! checkpoints and `SYNSTORE` slices, and `HeavyHitters::network_impact`
 //! to derive the report section. The formal guarantees are enforced against
 //! a dense reference by `tests/sketch_equivalence.rs`.
 
@@ -52,12 +49,12 @@ use crate::fasthash::{FxHashMap, FxHasher};
 /// Tool-attribution slots a heavy-hitter slot tallies: slot 0 is
 /// "no attribution", slots 1–6 follow the campaign layer's
 /// `TOOL_BY_SLOT` order (ZMap, Masscan, NMap, Mirai, Unicornscan, Custom).
-pub const TOOL_SLOTS: usize = 7;
+pub(crate) const TOOL_SLOTS: usize = 7;
 
 /// Report names for the tool slots, index-aligned with the campaign
 /// layer's `TOOL_BY_SLOT` (slot 0 = unattributed). The workspace test
 /// `tool_slot_names_match_the_campaign_layer` pins the alignment.
-pub const TOOL_SLOT_NAMES: [&str; TOOL_SLOTS] = [
+pub(crate) const TOOL_SLOT_NAMES: [&str; TOOL_SLOTS] = [
     "unattributed",
     "zmap",
     "masscan",
@@ -195,16 +192,6 @@ impl CountMinSketch {
         }
     }
 
-    /// Row width (counters per row).
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Number of rows.
-    pub fn depth(&self) -> u32 {
-        self.depth
-    }
-
     /// Total mass added so far (`N` in the `ε · N` bounds).
     pub fn total(&self) -> u64 {
         self.total
@@ -223,34 +210,12 @@ impl CountMinSketch {
     ///
     /// This is the rule the pipeline uses. Its state is a cellwise sum over
     /// the input multiset, so it is exactly order- and partition-independent:
-    /// sharded sketches [`CountMinSketch::merge`]d together equal the
+    /// sharded sketches `CountMinSketch::merge`d together equal the
     /// sequential sketch byte for byte.
     pub fn add(&mut self, key: u64, count: u64) {
         for row in 0..self.depth {
             let cell = self.cell_of(row, key);
             self.cells[cell] = self.cells[cell].saturating_add(count);
-        }
-        self.total = self.total.saturating_add(count);
-    }
-
-    /// Conservative update (Estan & Varghese): raise only the cells below
-    /// `estimate(key) + count`. Strictly tighter estimates than
-    /// [`CountMinSketch::add`] — but **not mergeable**.
-    ///
-    /// Counterexample (depth 2, width 2): key `a` maps to cells (r0c0, r1c0)
-    /// and key `b` to (r0c0, r1c1). Sequentially adding `a`×5 then `b`×1
-    /// leaves r0c0 = 5 (the conservative rule does not raise it for `b`).
-    /// Split across two shards (`a` on one, `b` on the other), the cellwise
-    /// merge gives r0c0 = 5 + 1 = 6. Same multiset, different state — so the
-    /// sharded pipeline only ever uses the plain rule, and this one exists
-    /// for single-pass consumers that want the tighter bound.
-    pub fn add_conservative(&mut self, key: u64, count: u64) {
-        let raised = self.estimate(key).saturating_add(count);
-        for row in 0..self.depth {
-            let cell = self.cell_of(row, key);
-            if self.cells[cell] < raised {
-                self.cells[cell] = raised;
-            }
         }
         self.total = self.total.saturating_add(count);
     }
@@ -269,7 +234,7 @@ impl CountMinSketch {
     ///
     /// # Panics
     /// If the dimensions disagree (shards always share a config).
-    pub fn merge(&mut self, other: &CountMinSketch) {
+    pub(crate) fn merge(&mut self, other: &CountMinSketch) {
         assert_eq!(
             (self.width, self.depth),
             (other.width, other.depth),
@@ -283,7 +248,7 @@ impl CountMinSketch {
 
     /// Heap + inline bytes of the sketch state (the memory-accounting
     /// figure the hot-path bench reports as `bytes_per_source`).
-    pub fn state_bytes(&self) -> usize {
+    pub(crate) fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.cells.len() * std::mem::size_of::<u64>()
     }
 
@@ -298,7 +263,7 @@ impl CountMinSketch {
     }
 
     /// Rebuild from [`CountMinSketch::snapshot_to`] bytes.
-    pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
+    pub(crate) fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
         let width = r.take_u32()?;
         let depth = r.take_u32()?;
         if width == 0 || depth == 0 || depth > 16 {
@@ -358,14 +323,14 @@ impl HeavySlot {
     /// Estimated packets per second over the slot's active window (floored
     /// at one second so a single-packet slot reads as its packet count, not
     /// a division by zero).
-    pub fn pps(&self) -> f64 {
+    pub(crate) fn pps(&self) -> f64 {
         let secs = (self.last_ts_micros.saturating_sub(self.first_ts_micros)) as f64 / 1e6;
         self.packets as f64 / secs.max(1.0)
     }
 
     /// The dominant tool slot: highest packet tally, ties to the lowest
     /// slot index (deterministic).
-    pub fn dominant_tool(&self) -> usize {
+    pub(crate) fn dominant_tool(&self) -> usize {
         let mut best = 0usize;
         for (slot, &n) in self.tool_packets.iter().enumerate() {
             if n > self.tool_packets[best] {
@@ -435,11 +400,6 @@ impl SpaceSaving {
         tracker
     }
 
-    /// Slot budget.
-    pub fn capacity(&self) -> u32 {
-        self.capacity
-    }
-
     /// Total offers absorbed.
     pub fn total(&self) -> u64 {
         self.total
@@ -507,7 +467,7 @@ impl SpaceSaving {
     /// While `self.evictions() + other.evictions() == 0` and the union fits
     /// in capacity, this is exactly the tracker a sequential pass over the
     /// concatenated input would hold.
-    pub fn merge(&mut self, other: SpaceSaving) {
+    pub(crate) fn merge(&mut self, other: SpaceSaving) {
         assert_eq!(
             self.capacity, other.capacity,
             "space-saving partials have different capacities"
@@ -612,14 +572,14 @@ impl SpaceSaving {
 
     /// Heap + inline bytes of the tracker state: per tracked key, its heap
     /// entry and its position-index entry.
-    pub fn state_bytes(&self) -> usize {
+    pub(crate) fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.heap.len()
                 * (std::mem::size_of::<(u64, HeavySlot)>() + std::mem::size_of::<(u64, u32)>())
     }
 
     /// Serialize in canonical key-ascending order.
-    pub fn snapshot_to(&self, w: &mut SnapWriter) {
+    pub(crate) fn snapshot_to(&self, w: &mut SnapWriter) {
         w.put_u32(self.capacity);
         w.put_u64(self.total);
         w.put_u64(self.evictions);
@@ -637,7 +597,7 @@ impl SpaceSaving {
     }
 
     /// Rebuild from [`SpaceSaving::snapshot_to`] bytes.
-    pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
+    pub(crate) fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
         let capacity = r.take_u32()?;
         if capacity == 0 {
             return Err(CheckpointError::Corrupt(
@@ -695,7 +655,7 @@ impl Eq for SpaceSaving {}
 /// The heavy-hitter state one collector (or one shard) accumulates: the
 /// count-min rate sketch plus the space-saving top-K tracker, under one
 /// config. This is the state that rides in `YearAnalysis`, checkpoints,
-/// and store slices; [`HeavyHitters::network_impact`] derives the report.
+/// and store slices; `HeavyHitters::network_impact` derives the report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeavyHitters {
     config: HeavyHitterConfig,
@@ -712,11 +672,6 @@ impl HeavyHitters {
             count_min: CountMinSketch::new(config.width, config.depth),
             top: SpaceSaving::new(config.k),
         }
-    }
-
-    /// The sizing this state was built with.
-    pub fn config(&self) -> HeavyHitterConfig {
-        self.config
     }
 
     /// The underlying count-min sketch.
@@ -738,7 +693,7 @@ impl HeavyHitters {
     }
 
     /// Count-min packet estimate for `src` (never an undercount).
-    pub fn estimate(&self, src: u32) -> u64 {
+    pub(crate) fn estimate(&self, src: u32) -> u64 {
         self.count_min.estimate(u64::from(src))
     }
 
@@ -757,6 +712,7 @@ impl HeavyHitters {
     }
 
     /// Heap + inline bytes of the full sketch state.
+    /// Public only because the benchmark names it.
     pub fn state_bytes(&self) -> usize {
         std::mem::size_of::<HeavyHitterConfig>()
             + self.count_min.state_bytes()
@@ -803,7 +759,12 @@ impl HeavyHitters {
     /// pps, per-source rate percentiles (count-min estimates over
     /// `sources`, the year's distinct source list), and the
     /// aggressive-scanner census per tool × origin /8.
-    pub fn network_impact(&self, year: u16, window_secs: f64, sources: &[u32]) -> NetworkImpact {
+    pub(crate) fn network_impact(
+        &self,
+        year: u16,
+        window_secs: f64,
+        sources: &[u32],
+    ) -> NetworkImpact {
         let ranked = self.top.top();
         let entry_of = |key: u64, slot: &HeavySlot| HeavyHitterEntry {
             source: dotted(key as u32),
@@ -1095,58 +1056,6 @@ mod tests {
         merged.snapshot_to(&mut a);
         sequential.snapshot_to(&mut b);
         assert_eq!(a.into_bytes(), b.into_bytes());
-    }
-
-    #[test]
-    fn conservative_update_is_tighter_but_not_mergeable() {
-        // Tighter: conservative estimates never exceed plain ones.
-        let keys: Vec<u64> = (0..3000u64)
-            .map(|i| mix64(i.wrapping_mul(3)) % 100)
-            .collect();
-        let mut plain = CountMinSketch::new(16, 2);
-        let mut conservative = CountMinSketch::new(16, 2);
-        for &k in &keys {
-            plain.add(k, 1);
-            conservative.add_conservative(k, 1);
-        }
-        for k in 0..100u64 {
-            assert!(conservative.estimate(k) <= plain.estimate(k), "key {k}");
-            let truth = keys.iter().filter(|&&x| x == k).count() as u64;
-            assert!(conservative.estimate(k) >= truth, "undercount at {k}");
-        }
-
-        // Not mergeable: find two keys sharing a row-0 cell but not a
-        // row-1 cell, add 5 of one then 1 of the other — the sequential
-        // conservative state differs from the merged shard states. (Width
-        // 3, not 2: FxHash's low bit is the key's low bit in every row, so
-        // at a power-of-two width no pair separates in one row only.)
-        let probe = CountMinSketch::new(3, 2);
-        let (mut a, mut b) = (None, None);
-        'search: for x in 0u64..64 {
-            for y in 0u64..64 {
-                if x != y
-                    && probe.cell_of(0, x) == probe.cell_of(0, y)
-                    && probe.cell_of(1, x) != probe.cell_of(1, y)
-                {
-                    a = Some(x);
-                    b = Some(y);
-                    break 'search;
-                }
-            }
-        }
-        let (a, b) = (a.expect("collision pair exists"), b.expect("pair"));
-        let mut sequential = CountMinSketch::new(3, 2);
-        sequential.add_conservative(a, 5);
-        sequential.add_conservative(b, 1);
-        let mut shard_a = CountMinSketch::new(3, 2);
-        shard_a.add_conservative(a, 5);
-        let mut shard_b = CountMinSketch::new(3, 2);
-        shard_b.add_conservative(b, 1);
-        shard_a.merge(&shard_b);
-        assert_ne!(
-            shard_a, sequential,
-            "conservative update must not pretend to be mergeable"
-        );
     }
 
     #[test]

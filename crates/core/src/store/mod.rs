@@ -41,7 +41,7 @@ pub mod query;
 /// How `stats` names the one slice version this build reads and writes:
 /// the envelope's word `0x0001_0001` is major 1 in its low half, minor 1 in
 /// its high half.
-pub const STORE_VERSION: &str = "1.1";
+pub(crate) const STORE_VERSION: &str = "1.1";
 
 /// Everything that can go wrong writing, reading, or decoding a store.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -400,11 +400,6 @@ impl AnalysisStore {
         Ok(Self { dir })
     }
 
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Path of the full (promoted) slice for `year`.
     pub fn slice_path(&self, year: u16) -> PathBuf {
         self.dir.join(format!("year-{year}.store"))
@@ -412,7 +407,7 @@ impl AnalysisStore {
 
     /// Path of a partial slice for `year` tagged `label` (e.g. a shard or
     /// worker id) — the incremental-ingest unit merged at load time.
-    pub fn partial_path(&self, year: u16, label: &str) -> PathBuf {
+    pub(crate) fn partial_path(&self, year: u16, label: &str) -> PathBuf {
         self.dir.join(format!("year-{year}.part-{label}.store"))
     }
 
@@ -451,7 +446,7 @@ impl AnalysisStore {
     }
 
     /// Every slice file currently in the store, sorted by file name.
-    pub fn slice_files(&self) -> Result<Vec<PathBuf>, StoreError> {
+    pub(crate) fn slice_files(&self) -> Result<Vec<PathBuf>, StoreError> {
         let scan_error = |what, e| envelope::io_error(what, &self.dir, e);
         let entries = fs::read_dir(&self.dir).map_err(|e| scan_error("read dir", e))?;
         let mut files = Vec::new();
@@ -472,7 +467,7 @@ impl AnalysisStore {
 
     /// Index every slice without decoding bodies: `(path, meta)` pairs in
     /// file-name order.
-    pub fn index(&self) -> Result<Vec<(PathBuf, SliceMeta)>, StoreError> {
+    pub(crate) fn index(&self) -> Result<Vec<(PathBuf, SliceMeta)>, StoreError> {
         let mut out = Vec::new();
         for path in self.slice_files()? {
             let bytes = Self::read_file(&path)?;
@@ -516,11 +511,6 @@ impl AnalysisStore {
         merge_years(self.read_slices(|meta| meta.year == year)?)
             .pop()
             .ok_or(StoreError::MissingYear(year))
-    }
-
-    /// Load every year in the store, ascending, partials merged.
-    pub fn load_all(&self) -> Result<Vec<YearAnalysis>, StoreError> {
-        Ok(merge_years(self.read_slices(|_| true)?))
     }
 }
 
@@ -579,12 +569,6 @@ pub struct StoreImage {
 }
 
 impl StoreImage {
-    /// An image with no years (a daemon may start over an empty store and
-    /// be fed by later `reload`s).
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
     /// Build an image from everything currently in `store`, reading each
     /// slice file once: the accounting comes from the same bytes as the body.
     pub fn load(store: &AnalysisStore) -> Result<Self, StoreError> {
@@ -608,13 +592,8 @@ impl StoreImage {
         })
     }
 
-    /// The slice accounting for `year`, if present.
-    pub fn slice_stat(&self, year: u16) -> Option<&YearSliceStat> {
-        self.slices.iter().find(|s| s.year == year)
-    }
-
     /// The analysis for `year`, if present.
-    pub fn year(&self, year: u16) -> Option<&YearAnalysis> {
+    pub(crate) fn year(&self, year: u16) -> Option<&YearAnalysis> {
         self.years.iter().find(|a| a.year == year)
     }
 
@@ -666,12 +645,12 @@ impl ImageCell {
 
     /// The currently installed image (locks the slot; reader threads should
     /// go through [`ImageReader`] instead).
-    pub fn current(&self) -> Arc<StoreImage> {
+    pub(crate) fn current(&self) -> Arc<StoreImage> {
         self.slot.lock().expect("image slot poisoned").clone()
     }
 
     /// The current generation counter.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
 
@@ -729,7 +708,7 @@ mod tests {
         }
     }
 
-    fn analysis(year: u16) -> YearAnalysis {
+    pub(super) fn analysis(year: u16) -> YearAnalysis {
         let cfg = CampaignConfig {
             min_distinct_dests: 5,
             min_rate_pps: 1.0,
@@ -1248,13 +1227,21 @@ mod tests {
         let image = StoreImage::load(&store).expect("image");
         assert_eq!(image.slice_files, 3);
         assert_eq!(image.slices.len(), 2);
-        let s2015 = image.slice_stat(2015).expect("2015 stat");
+        let s2015 = image
+            .slices
+            .iter()
+            .find(|s| s.year == 2015)
+            .expect("2015 stat");
         assert_eq!(s2015.files, 1);
         assert_eq!(
             s2015.bytes,
             fs::metadata(store.slice_path(2015)).expect("meta").len()
         );
-        let s2016 = image.slice_stat(2016).expect("2016 stat");
+        let s2016 = image
+            .slices
+            .iter()
+            .find(|s| s.year == 2016)
+            .expect("2016 stat");
         assert_eq!(s2016.files, 2);
         assert_eq!(s2016.bytes, 2 * encode_year(&p).len() as u64);
         let _ = fs::remove_dir_all(&dir);
@@ -1262,15 +1249,19 @@ mod tests {
 
     #[test]
     fn image_cell_swap_protocol() {
-        let mut image = StoreImage::empty();
-        image.years = vec![analysis(2015)];
+        let image = StoreImage {
+            years: vec![analysis(2015)],
+            ..StoreImage::default()
+        };
         let cell = ImageCell::new(image);
         let mut reader = cell.reader();
         assert_eq!(reader.image().generation, 1);
         assert_eq!(reader.image().year_list(), vec![2015]);
 
-        let mut next = StoreImage::empty();
-        next.years = vec![analysis(2015), analysis(2016)];
+        let next = StoreImage {
+            years: vec![analysis(2015), analysis(2016)],
+            ..StoreImage::default()
+        };
         let generation = cell.install(next);
         assert_eq!(generation, 2);
         assert_eq!(reader.image().generation, 2);

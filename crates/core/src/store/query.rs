@@ -317,23 +317,71 @@ mod tests {
         assert!(parse_request("{\"op\":\"heavy\"}").is_err());
     }
 
+    /// One canonical request line per op.
+    const CANONICAL: [&str; 12] = [
+        r#"{"op":"ping"}"#,
+        r#"{"op":"years"}"#,
+        r#"{"op":"stats"}"#,
+        r#"{"op":"table1"}"#,
+        r#"{"op":"summary","year":2020}"#,
+        r#"{"op":"source","ip":"0.0.0.10"}"#,
+        r#"{"op":"port","port":443}"#,
+        r#"{"op":"campaigns","ip":"0.0.0.10"}"#,
+        r#"{"op":"heavy","year":2020}"#,
+        r#"{"op":"health"}"#,
+        r#"{"op":"reload"}"#,
+        r#"{"op":"shutdown"}"#,
+    ];
+
+    #[test]
+    fn every_cut_and_bit_flip_of_every_op_is_refused_or_answered() {
+        let image = StoreImage {
+            years: vec![
+                crate::store::tests::analysis(2019),
+                crate::store::tests::analysis(2020),
+            ],
+            ..StoreImage::default()
+        };
+        let mut answered = 0;
+        for line in CANONICAL {
+            assert!(parse_request(line).is_ok(), "{line}");
+            let cuts = (0..line.len()).map(|cut| line[..cut].to_string());
+            let flips = (0..line.len() * 8).map(|bit| {
+                let mut bytes = line.as_bytes().to_vec();
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                String::from_utf8_lossy(&bytes).into_owned()
+            });
+            for variant in cuts.chain(flips) {
+                if let Ok(request) = parse_request(&variant) {
+                    let response = answer(&image, &request);
+                    assert!(json::parse(&response).is_ok(), "{variant:?}: {response}");
+                    answered += 1;
+                }
+            }
+        }
+        // Flipping a digit of a year or port still yields a request.
+        assert!(answered > 0);
+    }
+
     #[test]
     fn stats_reports_per_year_slice_version_and_bytes() {
         use crate::store::YearSliceStat;
-        let mut image = StoreImage::empty();
-        image.slice_files = 3;
-        image.slices = vec![
-            YearSliceStat {
-                year: 2019,
-                files: 1,
-                bytes: 4096,
-            },
-            YearSliceStat {
-                year: 2020,
-                files: 2,
-                bytes: 8192,
-            },
-        ];
+        let image = StoreImage {
+            slice_files: 3,
+            slices: vec![
+                YearSliceStat {
+                    year: 2019,
+                    files: 1,
+                    bytes: 4096,
+                },
+                YearSliceStat {
+                    year: 2020,
+                    files: 2,
+                    bytes: 8192,
+                },
+            ],
+            ..StoreImage::default()
+        };
         let line = answer_line(&image, "{\"op\":\"stats\"}");
         let body = body_of(&line).expect("stats body");
         let value = json::parse(&body).expect("stats JSON");
@@ -351,14 +399,14 @@ mod tests {
 
     #[test]
     fn heavy_without_sketch_state_is_an_error_response() {
-        let image = StoreImage::empty();
+        let image = StoreImage::default();
         let line = answer_line(&image, "{\"op\":\"heavy\",\"year\":2020}");
         assert!(line.starts_with("{\"ok\":false"));
     }
 
     #[test]
     fn responses_are_single_lines_and_bodies_extract() {
-        let image = StoreImage::empty();
+        let image = StoreImage::default();
         let line = answer_line(&image, "{\"op\":\"ping\"}");
         assert!(!line.contains('\n'));
         assert_eq!(body_of(&line).as_deref(), Some("pong"));
@@ -381,7 +429,7 @@ mod tests {
 
     #[test]
     fn health_answers_offline_with_zeroed_counters() {
-        let image = StoreImage::empty();
+        let image = StoreImage::default();
         let line = answer_line(&image, "{\"op\":\"health\"}");
         let body = body_of(&line).expect("health body");
         let value = json::parse(&body).expect("health JSON");
@@ -393,14 +441,14 @@ mod tests {
 
     #[test]
     fn missing_year_is_an_error_response() {
-        let image = StoreImage::empty();
+        let image = StoreImage::default();
         let line = answer_line(&image, "{\"op\":\"summary\",\"year\":2020}");
         assert!(line.starts_with("{\"ok\":false"));
     }
 
     #[test]
     fn damaged_request_lines_get_exactly_one_response_line() {
-        let image = StoreImage::empty();
+        let image = StoreImage::default();
         let request = "{\"op\":\"source\",\"ip\":\"10.0.0.1\"}";
         assert!(answer_line(&image, request).starts_with("{\"ok\":true"));
         let one_line = |line: &str| {

@@ -9,7 +9,7 @@
 //! * a [`HeartbeatBoard`] of lock-free per-worker liveness slots that
 //!   workers bump on every message-loop iteration (a worker blocked on an
 //!   empty channel still beats, via `recv_timeout`);
-//! * a [`watch`] loop that polls the board and flags any unfinished worker
+//! * a `watch` loop that polls the board and flags any unfinished worker
 //!   silent past a deadline as a [`StallEvent`] — observability, not a kill
 //!   switch: a flagged worker that recovers simply finishes late;
 //! * [`WorkerFailure`], the typed form of a caught worker panic, which the
@@ -97,13 +97,8 @@ impl HeartbeatBoard {
     }
 
     /// Number of workers tracked.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.workers.len()
-    }
-
-    /// Whether the board tracks no workers.
-    pub fn is_empty(&self) -> bool {
-        self.workers.is_empty()
     }
 
     fn now_ms(&self) -> u64 {
@@ -139,7 +134,7 @@ impl HeartbeatBoard {
     }
 
     /// Whether `shard`'s loop has exited.
-    pub fn is_finished(&self, shard: usize) -> bool {
+    pub(crate) fn is_finished(&self, shard: usize) -> bool {
         self.workers[shard].finished.load(Ordering::Acquire)
     }
 }
@@ -204,7 +199,7 @@ impl SupervisionReport {
 /// Runs on its own thread inside the driver's scope. The wait between scans
 /// blocks on `done`, so the driver dropping its sender after joining the
 /// workers releases the watchdog at once rather than a poll interval later.
-pub fn watch(
+pub(crate) fn watch(
     board: &HeartbeatBoard,
     config: &SupervisionConfig,
     done: mpsc::Receiver<()>,
@@ -238,7 +233,7 @@ pub fn watch(
 
 /// Stringify a caught panic payload (`&str` and `String` payloads pass
 /// through; anything else gets a placeholder).
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -249,8 +244,8 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// One-shot deterministic fault triggers for exercising the supervision
-/// paths in tests: a worker checks [`InjectedFaults::should_panic`] /
-/// [`InjectedFaults::maybe_stall`] at a fixed point in its loop, and each
+/// paths in tests: a worker checks `InjectedFaults::should_panic` /
+/// `InjectedFaults::maybe_stall` at a fixed point in its loop, and each
 /// armed fault fires exactly once — so a retried attempt deterministically
 /// succeeds.
 #[derive(Debug)]
@@ -293,7 +288,7 @@ impl InjectedFaults {
     }
 
     /// Whether `shard`'s worker should panic now. Disarms on first fire.
-    pub fn should_panic(&self, shard: u32) -> bool {
+    pub(crate) fn should_panic(&self, shard: u32) -> bool {
         self.panic_shard
             .compare_exchange(i64::from(shard), -1, Ordering::AcqRel, Ordering::Relaxed)
             .is_ok()
@@ -301,7 +296,7 @@ impl InjectedFaults {
 
     /// Sleep if a stall is armed for `shard`, and say whether it did.
     /// Disarms on first fire.
-    pub fn maybe_stall(&self, shard: u32) -> bool {
+    pub(crate) fn maybe_stall(&self, shard: u32) -> bool {
         let armed = self
             .stall_shard
             .compare_exchange(i64::from(shard), -1, Ordering::AcqRel, Ordering::Relaxed)
@@ -316,7 +311,7 @@ impl InjectedFaults {
 /// Run `f` under `catch_unwind`, converting a panic into a typed
 /// [`WorkerFailure`] for `shard`. The default panic hook still prints a
 /// backtrace; the driver decides whether that noise matters.
-pub fn contain<T>(
+pub(crate) fn contain<T>(
     shard: u32,
     f: impl FnOnce() -> T + panic::UnwindSafe,
 ) -> Result<T, WorkerFailure> {
@@ -342,7 +337,6 @@ mod tests {
     fn board_tracks_beats_and_records() {
         let board = HeartbeatBoard::new(2);
         assert_eq!(board.len(), 2);
-        assert!(!board.is_empty());
         board.beat(0);
         board.add_records(0, 10);
         board.add_records(0, 5);

@@ -21,7 +21,7 @@ use crate::orgs::{self, KnownOrg, OrgId};
 
 /// Assignment of one /16 block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockInfo {
+pub(crate) struct BlockInfo {
     /// Country the block is allocated to.
     pub country: Country,
     /// Origin class of the owning AS.
@@ -64,7 +64,7 @@ pub struct AddressPlan {
 impl AddressPlan {
     /// Build the plan. `dark_blocks` are /16 indices (upper 16 bits of the
     /// address) that stay unassigned — the telescope space.
-    pub fn build(seed: u64, dark_blocks: &[u16]) -> Self {
+    pub(crate) fn build(seed: u64, dark_blocks: &[u16]) -> Self {
         let mut rng = Rng::seed_from_u64(seed ^ 0x5ca1_ab1e_0000_0001);
 
         // 1. Collect usable /16s.
@@ -192,18 +192,18 @@ impl AddressPlan {
     }
 
     /// Assignment of the /16 containing `ip`.
-    pub fn lookup(&self, ip: Ipv4Address) -> Option<BlockInfo> {
+    pub(crate) fn lookup(&self, ip: Ipv4Address) -> Option<BlockInfo> {
         self.blocks[ip.slash16() as usize]
     }
 
     /// The known org owning `ip`'s /24, if any.
-    pub fn org(&self, ip: Ipv4Address) -> Option<OrgId> {
+    pub(crate) fn org(&self, ip: Ipv4Address) -> Option<OrgId> {
         self.org_overlay.get(&ip.slash24()).copied()
     }
 
     /// Scanner class of an address: the org overlay (institutional) wins,
     /// then the /16 plan, then `Unknown` for unassigned space.
-    pub fn class(&self, ip: Ipv4Address) -> ScannerClass {
+    pub(crate) fn class(&self, ip: Ipv4Address) -> ScannerClass {
         if self.org(ip).is_some() {
             return ScannerClass::Institutional;
         }
@@ -213,7 +213,7 @@ impl AddressPlan {
     }
 
     /// Country of an address (org home country wins over the block plan).
-    pub fn country(&self, ip: Ipv4Address) -> Option<Country> {
+    pub(crate) fn country(&self, ip: Ipv4Address) -> Option<Country> {
         if let Some(org_id) = self.org(ip) {
             return Some(self.orgs[org_id.0 as usize].country);
         }
@@ -227,17 +227,12 @@ impl AddressPlan {
     }
 
     /// The known-org roster used by this plan.
-    pub fn orgs(&self) -> &[KnownOrg] {
+    pub(crate) fn orgs(&self) -> &[KnownOrg] {
         &self.orgs
     }
 
-    /// The /24 prefixes owned by a known org.
-    pub fn org_prefixes(&self, org: OrgId) -> &[u32] {
-        &self.org_prefixes[org.0 as usize]
-    }
-
     /// The `i`-th source IP of a known org (stable across runs).
-    pub fn org_source_ip(&self, org: OrgId, i: u32) -> Ipv4Address {
+    pub(crate) fn org_source_ip(&self, org: OrgId, i: u32) -> Ipv4Address {
         let prefixes = &self.org_prefixes[org.0 as usize];
         let p24 = prefixes[(i as usize / 200) % prefixes.len()];
         // Hosts .1 .. .200 within the /24.
@@ -245,7 +240,7 @@ impl AddressPlan {
     }
 
     /// Sample a source address from (country, class) space.
-    pub fn sample_source(
+    pub(crate) fn sample_source(
         &self,
         rng: &mut Rng,
         country: Country,
@@ -258,7 +253,7 @@ impl AddressPlan {
     }
 
     /// Sample a source from a class in *any* country, weighted by space.
-    pub fn sample_source_any_country(
+    pub(crate) fn sample_source_any_country(
         &self,
         rng: &mut Rng,
         class: ScannerClass,

@@ -89,7 +89,7 @@ impl Asn {
 /// The enterprise AS called out in §6.7: "especially from ASN 18403
 /// (FPT-AS-AP The Corporation for Financing & Promoting Technology)",
 /// which disproportionally scans the Ethereum JSON-RPC port 8545.
-pub const FPT_ASN: u32 = 18403;
+pub(crate) const FPT_ASN: u32 = 18403;
 
 #[cfg(test)]
 mod tests {

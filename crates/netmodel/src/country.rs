@@ -45,7 +45,7 @@ pub enum Country {
 
 impl Country {
     /// Every tracked country, in a stable order.
-    pub const ALL: [Country; 30] = [
+    pub(crate) const ALL: [Country; 30] = [
         Country::China,
         Country::UnitedStates,
         Country::Russia,
@@ -117,7 +117,7 @@ impl Country {
     /// Rough share of allocated IPv4 space, used to size the address plan.
     /// Values are fractions that sum to 1 across [`Country::ALL`]; they
     /// approximate real RIR allocations (US largest, then China, Japan, ...).
-    pub const fn ipv4_share(self) -> f64 {
+    pub(crate) const fn ipv4_share(self) -> f64 {
         match self {
             Country::UnitedStates => 0.35,
             Country::China => 0.09,

@@ -32,7 +32,7 @@ pub struct FeedRecord {
 
 /// Derive a stable rDNS-style hostname for an org source (synthetic feed
 /// content; real feeds carry names like `scanner-03.censys-scanner.com`).
-pub fn synthetic_rdns(org: &KnownOrg, ip: Ipv4Address) -> String {
+pub(crate) fn synthetic_rdns(org: &KnownOrg, ip: Ipv4Address) -> String {
     let slug: String = org
         .name
         .to_lowercase()

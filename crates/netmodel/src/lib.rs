@@ -44,11 +44,9 @@ pub mod ports;
 pub mod registry;
 pub mod services;
 
-pub use alloc::AddressPlan;
-pub use asn::{Asn, AsnId, ScannerClass};
-pub use churn::ChurnModel;
+pub use asn::ScannerClass;
 pub use country::Country;
-pub use orgs::{KnownOrg, OrgId, OrgKind};
+pub use orgs::KnownOrg;
 pub use ports::{service_name, KNOWN_PORTS};
 pub use registry::InternetRegistry;
 pub use services::PortCensus;

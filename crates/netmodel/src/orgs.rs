@@ -9,7 +9,7 @@
 
 use crate::country::Country;
 
-/// Opaque organization identifier (index into [`roster`]).
+/// Opaque organization identifier (index into `roster`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OrgId(pub u16);
 
@@ -133,7 +133,7 @@ impl KnownOrg {
 }
 
 /// The full roster, in a stable order.
-pub fn roster() -> Vec<KnownOrg> {
+pub(crate) fn roster() -> Vec<KnownOrg> {
     use Country::*;
     use OrgKind::*;
     let spec: &[(&'static str, OrgKind, Country, u32, u16, bool)] = &[

@@ -7,7 +7,7 @@
 //! UPnP 52869, and assorted high ports from specific campaigns.
 
 /// A well-known port with its service name.
-pub type PortService = (u16, &'static str);
+pub(crate) type PortService = (u16, &'static str);
 
 /// The ports that carry names in the paper's tables and figures.
 pub const KNOWN_PORTS: &[PortService] = &[
@@ -65,7 +65,7 @@ pub const fn is_privileged(port: u16) -> bool {
 /// The "move your service off the default port" alias conventions of §5.1
 /// (23→2323, 443→1443, 80→8080, 22→2222). Scanners cover both sides, which
 /// is why the paper calls the practice futile.
-pub const ALIAS_PAIRS: &[(u16, u16)] = &[(23, 2323), (443, 1443), (80, 8080), (22, 2222)];
+pub(crate) const ALIAS_PAIRS: &[(u16, u16)] = &[(23, 2323), (443, 1443), (80, 8080), (22, 2222)];
 
 /// The alias of a port under the common conventions, if any (both ways).
 pub fn alias_of(port: u16) -> Option<u16> {

@@ -5,8 +5,8 @@ use synscan_stats::Rng;
 
 use synscan_wire::Ipv4Address;
 
-use crate::alloc::{AddressPlan, BlockInfo};
-use crate::asn::{Asn, ScannerClass};
+use crate::alloc::AddressPlan;
+use crate::asn::ScannerClass;
 use crate::churn::ChurnModel;
 use crate::country::Country;
 use crate::orgs::{KnownOrg, OrgId};
@@ -16,7 +16,6 @@ use crate::orgs::{KnownOrg, OrgId};
 pub struct InternetRegistry {
     plan: AddressPlan,
     churn: ChurnModel,
-    seed: u64,
 }
 
 impl InternetRegistry {
@@ -26,18 +25,7 @@ impl InternetRegistry {
         Self {
             plan: AddressPlan::build(seed, dark_blocks),
             churn: ChurnModel::default(),
-            seed,
         }
-    }
-
-    /// The seed the registry was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Underlying address plan.
-    pub fn plan(&self) -> &AddressPlan {
-        &self.plan
     }
 
     /// Residential churn model.
@@ -55,19 +43,9 @@ impl InternetRegistry {
         self.plan.class(ip)
     }
 
-    /// ASN record of an address.
-    pub fn asn(&self, ip: Ipv4Address) -> Option<&Asn> {
-        self.plan.asn(ip)
-    }
-
     /// Known scanning organization owning the address, if any.
     pub fn known_org(&self, ip: Ipv4Address) -> Option<&KnownOrg> {
         self.plan.org(ip).map(|id| &self.plan.orgs()[id.0 as usize])
-    }
-
-    /// Raw /16 block info.
-    pub fn block(&self, ip: Ipv4Address) -> Option<BlockInfo> {
-        self.plan.lookup(ip)
     }
 
     /// The known-org roster.
@@ -109,8 +87,6 @@ mod tests {
             .unwrap();
         assert_eq!(reg.country(ip), Some(Country::Germany));
         assert_eq!(reg.class(ip), ScannerClass::Hosting);
-        assert!(reg.asn(ip).is_some());
-        assert_eq!(reg.seed(), 5);
     }
 
     #[test]

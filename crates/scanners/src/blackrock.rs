@@ -13,7 +13,7 @@ use crate::traits::mix64;
 
 /// Default number of Feistel rounds (masscan uses 4 by default; we keep 4 —
 /// statistical quality is ample for scan-order purposes).
-pub const DEFAULT_ROUNDS: u32 = 4;
+pub(crate) const DEFAULT_ROUNDS: u32 = 4;
 
 /// A keyed bijection of `0..range`.
 ///
@@ -45,7 +45,7 @@ impl BlackRock {
     }
 
     /// As [`BlackRock::new`] with an explicit round count (≥ 2).
-    pub fn with_rounds(range: u64, seed: u64, rounds: u32) -> Self {
+    pub(crate) fn with_rounds(range: u64, seed: u64, rounds: u32) -> Self {
         assert!(range > 0, "empty range");
         assert!(rounds >= 2, "need at least two Feistel rounds");
         // a ≈ sqrt(range), b = ceil(range / a); a*b >= range always holds.
@@ -62,11 +62,6 @@ impl BlackRock {
             seed,
             rounds,
         }
-    }
-
-    /// Domain size.
-    pub fn range(&self) -> u64 {
-        self.range
     }
 
     /// Keyed round function: mixes the right half with the round index.

@@ -17,11 +17,11 @@
 use crate::traits::mix64;
 
 /// The prime ZMap uses for the full IPv4 space: 2³² + 15.
-pub const ZMAP_PRIME: u64 = 4_294_967_311;
+pub(crate) const ZMAP_PRIME: u64 = 4_294_967_311;
 
 /// Deterministic Miller–Rabin primality test, exact for all u64 with the
 /// standard witness set.
-pub fn is_prime(n: u64) -> bool {
+pub(crate) fn is_prime(n: u64) -> bool {
     if n < 2 {
         return false;
     }
@@ -53,7 +53,7 @@ pub fn is_prime(n: u64) -> bool {
 }
 
 /// The smallest prime strictly greater than `n`.
-pub fn next_prime(mut n: u64) -> u64 {
+pub(crate) fn next_prime(mut n: u64) -> u64 {
     loop {
         n += 1;
         if is_prime(n) {
@@ -64,12 +64,12 @@ pub fn next_prime(mut n: u64) -> u64 {
 
 /// `(a * b) mod m` without overflow.
 #[inline]
-pub fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
+pub(crate) fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
     ((a as u128 * b as u128) % m as u128) as u64
 }
 
 /// `a^e mod m` by square-and-multiply.
-pub fn pow_mod(mut a: u64, mut e: u64, m: u64) -> u64 {
+pub(crate) fn pow_mod(mut a: u64, mut e: u64, m: u64) -> u64 {
     let mut result = 1u64;
     a %= m;
     while e > 0 {
@@ -84,7 +84,7 @@ pub fn pow_mod(mut a: u64, mut e: u64, m: u64) -> u64 {
 
 /// Prime factorization by trial division (fine for p − 1 ≤ 2⁶⁴ with small
 /// factors; the ZMap prime's p − 1 factors are all small).
-pub fn prime_factors(mut n: u64) -> Vec<u64> {
+pub(crate) fn prime_factors(mut n: u64) -> Vec<u64> {
     let mut factors = Vec::new();
     let mut d = 2u64;
     while d * d <= n {
@@ -103,7 +103,7 @@ pub fn prime_factors(mut n: u64) -> Vec<u64> {
 }
 
 /// True when `g` generates the full multiplicative group of ℤ*ₚ.
-pub fn is_primitive_root(g: u64, p: u64, factors_of_p_minus_1: &[u64]) -> bool {
+pub(crate) fn is_primitive_root(g: u64, p: u64, factors_of_p_minus_1: &[u64]) -> bool {
     if g <= 1 || g >= p {
         return false;
     }

@@ -41,12 +41,12 @@ pub mod unicorn;
 pub mod zmap;
 
 pub use blackrock::BlackRock;
-pub use custom::CustomScanner;
 pub use cyclic::CyclicIter;
+
+// Re-exported at the root only because the benchmark names them here.
+pub use custom::CustomScanner;
 pub use masscan::MasscanScanner;
 pub use mirai::MiraiScanner;
 pub use nmap::NmapScanner;
-pub use thinning::{project_onto_telescope, ProjectedScan, ScanSpec, TargetSpace};
-pub use traits::{ProbeCrafter, ProbeHeaders, TargetOrder, ToolKind};
 pub use unicorn::UnicornScanner;
 pub use zmap::ZmapScanner;

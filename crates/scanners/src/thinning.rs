@@ -91,7 +91,7 @@ impl TargetSpace {
     }
 
     /// Total number of (address, port) probes for full coverage.
-    pub fn total_probes(&self) -> u64 {
+    pub(crate) fn total_probes(&self) -> u64 {
         self.ip_count.saturating_mul(self.ports.len() as u64)
     }
 }
@@ -114,12 +114,12 @@ pub struct ScanSpec {
 
 impl ScanSpec {
     /// Number of probes the scan sends Internet-wide.
-    pub fn probes_sent(&self) -> u64 {
+    pub(crate) fn probes_sent(&self) -> u64 {
         (self.targets.total_probes() as f64 * self.coverage).round() as u64
     }
 
     /// Scan duration in seconds.
-    pub fn duration_secs(&self) -> f64 {
+    pub(crate) fn duration_secs(&self) -> f64 {
         self.probes_sent() as f64 / self.rate_pps
     }
 }

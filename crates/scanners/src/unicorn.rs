@@ -32,9 +32,6 @@ pub struct UnicornScanner {
     src_port_base: u16,
 }
 
-/// Alias kept for the public API (`UnicornScanner` reads better in figures).
-pub use UnicornScanner as Unicorn;
-
 impl UnicornScanner {
     /// Create a session keyed by `seed`.
     pub fn new(seed: u64) -> Self {

@@ -63,7 +63,7 @@ pub fn ks_statistic(sample1: &[f64], sample2: &[f64]) -> f64 {
 /// The Kolmogorov distribution survival function `Q(λ)`.
 ///
 /// Converges extremely fast; 101 terms are far more than needed.
-pub fn kolmogorov_q(lambda: f64) -> f64 {
+pub(crate) fn kolmogorov_q(lambda: f64) -> f64 {
     if lambda <= 0.0 {
         return 1.0;
     }

@@ -31,9 +31,6 @@ pub mod telescope_model;
 
 pub use ecdf::Ecdf;
 pub use histogram::{Histogram, LogHistogram};
-pub use ks::{ks_statistic, ks_test, KsResult};
-pub use moments::StreamingMoments;
 pub use pearson::{pearson, PearsonResult};
 pub use rng::{mix64, Rng};
-pub use sampling::{BoundedPareto, LogNormal, Reservoir, Zipf};
 pub use telescope_model::TelescopeModel;

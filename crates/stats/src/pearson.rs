@@ -61,7 +61,7 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<PearsonResult> {
 ///
 /// Computed through the regularized incomplete beta function
 /// `I_{df/(df+t²)}(df/2, 1/2) / 2` using a Lentz continued fraction.
-pub fn student_t_sf(t: f64, df: f64) -> f64 {
+pub(crate) fn student_t_sf(t: f64, df: f64) -> f64 {
     debug_assert!(t >= 0.0 && df > 0.0);
     let x = df / (df + t * t);
     0.5 * incomplete_beta(0.5 * df, 0.5, x)
@@ -134,7 +134,7 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
 }
 
 /// Natural log of the gamma function (Lanczos approximation, g = 7, n = 9).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     const COEF: [f64; 9] = [
         0.999_999_999_999_809_9,
         676.520_368_121_885_1,

@@ -97,11 +97,6 @@ impl LogNormal {
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         (self.mu + self.sigma * z).exp()
     }
-
-    /// The distribution median, `e^mu`.
-    pub fn median(&self) -> f64 {
-        self.mu.exp()
-    }
 }
 
 /// Bounded Pareto sampler on `[lo, hi]` with shape `alpha`.

@@ -12,7 +12,7 @@
 //!
 //! Generation is split in two: [`plan_year`] runs every actor decision and
 //! every random draw, but captures campaigns as lazily replayable
-//! [`crate::stream::EmitterSpec`]s instead of materializing records;
+//! `crate::stream::EmitterSpec`s instead of materializing records;
 //! [`generate_year`] is now just `plan_year` + [`crate::stream::YearPlan::materialize`].
 //! The plan can equally be consumed as a bounded-memory, time-ordered
 //! [`crate::stream::YearStream`] — byte-identical to the materialized vector
@@ -95,7 +95,7 @@ impl GeneratorConfig {
     }
 
     /// Combined volume divisor for packet targets.
-    pub fn volume_divisor(&self) -> f64 {
+    pub(crate) fn volume_divisor(&self) -> f64 {
         f64::from(self.telescope_denominator) * f64::from(self.population_denominator)
     }
 }
@@ -154,11 +154,12 @@ pub(crate) fn make_crafter(
 /// Service-popularity head: the ports institutional scanners revisit most
 /// (HTTPS first — §6.7/Fig 5: 443 receives 41% of its traffic from
 /// institutional sources).
-pub const POPULAR_SERVICE_PORTS: [u16; 10] = [443, 80, 22, 8080, 21, 25, 3389, 8443, 445, 3306];
+pub(crate) const POPULAR_SERVICE_PORTS: [u16; 10] =
+    [443, 80, 22, 8080, 21, 25, 3389, 8443, 445, 3306];
 
 /// The canonical "top N ports" ordering institutions use: popular service
 /// ports first, then the rest of the range ascending.
-pub fn top_ports(n: u32) -> Vec<u16> {
+pub(crate) fn top_ports(n: u32) -> Vec<u16> {
     let mut ports: Vec<u16> = synscan_netmodel::KNOWN_PORTS
         .iter()
         .map(|(p, _)| *p)
@@ -323,7 +324,7 @@ pub fn generate_year(
 /// Runs the complete actor model — every decision and every RNG draw the
 /// materializing generator makes, in the same order — but at each campaign
 /// emission site it snapshots the shared RNG into an
-/// [`crate::stream::EmitterSpec`] and advances the RNG by draining the
+/// `crate::stream::EmitterSpec` and advances the RNG by draining the
 /// emitter through a null sink. Ground truth is therefore complete at plan
 /// time, and replaying the specs (materialized or heap-merged) reproduces
 /// the record stream byte for byte.
@@ -878,19 +879,6 @@ fn generate_orgs(
             }
         }
     }
-}
-
-/// Generate the whole decade, years fanned out over the machine's cores.
-pub fn generate_decade(
-    gen: &GeneratorConfig,
-    registry: &InternetRegistry,
-    dark: &AddressSet,
-) -> Vec<YearOutput> {
-    let configs = YearConfig::decade();
-    let mut outputs =
-        crate::fanout::par_map(&configs, |cfg| generate_year(cfg, gen, registry, dark));
-    outputs.sort_by_key(|o| o.year);
-    outputs
 }
 
 #[cfg(test)]

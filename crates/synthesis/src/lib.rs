@@ -24,7 +24,7 @@
 //! * [`generate`] — the actor machinery turning specs into projected
 //!   telescope arrivals.
 //! * [`stream`] — the lazy emitter plan and the bounded-memory, heap-merged
-//!   [`YearStream`] over it.
+//!   [`stream::YearStream`] over it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,8 +34,5 @@ pub mod generate;
 pub mod stream;
 pub mod yearcfg;
 
-pub use generate::{
-    generate_decade, generate_year, plan_year, GeneratorConfig, GroundTruth, YearOutput,
-};
-pub use stream::{YearPlan, YearStream};
-pub use yearcfg::{DisclosureEvent, GroupSpec, YearConfig};
+pub use generate::GeneratorConfig;
+pub use yearcfg::YearConfig;

@@ -3,7 +3,7 @@
 //! [`crate::generate::plan_year`] runs the whole year's *planning* logic —
 //! every actor decision, every plan-level RNG draw, the full ground truth —
 //! but materializes no records. Instead it captures, per campaign, an
-//! [`EmitterSpec`]: the exact RNG state at the moment the campaign's
+//! `EmitterSpec`: the exact RNG state at the moment the campaign's
 //! per-record draws would begin, plus everything needed to replay those
 //! draws (tool, crafter seed, source, ports, interval, budget). Replaying a
 //! spec through `run_emitter` is *the same code path* the planner drained
@@ -80,7 +80,7 @@ pub(crate) enum EmitterKind {
 
 /// One lazily replayable campaign: captured RNG state + replay parameters.
 #[derive(Debug, Clone)]
-pub struct EmitterSpec {
+pub(crate) struct EmitterSpec {
     /// The shared generator RNG, snapshotted right before this emitter's
     /// per-record draws.
     pub(crate) rng: Rng,
@@ -216,7 +216,7 @@ pub struct YearPlan {
 
 impl YearPlan {
     /// Exact number of records the year produces.
-    pub fn total_records(&self) -> u64 {
+    pub(crate) fn total_records(&self) -> u64 {
         self.specs.iter().map(|s| s.count).sum()
     }
 

@@ -104,7 +104,7 @@ const TAIL_PORTS: &[u16] = &[
 /// port is the protocol alias of its first (80→8080, 22→2222, ...). The
 /// paper reports 18% of port-80 scans also covering 8080 in 2015, rising to
 /// 87% by 2020 and plateauing.
-pub fn family_affinity(year: u16) -> f64 {
+pub(crate) fn family_affinity(year: u16) -> f64 {
     match year {
         0..=2015 => 0.18,
         2016 => 0.32,

@@ -6,13 +6,11 @@
 //! studies can report filter efficacy. Raw admitted frames can be exported
 //! to pcap for interoperability.
 
-use std::io::{Read, Write};
+use std::io::Write;
 
 /// The incremental pcap import, re-exported where it has always been named:
 /// the stream itself now lives with the window it reads through.
 pub use synscan_wire::ingest::PcapStream;
-use synscan_wire::ingest::{IngestQueues, MappedCapture};
-use synscan_wire::stream::{FaultCounters, FaultPolicy, StreamError};
 use synscan_wire::{pcap, ProbeRecord, SynFrameBuilder, TcpFlags};
 
 use crate::addrset::AddressSet;
@@ -160,7 +158,8 @@ impl<'a> CaptureSession<'a> {
     }
 }
 
-/// Write records to a classic pcap stream as full Ethernet frames.
+/// Write records to a classic pcap stream as full Ethernet frames; read them
+/// back with [`synscan_wire::IngestQueues::over`].
 pub fn export_pcap<W: Write>(records: &[ProbeRecord], writer: W) -> std::io::Result<W> {
     let mut pcap_writer = pcap::PcapWriter::new(writer, pcap::LINKTYPE_ETHERNET)?;
     let builder = SynFrameBuilder::default();
@@ -172,48 +171,22 @@ pub fn export_pcap<W: Write>(records: &[ProbeRecord], writer: W) -> std::io::Res
     pcap_writer.into_inner()
 }
 
-/// Read records back from a pcap stream produced by [`export_pcap`] (or any
-/// Ethernet pcap of TCP traffic); non-TCP frames are skipped.
-///
-/// This is the materializing convenience over [`PcapStream`] — it holds the
-/// whole capture in memory. Incremental consumers should drive the stream
-/// directly.
-pub fn import_pcap<R: Read>(reader: R) -> Result<Vec<ProbeRecord>, StreamError> {
-    import_pcap_with_policy(reader, FaultPolicy::Fail).map(|(records, _)| records)
-}
-
-/// As [`import_pcap`] under an explicit [`FaultPolicy`], returning what the
-/// policy had to skip alongside the records.
-pub fn import_pcap_with_policy<R: Read>(
-    reader: R,
-    policy: FaultPolicy,
-) -> Result<(Vec<ProbeRecord>, FaultCounters), StreamError> {
-    PcapStream::with_policy(reader, policy)?.into_records()
-}
-
-/// As [`import_pcap_with_policy`] over a reopenable capture, with the decode
-/// fanned out over `queues` threads ([`synscan_wire::ingest`]) and merged
-/// back in capture order.
-///
-/// Byte-for-byte equivalent to the `Read`-based import on every input —
-/// same records, same counters, same terminal error — which the
-/// `ingest_equivalence` suite holds across the corrupt-capture corpus.
-pub fn import_pcap_mapped(
-    capture: &std::sync::Arc<MappedCapture>,
-    policy: FaultPolicy,
-    queues: usize,
-) -> Result<(Vec<ProbeRecord>, FaultCounters), StreamError> {
-    IngestQueues::new(std::sync::Arc::clone(capture), queues, policy)?
-        .spawn()
-        .into_records()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::TelescopeConfig;
-    use synscan_wire::stream::RecordStream;
-    use synscan_wire::{Ipv4Address, TcpFlags};
+    use synscan_wire::stream::{FaultCounters, FaultPolicy, RecordStream, StreamError};
+    use synscan_wire::{IngestQueues, Ipv4Address, TcpFlags};
+
+    /// Read a whole capture back on one queue under `policy`.
+    fn import(
+        bytes: Vec<u8>,
+        policy: FaultPolicy,
+    ) -> Result<(Vec<ProbeRecord>, FaultCounters), StreamError> {
+        IngestQueues::over(std::io::Cursor::new(bytes), 1, policy)?
+            .spawn()
+            .into_records()
+    }
 
     fn set() -> AddressSet {
         AddressSet::build(&TelescopeConfig::paper_scaled(128))
@@ -382,7 +355,7 @@ mod tests {
             })
             .collect();
         let bytes = export_pcap(&records, Vec::new()).unwrap();
-        let materialized = import_pcap(std::io::Cursor::new(bytes.clone())).unwrap();
+        let materialized = import(bytes.clone(), FaultPolicy::Fail).unwrap().0;
 
         let mut stream = PcapStream::new(std::io::Cursor::new(bytes)).unwrap();
         let mut streamed = Vec::new();
@@ -427,7 +400,7 @@ mod tests {
         let mut stream = PcapStream::new(std::io::Cursor::new(bytes.clone())).unwrap();
         while stream.next_batch().is_some() {}
         assert!(stream.error().is_some());
-        assert!(import_pcap(std::io::Cursor::new(bytes)).is_err());
+        assert!(import(bytes, FaultPolicy::Fail).is_err());
     }
 
     #[test]
@@ -444,19 +417,16 @@ mod tests {
         bytes.truncate(bytes.len() - 7); // tear into the last frame
 
         // Strict policy: fatal.
-        assert!(import_pcap(std::io::Cursor::new(bytes.clone())).is_err());
+        assert!(import(bytes.clone(), FaultPolicy::Fail).is_err());
 
         // Skip policy: the readable prefix survives, the tear is counted.
-        let (parsed, faults) =
-            import_pcap_with_policy(std::io::Cursor::new(bytes.clone()), FaultPolicy::SkipRecord)
-                .unwrap();
+        let (parsed, faults) = import(bytes.clone(), FaultPolicy::SkipRecord).unwrap();
         assert_eq!(parsed, records[..5].to_vec());
         assert_eq!(faults.streams_truncated, 1);
         assert_eq!(faults.records_skipped, 0);
 
         // Stop-clean behaves the same for an unrecoverable fault.
-        let (parsed, faults) =
-            import_pcap_with_policy(std::io::Cursor::new(bytes), FaultPolicy::StopClean).unwrap();
+        let (parsed, faults) = import(bytes, FaultPolicy::StopClean).unwrap();
         assert_eq!(parsed.len(), 5);
         assert_eq!(faults.streams_truncated, 1);
     }
@@ -482,11 +452,9 @@ mod tests {
         spliced.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
         spliced.extend_from_slice(&bytes[first_record_end..]);
 
-        assert!(import_pcap(std::io::Cursor::new(spliced.clone())).is_err());
+        assert!(import(spliced.clone(), FaultPolicy::Fail).is_err());
 
-        let (parsed, faults) =
-            import_pcap_with_policy(std::io::Cursor::new(spliced), FaultPolicy::SkipRecord)
-                .unwrap();
+        let (parsed, faults) = import(spliced, FaultPolicy::SkipRecord).unwrap();
         assert_eq!(parsed, records, "both real records survive the skip");
         assert_eq!(faults.records_skipped, 1);
         assert_eq!(faults.bytes_dropped, 4);
@@ -508,7 +476,7 @@ mod tests {
             })
             .collect();
         let bytes = export_pcap(&records, Vec::new()).unwrap();
-        let parsed = import_pcap(std::io::Cursor::new(bytes)).unwrap();
+        let parsed = import(bytes, FaultPolicy::Fail).unwrap().0;
         assert_eq!(parsed, records);
     }
 }

@@ -7,8 +7,6 @@
 //! from the built [`crate::AddressSet`], so the pipeline stays consistent
 //! at any scale.
 
-use synscan_stats::TelescopeModel;
-
 /// Static configuration of the telescope.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelescopeConfig {
@@ -30,7 +28,7 @@ pub struct TelescopeConfig {
 impl TelescopeConfig {
     /// The paper's telescope at full size: three /16s whose dark portions
     /// sum to ≈ 71,536 addresses (fractions 0.55 / 0.30 / 0.24).
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Self {
             // TEST-NET-1-style documentation blocks stand in for the real
             // (undisclosed) telescope prefixes: 100.66/16, 103.224/16,
@@ -55,11 +53,6 @@ impl TelescopeConfig {
     /// Expected number of dark addresses under this configuration.
     pub fn expected_dark_addresses(&self) -> f64 {
         self.dark_fraction.iter().sum::<f64>() * 65_536.0 * self.scale
-    }
-
-    /// The detection model for a telescope of the *built* size.
-    pub fn model(&self, monitored: u64) -> TelescopeModel {
-        TelescopeModel::new(monitored)
     }
 
     /// True when `ts_micros` (relative to capture start) falls in an outage.

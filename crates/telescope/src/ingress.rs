@@ -9,19 +9,19 @@ use synscan_wire::ProbeRecord;
 
 /// The year-dependent port-blocking policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IngressPolicy {
+pub(crate) struct IngressPolicy {
     /// The capture year the policy is evaluated for.
     pub year: u16,
 }
 
 impl IngressPolicy {
     /// Policy for a given capture year.
-    pub fn for_year(year: u16) -> Self {
+    pub(crate) fn for_year(year: u16) -> Self {
         Self { year }
     }
 
     /// The ports dropped at the ingress in this year.
-    pub fn blocked_ports(&self) -> &'static [u16] {
+    pub(crate) fn blocked_ports(&self) -> &'static [u16] {
         if self.year >= 2017 {
             &[23, 445]
         } else {
@@ -30,7 +30,7 @@ impl IngressPolicy {
     }
 
     /// True when a record survives the ingress filter.
-    pub fn admits(&self, record: &ProbeRecord) -> bool {
+    pub(crate) fn admits(&self, record: &ProbeRecord) -> bool {
         !self.blocked_ports().contains(&record.dst_port)
     }
 }

@@ -33,9 +33,5 @@ pub mod ingress;
 
 pub use addrset::AddressSet;
 pub use backscatter::BackscatterGenerator;
-pub use capture::{
-    classify_technique, import_pcap_mapped, CaptureSession, CaptureStats, PcapStream, ScanTechnique,
-};
+pub use capture::{CaptureSession, CaptureStats};
 pub use config::TelescopeConfig;
-pub use ingress::IngressPolicy;
-pub use synscan_wire::ingest::{IngestMode, IngestQueues, MappedCapture, MappedPcapStream};

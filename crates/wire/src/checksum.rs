@@ -10,29 +10,29 @@
 /// with [`Checksum::value`]. The accumulator is order-insensitive for aligned
 /// 16-bit words, which is what the pseudo-header computation relies on.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Checksum {
+pub(crate) struct Checksum {
     sum: u32,
 }
 
 impl Checksum {
     /// Create an accumulator with an initial sum of zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Add a single big-endian 16-bit word.
-    pub fn add_u16(&mut self, word: u16) {
+    pub(crate) fn add_u16(&mut self, word: u16) {
         self.sum += u32::from(word);
     }
 
     /// Add a 32-bit value as two 16-bit words (used for addresses).
-    pub fn add_u32(&mut self, value: u32) {
+    pub(crate) fn add_u32(&mut self, value: u32) {
         self.add_u16((value >> 16) as u16);
         self.add_u16((value & 0xffff) as u16);
     }
 
     /// Add a byte slice, padding an odd trailing byte with zero as per RFC 1071.
-    pub fn add_bytes(&mut self, data: &[u8]) {
+    pub(crate) fn add_bytes(&mut self, data: &[u8]) {
         let mut chunks = data.chunks_exact(2);
         for chunk in &mut chunks {
             self.add_u16(u16::from_be_bytes([chunk[0], chunk[1]]));
@@ -43,7 +43,7 @@ impl Checksum {
     }
 
     /// Fold carries and return the one's-complement checksum.
-    pub fn value(self) -> u16 {
+    pub(crate) fn value(self) -> u16 {
         let mut sum = self.sum;
         while sum > 0xffff {
             sum = (sum & 0xffff) + (sum >> 16);
@@ -53,7 +53,7 @@ impl Checksum {
 }
 
 /// Compute the checksum of a contiguous buffer in one call.
-pub fn checksum(data: &[u8]) -> u16 {
+pub(crate) fn checksum(data: &[u8]) -> u16 {
     let mut acc = Checksum::new();
     acc.add_bytes(data);
     acc.value()
@@ -63,7 +63,7 @@ pub fn checksum(data: &[u8]) -> u16 {
 ///
 /// A correct RFC 1071 checksum makes the folded sum of the full buffer equal
 /// `0xffff` (i.e. `checksum(..) == 0`).
-pub fn verify(data: &[u8]) -> bool {
+pub(crate) fn verify(data: &[u8]) -> bool {
     checksum(data) == 0
 }
 
@@ -71,7 +71,7 @@ pub fn verify(data: &[u8]) -> bool {
 ///
 /// The pseudo-header covers source address, destination address, a zero byte,
 /// the protocol number, and the transport segment length.
-pub fn pseudo_header_sum(src: u32, dst: u32, protocol: u8, segment_len: u16) -> Checksum {
+pub(crate) fn pseudo_header_sum(src: u32, dst: u32, protocol: u8, segment_len: u16) -> Checksum {
     let mut acc = Checksum::new();
     acc.add_u32(src);
     acc.add_u32(dst);

@@ -10,7 +10,7 @@ pub const HEADER_LEN: usize = 14;
 
 /// A MAC address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct MacAddress(pub [u8; 6]);
+pub(crate) struct MacAddress(pub [u8; 6]);
 
 impl core::fmt::Display for MacAddress {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
@@ -21,7 +21,7 @@ impl core::fmt::Display for MacAddress {
 
 /// EtherType values the telescope cares about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EtherType {
+pub(crate) enum EtherType {
     /// IPv4 (0x0800).
     Ipv4,
     /// ARP (0x0806) — seen from local gear, ignored by analysis.
@@ -62,7 +62,7 @@ pub struct EthernetFrame<T: AsRef<[u8]>> {
 
 impl<T: AsRef<[u8]>> EthernetFrame<T> {
     /// Wrap a buffer without validating it.
-    pub const fn new_unchecked(buffer: T) -> Self {
+    pub(crate) const fn new_unchecked(buffer: T) -> Self {
         Self { buffer }
     }
 
@@ -75,18 +75,8 @@ impl<T: AsRef<[u8]>> EthernetFrame<T> {
         Ok(frame)
     }
 
-    /// Destination MAC.
-    pub fn dst_mac(&self) -> MacAddress {
-        MacAddress(self.buffer.as_ref()[0..6].try_into().unwrap())
-    }
-
-    /// Source MAC.
-    pub fn src_mac(&self) -> MacAddress {
-        MacAddress(self.buffer.as_ref()[6..12].try_into().unwrap())
-    }
-
     /// EtherType.
-    pub fn ethertype(&self) -> EtherType {
+    pub(crate) fn ethertype(&self) -> EtherType {
         EtherType::from(u16::from_be_bytes(
             self.buffer.as_ref()[12..14].try_into().unwrap(),
         ))
@@ -100,52 +90,18 @@ impl<T: AsRef<[u8]>> EthernetFrame<T> {
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> EthernetFrame<T> {
     /// Set the destination MAC.
-    pub fn set_dst_mac(&mut self, value: MacAddress) {
+    pub(crate) fn set_dst_mac(&mut self, value: MacAddress) {
         self.buffer.as_mut()[0..6].copy_from_slice(&value.0);
     }
 
     /// Set the source MAC.
-    pub fn set_src_mac(&mut self, value: MacAddress) {
+    pub(crate) fn set_src_mac(&mut self, value: MacAddress) {
         self.buffer.as_mut()[6..12].copy_from_slice(&value.0);
     }
 
     /// Set the EtherType.
-    pub fn set_ethertype(&mut self, value: EtherType) {
+    pub(crate) fn set_ethertype(&mut self, value: EtherType) {
         self.buffer.as_mut()[12..14].copy_from_slice(&u16::from(value).to_be_bytes());
-    }
-
-    /// Mutable payload area.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buffer.as_mut()[HEADER_LEN..]
-    }
-}
-
-/// Parsed Ethernet header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EthernetRepr {
-    /// Destination MAC (the telescope router).
-    pub dst_mac: MacAddress,
-    /// Source MAC (the last-hop router).
-    pub src_mac: MacAddress,
-    /// Payload protocol.
-    pub ethertype: EtherType,
-}
-
-impl EthernetRepr {
-    /// Parse from a checked frame.
-    pub fn parse<T: AsRef<[u8]>>(frame: &EthernetFrame<T>) -> Result<Self> {
-        Ok(Self {
-            dst_mac: frame.dst_mac(),
-            src_mac: frame.src_mac(),
-            ethertype: frame.ethertype(),
-        })
-    }
-
-    /// Emit into a frame buffer.
-    pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(&self, frame: &mut EthernetFrame<T>) {
-        frame.set_dst_mac(self.dst_mac);
-        frame.set_src_mac(self.src_mac);
-        frame.set_ethertype(self.ethertype);
     }
 }
 
@@ -155,15 +111,14 @@ mod tests {
 
     #[test]
     fn round_trip() {
-        let repr = EthernetRepr {
-            dst_mac: MacAddress([0, 1, 2, 3, 4, 5]),
-            src_mac: MacAddress([6, 7, 8, 9, 10, 11]),
-            ethertype: EtherType::Ipv4,
-        };
         let mut buf = [0u8; HEADER_LEN + 4];
-        repr.emit(&mut EthernetFrame::new_unchecked(&mut buf[..]));
+        let mut frame = EthernetFrame::new_unchecked(&mut buf[..]);
+        frame.set_dst_mac(MacAddress([0, 1, 2, 3, 4, 5]));
+        frame.set_src_mac(MacAddress([6, 7, 8, 9, 10, 11]));
+        frame.set_ethertype(EtherType::Ipv4);
+        assert_eq!(buf[..12], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
         let frame = EthernetFrame::new_checked(&buf[..]).unwrap();
-        assert_eq!(EthernetRepr::parse(&frame).unwrap(), repr);
+        assert_eq!(frame.ethertype(), EtherType::Ipv4);
         assert_eq!(frame.payload().len(), 4);
     }
 

@@ -13,8 +13,8 @@
 //!   whatever is wrong with a capture's framing is in the **last** chunk,
 //!   and every other chunk decodes without a framing fault by construction.
 //! * **Decoders.** A chunk is decoded by the per-slice decoder:
-//!   [`PcapSlice`] yields borrowed [`RawFrame`]s (no per-record allocation or
-//!   copy), [`FrameBatch`] gathers a run and decodes it in one pass — the
+//!   `PcapSlice` yields borrowed `RawFrame`s (no per-record allocation or
+//!   copy), `FrameBatch` gathers a run and decodes it in one pass — the
 //!   canonical 54-byte Ethernet/IPv4/TCP probe by fixed-offset extraction,
 //!   anything else through [`ProbeRecord::from_ethernet`] — and
 //!   [`MappedPcapStream`] applies the [`FaultPolicy`]. With one queue the
@@ -231,7 +231,7 @@ impl MappedCapture {
 /// One captured frame, borrowed from the buffer it was read into: the
 /// zero-copy counterpart of [`crate::pcap::PcapRecord`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RawFrame<'a> {
+pub(crate) struct RawFrame<'a> {
     /// Timestamp in microseconds since the epoch.
     pub ts_micros: u64,
     /// Original length of the frame on the wire.
@@ -247,7 +247,7 @@ pub struct RawFrame<'a> {
 /// errors leave the cursor aligned on the next record, and unrecoverable
 /// ones lose framing for good.
 #[derive(Debug, Clone)]
-pub struct PcapSlice<'a> {
+pub(crate) struct PcapSlice<'a> {
     data: &'a [u8],
     cursor: usize,
     meta: GlobalHeader,
@@ -255,7 +255,7 @@ pub struct PcapSlice<'a> {
 
 impl<'a> PcapSlice<'a> {
     /// Open a whole capture image, parsing and validating the global header.
-    pub fn new(data: &'a [u8]) -> Result<Self, PcapError> {
+    pub(crate) fn new(data: &'a [u8]) -> Result<Self, PcapError> {
         let meta = GlobalHeader::read(&mut &data[..])?;
         Ok(Self {
             data,
@@ -274,28 +274,13 @@ impl<'a> PcapSlice<'a> {
         }
     }
 
-    /// The link type declared in the global header.
-    pub fn linktype(&self) -> u32 {
-        self.meta.linktype
-    }
-
-    /// The decoded global header.
-    pub fn header(&self) -> GlobalHeader {
-        self.meta
-    }
-
-    /// Bytes between the cursor and the end of this slice.
-    pub fn remaining(&self) -> usize {
-        self.data.len() - self.cursor
-    }
-
     /// Yield the next frame as a borrowed view; `Ok(None)` is a clean end.
     ///
     /// After a [`PcapError::recoverable`] error the cursor is still aligned
     /// on the next record and may be pulled again; after any other error the
     /// framing is lost.
     #[inline]
-    pub fn next_frame(&mut self) -> Result<Option<RawFrame<'a>>, PcapError> {
+    pub(crate) fn next_frame(&mut self) -> Result<Option<RawFrame<'a>>, PcapError> {
         let end = self.data.len();
         let remaining = end - self.cursor;
         if remaining == 0 {
@@ -354,7 +339,7 @@ impl<'a> PcapSlice<'a> {
 /// are exactly the conditions under which the checked parser reads the same
 /// fixed offsets).
 #[inline]
-pub fn decode_frame(
+pub(crate) fn decode_frame(
     ts_micros: u64,
     frame: &[u8],
     checksums: ChecksumPolicy,
@@ -415,7 +400,7 @@ fn verify_frame_checksums(frame: &[u8]) -> crate::Result<()> {
 
 /// How a [`FrameBatch::gather`] run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GatherOutcome {
+pub(crate) enum GatherOutcome {
     /// The run reached the requested frame count; more frames may follow.
     Full,
     /// The slice ended cleanly.
@@ -428,31 +413,26 @@ pub enum GatherOutcome {
 /// A reusable run of borrowed frames, gathered from a [`PcapSlice`] and
 /// decoded into [`ProbeRecord`]s in one pass.
 #[derive(Debug, Default)]
-pub struct FrameBatch<'a> {
+pub(crate) struct FrameBatch<'a> {
     frames: Vec<RawFrame<'a>>,
 }
 
 impl<'a> FrameBatch<'a> {
     /// An empty batch with room for `capacity` frames.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Self {
             frames: Vec::with_capacity(capacity),
         }
     }
 
-    /// The gathered frames.
-    pub fn frames(&self) -> &[RawFrame<'a>] {
-        &self.frames
-    }
-
     /// Drop all gathered frames, keeping the allocation.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.frames.clear();
     }
 
     /// Gather up to `max` frames from the slice, stopping early at end of
     /// stream or the first framing fault. Gathered frames are *appended*.
-    pub fn gather(&mut self, slice: &mut PcapSlice<'a>, max: usize) -> GatherOutcome {
+    pub(crate) fn gather(&mut self, slice: &mut PcapSlice<'a>, max: usize) -> GatherOutcome {
         while self.frames.len() < max {
             match slice.next_frame() {
                 Ok(Some(frame)) => self.frames.push(frame),
@@ -467,7 +447,7 @@ impl<'a> FrameBatch<'a> {
     /// `out`, counting unparseable frames into `non_tcp`, and maintaining
     /// the consecutive-record order census exactly as the streaming reader
     /// does.
-    pub fn decode_into(
+    pub(crate) fn decode_into(
         &self,
         checksums: ChecksumPolicy,
         out: &mut Vec<ProbeRecord>,
@@ -519,18 +499,13 @@ pub struct MappedPcapStream<'a> {
 const RUN_FRAMES: usize = 1024;
 
 impl<'a> MappedPcapStream<'a> {
-    /// Open a capture image under the strict [`FaultPolicy::Fail`] policy.
-    pub fn new(data: &'a [u8]) -> Result<Self, PcapError> {
-        Self::with_policy(data, FaultPolicy::Fail)
-    }
-
-    /// As [`MappedPcapStream::new`] with an explicit fault policy.
+    /// Open a capture image under the given fault policy.
     pub fn with_policy(data: &'a [u8], policy: FaultPolicy) -> Result<Self, PcapError> {
         Ok(Self::over(PcapSlice::new(data)?, policy))
     }
 
     /// Stream an already-opened slice.
-    pub fn over(slice: PcapSlice<'a>, policy: FaultPolicy) -> Self {
+    pub(crate) fn over(slice: PcapSlice<'a>, policy: FaultPolicy) -> Self {
         // The owned buffer grows lazily on first use: the chunk decoder,
         // which fills its caller's buffer, never touches it.
         Self {
@@ -550,13 +525,13 @@ impl<'a> MappedPcapStream<'a> {
     }
 
     /// Set the checksum policy (builder style).
-    pub fn checksums(mut self, checksums: ChecksumPolicy) -> Self {
+    pub(crate) fn checksums(mut self, checksums: ChecksumPolicy) -> Self {
         self.checksums = checksums;
         self
     }
 
     /// Override the records-per-batch target (tests and benches).
-    pub fn batch_target(mut self, target: usize) -> Self {
+    pub(crate) fn batch_target(mut self, target: usize) -> Self {
         self.batch_target = target.max(1);
         self
     }
@@ -581,11 +556,6 @@ impl<'a> MappedPcapStream<'a> {
     /// [`FaultPolicy::Fail`], and only through the infallible interface).
     pub fn error(&self) -> Option<StreamError> {
         self.error
-    }
-
-    /// The link type declared in the capture's global header.
-    pub fn linktype(&self) -> u32 {
-        self.slice.linktype()
     }
 
     fn fill(&mut self) -> Result<bool, StreamError> {
@@ -1392,7 +1362,6 @@ mod tests {
         let bytes = capture_of(&records);
         let mut reader = PcapReader::new(Cursor::new(bytes.clone())).unwrap();
         let mut slice = PcapSlice::new(&bytes).unwrap();
-        assert_eq!(slice.linktype(), LINKTYPE_ETHERNET);
         loop {
             let a = reader.next_record().unwrap();
             let b = slice.next_frame().unwrap();
@@ -1460,7 +1429,7 @@ mod tests {
     fn mapped_stream_yields_the_capture() {
         let records: Vec<ProbeRecord> = (0..5000).map(record).collect();
         let bytes = capture_of(&records);
-        let mut stream = MappedPcapStream::new(&bytes).unwrap();
+        let mut stream = MappedPcapStream::with_policy(&bytes, FaultPolicy::Fail).unwrap();
         assert_eq!(drain(&mut stream), (records, None));
         assert_eq!(stream.non_tcp_frames(), 0);
         assert_eq!(stream.order_violations(), 0);
@@ -1592,7 +1561,7 @@ mod tests {
         torn.truncate(torn.len() - 5);
         captures.push(("torn tail".into(), torn));
         for (name, bytes) in captures {
-            let meta = PcapSlice::new(&bytes).unwrap().header();
+            let meta = GlobalHeader::read(&mut &bytes[..]).unwrap();
             for window in WINDOWS {
                 let label = format!("{name} window={window}");
                 let chunks = chunks_of(&bytes, window);
@@ -1799,7 +1768,7 @@ mod tests {
     #[test]
     fn empty_capture_yields_nothing_on_every_path() {
         let bytes = capture_of(&[]);
-        let mut stream = MappedPcapStream::new(&bytes).unwrap();
+        let mut stream = MappedPcapStream::with_policy(&bytes, FaultPolicy::Fail).unwrap();
         assert!(drain(&mut stream).0.is_empty());
         let capture = Arc::new(MappedCapture::from_bytes(bytes));
         for queues in [1, 4] {

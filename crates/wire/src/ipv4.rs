@@ -26,12 +26,12 @@ impl Address {
     }
 
     /// Construct from a big-endian byte array (network order).
-    pub const fn from_bytes(bytes: [u8; 4]) -> Self {
+    pub(crate) const fn from_bytes(bytes: [u8; 4]) -> Self {
         Self(u32::from_be_bytes(bytes))
     }
 
     /// The network-order byte representation.
-    pub const fn octets(self) -> [u8; 4] {
+    pub(crate) const fn octets(self) -> [u8; 4] {
         self.0.to_be_bytes()
     }
 
@@ -46,11 +46,6 @@ impl Address {
     /// The /24 netblock this address belongs to (upper 24 bits).
     pub const fn slash24(self) -> u32 {
         self.0 >> 8
-    }
-
-    /// The /8 this address belongs to (upper 8 bits).
-    pub const fn slash8(self) -> u8 {
-        (self.0 >> 24) as u8
     }
 
     /// True if the address is in private (RFC 1918), loopback, or multicast
@@ -146,16 +141,16 @@ impl From<Protocol> for u8 {
 }
 
 mod field {
-    pub const VER_IHL: usize = 0;
-    pub const DSCP_ECN: usize = 1;
-    pub const LENGTH: core::ops::Range<usize> = 2..4;
-    pub const IDENT: core::ops::Range<usize> = 4..6;
-    pub const FLAGS_FRAG: core::ops::Range<usize> = 6..8;
-    pub const TTL: usize = 8;
-    pub const PROTOCOL: usize = 9;
-    pub const CHECKSUM: core::ops::Range<usize> = 10..12;
-    pub const SRC_ADDR: core::ops::Range<usize> = 12..16;
-    pub const DST_ADDR: core::ops::Range<usize> = 16..20;
+    pub(crate) const VER_IHL: usize = 0;
+    pub(crate) const DSCP_ECN: usize = 1;
+    pub(crate) const LENGTH: core::ops::Range<usize> = 2..4;
+    pub(crate) const IDENT: core::ops::Range<usize> = 4..6;
+    pub(crate) const FLAGS_FRAG: core::ops::Range<usize> = 6..8;
+    pub(crate) const TTL: usize = 8;
+    pub(crate) const PROTOCOL: usize = 9;
+    pub(crate) const CHECKSUM: core::ops::Range<usize> = 10..12;
+    pub(crate) const SRC_ADDR: core::ops::Range<usize> = 12..16;
+    pub(crate) const DST_ADDR: core::ops::Range<usize> = 16..20;
 }
 
 /// Zero-copy view of an IPv4 packet.
@@ -196,45 +191,35 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
         Ok(())
     }
 
-    /// Consume the view and return the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// The IP version field (always 4 for valid packets).
-    pub fn version(&self) -> u8 {
+    pub(crate) fn version(&self) -> u8 {
         self.buffer.as_ref()[field::VER_IHL] >> 4
     }
 
     /// Header length in bytes (IHL × 4).
-    pub fn header_len(&self) -> u8 {
+    pub(crate) fn header_len(&self) -> u8 {
         (self.buffer.as_ref()[field::VER_IHL] & 0x0f) * 4
     }
 
     /// Total packet length (header + payload).
-    pub fn total_len(&self) -> u16 {
+    pub(crate) fn total_len(&self) -> u16 {
         u16::from_be_bytes(self.buffer.as_ref()[field::LENGTH].try_into().unwrap())
     }
 
     /// The identification field — one of the primary fingerprinting signals:
     /// ZMap sets it to 54321, Masscan to `dst_ip ^ dst_port ^ seq`.
-    pub fn ident(&self) -> u16 {
+    pub(crate) fn ident(&self) -> u16 {
         u16::from_be_bytes(self.buffer.as_ref()[field::IDENT].try_into().unwrap())
     }
 
     /// Time-to-live.
-    pub fn ttl(&self) -> u8 {
+    pub(crate) fn ttl(&self) -> u8 {
         self.buffer.as_ref()[field::TTL]
     }
 
     /// The encapsulated protocol.
-    pub fn protocol(&self) -> Protocol {
+    pub(crate) fn protocol(&self) -> Protocol {
         Protocol::from(self.buffer.as_ref()[field::PROTOCOL])
-    }
-
-    /// Raw header checksum field.
-    pub fn checksum(&self) -> u16 {
-        u16::from_be_bytes(self.buffer.as_ref()[field::CHECKSUM].try_into().unwrap())
     }
 
     /// Source address.
@@ -268,50 +253,45 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
     }
 
     /// Set the total length field.
-    pub fn set_total_len(&mut self, value: u16) {
+    pub(crate) fn set_total_len(&mut self, value: u16) {
         self.buffer.as_mut()[field::LENGTH].copy_from_slice(&value.to_be_bytes());
     }
 
     /// Set the identification field.
-    pub fn set_ident(&mut self, value: u16) {
+    pub(crate) fn set_ident(&mut self, value: u16) {
         self.buffer.as_mut()[field::IDENT].copy_from_slice(&value.to_be_bytes());
     }
 
     /// Set flags and fragment offset (scanners send DF or zero).
-    pub fn set_flags_frag(&mut self, value: u16) {
+    pub(crate) fn set_flags_frag(&mut self, value: u16) {
         self.buffer.as_mut()[field::FLAGS_FRAG].copy_from_slice(&value.to_be_bytes());
     }
 
     /// Set the time-to-live.
-    pub fn set_ttl(&mut self, value: u8) {
+    pub(crate) fn set_ttl(&mut self, value: u8) {
         self.buffer.as_mut()[field::TTL] = value;
     }
 
     /// Set the protocol field.
-    pub fn set_protocol(&mut self, value: Protocol) {
+    pub(crate) fn set_protocol(&mut self, value: Protocol) {
         self.buffer.as_mut()[field::PROTOCOL] = value.into();
     }
 
     /// Set the source address.
-    pub fn set_src_addr(&mut self, value: Address) {
+    pub(crate) fn set_src_addr(&mut self, value: Address) {
         self.buffer.as_mut()[field::SRC_ADDR].copy_from_slice(&value.octets());
     }
 
     /// Set the destination address.
-    pub fn set_dst_addr(&mut self, value: Address) {
+    pub(crate) fn set_dst_addr(&mut self, value: Address) {
         self.buffer.as_mut()[field::DST_ADDR].copy_from_slice(&value.octets());
     }
 
     /// Compute and write the header checksum.
-    pub fn fill_checksum(&mut self) {
+    pub(crate) fn fill_checksum(&mut self) {
         self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&[0, 0]);
         let ck = checksum::checksum(&self.buffer.as_ref()[..HEADER_LEN]);
         self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&ck.to_be_bytes());
-    }
-
-    /// Mutable access to the payload area after a standard 20-byte header.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buffer.as_mut()[HEADER_LEN..]
     }
 }
 
@@ -344,11 +324,6 @@ impl Ipv4Repr {
             ttl: packet.ttl(),
             payload_len: packet.total_len() as usize - packet.header_len() as usize,
         })
-    }
-
-    /// Total emitted length (header + payload).
-    pub fn buffer_len(&self) -> usize {
-        HEADER_LEN + self.payload_len
     }
 
     /// Emit a 20-byte header (no options) into the packet view, including the
@@ -384,7 +359,7 @@ mod tests {
     #[test]
     fn emit_parse_round_trip() {
         let repr = sample_repr();
-        let mut buf = vec![0u8; repr.buffer_len()];
+        let mut buf = vec![0u8; HEADER_LEN + repr.payload_len];
         repr.emit(&mut Ipv4Packet::new_unchecked(&mut buf[..]));
         let packet = Ipv4Packet::new_checked(&buf[..]).unwrap();
         assert!(packet.verify_checksum());
@@ -422,7 +397,7 @@ mod tests {
     #[test]
     fn checked_rejects_total_len_beyond_buffer() {
         let repr = sample_repr();
-        let mut buf = vec![0u8; repr.buffer_len()];
+        let mut buf = vec![0u8; HEADER_LEN + repr.payload_len];
         repr.emit(&mut Ipv4Packet::new_unchecked(&mut buf[..]));
         buf[2] = 0xff;
         buf[3] = 0xff;
@@ -435,7 +410,7 @@ mod tests {
     #[test]
     fn corrupted_header_fails_checksum() {
         let repr = sample_repr();
-        let mut buf = vec![0u8; repr.buffer_len()];
+        let mut buf = vec![0u8; HEADER_LEN + repr.payload_len];
         repr.emit(&mut Ipv4Packet::new_unchecked(&mut buf[..]));
         buf[8] ^= 0xff; // flip TTL
         let packet = Ipv4Packet::new_checked(&buf[..]).unwrap();
@@ -455,7 +430,6 @@ mod tests {
     #[test]
     fn netblock_helpers() {
         let addr = Address::new(10, 20, 30, 40);
-        assert_eq!(addr.slash8(), 10);
         assert_eq!(addr.slash16(), (10 << 8) | 20);
         assert_eq!(addr.slash24(), (10 << 16) | (20 << 8) | 30);
     }

@@ -7,11 +7,11 @@
 //! outside the program, so it is strict: nesting is capped, duplicate keys,
 //! trailing bytes and lone surrogates are typed errors with a byte offset.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt::{self, Write as _};
 
 /// Deepest array/object nesting [`parse`] accepts.
-pub const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -284,7 +284,7 @@ pub enum JsonErrorKind {
     UnexpectedByte(u8),
     /// Non-whitespace after the document.
     TrailingBytes,
-    /// Arrays/objects nested deeper than [`MAX_DEPTH`].
+    /// Arrays/objects nested deeper than `MAX_DEPTH`.
     TooDeep,
     /// An object names the same key twice.
     DuplicateKey,
@@ -399,11 +399,14 @@ impl Parser<'_> {
             }
             Some(b'{') => {
                 let mut fields: Vec<(String, Value)> = Vec::new();
+                // Keys come from outside the program: a hashed set keeps the
+                // duplicate check linear in the key count.
+                let mut seen = HashSet::new();
                 self.members(b'}', |p| {
                     p.skip_ws();
                     let key_at = p.pos;
                     let key = p.string()?;
-                    if fields.iter().any(|(k, _)| *k == key) {
+                    if !seen.insert(key.clone()) {
                         p.pos = key_at;
                         return Err(p.err(JsonErrorKind::DuplicateKey));
                     }
@@ -693,6 +696,51 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Keys `k0`, `k1`, … as many as fit an object of at most `limit` bytes.
+    fn distinct_keys(limit: usize) -> Vec<String> {
+        let mut keys: Vec<String> = Vec::new();
+        let mut len = "{}".len() - ",".len();
+        loop {
+            let key = format!("k{}", keys.len());
+            len += format!(",\"{key}\":0").len();
+            if len > limit {
+                return keys;
+            }
+            keys.push(key);
+        }
+    }
+
+    fn object_of(keys: &[String]) -> String {
+        let members: Vec<String> = keys.iter().map(|k| format!("\"{k}\":0")).collect();
+        format!("{{{}}}", members.join(","))
+    }
+
+    #[test]
+    fn an_object_filling_a_request_line_parses() {
+        let keys = distinct_keys(crate::net::MAX_REQUEST_BYTES);
+        let text = object_of(&keys);
+        assert!(text.len() <= crate::net::MAX_REQUEST_BYTES && keys.len() > 6_000);
+        let Ok(Value::Object(fields)) = parse(&text) else {
+            panic!("a {}-byte object of distinct keys must parse", text.len())
+        };
+        assert_eq!(fields.len(), keys.len());
+    }
+
+    #[test]
+    fn a_wide_object_repeating_its_first_key_last_fails_at_the_repeat() {
+        let mut keys = distinct_keys(crate::net::MAX_REQUEST_BYTES);
+        let last = keys.len() - 1;
+        keys[last] = keys[0].clone();
+        let text = object_of(&keys);
+        assert_eq!(
+            parse(&text),
+            Err(JsonError {
+                kind: JsonErrorKind::DuplicateKey,
+                offset: text.rfind("\"k0\"").expect("the repeat"),
+            })
+        );
     }
 
     #[test]

@@ -265,18 +265,6 @@ pub struct BoundedLineReader<R> {
 }
 
 impl<R: Read> BoundedLineReader<R> {
-    /// A reader with a byte cap and no deadlines (trusted local streams).
-    pub fn new(inner: R, limit: usize) -> Self {
-        BoundedLineReader {
-            inner,
-            pending: Vec::new(),
-            scanned: 0,
-            limit,
-            request_deadline: None,
-            idle_deadline: None,
-        }
-    }
-
     /// A reader with a byte cap, a cumulative per-line deadline, and an
     /// idle deadline between lines. `None` disables the respective check.
     pub fn with_deadlines(
@@ -481,13 +469,6 @@ pub struct NetInjectionLog {
     pub disconnected: bool,
 }
 
-impl NetInjectionLog {
-    /// Whether anything was injected at all.
-    pub fn any(&self) -> bool {
-        *self != NetInjectionLog::default()
-    }
-}
-
 /// Deterministic transport-fault injector over any stream, the socket-layer
 /// sibling of [`crate::chaos::ChaosReader`]. Wrap the write half, the read
 /// half, or both; fault positions derive from `(seed, op index)` and
@@ -634,11 +615,6 @@ impl Backoff {
         Backoff::new(seed, Duration::from_millis(100), Duration::from_secs(5))
     }
 
-    /// Attempts taken so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
     /// Next delay in the schedule (advances the attempt counter).
     pub fn next_delay(&mut self) -> Duration {
         let exp = self.attempt.min(20);
@@ -746,18 +722,20 @@ mod tests {
         let tail = TimeoutTail {
             chunks: vec![b"pi".to_vec(), b"ng\nsta".to_vec(), b"ts\r\n".to_vec()],
         };
-        let mut lines = BoundedLineReader::new(tail, 64);
+        let mut lines = BoundedLineReader::with_deadlines(tail, 64, None, None);
         assert_eq!(lines.next_line().unwrap().as_deref(), Some("ping"));
         assert_eq!(lines.next_line().unwrap().as_deref(), Some("stats"));
     }
 
     #[test]
     fn bounded_reader_handles_eof_with_and_without_newline() {
-        let mut lines = BoundedLineReader::new(Cursor::new(b"ping\n".to_vec()), 64);
+        let mut lines =
+            BoundedLineReader::with_deadlines(Cursor::new(b"ping\n".to_vec()), 64, None, None);
         assert_eq!(lines.next_line().unwrap().as_deref(), Some("ping"));
         assert_eq!(lines.next_line().unwrap(), None);
 
-        let mut partial = BoundedLineReader::new(Cursor::new(b"tail".to_vec()), 64);
+        let mut partial =
+            BoundedLineReader::with_deadlines(Cursor::new(b"tail".to_vec()), 64, None, None);
         assert_eq!(partial.next_line().unwrap().as_deref(), Some("tail"));
         assert_eq!(partial.next_line().unwrap(), None);
     }
@@ -765,7 +743,7 @@ mod tests {
     #[test]
     fn bounded_reader_rejects_oversized_lines_without_buffering_them() {
         let huge = vec![b'x'; 1 << 20];
-        let mut lines = BoundedLineReader::new(Cursor::new(huge), 1024);
+        let mut lines = BoundedLineReader::with_deadlines(Cursor::new(huge), 1024, None, None);
         match lines.next_line() {
             Err(NetError::TooLarge { limit: 1024 }) => {}
             other => panic!("expected TooLarge, got {other:?}"),
@@ -920,7 +898,6 @@ mod tests {
         let first = backoff.next_delay();
         backoff.next_delay();
         backoff.reset();
-        assert_eq!(backoff.attempts(), 0);
         assert_eq!(backoff.next_delay(), first);
     }
 

@@ -16,20 +16,18 @@ use std::io::{self, Read, Write};
 use crate::WireError;
 
 /// Magic number for microsecond-resolution pcap, as written.
-pub const MAGIC_MICROS: u32 = 0xa1b2_c3d4;
+pub(crate) const MAGIC_MICROS: u32 = 0xa1b2_c3d4;
 /// Magic for nanosecond-resolution pcap (accepted on read).
-pub const MAGIC_NANOS: u32 = 0xa1b2_3c4d;
+pub(crate) const MAGIC_NANOS: u32 = 0xa1b2_3c4d;
 /// Link type LINKTYPE_ETHERNET.
 pub const LINKTYPE_ETHERNET: u32 = 1;
-/// Link type LINKTYPE_RAW (raw IP).
-pub const LINKTYPE_RAW: u32 = 101;
 /// Largest per-record capture length the reader will trust. Real snap
 /// lengths never exceed 256 KiB; a larger value is a corrupt length field.
-pub const MAX_SNAPLEN: u32 = 1 << 18;
+pub(crate) const MAX_SNAPLEN: u32 = 1 << 18;
 /// Size of the classic pcap global header in bytes.
-pub const GLOBAL_HEADER_LEN: usize = 24;
+pub(crate) const GLOBAL_HEADER_LEN: usize = 24;
 /// Size of a per-record header in bytes.
-pub const RECORD_HEADER_LEN: usize = 16;
+pub(crate) const RECORD_HEADER_LEN: usize = 16;
 
 /// Everything that can be wrong with a classic pcap stream, precisely.
 ///
@@ -59,7 +57,7 @@ pub enum PcapError {
         /// Bytes actually present.
         got: u32,
     },
-    /// The captured length exceeds [`MAX_SNAPLEN`] — a corrupt length field
+    /// The captured length exceeds `MAX_SNAPLEN` — a corrupt length field
     /// that would otherwise drive a huge allocation and lose framing.
     SnapLenOverflow(u32),
     /// The header claims zero bytes on the wire yet carries captured bytes —
@@ -80,7 +78,7 @@ impl PcapError {
     }
 
     /// Capture bytes rendered unusable by this error (for fault counters).
-    pub fn bytes_lost(&self) -> u64 {
+    pub(crate) fn bytes_lost(&self) -> u64 {
         match self {
             PcapError::TruncatedRecordHeader { got } => u64::from(*got),
             PcapError::TruncatedRecordBody { got, .. } => u64::from(*got),
@@ -231,7 +229,7 @@ fn u32_at(buf: &[u8], offset: usize, swapped: bool) -> u32 {
 /// and the windowed [`crate::ingest::PcapStream`] so both accept exactly the
 /// same set of captures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GlobalHeader {
+pub(crate) struct GlobalHeader {
     /// Whether every multi-byte field is byte-swapped relative to the host.
     pub swapped: bool,
     /// Whether timestamps carry nanosecond (rather than microsecond) fractions.
@@ -242,7 +240,7 @@ pub struct GlobalHeader {
 
 impl GlobalHeader {
     /// Decode and validate a 24-byte global header.
-    pub fn parse(header: &[u8; GLOBAL_HEADER_LEN]) -> Result<Self, PcapError> {
+    pub(crate) fn parse(header: &[u8; GLOBAL_HEADER_LEN]) -> Result<Self, PcapError> {
         let magic = u32_at(header, 0, false);
         let (swapped, nanos) = match magic {
             MAGIC_MICROS => (false, false),
@@ -260,7 +258,7 @@ impl GlobalHeader {
 
     /// Read and validate the global header off the front of a stream, so a
     /// non-pcap input fails when it is opened, not at its first record.
-    pub fn read<R: Read>(reader: &mut R) -> Result<Self, PcapError> {
+    pub(crate) fn read<R: Read>(reader: &mut R) -> Result<Self, PcapError> {
         let mut header = [0u8; GLOBAL_HEADER_LEN];
         if read_fully(reader, &mut header) < header.len() {
             return Err(PcapError::TruncatedGlobalHeader);
@@ -298,7 +296,7 @@ impl<R: Read> PcapReader<R> {
     }
 
     /// The link type declared in the global header.
-    pub fn linktype(&self) -> u32 {
+    pub(crate) fn linktype(&self) -> u32 {
         self.linktype
     }
 
@@ -362,6 +360,9 @@ impl<R: Read> Iterator for PcapReader<R> {
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    /// Link type LINKTYPE_RAW (raw IP).
+    const LINKTYPE_RAW: u32 = 101;
 
     fn write_capture(records: &[(u64, Vec<u8>)]) -> Vec<u8> {
         let mut writer = PcapWriter::new(Vec::new(), LINKTYPE_ETHERNET).unwrap();

@@ -56,7 +56,7 @@ impl ProbeRecord {
     }
 
     /// Parse a raw IPv4 packet into a record, requiring TCP.
-    pub fn from_ipv4(ts_micros: u64, packet: &[u8]) -> Result<Self> {
+    pub(crate) fn from_ipv4(ts_micros: u64, packet: &[u8]) -> Result<Self> {
         let ip = Ipv4Packet::new_checked(packet)?;
         if ip.protocol() != Protocol::Tcp {
             return Err(WireError::Unsupported);
@@ -104,11 +104,6 @@ impl Default for SynFrameBuilder {
 }
 
 impl SynFrameBuilder {
-    /// Create a builder with explicit MAC endpoints.
-    pub fn new(src_mac: MacAddress, dst_mac: MacAddress) -> Self {
-        Self { src_mac, dst_mac }
-    }
-
     /// Serialize one record into a fresh frame buffer.
     pub fn build(&self, record: &ProbeRecord) -> Vec<u8> {
         let mut buf = vec![0u8; ProbeRecord::frame_len()];

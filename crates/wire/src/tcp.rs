@@ -27,7 +27,7 @@ impl TcpFlags {
     /// ACK — ACK scans, and half of SYN/ACK backscatter.
     pub const ACK: TcpFlags = TcpFlags(0x10);
     /// URG.
-    pub const URG: TcpFlags = TcpFlags(0x20);
+    pub(crate) const URG: TcpFlags = TcpFlags(0x20);
     /// SYN|ACK — the server half of a handshake; in a telescope this is
     /// backscatter from attacks that spoofed a telescope address.
     pub const SYN_ACK: TcpFlags = TcpFlags(0x12);
@@ -83,15 +83,15 @@ impl core::fmt::Display for TcpFlags {
 }
 
 mod field {
-    pub const SRC_PORT: core::ops::Range<usize> = 0..2;
-    pub const DST_PORT: core::ops::Range<usize> = 2..4;
-    pub const SEQ_NUM: core::ops::Range<usize> = 4..8;
-    pub const ACK_NUM: core::ops::Range<usize> = 8..12;
-    pub const DATA_OFF: usize = 12;
-    pub const FLAGS: usize = 13;
-    pub const WINDOW: core::ops::Range<usize> = 14..16;
-    pub const CHECKSUM: core::ops::Range<usize> = 16..18;
-    pub const URGENT: core::ops::Range<usize> = 18..20;
+    pub(crate) const SRC_PORT: core::ops::Range<usize> = 0..2;
+    pub(crate) const DST_PORT: core::ops::Range<usize> = 2..4;
+    pub(crate) const SEQ_NUM: core::ops::Range<usize> = 4..8;
+    pub(crate) const ACK_NUM: core::ops::Range<usize> = 8..12;
+    pub(crate) const DATA_OFF: usize = 12;
+    pub(crate) const FLAGS: usize = 13;
+    pub(crate) const WINDOW: core::ops::Range<usize> = 14..16;
+    pub(crate) const CHECKSUM: core::ops::Range<usize> = 16..18;
+    pub(crate) const URGENT: core::ops::Range<usize> = 18..20;
 }
 
 /// Zero-copy view of a TCP segment.
@@ -125,23 +125,18 @@ impl<T: AsRef<[u8]>> TcpPacket<T> {
         Ok(())
     }
 
-    /// Consume the view and return the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// Source port.
-    pub fn src_port(&self) -> u16 {
+    pub(crate) fn src_port(&self) -> u16 {
         u16::from_be_bytes(self.buffer.as_ref()[field::SRC_PORT].try_into().unwrap())
     }
 
     /// Destination port.
-    pub fn dst_port(&self) -> u16 {
+    pub(crate) fn dst_port(&self) -> u16 {
         u16::from_be_bytes(self.buffer.as_ref()[field::DST_PORT].try_into().unwrap())
     }
 
     /// Sequence number — the main state-encoding field of stateless scanners.
-    pub fn seq_number(&self) -> u32 {
+    pub(crate) fn seq_number(&self) -> u32 {
         u32::from_be_bytes(self.buffer.as_ref()[field::SEQ_NUM].try_into().unwrap())
     }
 
@@ -151,23 +146,18 @@ impl<T: AsRef<[u8]>> TcpPacket<T> {
     }
 
     /// Header length in bytes (data offset × 4).
-    pub fn header_len(&self) -> u8 {
+    pub(crate) fn header_len(&self) -> u8 {
         (self.buffer.as_ref()[field::DATA_OFF] >> 4) * 4
     }
 
     /// Control flags.
-    pub fn flags(&self) -> TcpFlags {
+    pub(crate) fn flags(&self) -> TcpFlags {
         TcpFlags(self.buffer.as_ref()[field::FLAGS] & 0x3f)
     }
 
     /// Receive window.
-    pub fn window_len(&self) -> u16 {
+    pub(crate) fn window_len(&self) -> u16 {
         u16::from_be_bytes(self.buffer.as_ref()[field::WINDOW].try_into().unwrap())
-    }
-
-    /// Raw checksum field.
-    pub fn checksum(&self) -> u16 {
-        u16::from_be_bytes(self.buffer.as_ref()[field::CHECKSUM].try_into().unwrap())
     }
 
     /// Urgent pointer.
@@ -192,47 +182,47 @@ impl<T: AsRef<[u8]>> TcpPacket<T> {
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> TcpPacket<T> {
     /// Set the source port.
-    pub fn set_src_port(&mut self, value: u16) {
+    pub(crate) fn set_src_port(&mut self, value: u16) {
         self.buffer.as_mut()[field::SRC_PORT].copy_from_slice(&value.to_be_bytes());
     }
 
     /// Set the destination port.
-    pub fn set_dst_port(&mut self, value: u16) {
+    pub(crate) fn set_dst_port(&mut self, value: u16) {
         self.buffer.as_mut()[field::DST_PORT].copy_from_slice(&value.to_be_bytes());
     }
 
     /// Set the sequence number.
-    pub fn set_seq_number(&mut self, value: u32) {
+    pub(crate) fn set_seq_number(&mut self, value: u32) {
         self.buffer.as_mut()[field::SEQ_NUM].copy_from_slice(&value.to_be_bytes());
     }
 
     /// Set the acknowledgement number.
-    pub fn set_ack_number(&mut self, value: u32) {
+    pub(crate) fn set_ack_number(&mut self, value: u32) {
         self.buffer.as_mut()[field::ACK_NUM].copy_from_slice(&value.to_be_bytes());
     }
 
     /// Set the data offset for a bare 20-byte header.
-    pub fn set_header_len_bare(&mut self) {
+    pub(crate) fn set_header_len_bare(&mut self) {
         self.buffer.as_mut()[field::DATA_OFF] = (HEADER_LEN as u8 / 4) << 4;
     }
 
     /// Set the control flags.
-    pub fn set_flags(&mut self, value: TcpFlags) {
+    pub(crate) fn set_flags(&mut self, value: TcpFlags) {
         self.buffer.as_mut()[field::FLAGS] = value.0;
     }
 
     /// Set the receive window.
-    pub fn set_window_len(&mut self, value: u16) {
+    pub(crate) fn set_window_len(&mut self, value: u16) {
         self.buffer.as_mut()[field::WINDOW].copy_from_slice(&value.to_be_bytes());
     }
 
     /// Set the urgent pointer.
-    pub fn set_urgent(&mut self, value: u16) {
+    pub(crate) fn set_urgent(&mut self, value: u16) {
         self.buffer.as_mut()[field::URGENT].copy_from_slice(&value.to_be_bytes());
     }
 
     /// Compute and write the checksum over pseudo-header + segment.
-    pub fn fill_checksum(&mut self, src: Address, dst: Address) {
+    pub(crate) fn fill_checksum(&mut self, src: Address, dst: Address) {
         self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&[0, 0]);
         let data = self.buffer.as_ref();
         let mut acc: Checksum = checksum::pseudo_header_sum(src.0, dst.0, 6, data.len() as u16);
@@ -273,12 +263,6 @@ impl TcpRepr {
             window_len: packet.window_len(),
             urgent: packet.urgent(),
         })
-    }
-
-    /// Emitted length: a bare header, as scanners do not send options-laden SYNs
-    /// in the stateless fast path.
-    pub const fn buffer_len(&self) -> usize {
-        HEADER_LEN
     }
 
     /// Emit into the segment view and fill the checksum using the IPv4
@@ -323,7 +307,7 @@ mod tests {
     #[test]
     fn emit_parse_round_trip() {
         let repr = sample_repr();
-        let mut buf = vec![0u8; repr.buffer_len()];
+        let mut buf = [0u8; HEADER_LEN];
         repr.emit(&mut TcpPacket::new_unchecked(&mut buf[..]), SRC, DST);
         let packet = TcpPacket::new_checked(&buf[..]).unwrap();
         assert!(packet.verify_checksum(SRC, DST));
@@ -333,7 +317,7 @@ mod tests {
     #[test]
     fn checksum_binds_pseudo_header() {
         let repr = sample_repr();
-        let mut buf = vec![0u8; repr.buffer_len()];
+        let mut buf = [0u8; HEADER_LEN];
         repr.emit(&mut TcpPacket::new_unchecked(&mut buf[..]), SRC, DST);
         let packet = TcpPacket::new_checked(&buf[..]).unwrap();
         // Same bytes, different claimed destination: checksum must fail.

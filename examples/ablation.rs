@@ -1,5 +1,5 @@
 //! Ablations of the methodology's design choices (§3.4's thresholds and the
-//! fingerprint engine's pairwise machinery), run on a fixed generated year:
+//! fingerprint's pairwise machinery), run on a fixed generated year:
 //! `cargo run --release --example ablation`.
 //!
 //! Printed tables show how the measured ecosystem changes as each knob
@@ -16,7 +16,6 @@
 
 use synscan_core::campaign::{CampaignConfig, CampaignDetector};
 use synscan_core::fingerprint::rules::single_packet_verdict;
-use synscan_core::FingerprintEngine;
 use synscan_netmodel::InternetRegistry;
 use synscan_scanners::traits::ToolKind;
 use synscan_synthesis::generate::{generate_year, GeneratorConfig};
@@ -52,11 +51,9 @@ fn admitted(year: u16) -> (Vec<ProbeRecord>, u64) {
 }
 
 fn detect(records: &[ProbeRecord], config: CampaignConfig) -> (usize, u64) {
-    let mut engine = FingerprintEngine::new();
     let mut detector = CampaignDetector::new(config);
     for r in records {
-        let verdict = engine.classify(r);
-        detector.offer(r, verdict.tool());
+        detector.admit(r);
     }
     let (campaigns, noise) = detector.finish();
     (campaigns.len(), noise.rejected_packets)
@@ -105,18 +102,18 @@ fn ablate_thresholds(records: &[ProbeRecord], monitored: u64) {
     }
 }
 
-fn ablate_pairwise(records: &[ProbeRecord], year: u16) {
+fn ablate_pairwise(records: &[ProbeRecord], monitored: u64, year: u16) {
     banner(
         "ablation: pairwise fingerprinting",
         "§3.3 — what the NMap/Unicorn matchers add over single-packet rules",
     );
     println!("dataset year: {year} (the NMap era for 2015)");
-    let mut engine = FingerprintEngine::new();
+    let mut detector = CampaignDetector::new(CampaignConfig::scaled(monitored));
     let mut with_pairwise = 0u64;
     let mut single_only = 0u64;
     let mut nmap_or_unicorn = 0u64;
     for r in records {
-        let verdict = engine.classify(r);
+        let (verdict, _) = detector.admit(r);
         if let Some(tool) = verdict.tool() {
             with_pairwise += 1;
             if matches!(tool, ToolKind::Nmap | ToolKind::Unicorn) {
@@ -144,7 +141,7 @@ fn main() {
     println!("ablation dataset: {} admitted 2024 records", records.len());
     ablate_thresholds(&records, monitored);
     // Pairwise matters where NMap lives: 2015 (31.7% of scans in the paper).
-    let (records_2015, _) = admitted(2015);
-    ablate_pairwise(&records_2015, 2015);
-    ablate_pairwise(&records, 2024);
+    let (records_2015, monitored_2015) = admitted(2015);
+    ablate_pairwise(&records_2015, monitored_2015, 2015);
+    ablate_pairwise(&records, monitored, 2024);
 }

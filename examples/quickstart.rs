@@ -26,9 +26,10 @@ use synscan::scanners::thinning::{project_onto_telescope, ScanSpec, TargetSpace}
 use synscan::scanners::traits::{craft_record, TargetOrder};
 use synscan::scanners::zmap::ZmapScanner;
 use synscan::scanners::CyclicIter;
-use synscan::telescope::capture::{export_pcap, import_pcap};
+use synscan::telescope::capture::export_pcap;
 use synscan::telescope::{AddressSet, TelescopeConfig};
-use synscan::wire::Ipv4Address;
+use synscan::wire::stream::FaultPolicy;
+use synscan::wire::{IngestQueues, Ipv4Address};
 
 fn main() {
     // The telescope: dark addresses spread over three /16s (scaled 1/16 so
@@ -97,12 +98,14 @@ fn main() {
     records.extend(targeted);
     records.sort_by_key(|r| r.ts_micros);
     let pcap_bytes = export_pcap(&records, Vec::new()).expect("pcap export");
-    let replayed = import_pcap(std::io::Cursor::new(&pcap_bytes)).expect("pcap import");
+    let pcap_len = pcap_bytes.len();
+    let (replayed, _) = IngestQueues::over(std::io::Cursor::new(pcap_bytes), 1, FaultPolicy::Fail)
+        .expect("pcap header")
+        .spawn()
+        .into_records()
+        .expect("pcap import");
     assert_eq!(replayed, records);
-    println!(
-        "pcap: {} bytes round-tripped losslessly\n",
-        pcap_bytes.len()
-    );
+    println!("pcap: {pcap_len} bytes round-tripped losslessly\n");
 
     // ---- The §3 measurement pipeline -------------------------------------
     let mut collector = YearCollector::new(2024, CampaignConfig::scaled(dark.len() as u64));

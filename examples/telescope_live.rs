@@ -6,7 +6,7 @@
 //! keystream), a Unicornscan rarity, a custom tool nobody can fingerprint,
 //! and a DDoS victim's SYN/ACK backscatter. The capture session separates
 //! scans from backscatter with the §3.2 SYN filter and applies the 23/445
-//! ingress block; the fingerprint engine attributes each admitted probe as
+//! ingress block; the campaign detector fingerprints each admitted probe as
 //! it arrives.
 //!
 //! ```text
@@ -16,7 +16,8 @@
 use std::collections::BTreeMap;
 use synscan::stats::Rng;
 
-use synscan::core::FingerprintEngine;
+use synscan::core::campaign::CampaignDetector;
+use synscan::core::CampaignConfig;
 use synscan::scanners::custom::CustomScanner;
 use synscan::scanners::mirai::MiraiScanner;
 use synscan::scanners::nmap::NmapScanner;
@@ -108,13 +109,13 @@ fn main() {
 
     // ---- Stream them through capture + fingerprinting -------------------
     let mut session = CaptureSession::new(&dark, 2020); // 23/445 blocked
-    let mut engine = FingerprintEngine::new();
+    let mut detector = CampaignDetector::new(CampaignConfig::scaled(dark.len() as u64));
     let mut verdicts: BTreeMap<Ipv4Address, BTreeMap<String, u64>> = BTreeMap::new();
     for record in &arrivals {
         if !session.offer(record) {
             continue;
         }
-        let verdict = engine.classify(record);
+        let (verdict, _) = detector.admit(record);
         let label = verdict
             .tool()
             .map(|t| t.name().to_string())

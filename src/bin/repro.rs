@@ -73,7 +73,7 @@ use synscan::core::store::{AnalysisStore, StoreImage};
 use synscan::core::PipelineError;
 use synscan::experiment::{DecadeRun, DecadeStatus, Experiment, RunError, RunOptions};
 use synscan::netmodel::{InternetRegistry, ScannerClass};
-use synscan::wire::ingest::{IngestMode, MappedCapture};
+use synscan::wire::ingest::{IngestMode, IngestQueues, MappedCapture};
 use synscan::wire::json::{self, ToJson};
 use synscan::wire::{ChaosPlan, FaultPolicy};
 use synscan::{GeneratorConfig, PipelineMode, ToolKind, YearConfig};
@@ -570,23 +570,22 @@ fn pcap_export(gen: &GeneratorConfig, out: &Path, ingest: IngestMode) -> Result<
     );
     // Read-back verification through the selected ingest mode: every mode
     // must re-import the identical record sequence.
-    let reimported = match ingest {
+    // Read mode is one queue over the file.
+    let (reader, queues): (Box<dyn std::io::Read + Send>, usize) = match ingest {
         IngestMode::Read => {
             let file = fs::File::open(&path)
                 .map_err(|e| format!("cannot re-open {}: {e}", path.display()))?;
-            synscan::telescope::capture::import_pcap(std::io::BufReader::new(file))
-                .map_err(|e| format!("re-import of {} failed: {e}", path.display()))?
+            (Box::new(std::io::BufReader::new(file)), 1)
         }
         IngestMode::Mapped { queues } => {
-            let capture = std::sync::Arc::new(
-                MappedCapture::load(&path)
-                    .map_err(|e| format!("cannot map {}: {e}", path.display()))?,
-            );
-            synscan::telescope::capture::import_pcap_mapped(&capture, FaultPolicy::Fail, queues)
-                .map(|(records, _)| records)
-                .map_err(|e| format!("mapped re-import of {} failed: {e}", path.display()))?
+            let capture = MappedCapture::load(&path)
+                .map_err(|e| format!("cannot map {}: {e}", path.display()))?;
+            (capture.reader(), queues)
         }
     };
+    let failed = |e: &dyn std::fmt::Display| format!("re-import of {} failed: {e}", path.display());
+    let plan = IngestQueues::over(reader, queues, FaultPolicy::Fail).map_err(|e| failed(&e))?;
+    let (reimported, _) = plan.spawn().into_records().map_err(|e| failed(&e))?;
     if reimported != output.records {
         return Err(format!(
             "re-import mismatch via --ingest {ingest}: wrote {} records, read back {}",

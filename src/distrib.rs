@@ -31,7 +31,7 @@
 //! 2. A worker dies or stalls mid-slice: its pipe drops (or the watchdog
 //!    kills it), the slice is requeued **at the front** together with its
 //!    last checkpoint, and — in spawn mode — a fresh worker is started.
-//! 3. A slice exhausts [`MAX_ATTEMPTS`] or a protocol invariant breaks:
+//! 3. A slice exhausts `MAX_ATTEMPTS` or a protocol invariant breaks:
 //!    the run fails with a typed [`CoordError`]; nothing panics.
 
 use std::collections::{HashMap, VecDeque};
@@ -65,18 +65,18 @@ use synscan_wire::stream::{FaultCounters, InfallibleStream};
 /// operator-visible state: resume never reads it (the retry `Assign`
 /// carries the checkpoint through the protocol), which the kill drill
 /// proves by deleting a dead worker's spill before the respawn.
-pub const WORKER_SPILL_ENV: &str = "SYNSCAN_WORKER_SPILL";
+pub(crate) const WORKER_SPILL_ENV: &str = "SYNSCAN_WORKER_SPILL";
 
 /// How many times [`connect_worker`] tries to dial the coordinator before
 /// giving up. Workers and coordinators race to start in real deployments;
 /// jittered backoff absorbs the race instead of failing the fleet.
-pub const DIAL_ATTEMPTS: u32 = 6;
+pub(crate) const DIAL_ATTEMPTS: u32 = 6;
 
 /// How many times one slice may be attempted (first try + retries) before
 /// the coordinator declares the run failed. Retries resume from the
 /// slice's last received checkpoint, so even repeated deaths make forward
 /// progress as long as checkpoints flow.
-pub const MAX_ATTEMPTS: u32 = 3;
+pub(crate) const MAX_ATTEMPTS: u32 = 3;
 
 /// Why a distributed run failed.
 #[derive(Debug)]
@@ -87,7 +87,7 @@ pub enum CoordError {
     Store(StoreError),
     /// Spawning, binding, or accepting workers failed.
     Io(String),
-    /// A slice burned through all [`MAX_ATTEMPTS`].
+    /// A slice burned through all `MAX_ATTEMPTS`.
     SliceFailed {
         /// The slice that kept failing.
         slice: SliceSpec,
@@ -148,7 +148,7 @@ fn io_err(e: std::io::Error) -> CoordError {
 /// configuration plus the heavy-hitter sketch knob. Chaos plans and
 /// materialization are deliberately absent — the coordinator refuses to
 /// distribute such runs instead of silently dropping the knobs.
-pub fn encode_job(gen: &GeneratorConfig, heavy: Option<HeavyHitterConfig>) -> Vec<u8> {
+pub(crate) fn encode_job(gen: &GeneratorConfig, heavy: Option<HeavyHitterConfig>) -> Vec<u8> {
     let mut w = SnapWriter::new();
     w.put_u64(gen.seed);
     w.put_u32(gen.telescope_denominator);
@@ -169,7 +169,7 @@ pub fn encode_job(gen: &GeneratorConfig, heavy: Option<HeavyHitterConfig>) -> Ve
 }
 
 /// Decode a job blob. Typed errors on every malformed byte sequence.
-pub fn decode_job(
+pub(crate) fn decode_job(
     blob: &[u8],
 ) -> Result<(GeneratorConfig, Option<HeavyHitterConfig>), DistribError> {
     let mut r = SnapReader::new(blob);
@@ -398,12 +398,12 @@ fn spec_seed(spec: &str) -> u64 {
 }
 
 /// The read and write halves of a worker's connection to its coordinator.
-pub type WorkerPipes = (Box<dyn Read + Send>, Box<dyn Write + Send>);
+pub(crate) type WorkerPipes = (Box<dyn Read + Send>, Box<dyn Write + Send>);
 
 /// Dial out to a coordinator listening on `spec` and return the two pipe
 /// halves a worker loop reads and writes.
 ///
-/// The dial retries with jittered exponential backoff ([`DIAL_ATTEMPTS`]
+/// The dial retries with jittered exponential backoff (`DIAL_ATTEMPTS`
 /// attempts, 100 ms doubling to 5 s), so a worker started before its
 /// coordinator — the normal race in a multi-host launch — connects as soon
 /// as the listener is up instead of dying on the first refused connection.
@@ -526,7 +526,7 @@ impl NetChaos {
     /// The fault plan for the `index`-th connection the coordinator makes
     /// (respawns advance the index, so a replacement connection for a
     /// corrupted one comes up clean under [`NetChaosMode::CorruptFirst`]).
-    pub fn plan_for(&self, index: u64) -> Option<NetChaosPlan> {
+    pub(crate) fn plan_for(&self, index: u64) -> Option<NetChaosPlan> {
         match self.mode {
             NetChaosMode::Benign => Some(NetChaosPlan::benign(self.seed).reseeded(index)),
             // period 64 guarantees the first corrupted byte lands inside the
@@ -558,34 +558,13 @@ pub struct DistribOptions {
     /// supervisor).
     pub supervision: SupervisionConfig,
     /// Base directory for worker-local checkpoint spills (spawn mode sets
-    /// [`WORKER_SPILL_ENV`] to `<dir>/worker-<n>` per child). Purely
+    /// `WORKER_SPILL_ENV` to `<dir>/worker-<n>` per child). Purely
     /// operator-visible: resume ships through the coordinator, which the
     /// kill drill proves by scrubbing a dead worker's spill before its
     /// replacement comes up.
     pub checkpoint_dir: Option<PathBuf>,
     /// Transport-fault injection over worker connections (drills only).
     pub net_chaos: Option<NetChaos>,
-}
-
-impl DistribOptions {
-    /// Spawn `workers` local children of the current executable.
-    pub fn local(workers: usize, every: u64) -> Result<Self, CoordError> {
-        let exe = std::env::current_exe()
-            .map_err(io_err)?
-            .to_string_lossy()
-            .into_owned();
-        Ok(Self {
-            source: WorkerSource::Spawn {
-                cmd: vec![exe, "--worker".into()],
-                workers,
-            },
-            every,
-            kill_drill: None,
-            supervision: SupervisionConfig::default(),
-            checkpoint_dir: None,
-            net_chaos: None,
-        })
-    }
 }
 
 /// A finished slice as the coordinator keeps it until merge time.

@@ -139,14 +139,6 @@ impl DecadeRun {
         }
     }
 
-    /// All campaigns of the decade, chronologically per year.
-    pub fn all_campaigns(&self) -> Vec<&synscan_core::Campaign> {
-        self.years
-            .iter()
-            .flat_map(|y| y.analysis.campaigns.iter())
-            .collect()
-    }
-
     /// Sum of every year's fault counters (all-zero without chaos).
     pub fn total_faults(&self) -> FaultCounters {
         let mut total = FaultCounters::default();
@@ -439,7 +431,7 @@ impl Experiment {
     }
 
     /// The fault policy in use.
-    pub fn fault_policy(&self) -> FaultPolicy {
+    pub(crate) fn fault_policy(&self) -> FaultPolicy {
         self.policy
     }
 
@@ -684,13 +676,6 @@ mod tests {
         let report = run.report();
         assert_eq!(report.years.len(), 10);
         assert!(report.packets_per_day_growth().unwrap() > 1.0);
-        assert_eq!(
-            run.all_campaigns().len(),
-            run.years
-                .iter()
-                .map(|y| y.analysis.campaigns.len())
-                .sum::<usize>()
-        );
         assert!(!run.total_faults().any());
     }
 

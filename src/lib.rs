@@ -44,11 +44,8 @@ pub use synscan_telescope as telescope;
 pub use synscan_wire as wire;
 
 pub use distrib::{
-    connect_worker, run_distributed, run_worker, CoordError, DistribOptions, Endpoint, NetChaos,
-    NetChaosMode, WorkerSource,
+    connect_worker, run_distributed, run_worker, DistribOptions, Endpoint, NetChaos, NetChaosMode,
+    WorkerSource,
 };
-pub use experiment::{CheckpointSpec, DecadeStatus, Experiment, RunError, RunOptions};
-pub use synscan_core::{
-    Campaign, CampaignConfig, FingerprintEngine, PipelineMode, RunStatus, ToolKind,
-};
+pub use synscan_core::{Campaign, CampaignConfig, PipelineMode, RunStatus, ToolKind};
 pub use synscan_synthesis::{GeneratorConfig, YearConfig};

@@ -147,14 +147,6 @@ impl Default for ServeOptions {
 }
 
 impl ServeOptions {
-    /// Defaults with a specific reader-pool size.
-    pub fn with_readers(readers: usize) -> Self {
-        ServeOptions {
-            readers,
-            ..ServeOptions::default()
-        }
-    }
-
     fn conn_deadline(&self) -> Deadline {
         // The socket-level read timeout is the request budget (the bounded
         // reader turns repeated timeout ticks on an idle connection into the
@@ -554,7 +546,7 @@ impl ServerControl {
     }
 
     /// Whether no connection is queued or being served.
-    pub fn idle(&self) -> bool {
+    pub(crate) fn idle(&self) -> bool {
         self.gate.active.load(Ordering::Acquire) == 0
     }
 
@@ -564,7 +556,7 @@ impl ServerControl {
     }
 
     /// Flip the stop flag and unblock every daemon thread.
-    pub fn stop(&self) {
+    pub(crate) fn stop(&self) {
         self.stop.store(true, Ordering::Release);
         self.queue.wake_all();
         self_connect(&self.endpoint);
@@ -717,7 +709,10 @@ mod tests {
         let server = Server::start(
             &dir,
             &Listen::Tcp("127.0.0.1:0".to_string()),
-            ServeOptions::with_readers(2),
+            ServeOptions {
+                readers: 2,
+                ..ServeOptions::default()
+            },
         )
         .expect("daemon starts");
         let addr = match server.endpoint() {

@@ -154,7 +154,7 @@ fn small_sources_cost_a_bounded_number_of_bytes_and_idle_ones_hold_no_scan() {
     let mut peak_open = 0;
     for batch in records.chunks(1024) {
         for record in batch {
-            detector.offer(record, None);
+            detector.admit(record);
             peak_open = peak_open.max(detector.open_scans());
         }
         detector.expire_idle(batch.last().expect("non-empty batch").ts_micros);

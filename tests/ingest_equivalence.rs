@@ -20,8 +20,10 @@ use std::sync::Arc;
 use synscan::analyze::{analyze, AnalyzeError, AnalyzeOptions, AnalyzeResult, CaptureInput};
 use synscan::core::PipelineMode;
 use synscan::experiment::{CheckpointSpec, Experiment, RunOptions};
-use synscan::telescope::capture::{export_pcap, import_pcap_mapped, import_pcap_with_policy};
-use synscan::wire::ingest::{IngestMode, IngestQueues, MappedCapture, MappedPcapStream};
+use synscan::telescope::capture::export_pcap;
+use synscan::wire::ingest::{
+    IngestMode, IngestQueues, MappedCapture, MappedPcapStream, PcapStream,
+};
 use synscan::wire::pcap::{PcapWriter, LINKTYPE_ETHERNET};
 use synscan::wire::stream::{FaultCounters, FaultPolicy, StreamError, TryRecordStream};
 use synscan::wire::ProbeRecord;
@@ -63,12 +65,14 @@ fn clean_capture() -> Vec<u8> {
 type ImportOutcome = Result<(Vec<ProbeRecord>, FaultCounters), StreamError>;
 
 fn import_read(bytes: &[u8], policy: FaultPolicy) -> ImportOutcome {
-    import_pcap_with_policy(bytes, policy)
+    PcapStream::with_policy(bytes, policy)?.into_records()
 }
 
 fn import_mapped(bytes: &[u8], policy: FaultPolicy, queues: usize) -> ImportOutcome {
     let capture = Arc::new(MappedCapture::from_bytes(bytes.to_vec()));
-    import_pcap_mapped(&capture, policy, queues)
+    IngestQueues::new(capture, queues, policy)?
+        .spawn()
+        .into_records()
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 
 use synscan::core::analysis::YearCollector;
 use synscan::experiment::Experiment;
-use synscan::telescope::capture::{export_pcap, import_pcap};
+use synscan::telescope::capture::export_pcap;
 use synscan::telescope::CaptureSession;
+use synscan::wire::stream::FaultPolicy;
+use synscan::wire::IngestQueues;
 use synscan::GeneratorConfig;
 
 #[test]
@@ -23,7 +25,11 @@ fn analysis_survives_a_pcap_round_trip() {
     assert!(pcap_bytes.len() > 24 + output.records.len() * 16);
 
     // Re-import and compare record for record.
-    let replayed = import_pcap(std::io::Cursor::new(&pcap_bytes)).expect("import");
+    let (replayed, _) = IngestQueues::over(std::io::Cursor::new(pcap_bytes), 1, FaultPolicy::Fail)
+        .expect("pcap header")
+        .spawn()
+        .into_records()
+        .expect("import");
     assert_eq!(replayed.len(), output.records.len());
     assert_eq!(replayed, output.records, "lossless frame round trip");
 
@@ -59,8 +65,15 @@ fn a_noop_chaos_reader_is_a_byte_identical_passthrough() {
 
     // Importing through a ChaosReader with an empty fault plan must be
     // indistinguishable from importing the raw bytes.
-    let wrapped = ChaosReader::new(std::io::Cursor::new(&pcap_bytes), ChaosPlan::noop(42));
-    let replayed = import_pcap(wrapped).expect("no-op chaos import");
+    let wrapped = ChaosReader::new(
+        std::io::Cursor::new(pcap_bytes.clone()),
+        ChaosPlan::noop(42),
+    );
+    let (replayed, _) = IngestQueues::over(wrapped, 1, FaultPolicy::Fail)
+        .expect("pcap header")
+        .spawn()
+        .into_records()
+        .expect("no-op chaos import");
     assert_eq!(replayed, output.records, "identity adapter");
 
     let mut probe = ChaosReader::new(std::io::Cursor::new(&pcap_bytes), ChaosPlan::noop(42));

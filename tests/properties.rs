@@ -24,11 +24,14 @@ use synscan::scanners::traits::craft_record;
 use synscan::scanners::zmap::ZmapScanner;
 use synscan::scanners::CyclicIter;
 use synscan::stats::{mix64, Rng};
-use synscan::telescope::capture::{export_pcap, import_pcap};
+use synscan::telescope::capture::export_pcap;
 use synscan::telescope::{AddressSet, CaptureSession, TelescopeConfig};
 use synscan::wire::json::{self, Value};
 use synscan::wire::pcap::{PcapError, PcapReader, PcapWriter, LINKTYPE_ETHERNET};
-use synscan::wire::{ethernet, Ipv4Address, Ipv4Packet, ProbeRecord, SynFrameBuilder};
+use synscan::wire::stream::FaultPolicy;
+use synscan::wire::{
+    ethernet, IngestQueues, Ipv4Address, Ipv4Packet, ProbeRecord, SynFrameBuilder,
+};
 use synscan::wire::{TcpFlags, TcpPacket};
 use synscan::ToolKind;
 
@@ -110,7 +113,10 @@ fn pcap_round_trip_arbitrary_records() {
     let round_trip = |seed: u64, records: Vec<ProbeRecord>| {
         let bytes = export_pcap(&records, Vec::new())
             .unwrap_or_else(|e| panic!("seed={seed:#x}: export failed: {e}"));
-        let back = import_pcap(Cursor::new(bytes))
+        let (back, _) = IngestQueues::over(Cursor::new(bytes), 1, FaultPolicy::Fail)
+            .unwrap_or_else(|e| panic!("seed={seed:#x}: pcap header rejected: {e}"))
+            .spawn()
+            .into_records()
             .unwrap_or_else(|e| panic!("seed={seed:#x}: import failed: {e}"));
         assert_eq!(back, records, "seed={seed:#x}: pcap round trip diverged");
     };

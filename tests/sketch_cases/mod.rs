@@ -274,37 +274,6 @@ pub fn shard_merge_bounds_past_capacity(kind: Workload, seed: u64, n: usize) {
     }
 }
 
-/// Conservative update estimates are at least as tight as plain updates and
-/// still never undercount — on every workload shape.
-pub fn conservative_update_tightens(kind: Workload, seed: u64, n: usize) {
-    let offers = workload(kind, seed, n);
-    let truth = dense_counts(&offers);
-    let config = HeavyHitterConfig {
-        width: 64, // narrow enough to force collisions
-        ..HeavyHitterConfig::default()
-    };
-    let mut plain = CountMinSketch::new(config.width, config.depth);
-    let mut conservative = CountMinSketch::new(config.width, config.depth);
-    for offer in &offers {
-        plain.add(u64::from(offer.src), 1);
-        conservative.add_conservative(u64::from(offer.src), 1);
-    }
-    for (&key, &true_count) in &truth {
-        let p = plain.estimate(key);
-        let c = conservative.estimate(key);
-        assert!(
-            c >= true_count,
-            "conservative update undercounted key {key:#x}: {c} < {true_count} \
-             ({kind:?}, seed {seed:#x})"
-        );
-        assert!(
-            c <= p,
-            "conservative estimate {c} looser than plain {p} for key {key:#x} \
-             ({kind:?}, seed {seed:#x})"
-        );
-    }
-}
-
 /// Fuzz checkpoint round-trips: random configs and workloads must snapshot
 /// to bytes that restore to an equal sketch re-snapshotting to the same
 /// bytes; every strict prefix of a snapshot must fail typed, never panic.

@@ -63,11 +63,6 @@ fn shard_merge_keeps_the_bounds_past_capacity() {
 }
 
 #[test]
-fn conservative_update_is_tighter_and_still_an_upper_bound() {
-    sweep(|kind, seed| cases::conservative_update_tightens(kind, seed, 8_000));
-}
-
-#[test]
 fn checkpoint_snapshots_round_trip_under_fuzz() {
     cases::checkpoint_round_trip_fuzz(fuzz_iters(), fuzz_seed());
 }

@@ -651,26 +651,48 @@ impl YearCollector {
     /// Finish the year: close campaigns and assemble the analysis bundle,
     /// converting the compact internal state to the public (IP-keyed,
     /// key-sorted) `YearAnalysis` representation.
+    ///
+    /// Each piece of collector state is dropped as soon as the columns built
+    /// from it exist — the interner's reverse map first, then the per-source
+    /// vectors, the (week, /16) cells, the port stats — so the peak is about
+    /// the larger of the collector and the analysis, not their sum.
     pub fn finish(self) -> YearAnalysis {
-        let t0 = self.start_micros.unwrap_or(0);
-        let (campaigns, noise, table) = self.pipeline.finish_with_sources();
-        let ips = table.ips();
+        let Self {
+            year,
+            pipeline,
+            monitored,
+            period_micros,
+            start_micros,
+            end_micros,
+            total_packets,
+            port_stats,
+            source_packets,
+            source_ports,
+            day_port_packets,
+            tool_port_packets,
+            week_cells,
+            heavy,
+        } = self;
+        let t0 = start_micros.unwrap_or(0);
+        let (campaigns, noise, table) = pipeline.finish_with_sources();
+        let ips = table.into_ips();
 
         // The one sort over the year's sources: interned ids are in
         // first-seen order, the columns are in address order. Both
         // source-keyed columns are emitted through this permutation, already
         // ascending.
-        let mut by_address: Vec<(u32, u32)> = (0..self.source_packets.len())
+        let mut by_address: Vec<(u32, u32)> = (0..source_packets.len())
             .map(|sid| (ips[sid], sid as u32))
             .collect();
         by_address.sort_unstable();
-        let source_port_counts =
-            source_column(&by_address, |sid| self.source_ports[sid].len() as u32);
-        let source_packets = source_column(&by_address, |sid| self.source_packets[sid]);
+        let source_port_counts = source_column(&by_address, |sid| source_ports[sid].len() as u32);
+        drop(source_ports);
+        let packets_by_source = source_column(&by_address, |sid| source_packets[sid]);
+        drop(source_packets);
+        drop(by_address);
 
-        let mut week_blocks: SortedMap<(u32, u16), WeekCell> = self
-            .week_cells
-            .iter()
+        let mut week_blocks: SortedMap<(u32, u16), WeekCell> = week_cells
+            .into_iter()
             .map(|(key, state)| {
                 (
                     ((key >> 16) as u32, (key & 0xffff) as u16),
@@ -684,7 +706,7 @@ impl YearCollector {
             .collect();
         let mut campaign_starts: BTreeMap<(u32, u16), WeekCell> = BTreeMap::new();
         for campaign in &campaigns {
-            let week = (campaign.first_ts_micros.saturating_sub(t0) / self.period_micros) as u32;
+            let week = (campaign.first_ts_micros.saturating_sub(t0) / period_micros) as u32;
             campaign_starts
                 .entry((week, campaign.src_ip.slash16()))
                 .or_default()
@@ -694,21 +716,33 @@ impl YearCollector {
             cell.absorb(&starts)
         });
 
-        let port_source_sets = self
-            .port_stats
+        let mut ports: Vec<(u16, PortStat)> = port_stats.into_iter().collect();
+        ports.sort_unstable_by_key(|&(port, _)| port);
+        let port_packets = ports
             .iter()
-            .map(|(&port, stat)| {
+            .map(|(port, stat)| (*port, stat.packets))
+            .collect();
+        let port_sources = ports
+            .iter()
+            .map(|(port, stat)| (*port, stat.sources.len() as u64))
+            .collect();
+        let port_source_sets = ports
+            .into_iter()
+            .map(|(port, stat)| {
                 let mut members: Vec<u32> =
                     stat.sources.iter().map(|sid| ips[sid as usize]).collect();
                 members.sort_unstable();
                 (port, members)
             })
-            .collect();
+            .collect::<Vec<_>>();
+        let port_source_sets =
+            SortedMap::from_sorted(port_source_sets).expect("port stats are keyed by port");
+        let distinct_sources = ips.len() as u64;
+        drop(ips);
 
-        let tool_port_packets = self
-            .tool_port_packets
-            .iter()
-            .map(|(&key, &n)| {
+        let tool_port_packets = tool_port_packets
+            .into_iter()
+            .map(|(key, n)| {
                 let tool = match key >> 16 {
                     0 => None,
                     slot => Some(TOOL_BY_SLOT[slot as usize - 1]),
@@ -719,35 +753,26 @@ impl YearCollector {
 
         YearAnalysis {
             index: YearIndex::build(&campaigns, &tool_port_packets),
-            year: self.year,
+            year,
             start_micros: t0,
-            end_micros: self.end_micros,
-            total_packets: self.total_packets,
-            distinct_sources: table.len() as u64,
-            port_packets: self
-                .port_stats
-                .iter()
-                .map(|(&port, stat)| (port, stat.packets))
-                .collect(),
-            port_sources: self
-                .port_stats
-                .iter()
-                .map(|(&port, stat)| (port, stat.sources.len() as u64))
-                .collect(),
+            end_micros,
+            total_packets,
+            distinct_sources,
+            port_packets,
+            port_sources,
             source_port_counts,
-            source_packets,
+            source_packets: packets_by_source,
             port_source_sets,
-            day_port_packets: self
-                .day_port_packets
-                .iter()
-                .map(|(&key, &n)| (((key >> 16) as u32, (key & 0xffff) as u16), n))
+            day_port_packets: day_port_packets
+                .into_iter()
+                .map(|(key, n)| (((key >> 16) as u32, (key & 0xffff) as u16), n))
                 .collect(),
             tool_port_packets,
             week_blocks,
             campaigns,
             noise,
-            monitored: self.monitored,
-            heavy: self.heavy,
+            monitored,
+            heavy,
         }
     }
 }

@@ -40,7 +40,7 @@ use synscan_wire::stream::FaultCounters;
 use synscan_wire::{Ipv4Address, ProbeRecord, TcpFlags};
 
 use crate::analysis::YearCollector;
-use crate::envelope::{self, EnvelopeError, CHECKPOINT};
+use crate::envelope::{self, EnvelopeError, Format, StagedFile, CHECKPOINT};
 
 /// Why a checkpoint could not be written, read, or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,10 +89,34 @@ impl From<EnvelopeError> for CheckpointError {
 /// Incremental little-endian snapshot encoder. Every stateful pipeline
 /// component writes itself through one of these; the driver concatenates
 /// the sections into a checkpoint payload.
+///
+/// A writer either collects its bytes ([`SnapWriter::new`]; sealed in place
+/// behind a reserved envelope header with `SnapWriter::sealed`), or streams
+/// a whole envelope file (`SnapWriter::create`): it then holds one
+/// `SPILL_BYTES` buffer, hands it to the staged file each time it fills,
+/// and writes a piece larger than the buffer straight through, so a payload
+/// of any size is never held whole.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
+    sink: Sink,
 }
+
+/// Where a [`SnapWriter`]'s bytes go.
+#[derive(Debug, Default)]
+enum Sink {
+    /// They are the result.
+    #[default]
+    Bytes,
+    /// They are the result, sealed in this format, whose header the front
+    /// of the buffer reserves.
+    Sealed(Format),
+    /// They spill into this staged file whenever the buffer is full.
+    File(StagedFile),
+}
+
+/// The buffer a streaming [`SnapWriter`] fills before it spills.
+const SPILL_BYTES: usize = 64 << 10;
 
 impl SnapWriter {
     /// A fresh, empty writer.
@@ -100,29 +124,95 @@ impl SnapWriter {
         Self::default()
     }
 
-    /// The encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    /// A writer whose bytes [`SnapWriter::into_bytes`] returns sealed as a
+    /// whole file of `format`, without copying them.
+    pub(crate) fn sealed(format: &Format) -> Self {
+        Self {
+            buf: vec![0; format.header_len()],
+            sink: Sink::Sealed(*format),
+        }
+    }
+
+    /// A writer streaming a whole file of `format` to `path`, which
+    /// [`SnapWriter::commit`] moves into place.
+    pub(crate) fn create(format: &Format, path: &Path) -> Result<Self, EnvelopeError> {
+        Ok(Self {
+            buf: Vec::with_capacity(SPILL_BYTES),
+            sink: Sink::File(StagedFile::create(format, path)?),
+        })
+    }
+
+    /// The encoded bytes, sealed if the writer was made sealed.
+    ///
+    /// # Panics
+    /// On a streaming writer, whose bytes are in its file.
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        match &self.sink {
+            Sink::Bytes => {}
+            Sink::Sealed(format) => envelope::seal_in_place(format, &mut self.buf),
+            Sink::File(_) => panic!("a streaming writer commits its file"),
+        }
         self.buf
+    }
+
+    /// Spill what is buffered, then seal the file and move it into place.
+    ///
+    /// # Panics
+    /// On a writer that collects its bytes.
+    pub(crate) fn commit(self) -> Result<(), EnvelopeError> {
+        let Sink::File(mut file) = self.sink else {
+            panic!("only a streaming writer commits");
+        };
+        file.write(&self.buf);
+        file.commit()
+    }
+
+    /// Append `bytes`.
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        if self.buf.capacity() - self.buf.len() >= bytes.len() {
+            self.buf.extend_from_slice(bytes);
+        } else {
+            self.put_past_capacity(bytes);
+        }
+    }
+
+    /// [`SnapWriter::put`] when the buffer is full: a collecting writer
+    /// grows it, a streaming one spills it first.
+    #[cold]
+    #[inline(never)]
+    fn put_past_capacity(&mut self, bytes: &[u8]) {
+        let Sink::File(file) = &mut self.sink else {
+            self.buf.extend_from_slice(bytes);
+            return;
+        };
+        file.write(&self.buf);
+        self.buf.clear();
+        if bytes.len() <= self.buf.capacity() {
+            self.buf.extend_from_slice(bytes);
+        } else {
+            file.write(bytes);
+        }
     }
 
     /// Append one byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
 
     /// Append a `u16`, little-endian.
     pub(crate) fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Append a `u32`, little-endian.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Append a `u64`, little-endian.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Append an `f64` as its IEEE-754 bit pattern (exact round-trip).
@@ -144,7 +234,7 @@ impl SnapWriter {
     /// Append a length-prefixed byte blob.
     pub(crate) fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_u64(bytes.len() as u64);
-        self.buf.extend_from_slice(bytes);
+        self.put(bytes);
     }
 
     /// Append one [`ProbeRecord`], field by field.
@@ -444,7 +534,14 @@ impl Checkpoint {
 
     /// Serialize to the sealed on-disk byte layout.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
+        let mut w = SnapWriter::sealed(&CHECKPOINT);
+        self.encode_to(&mut w);
+        w.into_bytes()
+    }
+
+    /// Write the payload: header fields, gate, fault counters, admit blob,
+    /// then every shard blob.
+    fn encode_to(&self, w: &mut SnapWriter) {
         w.put_u16(self.header.year);
         w.put_u64(self.header.identity);
         w.put_u32(self.header.workers);
@@ -464,7 +561,6 @@ impl Checkpoint {
         for shard in &self.shards {
             w.put_bytes(shard);
         }
-        envelope::seal(&CHECKPOINT, &w.into_bytes())
     }
 
     /// Verify the envelope and parse the on-disk byte layout.
@@ -515,11 +611,14 @@ impl Checkpoint {
 
     /// Atomically write this checkpoint as the rolling per-year file in
     /// `dir` (created if missing), so a crash mid-write can never destroy
-    /// the previous checkpoint.
+    /// the previous checkpoint. The header and shard blobs stream to the
+    /// file; the sealed bytes are never held whole.
     pub(crate) fn write_atomic(&self, dir: &Path) -> Result<PathBuf, CheckpointError> {
         fs::create_dir_all(dir).map_err(|e| envelope::io_error("create dir", dir, e))?;
         let path = Self::path_for(dir, self.header.year);
-        envelope::write_atomic(&path, &self.to_bytes())?;
+        let mut w = SnapWriter::create(&CHECKPOINT, &path)?;
+        self.encode_to(&mut w);
+        w.commit()?;
         Ok(path)
     }
 
@@ -739,6 +838,22 @@ mod tests {
     }
 
     #[test]
+    fn a_streamed_checkpoint_is_the_bytes_sealed_in_memory() {
+        // Shard blobs past the spill buffer are written straight through,
+        // small ones are buffered: the file is `to_bytes` either way.
+        let dir = std::env::temp_dir().join(format!("synscan-ckpt-stream-{}", std::process::id()));
+        let mut ck = sample();
+        ck.shards = vec![
+            (0..SPILL_BYTES as u32 + 5).map(|i| i as u8).collect(),
+            vec![7; 3],
+            vec![1; 2 * SPILL_BYTES - 1],
+        ];
+        let path = ck.write_atomic(&dir).unwrap();
+        assert!(std::fs::read(&path).unwrap() == ck.to_bytes());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn corruption_is_detected() {
         // Each kind of envelope damage reaches `from_bytes`' caller as that
         // envelope error (every other cut and flip: `envelope`'s matrix).
@@ -784,7 +899,7 @@ mod tests {
             .unwrap()
             .to_vec();
         edit(&mut payload);
-        envelope::seal(&CHECKPOINT, &payload)
+        envelope::sealed(&CHECKPOINT, &payload)
     }
 
     #[test]
@@ -944,14 +1059,14 @@ mod tests {
             .to_vec();
         for cut in 0..payload.len() {
             assert!(
-                Checkpoint::from_bytes(&envelope::seal(&CHECKPOINT, &payload[..cut])).is_err(),
+                Checkpoint::from_bytes(&envelope::sealed(&CHECKPOINT, &payload[..cut])).is_err(),
                 "payload cut at {cut} still loads"
             );
         }
         let mut flipped = payload.clone();
         for bit in 0..payload.len() * 8 {
             flipped[bit / 8] ^= 1 << (bit % 8);
-            let sealed = envelope::seal(&CHECKPOINT, &flipped);
+            let sealed = envelope::sealed(&CHECKPOINT, &flipped);
             assert_typed_error_or_canonical(&sealed, &format!("payload bit {bit}"));
             flipped[bit / 8] ^= 1 << (bit % 8);
         }

@@ -12,14 +12,17 @@
 //! flipped bit anywhere is a typed error: bad magic, another version, a
 //! length that disagrees with the bytes present (`Truncated`, or `Oversized`
 //! past `MAX_PAYLOAD` before anything is allocated), or a checksum
-//! mismatch. Files are whole slices (`seal`, `open`, `write_atomic`);
-//! frames come off a pipe ([`write_frame`], `read_frame`), where an end of
-//! stream *between* frames is a clean close.
+//! mismatch. Files are whole slices, read with `open`; a blob kept in memory
+//! is sealed in place behind the header its writer reserved
+//! (`seal_in_place`), and a file is streamed to disk under a running
+//! `Checksum` and renamed into place (`StagedFile`), so neither is ever
+//! copied whole. Frames come off a pipe ([`write_frame`], `read_frame`),
+//! where an end of stream *between* frames is a clean close.
 
 use std::fs;
 use std::hash::Hasher as _;
-use std::io::{self, Read, Write};
-use std::path::Path;
+use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 
 use crate::fasthash::FxHasher;
 
@@ -38,7 +41,7 @@ pub(crate) struct Format {
 
 impl Format {
     /// Header bytes before the payload.
-    const fn header_len(&self) -> usize {
+    pub(crate) const fn header_len(&self) -> usize {
         8 + 4 + self.kinded as usize + 8 + 8
     }
 }
@@ -129,25 +132,78 @@ pub(crate) fn io_error(what: &str, path: &Path, e: io::Error) -> EnvelopeError {
     EnvelopeError::Io(format!("{what} {}: {e}", path.display()))
 }
 
-/// The envelope checksum.
-fn checksum(kind: Option<u8>, payload: &[u8]) -> u64 {
-    let mut hasher = FxHasher::default();
-    if let Some(kind) = kind {
-        hasher.write_u8(kind);
-    }
-    hasher.write(payload);
-    hasher.finish()
+/// The envelope checksum of a payload fed in pieces split anywhere: the
+/// FxHash of the kind byte (if any), then of the payload as one
+/// `FxHasher::write` over all of it. That `write` hashes whole 8-byte words
+/// and folds the length into the last, partial one, so a word is hashed as
+/// soon as its eighth byte arrives, and only the partial tail waits for
+/// [`Checksum::finish`]. Every format, in memory or streamed, checks with
+/// this one.
+#[derive(Debug)]
+struct Checksum {
+    hasher: FxHasher,
+    /// The bytes of the word not yet complete, `tail[..tail_len]`.
+    tail: [u8; 8],
+    tail_len: usize,
 }
 
-/// The header sealing `payload` under `format`.
-fn header(format: &Format, kind: Option<u8>, payload: &[u8]) -> Vec<u8> {
+impl Checksum {
+    /// A checksum over nothing yet, seeded with `kind` if the format has one.
+    fn new(kind: Option<u8>) -> Self {
+        let mut hasher = FxHasher::default();
+        if let Some(kind) = kind {
+            hasher.write_u8(kind);
+        }
+        Self {
+            hasher,
+            tail: [0; 8],
+            tail_len: 0,
+        }
+    }
+
+    /// Feed the next `piece` of the payload.
+    fn update(&mut self, mut piece: &[u8]) {
+        if self.tail_len > 0 {
+            let take = (8 - self.tail_len).min(piece.len());
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&piece[..take]);
+            self.tail_len += take;
+            piece = &piece[take..];
+            if self.tail_len < 8 {
+                return;
+            }
+            self.hasher.write(&self.tail);
+            self.tail_len = 0;
+        }
+        let (words, rest) = piece.split_at(piece.len() & !7);
+        self.hasher.write(words);
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
+    }
+
+    /// The checksum of everything fed so far.
+    fn finish(&self) -> u64 {
+        let mut hasher = self.hasher;
+        hasher.write(&self.tail[..self.tail_len]);
+        hasher.finish()
+    }
+}
+
+/// The checksum of a whole payload.
+fn checksum(kind: Option<u8>, payload: &[u8]) -> u64 {
+    let mut sum = Checksum::new(kind);
+    sum.update(payload);
+    sum.finish()
+}
+
+/// The header of a `len`-byte payload whose checksum is `sum`.
+fn header(format: &Format, kind: Option<u8>, len: u64, sum: u64) -> Vec<u8> {
     debug_assert_eq!(kind.is_some(), format.kinded);
     let mut out = Vec::with_capacity(format.header_len());
     out.extend_from_slice(&format.magic);
     out.extend_from_slice(&format.version.to_le_bytes());
     out.extend(kind);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&checksum(kind, payload).to_le_bytes());
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&sum.to_le_bytes());
     out
 }
 
@@ -178,11 +234,23 @@ fn verified<T: AsRef<[u8]>>(kind: Option<u8>, sum: u64, payload: T) -> Result<T,
     Ok(payload)
 }
 
-/// Seal `payload` as a whole file of a kindless `format`.
-pub(crate) fn seal(format: &Format, payload: &[u8]) -> Vec<u8> {
-    let mut out = header(format, None, payload);
-    out.extend_from_slice(payload);
-    out
+/// Seal a whole file of a kindless `format` in place: `blob` is the payload
+/// behind `format.header_len()` bytes reserved for the header, which this
+/// fills in. The payload is never copied.
+pub(crate) fn seal_in_place(format: &Format, blob: &mut [u8]) {
+    let (head, payload) = blob.split_at_mut(format.header_len());
+    let sum = checksum(None, payload);
+    head.copy_from_slice(&header(format, None, payload.len() as u64, sum));
+}
+
+/// `payload` sealed as a whole file of a kindless `format`, in a new blob:
+/// what a writer other than this crate's encoders could have produced.
+#[cfg(test)]
+pub(crate) fn sealed(format: &Format, payload: &[u8]) -> Vec<u8> {
+    let mut blob = vec![0; format.header_len()];
+    blob.extend_from_slice(payload);
+    seal_in_place(format, &mut blob);
+    blob
 }
 
 /// Verify a whole file of a kindless `format` and return its payload.
@@ -197,21 +265,92 @@ pub(crate) fn open<'a>(format: &Format, bytes: &'a [u8]) -> Result<&'a [u8], Env
     verified(kind, sum, payload)
 }
 
-/// Write `bytes` to `path` so that a crash leaves either the previous file
-/// or the new one: staged to a `.tmp` sibling, synced, renamed into place.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), EnvelopeError> {
-    let tmp = path.with_added_extension("tmp");
-    let mut file = fs::File::create(&tmp).map_err(|e| io_error("create", &tmp, e))?;
-    file.write_all(bytes)
-        .map_err(|e| io_error("write", &tmp, e))?;
-    file.sync_all().map_err(|e| io_error("sync", &tmp, e))?;
-    fs::rename(&tmp, path).map_err(|e| io_error("rename", &tmp, e))
+/// A whole file of a kindless format, streamed so that a crash leaves
+/// either the previous file or the new one: staged to a `.tmp` sibling
+/// behind a reserved header, its payload written piece by piece under a
+/// running [`Checksum`], then on [`StagedFile::commit`] the header patched
+/// in at offset 0, the file synced and renamed into place. A staged file
+/// whose commit fails, or that is dropped uncommitted, is removed.
+#[derive(Debug)]
+pub(crate) struct StagedFile {
+    format: Format,
+    path: PathBuf,
+    tmp: PathBuf,
+    file: fs::File,
+    sum: Checksum,
+    len: u64,
+    /// The first write that failed: later pieces are dropped, and the
+    /// commit reports it.
+    failed: Option<EnvelopeError>,
+    committed: bool,
+}
+
+impl StagedFile {
+    /// Stage a new file of `format` for `path`.
+    pub(crate) fn create(format: &Format, path: &Path) -> Result<Self, EnvelopeError> {
+        let tmp = path.with_added_extension("tmp");
+        let file = fs::File::create(&tmp).map_err(|e| io_error("create", &tmp, e))?;
+        let mut staged = Self {
+            format: *format,
+            path: path.to_path_buf(),
+            tmp,
+            file,
+            sum: Checksum::new(None),
+            len: 0,
+            failed: None,
+            committed: false,
+        };
+        let reserved = vec![0; format.header_len()];
+        staged
+            .file
+            .write_all(&reserved)
+            .map_err(|e| io_error("write", &staged.tmp, e))?;
+        Ok(staged)
+    }
+
+    /// Append `piece` to the payload.
+    pub(crate) fn write(&mut self, piece: &[u8]) {
+        if self.failed.is_some() {
+            return;
+        }
+        self.sum.update(piece);
+        self.len += piece.len() as u64;
+        if let Err(e) = self.file.write_all(piece) {
+            self.failed = Some(io_error("write", &self.tmp, e));
+        }
+    }
+
+    /// Seal the payload written so far and move the file into place.
+    pub(crate) fn commit(mut self) -> Result<(), EnvelopeError> {
+        if let Some(e) = self.failed.take() {
+            return Err(e);
+        }
+        let head = header(&self.format, None, self.len, self.sum.finish());
+        let tmp = &self.tmp;
+        (self.file.seek(SeekFrom::Start(0)))
+            .and_then(|_| self.file.write_all(&head))
+            .map_err(|e| io_error("write", tmp, e))?;
+        self.file.sync_all().map_err(|e| io_error("sync", tmp, e))?;
+        fs::rename(tmp, &self.path).map_err(|e| io_error("rename", tmp, e))?;
+        self.committed = true;
+        Ok(())
+    }
+}
+
+impl Drop for StagedFile {
+    fn drop(&mut self) {
+        if !self.committed {
+            // Best effort: the error that got us here is the one to report.
+            let _ = fs::remove_file(&self.tmp);
+        }
+    }
 }
 
 /// Write one `SYNDIST` frame and flush: messages are request/response shaped, so
 /// an unflushed frame would deadlock both peers.
 pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<(), EnvelopeError> {
-    w.write_all(&header(&FRAME, Some(kind), payload))?;
+    let sum = checksum(Some(kind), payload);
+    w.write_all(&header(&FRAME, Some(kind), payload.len() as u64, sum))?;
     w.write_all(payload)?;
     Ok(w.flush()?)
 }
@@ -249,14 +388,50 @@ mod tests {
 
     const PAYLOAD: &[u8] = b"have you SYN me? a payload past one FxHash word";
 
-    /// One small sealed blob of every format.
-    fn samples() -> [(Format, Vec<u8>); 3] {
+    /// A fresh scratch directory for the test called `name`.
+    fn scratch(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("synscan-envelope-{}-{name}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// `payload` streamed through a staged file in pieces cut at `cuts`,
+    /// and the bytes the committed file holds.
+    fn streamed(format: &Format, payload: &[u8], cuts: &[usize], name: &str) -> Vec<u8> {
+        let dir = scratch(name);
+        let path = dir.join("blob");
+        let mut staged = StagedFile::create(format, &path).unwrap();
+        let mut at = 0;
+        for &cut in cuts.iter().chain([&payload.len()]) {
+            staged.write(&payload[at..cut]);
+            at = cut;
+        }
+        staged.commit().unwrap();
+        let bytes = fs::read(&path).unwrap();
+        assert!(
+            !path.with_added_extension("tmp").exists(),
+            "staged file renamed away"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+        bytes
+    }
+
+    /// One small sealed blob of every format, and of every file format
+    /// streamed, in pieces split off word boundaries.
+    fn samples() -> [(Format, Vec<u8>); 5] {
         let mut frame = Vec::new();
         write_frame(&mut frame, 3, PAYLOAD).unwrap();
         [
-            (CHECKPOINT, seal(&CHECKPOINT, PAYLOAD)),
-            (STORE, seal(&STORE, PAYLOAD)),
+            (CHECKPOINT, sealed(&CHECKPOINT, PAYLOAD)),
+            (STORE, sealed(&STORE, PAYLOAD)),
             (FRAME, frame),
+            (
+                CHECKPOINT,
+                streamed(&CHECKPOINT, PAYLOAD, &[3, 3, 20], "sample-ckpt"),
+            ),
+            (STORE, streamed(&STORE, PAYLOAD, &[13], "sample-store")),
         ]
     }
 
@@ -330,9 +505,94 @@ mod tests {
         // The checksum SYNCKPT and SYNSTORE files have always carried.
         let mut hasher = FxHasher::default();
         hasher.write(PAYLOAD);
-        for (format, bytes) in &samples()[..2] {
+        for (format, bytes) in samples().iter().filter(|(format, _)| !format.kinded) {
             assert_eq!(bytes[20..28], hasher.finish().to_le_bytes(), "{format:?}");
         }
+    }
+
+    #[test]
+    fn streamed_files_are_the_bytes_sealed_in_memory() {
+        let payload: Vec<u8> = (0..200u8).collect();
+        for (i, cuts) in [&[][..], &[0, 0], &[1, 9, 16, 17], &[7, 8, 199]]
+            .iter()
+            .enumerate()
+        {
+            for format in [CHECKPOINT, STORE] {
+                assert_eq!(
+                    streamed(&format, &payload, cuts, &format!("same-{i}")),
+                    sealed(&format, &payload),
+                    "{format:?} cut at {cuts:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_running_checksum_over_any_split_is_the_one_shot_hash() {
+        // Random payloads from empty to a few words, cut at random points,
+        // on and off word boundaries, with and without a kind byte.
+        let mut draw = 0x5359_4e5f_6d65u64;
+        let mut next = |bound: usize| {
+            draw = synscan_stats::mix64(draw);
+            (draw % bound as u64) as usize
+        };
+        for case in 0..2_000 {
+            let len = if case < 16 { case } else { next(80) };
+            let payload: Vec<u8> = (0..len).map(|_| next(256) as u8).collect();
+            let kind = (case % 3 == 0).then(|| next(256) as u8);
+            let mut cuts: Vec<usize> = (0..next(6)).map(|_| next(len + 1)).collect();
+            cuts.sort_unstable();
+            let mut sum = Checksum::new(kind);
+            let mut at = 0;
+            for cut in cuts.iter().copied().chain([len]) {
+                sum.update(&payload[at..cut]);
+                at = cut;
+            }
+            let mut one_shot = FxHasher::default();
+            if let Some(kind) = kind {
+                one_shot.write_u8(kind);
+            }
+            one_shot.write(&payload);
+            assert_eq!(
+                sum.finish(),
+                one_shot.finish(),
+                "{len} bytes cut at {cuts:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_failed_commit_is_typed_and_leaves_no_staged_file() {
+        // A non-empty directory where the file should go: the rename fails.
+        let dir = scratch("failed-commit");
+        let path = dir.join("year-2020.store");
+        fs::create_dir_all(path.join("occupied")).unwrap();
+        let mut staged = StagedFile::create(&STORE, &path).unwrap();
+        staged.write(PAYLOAD);
+        let tmp = path.with_added_extension("tmp");
+        assert!(tmp.exists(), "the payload is staged beside the destination");
+        match staged.commit() {
+            Err(EnvelopeError::Io(what)) => {
+                assert!(what.contains("rename"), "{what}");
+                assert!(what.contains(&path.display().to_string()), "{what}");
+            }
+            other => panic!("expected a typed I/O error, got {other:?}"),
+        }
+        assert!(!tmp.exists(), "the staged file is removed");
+        assert!(
+            path.join("occupied").is_dir(),
+            "the destination is untouched"
+        );
+
+        // A writer abandoned before its commit removes its staged file too.
+        let abandoned = StagedFile::create(&STORE, &dir.join("abandoned")).unwrap();
+        drop(abandoned);
+        let left: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["year-2020.store"]);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

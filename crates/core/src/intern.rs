@@ -12,7 +12,7 @@
 //! Ids are assigned in first-appearance order, which is deterministic for a
 //! given record stream. Nothing downstream depends on the numbering: all
 //! public output maps are re-keyed by IP at `finish()` time via
-//! `SourceTable::ips`.
+//! `SourceTable::into_ips`.
 
 use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use crate::fasthash::FxHashMap;
@@ -70,14 +70,10 @@ impl SourceTable {
     }
 
     /// All interned addresses, indexed by id — the `finish()`-time bridge
-    /// from dense per-source vectors back to IP-keyed public maps.
-    pub(crate) fn ips(&self) -> &[u32] {
-        &self.ips
-    }
-
-    /// Number of distinct addresses interned.
-    pub(crate) fn len(&self) -> usize {
-        self.ips.len()
+    /// from dense per-source vectors back to IP-keyed public maps. The
+    /// reverse map is dropped here: nothing interns after `finish`.
+    pub(crate) fn into_ips(self) -> Vec<u32> {
+        self.ips
     }
 
     /// Whether the table is empty.
@@ -124,8 +120,7 @@ mod tests {
         assert_eq!(table.intern(0x0b00_0002), 1);
         assert_eq!(table.intern(0x0a00_0001), 0, "re-intern is stable");
         assert_eq!(table.intern(0x0c00_0003), 2);
-        assert_eq!(table.len(), 3);
-        assert_eq!(table.ips(), &[0x0a00_0001, 0x0b00_0002, 0x0c00_0003]);
+        assert_eq!(table.into_ips(), [0x0a00_0001, 0x0b00_0002, 0x0c00_0003]);
     }
 
     #[test]
@@ -146,8 +141,7 @@ mod tests {
     fn empty_table() {
         let table = SourceTable::new();
         assert!(table.is_empty());
-        assert_eq!(table.len(), 0);
-        assert_eq!(table.ips(), &[] as &[u32]);
+        assert!(table.into_ips().is_empty());
     }
 
     #[test]

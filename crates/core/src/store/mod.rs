@@ -164,8 +164,22 @@ fn decode_meta(r: &mut SnapReader<'_>, file_bytes: u64) -> Result<SliceMeta, Sto
 /// the encoding is a pure function of the analysis value: equal analyses
 /// produce byte-identical files whichever pipeline mode produced them.
 pub fn encode_year(analysis: &YearAnalysis) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    encode_meta(&mut w, analysis);
+    let mut w = SnapWriter::sealed(&STORE);
+    encode_slice(&mut w, analysis);
+    w.into_bytes()
+}
+
+/// Stream the slice of `analysis` to `path`: the bytes [`encode_year`]
+/// returns, written through a small buffer and moved into place atomically.
+fn write_slice(path: &Path, analysis: &YearAnalysis) -> Result<(), StoreError> {
+    let mut w = SnapWriter::create(&STORE, path)?;
+    encode_slice(&mut w, analysis);
+    Ok(w.commit()?)
+}
+
+/// The slice payload: the index section, then the body.
+fn encode_slice(w: &mut SnapWriter, analysis: &YearAnalysis) {
+    encode_meta(w, analysis);
 
     w.put_u64(analysis.port_packets.len() as u64);
     for (&port, &packets) in &analysis.port_packets {
@@ -225,20 +239,18 @@ pub fn encode_year(analysis: &YearAnalysis) -> Vec<u8> {
 
     w.put_u64(analysis.campaigns.len() as u64);
     for campaign in &analysis.campaigns {
-        campaign.snapshot_to(&mut w);
+        campaign.snapshot_to(w);
     }
-    analysis.noise.snapshot_to(&mut w);
+    analysis.noise.snapshot_to(w);
 
     // The heavy-hitter sketch state, presence-tagged.
     match &analysis.heavy {
         None => w.put_u8(0),
         Some(heavy) => {
             w.put_u8(1);
-            heavy.snapshot_to(&mut w);
+            heavy.snapshot_to(w);
         }
     }
-
-    envelope::seal(&STORE, &w.into_bytes())
 }
 
 /// Verify the envelope and decode the index section, leaving the reader at
@@ -416,7 +428,7 @@ impl AnalysisStore {
     /// keeping both would double-count at load time).
     pub fn write_year(&self, analysis: &YearAnalysis) -> Result<PathBuf, StoreError> {
         let path = self.slice_path(analysis.year);
-        envelope::write_atomic(&path, &encode_year(analysis))?;
+        write_slice(&path, analysis)?;
         let partial_prefix = format!("year-{}.part-", analysis.year);
         for file in self.slice_files()? {
             let name = file.file_name().and_then(|n| n.to_str()).unwrap_or("");
@@ -441,7 +453,7 @@ impl AnalysisStore {
             )));
         }
         let path = self.partial_path(analysis.year, label);
-        envelope::write_atomic(&path, &encode_year(analysis))?;
+        write_slice(&path, analysis)?;
         Ok(path)
     }
 
@@ -822,7 +834,7 @@ mod tests {
         let original = analysis(2019);
         let mut payload = payload_of(&encode_year(&original));
         damage(&mut payload, layout(&original));
-        decode_year(&envelope::seal(&STORE, &payload))
+        decode_year(&envelope::sealed(&STORE, &payload))
     }
 
     fn assert_corrupt(result: Result<YearAnalysis, StoreError>, section: &str) {
@@ -937,7 +949,7 @@ mod tests {
         for heavy in [false, true] {
             let payload = payload_of(&small_slice(heavy));
             for cut in 0..payload.len() {
-                let cut_slice = envelope::seal(&STORE, &payload[..cut]);
+                let cut_slice = envelope::sealed(&STORE, &payload[..cut]);
                 assert!(
                     decode_year(&cut_slice).is_err(),
                     "heavy={heavy}: payload cut at {cut} still loads"
@@ -947,7 +959,7 @@ mod tests {
             for bit in 0..payload.len() * 8 {
                 flipped[bit / 8] ^= 1 << (bit % 8);
                 assert_typed_error_or_canonical(
-                    &envelope::seal(&STORE, &flipped),
+                    &envelope::sealed(&STORE, &flipped),
                     &format!("heavy={heavy}, payload bit {bit}"),
                 );
                 flipped[bit / 8] ^= 1 << (bit % 8);
@@ -1057,11 +1069,11 @@ mod tests {
         // What a minor-2 writer might add: today's body plus a new section.
         let mut payload = payload_of(&encode_year(&analysis(2022)));
         payload.extend_from_slice(b"future-section-bytes");
-        let newer = sealed_as(envelope::seal(&STORE, &payload), 0x0002_0001);
+        let newer = sealed_as(envelope::sealed(&STORE, &payload), 0x0002_0001);
         assert_eq!(decode_year(&newer), Err(unsupported(0x0002_0001)));
         // The same trailing bytes under this build's own word are corruption.
         assert!(matches!(
-            decode_year(&envelope::seal(&STORE, &payload)),
+            decode_year(&envelope::sealed(&STORE, &payload)),
             Err(StoreError::Corrupt(_))
         ));
     }

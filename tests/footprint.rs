@@ -1,17 +1,22 @@
-//! What a source costs to remember. Most sources the paper counts send a
-//! handful of packets and are idle for the rest of the year, so the bytes a
-//! collector holds per source bound the population one process can track.
+//! What a source costs to remember, and what producing a year's result
+//! costs above what the process already holds. Most sources the paper counts
+//! send a handful of packets and are idle for the rest of the year, so the
+//! bytes a collector holds per source bound the population one process can
+//! track; `finish` and `write_year` must not set a higher peak than that.
 //!
-//! A counting global allocator measures the live heap of a sequential
-//! `YearCollector` over thousands of small sources, and of a bare campaign
-//! detector whose sources open and close their scans one after another.
-//! Everything runs in one test, so no other test allocates while it counts.
+//! A counting global allocator measures the live heap and its high-water
+//! mark: of a sequential `YearCollector` over thousands of small sources, of
+//! a bare campaign detector whose sources open and close their scans one
+//! after another, and of the output path. The tests take turns through one
+//! lock, so no other test allocates while one counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
-use synscan::core::analysis::YearCollector;
+use synscan::core::analysis::{YearAnalysis, YearCollector};
 use synscan::core::campaign::{CampaignConfig, CampaignDetector};
+use synscan::core::store::{encode_year, AnalysisStore};
 use synscan::stats::mix64;
 use synscan::wire::{Ipv4Address, ProbeRecord, TcpFlags};
 
@@ -19,18 +24,27 @@ use synscan::wire::{Ipv4Address, ProbeRecord, TcpFlags};
 /// that publishes no other data, hence `Relaxed`.
 static LIVE: AtomicIsize = AtomicIsize::new(0);
 
+/// The most bytes `LIVE` has held since [`reset_peak`].
+static PEAK: AtomicIsize = AtomicIsize::new(0);
+
+/// Count `bytes` more live, raising the peak with them.
+fn grow(bytes: isize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
 /// The system allocator, counting live bytes.
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter touches no memory the
+// upholds the `GlobalAlloc` contract; the counters touch no memory the
 // allocator hands out.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: the caller's guarantees for `layout` are `System`'s.
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+            grow(layout.size() as isize);
         }
         ptr
     }
@@ -39,7 +53,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: as for `alloc`.
         let ptr = unsafe { System.alloc_zeroed(layout) };
         if !ptr.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+            grow(layout.size() as isize);
         }
         ptr
     }
@@ -56,10 +70,7 @@ unsafe impl GlobalAlloc for Counting {
         // guarantees for `new_size` are `System`'s.
         let grown = unsafe { System.realloc(ptr, layout, new_size) };
         if !grown.is_null() {
-            LIVE.fetch_add(
-                new_size as isize - layout.size() as isize,
-                Ordering::Relaxed,
-            );
+            grow(new_size as isize - layout.size() as isize);
         }
         grown
     }
@@ -70,6 +81,24 @@ static ALLOCATOR: Counting = Counting;
 
 fn live_bytes() -> isize {
     LIVE.load(Ordering::Relaxed)
+}
+
+/// Start a new high-water mark at the live heap, and return the live heap.
+fn reset_peak() -> isize {
+    let live = live_bytes();
+    PEAK.store(live, Ordering::Relaxed);
+    live
+}
+
+/// How far the heap rose above `base` since [`reset_peak`].
+fn peak_above(base: isize) -> isize {
+    PEAK.load(Ordering::Relaxed) - base
+}
+
+/// The one lock the tests take turns through.
+fn take_turn() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Sources per population: just under a power of two, so the per-source
@@ -118,17 +147,10 @@ fn small_sources(packets: u32) -> Vec<ProbeRecord> {
         .collect()
 }
 
-/// Live heap bytes per source of a collector that has taken `records` (and
-/// swept idle scans the way the feed loop does, once per batch).
+/// Live heap bytes per source of a collector that has taken `records`.
 fn collector_bytes_per_source(records: &[ProbeRecord]) -> isize {
     let before = live_bytes();
-    let mut collector = YearCollector::with_period(2020, CampaignConfig::scaled(MONITORED), 1.0);
-    for batch in records.chunks(1024) {
-        for record in batch {
-            collector.offer(record);
-        }
-        collector.housekeeping(batch.last().expect("non-empty batch").ts_micros);
-    }
+    let collector = collect(records);
     let held = live_bytes() - before;
     let analysis = collector.finish();
     assert_eq!(analysis.distinct_sources, u64::from(SOURCES));
@@ -137,6 +159,7 @@ fn collector_bytes_per_source(records: &[ProbeRecord]) -> isize {
 
 #[test]
 fn small_sources_cost_a_bounded_number_of_bytes_and_idle_ones_hold_no_scan() {
+    let _turn = take_turn();
     for packets in [1, 5] {
         let records = small_sources(packets);
         let per_source = collector_bytes_per_source(&records);
@@ -172,4 +195,107 @@ fn small_sources_cost_a_bounded_number_of_bytes_and_idle_ones_hold_no_scan() {
     let (campaigns, noise) = detector.finish();
     assert!(campaigns.is_empty());
     assert_eq!(noise.rejected_packets, records.len() as u64);
+}
+
+/// A collector that has taken `records`, sweeping idle scans the way the
+/// feed loop does, once per batch.
+fn collect(records: &[ProbeRecord]) -> YearCollector {
+    let mut collector = YearCollector::with_period(2020, CampaignConfig::scaled(MONITORED), 1.0);
+    for batch in records.chunks(1024) {
+        for record in batch {
+            collector.offer(record);
+        }
+        collector.housekeeping(batch.last().expect("non-empty batch").ts_micros);
+    }
+    collector
+}
+
+/// Heap bytes per source `finish` may allocate above the live collector it
+/// consumes, on the one-packet stream spread over ten weeks. Dropping each
+/// piece of collector state as soon as its columns exist, it never rises
+/// above the collector (0 B); keeping all of it until it returned, it rose
+/// 473 304 B above, 33 B per source.
+const MAX_FINISH_BYTES_PER_SOURCE: isize = 16;
+
+#[test]
+fn finish_releases_collector_state_as_it_builds_the_columns() {
+    let _turn = take_turn();
+    // Spread over ten weeks, few scans are open at once: the detector
+    // state `finish` frees first is small beside the columns it builds.
+    let records: Vec<ProbeRecord> = small_sources(1)
+        .into_iter()
+        .map(|r| ProbeRecord {
+            ts_micros: r.ts_micros * 10,
+            ..r
+        })
+        .collect();
+    let collector = collect(&records);
+    let base = reset_peak();
+    let analysis = collector.finish();
+    let per_source = peak_above(base) / SOURCES as isize;
+    assert_eq!(analysis.distinct_sources, u64::from(SOURCES));
+    eprintln!(
+        "finish: peak {} B above the collector, {per_source} B per source",
+        peak_above(base)
+    );
+    assert!(
+        per_source <= MAX_FINISH_BYTES_PER_SOURCE,
+        "finish peaks {per_source} B per source above the collector (bound {MAX_FINISH_BYTES_PER_SOURCE})"
+    );
+}
+
+/// Heap bytes `write_year` may allocate above the analysis it writes,
+/// whatever the slice's size: its spill buffer and a few paths. Encoding
+/// the slice in memory and sealing a copy of it, it allocated at least
+/// twice the slice.
+const MAX_WRITE_BYTES: isize = 256 << 10;
+
+/// Sources in [`wide_analysis`]: a slice of about 7 MiB.
+const WIDE_SOURCES: u32 = 300_000;
+
+/// A finished analysis widened through its public columns to
+/// [`WIDE_SOURCES`] sources, whose slice is several MiB.
+fn wide_analysis() -> YearAnalysis {
+    let mut analysis = collect(&small_sources(1)[..100]).finish();
+    analysis.source_packets = (0..WIDE_SOURCES)
+        .map(|i| (i * 7, u64::from(1 + i % 5)))
+        .collect();
+    analysis.source_port_counts = (0..WIDE_SOURCES).map(|i| (i * 7, 1 + i % 3)).collect();
+    analysis.distinct_sources = u64::from(WIDE_SOURCES);
+    analysis
+}
+
+#[test]
+fn writing_a_slice_holds_a_buffer_not_the_slice() {
+    let _turn = take_turn();
+    let analysis = wide_analysis();
+    let dir = std::env::temp_dir().join(format!("synscan-footprint-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = AnalysisStore::open(&dir).expect("open store");
+
+    let base = reset_peak();
+    let path = store.write_year(&analysis).expect("write slice");
+    let written = peak_above(base);
+    let slice = std::fs::metadata(&path).expect("slice written").len();
+    eprintln!("write_year of a {slice} B slice: peak {written} B above the analysis");
+    assert!(slice > 4 << 20, "the slice is only {slice} B");
+    assert!(
+        written <= MAX_WRITE_BYTES,
+        "write_year peaks {written} B above the analysis (bound {MAX_WRITE_BYTES})"
+    );
+
+    // In memory the slice is sealed where it was encoded: the peak is the
+    // one buffer the bytes are returned in, never a second copy of them.
+    let base = reset_peak();
+    let bytes = encode_year(&analysis);
+    let encoded = peak_above(base);
+    assert_eq!(bytes.len() as u64, slice);
+    assert!(
+        encoded <= bytes.capacity() as isize + MAX_WRITE_BYTES,
+        "encode_year peaks {encoded} B for {} B of slice in a {} B buffer",
+        bytes.len(),
+        bytes.capacity()
+    );
+    assert!(std::fs::read(&path).expect("read slice") == bytes);
+    std::fs::remove_dir_all(&dir).expect("remove store");
 }

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use synscan::core::analysis::{
     events, portspread, toolports, types, volatility, yearly, YearAnalysis,
 };
-use synscan::core::store::{decode_year, encode_year, read_meta};
+use synscan::core::store::{decode_year, encode_year, read_meta, AnalysisStore};
 use synscan::experiment::{Experiment, RunOptions};
 use synscan::netmodel::InternetRegistry;
 use synscan::{GeneratorConfig, PipelineMode, YearConfig};
@@ -53,6 +53,33 @@ fn golden_slices_decode_and_encode_back_to_their_bytes() {
         assert!(meta.sources.iter().eq(analysis.source_port_counts.keys()));
         assert_eq!(meta.file_bytes, bytes.len() as u64);
     }
+}
+
+#[test]
+fn golden_slices_stream_back_to_their_bytes() {
+    // `write_year` streams the slice to its file instead of encoding it in
+    // memory first; the file must be the golden, byte for byte.
+    let dir = std::env::temp_dir().join(format!("synscan-golden-stream-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = AnalysisStore::open(&dir).expect("open store");
+    for name in ["year-2015.store", "year-2016-heavy.store"] {
+        let bytes = golden(name);
+        let analysis = decode_year(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let path = store.write_year(&analysis).expect("write slice");
+        let written = std::fs::read(&path).expect("read written slice");
+        assert!(written == bytes, "{name} streams back differently");
+    }
+    let mut left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list store")
+        .map(|entry| entry.expect("entry").file_name())
+        .collect();
+    left.sort();
+    assert_eq!(
+        left,
+        ["year-2015.store", "year-2016.store"],
+        "no staged file left"
+    );
+    std::fs::remove_dir_all(&dir).expect("remove store");
 }
 
 /// Every float the figure modules compute from one year, by name, as bits.

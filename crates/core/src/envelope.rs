@@ -372,8 +372,16 @@ pub(crate) fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, Env
         }
     }
     let (kind, len, sum) = parse(&FRAME, &head)?;
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // The header's length is the peer's claim, not its bytes: grow the
+    // payload as they arrive, never more than one step ahead of them.
+    const STEP: usize = 64 << 10;
+    let len = len as usize;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let read = payload.len();
+        payload.resize(len.min(read + STEP), 0);
+        r.read_exact(&mut payload[read..])?;
+    }
     let kind = kind.expect("frames carry a kind");
     Ok(Some((kind, verified(Some(kind), sum, payload)?)))
 }

@@ -57,11 +57,6 @@ pub fn service_name(port: u16) -> Option<&'static str> {
         .map(|(_, name)| *name)
 }
 
-/// True for privileged ports (1–1023), the space §5.1 tracks coverage of.
-pub const fn is_privileged(port: u16) -> bool {
-    port >= 1 && port <= 1023
-}
-
 /// The "move your service off the default port" alias conventions of §5.1
 /// (23→2323, 443→1443, 80→8080, 22→2222). Scanners cover both sides, which
 /// is why the paper calls the practice futile.
@@ -80,22 +75,6 @@ pub fn alias_of(port: u16) -> Option<u16> {
     None
 }
 
-/// Ports in the same "protocol family" that multi-port scans co-target
-/// (§5.1: 87% of port-80 scans also cover 8080 by 2020).
-pub fn protocol_family(port: u16) -> &'static [u16] {
-    match port {
-        80 | 81 | 8080 | 8081 | 8000 | 8888 => &[80, 81, 8080, 8081, 8000, 8888],
-        443 | 1443 | 4443 | 8443 => &[443, 1443, 4443, 8443],
-        22 | 2222 | 22222 => &[22, 2222, 22222],
-        23 | 2323 | 60023 => &[23, 2323, 60023],
-        3389 | 3390 | 13389 => &[3389, 3390, 13389],
-        _ => &[],
-    }
-}
-
-/// The two ports blocked at the telescope ingress from 2017 on (§3.2).
-pub const BLOCKED_PORTS: [u16; 2] = [23, 445];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,14 +85,6 @@ mod tests {
         assert_eq!(service_name(8545), Some("ethereum-jsonrpc"));
         assert_eq!(service_name(3390), Some("dsc"));
         assert_eq!(service_name(60000), None);
-    }
-
-    #[test]
-    fn privileged_boundaries() {
-        assert!(!is_privileged(0));
-        assert!(is_privileged(1));
-        assert!(is_privileged(1023));
-        assert!(!is_privileged(1024));
     }
 
     #[test]
@@ -128,26 +99,11 @@ mod tests {
     }
 
     #[test]
-    fn families_contain_their_members() {
-        for &(a, b) in ALIAS_PAIRS {
-            let fam = protocol_family(a);
-            assert!(fam.contains(&a) && fam.contains(&b), "family of {a}");
-            assert_eq!(protocol_family(a), protocol_family(b));
-        }
-        assert!(protocol_family(12345).is_empty());
-    }
-
-    #[test]
     fn known_ports_are_sorted_and_unique() {
         let mut last = 0u32;
         for &(p, _) in KNOWN_PORTS {
             assert!((p as u32) > last || last == 0 && p == 21, "unsorted at {p}");
             last = p as u32;
         }
-    }
-
-    #[test]
-    fn blocked_ports_are_telnet_and_smb() {
-        assert_eq!(BLOCKED_PORTS, [23, 445]);
     }
 }

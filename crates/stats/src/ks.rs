@@ -1,17 +1,17 @@
-//! Two-sample Kolmogorov–Smirnov test.
+//! Two-sample Kolmogorov–Smirnov test on frequency tables.
 //!
 //! §4.3 of the paper verifies with a KS test that, weeks after a vulnerability
 //! disclosure, the distribution of scanning over ports has returned to the
-//! pre-disclosure "normal". We implement the classic two-sample statistic
+//! pre-disclosure "normal". The distributions are per-port packet counts, so
+//! the test runs on two weighted frequency tables: the statistic
 //!
 //! ```text
 //! D = sup_x |F1(x) - F2(x)|
 //! ```
 //!
-//! and the asymptotic p-value via the Kolmogorov distribution series
-//! `Q(λ) = 2 Σ_{k≥1} (-1)^{k-1} e^{-2 k² λ²}` with the effective sample size
-//! `n_e = n·m/(n+m)` and the Stephens small-sample correction
-//! `λ = (√n_e + 0.12 + 0.11/√n_e) · D`.
+//! over their shared keys, and the asymptotic p-value via the Kolmogorov
+//! distribution series `Q(λ) = 2 Σ_{k≥1} (-1)^{k-1} e^{-2 k² λ²}` with the
+//! Stephens small-sample correction `λ = (√n_e + 0.12 + 0.11/√n_e) · D`.
 
 /// Result of a two-sample KS test.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,44 +20,6 @@ pub struct KsResult {
     pub statistic: f64,
     /// Asymptotic p-value for the null hypothesis "same distribution".
     pub p_value: f64,
-}
-
-impl KsResult {
-    /// Convenience: reject the null at the given significance level.
-    pub fn rejects_at(&self, alpha: f64) -> bool {
-        self.p_value < alpha
-    }
-}
-
-/// Compute the two-sample KS statistic `D` for two unsorted samples.
-///
-/// Runs in `O(n log n + m log m)`. Panics if either sample is empty.
-pub fn ks_statistic(sample1: &[f64], sample2: &[f64]) -> f64 {
-    assert!(
-        !sample1.is_empty() && !sample2.is_empty(),
-        "KS test requires non-empty samples"
-    );
-    let mut a: Vec<f64> = sample1.to_vec();
-    let mut b: Vec<f64> = sample2.to_vec();
-    a.sort_by(|x, y| x.partial_cmp(y).expect("NaN in KS sample"));
-    b.sort_by(|x, y| x.partial_cmp(y).expect("NaN in KS sample"));
-
-    let (n, m) = (a.len(), b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut d: f64 = 0.0;
-    while i < n && j < m {
-        let x = a[i].min(b[j]);
-        while i < n && a[i] <= x {
-            i += 1;
-        }
-        while j < m && b[j] <= x {
-            j += 1;
-        }
-        let f1 = i as f64 / n as f64;
-        let f2 = j as f64 / m as f64;
-        d = d.max((f1 - f2).abs());
-    }
-    d
 }
 
 /// The Kolmogorov distribution survival function `Q(λ)`.
@@ -78,28 +40,6 @@ pub(crate) fn kolmogorov_q(lambda: f64) -> f64 {
         }
     }
     (2.0 * sum).clamp(0.0, 1.0)
-}
-
-/// Run the full two-sample KS test and return statistic and p-value.
-///
-/// ```
-/// use synscan_stats::ks::ks_test;
-///
-/// let before: Vec<f64> = (0..100).map(f64::from).collect();
-/// let after: Vec<f64> = (0..100).map(|i| f64::from(i) + 80.0).collect();
-/// let result = ks_test(&before, &after);
-/// assert!(result.rejects_at(0.01), "shifted distributions differ");
-/// ```
-pub fn ks_test(sample1: &[f64], sample2: &[f64]) -> KsResult {
-    let d = ks_statistic(sample1, sample2);
-    let n = sample1.len() as f64;
-    let m = sample2.len() as f64;
-    let ne = (n * m / (n + m)).sqrt();
-    let lambda = (ne + 0.12 + 0.11 / ne) * d;
-    KsResult {
-        statistic: d,
-        p_value: kolmogorov_q(lambda),
-    }
 }
 
 /// KS test on two discrete frequency tables (e.g. packets per port).
@@ -139,55 +79,66 @@ pub fn ks_test_freq(freq1: &[(u32, f64)], freq2: &[(u32, f64)], effective_n: f64
 mod tests {
     use super::*;
 
+    /// Unit weight on each key: a raw sample as a frequency table.
+    fn table(keys: &[u32]) -> Vec<(u32, f64)> {
+        keys.iter().map(|&k| (k, 1.0)).collect()
+    }
+
     #[test]
     fn identical_samples_have_zero_statistic() {
-        let s = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let result = ks_test(&s, &s);
+        let s = table(&[1, 2, 3, 4, 5]);
+        let result = ks_test_freq(&s, &s, 10.0);
         assert_eq!(result.statistic, 0.0);
         assert!(result.p_value > 0.99);
     }
 
     #[test]
     fn disjoint_samples_have_statistic_one() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [10.0, 11.0, 12.0];
-        assert_eq!(ks_statistic(&a, &b), 1.0);
+        let result = ks_test_freq(&table(&[1, 2, 3]), &table(&[10, 11, 12]), 6.0);
+        assert_eq!(result.statistic, 1.0);
     }
 
     #[test]
     fn known_small_example() {
-        // F1 jumps at {1,2}, F2 jumps at {1.5, 2.5}; D occurs between 1 and 1.5
-        // where F1 = 0.5, F2 = 0 -> D = 0.5.
-        let a = [1.0, 2.0];
-        let b = [1.5, 2.5];
-        assert!((ks_statistic(&a, &b) - 0.5).abs() < 1e-12);
+        // F1 jumps at {1, 2}, F2 at {2, 3}; at key 1, F1 = 0.5 and F2 = 0,
+        // and at key 2, F1 = 1 and F2 = 0.5 -> D = 0.5.
+        let result = ks_test_freq(&table(&[1, 2]), &table(&[2, 3]), 4.0);
+        assert!((result.statistic - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn shifted_distributions_are_rejected() {
-        // Two clearly shifted uniform samples.
-        let a: Vec<f64> = (0..200).map(|i| i as f64 / 200.0).collect();
-        let b: Vec<f64> = (0..200).map(|i| 0.5 + i as f64 / 200.0).collect();
-        let result = ks_test(&a, &b);
+        // Two clearly shifted uniform port ranges.
+        let a: Vec<u32> = (0..200).collect();
+        let b: Vec<u32> = (100..300).collect();
+        let result = ks_test_freq(&table(&a), &table(&b), 400.0);
         assert!(result.statistic > 0.45);
-        assert!(result.rejects_at(0.01));
+        assert!(result.p_value < 0.01);
     }
 
     #[test]
     fn same_distribution_is_not_rejected() {
-        // Deterministic interleaved halves of the same uniform grid.
-        let a: Vec<f64> = (0..500).map(|i| (2 * i) as f64).collect();
-        let b: Vec<f64> = (0..500).map(|i| (2 * i + 1) as f64).collect();
-        let result = ks_test(&a, &b);
+        // Interleaved halves of the same uniform grid.
+        let a: Vec<u32> = (0..500).map(|i| 2 * i).collect();
+        let b: Vec<u32> = (0..500).map(|i| 2 * i + 1).collect();
+        let result = ks_test_freq(&table(&a), &table(&b), 1000.0);
         assert!(result.statistic < 0.05);
-        assert!(!result.rejects_at(0.05));
+        assert!(result.p_value >= 0.05);
     }
 
     #[test]
     fn statistic_is_symmetric() {
-        let a = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let b = [2.0, 7.0, 1.0, 8.0, 2.0, 8.0];
-        assert!((ks_statistic(&a, &b) - ks_statistic(&b, &a)).abs() < 1e-15);
+        let a = [(3u32, 2.0), (1, 1.0), (4, 1.0), (5, 1.0), (9, 1.0)];
+        let b = [(2u32, 2.0), (7, 1.0), (1, 1.0), (8, 2.0)];
+        let (ab, ba) = (ks_test_freq(&a, &b, 14.0), ks_test_freq(&b, &a, 14.0));
+        assert!((ab.statistic - ba.statistic).abs() < 1e-15);
+        assert_eq!(ab.p_value, ba.p_value);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty frequency table")]
+    fn empty_sample_panics() {
+        ks_test_freq(&[], &table(&[1]), 1.0);
     }
 
     #[test]
@@ -206,7 +157,7 @@ mod tests {
         let f2 = [(80u32, 200.0), (443, 100.0), (22, 50.0)];
         let result = ks_test_freq(&f1, &f2, 1000.0);
         assert!(result.statistic < 1e-12);
-        assert!(!result.rejects_at(0.05));
+        assert!(result.p_value >= 0.05);
     }
 
     #[test]
@@ -216,12 +167,6 @@ mod tests {
         let spiked = [(80u32, 250.0), (443, 150.0), (22, 100.0), (8545, 500.0)];
         let result = ks_test_freq(&normal, &spiked, 1000.0);
         assert!(result.statistic > 0.3);
-        assert!(result.rejects_at(0.01));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn empty_sample_panics() {
-        ks_statistic(&[], &[1.0]);
+        assert!(result.p_value < 0.01);
     }
 }

@@ -445,7 +445,7 @@ pub fn plan_year(
             let class = registry.class(src);
             let duration_secs = duration as f64 / 1e6;
             let segments = if class == ScannerClass::Residential && duration_secs > 43_200.0 {
-                (1.0 + duration_secs / registry.churn().mean_lease_secs).round() as u64
+                registry.churn().expected_identities(duration_secs).round() as u64
             } else {
                 1
             }

@@ -23,9 +23,10 @@
 //! No randomness source is used beyond a splitmix64 mix of the plan seed:
 //! the module needs no external dependencies and never consults the clock.
 
-use std::io::{self, Cursor, Read};
+use std::io::{self, Read};
 
-use crate::pcap::{PcapError, PcapReader, PcapWriter};
+use crate::ingest::PcapSlice;
+use crate::pcap::{GlobalHeader, PcapError, PcapWriter, GLOBAL_HEADER_LEN, RECORD_HEADER_LEN};
 use crate::probe::ProbeRecord;
 use crate::stream::{RecordStream, StreamError, TryRecordStream};
 
@@ -391,31 +392,35 @@ impl<R: Read> Read for ChaosReader<R> {
 /// Returns the corrupted bytes and a log of what was injected. The input
 /// must parse cleanly (it is the *output* that is broken on purpose).
 pub fn corrupt_pcap(bytes: &[u8], plan: &ChaosPlan) -> Result<(Vec<u8>, InjectionLog), PcapError> {
-    let mut reader = PcapReader::new(Cursor::new(bytes))?;
-    let linktype = reader.linktype();
-    let mut writer = PcapWriter::new(Vec::new(), linktype).expect("writing to Vec<u8> cannot fail");
+    let meta = GlobalHeader::read(&mut &bytes[..])?;
+    let mut records = PcapSlice::records(&bytes[GLOBAL_HEADER_LEN..], meta);
+    let mut writer =
+        PcapWriter::new(Vec::new(), meta.linktype).expect("writing to Vec<u8> cannot fail");
     let mut log = InjectionLog::default();
+    // One frame buffer, reused: a record is copied only to be rewritten.
+    let mut data = Vec::new();
     let mut index: u64 = 0;
     let mut tear_output_at: Option<usize> = None;
     let cut = plan.faults.iter().find_map(|f| match *f {
         Fault::MidStreamEof { after_records } => Some(after_records),
         _ => None,
     });
-    while let Some(rec) = reader.next_record()? {
+    while let Some(rec) = records.next_frame()? {
         if let Some(after) = cut {
             if index >= after {
                 // Torn tail: full record header, half the promised body.
-                let written_so_far = 24 + body_len_so_far(&writer);
+                let written_so_far = writer.buffered_len();
                 writer
-                    .write_record(rec.ts_micros, &rec.data)
+                    .write_record(rec.ts_micros, rec.data)
                     .expect("writing to Vec<u8> cannot fail");
                 log.truncations += 1;
-                tear_output_at = Some(written_so_far + 16 + rec.data.len() / 2);
+                tear_output_at = Some(written_so_far + RECORD_HEADER_LEN + rec.data.len() / 2);
                 break;
             }
         }
         let mut ts = rec.ts_micros;
-        let mut data = rec.data;
+        data.clear();
+        data.extend_from_slice(rec.data);
         for fault in &plan.faults {
             match *fault {
                 Fault::JitterTimestamp { period, max_micros }
@@ -471,19 +476,13 @@ pub fn corrupt_pcap(bytes: &[u8], plan: &ChaosPlan) -> Result<(Vec<u8>, Injectio
     Ok((out, log))
 }
 
-/// Bytes of record data emitted so far by a `PcapWriter<Vec<u8>>` (output
-/// length minus the 24-byte global header is not directly observable, so we
-/// track it through the writer's buffer length).
-fn body_len_so_far(writer: &PcapWriter<Vec<u8>>) -> usize {
-    writer.buffered_len() - 24
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stream::{FaultPolicy, SliceStream};
     use crate::tcp::TcpFlags;
     use crate::Ipv4Address;
+    use std::io::Cursor;
 
     fn record(ts: u64) -> ProbeRecord {
         ProbeRecord {
@@ -659,6 +658,15 @@ mod tests {
         assert_eq!(reader.log().truncations, 1);
     }
 
+    /// FNV-1a over `bytes`: a digest that is stable across toolchains. The
+    /// rewrites below are pinned to what `corrupt_pcap` produced when it
+    /// still read its input through a record-at-a-time reader.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
     #[test]
     fn corrupt_pcap_injects_frame_level_faults() {
         use crate::pcap::LINKTYPE_ETHERNET;
@@ -679,11 +687,12 @@ mod tests {
         assert!(log.duplicates > 0 && log.garbage_frames > 0 && log.corrupted_frames > 0);
         let (dirty2, log2) = corrupt_pcap(&clean, &plan).unwrap();
         assert_eq!(dirty, dirty2, "rewriting is deterministic");
+        assert_eq!((dirty.len(), fnv1a(&dirty)), (1944, 11457600728070196904));
         assert_eq!(log, log2);
         // The corrupted capture still *parses* as pcap framing.
-        let mut reader = PcapReader::new(Cursor::new(&dirty)).unwrap();
+        let mut reader = PcapSlice::new(&dirty).unwrap();
         let mut n = 0u64;
-        while let Some(_rec) = reader.next_record().unwrap() {
+        while let Some(_frame) = reader.next_frame().unwrap() {
             n += 1;
         }
         assert_eq!(n, 20 + log.duplicates + log.garbage_frames);
@@ -703,12 +712,13 @@ mod tests {
         };
         let (dirty, log) = corrupt_pcap(&clean, &plan).unwrap();
         assert_eq!(log.truncations, 1);
-        let mut reader = PcapReader::new(Cursor::new(&dirty)).unwrap();
+        assert_eq!((dirty.len(), fnv1a(&dirty)), (284, 6069679269978182688));
+        let mut reader = PcapSlice::new(&dirty).unwrap();
         for _ in 0..4 {
-            reader.next_record().unwrap().unwrap();
+            reader.next_frame().unwrap().unwrap();
         }
         assert_eq!(
-            reader.next_record().unwrap_err(),
+            reader.next_frame().unwrap_err(),
             PcapError::TruncatedRecordBody {
                 expected: 40,
                 got: 20

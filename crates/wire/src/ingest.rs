@@ -36,11 +36,9 @@
 //! [`MappedCapture`] names *where* the bytes are (a file, reopened per
 //! stream; or a buffer, for stdin and tests) and reads none of them.
 //!
-//! Checksums are *not* verified by default ([`ChecksumPolicy::Trust`]),
-//! matching the historical parse path: telescope captures were checksummed
-//! by the capture hardware, and synthetic streams are trusted by
-//! construction. [`ChecksumPolicy::Verify`] opts into full IPv4 + TCP
-//! verification, counting failures as unparseable frames.
+//! IPv4 and TCP checksums are not verified: telescope captures were
+//! checksummed by the capture hardware, and synthetic streams are trusted by
+//! construction.
 
 use std::fs::File;
 use std::io::{self, Read};
@@ -48,7 +46,6 @@ use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
 use std::thread;
 
-use crate::checksum;
 use crate::pcap::{
     header_u32, read_fully, GlobalHeader, PcapError, GLOBAL_HEADER_LEN, MAX_SNAPLEN,
     RECORD_HEADER_LEN,
@@ -60,30 +57,26 @@ use crate::stream::{
 use crate::tcp::TcpFlags;
 use crate::Ipv4Address;
 
-/// How the ingest front end reads a capture. Parsed from the binaries'
-/// `--ingest` flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IngestMode {
-    /// Stream the input as it arrives, decoding on the calling thread. The
-    /// only mode that can stream an unbounded pipe.
-    #[default]
-    Read,
-    /// Open the capture as a [`MappedCapture`] and decode its windows on
-    /// `queues` threads (1 = on the calling thread). Files are never read
-    /// whole; stdin and pipes are buffered whole, because the two-pass
-    /// analysis has to read them twice.
-    Mapped {
-        /// Decode threads feeding the ordered merge (at least 1).
-        queues: usize,
-    },
+/// How many threads decode a capture. Parsed from the binaries' `--ingest`
+/// flag: `read` and `mmap` are one queue, decoded on the calling thread, and
+/// `mmap:N` is N decode threads behind one sequential reader.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IngestMode {
+    /// Decode threads feeding the ordered merge (at least 1).
+    pub queues: usize,
+}
+
+impl Default for IngestMode {
+    fn default() -> Self {
+        Self { queues: 1 }
+    }
 }
 
 impl core::fmt::Display for IngestMode {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            IngestMode::Read => write!(f, "read"),
-            IngestMode::Mapped { queues: 1 } => write!(f, "mmap"),
-            IngestMode::Mapped { queues } => write!(f, "mmap:{queues}"),
+        match self.queues {
+            1 => write!(f, "read"),
+            queues => write!(f, "mmap:{queues}"),
         }
     }
 }
@@ -92,41 +85,24 @@ impl core::str::FromStr for IngestMode {
     type Err = String;
 
     fn from_str(s: &str) -> core::result::Result<Self, Self::Err> {
-        match s {
-            "read" => Ok(IngestMode::Read),
-            "mmap" | "mapped" => Ok(IngestMode::Mapped { queues: 1 }),
+        let queues = match s {
+            "read" | "mmap" | "mapped" => 1,
             other => {
-                if let Some(n) = other
+                let n = other
                     .strip_prefix("mmap:")
                     .or_else(|| other.strip_prefix("mapped:"))
-                {
-                    let queues: usize = n
-                        .parse()
-                        .map_err(|_| format!("bad queue count in ingest mode {other:?}"))?;
-                    if queues == 0 {
-                        return Err("ingest queue count must be at least 1".into());
-                    }
-                    return Ok(IngestMode::Mapped { queues });
-                }
-                Err(format!(
-                    "unknown ingest mode {other:?} (expected read, mmap, or mmap:N)"
-                ))
+                    .ok_or_else(|| {
+                        format!("unknown ingest mode {other:?} (expected read, mmap, or mmap:N)")
+                    })?;
+                n.parse()
+                    .map_err(|_| format!("bad queue count in ingest mode {other:?}"))?
             }
+        };
+        if queues == 0 {
+            return Err("ingest queue count must be at least 1".into());
         }
+        Ok(IngestMode { queues })
     }
-}
-
-/// Whether decoded frames have their IPv4/TCP checksums verified.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChecksumPolicy {
-    /// Skip checksum verification (the default, and the historical parse
-    /// behavior): trusted synthetic streams and hardware-checksummed
-    /// captures pay nothing for re-verification.
-    #[default]
-    Trust,
-    /// Verify IPv4 header and TCP pseudo-header checksums; frames failing
-    /// either are counted as unparseable (non-TCP) and dropped.
-    Verify,
 }
 
 /// A capture that can be read from the start any number of times: a file
@@ -228,8 +204,8 @@ impl MappedCapture {
     }
 }
 
-/// One captured frame, borrowed from the buffer it was read into: the
-/// zero-copy counterpart of [`crate::pcap::PcapRecord`].
+/// One captured frame, borrowed from the buffer it was read into: no
+/// per-record allocation or copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RawFrame<'a> {
     /// Timestamp in microseconds since the epoch.
@@ -240,12 +216,12 @@ pub(crate) struct RawFrame<'a> {
     pub data: &'a [u8],
 }
 
-/// A cursor over capture bytes yielding borrowed frames.
+/// A cursor over capture bytes yielding borrowed frames: the one record
+/// decoder every reader of a capture runs.
 ///
-/// Error-for-error identical to [`crate::pcap::PcapReader`]: the same
-/// [`PcapError`] variants surface at the same stream positions, recoverable
-/// errors leave the cursor aligned on the next record, and unrecoverable
-/// ones lose framing for good.
+/// Each malformation surfaces as its [`PcapError`] at the record it breaks;
+/// recoverable errors leave the cursor aligned on the next record, and
+/// unrecoverable ones lose framing for good.
 #[derive(Debug, Clone)]
 pub(crate) struct PcapSlice<'a> {
     data: &'a [u8],
@@ -257,16 +233,12 @@ impl<'a> PcapSlice<'a> {
     /// Open a whole capture image, parsing and validating the global header.
     pub(crate) fn new(data: &'a [u8]) -> Result<Self, PcapError> {
         let meta = GlobalHeader::read(&mut &data[..])?;
-        Ok(Self {
-            data,
-            cursor: GLOBAL_HEADER_LEN,
-            meta,
-        })
+        Ok(Self::records(&data[GLOBAL_HEADER_LEN..], meta))
     }
 
     /// A cursor over a run of records — one chunk of a capture whose global
     /// header `meta` was read when the stream was opened.
-    fn records(data: &'a [u8], meta: GlobalHeader) -> Self {
+    pub(crate) fn records(data: &'a [u8], meta: GlobalHeader) -> Self {
         Self {
             data,
             cursor: 0,
@@ -339,11 +311,7 @@ impl<'a> PcapSlice<'a> {
 /// are exactly the conditions under which the checked parser reads the same
 /// fixed offsets).
 #[inline]
-pub(crate) fn decode_frame(
-    ts_micros: u64,
-    frame: &[u8],
-    checksums: ChecksumPolicy,
-) -> crate::Result<ProbeRecord> {
+pub(crate) fn decode_frame(ts_micros: u64, frame: &[u8]) -> crate::Result<ProbeRecord> {
     /// Ethernet (14) + IPv4 without options (20) + TCP without options (20).
     const FAST_LEN: usize = 54;
     let record = if frame.len() == FAST_LEN
@@ -374,28 +342,7 @@ pub(crate) fn decode_frame(
     } else {
         ProbeRecord::from_ethernet(ts_micros, frame)?
     };
-    if matches!(checksums, ChecksumPolicy::Verify) {
-        verify_frame_checksums(frame)?;
-    }
     Ok(record)
-}
-
-/// Verify IPv4 header and TCP pseudo-header checksums of a frame already
-/// known to parse as Ethernet/IPv4/TCP.
-fn verify_frame_checksums(frame: &[u8]) -> crate::Result<()> {
-    use crate::ethernet::HEADER_LEN as ETH;
-    let ip = crate::ipv4::Ipv4Packet::new_checked(&frame[ETH..])?;
-    if !ip.verify_checksum() {
-        return Err(crate::WireError::Checksum);
-    }
-    let (src, dst) = (ip.src_addr(), ip.dst_addr());
-    let segment = ip.payload();
-    let mut acc = checksum::pseudo_header_sum(src.0, dst.0, 6, segment.len() as u16);
-    acc.add_bytes(segment);
-    if acc.value() != 0 {
-        return Err(crate::WireError::Checksum);
-    }
-    Ok(())
 }
 
 /// How a [`FrameBatch::gather`] run ended.
@@ -449,14 +396,13 @@ impl<'a> FrameBatch<'a> {
     /// does.
     pub(crate) fn decode_into(
         &self,
-        checksums: ChecksumPolicy,
         out: &mut Vec<ProbeRecord>,
         non_tcp: &mut u64,
         last_ts: &mut u64,
         order_violations: &mut u64,
     ) {
         for frame in &self.frames {
-            match decode_frame(frame.ts_micros, frame.data, checksums) {
+            match decode_frame(frame.ts_micros, frame.data) {
                 Ok(record) => {
                     if record.ts_micros < *last_ts {
                         *order_violations += 1;
@@ -481,7 +427,6 @@ impl<'a> FrameBatch<'a> {
 pub struct MappedPcapStream<'a> {
     slice: PcapSlice<'a>,
     policy: FaultPolicy,
-    checksums: ChecksumPolicy,
     batch_target: usize,
     batch: Vec<ProbeRecord>,
     run: FrameBatch<'a>,
@@ -511,7 +456,6 @@ impl<'a> MappedPcapStream<'a> {
         Self {
             slice,
             policy,
-            checksums: ChecksumPolicy::Trust,
             batch_target: BATCH_RECORDS,
             batch: Vec::new(),
             run: FrameBatch::with_capacity(RUN_FRAMES),
@@ -524,20 +468,13 @@ impl<'a> MappedPcapStream<'a> {
         }
     }
 
-    /// Set the checksum policy (builder style).
-    pub(crate) fn checksums(mut self, checksums: ChecksumPolicy) -> Self {
-        self.checksums = checksums;
-        self
-    }
-
     /// Override the records-per-batch target (tests and benches).
     pub(crate) fn batch_target(mut self, target: usize) -> Self {
         self.batch_target = target.max(1);
         self
     }
 
-    /// Frames that were not parseable IPv4/TCP (plus, under
-    /// [`ChecksumPolicy::Verify`], frames failing verification).
+    /// Frames that were not parseable IPv4/TCP.
     pub fn non_tcp_frames(&self) -> u64 {
         self.non_tcp
     }
@@ -577,7 +514,6 @@ impl<'a> MappedPcapStream<'a> {
             let budget = RUN_FRAMES.min(self.batch_target - out.len());
             let outcome = self.run.gather(&mut self.slice, budget);
             self.run.decode_into(
-                self.checksums,
                 out,
                 &mut self.non_tcp,
                 &mut self.last_ts,
@@ -753,16 +689,14 @@ impl<R: Read> Framer<R> {
 struct Decode {
     meta: GlobalHeader,
     policy: FaultPolicy,
-    checksums: ChecksumPolicy,
 }
 
 impl Decode {
-    /// Read the global header off the front of `reader`; checksums trusted.
+    /// Read the global header off the front of `reader`.
     fn open(reader: &mut impl Read, policy: FaultPolicy) -> Result<Self, PcapError> {
         Ok(Self {
             meta: GlobalHeader::read(reader)?,
             policy,
-            checksums: ChecksumPolicy::Trust,
         })
     }
 
@@ -770,9 +704,7 @@ impl Decode {
     /// that started at its first byte would.
     fn run(self, chunk: &mut Chunk) {
         let slice = PcapSlice::records(&chunk.bytes[..chunk.len], self.meta);
-        let mut stream = MappedPcapStream::over(slice, self.policy)
-            .checksums(self.checksums)
-            .batch_target(usize::MAX);
+        let mut stream = MappedPcapStream::over(slice, self.policy).batch_target(usize::MAX);
         chunk.error = stream.fill_into(&mut chunk.records).err();
         chunk.faults = stream.faults;
         chunk.non_tcp = stream.non_tcp;
@@ -849,12 +781,6 @@ impl IngestQueues {
             decode,
             queues: queues.max(1),
         })
-    }
-
-    /// Set the checksum policy (builder style).
-    pub fn checksums(mut self, checksums: ChecksumPolicy) -> Self {
-        self.decode.checksums = checksums;
-        self
     }
 
     /// The effective queue count (after [`IngestQueues::new`]'s clamp).
@@ -1167,7 +1093,7 @@ impl<R: Read> TryRecordStream for PcapStream<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pcap::{PcapReader, PcapWriter, LINKTYPE_ETHERNET};
+    use crate::pcap::{PcapWriter, LINKTYPE_ETHERNET};
     use crate::probe::SynFrameBuilder;
     use std::collections::HashSet;
     use std::io::Cursor;
@@ -1356,23 +1282,55 @@ mod tests {
         }
     }
 
+    /// Every frame `slice` yields, up to a clean end, as `(ts, orig, data)`.
+    fn frames_of(mut slice: PcapSlice<'_>) -> Vec<(u64, u32, Vec<u8>)> {
+        let mut frames = Vec::new();
+        while let Some(frame) = slice.next_frame().unwrap() {
+            frames.push((frame.ts_micros, frame.orig_len, frame.data.to_vec()));
+        }
+        frames
+    }
+
     #[test]
-    fn slice_reader_matches_read_reader_frame_for_frame() {
+    fn slice_reader_yields_the_written_frames_frame_for_frame() {
         let records: Vec<ProbeRecord> = (0..300).map(record).collect();
         let bytes = capture_of(&records);
-        let mut reader = PcapReader::new(Cursor::new(bytes.clone())).unwrap();
-        let mut slice = PcapSlice::new(&bytes).unwrap();
-        loop {
-            let a = reader.next_record().unwrap();
-            let b = slice.next_frame().unwrap();
-            match (a, b) {
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.ts_micros, b.ts_micros);
-                    assert_eq!(a.orig_len, b.orig_len);
-                    assert_eq!(a.data.as_slice(), b.data);
+        let builder = SynFrameBuilder::default();
+        let written: Vec<(u64, u32, Vec<u8>)> = records
+            .iter()
+            .map(|r| {
+                (
+                    r.ts_micros,
+                    ProbeRecord::frame_len() as u32,
+                    builder.build(r),
+                )
+            })
+            .collect();
+        assert_eq!(frames_of(PcapSlice::new(&bytes).unwrap()), written);
+    }
+
+    #[test]
+    fn pcap_arbitrary_captures_round_trip() {
+        // Arbitrary frame payloads (empty ones included) with arbitrary
+        // timestamps survive the writer and the slice reader byte for byte.
+        for seed in [1u64, 7, 0xf00d, 0xfeed_5eed, 0x5eed_0001, 0xdead_beef] {
+            let mut state = seed;
+            for _ in 0..10 {
+                let written: Vec<(u64, u32, Vec<u8>)> = (0..xorshift(&mut state) % 30)
+                    .map(|_| {
+                        let len = (xorshift(&mut state) % 200) as usize;
+                        let frame: Vec<u8> = (0..len).map(|_| xorshift(&mut state) as u8).collect();
+                        let ts = xorshift(&mut state) % 4_000_000_000_000_000;
+                        (ts, len as u32, frame)
+                    })
+                    .collect();
+                let mut writer = PcapWriter::new(Vec::new(), LINKTYPE_ETHERNET).unwrap();
+                for (ts, _, frame) in &written {
+                    writer.write_record(*ts, frame).unwrap();
                 }
-                (None, None) => break,
-                other => panic!("readers disagree on stream end: {other:?}"),
+                let bytes = writer.into_inner().unwrap();
+                let slice = PcapSlice::new(&bytes).unwrap();
+                assert_eq!(frames_of(slice), written, "seed={seed:#x}");
             }
         }
     }
@@ -1387,7 +1345,7 @@ mod tests {
             r.flags =
                 TcpFlags([TcpFlags::SYN.0, TcpFlags::SYN_ACK.0, 0x00, 0x3f][(i % 4) as usize]);
             let frame = builder.build(&r);
-            let fast = decode_frame(r.ts_micros, &frame, ChecksumPolicy::Trust).unwrap();
+            let fast = decode_frame(r.ts_micros, &frame).unwrap();
             let checked = ProbeRecord::from_ethernet(r.ts_micros, &frame).unwrap();
             assert_eq!(fast, checked);
             assert_eq!(fast, r);
@@ -1402,27 +1360,13 @@ mod tests {
         let r = record(7);
         let mut frame = SynFrameBuilder::default().build(&r);
         frame.extend_from_slice(&[0, 0]);
-        let decoded = decode_frame(r.ts_micros, &frame, ChecksumPolicy::Trust).unwrap();
+        let decoded = decode_frame(r.ts_micros, &frame).unwrap();
         assert_eq!(decoded, r);
         // And a non-IPv4 frame is rejected by both paths.
         let mut v6 = SynFrameBuilder::default().build(&r);
         v6[12] = 0x86;
         v6[13] = 0xdd;
-        assert!(decode_frame(0, &v6, ChecksumPolicy::Trust).is_err());
-    }
-
-    #[test]
-    fn checksum_verify_mode_rejects_corrupted_frames() {
-        let r = record(3);
-        let mut frame = SynFrameBuilder::default().build(&r);
-        assert!(decode_frame(r.ts_micros, &frame, ChecksumPolicy::Verify).is_ok());
-        frame[40] ^= 0x10; // flip a bit in the TCP sequence number
-        assert_eq!(
-            decode_frame(r.ts_micros, &frame, ChecksumPolicy::Verify),
-            Err(crate::WireError::Checksum)
-        );
-        // Trust mode takes the frame as-is (the historical behavior).
-        assert!(decode_frame(r.ts_micros, &frame, ChecksumPolicy::Trust).is_ok());
+        assert!(decode_frame(0, &v6).is_err());
     }
 
     #[test]
@@ -1792,20 +1736,16 @@ mod tests {
 
     #[test]
     fn ingest_mode_parses_and_displays() {
-        assert_eq!("read".parse::<IngestMode>().unwrap(), IngestMode::Read);
-        assert_eq!(
-            "mmap".parse::<IngestMode>().unwrap(),
-            IngestMode::Mapped { queues: 1 }
-        );
-        assert_eq!(
-            "mmap:4".parse::<IngestMode>().unwrap(),
-            IngestMode::Mapped { queues: 4 }
-        );
-        assert!("mmap:0".parse::<IngestMode>().is_err());
-        assert!("dma".parse::<IngestMode>().is_err());
-        assert_eq!(IngestMode::Mapped { queues: 4 }.to_string(), "mmap:4");
-        assert_eq!(IngestMode::Mapped { queues: 1 }.to_string(), "mmap");
-        assert_eq!(IngestMode::default(), IngestMode::Read);
+        let queues = |s: &str| s.parse::<IngestMode>().map(|mode| mode.queues);
+        assert_eq!(queues("read"), Ok(1));
+        assert_eq!(queues("mmap"), Ok(1));
+        assert_eq!(queues("mmap:4"), Ok(4));
+        assert_eq!(queues("mapped:2"), Ok(2));
+        assert!(queues("mmap:0").is_err());
+        assert!(queues("dma").is_err());
+        assert_eq!(IngestMode { queues: 4 }.to_string(), "mmap:4");
+        assert_eq!(IngestMode { queues: 1 }.to_string(), "read");
+        assert_eq!(IngestMode::default(), IngestMode { queues: 1 });
     }
 
     #[test]

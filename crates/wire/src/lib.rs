@@ -62,7 +62,6 @@ pub mod pcap;
 pub mod probe;
 pub mod stream;
 pub mod tcp;
-pub mod tcp_options;
 
 pub use chaos::ChaosPlan;
 pub use ingest::IngestQueues;
@@ -81,8 +80,6 @@ pub enum WireError {
     Truncated,
     /// A length field is inconsistent with the buffer (e.g. IHL beyond data).
     Malformed,
-    /// A checksum did not verify.
-    Checksum,
     /// The version or type field identifies a protocol we do not handle.
     Unsupported,
 }
@@ -92,7 +89,6 @@ impl core::fmt::Display for WireError {
         match self {
             WireError::Truncated => write!(f, "buffer truncated"),
             WireError::Malformed => write!(f, "malformed packet"),
-            WireError::Checksum => write!(f, "checksum mismatch"),
             WireError::Unsupported => write!(f, "unsupported protocol"),
         }
     }
@@ -111,7 +107,6 @@ mod tests {
     fn error_display_is_stable() {
         assert_eq!(WireError::Truncated.to_string(), "buffer truncated");
         assert_eq!(WireError::Malformed.to_string(), "malformed packet");
-        assert_eq!(WireError::Checksum.to_string(), "checksum mismatch");
         assert_eq!(WireError::Unsupported.to_string(), "unsupported protocol");
     }
 }

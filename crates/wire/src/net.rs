@@ -6,9 +6,9 @@
 //! requests, or vanish mid-frame. This module concentrates the defenses so
 //! each runtime threads the same four pieces through its transport:
 //!
-//! * [`Deadline`] / [`DeadlineStream`] — per-read/per-write timeouts over any
-//!   stream, surfacing expiry as a typed [`NetError::TimedOut`] instead of an
-//!   indefinite block;
+//! * [`Deadline`] / [`HasDeadlines`] — per-read/per-write socket timeouts,
+//!   whose expiry [`is_timeout`] recognizes, so a silent peer costs a typed
+//!   [`NetError::TimedOut`] instead of an indefinite block;
 //! * [`BoundedLineReader`] — newline-delimited request admission with a hard
 //!   byte cap (slow-loris and oversized-request defense for NDJSON);
 //! * [`ChaosSocket`] — a seeded, deterministic transport-fault injector
@@ -132,8 +132,8 @@ impl Deadline {
 }
 
 /// A stream whose native socket timeouts can be set. Implemented for the two
-/// transports the runtimes use; in-memory test streams use
-/// [`DeadlineStream::wrap`] instead.
+/// transports the runtimes use; an expired budget then surfaces as an error
+/// that [`is_timeout`] recognizes.
 pub trait HasDeadlines {
     /// Apply the budgets as native socket timeouts.
     fn set_deadline(&self, deadline: Deadline) -> io::Result<()>;
@@ -151,87 +151,6 @@ impl HasDeadlines for std::os::unix::net::UnixStream {
     fn set_deadline(&self, deadline: Deadline) -> io::Result<()> {
         self.set_read_timeout(deadline.read)?;
         self.set_write_timeout(deadline.write)
-    }
-}
-
-/// A stream wrapper that turns socket-timeout errors into typed
-/// [`NetError::TimedOut`] I/O errors carrying the configured budget.
-///
-/// The deadlines themselves are enforced by the kernel (`SO_RCVTIMEO` /
-/// `SO_SNDTIMEO`, set via [`HasDeadlines`]); this wrapper's job is to make
-/// the expiry diagnosable — `WouldBlock` from a socket read is
-/// indistinguishable from a non-blocking miss, while the error this wrapper
-/// returns states which budget ran out.
-#[derive(Debug)]
-pub struct DeadlineStream<S> {
-    inner: S,
-    deadline: Deadline,
-}
-
-impl<S: HasDeadlines> DeadlineStream<S> {
-    /// Apply `deadline` to the socket and wrap it.
-    pub fn new(inner: S, deadline: Deadline) -> io::Result<Self> {
-        inner.set_deadline(deadline)?;
-        Ok(DeadlineStream { inner, deadline })
-    }
-}
-
-impl<S> DeadlineStream<S> {
-    /// Wrap a stream whose timeouts are already configured (or which cannot
-    /// time out, e.g. an in-memory pipe in tests).
-    pub fn wrap(inner: S, deadline: Deadline) -> Self {
-        DeadlineStream { inner, deadline }
-    }
-
-    /// The configured budgets.
-    pub fn deadline(&self) -> Deadline {
-        self.deadline
-    }
-
-    /// Shared access to the wrapped stream.
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped stream.
-    pub fn get_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
-    /// Unwrap.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
-    fn typed(op: &'static str, budget: Option<Duration>, err: io::Error) -> io::Error {
-        if is_timeout(&err) {
-            let ms = budget.map(|d| d.as_millis() as u64).unwrap_or(0);
-            io::Error::new(io::ErrorKind::TimedOut, NetError::TimedOut { op, ms })
-        } else {
-            err
-        }
-    }
-}
-
-impl<S: Read> Read for DeadlineStream<S> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.inner
-            .read(buf)
-            .map_err(|e| Self::typed("read", self.deadline.read, e))
-    }
-}
-
-impl<S: Write> Write for DeadlineStream<S> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.inner
-            .write(buf)
-            .map_err(|e| Self::typed("write", self.deadline.write, e))
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner
-            .flush()
-            .map_err(|e| Self::typed("write", self.deadline.write, e))
     }
 }
 
@@ -696,28 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_stream_types_timeouts() {
-        let tail = TimeoutTail { chunks: vec![] };
-        let mut stream = DeadlineStream::wrap(tail, Deadline::from_millis(250));
-        let err = stream.read(&mut [0u8; 8]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-        assert_eq!(err.to_string(), "read deadline exceeded after 250ms");
-    }
-
-    #[test]
-    fn deadline_stream_passes_other_errors_through() {
-        struct Broken;
-        impl Read for Broken {
-            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
-                Err(io::Error::new(io::ErrorKind::BrokenPipe, "gone"))
-            }
-        }
-        let mut stream = DeadlineStream::wrap(Broken, Deadline::from_millis(250));
-        let err = stream.read(&mut [0u8; 8]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-    }
-
-    #[test]
     fn bounded_reader_splits_lines_across_chunks() {
         let tail = TimeoutTail {
             chunks: vec![b"pi".to_vec(), b"ng\nsta".to_vec(), b"ts\r\n".to_vec()],
@@ -945,18 +842,15 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         // The peer connects and stays silent.
         let peer = std::net::TcpStream::connect(addr).unwrap();
-        let (conn, _) = listener.accept().unwrap();
-        let mut stream = DeadlineStream::new(
-            conn,
-            Deadline {
-                read: Some(Duration::from_millis(50)),
-                write: None,
-            },
-        )
+        let (mut conn, _) = listener.accept().unwrap();
+        conn.set_deadline(Deadline {
+            read: Some(Duration::from_millis(50)),
+            write: None,
+        })
         .unwrap();
         let started = Instant::now();
-        let err = stream.read(&mut [0u8; 16]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        let err = conn.read(&mut [0u8; 16]).unwrap_err();
+        assert!(is_timeout(&err), "{err:?}");
         assert!(started.elapsed() < Duration::from_secs(5), "read blocked");
         drop(peer);
     }

@@ -6,10 +6,11 @@
 //! read, native-order little-endian on write.
 //!
 //! Real telescope archives decay: disks fill mid-write, copies are cut
-//! short, bitrot flips length fields. The reader therefore never panics on
-//! hostile input — every malformation maps to a typed [`PcapError`] telling
-//! the consumer exactly what broke and whether the stream can continue past
-//! it ([`PcapError::recoverable`]).
+//! short, bitrot flips length fields. The reader
+//! ([`crate::ingest::PcapStream`]) therefore never panics on hostile input —
+//! every malformation maps to a typed [`PcapError`] telling the consumer
+//! exactly what broke and whether the stream can continue past it
+//! ([`PcapError::recoverable`]).
 
 use std::io::{self, Read, Write};
 
@@ -130,17 +131,6 @@ impl From<PcapError> for WireError {
     }
 }
 
-/// One captured record: timestamp plus frame bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PcapRecord {
-    /// Timestamp in microseconds since the epoch.
-    pub ts_micros: u64,
-    /// Original length of the frame on the wire.
-    pub orig_len: u32,
-    /// Captured bytes (may be shorter than `orig_len` if snapped).
-    pub data: Vec<u8>,
-}
-
 /// Streaming pcap writer.
 #[derive(Debug)]
 pub struct PcapWriter<W: Write> {
@@ -207,10 +197,10 @@ pub(crate) fn read_fully<R: Read>(reader: &mut R, buf: &mut [u8]) -> usize {
     filled
 }
 
-/// Little-endian `u32` at a fixed offset of a fixed-size header buffer.
-/// Infallible by construction — this replaces the `try_into().unwrap()`
-/// slicing the reader used to do on header bytes.
-fn u32_at(buf: &[u8], offset: usize, swapped: bool) -> u32 {
+/// Little-endian `u32` at a fixed offset of a header, swapped when the
+/// capture is opposite-endian. Infallible for the fixed-size headers it is
+/// given, so header decoding never slices with `try_into().unwrap()`.
+pub(crate) fn header_u32(buf: &[u8], offset: usize, swapped: bool) -> u32 {
     let v = u32::from_le_bytes([
         buf[offset],
         buf[offset + 1],
@@ -225,9 +215,10 @@ fn u32_at(buf: &[u8], offset: usize, swapped: bool) -> u32 {
 }
 
 /// The decoded global header of a classic pcap stream: byte order, timestamp
-/// resolution, and link type. Shared by the record-at-a-time [`PcapReader`]
-/// and the windowed [`crate::ingest::PcapStream`] so both accept exactly the
-/// same set of captures.
+/// resolution, and link type. Every reader of a capture — the windowed
+/// [`crate::ingest::PcapStream`], its per-chunk decoder and
+/// [`crate::chaos::corrupt_pcap`] — opens it through here, so all accept
+/// exactly the same set of captures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct GlobalHeader {
     /// Whether every multi-byte field is byte-swapped relative to the host.
@@ -240,8 +231,8 @@ pub(crate) struct GlobalHeader {
 
 impl GlobalHeader {
     /// Decode and validate a 24-byte global header.
-    pub(crate) fn parse(header: &[u8; GLOBAL_HEADER_LEN]) -> Result<Self, PcapError> {
-        let magic = u32_at(header, 0, false);
+    fn parse(header: &[u8; GLOBAL_HEADER_LEN]) -> Result<Self, PcapError> {
+        let magic = header_u32(header, 0, false);
         let (swapped, nanos) = match magic {
             MAGIC_MICROS => (false, false),
             MAGIC_NANOS => (false, true),
@@ -252,7 +243,7 @@ impl GlobalHeader {
         Ok(Self {
             swapped,
             nanos,
-            linktype: u32_at(header, 20, swapped),
+            linktype: header_u32(header, 20, swapped),
         })
     }
 
@@ -267,102 +258,43 @@ impl GlobalHeader {
     }
 }
 
-/// Little-endian `u32` at a fixed offset, swapped when the capture is
-/// opposite-endian. Crate-internal: the batched ingest layer decodes record
-/// headers with the same primitive the streaming reader uses.
-pub(crate) fn header_u32(buf: &[u8], offset: usize, swapped: bool) -> u32 {
-    u32_at(buf, offset, swapped)
-}
-
-/// Streaming pcap reader handling both byte orders and both time resolutions.
-#[derive(Debug)]
-pub struct PcapReader<R: Read> {
-    inner: R,
-    swapped: bool,
-    nanos: bool,
-    linktype: u32,
-}
-
-impl<R: Read> PcapReader<R> {
-    /// Open a pcap stream, parsing and validating the global header.
-    pub fn new(mut inner: R) -> Result<Self, PcapError> {
-        let meta = GlobalHeader::read(&mut inner)?;
-        Ok(Self {
-            inner,
-            swapped: meta.swapped,
-            nanos: meta.nanos,
-            linktype: meta.linktype,
-        })
-    }
-
-    /// The link type declared in the global header.
-    pub(crate) fn linktype(&self) -> u32 {
-        self.linktype
-    }
-
-    /// Read the next record; `Ok(None)` signals a clean end of stream.
-    ///
-    /// After a [`PcapError::recoverable`] error the reader is still aligned
-    /// on the next record boundary and may be called again; after any other
-    /// error the framing is lost and further reads yield garbage.
-    pub fn next_record(&mut self) -> Result<Option<PcapRecord>, PcapError> {
-        let mut rec_header = [0u8; RECORD_HEADER_LEN];
-        match read_fully(&mut self.inner, &mut rec_header) {
-            0 => return Ok(None),
-            n if n < rec_header.len() => {
-                return Err(PcapError::TruncatedRecordHeader { got: n as u32 })
-            }
-            _ => {}
-        }
-        let ts_sec = u64::from(u32_at(&rec_header, 0, self.swapped));
-        let ts_frac = u64::from(u32_at(&rec_header, 4, self.swapped));
-        let incl_len = u32_at(&rec_header, 8, self.swapped);
-        let orig_len = u32_at(&rec_header, 12, self.swapped);
-        // Defend against corrupt length fields before allocating or reading.
-        if incl_len > MAX_SNAPLEN {
-            return Err(PcapError::SnapLenOverflow(incl_len));
-        }
-        let mut data = vec![0u8; incl_len as usize];
-        let got = read_fully(&mut self.inner, &mut data);
-        if got < data.len() {
-            return Err(PcapError::TruncatedRecordBody {
-                expected: incl_len,
-                got: got as u32,
-            });
-        }
-        // The body is consumed either way, so this check runs after the
-        // read: a skip-faults consumer stays aligned on the next record.
-        if orig_len == 0 && incl_len > 0 {
-            return Err(PcapError::ZeroLengthRecord { incl: incl_len });
-        }
-        let ts_micros = if self.nanos {
-            ts_sec * 1_000_000 + ts_frac / 1000
-        } else {
-            ts_sec * 1_000_000 + ts_frac
-        };
-        Ok(Some(PcapRecord {
-            ts_micros,
-            orig_len,
-            data,
-        }))
-    }
-}
-
-impl<R: Read> Iterator for PcapReader<R> {
-    type Item = Result<PcapRecord, PcapError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_record().transpose()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! Every capture here is read by the product's reader: the windowed
+    //! stream behind [`IngestQueues`], on one decode queue (inline) and on
+    //! three (threaded).
     use super::*;
-    use std::io::Cursor;
+    use crate::ingest::{IngestQueues, MappedCapture};
+    use crate::probe::{ProbeRecord, SynFrameBuilder};
+    use crate::stream::{FaultCounters, FaultPolicy, StreamError, TryRecordStream};
+    use crate::tcp::TcpFlags;
+    use crate::Ipv4Address;
+    use std::sync::Arc;
 
     /// Link type LINKTYPE_RAW (raw IP).
     const LINKTYPE_RAW: u32 = 101;
+
+    /// Decode queues every capture is read on.
+    const QUEUES: [usize; 2] = [1, 3];
+
+    fn probe(i: u32) -> ProbeRecord {
+        ProbeRecord {
+            ts_micros: 1_000_000 + u64::from(i),
+            src_ip: Ipv4Address::new(198, 51, 100, i as u8),
+            dst_ip: Ipv4Address::new(192, 0, 2, 7),
+            src_port: 40_000,
+            dst_port: 23,
+            seq: i.wrapping_mul(2_654_435_761),
+            ip_id: 54_321,
+            ttl: 51,
+            flags: TcpFlags::SYN,
+            window: 1024,
+        }
+    }
+
+    fn frame(record: &ProbeRecord) -> Vec<u8> {
+        SynFrameBuilder::default().build(record)
+    }
 
     fn write_capture(records: &[(u64, Vec<u8>)]) -> Vec<u8> {
         let mut writer = PcapWriter::new(Vec::new(), LINKTYPE_ETHERNET).unwrap();
@@ -372,166 +304,204 @@ mod tests {
         writer.into_inner().unwrap()
     }
 
-    #[test]
-    fn write_read_round_trip() {
-        let records = vec![
-            (1_000_000u64, vec![1u8, 2, 3, 4]),
-            (1_000_500, vec![5u8; 60]),
-            (2_123_456, vec![0u8; 0]),
-        ];
-        let bytes = write_capture(&records);
-        let mut reader = PcapReader::new(Cursor::new(bytes)).unwrap();
-        assert_eq!(reader.linktype(), LINKTYPE_ETHERNET);
-        for (ts, frame) in &records {
-            let rec = reader.next_record().unwrap().unwrap();
-            assert_eq!(rec.ts_micros, *ts);
-            assert_eq!(&rec.data, frame);
-            assert_eq!(rec.orig_len as usize, frame.len());
+    /// A capture of probe frames, each stamped with its record's time.
+    fn capture_of(records: &[ProbeRecord]) -> Vec<u8> {
+        write_capture(
+            &records
+                .iter()
+                .map(|r| (r.ts_micros, frame(r)))
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// A record header with free-form fields, in little-endian order.
+    fn raw_header(bytes: &mut Vec<u8>, ts_sec: u32, ts_frac: u32, incl: u32, orig: u32) {
+        for field in [ts_sec, ts_frac, incl, orig] {
+            bytes.extend_from_slice(&field.to_le_bytes());
         }
-        assert!(reader.next_record().unwrap().is_none());
+    }
+
+    /// Everything the product's reader makes of one capture.
+    #[derive(Debug, PartialEq)]
+    struct Ingested {
+        records: Vec<ProbeRecord>,
+        terminal: Option<StreamError>,
+        faults: FaultCounters,
+        non_tcp: u64,
+    }
+
+    fn ingest(bytes: &[u8], policy: FaultPolicy, queues: usize) -> Result<Ingested, PcapError> {
+        let capture = Arc::new(MappedCapture::from_bytes(bytes.to_vec()));
+        let mut stream = IngestQueues::exact(capture, queues, policy)?.spawn();
+        let mut records = Vec::new();
+        let terminal = loop {
+            match stream.try_next_batch() {
+                Ok(Some(batch)) => records.extend_from_slice(batch),
+                Ok(None) => break None,
+                Err(e) => break Some(e),
+            }
+        };
+        Ok(Ingested {
+            records,
+            terminal,
+            faults: stream.faults(),
+            non_tcp: stream.non_tcp_frames(),
+        })
+    }
+
+    /// The fault that ends `bytes` under [`FaultPolicy::Fail`], with the
+    /// records read ahead of it, the same on every queue count.
+    fn fails_with(bytes: &[u8]) -> (Vec<ProbeRecord>, PcapError) {
+        let [inline, threaded] = QUEUES.map(|q| ingest(bytes, FaultPolicy::Fail, q).unwrap());
+        assert_eq!(inline, threaded);
+        match inline.terminal {
+            Some(StreamError::Pcap(e)) => (inline.records, e),
+            other => panic!("expected a pcap fault, got {other:?}"),
+        }
+    }
+
+    /// The records a clean capture reads to, the same on every queue count.
+    fn reads_cleanly(bytes: &[u8]) -> Ingested {
+        let [inline, threaded] = QUEUES.map(|q| ingest(bytes, FaultPolicy::Fail, q).unwrap());
+        assert_eq!(inline, threaded);
+        assert_eq!(inline.terminal, None);
+        assert!(!inline.faults.any());
+        inline
     }
 
     #[test]
-    fn iterator_interface() {
-        let bytes = write_capture(&[(1, vec![9u8; 3]), (2, vec![8u8; 2])]);
-        let reader = PcapReader::new(Cursor::new(bytes)).unwrap();
-        let frames: Vec<_> = reader.map(|r| r.unwrap().data).collect();
-        assert_eq!(frames, vec![vec![9u8; 3], vec![8u8; 2]]);
+    fn write_read_round_trip() {
+        let records: Vec<ProbeRecord> = (0..3).map(probe).collect();
+        let bytes = capture_of(&records);
+        let meta = GlobalHeader::read(&mut &bytes[..]).unwrap();
+        assert_eq!(meta.linktype, LINKTYPE_ETHERNET);
+        let read = reads_cleanly(&bytes);
+        assert_eq!((read.records, read.non_tcp), (records, 0));
     }
 
     #[test]
     fn big_endian_capture_is_readable() {
-        // Hand-build a big-endian (swapped) capture with one 4-byte record.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC_MICROS.to_be_bytes());
-        bytes.extend_from_slice(&2u16.to_be_bytes());
-        bytes.extend_from_slice(&4u16.to_be_bytes());
-        bytes.extend_from_slice(&0i32.to_be_bytes());
-        bytes.extend_from_slice(&0u32.to_be_bytes());
-        bytes.extend_from_slice(&65535u32.to_be_bytes());
-        bytes.extend_from_slice(&LINKTYPE_RAW.to_be_bytes());
-        bytes.extend_from_slice(&7u32.to_be_bytes()); // ts_sec
-        bytes.extend_from_slice(&13u32.to_be_bytes()); // ts_usec
-        bytes.extend_from_slice(&4u32.to_be_bytes()); // incl_len
-        bytes.extend_from_slice(&4u32.to_be_bytes()); // orig_len
-        bytes.extend_from_slice(&[1, 2, 3, 4]);
-        let mut reader = PcapReader::new(Cursor::new(bytes)).unwrap();
-        assert_eq!(reader.linktype(), LINKTYPE_RAW);
-        let rec = reader.next_record().unwrap().unwrap();
-        assert_eq!(rec.ts_micros, 7_000_013);
-        assert_eq!(rec.data, vec![1, 2, 3, 4]);
+        // Hand-build a big-endian (swapped) capture of two probe frames:
+        // magic, version 2.4, zone, sigfigs, snaplen, link type.
+        let mut bytes: Vec<u8> = [MAGIC_MICROS, 0x0002_0004, 0, 0, 65535, LINKTYPE_RAW]
+            .iter()
+            .flat_map(|word| word.to_be_bytes())
+            .collect();
+        let mut expected = Vec::new();
+        for usec in [13, 14] {
+            let record = probe(usec);
+            let frame = frame(&record);
+            let len = frame.len() as u32;
+            let header = [7, usec, len, len]; // ts_sec, ts_usec, incl, orig
+            bytes.extend(header.iter().flat_map(|word| word.to_be_bytes()));
+            bytes.extend_from_slice(&frame);
+            expected.push(ProbeRecord {
+                ts_micros: 7_000_000 + u64::from(usec),
+                ..record
+            });
+        }
+        let meta = GlobalHeader::read(&mut &bytes[..]).unwrap();
+        assert_eq!((meta.swapped, meta.linktype), (true, LINKTYPE_RAW));
+        assert_eq!(reads_cleanly(&bytes).records, expected);
     }
 
     #[test]
     fn nanosecond_capture_timestamps_are_scaled() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC_NANOS.to_le_bytes());
-        bytes.extend_from_slice(&2u16.to_le_bytes());
-        bytes.extend_from_slice(&4u16.to_le_bytes());
-        bytes.extend_from_slice(&0i32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&65535u32.to_le_bytes());
-        bytes.extend_from_slice(&LINKTYPE_ETHERNET.to_le_bytes());
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&999_999_000u32.to_le_bytes()); // nanos
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.push(0xaa);
-        let mut reader = PcapReader::new(Cursor::new(bytes)).unwrap();
-        let rec = reader.next_record().unwrap().unwrap();
-        assert_eq!(rec.ts_micros, 1_999_999);
+        let mut bytes = write_capture(&[]);
+        bytes[..4].copy_from_slice(&MAGIC_NANOS.to_le_bytes());
+        let frame = frame(&probe(0));
+        let len = frame.len() as u32;
+        raw_header(&mut bytes, 1, 999_999_000, len, len); // nanoseconds
+        bytes.extend_from_slice(&frame);
+        let read = reads_cleanly(&bytes);
+        assert_eq!(read.records.len(), 1);
+        assert_eq!(read.records[0].ts_micros, 1_999_999);
     }
 
     #[test]
     fn bad_magic_is_rejected() {
-        let bytes = vec![0u8; 24];
-        assert_eq!(
-            PcapReader::new(Cursor::new(bytes)).unwrap_err(),
-            PcapError::BadMagic(0)
-        );
+        for queues in QUEUES {
+            let err = ingest(&[0u8; 24], FaultPolicy::SkipRecord, queues).unwrap_err();
+            assert_eq!(err, PcapError::BadMagic(0));
+        }
     }
 
     #[test]
     fn truncated_global_header_is_rejected() {
         let bytes = write_capture(&[])[..10].to_vec();
-        assert_eq!(
-            PcapReader::new(Cursor::new(bytes)).unwrap_err(),
-            PcapError::TruncatedGlobalHeader
-        );
+        for queues in QUEUES {
+            let err = ingest(&bytes, FaultPolicy::SkipRecord, queues).unwrap_err();
+            assert_eq!(err, PcapError::TruncatedGlobalHeader);
+        }
     }
 
     #[test]
     fn truncated_record_header_is_an_error_not_a_clean_eof() {
-        let mut bytes = write_capture(&[]);
+        let record = probe(0);
+        let mut bytes = capture_of(&[record]);
         bytes.extend_from_slice(&[0u8; 7]); // 7 of 16 header bytes
-        let mut reader = PcapReader::new(Cursor::new(bytes)).unwrap();
-        let err = reader.next_record().unwrap_err();
+        let (read, err) = fails_with(&bytes);
+        assert_eq!(read, [record], "the record ahead of the tear is read");
         assert_eq!(err, PcapError::TruncatedRecordHeader { got: 7 });
-        assert_eq!(err.bytes_lost(), 7, "the torn bytes are accounted");
         assert!(err.to_string().contains("7 of 16"));
+        for queues in QUEUES {
+            let skip = ingest(&bytes, FaultPolicy::SkipRecord, queues).unwrap();
+            assert_eq!((skip.records.len(), skip.terminal), (1, None));
+            assert_eq!(skip.faults.streams_truncated, 1);
+            assert_eq!(skip.faults.bytes_dropped, 7, "the torn bytes are accounted");
+        }
     }
 
     #[test]
     fn truncated_record_body_is_an_error() {
-        let mut bytes = write_capture(&[(1, vec![1u8; 8])]);
+        let records = [probe(0), probe(1)];
+        let mut bytes = capture_of(&records);
         bytes.truncate(bytes.len() - 4);
-        let mut reader = PcapReader::new(Cursor::new(bytes)).unwrap();
-        assert_eq!(
-            reader.next_record().unwrap_err(),
-            PcapError::TruncatedRecordBody {
-                expected: 8,
-                got: 4
-            }
-        );
+        let (read, err) = fails_with(&bytes);
+        assert_eq!(read, records[..1]);
+        let (expected, got) = (54, 50);
+        assert_eq!(err, PcapError::TruncatedRecordBody { expected, got });
     }
 
     #[test]
     fn absurd_incl_len_is_rejected() {
         let mut bytes = write_capture(&[]);
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&(1u32 << 30).to_le_bytes());
-        bytes.extend_from_slice(&4u32.to_le_bytes());
-        let mut reader = PcapReader::new(Cursor::new(bytes)).unwrap();
-        assert_eq!(
-            reader.next_record().unwrap_err(),
-            PcapError::SnapLenOverflow(1 << 30)
-        );
+        raw_header(&mut bytes, 0, 0, 1 << 30, 4);
+        let (read, err) = fails_with(&bytes);
+        assert!(read.is_empty());
+        assert_eq!(err, PcapError::SnapLenOverflow(1 << 30));
     }
 
     #[test]
     fn zero_length_record_is_recoverable() {
         // header claims orig_len == 0 while carrying 4 bytes; the record
-        // after it must still parse (the reader stays aligned).
+        // after it must still be read (the reader stays aligned).
         let mut bytes = write_capture(&[]);
-        bytes.extend_from_slice(&1u32.to_le_bytes()); // ts_sec
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // ts_usec
-        bytes.extend_from_slice(&4u32.to_le_bytes()); // incl_len
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // orig_len = 0: bogus
+        raw_header(&mut bytes, 1, 0, 4, 0); // orig_len = 0: bogus
         bytes.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
-        bytes.extend_from_slice(&2u32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&3u32.to_le_bytes());
-        bytes.extend_from_slice(&3u32.to_le_bytes());
-        bytes.extend_from_slice(&[7, 8, 9]);
-        let mut reader = PcapReader::new(Cursor::new(bytes)).unwrap();
-        let err = reader.next_record().unwrap_err();
+        let record = probe(9);
+        bytes.extend_from_slice(&capture_of(&[record])[GLOBAL_HEADER_LEN..]);
+        let (read, err) = fails_with(&bytes);
+        assert!(read.is_empty());
         assert_eq!(err, PcapError::ZeroLengthRecord { incl: 4 });
         assert!(err.recoverable());
-        assert_eq!(err.bytes_lost(), 4);
-        let rec = reader.next_record().unwrap().unwrap();
-        assert_eq!(rec.data, vec![7, 8, 9]);
-        assert!(reader.next_record().unwrap().is_none());
+        for queues in QUEUES {
+            let skip = ingest(&bytes, FaultPolicy::SkipRecord, queues).unwrap();
+            assert_eq!((skip.records, skip.terminal), (vec![record], None));
+            let faults = skip.faults;
+            let skipped = (faults.records_skipped, faults.bytes_dropped);
+            assert_eq!((skipped, faults.streams_truncated), ((1, 4), 0));
+        }
     }
 
     #[test]
     fn empty_frames_with_zero_wire_length_remain_valid() {
-        // (incl 0, orig 0) is a legitimate empty record, not a fault.
-        let bytes = write_capture(&[(5, Vec::new())]);
-        let mut reader = PcapReader::new(Cursor::new(bytes)).unwrap();
-        let rec = reader.next_record().unwrap().unwrap();
-        assert!(rec.data.is_empty());
-        assert_eq!(rec.orig_len, 0);
+        // (incl 0, orig 0) is a legitimate empty record, not a fault: it is
+        // a frame that is not TCP, and the record after it is read.
+        let record = probe(4);
+        let bytes = write_capture(&[(5, Vec::new()), (record.ts_micros, frame(&record))]);
+        let read = reads_cleanly(&bytes);
+        assert_eq!((read.records, read.non_tcp), (vec![record], 1));
     }
 
     #[test]

@@ -165,12 +165,6 @@ impl<T: AsRef<[u8]>> TcpPacket<T> {
         u16::from_be_bytes(self.buffer.as_ref()[field::URGENT].try_into().unwrap())
     }
 
-    /// The option bytes between the fixed header and the data offset —
-    /// feed to [`crate::tcp_options::parse_options`].
-    pub fn options(&self) -> &[u8] {
-        &self.buffer.as_ref()[HEADER_LEN..self.header_len() as usize]
-    }
-
     /// Verify the checksum over the pseudo-header and segment.
     pub fn verify_checksum(&self, src: Address, dst: Address) -> bool {
         let data = self.buffer.as_ref();
@@ -357,16 +351,15 @@ mod tests {
         buf[20] = 2; // MSS
         buf[21] = 4;
         buf[22..24].copy_from_slice(&1460u16.to_be_bytes());
+        // The header spans the options, so the decoder steps over them.
         let packet = TcpPacket::new_checked(&buf[..]).unwrap();
-        assert_eq!(packet.options().len(), 4);
-        let parsed = crate::tcp_options::parse_options(packet.options()).unwrap();
-        assert_eq!(parsed, vec![crate::tcp_options::TcpOption::Mss(1460)]);
+        assert_eq!(packet.header_len(), 24);
         // A bare header has no options.
         let bare = [
             0x00u8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x50, 0, 0, 0, 0, 0, 0, 0,
         ];
         let packet = TcpPacket::new_checked(&bare[..]).unwrap();
-        assert!(packet.options().is_empty());
+        assert_eq!(usize::from(packet.header_len()), HEADER_LEN);
     }
 
     #[test]

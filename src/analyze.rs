@@ -77,9 +77,9 @@ pub struct AnalyzeOptions {
     /// [`synscan_wire::chaos::ChaosReader`] with [`ChaosPlan::byte_noise`].
     /// The dark-set inference pass reads the capture as it is.
     pub chaos_seed: Option<u64>,
-    /// How many threads decode the capture: one ([`IngestMode::Read`] and
-    /// plain `mmap`, on the calling thread) or N behind one sequential
-    /// reader. The records, counters and terminal error are the same.
+    /// How many threads decode the capture: one (`read` and plain `mmap`, on
+    /// the calling thread) or N behind one sequential reader. The records,
+    /// counters and terminal error are the same.
     pub ingest: IngestMode,
     /// Sublinear heavy-hitter tracking (`--heavy-hitters`): when set, the
     /// analysis carries a space-saving top-K + count-min sketch over raw
@@ -248,10 +248,7 @@ fn open(
     chaos_seed: Option<u64>,
     options: &AnalyzeOptions,
 ) -> Result<PcapStream<Box<dyn Read + Send>>, PcapError> {
-    let queues = match options.ingest {
-        IngestMode::Read => 1,
-        IngestMode::Mapped { queues } => queues,
-    };
+    let queues = options.ingest.queues;
     let plan = match chaos_seed {
         Some(seed) => IngestQueues::over(
             ChaosReader::new(reader, ChaosPlan::byte_noise(seed)),

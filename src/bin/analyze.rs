@@ -24,10 +24,10 @@
 //!
 //! `--ingest mmap:N` decodes the capture's windows on N threads (clamped to
 //! the core count) behind one sequential reader, merged back in capture
-//! order; plain `mmap` is N = 1 and refuses what is not a regular file. A
-//! file is opened once per pass and streamed through a recycled window —
-//! never read whole. Results are byte-identical to `--ingest read` (the
-//! default) on every input, including corrupt ones.
+//! order; `read` (the default) and plain `mmap` are N = 1, decoded on the
+//! calling thread. A file is opened once per pass and streamed through a
+//! recycled window — never read whole. Results are byte-identical under
+//! every mode on every input, including corrupt ones.
 //!
 //! Real captures get torn and corrupted; by default (`--fault-policy
 //! fail`) the first malformed record aborts with a typed error.
@@ -79,7 +79,7 @@ use synscan::analyze::{analyze, render_report, AnalyzeOptions, CaptureInput};
 use synscan::core::store::AnalysisStore;
 use synscan::experiment::RunOptions;
 use synscan::RunStatus;
-use synscan_wire::ingest::{IngestMode, MappedCapture};
+use synscan_wire::ingest::MappedCapture;
 
 mod cli;
 use cli::{flag_dir, flag_value, sig, CheckpointFlags};
@@ -98,8 +98,8 @@ const USAGE: &str = "usage: analyze <capture.pcap | -> [--monitored N] [--year Y
                      \n  --pipeline MODE     sequential | auto | sharded:N (default sequential)\
                      \n  --materialize       load and sort the whole capture instead of \
                      streaming it (required for unordered captures)\
-                     \n  --ingest MODE       read (default) | mmap (regular files and stdin \
-                     only) | mmap:N (N decode threads)\
+                     \n  --ingest MODE       read (default) | mmap (one decode thread) | \
+                     mmap:N (N decode threads)\
                      \n  --heavy-hitters K[,WIDTH,DEPTH]  track the top-K sources in \
                      sublinear space (space-saving + count-min; default sketch 2048x4) \
                      and report the network-impact section\
@@ -175,8 +175,8 @@ fn run() -> Result<(), String> {
     let spec = checkpoint.spec()?;
 
     // A file is opened, not loaded: every pass streams it through a recycled
-    // window. stdin comes once; so does anything else `--ingest read` can
-    // open that is not a regular file (a FIFO, a process substitution).
+    // window. stdin comes once; so does anything else that opens but is not
+    // a regular file (a FIFO, a process substitution), whatever the queues.
     let capture;
     let (name, input) = if path == "-" {
         ("stdin", CaptureInput::reader(std::io::stdin()))
@@ -186,10 +186,7 @@ fn run() -> Result<(), String> {
                 capture = loaded;
                 CaptureInput::Capture(&capture)
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::InvalidInput
-                    && options.ingest == IngestMode::Read =>
-            {
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
                 let file = File::open(&path).map_err(|e| format!("cannot open {path}: {e}"))?;
                 CaptureInput::reader(file)
             }

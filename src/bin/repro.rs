@@ -24,11 +24,10 @@
 //! and reproduces the clean run's numbers exactly. Under the default
 //! `fail` policy the first injected fault aborts the run with an error.
 //!
-//! `--ingest` selects how the `pcap` target's read-back verification pass
-//! parses the exported capture: streamed off the open file (`read`,
-//! default), or opened as a reopenable capture and decoded on one (`mmap`)
-//! or N (`mmap:N`) threads. All modes read through the same window and
-//! re-import the identical record sequence.
+//! `--ingest` selects how many threads the `pcap` target's read-back
+//! verification pass decodes the exported capture on: one (`read`, the
+//! default, or `mmap`) or N (`mmap:N`). Every mode reads through the same
+//! window and re-imports the identical record sequence.
 //!
 //! `--checkpoint-dir DIR` makes the run crash-safe: each year periodically
 //! persists an atomic checkpoint of its full pipeline state, SIGINT/SIGTERM
@@ -570,21 +569,11 @@ fn pcap_export(gen: &GeneratorConfig, out: &Path, ingest: IngestMode) -> Result<
     );
     // Read-back verification through the selected ingest mode: every mode
     // must re-import the identical record sequence.
-    // Read mode is one queue over the file.
-    let (reader, queues): (Box<dyn std::io::Read + Send>, usize) = match ingest {
-        IngestMode::Read => {
-            let file = fs::File::open(&path)
-                .map_err(|e| format!("cannot re-open {}: {e}", path.display()))?;
-            (Box::new(std::io::BufReader::new(file)), 1)
-        }
-        IngestMode::Mapped { queues } => {
-            let capture = MappedCapture::load(&path)
-                .map_err(|e| format!("cannot map {}: {e}", path.display()))?;
-            (capture.reader(), queues)
-        }
-    };
+    let capture = MappedCapture::load(&path)
+        .map_err(|e| format!("cannot re-open {}: {e}", path.display()))?;
     let failed = |e: &dyn std::fmt::Display| format!("re-import of {} failed: {e}", path.display());
-    let plan = IngestQueues::over(reader, queues, FaultPolicy::Fail).map_err(|e| failed(&e))?;
+    let plan = IngestQueues::over(capture.reader(), ingest.queues, FaultPolicy::Fail)
+        .map_err(|e| failed(&e))?;
     let (reimported, _) = plan.spawn().into_records().map_err(|e| failed(&e))?;
     if reimported != output.records {
         return Err(format!(

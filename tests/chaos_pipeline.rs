@@ -18,14 +18,15 @@ mod support;
 use std::fs::File;
 use std::io::BufReader;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use synscan::analyze::{analyze, AnalyzeError, AnalyzeOptions, AnalyzeResult, CaptureInput};
 use synscan::core::pipeline::PipelineError;
 use synscan::core::PipelineMode;
 use synscan::experiment::{Experiment, RunError, RunOptions, YearRun};
 use synscan::wire::chaos::{corrupt_pcap, ChaosPlan, Fault};
-use synscan::wire::pcap::PcapReader;
-use synscan::wire::stream::{FaultPolicy, StreamError};
+use synscan::wire::ingest::{IngestQueues, MappedCapture};
+use synscan::wire::stream::{FaultPolicy, StreamError, TryRecordStream};
 use synscan::wire::PcapError;
 use synscan::{GeneratorConfig, YearConfig};
 
@@ -70,6 +71,15 @@ fn clean_capture() -> Vec<u8> {
         experiment.dark(),
     );
     export_pcap(&output.records, Vec::new()).expect("export to Vec")
+}
+
+/// FNV-1a: a digest that is stable across toolchains. The rewrites below
+/// are pinned to what `corrupt_pcap` produced when it still read its input
+/// through a record-at-a-time reader.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -130,6 +140,7 @@ fn garbage_frames_in_a_pcap_are_counted_but_do_not_change_the_analysis() {
     };
     let (dirty, log) = corrupt_pcap(&bytes, &plan).expect("clean input rewrites");
     assert!(log.garbage_frames > 0);
+    assert_eq!((dirty.len(), fnv1a(&dirty)), (3070590, 147164344901557489));
 
     let options = AnalyzeOptions::default();
     let clean = analyze_once(std::io::Cursor::new(bytes), &options).expect("clean capture");
@@ -147,6 +158,7 @@ fn duplicated_pcap_records_are_dropped_under_skip_and_match_the_clean_run() {
     };
     let (dirty, log) = corrupt_pcap(&bytes, &plan).expect("clean input rewrites");
     assert!(log.duplicates > 0);
+    assert_eq!((dirty.len(), fnv1a(&dirty)), (3187824, 9117916276474888068));
 
     let options = AnalyzeOptions {
         policy: FaultPolicy::SkipRecord,
@@ -250,37 +262,45 @@ fn heavy_timestamp_jitter_never_panics_under_skip() {
 
 #[test]
 fn corpus_files_map_to_their_exact_pcap_error() {
-    // Header-level faults error at open.
-    match PcapReader::new(corpus_file("bad_magic.pcap")) {
-        Err(PcapError::BadMagic(magic)) => assert_eq!(magic, 0xdead_beef),
-        other => panic!("bad_magic.pcap: {other:?}"),
-    }
-    assert!(matches!(
-        PcapReader::new(corpus_file("truncated_header.pcap")),
-        Err(PcapError::TruncatedGlobalHeader)
-    ));
-
-    // Record-level faults error on the first pull.
-    let first_error = |name: &str| {
-        PcapReader::new(corpus_file(name))
-            .expect("global header is valid")
-            .next_record()
-            .expect_err("first record is malformed")
-    };
-    assert_eq!(
-        first_error("truncated_record.pcap"),
-        PcapError::TruncatedRecordBody {
-            expected: 20,
-            got: 5
+    // The product's reader, inline (one queue) and threaded (three).
+    for queues in [1, 3] {
+        let open = |name: &str| {
+            let capture = MappedCapture::load(corpus_path(name)).expect("corpus file exists");
+            IngestQueues::exact(Arc::new(capture), queues, FaultPolicy::Fail)
+        };
+        // Header-level faults error at open.
+        match open("bad_magic.pcap") {
+            Err(PcapError::BadMagic(magic)) => assert_eq!(magic, 0xdead_beef),
+            other => panic!("bad_magic.pcap: {other:?}"),
         }
-    );
-    assert_eq!(
-        first_error("snaplen_overflow.pcap"),
-        PcapError::SnapLenOverflow(1 << 30)
-    );
-    let zero = first_error("zero_length.pcap");
-    assert_eq!(zero, PcapError::ZeroLengthRecord { incl: 8 });
-    assert!(zero.recoverable(), "zero-length records are skippable");
+        assert!(matches!(
+            open("truncated_header.pcap"),
+            Err(PcapError::TruncatedGlobalHeader)
+        ));
+
+        // Record-level faults error on the first pull.
+        let first_error = |name: &str| {
+            let mut stream = open(name).expect("global header is valid").spawn();
+            match stream.try_next_batch() {
+                Err(StreamError::Pcap(e)) => e,
+                other => panic!("{name} with {queues} queue(s): {other:?}"),
+            }
+        };
+        assert_eq!(
+            first_error("truncated_record.pcap"),
+            PcapError::TruncatedRecordBody {
+                expected: 20,
+                got: 5
+            }
+        );
+        assert_eq!(
+            first_error("snaplen_overflow.pcap"),
+            PcapError::SnapLenOverflow(1 << 30)
+        );
+        let zero = first_error("zero_length.pcap");
+        assert_eq!(zero, PcapError::ZeroLengthRecord { incl: 8 });
+        assert!(zero.recoverable(), "zero-length records are skippable");
+    }
     assert!(!PcapError::TruncatedGlobalHeader.recoverable());
 }
 

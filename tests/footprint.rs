@@ -7,8 +7,9 @@
 //! A counting global allocator measures the live heap and its high-water
 //! mark: of a sequential `YearCollector` over thousands of small sources, of
 //! a bare campaign detector whose sources open and close their scans one
-//! after another, and of the output path. The tests take turns through one
-//! lock, so no other test allocates while one counts.
+//! after another, of the output path, and of a frame reader told a length
+//! the peer never sends. The tests take turns through one lock, so no other
+//! test allocates while one counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -16,6 +17,8 @@ use std::sync::{Mutex, MutexGuard};
 
 use synscan::core::analysis::{YearAnalysis, YearCollector};
 use synscan::core::campaign::{CampaignConfig, CampaignDetector};
+use synscan::core::distrib::{self, DistribError, Message};
+use synscan::core::envelope::EnvelopeError;
 use synscan::core::store::{encode_year, AnalysisStore};
 use synscan::stats::mix64;
 use synscan::wire::{Ipv4Address, ProbeRecord, TcpFlags};
@@ -298,4 +301,45 @@ fn writing_a_slice_holds_a_buffer_not_the_slice() {
     );
     assert!(std::fs::read(&path).expect("read slice") == bytes);
     std::fs::remove_dir_all(&dir).expect("remove store");
+}
+
+/// Heap bytes a frame read may allocate for a payload that never arrives:
+/// the reader grows its buffer as bytes come in, at most 64 KiB ahead of
+/// them. Sized up front from the header, it allocated the whole 1 GiB the
+/// header announced before reading a payload byte.
+const MAX_LYING_FRAME_BYTES: isize = 128 << 10;
+
+/// Offset of the payload length in a frame header: magic, version, kind.
+const FRAME_LEN_AT: usize = 8 + 4 + 1;
+
+#[test]
+fn a_frame_header_alone_cannot_allocate_its_announced_length() {
+    let _turn = take_turn();
+    let mut frame = Vec::new();
+    distrib::send(&mut frame, &Message::Shutdown).expect("write to Vec");
+    // A header announcing 1 GiB (the cap), followed by 10 bytes and EOF.
+    frame[FRAME_LEN_AT..FRAME_LEN_AT + 8].copy_from_slice(&(1u64 << 30).to_le_bytes());
+    frame.extend_from_slice(&[0xa5; 10]);
+
+    let base = reset_peak();
+    let result = distrib::recv(&mut frame.as_slice());
+    let peak = peak_above(base);
+    eprintln!("a torn 1 GiB frame: peak {peak} B");
+    assert_eq!(
+        result,
+        Err(DistribError::Envelope(EnvelopeError::Truncated))
+    );
+    assert!(
+        peak <= MAX_LYING_FRAME_BYTES,
+        "reading 10 bytes of a frame peaked at {peak} B (bound {MAX_LYING_FRAME_BYTES})"
+    );
+
+    // A real payload of several 64 KiB steps still arrives whole.
+    let hello = Message::Hello {
+        proto: distrib::PROTO_VERSION,
+        worker: "w".repeat(300_000),
+    };
+    let mut frame = Vec::new();
+    distrib::send(&mut frame, &hello).expect("write to Vec");
+    assert_eq!(distrib::recv(&mut frame.as_slice()), Ok(Some(hello)));
 }

@@ -172,11 +172,7 @@ fn analysis_is_identical_for_read_and_mapped_ingest_in_every_shape() {
         PipelineMode::Sequential,
         PipelineMode::Sharded { workers: 3 },
     ];
-    let ingests = [
-        IngestMode::Read,
-        IngestMode::Mapped { queues: 1 },
-        IngestMode::Mapped { queues: 3 },
-    ];
+    let ingests = [IngestMode { queues: 1 }, IngestMode { queues: 3 }];
     let mut cells = 0;
     for (pipeline, materialize, ingest, monitored, one_shot, resumed) in pipelines
         .into_iter()
@@ -225,7 +221,7 @@ fn analysis_is_identical_for_read_and_mapped_ingest_in_every_shape() {
         );
         assert_eq!(reference.monitored, result.monitored, "{label}: dark set");
     }
-    assert_eq!(cells, 2 * 2 * 3 * 2 * 2 * 2);
+    assert_eq!(cells, 2 * 2 * 2 * 2 * 2 * 2);
 }
 
 #[test]
@@ -244,7 +240,7 @@ fn corrupt_corpus_analysis_matches_read_ingest_under_every_policy() {
                 let mapped = plain(
                     CaptureInput::Capture(&MappedCapture::from_bytes(bytes.clone())),
                     &AnalyzeOptions {
-                        ingest: IngestMode::Mapped { queues },
+                        ingest: IngestMode { queues },
                         ..base
                     },
                 );

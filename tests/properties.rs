@@ -12,6 +12,7 @@
 mod support;
 
 use std::io::Cursor;
+use std::sync::Arc;
 
 use support::seeds;
 use synscan::core::analysis::YearCollector;
@@ -26,9 +27,10 @@ use synscan::scanners::CyclicIter;
 use synscan::stats::{mix64, Rng};
 use synscan::telescope::capture::export_pcap;
 use synscan::telescope::{AddressSet, CaptureSession, TelescopeConfig};
+use synscan::wire::ingest::MappedCapture;
 use synscan::wire::json::{self, Value};
-use synscan::wire::pcap::{PcapError, PcapReader, PcapWriter, LINKTYPE_ETHERNET};
-use synscan::wire::stream::FaultPolicy;
+use synscan::wire::stream::{FaultPolicy, StreamError, TryRecordStream};
+use synscan::wire::PcapError;
 use synscan::wire::{
     ethernet, IngestQueues, Ipv4Address, Ipv4Packet, ProbeRecord, SynFrameBuilder,
 };
@@ -130,68 +132,63 @@ fn pcap_round_trip_arbitrary_records() {
     }
 }
 
-/// Arbitrary frame payloads with arbitrary timestamps survive the pcap
-/// writer/reader pair byte-for-byte.
-#[test]
-fn pcap_arbitrary_captures_round_trip() {
-    for_each_case(|seed, rng| {
-        let records: Vec<(u64, Vec<u8>)> = (0..rng.range(0..30usize))
-            .map(|_| {
-                let frame = (0..rng.range(0..200usize)).map(|_| rng.range(..)).collect();
-                (rng.range(0..4_000_000_000_000_000u64), frame)
-            })
-            .collect();
-        let mut writer = PcapWriter::new(Vec::new(), LINKTYPE_ETHERNET).unwrap();
-        for (ts, frame) in &records {
-            writer.write_record(*ts, frame).unwrap();
-        }
-        let bytes = writer.into_inner().unwrap();
-        let back: Vec<(u64, Vec<u8>)> = PcapReader::new(Cursor::new(bytes))
-            .unwrap()
-            .map(|r| {
-                let r = r.unwrap_or_else(|e| panic!("seed={seed:#x}: read failed: {e}"));
-                (r.ts_micros, r.data)
-            })
-            .collect();
-        assert_eq!(back, records, "seed={seed:#x}");
-    });
-}
-
 /// Truncating a capture anywhere yields a clean prefix of the records or a
-/// typed truncation error — never garbage records or a panic. Every cut
-/// point is tried, so no seed is involved.
+/// typed truncation error — never garbage records or a panic — from the
+/// product's reader, inline and on three decode threads. Every cut point is
+/// tried, so no seed is involved.
 #[test]
 fn pcap_truncation_is_detected() {
-    let mut writer = PcapWriter::new(Vec::new(), LINKTYPE_ETHERNET).unwrap();
-    for i in 0..5u64 {
-        writer.write_record(i * 1000, &[0xabu8; 20]).unwrap();
-    }
-    let full = writer.into_inner().unwrap();
+    /// Bytes of one record: its header and a 54-byte probe frame.
+    const RECORD: usize = 16 + 54;
+    let records: Vec<ProbeRecord> = (0..5u32)
+        .map(|i| ProbeRecord {
+            ts_micros: u64::from(i) * 1000,
+            src_ip: Ipv4Address(0xc633_6400 | i),
+            dst_ip: Ipv4Address(0xc000_0207),
+            src_port: 40_000,
+            dst_port: 23,
+            seq: i,
+            ip_id: 54_321,
+            ttl: 51,
+            flags: TcpFlags::SYN,
+            window: 1024,
+        })
+        .collect();
+    let full = export_pcap(&records, Vec::new()).expect("export to Vec");
+    assert_eq!(full.len(), 24 + 5 * RECORD);
     for cut in 24..full.len() {
-        let mut reader = PcapReader::new(Cursor::new(&full[..cut])).unwrap();
-        let mut seen = 0;
-        loop {
-            match reader.next_record() {
-                Ok(Some(rec)) => {
-                    assert_eq!(rec.data, [0xabu8; 20], "cut={cut}");
-                    seen += 1;
+        for queues in [1, 3] {
+            let capture = Arc::new(MappedCapture::from_bytes(full[..cut].to_vec()));
+            let mut stream = IngestQueues::exact(capture, queues, FaultPolicy::Fail)
+                .expect("the global header is whole")
+                .spawn();
+            let mut seen = Vec::new();
+            let end = loop {
+                match stream.try_next_batch() {
+                    Ok(Some(batch)) => seen.extend_from_slice(batch),
+                    Ok(None) => break None,
+                    Err(e) => break Some(e),
                 }
-                Ok(None) => break,
-                Err(e) => {
+            };
+            let label = format!("cut={cut} queues={queues}");
+            let whole = (cut - 24) / RECORD;
+            assert_eq!(seen, records[..whole], "{label}: the whole records");
+            match end {
+                None => assert_eq!((cut - 24) % RECORD, 0, "{label}: a clean end"),
+                Some(StreamError::Pcap(e)) => {
                     assert!(
                         matches!(
                             e,
                             PcapError::TruncatedRecordHeader { got: 1..=15 }
                                 | PcapError::TruncatedRecordBody { .. }
                         ),
-                        "cut={cut}: {e:?}"
+                        "{label}: {e:?}"
                     );
-                    assert!(!e.recoverable(), "cut={cut}");
-                    break;
+                    assert!(!e.recoverable(), "{label}");
                 }
+                Some(other) => panic!("{label}: {other:?}"),
             }
         }
-        assert!(seen <= 5, "cut={cut}");
     }
 }
 

@@ -88,7 +88,7 @@ fn slices_are_byte_identical_across_ingest_modes() {
     let mapped = analyzed(
         CaptureInput::Capture(&capture),
         &AnalyzeOptions {
-            ingest: synscan::wire::ingest::IngestMode::Mapped { queues: 2 },
+            ingest: synscan::wire::ingest::IngestMode { queues: 2 },
             ..options.clone()
         },
     );

@@ -463,7 +463,7 @@ where
     };
     let partition = Some((slice.part as usize, slice.parts.max(1) as usize));
     let plan = SinkPlan::Inline { partition };
-    let (_, analysis, _) = feed.drive(plan, restored, stream, admit)?;
+    let (_, analysis) = feed.drive(plan, restored, stream, admit)?;
     Ok(SliceOutcome {
         analysis,
         faults: feed.faults(),

@@ -33,7 +33,7 @@
 //! Long (decade-scale) runs are made crash-safe by [`checkpoint`] (atomic,
 //! checksummed snapshots of the full pipeline state, sealed by the one
 //! [`envelope`] that also seals store slices and protocol frames),
-//! [`supervise`] (worker heartbeats, panic containment, stall watchdog), and
+//! [`supervise`] (panic containment and the supervision report), and
 //! [`pipeline::supervised`] (the checkpointed, resumable driver tying both
 //! together). [`distrib`] lifts the same sharded-merge architecture across
 //! process (and host) boundaries: workers compute `(year, partition)` slice
@@ -82,9 +82,7 @@ pub use pipeline::supervised::{
 pub use pipeline::{
     AdmitState, FilterAdmit, PipelineError, PipelineMode, PipelineOutcome, RunSpec,
 };
-pub use supervise::{
-    InjectedFaults, StallEvent, SupervisionConfig, SupervisionReport, WorkerFailure,
-};
+pub use supervise::{InjectedFaults, StallEvent, SupervisionReport, WorkerFailure};
 pub use synscan_scanners::traits::ToolKind;
 
 // Re-exported at the root only because the benchmark names them here.

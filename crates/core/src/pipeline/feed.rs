@@ -15,13 +15,12 @@
 //! with the admitted records. The two sinks differ only in *where* an
 //! admitted record is collected: [`Inline`] offers it to one
 //! [`YearCollector`] right here; [`FanOut`] routes it by [`shard_of`] to one
-//! of N contained, heart-beating worker threads behind bounded channels.
+//! of N contained worker threads behind bounded channels.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Duration;
 
 use synscan_wire::stream::{
     skip_records, BatchPool, FaultCounters, FaultPolicy, StreamError, TryRecordStream,
@@ -30,9 +29,7 @@ use synscan_wire::ProbeRecord;
 
 use crate::analysis::{YearAnalysis, YearCollector};
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointHeader};
-use crate::supervise::{
-    contain, watch, HeartbeatBoard, InjectedFaults, StallEvent, SupervisionConfig, WorkerFailure,
-};
+use crate::supervise::{contain, InjectedFaults, WorkerFailure};
 
 use super::{shard_of, AdmitState, PipelineError, PipelineMode, RunSpec, BATCH_RECORDS};
 
@@ -146,8 +143,8 @@ pub(crate) struct Feed<'a, E> {
     pub(crate) written: u64,
 }
 
-/// What [`Feed::drive`] returns: `(completed, analysis, stalls)`.
-pub(crate) type Pass = (bool, Option<YearAnalysis>, Vec<StallEvent>);
+/// What [`Feed::drive`] returns: `(completed, analysis)`.
+pub(crate) type Pass = (bool, Option<YearAnalysis>);
 
 impl<'a, E: From<PipelineError>> Feed<'a, E> {
     /// At the start of the stream, with no periodic cuts, no final cut and
@@ -226,9 +223,8 @@ impl<'a, E: From<PipelineError>> Feed<'a, E> {
     /// wind the sink down. `restored` holds one collector per shard of a
     /// resumed run (empty for a fresh one). Returns whether the stream was
     /// analyzed to its (possibly lossy) end rather than interrupted by the
-    /// stop flag or the `halt_after` drill, the (merged) analysis — `None`
-    /// when no collector ever existed — and the workers the fan-out's
-    /// watchdog flagged as stalled.
+    /// stop flag or the `halt_after` drill, and the (merged) analysis —
+    /// `None` when no collector ever existed.
     pub(crate) fn drive<S, A>(
         &mut self,
         plan: SinkPlan,
@@ -256,18 +252,10 @@ impl<'a, E: From<PipelineError>> Feed<'a, E> {
                 };
                 self.run(sink, stream, admit)
             }
-            SinkPlan::FanOut {
-                workers,
-                supervision,
-                inject,
-            } => {
-                let board = HeartbeatBoard::new(workers);
-                thread::scope(|scope| {
-                    let spec = self.spec;
-                    let sink = FanOut::spawn(scope, spec, &board, supervision, inject, restored);
-                    self.run(sink, stream, admit)
-                })
-            }
+            SinkPlan::FanOut { workers, inject } => thread::scope(|scope| {
+                let sink = FanOut::spawn(scope, self.spec, workers, inject, restored);
+                self.run(sink, stream, admit)
+            }),
         }
     }
 
@@ -283,8 +271,7 @@ impl<'a, E: From<PipelineError>> Feed<'a, E> {
         // caused.
         let finished = sink.finish();
         let completed = completed?;
-        let (analysis, stalls) = finished?;
-        Ok((completed, analysis, stalls))
+        Ok((completed, finished?))
     }
 
     /// The loop itself: `Ok(true)` when the stream was analyzed to its end,
@@ -400,8 +387,8 @@ trait Sink {
     fn cut(&mut self) -> Result<Vec<Vec<u8>>, PipelineError>;
 
     /// Wind down and hand back the analysis (`None` when no collector ever
-    /// existed) and the workers flagged as stalled along the way.
-    fn finish(self) -> Result<(Option<YearAnalysis>, Vec<StallEvent>), PipelineError>;
+    /// existed).
+    fn finish(self) -> Result<Option<YearAnalysis>, PipelineError>;
 }
 
 /// Which sink a run feeds.
@@ -410,28 +397,21 @@ pub(crate) enum SinkPlan {
     /// Some((part, parts))` it keeps only records whose source hashes into
     /// `part` — a distributed slice.
     Inline { partition: Option<(usize, usize)> },
-    /// `workers` shard threads behind bounded channels, their heartbeats
-    /// watched under `supervision`; `inject` arms deterministic worker
-    /// faults for the supervision tests.
+    /// `workers` shard threads behind bounded channels; `inject` arms
+    /// deterministic worker faults for the supervision tests.
     FanOut {
         workers: usize,
-        supervision: SupervisionConfig,
         inject: Option<Arc<InjectedFaults>>,
     },
 }
 
 impl SinkPlan {
     /// The sink a [`PipelineMode`] selects.
-    pub(crate) fn for_mode(
-        mode: PipelineMode,
-        supervision: SupervisionConfig,
-        inject: Option<Arc<InjectedFaults>>,
-    ) -> Self {
+    pub(crate) fn for_mode(mode: PipelineMode, inject: Option<Arc<InjectedFaults>>) -> Self {
         match mode {
             PipelineMode::Sequential => SinkPlan::Inline { partition: None },
             PipelineMode::Sharded { .. } => SinkPlan::FanOut {
                 workers: mode.workers(),
-                supervision,
                 inject,
             },
         }
@@ -484,8 +464,8 @@ impl Sink for Inline {
         Ok(vec![Checkpoint::encode_collector(self.collector.as_ref())])
     }
 
-    fn finish(self) -> Result<(Option<YearAnalysis>, Vec<StallEvent>), PipelineError> {
-        Ok((self.collector.map(YearCollector::finish), Vec::new()))
+    fn finish(self) -> Result<Option<YearAnalysis>, PipelineError> {
+        Ok(self.collector.map(YearCollector::finish))
     }
 }
 
@@ -507,8 +487,8 @@ enum ShardMsg {
 
 /// The fan-out sink: route each record by [`shard_of`] into a per-shard
 /// batch, ship full batches over bounded channels (natural backpressure:
-/// at most `CHANNEL_DEPTH + 1` batches in flight per worker) to contained,
-/// heart-beating workers, and merge their partial analyses at the end.
+/// at most `CHANNEL_DEPTH + 1` batches in flight per worker) to contained
+/// workers, and merge their partial analyses at the end.
 struct FanOut<'scope> {
     txs: Vec<mpsc::SyncSender<ShardMsg>>,
     batches: Vec<Vec<ProbeRecord>>,
@@ -517,21 +497,16 @@ struct FanOut<'scope> {
     pool: BatchPool,
     recycle: mpsc::Receiver<Vec<ProbeRecord>>,
     joins: Vec<thread::ScopedJoinHandle<'scope, Result<Option<YearAnalysis>, WorkerFailure>>>,
-    watchdog: thread::ScopedJoinHandle<'scope, Vec<StallEvent>>,
-    /// Dropping this releases the watchdog at once.
-    done: mpsc::Sender<()>,
 }
 
 impl<'scope> FanOut<'scope> {
-    fn spawn<'env>(
-        scope: &'scope thread::Scope<'scope, 'env>,
+    fn spawn(
+        scope: &'scope thread::Scope<'scope, '_>,
         spec: RunSpec,
-        board: &'env HeartbeatBoard,
-        supervision: SupervisionConfig,
+        workers: usize,
         inject: Option<Arc<InjectedFaults>>,
         mut restored: Vec<Option<YearCollector>>,
     ) -> Self {
-        let workers = board.len();
         restored.resize_with(workers, || None);
         // Bounded to the fan-out's maximum in-flight count, so a worker's
         // try_send can only fail if the feeder stopped draining — in which
@@ -544,19 +519,15 @@ impl<'scope> FanOut<'scope> {
             txs.push(tx);
             let (recycle_tx, inject) = (recycle_tx.clone(), inject.clone());
             joins.push(scope.spawn(move || {
-                let (shard, beat) = (shard as u32, supervision.beat_every);
-                let result = contain(
+                let shard = shard as u32;
+                contain(
                     shard,
                     AssertUnwindSafe(|| {
-                        shard_worker(shard, spec, restored, rx, recycle_tx, board, beat, inject)
+                        shard_worker(shard, workers, spec, restored, rx, recycle_tx, inject)
                     }),
-                );
-                board.finish(shard as usize);
-                result
+                )
             }));
         }
-        let (done, finished) = mpsc::channel();
-        let watchdog = scope.spawn(move || watch(board, &supervision, finished));
         let mut pool = BatchPool::new();
         Self {
             txs,
@@ -564,8 +535,6 @@ impl<'scope> FanOut<'scope> {
             pool,
             recycle,
             joins,
-            watchdog,
-            done,
         }
     }
 
@@ -628,11 +597,10 @@ impl Sink for FanOut<'_> {
             .collect()
     }
 
-    fn finish(mut self) -> Result<(Option<YearAnalysis>, Vec<StallEvent>), PipelineError> {
+    fn finish(mut self) -> Result<Option<YearAnalysis>, PipelineError> {
         // Ship what is still buffered (wasted on a dead or interrupted run,
         // but harmless), close the channels so the workers drain and exit,
-        // join every one of them (a panic arrives contained, as data), then
-        // release the watchdog.
+        // and join every one of them (a panic arrives contained, as data).
         let flushed = self.flush();
         drop(self.txs);
         let mut partials = Vec::new();
@@ -645,54 +613,38 @@ impl Sink for FanOut<'_> {
                 Err(_) => _ = failed.get_or_insert(shard as u32),
             }
         }
-        drop(self.done);
-        let stalls = self.watchdog.join().unwrap_or_default();
         flushed?;
         if let Some(shard) = failed {
             return Err(PipelineError::WorkerFailed { shard });
         }
-        let analysis = (!partials.is_empty()).then(|| YearAnalysis::merge_partials(partials));
-        Ok((analysis, stalls))
+        Ok((!partials.is_empty()).then(|| YearAnalysis::merge_partials(partials)))
     }
 }
 
-/// One shard: own a full collector (fingerprint + campaigns + aggregates)
-/// for the sources routed here, beat on every message (and on every quiet
-/// `beat_every`), answer snapshot requests, and hand consumed batch buffers
-/// back to the feeder via `recycle`. Runs under [`contain`].
-#[allow(clippy::too_many_arguments)]
+/// One shard of `workers`: own a full collector (fingerprint + campaigns +
+/// aggregates) for the sources routed here, answer snapshot requests, and
+/// hand consumed batch buffers back to the feeder via `recycle`, until the
+/// feeder closes the channel. Runs under [`contain`].
 fn shard_worker(
     shard: u32,
+    workers: usize,
     spec: RunSpec,
     restored: Option<YearCollector>,
     rx: mpsc::Receiver<ShardMsg>,
     recycle: mpsc::SyncSender<Vec<ProbeRecord>>,
-    board: &HeartbeatBoard,
-    beat_every: Duration,
     inject: Option<Arc<InjectedFaults>>,
 ) -> Option<YearAnalysis> {
     let mut collector = restored;
-    loop {
-        let received = rx.recv_timeout(beat_every);
-        // A quiet channel is not a stalled worker: beat either way.
-        board.beat(shard as usize);
-        let msg = match received {
-            Ok(msg) => msg,
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        };
+    for msg in rx {
         match msg {
             ShardMsg::Origin(t0) => {
                 if collector.is_none() {
-                    collector = Some(spec.collector(Some(t0), board.len()));
+                    collector = Some(spec.collector(Some(t0), workers));
                 }
             }
             ShardMsg::Batch(mut batch) => {
-                if let Some(faults) = &inject {
-                    if faults.should_panic(shard) {
-                        panic!("injected fault: worker for shard {shard} panics");
-                    }
-                    faults.maybe_stall(shard);
+                if inject.as_ref().is_some_and(|f| f.should_panic(shard)) {
+                    panic!("injected fault: worker for shard {shard} panics");
                 }
                 let collector = collector
                     .as_mut()
@@ -704,7 +656,6 @@ fn shard_worker(
                 if let Some(last) = batch.last() {
                     collector.housekeeping(last.ts_micros);
                 }
-                board.add_records(shard as usize, batch.len() as u64);
                 batch.clear();
                 // Best-effort: a full (or closed) recycle channel just means
                 // this buffer is dropped instead of reused.
@@ -817,7 +768,7 @@ mod tests {
                 Shape::Inline => vec![(SinkPlan::Inline { partition: None }, 1)],
                 Shape::FanOut(workers) => {
                     let mode = PipelineMode::Sharded { workers };
-                    let plan = SinkPlan::for_mode(mode, SupervisionConfig::default(), None);
+                    let plan = SinkPlan::for_mode(mode, None);
                     vec![(plan, workers)]
                 }
                 Shape::Slices(parts) => (0..parts)
@@ -874,7 +825,7 @@ mod tests {
                 Some(ck) => feed.resume(ck, width, &mut stream, &mut admit)?,
                 None => Vec::new(),
             };
-            let (completed, analysis, _) = feed.drive(plan, restored, &mut stream, &mut admit)?;
+            let (completed, analysis) = feed.drive(plan, restored, &mut stream, &mut admit)?;
             assert!(completed);
             Ok((analysis, feed.faults()))
         })()

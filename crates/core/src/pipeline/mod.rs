@@ -35,7 +35,6 @@ use crate::analysis::{YearAnalysis, YearCollector};
 use crate::campaign::CampaignConfig;
 use crate::checkpoint::CheckpointError;
 use crate::sketch::HeavyHitterConfig;
-use crate::supervise::SupervisionConfig;
 
 pub(crate) mod feed;
 pub mod supervised;
@@ -392,8 +391,8 @@ where
     };
     let mut never_cut = |_: &_| Ok(());
     let mut feed = feed::Feed::<PipelineError>::start(&spec, &mut never_cut);
-    let (_, analysis, _) = feed.drive(
-        feed::SinkPlan::for_mode(mode, SupervisionConfig::default(), None),
+    let (_, analysis) = feed.drive(
+        feed::SinkPlan::for_mode(mode, None),
         Vec::new(),
         stream,
         &mut FilterAdmit(admit),

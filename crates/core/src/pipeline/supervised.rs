@@ -23,14 +23,13 @@
 //! 3. **Supervision** — shard workers run under
 //!    `supervise::contain`: a panic becomes a typed
 //!    [`PipelineError::WorkerFailed`] carrying the shard index instead of a
-//!    process abort, healthy shards are joined and drained, and a watchdog
-//!    thread flags workers that stop heartbeating within a deadline.
+//!    process abort, and healthy shards are joined and drained.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
-use crate::supervise::{InjectedFaults, SupervisionConfig, SupervisionReport};
+use crate::supervise::{InjectedFaults, SupervisionReport};
 use synscan_wire::stream::TryRecordStream;
 
 use super::feed::{Feed, SinkPlan};
@@ -55,12 +54,10 @@ pub struct CheckpointOptions {
     pub interrupt_after: Option<u64>,
 }
 
-/// Everything around the run: supervision knobs, checkpointing, resume
-/// state, and fault-injection hooks.
+/// Everything around the run: checkpointing, resume state, the stop flag
+/// and fault-injection hooks.
 #[derive(Default)]
 pub struct SupervisorOptions<'a> {
-    /// Watchdog and heartbeat timing.
-    pub supervision: SupervisionConfig,
     /// Where and how often to checkpoint; `None` disables checkpointing.
     pub checkpoint: Option<CheckpointOptions>,
     /// A prior checkpoint to resume from.
@@ -118,7 +115,7 @@ pub enum RunStatus<T = PipelineOutcome> {
     Completed {
         /// The analysis and driver-side fault tally.
         outcome: T,
-        /// Stalls and contained failures observed along the way.
+        /// Contained failures and retries observed along the way.
         report: SupervisionReport,
         /// Checkpoints written during this run.
         checkpoints: u64,
@@ -197,7 +194,6 @@ where
     A: AdmitState + ?Sized,
 {
     let SupervisorOptions {
-        supervision,
         checkpoint,
         resume,
         stop,
@@ -222,18 +218,15 @@ where
         Some(ck) => feed.resume(ck, spec.mode.workers(), stream, admit)?,
         None => Vec::new(),
     };
-    let plan = SinkPlan::for_mode(spec.mode, supervision, inject);
-    let (completed, analysis, stalls) = feed.drive(plan, restored, stream, admit)?;
+    let plan = SinkPlan::for_mode(spec.mode, inject);
+    let (completed, analysis) = feed.drive(plan, restored, stream, admit)?;
     Ok(if completed {
         RunStatus::Completed {
             outcome: PipelineOutcome {
                 analysis: analysis.unwrap_or_else(|| spec.empty_analysis()),
                 faults: feed.faults(),
             },
-            report: SupervisionReport {
-                stalls,
-                ..SupervisionReport::default()
-            },
+            report: SupervisionReport::default(),
             checkpoints: feed.written,
         }
     } else {
@@ -250,7 +243,6 @@ mod tests {
     use crate::campaign::CampaignConfig;
     use crate::pipeline::{FilterAdmit, PipelineMode, SizeHints};
     use crate::sketch::HeavyHitterConfig;
-    use std::time::{Duration, Instant};
     use synscan_wire::stream::{FaultPolicy, InfallibleStream, SliceStream, StreamError};
     use synscan_wire::{Ipv4Address, ProbeRecord, TcpFlags};
 
@@ -502,36 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_stall_is_flagged_but_the_run_completes() {
-        let recs = records(3_000);
-        let spec = spec(PipelineMode::Sharded { workers: 2 });
-        let baseline = clean_outcome(&spec, &recs);
-        let opts = SupervisorOptions {
-            supervision: SupervisionConfig {
-                stall_after: Duration::from_millis(40),
-                poll_every: Duration::from_millis(5),
-                beat_every: Duration::from_millis(10),
-            },
-            inject: Some(InjectedFaults::stall_once(0, Duration::from_millis(200))),
-            ..SupervisorOptions::default()
-        };
-        match run(&spec, opts, &recs).unwrap() {
-            RunStatus::Completed {
-                outcome, report, ..
-            } => {
-                assert_eq!(outcome, baseline, "a stall changes nothing downstream");
-                assert!(
-                    report.stalls.iter().any(|s| s.shard == 0),
-                    "the watchdog flagged the stalled shard: {:?}",
-                    report.stalls
-                );
-                assert!(report.failures.is_empty());
-            }
-            other => panic!("run did not complete: {other:?}"),
-        }
-    }
-
-    #[test]
     fn nothing_admitted_is_the_same_hinted_empty_analysis_in_every_mode() {
         // An empty stream, and a stream whose admit filter rejects
         // everything: the sharded fallback must carry the same (empty)
@@ -565,26 +527,6 @@ mod tests {
                 outcome(PipelineMode::Sharded { workers: 4 }, input)
             );
         }
-    }
-
-    #[test]
-    fn the_watchdog_does_not_outlive_the_workers_by_a_poll_interval() {
-        let spec = spec(PipelineMode::Sharded { workers: 2 });
-        let opts = SupervisorOptions {
-            supervision: SupervisionConfig {
-                poll_every: Duration::from_secs(5),
-                ..SupervisionConfig::default()
-            },
-            ..SupervisorOptions::default()
-        };
-        let started = Instant::now();
-        let status = run(&spec, opts, &[]).unwrap();
-        assert!(matches!(status, RunStatus::Completed { .. }));
-        assert!(
-            started.elapsed() < Duration::from_secs(1),
-            "the run waited {:?} for its watchdog",
-            started.elapsed()
-        );
     }
 
     #[test]

@@ -21,9 +21,9 @@ use std::time::{Duration, Instant};
 
 use crate::chaos::{hits, mix64};
 
-/// Default stall watchdog timeout, shared by the distributed coordinator's
-/// heartbeat supervision and the serve daemon's idle-connection cutoff.
-/// Matches the pre-hardening `SupervisionConfig` default of 30 s.
+/// Default stall timeout, shared by the distributed coordinator (a worker
+/// silent this long mid-slice is killed and its slice retried) and the
+/// serve daemon's idle-connection cutoff: 30 s.
 pub const DEFAULT_STALL_TIMEOUT_MS: u64 = 30_000;
 
 /// Default bound on a single request/response exchange on a serve connection.

@@ -174,24 +174,19 @@ pub mod sig {
         RAISED.store(true, Ordering::SeqCst);
     }
 
-    /// Latch `signals` (a no-op off Unix) and return the flag they raise.
+    /// Latch `signals` and return the flag they raise.
     pub fn install(signals: &[i32]) -> &'static AtomicBool {
-        #[cfg(unix)]
-        {
-            extern "C" {
-                fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-            }
-            for &signum in signals {
-                // SAFETY: `signal(2)` takes any signal number and a handler
-                // of this C signature; `on_signal` only stores to a static
-                // atomic, which is async-signal-safe, and lives forever.
-                unsafe {
-                    signal(signum, on_signal);
-                }
+        extern "C" {
+            fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        }
+        for &signum in signals {
+            // SAFETY: `signal(2)` takes any signal number and a handler of
+            // this C signature; `on_signal` only stores to a static atomic,
+            // which is async-signal-safe, and lives forever.
+            unsafe {
+                signal(signum, on_signal);
             }
         }
-        #[cfg(not(unix))]
-        let _ = (signals, on_signal as extern "C" fn(i32));
         &RAISED
     }
 }

@@ -338,17 +338,15 @@ fn run() -> Result<(), String> {
             }
         };
         checkpoint.create_dir()?;
-        let supervision = match stall_timeout {
-            Some(secs) => synscan::core::SupervisionConfig::with_stall_timeout(
-                std::time::Duration::from_secs(secs.max(1)),
-            ),
-            None => synscan::core::SupervisionConfig::default(),
+        let stall_after = match stall_timeout {
+            Some(secs) => std::time::Duration::from_secs(secs.max(1)),
+            None => std::time::Duration::from_millis(synscan::wire::net::DEFAULT_STALL_TIMEOUT_MS),
         };
         let options = synscan::DistribOptions {
             source,
             every: checkpoint.every,
             kill_drill,
-            supervision,
+            stall_after,
             checkpoint_dir: checkpoint.dir.clone(),
             net_chaos: net_chaos_seed.map(|seed| synscan::NetChaos {
                 seed,

@@ -211,24 +211,16 @@ fn emit(line: &str, bodies: bool) -> Result<(), Failure> {
 }
 
 fn run_client(spec: &str, file: &str, bodies: bool) -> Result<(), Failure> {
+    let target = Listen::parse(spec).map_err(|e| Failure::Usage(format!("--connect: {e}")))?;
     let queries = read_queries(file)?;
-    if let Some(path) = spec.strip_prefix("unix:") {
-        #[cfg(unix)]
-        {
-            let stream = std::os::unix::net::UnixStream::connect(path)
-                .map_err(|e| Failure::Runtime(format!("cannot connect to unix:{path}: {e}")))?;
-            return exchange(stream, &queries, bodies);
+    let refused = |e| Failure::Runtime(format!("cannot connect to {spec}: {e}"));
+    match target {
+        Listen::Unix(path) => {
+            let stream = std::os::unix::net::UnixStream::connect(path).map_err(refused)?;
+            exchange(stream, &queries, bodies)
         }
-        #[cfg(not(unix))]
-        {
-            return Err(Failure::Usage(format!(
-                "unix sockets are not supported on this platform (unix:{path})"
-            )));
-        }
+        Listen::Tcp(addr) => exchange(TcpStream::connect(addr).map_err(refused)?, &queries, bodies),
     }
-    let stream = TcpStream::connect(spec)
-        .map_err(|e| Failure::Runtime(format!("cannot connect to {spec}: {e}")))?;
-    exchange(stream, &queries, bodies)
 }
 
 /// Lockstep request/response exchange over one connection.

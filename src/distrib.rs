@@ -20,15 +20,14 @@
 //!   them across N workers through a shared work queue (idle workers steal
 //!   the next slice, so an uneven year mix self-balances), persists
 //!   partials into the analysis store, and retries a lost slice **from its
-//!   last received checkpoint** when a worker dies or stalls — reusing the
-//!   [`HeartbeatBoard`] / [`SupervisionConfig`] machinery that already
-//!   watches in-process shard workers.
+//!   last received checkpoint** when a worker dies, or when it stays silent
+//!   past the stall timeout while checkpoints are flowing.
 //!
 //! Failure taxonomy, in increasing severity:
 //!
 //! 1. A worker reports `Failed` (typed slice error, worker alive): the
 //!    slice is requeued and charged an attempt; the worker keeps serving.
-//! 2. A worker dies or stalls mid-slice: its pipe drops (or the watchdog
+//! 2. A worker dies or stalls mid-slice: its pipe drops (or the coordinator
 //!    kills it), the slice is requeued **at the front** together with its
 //!    last checkpoint, and — in spawn mode — a fresh worker is started.
 //! 3. A slice exhausts `MAX_ATTEMPTS` or a protocol invariant breaks:
@@ -43,16 +42,15 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use crate::experiment::{decode_capture_stats, DecadeRun, Experiment, SessionAdmit, YearRun};
 use synscan_core::checkpoint::{SnapReader, SnapWriter};
 use synscan_core::sketch::HeavyHitterConfig;
 use synscan_core::store::{decode_year, encode_year, AnalysisStore, StoreError};
-use synscan_core::supervise::HeartbeatBoard;
 use synscan_core::{
     merge_slices, plan_slices, run_slice, AdmitState, Checkpoint, DistribError, FxHasher, Message,
-    SliceSpec, SliceTask, StallEvent, SupervisionConfig, SupervisionReport, WorkerFailure,
-    PROTO_VERSION,
+    SliceSpec, SliceTask, StallEvent, SupervisionReport, WorkerFailure, PROTO_VERSION,
 };
 use synscan_synthesis::generate::GeneratorConfig;
 use synscan_synthesis::yearcfg::YearConfig;
@@ -547,16 +545,18 @@ pub struct DistribOptions {
     /// Worker fleet shape.
     pub source: WorkerSource,
     /// Checkpoint cadence in stream records (0 = completion-only; the
-    /// stall watchdog is disabled then, because a silent worker is
+    /// stall kill is disabled then, because a silent worker is
     /// indistinguishable from a busy one without mid-slice traffic).
     pub every: u64,
     /// Arm the kill drill: the first assignment handed out carries
     /// `die_after_checkpoints = Some(k)`, so that worker aborts itself
     /// after its k-th checkpoint and the coordinator must recover.
     pub kill_drill: Option<u64>,
-    /// Heartbeat cadence and stall threshold (shared with the in-process
-    /// supervisor).
-    pub supervision: SupervisionConfig,
+    /// How long a worker may stay silent mid-slice (and before its
+    /// `Hello`) before it is killed and its slice retried. Defaults to
+    /// [`synscan_wire::net::DEFAULT_STALL_TIMEOUT_MS`], the serve daemon's
+    /// idle cutoff too.
+    pub stall_after: Duration,
     /// Base directory for worker-local checkpoint spills (spawn mode sets
     /// `WORKER_SPILL_ENV` to `<dir>/worker-<n>` per child). Purely
     /// operator-visible: resume ships through the coordinator, which the
@@ -593,10 +593,24 @@ struct Shared {
     stalls: Mutex<Vec<StallEvent>>,
     failures: Mutex<Vec<WorkerFailure>>,
     retried: AtomicU32,
-    board: HeartbeatBoard,
 }
 
 impl Shared {
+    /// Fresh state with `slices` queued and the kill drill armed as `drill`.
+    fn new(slices: Vec<SliceSpec>, drill: Option<u64>) -> Self {
+        Shared {
+            queue: Mutex::new(slices.into()),
+            resume: Mutex::new(HashMap::new()),
+            attempts: Mutex::new(HashMap::new()),
+            results: Mutex::new(HashMap::new()),
+            drill: Mutex::new(drill),
+            fatal: Mutex::new(None),
+            stalls: Mutex::new(Vec::new()),
+            failures: Mutex::new(Vec::new()),
+            retried: AtomicU32::new(0),
+        }
+    }
+
     fn fail(&self, error: CoordError) {
         let mut slot = self.fatal.lock().expect("fatal lock");
         if slot.is_none() {
@@ -868,7 +882,7 @@ fn scrub_spill(conn: &mut WorkerConn) {
 
 /// Wait for the worker's `Hello` and validate its protocol version.
 fn expect_hello(conn: &WorkerConn, options: &DistribOptions) -> Result<String, CoordError> {
-    match conn.frames.recv_timeout(options.supervision.stall_after) {
+    match conn.frames.recv_timeout(options.stall_after) {
         Ok(Ok(Some(Message::Hello { proto, worker }))) => {
             if proto != PROTO_VERSION {
                 return Err(CoordError::Distrib(DistribError::Protocol(format!(
@@ -914,11 +928,9 @@ fn drive_worker(
         Err(e) => {
             conn.kill();
             shared.fail(e);
-            shared.board.finish(index);
             return;
         }
     }
-    shared.board.beat(index);
     loop {
         if shared.failed() {
             conn.kill();
@@ -927,7 +939,7 @@ fn drive_worker(
         let Some(slice) = shared.queue.lock().expect("queue lock").pop_front() else {
             // Queue drained: wave the worker goodbye and drain its pipe.
             let _ = send(&mut conn.writer, &Message::Shutdown);
-            while let Ok(item) = conn.frames.recv_timeout(options.supervision.stall_after) {
+            while let Ok(item) = conn.frames.recv_timeout(options.stall_after) {
                 if matches!(item, Ok(None) | Err(_)) {
                     break;
                 }
@@ -965,13 +977,11 @@ fn drive_worker(
                         shared.fail(e);
                         break;
                     }
-                    shared.board.beat(index);
                     continue;
                 }
                 None => break,
             }
         }
-        shared.board.beat(index);
         match pump_slice(index, &mut conn, slice, shared, options) {
             SliceEnd::Done => continue,
             SliceEnd::Abort => {
@@ -988,14 +998,12 @@ fn drive_worker(
                             shared.fail(e);
                             break;
                         }
-                        shared.board.beat(index);
                     }
                     None => break,
                 }
             }
         }
     }
-    shared.board.finish(index);
 }
 
 fn respawn_or_stop(
@@ -1017,12 +1025,11 @@ fn respawn_or_stop(
     }
 }
 
-/// Receive frames for one in-flight slice until it finishes, fails, or the
-/// worker is lost. The stall watchdog lives here: when checkpoints are
-/// flowing (`every > 0`) and the worker stays silent past the stall
-/// deadline, it is killed and the slice retried from its last checkpoint —
-/// the same contract [`synscan_core::supervise::watch`] enforces for
-/// in-process shards, but with teeth.
+/// Receive frames for one in-flight slice, just assigned, until it
+/// finishes, fails, or the worker is lost. The stall kill lives here: when
+/// checkpoints are flowing (`every > 0`) and nothing has been heard from
+/// the worker for `stall_after` since the assignment or its last
+/// `Progress`, it is killed and the slice retried from its last checkpoint.
 fn pump_slice(
     index: usize,
     conn: &mut WorkerConn,
@@ -1030,19 +1037,26 @@ fn pump_slice(
     shared: &Shared,
     options: &DistribOptions,
 ) -> SliceEnd {
-    let stall_armed = options.every > 0;
+    let stall_after = (options.every > 0).then_some(options.stall_after);
+    let mut heard = Instant::now();
     let mut last_cursor = 0u64;
     loop {
-        match conn.frames.recv_timeout(options.supervision.poll_every) {
+        let frame = match stall_after {
+            Some(after) => conn
+                .frames
+                .recv_timeout(after.saturating_sub(heard.elapsed())),
+            None => conn
+                .frames
+                .recv()
+                .map_err(|_| mpsc::RecvTimeoutError::Disconnected),
+        };
+        match frame {
             Ok(Ok(Some(Message::Progress {
                 slice: from,
                 cursor,
                 checkpoint,
             }))) if from == slice => {
-                shared.board.beat(index);
-                shared
-                    .board
-                    .add_records(index, cursor.saturating_sub(last_cursor));
+                heard = Instant::now();
                 last_cursor = cursor;
                 shared
                     .resume
@@ -1052,15 +1066,11 @@ fn pump_slice(
             }
             Ok(Ok(Some(Message::Partial {
                 slice: from,
-                cursor,
                 analysis,
                 admit_state,
                 faults,
+                ..
             }))) if from == slice => {
-                shared.board.beat(index);
-                shared
-                    .board
-                    .add_records(index, cursor.saturating_sub(last_cursor));
                 shared
                     .resume
                     .lock()
@@ -1117,22 +1127,17 @@ fn pump_slice(
                 };
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                if stall_armed
-                    && shared.board.silent_ms(index)
-                        >= options.supervision.stall_after.as_millis() as u64
-                {
-                    shared.stalls.lock().expect("stalls lock").push(StallEvent {
-                        shard: index as u32,
-                        silent_ms: shared.board.silent_ms(index),
-                        records_processed: shared.board.records_processed(index),
-                    });
-                    conn.kill();
-                    return if shared.requeue(slice, "worker stalled past the deadline") {
-                        SliceEnd::WorkerLost
-                    } else {
-                        SliceEnd::Abort
-                    };
-                }
+                shared.stalls.lock().expect("stalls lock").push(StallEvent {
+                    shard: index as u32,
+                    silent_ms: heard.elapsed().as_millis() as u64,
+                    records_processed: last_cursor,
+                });
+                conn.kill();
+                return if shared.requeue(slice, "worker stalled past the deadline") {
+                    SliceEnd::WorkerLost
+                } else {
+                    SliceEnd::Abort
+                };
             }
         }
     }
@@ -1158,18 +1163,7 @@ pub fn run_distributed(
     let slices = plan_slices(&years, parts);
     let total = slices.len();
 
-    let shared = Shared {
-        queue: Mutex::new(slices.into_iter().collect()),
-        resume: Mutex::new(HashMap::new()),
-        attempts: Mutex::new(HashMap::new()),
-        results: Mutex::new(HashMap::new()),
-        drill: Mutex::new(options.kill_drill),
-        fatal: Mutex::new(None),
-        stalls: Mutex::new(Vec::new()),
-        failures: Mutex::new(Vec::new()),
-        retried: AtomicU32::new(0),
-        board: HeartbeatBoard::new(parts as usize),
-    };
+    let shared = Shared::new(slices, options.kill_drill);
 
     // Establish the fleet up front so a bind/spawn error fails fast.
     let plumbing = Arc::new(ConnPlumbing::new(options));
@@ -1300,7 +1294,6 @@ pub use synscan_core::distrib::{recv, send};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn job_codec_roundtrips_and_rejects_malformed_blobs() {
@@ -1466,6 +1459,118 @@ mod tests {
         );
     }
 
+    fn options(every: u64, stall_after: Duration) -> DistribOptions {
+        DistribOptions {
+            source: WorkerSource::Threads(1),
+            every,
+            kill_drill: None,
+            stall_after,
+            checkpoint_dir: None,
+            net_chaos: None,
+        }
+    }
+
+    /// The coordinator's end of a fake worker on a socket pair, past its
+    /// `Hello` and with `slice` just assigned — where `drive_worker` hands
+    /// over to `pump_slice`. The fake worker reads the `Assign` and then
+    /// runs `script`.
+    fn assigned_fake_worker(
+        options: &DistribOptions,
+        slice: SliceSpec,
+        script: impl FnOnce(&mut UnixStream) + Send + 'static,
+    ) -> WorkerConn {
+        let (ours, mut theirs) = UnixStream::pair().expect("socketpair");
+        std::thread::spawn(move || {
+            let hello = Message::Hello {
+                proto: PROTO_VERSION,
+                worker: "fake".into(),
+            };
+            send(&mut theirs, &hello).expect("hello");
+            match recv(&mut theirs) {
+                Ok(Some(Message::Assign { .. })) => script(&mut theirs),
+                other => panic!("expected Assign, got {other:?}"),
+            }
+        });
+        let mut conn = conn_from_unix(ours, &ConnPlumbing::new(options)).expect("conn");
+        expect_hello(&conn, options).expect("hello");
+        let assign = Message::Assign {
+            slice,
+            every: options.every,
+            die_after_checkpoints: None,
+            job: Vec::new(),
+            resume: None,
+        };
+        send(&mut conn.writer, &assign).expect("assign");
+        conn
+    }
+
+    const SLICE: SliceSpec = SliceSpec {
+        year: 2020,
+        part: 1,
+        parts: 2,
+    };
+    const NEXT: SliceSpec = SliceSpec {
+        year: 2021,
+        part: 0,
+        parts: 2,
+    };
+
+    #[test]
+    fn a_worker_silent_past_the_stall_timeout_is_killed_and_its_slice_requeued() {
+        let options = options(500, Duration::from_millis(200));
+        let mut conn = assigned_fake_worker(&options, SLICE, |theirs| {
+            let progress = Message::Progress {
+                slice: SLICE,
+                cursor: 1_234,
+                checkpoint: vec![7; 16],
+            };
+            send(theirs, &progress).expect("progress");
+            // Silent until the kill closes the socket.
+            let _ = recv(theirs);
+        });
+        let shared = Shared::new(vec![SLICE, NEXT], None);
+        let slice = shared.queue.lock().unwrap().pop_front().unwrap();
+        let end = pump_slice(3, &mut conn, slice, &shared, &options);
+        assert!(matches!(end, SliceEnd::WorkerLost));
+
+        let stalls = shared.stalls.into_inner().unwrap();
+        assert_eq!(stalls.len(), 1, "{stalls:?}");
+        assert_eq!(stalls[0].shard, 3);
+        assert_eq!(stalls[0].records_processed, 1_234);
+        assert!(stalls[0].silent_ms >= 200, "{stalls:?}");
+        let queue = shared.queue.into_inner().unwrap();
+        assert_eq!(Vec::from(queue), [SLICE, NEXT], "back at the front");
+        assert_eq!(shared.attempts.into_inner().unwrap()[&key(SLICE)], 1);
+        assert_eq!(shared.retried.into_inner(), 1);
+        // The retry resumes from the last checkpoint the worker sent.
+        assert_eq!(shared.resume.into_inner().unwrap()[&key(SLICE)], [7; 16]);
+        assert!(shared.fatal.into_inner().unwrap().is_none());
+    }
+
+    #[test]
+    fn without_checkpoints_a_silent_worker_is_not_killed() {
+        let options = options(0, Duration::from_millis(100));
+        let mut conn = assigned_fake_worker(&options, SLICE, |theirs| {
+            std::thread::sleep(Duration::from_millis(400));
+            let partial = Message::Partial {
+                slice: SLICE,
+                cursor: 10,
+                analysis: None,
+                admit_state: vec![1, 2, 3],
+                faults: FaultCounters::default(),
+            };
+            send(theirs, &partial).expect("partial");
+        });
+        let shared = Shared::new(vec![NEXT], None);
+        let end = pump_slice(0, &mut conn, SLICE, &shared, &options);
+        assert!(matches!(end, SliceEnd::Done));
+        assert!(shared.stalls.into_inner().unwrap().is_empty());
+        assert!(shared.attempts.into_inner().unwrap().is_empty());
+        let results = shared.results.into_inner().unwrap();
+        assert_eq!(results[&key(SLICE)].admit_state, [1, 2, 3]);
+        assert_eq!(Vec::from(shared.queue.into_inner().unwrap()), [NEXT]);
+    }
+
     fn sequential_decade(gen: GeneratorConfig) -> DecadeRun {
         Experiment::new(gen)
             .decade(&crate::experiment::RunOptions::default())
@@ -1480,11 +1585,10 @@ mod tests {
         let sequential = sequential_decade(gen);
         let options = DistribOptions {
             source: WorkerSource::Threads(2),
-            every: 5_000,
-            kill_drill: None,
-            supervision: SupervisionConfig::default(),
-            checkpoint_dir: None,
-            net_chaos: None,
+            ..options(
+                5_000,
+                Duration::from_millis(synscan_wire::net::DEFAULT_STALL_TIMEOUT_MS),
+            )
         };
         let (distributed, supervision) =
             run_distributed(Experiment::new(gen), &options, None).expect("distributed run");
@@ -1504,17 +1608,7 @@ mod tests {
         // The parts=1 degenerate case: one worker serves all ten year
         // slices back to back with completion-only checkpoints.
         let gen = GeneratorConfig::tiny();
-        let options = DistribOptions {
-            source: WorkerSource::Threads(1),
-            every: 0,
-            kill_drill: None,
-            supervision: SupervisionConfig {
-                stall_after: Duration::from_secs(30),
-                ..SupervisionConfig::default()
-            },
-            checkpoint_dir: None,
-            net_chaos: None,
-        };
+        let options = options(0, Duration::from_secs(30));
         let sequential = sequential_decade(gen);
         let (distributed, _) =
             run_distributed(Experiment::new(gen), &options, None).expect("1-thread run");

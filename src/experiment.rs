@@ -36,7 +36,7 @@ use synscan_core::store::{AnalysisStore, StoreError};
 use synscan_core::{
     run_year_supervised, AdmitState, CampaignConfig, Checkpoint, CheckpointError,
     CheckpointOptions, FxHasher, InjectedFaults, RunSpec, RunStatus, SupervisionReport,
-    SupervisorOptions,
+    SupervisorOptions, WorkerFailure,
 };
 use synscan_netmodel::InternetRegistry;
 use synscan_synthesis::fanout;
@@ -260,11 +260,16 @@ pub(crate) fn supervised<'a, T>(
         _ => None,
     };
     let status = match attempt(with(resume)) {
-        Err(RunError::Pipeline(PipelineError::WorkerFailed { .. }))
+        Err(RunError::Pipeline(PipelineError::WorkerFailed { shard }))
             if opts.checkpoint.is_some() =>
         {
             let mut status = attempt(with(latest()?))?;
             if let RunStatus::Completed { report, .. } = &mut status {
+                // The panic payload already reached stderr through the hook.
+                report.failures.push(WorkerFailure {
+                    shard,
+                    message: "shard worker panicked; retried from the last checkpoint".into(),
+                });
                 report.retried += 1;
             }
             status

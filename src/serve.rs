@@ -74,7 +74,7 @@ pub enum Listen {
     /// A TCP address like `127.0.0.1:7070` (port 0 binds an ephemeral port;
     /// the bound address is reported by [`Server::endpoint`]).
     Tcp(String),
-    /// A Unix-domain socket path (Unix only).
+    /// A Unix-domain socket path.
     Unix(PathBuf),
 }
 
@@ -260,7 +260,6 @@ enum WriterMsg {
 
 enum Listener {
     Tcp(TcpListener),
-    #[cfg(unix)]
     Unix(std::os::unix::net::UnixListener),
 }
 
@@ -275,7 +274,6 @@ impl Listener {
                     .map_err(|e| ServeError::Io(format!("local_addr: {e}")))?;
                 Ok((Listener::Tcp(listener), Endpoint::Tcp(bound)))
             }
-            #[cfg(unix)]
             Listen::Unix(path) => {
                 // A previous daemon's stale socket file would make bind fail
                 // with AddrInUse even though nothing is listening.
@@ -284,11 +282,6 @@ impl Listener {
                     .map_err(|e| ServeError::Io(format!("bind {}: {e}", path.display())))?;
                 Ok((Listener::Unix(listener), Endpoint::Unix(path.clone())))
             }
-            #[cfg(not(unix))]
-            Listen::Unix(path) => Err(ServeError::BadListen(format!(
-                "unix sockets are not supported on this platform ({})",
-                path.display()
-            ))),
         }
     }
 
@@ -302,7 +295,6 @@ impl Listener {
                 stream.set_deadline(deadline)?;
                 Ok(Box::new(stream))
             }
-            #[cfg(unix)]
             Listener::Unix(listener) => {
                 let (stream, _) = listener.accept()?;
                 stream.set_deadline(deadline)?;
@@ -319,12 +311,9 @@ fn self_connect(endpoint: &Endpoint) {
         Endpoint::Tcp(addr) => {
             let _ = TcpStream::connect(addr);
         }
-        #[cfg(unix)]
         Endpoint::Unix(path) => {
             let _ = std::os::unix::net::UnixStream::connect(path);
         }
-        #[cfg(not(unix))]
-        Endpoint::Unix(_) => {}
     }
 }
 

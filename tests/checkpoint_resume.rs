@@ -196,6 +196,8 @@ fn injected_worker_panic_recovers_via_one_retry_from_checkpoint() {
         panic!("retried run must complete, got {status:?}");
     };
     assert_eq!(report.retried, 1, "exactly one retry was spent");
+    assert_eq!(report.failures.len(), 1, "the contained failure is counted");
+    assert_eq!(report.failures[0].shard, 1);
     assert_same_run(&run, &baseline);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,8 @@
 //! rejection (or a typed shed reply) within the configured deadlines —
 //! never a panic, never a hung daemon — while well-behaved clients on the
 //! same daemon keep getting correct answers. Plus the control-plane
-//! drills: graceful drain and reload-failure isolation.
+//! drills: graceful drain and reload-failure isolation, and the client's
+//! `--connect` spec parsed as strictly as `--listen`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -385,4 +386,26 @@ fn idle_connections_are_reaped_by_the_stall_cutoff() {
     server.stop();
     server.join().expect("clean join");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn connect_rejects_a_malformed_spec_as_usage_like_listen_does() {
+    for (spec, message) in [
+        ("nonsense", "`nonsense` is neither HOST:PORT nor unix:PATH"),
+        ("unix:", "unix: needs a socket path"),
+    ] {
+        for flags in [
+            &["--listen", spec][..],
+            &["--connect", spec, "--query", "-"],
+        ] {
+            let output = std::process::Command::new(env!("CARGO_BIN_EXE_synscan-serve"))
+                .args(flags)
+                .stdin(std::process::Stdio::null())
+                .output()
+                .expect("spawn synscan-serve");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(2), "{flags:?}: {stderr}");
+            assert!(stderr.contains(message), "{flags:?}: {stderr}");
+        }
+    }
 }

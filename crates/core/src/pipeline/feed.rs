@@ -708,6 +708,26 @@ mod tests {
         out
     }
 
+    /// Batch size of the matrix's middle runs, which [`edges`] is laid out
+    /// against.
+    const BATCH: usize = 257;
+
+    /// The clean [`stream`] with batch-boundary edges at batch size
+    /// [`BATCH`]: the first two batches each admit only their last record
+    /// (the first of them the stream's origin), and the sixth batch's first
+    /// record regresses — where `StopClean` stops with nothing of that
+    /// batch admitted, and `Fail` dies at a batch start here but mid-batch
+    /// when the whole stream is one batch.
+    fn edges() -> Vec<ProbeRecord> {
+        let mut records = stream();
+        for (i, record) in records[..2 * BATCH].iter_mut().enumerate() {
+            record.dst_port = if i % BATCH == BATCH - 1 { 443 } else { 23 };
+        }
+        let at = 5 * BATCH;
+        records[at].ts_micros = records[at - 1].ts_micros - 1;
+        records
+    }
+
     fn admits(record: &ProbeRecord) -> bool {
         record.dst_port != 23
     }
@@ -800,17 +820,18 @@ mod tests {
 
     type Partial = Result<(Option<YearAnalysis>, FaultCounters), PipelineError>;
 
-    /// One pass of the loop over `records` into `plan`, cutting every
-    /// `every` records, optionally resumed from `from`. Returns what the
-    /// pass produced and every cut it emitted (through the byte encoding).
+    /// One pass of the loop over `records` in batches of `batch` into
+    /// `plan`, cutting every `every` records, optionally resumed from
+    /// `from`. Returns what the pass produced and every cut it emitted
+    /// (through the byte encoding).
     fn pass(
         (plan, width): (SinkPlan, usize),
         policy: FaultPolicy,
-        records: &[ProbeRecord],
+        (records, batch): (&[ProbeRecord], usize),
         every: u64,
         from: Option<&Checkpoint>,
     ) -> (Partial, Vec<Checkpoint>) {
-        let mut input = SliceStream::with_batch_size(records, 257);
+        let mut input = SliceStream::with_batch_size(records, batch);
         let mut stream = InfallibleStream(&mut input);
         let mut admit = FilterAdmit(admits);
         let mut taken = Vec::new();
@@ -853,29 +874,40 @@ mod tests {
             (dirty(), FaultPolicy::Fail),
             (dirty(), FaultPolicy::SkipRecord),
             (dirty(), FaultPolicy::StopClean),
+            (edges(), FaultPolicy::Fail),
+            (edges(), FaultPolicy::SkipRecord),
+            (edges(), FaultPolicy::StopClean),
         ];
         for (records, policy) in &inputs {
             let (records, policy) = (records.as_slice(), *policy);
             let expected = reference(records, policy);
-            for shape in shapes {
+            for (shape, batch) in shapes
+                .into_iter()
+                .flat_map(|shape| [1, BATCH, records.len()].map(|batch| (shape, batch)))
+            {
+                let input = (records, batch);
                 for every in [0u64, 1_000] {
-                    let label = format!("{policy:?} {shape:?} every={every}");
+                    let label = format!("{policy:?} {shape:?} batch={batch} every={every}");
                     // The straight passes, then every pass again from each
                     // of its cuts with the other passes left as they were.
                     let straight: Vec<(Partial, Vec<Checkpoint>)> = shape
                         .plans()
                         .into_iter()
-                        .map(|plan| pass(plan, policy, records, every, None))
+                        .map(|plan| pass(plan, policy, input, every, None))
                         .collect();
                     let cuts: usize = straight.iter().map(|(_, cuts)| cuts.len()).sum();
-                    assert_eq!(cuts > 0, every > 0, "{label}: cuts taken");
+                    // Every input runs past `every` records before any
+                    // stop, so only a one-batch run may end uncut.
+                    if every == 0 || batch < records.len() {
+                        assert_eq!(cuts > 0, every > 0, "{label}: cuts taken");
+                    }
                     let mut variants = vec![straight.iter().map(|(p, _)| p.clone()).collect()];
                     for (i, (_, taken)) in straight.iter().enumerate() {
                         for cut in taken {
                             let plan = shape.plans().swap_remove(i);
                             let mut passes: Vec<Partial> =
                                 straight.iter().map(|(p, _)| p.clone()).collect();
-                            passes[i] = pass(plan, policy, records, every, Some(cut)).0;
+                            passes[i] = pass(plan, policy, input, every, Some(cut)).0;
                             variants.push(passes);
                         }
                     }

@@ -3,10 +3,10 @@
 //! Within each telescope /16, a deterministic keyed hash decides which
 //! addresses are dark (unused, routed to the capture host) and which are
 //! populated (real hosts — their traffic never reaches the telescope). The
-//! set supports O(1) membership (a per-/16 bitmap — the capture filter asks
-//! once per offered record), O(log n) indexing and range queries over the
-//! sorted vector, and implements the scanners' [`DarkSpace`] projection
-//! interface.
+//! set supports branch-free O(1) membership (a per-/16 bitmap — the capture
+//! filter asks once per offered record), O(log n) indexing and range
+//! queries over the sorted vector, and implements the scanners'
+//! [`DarkSpace`] projection interface.
 
 use synscan_scanners::thinning::DarkSpace;
 use synscan_scanners::traits::mix64;
@@ -17,21 +17,25 @@ use crate::config::TelescopeConfig;
 /// One bit per address of a /16: 1024 words, 8 KiB.
 type BlockBitmap = [u64; 1024];
 
+/// The telescope's /16 netblocks.
+const BLOCKS: usize = 3;
+
 /// A concrete, sorted set of dark addresses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddressSet {
     addresses: Vec<Ipv4Address>,
-    blocks: Vec<u16>,
-    /// Membership bits, one bitmap per entry of `blocks`. A block listed
-    /// twice keeps all its bits in its first entry's bitmap.
-    bitmaps: Vec<BlockBitmap>,
+    blocks: [u16; BLOCKS],
+    /// Membership bits, one bitmap per entry of `blocks` and a last,
+    /// all-zero one for every address outside them. A block listed twice
+    /// keeps all its bits in its first entry's bitmap.
+    bitmaps: Box<[BlockBitmap; BLOCKS + 1]>,
 }
 
 impl AddressSet {
     /// Materialize the dark set for a configuration.
     pub fn build(cfg: &TelescopeConfig) -> Self {
         let mut addresses = Vec::new();
-        let mut bitmaps = vec![[0u64; 1024]; cfg.blocks.len()];
+        let mut bitmaps = Box::new([[0u64; 1024]; BLOCKS + 1]);
         for (bi, &block) in cfg.blocks.iter().enumerate() {
             let keep = cfg.dark_fraction[bi] * cfg.scale;
             let slot = cfg.blocks[..bi]
@@ -51,7 +55,7 @@ impl AddressSet {
         addresses.sort();
         Self {
             addresses,
-            blocks: cfg.blocks.to_vec(),
+            blocks: cfg.blocks,
             bitmaps,
         }
     }
@@ -66,14 +70,19 @@ impl AddressSet {
         self.addresses.is_empty()
     }
 
-    /// Membership test: find the address's /16 among the (three) blocks,
-    /// then one bit of that block's bitmap.
+    /// Membership test without a data-dependent branch: a select over the
+    /// blocks picks the address's bitmap — the first entry of a block
+    /// listed twice, the all-zero one for an address outside every block —
+    /// and one bit of it answers.
+    #[inline]
     pub fn contains(&self, addr: Ipv4Address) -> bool {
+        let slash16 = addr.slash16();
+        let mut slot = BLOCKS;
+        for (i, &block) in self.blocks.iter().enumerate().rev() {
+            slot = if block == slash16 { i } else { slot };
+        }
         let low = addr.0 & 0xffff;
-        self.blocks
-            .iter()
-            .position(|&block| block == addr.slash16())
-            .is_some_and(|slot| self.bitmaps[slot][(low >> 6) as usize] >> (low & 63) & 1 == 1)
+        self.bitmaps[slot][(low >> 6) as usize] >> (low & 63) & 1 == 1
     }
 
     /// The telescope /16 blocks.

@@ -1,10 +1,10 @@
 //! The capture session: what the telescope records and forwards to analysis.
 //!
-//! Applies, in order: destination membership (only dark addresses are routed
-//! here), the ingress port policy (§3.2), and the SYN-only scan filter that
-//! separates scanning from backscatter. Everything dropped is counted, so
-//! studies can report filter efficacy. Raw admitted frames can be exported
-//! to pcap for interoperability.
+//! Applies, in order of precedence: outage windows, destination membership
+//! (only dark addresses are routed here), the ingress port policy (§3.2),
+//! and the SYN-only scan filter that separates scanning from backscatter.
+//! Everything dropped is counted, so studies can report filter efficacy.
+//! Raw admitted frames can be exported to pcap for interoperability.
 
 use std::io::Write;
 
@@ -37,23 +37,51 @@ pub enum ScanTechnique {
 }
 
 /// Classify a TCP frame's flags into the §3.1 taxonomy.
-pub fn classify_technique(flags: TcpFlags) -> ScanTechnique {
+pub const fn classify_technique(flags: TcpFlags) -> ScanTechnique {
     if flags.is_pure_syn() {
         ScanTechnique::Syn
-    } else if flags.contains(TcpFlags::SYN | TcpFlags::ACK) || flags.contains(TcpFlags::RST) {
+    } else if flags.contains(TcpFlags::SYN_ACK) || flags.contains(TcpFlags::RST) {
         ScanTechnique::Backscatter
-    } else if flags == TcpFlags::NULL {
+    } else if flags.0 == TcpFlags::NULL.0 {
         ScanTechnique::Null
-    } else if flags == TcpFlags::XMAS {
+    } else if flags.0 == TcpFlags::XMAS.0 {
         ScanTechnique::Xmas
-    } else if flags == TcpFlags::FIN {
+    } else if flags.0 == TcpFlags::FIN.0 {
         ScanTechnique::Fin
-    } else if flags == TcpFlags::ACK {
+    } else if flags.0 == TcpFlags::ACK.0 {
         ScanTechnique::Ack
     } else {
         ScanTechnique::Other
     }
 }
+
+/// Where the capture filter files a non-lost record: the index of its
+/// counter in [`CaptureSession`]'s per-reason array, which `stats` and
+/// `restore_stats` read and write in this declaration order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reason {
+    Admitted,
+    NotDark,
+    IngressBlocked,
+    Backscatter,
+    OtherTechnique,
+}
+
+/// The technique filter as a lookup: what each of the 256 flag bytes files
+/// to, evaluated once, at compile time, from [`classify_technique`].
+static BY_FLAGS: [Reason; 256] = {
+    let mut table = [Reason::OtherTechnique; 256];
+    let mut flags = 0;
+    while flags < 256 {
+        table[flags] = match classify_technique(TcpFlags(flags as u8)) {
+            ScanTechnique::Syn => Reason::Admitted,
+            ScanTechnique::Backscatter => Reason::Backscatter,
+            _ => Reason::OtherTechnique,
+        };
+        flags += 1;
+    }
+    table
+};
 
 /// Counters describing one capture run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -80,7 +108,10 @@ pub struct CaptureStats {
 pub struct CaptureSession<'a> {
     set: &'a AddressSet,
     policy: IngressPolicy,
-    stats: CaptureStats,
+    offered: u64,
+    outage_lost: u64,
+    /// One counter per [`Reason`], indexed by it.
+    counts: [u64; 5],
     outages: Vec<(u64, u64)>,
 }
 
@@ -90,7 +121,9 @@ impl<'a> CaptureSession<'a> {
         Self {
             set,
             policy: IngressPolicy::for_year(year),
-            stats: CaptureStats::default(),
+            offered: 0,
+            outage_lost: 0,
+            counts: [0; 5],
             outages: Vec::new(),
         }
     }
@@ -105,47 +138,46 @@ impl<'a> CaptureSession<'a> {
     }
 
     /// Offer one record; returns `true` when it is admitted as a scan probe.
+    ///
+    /// Past the outage check, which only a session with outage windows
+    /// makes, the reason is chosen by lookups and selects rather than early
+    /// returns, so no branch follows the traffic mix. Precedence: outage,
+    /// not dark, ingress-blocked, then the flags' technique.
+    #[inline]
     pub fn offer(&mut self, record: &ProbeRecord) -> bool {
-        self.stats.offered += 1;
-        if self
-            .outages
-            .iter()
-            .any(|&(s, e)| record.ts_micros >= s && record.ts_micros < e)
-        {
-            self.stats.outage_lost += 1;
+        self.offered += 1;
+        let ts = record.ts_micros;
+        if !self.outages.is_empty() && self.outages.iter().any(|&(s, e)| ts >= s && ts < e) {
+            self.outage_lost += 1;
             return false;
         }
-        if !self.set.contains(record.dst_ip) {
-            self.stats.not_dark += 1;
-            return false;
-        }
-        if !self.policy.admits(record) {
-            self.stats.ingress_blocked += 1;
-            return false;
-        }
-        match classify_technique(record.flags) {
-            ScanTechnique::Syn => {}
-            ScanTechnique::Backscatter => {
-                self.stats.backscatter += 1;
-                return false;
-            }
-            _ => {
-                self.stats.other_scan_techniques += 1;
-                return false;
-            }
-        }
-        self.stats.admitted += 1;
-        true
-    }
-
-    /// Filter a batch, returning the admitted records.
-    pub fn filter(&mut self, records: impl IntoIterator<Item = ProbeRecord>) -> Vec<ProbeRecord> {
-        records.into_iter().filter(|r| self.offer(r)).collect()
+        let technique = BY_FLAGS[usize::from(record.flags.0)];
+        let ingress = if self.policy.blocks(record.dst_port) {
+            Reason::IngressBlocked
+        } else {
+            technique
+        };
+        let reason = if self.set.contains(record.dst_ip) {
+            ingress
+        } else {
+            Reason::NotDark
+        };
+        self.counts[reason as usize] += 1;
+        reason == Reason::Admitted
     }
 
     /// The running counters.
     pub fn stats(&self) -> CaptureStats {
-        self.stats
+        let [admitted, not_dark, ingress_blocked, backscatter, other_scan_techniques] = self.counts;
+        CaptureStats {
+            offered: self.offered,
+            not_dark,
+            outage_lost: self.outage_lost,
+            ingress_blocked,
+            backscatter,
+            other_scan_techniques,
+            admitted,
+        }
     }
 
     /// Replace the running counters wholesale.
@@ -154,7 +186,15 @@ impl<'a> CaptureSession<'a> {
     /// observable output, so a resumed run restores them from the snapshot
     /// instead of recounting the already-processed prefix.
     pub fn restore_stats(&mut self, stats: CaptureStats) {
-        self.stats = stats;
+        self.offered = stats.offered;
+        self.outage_lost = stats.outage_lost;
+        self.counts = [
+            stats.admitted,
+            stats.not_dark,
+            stats.ingress_blocked,
+            stats.backscatter,
+            stats.other_scan_techniques,
+        ];
     }
 }
 
@@ -204,6 +244,122 @@ mod tests {
             ttl: 55,
             flags,
             window: 1024,
+        }
+    }
+
+    /// The capture filter as an early-return chain, each drop reason
+    /// tested in turn — the reference the table-driven
+    /// [`CaptureSession::offer`] must agree with. Membership reads the
+    /// sorted address vector, not the bitmaps.
+    struct Chain<'a> {
+        set: &'a AddressSet,
+        year: u16,
+        outages: Vec<(u64, u64)>,
+        stats: CaptureStats,
+    }
+
+    impl Chain<'_> {
+        fn offer(&mut self, record: &ProbeRecord) -> bool {
+            self.stats.offered += 1;
+            if self
+                .outages
+                .iter()
+                .any(|&(s, e)| record.ts_micros >= s && record.ts_micros < e)
+            {
+                self.stats.outage_lost += 1;
+                return false;
+            }
+            if self.set.addresses().binary_search(&record.dst_ip).is_err() {
+                self.stats.not_dark += 1;
+                return false;
+            }
+            if self.year >= 2017 && [23, 445].contains(&record.dst_port) {
+                self.stats.ingress_blocked += 1;
+                return false;
+            }
+            match classify_technique(record.flags) {
+                ScanTechnique::Syn => {}
+                ScanTechnique::Backscatter => {
+                    self.stats.backscatter += 1;
+                    return false;
+                }
+                _ => {
+                    self.stats.other_scan_techniques += 1;
+                    return false;
+                }
+            }
+            self.stats.admitted += 1;
+            true
+        }
+    }
+
+    #[test]
+    fn offer_agrees_with_the_early_return_chain_on_every_input() {
+        let paper = TelescopeConfig::paper_scaled(128);
+        let mut twice = paper.clone();
+        twice.blocks[2] = twice.blocks[0];
+        let outage = (1_000, 2_000);
+        for cfg in [paper, twice] {
+            let set = AddressSet::build(&cfg);
+            // Per listed block, a dark and a populated address; then one
+            // outside the telescope.
+            let mut dsts = Vec::new();
+            for &block in &cfg.blocks {
+                let base = u32::from(block) << 16;
+                let mut block_addrs = (base..base + 65_536).map(Ipv4Address);
+                let listed = |a: &Ipv4Address| set.addresses().binary_search(a).is_ok();
+                dsts.push(block_addrs.clone().find(listed).unwrap());
+                dsts.push(block_addrs.find(|a| !listed(a)).unwrap());
+            }
+            dsts.push(Ipv4Address::new(8, 8, 8, 8));
+            for year in [2016, 2017, 2024] {
+                for outages in [vec![], vec![outage]] {
+                    let mut records = Vec::new();
+                    for flags in 0..=u8::MAX {
+                        for &dst in &dsts {
+                            for port in [0, 22, 23, 445, 2323, 65_535] {
+                                for ts in [outage.0 - 1, (outage.0 + outage.1) / 2, outage.1] {
+                                    let mut r = record(dst, port, TcpFlags(flags));
+                                    r.ts_micros = ts;
+                                    records.push(r);
+                                }
+                            }
+                        }
+                    }
+                    let mut chain = Chain {
+                        set: &set,
+                        year,
+                        outages: outages.clone(),
+                        stats: CaptureStats::default(),
+                    };
+                    let mut session = CaptureSession::with_outages(&set, year, outages.clone());
+                    let (head, tail) = records.split_at(records.len() / 2);
+                    for r in head {
+                        assert_eq!(session.offer(r), chain.offer(r), "{year} {r:?}");
+                        assert_eq!(session.stats(), chain.stats, "{year} {r:?}");
+                    }
+                    // A resumed session picks the counters up mid-stream.
+                    let mut session = CaptureSession::with_outages(&set, year, outages);
+                    session.restore_stats(chain.stats);
+                    assert_eq!(session.stats(), chain.stats);
+                    for r in tail {
+                        assert_eq!(session.offer(r), chain.offer(r), "{year} {r:?}");
+                        assert_eq!(session.stats(), chain.stats, "{year} {r:?}");
+                    }
+                    let stats = session.stats();
+                    assert!(stats.admitted > 0 && stats.not_dark > 0 && stats.backscatter > 0);
+                    assert!(stats.other_scan_techniques > 0);
+                    assert_eq!(stats.ingress_blocked > 0, year >= 2017, "{year}");
+                }
+            }
+            // The "no blocked port" value must equal no real port.
+            let mut session = CaptureSession::new(&set, 2016);
+            for port in [0, 23, 445, 65_535] {
+                assert!(
+                    session.offer(&record(dsts[0], port, TcpFlags::SYN)),
+                    "{port}"
+                );
+            }
         }
     }
 
@@ -321,22 +477,6 @@ mod tests {
         let mut session = CaptureSession::new(&set, 2016);
         assert!(session.offer(&record(dark, 23, TcpFlags::SYN)));
         assert!(session.offer(&record(dark, 445, TcpFlags::SYN)));
-    }
-
-    #[test]
-    fn batch_filter_returns_admitted_only() {
-        let set = set();
-        let dark = set.addresses()[1];
-        let mut session = CaptureSession::new(&set, 2019);
-        let batch = vec![
-            record(dark, 80, TcpFlags::SYN),
-            record(dark, 80, TcpFlags::SYN_ACK),
-            record(dark, 445, TcpFlags::SYN),
-            record(dark, 2323, TcpFlags::SYN),
-        ];
-        let admitted = session.filter(batch);
-        assert_eq!(admitted.len(), 2);
-        assert!(admitted.iter().all(|r| r.is_syn_scan()));
     }
 
     #[test]

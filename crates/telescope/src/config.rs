@@ -18,11 +18,6 @@ pub struct TelescopeConfig {
     pub scale: f64,
     /// Seed controlling which addresses inside each block are dark.
     pub seed: u64,
-    /// Outage windows `[start, end)` in µs relative to the capture start —
-    /// §3.2: "the telescope used for this study has had some outages over
-    /// the years", which is why each year's dataset is the longest
-    /// *continuous* stretch. Frames arriving during an outage are lost.
-    pub outages: Vec<(u64, u64)>,
 }
 
 impl TelescopeConfig {
@@ -37,7 +32,6 @@ impl TelescopeConfig {
             dark_fraction: [0.55, 0.30, 0.2415],
             scale: 1.0,
             seed: 0x7e1e_5c0e,
-            outages: Vec::new(),
         }
     }
 
@@ -53,13 +47,6 @@ impl TelescopeConfig {
     /// Expected number of dark addresses under this configuration.
     pub fn expected_dark_addresses(&self) -> f64 {
         self.dark_fraction.iter().sum::<f64>() * 65_536.0 * self.scale
-    }
-
-    /// True when `ts_micros` (relative to capture start) falls in an outage.
-    pub fn in_outage(&self, ts_micros: u64) -> bool {
-        self.outages
-            .iter()
-            .any(|&(start, end)| ts_micros >= start && ts_micros < end)
     }
 }
 
@@ -88,19 +75,6 @@ mod tests {
         let full = TelescopeConfig::paper().expected_dark_addresses();
         let scaled = TelescopeConfig::paper_scaled(64).expected_dark_addresses();
         assert!((full / scaled - 64.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn outage_windows_are_checked() {
-        let mut cfg = TelescopeConfig::paper();
-        assert!(!cfg.in_outage(0));
-        cfg.outages.push((1_000, 2_000));
-        cfg.outages.push((5_000, 6_000));
-        assert!(!cfg.in_outage(999));
-        assert!(cfg.in_outage(1_000));
-        assert!(cfg.in_outage(1_999));
-        assert!(!cfg.in_outage(2_000));
-        assert!(cfg.in_outage(5_500));
     }
 
     #[test]

@@ -5,63 +5,51 @@
 //! telescope since the advent of Mirai in 2016. This means that our dataset
 //! does not contain traffic to these two ports from 2017 onwards."*
 
-use synscan_wire::ProbeRecord;
-
-/// The year-dependent port-blocking policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The year-dependent port-blocking policy, precomputed as a fixed-width
+/// compare: the capture filter asks once per offered record, without a
+/// branch on the port or the year.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct IngressPolicy {
-    /// The capture year the policy is evaluated for.
-    pub year: u16,
+    /// The blocked ports widened to `u32`; an unused slot holds
+    /// [`IngressPolicy::UNUSED`], which no `u16` port widens to.
+    blocked: [u32; 2],
 }
 
 impl IngressPolicy {
+    /// Fills a slot when the year blocks fewer ports than there are slots.
+    const UNUSED: u32 = u32::MAX;
+
     /// Policy for a given capture year.
     pub(crate) fn for_year(year: u16) -> Self {
-        Self { year }
-    }
-
-    /// The ports dropped at the ingress in this year.
-    pub(crate) fn blocked_ports(&self) -> &'static [u16] {
-        if self.year >= 2017 {
-            &[23, 445]
+        let blocked = if year >= 2017 {
+            [23, 445]
         } else {
-            &[]
-        }
+            [Self::UNUSED; 2]
+        };
+        Self { blocked }
     }
 
-    /// True when a record survives the ingress filter.
-    pub(crate) fn admits(&self, record: &ProbeRecord) -> bool {
-        !self.blocked_ports().contains(&record.dst_port)
+    /// True when the ingress drops traffic to `port` in this year.
+    #[inline]
+    pub(crate) fn blocks(&self, port: u16) -> bool {
+        let port = u32::from(port);
+        (port == self.blocked[0]) | (port == self.blocked[1])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synscan_wire::{Ipv4Address, TcpFlags};
-
-    fn record(port: u16) -> ProbeRecord {
-        ProbeRecord {
-            ts_micros: 0,
-            src_ip: Ipv4Address(1),
-            dst_ip: Ipv4Address(2),
-            src_port: 1000,
-            dst_port: port,
-            seq: 0,
-            ip_id: 0,
-            ttl: 64,
-            flags: TcpFlags::SYN,
-            window: 1024,
-        }
-    }
 
     #[test]
     fn before_2017_everything_passes() {
         for year in [2015u16, 2016] {
             let policy = IngressPolicy::for_year(year);
-            assert!(policy.blocked_ports().is_empty());
-            assert!(policy.admits(&record(23)));
-            assert!(policy.admits(&record(445)));
+            // Every port, so the unused-slot value can equal none of them.
+            assert!(
+                (0..=u16::MAX).all(|port| !policy.blocks(port)),
+                "year {year}"
+            );
         }
     }
 
@@ -69,10 +57,9 @@ mod tests {
     fn from_2017_telnet_and_smb_are_dropped() {
         for year in [2017u16, 2020, 2024] {
             let policy = IngressPolicy::for_year(year);
-            assert!(!policy.admits(&record(23)), "year {year}");
-            assert!(!policy.admits(&record(445)), "year {year}");
-            assert!(policy.admits(&record(2323)), "Mirai's alias must pass");
-            assert!(policy.admits(&record(80)));
+            let blocked: Vec<u16> = (0..=u16::MAX).filter(|&p| policy.blocks(p)).collect();
+            assert_eq!(blocked, [23, 445], "year {year}");
+            assert!(!policy.blocks(2323), "Mirai's alias must pass");
         }
     }
 }

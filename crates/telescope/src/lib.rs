@@ -15,7 +15,7 @@
 //!   for affordable simulation), implementing the
 //!   [`synscan_scanners::thinning::DarkSpace`] projection interface.
 //! * [`config`] — telescope configuration: the three /16s, per-block dark
-//!   fractions, scale factor, outage windows.
+//!   fractions, scale factor, address seed.
 //! * [`ingress`] — the port-blocking policy timeline.
 //! * [`capture`] — a capture session: SYN filtering, backscatter separation,
 //!   ingress policy, and counters; plus pcap export of the raw stream.

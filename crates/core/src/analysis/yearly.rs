@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn summary_is_bit_equal_across_pipeline_modes() {
         use crate::pipeline::{try_collect_year_stream, PipelineMode, SizeHints};
-        use synscan_wire::stream::{FaultPolicy, InfallibleStream, SliceStream};
+        use synscan_wire::stream::{FaultPolicy, SliceStream};
         let cfg = CampaignConfig {
             min_distinct_dests: 5,
             min_rate_pps: 1.0,
@@ -232,7 +232,7 @@ mod tests {
                 PipelineMode::Sharded { workers },
                 SizeHints::default(),
                 FaultPolicy::Fail,
-                &mut InfallibleStream(&mut SliceStream::new(&records)),
+                &mut SliceStream::new(&records),
                 |_| true,
             )
             .expect("a clean ordered slice cannot fault")

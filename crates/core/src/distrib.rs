@@ -494,7 +494,7 @@ mod tests {
     use super::*;
     use crate::pipeline::FilterAdmit;
     use crate::pipeline::{try_collect_year_stream, PipelineMode};
-    use synscan_wire::stream::{InfallibleStream, SliceStream, StreamError};
+    use synscan_wire::stream::{SliceStream, StreamError};
     use synscan_wire::{Ipv4Address, ProbeRecord, TcpFlags};
 
     fn cfg() -> CampaignConfig {
@@ -543,7 +543,6 @@ mod tests {
         sink: &mut Vec<Checkpoint>,
     ) -> SliceOutcome {
         let mut stream = SliceStream::with_batch_size(recs, 257);
-        let mut stream = InfallibleStream(&mut stream);
         let mut admit = FilterAdmit(|r: &ProbeRecord| r.dst_port != 23);
         run_slice(
             &task(slice, every),
@@ -560,7 +559,6 @@ mod tests {
 
     fn sequential(recs: &[ProbeRecord]) -> YearAnalysis {
         let mut stream = SliceStream::with_batch_size(recs, 257);
-        let mut stream = InfallibleStream(&mut stream);
         try_collect_year_stream(
             2020,
             cfg(),
@@ -615,7 +613,6 @@ mod tests {
             // Round-trip the checkpoint through its wire form first.
             let restored = Checkpoint::from_bytes(&ck.to_bytes()).expect("checkpoint roundtrip");
             let mut stream = SliceStream::with_batch_size(&recs, 257);
-            let mut stream = InfallibleStream(&mut stream);
             let mut admit = FilterAdmit(|r: &ProbeRecord| r.dst_port != 23);
             let resumed = run_slice(
                 &task(slice, 0),
@@ -647,7 +644,6 @@ mod tests {
         run_part(&recs, slice, 1000, &mut cuts);
         let ck = cuts.first().expect("one checkpoint");
         let mut stream = SliceStream::with_batch_size(&recs, 257);
-        let mut stream = InfallibleStream(&mut stream);
         let mut admit = FilterAdmit(|_: &ProbeRecord| true);
         let mut wrong = task(slice, 0);
         wrong.seed = 43;
@@ -870,7 +866,6 @@ mod tests {
         // produces.
         let recs = records();
         let mut stream = SliceStream::new(&recs);
-        let mut stream = InfallibleStream(&mut stream);
         let sequential_empty = try_collect_year_stream(
             2020,
             cfg(),

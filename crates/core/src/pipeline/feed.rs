@@ -676,7 +676,7 @@ mod tests {
     use crate::pipeline::supervised::RunError;
     use crate::pipeline::tests::{cfg, stream};
     use crate::pipeline::{FilterAdmit, SizeHints};
-    use synscan_wire::stream::{InfallibleStream, SliceStream};
+    use synscan_wire::stream::SliceStream;
 
     const YEAR: u16 = 2020;
     const SEED: u64 = 9;
@@ -831,8 +831,7 @@ mod tests {
         every: u64,
         from: Option<&Checkpoint>,
     ) -> (Partial, Vec<Checkpoint>) {
-        let mut input = SliceStream::with_batch_size(records, batch);
-        let mut stream = InfallibleStream(&mut input);
+        let mut stream = SliceStream::with_batch_size(records, batch);
         let mut admit = FilterAdmit(admits);
         let mut taken = Vec::new();
         let mut emit = |cut: &Checkpoint| -> Result<(), RunError> {

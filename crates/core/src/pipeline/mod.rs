@@ -406,7 +406,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synscan_wire::stream::{InfallibleStream, SliceStream};
+    use synscan_wire::stream::SliceStream;
     use synscan_wire::TcpFlags;
 
     pub(super) fn cfg() -> CampaignConfig {
@@ -464,7 +464,7 @@ mod tests {
             mode,
             hints,
             FaultPolicy::Fail,
-            &mut InfallibleStream(&mut input),
+            &mut input,
             admit,
         )
         .expect("a clean ordered slice cannot fault")
@@ -608,7 +608,6 @@ mod tests {
             assert!(got.campaigns.is_empty());
 
             let mut stream = SliceStream::new(&[]);
-            let mut stream = InfallibleStream(&mut stream);
             let outcome = try_collect_year_stream(
                 2020,
                 cfg(),
@@ -738,7 +737,6 @@ mod tests {
             PipelineMode::Sharded { workers: 3 },
         ] {
             let mut input = SliceStream::with_batch_size(&dirty, 257);
-            let mut input = InfallibleStream(&mut input);
             let outcome = try_collect_year_stream(
                 2020,
                 cfg(),
@@ -759,7 +757,6 @@ mod tests {
         // Under the strict policy duplicates are analyzed as-is: more
         // packets than the clean run.
         let mut input = SliceStream::with_batch_size(&dirty, 257);
-        let mut input = InfallibleStream(&mut input);
         let outcome = try_collect_year_stream(
             2020,
             cfg(),
@@ -785,7 +782,6 @@ mod tests {
             PipelineMode::Sharded { workers: 3 },
         ] {
             let mut input = SliceStream::with_batch_size(&records, 257);
-            let mut input = InfallibleStream(&mut input);
             let err = try_collect_year_stream(
                 2020,
                 cfg(),
@@ -804,7 +800,6 @@ mod tests {
             );
 
             let mut input = SliceStream::with_batch_size(&records, 257);
-            let mut input = InfallibleStream(&mut input);
             let outcome = try_collect_year_stream(
                 2020,
                 cfg(),

@@ -243,7 +243,7 @@ mod tests {
     use crate::campaign::CampaignConfig;
     use crate::pipeline::{FilterAdmit, PipelineMode, SizeHints};
     use crate::sketch::HeavyHitterConfig;
-    use synscan_wire::stream::{FaultPolicy, InfallibleStream, SliceStream, StreamError};
+    use synscan_wire::stream::{FaultPolicy, SliceStream, StreamError};
     use synscan_wire::{Ipv4Address, ProbeRecord, TcpFlags};
 
     fn cfg() -> CampaignConfig {
@@ -301,8 +301,7 @@ mod tests {
         opts: SupervisorOptions<'_>,
         recs: &[ProbeRecord],
     ) -> Result<RunStatus, RunError> {
-        let mut inner = SliceStream::with_batch_size(recs, 257);
-        let mut stream = InfallibleStream(&mut inner);
+        let mut stream = SliceStream::with_batch_size(recs, 257);
         let mut admit = FilterAdmit(|_: &ProbeRecord| true);
         run_year_supervised(spec, opts, &mut stream, &mut admit)
     }
@@ -505,14 +504,10 @@ mod tests {
                 hints,
                 ..spec(mode)
             };
-            let mut inner = SliceStream::with_batch_size(recs, 257);
+            let mut stream = SliceStream::with_batch_size(recs, 257);
             let mut admit = FilterAdmit(|_: &ProbeRecord| false);
-            let status = run_year_supervised(
-                &spec,
-                SupervisorOptions::default(),
-                &mut InfallibleStream(&mut inner),
-                &mut admit,
-            );
+            let status =
+                run_year_supervised(&spec, SupervisorOptions::default(), &mut stream, &mut admit);
             match status.unwrap() {
                 RunStatus::Completed { outcome, .. } => outcome,
                 other => panic!("run did not complete: {other:?}"),

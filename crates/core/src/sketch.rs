@@ -64,6 +64,10 @@ pub(crate) const TOOL_SLOT_NAMES: [&str; TOOL_SLOTS] = [
     "custom",
 ];
 
+/// The widest count-min row a config may ask for; at the maximum depth of
+/// 16 its matrix is 128 MiB.
+const MAX_COUNT_MIN_WIDTH: u32 = 1 << 20;
+
 /// Sketch sizing: top-K capacity plus the count-min matrix dimensions.
 ///
 /// Parsed from the CLI as `k[,width,depth]` (`--heavy-hitters 10,2048,4`);
@@ -99,7 +103,9 @@ impl HeavyHitterConfig {
     }
 
     /// Validate the dimensions (all must be ≥ 1; depth is capped at 16 —
-    /// `δ = e^-16` is already ~1e-7 and deeper matrices only cost memory).
+    /// `δ = e^-16` is already ~1e-7 and deeper matrices only cost memory —
+    /// and width at 2^20: `ε` ≈ 2.6e-6 there, and every collector allocates
+    /// its `width × depth` matrix up front).
     pub fn validate(&self) -> Result<(), String> {
         if self.k == 0 || self.width == 0 || self.depth == 0 {
             return Err(format!(
@@ -108,6 +114,12 @@ impl HeavyHitterConfig {
         }
         if self.depth > 16 {
             return Err(format!("count-min depth {} exceeds 16", self.depth));
+        }
+        if self.width > MAX_COUNT_MIN_WIDTH {
+            return Err(format!(
+                "count-min width {} exceeds {MAX_COUNT_MIN_WIDTH}",
+                self.width
+            ));
         }
         Ok(())
     }
@@ -1015,6 +1027,10 @@ mod tests {
         assert!("0".parse::<HeavyHitterConfig>().is_err());
         assert!("4,0".parse::<HeavyHitterConfig>().is_err());
         assert!("4,16,99".parse::<HeavyHitterConfig>().is_err());
+        // The matrix is allocated up front: width is capped at 2^20.
+        assert!("8,1048576,16".parse::<HeavyHitterConfig>().is_ok());
+        assert!("8,1048577".parse::<HeavyHitterConfig>().is_err());
+        assert!("8,4294967295".parse::<HeavyHitterConfig>().is_err());
         assert!("4,16,2,9".parse::<HeavyHitterConfig>().is_err());
         assert!("x".parse::<HeavyHitterConfig>().is_err());
         let spec: HeavyHitterConfig = "7,128,3".parse().unwrap();

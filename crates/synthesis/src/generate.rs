@@ -884,7 +884,7 @@ fn generate_orgs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synscan_wire::stream::RecordStream;
+    use synscan_wire::stream::TryRecordStream;
 
     fn setup() -> (GeneratorConfig, InternetRegistry, AddressSet) {
         let gen = GeneratorConfig::tiny();
@@ -932,7 +932,10 @@ mod tests {
             assert_eq!(plan.total_records() as usize, materialized.len());
 
             let mut stream = plan.stream(&dark);
-            let streamed = synscan_wire::stream::collect(&mut stream);
+            let mut streamed = Vec::new();
+            while let Some(batch) = stream.try_next_batch().unwrap() {
+                streamed.extend_from_slice(batch);
+            }
             assert_eq!(streamed, materialized, "heap merge differs, year {year}");
             assert_eq!(stream.emitted(), plan.total_records());
         }
@@ -946,7 +949,7 @@ mod tests {
         let total = plan.total_records() as usize;
         let mut stream = plan.stream(&dark);
         let mut batches = 0u64;
-        while stream.next_batch().is_some() {
+        while stream.try_next_batch().unwrap().is_some() {
             batches += 1;
         }
         assert!(batches > 1, "a year must span multiple batches");

@@ -42,7 +42,7 @@ use synscan_stats::Rng;
 
 use synscan_scanners::traits::{craft_record, mix64, ToolKind};
 use synscan_telescope::{AddressSet, BackscatterGenerator};
-use synscan_wire::stream::{NullSink, RecordSink, RecordStream, BATCH_RECORDS};
+use synscan_wire::stream::{NullSink, RecordSink, StreamError, TryRecordStream, BATCH_RECORDS};
 use synscan_wire::{Ipv4Address, ProbeRecord};
 
 use crate::generate::{emit_campaign, make_crafter, GroundTruth};
@@ -240,7 +240,8 @@ impl YearPlan {
         records
     }
 
-    /// The year as a bounded-memory [`RecordStream`].
+    /// The year as a bounded-memory [`TryRecordStream`] (one that never
+    /// errors).
     pub fn stream<'p>(&'p self, dark: &'p AddressSet) -> YearStream<'p> {
         YearStream::new(self, dark)
     }
@@ -355,8 +356,8 @@ impl<'p> YearStream<'p> {
     }
 }
 
-impl RecordStream for YearStream<'_> {
-    fn next_batch(&mut self) -> Option<&[ProbeRecord]> {
+impl TryRecordStream for YearStream<'_> {
+    fn try_next_batch(&mut self) -> Result<Option<&[ProbeRecord]>, StreamError> {
         self.batch.clear();
         while self.batch.len() < BATCH_RECORDS {
             self.open_due();
@@ -376,14 +377,10 @@ impl RecordStream for YearStream<'_> {
             }
         }
         if self.batch.is_empty() {
-            None
+            Ok(None)
         } else {
-            Some(&self.batch)
+            Ok(Some(&self.batch))
         }
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.plan.total_records())
     }
 }
 
@@ -441,7 +438,7 @@ mod tests {
         let mut stream = plan.stream(&dark);
         let mut batches = 0usize;
         let mut collected = Vec::new();
-        while let Some(batch) = stream.next_batch() {
+        while let Some(batch) = stream.try_next_batch().unwrap() {
             batches += 1;
             assert!(batch.len() <= BATCH_RECORDS);
             collected.extend_from_slice(batch);
@@ -473,20 +470,11 @@ mod tests {
         };
         let materialized = plan.materialize(&dark);
         let mut stream = plan.stream(&dark);
-        let streamed = synscan_wire::stream::collect(&mut stream);
+        let mut streamed = Vec::new();
+        while let Some(batch) = stream.try_next_batch().unwrap() {
+            streamed.extend_from_slice(batch);
+        }
         assert_eq!(streamed, materialized);
         assert_eq!(stream.peak_open_emitters(), 8, "all overlap");
-    }
-
-    #[test]
-    fn len_hint_reports_the_plan_total() {
-        let dark = dark();
-        let plan = YearPlan {
-            year: 2019,
-            truth: GroundTruth::default(),
-            specs: vec![campaign_spec(1, 0, 1_000, 32)],
-        };
-        let stream = plan.stream(&dark);
-        assert_eq!(stream.len_hint(), Some(32));
     }
 }

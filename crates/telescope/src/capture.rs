@@ -215,7 +215,7 @@ pub fn export_pcap<W: Write>(records: &[ProbeRecord], writer: W) -> std::io::Res
 mod tests {
     use super::*;
     use crate::config::TelescopeConfig;
-    use synscan_wire::stream::{FaultCounters, FaultPolicy, RecordStream, StreamError};
+    use synscan_wire::stream::{FaultCounters, FaultPolicy, StreamError, TryRecordStream};
     use synscan_wire::{IngestQueues, Ipv4Address, TcpFlags};
 
     /// Read a whole capture back on one queue under `policy`.
@@ -499,15 +499,13 @@ mod tests {
 
         let mut stream = PcapStream::new(std::io::Cursor::new(bytes)).unwrap();
         let mut streamed = Vec::new();
-        while let Some(batch) = stream.next_batch() {
+        while let Some(batch) = stream.try_next_batch().unwrap() {
             streamed.extend_from_slice(batch);
         }
         assert_eq!(streamed, materialized);
         assert_eq!(streamed, records);
-        assert_eq!(stream.error(), None);
         assert_eq!(stream.non_tcp_frames(), 0);
         assert_eq!(stream.order_violations(), 0);
-        assert!(stream.next_batch().is_none(), "exhaustion is terminal");
     }
 
     #[test]
@@ -526,7 +524,7 @@ mod tests {
         ];
         let bytes = export_pcap(&records, Vec::new()).unwrap();
         let mut stream = PcapStream::new(std::io::Cursor::new(bytes)).unwrap();
-        while stream.next_batch().is_some() {}
+        while stream.try_next_batch().unwrap().is_some() {}
         assert_eq!(stream.order_violations(), 1);
     }
 
@@ -537,9 +535,8 @@ mod tests {
         let records = vec![record(dark, 443, TcpFlags::SYN); 4];
         let mut bytes = export_pcap(&records, Vec::new()).unwrap();
         bytes.truncate(bytes.len() - 7); // cut into the last frame
-        let mut stream = PcapStream::new(std::io::Cursor::new(bytes.clone())).unwrap();
-        while stream.next_batch().is_some() {}
-        assert!(stream.error().is_some());
+        let stream = PcapStream::new(std::io::Cursor::new(bytes.clone())).unwrap();
+        assert!(stream.into_records().is_err());
         assert!(import(bytes, FaultPolicy::Fail).is_err());
     }
 

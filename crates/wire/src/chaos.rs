@@ -10,9 +10,10 @@
 //!
 //! Three injection layers, matching where real corruption enters:
 //!
-//! * [`ChaosStream`] wraps a [`RecordStream`] and injects record-level faults
-//!   (duplicates, timestamp jitter, mid-stream EOF); it surfaces them through
-//!   the fallible [`TryRecordStream`] interface.
+//! * [`ChaosStream`] wraps a [`TryRecordStream`] and injects record-level
+//!   faults (duplicates, timestamp jitter, mid-stream EOF), surfacing an
+//!   injected cut as a [`StreamError`] and passing the inner stream's own
+//!   errors through.
 //! * [`ChaosReader`] wraps any [`Read`] and injects byte-level faults
 //!   (corruption at deterministic offsets, hard truncation) — what bitrot
 //!   and torn copies do to the file under the parser.
@@ -28,7 +29,7 @@ use std::io::{self, Read};
 use crate::ingest::PcapSlice;
 use crate::pcap::{GlobalHeader, PcapError, PcapWriter, GLOBAL_HEADER_LEN, RECORD_HEADER_LEN};
 use crate::probe::ProbeRecord;
-use crate::stream::{RecordStream, StreamError, TryRecordStream};
+use crate::stream::{StreamError, TryRecordStream};
 
 /// One kind of injected fault, with its placement parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,13 +193,13 @@ const TAG_GARBAGE: u64 = 0x02;
 const TAG_CORRUPT_FRAME: u64 = 0x03;
 const TAG_JITTER: u64 = 0x04;
 
-/// Record-level fault injector over any [`RecordStream`].
+/// Record-level fault injector over any [`TryRecordStream`].
 ///
-/// Implements [`TryRecordStream`]: benign faults reshape batches, while
-/// [`Fault::MidStreamEof`] surfaces as [`StreamError::Truncated`] *after*
-/// the records preceding the cut have been delivered.
+/// Benign faults reshape batches, while [`Fault::MidStreamEof`] surfaces as
+/// [`StreamError::Truncated`] *after* the records preceding the cut have
+/// been delivered. An error of the inner stream ends this one the same way.
 #[derive(Debug)]
-pub struct ChaosStream<S: RecordStream> {
+pub struct ChaosStream<S: TryRecordStream> {
     inner: S,
     plan: ChaosPlan,
     index: u64,
@@ -208,7 +209,7 @@ pub struct ChaosStream<S: RecordStream> {
     done: bool,
 }
 
-impl<S: RecordStream> ChaosStream<S> {
+impl<S: TryRecordStream> ChaosStream<S> {
     /// Wrap `inner`, injecting per `plan`.
     pub fn new(inner: S, plan: ChaosPlan) -> Self {
         Self {
@@ -262,7 +263,7 @@ impl<S: RecordStream> ChaosStream<S> {
     }
 }
 
-impl<S: RecordStream> TryRecordStream for ChaosStream<S> {
+impl<S: TryRecordStream> TryRecordStream for ChaosStream<S> {
     fn try_next_batch(&mut self) -> Result<Option<&[ProbeRecord]>, StreamError> {
         if let Some(e) = self.pending_error.take() {
             self.done = true;
@@ -273,48 +274,39 @@ impl<S: RecordStream> TryRecordStream for ChaosStream<S> {
         }
         self.out.clear();
         let cut = self.cut_after();
-        match self.inner.next_batch() {
-            None => {
+        let records = match self.inner.try_next_batch() {
+            Ok(Some(batch)) => batch.to_vec(),
+            Ok(None) => {
                 self.done = true;
-                Ok(None)
+                return Ok(None);
             }
-            Some(batch) => {
-                let records: Vec<ProbeRecord> = batch.to_vec();
-                for record in records {
-                    if let Some(after) = cut {
-                        if self.index >= after {
-                            self.log.truncations += 1;
-                            self.pending_error = Some(StreamError::Truncated {
-                                records_seen: self.index,
-                            });
-                            break;
-                        }
-                    }
-                    self.push_record(record);
-                }
-                if self.out.is_empty() {
-                    match self.pending_error.take() {
-                        Some(e) => {
-                            self.done = true;
-                            Err(e)
-                        }
-                        // Inner batches are non-empty by contract, so an
-                        // empty output only happens at the cut point.
-                        None => {
-                            self.done = true;
-                            Ok(None)
-                        }
-                    }
-                } else {
-                    Ok(Some(&self.out))
+            Err(e) => {
+                self.done = true;
+                return Err(e);
+            }
+        };
+        for record in records {
+            if let Some(after) = cut {
+                if self.index >= after {
+                    self.log.truncations += 1;
+                    self.pending_error = Some(StreamError::Truncated {
+                        records_seen: self.index,
+                    });
+                    break;
                 }
             }
+            self.push_record(record);
         }
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        // Injection changes the count; the hint is only a pre-sizing aid.
-        self.inner.len_hint()
+        if !self.out.is_empty() {
+            return Ok(Some(&self.out));
+        }
+        // Inner batches are non-empty by contract, so an empty output only
+        // happens at the cut point.
+        self.done = true;
+        match self.pending_error.take() {
+            Some(e) => Err(e),
+            None => Ok(None),
+        }
     }
 }
 

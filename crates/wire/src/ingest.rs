@@ -20,14 +20,16 @@
 //!   [`MappedPcapStream`] applies the [`FaultPolicy`]. With one queue the
 //!   chunk is decoded on the consumer's thread; with `N` ([`IngestQueues`])
 //!   chunk `n` goes to decode thread `n % N`.
-//! * **Ordered merge.** [`PcapStream`] takes decoded chunks strictly in
-//!   sequence order, so capture order — and with it per-source order, which
-//!   the sharded pipeline's fault gate depends on — is the file's. Counters
+//! * **Ordered merge.** [`PcapStream`], the [`TryRecordStream`] every
+//!   ingest mode ends in, takes decoded chunks strictly in sequence order,
+//!   so capture order — and with it per-source order, which the sharded
+//!   pipeline's fault gate depends on — is the file's. Counters
 //!   are summed, the one timestamp comparison a chunk cannot make (its first
 //!   record against the previous chunk's last) is made here, and the first
 //!   chunk whose decoder stopped (a fault under [`FaultPolicy::Fail`] or
 //!   [`FaultPolicy::StopClean`], lost framing under any policy) ends the
-//!   stream exactly where a sequential reader would have.
+//!   stream exactly where a sequential reader would have. A fault is
+//!   surfaced once, as `Err`; every later pull returns `Ok(None)`.
 //!
 //! Memory is O(window × chunks in flight), whatever the capture's size: a
 //! fixed set of chunk buffers (bytes and decoded records together) cycles
@@ -51,9 +53,7 @@ use crate::pcap::{
     RECORD_HEADER_LEN,
 };
 use crate::probe::ProbeRecord;
-use crate::stream::{
-    FaultCounters, FaultPolicy, RecordStream, StreamError, TryRecordStream, BATCH_RECORDS,
-};
+use crate::stream::{FaultCounters, FaultPolicy, StreamError, TryRecordStream, BATCH_RECORDS};
 use crate::tcp::TcpFlags;
 use crate::Ipv4Address;
 
@@ -422,7 +422,8 @@ impl<'a> FrameBatch<'a> {
 ///
 /// Behavioral contract: records in capture order, [`FaultCounters`] per the
 /// [`FaultPolicy`], non-TCP and order-violation censuses, and under
-/// [`FaultPolicy::Fail`] the first fault as the terminal error.
+/// [`FaultPolicy::Fail`] the first fault as the terminal `Err` (the batch
+/// it interrupts is dropped; every later pull returns `Ok(None)`).
 #[derive(Debug)]
 pub struct MappedPcapStream<'a> {
     slice: PcapSlice<'a>,
@@ -434,7 +435,6 @@ pub struct MappedPcapStream<'a> {
     last_ts: u64,
     order_violations: u64,
     faults: FaultCounters,
-    error: Option<StreamError>,
     done: bool,
 }
 
@@ -463,7 +463,6 @@ impl<'a> MappedPcapStream<'a> {
             last_ts: 0,
             order_violations: 0,
             faults: FaultCounters::default(),
-            error: None,
             done: false,
         }
     }
@@ -487,12 +486,6 @@ impl<'a> MappedPcapStream<'a> {
     /// What the fault policy skipped or cut short on this stream.
     pub fn faults(&self) -> FaultCounters {
         self.faults
-    }
-
-    /// The error that ended the stream, if any (only under
-    /// [`FaultPolicy::Fail`], and only through the infallible interface).
-    pub fn error(&self) -> Option<StreamError> {
-        self.error
     }
 
     fn fill(&mut self) -> Result<bool, StreamError> {
@@ -547,19 +540,6 @@ impl<'a> MappedPcapStream<'a> {
             }
         }
         Ok(!out.is_empty())
-    }
-}
-
-impl RecordStream for MappedPcapStream<'_> {
-    fn next_batch(&mut self) -> Option<&[ProbeRecord]> {
-        match self.fill() {
-            Ok(true) => Some(&self.batch),
-            Ok(false) => None,
-            Err(e) => {
-                self.error = Some(e);
-                None
-            }
-        }
     }
 }
 
@@ -900,16 +880,14 @@ enum Source<R> {
 /// Non-TCP frames are skipped and counted ([`PcapStream::non_tcp_frames`]).
 /// Timestamp-order violations *between consecutive parsed records* are
 /// counted ([`PcapStream::order_violations`]) so a streaming consumer —
-/// whose [`RecordStream`] contract promises time order — can detect an
+/// whose [`TryRecordStream`] contract promises time order — can detect an
 /// unsorted capture and tell the caller to materialize-and-sort instead.
 ///
 /// What happens on a pcap fault depends on the [`FaultPolicy`]:
 ///
-/// * [`FaultPolicy::Fail`] (default) — the fault is terminal. Through the
-///   fallible [`TryRecordStream`] interface every record ahead of the fault
-///   is yielded, then the fault surfaces as `Err`; through the legacy
-///   [`RecordStream`] interface the stream ends early and the fault is
-///   readable via [`PcapStream::error`].
+/// * [`FaultPolicy::Fail`] (default) — the fault is terminal: every record
+///   ahead of the fault is yielded, then the fault surfaces as `Err`, and
+///   every later pull returns `Ok(None)`.
 /// * [`FaultPolicy::SkipRecord`] — recoverable faults (the reader is still
 ///   aligned) drop that record and continue; unrecoverable ones end the
 ///   stream cleanly. Everything dropped is tallied in
@@ -933,7 +911,6 @@ pub struct PcapStream<R: Read> {
     non_tcp: u64,
     order_violations: u64,
     faults: FaultCounters,
-    error: Option<StreamError>,
     done: bool,
 }
 
@@ -963,7 +940,6 @@ impl<R: Read> PcapStream<R> {
             non_tcp: 0,
             order_violations: 0,
             faults: FaultCounters::default(),
-            error: None,
             done: false,
         }
     }
@@ -986,11 +962,6 @@ impl<R: Read> PcapStream<R> {
         self.faults
     }
 
-    /// The error that ended the stream, if it did not end at a clean EOF.
-    pub fn error(&self) -> Option<StreamError> {
-        self.error
-    }
-
     /// Drain the stream into memory: the records, and what the policy had
     /// to skip to produce them.
     pub fn into_records(mut self) -> Result<(Vec<ProbeRecord>, FaultCounters), StreamError> {
@@ -1003,7 +974,6 @@ impl<R: Read> PcapStream<R> {
 
     fn fail(&mut self, e: StreamError) -> Result<bool, StreamError> {
         self.done = true;
-        self.error = Some(e);
         Err(e)
     }
 
@@ -1071,13 +1041,6 @@ impl<R: Read + Send + 'static> PcapStream<R> {
             0 | 1 => Source::Inline(framer, decode),
             _ => Source::Threaded(Workers::spawn(framer, decode, queues)),
         })
-    }
-}
-
-impl<R: Read> RecordStream for PcapStream<R> {
-    fn next_batch(&mut self) -> Option<&[ProbeRecord]> {
-        // The error, if any, stays readable through `error()`.
-        self.try_next_batch().ok().flatten()
     }
 }
 
@@ -1242,7 +1205,6 @@ mod tests {
         let decode = Decode::open(&mut reader, policy)?;
         let mut stream = PcapStream::start(reader, decode, window, queues);
         let (records, terminal) = drain(&mut stream);
-        assert_eq!(stream.error(), terminal, "the terminal error sticks");
         assert!(
             matches!(stream.try_next_batch(), Ok(None)),
             "the end is sticky"
@@ -1610,7 +1572,6 @@ mod tests {
                 records_seen: whole_records
             })
         );
-        assert_eq!(stream.error(), terminal);
     }
 
     #[test]
@@ -1676,7 +1637,6 @@ mod tests {
             assert_eq!(merged.non_tcp_frames(), 0);
             assert_eq!(merged.order_violations(), 0);
             assert!(!merged.faults().any());
-            assert_eq!(merged.error(), None);
         }
     }
 
@@ -1696,7 +1656,6 @@ mod tests {
                 terminal,
                 Some(StreamError::Pcap(PcapError::TruncatedRecordBody { .. }))
             ));
-            assert_eq!(strict.error(), terminal, "and the error sticks");
 
             let (parsed, faults) =
                 IngestQueues::exact(Arc::clone(&capture), queues, FaultPolicy::SkipRecord)

@@ -2,13 +2,15 @@
 //!
 //! Every layer of the pipeline used to materialize a year's probe stream as
 //! one `Vec<ProbeRecord>` before handing it downstream, making peak memory
-//! O(year). [`RecordStream`] replaces the slice handoff with a pull
+//! O(year). [`TryRecordStream`] replaces the slice handoff with a pull
 //! interface: a source yields records in timestamp order, a batch at a time,
-//! and the consumer never sees more than one batch borrowed at once. The
-//! synthesis generator, the pcap importer, and the measurement pipeline all
-//! speak this trait, so the whole record path from generator to analysis
-//! runs in O(batch) memory (plus whatever the *source* inherently needs —
-//! e.g. the generator's time-overlapping campaign buffers).
+//! and the consumer never sees more than one batch borrowed at once. Any
+//! part of a telescope archive can be torn, so a pull may surface a
+//! [`StreamError`] instead of a batch. The synthesis generator, the pcap
+//! importer, the chaos injector and the measurement pipeline all speak this
+//! one trait, so the whole record path from generator to analysis runs in
+//! O(batch) memory (plus whatever the *source* inherently needs — e.g. the
+//! generator's time-overlapping campaign buffers).
 //!
 //! The companion [`RecordSink`] is the push side: emitters that used to
 //! append to a caller-owned `Vec` are generic over a sink, so the same
@@ -22,26 +24,6 @@ use crate::probe::ProbeRecord;
 /// per-batch overhead (virtual dispatch, channel sends), small enough that a
 /// constant number of in-flight batches stays cache- and memory-friendly.
 pub const BATCH_RECORDS: usize = 16 * 1024;
-
-/// A pull-based source of time-ordered probe records.
-///
-/// Contract:
-/// * records are yielded in non-decreasing `ts_micros` order across the
-///   whole stream (batch boundaries are arbitrary);
-/// * each `next_batch` call invalidates the previously returned slice
-///   (lending iterator shape — the borrow checker enforces it);
-/// * after `None` is returned once, the stream is exhausted for good;
-/// * batches are non-empty.
-pub trait RecordStream {
-    /// Yield the next batch, or `None` when the stream is exhausted.
-    fn next_batch(&mut self) -> Option<&[ProbeRecord]>;
-
-    /// Total records this stream will yield, when cheaply known up front
-    /// (pre-sizing hint only — never load-bearing).
-    fn len_hint(&self) -> Option<u64> {
-        None
-    }
-}
 
 /// What a consumer does when a stream yields a recoverable fault.
 ///
@@ -168,31 +150,29 @@ impl From<PcapError> for StreamError {
     }
 }
 
-/// The fallible sibling of [`RecordStream`]: same lending-batch contract,
-/// but a pull may surface a [`StreamError`] instead of a batch. An error is
-/// terminal — callers must not pull again after `Err`.
+/// A pull-based source of time-ordered probe records.
+///
+/// Contract:
+/// * records are yielded in non-decreasing `ts_micros` order across the
+///   whole stream (batch boundaries are arbitrary);
+/// * each pull invalidates the previously returned slice (lending iterator
+///   shape — the borrow checker enforces it);
+/// * batches are non-empty;
+/// * the end is terminal: after `Ok(None)` or an `Err`, every later pull
+///   returns `Ok(None)`.
 pub trait TryRecordStream {
     /// Yield the next batch, `Ok(None)` on clean exhaustion, or the fault.
     fn try_next_batch(&mut self) -> core::result::Result<Option<&[ProbeRecord]>, StreamError>;
-
-    /// Total records this stream will yield, when cheaply known up front.
-    fn len_hint(&self) -> Option<u64> {
-        None
-    }
 }
 
-/// Adapts an infallible [`RecordStream`] into a [`TryRecordStream`] that
-/// never errors, so the fallible pipeline driver is the only driver.
+/// A pass-through over a borrowed stream. Public only because the benchmark
+/// names it; nothing in the workspace wraps a stream in it.
 #[derive(Debug)]
-pub struct InfallibleStream<'a, S: RecordStream + ?Sized>(pub &'a mut S);
+pub struct InfallibleStream<'a, S: TryRecordStream + ?Sized>(pub &'a mut S);
 
-impl<S: RecordStream + ?Sized> TryRecordStream for InfallibleStream<'_, S> {
+impl<S: TryRecordStream + ?Sized> TryRecordStream for InfallibleStream<'_, S> {
     fn try_next_batch(&mut self) -> core::result::Result<Option<&[ProbeRecord]>, StreamError> {
-        Ok(self.0.next_batch())
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        self.0.len_hint()
+        self.0.try_next_batch()
     }
 }
 
@@ -218,7 +198,7 @@ impl RecordSink for NullSink {
     fn accept(&mut self, _record: ProbeRecord) {}
 }
 
-/// A [`RecordStream`] over an in-memory, already-sorted slice — the bridge
+/// A [`TryRecordStream`] over an in-memory, already-sorted slice — the bridge
 /// from materialized buffers (benches, tests, the `--materialize` escape
 /// hatch) into the streaming pipeline.
 #[derive(Debug)]
@@ -245,19 +225,15 @@ impl<'a> SliceStream<'a> {
     }
 }
 
-impl RecordStream for SliceStream<'_> {
-    fn next_batch(&mut self) -> Option<&[ProbeRecord]> {
+impl TryRecordStream for SliceStream<'_> {
+    fn try_next_batch(&mut self) -> core::result::Result<Option<&[ProbeRecord]>, StreamError> {
         if self.pos >= self.records.len() {
-            return None;
+            return Ok(None);
         }
         let end = (self.pos + self.batch).min(self.records.len());
         let out = &self.records[self.pos..end];
         self.pos = end;
-        Some(out)
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.records.len() as u64)
+        Ok(Some(out))
     }
 }
 
@@ -329,17 +305,6 @@ pub fn skip_records<S: TryRecordStream + ?Sized>(
     Ok(consumed)
 }
 
-/// Drain a stream into one `Vec` — the explicit materialization point.
-/// Everything that "needs the whole year" funnels through here, so grepping
-/// for `collect` finds every place the O(batch) guarantee is given up.
-pub fn collect(stream: &mut dyn RecordStream) -> Vec<ProbeRecord> {
-    let mut records = Vec::with_capacity(stream.len_hint().unwrap_or(0) as usize);
-    while let Some(batch) = stream.next_batch() {
-        records.extend_from_slice(batch);
-    }
-    records
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,25 +326,30 @@ mod tests {
         }
     }
 
+    /// The sizes of the batches `stream` yields before its end.
+    fn batch_sizes(stream: &mut SliceStream<'_>) -> Vec<usize> {
+        std::iter::from_fn(|| stream.try_next_batch().unwrap().map(<[_]>::len)).collect()
+    }
+
     #[test]
     fn slice_stream_batches_and_collects_losslessly() {
         let records: Vec<ProbeRecord> = (0..10u64).map(record).collect();
         let mut stream = SliceStream::with_batch_size(&records, 3);
-        assert_eq!(stream.len_hint(), Some(10));
-        let sizes: Vec<usize> =
-            std::iter::from_fn(|| stream.next_batch().map(<[_]>::len)).collect();
-        assert_eq!(sizes, vec![3, 3, 3, 1]);
-        assert!(stream.next_batch().is_none(), "exhaustion is terminal");
+        assert_eq!(batch_sizes(&mut stream), vec![3, 3, 3, 1]);
+        assert_eq!(stream.try_next_batch(), Ok(None), "exhaustion is terminal");
 
         let mut stream = SliceStream::with_batch_size(&records, 4);
-        assert_eq!(collect(&mut stream), records);
+        let mut collected = Vec::new();
+        while let Some(batch) = stream.try_next_batch().unwrap() {
+            collected.extend_from_slice(batch);
+        }
+        assert_eq!(collected, records);
     }
 
     #[test]
     fn empty_slice_stream_yields_nothing() {
         let mut stream = SliceStream::new(&[]);
-        assert!(stream.next_batch().is_none());
-        assert_eq!(stream.len_hint(), Some(0));
+        assert_eq!(stream.try_next_batch(), Ok(None));
     }
 
     #[test]
@@ -388,9 +358,8 @@ mod tests {
         // full batch, then terminal None — not a full batch plus an empty one.
         let records: Vec<ProbeRecord> = (0..4u64).map(record).collect();
         let mut stream = SliceStream::with_batch_size(&records, 4);
-        assert_eq!(stream.next_batch().map(<[_]>::len), Some(4));
-        assert!(stream.next_batch().is_none());
-        assert!(stream.next_batch().is_none(), "exhaustion is terminal");
+        assert_eq!(batch_sizes(&mut stream), vec![4]);
+        assert_eq!(stream.try_next_batch(), Ok(None), "exhaustion is terminal");
     }
 
     #[test]
@@ -398,8 +367,7 @@ mod tests {
         let records: Vec<ProbeRecord> = (0..10u64).map(record).collect();
 
         // A cursor on a batch boundary lands exactly.
-        let mut inner = SliceStream::with_batch_size(&records, 3);
-        let mut stream = InfallibleStream(&mut inner);
+        let mut stream = SliceStream::with_batch_size(&records, 3);
         assert_eq!(skip_records(&mut stream, 6), Ok(6));
         assert_eq!(
             stream.try_next_batch().unwrap().map(<[_]>::len),
@@ -409,18 +377,15 @@ mod tests {
 
         // A cursor inside a batch overshoots to the batch end; callers treat
         // the mismatch as a foreign checkpoint.
-        let mut inner = SliceStream::with_batch_size(&records, 3);
-        let mut stream = InfallibleStream(&mut inner);
+        let mut stream = SliceStream::with_batch_size(&records, 3);
         assert_eq!(skip_records(&mut stream, 5), Ok(6));
 
         // A cursor past the end of the stream stops at exhaustion.
-        let mut inner = SliceStream::with_batch_size(&records, 3);
-        let mut stream = InfallibleStream(&mut inner);
+        let mut stream = SliceStream::with_batch_size(&records, 3);
         assert_eq!(skip_records(&mut stream, 99), Ok(10));
 
         // Zero is a no-op: nothing is pulled.
-        let mut inner = SliceStream::with_batch_size(&records, 3);
-        let mut stream = InfallibleStream(&mut inner);
+        let mut stream = SliceStream::with_batch_size(&records, 3);
         assert_eq!(skip_records(&mut stream, 0), Ok(0));
         assert_eq!(stream.try_next_batch().unwrap().map(<[_]>::len), Some(3));
     }
@@ -465,19 +430,6 @@ mod tests {
         );
         assert!(a.any());
         assert!(a.to_string().contains("3 records skipped"));
-    }
-
-    #[test]
-    fn infallible_stream_adapter_never_errors() {
-        let records: Vec<ProbeRecord> = (0..5u64).map(record).collect();
-        let mut inner = SliceStream::with_batch_size(&records, 2);
-        let mut stream = InfallibleStream(&mut inner);
-        assert_eq!(TryRecordStream::len_hint(&stream), Some(5));
-        let mut total = 0;
-        while let Some(batch) = stream.try_next_batch().unwrap() {
-            total += batch.len();
-        }
-        assert_eq!(total, 5);
     }
 
     #[test]

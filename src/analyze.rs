@@ -47,9 +47,7 @@ use synscan_core::{
 use synscan_telescope::capture::{classify_technique, PcapStream, ScanTechnique};
 use synscan_wire::chaos::{ChaosPlan, ChaosReader};
 use synscan_wire::ingest::{IngestMode, IngestQueues, MappedCapture};
-use synscan_wire::stream::{
-    FaultCounters, FaultPolicy, InfallibleStream, SliceStream, StreamError, TryRecordStream,
-};
+use synscan_wire::stream::{FaultCounters, FaultPolicy, SliceStream, StreamError, TryRecordStream};
 use synscan_wire::{PcapError, ProbeRecord};
 
 /// Options for an external-capture analysis.
@@ -351,7 +349,6 @@ pub fn analyze(
             }
             records.sort_by_key(|r| r.ts_micros);
             let mut sorted = SliceStream::new(&records);
-            let mut sorted = InfallibleStream(&mut sorted);
             run_year_supervised(&spec, supervisor, &mut sorted, &mut census)?
         } else {
             run_year_supervised(&spec, supervisor, &mut stream, &mut census)?

@@ -58,7 +58,7 @@
 //! so a capture analyzed here is immediately queryable by `synscan-serve`.
 //! The slice is written the moment the analysis completes.
 //!
-//! `analyze --worker [tcp:HOST:PORT|unix:PATH]` does none of the above:
+//! `analyze --worker [[tcp:]HOST:PORT|unix:PATH]` does none of the above:
 //! it turns the process into a distributed-runtime worker speaking the
 //! SYNDIST framed protocol on stdin/stdout (or the given endpoint) and
 //! serving slice assignments from a coordinator (`repro --distributed N`).
@@ -118,7 +118,7 @@ const USAGE: &str = "usage: analyze <capture.pcap | -> [--monitored N] [--year Y
                      \n  --store-dir DIR     persist the finished analysis as a versioned \
                      store slice in DIR (queryable by synscan-serve)\
                      \n  --worker [EP]       run as a distributed-runtime worker on \
-                     stdin/stdout, or connect to EP (tcp:HOST:PORT | unix:PATH); \
+                     stdin/stdout, or connect to EP ([tcp:]HOST:PORT | unix:PATH); \
                      must be the first argument";
 
 fn run() -> Result<(), String> {

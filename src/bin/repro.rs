@@ -90,7 +90,7 @@ const USAGE: &str = "usage: repro [--scale tiny|small|default] [--seed N] [--out
                      [--distributed N] [--worker-cmd CMD] [--listen ENDPOINT] \
                      [--distributed-kill-drill K] [--stall-timeout SECS] \
                      [--net-chaos-seed N] [--net-chaos-profile benign|corrupt] [TARGET...]\
-                     \n       repro --worker [tcp:HOST:PORT|unix:PATH]\
+                     \n       repro --worker [[tcp:]HOST:PORT|unix:PATH]\
                      \n  --scale NAME        generator scale: tiny | small | default\
                      \n  --seed N            override the generator seed (u64)\
                      \n  --out DIR           artifact output directory (default ./out)\
@@ -122,7 +122,7 @@ const USAGE: &str = "usage: repro [--scale tiny|small|default] [--seed N] [--out
                      granularity)\
                      \n  --worker-cmd CMD    spawn workers with this command line instead of \
                      re-executing this binary with --worker\
-                     \n  --listen ENDPOINT   tcp:HOST:PORT | unix:PATH: accept N remote \
+                     \n  --listen ENDPOINT   [tcp:]HOST:PORT | unix:PATH: accept N remote \
                      workers instead of spawning local ones\
                      \n  --distributed-kill-drill K  arm the recovery drill: the first \
                      assigned worker aborts after its K-th checkpoint and the \
@@ -139,7 +139,7 @@ const USAGE: &str = "usage: repro [--scale tiny|small|default] [--seed N] [--out
                      byte-identical run) | corrupt (corrupt the first connection, \
                      coordinator must respawn; default benign)\
                      \n  --worker [ENDPOINT] serve slices over stdin/stdout (or dial the \
-                     coordinator at tcp:/unix: ENDPOINT) until Shutdown\
+                     coordinator at ENDPOINT) until Shutdown\
                      \n  TARGET              table1 table2 fig1..fig10 prose etl pcap all \
                      (default all)";
 
@@ -192,7 +192,7 @@ fn run() -> Result<(), String> {
                 listen = Some(flag_value(
                     &mut args,
                     "--listen",
-                    "tcp:HOST:PORT or unix:PATH",
+                    "[tcp:]HOST:PORT or unix:PATH",
                 )?)
             }
             "--distributed-kill-drill" => {

@@ -29,7 +29,8 @@ use std::path::PathBuf;
 
 use synscan::core::store::query::{answer_line, body_of};
 use synscan::core::store::{AnalysisStore, StoreImage};
-use synscan::serve::{Listen, ServeOptions, Server};
+use synscan::serve::{ServeOptions, Server};
+use synscan::Endpoint;
 
 mod cli;
 use cli::{flag_dir, flag_value};
@@ -37,7 +38,7 @@ use cli::{flag_dir, flag_value};
 const USAGE: &str = "usage: synscan-serve (--listen SPEC | --connect SPEC | --query FILE) \
                      [--store-dir DIR] [--readers N] [--query FILE] [--bodies]\n\
                      \n  --store-dir DIR     analysis store directory (default out/store)\
-                     \n  --listen SPEC       run the daemon on HOST:PORT or unix:PATH\
+                     \n  --listen SPEC       run the daemon on [tcp:]HOST:PORT or unix:PATH\
                      \n  --readers N         daemon reader threads (default 4)\
                      \n  --max-in-flight N   admission gate: shed connections beyond N \
                      queued-or-served (default 64)\
@@ -45,7 +46,7 @@ const USAGE: &str = "usage: synscan-serve (--listen SPEC | --connect SPEC | --qu
                      milliseconds, 0 disables (default 10000)\
                      \n  --stall-timeout SECS   idle-connection cutoff in seconds, shared \
                      default with the distributed coordinator's stall watchdog (default 30)\
-                     \n  --connect SPEC      send --query to a daemon at HOST:PORT or unix:PATH\
+                     \n  --connect SPEC      send --query to a daemon at [tcp:]HOST:PORT or unix:PATH\
                      \n  --query FILE        NDJSON request file, `-` for stdin; without \
                      --connect the store is queried directly (no daemon)\
                      \n  --bodies            print only each response's rendered body \
@@ -84,13 +85,17 @@ fn run() -> Result<(), Failure> {
         match arg.as_str() {
             "--store-dir" => store_dir = flag_dir(&mut args, "--store-dir")?,
             "--listen" => {
-                listen = Some(flag_value(&mut args, "--listen", "HOST:PORT or unix:PATH")?)
+                listen = Some(flag_value(
+                    &mut args,
+                    "--listen",
+                    "[tcp:]HOST:PORT or unix:PATH",
+                )?)
             }
             "--connect" => {
                 connect = Some(flag_value(
                     &mut args,
                     "--connect",
-                    "HOST:PORT or unix:PATH",
+                    "[tcp:]HOST:PORT or unix:PATH",
                 )?)
             }
             "--query" => query = Some(flag_value(&mut args, "--query", "a file path or -")?),
@@ -140,7 +145,7 @@ fn run_daemon(
     spec: &str,
     options: ServeOptions,
 ) -> Result<(), Failure> {
-    let listen = Listen::parse(spec).map_err(|e| Failure::Usage(e.to_string()))?;
+    let listen = Endpoint::parse(spec).map_err(|e| Failure::Usage(format!("--listen: {e}")))?;
     let readers = options.readers.max(1);
     let max_in_flight = options.max_in_flight.max(1);
     let server = Server::start(store_dir, &listen, options)
@@ -211,15 +216,17 @@ fn emit(line: &str, bodies: bool) -> Result<(), Failure> {
 }
 
 fn run_client(spec: &str, file: &str, bodies: bool) -> Result<(), Failure> {
-    let target = Listen::parse(spec).map_err(|e| Failure::Usage(format!("--connect: {e}")))?;
+    let target = Endpoint::parse(spec).map_err(|e| Failure::Usage(format!("--connect: {e}")))?;
     let queries = read_queries(file)?;
     let refused = |e| Failure::Runtime(format!("cannot connect to {spec}: {e}"));
     match target {
-        Listen::Unix(path) => {
+        Endpoint::Unix(path) => {
             let stream = std::os::unix::net::UnixStream::connect(path).map_err(refused)?;
             exchange(stream, &queries, bodies)
         }
-        Listen::Tcp(addr) => exchange(TcpStream::connect(addr).map_err(refused)?, &queries, bodies),
+        Endpoint::Tcp(addr) => {
+            exchange(TcpStream::connect(addr).map_err(refused)?, &queries, bodies)
+        }
     }
 }
 

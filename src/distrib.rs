@@ -56,7 +56,7 @@ use synscan_synthesis::generate::GeneratorConfig;
 use synscan_synthesis::yearcfg::YearConfig;
 use synscan_telescope::{CaptureSession, CaptureStats};
 use synscan_wire::net::{dial_with_backoff, Backoff, ChaosSocket, NetChaosPlan, NetFault};
-use synscan_wire::stream::{FaultCounters, InfallibleStream};
+use synscan_wire::stream::FaultCounters;
 
 /// Environment variable through which the coordinator hands a spawned
 /// worker its local checkpoint spill directory. The spill is purely
@@ -166,7 +166,8 @@ pub(crate) fn encode_job(gen: &GeneratorConfig, heavy: Option<HeavyHitterConfig>
     w.into_bytes()
 }
 
-/// Decode a job blob. Typed errors on every malformed byte sequence.
+/// Decode a job blob. Typed errors on every malformed byte sequence, and on
+/// heavy-hitter dimensions [`HeavyHitterConfig::validate`] refuses.
 pub(crate) fn decode_job(
     blob: &[u8],
 ) -> Result<(GeneratorConfig, Option<HeavyHitterConfig>), DistribError> {
@@ -192,6 +193,11 @@ pub(crate) fn decode_job(
             )))
         }
     };
+    if let Some(heavy) = heavy {
+        heavy
+            .validate()
+            .map_err(|e| DistribError::Protocol(format!("job spec: {e}")))?;
+    }
     if r.remaining() != 0 {
         return Err(DistribError::Protocol(
             "trailing bytes after job spec".into(),
@@ -244,7 +250,16 @@ pub fn run_worker(
                 resume,
             } => {
                 if world.as_ref().map(|(j, _)| j.as_slice()) != Some(job.as_slice()) {
-                    let (gen, heavy) = decode_job(&job)?;
+                    let (gen, heavy) = match decode_job(&job) {
+                        Ok(decoded) => decoded,
+                        // A job this worker cannot run fails the slice,
+                        // typed; the worker itself stays healthy.
+                        Err(e) => {
+                            let message = e.to_string();
+                            send(output, &Message::Failed { slice, message })?;
+                            continue;
+                        }
+                    };
                     world = Some((job.clone(), Experiment::new(gen).with_heavy_hitters(heavy)));
                 }
                 let experiment = &world.as_ref().expect("world just built").1;
@@ -304,7 +319,6 @@ fn serve_slice(
         every,
     };
     let mut stream = plan.stream(experiment.dark());
-    let mut stream = InfallibleStream(&mut stream);
     let mut sent = 0u64;
     let outcome = run_slice(
         &task,
@@ -354,8 +368,10 @@ fn serve_slice(
 // Endpoints
 // ---------------------------------------------------------------------------
 
-/// A dialable / bindable worker rendezvous: `tcp:HOST:PORT` or
-/// `unix:PATH`.
+/// A socket address as every command line spells it: `HOST:PORT` or
+/// `tcp:HOST:PORT` for TCP, `unix:PATH` for a unix-domain socket. The
+/// coordinator's `--listen`, a worker's `--worker`, and the daemon's
+/// `--listen` and `--connect` all parse it here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Endpoint {
     /// A TCP address (`HOST:PORT` as `std::net` accepts it).
@@ -365,23 +381,30 @@ pub enum Endpoint {
 }
 
 impl Endpoint {
-    /// Parse an endpoint spec. Anything without a `tcp:` / `unix:` scheme
-    /// is rejected with a usage hint.
+    /// Parse an endpoint spec; a spec in none of the three spellings is
+    /// rejected with a usage hint.
     pub fn parse(spec: &str) -> Result<Endpoint, String> {
-        if let Some(addr) = spec.strip_prefix("tcp:") {
-            if addr.is_empty() {
-                return Err("tcp endpoint needs HOST:PORT".into());
-            }
-            Ok(Endpoint::Tcp(addr.to_string()))
-        } else if let Some(path) = spec.strip_prefix("unix:") {
+        if let Some(path) = spec.strip_prefix("unix:") {
             if path.is_empty() {
-                return Err("unix endpoint needs a socket path".into());
+                return Err("unix: needs a socket path".into());
             }
-            Ok(Endpoint::Unix(PathBuf::from(path)))
-        } else {
-            Err(format!(
-                "unknown endpoint '{spec}' (expected tcp:HOST:PORT or unix:PATH)"
-            ))
+            return Ok(Endpoint::Unix(PathBuf::from(path)));
+        }
+        let addr = spec.strip_prefix("tcp:").unwrap_or(spec);
+        if !addr.contains(':') {
+            return Err(format!(
+                "`{spec}` is neither HOST:PORT, tcp:HOST:PORT nor unix:PATH"
+            ));
+        }
+        Ok(Endpoint::Tcp(addr.to_string()))
+    }
+}
+
+impl std::fmt::Display for Endpoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Endpoint::Tcp(addr) => write!(f, "{addr}"),
+            Endpoint::Unix(path) => write!(f, "unix:{}", path.display()),
         }
     }
 }
@@ -1323,6 +1346,55 @@ mod tests {
     }
 
     #[test]
+    fn a_job_with_invalid_sketch_dimensions_fails_its_slice() {
+        let gen = GeneratorConfig::tiny();
+        let invalid = |k, width| HeavyHitterConfig {
+            k,
+            width,
+            ..HeavyHitterConfig::default()
+        };
+        let (mut ours, theirs) = UnixStream::pair().expect("socketpair");
+        let worker = std::thread::spawn(move || {
+            let mut input = theirs.try_clone().expect("clone");
+            let mut output = theirs;
+            run_worker(&mut input, &mut output, "test-worker")
+        });
+        assert!(matches!(recv(&mut ours), Ok(Some(Message::Hello { .. }))));
+        let slice = SliceSpec {
+            year: 2020,
+            part: 0,
+            parts: 1,
+        };
+        for heavy in [invalid(0, 2048), invalid(32, 0), invalid(32, u32::MAX)] {
+            let job = encode_job(&gen, Some(heavy));
+            assert!(
+                matches!(decode_job(&job), Err(DistribError::Protocol(_))),
+                "{heavy}"
+            );
+            let assign = Message::Assign {
+                slice,
+                every: 0,
+                die_after_checkpoints: None,
+                job,
+                resume: None,
+            };
+            send(&mut ours, &assign).expect("assign");
+            match recv(&mut ours).expect("frame").expect("open") {
+                Message::Failed {
+                    slice: from,
+                    message,
+                } => {
+                    assert_eq!(from, slice);
+                    assert!(message.contains("job spec"), "{heavy}: {message}");
+                }
+                other => panic!("{heavy}: expected Failed, got {other:?}"),
+            }
+        }
+        send(&mut ours, &Message::Shutdown).expect("shutdown");
+        worker.join().expect("no panic").expect("clean exit");
+    }
+
+    #[test]
     fn endpoint_specs_parse() {
         assert_eq!(
             Endpoint::parse("tcp:127.0.0.1:9000"),
@@ -1332,9 +1404,13 @@ mod tests {
             Endpoint::parse("unix:/tmp/synscan.sock"),
             Ok(Endpoint::Unix(PathBuf::from("/tmp/synscan.sock")))
         );
-        assert!(Endpoint::parse("tcp:").is_err());
-        assert!(Endpoint::parse("unix:").is_err());
-        assert!(Endpoint::parse("127.0.0.1:9000").is_err());
+        assert_eq!(
+            Endpoint::parse("127.0.0.1:9000"),
+            Ok(Endpoint::Tcp("127.0.0.1:9000".into()))
+        );
+        for bad in ["tcp:", "tcp:nonsense", "nonsense", "unix:", ""] {
+            assert!(Endpoint::parse(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ use synscan_synthesis::stream::YearPlan;
 use synscan_synthesis::yearcfg::YearConfig;
 use synscan_telescope::{AddressSet, CaptureSession, CaptureStats};
 use synscan_wire::chaos::{ChaosPlan, ChaosStream};
-use synscan_wire::stream::{FaultCounters, FaultPolicy, InfallibleStream, TryRecordStream};
+use synscan_wire::stream::{FaultCounters, FaultPolicy, TryRecordStream};
 use synscan_wire::ProbeRecord;
 
 /// Why a run failed: in the pipeline, at a checkpoint, or persisting a
@@ -525,7 +525,7 @@ impl Experiment {
                 let chaos = chaos.reseeded(u64::from(plan.year));
                 drive(&mut ChaosStream::new(stream, chaos))
             }
-            None => drive(&mut InfallibleStream(&mut stream)),
+            None => drive(&mut stream),
         }
     }
 

@@ -23,13 +23,14 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::net::{TcpListener, TcpStream};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::Endpoint;
 use synscan_core::store::query::{
     answer, err_line, health_line, ok_line, parse_request, HealthCounters, Request,
 };
@@ -45,9 +46,6 @@ pub enum ServeError {
     Store(StoreError),
     /// Socket setup or thread plumbing failed.
     Io(String),
-    /// The listen specification could not be parsed or is unsupported on
-    /// this platform.
-    BadListen(String),
 }
 
 impl fmt::Display for ServeError {
@@ -55,7 +53,6 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::Store(e) => write!(f, "store: {e}"),
             ServeError::Io(msg) => write!(f, "io: {msg}"),
-            ServeError::BadListen(msg) => write!(f, "bad listen spec: {msg}"),
         }
     }
 }
@@ -65,55 +62,6 @@ impl std::error::Error for ServeError {}
 impl From<StoreError> for ServeError {
     fn from(e: StoreError) -> Self {
         ServeError::Store(e)
-    }
-}
-
-/// Where the daemon listens.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Listen {
-    /// A TCP address like `127.0.0.1:7070` (port 0 binds an ephemeral port;
-    /// the bound address is reported by [`Server::endpoint`]).
-    Tcp(String),
-    /// A Unix-domain socket path.
-    Unix(PathBuf),
-}
-
-impl Listen {
-    /// Parse a `--listen` specification: `unix:PATH` or a TCP `HOST:PORT`.
-    pub fn parse(spec: &str) -> Result<Self, ServeError> {
-        if let Some(path) = spec.strip_prefix("unix:") {
-            if path.is_empty() {
-                return Err(ServeError::BadListen(
-                    "unix: needs a socket path".to_string(),
-                ));
-            }
-            return Ok(Listen::Unix(PathBuf::from(path)));
-        }
-        if !spec.contains(':') {
-            return Err(ServeError::BadListen(format!(
-                "`{spec}` is neither HOST:PORT nor unix:PATH"
-            )));
-        }
-        Ok(Listen::Tcp(spec.to_string()))
-    }
-}
-
-/// The endpoint a started server actually bound (TCP port 0 resolves to
-/// the ephemeral port here).
-#[derive(Debug, Clone)]
-pub enum Endpoint {
-    /// Bound TCP address.
-    Tcp(SocketAddr),
-    /// Bound Unix socket path.
-    Unix(PathBuf),
-}
-
-impl fmt::Display for Endpoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Endpoint::Tcp(addr) => write!(f, "{addr}"),
-            Endpoint::Unix(path) => write!(f, "unix:{}", path.display()),
-        }
     }
 }
 
@@ -264,17 +212,19 @@ enum Listener {
 }
 
 impl Listener {
-    fn bind(listen: &Listen) -> Result<(Self, Endpoint), ServeError> {
+    /// Bind `listen`; the endpoint returned is the one actually bound (TCP
+    /// port 0 resolves to the ephemeral port here).
+    fn bind(listen: &Endpoint) -> Result<(Self, Endpoint), ServeError> {
         match listen {
-            Listen::Tcp(addr) => {
+            Endpoint::Tcp(addr) => {
                 let listener = TcpListener::bind(addr)
                     .map_err(|e| ServeError::Io(format!("bind {addr}: {e}")))?;
                 let bound = listener
                     .local_addr()
                     .map_err(|e| ServeError::Io(format!("local_addr: {e}")))?;
-                Ok((Listener::Tcp(listener), Endpoint::Tcp(bound)))
+                Ok((Listener::Tcp(listener), Endpoint::Tcp(bound.to_string())))
             }
-            Listen::Unix(path) => {
+            Endpoint::Unix(path) => {
                 // A previous daemon's stale socket file would make bind fail
                 // with AddrInUse even though nothing is listening.
                 let _ = std::fs::remove_file(path);
@@ -338,7 +288,7 @@ impl Server {
     /// fed by later `reload`s.
     pub fn start(
         store_dir: &Path,
-        listen: &Listen,
+        listen: &Endpoint,
         options: ServeOptions,
     ) -> Result<Self, ServeError> {
         let store = AnalysisStore::open(store_dir)?;
@@ -472,7 +422,8 @@ impl Server {
         })
     }
 
-    /// The endpoint actually bound (resolves TCP port 0).
+    /// The endpoint actually bound (TCP port 0 resolved to the ephemeral
+    /// port).
     pub fn endpoint(&self) -> &Endpoint {
         &self.endpoint
     }
@@ -665,7 +616,7 @@ mod tests {
         store
     }
 
-    fn query(addr: &SocketAddr, request: &str) -> String {
+    fn query(addr: &str, request: &str) -> String {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream
             .write_all(format!("{request}\n").as_bytes())
@@ -679,15 +630,15 @@ mod tests {
     #[test]
     fn listen_specs_parse() {
         assert_eq!(
-            Listen::parse("127.0.0.1:7070").unwrap(),
-            Listen::Tcp("127.0.0.1:7070".to_string())
+            Endpoint::parse("127.0.0.1:7070").unwrap(),
+            Endpoint::Tcp("127.0.0.1:7070".to_string())
         );
         assert_eq!(
-            Listen::parse("unix:/tmp/s.sock").unwrap(),
-            Listen::Unix(PathBuf::from("/tmp/s.sock"))
+            Endpoint::parse("unix:/tmp/s.sock").unwrap(),
+            Endpoint::Unix(std::path::PathBuf::from("/tmp/s.sock"))
         );
-        assert!(Listen::parse("unix:").is_err());
-        assert!(Listen::parse("nonsense").is_err());
+        assert!(Endpoint::parse("unix:").is_err());
+        assert!(Endpoint::parse("nonsense").is_err());
     }
 
     #[test]
@@ -697,7 +648,7 @@ mod tests {
         let store = seeded_store(&dir);
         let server = Server::start(
             &dir,
-            &Listen::Tcp("127.0.0.1:0".to_string()),
+            &Endpoint::Tcp("127.0.0.1:0".to_string()),
             ServeOptions {
                 readers: 2,
                 ..ServeOptions::default()
@@ -705,7 +656,7 @@ mod tests {
         )
         .expect("daemon starts");
         let addr = match server.endpoint() {
-            Endpoint::Tcp(addr) => *addr,
+            Endpoint::Tcp(addr) => addr.clone(),
             other => panic!("unexpected endpoint {other}"),
         };
 

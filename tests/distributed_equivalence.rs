@@ -142,6 +142,44 @@ fn kill_drill_recovers_from_checkpoint_and_stays_byte_identical() {
 }
 
 #[test]
+fn every_endpoint_spelling_carries_a_distributed_run() {
+    // The coordinator's `--listen` and a worker's `--worker` take one
+    // grammar: `HOST:PORT`, `tcp:HOST:PORT` and `unix:PATH`, each spelling
+    // on either side of the same socket.
+    let seq = temp_dir("spelling-seq");
+    repro_table1(&seq, &["--pipeline", "sequential"]);
+    let expect = std::fs::read(seq.join("table1.json")).expect("sequential table1.json");
+    let port = || {
+        let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("probe port");
+        probe.local_addr().expect("probe addr").port()
+    };
+    // The runs go one after another, so the two ports may coincide.
+    let (a, b) = (port(), port());
+    let unix = format!("unix:{}", seq.join("coordinator.sock").display());
+    for (listen, dial) in [
+        (format!("127.0.0.1:{a}"), format!("tcp:127.0.0.1:{a}")),
+        (format!("tcp:127.0.0.1:{b}"), format!("127.0.0.1:{b}")),
+        (unix.clone(), unix),
+    ] {
+        // The worker dials with backoff, so it may start first.
+        let mut worker = Command::new(REPRO)
+            .args(["--worker", &dial])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn worker");
+        let dist = temp_dir("spelling-dist");
+        repro_table1(&dist, &["--distributed", "1", "--listen", &listen]);
+        let table = std::fs::read(dist.join("table1.json")).expect("distributed table1.json");
+        assert!(table == expect, "--listen {listen}, --worker {dial}");
+        let status = worker.wait().expect("worker exits");
+        assert!(status.success(), "--worker {dial}: {status}");
+        let _ = std::fs::remove_dir_all(&dist);
+    }
+    let _ = std::fs::remove_dir_all(&seq);
+}
+
+#[test]
 fn cross_host_kill_drill_resumes_without_the_dead_workers_disk() {
     // The cross-host resume proof: workers spill their checkpoints to
     // per-worker local directories (stand-ins for per-host disks), the

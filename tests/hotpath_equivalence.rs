@@ -18,7 +18,7 @@ use synscan_core::fingerprint::FingerprintEngine;
 use synscan_core::pipeline::{try_collect_year_stream, PipelineMode, SizeHints};
 use synscan_core::ToolKind;
 use synscan_stats::mix64;
-use synscan_wire::stream::{FaultPolicy, InfallibleStream, SliceStream};
+use synscan_wire::stream::{FaultPolicy, SliceStream};
 use synscan_wire::{Ipv4Address, ProbeRecord, TcpFlags};
 
 const YEAR: u16 = 2020;
@@ -369,7 +369,7 @@ fn compact_collector_matches_naive_reference_on_fuzzed_records() {
                 PipelineMode::Sharded { workers },
                 SizeHints::new(SOURCE_POOL, 64),
                 FaultPolicy::Fail,
-                &mut InfallibleStream(&mut SliceStream::new(&records)),
+                &mut SliceStream::new(&records),
                 |_| true,
             )
             .expect("a clean ordered slice cannot fault")

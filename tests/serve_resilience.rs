@@ -13,7 +13,8 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use synscan::experiment::Experiment;
-use synscan::serve::{Endpoint, Listen, ServeOptions, Server};
+use synscan::serve::{ServeOptions, Server};
+use synscan::Endpoint;
 use synscan::GeneratorConfig;
 
 fn temp_store(name: &str) -> PathBuf {
@@ -37,10 +38,10 @@ fn tight_options() -> ServeOptions {
 }
 
 fn start(dir: &Path, options: ServeOptions) -> (Server, SocketAddr) {
-    let server = Server::start(dir, &Listen::Tcp("127.0.0.1:0".to_string()), options)
+    let server = Server::start(dir, &Endpoint::Tcp("127.0.0.1:0".to_string()), options)
         .expect("daemon starts");
     let addr = match server.endpoint() {
-        Endpoint::Tcp(addr) => *addr,
+        Endpoint::Tcp(addr) => addr.parse().expect("bound address"),
         other => panic!("unexpected endpoint {other}"),
     };
     (server, addr)
@@ -391,7 +392,10 @@ fn idle_connections_are_reaped_by_the_stall_cutoff() {
 #[test]
 fn connect_rejects_a_malformed_spec_as_usage_like_listen_does() {
     for (spec, message) in [
-        ("nonsense", "`nonsense` is neither HOST:PORT nor unix:PATH"),
+        (
+            "nonsense",
+            "`nonsense` is neither HOST:PORT, tcp:HOST:PORT nor unix:PATH",
+        ),
         ("unix:", "unix: needs a socket path"),
     ] {
         for flags in [
@@ -408,4 +412,89 @@ fn connect_rejects_a_malformed_spec_as_usage_like_listen_does() {
             assert!(stderr.contains(message), "{flags:?}: {stderr}");
         }
     }
+}
+
+/// One `--connect` exchange through the client binary: its stdout, or
+/// `None` when it could not get an answer.
+fn client(spec: &str, request: &str) -> Option<String> {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_synscan-serve"))
+        .args(["--connect", spec, "--query", "-"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn synscan-serve");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    stdin.write_all(request.as_bytes()).expect("send query");
+    drop(stdin);
+    let output = child.wait_with_output().expect("client exits");
+    output
+        .status
+        .success()
+        .then(|| String::from_utf8_lossy(&output.stdout).into_owned())
+}
+
+/// A daemon child that is killed if the test fails before it shuts down.
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn every_endpoint_spelling_listens_and_connects() {
+    let dir = std::env::temp_dir().join(format!("synscan-resil-spellings-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("store dir");
+    let port = || {
+        let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("probe port");
+        probe.local_addr().expect("probe addr").port()
+    };
+    let unix = format!("unix:{}", dir.join("serve.sock").display());
+    // The daemons run one after another, so the two ports may coincide.
+    let (a, b) = (port(), port());
+    let tcp = |port: u16| vec![format!("127.0.0.1:{port}"), format!("tcp:127.0.0.1:{port}")];
+    let daemons = [
+        (format!("127.0.0.1:{a}"), tcp(a)),
+        (format!("tcp:127.0.0.1:{b}"), tcp(b)),
+        (unix.clone(), vec![unix]),
+    ];
+    for (listen, connects) in daemons {
+        let mut daemon = Daemon(
+            std::process::Command::new(env!("CARGO_BIN_EXE_synscan-serve"))
+                .arg("--store-dir")
+                .arg(&dir)
+                .args(["--listen", &listen])
+                .stdout(std::process::Stdio::null())
+                .stderr(std::process::Stdio::null())
+                .spawn()
+                .expect("spawn daemon"),
+        );
+        let started = Instant::now();
+        for connect in &connects {
+            let pong = loop {
+                match client(connect, "{\"op\":\"ping\"}\n") {
+                    Some(reply) => break reply,
+                    None if started.elapsed() < Duration::from_secs(20) => {
+                        std::thread::sleep(Duration::from_millis(50))
+                    }
+                    None => panic!("--listen {listen}: --connect {connect} got no answer"),
+                }
+            };
+            assert_eq!(
+                pong, "{\"ok\":true,\"body\":\"pong\"}\n",
+                "--connect {connect}"
+            );
+        }
+        let bye = client(&connects[0], "{\"op\":\"shutdown\"}\n");
+        assert!(bye.is_some_and(|line| line.contains("shutting down")));
+        assert!(
+            daemon.0.wait().expect("daemon exits").success(),
+            "--listen {listen}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

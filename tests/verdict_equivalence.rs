@@ -30,7 +30,7 @@ use synscan::scanners::traits::{craft_record, ProbeCrafter};
 use synscan::scanners::unicorn::UnicornScanner;
 use synscan::scanners::zmap::ZmapScanner;
 use synscan::stats::mix64;
-use synscan::wire::stream::{FaultPolicy, InfallibleStream, SliceStream};
+use synscan::wire::stream::{FaultPolicy, SliceStream};
 use synscan::wire::{Ipv4Address, ProbeRecord};
 
 const YEAR: u16 = 2020;
@@ -129,7 +129,7 @@ fn sequential(records: &[ProbeRecord], mode: PipelineMode) -> YearAnalysis {
         mode,
         SizeHints::none(),
         FaultPolicy::Fail,
-        &mut InfallibleStream(&mut SliceStream::with_batch_size(records, 257)),
+        &mut SliceStream::with_batch_size(records, 257),
         |_| true,
     )
     .expect("an ordered stream runs clean")
@@ -158,7 +158,7 @@ fn slice(
     run_slice(
         &task,
         resume,
-        &mut InfallibleStream(&mut SliceStream::with_batch_size(records, 64)),
+        &mut SliceStream::with_batch_size(records, 64),
         &mut FilterAdmit(|_: &ProbeRecord| true),
         &mut |ck| {
             cuts.push(ck.clone());

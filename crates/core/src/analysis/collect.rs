@@ -9,7 +9,10 @@
 //! by the pipeline (one hash probe per record), per-source aggregates are
 //! `Vec`-indexed by that id, distinct-source sets are sorted-vec/bitmap
 //! hybrids ([`crate::compact`]), and the remaining tuple-keyed maps pack
-//! their keys into single integers hashed with [`crate::fasthash`]. The
+//! their keys into single integers hashed with [`crate::fasthash`]. Only
+//! the open volatility period's (week, /16) cells are a map: a period the
+//! stream has left is sealed into sorted columns once, and nothing sorts
+//! or rehashes it again. The
 //! public [`YearAnalysis`] is assembled from this state at
 //! [`YearCollector::finish`] as key-sorted columns ([`SortedMap`]): the
 //! order the store format writes and every later stage — merge, encode,
@@ -25,7 +28,7 @@ use crate::campaign::{
     tool_slot, Campaign, CampaignConfig, NoiseStats, Pipeline, TOOL_BY_SLOT, TOOL_SLOTS,
 };
 use crate::checkpoint::{Ascending, CheckpointError, SnapReader, SnapWriter};
-use crate::compact::{sorted_union, IdSet, PortSet, SortedMap};
+use crate::compact::{snapshot_ids, sorted_union, IdSet, PortSet, SortedMap};
 use crate::fasthash::FxHashMap;
 use crate::sketch::{HeavyHitterConfig, HeavyHitters};
 
@@ -275,6 +278,17 @@ impl YearAnalysis {
         self.total_packets += other.total_packets;
         // Sources are disjoint across shards, so cardinalities add.
         self.distinct_sources += other.distinct_sources;
+        // Each column grows in place and frees the other's buffer; the
+        // widest go first, so the narrower ones can grow into what they
+        // freed instead of into fresh pages.
+        self.week_blocks
+            .merge_from(other.week_blocks, |mine, theirs| mine.absorb(&theirs));
+        // Disjoint under the partition invariant; a source two partials both
+        // list keeps the later one's row.
+        self.source_packets
+            .merge_from(other.source_packets, |mine, theirs| *mine = theirs);
+        self.source_port_counts
+            .merge_from(other.source_port_counts, |mine, theirs| *mine = theirs);
         for (port, n) in other.port_packets {
             *self.port_packets.entry(port).or_default() += n;
         }
@@ -282,18 +296,10 @@ impl YearAnalysis {
             .merge_from(other.port_source_sets, |mine, theirs| {
                 *mine = sorted_union(mine, &theirs)
             });
-        // Disjoint under the partition invariant; a source two partials both
-        // list keeps the later one's row.
-        self.source_port_counts
-            .merge_from(other.source_port_counts, |mine, theirs| *mine = theirs);
-        self.source_packets
-            .merge_from(other.source_packets, |mine, theirs| *mine = theirs);
         self.day_port_packets
             .merge_from(other.day_port_packets, |mine, theirs| *mine += theirs);
         self.tool_port_packets
             .merge_from(other.tool_port_packets, |mine, theirs| *mine += theirs);
-        self.week_blocks
-            .merge_from(other.week_blocks, |mine, theirs| mine.absorb(&theirs));
         self.campaigns.extend(other.campaigns);
         for (reason, n) in other.noise.rejected_sequences {
             *self.noise.rejected_sequences.entry(reason).or_default() += n;
@@ -315,12 +321,150 @@ struct PortStat {
     sources: IdSet,
 }
 
-/// Per-(week, /16) accumulator; the distinct-source count is derived from
-/// the set at finish time.
+/// Per-(week, /16) accumulator of the open period; the distinct-source
+/// count is derived from the set at finish time.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 struct WeekState {
     packets: u64,
     sources: IdSet,
+}
+
+/// The (week, /16) cells of the periods the stream has left: one
+/// [`SealedPeriod`] per period that has cells, ascending by week.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+struct SealedCells {
+    periods: Vec<SealedPeriod>,
+}
+
+impl SealedCells {
+    /// Cells held, over every period.
+    fn len(&self) -> usize {
+        self.periods.iter().map(|period| period.blocks.len()).sum()
+    }
+
+    /// `((week, block), packets, members)` of every cell, in key order.
+    fn iter(&self) -> impl Iterator<Item = ((u32, u16), u64, &[u32])> + '_ {
+        self.periods.iter().flat_map(|period| {
+            period
+                .cells()
+                .map(|(block, packets, members)| ((period.week, block), packets, members))
+        })
+    }
+
+    /// Close period `week`, later than every period held, whose cells are
+    /// `live`; `live` is left empty with its capacity.
+    fn seal(&mut self, week: u32, live: &mut FxHashMap<u16, WeekState>) {
+        if live.is_empty() {
+            return;
+        }
+        debug_assert!(self.periods.last().is_none_or(|period| period.week < week));
+        self.periods.push(SealedPeriod::new(week, live));
+        live.clear();
+    }
+
+    /// Count one packet of `sid` into the cell `(week, block)` of a closed
+    /// period: the slow path for a record older than the open period, which
+    /// only a caller breaking `offer`'s time-order contract sends. The cell
+    /// ends up where sealing it in order would have put it.
+    fn count_late(&mut self, week: u32, block: u16, sid: u32) {
+        let at = self.periods.partition_point(|period| period.week < week);
+        if self
+            .periods
+            .get(at)
+            .is_none_or(|period| period.week != week)
+        {
+            let empty = SealedPeriod {
+                week,
+                ..SealedPeriod::default()
+            };
+            self.periods.insert(at, empty);
+        }
+        self.periods[at].count(block, sid);
+    }
+}
+
+/// One closed period's cells, ascending by /16. A time-ordered stream never
+/// touches them again, so each column is allocated once at its exact size,
+/// with no hash slack and no insertable set: a cell costs its /16, its
+/// packets and the end of its member run (14 B), and 4 B per member.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+struct SealedPeriod {
+    week: u32,
+    blocks: Vec<u16>,
+    packets: Vec<u64>,
+    /// Where each cell's member run ends in `members`; it starts where the
+    /// previous cell's ends.
+    ends: Vec<u32>,
+    /// Every cell's distinct source ids, ascending within a cell.
+    members: Vec<u32>,
+}
+
+impl SealedPeriod {
+    /// Period `week` with the cells of `live`.
+    fn new(week: u32, live: &FxHashMap<u16, WeekState>) -> Self {
+        let mut blocks: Vec<u16> = live.keys().copied().collect();
+        blocks.sort_unstable();
+        let mut period = SealedPeriod {
+            week,
+            packets: Vec::with_capacity(blocks.len()),
+            ends: Vec::with_capacity(blocks.len()),
+            members: Vec::with_capacity(live.values().map(|cell| cell.sources.len()).sum()),
+            blocks,
+        };
+        for block in &period.blocks {
+            let cell = &live[block];
+            period.members.extend(cell.sources.iter());
+            period.packets.push(cell.packets);
+            period.ends.push(
+                u32::try_from(period.members.len()).expect("fewer than 2^32 members in a period"),
+            );
+        }
+        period
+    }
+
+    /// `(block, packets, members)` of every cell, ascending by block.
+    fn cells(&self) -> impl Iterator<Item = (u16, u64, &[u32])> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        self.blocks
+            .iter()
+            .zip(&self.packets)
+            .zip(starts.zip(&self.ends))
+            .map(|((&block, &packets), (start, &end))| {
+                (block, packets, &self.members[start as usize..end as usize])
+            })
+    }
+
+    /// Count one packet of `sid` from `block`, inserting the cell or the
+    /// member where they belong.
+    fn count(&mut self, block: u16, sid: u32) {
+        let cell = self.blocks.partition_point(|&b| b < block);
+        let start = match cell {
+            0 => 0,
+            _ => self.ends[cell - 1],
+        };
+        if self.blocks.get(cell) == Some(&block) {
+            self.packets[cell] += 1;
+            let run = &self.members[start as usize..self.ends[cell] as usize];
+            let Err(at) = run.binary_search(&sid) else {
+                return;
+            };
+            self.members.insert(start as usize + at, sid);
+        } else {
+            self.blocks.insert(cell, block);
+            self.packets.insert(cell, 1);
+            self.ends.insert(cell, start);
+            self.members.insert(start as usize, sid);
+        }
+        for end in &mut self.ends[cell..] {
+            *end += 1;
+        }
+    }
+}
+
+/// A (week, /16) cell's key as a checkpoint writes it: `(week << 16) |
+/// block`.
+fn cell_key(week: u32, block: u16) -> u64 {
+    (u64::from(week) << 16) | u64::from(block)
 }
 
 /// Streaming collector: offer records, then [`YearCollector::finish`].
@@ -343,8 +487,12 @@ pub struct YearCollector {
     day_port_packets: FxHashMap<u64, u64>,
     /// Packets per packed `(tool_slot << 16) | port` key (slot 0 = no tool).
     tool_port_packets: FxHashMap<u32, u64>,
-    /// Volatility cells per packed `(week << 16) | slash16` key.
-    week_cells: FxHashMap<u64, WeekState>,
+    /// The open volatility period: that of the latest record in time order.
+    live_week: u32,
+    /// The open period's cells per /16.
+    live_cells: FxHashMap<u16, WeekState>,
+    /// The cells of every earlier period.
+    sealed_cells: SealedCells,
     /// Sublinear heavy-hitter tracking, when enabled for the run.
     heavy: Option<HeavyHitters>,
 }
@@ -375,7 +523,9 @@ impl YearCollector {
             source_ports: Vec::new(),
             day_port_packets: FxHashMap::default(),
             tool_port_packets: FxHashMap::default(),
-            week_cells: FxHashMap::default(),
+            live_week: 0,
+            live_cells: FxHashMap::default(),
+            sealed_cells: SealedCells::default(),
             heavy: None,
         }
     }
@@ -424,7 +574,9 @@ impl YearCollector {
         }
     }
 
-    /// Offer one admitted (SYN-filtered) record in timestamp order.
+    /// Offer one admitted (SYN-filtered) record in timestamp order. A
+    /// record older than the open volatility period is still counted
+    /// exactly, on a slow path.
     pub fn offer(&mut self, record: &ProbeRecord) {
         let (verdict, sid) = self.pipeline.process_interned(record);
         let t0 = *self.start_micros.get_or_insert(record.ts_micros);
@@ -469,10 +621,16 @@ impl YearCollector {
         }
 
         let week = (rel / self.period_micros) as u32;
-        let cell = self
-            .week_cells
-            .entry((u64::from(week) << 16) | u64::from(record.src_ip.slash16()))
-            .or_default();
+        let block = record.src_ip.slash16();
+        if week != self.live_week {
+            if week < self.live_week {
+                self.sealed_cells.count_late(week, block, sid);
+                return;
+            }
+            self.sealed_cells.seal(self.live_week, &mut self.live_cells);
+            self.live_week = week;
+        }
+        let cell = self.live_cells.entry(block).or_default();
         cell.packets += 1;
         cell.sources.insert(sid);
     }
@@ -533,12 +691,17 @@ impl YearCollector {
             w.put_u64(self.tool_port_packets[&key]);
         }
 
-        let mut week_keys: Vec<u64> = self.week_cells.keys().copied().collect();
-        week_keys.sort_unstable();
-        w.put_u64(week_keys.len() as u64);
-        for key in week_keys {
-            let cell = &self.week_cells[&key];
-            w.put_u64(key);
+        // The sealed rows, then the open period: every cell in key order.
+        w.put_u64((self.sealed_cells.len() + self.live_cells.len()) as u64);
+        for ((week, block), packets, members) in self.sealed_cells.iter() {
+            w.put_u64(cell_key(week, block));
+            w.put_u64(packets);
+            snapshot_ids(members, w);
+        }
+        let mut live: Vec<(&u16, &WeekState)> = self.live_cells.iter().collect();
+        live.sort_unstable_by_key(|&(block, _)| *block);
+        for (&block, cell) in live {
+            w.put_u64(cell_key(self.live_week, block));
             w.put_u64(cell.packets);
             cell.sources.snapshot_to(w);
         }
@@ -567,6 +730,16 @@ impl YearCollector {
         let total_packets = r.take_u64()?;
         let pipeline = Pipeline::restore_from(config, r)?;
 
+        // Every per-source column has one entry per interned source, and
+        // every id a set holds names one.
+        let n_interned = pipeline.sources();
+        let interned = |what: &str, set: &IdSet| match set.last() {
+            Some(id) if id as usize >= n_interned => Err(CheckpointError::Corrupt(format!(
+                "{what} holds source {id} of {n_interned}"
+            ))),
+            _ => Ok(()),
+        };
+
         let n_ports = r.take_len(11)?;
         let mut port_stats = FxHashMap::default();
         port_stats.reserve(n_ports);
@@ -575,6 +748,7 @@ impl YearCollector {
             let port = order.admit(r.take_u16()?)?;
             let packets = r.take_u64()?;
             let sources = IdSet::restore_from(r)?;
+            interned("a port's source set", &sources)?;
             port_stats.insert(port, PortStat { packets, sources });
         }
 
@@ -587,6 +761,11 @@ impl YearCollector {
         let mut source_ports = Vec::with_capacity(n_port_sets);
         for _ in 0..n_port_sets {
             source_ports.push(PortSet::restore_from(r)?);
+        }
+        if n_sources != n_interned || n_port_sets != n_interned {
+            return Err(CheckpointError::Corrupt(format!(
+                "{n_sources} packet counts and {n_port_sets} port sets for {n_interned} sources"
+            )));
         }
 
         let n_days = r.take_len(16)?;
@@ -610,14 +789,38 @@ impl YearCollector {
         }
 
         let n_weeks = r.take_len(17)?;
-        let mut week_cells = FxHashMap::default();
-        week_cells.reserve(n_weeks);
+        let mut live_week = 0;
+        let mut live_cells = FxHashMap::default();
+        let mut sealed_cells = SealedCells::default();
+        let mut cell_packets = 0u128;
         let mut order = Ascending::new("collector (week, /16) keys");
         for _ in 0..n_weeks {
             let key = order.admit(r.take_u64()?)?;
             let packets = r.take_u64()?;
             let sources = IdSet::restore_from(r)?;
-            week_cells.insert(key, WeekState { packets, sources });
+            let week = u32::try_from(key >> 16)
+                .map_err(|_| CheckpointError::Corrupt(format!("(week, /16) key {key:#x}")))?;
+            if sources.is_empty() || sources.len() as u64 > packets {
+                return Err(CheckpointError::Corrupt(format!(
+                    "(week, /16) cell {key:#x}: {} sources for {packets} packets",
+                    sources.len()
+                )));
+            }
+            interned("a (week, /16) cell", &sources)?;
+            cell_packets += u128::from(packets);
+            // Keys ascend, so this is the move `offer` makes when the stream
+            // enters a later period: the cut's split, rebuilt.
+            if week != live_week {
+                sealed_cells.seal(live_week, &mut live_cells);
+                live_week = week;
+            }
+            live_cells.insert(key as u16, WeekState { packets, sources });
+        }
+        let source_sum: u128 = source_packets.iter().copied().map(u128::from).sum();
+        if cell_packets != source_sum || source_sum != u128::from(total_packets) {
+            return Err(CheckpointError::Corrupt(format!(
+                "{total_packets} packets, {source_sum} by source, {cell_packets} by (week, /16)"
+            )));
         }
 
         let heavy = match r.take_u8()? {
@@ -643,7 +846,9 @@ impl YearCollector {
             source_ports,
             day_port_packets,
             tool_port_packets,
-            week_cells,
+            live_week,
+            live_cells,
+            sealed_cells,
             heavy,
         })
     }
@@ -670,7 +875,9 @@ impl YearCollector {
             source_ports,
             day_port_packets,
             tool_port_packets,
-            week_cells,
+            live_week,
+            mut live_cells,
+            mut sealed_cells,
             heavy,
         } = self;
         let t0 = start_micros.unwrap_or(0);
@@ -691,19 +898,25 @@ impl YearCollector {
         drop(source_packets);
         drop(by_address);
 
-        let mut week_blocks: SortedMap<(u32, u16), WeekCell> = week_cells
-            .into_iter()
-            .map(|(key, state)| {
+        // Sealing the open period leaves every cell a row, in key order.
+        sealed_cells.seal(live_week, &mut live_cells);
+        drop(live_cells);
+        let week_blocks: Vec<_> = sealed_cells
+            .iter()
+            .map(|(key, packets, members)| {
                 (
-                    ((key >> 16) as u32, (key & 0xffff) as u16),
+                    key,
                     WeekCell {
-                        sources: state.sources.len() as u64,
-                        packets: state.packets,
+                        sources: members.len() as u64,
+                        packets,
                         campaigns: 0,
                     },
                 )
             })
             .collect();
+        drop(sealed_cells);
+        let mut week_blocks =
+            SortedMap::from_sorted(week_blocks).expect("sealed rows ascend by key");
         let mut campaign_starts: BTreeMap<(u32, u16), WeekCell> = BTreeMap::new();
         for campaign in &campaigns {
             let week = (campaign.first_ts_micros.saturating_sub(t0) / period_micros) as u32;
@@ -790,6 +1003,7 @@ fn source_column<V>(by_address: &[(u32, u32)], value: impl Fn(usize) -> V) -> So
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{Checkpoint, CheckpointHeader};
     use synscan_wire::TcpFlags;
 
     fn cfg() -> CampaignConfig {
@@ -1068,6 +1282,150 @@ mod tests {
             resumed.offer(r);
         }
         assert_eq!(resumed.finish(), uninterrupted.finish());
+    }
+
+    /// `collector`'s blob as the one shard of a checkpoint whose envelope
+    /// is sound, read back the way a resume reads it.
+    fn resume_from_envelope(
+        collector: &YearCollector,
+    ) -> Result<Option<YearCollector>, CheckpointError> {
+        let checkpoint = Checkpoint {
+            header: CheckpointHeader {
+                year: collector.year,
+                identity: 7,
+                workers: 1,
+                cursor: collector.total_packets,
+                seq: 1,
+                origin: collector.start_micros,
+            },
+            gate_last: None,
+            faults: Default::default(),
+            admit_state: Vec::new(),
+            shards: vec![Checkpoint::encode_collector(Some(collector))],
+        };
+        Checkpoint::from_bytes(&checkpoint.to_bytes())
+            .expect("the envelope is sound")
+            .shard_collector(0)
+    }
+
+    #[test]
+    fn a_collector_blob_that_contradicts_itself_is_corrupt() {
+        // Two sources in two /16s over two periods (one sealed), and a port
+        // both scanned.
+        let mut sound = YearCollector::with_period(2020, cfg(), 1.0);
+        sound.offer(&record(0x0101_0001, 100, 80, 0));
+        sound.offer(&record(0x0202_0001, 101, 80, 1_000));
+        sound.offer(&record(0x0101_0001, 102, 22, DAY_MICROS + 5));
+        assert_eq!(sound.sealed_cells.len(), 2);
+        assert!(sound.live_cells.contains_key(&0x0101));
+        assert_eq!(resume_from_envelope(&sound), Ok(Some(sound.clone())));
+
+        type Corruption = fn(&mut YearCollector);
+        let cases: [(&str, Corruption); 8] = [
+            ("a port set missing", |c| drop(c.source_ports.pop())),
+            ("a packet count missing", |c| {
+                let last = c.source_packets.pop().unwrap();
+                c.source_packets[0] += last;
+            }),
+            ("a source the interner lacks", |c| {
+                c.source_packets.push(0);
+                c.source_ports.push(PortSet::default());
+            }),
+            ("a cell without sources", |c| {
+                c.live_cells.get_mut(&0x0101).unwrap().sources = IdSet::new();
+            }),
+            ("a cell with more sources than packets", |c| {
+                let cell = c.live_cells.get_mut(&0x0101).unwrap();
+                cell.sources.insert(1);
+            }),
+            ("cells that miss a packet", |c| {
+                c.sealed_cells.periods[0].packets[0] = 0;
+            }),
+            ("a total no column sums to", |c| c.total_packets += 1),
+            ("a port set naming an unknown source", |c| {
+                c.port_stats.get_mut(&80).unwrap().sources.insert(9);
+            }),
+        ];
+        for (what, corrupt) in cases {
+            let mut collector = sound.clone();
+            corrupt(&mut collector);
+            assert!(
+                matches!(
+                    resume_from_envelope(&collector),
+                    Err(CheckpointError::Corrupt(_))
+                ),
+                "{what} was not refused"
+            );
+        }
+    }
+
+    #[test]
+    fn sealing_a_period_is_invisible_to_cuts_and_finish() {
+        // Three one-day periods, each with five sources in each of two /16s.
+        let mut collector = YearCollector::with_period(2020, cfg(), 1.0);
+        for day in 0..3u64 {
+            for i in 0..20u32 {
+                let src = [0x0101_0000, 0x0202_0000][i as usize % 2] + i % 5;
+                collector.offer(&record(
+                    src,
+                    100 + i,
+                    80,
+                    day * DAY_MICROS + u64::from(i) * 1000,
+                ));
+            }
+            assert_eq!(collector.live_week, day as u32);
+            assert_eq!(collector.sealed_cells.len(), 2 * day as usize);
+            let back = collector_round_trip(&collector);
+            assert_eq!(back, collector, "day {day}");
+            assert_eq!(
+                Checkpoint::encode_collector(Some(&back)),
+                Checkpoint::encode_collector(Some(&collector)),
+                "day {day}"
+            );
+        }
+        for period in &collector.sealed_cells.periods {
+            assert_eq!(period.blocks, [0x0101, 0x0202]);
+            assert_eq!(period.members, [0, 2, 4, 6, 8, 1, 3, 5, 7, 9]);
+        }
+        let analysis = collector.finish();
+        assert_eq!(analysis.week_blocks.len(), 6);
+        for cell in analysis.week_blocks.values() {
+            assert_eq!((cell.sources, cell.packets), (5, 10));
+        }
+    }
+
+    #[test]
+    fn a_record_older_than_the_open_period_is_counted_in_place() {
+        // Offered out of order, as only a caller breaking `offer`'s contract
+        // does: every record still lands in its own period's cell, and the
+        // sealed rows are those of the same records in time order.
+        let days = [5u64, 3, 0, 4, 1, 2, 5, 0, 3, 3, 1, 0];
+        let srcs = [0x0101_0001u32, 0x0202_0002, 0x0101_0003];
+        let records: Vec<ProbeRecord> = days
+            .iter()
+            .enumerate()
+            .map(|(i, &day)| record(srcs[i % 3], 100 + i as u32, 80, day * DAY_MICROS + 7))
+            .collect();
+        let mut late = YearCollector::with_origin(2020, cfg(), 1.0, 0);
+        for r in &records {
+            late.offer(r);
+        }
+        assert_eq!(late.live_week, 5);
+        assert_eq!(collector_round_trip(&late), late);
+        let mut sorted = records.clone();
+        sorted.sort_by_key(|r| r.ts_micros);
+        let mut ordered = YearCollector::with_origin(2020, cfg(), 1.0, 0);
+        for r in &sorted {
+            ordered.offer(r);
+        }
+        let rows = |c: &YearCollector| -> Vec<((u32, u16), u64)> {
+            c.sealed_cells
+                .iter()
+                .map(|(key, packets, _)| (key, packets))
+                .collect()
+        };
+        assert_eq!(rows(&late), rows(&ordered));
+        assert_eq!(late.finish().week_blocks, ordered.finish().week_blocks);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Figure 2: weekly change of scanning activity per /16 netblock.
 //!
-//! For every /16 present in two consecutive weeks, the change factor is
-//! `max(current, previous) / min(current, previous)` — i.e. a block that
-//! doubled *or* halved scores factor 2. The paper finds the ecosystem wildly
-//! volatile: in more than 50% of /16s the activity changes by a factor ≥ 2
-//! week over week, and in more than a third by ≥ 3; only 20–30% of blocks
-//! are stable.
+//! For every /16 present in *either* of two consecutive weeks, the change
+//! factor is `max(current, previous) / min(current, previous)` — i.e. a
+//! block that doubled *or* halved scores factor 2. A block absent from one
+//! week of the pair counts as zero there, so it scores the cap (1000) in
+//! every metric it has in the other week. The paper finds the ecosystem
+//! wildly volatile: in more than 50% of /16s the activity changes by a
+//! factor ≥ 2 week over week, and in more than a third by ≥ 3; only 20–30%
+//! of blocks are stable.
 
 use synscan_stats::Ecdf;
 
@@ -36,9 +38,12 @@ impl VolatilityCdfs {
 
 /// Compute week-over-week change factors across all /16s of one year.
 ///
-/// Blocks absent in either week of a pair are skipped (no meaningful
-/// factor); blocks present with zero in one metric but not the other are
-/// capped at `CAP` to keep the CDF finite.
+/// Every block present in either week of a pair gives one sample per
+/// metric; a block absent from both gives none. A week without the block
+/// counts as zero in every metric, and a metric that is zero in one week and
+/// not the other scores `CAP` (1000), which keeps the CDF finite. So a block
+/// that appears or vanishes scores `CAP` in sources and packets, not a
+/// skip; zero in both weeks scores 1.
 pub fn weekly_change(analysis: &YearAnalysis) -> VolatilityCdfs {
     weekly_change_from_cells(&analysis.week_blocks)
 }
@@ -155,6 +160,22 @@ mod tests {
         assert!(v.sources.samples().iter().all(|&f| f == CAP || f == 1.0));
         let (s, _, _) = v.fraction_changing_by(2.0);
         assert!(s > 0.5);
+    }
+
+    #[test]
+    fn a_block_absent_from_one_week_of_a_pair_scores_the_cap() {
+        let cells = [
+            ((0u32, 5u16), cell(3, 0, 30)), // only in week 0
+            ((1, 6), cell(2, 1, 20)),       // appears in week 1
+            ((2, 6), cell(2, 1, 20)),       // unchanged in week 2
+        ];
+        let v = weekly_change_from_cells(&cells.into_iter().collect());
+        // Weeks 0→1: both blocks at the cap, except block 5's campaigns,
+        // zero in both weeks. Weeks 1→2: block 6 unchanged; block 5 is in
+        // neither week, so it gives no sample.
+        assert_eq!(v.sources.samples(), &[1.0, CAP, CAP]);
+        assert_eq!(v.campaigns.samples(), &[1.0, 1.0, CAP]);
+        assert_eq!(v.packets.samples(), &[1.0, CAP, CAP]);
     }
 
     #[test]

@@ -581,6 +581,11 @@ impl CampaignDetector {
         self.slots.reserve(sources);
     }
 
+    /// Number of sources interned so far.
+    pub(crate) fn sources(&self) -> usize {
+        self.table.len()
+    }
+
     /// Number of currently open scans.
     pub fn open_scans(&self) -> usize {
         self.active.len()
@@ -866,6 +871,11 @@ impl Pipeline {
     /// addresses.
     pub(crate) fn reserve_sources(&mut self, sources: usize) {
         self.detector.reserve(sources);
+    }
+
+    /// Number of sources interned so far.
+    pub(crate) fn sources(&self) -> usize {
+        self.detector.sources()
     }
 
     /// Process one record: intern, fingerprint and count it

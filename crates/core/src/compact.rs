@@ -189,6 +189,17 @@ impl IdSet {
         self.len() == 0
     }
 
+    /// The largest id, if any.
+    pub(crate) fn last(&self) -> Option<u32> {
+        match self {
+            IdSet::Bits { words, .. } => {
+                let word = words.iter().rposition(|&bits| bits != 0)?;
+                Some(word as u32 * 64 + 63 - words[word].leading_zeros())
+            }
+            _ => self.sorted().and_then(|ids| ids.last().copied()),
+        }
+    }
+
     /// Iterate ids in ascending order.
     pub(crate) fn iter(&self) -> IdSetIter<'_> {
         match self {
@@ -214,14 +225,7 @@ impl IdSet {
                     w.put_u64(word);
                 }
             }
-            _ => {
-                let items = self.sorted().unwrap_or_default();
-                w.put_u8(0);
-                w.put_u64(items.len() as u64);
-                for &id in items {
-                    w.put_u32(id);
-                }
-            }
+            _ => snapshot_ids(self.sorted().unwrap_or_default(), w),
         }
     }
 
@@ -278,6 +282,32 @@ impl IdSet {
                 }
             }
         }
+    }
+}
+
+/// Write the ascending, deduplicated `ids` exactly as
+/// [`IdSet::snapshot_to`] writes the set that holds them: up to
+/// `ID_SMALL_MAX` members as tag 0 and the ids, more as tag 1 and the bitmap
+/// inserting them would grow, one word per 64 ids up to the largest.
+pub(crate) fn snapshot_ids(ids: &[u32], w: &mut SnapWriter) {
+    if ids.len() <= ID_SMALL_MAX {
+        w.put_u8(0);
+        w.put_u64(ids.len() as u64);
+        for &id in ids {
+            w.put_u32(id);
+        }
+        return;
+    }
+    w.put_u8(1);
+    w.put_u32(ids.len() as u32);
+    let words = (ids[ids.len() - 1] >> 6) as usize + 1;
+    w.put_u64(words as u64);
+    let mut rest = ids;
+    for word in 0..words {
+        let in_word = rest.partition_point(|&id| (id >> 6) as usize == word);
+        let (these, tail) = rest.split_at(in_word);
+        w.put_u64(these.iter().fold(0, |bits, &id| bits | 1 << (id & 63)));
+        rest = tail;
     }
 }
 
@@ -403,10 +433,14 @@ impl<K: Ord, V> SortedMap<K, V> {
         self.entries.iter().map(|(_, v)| v)
     }
 
-    /// Merge `other` into `self` in one pass over both. A key only one side
-    /// holds moves across unchanged; for a key both hold, `combine(mine,
-    /// theirs)` decides what stays.
-    pub(crate) fn merge_from(&mut self, other: Self, mut combine: impl FnMut(&mut V, V)) {
+    /// Merge `other` into `self` in one pass over both, in `self`'s own
+    /// buffer. A key only one side holds moves across unchanged; for a key
+    /// both hold, `combine(mine, theirs)` decides what stays.
+    pub(crate) fn merge_from(&mut self, other: Self, mut combine: impl FnMut(&mut V, V))
+    where
+        K: Default,
+        V: Default,
+    {
         if other.is_empty() {
             return;
         }
@@ -414,25 +448,32 @@ impl<K: Ord, V> SortedMap<K, V> {
             *self = other;
             return;
         }
-        let mut merged = Vec::with_capacity(self.len() + other.len());
-        let mut mine = std::mem::take(&mut self.entries).into_iter().peekable();
-        let mut theirs = other.entries.into_iter().peekable();
-        while let (Some(a), Some(b)) = (mine.peek(), theirs.peek()) {
-            let order = a.0.cmp(&b.0);
-            let mut entry = if order == std::cmp::Ordering::Greater {
-                theirs.next()
+        let mut theirs = other.entries;
+        let entries = &mut self.entries;
+        let mut unread = entries.len();
+        entries.resize_with(unread + theirs.len(), Default::default);
+        let mut write = entries.len();
+        // Fill from the back, largest key first. `write - unread` is the
+        // count of their entries still to place plus the shared keys seen,
+        // so a write never lands on one of mine still unread.
+        while let Some((key, value)) = theirs.pop() {
+            while unread > 0 && entries[unread - 1].0 > key {
+                unread -= 1;
+                write -= 1;
+                entries.swap(unread, write);
+            }
+            write -= 1;
+            if unread > 0 && entries[unread - 1].0 == key {
+                unread -= 1;
+                entries.swap(unread, write);
+                combine(&mut entries[write].1, value);
             } else {
-                mine.next()
+                entries[write] = (key, value);
             }
-            .expect("peeked");
-            if order == std::cmp::Ordering::Equal {
-                combine(&mut entry.1, theirs.next().expect("peeked").1);
-            }
-            merged.push(entry);
         }
-        merged.extend(mine);
-        merged.extend(theirs);
-        self.entries = merged;
+        // Mine still unread are in place; each shared key left one
+        // placeholder between them and the merged tail.
+        entries.drain(unread..write);
     }
 }
 
@@ -1040,6 +1081,26 @@ mod tests {
     }
 
     #[test]
+    fn bare_ids_snapshot_as_the_set_that_holds_them() {
+        let mut wide = IdSet::new();
+        for id in [5u32, 64, 700, 701, 4_095, 9_000] {
+            wide.insert(id);
+        }
+        for i in 0..40u32 {
+            wide.insert(i * 131);
+        }
+        let mut sets = idset_at_each_bound();
+        sets.push((wide.len(), wide));
+        for (n, set) in sets {
+            let ids: Vec<u32> = set.iter().collect();
+            let mut w = SnapWriter::new();
+            snapshot_ids(&ids, &mut w);
+            assert!(w.into_bytes() == idset_bytes(&set), "{n} ids");
+            assert_eq!(set.last(), ids.last().copied(), "{n} ids");
+        }
+    }
+
+    #[test]
     fn idset_variant_follows_size_through_snapshot_and_re_encode() {
         for (n, set) in idset_at_each_bound() {
             let expected_variant = match n {
@@ -1170,6 +1231,36 @@ mod tests {
         assert_eq!(empty, sum);
         empty.merge_from(SortedMap::default(), |_, _| unreachable!("no shared key"));
         assert_eq!(empty, sum);
+    }
+
+    #[test]
+    fn sorted_map_merge_in_place_matches_a_btreemap_for_every_overlap() {
+        use std::collections::BTreeMap;
+        use synscan_stats::mix64;
+        // Up to 12 and 10 keys out of 40: disjoint, interleaved, nested and
+        // shared runs, either side empty. The values own heap memory, so a
+        // move that duplicates or drops one shows.
+        for case in 0..300u64 {
+            let draw = |salt: u64, n: u64| -> BTreeMap<u32, Vec<u64>> {
+                (0..n)
+                    .map(|i| {
+                        let r = mix64(case << 16 | salt << 8 | i);
+                        ((r % 40) as u32, vec![r >> 40])
+                    })
+                    .collect()
+            };
+            let (mine, theirs) = (draw(1, case % 13), draw(2, case % 11));
+            let mut reference = mine.clone();
+            for (key, values) in &theirs {
+                reference.entry(*key).or_default().extend(values);
+            }
+            let mut merged: SortedMap<u32, Vec<u64>> = mine.into_iter().collect();
+            merged.merge_from(theirs.into_iter().collect(), |mine, theirs| {
+                mine.extend(theirs)
+            });
+            let reference: Vec<(u32, Vec<u64>)> = reference.into_iter().collect();
+            assert_eq!(merged.as_slice(), reference.as_slice(), "case {case}");
+        }
     }
 
     #[test]

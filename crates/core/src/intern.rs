@@ -76,6 +76,11 @@ impl SourceTable {
         self.ips
     }
 
+    /// Number of interned sources.
+    pub(crate) fn len(&self) -> usize {
+        self.ips.len()
+    }
+
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.ips.is_empty()

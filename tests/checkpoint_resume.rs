@@ -262,6 +262,28 @@ fn a_checkpoint_written_by_an_earlier_build_reencodes_and_resumes() {
 }
 
 #[test]
+fn every_shard_of_the_golden_checkpoint_reencodes_to_its_own_blob() {
+    // The collector restored from a blob holds closed periods as sealed rows
+    // and the open one as live cells; cut again, it writes the same bytes.
+    // Each shard of this cut has reached its third one-day period.
+    let golden = Checkpoint::from_bytes(&golden("year-2015-sharded2-v3.ckpt"))
+        .expect("golden checkpoint decodes");
+    for (shard, blob) in golden.shards.iter().enumerate() {
+        let collector = golden
+            .shard_collector(shard)
+            .expect("shard decodes")
+            .expect("shard saw records");
+        assert!(
+            Checkpoint::encode_collector(Some(&collector)) == *blob,
+            "shard {shard} re-encodes to other bytes"
+        );
+        let analysis = collector.finish();
+        let open_period = analysis.week_blocks.keys().last().map(|&(week, _)| week);
+        assert_eq!(open_period, Some(2), "shard {shard}");
+    }
+}
+
+#[test]
 fn a_checkpoint_of_the_previous_format_is_refused_with_a_rerun_message() {
     // The same cut in format version 2, whose idle sources carried a
     // fingerprint window and an empty scan body each.

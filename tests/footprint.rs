@@ -5,8 +5,8 @@
 //! track; `finish` and `write_year` must not set a higher peak than that.
 //!
 //! A counting global allocator measures the live heap and its high-water
-//! mark: of a sequential `YearCollector` over thousands of small sources, of
-//! a bare campaign detector whose sources open and close their scans one
+//! mark: of a sequential `YearCollector` over thousands of small sources and
+//! of the volatility periods it has closed, of a bare campaign detector whose sources open and close their scans one
 //! after another, of the output path, and of a frame reader told a length
 //! the peer never sends. The tests take turns through one lock, so no other
 //! test allocates while one counts.
@@ -114,11 +114,13 @@ const WINDOW_MICROS: u64 = 7 * 86_400 * 1_000_000;
 /// Heap bytes one source may cost a collector, all of its state included
 /// (interner, detector slot, per-source columns, its (week, /16) cell, and a
 /// share of the open-scan bodies, fingerprint windows included). These
-/// streams measure 218 B (1 packet) and 195 B (5 packets) per source. A
-/// collector that also keeps a fingerprint window for every source ever
-/// seen measures 295 B and 322 B; one that further keeps an open-scan body
-/// per source and a heap vector behind every small set, 499 B and 566 B.
-const MAX_BYTES_PER_SOURCE: isize = 256;
+/// streams measure 190 B (1 packet) and 168 B (5 packets) per source. A
+/// collector that keeps the cells of closed periods in the hash map of the
+/// open one measures 218 B and 195 B; one that also keeps a fingerprint
+/// window for every source ever seen, 295 B and 322 B; one that further
+/// keeps an open-scan body per source and a heap vector behind every small
+/// set, 499 B and 566 B.
+const MAX_BYTES_PER_SOURCE: isize = 208;
 
 /// Telescope size the detector's thresholds are scaled to.
 const MONITORED: u64 = 1 << 12;
@@ -200,10 +202,16 @@ fn small_sources_cost_a_bounded_number_of_bytes_and_idle_ones_hold_no_scan() {
     assert_eq!(noise.rejected_packets, records.len() as u64);
 }
 
-/// A collector that has taken `records`, sweeping idle scans the way the
-/// feed loop does, once per batch.
+/// A collector with one-day volatility periods that has taken `records`,
+/// sweeping idle scans the way the feed loop does, once per batch.
 fn collect(records: &[ProbeRecord]) -> YearCollector {
-    let mut collector = YearCollector::with_period(2020, CampaignConfig::scaled(MONITORED), 1.0);
+    collect_in_periods(records, 1.0)
+}
+
+/// As [`collect`], with volatility periods of `period_days`.
+fn collect_in_periods(records: &[ProbeRecord], period_days: f64) -> YearCollector {
+    let mut collector =
+        YearCollector::with_period(2020, CampaignConfig::scaled(MONITORED), period_days);
     for batch in records.chunks(1024) {
         for record in batch {
             collector.offer(record);
@@ -211,6 +219,56 @@ fn collect(records: &[ProbeRecord]) -> YearCollector {
         collector.housekeeping(batch.last().expect("non-empty batch").ts_micros);
     }
     collector
+}
+
+/// Heap bytes a (week, /16) cell of a closed volatility period may cost a
+/// collector, besides 4 B for each of its sources. Sealed as the stream
+/// leaves its period, a cell is a 14 B row and its members a run of ids,
+/// and measures 14 B; kept in the one hash map of every period's cells, it
+/// measured 102 B.
+const MAX_CLOSED_CELL_BYTES: isize = 16;
+
+#[test]
+fn closed_periods_cost_a_row_per_cell_and_four_bytes_per_member() {
+    let _turn = take_turn();
+    // The one-packet sources again, each probing once a day for ten days.
+    let day = 86_400_000_000u64;
+    let daily = small_sources(1);
+    let records: Vec<ProbeRecord> = (0..10u64)
+        .flat_map(|d| {
+            daily.iter().map(move |r| ProbeRecord {
+                ts_micros: d * day + r.ts_micros / 7,
+                ..*r
+            })
+        })
+        .collect();
+    // The same records in one ten-day period and in ten one-day periods:
+    // everything but the closed periods' cells is the same in both.
+    let held = |period_days: f64| {
+        let before = live_bytes();
+        let collector = collect_in_periods(&records, period_days);
+        let held = live_bytes() - before;
+        (held, collector.finish())
+    };
+    let (one_period, _) = held(10.0);
+    let (ten_periods, analysis) = held(1.0);
+    let closed = analysis
+        .week_blocks
+        .iter()
+        .filter(|((week, _), _)| *week < 9);
+    let (cells, members) = closed.fold((0, 0), |(cells, members), (_, cell)| {
+        (cells + 1, members + cell.sources as isize)
+    });
+    assert!(cells > 9 * SOURCES as isize / 2, "{cells} closed cells");
+    let per_cell = (ten_periods - one_period - 4 * members) / cells;
+    eprintln!(
+        "{cells} closed cells with {members} members: {} B above one open period, {per_cell} B a cell besides its members",
+        ten_periods - one_period
+    );
+    assert!(
+        per_cell <= MAX_CLOSED_CELL_BYTES,
+        "a closed cell costs {per_cell} B besides its members (bound {MAX_CLOSED_CELL_BYTES})"
+    );
 }
 
 /// Heap bytes per source `finish` may allocate above the live collector it

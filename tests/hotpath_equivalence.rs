@@ -382,6 +382,73 @@ fn compact_collector_matches_naive_reference_on_fuzzed_records() {
     }
 }
 
+/// The fuzzed stream, followed by records older than its last volatility
+/// period: the stream's own records from earlier periods, resent by sources
+/// it has not seen, in its /16s (new members of sealed cells) and in a /16
+/// it never touches (new sealed cells between old ones).
+fn with_late_records(seed: u64) -> Vec<ProbeRecord> {
+    let mut records = fuzz_records(seed);
+    let t0 = records[0].ts_micros;
+    let period_micros = (PERIOD_DAYS * DAY_MICROS as f64) as u64;
+    let period = |r: &ProbeRecord| (r.ts_micros - t0) / period_micros;
+    let last_period = period(&records[records.len() - 1]);
+    assert!(last_period >= 2, "the stream crosses two period boundaries");
+    let late: Vec<ProbeRecord> = records
+        .iter()
+        .filter(|r| period(r) < last_period)
+        .step_by(97)
+        .enumerate()
+        .map(|(k, r)| {
+            let k = k as u32;
+            // Pool addresses end below 65 000 in their /16.
+            let src = match k % 3 {
+                0 => 0x0b00_0000 | (k % 5),
+                _ => (r.src_ip.0 & 0xffff_0000) | (65_000 + k % 7),
+            };
+            ProbeRecord {
+                src_ip: Ipv4Address(src),
+                ..*r
+            }
+        })
+        .collect();
+    records.extend(late);
+    records
+}
+
+#[test]
+fn records_older_than_the_open_period_match_the_naive_reference() {
+    // Offered directly, without housekeeping: the collector's contract asks
+    // for time order, and a caller that breaks it still gets every record
+    // counted in its own period. (Sweeping at a time the stream later goes
+    // back before would close scans the reference keeps open.)
+    for seed in [0x5eed_0003u64, 0xfeed_f00d] {
+        let records = with_late_records(seed);
+        let mut naive = NaiveCollector::new(config(), PERIOD_DAYS);
+        let mut fast = YearCollector::with_period(YEAR, config(), PERIOD_DAYS);
+        for record in &records {
+            naive.offer(record);
+            fast.offer(record);
+        }
+        let reference = naive.finish();
+        assert!(
+            reference.distinct_sources > SOURCE_POOL as u64 + 5,
+            "late sources (seed {seed:#x})"
+        );
+        assert!(
+            reference
+                .week_blocks
+                .keys()
+                .any(|&(_, block)| block == 0x0b00),
+            "a /16 only late records touch (seed {seed:#x})"
+        );
+        assert_eq!(
+            fast.finish(),
+            reference,
+            "late records diverged (seed {seed:#x})"
+        );
+    }
+}
+
 #[test]
 fn naive_reference_rejects_and_splits_like_the_detector() {
     // Focused check that the reference itself is faithful: a slow narrow

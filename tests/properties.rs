@@ -16,8 +16,9 @@ use std::sync::Arc;
 
 use support::seeds;
 use synscan::core::analysis::YearCollector;
+use synscan::core::checkpoint::CheckpointHeader;
 use synscan::core::fingerprint::rules::single_packet_verdict;
-use synscan::core::CampaignConfig;
+use synscan::core::{CampaignConfig, Checkpoint};
 use synscan::scanners::blackrock::BlackRock;
 use synscan::scanners::masscan::MasscanScanner;
 use synscan::scanners::mirai::MiraiScanner;
@@ -29,7 +30,7 @@ use synscan::telescope::capture::export_pcap;
 use synscan::telescope::{AddressSet, CaptureSession, TelescopeConfig};
 use synscan::wire::ingest::MappedCapture;
 use synscan::wire::json::{self, Value};
-use synscan::wire::stream::{FaultPolicy, StreamError, TryRecordStream};
+use synscan::wire::stream::{FaultCounters, FaultPolicy, StreamError, TryRecordStream};
 use synscan::wire::PcapError;
 use synscan::wire::{
     ethernet, IngestQueues, Ipv4Address, Ipv4Packet, ProbeRecord, SynFrameBuilder,
@@ -383,6 +384,69 @@ fn assert_packets_conserved(seed: u64, records: &[ProbeRecord]) {
             "seed={seed:#x}"
         );
         assert!(campaign.duration_secs() >= 0.0, "seed={seed:#x}");
+    }
+}
+
+/// `collector` cut as a checkpoint's one shard blob and read back the way a
+/// resume reads it.
+fn cut_and_restore(seed: u64, collector: &YearCollector) -> YearCollector {
+    let checkpoint = Checkpoint {
+        header: CheckpointHeader {
+            year: 2020,
+            identity: seed,
+            workers: 1,
+            cursor: 0,
+            seq: 1,
+            origin: None,
+        },
+        gate_last: None,
+        faults: FaultCounters::default(),
+        admit_state: Vec::new(),
+        shards: vec![Checkpoint::encode_collector(Some(collector))],
+    };
+    Checkpoint::from_bytes(&checkpoint.to_bytes())
+        .and_then(|checkpoint| checkpoint.shard_collector(0))
+        .unwrap_or_else(|e| panic!("seed={seed:#x}: cut does not restore: {e}"))
+        .expect("a collector was cut")
+}
+
+/// Sealing a volatility period is invisible: a collector cut at every batch
+/// boundary of a stream that crosses four period boundaries, restored and
+/// continued, equals the uninterrupted one at every cut, and so do its
+/// `finish` and its next cut.
+#[test]
+fn collector_cuts_resume_across_period_rollovers() {
+    // The seeded streams span 100 s: five 20-second periods.
+    let period_days = 20.0 / 86_400.0;
+    for seed in seeds() {
+        let records = seeded_records(seed, 400);
+        let batch = Rng::seed_from_u64(seed).range(3..40);
+        let mut uninterrupted = YearCollector::with_period(2020, campaign_cfg(), period_days);
+        let mut resumed = uninterrupted.clone();
+        for chunk in records.chunks(batch) {
+            let now = chunk[chunk.len() - 1].ts_micros;
+            for collector in [&mut uninterrupted, &mut resumed] {
+                for record in chunk {
+                    collector.offer(record);
+                }
+                collector.housekeeping(now);
+            }
+            resumed = cut_and_restore(seed, &resumed);
+            assert_eq!(resumed, uninterrupted, "seed={seed:#x} batch={batch}");
+        }
+        assert!(
+            Checkpoint::encode_collector(Some(&resumed))
+                == Checkpoint::encode_collector(Some(&uninterrupted)),
+            "seed={seed:#x}: the next cuts differ"
+        );
+        let (resumed, uninterrupted) = (resumed.finish(), uninterrupted.finish());
+        let last_week = uninterrupted
+            .week_blocks
+            .keys()
+            .last()
+            .map(|&(week, _)| week);
+        assert_eq!(last_week, Some(4), "seed={seed:#x}: periods crossed");
+        assert_eq!(resumed, uninterrupted, "seed={seed:#x}");
     }
 }
 

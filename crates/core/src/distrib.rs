@@ -454,9 +454,10 @@ where
         mode: PipelineMode::Sequential,
         hints: task.hints,
         policy: task.policy,
+        identity: task.seed,
     };
     let mut feed = Feed::start(&spec, on_checkpoint);
-    (feed.identity, feed.every) = (task.seed, task.every);
+    feed.every = task.every;
     let restored = match resume {
         Some(ck) => feed.resume(ck, 1, stream, admit)?,
         None => Vec::new(),

@@ -77,7 +77,7 @@ pub use fasthash::FxHasher;
 pub use fingerprint::{InternedFingerprint, PacketVerdict};
 pub use intern::SourceTable;
 pub use pipeline::supervised::{
-    run_year_supervised, CheckpointOptions, RunError, RunStatus, SupervisorOptions,
+    run_year_supervised, CheckpointOptions, RunError, RunOptions, RunStatus,
 };
 pub use pipeline::{
     AdmitState, FilterAdmit, PipelineError, PipelineMode, PipelineOutcome, RunSpec,

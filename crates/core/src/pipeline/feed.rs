@@ -126,8 +126,6 @@ pub(crate) struct Feed<'a, E> {
     seq: u64,
     /// Timestamp of the stream's first admitted record, once there is one.
     origin: Option<u64>,
-    /// Run identity word baked into every checkpoint header.
-    pub(crate) identity: u64,
     /// Cut at the first batch boundary at least this many pulled records
     /// after the previous cut; `0` = no periodic cuts.
     pub(crate) every: u64,
@@ -163,7 +161,6 @@ impl<'a, E: From<PipelineError>> Feed<'a, E> {
             cursor: 0,
             seq: 0,
             origin: None,
-            identity: 0,
             every: 0,
             at_end: false,
             halt_after: None,
@@ -196,7 +193,7 @@ impl<'a, E: From<PipelineError>> Feed<'a, E> {
         A: AdmitState + ?Sized,
         E: From<CheckpointError>,
     {
-        ck.validate(self.spec.year, self.identity, width)?;
+        ck.validate(self.spec.year, self.spec.identity, width)?;
         admit.restore(&ck.admit_state)?;
         let restored = (0..width)
             .map(|shard| ck.shard_collector(shard))
@@ -352,7 +349,7 @@ impl<'a, E: From<PipelineError>> Feed<'a, E> {
         let checkpoint = Checkpoint {
             header: CheckpointHeader {
                 year: self.spec.year,
-                identity: self.identity,
+                identity: self.spec.identity,
                 workers: shards.len() as u32,
                 cursor: self.cursor,
                 seq: self.seq,
@@ -689,6 +686,7 @@ mod tests {
             mode: PipelineMode::Sequential,
             hints: SizeHints::sources(64),
             policy,
+            identity: SEED,
         }
     }
 
@@ -840,7 +838,7 @@ mod tests {
         };
         let result = (|| {
             let mut feed = Feed::start(&spec(policy), &mut emit);
-            (feed.identity, feed.every) = (SEED, every);
+            feed.every = every;
             let restored = match from {
                 Some(ck) => feed.resume(ck, width, &mut stream, &mut admit)?,
                 None => Vec::new(),
@@ -851,7 +849,7 @@ mod tests {
         })()
         .map_err(|e| match e {
             RunError::Pipeline(e) => e,
-            RunError::Checkpoint(e) => panic!("a cut did not resume: {e}"),
+            e => panic!("a cut did not resume: {e}"),
         });
         (result, taken)
     }

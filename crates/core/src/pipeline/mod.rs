@@ -267,6 +267,9 @@ pub struct RunSpec {
     pub hints: SizeHints,
     /// Driver-side fault policy.
     pub policy: FaultPolicy,
+    /// Run identity word baked into every checkpoint header: a resume under
+    /// another word is rejected before any work.
+    pub identity: u64,
 }
 
 impl RunSpec {
@@ -388,6 +391,7 @@ where
         mode,
         hints,
         policy,
+        identity: 0,
     };
     let mut never_cut = |_: &_| Ok(());
     let mut feed = feed::Feed::<PipelineError>::start(&spec, &mut never_cut);

@@ -1,9 +1,12 @@
 //! Supervised, checkpointed year runs: the crash-safe sibling of
-//! [`try_collect_year_stream`](super::try_collect_year_stream).
+//! [`try_collect_year_stream`](super::try_collect_year_stream), and the one
+//! place that decides how a run persists.
 //!
 //! The plain pipeline driver answers "what does this stream analyze to?";
 //! this module answers "and what if the machine dies halfway through a
-//! decade?". It configures the same feed loop with three more guarantees:
+//! decade?". One [`RunOptions`] carries everything around the run, from the
+//! command-line flags to the feed loop, and [`run_year_supervised`] acts on
+//! all of it:
 //!
 //! 1. **Checkpoints** — at configurable record-count intervals the complete
 //!    run state (fault-gate, admit-filter state, every shard's collector) is
@@ -12,23 +15,27 @@
 //!    boundaries*, so the stored cursor is always a sum of whole stream
 //!    batches and a resumed run can fast-forward the deterministic input
 //!    stream to land exactly on it.
-//! 2. **Resume** — [`run_year_supervised`] accepts a prior [`Checkpoint`],
-//!    validates its identity (year, identity word, shard count), restores
-//!    all state, skips the already-processed prefix, and continues. Because
-//!    shard routing, expiry housekeeping, and fault gating are all
-//!    deterministic and batch-boundary-neutral, a resumed run produces
-//!    **bit-identical** output to an uninterrupted one — asserted by this
-//!    module's tests and the driver matrix in both sequential and sharded
-//!    modes.
-//! 3. **Supervision** — shard workers run under
+//! 2. **Resume** — with [`CheckpointOptions::resume`] the year's latest
+//!    checkpoint is loaded, its identity (year, the spec's identity word,
+//!    shard count) validated, all state restored, the already-processed
+//!    prefix skipped, and the run continued. Because shard routing, expiry
+//!    housekeeping, and fault gating are all deterministic and
+//!    batch-boundary-neutral, a resumed run produces **bit-identical**
+//!    output to an uninterrupted one — asserted by this module's tests and
+//!    the driver matrix in both sequential and sharded modes.
+//! 3. **The store** — a completed year is written as the store's one slice
+//!    for that year ([`AnalysisStore::write_year`]).
+//! 4. **Supervision** — shard workers run under
 //!    `supervise::contain`: a panic becomes a typed
 //!    [`PipelineError::WorkerFailed`] carrying the shard index instead of a
 //!    process abort, and healthy shards are joined and drained.
 
+use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::store::{AnalysisStore, StoreError};
 use crate::supervise::{InjectedFaults, SupervisionReport};
 use synscan_wire::stream::TryRecordStream;
 
@@ -38,36 +45,52 @@ use super::{PipelineError, PipelineOutcome, RunSpec};
 /// Re-exported here only because the benchmark names it at this path.
 pub use super::AdmitState;
 
-/// Where, how often, and under what identity to checkpoint.
+/// Where and how often to checkpoint, and whether to start from what is
+/// already there.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointOptions {
     /// Directory holding the rolling per-year checkpoint files.
-    pub dir: std::path::PathBuf,
+    pub dir: PathBuf,
     /// Records pulled between periodic checkpoints; `0` writes only the
     /// final snapshots (completion, stop-flag interrupt).
     pub every: u64,
-    /// Run identity word baked into the header; a resume under a different
-    /// word is rejected before any work.
-    pub identity: u64,
+    /// Restart from the year's latest checkpoint in `dir` (from scratch when
+    /// there is none) instead of ignoring old state.
+    pub resume: bool,
     /// Stop cleanly after this many periodic checkpoints — the
     /// deterministic interruption hook the kill-and-resume drills use.
     pub interrupt_after: Option<u64>,
 }
 
-/// Everything around the run: checkpointing, resume state, the stop flag
-/// and fault-injection hooks.
-#[derive(Default)]
-pub struct SupervisorOptions<'a> {
-    /// Where and how often to checkpoint; `None` disables checkpointing.
-    pub checkpoint: Option<CheckpointOptions>,
-    /// A prior checkpoint to resume from.
-    pub resume: Option<Checkpoint>,
+impl CheckpointOptions {
+    /// Checkpoint into `dir` with completion-only cuts: no periodic cut, no
+    /// resume, no drill.
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        Self {
+            dir: dir.into(),
+            every: 0,
+            resume: false,
+            interrupt_after: None,
+        }
+    }
+}
+
+/// Everything around a run that is not the run: all optional, and the
+/// default — no checkpoint, no stop flag, no store — is the plain run.
+#[derive(Debug, Clone, Default)]
+pub struct RunOptions<'a> {
+    /// Checkpoint (and resume) as specified; `None` cuts nothing.
+    pub checkpoint: Option<&'a CheckpointOptions>,
     /// Cooperative interrupt flag (set by a signal handler): checked at
     /// batch boundaries; when raised the run writes a final checkpoint (if
-    /// enabled) and returns [`RunStatus::Interrupted`].
+    /// it checkpoints at all) and returns [`RunStatus::Interrupted`].
     pub stop: Option<&'a AtomicBool>,
+    /// Write the year into this store the moment it completes, so an
+    /// interrupted decade leaves its finished years queryable.
+    pub store: Option<&'a AnalysisStore>,
     /// Deterministic fault injection for supervision tests (sharded mode
     /// only; the sequential arm has no workers to fail).
+    #[doc(hidden)]
     pub inject: Option<Arc<InjectedFaults>>,
 }
 
@@ -78,13 +101,25 @@ pub enum RunError {
     Pipeline(PipelineError),
     /// Checkpoint I/O or validation failed.
     Checkpoint(CheckpointError),
+    /// The analysis was computed but could not be persisted.
+    Store(StoreError),
 }
 
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RunError::Pipeline(e) => write!(f, "{e}"),
+            RunError::Checkpoint(
+                e @ CheckpointError::Mismatch {
+                    field: "identity", ..
+                },
+            ) => write!(
+                f,
+                "checkpoint: {e} (the identity word hashes the input and every option \
+                 that shapes the analysis: one of them differs from the interrupted run's)"
+            ),
             RunError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
+            RunError::Store(e) => write!(f, "{e}"),
         }
     }
 }
@@ -100,6 +135,12 @@ impl From<PipelineError> for RunError {
 impl From<CheckpointError> for RunError {
     fn from(e: CheckpointError) -> Self {
         RunError::Checkpoint(e)
+    }
+}
+
+impl From<StoreError> for RunError {
+    fn from(e: StoreError) -> Self {
+        RunError::Store(e)
     }
 }
 
@@ -162,30 +203,30 @@ impl<T> RunStatus<T> {
     }
 }
 
-/// Run one year under supervision, with optional checkpointing and resume.
+/// Run one year under supervision: the one place that decides how a run
+/// persists.
 ///
-/// This is the crash-safe entry point the `Experiment` and analyze layers
-/// build on. Semantics:
-///
-/// * With `opts.resume`, the checkpoint is validated against the spec (year,
-///   shard count) and the configured identity word, all state is restored, and
-///   `stream` — which must be a fresh instance of the *same deterministic
-///   stream* the checkpoint was taken from — is fast-forwarded past the
-///   already-processed prefix. The continued run produces output identical
-///   to an uninterrupted one.
 /// * With `opts.checkpoint`, a snapshot is written at the first batch
 ///   boundary `every` records after the last one (0 = only final
 ///   snapshots), plus a final snapshot on clean completion (so completed
 ///   years resume trivially) and on a raised stop flag — but not after a
 ///   `StopClean` stop or a lossy truncation, whose cursor is not a
 ///   resumable position.
+/// * When it also says `resume`, the year's latest checkpoint in its
+///   directory (if any) is validated against the spec (year, identity word,
+///   shard count), all state is restored, and `stream` — which must be a
+///   fresh instance of the *same deterministic stream* the checkpoint was
+///   taken from — is fast-forwarded past the already-processed prefix. The
+///   continued run produces output identical to an uninterrupted one.
+/// * With `opts.store`, a completed year is written as the store's one slice
+///   for `spec.year`.
 /// * A sharded worker panic is contained and surfaced as
 ///   [`PipelineError::WorkerFailed`] with the shard index; healthy workers
-///   are joined and the process never aborts. Callers that checkpoint can
-///   retry once from the last on-disk snapshot.
+///   are joined and the process never aborts. A caller that checkpoints can
+///   retry once by resuming from the last cut on disk.
 pub fn run_year_supervised<S, A>(
     spec: &RunSpec,
-    opts: SupervisorOptions<'_>,
+    opts: &RunOptions<'_>,
     stream: &mut S,
     admit: &mut A,
 ) -> Result<RunStatus, RunError>
@@ -193,47 +234,45 @@ where
     S: TryRecordStream + ?Sized,
     A: AdmitState + ?Sized,
 {
-    let SupervisorOptions {
-        checkpoint,
-        resume,
-        stop,
-        inject,
-    } = opts;
+    let checkpoint = opts.checkpoint;
+    let resume = match checkpoint {
+        Some(c) if c.resume => Checkpoint::load_latest(&c.dir, spec.year)?,
+        _ => None,
+    };
     let mut write = |cut: &Checkpoint| -> Result<(), RunError> {
-        if let Some(c) = &checkpoint {
+        if let Some(c) = checkpoint {
             cut.write_atomic(&c.dir)?;
         }
         Ok(())
     };
     let mut feed = Feed::start(spec, &mut write);
-    feed.stop = stop;
-    feed.at_end = checkpoint.is_some();
-    if let Some(c) = &checkpoint {
-        (feed.identity, feed.every, feed.halt_after) = (c.identity, c.every, c.interrupt_after);
-    } else if let Some(ck) = &resume {
-        // Nothing will be cut, so any identity the checkpoint carries resumes.
-        feed.identity = ck.header.identity;
+    feed.stop = opts.stop;
+    if let Some(c) = checkpoint {
+        (feed.at_end, feed.every, feed.halt_after) = (true, c.every, c.interrupt_after);
     }
     let restored = match &resume {
         Some(ck) => feed.resume(ck, spec.mode.workers(), stream, admit)?,
         None => Vec::new(),
     };
-    let plan = SinkPlan::for_mode(spec.mode, inject);
+    let plan = SinkPlan::for_mode(spec.mode, opts.inject.clone());
     let (completed, analysis) = feed.drive(plan, restored, stream, admit)?;
-    Ok(if completed {
-        RunStatus::Completed {
-            outcome: PipelineOutcome {
-                analysis: analysis.unwrap_or_else(|| spec.empty_analysis()),
-                faults: feed.faults(),
-            },
-            report: SupervisionReport::default(),
-            checkpoints: feed.written,
-        }
-    } else {
-        RunStatus::Interrupted {
+    if !completed {
+        return Ok(RunStatus::Interrupted {
             checkpoints: feed.written,
             cursor: feed.cursor,
-        }
+        });
+    }
+    let analysis = analysis.unwrap_or_else(|| spec.empty_analysis());
+    if let Some(store) = opts.store {
+        store.write_year(&analysis)?;
+    }
+    Ok(RunStatus::Completed {
+        outcome: PipelineOutcome {
+            analysis,
+            faults: feed.faults(),
+        },
+        report: SupervisionReport::default(),
+        checkpoints: feed.written,
     })
 }
 
@@ -263,6 +302,7 @@ mod tests {
             mode,
             hints: SizeHints::none(),
             policy: FaultPolicy::Fail,
+            identity: 7,
         }
     }
 
@@ -298,16 +338,20 @@ mod tests {
 
     fn run(
         spec: &RunSpec,
-        opts: SupervisorOptions<'_>,
+        checkpoint: Option<&CheckpointOptions>,
         recs: &[ProbeRecord],
     ) -> Result<RunStatus, RunError> {
+        let opts = RunOptions {
+            checkpoint,
+            ..RunOptions::default()
+        };
         let mut stream = SliceStream::with_batch_size(recs, 257);
         let mut admit = FilterAdmit(|_: &ProbeRecord| true);
-        run_year_supervised(spec, opts, &mut stream, &mut admit)
+        run_year_supervised(spec, &opts, &mut stream, &mut admit)
     }
 
     fn clean_outcome(spec: &RunSpec, recs: &[ProbeRecord]) -> PipelineOutcome {
-        match run(spec, SupervisorOptions::default(), recs).unwrap() {
+        match run(spec, None, recs).unwrap() {
             RunStatus::Completed { outcome, .. } => outcome,
             other => panic!("clean run did not complete: {other:?}"),
         }
@@ -315,10 +359,17 @@ mod tests {
 
     fn ckpt_opts(dir: &std::path::Path, every: u64, after: Option<u64>) -> CheckpointOptions {
         CheckpointOptions {
-            dir: dir.to_path_buf(),
             every,
-            identity: 7,
             interrupt_after: after,
+            ..CheckpointOptions::new(dir)
+        }
+    }
+
+    /// As [`ckpt_opts`], resuming from the latest cut in `dir`.
+    fn resume_opts(dir: &std::path::Path, every: u64) -> CheckpointOptions {
+        CheckpointOptions {
+            resume: true,
+            ..ckpt_opts(dir, every, None)
         }
     }
 
@@ -329,11 +380,7 @@ mod tests {
         let dir = temp_dir("seq");
         let baseline = clean_outcome(&spec, &recs);
 
-        let opts = SupervisorOptions {
-            checkpoint: Some(ckpt_opts(&dir, 1_000, Some(1))),
-            ..SupervisorOptions::default()
-        };
-        let status = run(&spec, opts, &recs).unwrap();
+        let status = run(&spec, Some(&ckpt_opts(&dir, 1_000, Some(1))), &recs).unwrap();
         let RunStatus::Interrupted {
             checkpoints,
             cursor,
@@ -344,13 +391,7 @@ mod tests {
         assert_eq!(checkpoints, 1);
         assert_eq!(cursor % 257, 0, "cut lands on a pulled-batch boundary");
 
-        let resume = Checkpoint::load_latest(&dir, spec.year).unwrap().unwrap();
-        let opts = SupervisorOptions {
-            checkpoint: Some(ckpt_opts(&dir, 1_000, None)),
-            resume: Some(resume),
-            ..SupervisorOptions::default()
-        };
-        match run(&spec, opts, &recs).unwrap() {
+        match run(&spec, Some(&resume_opts(&dir, 1_000)), &recs).unwrap() {
             RunStatus::Completed {
                 outcome,
                 checkpoints,
@@ -372,11 +413,8 @@ mod tests {
         let dir = temp_dir("sharded");
         let baseline = clean_outcome(&seq_spec, &recs);
 
-        let opts = SupervisorOptions {
-            checkpoint: Some(ckpt_opts(&dir, 1_000, Some(2))),
-            ..SupervisorOptions::default()
-        };
-        let status = run(&sharded_spec, opts, &recs).unwrap();
+        let drill = ckpt_opts(&dir, 1_000, Some(2));
+        let status = run(&sharded_spec, Some(&drill), &recs).unwrap();
         assert!(
             matches!(status, RunStatus::Interrupted { checkpoints: 2, .. }),
             "expected a two-checkpoint drill interrupt, got {status:?}"
@@ -386,12 +424,7 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(resume.header.workers, 3);
-        let opts = SupervisorOptions {
-            checkpoint: Some(ckpt_opts(&dir, 1_000, None)),
-            resume: Some(resume),
-            ..SupervisorOptions::default()
-        };
-        match run(&sharded_spec, opts, &recs).unwrap() {
+        match run(&sharded_spec, Some(&resume_opts(&dir, 1_000)), &recs).unwrap() {
             RunStatus::Completed { outcome, .. } => {
                 assert_eq!(outcome, baseline, "sharded resume is bit-identical");
             }
@@ -408,12 +441,14 @@ mod tests {
         let baseline = clean_outcome(&spec, &recs);
 
         let stop = AtomicBool::new(true); // raised before the first pull
-        let opts = SupervisorOptions {
-            checkpoint: Some(ckpt_opts(&dir, 0, None)),
+        let opts = RunOptions {
+            checkpoint: Some(&ckpt_opts(&dir, 0, None)),
             stop: Some(&stop),
-            ..SupervisorOptions::default()
+            ..RunOptions::default()
         };
-        match run(&spec, opts, &recs).unwrap() {
+        let mut stream = SliceStream::with_batch_size(&recs, 257);
+        let mut admit = FilterAdmit(|_: &ProbeRecord| true);
+        match run_year_supervised(&spec, &opts, &mut stream, &mut admit).unwrap() {
             RunStatus::Interrupted {
                 checkpoints,
                 cursor,
@@ -425,12 +460,7 @@ mod tests {
 
         let resume = Checkpoint::load_latest(&dir, spec.year).unwrap().unwrap();
         assert_eq!(resume.header.cursor, 0);
-        let opts = SupervisorOptions {
-            resume: Some(resume),
-            checkpoint: Some(ckpt_opts(&dir, 0, None)),
-            ..SupervisorOptions::default()
-        };
-        match run(&spec, opts, &recs).unwrap() {
+        match run(&spec, Some(&resume_opts(&dir, 0)), &recs).unwrap() {
             RunStatus::Completed { outcome, .. } => assert_eq!(outcome, baseline),
             other => panic!("resume did not complete: {other:?}"),
         }
@@ -443,11 +473,7 @@ mod tests {
         let spec = spec(PipelineMode::Sequential);
         let dir = temp_dir("final");
 
-        let opts = SupervisorOptions {
-            checkpoint: Some(ckpt_opts(&dir, 0, None)),
-            ..SupervisorOptions::default()
-        };
-        let baseline = match run(&spec, opts, &recs).unwrap() {
+        let baseline = match run(&spec, Some(&ckpt_opts(&dir, 0, None)), &recs).unwrap() {
             RunStatus::Completed {
                 outcome,
                 checkpoints,
@@ -463,12 +489,7 @@ mod tests {
         // identically — the uniform path decade resume relies on.
         let resume = Checkpoint::load_latest(&dir, spec.year).unwrap().unwrap();
         assert_eq!(resume.header.cursor, recs.len() as u64);
-        let opts = SupervisorOptions {
-            resume: Some(resume),
-            checkpoint: Some(ckpt_opts(&dir, 0, None)),
-            ..SupervisorOptions::default()
-        };
-        match run(&spec, opts, &recs).unwrap() {
+        match run(&spec, Some(&resume_opts(&dir, 0)), &recs).unwrap() {
             RunStatus::Completed { outcome, .. } => assert_eq!(outcome, baseline),
             other => panic!("resume did not complete: {other:?}"),
         }
@@ -479,13 +500,15 @@ mod tests {
     fn injected_worker_panic_is_contained_and_typed() {
         let recs = records(3_000);
         let spec = spec(PipelineMode::Sharded { workers: 3 });
-        let opts = SupervisorOptions {
+        let opts = RunOptions {
             inject: Some(InjectedFaults::panic_once(1)),
-            ..SupervisorOptions::default()
+            ..RunOptions::default()
         };
+        let mut stream = SliceStream::with_batch_size(&recs, 257);
+        let mut admit = FilterAdmit(|_: &ProbeRecord| true);
         // The panic is contained: this call returns a typed error instead of
         // aborting the process, and the healthy shards were joined.
-        let err = run(&spec, opts, &recs).unwrap_err();
+        let err = run_year_supervised(&spec, &opts, &mut stream, &mut admit).unwrap_err();
         assert_eq!(
             err,
             RunError::Pipeline(PipelineError::WorkerFailed { shard: 1 })
@@ -507,7 +530,7 @@ mod tests {
             let mut stream = SliceStream::with_batch_size(recs, 257);
             let mut admit = FilterAdmit(|_: &ProbeRecord| false);
             let status =
-                run_year_supervised(&spec, SupervisorOptions::default(), &mut stream, &mut admit);
+                run_year_supervised(&spec, &RunOptions::default(), &mut stream, &mut admit);
             match status.unwrap() {
                 RunStatus::Completed { outcome, .. } => outcome,
                 other => panic!("run did not complete: {other:?}"),
@@ -529,25 +552,16 @@ mod tests {
         let recs = records(1_000);
         let dir = temp_dir("foreign");
         let seq = spec(PipelineMode::Sequential);
+        let resume = resume_opts(&dir, 0);
 
         // Write a legitimate sequential checkpoint.
-        let opts = SupervisorOptions {
-            checkpoint: Some(ckpt_opts(&dir, 0, None)),
-            ..SupervisorOptions::default()
-        };
-        run(&seq, opts, &recs).unwrap();
-        let saved = || Checkpoint::load_latest(&dir, seq.year).unwrap().unwrap();
+        run(&seq, Some(&ckpt_opts(&dir, 0, None)), &recs).unwrap();
+        let saved = Checkpoint::load_latest(&dir, seq.year).unwrap().unwrap();
 
         // Wrong identity word.
-        let mut wrong_identity = ckpt_opts(&dir, 0, None);
-        wrong_identity.identity = 8;
-        let opts = SupervisorOptions {
-            checkpoint: Some(wrong_identity),
-            resume: Some(saved()),
-            ..SupervisorOptions::default()
-        };
+        let other = RunSpec { identity: 8, ..seq };
         assert!(matches!(
-            run(&seq, opts, &recs),
+            run(&other, Some(&resume), &recs),
             Err(RunError::Checkpoint(CheckpointError::Mismatch {
                 field: "identity",
                 ..
@@ -555,13 +569,12 @@ mod tests {
         ));
 
         // Wrong shard count.
-        let opts = SupervisorOptions {
-            checkpoint: Some(ckpt_opts(&dir, 0, None)),
-            resume: Some(saved()),
-            ..SupervisorOptions::default()
-        };
         assert!(matches!(
-            run(&spec(PipelineMode::Sharded { workers: 4 }), opts, &recs),
+            run(
+                &spec(PipelineMode::Sharded { workers: 4 }),
+                Some(&resume),
+                &recs
+            ),
             Err(RunError::Checkpoint(CheckpointError::Mismatch {
                 field: "workers",
                 ..
@@ -569,21 +582,47 @@ mod tests {
         ));
 
         // A cursor that does not land on this stream's batch boundaries.
-        let mut torn = saved();
+        let mut torn = saved;
         torn.header.cursor += 1;
-        let opts = SupervisorOptions {
-            checkpoint: Some(ckpt_opts(&dir, 0, None)),
-            resume: Some(torn),
-            ..SupervisorOptions::default()
-        };
+        torn.write_atomic(&dir).unwrap();
         assert!(matches!(
-            run(&seq, opts, &recs),
+            run(&seq, Some(&resume), &recs),
             Err(RunError::Checkpoint(CheckpointError::Mismatch {
                 field: "cursor",
                 ..
             }))
         ));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_completed_run_writes_its_year_to_the_store_and_an_interrupted_one_nothing() {
+        let recs = records(1_500);
+        let spec = spec(PipelineMode::Sharded { workers: 2 });
+        let (dir, store_dir) = (temp_dir("store-ckpt"), temp_dir("store"));
+        let store = AnalysisStore::open(&store_dir).unwrap();
+        let stored = |drill: &CheckpointOptions| {
+            let opts = RunOptions {
+                checkpoint: Some(drill),
+                store: Some(&store),
+                ..RunOptions::default()
+            };
+            let mut stream = SliceStream::with_batch_size(&recs, 257);
+            let mut admit = FilterAdmit(|_: &ProbeRecord| true);
+            run_year_supervised(&spec, &opts, &mut stream, &mut admit).unwrap()
+        };
+        let status = stored(&ckpt_opts(&dir, 500, Some(1)));
+        assert!(matches!(status, RunStatus::Interrupted { .. }));
+        assert!(!store.slice_path(spec.year).exists());
+
+        let status = stored(&resume_opts(&dir, 500));
+        let outcome = status.completed().expect("the resumed run completes");
+        assert_eq!(outcome, clean_outcome(&spec, &recs));
+        let image = crate::store::StoreImage::load(&store).unwrap();
+        assert_eq!(image.years, vec![outcome.analysis]);
+        for dir in [dir, store_dir] {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -621,7 +660,7 @@ mod tests {
             chunk: 257,
         };
         let baseline =
-            match run_year_supervised(&spec, SupervisorOptions::default(), &mut clean, &mut admit)
+            match run_year_supervised(&spec, &RunOptions::default(), &mut clean, &mut admit)
                 .unwrap()
             {
                 RunStatus::Completed { outcome, .. } => outcome,
@@ -634,25 +673,23 @@ mod tests {
             pos: 0,
             chunk: 257,
         };
-        let opts = SupervisorOptions {
-            checkpoint: Some(ckpt_opts(&dir, 500, Some(1))),
-            ..SupervisorOptions::default()
+        let opts = RunOptions {
+            checkpoint: Some(&ckpt_opts(&dir, 500, Some(1))),
+            ..RunOptions::default()
         };
-        let status = run_year_supervised(&spec, opts, &mut first, &mut admit).unwrap();
+        let status = run_year_supervised(&spec, &opts, &mut first, &mut admit).unwrap();
         assert!(matches!(status, RunStatus::Interrupted { .. }));
 
-        let resume = Checkpoint::load_latest(&dir, spec.year).unwrap().unwrap();
         let mut second = ChunkedThenError {
             records: &recs,
             pos: 0,
             chunk: 257,
         };
-        let opts = SupervisorOptions {
-            checkpoint: Some(ckpt_opts(&dir, 500, None)),
-            resume: Some(resume),
-            ..SupervisorOptions::default()
+        let opts = RunOptions {
+            checkpoint: Some(&resume_opts(&dir, 500)),
+            ..RunOptions::default()
         };
-        match run_year_supervised(&spec, opts, &mut second, &mut admit).unwrap() {
+        match run_year_supervised(&spec, &opts, &mut second, &mut admit).unwrap() {
             RunStatus::Completed { outcome, .. } => {
                 assert_eq!(outcome, baseline, "one truncation, counted once");
             }

@@ -1,16 +1,17 @@
 //! Versioned on-disk **analysis store** — the persistence layer between the
 //! batch pipeline and the resident query daemon.
 //!
-//! A store is a directory of `*.store` files, one (or, for incrementally
-//! ingested runs, several partial) slice(s) per year. Each file is a
-//! `SYNSTORE` envelope ([`crate::envelope`]: magic, version, payload length,
-//! checksum), written atomically so a crash mid-write can never destroy a
-//! previous slice.
+//! A store is a directory holding exactly one `year-YYYY.store` slice per
+//! year. Each file is a `SYNSTORE` envelope ([`crate::envelope`]: magic,
+//! version, payload length, checksum), written atomically so a crash
+//! mid-write can never destroy a previous slice. A year assembled from parts
+//! (the shards of a run, the slices of a distributed one) is merged in
+//! memory and written once, by [`AnalysisStore::write_year`].
 //!
 //! The payload is two sections:
 //!
 //! 1. an **index** (year, window, totals, sorted port list, sorted source
-//!    list, campaign count) that can be read without decoding the body, and
+//!    list, campaign count), and
 //! 2. the full [`YearAnalysis`] **body**, every map serialized in sorted key
 //!    order — the order the analysis already holds them in — so encoding is
 //!    deterministic: encode → decode → encode is byte-identical, which is
@@ -18,12 +19,14 @@
 //!    canonical form: keys strictly ascending, the index equal to the body's
 //!    own keys. A slice it accepts re-encodes to the bytes it was read from.
 //!
-//! On the read side, [`StoreImage`] is the compact in-memory image the
-//! `synscan-serve` daemon holds resident: all slices loaded, same-year
-//! partials recombined through [`YearAnalysis::merge_partials`], years
-//! ascending, published to reader threads through an [`ImageCell`].
+//! On the read side, [`StoreImage::load`] is the one reader: it builds the
+//! compact in-memory image the `synscan-serve` daemon holds resident, every
+//! slice decoded, years ascending, published to reader threads through an
+//! [`ImageCell`]. A file that does not load fails the image with its path
+//! named, and so does a second slice for a year, which would otherwise
+//! count that year twice.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -48,10 +51,15 @@ pub(crate) const STORE_VERSION: &str = "1.1";
 pub enum StoreError {
     /// The file system failed, or a slice's envelope did not verify.
     Envelope(EnvelopeError),
-    /// Structurally invalid slice contents.
+    /// Structurally invalid slice contents, or two slices for one year.
     Corrupt(String),
-    /// A year was requested that no slice in the store covers.
-    MissingYear(u16),
+    /// A slice file did not load: the file, and why.
+    File {
+        /// The slice file.
+        path: PathBuf,
+        /// What is wrong with it.
+        error: Box<StoreError>,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -59,7 +67,7 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::Envelope(e) => write!(f, "store slice {e}"),
             StoreError::Corrupt(msg) => write!(f, "corrupt store slice: {msg}"),
-            StoreError::MissingYear(y) => write!(f, "no store slice covers year {y}"),
+            StoreError::File { path, error } => write!(f, "{}: {error}", path.display()),
         }
     }
 }
@@ -82,30 +90,30 @@ impl From<CheckpointError> for StoreError {
     }
 }
 
-/// The decoded index section of one slice file — enough to route queries
-/// and group partials without decoding the (much larger) body.
+/// The decoded index section of one slice file: what the body is checked
+/// against, and the year and size [`StoreImage::load`] accounts it under.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SliceMeta {
+struct SliceMeta {
     /// Calendar year the slice covers.
-    pub year: u16,
+    year: u16,
     /// Telescope size the campaign thresholds were computed against.
-    pub monitored: u64,
+    monitored: u64,
     /// First admitted timestamp (µs).
-    pub start_micros: u64,
+    start_micros: u64,
     /// Last admitted timestamp (µs).
-    pub end_micros: u64,
+    end_micros: u64,
     /// Admitted packets in the slice.
-    pub total_packets: u64,
+    total_packets: u64,
     /// Distinct scanning sources in the slice.
-    pub distinct_sources: u64,
+    distinct_sources: u64,
     /// Campaigns identified in the slice.
-    pub campaigns: u64,
+    campaigns: u64,
     /// Every targeted port, ascending.
-    pub ports: Vec<u16>,
+    ports: Vec<u16>,
     /// Every scanning source (host-order IPv4), ascending.
-    pub sources: Vec<u32>,
+    sources: Vec<u32>,
     /// Whole slice-file size in bytes, envelope included.
-    pub file_bytes: u64,
+    file_bytes: u64,
 }
 
 fn encode_meta(w: &mut SnapWriter, analysis: &YearAnalysis) {
@@ -254,18 +262,11 @@ fn encode_slice(w: &mut SnapWriter, analysis: &YearAnalysis) {
 }
 
 /// Verify the envelope and decode the index section, leaving the reader at
-/// the body. Every reader goes through this once per file: whoever wants the
-/// body too decodes it from the same bytes ([`decode_body`]).
+/// the body ([`decode_body`]).
 fn open_slice(bytes: &[u8]) -> Result<(SliceMeta, SnapReader<'_>), StoreError> {
     let mut r = SnapReader::new(envelope::open(&STORE, bytes)?);
     let meta = decode_meta(&mut r, bytes.len() as u64)?;
     Ok((meta, r))
-}
-
-/// Read just the index section of slice-file bytes, plus the file size the
-/// `stats` query reports.
-pub fn read_meta(bytes: &[u8]) -> Result<SliceMeta, StoreError> {
-    Ok(open_slice(bytes)?.0)
 }
 
 /// Decode complete slice-file bytes back into a [`YearAnalysis`].
@@ -412,53 +413,21 @@ impl AnalysisStore {
         Ok(Self { dir })
     }
 
-    /// Path of the full (promoted) slice for `year`.
+    /// Path of the one slice for `year`.
     pub fn slice_path(&self, year: u16) -> PathBuf {
         self.dir.join(format!("year-{year}.store"))
     }
 
-    /// Path of a partial slice for `year` tagged `label` (e.g. a shard or
-    /// worker id) — the incremental-ingest unit merged at load time.
-    pub(crate) fn partial_path(&self, year: u16, label: &str) -> PathBuf {
-        self.dir.join(format!("year-{year}.part-{label}.store"))
-    }
-
-    /// Atomically write the full slice for `analysis.year`, then retire any
-    /// partial slices for the same year (the full slice supersedes them —
-    /// keeping both would double-count at load time).
+    /// Atomically write the one slice for `analysis.year`, replacing the
+    /// year's previous slice if there is one.
     pub fn write_year(&self, analysis: &YearAnalysis) -> Result<PathBuf, StoreError> {
         let path = self.slice_path(analysis.year);
-        write_slice(&path, analysis)?;
-        let partial_prefix = format!("year-{}.part-", analysis.year);
-        for file in self.slice_files()? {
-            let name = file.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.starts_with(&partial_prefix) {
-                fs::remove_file(&file).map_err(|e| envelope::io_error("remove", &file, e))?;
-            }
-        }
-        Ok(path)
-    }
-
-    /// Atomically write a partial slice (one shard / worker / ingest batch
-    /// of a year). Same-year partials are recombined bit-identically at
-    /// load time via [`YearAnalysis::merge_partials`].
-    pub fn write_partial(
-        &self,
-        analysis: &YearAnalysis,
-        label: &str,
-    ) -> Result<PathBuf, StoreError> {
-        if label.is_empty() || !label.chars().all(|c| c.is_ascii_alphanumeric() || c == '-') {
-            return Err(StoreError::Corrupt(format!(
-                "partial label {label:?} must be non-empty alphanumeric/dash"
-            )));
-        }
-        let path = self.partial_path(analysis.year, label);
         write_slice(&path, analysis)?;
         Ok(path)
     }
 
     /// Every slice file currently in the store, sorted by file name.
-    pub(crate) fn slice_files(&self) -> Result<Vec<PathBuf>, StoreError> {
+    fn slice_files(&self) -> Result<Vec<PathBuf>, StoreError> {
         let scan_error = |what, e| envelope::io_error(what, &self.dir, e);
         let entries = fs::read_dir(&self.dir).map_err(|e| scan_error("read dir", e))?;
         let mut files = Vec::new();
@@ -472,101 +441,23 @@ impl AnalysisStore {
         files.sort();
         Ok(files)
     }
-
-    fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
-        fs::read(path).map_err(|e| envelope::io_error("read", path, e).into())
-    }
-
-    /// Index every slice without decoding bodies: `(path, meta)` pairs in
-    /// file-name order.
-    pub(crate) fn index(&self) -> Result<Vec<(PathBuf, SliceMeta)>, StoreError> {
-        let mut out = Vec::new();
-        for path in self.slice_files()? {
-            let bytes = Self::read_file(&path)?;
-            let meta = read_meta(&bytes).map_err(|e| annotate_slice_error(e, &path))?;
-            out.push((path, meta));
-        }
-        Ok(out)
-    }
-
-    /// Distinct years covered by the store, ascending.
-    pub fn years(&self) -> Result<Vec<u16>, StoreError> {
-        let mut years: Vec<u16> = self.index()?.into_iter().map(|(_, m)| m.year).collect();
-        years.sort_unstable();
-        years.dedup();
-        Ok(years)
-    }
-
-    /// Read every slice file once — one read, one checksum — and decode the
-    /// body of those whose index section passes `wanted`, in file-name order.
-    fn read_slices(
-        &self,
-        wanted: impl Fn(&SliceMeta) -> bool,
-    ) -> Result<Vec<(SliceMeta, YearAnalysis)>, StoreError> {
-        let mut out = Vec::new();
-        for path in self.slice_files()? {
-            let bytes = Self::read_file(&path)?;
-            let slice = open_slice(&bytes).and_then(|(meta, body)| {
-                if !wanted(&meta) {
-                    return Ok(None);
-                }
-                let analysis = decode_body(&meta, body)?;
-                Ok(Some((meta, analysis)))
-            });
-            out.extend(slice.map_err(|e| annotate_slice_error(e, &path))?);
-        }
-        Ok(out)
-    }
-
-    /// Load one year, merging same-year partial slices bit-identically.
-    pub fn load_year(&self, year: u16) -> Result<YearAnalysis, StoreError> {
-        merge_years(self.read_slices(|meta| meta.year == year)?)
-            .pop()
-            .ok_or(StoreError::MissingYear(year))
-    }
 }
 
-/// Group decoded slices by year, ascending, recombining same-year partials
-/// through [`YearAnalysis::merge_partials`].
-fn merge_years(slices: Vec<(SliceMeta, YearAnalysis)>) -> Vec<YearAnalysis> {
-    let mut by_year: BTreeMap<u16, Vec<YearAnalysis>> = BTreeMap::new();
-    for (_, analysis) in slices {
-        by_year.entry(analysis.year).or_default().push(analysis);
-    }
-    by_year
-        .into_values()
-        .map(|mut partials| {
-            if partials.len() == 1 {
-                partials.pop().expect("one partial")
-            } else {
-                YearAnalysis::merge_partials(partials)
-            }
-        })
-        .collect()
-}
-
-/// Attach the offending file path to a decode error's message.
-fn annotate_slice_error(err: StoreError, path: &Path) -> StoreError {
-    match err {
-        StoreError::Corrupt(msg) => StoreError::Corrupt(format!("{}: {msg}", path.display())),
-        other => other,
-    }
-}
-
-/// Per-year slice accounting the `stats` query reports: how many files back
-/// the year and their combined on-disk size.
+/// Per-year slice accounting the `stats` query reports: the files backing
+/// the year and their on-disk size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct YearSliceStat {
     /// Calendar year the slices cover.
     pub year: u16,
-    /// Slice files (1 for a promoted year, more for unmerged partials).
+    /// Slice files backing the year: always 1, since a store holds one
+    /// slice per year.
     pub files: u64,
-    /// Combined slice-file bytes, envelopes included.
+    /// Slice-file bytes, envelope included.
     pub bytes: u64,
 }
 
 /// The read-mostly in-memory image the daemon serves from: every year in
-/// the store, decoded and merged, ascending.
+/// the store, decoded, ascending.
 #[derive(Debug, Clone, Default)]
 pub struct StoreImage {
     /// Monotonic install counter, assigned by [`ImageCell`] (0 = never
@@ -583,24 +474,46 @@ pub struct StoreImage {
 impl StoreImage {
     /// Build an image from everything currently in `store`, reading each
     /// slice file once: the accounting comes from the same bytes as the body.
+    /// A file that does not load is an error naming it, and a second slice
+    /// for a year is [`StoreError::Corrupt`] naming both.
     pub fn load(store: &AnalysisStore) -> Result<Self, StoreError> {
-        let slices = store.read_slices(|_| true)?;
-        let slice_files = slices.len();
-        let mut by_year: BTreeMap<u16, YearSliceStat> = BTreeMap::new();
-        for (meta, _) in &slices {
-            let stat = by_year.entry(meta.year).or_insert(YearSliceStat {
+        let files = store.slice_files()?;
+        let mut years: BTreeMap<u16, (&Path, YearSliceStat, YearAnalysis)> = BTreeMap::new();
+        for path in &files {
+            let bytes = fs::read(path).map_err(|e| envelope::io_error("read", path, e))?;
+            let named = |error| StoreError::File {
+                path: path.clone(),
+                error: Box::new(error),
+            };
+            let (meta, body) = open_slice(&bytes).map_err(named)?;
+            let slot = match years.entry(meta.year) {
+                Entry::Vacant(slot) => slot,
+                Entry::Occupied(first) => {
+                    return Err(StoreError::Corrupt(format!(
+                        "{} and {} both hold year {}; a store holds one slice per year",
+                        first.get().0.display(),
+                        path.display(),
+                        meta.year
+                    )))
+                }
+            };
+            let analysis = decode_body(&meta, body).map_err(named)?;
+            let stat = YearSliceStat {
                 year: meta.year,
-                files: 0,
-                bytes: 0,
-            });
-            stat.files += 1;
-            stat.bytes += meta.file_bytes;
+                files: 1,
+                bytes: meta.file_bytes,
+            };
+            slot.insert((path, stat, analysis));
         }
+        let (slices, years) = years
+            .into_values()
+            .map(|(_, stat, year)| (stat, year))
+            .unzip();
         Ok(Self {
             generation: 0,
-            slice_files,
-            slices: by_year.into_values().collect(),
-            years: merge_years(slices),
+            slice_files: files.len(),
+            slices,
+            years,
         })
     }
 
@@ -753,7 +666,7 @@ mod tests {
     fn meta_matches_body() {
         let original = analysis(2021);
         let bytes = encode_year(&original);
-        let meta = read_meta(&bytes).expect("meta reads");
+        let (meta, _) = open_slice(&bytes).expect("meta reads");
         assert_eq!(meta.year, 2021);
         assert_eq!(meta.total_packets, original.total_packets);
         assert_eq!(meta.distinct_sources, original.distinct_sources);
@@ -1059,7 +972,12 @@ mod tests {
             assert_eq!(err, unsupported(found));
             assert!(err.to_string().contains("re-run"), "{err}");
             fs::write(store.slice_path(2022), &other).expect("write slice");
-            assert_eq!(store.load_year(2022), Err(err));
+            let path = store.slice_path(2022);
+            let named = StoreError::File {
+                path,
+                error: Box::new(err),
+            };
+            assert_eq!(StoreImage::load(&store).unwrap_err(), named);
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1079,77 +997,53 @@ mod tests {
     }
 
     #[test]
-    fn a_newer_minor_partial_fails_its_year_through_the_store() {
-        // A partial from a newer worker build is refused, typed, not merged
-        // or skipped: the year it would have changed does not load.
-        let dir = std::env::temp_dir().join(format!("synstore-t7-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let store = AnalysisStore::open(&dir).expect("open");
-        let shard = |src: u32| {
-            let mut c = YearCollector::with_origin(2023, tiny_cfg(), 7.0, 0);
-            for i in 0..30u32 {
-                c.offer(&record(src, 100 + i, 22, u64::from(i) * 100_000));
-            }
-            c.finish()
-        };
-        store
-            .write_partial(&shard(51), "old")
-            .expect("current partial");
-        let newer = sealed_as(encode_year(&shard(52)), 0x0002_0001);
-        fs::write(store.partial_path(2023, "new"), &newer).expect("write newer partial");
-        assert_eq!(store.index(), Err(unsupported(0x0002_0001)));
-        assert_eq!(store.load_year(2023), Err(unsupported(0x0002_0001)));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn store_write_load_year() {
         let dir = std::env::temp_dir().join(format!("synstore-t1-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let store = AnalysisStore::open(&dir).expect("open");
         let original = analysis(2020);
         store.write_year(&original).expect("write");
-        assert_eq!(store.years().expect("years"), vec![2020]);
-        assert_eq!(store.load_year(2020).expect("load"), original);
-        assert_eq!(store.load_year(2021), Err(StoreError::MissingYear(2021)));
+        let image = StoreImage::load(&store).expect("load");
+        assert_eq!(image.year_list(), vec![2020]);
+        assert_eq!(image.years, vec![original]);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn partials_merge_and_full_slice_supersedes() {
-        let dir = std::env::temp_dir().join(format!("synstore-t2-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let store = AnalysisStore::open(&dir).expect("open");
-
-        // Two disjoint-source partials of the same year.
-        let cfg = CampaignConfig {
-            min_distinct_dests: 5,
-            min_rate_pps: 1.0,
-            expiry_secs: 3600.0,
-            monitored_addresses: 1 << 16,
-        };
-        let mut c1 = YearCollector::new(2018, cfg);
-        let mut c2 = YearCollector::new(2018, cfg);
-        for i in 0..20u32 {
-            c1.offer(&record(21, 400 + i, 443, u64::from(i) * 100_000));
-            c2.offer(&record(22, 500 + i, 23, u64::from(i) * 100_000 + 1));
+    fn two_slices_for_one_year_are_corrupt_naming_both_files() {
+        // A stray copy of a slice, and a full slice beside a partial a crash
+        // left behind: either would count the year twice.
+        let full = encode_year(&analysis(2018));
+        let mut part = YearCollector::new(2018, tiny_cfg());
+        for i in 0..12u32 {
+            part.offer(&record(21, 400 + i, 443, u64::from(i) * 100_000));
         }
-        let p1 = c1.finish();
-        let p2 = c2.finish();
-        let merged = YearAnalysis::merge_partials(vec![p1.clone(), p2.clone()]);
-
-        store.write_partial(&p1, "shard0").expect("p1");
-        store.write_partial(&p2, "shard1").expect("p2");
-        assert_eq!(store.slice_files().expect("files").len(), 2);
-        assert_eq!(store.load_year(2018).expect("merged"), merged);
-
-        // Promoting the full slice retires the partials.
-        store.write_year(&merged).expect("promote");
-        assert_eq!(store.slice_files().expect("files").len(), 1);
-        assert_eq!(store.load_year(2018).expect("full"), merged);
-
-        assert!(store.write_partial(&merged, "bad label").is_err());
-        let _ = fs::remove_dir_all(&dir);
+        let part = encode_year(&part.finish());
+        for (name, bytes) in [
+            ("year-2018 copy.store", &full),
+            ("year-2018.part-p0of2.store", &part),
+        ] {
+            let dir = std::env::temp_dir().join(format!("synstore-t2-{}", std::process::id()));
+            let _ = fs::remove_dir_all(&dir);
+            let store = AnalysisStore::open(&dir).expect("open");
+            let first = store.write_year(&analysis(2018)).expect("write");
+            store.write_year(&analysis(2019)).expect("another year");
+            let second = dir.join(name);
+            fs::write(&second, bytes).expect("second slice");
+            match StoreImage::load(&store) {
+                Err(err @ StoreError::Corrupt(_)) => {
+                    let msg = err.to_string();
+                    for path in [&first, &second] {
+                        assert!(msg.contains(&*path.to_string_lossy()), "{name}: {msg}");
+                    }
+                }
+                other => panic!("{name}: expected Corrupt, got {other:?}"),
+            }
+            fs::remove_file(&second).expect("remove the second slice");
+            let image = StoreImage::load(&store).expect("load");
+            assert_eq!(image.year_list(), [2018, 2019]);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     fn tiny_cfg() -> CampaignConfig {
@@ -1162,100 +1056,22 @@ mod tests {
     }
 
     #[test]
-    fn empty_partials_merge_as_identity() {
-        // A shard that admitted nothing still writes a (valid, empty)
-        // partial; loading the year must merge it away without disturbing
-        // the busy partial's analysis.
-        let dir = std::env::temp_dir().join(format!("synstore-t3-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let store = AnalysisStore::open(&dir).expect("open");
-
-        let mut busy = YearCollector::with_origin(2019, tiny_cfg(), 7.0, 0);
-        for i in 0..25u32 {
-            busy.offer(&record(31, 700 + i, 443, u64::from(i) * 90_000));
-        }
-        let busy = busy.finish();
-        let empty = YearCollector::with_origin(2019, tiny_cfg(), 7.0, 0).finish();
-        assert_eq!(empty.total_packets, 0);
-
-        store.write_partial(&busy, "shard0").expect("busy partial");
-        store
-            .write_partial(&empty, "shard1")
-            .expect("empty partial");
-        let loaded = store.load_year(2019).expect("merged");
-        assert_eq!(
-            loaded,
-            YearAnalysis::merge_partials(vec![busy.clone(), empty])
-        );
-        assert_eq!(loaded.total_packets, busy.total_packets);
-        assert_eq!(loaded.campaigns, busy.campaigns);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn many_duplicate_year_partials_merge_to_one_year() {
-        // Several partials of the same year — more than the usual two, with
-        // an empty one mixed in — must collapse into one merged analysis,
-        // and `years()` must report the year exactly once.
-        let dir = std::env::temp_dir().join(format!("synstore-t4-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let store = AnalysisStore::open(&dir).expect("open");
-
-        let shard = |src: u32, n: u32| {
-            let mut c = YearCollector::with_origin(2021, tiny_cfg(), 7.0, 0);
-            for i in 0..n {
-                c.offer(&record(src, 100 + i, 80, u64::from(i) * 120_000));
-            }
-            c.finish()
-        };
-        let parts = vec![
-            shard(41, 15),
-            shard(42, 10),
-            shard(43, 20),
-            YearCollector::with_origin(2021, tiny_cfg(), 7.0, 0).finish(),
-        ];
-        for (i, p) in parts.iter().enumerate() {
-            store.write_partial(p, &format!("w{i}")).expect("partial");
-        }
-        assert_eq!(store.slice_files().expect("files").len(), 4);
-        assert_eq!(store.years().expect("years"), vec![2021]);
-        let loaded = store.load_year(2021).expect("merged");
-        assert_eq!(loaded, YearAnalysis::merge_partials(parts));
-        assert_eq!(loaded.total_packets, 45);
-        assert_eq!(loaded.distinct_sources, 3);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn image_carries_per_year_slice_stats() {
         let dir = std::env::temp_dir().join(format!("synstore-t6-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let store = AnalysisStore::open(&dir).expect("open");
-        store.write_year(&analysis(2015)).expect("write 2015");
-        let p = analysis(2016);
-        store.write_partial(&p, "a").expect("partial a");
-        store.write_partial(&p, "b").expect("partial b");
+        for year in [2015, 2016] {
+            store.write_year(&analysis(year)).expect("write");
+        }
 
         let image = StoreImage::load(&store).expect("image");
-        assert_eq!(image.slice_files, 3);
-        assert_eq!(image.slices.len(), 2);
-        let s2015 = image
-            .slices
-            .iter()
-            .find(|s| s.year == 2015)
-            .expect("2015 stat");
-        assert_eq!(s2015.files, 1);
-        assert_eq!(
-            s2015.bytes,
-            fs::metadata(store.slice_path(2015)).expect("meta").len()
-        );
-        let s2016 = image
-            .slices
-            .iter()
-            .find(|s| s.year == 2016)
-            .expect("2016 stat");
-        assert_eq!(s2016.files, 2);
-        assert_eq!(s2016.bytes, 2 * encode_year(&p).len() as u64);
+        assert_eq!(image.slice_files, 2);
+        let stats: Vec<_> = image.slices.iter().map(|s| (s.year, s.files)).collect();
+        assert_eq!(stats, [(2015, 1), (2016, 1)]);
+        for stat in &image.slices {
+            let on_disk = fs::metadata(store.slice_path(stat.year)).expect("meta");
+            assert_eq!(stat.bytes, on_disk.len());
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -34,7 +34,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::io::Read;
 
-use crate::experiment::{identity_word, supervised, RunError, RunOptions};
+use crate::experiment::{identity_word, supervised};
 use synscan_core::analysis::{toolports, yearly, YearAnalysis};
 use synscan_core::checkpoint::{SnapReader, SnapWriter};
 use synscan_core::pipeline::{PipelineError, SizeHints};
@@ -42,7 +42,7 @@ use synscan_core::sketch::HeavyHitterConfig;
 use synscan_core::store::StoreError;
 use synscan_core::{
     run_year_supervised, AdmitState, CampaignConfig, CheckpointError, PipelineMode,
-    PipelineOutcome, RunSpec, RunStatus,
+    PipelineOutcome, RunError, RunOptions, RunSpec, RunStatus,
 };
 use synscan_telescope::capture::{classify_technique, PcapStream, ScanTechnique};
 use synscan_wire::chaos::{ChaosPlan, ChaosReader};
@@ -279,7 +279,7 @@ fn infer_monitored(capture: &MappedCapture, options: &AnalyzeOptions) -> Result<
 /// `RunOptions::default()`, checkpointed, interruptible and persisted as
 /// `run` says.
 ///
-/// With a resuming [`CheckpointSpec`](crate::experiment::CheckpointSpec) the
+/// With resuming [`CheckpointOptions`](synscan_core::CheckpointOptions) the
 /// analysis restarts from its latest checkpoint in the directory and the
 /// finished result is bit-identical to an uninterrupted run's. The
 /// checkpoint's identity word covers the capture's byte length, the
@@ -311,14 +311,6 @@ pub fn analyze(
             (infer_monitored(capture, options)?, Some(capture), None)
         }
     };
-    let spec = RunSpec {
-        year: options.year,
-        config: CampaignConfig::scaled(monitored.max(1)),
-        period_days: 7.0,
-        mode: options.pipeline,
-        hints: SizeHints::none().with_heavy(options.heavy),
-        policy: options.policy,
-    };
     let identity = format!(
         "{} {monitored} {} {:?} {:?} {:?}",
         capture.map_or(0, MappedCapture::len),
@@ -327,8 +319,16 @@ pub fn analyze(
         options.chaos_seed,
         options.heavy,
     );
-    let identity = identity_word(identity.as_bytes());
-    let attempt = |supervisor| {
+    let spec = RunSpec {
+        year: options.year,
+        config: CampaignConfig::scaled(monitored.max(1)),
+        period_days: 7.0,
+        mode: options.pipeline,
+        hints: SizeHints::none().with_heavy(options.heavy),
+        policy: options.policy,
+        identity: identity_word(identity.as_bytes()),
+    };
+    let attempt = |opts: &RunOptions<'_>| {
         let reader = match capture {
             Some(capture) => capture.reader(),
             // Only a checkpointed run makes a second attempt, and a one-shot
@@ -349,9 +349,9 @@ pub fn analyze(
             }
             records.sort_by_key(|r| r.ts_micros);
             let mut sorted = SliceStream::new(&records);
-            run_year_supervised(&spec, supervisor, &mut sorted, &mut census)?
+            run_year_supervised(&spec, opts, &mut sorted, &mut census)?
         } else {
-            run_year_supervised(&spec, supervisor, &mut stream, &mut census)?
+            run_year_supervised(&spec, opts, &mut stream, &mut census)?
         };
         // The parser's own tallies, which the driver never sees. A resumed
         // run re-reads the whole capture (the fast-forward replays it), so
@@ -369,9 +369,7 @@ pub fn analyze(
             }
         }))
     };
-    Ok(supervised(spec.year, identity, run, attempt, |result| {
-        &result.analysis
-    })?)
+    Ok(supervised(run, attempt)?)
 }
 
 /// The §3.1 techniques and their report labels, in snapshot order; `Other`
@@ -508,7 +506,7 @@ pub fn render_report(result: &AnalyzeResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::CheckpointSpec;
+    use synscan_core::CheckpointOptions;
     use synscan_scanners::traits::craft_record;
     use synscan_scanners::zmap::ZmapScanner;
     use synscan_telescope::capture::export_pcap;
@@ -682,7 +680,11 @@ mod tests {
                 std::process::id()
             ));
             let _ = std::fs::remove_dir_all(&dir);
-            let cut = CheckpointSpec::new(&dir).every(50).interrupt_after(Some(1));
+            let cut = CheckpointOptions {
+                every: 50,
+                interrupt_after: Some(1),
+                ..CheckpointOptions::new(&dir)
+            };
             let status = analyze(
                 CaptureInput::Capture(&capture_a),
                 &options,
@@ -694,7 +696,11 @@ mod tests {
             .expect("the drill is not an error");
             assert!(matches!(status, RunStatus::Interrupted { .. }), "{policy}");
 
-            let resume = CheckpointSpec::new(&dir).every(50).resume(true);
+            let resume = CheckpointOptions {
+                every: 50,
+                resume: true,
+                ..CheckpointOptions::new(&dir)
+            };
             let resumed = |capture, options: &AnalyzeOptions| {
                 analyze(
                     CaptureInput::Capture(capture),
@@ -737,7 +743,7 @@ mod tests {
     fn a_one_shot_input_cannot_be_checkpointed() {
         let dir =
             std::env::temp_dir().join(format!("synscan-analyze-oneshot-{}", std::process::id()));
-        let spec = CheckpointSpec::new(&dir);
+        let spec = CheckpointOptions::new(&dir);
         let err = analyze(
             CaptureInput::reader(std::io::Cursor::new(capture_bytes())),
             &AnalyzeOptions::default(),

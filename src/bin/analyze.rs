@@ -77,8 +77,7 @@ use std::fs::File;
 
 use synscan::analyze::{analyze, render_report, AnalyzeOptions, CaptureInput};
 use synscan::core::store::AnalysisStore;
-use synscan::experiment::RunOptions;
-use synscan::RunStatus;
+use synscan::{RunOptions, RunStatus};
 use synscan_wire::ingest::MappedCapture;
 
 mod cli;
@@ -208,6 +207,7 @@ fn run() -> Result<(), String> {
             .as_ref()
             .map(|_| sig::install(&[sig::SIGINT, sig::SIGTERM])),
         store: store.as_ref(),
+        ..RunOptions::default()
     };
     let status =
         analyze(input, &options, &run).map_err(|e| format!("cannot analyze {name}: {e}"))?;
@@ -221,7 +221,7 @@ fn run() -> Result<(), String> {
             if let Some(spec) = &spec {
                 eprintln!(
                     "[analyze] {checkpoints} checkpoints written to {}",
-                    spec.dir().display()
+                    spec.dir.display()
                 );
             }
             if let Some(store) = &store {

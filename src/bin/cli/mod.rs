@@ -8,7 +8,7 @@ use std::path::PathBuf;
 
 use synscan::core::sketch::HeavyHitterConfig;
 use synscan::core::SupervisionReport;
-use synscan::experiment::CheckpointSpec;
+use synscan::CheckpointOptions;
 
 /// A command-line mistake (as opposed to a failed run).
 pub struct Usage(pub String);
@@ -95,7 +95,7 @@ impl CheckpointFlags {
 
     /// The checkpoint the flags describe, its directory created; `None`
     /// without `--checkpoint-dir`.
-    pub fn spec(&self) -> Result<Option<CheckpointSpec>, String> {
+    pub fn spec(&self) -> Result<Option<CheckpointOptions>, String> {
         self.create_dir()?;
         let Some(dir) = &self.dir else {
             if self.resume || self.die_after.is_some() {
@@ -103,12 +103,12 @@ impl CheckpointFlags {
             }
             return Ok(None);
         };
-        Ok(Some(
-            CheckpointSpec::new(dir)
-                .every(self.every)
-                .resume(self.resume)
-                .interrupt_after(self.die_after),
-        ))
+        Ok(Some(CheckpointOptions {
+            dir: dir.clone(),
+            every: self.every,
+            resume: self.resume,
+            interrupt_after: self.die_after,
+        }))
     }
 
     /// An interrupted run's exit: the kill-and-resume drill dies the way a

@@ -70,12 +70,12 @@ use synscan::core::report::render_series;
 use synscan::core::sketch::HeavyHitterConfig;
 use synscan::core::store::{AnalysisStore, StoreImage};
 use synscan::core::PipelineError;
-use synscan::experiment::{DecadeRun, DecadeStatus, Experiment, RunError, RunOptions};
+use synscan::experiment::{DecadeRun, DecadeStatus, Experiment};
 use synscan::netmodel::{InternetRegistry, ScannerClass};
 use synscan::wire::ingest::{IngestMode, IngestQueues, MappedCapture};
 use synscan::wire::json::{self, ToJson};
 use synscan::wire::{ChaosPlan, FaultPolicy};
-use synscan::{GeneratorConfig, PipelineMode, ToolKind, YearConfig};
+use synscan::{GeneratorConfig, PipelineMode, RunError, RunOptions, ToolKind, YearConfig};
 
 mod cli;
 use cli::{flag_dir, flag_value, sig, CheckpointFlags};
@@ -372,6 +372,7 @@ fn run() -> Result<(), String> {
                 .as_ref()
                 .map(|_| sig::install(&[sig::SIGINT, sig::SIGTERM])),
             store: Some(&store),
+            ..RunOptions::default()
         };
         let status = experiment.decade(&opts).map_err(|e| match e {
             // Only a faulty record is something a lossy policy gets past.

@@ -1167,9 +1167,9 @@ fn pump_slice(
 }
 
 /// Run the decade distributed across N workers and persist it into
-/// `store` exactly as the sequential `Experiment::decade` would: every
-/// arriving partial lands via `write_partial`, and each year's final merge
-/// is promoted via `write_year` (which atomically replaces the partials).
+/// `store` exactly as the sequential `Experiment::decade` would: each year's
+/// partials are merged in memory and the merge written once, as the year's
+/// one slice, by `write_year`.
 ///
 /// The returned [`DecadeRun`] is bit-identical to the sequential run's —
 /// the equivalence the protocol layer proves per slice, assembled across
@@ -1278,11 +1278,7 @@ pub fn run_distributed(
                 Some(_) => {}
             }
             if let Some(bytes) = &partial.analysis {
-                let analysis = decode_year(bytes)?;
-                if let Some(store) = store {
-                    store.write_partial(&analysis, &format!("p{part}of{parts}"))?;
-                }
-                partials.push(analysis);
+                partials.push(decode_year(bytes)?);
             }
         }
         let merged = merge_slices(
@@ -1649,7 +1645,7 @@ mod tests {
 
     fn sequential_decade(gen: GeneratorConfig) -> DecadeRun {
         Experiment::new(gen)
-            .decade(&crate::experiment::RunOptions::default())
+            .decade(&synscan_core::RunOptions::default())
             .expect("clean decade")
             .completed()
             .expect("nothing interrupts a plain run")

@@ -7,15 +7,17 @@
 //! pipeline one batch at a time and the full record vector never exists.
 //!
 //! There is one way to run a year, [`Experiment::year`], and one way to run
-//! the decade, [`Experiment::decade`]; both take a [`RunOptions`] and drive
-//! [`synscan_core::run_year_supervised`]. The default options are the plain
-//! run: nothing is cut, nothing stops it, nothing is persisted. A
-//! [`CheckpointSpec`] adds atomic per-year checkpoints, resume from them
-//! with bit-identical results, and one retry of a panicked shard worker
-//! from the last cut; a stop flag (raised from a SIGINT handler, say) ends
-//! the run at the next batch boundary behind a final checkpoint; a store
-//! receives every year the moment it completes. [`Experiment::run_year`] is
-//! the panicking shorthand for a plain year.
+//! the decade, [`Experiment::decade`]; both take core's [`RunOptions`] and
+//! drive [`synscan_core::run_year_supervised`], which decides how the run
+//! persists. The default options are the plain run: nothing is cut, nothing
+//! stops it, nothing is persisted. [`CheckpointOptions`] add atomic per-year
+//! checkpoints and resume from them with bit-identical results; a stop flag
+//! (raised from a SIGINT handler, say) ends the run at the next batch
+//! boundary behind a final checkpoint; a store receives every year the
+//! moment it completes. The one thing this layer adds is the retry rule: a
+//! checkpointed run whose shard worker panicked is retried once from its
+//! last cut. [`Experiment::run_year`] is the panicking shorthand for a plain
+//! year.
 //!
 //! For robustness drills the harness can decay its own input:
 //! [`Experiment::with_chaos`] wraps every year's record stream in a
@@ -24,19 +26,14 @@
 //! [`Experiment::with_fault_policy`] selects how the pipeline responds.
 
 use std::hash::Hasher as _;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 
 use synscan_core::analysis::YearAnalysis;
 use synscan_core::checkpoint::{SnapReader, SnapWriter};
 use synscan_core::pipeline::{PipelineError, PipelineMode, SizeHints};
 use synscan_core::sketch::HeavyHitterConfig;
-use synscan_core::store::{AnalysisStore, StoreError};
 use synscan_core::{
-    run_year_supervised, AdmitState, CampaignConfig, Checkpoint, CheckpointError,
-    CheckpointOptions, FxHasher, InjectedFaults, RunSpec, RunStatus, SupervisionReport,
-    SupervisorOptions, WorkerFailure,
+    run_year_supervised, AdmitState, CampaignConfig, CheckpointError, CheckpointOptions, FxHasher,
+    RunError, RunOptions, RunSpec, RunStatus, SupervisionReport, WorkerFailure,
 };
 use synscan_netmodel::InternetRegistry;
 use synscan_synthesis::fanout;
@@ -47,60 +44,6 @@ use synscan_telescope::{AddressSet, CaptureSession, CaptureStats};
 use synscan_wire::chaos::{ChaosPlan, ChaosStream};
 use synscan_wire::stream::{FaultCounters, FaultPolicy, TryRecordStream};
 use synscan_wire::ProbeRecord;
-
-/// Why a run failed: in the pipeline, at a checkpoint, or persisting a
-/// finished year into the analysis store.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RunError {
-    /// The pipeline itself failed (stream fault, worker panic).
-    Pipeline(PipelineError),
-    /// Checkpoint I/O or validation failed.
-    Checkpoint(CheckpointError),
-    /// The analysis was computed but could not be persisted.
-    Store(StoreError),
-}
-
-impl std::fmt::Display for RunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RunError::Pipeline(e) => write!(f, "{e}"),
-            RunError::Checkpoint(
-                e @ CheckpointError::Mismatch {
-                    field: "identity", ..
-                },
-            ) => write!(
-                f,
-                "checkpoint: {e} (the identity word hashes the input and every option \
-                 that shapes the analysis: one of them differs from the interrupted run's)"
-            ),
-            RunError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
-            RunError::Store(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for RunError {}
-
-impl From<CheckpointError> for RunError {
-    fn from(e: CheckpointError) -> Self {
-        RunError::Checkpoint(e)
-    }
-}
-
-impl From<StoreError> for RunError {
-    fn from(e: StoreError) -> Self {
-        RunError::Store(e)
-    }
-}
-
-impl From<synscan_core::RunError> for RunError {
-    fn from(e: synscan_core::RunError) -> Self {
-        match e {
-            synscan_core::RunError::Pipeline(e) => RunError::Pipeline(e),
-            synscan_core::RunError::Checkpoint(e) => RunError::Checkpoint(e),
-        }
-    }
-}
 
 /// One fully processed year.
 #[derive(Debug, Clone)]
@@ -149,74 +92,6 @@ impl DecadeRun {
     }
 }
 
-/// Where and how often a run checkpoints, and whether it starts from what
-/// is already there.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointSpec {
-    /// The driver's own options. Their `identity` is not the caller's to set:
-    /// every run call overwrites it with its identity word.
-    options: CheckpointOptions,
-    resume: bool,
-}
-
-impl CheckpointSpec {
-    /// Checkpoint into `dir` (one `checkpoint-year{year}.ckpt` per year)
-    /// with completion-only cuts, no resume.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            options: CheckpointOptions {
-                dir: dir.into(),
-                every: 0,
-                identity: 0,
-                interrupt_after: None,
-            },
-            resume: false,
-        }
-    }
-
-    /// Checkpoint after at least this many stream records since the last
-    /// cut. `0` = only the final completion checkpoint.
-    pub fn every(mut self, every: u64) -> Self {
-        self.options.every = every;
-        self
-    }
-
-    /// Restart each year from its latest on-disk checkpoint (from scratch
-    /// when none exists) instead of ignoring old state.
-    pub fn resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
-        self
-    }
-
-    /// Stop the run right after writing this many checkpoints — the
-    /// kill-and-resume drill hook (`--die-after-checkpoints`); `None` in
-    /// normal operation.
-    pub fn interrupt_after(mut self, after: Option<u64>) -> Self {
-        self.options.interrupt_after = after;
-        self
-    }
-
-    /// The checkpoint directory.
-    pub fn dir(&self) -> &Path {
-        &self.options.dir
-    }
-}
-
-/// Everything around a run that is not the run: all optional, and the
-/// default — no checkpoint, no stop flag, no store — is the plain run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunOptions<'a> {
-    /// Checkpoint (and resume, and retry a failed worker once) as specified.
-    pub checkpoint: Option<&'a CheckpointSpec>,
-    /// Cooperative interrupt flag, checked at batch boundaries: when raised
-    /// the run cuts a final checkpoint (if it checkpoints at all) and ends
-    /// [`RunStatus::Interrupted`].
-    pub stop: Option<&'a AtomicBool>,
-    /// Write every year into this store the moment it completes, so an
-    /// interrupted decade leaves its finished years queryable.
-    pub store: Option<&'a AnalysisStore>,
-}
-
 /// The identity word of a checkpointed run: an FxHash over everything that
 /// determines its stream and its collectors, stored in the checkpoint
 /// header's `identity`. A checkpoint cut under another word is a typed
@@ -227,43 +102,29 @@ pub(crate) fn identity_word(what: &[u8]) -> u64 {
     hasher.finish()
 }
 
-/// The one supervised run both front ends make: resume from the latest
-/// checkpoint when asked to, run `attempt`, retry it once from the latest
-/// checkpoint when a shard worker failed, and persist a completed year.
+/// The one retry rule both front ends share: run `attempt`, and when a
+/// shard worker failed in a checkpointed run, run it once more resuming from
+/// the latest checkpoint.
 ///
-/// `attempt` rebuilds its stream and admit filter on every call. The retry
-/// needs a checkpoint directory: the failed attempt drained its healthy
-/// shards but wrote no further cut, so the latest file on disk is a
-/// consistent earlier cut (or absent — then the retry starts fresh).
-pub(crate) fn supervised<'a, T>(
-    year: u16,
-    identity: u64,
-    opts: &RunOptions<'a>,
-    mut attempt: impl FnMut(SupervisorOptions<'a>) -> Result<RunStatus<T>, RunError>,
-    analysis: impl Fn(&T) -> &YearAnalysis,
+/// `attempt` rebuilds its stream and admit filter on every call. The failed
+/// attempt drained its healthy shards but wrote no further cut, so the
+/// latest file on disk is a consistent earlier cut (or absent — then the
+/// retry starts fresh).
+pub(crate) fn supervised<T>(
+    opts: &RunOptions<'_>,
+    mut attempt: impl FnMut(&RunOptions<'_>) -> Result<RunStatus<T>, RunError>,
 ) -> Result<RunStatus<T>, RunError> {
-    let latest = || match opts.checkpoint {
-        Some(ckpt) => Checkpoint::load_latest(ckpt.dir(), year),
-        None => Ok(None),
-    };
-    let with = |resume| SupervisorOptions {
-        checkpoint: opts.checkpoint.map(|ckpt| CheckpointOptions {
-            identity,
-            ..ckpt.options.clone()
-        }),
-        resume,
-        stop: opts.stop,
-        ..SupervisorOptions::default()
-    };
-    let resume = match opts.checkpoint {
-        Some(ckpt) if ckpt.resume => latest()?,
-        _ => None,
-    };
-    let status = match attempt(with(resume)) {
-        Err(RunError::Pipeline(PipelineError::WorkerFailed { shard }))
-            if opts.checkpoint.is_some() =>
-        {
-            let mut status = attempt(with(latest()?))?;
+    match (attempt(opts), opts.checkpoint) {
+        (Err(RunError::Pipeline(PipelineError::WorkerFailed { shard })), Some(checkpoint)) => {
+            let resume = CheckpointOptions {
+                resume: true,
+                ..checkpoint.clone()
+            };
+            let retry = RunOptions {
+                checkpoint: Some(&resume),
+                ..opts.clone()
+            };
+            let mut status = attempt(&retry)?;
             if let RunStatus::Completed { report, .. } = &mut status {
                 // The panic payload already reached stderr through the hook.
                 report.failures.push(WorkerFailure {
@@ -272,14 +133,10 @@ pub(crate) fn supervised<'a, T>(
                 });
                 report.retried += 1;
             }
-            status
+            Ok(status)
         }
-        other => other?,
-    };
-    if let (RunStatus::Completed { outcome, .. }, Some(store)) = (&status, opts.store) {
-        store.write_year(analysis(outcome))?;
+        (status, _) => status,
     }
-    Ok(status)
 }
 
 /// How a decade run ended.
@@ -377,7 +234,6 @@ pub struct Experiment {
     mode: PipelineMode,
     policy: FaultPolicy,
     chaos: Option<ChaosPlan>,
-    inject: Option<Arc<InjectedFaults>>,
     heavy: Option<HeavyHitterConfig>,
 }
 
@@ -394,7 +250,6 @@ impl Experiment {
             mode: PipelineMode::Sequential,
             policy: FaultPolicy::Fail,
             chaos: None,
-            inject: None,
             heavy: None,
         }
     }
@@ -497,15 +352,20 @@ impl Experiment {
         plan_year(year_cfg, &self.gen, &self.registry, &self.dark)
     }
 
-    /// The run parameters of a planned year.
-    fn run_spec(&self, year: u16, mode: PipelineMode, truth: &GroundTruth) -> RunSpec {
+    /// The run parameters of a planned year. Its identity word covers the
+    /// generator and heavy-hitter configuration, the year configuration, the
+    /// fault policy and the chaos plan.
+    fn run_spec(&self, year_cfg: &YearConfig, mode: PipelineMode, truth: &GroundTruth) -> RunSpec {
+        let mut identity = crate::distrib::encode_job(&self.gen, self.heavy);
+        identity.extend(format!("{year_cfg:?} {:?} {:?}", self.policy, self.chaos).bytes());
         RunSpec {
-            year,
+            year: year_cfg.year,
             config: self.campaign_config(),
             period_days: self.period_days(),
             mode,
             hints: self.hints_for(truth),
             policy: self.policy,
+            identity: identity_word(&identity),
         }
     }
 
@@ -540,14 +400,6 @@ impl Experiment {
         }
     }
 
-    /// Arm deterministic one-shot faults in the shard workers — the test
-    /// hook for the panic-containment and retry-from-checkpoint paths.
-    #[doc(hidden)]
-    pub fn with_injected_faults(mut self, faults: Arc<InjectedFaults>) -> Self {
-        self.inject = Some(faults);
-        self
-    }
-
     /// Run one plain year end to end, in the experiment-wide pipeline mode.
     ///
     /// # Panics
@@ -566,12 +418,12 @@ impl Experiment {
     /// of the worker budget this way). A fault that is fatal under the
     /// current policy is an `Err`.
     ///
-    /// With a [`CheckpointSpec`] that resumes, the year restarts from its
+    /// With [`CheckpointOptions`] that resume, the year restarts from its
     /// latest on-disk checkpoint (from scratch if none exists) and produces
     /// output bit-identical to an uninterrupted run; a spent worker-failure
-    /// retry is counted in the returned supervision report. The checkpoint's
-    /// identity word covers the generator and heavy-hitter configuration,
-    /// the year configuration, the fault policy and the chaos plan.
+    /// retry is counted in the returned supervision report. A checkpoint cut
+    /// under another generator, heavy-hitter or year configuration, fault
+    /// policy or chaos plan is refused.
     pub fn year(
         &self,
         year_cfg: &YearConfig,
@@ -579,18 +431,11 @@ impl Experiment {
         opts: &RunOptions<'_>,
     ) -> Result<RunStatus<YearRun>, RunError> {
         let plan = self.plan(year_cfg);
-        let spec = self.run_spec(year_cfg.year, mode, &plan.truth);
-        let mut identity = crate::distrib::encode_job(&self.gen, self.heavy);
-        identity.extend(format!("{year_cfg:?} {:?} {:?}", self.policy, self.chaos).bytes());
-        let identity = identity_word(&identity);
-        let attempt = |options| {
-            let options = SupervisorOptions {
-                inject: self.inject.clone(),
-                ..options
-            };
+        let spec = self.run_spec(year_cfg, mode, &plan.truth);
+        supervised(opts, |opts| {
             let mut admit = SessionAdmit(CaptureSession::new(&self.dark, spec.year));
             let status = self.with_stream(&plan, |stream| {
-                run_year_supervised(&spec, options, stream, &mut admit)
+                run_year_supervised(&spec, opts, stream, &mut admit)
             })?;
             Ok(status.map(|outcome| YearRun {
                 analysis: outcome.analysis,
@@ -598,8 +443,7 @@ impl Experiment {
                 capture: admit.0.stats(),
                 faults: outcome.faults,
             }))
-        };
-        supervised(spec.year, identity, opts, attempt, |run| &run.analysis)
+        })
     }
 
     /// Run the whole decade, years in parallel, first error wins. Each year
@@ -700,6 +544,7 @@ mod tests {
 
     #[test]
     fn persisted_year_reloads_identically() {
+        use synscan_core::store::{AnalysisStore, StoreImage};
         let dir = std::env::temp_dir().join(format!("synstore-exp-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = AnalysisStore::open(&dir).expect("open store");
@@ -712,7 +557,8 @@ mod tests {
             .expect("clean year")
             .completed()
             .expect("nothing interrupts this run");
-        assert_eq!(store.load_year(2020).expect("reload"), run.analysis);
+        let image = StoreImage::load(&store).expect("reload");
+        assert_eq!(image.years, vec![run.analysis]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -47,5 +47,8 @@ pub use distrib::{
     connect_worker, run_distributed, run_worker, DistribOptions, Endpoint, NetChaos, NetChaosMode,
     WorkerSource,
 };
-pub use synscan_core::{Campaign, CampaignConfig, PipelineMode, RunStatus, ToolKind};
+pub use synscan_core::{
+    Campaign, CampaignConfig, CheckpointOptions, PipelineMode, RunError, RunOptions, RunStatus,
+    ToolKind,
+};
 pub use synscan_synthesis::{GeneratorConfig, YearConfig};

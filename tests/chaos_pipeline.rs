@@ -23,12 +23,12 @@ use std::sync::Arc;
 use synscan::analyze::{analyze, AnalyzeError, AnalyzeOptions, AnalyzeResult, CaptureInput};
 use synscan::core::pipeline::PipelineError;
 use synscan::core::PipelineMode;
-use synscan::experiment::{Experiment, RunError, RunOptions, YearRun};
+use synscan::experiment::{Experiment, YearRun};
 use synscan::wire::chaos::{corrupt_pcap, ChaosPlan, Fault};
 use synscan::wire::ingest::{IngestQueues, MappedCapture};
 use synscan::wire::stream::{FaultPolicy, StreamError, TryRecordStream};
 use synscan::wire::PcapError;
-use synscan::{GeneratorConfig, YearConfig};
+use synscan::{GeneratorConfig, RunError, RunOptions, YearConfig};
 
 fn corpus_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))

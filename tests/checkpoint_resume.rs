@@ -11,14 +11,14 @@
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 
-use synscan::core::store::{encode_year, AnalysisStore};
+use synscan::core::store::{encode_year, AnalysisStore, StoreImage};
 use synscan::core::{Checkpoint, CheckpointError, EnvelopeError, InjectedFaults};
-use synscan::experiment::{
-    CheckpointSpec, DecadeStatus, Experiment, RunError, RunOptions, YearRun,
-};
+use synscan::experiment::{DecadeStatus, Experiment, YearRun};
 use synscan::wire::json::ToJson;
 use synscan::wire::{ChaosPlan, FaultPolicy};
-use synscan::{GeneratorConfig, PipelineMode, RunStatus, YearConfig};
+use synscan::{
+    CheckpointOptions, GeneratorConfig, PipelineMode, RunError, RunOptions, RunStatus, YearConfig,
+};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("synscan-{name}-{}", std::process::id()));
@@ -46,10 +46,10 @@ fn checkpointed_year(
     experiment: &Experiment,
     cfg: &YearConfig,
     mode: PipelineMode,
-    spec: CheckpointSpec,
+    checkpoint: CheckpointOptions,
 ) -> Result<RunStatus<YearRun>, RunError> {
     let opts = RunOptions {
-        checkpoint: Some(&spec),
+        checkpoint: Some(&checkpoint),
         ..RunOptions::default()
     };
     experiment.year(cfg, mode, &opts)
@@ -62,7 +62,11 @@ fn interrupt_resume_roundtrip(name: &str, experiment: &Experiment, mode: Pipelin
     let baseline = plain_year(experiment, &cfg, mode);
 
     let dir = temp_dir(name);
-    let drill = CheckpointSpec::new(&dir).every(1).interrupt_after(Some(1));
+    let drill = CheckpointOptions {
+        every: 1,
+        interrupt_after: Some(1),
+        ..CheckpointOptions::new(&dir)
+    };
     let interrupted =
         checkpointed_year(experiment, &cfg, mode, drill).expect("interrupt drill is not an error");
     let RunStatus::Interrupted { checkpoints, .. } = interrupted else {
@@ -70,7 +74,10 @@ fn interrupt_resume_roundtrip(name: &str, experiment: &Experiment, mode: Pipelin
     };
     assert_eq!(checkpoints, 1, "interrupted right after the first cut");
 
-    let resume = CheckpointSpec::new(&dir).resume(true);
+    let resume = CheckpointOptions {
+        resume: true,
+        ..CheckpointOptions::new(&dir)
+    };
     let resumed = checkpointed_year(experiment, &cfg, mode, resume).expect("resume completes");
     let RunStatus::Completed {
         outcome: run,
@@ -131,7 +138,11 @@ fn a_checkpoint_cut_at_another_scale_is_a_mismatch() {
     let cfg = YearConfig::for_year(2020);
     let mode = PipelineMode::Sequential;
     let dir = temp_dir("ckpt-identity");
-    let drill = CheckpointSpec::new(&dir).every(1).interrupt_after(Some(1));
+    let drill = CheckpointOptions {
+        every: 1,
+        interrupt_after: Some(1),
+        ..CheckpointOptions::new(&dir)
+    };
     let interrupted =
         checkpointed_year(&Experiment::new(GeneratorConfig::tiny()), &cfg, mode, drill)
             .expect("interrupt drill is not an error");
@@ -141,7 +152,10 @@ fn a_checkpoint_cut_at_another_scale_is_a_mismatch() {
         population_denominator: GeneratorConfig::tiny().population_denominator * 2,
         ..GeneratorConfig::tiny()
     };
-    let resume = || CheckpointSpec::new(&dir).resume(true);
+    let resume = || CheckpointOptions {
+        resume: true,
+        ..CheckpointOptions::new(&dir)
+    };
     let err = checkpointed_year(&Experiment::new(thinner), &cfg, mode, resume())
         .expect_err("another population is another run");
     assert!(
@@ -183,10 +197,18 @@ fn injected_worker_panic_recovers_via_one_retry_from_checkpoint() {
     let cfg = YearConfig::for_year(2020);
     let baseline = plain_year(&clean, &cfg, mode);
 
-    let experiment = clean.with_injected_faults(InjectedFaults::panic_once(1));
     let dir = temp_dir("ckpt-panic-retry");
-    let status = checkpointed_year(&experiment, &cfg, mode, CheckpointSpec::new(&dir).every(1))
-        .expect("the contained panic is retried, not surfaced");
+    let checkpoint = CheckpointOptions {
+        every: 1,
+        ..CheckpointOptions::new(&dir)
+    };
+    let opts = RunOptions {
+        checkpoint: Some(&checkpoint),
+        inject: Some(InjectedFaults::panic_once(1)),
+        ..RunOptions::default()
+    };
+    let status =
+        (clean.year(&cfg, mode, &opts)).expect("the contained panic is retried, not surfaced");
     let RunStatus::Completed {
         outcome: run,
         report,
@@ -240,7 +262,10 @@ fn a_checkpoint_written_by_an_earlier_build_reencodes_and_resumes() {
     std::fs::write(Checkpoint::path_for(&dir, 2015), &bytes).expect("stage golden");
     let store_dir = temp_dir("ckpt-golden-store");
     let store = AnalysisStore::open(&store_dir).expect("open store");
-    let resume = CheckpointSpec::new(&dir).resume(true);
+    let resume = CheckpointOptions {
+        resume: true,
+        ..CheckpointOptions::new(&dir)
+    };
     let opts = RunOptions {
         checkpoint: Some(&resume),
         store: Some(&store),
@@ -303,7 +328,10 @@ fn a_checkpoint_of_the_previous_format_is_refused_with_a_rerun_message() {
     let (experiment, cfg, mode) = golden_run();
     let dir = temp_dir("ckpt-golden-v2");
     std::fs::write(Checkpoint::path_for(&dir, 2015), &bytes).expect("stage golden");
-    let resume = CheckpointSpec::new(&dir).resume(true);
+    let resume = CheckpointOptions {
+        resume: true,
+        ..CheckpointOptions::new(&dir)
+    };
     let opts = RunOptions {
         checkpoint: Some(&resume),
         ..RunOptions::default()
@@ -317,9 +345,8 @@ fn a_checkpoint_of_the_previous_format_is_refused_with_a_rerun_message() {
 
 /// The years a store holds, each with its slice bytes.
 fn slices(store: &AnalysisStore) -> Vec<(u16, Vec<u8>)> {
-    let years = store.years().expect("store lists its years");
-    years
-        .into_iter()
+    let image = StoreImage::load(store).expect("the store loads");
+    (image.year_list().into_iter())
         .map(|year| {
             let bytes = std::fs::read(store.slice_path(year)).expect("slice file reads");
             (year, bytes)
@@ -353,11 +380,12 @@ fn stop_flag_interrupts_the_decade_and_resume_finishes_it_byte_identically() {
     let dir = temp_dir("ckpt-decade");
     let store_dir = temp_dir("ckpt-decade-store");
     let store = AnalysisStore::open(&store_dir).expect("open store");
-    let decade = |spec: &CheckpointSpec, stop: Option<&AtomicBool>| {
+    let decade = |checkpoint: &CheckpointOptions, stop: Option<&AtomicBool>| {
         let opts = RunOptions {
-            checkpoint: Some(spec),
+            checkpoint: Some(checkpoint),
             stop,
             store: Some(&store),
+            ..RunOptions::default()
         };
         Experiment::new(GeneratorConfig::tiny())
             .decade(&opts)
@@ -365,7 +393,13 @@ fn stop_flag_interrupts_the_decade_and_resume_finishes_it_byte_identically() {
     };
 
     let stop = AtomicBool::new(true);
-    let status = decade(&CheckpointSpec::new(&dir).every(1), Some(&stop));
+    let status = decade(
+        &CheckpointOptions {
+            every: 1,
+            ..CheckpointOptions::new(&dir)
+        },
+        Some(&stop),
+    );
     let DecadeStatus::Interrupted {
         completed,
         interrupted,
@@ -386,10 +420,12 @@ fn stop_flag_interrupts_the_decade_and_resume_finishes_it_byte_identically() {
 
     // A cadence between the shortest and the longest year's stream.
     let cadence = (plain.years.iter()).map(|y| y.capture.offered).sum::<u64>() / 10;
-    let drill = CheckpointSpec::new(&dir)
-        .every(cadence)
-        .resume(true)
-        .interrupt_after(Some(1));
+    let drill = CheckpointOptions {
+        every: cadence,
+        resume: true,
+        interrupt_after: Some(1),
+        ..CheckpointOptions::new(&dir)
+    };
     let DecadeStatus::Interrupted {
         completed,
         interrupted,
@@ -409,7 +445,14 @@ fn stop_flag_interrupts_the_decade_and_resume_finishes_it_byte_identically() {
         "exactly the finished years are queryable, byte for byte"
     );
 
-    let status = decade(&CheckpointSpec::new(&dir).every(1).resume(true), None);
+    let status = decade(
+        &CheckpointOptions {
+            every: 1,
+            resume: true,
+            ..CheckpointOptions::new(&dir)
+        },
+        None,
+    );
     let DecadeStatus::Completed { run, supervision } = status else {
         panic!("resumed decade must complete");
     };

@@ -12,6 +12,7 @@
 //! test allocates while one counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::hash::Hasher as _;
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -19,8 +20,12 @@ use synscan::core::analysis::{YearAnalysis, YearCollector};
 use synscan::core::campaign::{CampaignConfig, CampaignDetector};
 use synscan::core::distrib::{self, DistribError, Message};
 use synscan::core::envelope::EnvelopeError;
-use synscan::core::store::{encode_year, AnalysisStore};
+use synscan::core::pipeline::{try_collect_year_stream, PipelineMode, SizeHints};
+use synscan::core::sketch::HeavyHitterConfig;
+use synscan::core::store::{decode_year, encode_year, AnalysisStore};
+use synscan::core::FxHasher;
 use synscan::stats::mix64;
+use synscan::wire::stream::{FaultPolicy, SliceStream};
 use synscan::wire::{Ipv4Address, ProbeRecord, TcpFlags};
 
 /// Bytes currently allocated through the global allocator. A statistic
@@ -400,4 +405,214 @@ fn a_frame_header_alone_cannot_allocate_its_announced_length() {
     let mut frame = Vec::new();
     distrib::send(&mut frame, &hello).expect("write to Vec");
     assert_eq!(distrib::recv(&mut frame.as_slice()), Ok(Some(hello)));
+}
+
+/// Heap bytes decoding an `input`-byte slice may peak at, however its
+/// counts lie: every announced length is bounded by the bytes left behind
+/// it before anything is allocated.
+fn max_decode_bytes(input: usize) -> isize {
+    4 * input as isize + (64 << 10)
+}
+
+/// A small slice with every section present: a campaign, four sources over
+/// three ports, and the heavy-hitter sketch.
+fn small_heavy_slice() -> Vec<u8> {
+    let record = |src: u32, dst: u32, port: u16, ts: u64| ProbeRecord {
+        ts_micros: ts,
+        src_ip: Ipv4Address(src),
+        dst_ip: Ipv4Address(dst),
+        src_port: 40_000,
+        dst_port: port,
+        seq: 7,
+        ip_id: 54_321,
+        ttl: 55,
+        flags: TcpFlags::SYN,
+        window: 1024,
+    };
+    let mut records: Vec<_> = (0..8u32)
+        .map(|i| record(10, 100 + i, 443, u64::from(i) * 250_000))
+        .collect();
+    records.push(record(11, 200, 22, 2_000_001));
+    records.push(record(12, 300, 80, 2_000_002));
+    records.push(record(13, 301, 443, 2_000_003));
+    let config = CampaignConfig {
+        min_distinct_dests: 5,
+        min_rate_pps: 1.0,
+        expiry_secs: 3600.0,
+        monitored_addresses: 1 << 16,
+    };
+    let heavy = HeavyHitterConfig {
+        k: 2,
+        width: 4,
+        depth: 2,
+    };
+    let outcome = try_collect_year_stream(
+        2020,
+        config,
+        7.0,
+        PipelineMode::Sequential,
+        SizeHints::none().with_heavy(Some(heavy)),
+        FaultPolicy::Fail,
+        &mut SliceStream::new(&records),
+        |_| true,
+    )
+    .expect("a clean stream");
+    let analysis = outcome.analysis;
+    assert_eq!(analysis.campaigns.len(), 1);
+    assert!(analysis.heavy.is_some() && !analysis.tool_port_packets.is_empty());
+    encode_year(&analysis)
+}
+
+/// Bytes before a `SYNSTORE` payload: magic, version word, length, checksum.
+const STORE_HEADER: usize = 8 + 4 + 8 + 8;
+
+/// `payload` behind the version word of `sealed`, under a fresh length and
+/// checksum (the FxHash of the payload): what a writer that is not
+/// `encode_year` could have produced.
+fn resealed(sealed: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut sum = FxHasher::default();
+    sum.write(payload);
+    let mut out = sealed[..12].to_vec();
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&sum.finish().to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Walks a `SYNSTORE` payload the way the decoder does, noting where every
+/// length or count field sits and how wide it is.
+struct CountFields<'a> {
+    payload: &'a [u8],
+    at: usize,
+    fields: Vec<(usize, usize)>,
+}
+
+impl CountFields<'_> {
+    fn skip(&mut self, bytes: u64) {
+        self.at += bytes as usize;
+    }
+
+    fn tag(&mut self) -> u8 {
+        self.at += 1;
+        self.payload[self.at - 1]
+    }
+
+    /// A count of `width` bytes: noted, then read.
+    fn count(&mut self, width: usize) -> u64 {
+        let mut bytes = [0u8; 8];
+        bytes[..width].copy_from_slice(&self.payload[self.at..self.at + width]);
+        self.fields.push((self.at, width));
+        self.at += width;
+        u64::from_le_bytes(bytes)
+    }
+
+    /// A section of `count` entries of `entry` bytes each.
+    fn column(&mut self, entry: u64) {
+        let n = self.count(8);
+        self.skip(n * entry);
+    }
+}
+
+/// Every length or count field of a sealed slice, as `(offset, width)` in
+/// its payload.
+fn count_fields(payload: &[u8]) -> Vec<(usize, usize)> {
+    let mut walk = CountFields {
+        payload,
+        at: 0,
+        fields: Vec::new(),
+    };
+    walk.skip(2 + 5 * 8); // year, monitored, window, totals
+    walk.count(8); // the index's campaign count
+    walk.column(2); // index ports
+    walk.column(4); // index sources
+    for entry in [10, 10, 8, 12] {
+        walk.column(entry); // port packets, port sources, source columns
+    }
+    for _ in 0..walk.count(8) {
+        walk.skip(2);
+        walk.column(4); // one port's source set
+    }
+    walk.column(14); // day port packets
+    for _ in 0..walk.count(8) {
+        let tool = walk.tag();
+        walk.skip(u64::from(tool) + 2 + 8); // tool port packets
+    }
+    walk.column(30); // week blocks
+    for _ in 0..walk.count(8) {
+        walk.skip(4 + 4 * 8);
+        walk.column(10); // campaign ports
+        walk.column(9); // campaign tools
+    }
+    walk.column(9); // noise: rejected sequences
+    walk.skip(8);
+    assert_eq!(walk.tag(), 1, "the fixture carries the sketch");
+    for _ in 0..3 {
+        walk.count(4); // heavy-hitter k, width, depth
+    }
+    let (width, depth) = (walk.count(4), walk.count(4));
+    walk.skip(8 + 8 * width * depth); // count-min total and cells
+    walk.count(4); // space-saving capacity
+    walk.skip(16);
+    walk.column(8 * 12); // tracked slots
+    assert_eq!(walk.at, payload.len(), "the walk covers the payload");
+    walk.fields
+}
+
+#[test]
+fn an_inflated_count_in_a_slice_is_refused_within_a_bounded_heap() {
+    let _turn = take_turn();
+    let sealed = small_heavy_slice();
+    let payload = &sealed[STORE_HEADER..];
+    let fields = count_fields(payload);
+    assert!(fields.len() > 20, "{} count fields", fields.len());
+    let (mut loaded, mut tried, mut worst) = (0, 0, 0);
+    for &(at, width) in &fields {
+        let left = (payload.len() - at - width) as u64;
+        let mut values = vec![0, 1, left, left + 1, u64::from(u32::MAX), u64::MAX];
+        if width == 4 {
+            values
+                .iter_mut()
+                .for_each(|v| *v = (*v).min(u64::from(u32::MAX)));
+        }
+        values.dedup();
+        for value in values {
+            let mut inflated = payload.to_vec();
+            inflated[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+            let input = resealed(&sealed, &inflated);
+
+            let base = reset_peak();
+            let result = decode_year(&input);
+            let peak = peak_above(base);
+            (tried, worst) = (tried + 1, worst.max(peak));
+            let what = format!("count at payload byte {at} set to {value}");
+            assert!(
+                peak <= max_decode_bytes(input.len()),
+                "{what}: decoding {} B peaked at {peak} B",
+                input.len()
+            );
+            if let Ok(decoded) = result {
+                assert!(
+                    encode_year(&decoded) == input,
+                    "{what}: loaded non-canonically"
+                );
+                loaded += 1;
+            }
+        }
+    }
+    eprintln!(
+        "{} count fields of a {} B slice, {tried} inflated decodes: worst peak {worst} B",
+        fields.len(),
+        sealed.len()
+    );
+    // Only the values each field already held load: the clean slice, once
+    // per field whose count is 0 or 1.
+    let untouched = fields
+        .iter()
+        .filter(|&&(at, width)| {
+            let mut bytes = [0u8; 8];
+            bytes[..width].copy_from_slice(&payload[at..at + width]);
+            u64::from_le_bytes(bytes) <= 1
+        })
+        .count();
+    assert_eq!(loaded, untouched);
 }

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use synscan::analyze::{analyze, AnalyzeError, AnalyzeOptions, AnalyzeResult, CaptureInput};
 use synscan::core::PipelineMode;
-use synscan::experiment::{CheckpointSpec, Experiment, RunOptions};
+use synscan::experiment::Experiment;
 use synscan::telescope::capture::export_pcap;
 use synscan::wire::ingest::{
     IngestMode, IngestQueues, MappedCapture, MappedPcapStream, PcapStream,
@@ -27,7 +27,7 @@ use synscan::wire::ingest::{
 use synscan::wire::pcap::{PcapWriter, LINKTYPE_ETHERNET};
 use synscan::wire::stream::{FaultCounters, FaultPolicy, StreamError, TryRecordStream};
 use synscan::wire::ProbeRecord;
-use synscan::{GeneratorConfig, RunStatus};
+use synscan::{CheckpointOptions, GeneratorConfig, RunOptions, RunStatus};
 
 const POLICIES: [FaultPolicy; 3] = [
     FaultPolicy::Fail,
@@ -133,19 +133,27 @@ fn interrupted_and_resumed<'a>(
 ) -> Result<AnalyzeResult, AnalyzeError> {
     let dir = std::env::temp_dir().join(format!("synscan-ingest-matrix-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
-    let checkpointed = |spec: &CheckpointSpec| {
+    let checkpointed = |checkpoint: &CheckpointOptions| {
         let run = RunOptions {
-            checkpoint: Some(spec),
+            checkpoint: Some(checkpoint),
             ..RunOptions::default()
         };
         analyze(input(), options, &run)
     };
-    let first = checkpointed(&CheckpointSpec::new(&dir).every(50).interrupt_after(Some(1)))?;
+    let first = checkpointed(&CheckpointOptions {
+        every: 50,
+        interrupt_after: Some(1),
+        ..CheckpointOptions::new(&dir)
+    })?;
     assert!(
         matches!(first, RunStatus::Interrupted { checkpoints: 1, .. }),
         "{label}: {first:?}"
     );
-    let resumed = checkpointed(&CheckpointSpec::new(&dir).every(50).resume(true))?;
+    let resumed = checkpointed(&CheckpointOptions {
+        every: 50,
+        resume: true,
+        ..CheckpointOptions::new(&dir)
+    })?;
     let _ = fs::remove_dir_all(&dir);
     Ok(resumed.completed().expect("a resumed run completes"))
 }

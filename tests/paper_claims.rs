@@ -8,9 +8,9 @@
 use std::sync::OnceLock;
 
 use synscan::core::analysis::{portspread, recurrence, speedcov, toolports, types, volatility};
-use synscan::experiment::{DecadeRun, Experiment, RunOptions};
+use synscan::experiment::{DecadeRun, Experiment};
 use synscan::netmodel::ScannerClass;
-use synscan::{GeneratorConfig, ToolKind};
+use synscan::{GeneratorConfig, RunOptions, ToolKind};
 
 fn decade() -> &'static DecadeRun {
     static RUN: OnceLock<DecadeRun> = OnceLock::new();

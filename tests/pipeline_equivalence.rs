@@ -15,8 +15,8 @@ mod support;
 
 use support::materialized_year;
 use synscan::core::PipelineMode;
-use synscan::experiment::{DecadeRun, Experiment, RunOptions};
-use synscan::{GeneratorConfig, YearConfig};
+use synscan::experiment::{DecadeRun, Experiment};
+use synscan::{GeneratorConfig, RunOptions, YearConfig};
 
 fn run(year: u16, mode: PipelineMode) -> synscan::experiment::YearRun {
     Experiment::new(GeneratorConfig::tiny())

@@ -320,6 +320,36 @@ fn a_failed_reload_keeps_the_last_good_image() {
 }
 
 #[test]
+fn a_reload_that_meets_two_slices_for_one_year_fails_naming_both() {
+    let dir = temp_store("duplicate");
+    let (server, addr) = start(&dir, tight_options());
+    let before = query(&addr, "{\"op\":\"table1\"}");
+    assert!(before.starts_with("{\"ok\":true"));
+
+    // A partial a crash left beside the year's full slice would count the
+    // year twice: the reload refuses the store instead.
+    let full = dir.join("year-2020.store");
+    let leftover = dir.join("year-2020.part-p0of2.store");
+    std::fs::copy(&full, &leftover).expect("leftover slice");
+    let reply = query(&addr, "{\"op\":\"reload\"}");
+    assert!(
+        reply.starts_with("{\"ok\":false") && reply.contains("reload failed"),
+        "a reload over two slices for one year must fail typed: {reply}"
+    );
+    for path in [&full, &leftover] {
+        let name = path.to_string_lossy();
+        assert!(reply.contains(&*name), "{name} not named: {reply}");
+    }
+
+    // The last good generation keeps answering.
+    assert_eq!(query(&addr, "{\"op\":\"table1\"}"), before);
+
+    server.stop();
+    server.join().expect("clean join");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn health_reports_liveness_counters() {
     let dir = temp_store("health");
     let (server, addr) = start(&dir, tight_options());

@@ -13,10 +13,10 @@ use synscan::core::report::DecadeReport;
 use synscan::core::store::query::{answer_line, body_of, TOP_N};
 use synscan::core::store::{AnalysisStore, ImageCell, StoreError, StoreImage};
 use synscan::core::EnvelopeError;
-use synscan::experiment::{Experiment, RunOptions};
+use synscan::experiment::Experiment;
 use synscan::wire::json::ToJson;
 use synscan::wire::Ipv4Address;
-use synscan::{GeneratorConfig, PipelineMode, YearConfig};
+use synscan::{GeneratorConfig, PipelineMode, RunOptions, YearConfig};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("synscan-store-rt-{tag}-{}", std::process::id()));
@@ -30,8 +30,12 @@ fn slice_bytes(tag: &str, analysis: &synscan::core::analysis::YearAnalysis) -> V
     let store = AnalysisStore::open(&dir).expect("open store");
     let path = store.write_year(analysis).expect("write slice");
     let bytes = std::fs::read(&path).expect("read slice back");
-    let loaded = store.load_year(analysis.year).expect("load slice");
-    assert_eq!(&loaded, analysis, "store load round-trips the analysis");
+    let loaded = StoreImage::load(&store).expect("load slice");
+    assert_eq!(
+        loaded.years,
+        std::slice::from_ref(analysis),
+        "store load round-trips the analysis"
+    );
     let _ = std::fs::remove_dir_all(&dir);
     bytes
 }
@@ -112,28 +116,27 @@ fn damaged_slices_are_typed_errors_never_panics() {
 
     let reload = |bytes: &[u8]| -> StoreError {
         std::fs::write(&path, bytes).expect("rewrite slice");
-        store
-            .load_year(2020)
-            .expect_err("damaged slice must not load")
+        StoreImage::load(&store).expect_err("damaged slice must not load")
     };
 
     // A torn write and bit rot on disk surface through the store as the
-    // envelope's typed errors (every other cut and flip: `core::envelope`).
+    // envelope's typed errors (every other cut and flip: `core::envelope`),
+    // each naming the file, so an operator knows which year to regenerate.
+    let named = |error| StoreError::File {
+        path: path.clone(),
+        error: Box::new(StoreError::Envelope(error)),
+    };
     let cut = clean.len() - clean.len() / 3;
-    let torn = StoreError::Envelope(EnvelopeError::Truncated);
-    assert_eq!(reload(&clean[..cut]), torn);
+    let torn = reload(&clean[..cut]);
+    assert_eq!(torn, named(EnvelopeError::Truncated));
     let mut bad = clean.clone();
     let last = bad.len() - 1;
     bad[last] ^= 0xFF;
-    let rotten = StoreError::Envelope(EnvelopeError::ChecksumMismatch);
-    assert_eq!(reload(&bad), rotten);
-
-    // And a missing year is its own error, not a panic.
-    std::fs::write(&path, &clean).expect("restore slice");
-    assert!(matches!(
-        store.load_year(1999),
-        Err(StoreError::MissingYear(1999))
-    ));
+    let rotten = reload(&bad);
+    assert_eq!(rotten, named(EnvelopeError::ChecksumMismatch));
+    for err in [torn, rotten] {
+        assert!(err.to_string().contains(&*path.to_string_lossy()), "{err}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -13,10 +13,10 @@ use std::path::PathBuf;
 use synscan::core::analysis::{
     events, portspread, toolports, types, volatility, yearly, YearAnalysis,
 };
-use synscan::core::store::{decode_year, encode_year, read_meta, AnalysisStore};
-use synscan::experiment::{Experiment, RunOptions};
+use synscan::core::store::{decode_year, encode_year, AnalysisStore, StoreImage};
+use synscan::experiment::Experiment;
 use synscan::netmodel::InternetRegistry;
-use synscan::{GeneratorConfig, PipelineMode, YearConfig};
+use synscan::{GeneratorConfig, PipelineMode, RunOptions, YearConfig};
 
 fn golden(name: &str) -> Vec<u8> {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -42,16 +42,10 @@ fn golden_slices_decode_and_encode_back_to_their_bytes() {
             encode_year(&analysis) == bytes,
             "{name} re-encodes differently"
         );
-
-        let meta = read_meta(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(meta.year, analysis.year);
-        assert_eq!(meta.total_packets, analysis.total_packets);
-        assert_eq!(meta.distinct_sources, analysis.distinct_sources);
-        assert_eq!(meta.campaigns, analysis.campaigns.len() as u64);
-        assert!(meta.ports.iter().eq(analysis.port_packets.keys()));
-        assert!(meta.sources.iter().eq(analysis.source_packets.keys()));
-        assert!(meta.sources.iter().eq(analysis.source_port_counts.keys()));
-        assert_eq!(meta.file_bytes, bytes.len() as u64);
+        assert!(analysis
+            .source_packets
+            .keys()
+            .eq(analysis.source_port_counts.keys()));
     }
 }
 
@@ -62,13 +56,19 @@ fn golden_slices_stream_back_to_their_bytes() {
     let dir = std::env::temp_dir().join(format!("synscan-golden-stream-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = AnalysisStore::open(&dir).expect("open store");
+    let mut sizes = Vec::new();
     for name in ["year-2015.store", "year-2016-heavy.store"] {
         let bytes = golden(name);
         let analysis = decode_year(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
         let path = store.write_year(&analysis).expect("write slice");
         let written = std::fs::read(&path).expect("read written slice");
         assert!(written == bytes, "{name} streams back differently");
+        sizes.push((analysis.year, bytes.len() as u64));
     }
+    // The image accounts each year's one slice at its file size.
+    let image = StoreImage::load(&store).expect("load image");
+    let accounted: Vec<_> = (image.slices.iter()).map(|s| (s.year, s.bytes)).collect();
+    assert_eq!(accounted, sizes);
     let mut left: Vec<_> = std::fs::read_dir(&dir)
         .expect("list store")
         .map(|entry| entry.expect("entry").file_name())

@@ -12,8 +12,16 @@
 //! their keys into single integers hashed with [`crate::fasthash`]. Only
 //! the open volatility period's (week, /16) cells are a map: a period the
 //! stream has left is sealed into sorted columns once, and nothing sorts
-//! or rehashes it again. The
-//! public [`YearAnalysis`] is assembled from this state at
+//! or rehashes it again.
+//!
+//! Per-port packets are not counted per record: they are the day × port
+//! column summed over days, derived where they are needed (at `finish` and
+//! in a checkpoint). So the port map is probed only when a source sends to a
+//! port for the first time, which its own port set reports; every other
+//! record costs the source's set and the day × port cell. A restore checks
+//! the port rows a checkpoint writes against those sums.
+//!
+//! The public [`YearAnalysis`] is assembled from this state at
 //! [`YearCollector::finish`] as key-sorted columns ([`SortedMap`]): the
 //! order the store format writes and every later stage — merge, encode,
 //! decode, lookup — reads, so hashing and sorting both end there.
@@ -313,14 +321,6 @@ impl YearAnalysis {
     }
 }
 
-/// Per-port accumulator: packet count plus the distinct-source set, in one
-/// map slot so the hot path pays a single lookup for both.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-struct PortStat {
-    packets: u64,
-    sources: IdSet,
-}
-
 /// Per-(week, /16) accumulator of the open period; the distinct-source
 /// count is derived from the set at finish time.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -477,8 +477,8 @@ pub struct YearCollector {
     start_micros: Option<u64>,
     end_micros: u64,
     total_packets: u64,
-    /// Packets + distinct sources per port (one lookup per record).
-    port_stats: FxHashMap<u16, PortStat>,
+    /// Distinct sources per port, probed only for a new (source, port).
+    port_members: FxHashMap<u16, IdSet>,
     /// Packets per source, indexed by interned id.
     source_packets: Vec<u64>,
     /// Distinct ports per source, indexed by interned id.
@@ -518,7 +518,7 @@ impl YearCollector {
             start_micros: None,
             end_micros: 0,
             total_packets: 0,
-            port_stats: FxHashMap::default(),
+            port_members: FxHashMap::default(),
             source_packets: Vec::new(),
             source_ports: Vec::new(),
             day_port_packets: FxHashMap::default(),
@@ -560,7 +560,7 @@ impl YearCollector {
 
     /// Pre-size the per-port maps for roughly `distinct_ports` ports.
     pub(crate) fn reserve_ports(&mut self, distinct_ports: usize) {
-        self.port_stats.reserve(distinct_ports);
+        self.port_members.reserve(distinct_ports);
         self.tool_port_packets.reserve(distinct_ports);
     }
 
@@ -591,11 +591,12 @@ impl YearCollector {
             self.source_ports.resize_with(idx + 1, PortSet::default);
         }
         self.source_packets[idx] += 1;
-        self.source_ports[idx].insert(record.dst_port);
-
-        let stat = self.port_stats.entry(record.dst_port).or_default();
-        stat.packets += 1;
-        stat.sources.insert(sid);
+        if self.source_ports[idx].insert(record.dst_port) {
+            self.port_members
+                .entry(record.dst_port)
+                .or_default()
+                .insert(sid);
+        }
 
         let rel = record.ts_micros.saturating_sub(t0);
         let day = (rel / DAY_MICROS) as u32;
@@ -645,7 +646,8 @@ impl YearCollector {
     /// The campaign configuration is written first, so
     /// [`YearCollector::restore_from`] is self-contained. Hash maps are
     /// serialized in sorted key order: the byte stream for a given logical
-    /// state is unique, independent of map iteration order.
+    /// state is unique, independent of map iteration order. Each port row
+    /// carries the port's packets, summed from the day × port cells.
     pub(crate) fn snapshot_to(&self, w: &mut SnapWriter) {
         self.pipeline.config().snapshot_to(w);
         w.put_u16(self.year);
@@ -656,14 +658,14 @@ impl YearCollector {
         w.put_u64(self.total_packets);
         self.pipeline.snapshot_to(w);
 
-        let mut ports: Vec<u16> = self.port_stats.keys().copied().collect();
+        let mut ports: Vec<u16> = self.port_members.keys().copied().collect();
         ports.sort_unstable();
+        let port_packets = packets_per_port(&self.day_port_packets);
         w.put_u64(ports.len() as u64);
         for port in ports {
-            let stat = &self.port_stats[&port];
             w.put_u16(port);
-            w.put_u64(stat.packets);
-            stat.sources.snapshot_to(w);
+            w.put_u64(port_packets[&port]);
+            self.port_members[&port].snapshot_to(w);
         }
 
         w.put_u64(self.source_packets.len() as u64);
@@ -741,15 +743,18 @@ impl YearCollector {
         };
 
         let n_ports = r.take_len(11)?;
-        let mut port_stats = FxHashMap::default();
-        port_stats.reserve(n_ports);
+        let mut port_members = FxHashMap::default();
+        port_members.reserve(n_ports);
+        // Each port row's packets, to check against the day × port cells;
+        // ascending by port.
+        let mut port_rows = Vec::with_capacity(n_ports);
         let mut order = Ascending::new("collector ports");
         for _ in 0..n_ports {
             let port = order.admit(r.take_u16()?)?;
-            let packets = r.take_u64()?;
+            port_rows.push((port, r.take_u64()?));
             let sources = IdSet::restore_from(r)?;
             interned("a port's source set", &sources)?;
-            port_stats.insert(port, PortStat { packets, sources });
+            port_members.insert(port, sources);
         }
 
         let n_sources = r.take_len(8)?;
@@ -767,15 +772,41 @@ impl YearCollector {
                 "{n_sources} packet counts and {n_port_sets} port sets for {n_interned} sources"
             )));
         }
+        // Both sides hold the same (source, port) pairs: `offer` adds to a
+        // port's sources exactly when the source's ports gain it.
+        let by_port: usize = port_members.values().map(IdSet::len).sum();
+        let by_source: usize = source_ports.iter().map(PortSet::len).sum();
+        if by_port != by_source {
+            return Err(CheckpointError::Corrupt(format!(
+                "{by_port} (port, source) pairs but {by_source} (source, port) pairs"
+            )));
+        }
 
         let n_days = r.take_len(16)?;
         let mut day_port_packets = FxHashMap::default();
         day_port_packets.reserve(n_days);
+        let mut summed = vec![0u128; port_rows.len()];
         let mut order = Ascending::new("collector (day, port) keys");
         for _ in 0..n_days {
             let key = order.admit(r.take_u64()?)?;
             let n = r.take_u64()?;
+            let port = key as u16;
+            let Ok(row) = port_rows.binary_search_by_key(&port, |&(p, _)| p) else {
+                return Err(CheckpointError::Corrupt(format!(
+                    "day × port cell {key:#x} of a port without a row"
+                )));
+            };
+            summed[row] += u128::from(n);
             day_port_packets.insert(key, n);
+        }
+        // A row exists only for a port some record hit, so its packets are
+        // never zero.
+        for (&(port, packets), &sum) in port_rows.iter().zip(&summed) {
+            if packets == 0 || u128::from(packets) != sum {
+                return Err(CheckpointError::Corrupt(format!(
+                    "port {port}: {packets} packets, {sum} by day"
+                )));
+            }
         }
 
         let n_tools = r.take_len(12)?;
@@ -841,7 +872,7 @@ impl YearCollector {
             start_micros,
             end_micros,
             total_packets,
-            port_stats,
+            port_members,
             source_packets,
             source_ports,
             day_port_packets,
@@ -870,7 +901,7 @@ impl YearCollector {
             start_micros,
             end_micros,
             total_packets,
-            port_stats,
+            port_members,
             source_packets,
             source_ports,
             day_port_packets,
@@ -929,21 +960,22 @@ impl YearCollector {
             cell.absorb(&starts)
         });
 
-        let mut ports: Vec<(u16, PortStat)> = port_stats.into_iter().collect();
+        let mut ports: Vec<(u16, IdSet)> = port_members.into_iter().collect();
         ports.sort_unstable_by_key(|&(port, _)| port);
+        let packets_by_port = packets_per_port(&day_port_packets);
         let port_packets = ports
             .iter()
-            .map(|(port, stat)| (*port, stat.packets))
+            .map(|(port, _)| (*port, packets_by_port[port]))
             .collect();
+        drop(packets_by_port);
         let port_sources = ports
             .iter()
-            .map(|(port, stat)| (*port, stat.sources.len() as u64))
+            .map(|(port, sources)| (*port, sources.len() as u64))
             .collect();
         let port_source_sets = ports
             .into_iter()
-            .map(|(port, stat)| {
-                let mut members: Vec<u32> =
-                    stat.sources.iter().map(|sid| ips[sid as usize]).collect();
+            .map(|(port, sources)| {
+                let mut members: Vec<u32> = sources.iter().map(|sid| ips[sid as usize]).collect();
                 members.sort_unstable();
                 (port, members)
             })
@@ -988,6 +1020,15 @@ impl YearCollector {
             heavy,
         }
     }
+}
+
+/// Packets per port: the packed `(day << 16) | port` cells summed over days.
+fn packets_per_port(day_port_packets: &FxHashMap<u64, u64>) -> FxHashMap<u16, u64> {
+    let mut packets: FxHashMap<u16, u64> = FxHashMap::default();
+    for (&key, &n) in day_port_packets {
+        *packets.entry(key as u16).or_default() += n;
+    }
+    packets
 }
 
 /// One source-keyed column: `value(id)` for every source, in the address
@@ -1321,7 +1362,7 @@ mod tests {
         assert_eq!(resume_from_envelope(&sound), Ok(Some(sound.clone())));
 
         type Corruption = fn(&mut YearCollector);
-        let cases: [(&str, Corruption); 8] = [
+        let cases: [(&str, Corruption); 9] = [
             ("a port set missing", |c| drop(c.source_ports.pop())),
             ("a packet count missing", |c| {
                 let last = c.source_packets.pop().unwrap();
@@ -1343,7 +1384,10 @@ mod tests {
             }),
             ("a total no column sums to", |c| c.total_packets += 1),
             ("a port set naming an unknown source", |c| {
-                c.port_stats.get_mut(&80).unwrap().sources.insert(9);
+                c.port_members.get_mut(&80).unwrap().insert(9);
+            }),
+            ("a (source, port) pair its port lacks", |c| {
+                c.source_ports[1].insert(22);
             }),
         ];
         for (what, corrupt) in cases {

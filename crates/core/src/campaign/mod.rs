@@ -13,8 +13,28 @@
 //! dense `Vec` indexed by id rather than an IP-keyed hash map, so the admit
 //! path performs no per-source hashing beyond the table's one probe. The
 //! body of an open scan (packets, destinations, ports, votes and the §3.3
-//! pairwise fingerprint window) lives beside the active list only while the
-//! scan is open, so an idle source costs its slot and nothing more.
+//! pairwise fingerprint window, an inline ring) lives beside the active list
+//! only while the scan is open, so an idle source costs its slot and nothing
+//! more.
+//!
+//! Destinations are interned the same way, in a second table the detector
+//! shares across all its scans: one entry per distinct destination it has
+//! counted. Where the telescope admits records (`telescope::CaptureSession`)
+//! that is at most `monitored_addresses` however long the stream runs; a
+//! raw capture's admission (`analyze`) keeps every SYN, so there the table
+//! grows with the capture's destinations, about 20 B each. Each scan's
+//! distinct destinations are a `compact::BoundedIdSet` of its dense ids:
+//! sorted ids while a bitmap of them would be sparse, a bitmap once it is
+//! no larger, and an ordered tree for a large set too sparse for either. So
+//! a scan costs a few bytes per distinct destination whatever the table's
+//! size, and a heavy scan on the telescope holds a bitmap of a few KB rather
+//! than a hash table of its addresses. A telescope wider than
+//! `INTERNED_DESTINATIONS_MAX` addresses (`analyze --monitored N`, or the
+//! count it infers) skips the table, whose probe would miss cache on every
+//! record: there the sets hold the addresses themselves. The ids depend on
+//! the order destinations were first seen, so they are never written: a
+//! checkpoint stores each open scan's sorted addresses, a restore interns
+//! them again (under new ids), and detector equality compares addresses.
 
 pub mod estimate;
 
@@ -27,7 +47,7 @@ use synscan_wire::{Ipv4Address, ProbeRecord};
 use synscan_scanners::traits::ToolKind;
 
 use crate::checkpoint::{Ascending, CheckpointError, SnapReader, SnapWriter};
-use crate::fasthash::FxHashSet;
+use crate::compact::BoundedIdSet;
 use crate::fingerprint::pairwise::PairwiseState;
 use crate::fingerprint::{classify_window, PacketVerdict};
 use crate::intern::{SourceId, SourceTable};
@@ -330,13 +350,13 @@ pub(crate) fn tool_slot(tool: ToolKind) -> usize {
 /// The body of one open scan: everything but its time window, which stays in
 /// the source's [`SourceSlot`]. Bodies exist only while a scan is open (plus
 /// a spare pool of released ones), so a source that is not scanning holds
-/// none. The sorted port vec, the destination set and the probe window keep
-/// their capacity across reuse, and tool votes are a fixed array instead of
-/// a map.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// none. The sorted port vec keeps its capacity across reuse, and tool votes
+/// are a fixed array instead of a map.
+#[derive(Debug, Clone, Default)]
 struct ScanBody {
     packets: u64,
-    dests: FxHashSet<u32>,
+    /// Distinct destinations, numbered by the detector's `DestIds`.
+    dests: BoundedIdSet,
     /// Sorted by port; campaigns rarely touch more than a handful.
     port_packets: Vec<(u16, u64)>,
     tool_votes: [u64; TOOL_SLOTS],
@@ -346,15 +366,11 @@ struct ScanBody {
     window: PairwiseState,
 }
 
-/// Past this many retained destination buckets, a released scan's set is
-/// dropped instead of cleared, so one giant historical campaign cannot pin
-/// memory for the rest of the year.
-const DESTS_KEEP_CAPACITY: usize = 4096;
-
 impl ScanBody {
-    fn add(&mut self, record: &ProbeRecord, tool: Option<ToolKind>) {
+    /// Count `record`, whose destination the detector numbers `dest`.
+    fn add(&mut self, record: &ProbeRecord, dest: u32, tool: Option<ToolKind>) {
         self.packets += 1;
-        self.dests.insert(record.dst_ip.0);
+        self.dests.insert(dest);
         match self
             .port_packets
             .binary_search_by_key(&record.dst_port, |&(port, _)| port)
@@ -386,27 +402,40 @@ impl ScanBody {
         }
     }
 
-    /// Clear counters and the fingerprint window, retaining (bounded)
-    /// capacity for the next scan.
+    /// Clear counters, destinations and the fingerprint window, retaining
+    /// the port vec's capacity for the next scan.
     fn release(&mut self) {
         self.packets = 0;
+        self.dests = BoundedIdSet::default();
         self.port_packets.clear();
         self.tool_votes = [0; TOOL_SLOTS];
         self.window.reset();
-        if self.dests.capacity() > DESTS_KEEP_CAPACITY {
-            self.dests = FxHashSet::default();
-        } else {
-            self.dests.clear();
-        }
     }
 
-    /// Serialize for a pipeline checkpoint. Destinations are written in
-    /// sorted order so the byte stream is independent of hash-set iteration
-    /// order.
-    fn snapshot_to(&self, w: &mut SnapWriter) {
-        w.put_u64(self.packets);
-        let mut dests: Vec<u32> = self.dests.iter().copied().collect();
+    /// The destination addresses, ascending: what a checkpoint writes and
+    /// equality compares, whatever ids `ids` gave them.
+    fn dest_addresses(&self, ids: &DestIds) -> Vec<u32> {
+        let mut dests: Vec<u32> = self.dests.iter().map(|id| ids.address(id)).collect();
         dests.sort_unstable();
+        dests
+    }
+
+    /// The same scan state as `other`'s, destinations compared as
+    /// addresses through each body's own numbering.
+    fn same_as(&self, ids: &DestIds, other: &ScanBody, other_ids: &DestIds) -> bool {
+        self.packets == other.packets
+            && self.port_packets == other.port_packets
+            && self.tool_votes == other.tool_votes
+            && self.window == other.window
+            && self.dests.len() == other.dests.len()
+            && self.dest_addresses(ids) == other.dest_addresses(other_ids)
+    }
+
+    /// Serialize for a pipeline checkpoint, destinations as their sorted
+    /// addresses through `ids`.
+    fn snapshot_to(&self, ids: &DestIds, w: &mut SnapWriter) {
+        w.put_u64(self.packets);
+        let dests = self.dest_addresses(ids);
         w.put_u64(dests.len() as u64);
         for dest in dests {
             w.put_u32(dest);
@@ -422,19 +451,19 @@ impl ScanBody {
         self.window.snapshot_to(w);
     }
 
-    /// Rebuild state written by [`ScanBody::snapshot_to`]. A scan opens on
-    /// its first packet, so a body without one is `Corrupt`.
-    fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
+    /// Rebuild state written by [`ScanBody::snapshot_to`], numbering its
+    /// destinations through `ids`. A scan opens on its first packet, so a
+    /// body without one is `Corrupt`.
+    fn restore_from(r: &mut SnapReader<'_>, ids: &mut DestIds) -> Result<Self, CheckpointError> {
         let packets = r.take_u64()?;
         if packets == 0 {
             return Err(CheckpointError::Corrupt("open scan without packets".into()));
         }
         let n_dests = r.take_len(4)?;
-        let mut dests = FxHashSet::default();
-        dests.reserve(n_dests);
+        let mut dests = BoundedIdSet::default();
         let mut order = Ascending::new("open-scan destinations");
         for _ in 0..n_dests {
-            dests.insert(order.admit(r.take_u32()?)?);
+            dests.insert(ids.id(order.admit(r.take_u32()?)?));
         }
         let n_ports = r.take_len(10)?;
         let mut port_packets = Vec::with_capacity(n_ports);
@@ -459,6 +488,53 @@ impl ScanBody {
 
 /// Sentinel for "this source has no open scan".
 const NOT_ACTIVE: u32 = u32::MAX;
+
+/// Telescopes up to this many addresses have their destinations interned:
+/// the table stays within about 2.6 MB and a bitmap spanning it within
+/// 16 KiB. It covers the paper's 71 536 addresses with room to spare.
+const INTERNED_DESTINATIONS_MAX: u64 = 1 << 17;
+
+/// How a detector numbers destinations for its scans' `BoundedIdSet`s,
+/// fixed by the telescope's size. On a telescope of at most
+/// `INTERNED_DESTINATIONS_MAX` addresses a table shared by every scan
+/// interns them, so a heavy scan's ids are dense enough for a bitmap. On a
+/// wider one (a raw capture's `analyze --monitored N`) the table's probe
+/// misses cache on every record and holds every destination ever seen, so
+/// the sets hold the addresses themselves, as sorted ids or a tree.
+#[derive(Debug, Clone)]
+enum DestIds {
+    /// Dense ids, first appearance first.
+    Interned(SourceTable),
+    /// Each destination its own address.
+    Addresses,
+}
+
+impl DestIds {
+    fn for_telescope(monitored_addresses: u64) -> Self {
+        if monitored_addresses <= INTERNED_DESTINATIONS_MAX {
+            DestIds::Interned(SourceTable::new())
+        } else {
+            DestIds::Addresses
+        }
+    }
+
+    /// The id of `address`, interning it on first sight.
+    #[inline]
+    fn id(&mut self, address: u32) -> u32 {
+        match self {
+            DestIds::Interned(table) => table.intern(address),
+            DestIds::Addresses => address,
+        }
+    }
+
+    /// The address behind `id`.
+    fn address(&self, id: u32) -> u32 {
+        match self {
+            DestIds::Interned(table) => table.ip_of(id),
+            DestIds::Addresses => id,
+        }
+    }
+}
 
 /// Per-source slot: the position of the source's open scan in the active
 /// list (or [`NOT_ACTIVE`]) and that scan's time window. An idle slot keeps
@@ -526,6 +602,9 @@ pub struct CampaignDetector {
     /// `config.expiry_secs` in µs, precomputed off the per-record path.
     expiry_micros: u64,
     table: SourceTable,
+    /// How the bodies' `BoundedIdSet`s number destinations. The ids are not
+    /// state: checkpoints and equality see addresses.
+    dests: DestIds,
     /// Per-source slots, indexed by interned id.
     slots: Vec<SourceSlot>,
     /// Ids with an open scan, for O(active) expiry sweeps. Unordered;
@@ -548,7 +627,11 @@ impl PartialEq for CampaignDetector {
             && self.table == other.table
             && self.slots == other.slots
             && self.active == other.active
-            && self.open_bodies() == other.open_bodies()
+            && self
+                .open_bodies()
+                .iter()
+                .zip(other.open_bodies())
+                .all(|(mine, theirs)| mine.same_as(&self.dests, theirs, &other.dests))
             && self.campaigns == other.campaigns
             && self.noise == other.noise
     }
@@ -561,6 +644,7 @@ impl CampaignDetector {
             config,
             expiry_micros: (config.expiry_secs * 1e6) as u64,
             table: SourceTable::new(),
+            dests: DestIds::for_telescope(config.monitored_addresses),
             slots: Vec::new(),
             active: Vec::new(),
             bodies: Vec::new(),
@@ -616,10 +700,11 @@ impl CampaignDetector {
     #[inline]
     pub fn admit(&mut self, record: &ProbeRecord) -> (PacketVerdict, SourceId) {
         let sid = self.table.intern(record.src_ip.0);
+        let dest = self.dests.id(record.dst_ip.0);
         let pos = self.scan_of(sid, record.ts_micros);
         let body = &mut self.bodies[pos];
         let verdict = classify_window(&mut body.window, record);
-        body.add(record, verdict.tool());
+        body.add(record, dest, verdict.tool());
         (verdict, sid)
     }
 
@@ -737,7 +822,7 @@ impl CampaignDetector {
             w.put_u64(slot.first_ts_micros);
             w.put_u64(slot.last_ts_micros);
             if slot.is_active() {
-                self.bodies[slot.active_pos as usize].snapshot_to(w);
+                self.bodies[slot.active_pos as usize].snapshot_to(&self.dests, w);
             }
         }
         w.put_u64(self.active.len() as u64);
@@ -759,6 +844,7 @@ impl CampaignDetector {
         r: &mut SnapReader<'_>,
     ) -> Result<Self, CheckpointError> {
         let table = SourceTable::restore_from(r)?;
+        let mut dests = DestIds::for_telescope(config.monitored_addresses);
         // An idle slot is 20 bytes, and an open one more.
         let n_slots = r.take_len(20)?;
         let mut slots = Vec::with_capacity(n_slots);
@@ -770,7 +856,7 @@ impl CampaignDetector {
                 last_ts_micros: r.take_u64()?,
             };
             if slot.is_active() {
-                open.push((slot.active_pos, ScanBody::restore_from(r)?));
+                open.push((slot.active_pos, ScanBody::restore_from(r, &mut dests)?));
             }
             slots.push(slot);
         }
@@ -811,6 +897,7 @@ impl CampaignDetector {
             config,
             expiry_micros: (config.expiry_secs * 1e6) as u64,
             table,
+            dests,
             slots,
             active,
             bodies,
@@ -840,10 +927,10 @@ fn check(config: &CampaignConfig, slot: &SourceSlot, body: &ScanBody) -> Option<
 /// Convenience wrapper running fingerprinting and campaign detection in one
 /// pass — the §3 pipeline end to end.
 ///
-/// The detector's [`SourceTable`] is the single interner, and the pairwise
-/// fingerprint window lives in each open scan's body, so the whole §3 admit
-/// path is one [`CampaignDetector::admit`] call and one hash probe per
-/// record.
+/// The detector's [`SourceTable`] is the single source interner, and the
+/// pairwise fingerprint window lives in each open scan's body, so the whole
+/// §3 admit path is one [`CampaignDetector::admit`] call and two hash probes
+/// per record: the source's and the destination's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pipeline {
     detector: CampaignDetector,
@@ -1251,7 +1338,6 @@ mod tests {
         assert_eq!(restored, det, "full state equality after round trip");
 
         // Feed the identical continuation into both and compare final output.
-        let mut det = det;
         let mut restored = restored;
         for i in 8..20u32 {
             for d in [&mut det, &mut restored] {
@@ -1515,7 +1601,6 @@ mod tests {
         assert_eq!(r.remaining(), 0);
         assert_eq!(restored, pipeline);
 
-        let mut pipeline = pipeline;
         let mut restored = restored;
         for i in 10..25u64 {
             assert_eq!(

@@ -1,7 +1,7 @@
 //! Compact collections: distinct-element sets for the per-record
 //! accumulation layer, and the sorted columns of the finished analysis.
 //!
-//! The collector used to keep a heap-allocated `HashSet` behind every
+//! The collector used to keep a heap-allocated hash set behind every
 //! port→sources and source→ports relation — one allocation plus one SipHash
 //! probe per insert, with poor locality on iteration. With sources interned
 //! to dense ids ([`crate::intern`]) both relations become sets of *small
@@ -23,10 +23,17 @@
 //! both sorted variants snapshot as the same tag, so the representation is
 //! invisible in checkpoints.
 //!
+//! A set whose ids are dense across their table but not within the set (a
+//! campaign scan's destinations) is a `BoundedIdSet` instead, which picks
+//! between sorted ids, the bitmap and an ordered tree by cost, so the set
+//! stays within a few bytes per member whatever its largest id.
+//!
 //! Once a year is finished nothing is inserted any more: the analysis is
 //! merged, encoded, decoded and queried. [`SortedMap`] is the map for that
 //! half of the life cycle — one key-ascending vector, which is also the
 //! order the store format writes, so no stage hashes or re-sorts.
+
+use std::collections::BTreeSet;
 
 use crate::checkpoint::{Ascending, CheckpointError, SnapReader, SnapWriter};
 
@@ -35,6 +42,11 @@ const ID_INLINE_MAX: usize = 7;
 
 /// Sorted capacity of [`IdSet`] before it spills to a bitmap.
 const ID_SMALL_MAX: usize = 16;
+
+/// Sorted ids a [`BoundedIdSet`] too sparse for a bitmap keeps in one
+/// vector (4 KiB) before it moves them to a tree, so an insert never shifts
+/// more than that.
+const SPARSE_SORTED_MAX: usize = 1024;
 
 /// Members a [`PortSet`] keeps inline, in the enum's own 32 bytes.
 const PORT_INLINE_MAX: usize = 14;
@@ -62,7 +74,8 @@ pub enum IdSet {
         /// The ids, ascending in `ids[..len]`.
         ids: [u32; ID_INLINE_MAX],
     },
-    /// Sorted, deduplicated ids on the heap (≤ `ID_SMALL_MAX`).
+    /// Sorted, deduplicated ids on the heap (≤ `ID_SMALL_MAX`, or up to
+    /// `SPARSE_SORTED_MAX` while sparse inside a `BoundedIdSet`).
     Small(Vec<u32>),
     /// Bitmap over ids, sized to the largest id seen.
     Bits {
@@ -126,15 +139,9 @@ impl IdSet {
                         items.insert(pos, id);
                         return true;
                     }
-                    let mut words = Vec::new();
-                    let mut len = 0u32;
-                    for &existing in items.iter() {
-                        Self::set_bit(&mut words, existing);
-                        len += 1;
-                    }
-                    Self::set_bit(&mut words, id);
-                    len += 1;
-                    *self = IdSet::Bits { words, len };
+                    let mut bits = IdSet::bits_of(items.iter().copied(), items.len());
+                    bits.insert(id);
+                    *self = bits;
                     true
                 }
             },
@@ -146,6 +153,18 @@ impl IdSet {
                     false
                 }
             }
+        }
+    }
+
+    /// The bitmap of `len` ascending, deduplicated `items`.
+    fn bits_of(items: impl DoubleEndedIterator<Item = u32> + Clone, len: usize) -> IdSet {
+        let mut words = Vec::with_capacity(items.clone().next_back().map_or(0, bitmap_words));
+        for id in items {
+            Self::set_bit(&mut words, id);
+        }
+        IdSet::Bits {
+            words,
+            len: len as u32,
         }
     }
 
@@ -285,6 +304,102 @@ impl IdSet {
     }
 }
 
+/// A set of dense ids that costs a few bytes per member however large its
+/// ids are, for sets whose ids are dense across their table but not within
+/// the set: a campaign scan that starts late holds only high destination
+/// ids, and a bitmap spans the largest id it holds.
+///
+/// * an [`IdSet`] — inline, then sorted ids — until it is worth a bitmap;
+/// * the bitmap once it takes no more room than the sorted ids (one 64-bit
+///   word per two members: `32·len ≥ max id`), and for as long as it stays
+///   within one word per member;
+/// * sorted ids again when a far id would stretch the bitmap past that, and
+///   an ordered tree once a set too sparse for a bitmap passes
+///   `SPARSE_SORTED_MAX` members, so no insert shifts more than 4 KiB.
+///
+/// A tree turns into the bitmap as soon as the bitmap is no larger. Each
+/// switch between bitmap and sorted ids needs the size or the span to double
+/// since the last, so the copies amortize. Iteration is ascending. The set
+/// is never snapshotted: its owner writes what the ids stand for.
+#[derive(Debug, Clone)]
+pub(crate) enum BoundedIdSet {
+    /// Few members, or dense enough for the bitmap.
+    Compact(IdSet),
+    /// More than `SPARSE_SORTED_MAX` members spread too thin for a bitmap.
+    Tree(BTreeSet<u32>),
+}
+
+impl Default for BoundedIdSet {
+    fn default() -> Self {
+        BoundedIdSet::Compact(IdSet::new())
+    }
+}
+
+impl BoundedIdSet {
+    /// Insert `id`; returns `true` when it was not already present.
+    #[inline]
+    pub(crate) fn insert(&mut self, id: u32) -> bool {
+        let set = match self {
+            BoundedIdSet::Tree(tree) => {
+                if !tree.insert(id) {
+                    return false;
+                }
+                let max = *tree.last().expect("just inserted");
+                if 2 * bitmap_words(max) <= tree.len() {
+                    *self = BoundedIdSet::Compact(IdSet::bits_of(tree.iter().copied(), tree.len()));
+                }
+                return true;
+            }
+            BoundedIdSet::Compact(set) => set,
+        };
+        match set {
+            IdSet::Small(items) if items.len() >= ID_SMALL_MAX => {
+                let Err(pos) = items.binary_search(&id) else {
+                    return false;
+                };
+                items.insert(pos, id);
+                if 2 * bitmap_words(items[items.len() - 1]) <= items.len() {
+                    *set = IdSet::bits_of(items.iter().copied(), items.len());
+                } else if items.len() > SPARSE_SORTED_MAX {
+                    *self = BoundedIdSet::Tree(items.iter().copied().collect());
+                }
+                true
+            }
+            IdSet::Bits { words, len } if bitmap_words(id) > words.len().max(*len as usize + 1) => {
+                // `id` lies past every word, so it is the new largest.
+                let items = set.iter().chain([id]);
+                *self = if set.len() < SPARSE_SORTED_MAX {
+                    BoundedIdSet::Compact(IdSet::Small(items.collect()))
+                } else {
+                    BoundedIdSet::Tree(items.collect())
+                };
+                true
+            }
+            _ => set.insert(id),
+        }
+    }
+
+    /// Number of distinct ids.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            BoundedIdSet::Compact(set) => set.len(),
+            BoundedIdSet::Tree(tree) => tree.len(),
+        }
+    }
+
+    /// Iterate ids in ascending order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        let (compact, tree) = match self {
+            BoundedIdSet::Compact(set) => (Some(set.iter()), None),
+            BoundedIdSet::Tree(tree) => (None, Some(tree.iter().copied())),
+        };
+        compact
+            .into_iter()
+            .flatten()
+            .chain(tree.into_iter().flatten())
+    }
+}
+
 /// Write the ascending, deduplicated `ids` exactly as
 /// [`IdSet::snapshot_to`] writes the set that holds them: up to
 /// `ID_SMALL_MAX` members as tag 0 and the ids, more as tag 1 and the bitmap
@@ -300,7 +415,7 @@ pub(crate) fn snapshot_ids(ids: &[u32], w: &mut SnapWriter) {
     }
     w.put_u8(1);
     w.put_u32(ids.len() as u32);
-    let words = (ids[ids.len() - 1] >> 6) as usize + 1;
+    let words = bitmap_words(ids[ids.len() - 1]);
     w.put_u64(words as u64);
     let mut rest = ids;
     for word in 0..words {
@@ -309,6 +424,11 @@ pub(crate) fn snapshot_ids(ids: &[u32], w: &mut SnapWriter) {
         w.put_u64(these.iter().fold(0, |bits, &id| bits | 1 << (id & 63)));
         rest = tail;
     }
+}
+
+/// Words in a bitmap whose largest id is `max`.
+fn bitmap_words(max: u32) -> usize {
+    (max >> 6) as usize + 1
 }
 
 /// Insert `x` into the ascending, deduplicated `members[..*len]`: `Ok`
@@ -833,6 +953,85 @@ mod tests {
         set.insert(16);
         assert!(matches!(set, IdSet::Bits { .. }), "bound + 1 spills");
         assert_eq!(set.len(), 17);
+    }
+
+    /// Heap bytes behind a bounded set's vector or bitmap (a tree's nodes
+    /// are the allocator's business).
+    fn heap_bytes(set: &BoundedIdSet) -> usize {
+        match set {
+            BoundedIdSet::Compact(IdSet::Inline { .. }) | BoundedIdSet::Tree(_) => 0,
+            BoundedIdSet::Compact(IdSet::Small(items)) => 4 * items.capacity(),
+            BoundedIdSet::Compact(IdSet::Bits { words, .. }) => 8 * words.capacity(),
+        }
+    }
+
+    /// Insert `ids` into `set` and into `reference`, checking after each
+    /// insert that the two agree on novelty and size, and that a vector or
+    /// bitmap costs at most 8 B a member plus 64 B.
+    fn insert_all(
+        set: &mut BoundedIdSet,
+        reference: &mut std::collections::BTreeSet<u32>,
+        ids: impl Iterator<Item = u32>,
+    ) {
+        for id in ids {
+            assert_eq!(set.insert(id), reference.insert(id), "id {id}");
+            assert!(!set.insert(id), "duplicate {id} rejected");
+            assert_eq!(set.len(), reference.len());
+            assert!(
+                heap_bytes(set) <= 8 * set.len() + 64,
+                "{} members cost {} B",
+                set.len(),
+                heap_bytes(set)
+            );
+        }
+        assert!(
+            set.iter().eq(reference.iter().copied()),
+            "ascending and exact"
+        );
+    }
+
+    #[test]
+    fn bounded_sets_cost_their_size_not_their_largest_id() {
+        let mut set = BoundedIdSet::default();
+        let mut reference = std::collections::BTreeSet::new();
+        // Seventeen high ids stay sorted, where an `IdSet` spans 2.5 KB.
+        insert_all(&mut set, &mut reference, 19_983..20_000);
+        assert!(matches!(set, BoundedIdSet::Compact(IdSet::Small(_))));
+        let mut plain = IdSet::new();
+        reference.iter().for_each(|&id| _ = plain.insert(id));
+        assert!(matches!(plain, IdSet::Bits { ref words, .. } if words.len() == 313));
+
+        // Low ids make it dense: the bitmap once it is one word per two
+        // members (626 members over 313 words).
+        insert_all(&mut set, &mut reference, 0..608);
+        assert!(
+            matches!(set, BoundedIdSet::Compact(IdSet::Small(_))),
+            "625 members"
+        );
+        insert_all(&mut set, &mut reference, 608..609);
+        assert!(
+            matches!(set, BoundedIdSet::Compact(IdSet::Bits { .. })),
+            "626 members"
+        );
+
+        // A far id that would leave under one member per word goes back to
+        // sorted ids, and a sparse set past 1 024 members to a tree.
+        insert_all(&mut set, &mut reference, [1 << 20].into_iter());
+        assert!(matches!(set, BoundedIdSet::Compact(IdSet::Small(_))));
+        insert_all(
+            &mut set,
+            &mut reference,
+            (0..400).map(|i| (1 << 19) + 7 * i),
+        );
+        assert!(matches!(set, BoundedIdSet::Tree(_)), "1 027 sparse members");
+
+        // Enough members near the top make the tree a bitmap.
+        insert_all(&mut set, &mut reference, (1 << 20) - 32_000..(1 << 20));
+        assert!(matches!(set, BoundedIdSet::Compact(IdSet::Bits { .. })));
+
+        // A bitmap stretched thin with over 1 024 members becomes a tree.
+        insert_all(&mut set, &mut reference, [u32::MAX].into_iter());
+        assert!(matches!(set, BoundedIdSet::Tree(_)));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! matrices in `tests/pipeline_equivalence.rs` and
 //! `tests/hotpath_equivalence.rs` enforce exactly that.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The multiplier from the FNV/Fx family: a 64-bit odd constant with good
@@ -108,12 +108,10 @@ pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` keyed with [`FxHasher`] — the hot-path map type.
 pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` keyed with [`FxHasher`].
-pub(crate) type FxHashSet<T> = HashSet<T, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn hash_one<T: std::hash::Hash>(value: T) -> u64 {
         let mut hasher = FxHasher::default();
@@ -135,7 +133,7 @@ mod tests {
     fn distinct_small_keys_do_not_collide() {
         // The exact property the hot maps rely on: dense source ids and
         // 16-bit ports spread over the full 64-bit range.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         for id in 0u32..10_000 {
             assert!(seen.insert(hash_one(id)), "collision at id {id}");
         }
@@ -165,7 +163,7 @@ mod tests {
         assert_eq!(map.values().sum::<u64>(), 1000);
         assert_eq!(map[&(0, 3)], 1);
 
-        let mut set: FxHashSet<u32> = FxHashSet::default();
+        let mut set: HashSet<u32, FxBuildHasher> = HashSet::default();
         assert!(set.insert(42));
         assert!(!set.insert(42));
         assert_eq!(set.len(), 1);

@@ -13,6 +13,14 @@
 //! too many false attributions over billions of packets, so a relation only
 //! fires after **two independent pair matches** within the history window —
 //! squaring the false-positive rate — unless the probes' XOR is non-trivial.
+//!
+//! The history is an inline ring of eight probes inside the state
+//! itself: every open scan carries one, so it holds no heap vector, and a
+//! new probe overwrites the oldest slot instead of shifting the other
+//! seven. The relations only count matches, so testing walks the filled
+//! slots in storage order; a snapshot writes them oldest → newest, and
+//! equality compares that logical order, so where the ring's head stands
+//! is invisible outside this module.
 
 use synscan_wire::ProbeRecord;
 
@@ -26,7 +34,7 @@ use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 const WINDOW: usize = 8;
 
 /// Minimal stored view of a probe for pairwise testing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct StoredProbe {
     seq: u32,
     dst_ip: u32,
@@ -49,15 +57,38 @@ impl From<&ProbeRecord> for StoredProbe {
 /// sticky attribution. It keeps no clock; whoever owns it decides when the
 /// history has gone stale (the open scan it lives in, or a reference
 /// engine's per-source stamp).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct PairwiseState {
-    window: Vec<StoredProbe>,
+    /// The ring: `probes[..len]` are filled, and once all are, `head` is
+    /// the oldest (it stays 0 until then).
+    probes: [StoredProbe; WINDOW],
+    head: u8,
+    len: u8,
     /// Sticky attribution: once a source has produced two confirming pairs,
     /// subsequent probes inherit the label without re-testing.
     confirmed: Option<ToolKind>,
 }
 
+impl PartialEq for PairwiseState {
+    fn eq(&self, other: &Self) -> bool {
+        self.confirmed == other.confirmed && self.history().eq(other.history())
+    }
+}
+
+impl Eq for PairwiseState {}
+
 impl PairwiseState {
+    /// The stored probes, oldest first.
+    fn history(&self) -> impl Iterator<Item = &StoredProbe> + '_ {
+        let (len, head) = (usize::from(self.len), usize::from(self.head));
+        (0..len).map(move |i| &self.probes[(head + i) % WINDOW])
+    }
+
+    /// The stored probes in storage order.
+    fn filled(&self) -> &[StoredProbe] {
+        &self.probes[..usize::from(self.len)]
+    }
+
     /// Test a new probe against the stored window.
     pub(crate) fn test(&mut self, record: &ProbeRecord) -> Option<ToolKind> {
         if let Some(tool) = self.confirmed {
@@ -66,7 +97,7 @@ impl PairwiseState {
         let new: StoredProbe = record.into();
         let mut nmap_matches = 0usize;
         let mut unicorn_matches = 0usize;
-        for old in &self.window {
+        for old in self.filled() {
             // Identical sequence numbers satisfy both relations trivially
             // (x = 0); retransmissions must not count as evidence.
             if old.seq == new.seq {
@@ -93,7 +124,7 @@ impl PairwiseState {
         // bare 16-bit coincidence; demand it holds against the entire
         // non-trivial window (it always does for genuine NMap traffic since
         // every pair of session packets satisfies it).
-        let candidates = self.window.iter().filter(|o| o.seq != new.seq).count();
+        let candidates = self.filled().iter().filter(|o| o.seq != new.seq).count();
         if unicorn_matches >= 1 && unicorn_matches == candidates && candidates >= 1 {
             if candidates >= 2 {
                 self.confirmed = Some(ToolKind::Unicorn);
@@ -110,25 +141,28 @@ impl PairwiseState {
     }
 
     /// Forget the window and any sticky attribution, as if the source were
-    /// new; the probe vector keeps its capacity.
+    /// new.
     pub(crate) fn reset(&mut self) {
-        self.window.clear();
+        (self.head, self.len) = (0, 0);
         self.confirmed = None;
     }
 
-    /// Record a probe into the window.
+    /// Record a probe into the window, over the oldest once it is full.
     pub(crate) fn push(&mut self, record: &ProbeRecord) {
-        if self.window.len() == WINDOW {
-            self.window.remove(0);
+        if usize::from(self.len) < WINDOW {
+            self.probes[usize::from(self.len)] = record.into();
+            self.len += 1;
+        } else {
+            self.probes[usize::from(self.head)] = record.into();
+            self.head = (self.head + 1) % WINDOW as u8;
         }
-        self.window.push(record.into());
     }
 
     /// Serialize the window and sticky attribution for a pipeline
     /// checkpoint.
     pub(crate) fn snapshot_to(&self, w: &mut SnapWriter) {
-        w.put_u8(self.window.len() as u8);
-        for probe in &self.window {
+        w.put_u8(self.len);
+        for probe in self.history() {
             w.put_u32(probe.seq);
             w.put_u32(probe.dst_ip);
             w.put_u16(probe.src_port);
@@ -145,27 +179,32 @@ impl PairwiseState {
 
     /// Rebuild state written by [`PairwiseState::snapshot_to`].
     pub(crate) fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, CheckpointError> {
-        let len = usize::from(r.take_u8()?);
-        if len > WINDOW {
+        let len = r.take_u8()?;
+        if usize::from(len) > WINDOW {
             return Err(CheckpointError::Corrupt(format!(
                 "pairwise window of {len} probes"
             )));
         }
-        let mut window = Vec::with_capacity(len);
-        for _ in 0..len {
-            window.push(StoredProbe {
+        let mut probes = [StoredProbe::default(); WINDOW];
+        for probe in &mut probes[..usize::from(len)] {
+            *probe = StoredProbe {
                 seq: r.take_u32()?,
                 dst_ip: r.take_u32()?,
                 src_port: r.take_u16()?,
                 dst_port: r.take_u16()?,
-            });
+            };
         }
         let confirmed = match r.take_u8()? {
             0 => None,
             1 => Some(r.take_tool()?),
             t => return Err(CheckpointError::Corrupt(format!("confirmed tag {t}"))),
         };
-        Ok(Self { window, confirmed })
+        Ok(Self {
+            probes,
+            head: 0,
+            len,
+            confirmed,
+        })
     }
 }
 
@@ -298,6 +337,33 @@ mod tests {
     }
 
     #[test]
+    fn a_wrapped_ring_snapshots_oldest_first_and_restores_equal() {
+        // Eleven probes leave the head at slot 3; the restored ring starts
+        // at slot 0 yet equals it, writes the same bytes and tests alike.
+        let u = UnicornScanner::new(8);
+        let mut state = PairwiseState::default();
+        for i in 0..11u64 {
+            state.push(&probe(&u, i));
+        }
+        assert_eq!((state.head, state.len), (3, WINDOW as u8));
+        let oldest: Vec<_> = (3..11u64)
+            .map(|i| StoredProbe::from(&probe(&u, i)))
+            .collect();
+        assert!(state.history().eq(oldest.iter()));
+        let back = round_trip(&state);
+        assert_eq!(back.head, 0);
+        assert_eq!(back, state);
+        let bytes = |s: &PairwiseState| {
+            let mut w = SnapWriter::new();
+            s.snapshot_to(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(bytes(&back), bytes(&state));
+        let next = probe(&u, 11);
+        assert_eq!(back.clone().test(&next), state.clone().test(&next));
+    }
+
+    #[test]
     fn oversized_window_snapshot_is_rejected() {
         let mut w = SnapWriter::new();
         w.put_u8(WINDOW as u8 + 1);
@@ -318,7 +384,10 @@ mod tests {
             state.test(&p);
             state.push(&p);
         }
-        assert_eq!(state.window.len(), WINDOW);
-        assert_eq!(state.window[WINDOW - 1], StoredProbe::from(&probe(&n, 99)));
+        assert_eq!(state.history().count(), WINDOW);
+        assert_eq!(
+            state.history().last(),
+            Some(&StoredProbe::from(&probe(&n, 99)))
+        );
     }
 }

@@ -13,6 +13,10 @@
 //! given record stream. Nothing downstream depends on the numbering: all
 //! public output maps are re-keyed by IP at `finish()` time via
 //! `SourceTable::into_ips`.
+//!
+//! The campaign detector keeps a second table of *destination* addresses,
+//! so each open scan's distinct destinations are a set of dense ids
+//! ([`crate::campaign`] explains why those ids are never checkpointed).
 
 use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use crate::fasthash::FxHashMap;

@@ -71,15 +71,18 @@ impl PipelineMode {
         }
     }
 
-    /// Divide a worker budget among `concurrent` pipelines running at once
-    /// (the cross-year fan-out composes with intra-year sharding
-    /// through this): each pipeline gets `workers / concurrent` threads,
-    /// collapsing to sequential when its share reaches one.
-    pub fn with_budget(self, concurrent: usize) -> Self {
+    /// The mode each of `jobs` pipelines runs in when a fan-out runs
+    /// `min(jobs, cores)` of them at once (the cross-year fan-out composes
+    /// with intra-year sharding through this): each gets `workers /
+    /// min(jobs, cores)` threads, collapsing to sequential when its share
+    /// reaches one. The decade runs its years in this mode, and `repro`
+    /// reports it.
+    pub fn with_budget(self, jobs: usize, cores: usize) -> Self {
+        let concurrent = jobs.min(cores).max(1);
         match self {
             PipelineMode::Sequential => PipelineMode::Sequential,
             PipelineMode::Sharded { workers } => {
-                let share = workers / concurrent.max(1);
+                let share = workers / concurrent;
                 if share <= 1 {
                     PipelineMode::Sequential
                 } else {
@@ -820,17 +823,40 @@ mod tests {
     }
 
     #[test]
-    fn mode_budgeting_and_parsing() {
+    fn a_decade_year_runs_sequentially_below_twenty_cores() {
+        // `auto` asks for every core; ten years share them.
+        let years = 10;
         assert_eq!(
-            PipelineMode::Sharded { workers: 8 }.with_budget(2),
-            PipelineMode::Sharded { workers: 4 }
-        );
-        assert_eq!(
-            PipelineMode::Sharded { workers: 8 }.with_budget(8),
+            PipelineMode::Sharded { workers: 2 }.with_budget(years, 2),
             PipelineMode::Sequential
         );
         assert_eq!(
-            PipelineMode::Sequential.with_budget(1),
+            PipelineMode::Sharded { workers: 19 }.with_budget(years, 19),
+            PipelineMode::Sequential
+        );
+        assert_eq!(
+            PipelineMode::Sharded { workers: 20 }.with_budget(years, 20),
+            PipelineMode::Sharded { workers: 2 }
+        );
+        // Fewer jobs than cores: the workers divide among the jobs alone.
+        assert_eq!(
+            PipelineMode::Sharded { workers: 20 }.with_budget(4, 20),
+            PipelineMode::Sharded { workers: 5 }
+        );
+    }
+
+    #[test]
+    fn mode_budgeting_and_parsing() {
+        assert_eq!(
+            PipelineMode::Sharded { workers: 8 }.with_budget(2, 8),
+            PipelineMode::Sharded { workers: 4 }
+        );
+        assert_eq!(
+            PipelineMode::Sharded { workers: 8 }.with_budget(8, 8),
+            PipelineMode::Sequential
+        );
+        assert_eq!(
+            PipelineMode::Sequential.with_budget(1, 1),
             PipelineMode::Sequential
         );
         assert_eq!(PipelineMode::Sharded { workers: 3 }.workers(), 3);

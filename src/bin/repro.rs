@@ -14,9 +14,10 @@
 //!
 //! `--pipeline` selects how each year's measurement loop executes; `auto`
 //! (the default) shards across the machine's cores, sharing the thread
-//! budget with the cross-year fan-out. Each year is *streamed* from the
-//! generator plan into the pipeline in O(batch) memory. Every mode produces
-//! bit-identical output.
+//! budget with the cross-year fan-out, so below 20 cores each year runs
+//! sequentially; the banner prints the mode the years run in. Each year is
+//! *streamed* from the generator plan into the pipeline in O(batch) memory.
+//! Every mode produces bit-identical output.
 //!
 //! `--chaos-seed N` decays every year's record stream with the seeded
 //! benign fault plan (duplicate injection) — a robustness drill: combined
@@ -72,6 +73,7 @@ use synscan::core::store::{AnalysisStore, StoreImage};
 use synscan::core::PipelineError;
 use synscan::experiment::{DecadeRun, DecadeStatus, Experiment};
 use synscan::netmodel::{InternetRegistry, ScannerClass};
+use synscan::synthesis::fanout;
 use synscan::wire::ingest::{IngestMode, IngestQueues, MappedCapture};
 use synscan::wire::json::{self, ToJson};
 use synscan::wire::{ChaosPlan, FaultPolicy};
@@ -276,11 +278,19 @@ fn run() -> Result<(), String> {
     let store = AnalysisStore::open(&store_dir)
         .map_err(|e| format!("cannot open analysis store {}: {e}", store_dir.display()))?;
 
+    // The mode each year runs in once the decade has shared the cores out,
+    // computed as `Experiment::decade` computes it.
+    let year_mode = pipeline.with_budget(YearConfig::decade().len(), fanout::width());
     eprintln!(
-        "[repro] scale={scale}: telescope 1/{}, population 1/{}, {} days/year, pipeline {pipeline}{}",
+        "[repro] scale={scale}: telescope 1/{}, population 1/{}, {} days/year, pipeline {year_mode} per year{}{}",
         gen.telescope_denominator,
         gen.population_denominator,
         gen.days,
+        if year_mode == pipeline {
+            String::new()
+        } else {
+            format!(" (requested {pipeline})")
+        },
         match chaos_seed {
             Some(seed) => format!(", chaos seed {seed} ({fault_policy} policy)"),
             None => String::new(),

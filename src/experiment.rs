@@ -452,12 +452,12 @@ impl Experiment {
     /// the finished years and a resumed run only recomputes the rest.
     ///
     /// The intra-year shard budget composes with the cross-year fan-out:
-    /// each concurrently running year gets `workers / years` shard threads
-    /// so the two levels together stay within one machine's budget.
+    /// each concurrently running year gets its share of the workers
+    /// ([`PipelineMode::with_budget`]) so the two levels together stay
+    /// within one machine's budget.
     pub fn decade(self, opts: &RunOptions<'_>) -> Result<DecadeStatus, RunError> {
         let configs = YearConfig::decade();
-        let concurrent = configs.len().min(fanout::width()).max(1);
-        let year_mode = self.mode.with_budget(concurrent);
+        let year_mode = self.mode.with_budget(configs.len(), fanout::width());
         let statuses = fanout::par_map(&configs, |cfg| self.year(cfg, year_mode, opts));
         let mut years = Vec::new();
         let mut interrupted = Vec::new();

@@ -6,10 +6,12 @@
 //!
 //! A counting global allocator measures the live heap and its high-water
 //! mark: of a sequential `YearCollector` over thousands of small sources and
-//! of the volatility periods it has closed, of a bare campaign detector whose sources open and close their scans one
-//! after another, of the output path, and of a frame reader told a length
-//! the peer never sends. The tests take turns through one lock, so no other
-//! test allocates while one counts.
+//! of the volatility periods it has closed, of a bare campaign detector
+//! whose sources open and close their scans one after another, of the
+//! output path, of a frame reader told a length the peer never sends, and
+//! of decoding a store slice or a checkpoint's collector blob whose counts
+//! lie. The tests take turns through one lock, so no other test allocates
+//! while one counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hash::Hasher as _;
@@ -18,15 +20,21 @@ use std::sync::{Mutex, MutexGuard};
 
 use synscan::core::analysis::{YearAnalysis, YearCollector};
 use synscan::core::campaign::{CampaignConfig, CampaignDetector};
+use synscan::core::checkpoint::{CheckpointError, CheckpointHeader};
 use synscan::core::distrib::{self, DistribError, Message};
 use synscan::core::envelope::EnvelopeError;
 use synscan::core::pipeline::{try_collect_year_stream, PipelineMode, SizeHints};
 use synscan::core::sketch::HeavyHitterConfig;
 use synscan::core::store::{decode_year, encode_year, AnalysisStore};
+use synscan::core::Checkpoint;
 use synscan::core::FxHasher;
 use synscan::stats::mix64;
-use synscan::wire::stream::{FaultPolicy, SliceStream};
+use synscan::wire::stream::{FaultCounters, FaultPolicy, SliceStream};
 use synscan::wire::{Ipv4Address, ProbeRecord, TcpFlags};
+
+mod support;
+
+use support::{open_scan_count_fields, CountFields};
 
 /// Bytes currently allocated through the global allocator. A statistic
 /// that publishes no other data, hence `Relaxed`.
@@ -119,9 +127,12 @@ const WINDOW_MICROS: u64 = 7 * 86_400 * 1_000_000;
 /// Heap bytes one source may cost a collector, all of its state included
 /// (interner, detector slot, per-source columns, its (week, /16) cell, and a
 /// share of the open-scan bodies, fingerprint windows included). These
-/// streams measure 190 B (1 packet) and 168 B (5 packets) per source. A
-/// collector that keeps the cells of closed periods in the hash map of the
-/// open one measures 218 B and 195 B; one that also keeps a fingerprint
+/// streams measure 203 B (1 packet) and 167 B (5 packets) per source. With
+/// each open scan's destinations in a hash set of its own and its window
+/// in a heap vector, instead of ids of one shared destination table and an
+/// inline ring, they measure 190 B and 168 B. A collector that keeps the
+/// cells of closed periods in the hash map of the open one measures 218 B
+/// and 195 B; one that also keeps a fingerprint
 /// window for every source ever seen, 295 B and 322 B; one that further
 /// keeps an open-scan body per source and a heap vector behind every small
 /// set, 499 B and 566 B.
@@ -479,48 +490,10 @@ fn resealed(sealed: &[u8], payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Walks a `SYNSTORE` payload the way the decoder does, noting where every
-/// length or count field sits and how wide it is.
-struct CountFields<'a> {
-    payload: &'a [u8],
-    at: usize,
-    fields: Vec<(usize, usize)>,
-}
-
-impl CountFields<'_> {
-    fn skip(&mut self, bytes: u64) {
-        self.at += bytes as usize;
-    }
-
-    fn tag(&mut self) -> u8 {
-        self.at += 1;
-        self.payload[self.at - 1]
-    }
-
-    /// A count of `width` bytes: noted, then read.
-    fn count(&mut self, width: usize) -> u64 {
-        let mut bytes = [0u8; 8];
-        bytes[..width].copy_from_slice(&self.payload[self.at..self.at + width]);
-        self.fields.push((self.at, width));
-        self.at += width;
-        u64::from_le_bytes(bytes)
-    }
-
-    /// A section of `count` entries of `entry` bytes each.
-    fn column(&mut self, entry: u64) {
-        let n = self.count(8);
-        self.skip(n * entry);
-    }
-}
-
 /// Every length or count field of a sealed slice, as `(offset, width)` in
 /// its payload.
 fn count_fields(payload: &[u8]) -> Vec<(usize, usize)> {
-    let mut walk = CountFields {
-        payload,
-        at: 0,
-        fields: Vec::new(),
-    };
+    let mut walk = CountFields::new(payload);
     walk.skip(2 + 5 * 8); // year, monitored, window, totals
     walk.count(8); // the index's campaign count
     walk.column(2); // index ports
@@ -615,4 +588,188 @@ fn an_inflated_count_in_a_slice_is_refused_within_a_bounded_heap() {
         })
         .count();
     assert_eq!(loaded, untouched);
+}
+
+/// A collector whose one source has an open scan: twenty destinations over
+/// three ports, and a full fingerprint window whose ring head has moved off
+/// its first slot.
+fn open_scan_collector() -> YearCollector {
+    let config = CampaignConfig {
+        min_distinct_dests: 5,
+        min_rate_pps: 1.0,
+        expiry_secs: 3600.0,
+        monitored_addresses: 1 << 16,
+    };
+    let mut collector = YearCollector::with_period(2020, config, 7.0);
+    for i in 0..23u32 {
+        collector.offer(&ProbeRecord {
+            ts_micros: u64::from(i) * 1_000,
+            src_ip: Ipv4Address(0x0b00_0001),
+            dst_ip: Ipv4Address(0x0a00_0100 + i % 20),
+            src_port: 40_000,
+            dst_port: [22, 80, 443][i as usize % 3],
+            seq: mix64(u64::from(i)) as u32,
+            ip_id: 7,
+            ttl: 55,
+            flags: TcpFlags::SYN,
+            window: 1024,
+        });
+    }
+    collector
+}
+
+/// `blob` decoded the way a resume decodes a shard: its typed result, and
+/// the peak heap above what was live before.
+fn decode_shard(blob: Vec<u8>) -> (Result<Option<YearCollector>, CheckpointError>, isize) {
+    let checkpoint = Checkpoint {
+        header: CheckpointHeader {
+            year: 2020,
+            identity: 7,
+            workers: 1,
+            cursor: 0,
+            seq: 1,
+            origin: None,
+        },
+        gate_last: None,
+        faults: FaultCounters::default(),
+        admit_state: Vec::new(),
+        shards: vec![blob],
+    };
+    let base = reset_peak();
+    let result = checkpoint.shard_collector(0);
+    (result, peak_above(base))
+}
+
+#[test]
+fn an_inflated_count_in_an_open_scan_is_refused_within_a_bounded_heap() {
+    let _turn = take_turn();
+    let collector = open_scan_collector();
+    let blob = Checkpoint::encode_collector(Some(&collector));
+    let fields = open_scan_count_fields(&blob);
+    let held: Vec<u64> = fields.iter().map(|&(_, held)| held).collect();
+    assert_eq!(
+        held,
+        [20, 3, 8, 3],
+        "destinations, ports, window, port rows"
+    );
+    let (clean, _) = decode_shard(blob.clone());
+    assert_eq!(clean, Ok(Some(collector)));
+
+    let mut worst = 0;
+    for &((at, width), held) in &fields {
+        let left = (blob.len() - at - width) as u64;
+        let cap = u64::MAX >> (64 - 8 * width);
+        let mut values: Vec<u64> = [0, 1, left, left + 1, u64::from(u32::MAX), u64::MAX]
+            .into_iter()
+            .map(|v| v.min(cap))
+            .collect();
+        values.dedup();
+        for value in values {
+            assert_ne!(value, held, "every value tried is a lie");
+            let mut inflated = blob.clone();
+            inflated[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+            let input = inflated.len();
+            let (result, peak) = decode_shard(inflated);
+            worst = worst.max(peak);
+            let what = format!("count at blob byte {at} set to {value}");
+            assert!(result.is_err(), "{what}: loaded");
+            assert!(
+                peak <= max_decode_bytes(input),
+                "{what}: decoding {input} B peaked at {peak} B"
+            );
+        }
+    }
+    eprintln!(
+        "4 count fields of a {} B collector blob: worst peak {worst} B",
+        blob.len()
+    );
+}
+
+/// A checkpoint of many light scans beside one heavy scan restores within
+/// the same bound as any blob. The heavy scan's 20 000 destinations take
+/// the low destination ids, so the thousand later scans of seventeen (their
+/// own sixteen and the heavy scan's last) hold only high ids: a bitmap
+/// spanning them would cost 2.5 KB a scan where the blob spends 68 B.
+#[test]
+fn light_scans_beside_a_heavy_one_restore_within_a_bounded_heap() {
+    let _turn = take_turn();
+    let config = CampaignConfig {
+        min_distinct_dests: 5,
+        min_rate_pps: 1.0,
+        expiry_secs: 3600.0,
+        monitored_addresses: 1 << 16,
+    };
+    let mut collector = YearCollector::with_period(2020, config, 7.0);
+    let mut ts = 0u64;
+    let mut probe = |src: u32, dst: u32| {
+        ts += 1_000;
+        ProbeRecord {
+            ts_micros: ts,
+            src_ip: Ipv4Address(src),
+            dst_ip: Ipv4Address(dst),
+            src_port: 40_000,
+            dst_port: 443,
+            seq: mix64(ts) as u32,
+            ip_id: 7,
+            ttl: 55,
+            flags: TcpFlags::SYN,
+            window: 1024,
+        }
+    };
+    let heavy_last = 0x0a00_0000 + 19_999;
+    for dst in 0x0a00_0000..=heavy_last {
+        collector.offer(&probe(0x0b00_0001, dst));
+    }
+    for scan in 0..1_000u32 {
+        let src = 0x0c00_0000 + scan;
+        for dst in 0..16 {
+            collector.offer(&probe(src, 0x0a01_0000 + 16 * scan + dst));
+        }
+        collector.offer(&probe(src, heavy_last));
+    }
+    let blob = Checkpoint::encode_collector(Some(&collector));
+    let input = blob.len();
+    let (restored, peak) = decode_shard(blob);
+    assert_eq!(restored, Ok(Some(collector)));
+    assert!(
+        peak <= max_decode_bytes(input),
+        "restoring {input} B peaked at {peak} B"
+    );
+    eprintln!("1 001 open scans in a {input} B collector blob: restore peak {peak} B");
+}
+
+#[test]
+fn port_rows_that_disagree_with_the_day_port_cells_are_corrupt() {
+    let _turn = take_turn();
+    let blob = Checkpoint::encode_collector(Some(&open_scan_collector()));
+    let ((rows_at, _), rows) = open_scan_count_fields(&blob)[3];
+    assert_eq!(rows, 3);
+    // The first row: its port, then its packets, then its source set.
+    let packets_at = rows_at + 8 + 2;
+    let packets = u64::from_le_bytes(blob[packets_at..packets_at + 8].try_into().unwrap());
+    assert_eq!(packets, 8, "port 22 took every third of 23 probes");
+    for lie in [packets - 1, packets + 1] {
+        let mut damaged = blob.clone();
+        damaged[packets_at..packets_at + 8].copy_from_slice(&lie.to_le_bytes());
+        let (result, _) = decode_shard(damaged);
+        assert!(
+            matches!(result, Err(CheckpointError::Corrupt(_))),
+            "port 22 restored with {lie} packets: {result:?}"
+        );
+    }
+    // A fourth row, for port 21, with no packets, no sources and no day ×
+    // port cell: no record ever made it, and `finish` has no packets to
+    // give it.
+    let mut damaged = blob[..rows_at].to_vec();
+    damaged.extend_from_slice(&4u64.to_le_bytes());
+    damaged.extend_from_slice(&21u16.to_le_bytes());
+    damaged.extend_from_slice(&0u64.to_le_bytes());
+    damaged.push(0); // an empty sorted source set
+    damaged.extend_from_slice(&0u64.to_le_bytes());
+    damaged.extend_from_slice(&blob[rows_at + 8..]);
+    let (result, _) = decode_shard(damaged);
+    assert!(
+        matches!(result, Err(CheckpointError::Corrupt(_))),
+        "a row no record made restored: {result:?}"
+    );
 }

@@ -11,10 +11,11 @@
 
 mod support;
 
+use std::collections::BTreeSet;
 use std::io::Cursor;
 use std::sync::Arc;
 
-use support::seeds;
+use support::{open_scan_count_fields, seeds};
 use synscan::core::analysis::YearCollector;
 use synscan::core::checkpoint::CheckpointHeader;
 use synscan::core::fingerprint::rules::single_packet_verdict;
@@ -22,7 +23,9 @@ use synscan::core::{CampaignConfig, Checkpoint};
 use synscan::scanners::blackrock::BlackRock;
 use synscan::scanners::masscan::MasscanScanner;
 use synscan::scanners::mirai::MiraiScanner;
-use synscan::scanners::traits::craft_record;
+use synscan::scanners::nmap::NmapScanner;
+use synscan::scanners::traits::{craft_record, ProbeCrafter};
+use synscan::scanners::unicorn::UnicornScanner;
 use synscan::scanners::zmap::ZmapScanner;
 use synscan::scanners::CyclicIter;
 use synscan::stats::{mix64, Rng};
@@ -568,4 +571,194 @@ fn json_round_trips_through_both_layouts() {
             assert_eq!(back.to_string(), value.to_string(), "seed={seed:#x}");
         }
     });
+}
+
+/// `k` distinct destinations over at least three /16s — the lowest, the
+/// highest and one drawn between — with 0.0.0.0 and 255.255.255.255 among
+/// them once `k` has room for both, in shuffled order.
+fn spread_destinations(rng: &mut Rng, k: usize) -> Vec<u32> {
+    let middle = rng.range(1u32..0xffff) << 16;
+    let blocks = [0u32, middle, 0xffff_0000];
+    let mut dests = BTreeSet::from([0, u32::MAX, middle | 1]);
+    while dests.len() < k {
+        dests.insert(blocks[rng.range(0..3usize)] | rng.range(0u32..=0xffff));
+    }
+    let mut dests: Vec<u32> = dests.into_iter().collect();
+    // Keep both extremes when trimming to a small `k`.
+    dests.sort_by_key(|&d| {
+        (
+            d != 0 && d != u32::MAX,
+            d == middle | 1,
+            mix64(u64::from(d)),
+        )
+    });
+    dests.truncate(k);
+    for i in (1..dests.len()).rev() {
+        dests.swap(i, rng.range(0..=i));
+    }
+    dests
+}
+
+/// The destinations an open scan writes into a checkpoint, read from the
+/// blob of a collector that has seen one source.
+fn checkpointed_destinations(blob: &[u8]) -> Vec<u32> {
+    let ((at, width), count) = open_scan_count_fields(blob)[0];
+    blob[at + width..][..4 * count as usize]
+        .chunks_exact(4)
+        .map(|address| u32::from_le_bytes(address.try_into().unwrap()))
+        .collect()
+}
+
+/// A scan of `k` shuffled destinations (some probed twice) counts exactly
+/// the `BTreeSet` of its addresses, and a checkpoint writes exactly that
+/// set, ascending: uninterrupted, and cut and restored where its distinct
+/// destinations reach either side of each threshold of its set (7 | 8:
+/// inline to sorted, 16 | 17: sorted to bitmap, 1 024 | 1 025: sorted to
+/// tree). On a 2^16-address telescope the detector interns destinations; a
+/// restore interns them in sorted order, not the shuffled order they
+/// arrived in, so the ids differ, and the bytes and the campaign must not.
+/// On a 2^20-address one the sets hold the addresses, which spread over
+/// three /16s are never dense enough for a bitmap, and go to a tree.
+#[test]
+fn a_scans_destination_count_is_the_set_of_its_addresses_across_cuts() {
+    for seed in seeds() {
+        let mut rng = Rng::seed_from_u64(seed);
+        let cases = [1u64 << 16, 1 << 20]
+            .into_iter()
+            .flat_map(|monitored| [1usize, 7, 8, 16, 17, 100, 5_000].map(|k| (monitored, k)));
+        for (monitored_addresses, k) in cases {
+            let config = CampaignConfig {
+                min_distinct_dests: 1,
+                monitored_addresses,
+                ..campaign_cfg()
+            };
+            let seed_k = format!("seed={seed:#x} monitored={monitored_addresses} k={k}");
+            let dests = spread_destinations(&mut rng, k);
+            let mut probes = dests.clone();
+            for i in (0..k).step_by(5) {
+                probes.insert(rng.range(i..=probes.len()), dests[i]);
+            }
+            let records: Vec<ProbeRecord> = probes
+                .iter()
+                .enumerate()
+                .map(|(i, &dst)| ProbeRecord {
+                    ts_micros: 1_577_836_800_000_000 + i as u64 * 1_000,
+                    src_ip: Ipv4Address(0xc633_6407),
+                    dst_ip: Ipv4Address(dst),
+                    src_port: 40_000,
+                    dst_port: [80u16, 443][i % 2],
+                    seq: rng.range(..),
+                    ip_id: 7,
+                    ttl: 50,
+                    flags: TcpFlags::SYN,
+                    window: 1024,
+                })
+                .collect();
+
+            let mut uninterrupted = YearCollector::new(2020, config);
+            let mut seen = BTreeSet::new();
+            let mut cuts = Vec::new();
+            for (i, record) in records.iter().enumerate() {
+                uninterrupted.offer(record);
+                let before = seen.len();
+                seen.insert(record.dst_ip.0);
+                if seen.len() != before && [7, 8, 16, 17, 1_024, 1_025].contains(&seen.len()) {
+                    cuts.push((i + 1, uninterrupted.clone(), seen.clone()));
+                }
+            }
+            let blob = Checkpoint::encode_collector(Some(&uninterrupted));
+            let reference: Vec<u32> = seen.iter().copied().collect();
+            assert_eq!(checkpointed_destinations(&blob), reference, "{seed_k}");
+            let expected = uninterrupted.clone().finish();
+            assert_eq!(expected.campaigns.len(), 1, "{seed_k}");
+            assert_eq!(
+                expected.campaigns[0].distinct_dests,
+                reference.len() as u64,
+                "{seed_k}"
+            );
+
+            for (at, cut, seen) in cuts {
+                let what = format!("{seed_k} cut at {} destinations", seen.len());
+                let mut resumed = cut_and_restore(seed, &cut);
+                assert_eq!(resumed, cut, "{what}");
+                let cut_blob = Checkpoint::encode_collector(Some(&cut));
+                assert!(
+                    Checkpoint::encode_collector(Some(&resumed)) == cut_blob,
+                    "{what}: the restored cut re-encodes differently"
+                );
+                let sorted: Vec<u32> = seen.into_iter().collect();
+                assert_eq!(checkpointed_destinations(&cut_blob), sorted, "{what}");
+                for record in &records[at..] {
+                    resumed.offer(record);
+                }
+                assert!(
+                    Checkpoint::encode_collector(Some(&resumed)) == blob,
+                    "{what}: the next cuts differ"
+                );
+                assert_eq!(resumed.finish(), expected, "{what}");
+            }
+        }
+    }
+}
+
+/// An NMap and a Unicorn session, with unrelated probes at positions 0 and
+/// 9 that each hold attribution off until they leave the eight-probe
+/// window, classify identically when cut and restored after any probe. The
+/// cuts after 10–17 probes leave the ring's head past its first slot with
+/// the second stray still inside, so a restore that took the slots in
+/// storage order would evict it early and attribute early.
+#[test]
+fn pairwise_sessions_classify_identically_across_any_cut() {
+    let sessions = [
+        (ToolKind::Nmap, session(&NmapScanner::new(11))),
+        (ToolKind::Unicorn, session(&UnicornScanner::new(12))),
+    ];
+    for (tool, records) in sessions {
+        let mut uninterrupted = YearCollector::new(2020, campaign_cfg());
+        for record in &records {
+            uninterrupted.offer(record);
+        }
+        let expected = uninterrupted.finish();
+        let votes = expected.campaigns[0].tool_votes.get(&tool).copied();
+        // The second stray leaves the window with the push of probe 17;
+        // probe 18 pairs against eight session probes and confirms.
+        assert_eq!(votes, Some(6), "{tool:?}");
+        for at in 1..records.len() {
+            let mut collector = YearCollector::new(2020, campaign_cfg());
+            for record in &records[..at] {
+                collector.offer(record);
+            }
+            let mut resumed = cut_and_restore(u64::from(at as u32), &collector);
+            for record in &records[at..] {
+                resumed.offer(record);
+            }
+            assert_eq!(resumed.finish(), expected, "{tool:?} cut after {at} probes");
+        }
+    }
+}
+
+/// Twenty-four probes of one `crafter` session from one source, 10 ms
+/// apart, with probes 0 and 9 replaced by strays that pair with nothing.
+fn session<C: ProbeCrafter>(crafter: &C) -> Vec<ProbeRecord> {
+    (0..24u64)
+        .map(|i| {
+            let probe = craft_record(
+                crafter,
+                Ipv4Address(0xc633_6409),
+                Ipv4Address(0x0a00_0000 + i as u32 * 97),
+                (i * 7 % 50_000) as u16 + 1,
+                i,
+                1_577_836_800_000_000 + i * 10_000,
+                5,
+            );
+            match i {
+                0 | 9 => ProbeRecord {
+                    seq: 0x1357_9bdf ^ i as u32,
+                    ip_id: 7,
+                    ..probe
+                },
+                _ => probe,
+            }
+        })
+        .collect()
 }

@@ -1,4 +1,5 @@
-//! Seed-matrix support shared by the integration suites.
+//! Seed-matrix support shared by the integration suites, and a walker over
+//! encoded blobs that finds their count fields.
 //!
 //! Every seeded property runs over [`seeds`]: six seeds derived by splitmix64
 //! from one base, and every assertion message carries the seed that failed.
@@ -65,4 +66,90 @@ pub fn materialized_year(
         }
     }
     (collector.finish(), session.stats(), plan.truth)
+}
+
+/// Walks an encoded blob (a `SYNSTORE` payload, a checkpoint's collector)
+/// the way its decoder does, noting where every length or count field sits
+/// and how wide it is.
+pub struct CountFields<'a> {
+    payload: &'a [u8],
+    /// The offset of the next field.
+    pub at: usize,
+    /// Every count noted so far, as `(offset, width)`.
+    pub fields: Vec<(usize, usize)>,
+}
+
+impl<'a> CountFields<'a> {
+    /// A walk from the start of `payload`.
+    pub fn new(payload: &'a [u8]) -> Self {
+        CountFields {
+            payload,
+            at: 0,
+            fields: Vec::new(),
+        }
+    }
+
+    pub fn skip(&mut self, bytes: u64) {
+        self.at += bytes as usize;
+    }
+
+    pub fn tag(&mut self) -> u8 {
+        self.at += 1;
+        self.payload[self.at - 1]
+    }
+
+    /// A count of `width` bytes: noted, then read.
+    pub fn count(&mut self, width: usize) -> u64 {
+        let mut bytes = [0u8; 8];
+        bytes[..width].copy_from_slice(&self.payload[self.at..self.at + width]);
+        self.fields.push((self.at, width));
+        self.at += width;
+        u64::from_le_bytes(bytes)
+    }
+
+    /// A section of `count` entries of `entry` bytes each.
+    pub fn column(&mut self, entry: u64) {
+        let n = self.count(8);
+        self.skip(n * entry);
+    }
+}
+
+/// Where a one-source collector blob (`Checkpoint::encode_collector`) keeps
+/// its open scan's destination count, port count and window length, and
+/// the collector's port-row count, as `(offset, width)`, with the count each
+/// holds.
+pub fn open_scan_count_fields(blob: &[u8]) -> Vec<((usize, usize), u64)> {
+    let mut walk = CountFields::new(blob);
+    assert_eq!(walk.tag(), 1, "a collector");
+    walk.skip(4 * 8 + 2 + 2 * 8); // thresholds, year, monitored, period
+    if walk.tag() == 1 {
+        walk.skip(8); // the origin
+    }
+    walk.skip(2 * 8); // end, total packets
+    let sources = walk.count(8);
+    walk.skip(4 * sources); // the interner
+    assert_eq!(walk.count(8), 1, "one slot");
+    assert_ne!(walk.count(4), u64::from(u32::MAX), "its scan is open");
+    walk.skip(2 * 8 + 8); // first and last timestamps, packets
+    let mut noted = Vec::new();
+    let mut note = |walk: &mut CountFields, width: usize| {
+        let count = walk.count(width);
+        noted.push((*walk.fields.last().expect("just noted"), count));
+        count
+    };
+    let dests = note(&mut walk, 8);
+    walk.skip(4 * dests);
+    let ports = note(&mut walk, 8);
+    walk.skip(10 * ports + 6 * 8); // port counts, tool votes
+    let window = note(&mut walk, 1);
+    walk.skip(12 * window);
+    if walk.tag() == 1 {
+        walk.skip(1); // the confirmed tool
+    }
+    walk.column(4); // the active list
+    assert_eq!(walk.count(8), 0, "no finished campaign");
+    walk.column(9); // noise: rejected sequences
+    walk.skip(8);
+    note(&mut walk, 8); // the collector's port rows
+    noted
 }

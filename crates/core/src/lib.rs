@@ -35,10 +35,10 @@
 //! [`envelope`] that also seals store slices and protocol frames),
 //! [`supervise`] (panic containment and the supervision report), and
 //! [`pipeline::supervised`] (the checkpointed, resumable driver tying both
-//! together). [`distrib`] lifts the same sharded-merge architecture across
-//! process (and host) boundaries: workers compute `(year, partition)` slice
-//! partials over a framed checkpoint protocol and a coordinator merges them
-//! bit-identically to the sequential run.
+//! together). [`distrib`] runs one `(year, partition)` slice of that
+//! sharded-merge architecture and merges slices bit-identically to the
+//! sequential run; no product path calls it, the benchmark's checkpoint
+//! framing workload does.
 //!
 //! Terminal run state persists through [`store`]: a versioned on-disk
 //! analysis store of per-year slices that [`report`] renders as a pure
@@ -82,7 +82,7 @@ pub use pipeline::supervised::{
 pub use pipeline::{
     AdmitState, FilterAdmit, PipelineError, PipelineMode, PipelineOutcome, RunSpec,
 };
-pub use supervise::{InjectedFaults, StallEvent, SupervisionReport, WorkerFailure};
+pub use supervise::{InjectedFaults, SupervisionReport, WorkerFailure};
 pub use synscan_scanners::traits::ToolKind;
 
 // Re-exported at the root only because the benchmark names them here.

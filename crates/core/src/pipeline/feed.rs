@@ -392,7 +392,7 @@ trait Sink {
 pub(crate) enum SinkPlan {
     /// One [`YearCollector`] on the calling thread. With `partition =
     /// Some((part, parts))` it keeps only records whose source hashes into
-    /// `part` — a distributed slice.
+    /// `part` — one slice of [`run_slice`](crate::distrib::run_slice).
     Inline { partition: Option<(usize, usize)> },
     /// `workers` shard threads behind bounded channels; `inject` arms
     /// deterministic worker faults for the supervision tests.

@@ -22,8 +22,8 @@
 //! it) over two sinks: one collector inline, or a fan-out of shard workers
 //! behind bounded channels of ~16k-record batches. The three public drivers
 //! — [`try_collect_year_stream`] here, [`supervised::run_year_supervised`]
-//! and [`crate::distrib::run_slice`] — configure that loop; none of them has
-//! a loop of its own.
+//! and [`crate::distrib::run_slice`] (which only the benchmark calls) —
+//! configure that loop; none of them has a loop of its own.
 
 use std::thread;
 

@@ -35,7 +35,7 @@
 //! thread applies reloads; [`answer`] treats them as no-ops so the offline
 //! (`--store-dir --query`) client stays a drop-in stand-in for a daemon.
 
-use synscan_wire::json::{self, ToJson, Value};
+use synscan_wire::json::{self, FlatObject, JsonError, JsonErrorKind, ToJson, Value};
 use synscan_wire::Ipv4Address;
 
 use super::{StoreImage, STORE_VERSION};
@@ -152,60 +152,140 @@ pub fn body_of(line: &str) -> Option<String> {
     }
 }
 
-/// Parse one request line. Errors are human-readable strings ready for
+/// Why [`parse_request`] refused a line. Its text is ready for
 /// [`err_line`] — a malformed request must never take the daemon down.
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    let value = json::parse(line).map_err(|e| format!("bad request JSON: {e}"))?;
-    let op = value
-        .get("op")
-        .and_then(|v| v.as_str())
-        .ok_or_else(|| "request has no \"op\" field".to_string())?;
-    let year_field = |value: &Value| -> Result<u16, String> {
-        value
-            .get("year")
-            .and_then(|v| v.as_u64())
-            .filter(|y| *y <= u64::from(u16::MAX))
-            .map(|y| y as u16)
-            .ok_or_else(|| format!("op {op:?} needs a \"year\" field"))
-    };
-    let ip_field = |value: &Value| -> Result<Ipv4Address, String> {
-        let text = value
-            .get("ip")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| format!("op {op:?} needs an \"ip\" field"))?;
-        text.parse::<Ipv4Address>()
-            .map_err(|_| format!("bad IPv4 address {text:?}"))
-    };
-    match op {
-        "ping" => Ok(Request::Ping),
-        "years" => Ok(Request::Years),
-        "stats" => Ok(Request::Stats),
-        "table1" => Ok(Request::Table1),
-        "summary" => Ok(Request::Summary {
-            year: year_field(&value)?,
-        }),
-        "heavy" => Ok(Request::Heavy {
-            year: year_field(&value)?,
-        }),
-        "source" => Ok(Request::Source {
-            ip: ip_field(&value)?,
-        }),
-        "port" => {
-            let port = value
-                .get("port")
-                .and_then(|v| v.as_u64())
-                .filter(|p| *p <= u64::from(u16::MAX))
-                .ok_or_else(|| "op \"port\" needs a \"port\" field (0-65535)".to_string())?;
-            Ok(Request::Port { port: port as u16 })
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RequestError {
+    /// The line is not a well-formed flat JSON object.
+    Json(JsonError),
+    /// The named member holds an array or an object; a request carries
+    /// scalars only.
+    Nested(String),
+    /// A member the request's op does not take, or one given twice.
+    UnexpectedField(String),
+    /// No `"op"` string.
+    NoOp,
+    /// An op no request has.
+    UnknownOp(String),
+    /// The op's argument is missing, not a number, or out of range.
+    MissingArgument {
+        /// The op.
+        op: &'static str,
+        /// The argument it needs.
+        field: &'static str,
+    },
+    /// An `"ip"` argument that is not a dotted quad.
+    BadAddress(String),
+}
+
+impl std::fmt::Display for RequestError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RequestError::Json(e) => write!(f, "bad request JSON: {e}"),
+            RequestError::Nested(key) => write!(f, "field {key:?} must be a scalar"),
+            RequestError::UnexpectedField(key) => write!(f, "unexpected field {key:?}"),
+            RequestError::NoOp => write!(f, "request has no \"op\" field"),
+            RequestError::UnknownOp(op) => write!(f, "unknown op {op:?}"),
+            RequestError::MissingArgument { op, field: "port" } => {
+                write!(f, "op {op:?} needs a \"port\" field (0-65535)")
+            }
+            RequestError::MissingArgument { op, field } => {
+                write!(f, "op {op:?} needs a {field:?} field")
+            }
+            RequestError::BadAddress(text) => write!(f, "bad IPv4 address {text:?}"),
         }
-        "campaigns" => Ok(Request::Campaigns {
-            ip: ip_field(&value)?,
-        }),
-        "health" => Ok(Request::Health),
-        "reload" => Ok(Request::Reload),
-        "shutdown" => Ok(Request::Shutdown),
-        other => Err(format!("unknown op {other:?}")),
     }
+}
+
+impl std::error::Error for RequestError {}
+
+/// The argument each op takes, if any.
+const ARGUMENTS: [(&str, Option<&str>); 12] = [
+    ("ping", None),
+    ("years", None),
+    ("stats", None),
+    ("table1", None),
+    ("summary", Some("year")),
+    ("heavy", Some("year")),
+    ("source", Some("ip")),
+    ("port", Some("port")),
+    ("campaigns", Some("ip")),
+    ("health", None),
+    ("reload", None),
+    ("shutdown", None),
+];
+
+/// Parse one request line: a flat object of `"op"` plus at most one scalar
+/// argument, in either order. It is decoded member by member, never as a
+/// tree, and the first member out of that shape ends it — so a hostile line
+/// costs at most a few copies of itself.
+pub fn parse_request(line: &str) -> Result<Request, RequestError> {
+    let mut object = FlatObject::open(line).map_err(RequestError::Json)?;
+    let mut op = None;
+    let mut argument = None;
+    while let Some(key) = object.next_key().map_err(RequestError::Json)? {
+        let known = key == "op" || ARGUMENTS.iter().any(|(_, arg)| *arg == Some(key.as_str()));
+        let taken = if key == "op" {
+            op.is_some()
+        } else {
+            argument.is_some()
+        };
+        if !known || taken {
+            return Err(RequestError::UnexpectedField(key));
+        }
+        let value = match object.scalar() {
+            Ok(value) => value,
+            Err(e) if e.kind == JsonErrorKind::Nested => return Err(RequestError::Nested(key)),
+            Err(e) => return Err(RequestError::Json(e)),
+        };
+        if key == "op" {
+            op = Some(value);
+        } else {
+            argument = Some((key, value));
+        }
+    }
+    let op = match op {
+        Some(Value::Str(op)) => op,
+        _ => return Err(RequestError::NoOp),
+    };
+    let Some(&(op, wants)) = ARGUMENTS.iter().find(|(name, _)| *name == op) else {
+        return Err(RequestError::UnknownOp(op));
+    };
+    let value = match (wants, argument) {
+        (None, None) => None,
+        (Some(field), Some((key, value))) if key == field => Some(value),
+        (_, Some((key, _))) => return Err(RequestError::UnexpectedField(key)),
+        (Some(field), None) => return Err(RequestError::MissingArgument { op, field }),
+    };
+    let missing = || RequestError::MissingArgument {
+        op,
+        field: wants.unwrap_or_default(),
+    };
+    let number = || match value {
+        Some(Value::U64(n)) => u16::try_from(n).map_err(|_| missing()),
+        _ => Err(missing()),
+    };
+    let ip = || match &value {
+        Some(Value::Str(text)) => text
+            .parse::<Ipv4Address>()
+            .map_err(|_| RequestError::BadAddress(text.clone())),
+        _ => Err(missing()),
+    };
+    Ok(match op {
+        "ping" => Request::Ping,
+        "years" => Request::Years,
+        "stats" => Request::Stats,
+        "table1" => Request::Table1,
+        "summary" => Request::Summary { year: number()? },
+        "heavy" => Request::Heavy { year: number()? },
+        "source" => Request::Source { ip: ip()? },
+        "port" => Request::Port { port: number()? },
+        "campaigns" => Request::Campaigns { ip: ip()? },
+        "health" => Request::Health,
+        "reload" => Request::Reload,
+        // "shutdown", the last op `ARGUMENTS` knows.
+        _ => Request::Shutdown,
+    })
 }
 
 /// Answer a data request from an image, returning the full response line.
@@ -273,7 +353,7 @@ pub fn answer(image: &StoreImage, request: &Request) -> String {
 pub fn answer_line(image: &StoreImage, line: &str) -> String {
     match parse_request(line) {
         Ok(request) => answer(image, &request),
-        Err(error) => err_line(&error),
+        Err(error) => err_line(&error.to_string()),
     }
 }
 
@@ -289,6 +369,19 @@ mod tests {
         assert!(parse_request("{\"op\":\"port\"}").is_err());
         assert!(parse_request("{\"op\":\"port\",\"port\":70000}").is_err());
         assert!(parse_request("{\"op\":\"source\",\"ip\":\"1.2.3\"}").is_err());
+        // Out of shape: each refusal names the member that broke it.
+        let field = |key: &str| Err(RequestError::UnexpectedField(key.to_string()));
+        assert_eq!(parse_request(r#"{"op":"ping","x":1}"#), field("x"));
+        assert_eq!(parse_request(r#"{"op":"ping","year":2020}"#), field("year"));
+        assert_eq!(parse_request(r#"{"op":"ping","op":"ping"}"#), field("op"));
+        assert_eq!(
+            parse_request(r#"{"op":"port","port":1,"year":2}"#),
+            field("year")
+        );
+        assert_eq!(
+            parse_request(r#"{"op":"summary","year":[2020]}"#),
+            Err(RequestError::Nested("year".to_string()))
+        );
     }
 
     #[test]
@@ -315,6 +408,10 @@ mod tests {
             Ok(Request::Heavy { year: 2020 })
         );
         assert!(parse_request("{\"op\":\"heavy\"}").is_err());
+        assert_eq!(
+            parse_request(r#" { "year" : 2020 , "op" : "summary" } "#),
+            Ok(Request::Summary { year: 2020 })
+        );
     }
 
     /// One canonical request line per op.

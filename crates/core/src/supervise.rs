@@ -3,32 +3,18 @@
 //! The sharded pipeline runs one OS thread per shard. Without supervision a
 //! single worker panic aborts the whole process, poisoning hours of decade
 //! progress. This module gives the supervised driver
-//! ([`crate::pipeline::supervised`]) and the distributed coordinator the
-//! pieces they need to do better:
+//! ([`crate::pipeline::supervised`]) the pieces it needs to do better:
 //!
 //! * [`WorkerFailure`], the typed form of a caught worker panic, which the
 //!   driver converts into a recoverable error instead of a process abort;
 //! * [`SupervisionReport`], what the recovery paths observed: contained
-//!   failures, retries, and the [`StallEvent`]s of distributed workers the
-//!   coordinator killed after silence past its stall timeout;
+//!   failures and retries;
 //! * [`InjectedFaults`], a one-shot deterministic panic trigger that lets
 //!   the test suite drive every recovery path without any real crash.
 
 use std::panic;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
-
-/// A worker the distributed coordinator killed for staying silent past its
-/// stall timeout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StallEvent {
-    /// The killed worker's index in the coordinator's fleet.
-    pub shard: u32,
-    /// How long the worker had been silent when killed, in milliseconds.
-    pub silent_ms: u64,
-    /// The slice cursor of its last `Progress` checkpoint.
-    pub records_processed: u64,
-}
 
 /// A worker panic, caught and carried as data instead of aborting the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,9 +38,6 @@ impl std::fmt::Display for WorkerFailure {
 /// What supervision observed over one (possibly retried) run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SupervisionReport {
-    /// Distributed workers killed for silence (at most once per worker
-    /// per slice attempt).
-    pub stalls: Vec<StallEvent>,
     /// Worker panics caught (the attempts they aborted were retried or
     /// surfaced as typed errors).
     pub failures: Vec<WorkerFailure>,
@@ -65,7 +48,6 @@ pub struct SupervisionReport {
 impl SupervisionReport {
     /// Fold another attempt's observations into this report.
     pub fn absorb(&mut self, other: SupervisionReport) {
-        self.stalls.extend(other.stalls);
         self.failures.extend(other.failures);
         self.retried += other.retried;
     }
@@ -160,11 +142,6 @@ mod tests {
     fn report_absorbs_attempts() {
         let mut report = SupervisionReport::default();
         report.absorb(SupervisionReport {
-            stalls: vec![StallEvent {
-                shard: 0,
-                silent_ms: 100,
-                records_processed: 5,
-            }],
             failures: vec![WorkerFailure {
                 shard: 0,
                 message: "x".into(),
@@ -172,7 +149,6 @@ mod tests {
             retried: 1,
         });
         report.absorb(SupervisionReport::default());
-        assert_eq!(report.stalls.len(), 1);
         assert_eq!(report.failures.len(), 1);
         assert_eq!(report.retried, 1);
     }

@@ -286,6 +286,8 @@ pub enum JsonErrorKind {
     TrailingBytes,
     /// Arrays/objects nested deeper than `MAX_DEPTH`.
     TooDeep,
+    /// An array or object where a [`FlatObject`] member needs a scalar.
+    Nested,
     /// An object names the same key twice.
     DuplicateKey,
     /// A malformed `\` escape.
@@ -328,6 +330,66 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
         return Err(p.err(JsonErrorKind::TrailingBytes));
     }
     Ok(value)
+}
+
+/// A flat JSON object — `{"key": scalar, …}` — read one member at a time
+/// without building a tree, as strictly as [`parse`]. The caller sees each
+/// key before its value is read, so it can refuse a member at once; a value
+/// that is an array or an object is [`JsonErrorKind::Nested`] at its
+/// opening bracket and is never read. Duplicate keys are the caller's to
+/// catch.
+pub struct FlatObject<'a> {
+    p: Parser<'a>,
+    first: bool,
+}
+
+impl<'a> FlatObject<'a> {
+    /// Start reading `text`, which must open an object.
+    pub fn open(text: &'a str) -> Result<Self, JsonError> {
+        let mut p = Parser { text, pos: 0 };
+        p.skip_ws();
+        p.expect(b'{')?;
+        Ok(FlatObject { p, first: true })
+    }
+
+    /// The next member's key, or `None` once the object has closed with
+    /// nothing but whitespace behind it.
+    pub fn next_key(&mut self) -> Result<Option<String>, JsonError> {
+        let p = &mut self.p;
+        p.skip_ws();
+        let close = match p.peek() {
+            Some(b'}') => true,
+            Some(b',') if !self.first => {
+                p.pos += 1;
+                p.skip_ws();
+                false
+            }
+            _ if self.first => false,
+            _ => return Err(p.unexpected()),
+        };
+        self.first = false;
+        if close {
+            p.pos += 1;
+            p.skip_ws();
+            if p.pos < p.text.len() {
+                return Err(p.err(JsonErrorKind::TrailingBytes));
+            }
+            return Ok(None);
+        }
+        let key = p.string()?;
+        p.skip_ws();
+        p.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// The value of the member whose key [`FlatObject::next_key`] returned.
+    pub fn scalar(&mut self) -> Result<Value, JsonError> {
+        self.p.skip_ws();
+        if matches!(self.p.peek(), Some(b'[' | b'{')) {
+            return Err(self.p.err(JsonErrorKind::Nested));
+        }
+        self.p.value(MAX_DEPTH)
+    }
 }
 
 struct Parser<'a> {
@@ -768,5 +830,32 @@ mod tests {
         assert_eq!(kind("[1,]"), JsonErrorKind::UnexpectedByte(b']'));
         assert_eq!(kind("nul"), JsonErrorKind::UnexpectedEnd);
         assert_eq!(kind(""), JsonErrorKind::UnexpectedEnd);
+    }
+
+    /// Every member of a flat object, or the error that ended the walk.
+    fn members(text: &str) -> Result<Vec<(String, Value)>, JsonErrorKind> {
+        let mut object = FlatObject::open(text).map_err(|e| e.kind)?;
+        let mut out = Vec::new();
+        while let Some(key) = object.next_key().map_err(|e| e.kind)? {
+            out.push((key, object.scalar().map_err(|e| e.kind)?));
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn a_flat_object_reads_like_parse_and_refuses_nesting() {
+        let flat = r#" {"op":"source","ip":"10.0.0.1","n":-3,"ok":true} "#;
+        let Ok(Value::Object(fields)) = parse(flat) else {
+            panic!("{flat}")
+        };
+        assert_eq!(members(flat), Ok(fields));
+        assert_eq!(members("{}"), Ok(Vec::new()));
+        assert_eq!(members(r#"{"x":[1]}"#), Err(JsonErrorKind::Nested));
+        assert_eq!(members(r#"{"x":{}}"#), Err(JsonErrorKind::Nested));
+        assert_eq!(members("{} x"), Err(JsonErrorKind::TrailingBytes));
+        assert_eq!(members("[]"), Err(JsonErrorKind::UnexpectedByte(b'[')));
+        for bad in ["{", "{,}", r#"{"a":1,}"#, r#"{"a":1 "b":2}"#, r#"{"a"}"#] {
+            assert!(members(bad).is_err(), "{bad}");
+        }
     }
 }

@@ -1,29 +1,21 @@
-//! Hostile-network resilience layer shared by every socket-facing runtime.
+//! Hostile-network resilience for the repository's one network protocol,
+//! the NDJSON query protocol of `synscan-serve`.
 //!
-//! Both network protocols in this repository — the NDJSON query protocol of
-//! `synscan-serve` and the SYNDIST frame protocol of `repro --distributed` —
-//! talk to peers that may stall, trickle bytes, send garbage, oversize their
-//! requests, or vanish mid-frame. This module concentrates the defenses so
-//! each runtime threads the same four pieces through its transport:
+//! Its peers may stall, trickle bytes, send garbage, oversize their
+//! requests, or vanish mid-line. This module holds the two defenses the
+//! daemon threads through its transport:
 //!
 //! * [`Deadline`] / [`HasDeadlines`] — per-read/per-write socket timeouts,
 //!   whose expiry [`is_timeout`] recognizes, so a silent peer costs a typed
 //!   [`NetError::TimedOut`] instead of an indefinite block;
 //! * [`BoundedLineReader`] — newline-delimited request admission with a hard
-//!   byte cap (slow-loris and oversized-request defense for NDJSON);
-//! * [`ChaosSocket`] — a seeded, deterministic transport-fault injector
-//!   (partial writes, read stalls, mid-stream disconnects, byte corruption)
-//!   in the same splitmix64 idiom as [`crate::chaos::ChaosReader`];
-//! * [`Backoff`] — jittered exponential delays for dial/reconnect loops.
+//!   byte cap (slow-loris and oversized-request defense for NDJSON).
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::time::{Duration, Instant};
 
-use crate::chaos::{hits, mix64};
-
-/// Default stall timeout, shared by the distributed coordinator (a worker
-/// silent this long mid-slice is killed and its slice retried) and the
-/// serve daemon's idle-connection cutoff: 30 s.
+/// Default idle cutoff of a kept-alive serve connection between requests
+/// (`synscan-serve --stall-timeout`): 30 s.
 pub const DEFAULT_STALL_TIMEOUT_MS: u64 = 30_000;
 
 /// Default bound on a single request/response exchange on a serve connection.
@@ -132,7 +124,7 @@ impl Deadline {
 }
 
 /// A stream whose native socket timeouts can be set. Implemented for the two
-/// transports the runtimes use; an expired budget then surfaces as an error
+/// transports the daemon serves on; an expired budget then surfaces as an error
 /// that [`is_timeout`] recognizes.
 pub trait HasDeadlines {
     /// Apply the budgets as native socket timeouts.
@@ -284,308 +276,6 @@ impl<R: Read> BoundedLineReader<R> {
     }
 }
 
-/// Transport-level fault kinds injected by [`ChaosSocket`]. All are
-/// deterministic in `(seed, operation index | byte offset)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetFault {
-    /// Split every `period`-th write, delivering only a prefix. Benign under
-    /// `write_all` loops; flushes out short-write handling bugs.
-    PartialWrite {
-        /// Every how many write calls the short write fires.
-        period: u64,
-    },
-    /// Sleep `ms` before every `period`-th read — a stalling peer. Benign
-    /// while `ms` stays under the reader's deadline.
-    StallRead {
-        /// Every how many read calls the stall fires.
-        period: u64,
-        /// Stall length in milliseconds.
-        ms: u64,
-    },
-    /// Fail every write after `bytes` total bytes have been forwarded —
-    /// a peer dying mid-frame. The final write before the cut delivers a
-    /// prefix, so frames are torn, not cleanly truncated.
-    DisconnectAfter {
-        /// Total byte budget before the injected disconnect.
-        bytes: u64,
-    },
-    /// XOR a seed-derived non-zero mask into every `period`-th byte written.
-    /// The SYNDIST frame checksum is expected to catch this downstream.
-    CorruptWrite {
-        /// Every how many bytes the corruption fires.
-        period: u64,
-    },
-}
-
-const TAG_PARTIAL: u64 = 0x11;
-const TAG_STALL: u64 = 0x12;
-const TAG_CORRUPT: u64 = 0x13;
-
-/// A seeded set of transport faults, mirroring [`crate::chaos::ChaosPlan`]
-/// for the record layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NetChaosPlan {
-    /// Seed for all fault positions and corruption masks.
-    pub seed: u64,
-    /// Faults to inject.
-    pub faults: Vec<NetFault>,
-}
-
-impl NetChaosPlan {
-    /// No faults; [`ChaosSocket`] degenerates to a passthrough.
-    pub fn noop(seed: u64) -> Self {
-        NetChaosPlan {
-            seed,
-            faults: Vec::new(),
-        }
-    }
-
-    /// Recoverable faults only: short writes and sub-deadline stalls.
-    /// A correct peer produces byte-identical results under this plan.
-    pub fn benign(seed: u64) -> Self {
-        NetChaosPlan {
-            seed,
-            faults: vec![
-                NetFault::PartialWrite { period: 3 },
-                NetFault::StallRead { period: 64, ms: 2 },
-            ],
-        }
-    }
-
-    /// Corrupting faults: flipped bytes on the wire (plus short writes).
-    /// The peer must *detect* these — checksum mismatch, typed error —
-    /// never absorb them silently.
-    pub fn corrupting(seed: u64) -> Self {
-        NetChaosPlan {
-            seed,
-            faults: vec![
-                NetFault::PartialWrite { period: 5 },
-                NetFault::CorruptWrite { period: 128 },
-            ],
-        }
-    }
-
-    /// The same fault set under a connection-specific seed, so each
-    /// connection faults at different, still-deterministic positions.
-    pub fn reseeded(&self, salt: u64) -> Self {
-        NetChaosPlan {
-            seed: mix64(self.seed ^ salt),
-            faults: self.faults.clone(),
-        }
-    }
-}
-
-/// Tally of injected transport faults, for assertions in drills.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct NetInjectionLog {
-    /// Writes shortened by [`NetFault::PartialWrite`].
-    pub partial_writes: u64,
-    /// Reads delayed by [`NetFault::StallRead`].
-    pub stalls: u64,
-    /// Bytes flipped by [`NetFault::CorruptWrite`].
-    pub corrupted_bytes: u64,
-    /// Whether [`NetFault::DisconnectAfter`] has fired.
-    pub disconnected: bool,
-}
-
-/// Deterministic transport-fault injector over any stream, the socket-layer
-/// sibling of [`crate::chaos::ChaosReader`]. Wrap the write half, the read
-/// half, or both; fault positions derive from `(seed, op index)` and
-/// `(seed, byte offset)` via splitmix64, so a run replays exactly.
-#[derive(Debug)]
-pub struct ChaosSocket<S> {
-    inner: S,
-    plan: NetChaosPlan,
-    reads: u64,
-    writes: u64,
-    bytes_written: u64,
-    log: NetInjectionLog,
-}
-
-impl<S> ChaosSocket<S> {
-    /// Wrap `inner` under `plan`.
-    pub fn new(inner: S, plan: NetChaosPlan) -> Self {
-        ChaosSocket {
-            inner,
-            plan,
-            reads: 0,
-            writes: 0,
-            bytes_written: 0,
-            log: NetInjectionLog::default(),
-        }
-    }
-
-    /// What has been injected so far.
-    pub fn log(&self) -> NetInjectionLog {
-        self.log
-    }
-
-    /// Unwrap.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
-    fn disconnect_budget(&self) -> Option<u64> {
-        self.plan.faults.iter().find_map(|f| match f {
-            NetFault::DisconnectAfter { bytes } => Some(*bytes),
-            _ => None,
-        })
-    }
-}
-
-impl<S: Read> Read for ChaosSocket<S> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let index = self.reads;
-        self.reads += 1;
-        for fault in &self.plan.faults {
-            if let NetFault::StallRead { period, ms } = fault {
-                if hits(self.plan.seed, TAG_STALL, *period, index) {
-                    std::thread::sleep(Duration::from_millis(*ms));
-                    self.log.stalls += 1;
-                }
-            }
-        }
-        self.inner.read(buf)
-    }
-}
-
-impl<S: Write> Write for ChaosSocket<S> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return self.inner.write(buf);
-        }
-        let index = self.writes;
-        self.writes += 1;
-
-        let mut len = buf.len();
-        if let Some(budget) = self.disconnect_budget() {
-            let allowed = budget.saturating_sub(self.bytes_written);
-            if allowed == 0 {
-                self.log.disconnected = true;
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "chaos: injected mid-stream disconnect",
-                ));
-            }
-            len = len.min(allowed as usize);
-        }
-        for fault in &self.plan.faults {
-            if let NetFault::PartialWrite { period } = fault {
-                if len > 1 && hits(self.plan.seed, TAG_PARTIAL, *period, index) {
-                    len = (len / 2).max(1);
-                    self.log.partial_writes += 1;
-                }
-            }
-        }
-
-        let corrupt_period = self.plan.faults.iter().find_map(|f| match f {
-            NetFault::CorruptWrite { period } => Some((*period).max(1)),
-            _ => None,
-        });
-        let written = if let Some(period) = corrupt_period {
-            let phase = mix64(self.plan.seed ^ TAG_CORRUPT) % period;
-            let mut scratch = buf[..len].to_vec();
-            for (i, byte) in scratch.iter_mut().enumerate() {
-                let offset = self.bytes_written + i as u64;
-                if offset % period == phase {
-                    let mask = (mix64(self.plan.seed ^ offset) % 255 + 1) as u8;
-                    *byte ^= mask;
-                    self.log.corrupted_bytes += 1;
-                }
-            }
-            self.inner.write(&scratch)?
-        } else {
-            self.inner.write(&buf[..len])?
-        };
-        self.bytes_written += written as u64;
-        Ok(written)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// Jittered exponential backoff for dial/reconnect loops. Delays double from
-/// `base` up to `cap`, each scaled by a seed-derived factor in [0.5, 1.5] so
-/// a fleet of workers does not dial in lockstep — and so any given seed
-/// replays the exact same schedule.
-#[derive(Debug, Clone)]
-pub struct Backoff {
-    seed: u64,
-    base: Duration,
-    cap: Duration,
-    attempt: u32,
-}
-
-impl Backoff {
-    /// A schedule starting at `base`, doubling, capped at `cap`.
-    pub fn new(seed: u64, base: Duration, cap: Duration) -> Self {
-        Backoff {
-            seed,
-            base,
-            cap,
-            attempt: 0,
-        }
-    }
-
-    /// The default dial schedule: 100 ms doubling to a 5 s ceiling.
-    pub fn dial(seed: u64) -> Self {
-        Backoff::new(seed, Duration::from_millis(100), Duration::from_secs(5))
-    }
-
-    /// Next delay in the schedule (advances the attempt counter).
-    pub fn next_delay(&mut self) -> Duration {
-        let exp = self.attempt.min(20);
-        self.attempt += 1;
-        let raw = self
-            .base
-            .saturating_mul(1u32 << exp.min(16))
-            .min(self.cap)
-            .as_millis() as u64;
-        // Jitter factor in [1/2, 3/2], in 1/1024ths: 512..=1536.
-        let jitter = 512 + mix64(self.seed ^ u64::from(exp)) % 1025;
-        Duration::from_millis((raw * jitter / 1024).max(1))
-    }
-
-    /// Restart the schedule after a successful connection.
-    pub fn reset(&mut self) {
-        self.attempt = 0;
-    }
-}
-
-/// Dial with retries: call `dial` up to `attempts` times, sleeping a
-/// jittered exponential delay between failures and reporting each retry via
-/// `on_retry(attempt, delay, error)`. Returns the last error when every
-/// attempt fails.
-pub fn dial_with_backoff<T, F, C>(
-    attempts: u32,
-    backoff: &mut Backoff,
-    mut dial: F,
-    mut on_retry: C,
-) -> io::Result<T>
-where
-    F: FnMut() -> io::Result<T>,
-    C: FnMut(u32, Duration, &io::Error),
-{
-    let attempts = attempts.max(1);
-    let mut last = None;
-    for attempt in 1..=attempts {
-        match dial() {
-            Ok(conn) => return Ok(conn),
-            Err(err) => {
-                if attempt < attempts {
-                    let delay = backoff.next_delay();
-                    on_retry(attempt, delay, &err);
-                    std::thread::sleep(delay);
-                }
-                last = Some(err);
-            }
-        }
-    }
-    Err(last.unwrap_or_else(|| io::Error::other("dial: no attempts made")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -703,137 +393,6 @@ mod tests {
             NetError::TooLarge { limit: 65536 }.to_string(),
             "request exceeds the 65536-byte limit"
         );
-    }
-
-    fn drive_writes(plan: NetChaosPlan, payload: &[u8]) -> (Vec<u8>, NetInjectionLog, bool) {
-        let mut socket = ChaosSocket::new(Vec::new(), plan);
-        let mut wrote_all = true;
-        let mut offset = 0;
-        while offset < payload.len() {
-            let step = (payload.len() - offset).min(97);
-            match socket.write(&payload[offset..offset + step]) {
-                Ok(n) => offset += n,
-                Err(_) => {
-                    wrote_all = false;
-                    break;
-                }
-            }
-        }
-        let log = socket.log();
-        (socket.into_inner(), log, wrote_all)
-    }
-
-    #[test]
-    fn chaos_socket_is_deterministic() {
-        let payload: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
-        let plan = NetChaosPlan::corrupting(42);
-        let (a, log_a, _) = drive_writes(plan.clone(), &payload);
-        let (b, log_b, _) = drive_writes(plan, &payload);
-        assert_eq!(a, b);
-        assert_eq!(log_a, log_b);
-        assert!(log_a.corrupted_bytes > 0, "corruption plan never fired");
-        assert_ne!(a, payload, "corrupting plan left the bytes untouched");
-    }
-
-    #[test]
-    fn benign_chaos_preserves_bytes_under_write_all_loops() {
-        let payload: Vec<u8> = (0..4096u32).map(|i| (i * 7 % 256) as u8).collect();
-        let (out, log, wrote_all) = drive_writes(NetChaosPlan::benign(7), &payload);
-        assert!(wrote_all);
-        assert_eq!(out, payload, "benign plan must not alter delivered bytes");
-        assert!(log.partial_writes > 0, "partial-write fault never fired");
-    }
-
-    #[test]
-    fn reseeded_plans_fault_at_different_positions() {
-        let plan = NetChaosPlan::corrupting(42);
-        assert_ne!(plan.reseeded(1).seed, plan.reseeded(2).seed);
-        assert_eq!(plan.reseeded(1), plan.reseeded(1));
-    }
-
-    #[test]
-    fn chaos_socket_disconnects_mid_stream() {
-        let plan = NetChaosPlan {
-            seed: 3,
-            faults: vec![NetFault::DisconnectAfter { bytes: 100 }],
-        };
-        let payload = vec![0xabu8; 256];
-        let (out, log, wrote_all) = drive_writes(plan, &payload);
-        assert!(!wrote_all, "disconnect fault never fired");
-        assert!(log.disconnected);
-        assert_eq!(
-            out.len(),
-            100,
-            "disconnect must tear mid-write, not skip it"
-        );
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_grows_to_the_cap() {
-        let mut a = Backoff::new(11, Duration::from_millis(100), Duration::from_secs(5));
-        let mut b = Backoff::new(11, Duration::from_millis(100), Duration::from_secs(5));
-        let delays: Vec<Duration> = (0..8).map(|_| a.next_delay()).collect();
-        let replay: Vec<Duration> = (0..8).map(|_| b.next_delay()).collect();
-        assert_eq!(delays, replay);
-        for (i, d) in delays.iter().enumerate() {
-            let nominal = Duration::from_millis(100 << i.min(6)).min(Duration::from_secs(5));
-            assert!(*d >= nominal / 2, "delay {i} below jitter floor: {d:?}");
-            assert!(
-                *d <= nominal * 3 / 2,
-                "delay {i} above jitter ceiling: {d:?}"
-            );
-        }
-        assert!(
-            delays[7] >= Duration::from_millis(2500),
-            "cap never approached"
-        );
-    }
-
-    #[test]
-    fn backoff_reset_restarts_the_schedule() {
-        let mut backoff = Backoff::dial(5);
-        let first = backoff.next_delay();
-        backoff.next_delay();
-        backoff.reset();
-        assert_eq!(backoff.next_delay(), first);
-    }
-
-    #[test]
-    fn dial_with_backoff_retries_until_success() {
-        let mut calls = 0;
-        let mut retries = Vec::new();
-        let result = dial_with_backoff(
-            5,
-            &mut Backoff::new(1, Duration::from_millis(1), Duration::from_millis(2)),
-            || {
-                calls += 1;
-                if calls < 3 {
-                    Err(io::Error::new(io::ErrorKind::ConnectionRefused, "nope"))
-                } else {
-                    Ok(calls)
-                }
-            },
-            |attempt, _, _| retries.push(attempt),
-        );
-        assert_eq!(result.unwrap(), 3);
-        assert_eq!(retries, vec![1, 2]);
-    }
-
-    #[test]
-    fn dial_with_backoff_surfaces_the_last_error() {
-        let err = dial_with_backoff(
-            3,
-            &mut Backoff::new(1, Duration::from_millis(1), Duration::from_millis(2)),
-            || -> io::Result<()> {
-                Err(io::Error::new(
-                    io::ErrorKind::ConnectionRefused,
-                    "still down",
-                ))
-            },
-            |_, _, _| {},
-        )
-        .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
     }
 
     #[test]

@@ -58,13 +58,6 @@
 //! so a capture analyzed here is immediately queryable by `synscan-serve`.
 //! The slice is written the moment the analysis completes.
 //!
-//! `analyze --worker [[tcp:]HOST:PORT|unix:PATH]` does none of the above:
-//! it turns the process into a distributed-runtime worker speaking the
-//! SYNDIST framed protocol on stdin/stdout (or the given endpoint) and
-//! serving slice assignments from a coordinator (`repro --distributed N`).
-//! Both batch binaries expose the same worker, so either can populate a
-//! fleet.
-//!
 //! Try it on the repository's own artifact:
 //!
 //! ```text
@@ -115,17 +108,10 @@ const USAGE: &str = "usage: analyze <capture.pcap | -> [--monitored N] [--year Y
                      \n  --die-after-checkpoints K  abort the process after K checkpoints \
                      (kill-and-resume drill)\
                      \n  --store-dir DIR     persist the finished analysis as a versioned \
-                     store slice in DIR (queryable by synscan-serve)\
-                     \n  --worker [EP]       run as a distributed-runtime worker on \
-                     stdin/stdout, or connect to EP ([tcp:]HOST:PORT | unix:PATH); \
-                     must be the first argument";
+                     store slice in DIR (queryable by synscan-serve)";
 
 fn run() -> Result<(), String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("--worker") {
-        return cli::worker_main("analyze", &argv);
-    }
-    let mut args = argv.into_iter();
+    let mut args = std::env::args().skip(1);
     let mut path: Option<String> = None;
     let mut options = AnalyzeOptions::default();
     let mut store_dir = None;
@@ -152,9 +138,6 @@ fn run() -> Result<(), String> {
             }
             "--chaos-seed" => {
                 options.chaos_seed = Some(flag_value(&mut args, "--chaos-seed", "a u64 seed")?)
-            }
-            "--worker" => {
-                return Err("--worker must be the first argument".into());
             }
             "--help" | "-h" => {
                 eprintln!("{USAGE}");

@@ -1,5 +1,5 @@
 //! What the three binaries share: flag values, the checkpoint flag group,
-//! the signal latch, worker mode and the supervision summary line.
+//! the signal latch and the supervision summary line.
 
 // Each binary uses its own subset.
 #![allow(dead_code)]
@@ -86,23 +86,17 @@ impl CheckpointFlags {
         Ok(true)
     }
 
-    /// Create `--checkpoint-dir`, if one was given.
-    pub fn create_dir(&self) -> Result<(), String> {
-        let Some(dir) = &self.dir else { return Ok(()) };
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create checkpoint dir {}: {e}", dir.display()))
-    }
-
     /// The checkpoint the flags describe, its directory created; `None`
     /// without `--checkpoint-dir`.
     pub fn spec(&self) -> Result<Option<CheckpointOptions>, String> {
-        self.create_dir()?;
         let Some(dir) = &self.dir else {
             if self.resume || self.die_after.is_some() {
                 return Err("--resume / --die-after-checkpoints need --checkpoint-dir".into());
             }
             return Ok(None);
         };
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create checkpoint dir {}: {e}", dir.display()))?;
         Ok(Some(CheckpointOptions {
             dir: dir.clone(),
             every: self.every,
@@ -124,39 +118,13 @@ impl CheckpointFlags {
 
 /// Say what the supervisor saw, if it saw anything.
 pub fn supervision_summary(tag: &str, report: &SupervisionReport) {
-    if !report.stalls.is_empty() || !report.failures.is_empty() || report.retried > 0 {
+    if !report.failures.is_empty() || report.retried > 0 {
         eprintln!(
-            "{tag} supervision: {} stalls, {} contained failures, {} retries",
-            report.stalls.len(),
+            "{tag} supervision: {} contained failures, {} retries",
             report.failures.len(),
             report.retried
         );
     }
-}
-
-/// Worker mode (`argv` is `--worker [ENDPOINT]`): the whole process is one
-/// SYNDIST protocol loop, over stdin/stdout when spawned as a local child or
-/// dialing out to a listening coordinator when given an endpoint. Everything
-/// else (scale, seed, policy) arrives in the job spec of each assignment, so
-/// no other flags apply — and either batch binary can populate a fleet.
-pub fn worker_main(binary: &str, argv: &[String]) -> Result<(), String> {
-    if argv.len() > 2 {
-        return Err("--worker takes at most one endpoint argument".into());
-    }
-    let label = format!("{binary}-worker-{}", std::process::id());
-    let result = match argv.get(1) {
-        None => synscan::run_worker(
-            &mut std::io::stdin().lock(),
-            &mut std::io::stdout().lock(),
-            &label,
-        ),
-        Some(spec) => {
-            let (mut input, mut output) =
-                synscan::connect_worker(spec).map_err(|e| e.to_string())?;
-            synscan::run_worker(&mut input, &mut output, &label)
-        }
-    };
-    result.map_err(|e| format!("worker: {e}"))
 }
 
 /// Minimal signal hook with no signal-handling crate: the handler flips one

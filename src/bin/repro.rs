@@ -88,11 +88,7 @@ const USAGE: &str = "usage: repro [--scale tiny|small|default] [--seed N] [--out
                      [--ingest read|mmap|mmap:N] [--heavy-hitters K[,WIDTH,DEPTH]] \
                      [--chaos-seed N] [--fault-policy fail|skip|stop] \
                      [--checkpoint-dir DIR] [--checkpoint-every N] [--resume] \
-                     [--die-after-checkpoints K] \
-                     [--distributed N] [--worker-cmd CMD] [--listen ENDPOINT] \
-                     [--distributed-kill-drill K] [--stall-timeout SECS] \
-                     [--net-chaos-seed N] [--net-chaos-profile benign|corrupt] [TARGET...]\
-                     \n       repro --worker [[tcp:]HOST:PORT|unix:PATH]\
+                     [--die-after-checkpoints K] [TARGET...]\
                      \n  --scale NAME        generator scale: tiny | small | default\
                      \n  --seed N            override the generator seed (u64)\
                      \n  --out DIR           artifact output directory (default ./out)\
@@ -117,31 +113,6 @@ const USAGE: &str = "usage: repro [--scale tiny|small|default] [--seed N] [--out
                      in --checkpoint-dir\
                      \n  --die-after-checkpoints K  abort the process after K checkpoints \
                      per year (kill-and-resume drill)\
-                     \n  --distributed N     run the decade as (year, partition) slices \
-                     across N worker processes and merge the partials \
-                     bit-identically to the sequential run; --checkpoint-every \
-                     sets the workers' mid-slice checkpoint cadence (retry \
-                     granularity)\
-                     \n  --worker-cmd CMD    spawn workers with this command line instead of \
-                     re-executing this binary with --worker\
-                     \n  --listen ENDPOINT   [tcp:]HOST:PORT | unix:PATH: accept N remote \
-                     workers instead of spawning local ones\
-                     \n  --distributed-kill-drill K  arm the recovery drill: the first \
-                     assigned worker aborts after its K-th checkpoint and the \
-                     coordinator must resume the slice on another worker; with \
-                     --checkpoint-dir the dead worker's local spill is scrubbed \
-                     before the respawn, proving resume ships through the \
-                     coordinator and needs no shared filesystem\
-                     \n  --stall-timeout SECS  distributed stall watchdog: kill and replace \
-                     a worker silent this long (default 30, shared with \
-                     synscan-serve's idle cutoff)\
-                     \n  --net-chaos-seed N  inject seeded transport faults on worker \
-                     connections (deterministic per seed; needs --distributed)\
-                     \n  --net-chaos-profile P  benign (short writes + stalls everywhere, \
-                     byte-identical run) | corrupt (corrupt the first connection, \
-                     coordinator must respawn; default benign)\
-                     \n  --worker [ENDPOINT] serve slices over stdin/stdout (or dial the \
-                     coordinator at ENDPOINT) until Shutdown\
                      \n  TARGET              table1 table2 fig1..fig10 prose etl pcap all \
                      (default all)";
 
@@ -151,11 +122,7 @@ const TARGETS: &[&str] = &[
 ];
 
 fn run() -> Result<(), String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("--worker") {
-        return cli::worker_main("repro", &argv);
-    }
-    let mut args = argv.into_iter();
+    let mut args = std::env::args().skip(1);
     let mut scale = "default".to_string();
     let mut out_dir = PathBuf::from("out");
     let mut store_dir: Option<PathBuf> = None;
@@ -166,55 +133,12 @@ fn run() -> Result<(), String> {
     let mut chaos_seed: Option<u64> = None;
     let mut fault_policy = FaultPolicy::Fail;
     let mut checkpoint = CheckpointFlags::default();
-    let mut distributed: Option<usize> = None;
-    let mut worker_cmd: Option<String> = None;
-    let mut listen: Option<String> = None;
-    let mut kill_drill: Option<u64> = None;
-    let mut stall_timeout: Option<u64> = None;
-    let mut net_chaos_seed: Option<u64> = None;
-    let mut net_chaos_mode = synscan::NetChaosMode::Benign;
     let mut targets: Vec<String> = Vec::new();
     while let Some(arg) = args.next() {
         if checkpoint.take(&arg, &mut args)? {
             continue;
         }
         match arg.as_str() {
-            "--worker" => {
-                return Err("--worker must be the first argument (worker mode takes no \
-                            other flags)"
-                    .into())
-            }
-            "--distributed" => {
-                distributed = Some(flag_value(&mut args, "--distributed", "a worker count")?)
-            }
-            "--worker-cmd" => {
-                worker_cmd = Some(flag_value(&mut args, "--worker-cmd", "a command line")?)
-            }
-            "--listen" => {
-                listen = Some(flag_value(
-                    &mut args,
-                    "--listen",
-                    "[tcp:]HOST:PORT or unix:PATH",
-                )?)
-            }
-            "--distributed-kill-drill" => {
-                kill_drill = Some(flag_value(
-                    &mut args,
-                    "--distributed-kill-drill",
-                    "a checkpoint count",
-                )?)
-            }
-            "--stall-timeout" => {
-                stall_timeout = Some(flag_value(&mut args, "--stall-timeout", "seconds")?)
-            }
-            "--net-chaos-seed" => {
-                net_chaos_seed = Some(flag_value(&mut args, "--net-chaos-seed", "a u64 seed")?)
-            }
-            "--net-chaos-profile" => {
-                let spec: String = flag_value(&mut args, "--net-chaos-profile", "benign|corrupt")?;
-                net_chaos_mode = synscan::NetChaosMode::parse(&spec)
-                    .map_err(|e| format!("--net-chaos-profile: {e}"))?;
-            }
             "--scale" => scale = flag_value(&mut args, "--scale", "tiny|small|default")?,
             "--out" => out_dir = flag_dir(&mut args, "--out")?,
             "--store-dir" => store_dir = Some(flag_dir(&mut args, "--store-dir")?),
@@ -247,12 +171,6 @@ fn run() -> Result<(), String> {
     }
     if targets.is_empty() {
         targets.push("all".to_string());
-    }
-    if distributed.is_none() && (worker_cmd.is_some() || listen.is_some() || kill_drill.is_some()) {
-        return Err("--worker-cmd / --listen / --distributed-kill-drill need --distributed".into());
-    }
-    if distributed.is_none() && (stall_timeout.is_some() || net_chaos_seed.is_some()) {
-        return Err("--stall-timeout / --net-chaos-seed need --distributed".into());
     }
     let mut gen = match scale.as_str() {
         "tiny" => GeneratorConfig::tiny(),
@@ -305,107 +223,37 @@ fn run() -> Result<(), String> {
     if let Some(seed) = chaos_seed {
         experiment = experiment.with_chaos(ChaosPlan::benign(seed));
     }
-    let run = if let Some(workers) = distributed {
-        // The job spec a worker rebuilds carries the generator config and
-        // the heavy-hitter knob — nothing else. Refuse combinations that
-        // would silently drop a knob instead of distributing it.
-        if chaos_seed.is_some() {
-            return Err(
-                "--distributed cannot carry --chaos-seed (the job spec has no \
-                        chaos plan); run the chaos drill sequentially"
-                    .into(),
+    let spec = checkpoint.spec()?;
+    let opts = RunOptions {
+        checkpoint: spec.as_ref(),
+        // Without a checkpoint to cut there is nothing to stop for.
+        stop: spec
+            .as_ref()
+            .map(|_| sig::install(&[sig::SIGINT, sig::SIGTERM])),
+        store: Some(&store),
+        ..RunOptions::default()
+    };
+    let status = experiment.decade(&opts).map_err(|e| match e {
+        // Only a faulty record is something a lossy policy gets past.
+        RunError::Pipeline(PipelineError::Stream(_)) => {
+            format!("decade run failed: {e} (try --fault-policy skip)")
+        }
+        _ => format!("decade run failed: {e}"),
+    })?;
+    let run = match status {
+        DecadeStatus::Completed { run, supervision } => {
+            cli::supervision_summary("[repro]", &supervision);
+            run
+        }
+        DecadeStatus::Interrupted {
+            completed,
+            interrupted,
+        } => {
+            eprintln!(
+                "[repro] interrupted: {completed} years completed and stored, years \
+                 {interrupted:?} checkpointed"
             );
-        }
-        // Retry checkpoints live in the coordinator and ride the retry
-        // Assign, so resume works across hosts with no shared filesystem.
-        // --checkpoint-dir is allowed as a worker-local *spill* (an
-        // operator-visible audit trail the run never reads back); resume
-        // and the sequential kill drill stay rejected.
-        if checkpoint.resume || checkpoint.die_after.is_some() {
-            return Err("--distributed resumes from coordinator-held checkpoints \
-                        automatically; drop --resume / --die-after-checkpoints \
-                        (use --distributed-kill-drill for the recovery drill)"
-                .into());
-        }
-        let source = match (&listen, &worker_cmd) {
-            (Some(addr), _) => synscan::WorkerSource::Listen {
-                endpoint: synscan::Endpoint::parse(addr).map_err(|e| format!("--listen: {e}"))?,
-                workers,
-            },
-            (None, Some(cmd)) => synscan::WorkerSource::Spawn {
-                cmd: cmd.split_whitespace().map(String::from).collect(),
-                workers,
-            },
-            (None, None) => {
-                let exe = std::env::current_exe()
-                    .map_err(|e| format!("cannot find own executable for workers: {e}"))?
-                    .to_string_lossy()
-                    .into_owned();
-                synscan::WorkerSource::Spawn {
-                    cmd: vec![exe, "--worker".into()],
-                    workers,
-                }
-            }
-        };
-        checkpoint.create_dir()?;
-        let stall_after = match stall_timeout {
-            Some(secs) => std::time::Duration::from_secs(secs.max(1)),
-            None => std::time::Duration::from_millis(synscan::wire::net::DEFAULT_STALL_TIMEOUT_MS),
-        };
-        let options = synscan::DistribOptions {
-            source,
-            every: checkpoint.every,
-            kill_drill,
-            stall_after,
-            checkpoint_dir: checkpoint.dir.clone(),
-            net_chaos: net_chaos_seed.map(|seed| synscan::NetChaos {
-                seed,
-                mode: net_chaos_mode,
-            }),
-        };
-        eprintln!(
-            "[repro] distributing {} slices across {workers} worker(s), checkpoint \
-             cadence {}",
-            10 * workers,
-            checkpoint.every
-        );
-        let (run, supervision) = synscan::run_distributed(experiment, &options, Some(&store))
-            .map_err(|e| format!("distributed decade run failed: {e}"))?;
-        cli::supervision_summary("[repro] distributed", &supervision);
-        run
-    } else {
-        let spec = checkpoint.spec()?;
-        let opts = RunOptions {
-            checkpoint: spec.as_ref(),
-            // Without a checkpoint to cut there is nothing to stop for.
-            stop: spec
-                .as_ref()
-                .map(|_| sig::install(&[sig::SIGINT, sig::SIGTERM])),
-            store: Some(&store),
-            ..RunOptions::default()
-        };
-        let status = experiment.decade(&opts).map_err(|e| match e {
-            // Only a faulty record is something a lossy policy gets past.
-            RunError::Pipeline(PipelineError::Stream(_)) => {
-                format!("decade run failed: {e} (try --fault-policy skip)")
-            }
-            _ => format!("decade run failed: {e}"),
-        })?;
-        match status {
-            DecadeStatus::Completed { run, supervision } => {
-                cli::supervision_summary("[repro]", &supervision);
-                run
-            }
-            DecadeStatus::Interrupted {
-                completed,
-                interrupted,
-            } => {
-                eprintln!(
-                    "[repro] interrupted: {completed} years completed and stored, years \
-                     {interrupted:?} checkpointed"
-                );
-                return Err(checkpoint.interrupted("run"));
-            }
+            return Err(checkpoint.interrupted("run"));
         }
     };
     eprintln!(

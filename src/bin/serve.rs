@@ -44,8 +44,7 @@ const USAGE: &str = "usage: synscan-serve (--listen SPEC | --connect SPEC | --qu
                      queued-or-served (default 64)\
                      \n  --request-deadline MS  per-request read/write budget in \
                      milliseconds, 0 disables (default 10000)\
-                     \n  --stall-timeout SECS   idle-connection cutoff in seconds, shared \
-                     default with the distributed coordinator's stall watchdog (default 30)\
+                     \n  --stall-timeout SECS   idle-connection cutoff in seconds (default 30)\
                      \n  --connect SPEC      send --query to a daemon at [tcp:]HOST:PORT or unix:PATH\
                      \n  --query FILE        NDJSON request file, `-` for stdin; without \
                      --connect the store is queried directly (no daemon)\

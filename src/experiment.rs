@@ -102,6 +102,30 @@ pub(crate) fn identity_word(what: &[u8]) -> u64 {
     hasher.finish()
 }
 
+/// The world an experiment rebuilds from, as the leading bytes of its
+/// checkpoints' identity word: the generator configuration plus the
+/// heavy-hitter sketch knob. The layout is frozen — changing a byte would
+/// refuse every checkpoint already on disk.
+fn encode_world(gen: &GeneratorConfig, heavy: Option<HeavyHitterConfig>) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.put_u64(gen.seed);
+    w.put_u32(gen.telescope_denominator);
+    w.put_u32(gen.population_denominator);
+    w.put_f64(gen.days);
+    w.put_f64(gen.backscatter_fraction);
+    w.put_u32(gen.vertical_ports_cap);
+    match heavy {
+        None => w.put_u8(0),
+        Some(h) => {
+            w.put_u8(1);
+            w.put_u32(h.k);
+            w.put_u32(h.width);
+            w.put_u32(h.depth);
+        }
+    }
+    w.into_bytes()
+}
+
 /// The one retry rule both front ends share: run `attempt`, and when a
 /// shard worker failed in a checkpointed run, run it once more resuming from
 /// the latest checkpoint.
@@ -175,27 +199,8 @@ impl DecadeStatus {
 /// [`AdmitState`] adapter over the telescope capture: admits records via
 /// [`CaptureSession::offer`] and checkpoints the seven capture counters so a
 /// resumed run's capture statistics continue exactly where the interrupted
-/// run's stopped. The distributed worker reuses it verbatim, which is what
-/// makes a worker's capture-counter blob decodable by the coordinator.
-pub(crate) struct SessionAdmit<'a>(pub(crate) CaptureSession<'a>);
-
-/// Decode the seven-counter capture blob produced by
-/// [`SessionAdmit::snapshot`] — the coordinator uses this to reconstruct a
-/// year's [`CaptureStats`] from a remote worker's partial.
-pub(crate) fn decode_capture_stats(blob: &[u8]) -> Result<CaptureStats, CheckpointError> {
-    let mut r = SnapReader::new(blob);
-    let stats = CaptureStats {
-        offered: r.take_u64()?,
-        not_dark: r.take_u64()?,
-        outage_lost: r.take_u64()?,
-        ingress_blocked: r.take_u64()?,
-        backscatter: r.take_u64()?,
-        other_scan_techniques: r.take_u64()?,
-        admitted: r.take_u64()?,
-    };
-    r.finish("capture statistics")?;
-    Ok(stats)
-}
+/// run's stopped.
+struct SessionAdmit<'a>(CaptureSession<'a>);
 
 impl AdmitState for SessionAdmit<'_> {
     fn admit(&mut self, record: &ProbeRecord) -> bool {
@@ -220,7 +225,18 @@ impl AdmitState for SessionAdmit<'_> {
     }
 
     fn restore(&mut self, blob: &[u8]) -> Result<(), CheckpointError> {
-        self.0.restore_stats(decode_capture_stats(blob)?);
+        let mut r = SnapReader::new(blob);
+        let stats = CaptureStats {
+            offered: r.take_u64()?,
+            not_dark: r.take_u64()?,
+            outage_lost: r.take_u64()?,
+            ingress_blocked: r.take_u64()?,
+            backscatter: r.take_u64()?,
+            other_scan_techniques: r.take_u64()?,
+            admitted: r.take_u64()?,
+        };
+        r.finish("capture statistics")?;
+        self.0.restore_stats(stats);
         Ok(())
     }
 }
@@ -290,11 +306,6 @@ impl Experiment {
         self.mode
     }
 
-    /// The fault policy in use.
-    pub(crate) fn fault_policy(&self) -> FaultPolicy {
-        self.policy
-    }
-
     /// The generator configuration in use.
     pub fn config(&self) -> &GeneratorConfig {
         &self.gen
@@ -315,11 +326,6 @@ impl Experiment {
         CampaignConfig::scaled(self.dark.len() as u64)
     }
 
-    /// The heavy-hitter sketch configuration in effect (None = disabled).
-    pub(crate) fn heavy(&self) -> Option<HeavyHitterConfig> {
-        self.heavy
-    }
-
     /// Volatility period length for this generator scale: the paper compares
     /// week over week inside a 29–61 day window; a short simulated window
     /// uses proportionally shorter periods so Figure 2 still gets several
@@ -334,7 +340,7 @@ impl Experiment {
     /// list, vertical scans fan out to their widest bucket. The cardinalities
     /// are only pre-size hints; the heavy config enables sketch tracking when
     /// set.
-    pub(crate) fn hints_for(&self, truth: &GroundTruth) -> SizeHints {
+    fn hints_for(&self, truth: &GroundTruth) -> SizeHints {
         SizeHints::new(
             (truth.scans as usize).saturating_mul(2),
             truth
@@ -348,7 +354,7 @@ impl Experiment {
     }
 
     /// Plan one year's emitters and ground truth (no records materialized).
-    pub(crate) fn plan(&self, year_cfg: &YearConfig) -> YearPlan {
+    fn plan(&self, year_cfg: &YearConfig) -> YearPlan {
         plan_year(year_cfg, &self.gen, &self.registry, &self.dark)
     }
 
@@ -356,7 +362,7 @@ impl Experiment {
     /// generator and heavy-hitter configuration, the year configuration, the
     /// fault policy and the chaos plan.
     fn run_spec(&self, year_cfg: &YearConfig, mode: PipelineMode, truth: &GroundTruth) -> RunSpec {
-        let mut identity = crate::distrib::encode_job(&self.gen, self.heavy);
+        let mut identity = encode_world(&self.gen, self.heavy);
         identity.extend(format!("{year_cfg:?} {:?} {:?}", self.policy, self.chaos).bytes());
         RunSpec {
             year: year_cfg.year,
@@ -391,7 +397,7 @@ impl Experiment {
 
     /// Assemble the decade from its finished years (in any order), handing
     /// over the shared registry.
-    pub(crate) fn into_decade(self, mut years: Vec<YearRun>) -> DecadeRun {
+    fn into_decade(self, mut years: Vec<YearRun>) -> DecadeRun {
         years.sort_by_key(|y| y.analysis.year);
         DecadeRun {
             years,

@@ -4,9 +4,8 @@
 //! Scanning* (Griffioen, Koursiounis, Smaragdakis, Doerr — IMC 2024).
 //!
 //! This umbrella crate re-exports the workspace and provides the
-//! [`experiment`] runner that wires the full loop together (plus
-//! [`distrib`], which spreads that loop across worker processes and
-//! hosts):
+//! [`experiment`] runner that wires the full loop together, one year at a
+//! time in one process:
 //!
 //! ```text
 //! synscan-synthesis ──► synscan-telescope ──► synscan-core ──► reports
@@ -31,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
-pub mod distrib;
 pub mod experiment;
 pub mod serve;
 
@@ -43,10 +41,7 @@ pub use synscan_synthesis as synthesis;
 pub use synscan_telescope as telescope;
 pub use synscan_wire as wire;
 
-pub use distrib::{
-    connect_worker, run_distributed, run_worker, DistribOptions, Endpoint, NetChaos, NetChaosMode,
-    WorkerSource,
-};
+pub use serve::Endpoint;
 pub use synscan_core::{
     Campaign, CampaignConfig, CheckpointOptions, PipelineMode, RunError, RunOptions, RunStatus,
     ToolKind,

@@ -8,9 +8,9 @@
 //! mark: of a sequential `YearCollector` over thousands of small sources and
 //! of the volatility periods it has closed, of a bare campaign detector
 //! whose sources open and close their scans one after another, of the
-//! output path, of a frame reader told a length the peer never sends, and
-//! of decoding a store slice or a checkpoint's collector blob whose counts
-//! lie. The tests take turns through one lock, so no other test allocates
+//! output path, of a frame reader told a length the peer never sends, of
+//! decoding a store slice or a checkpoint's collector blob whose counts
+//! lie, and of parsing a hostile request line. The tests take turns through one lock, so no other test allocates
 //! while one counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -25,10 +25,12 @@ use synscan::core::distrib::{self, DistribError, Message};
 use synscan::core::envelope::EnvelopeError;
 use synscan::core::pipeline::{try_collect_year_stream, PipelineMode, SizeHints};
 use synscan::core::sketch::HeavyHitterConfig;
+use synscan::core::store::query::parse_request;
 use synscan::core::store::{decode_year, encode_year, AnalysisStore};
 use synscan::core::Checkpoint;
 use synscan::core::FxHasher;
 use synscan::stats::mix64;
+use synscan::wire::net::MAX_REQUEST_BYTES;
 use synscan::wire::stream::{FaultCounters, FaultPolicy, SliceStream};
 use synscan::wire::{Ipv4Address, ProbeRecord, TcpFlags};
 
@@ -772,4 +774,63 @@ fn port_rows_that_disagree_with_the_day_port_cells_are_corrupt() {
         matches!(result, Err(CheckpointError::Corrupt(_))),
         "a row no record made restored: {result:?}"
     );
+}
+
+/// `text` padded with copies of `unit` up to the daemon's request cap, then
+/// closed with `end`.
+fn request_at_the_cap(text: &str, unit: &str, end: &str) -> String {
+    let mut line = text.to_string();
+    while line.len() + unit.len() + end.len() <= MAX_REQUEST_BYTES {
+        line.push_str(unit);
+    }
+    line + end
+}
+
+/// A request line at the cap in the shapes that once cost 11-16 times its
+/// length: a long array, thousands of unknown keys, nesting to the depth
+/// limit. Each is refused, naming the member, within the decode bound.
+#[test]
+fn a_hostile_request_line_is_refused_within_a_bounded_heap() {
+    let _turn = take_turn();
+    let mut keys = String::from(r#"{"op":"ping""#);
+    for key in 0.. {
+        let member = format!(r#","k{key}":0"#);
+        if keys.len() + member.len() + 1 > MAX_REQUEST_BYTES {
+            break;
+        }
+        keys.push_str(&member);
+    }
+    keys.push('}');
+    let lines = [
+        (
+            request_at_the_cap(r#"{"op":"ping","x":[0"#, ",0", "]}"),
+            "x",
+        ),
+        (keys, "k0"),
+        // Arrays to the parser's depth limit, one beside the other.
+        (
+            request_at_the_cap(
+                r#"{"op":"summary","year":["#,
+                &format!("{}{},", "[".repeat(62), "]".repeat(62)),
+                "0]}",
+            ),
+            "year",
+        ),
+    ];
+    for (line, field) in lines {
+        assert!(line.len() <= MAX_REQUEST_BYTES);
+        let base = reset_peak();
+        let result = parse_request(&line);
+        let peak = peak_above(base);
+        let error = result
+            .expect_err("a request is `op` and one scalar argument")
+            .to_string();
+        assert!(error.contains(&format!("{field:?}")), "{error}");
+        eprintln!("a {} B request line: parse peak {peak} B", line.len());
+        assert!(
+            peak <= max_decode_bytes(line.len()),
+            "parsing a {} B request peaked at {peak} B",
+            line.len()
+        );
+    }
 }

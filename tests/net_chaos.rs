@@ -1,181 +1,20 @@
-//! Hostile-network drill for `synscan_wire::net`. Two halves:
-//!
-//! 1. deterministic fault-injection drills over in-memory streams —
-//!    `ChaosSocket` replay (same seed, same flipped bytes), benign-plan
-//!    transparency, disconnect budgets, stall tallies, `Backoff` schedule
-//!    replay, `dial_with_backoff` retry accounting;
-//! 2. a real-TCP hostile-client matrix against a mini NDJSON responder
-//!    built on the same hardening the daemon uses (`HasDeadlines` socket
-//!    budgets + `BoundedLineReader`): slow-loris, oversized request,
-//!    garbage bytes, mid-request disconnect, connection burst past the
-//!    admission gate, and chaos-wrapped clients (benign faults must be
-//!    absorbed, corrupting faults must surface as typed errors, never
-//!    hangs).
+//! Hostile-network drill for `synscan_wire::net`: a real-TCP hostile-client
+//! matrix against a mini NDJSON responder built on the same hardening the
+//! daemon uses (`HasDeadlines` socket budgets + `BoundedLineReader`):
+//! slow-loris, oversized request, garbage bytes, mid-request disconnect,
+//! connection burst past the admission gate, a client that trickles its
+//! request in one-byte writes (must be absorbed) and one whose request
+//! arrives with flipped bits (must surface as a typed error, never a hang).
 //!
 //! Run by `cargo test --test net_chaos` and the CI `net-chaos` job.
 
-use std::io::{BufRead, BufReader, Cursor, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use synscan_wire::net::{
-    dial_with_backoff, Backoff, BoundedLineReader, ChaosSocket, Deadline, HasDeadlines,
-    NetChaosPlan, NetError, NetFault,
-};
-
-// ---------------------------------------------------------------------------
-// Half 1: in-memory fault-injection drills
-// ---------------------------------------------------------------------------
-
-fn corrupt_through(seed: u64, payload: &[u8]) -> Vec<u8> {
-    let plan = NetChaosPlan {
-        seed,
-        faults: vec![NetFault::CorruptWrite { period: 8 }],
-    };
-    let mut sock = ChaosSocket::new(Vec::new(), plan);
-    sock.write_all(payload).expect("in-memory write");
-    assert!(
-        sock.log().corrupted_bytes > 0,
-        "period-8 plan never corrupted"
-    );
-    sock.into_inner()
-}
-
-#[test]
-fn drill_chaos_socket() {
-    let payload: Vec<u8> = (0..=255u8).collect();
-
-    // Same seed replays the exact same flipped bytes; a different seed
-    // flips different ones; all differ from the clean payload.
-    let a = corrupt_through(11, &payload);
-    let b = corrupt_through(11, &payload);
-    let c = corrupt_through(12, &payload);
-    assert_eq!(a, b, "corruption must replay under the same seed");
-    assert_ne!(a, payload, "corrupting plan left the payload intact");
-    assert_ne!(a, c, "different seeds produced identical corruption");
-
-    // The benign plan is invisible to a correct peer: partial writes get
-    // retried by write_all, stalls only add latency.
-    let mut benign = ChaosSocket::new(Vec::new(), NetChaosPlan::benign(7));
-    for _ in 0..16 {
-        benign.write_all(&payload).expect("benign write");
-    }
-    let log = benign.log();
-    assert!(
-        log.partial_writes > 0,
-        "benign plan never shortened a write"
-    );
-    assert_eq!(log.corrupted_bytes, 0, "benign plan corrupted bytes");
-    let written = benign.into_inner();
-    assert_eq!(written.len(), payload.len() * 16);
-    assert!(
-        written.chunks(payload.len()).all(|c| c == &payload[..]),
-        "partial-write retries reordered or mangled bytes"
-    );
-
-    // Disconnect budgets cut the stream at the exact byte.
-    let plan = NetChaosPlan {
-        seed: 3,
-        faults: vec![NetFault::DisconnectAfter { bytes: 10 }],
-    };
-    let mut dying = ChaosSocket::new(Vec::new(), plan);
-    let err = dying.write_all(&payload).expect_err("must disconnect");
-    assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
-    assert!(dying.log().disconnected);
-    assert_eq!(dying.into_inner().len(), 10, "disconnect budget overshot");
-
-    // Read-side stalls delay but never drop or damage bytes.
-    let plan = NetChaosPlan {
-        seed: 5,
-        faults: vec![NetFault::StallRead { period: 1, ms: 1 }],
-    };
-    let mut stalled = ChaosSocket::new(Cursor::new(payload.clone()), plan);
-    let mut back = Vec::new();
-    stalled.read_to_end(&mut back).expect("stalled read");
-    assert_eq!(back, payload, "stalls damaged the byte stream");
-    assert!(
-        stalled.log().stalls > 0,
-        "period-1 stall plan never stalled"
-    );
-
-    eprintln!("net_chaos: chaos-socket replay/transparency drills passed");
-}
-
-#[test]
-fn drill_backoff() {
-    let delays = |seed: u64| -> Vec<Duration> {
-        let mut backoff = Backoff::dial(seed);
-        (0..6).map(|_| backoff.next_delay()).collect()
-    };
-    let a = delays(42);
-    assert_eq!(a, delays(42), "backoff schedule must replay under one seed");
-    assert_ne!(a, delays(43), "different seeds produced identical jitter");
-    // Jitter stays within [base/2, cap*3/2] and the schedule grows.
-    assert!(a[0] >= Duration::from_millis(50) && a[0] <= Duration::from_millis(150));
-    assert!(
-        a[5] <= Duration::from_millis(7_500),
-        "cap not applied: {:?}",
-        a[5]
-    );
-    assert!(a[3] > a[0], "schedule never grew: {a:?}");
-    let mut backoff = Backoff::dial(42);
-    let first = backoff.next_delay();
-    backoff.next_delay();
-    backoff.reset();
-    assert_eq!(
-        backoff.next_delay(),
-        first,
-        "reset did not restart the schedule"
-    );
-
-    // dial_with_backoff: two failures, then success — exactly two retry
-    // callbacks; all-fail returns the last error after attempts-1 retries.
-    let mut fast = Backoff::new(9, Duration::from_millis(1), Duration::from_millis(4));
-    let mut calls = 0u32;
-    let mut retries = 0u32;
-    let conn = dial_with_backoff(
-        5,
-        &mut fast,
-        || {
-            calls += 1;
-            if calls < 3 {
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionRefused,
-                    "down",
-                ))
-            } else {
-                Ok("up")
-            }
-        },
-        |_, _, _| retries += 1,
-    );
-    assert_eq!(conn.expect("third dial succeeds"), "up");
-    assert_eq!((calls, retries), (3, 2));
-
-    let mut fast = Backoff::new(9, Duration::from_millis(1), Duration::from_millis(4));
-    let mut retries = 0u32;
-    let refused = dial_with_backoff(
-        3,
-        &mut fast,
-        || {
-            Err::<(), _>(std::io::Error::new(
-                std::io::ErrorKind::ConnectionRefused,
-                "down",
-            ))
-        },
-        |_, _, _| retries += 1,
-    );
-    assert!(refused.is_err(), "all-fail dial must surface the error");
-    assert_eq!(retries, 2, "on_retry must not fire after the last attempt");
-
-    eprintln!("net_chaos: backoff schedule drills passed");
-}
-
-// ---------------------------------------------------------------------------
-// Half 2: real-TCP hostile-client matrix
-// ---------------------------------------------------------------------------
+use synscan_wire::net::{BoundedLineReader, Deadline, HasDeadlines, NetError};
 
 /// The mini responder's request cap — small so the oversized drill is quick.
 const LIMIT: usize = 4_096;
@@ -376,48 +215,34 @@ fn drill_hostile_matrix() {
     wait_for_drain(&responder);
     assert_eq!(ping_retry(&addr), "pong");
 
-    // Chaos-wrapped correct client: benign faults (partial writes, read
-    // stalls) must be absorbed — every round-trip still answers pong.
-    let stream = TcpStream::connect(addr).expect("connect");
-    let plan = NetChaosPlan::benign(1701);
-    let mut chaotic_out = ChaosSocket::new(stream.try_clone().expect("clone"), plan.reseeded(1));
-    let mut chaotic_in = BufReader::new(ChaosSocket::new(stream, plan.reseeded(2)));
+    // Trickling correct client: a request split into one-byte writes must
+    // be absorbed — every round-trip still answers pong.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut replies = BufReader::new(stream.try_clone().expect("clone"));
     for _ in 0..8 {
-        chaotic_out.write_all(b"ping\n").expect("chaotic ping");
-        chaotic_out.flush().expect("chaotic flush");
+        for byte in b"ping\n" {
+            stream.write_all(&[*byte]).expect("trickled byte");
+            stream.flush().expect("flush");
+        }
         let mut line = String::new();
-        chaotic_in.read_line(&mut line).expect("chaotic reply");
-        assert_eq!(line.trim_end(), "pong", "benign chaos changed an answer");
+        replies.read_line(&mut line).expect("trickled reply");
+        assert_eq!(line.trim_end(), "pong", "a split request changed an answer");
     }
-    assert!(
-        chaotic_out.log().partial_writes > 0,
-        "benign chaos client never exercised a partial write"
-    );
-    drop(chaotic_out);
-    drop(chaotic_in);
+    drop(replies);
+    drop(stream);
 
-    // Corrupting client: the damage must surface as a typed reply (parse
+    // Corrupted request: flipped bits must surface as a typed reply (parse
     // error or deadline), never as a silently wrong answer or a hang.
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut corrupting = ChaosSocket::new(
-        stream.try_clone().expect("clone"),
-        NetChaosPlan {
-            seed: 99,
-            faults: vec![NetFault::CorruptWrite { period: 4 }],
-        },
-    );
-    let _ = corrupting.write_all(b"ping\n");
-    let _ = corrupting.flush();
-    assert!(
-        corrupting.log().corrupted_bytes > 0,
-        "corruption never fired"
-    );
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut request = *b"ping\n";
+    request[1] ^= 0x5a;
+    stream.write_all(&request).expect("corrupted request");
     let rejection = read_reply(&stream);
     assert!(
         rejection.starts_with("error:"),
         "corrupted request got a success reply: {rejection}"
     );
-    drop(corrupting);
     drop(stream);
     wait_for_drain(&responder);
 

@@ -32,10 +32,11 @@
 //!
 //! Long (decade-scale) runs are made crash-safe by [`checkpoint`] (atomic,
 //! checksummed snapshots of the full pipeline state, sealed by the one
-//! [`envelope`] that also seals store slices and protocol frames),
-//! [`supervise`] (panic containment and the supervision report), and
-//! [`pipeline::supervised`] (the checkpointed, resumable driver tying both
-//! together). [`distrib`] runs one `(year, partition)` slice of that
+//! [`envelope`] that also seals store slices and protocol frames) and
+//! [`pipeline::supervised`] (the checkpointed driver that resumes from
+//! them). A shard worker's panic ends its run with a typed
+//! [`PipelineError::WorkerFailed`]; the last cut on disk is where `--resume`
+//! picks up. [`distrib`] runs one `(year, partition)` slice of that
 //! sharded-merge architecture and merges slices bit-identically to the
 //! sequential run; no product path calls it, the benchmark's checkpoint
 //! framing workload does.
@@ -64,7 +65,6 @@ pub mod pipeline;
 pub mod report;
 pub mod sketch;
 pub mod store;
-pub mod supervise;
 
 pub use campaign::{Campaign, CampaignConfig};
 pub use checkpoint::{Checkpoint, CheckpointError};
@@ -82,7 +82,6 @@ pub use pipeline::supervised::{
 pub use pipeline::{
     AdmitState, FilterAdmit, PipelineError, PipelineMode, PipelineOutcome, RunSpec,
 };
-pub use supervise::{InjectedFaults, SupervisionReport, WorkerFailure};
 pub use synscan_scanners::traits::ToolKind;
 
 // Re-exported at the root only because the benchmark names them here.

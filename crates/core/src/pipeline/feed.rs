@@ -15,11 +15,10 @@
 //! with the admitted records. The two sinks differ only in *where* an
 //! admitted record is collected: [`Inline`] offers it to one
 //! [`YearCollector`] right here; [`FanOut`] routes it by [`shard_of`] to one
-//! of N contained worker threads behind bounded channels.
+//! of N worker threads behind bounded channels.
 
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::thread;
 
 use synscan_wire::stream::{
@@ -29,7 +28,6 @@ use synscan_wire::ProbeRecord;
 
 use crate::analysis::{YearAnalysis, YearCollector};
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointHeader};
-use crate::supervise::{contain, InjectedFaults, WorkerFailure};
 
 use super::{shard_of, AdmitState, PipelineError, PipelineMode, RunSpec, BATCH_RECORDS};
 
@@ -249,8 +247,8 @@ impl<'a, E: From<PipelineError>> Feed<'a, E> {
                 };
                 self.run(sink, stream, admit)
             }
-            SinkPlan::FanOut { workers, inject } => thread::scope(|scope| {
-                let sink = FanOut::spawn(scope, self.spec, workers, inject, restored);
+            SinkPlan::FanOut { workers } => thread::scope(|scope| {
+                let sink = FanOut::spawn(scope, self.spec, workers, restored);
                 self.run(sink, stream, admit)
             }),
         }
@@ -394,22 +392,17 @@ pub(crate) enum SinkPlan {
     /// Some((part, parts))` it keeps only records whose source hashes into
     /// `part` — one slice of [`run_slice`](crate::distrib::run_slice).
     Inline { partition: Option<(usize, usize)> },
-    /// `workers` shard threads behind bounded channels; `inject` arms
-    /// deterministic worker faults for the supervision tests.
-    FanOut {
-        workers: usize,
-        inject: Option<Arc<InjectedFaults>>,
-    },
+    /// `workers` shard threads behind bounded channels.
+    FanOut { workers: usize },
 }
 
 impl SinkPlan {
     /// The sink a [`PipelineMode`] selects.
-    pub(crate) fn for_mode(mode: PipelineMode, inject: Option<Arc<InjectedFaults>>) -> Self {
+    pub(crate) fn for_mode(mode: PipelineMode) -> Self {
         match mode {
             PipelineMode::Sequential => SinkPlan::Inline { partition: None },
             PipelineMode::Sharded { .. } => SinkPlan::FanOut {
                 workers: mode.workers(),
-                inject,
             },
         }
     }
@@ -484,7 +477,7 @@ enum ShardMsg {
 
 /// The fan-out sink: route each record by [`shard_of`] into a per-shard
 /// batch, ship full batches over bounded channels (natural backpressure:
-/// at most `CHANNEL_DEPTH + 1` batches in flight per worker) to contained
+/// at most `CHANNEL_DEPTH + 1` batches in flight per worker) to the
 /// workers, and merge their partial analyses at the end.
 struct FanOut<'scope> {
     txs: Vec<mpsc::SyncSender<ShardMsg>>,
@@ -493,7 +486,7 @@ struct FanOut<'scope> {
     /// workers hand back — steady state allocates nothing per batch.
     pool: BatchPool,
     recycle: mpsc::Receiver<Vec<ProbeRecord>>,
-    joins: Vec<thread::ScopedJoinHandle<'scope, Result<Option<YearAnalysis>, WorkerFailure>>>,
+    joins: Vec<thread::ScopedJoinHandle<'scope, Option<YearAnalysis>>>,
 }
 
 impl<'scope> FanOut<'scope> {
@@ -501,7 +494,6 @@ impl<'scope> FanOut<'scope> {
         scope: &'scope thread::Scope<'scope, '_>,
         spec: RunSpec,
         workers: usize,
-        inject: Option<Arc<InjectedFaults>>,
         mut restored: Vec<Option<YearCollector>>,
     ) -> Self {
         restored.resize_with(workers, || None);
@@ -511,18 +503,18 @@ impl<'scope> FanOut<'scope> {
         let (recycle_tx, recycle) = mpsc::sync_channel(workers * (CHANNEL_DEPTH + 2));
         let mut txs = Vec::with_capacity(workers);
         let mut joins = Vec::with_capacity(workers);
-        for (shard, restored) in restored.into_iter().enumerate() {
+        #[cfg(test)]
+        let panic_at = hook::take();
+        for restored in restored {
             let (tx, rx) = mpsc::sync_channel(CHANNEL_DEPTH);
             txs.push(tx);
-            let (recycle_tx, inject) = (recycle_tx.clone(), inject.clone());
+            let recycle_tx = recycle_tx.clone();
+            #[cfg(test)]
+            let shard = joins.len();
             joins.push(scope.spawn(move || {
-                let shard = shard as u32;
-                contain(
-                    shard,
-                    AssertUnwindSafe(|| {
-                        shard_worker(shard, workers, spec, restored, rx, recycle_tx, inject)
-                    }),
-                )
+                #[cfg(test)]
+                hook::arm(shard, panic_at);
+                shard_worker(workers, spec, restored, rx, recycle_tx)
             }));
         }
         let mut pool = BatchPool::new();
@@ -597,16 +589,15 @@ impl Sink for FanOut<'_> {
     fn finish(mut self) -> Result<Option<YearAnalysis>, PipelineError> {
         // Ship what is still buffered (wasted on a dead or interrupted run,
         // but harmless), close the channels so the workers drain and exit,
-        // and join every one of them (a panic arrives contained, as data).
+        // and join every one of them. A worker that panicked joins as an
+        // error, so the scope has no panic left to re-raise.
         let flushed = self.flush();
         drop(self.txs);
         let mut partials = Vec::new();
         let mut failed = None;
         for (shard, join) in self.joins.into_iter().enumerate() {
             match join.join() {
-                Ok(Ok(partial)) => partials.extend(partial),
-                Ok(Err(failure)) => _ = failed.get_or_insert(failure.shard),
-                // The thread died outside containment.
+                Ok(partial) => partials.extend(partial),
                 Err(_) => _ = failed.get_or_insert(shard as u32),
             }
         }
@@ -621,15 +612,14 @@ impl Sink for FanOut<'_> {
 /// One shard of `workers`: own a full collector (fingerprint + campaigns +
 /// aggregates) for the sources routed here, answer snapshot requests, and
 /// hand consumed batch buffers back to the feeder via `recycle`, until the
-/// feeder closes the channel. Runs under [`contain`].
+/// feeder closes the channel. A panic here drops `rx`, so the feeder's next
+/// send fails and [`FanOut::finish`] reports the shard.
 fn shard_worker(
-    shard: u32,
     workers: usize,
     spec: RunSpec,
     restored: Option<YearCollector>,
     rx: mpsc::Receiver<ShardMsg>,
     recycle: mpsc::SyncSender<Vec<ProbeRecord>>,
-    inject: Option<Arc<InjectedFaults>>,
 ) -> Option<YearAnalysis> {
     let mut collector = restored;
     for msg in rx {
@@ -640,9 +630,8 @@ fn shard_worker(
                 }
             }
             ShardMsg::Batch(mut batch) => {
-                if inject.as_ref().is_some_and(|f| f.should_panic(shard)) {
-                    panic!("injected fault: worker for shard {shard} panics");
-                }
+                #[cfg(test)]
+                hook::on_batch();
                 let collector = collector
                     .as_mut()
                     .expect("the origin precedes the first batch");
@@ -664,6 +653,45 @@ fn shard_worker(
         }
     }
     collector.map(YearCollector::finish)
+}
+
+/// The fault hook of the worker-failure tests: a worker panic on demand, so
+/// the tests can drive a shard's death without a real bug. Test builds only.
+#[cfg(test)]
+pub(crate) mod hook {
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Set on a test's thread: the next fan-out this thread spawns
+        /// makes this `(shard, batch)` panic.
+        static ARMED: Cell<Option<(usize, u64)>> = const { Cell::new(None) };
+        /// On a worker's thread: batches it takes before it panics.
+        static COUNTDOWN: Cell<Option<u64>> = const { Cell::new(None) };
+    }
+
+    /// Make `shard`'s worker panic on its `batch`-th batch (from 0) in the
+    /// next fan-out the calling thread spawns.
+    pub(crate) fn panic_at(shard: usize, batch: u64) {
+        ARMED.set(Some((shard, batch)));
+    }
+
+    /// Disarm and return the calling thread's hook (one fan-out uses it).
+    pub(super) fn take() -> Option<(usize, u64)> {
+        ARMED.take()
+    }
+
+    /// On `shard`'s worker thread, before it runs.
+    pub(super) fn arm(shard: usize, armed: Option<(usize, u64)>) {
+        COUNTDOWN.set(armed.filter(|&(s, _)| s == shard).map(|(_, batch)| batch));
+    }
+
+    /// On each batch a worker takes.
+    pub(super) fn on_batch() {
+        match COUNTDOWN.get() {
+            Some(0) => panic!("injected fault: a shard worker panics"),
+            left => COUNTDOWN.set(left.map(|n| n - 1)),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -786,7 +814,7 @@ mod tests {
                 Shape::Inline => vec![(SinkPlan::Inline { partition: None }, 1)],
                 Shape::FanOut(workers) => {
                     let mode = PipelineMode::Sharded { workers };
-                    let plan = SinkPlan::for_mode(mode, None);
+                    let plan = SinkPlan::for_mode(mode);
                     vec![(plan, workers)]
                 }
                 Shape::Slices(parts) => (0..parts)

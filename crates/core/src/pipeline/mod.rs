@@ -71,27 +71,6 @@ impl PipelineMode {
         }
     }
 
-    /// The mode each of `jobs` pipelines runs in when a fan-out runs
-    /// `min(jobs, cores)` of them at once (the cross-year fan-out composes
-    /// with intra-year sharding through this): each gets `workers /
-    /// min(jobs, cores)` threads, collapsing to sequential when its share
-    /// reaches one. The decade runs its years in this mode, and `repro`
-    /// reports it.
-    pub fn with_budget(self, jobs: usize, cores: usize) -> Self {
-        let concurrent = jobs.min(cores).max(1);
-        match self {
-            PipelineMode::Sequential => PipelineMode::Sequential,
-            PipelineMode::Sharded { workers } => {
-                let share = workers / concurrent;
-                if share <= 1 {
-                    PipelineMode::Sequential
-                } else {
-                    PipelineMode::Sharded { workers: share }
-                }
-            }
-        }
-    }
-
     /// Worker-thread count this mode uses (1 for sequential).
     pub(crate) fn workers(self) -> usize {
         match self {
@@ -215,9 +194,9 @@ impl SizeHints {
 pub enum PipelineError {
     /// The input stream surfaced a fault under [`FaultPolicy::Fail`].
     Stream(StreamError),
-    /// A shard worker died mid-run: its panic was contained and its channel
-    /// closed early. The shard is known, so a caller that checkpoints can
-    /// retry the run from the last cut.
+    /// A shard worker panicked mid-run. The healthy workers were drained
+    /// and joined; a run that checkpoints left its last cut on disk, and
+    /// resuming from it re-runs the same deterministic code.
     WorkerFailed {
         /// Index of the shard whose worker failed.
         shard: u32,
@@ -365,8 +344,8 @@ impl<F: FnMut(&ProbeRecord) -> bool> AdmitState for FilterAdmit<F> {
 ///
 /// In sharded mode a fatal fault tears the fan-out down in order: the
 /// channels close, every worker drains and exits, partial analyses are
-/// discarded, and the error is returned — never a panic. A worker panic is
-/// contained and surfaces as [`PipelineError::WorkerFailed`].
+/// discarded, and the error is returned — never a panic. A worker panic
+/// surfaces the same way, as [`PipelineError::WorkerFailed`].
 ///
 /// Memory is O(batch): the caller's stream lends one batch at a time, and
 /// the fan-out keeps a bounded number of batches in flight per worker. Both
@@ -399,7 +378,7 @@ where
     let mut never_cut = |_: &_| Ok(());
     let mut feed = feed::Feed::<PipelineError>::start(&spec, &mut never_cut);
     let (_, analysis) = feed.drive(
-        feed::SinkPlan::for_mode(mode, None),
+        feed::SinkPlan::for_mode(mode),
         Vec::new(),
         stream,
         &mut FilterAdmit(admit),
@@ -823,42 +802,7 @@ mod tests {
     }
 
     #[test]
-    fn a_decade_year_runs_sequentially_below_twenty_cores() {
-        // `auto` asks for every core; ten years share them.
-        let years = 10;
-        assert_eq!(
-            PipelineMode::Sharded { workers: 2 }.with_budget(years, 2),
-            PipelineMode::Sequential
-        );
-        assert_eq!(
-            PipelineMode::Sharded { workers: 19 }.with_budget(years, 19),
-            PipelineMode::Sequential
-        );
-        assert_eq!(
-            PipelineMode::Sharded { workers: 20 }.with_budget(years, 20),
-            PipelineMode::Sharded { workers: 2 }
-        );
-        // Fewer jobs than cores: the workers divide among the jobs alone.
-        assert_eq!(
-            PipelineMode::Sharded { workers: 20 }.with_budget(4, 20),
-            PipelineMode::Sharded { workers: 5 }
-        );
-    }
-
-    #[test]
     fn mode_budgeting_and_parsing() {
-        assert_eq!(
-            PipelineMode::Sharded { workers: 8 }.with_budget(2, 8),
-            PipelineMode::Sharded { workers: 4 }
-        );
-        assert_eq!(
-            PipelineMode::Sharded { workers: 8 }.with_budget(8, 8),
-            PipelineMode::Sequential
-        );
-        assert_eq!(
-            PipelineMode::Sequential.with_budget(1, 1),
-            PipelineMode::Sequential
-        );
         assert_eq!(PipelineMode::Sharded { workers: 3 }.workers(), 3);
         assert_eq!(PipelineMode::Sequential.workers(), 1);
 

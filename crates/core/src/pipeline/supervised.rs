@@ -25,18 +25,17 @@
 //!    the driver matrix in both sequential and sharded modes.
 //! 3. **The store** — a completed year is written as the store's one slice
 //!    for that year ([`AnalysisStore::write_year`]).
-//! 4. **Supervision** — shard workers run under
-//!    `supervise::contain`: a panic becomes a typed
+//! 4. **Worker failure** — a shard worker's panic ends the run with a typed
 //!    [`PipelineError::WorkerFailed`] carrying the shard index instead of a
-//!    process abort, and healthy shards are joined and drained.
+//!    process abort; healthy shards are drained and joined. Nothing retries
+//!    it: the run is deterministic, so re-running it repeats a real panic.
+//!    The last cut stays on disk for a resume once the cause is fixed.
 
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::store::{AnalysisStore, StoreError};
-use crate::supervise::{InjectedFaults, SupervisionReport};
 use synscan_wire::stream::TryRecordStream;
 
 use super::feed::{Feed, SinkPlan};
@@ -88,10 +87,6 @@ pub struct RunOptions<'a> {
     /// Write the year into this store the moment it completes, so an
     /// interrupted decade leaves its finished years queryable.
     pub store: Option<&'a AnalysisStore>,
-    /// Deterministic fault injection for supervision tests (sharded mode
-    /// only; the sequential arm has no workers to fail).
-    #[doc(hidden)]
-    pub inject: Option<Arc<InjectedFaults>>,
 }
 
 /// Why a supervised run did not complete.
@@ -156,8 +151,6 @@ pub enum RunStatus<T = PipelineOutcome> {
     Completed {
         /// The analysis and driver-side fault tally.
         outcome: T,
-        /// Contained failures and retries observed along the way.
-        report: SupervisionReport,
         /// Checkpoints written during this run.
         checkpoints: u64,
     },
@@ -177,11 +170,9 @@ impl<T> RunStatus<T> {
         match self {
             RunStatus::Completed {
                 outcome,
-                report,
                 checkpoints,
             } => RunStatus::Completed {
                 outcome: f(outcome),
-                report,
                 checkpoints,
             },
             RunStatus::Interrupted {
@@ -203,8 +194,8 @@ impl<T> RunStatus<T> {
     }
 }
 
-/// Run one year under supervision: the one place that decides how a run
-/// persists.
+/// Run one year, checkpointed, resumable and persisted as `opts` says: the
+/// one place that decides how a run persists.
 ///
 /// * With `opts.checkpoint`, a snapshot is written at the first batch
 ///   boundary `every` records after the last one (0 = only final
@@ -220,10 +211,9 @@ impl<T> RunStatus<T> {
 ///   continued run produces output identical to an uninterrupted one.
 /// * With `opts.store`, a completed year is written as the store's one slice
 ///   for `spec.year`.
-/// * A sharded worker panic is contained and surfaced as
-///   [`PipelineError::WorkerFailed`] with the shard index; healthy workers
-///   are joined and the process never aborts. A caller that checkpoints can
-///   retry once by resuming from the last cut on disk.
+/// * A sharded worker panic surfaces as [`PipelineError::WorkerFailed`]
+///   with the shard index; healthy workers are joined and the process
+///   never aborts.
 pub fn run_year_supervised<S, A>(
     spec: &RunSpec,
     opts: &RunOptions<'_>,
@@ -254,8 +244,8 @@ where
         Some(ck) => feed.resume(ck, spec.mode.workers(), stream, admit)?,
         None => Vec::new(),
     };
-    let plan = SinkPlan::for_mode(spec.mode, opts.inject.clone());
-    let (completed, analysis) = feed.drive(plan, restored, stream, admit)?;
+    let (completed, analysis) =
+        feed.drive(SinkPlan::for_mode(spec.mode), restored, stream, admit)?;
     if !completed {
         return Ok(RunStatus::Interrupted {
             checkpoints: feed.written,
@@ -271,7 +261,6 @@ where
             analysis,
             faults: feed.faults(),
         },
-        report: SupervisionReport::default(),
         checkpoints: feed.written,
     })
 }
@@ -280,6 +269,7 @@ where
 mod tests {
     use super::*;
     use crate::campaign::CampaignConfig;
+    use crate::pipeline::feed::hook;
     use crate::pipeline::{FilterAdmit, PipelineMode, SizeHints};
     use crate::sketch::HeavyHitterConfig;
     use synscan_wire::stream::{FaultPolicy, SliceStream, StreamError};
@@ -500,19 +490,39 @@ mod tests {
     fn injected_worker_panic_is_contained_and_typed() {
         let recs = records(3_000);
         let spec = spec(PipelineMode::Sharded { workers: 3 });
-        let opts = RunOptions {
-            inject: Some(InjectedFaults::panic_once(1)),
-            ..RunOptions::default()
-        };
-        let mut stream = SliceStream::with_batch_size(&recs, 257);
-        let mut admit = FilterAdmit(|_: &ProbeRecord| true);
-        // The panic is contained: this call returns a typed error instead of
-        // aborting the process, and the healthy shards were joined.
-        let err = run_year_supervised(&spec, &opts, &mut stream, &mut admit).unwrap_err();
+        hook::panic_at(1, 0);
+        // This call returns a typed error instead of aborting the process
+        // or re-raising the panic, and the healthy shards were joined.
+        let err = run(&spec, None, &recs).unwrap_err();
         assert_eq!(
             err,
             RunError::Pipeline(PipelineError::WorkerFailed { shard: 1 })
         );
+    }
+
+    #[test]
+    fn a_shard_panic_leaves_a_cut_that_resumes_to_the_clean_run() {
+        let recs = records(4_000);
+        let spec = spec(PipelineMode::Sharded { workers: 3 });
+        let dir = temp_dir("panic");
+        let baseline = clean_outcome(&spec, &recs);
+
+        // Every pulled batch is cut, and every cut ships each shard a batch:
+        // shard 1 dies at the third cut, behind two good ones.
+        hook::panic_at(1, 2);
+        let err = run(&spec, Some(&ckpt_opts(&dir, 1, None)), &recs).unwrap_err();
+        assert_eq!(
+            err,
+            RunError::Pipeline(PipelineError::WorkerFailed { shard: 1 })
+        );
+        let cut = Checkpoint::load_latest(&dir, spec.year).unwrap().unwrap();
+        assert_eq!((cut.header.seq, cut.header.cursor), (2, 2 * 257));
+
+        match run(&spec, Some(&resume_opts(&dir, 1)), &recs).unwrap() {
+            RunStatus::Completed { outcome, .. } => assert_eq!(outcome, baseline),
+            other => panic!("resume did not complete: {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

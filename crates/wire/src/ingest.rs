@@ -86,14 +86,11 @@ impl core::str::FromStr for IngestMode {
 
     fn from_str(s: &str) -> core::result::Result<Self, Self::Err> {
         let queues = match s {
-            "read" | "mmap" | "mapped" => 1,
+            "read" | "mmap" => 1,
             other => {
-                let n = other
-                    .strip_prefix("mmap:")
-                    .or_else(|| other.strip_prefix("mapped:"))
-                    .ok_or_else(|| {
-                        format!("unknown ingest mode {other:?} (expected read, mmap, or mmap:N)")
-                    })?;
+                let n = other.strip_prefix("mmap:").ok_or_else(|| {
+                    format!("unknown ingest mode {other:?} (expected read, mmap, or mmap:N)")
+                })?;
                 n.parse()
                     .map_err(|_| format!("bad queue count in ingest mode {other:?}"))?
             }
@@ -1699,7 +1696,7 @@ mod tests {
         assert_eq!(queues("read"), Ok(1));
         assert_eq!(queues("mmap"), Ok(1));
         assert_eq!(queues("mmap:4"), Ok(4));
-        assert_eq!(queues("mapped:2"), Ok(2));
+        assert!(queues("mapped:2").is_err(), "one spelling per setting");
         assert!(queues("mmap:0").is_err());
         assert!(queues("dma").is_err());
         assert_eq!(IngestMode { queues: 4 }.to_string(), "mmap:4");

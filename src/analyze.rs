@@ -34,7 +34,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::io::Read;
 
-use crate::experiment::{identity_word, supervised};
+use crate::experiment::identity_word;
 use synscan_core::analysis::{toolports, yearly, YearAnalysis};
 use synscan_core::checkpoint::{SnapReader, SnapWriter};
 use synscan_core::pipeline::{PipelineError, SizeHints};
@@ -134,8 +134,7 @@ pub enum AnalyzeError {
         /// Consecutive timestamp inversions observed in the capture.
         violations: u64,
     },
-    /// A pipeline shard worker died (and, under a checkpoint, its one retry
-    /// died too).
+    /// A pipeline shard worker panicked.
     WorkerFailed {
         /// Index of the shard whose worker failed.
         shard: u32,
@@ -293,31 +292,30 @@ pub fn analyze(
 ) -> Result<RunStatus<AnalyzeResult>, AnalyzeError> {
     // Two things read a capture more than once: a resume, which a one-shot
     // input cannot serve, and the dark-set inference, which it serves from a
-    // buffer.
-    let buffered;
-    let (monitored, capture, mut one_shot) = match (input, options.monitored) {
+    // buffer. `len` is the byte length of a re-readable capture (0 for a
+    // one-shot one).
+    let (monitored, len, reader) = match (input, options.monitored) {
         (CaptureInput::Reader(_), _) if run.checkpoint.is_some() => {
             return Err(AnalyzeError::NotReopenable)
         }
-        (CaptureInput::Reader(reader), Some(monitored)) => (monitored, None, Some(reader)),
+        (CaptureInput::Reader(reader), Some(monitored)) => (monitored, 0, reader),
         (CaptureInput::Reader(reader), None) => {
-            buffered =
+            let buffered =
                 MappedCapture::from_reader(reader).map_err(|e| AnalyzeError::Io(e.to_string()))?;
             let monitored = infer_monitored(&buffered, options)?;
-            (monitored, Some(&buffered), None)
+            (monitored, buffered.len(), buffered.reader())
         }
-        (CaptureInput::Capture(capture), Some(monitored)) => (monitored, Some(capture), None),
-        (CaptureInput::Capture(capture), None) => {
-            (infer_monitored(capture, options)?, Some(capture), None)
+        (CaptureInput::Capture(capture), monitored) => {
+            let monitored = match monitored {
+                Some(monitored) => monitored,
+                None => infer_monitored(capture, options)?,
+            };
+            (monitored, capture.len(), capture.reader())
         }
     };
     let identity = format!(
-        "{} {monitored} {} {:?} {:?} {:?}",
-        capture.map_or(0, MappedCapture::len),
-        options.materialize,
-        options.policy,
-        options.chaos_seed,
-        options.heavy,
+        "{len} {monitored} {} {:?} {:?} {:?}",
+        options.materialize, options.policy, options.chaos_seed, options.heavy,
     );
     let spec = RunSpec {
         year: options.year,
@@ -328,48 +326,35 @@ pub fn analyze(
         policy: options.policy,
         identity: identity_word(identity.as_bytes()),
     };
-    let attempt = |opts: &RunOptions<'_>| {
-        let reader = match capture {
-            Some(capture) => capture.reader(),
-            // Only a checkpointed run makes a second attempt, and a one-shot
-            // input is never checkpointed.
-            None => one_shot
-                .take()
-                .unwrap_or_else(|| Box::new(std::io::empty())),
-        };
-        let stream_error = |e| RunError::Pipeline(PipelineError::Stream(e));
-        let mut stream = open(reader, options.chaos_seed, options)
-            .map_err(|e| stream_error(StreamError::Pcap(e)))?;
-        // The SYN filter doubles as the technique census.
-        let mut census = TechniqueAdmit::default();
-        let status = if options.materialize {
-            let mut records = Vec::new();
-            while let Some(batch) = stream.try_next_batch().map_err(stream_error)? {
-                records.extend_from_slice(batch);
-            }
-            records.sort_by_key(|r| r.ts_micros);
-            let mut sorted = SliceStream::new(&records);
-            run_year_supervised(&spec, opts, &mut sorted, &mut census)?
-        } else {
-            run_year_supervised(&spec, opts, &mut stream, &mut census)?
-        };
-        // The parser's own tallies, which the driver never sees. A resumed
-        // run re-reads the whole capture (the fast-forward replays it), so
-        // they cover the full file either way.
-        let (mut faults, non_tcp_frames) = (stream.faults(), stream.non_tcp_frames());
-        Ok(status.map(|outcome: PipelineOutcome| {
-            faults.absorb(&outcome.faults);
-            AnalyzeResult {
-                summary: yearly::summarize(&outcome.analysis, options.top_ports),
-                techniques: census.census(),
-                non_tcp_frames,
-                monitored,
-                analysis: outcome.analysis,
-                faults,
-            }
-        }))
+    let mut stream = open(reader, options.chaos_seed, options)?;
+    // The SYN filter doubles as the technique census.
+    let mut census = TechniqueAdmit::default();
+    let status = if options.materialize {
+        let mut records = Vec::new();
+        while let Some(batch) = stream.try_next_batch()? {
+            records.extend_from_slice(batch);
+        }
+        records.sort_by_key(|r| r.ts_micros);
+        let mut sorted = SliceStream::new(&records);
+        run_year_supervised(&spec, run, &mut sorted, &mut census)?
+    } else {
+        run_year_supervised(&spec, run, &mut stream, &mut census)?
     };
-    Ok(supervised(run, attempt)?)
+    // The parser's own tallies, which the driver never sees. A resumed run
+    // re-reads the whole capture (the fast-forward replays it), so they
+    // cover the full file either way.
+    let (mut faults, non_tcp_frames) = (stream.faults(), stream.non_tcp_frames());
+    Ok(status.map(|outcome: PipelineOutcome| {
+        faults.absorb(&outcome.faults);
+        AnalyzeResult {
+            summary: yearly::summarize(&outcome.analysis, options.top_ports),
+            techniques: census.census(),
+            non_tcp_frames,
+            monitored,
+            analysis: outcome.analysis,
+            faults,
+        }
+    }))
 }
 
 /// The §3.1 techniques and their report labels, in snapshot order; `Other`

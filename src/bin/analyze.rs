@@ -39,13 +39,15 @@
 //!
 //! `--checkpoint-dir DIR` makes the analysis crash-safe: the full pipeline
 //! state checkpoints atomically into the directory, SIGINT/SIGTERM
-//! checkpoint before exiting, a failed shard worker is retried once from the
-//! last checkpoint, and `--resume` restarts from the latest checkpoint with
-//! bit-identical output — under every `--ingest` mode, with `--materialize`,
-//! with the dark set given or inferred. It needs a file input (a resume
-//! re-reads the capture) and refuses a checkpoint cut from another capture
-//! or under other options; `--die-after-checkpoints K` is the
-//! kill-and-resume drill hook.
+//! checkpoint before exiting, and `--resume` restarts from the latest
+//! checkpoint with bit-identical output — under every `--ingest` mode, with
+//! `--materialize`, with the dark set given or inferred. It needs a file
+//! input (a resume re-reads the capture) and refuses a checkpoint cut from
+//! another capture or under other options. A failed shard worker ends the
+//! run with an error that says to re-run with `--resume`; nothing retries it
+//! on its own. `--die-after-checkpoints K` is the kill-and-resume drill
+//! hook: it aborts right after K periodic checkpoints, and a capture too
+//! short for K is an error, never exit 0.
 //!
 //! `--heavy-hitters K[,WIDTH,DEPTH]` adds the sublinear heavy-hitter layer:
 //! the analysis carries a space-saving top-K tracker and count-min rate
@@ -68,7 +70,7 @@
 
 use std::fs::File;
 
-use synscan::analyze::{analyze, render_report, AnalyzeOptions, CaptureInput};
+use synscan::analyze::{analyze, render_report, AnalyzeError, AnalyzeOptions, CaptureInput};
 use synscan::core::store::AnalysisStore;
 use synscan::{RunOptions, RunStatus};
 use synscan_wire::ingest::MappedCapture;
@@ -105,8 +107,8 @@ const USAGE: &str = "usage: analyze <capture.pcap | -> [--monitored N] [--year Y
                      (default 500000; 0 = only on completion)\
                      \n  --resume            restart from the latest checkpoint in \
                      --checkpoint-dir\
-                     \n  --die-after-checkpoints K  abort the process after K checkpoints \
-                     (kill-and-resume drill)\
+                     \n  --die-after-checkpoints K  abort the process after K periodic \
+                     checkpoints (kill-and-resume drill)\
                      \n  --store-dir DIR     persist the finished analysis as a versioned \
                      store slice in DIR (queryable by synscan-serve)";
 
@@ -190,17 +192,20 @@ fn run() -> Result<(), String> {
             .as_ref()
             .map(|_| sig::install(&[sig::SIGINT, sig::SIGTERM])),
         store: store.as_ref(),
-        ..RunOptions::default()
     };
-    let status =
-        analyze(input, &options, &run).map_err(|e| format!("cannot analyze {name}: {e}"))?;
+    let status = analyze(input, &options, &run).map_err(|e| {
+        let hint = match e {
+            AnalyzeError::WorkerFailed { .. } | AnalyzeError::Store(_) => checkpoint.resume_hint(),
+            _ => "",
+        };
+        format!("cannot analyze {name}: {e}{hint}")
+    })?;
     match status {
         RunStatus::Completed {
             outcome: result,
-            report,
             checkpoints,
         } => {
-            cli::supervision_summary("[analyze]", &report);
+            checkpoint.completed()?;
             if let Some(spec) = &spec {
                 eprintln!(
                     "[analyze] {checkpoints} checkpoints written to {}",

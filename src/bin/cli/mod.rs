@@ -1,5 +1,5 @@
-//! What the three binaries share: flag values, the checkpoint flag group,
-//! the signal latch and the supervision summary line.
+//! What the three binaries share: flag values, the checkpoint flag group
+//! and the signal latch.
 
 // Each binary uses its own subset.
 #![allow(dead_code)]
@@ -7,7 +7,6 @@
 use std::path::PathBuf;
 
 use synscan::core::sketch::HeavyHitterConfig;
-use synscan::core::SupervisionReport;
 use synscan::CheckpointOptions;
 
 /// A command-line mistake (as opposed to a failed run).
@@ -114,16 +113,27 @@ impl CheckpointFlags {
         }
         format!("{what} interrupted; re-run with --resume to continue")
     }
-}
 
-/// Say what the supervisor saw, if it saw anything.
-pub fn supervision_summary(tag: &str, report: &SupervisionReport) {
-    if !report.failures.is_empty() || report.retried > 0 {
-        eprintln!(
-            "{tag} supervision: {} contained failures, {} retries",
-            report.failures.len(),
-            report.retried
-        );
+    /// A completed run's exit: an armed drill that never fired is an error,
+    /// not a drill that passed.
+    pub fn completed(&self) -> Result<(), String> {
+        match self.die_after {
+            Some(k) => Err(format!(
+                "--die-after-checkpoints {k} never fired: the run completed without \
+                 reaching periodic checkpoint {k} (lower --checkpoint-every, now {})",
+                self.every
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// The tail of a failed run's error when it cut checkpoints: how to go
+    /// on from them.
+    pub fn resume_hint(&self) -> &'static str {
+        match self.dir {
+            Some(_) => "; re-run with --resume to continue from the last checkpoint",
+            None => "",
+        }
     }
 }
 

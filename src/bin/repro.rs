@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! repro [--scale tiny|small|default] [--out DIR] [--store-dir DIR]
-//!       [--pipeline sequential|auto|sharded:N]
-//!       [--ingest read|mmap|mmap:N] [--heavy-hitters K[,WIDTH,DEPTH]]
+//!       [--heavy-hitters K[,WIDTH,DEPTH]]
 //!       [--chaos-seed N] [--fault-policy fail|skip|stop]
 //!       [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
 //!       [--die-after-checkpoints K] [TARGET...]
@@ -12,12 +11,11 @@
 //!         prose etl pcap all       (default: all)
 //! ```
 //!
-//! `--pipeline` selects how each year's measurement loop executes; `auto`
-//! (the default) shards across the machine's cores, sharing the thread
-//! budget with the cross-year fan-out, so below 20 cores each year runs
-//! sequentially; the banner prints the mode the years run in. Each year is
-//! *streamed* from the generator plan into the pipeline in O(batch) memory.
-//! Every mode produces bit-identical output.
+//! The decade's one parallel level is the year: the years run in parallel,
+//! each on one thread, *streamed* from the generator plan into the pipeline
+//! in O(batch) memory. Sharding one year's stream over threads is
+//! `analyze --pipeline sharded:N`, for one capture; `repro` refuses
+//! `--pipeline` and `--ingest` as usage errors that say so.
 //!
 //! `--chaos-seed N` decays every year's record stream with the seeded
 //! benign fault plan (duplicate injection) — a robustness drill: combined
@@ -25,18 +23,16 @@
 //! and reproduces the clean run's numbers exactly. Under the default
 //! `fail` policy the first injected fault aborts the run with an error.
 //!
-//! `--ingest` selects how many threads the `pcap` target's read-back
-//! verification pass decodes the exported capture on: one (`read`, the
-//! default, or `mmap`) or N (`mmap:N`). Every mode reads through the same
-//! window and re-imports the identical record sequence.
-//!
 //! `--checkpoint-dir DIR` makes the run crash-safe: each year periodically
 //! persists an atomic checkpoint of its full pipeline state, SIGINT/SIGTERM
 //! trigger a final checkpoint before exiting, and `--resume` restarts a
 //! killed run from the per-year checkpoints with bit-identical output — and
 //! refuses checkpoints cut at another scale, seed or fault policy.
 //! `--die-after-checkpoints K` is the kill-and-resume drill: abort the
-//! process (as a crash would) right after K checkpoints per year.
+//! process (as a crash would) right after K periodic checkpoints per year. A
+//! run in which no year reaches K cannot crash where asked, so it exits
+//! with an error, never 0. A checkpointed run that fails says to re-run
+//! with `--resume`.
 //!
 //! Every run's terminal state is written through the versioned analysis
 //! store (`--store-dir`, default `OUT/store`): one `year-YYYY.store` slice
@@ -74,18 +70,16 @@ use synscan::core::PipelineError;
 use synscan::experiment::{DecadeRun, DecadeStatus, Experiment};
 use synscan::netmodel::{InternetRegistry, ScannerClass};
 use synscan::synthesis::fanout;
-use synscan::wire::ingest::{IngestMode, IngestQueues, MappedCapture};
+use synscan::wire::ingest::{IngestQueues, MappedCapture};
 use synscan::wire::json::{self, ToJson};
 use synscan::wire::{ChaosPlan, FaultPolicy};
-use synscan::{GeneratorConfig, PipelineMode, RunError, RunOptions, ToolKind, YearConfig};
+use synscan::{GeneratorConfig, RunError, RunOptions, ToolKind, YearConfig};
 
 mod cli;
 use cli::{flag_dir, flag_value, sig, CheckpointFlags};
 
 const USAGE: &str = "usage: repro [--scale tiny|small|default] [--seed N] [--out DIR] \
-                     [--store-dir DIR] \
-                     [--pipeline sequential|auto|sharded:N] \
-                     [--ingest read|mmap|mmap:N] [--heavy-hitters K[,WIDTH,DEPTH]] \
+                     [--store-dir DIR] [--heavy-hitters K[,WIDTH,DEPTH]] \
                      [--chaos-seed N] [--fault-policy fail|skip|stop] \
                      [--checkpoint-dir DIR] [--checkpoint-every N] [--resume] \
                      [--die-after-checkpoints K] [TARGET...]\
@@ -95,9 +89,6 @@ const USAGE: &str = "usage: repro [--scale tiny|small|default] [--seed N] [--out
                      \n  --store-dir DIR     analysis store directory holding the per-year \
                      slices every run persists and all rendering reads back \
                      (default OUT/store)\
-                     \n  --pipeline MODE     sequential | auto | sharded:N (default auto)\
-                     \n  --ingest MODE       read | mmap | mmap:N: how the pcap target's \
-                     read-back verification parses the export (default read)\
                      \n  --heavy-hitters K[,WIDTH,DEPTH]  track the top-K sources per year \
                      in sublinear space (space-saving + count-min; default sketch \
                      2048x4) and emit the network-impact section\
@@ -111,8 +102,8 @@ const USAGE: &str = "usage: repro [--scale tiny|small|default] [--seed N] [--out
                      (default 500000; 0 = only on completion)\
                      \n  --resume            restart each year from its latest checkpoint \
                      in --checkpoint-dir\
-                     \n  --die-after-checkpoints K  abort the process after K checkpoints \
-                     per year (kill-and-resume drill)\
+                     \n  --die-after-checkpoints K  abort the process after K periodic \
+                     checkpoints per year (kill-and-resume drill)\
                      \n  TARGET              table1 table2 fig1..fig10 prose etl pcap all \
                      (default all)";
 
@@ -127,8 +118,6 @@ fn run() -> Result<(), String> {
     let mut out_dir = PathBuf::from("out");
     let mut store_dir: Option<PathBuf> = None;
     let mut seed_override: Option<u64> = None;
-    let mut pipeline = PipelineMode::auto();
-    let mut ingest = IngestMode::default();
     let mut heavy: Option<HeavyHitterConfig> = None;
     let mut chaos_seed: Option<u64> = None;
     let mut fault_policy = FaultPolicy::Fail;
@@ -143,10 +132,12 @@ fn run() -> Result<(), String> {
             "--out" => out_dir = flag_dir(&mut args, "--out")?,
             "--store-dir" => store_dir = Some(flag_dir(&mut args, "--store-dir")?),
             "--seed" => seed_override = Some(flag_value(&mut args, "--seed", "a u64 seed")?),
-            "--pipeline" => {
-                pipeline = flag_value(&mut args, "--pipeline", "sequential|auto|sharded:N")?
+            "--pipeline" | "--ingest" => {
+                return Err(format!(
+                    "unknown flag `{arg}`: the decade runs each year on one thread; \
+                     `analyze {arg}` sets it for one capture\n{USAGE}"
+                ));
             }
-            "--ingest" => ingest = flag_value(&mut args, "--ingest", "read|mmap|mmap:N")?,
             "--heavy-hitters" => heavy = Some(cli::heavy_hitters(&mut args)?),
             "--chaos-seed" => {
                 chaos_seed = Some(flag_value(&mut args, "--chaos-seed", "a u64 seed")?)
@@ -196,19 +187,13 @@ fn run() -> Result<(), String> {
     let store = AnalysisStore::open(&store_dir)
         .map_err(|e| format!("cannot open analysis store {}: {e}", store_dir.display()))?;
 
-    // The mode each year runs in once the decade has shared the cores out,
-    // computed as `Experiment::decade` computes it.
-    let year_mode = pipeline.with_budget(YearConfig::decade().len(), fanout::width());
     eprintln!(
-        "[repro] scale={scale}: telescope 1/{}, population 1/{}, {} days/year, pipeline {year_mode} per year{}{}",
+        "[repro] scale={scale}: telescope 1/{}, population 1/{}, {} days/year, \
+         one thread per year ({} at once){}",
         gen.telescope_denominator,
         gen.population_denominator,
         gen.days,
-        if year_mode == pipeline {
-            String::new()
-        } else {
-            format!(" (requested {pipeline})")
-        },
+        YearConfig::decade().len().min(fanout::width()),
         match chaos_seed {
             Some(seed) => format!(", chaos seed {seed} ({fault_policy} policy)"),
             None => String::new(),
@@ -217,7 +202,6 @@ fn run() -> Result<(), String> {
     eprintln!("[repro] generating and measuring the decade ...");
     let started = std::time::Instant::now();
     let mut experiment = Experiment::new(gen)
-        .with_pipeline_mode(pipeline)
         .with_fault_policy(fault_policy)
         .with_heavy_hitters(heavy);
     if let Some(seed) = chaos_seed {
@@ -231,18 +215,18 @@ fn run() -> Result<(), String> {
             .as_ref()
             .map(|_| sig::install(&[sig::SIGINT, sig::SIGTERM])),
         store: Some(&store),
-        ..RunOptions::default()
     };
     let status = experiment.decade(&opts).map_err(|e| match e {
         // Only a faulty record is something a lossy policy gets past.
         RunError::Pipeline(PipelineError::Stream(_)) => {
             format!("decade run failed: {e} (try --fault-policy skip)")
         }
-        _ => format!("decade run failed: {e}"),
+        RunError::Checkpoint(_) => format!("decade run failed: {e}"),
+        _ => format!("decade run failed: {e}{}", checkpoint.resume_hint()),
     })?;
     let run = match status {
-        DecadeStatus::Completed { run, supervision } => {
-            cli::supervision_summary("[repro]", &supervision);
+        DecadeStatus::Completed { run } => {
+            checkpoint.completed()?;
             run
         }
         DecadeStatus::Interrupted {
@@ -317,7 +301,7 @@ fn run() -> Result<(), String> {
         }
     }
     if want("pcap") {
-        pcap_export(&gen, &out_dir, ingest)?;
+        pcap_export(&gen, &out_dir)?;
     }
     if heavy.is_some() {
         heavy_report(&view, &out_dir)?;
@@ -392,9 +376,9 @@ fn main() {
 
 /// Export one generated year's raw telescope arrivals as a classic pcap —
 /// interoperable with tcpdump/wireshark, and re-importable by the pipeline.
-/// The export is verified by re-importing it through the selected ingest
-/// mode and checking the record sequence round-trips exactly.
-fn pcap_export(gen: &GeneratorConfig, out: &Path, ingest: IngestMode) -> Result<(), String> {
+/// The export is verified by re-importing it and checking the record
+/// sequence round-trips exactly.
+fn pcap_export(gen: &GeneratorConfig, out: &Path) -> Result<(), String> {
     use synscan::telescope::capture::export_pcap;
     println!("=== pcap export: raw 2020 telescope arrivals ===");
     let experiment = Experiment::new(GeneratorConfig {
@@ -424,25 +408,22 @@ fn pcap_export(gen: &GeneratorConfig, out: &Path, ingest: IngestMode) -> Result<
         output.truth.packets,
         output.truth.backscatter_packets
     );
-    // Read-back verification through the selected ingest mode: every mode
-    // must re-import the identical record sequence.
+    // Read-back verification: the capture must re-import the identical
+    // record sequence.
     let capture = MappedCapture::load(&path)
         .map_err(|e| format!("cannot re-open {}: {e}", path.display()))?;
     let failed = |e: &dyn std::fmt::Display| format!("re-import of {} failed: {e}", path.display());
-    let plan = IngestQueues::over(capture.reader(), ingest.queues, FaultPolicy::Fail)
-        .map_err(|e| failed(&e))?;
+    let plan =
+        IngestQueues::over(capture.reader(), 1, FaultPolicy::Fail).map_err(|e| failed(&e))?;
     let (reimported, _) = plan.spawn().into_records().map_err(|e| failed(&e))?;
     if reimported != output.records {
         return Err(format!(
-            "re-import mismatch via --ingest {ingest}: wrote {} records, read back {}",
+            "re-import mismatch: wrote {} records, read back {}",
             output.records.len(),
             reimported.len()
         ));
     }
-    println!(
-        "verified: {} records round-trip via --ingest {ingest}",
-        reimported.len()
-    );
+    println!("verified: {} records round-trip", reimported.len());
     Ok(())
 }
 

@@ -10,14 +10,18 @@
 //! the decade, [`Experiment::decade`]; both take core's [`RunOptions`] and
 //! drive [`synscan_core::run_year_supervised`], which decides how the run
 //! persists. The default options are the plain run: nothing is cut, nothing
-//! stops it, nothing is persisted. [`CheckpointOptions`] add atomic per-year
-//! checkpoints and resume from them with bit-identical results; a stop flag
-//! (raised from a SIGINT handler, say) ends the run at the next batch
-//! boundary behind a final checkpoint; a store receives every year the
-//! moment it completes. The one thing this layer adds is the retry rule: a
-//! checkpointed run whose shard worker panicked is retried once from its
-//! last cut. [`Experiment::run_year`] is the panicking shorthand for a plain
-//! year.
+//! stops it, nothing is persisted. [`synscan_core::CheckpointOptions`] add
+//! atomic per-year checkpoints and resume from them with bit-identical
+//! results; a stop flag (raised from a SIGINT handler, say) ends the run at
+//! the next batch boundary behind a final checkpoint; a store receives every
+//! year the moment it completes. Nothing here retries a failed year: a
+//! re-run with `resume` picks it up from its last cut.
+//! [`Experiment::run_year`] is the panicking shorthand for a plain
+//! sequential year.
+//!
+//! The decade's one parallel level is the year: [`Experiment::decade`] runs
+//! every year sequentially under `fanout::par_map`. Only
+//! [`Experiment::year`] takes a [`PipelineMode`], for a single sharded year.
 //!
 //! For robustness drills the harness can decay its own input:
 //! [`Experiment::with_chaos`] wraps every year's record stream in a
@@ -29,11 +33,11 @@ use std::hash::Hasher as _;
 
 use synscan_core::analysis::YearAnalysis;
 use synscan_core::checkpoint::{SnapReader, SnapWriter};
-use synscan_core::pipeline::{PipelineError, PipelineMode, SizeHints};
+use synscan_core::pipeline::{PipelineMode, SizeHints};
 use synscan_core::sketch::HeavyHitterConfig;
 use synscan_core::{
-    run_year_supervised, AdmitState, CampaignConfig, CheckpointError, CheckpointOptions, FxHasher,
-    RunError, RunOptions, RunSpec, RunStatus, SupervisionReport, WorkerFailure,
+    run_year_supervised, AdmitState, CampaignConfig, CheckpointError, FxHasher, RunError,
+    RunOptions, RunSpec, RunStatus,
 };
 use synscan_netmodel::InternetRegistry;
 use synscan_synthesis::fanout;
@@ -126,43 +130,6 @@ fn encode_world(gen: &GeneratorConfig, heavy: Option<HeavyHitterConfig>) -> Vec<
     w.into_bytes()
 }
 
-/// The one retry rule both front ends share: run `attempt`, and when a
-/// shard worker failed in a checkpointed run, run it once more resuming from
-/// the latest checkpoint.
-///
-/// `attempt` rebuilds its stream and admit filter on every call. The failed
-/// attempt drained its healthy shards but wrote no further cut, so the
-/// latest file on disk is a consistent earlier cut (or absent — then the
-/// retry starts fresh).
-pub(crate) fn supervised<T>(
-    opts: &RunOptions<'_>,
-    mut attempt: impl FnMut(&RunOptions<'_>) -> Result<RunStatus<T>, RunError>,
-) -> Result<RunStatus<T>, RunError> {
-    match (attempt(opts), opts.checkpoint) {
-        (Err(RunError::Pipeline(PipelineError::WorkerFailed { shard })), Some(checkpoint)) => {
-            let resume = CheckpointOptions {
-                resume: true,
-                ..checkpoint.clone()
-            };
-            let retry = RunOptions {
-                checkpoint: Some(&resume),
-                ..opts.clone()
-            };
-            let mut status = attempt(&retry)?;
-            if let RunStatus::Completed { report, .. } = &mut status {
-                // The panic payload already reached stderr through the hook.
-                report.failures.push(WorkerFailure {
-                    shard,
-                    message: "shard worker panicked; retried from the last checkpoint".into(),
-                });
-                report.retried += 1;
-            }
-            Ok(status)
-        }
-        (status, _) => status,
-    }
-}
-
 /// How a decade run ended.
 // One value per run, matched once: boxing the finished analysis buys nothing.
 #[allow(clippy::large_enum_variant)]
@@ -172,12 +139,10 @@ pub enum DecadeStatus {
     Completed {
         /// The assembled decade.
         run: DecadeRun,
-        /// Supervision events merged across all ten years.
-        supervision: SupervisionReport,
     },
-    /// At least one year stopped early; every interrupted year left a
-    /// checkpoint, so re-running with `resume` finishes the decade. The
-    /// completed years are already in the run's store.
+    /// At least one year stopped; every interrupted year left a checkpoint,
+    /// so re-running with `resume` finishes the decade. The completed years
+    /// are already in the run's store.
     Interrupted {
         /// Years that completed during this invocation.
         completed: usize,
@@ -190,7 +155,7 @@ impl DecadeStatus {
     /// The decade of a completed run; `None` for an interrupted one.
     pub fn completed(self) -> Option<DecadeRun> {
         match self {
-            DecadeStatus::Completed { run, .. } => Some(run),
+            DecadeStatus::Completed { run } => Some(run),
             DecadeStatus::Interrupted { .. } => None,
         }
     }
@@ -247,7 +212,6 @@ pub struct Experiment {
     gen: GeneratorConfig,
     registry: InternetRegistry,
     dark: AddressSet,
-    mode: PipelineMode,
     policy: FaultPolicy,
     chaos: Option<ChaosPlan>,
     heavy: Option<HeavyHitterConfig>,
@@ -263,7 +227,6 @@ impl Experiment {
             gen,
             registry,
             dark,
-            mode: PipelineMode::Sequential,
             policy: FaultPolicy::Fail,
             chaos: None,
             heavy: None,
@@ -276,13 +239,6 @@ impl Experiment {
     /// modes, like every other aggregate.
     pub fn with_heavy_hitters(mut self, config: Option<HeavyHitterConfig>) -> Self {
         self.heavy = config;
-        self
-    }
-
-    /// Select how each year's measurement loop executes (sequential or
-    /// source-sharded across threads; the results are bit-identical).
-    pub fn with_pipeline_mode(mut self, mode: PipelineMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -299,11 +255,6 @@ impl Experiment {
     pub fn with_chaos(mut self, plan: ChaosPlan) -> Self {
         self.chaos = Some(plan);
         self
-    }
-
-    /// The pipeline mode in use.
-    pub fn pipeline_mode(&self) -> PipelineMode {
-        self.mode
     }
 
     /// The generator configuration in use.
@@ -406,30 +357,28 @@ impl Experiment {
         }
     }
 
-    /// Run one plain year end to end, in the experiment-wide pipeline mode.
+    /// Run one plain year end to end, sequentially.
     ///
     /// # Panics
     /// If a chaos plan is installed and a fault is fatal under the current
     /// policy; use [`Experiment::year`] for a `Result`.
     pub fn run_year(&self, year: u16) -> YearRun {
         let cfg = YearConfig::for_year(year);
-        self.year(&cfg, self.mode, &RunOptions::default())
+        self.year(&cfg, PipelineMode::Sequential, &RunOptions::default())
             .unwrap_or_else(|e| panic!("year {year} failed: {e}"))
             .completed()
             .expect("nothing interrupts a plain run")
     }
 
     /// Run one year end to end, with an explicit (possibly customized) year
-    /// config and pipeline mode (the decade fan-out hands each year its share
-    /// of the worker budget this way). A fault that is fatal under the
-    /// current policy is an `Err`.
+    /// config and pipeline mode. A fault that is fatal under the current
+    /// policy, or a shard worker's panic, is an `Err`.
     ///
-    /// With [`CheckpointOptions`] that resume, the year restarts from its
-    /// latest on-disk checkpoint (from scratch if none exists) and produces
-    /// output bit-identical to an uninterrupted run; a spent worker-failure
-    /// retry is counted in the returned supervision report. A checkpoint cut
-    /// under another generator, heavy-hitter or year configuration, fault
-    /// policy or chaos plan is refused.
+    /// With [`synscan_core::CheckpointOptions`] that resume, the year
+    /// restarts from its latest on-disk checkpoint (from scratch if none
+    /// exists) and produces output bit-identical to an uninterrupted run. A
+    /// checkpoint cut under another generator, heavy-hitter or year
+    /// configuration, fault policy or chaos plan is refused.
     pub fn year(
         &self,
         year_cfg: &YearConfig,
@@ -438,51 +387,39 @@ impl Experiment {
     ) -> Result<RunStatus<YearRun>, RunError> {
         let plan = self.plan(year_cfg);
         let spec = self.run_spec(year_cfg, mode, &plan.truth);
-        supervised(opts, |opts| {
-            let mut admit = SessionAdmit(CaptureSession::new(&self.dark, spec.year));
-            let status = self.with_stream(&plan, |stream| {
-                run_year_supervised(&spec, opts, stream, &mut admit)
-            })?;
-            Ok(status.map(|outcome| YearRun {
-                analysis: outcome.analysis,
-                truth: plan.truth.clone(),
-                capture: admit.0.stats(),
-                faults: outcome.faults,
-            }))
-        })
+        let mut admit = SessionAdmit(CaptureSession::new(&self.dark, spec.year));
+        let status = self.with_stream(&plan, |stream| {
+            run_year_supervised(&spec, opts, stream, &mut admit)
+        })?;
+        Ok(status.map(|outcome| YearRun {
+            analysis: outcome.analysis,
+            truth: plan.truth,
+            capture: admit.0.stats(),
+            faults: outcome.faults,
+        }))
     }
 
-    /// Run the whole decade, years in parallel, first error wins. Each year
-    /// checkpoints to (and resumes from) its own file and is written to
-    /// `opts.store` as it completes, so after an interrupt the store holds
-    /// the finished years and a resumed run only recomputes the rest.
-    ///
-    /// The intra-year shard budget composes with the cross-year fan-out:
-    /// each concurrently running year gets its share of the workers
-    /// ([`PipelineMode::with_budget`]) so the two levels together stay
-    /// within one machine's budget.
+    /// Run the whole decade, years in parallel and each year sequential,
+    /// first error wins. Each year checkpoints to (and resumes from) its own
+    /// file and is written to `opts.store` as it completes, so after an
+    /// interrupt the store holds the finished years and a resumed run only
+    /// recomputes the rest.
     pub fn decade(self, opts: &RunOptions<'_>) -> Result<DecadeStatus, RunError> {
         let configs = YearConfig::decade();
-        let year_mode = self.mode.with_budget(configs.len(), fanout::width());
-        let statuses = fanout::par_map(&configs, |cfg| self.year(cfg, year_mode, opts));
+        let statuses = fanout::par_map(&configs, |cfg| {
+            self.year(cfg, PipelineMode::Sequential, opts)
+        });
         let mut years = Vec::new();
         let mut interrupted = Vec::new();
-        let mut supervision = SupervisionReport::default();
         for (cfg, status) in configs.iter().zip(statuses) {
             match status? {
-                RunStatus::Completed {
-                    outcome, report, ..
-                } => {
-                    supervision.absorb(report);
-                    years.push(outcome);
-                }
+                RunStatus::Completed { outcome, .. } => years.push(outcome),
                 RunStatus::Interrupted { .. } => interrupted.push(cfg.year),
             }
         }
         Ok(if interrupted.is_empty() {
             DecadeStatus::Completed {
                 run: self.into_decade(years),
-                supervision,
             }
         } else {
             DecadeStatus::Interrupted {

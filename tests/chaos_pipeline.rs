@@ -53,9 +53,8 @@ fn analyze_once(
     Ok(status.completed().expect("nothing interrupts a plain run"))
 }
 
-/// A plain 2020 in the experiment's own pipeline mode, as a `Result`.
-fn try_year(experiment: &Experiment) -> Result<YearRun, RunError> {
-    let mode = experiment.pipeline_mode();
+/// A plain 2020 in `mode`, as a `Result`.
+fn try_year(experiment: &Experiment, mode: PipelineMode) -> Result<YearRun, RunError> {
     let status = experiment.year(&YearConfig::for_year(2020), mode, &RunOptions::default())?;
     Ok(status.completed().expect("nothing interrupts a plain run"))
 }
@@ -89,13 +88,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[test]
 fn benign_record_faults_are_invisible_in_every_execution_shape() {
     let run_with = |chaos: Option<ChaosPlan>, mode: PipelineMode| {
-        let mut experiment = Experiment::new(GeneratorConfig::tiny())
-            .with_pipeline_mode(mode)
-            .with_fault_policy(FaultPolicy::SkipRecord);
+        let mut experiment =
+            Experiment::new(GeneratorConfig::tiny()).with_fault_policy(FaultPolicy::SkipRecord);
         if let Some(plan) = chaos {
             experiment = experiment.with_chaos(plan);
         }
-        experiment.run_year(2020)
+        try_year(&experiment, mode).expect("the skip policy runs through benign faults")
     };
     let clean = run_with(None, PipelineMode::Sequential);
     assert!(!clean.faults.any());
@@ -190,9 +188,8 @@ fn mid_stream_eof_is_an_error_from_both_drivers_under_fail() {
         PipelineMode::Sharded { workers: 3 },
     ] {
         let result = try_year(
-            &Experiment::new(GeneratorConfig::tiny())
-                .with_pipeline_mode(mode)
-                .with_chaos(plan.clone()),
+            &Experiment::new(GeneratorConfig::tiny()).with_chaos(plan.clone()),
+            mode,
         );
         match result {
             Err(RunError::Pipeline(PipelineError::Stream(StreamError::Truncated {
@@ -217,9 +214,9 @@ fn mid_stream_eof_under_stop_clean_keeps_the_prefix() {
     ] {
         let run = try_year(
             &Experiment::new(GeneratorConfig::tiny())
-                .with_pipeline_mode(mode)
                 .with_fault_policy(FaultPolicy::StopClean)
                 .with_chaos(plan.clone()),
+            mode,
         )
         .expect("stop-clean turns the cut into a clean end");
         assert_eq!(run.faults.streams_truncated, 1, "{mode:?}");
@@ -247,9 +244,9 @@ fn heavy_timestamp_jitter_never_panics_under_skip() {
     ] {
         let run = try_year(
             &Experiment::new(GeneratorConfig::tiny())
-                .with_pipeline_mode(mode)
                 .with_fault_policy(FaultPolicy::SkipRecord)
                 .with_chaos(plan.clone()),
+            mode,
         )
         .expect("skip policy survives jitter");
         assert!(run.analysis.total_packets > 0, "{mode:?}");

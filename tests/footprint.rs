@@ -36,7 +36,7 @@ use synscan::wire::{Ipv4Address, ProbeRecord, TcpFlags};
 
 mod support;
 
-use support::{open_scan_count_fields, CountFields};
+use support::{collector_count_fields, open_scan_count_fields, CountFields};
 
 /// Bytes currently allocated through the global allocator. A statistic
 /// that publishes no other data, hence `Relaxed`.
@@ -427,6 +427,27 @@ fn max_decode_bytes(input: usize) -> isize {
     4 * input as isize + (64 << 10)
 }
 
+/// `bytes` with the `width`-byte count at `at` set, in turn, to each value
+/// the rule tries: 0, 1, the bytes left behind it, one more, `u32::MAX` and
+/// `u64::MAX`, each capped to what the field can hold.
+fn inflations(bytes: &[u8], (at, width): (usize, usize)) -> Vec<(u64, Vec<u8>)> {
+    let left = (bytes.len() - at - width) as u64;
+    let cap = u64::MAX >> (64 - 8 * width);
+    let mut values: Vec<u64> = [0, 1, left, left + 1, u64::from(u32::MAX), u64::MAX]
+        .into_iter()
+        .map(|v| v.min(cap))
+        .collect();
+    values.dedup();
+    values
+        .into_iter()
+        .map(|value| {
+            let mut inflated = bytes.to_vec();
+            inflated[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+            (value, inflated)
+        })
+        .collect()
+}
+
 /// A small slice with every section present: a campaign, four sources over
 /// three ports, and the heavy-hitter sketch.
 fn small_heavy_slice() -> Vec<u8> {
@@ -492,43 +513,45 @@ fn resealed(sealed: &[u8], payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Every length or count field of a sealed slice, as `(offset, width)` in
-/// its payload.
-fn count_fields(payload: &[u8]) -> Vec<(usize, usize)> {
+/// Every length or count field of a sealed slice: what it counts, where it
+/// sits in the payload as `(offset, width)`, and the count it holds.
+fn count_fields(payload: &[u8]) -> Vec<(&'static str, (usize, usize), u64)> {
     let mut walk = CountFields::new(payload);
     walk.skip(2 + 5 * 8); // year, monitored, window, totals
-    walk.count(8); // the index's campaign count
-    walk.column(2); // index ports
-    walk.column(4); // index sources
-    for entry in [10, 10, 8, 12] {
-        walk.column(entry); // port packets, port sources, source columns
-    }
-    for _ in 0..walk.count(8) {
+    walk.count("index campaigns", 8);
+    walk.column("index ports", 2);
+    walk.column("index sources", 4);
+    walk.column("port packets", 10);
+    walk.column("port sources", 10);
+    walk.column("source port counts", 8);
+    walk.column("source packets", 12);
+    for _ in 0..walk.count("port source sets", 8) {
         walk.skip(2);
-        walk.column(4); // one port's source set
+        walk.column("a port's sources", 4);
     }
-    walk.column(14); // day port packets
-    for _ in 0..walk.count(8) {
+    walk.column("day port packets", 14);
+    for _ in 0..walk.count("tool port packets", 8) {
         let tool = walk.tag();
-        walk.skip(u64::from(tool) + 2 + 8); // tool port packets
+        walk.skip(u64::from(tool) + 2 + 8);
     }
-    walk.column(30); // week blocks
-    for _ in 0..walk.count(8) {
+    walk.column("week blocks", 30);
+    for _ in 0..walk.count("campaigns", 8) {
         walk.skip(4 + 4 * 8);
-        walk.column(10); // campaign ports
-        walk.column(9); // campaign tools
+        walk.column("campaign ports", 10);
+        walk.column("campaign tools", 9);
     }
-    walk.column(9); // noise: rejected sequences
+    walk.column("rejected sequences", 9);
     walk.skip(8);
     assert_eq!(walk.tag(), 1, "the fixture carries the sketch");
-    for _ in 0..3 {
-        walk.count(4); // heavy-hitter k, width, depth
-    }
-    let (width, depth) = (walk.count(4), walk.count(4));
+    walk.count("heavy-hitter k", 4);
+    walk.count("heavy-hitter width", 4);
+    walk.count("heavy-hitter depth", 4);
+    let width = walk.count("count-min width", 4);
+    let depth = walk.count("count-min depth", 4);
     walk.skip(8 + 8 * width * depth); // count-min total and cells
-    walk.count(4); // space-saving capacity
+    walk.count("space-saving capacity", 4);
     walk.skip(16);
-    walk.column(8 * 12); // tracked slots
+    walk.column("space-saving slots", 8 * 12);
     assert_eq!(walk.at, payload.len(), "the walk covers the payload");
     walk.fields
 }
@@ -540,38 +563,22 @@ fn an_inflated_count_in_a_slice_is_refused_within_a_bounded_heap() {
     let payload = &sealed[STORE_HEADER..];
     let fields = count_fields(payload);
     assert!(fields.len() > 20, "{} count fields", fields.len());
-    let (mut loaded, mut tried, mut worst) = (0, 0, 0);
-    for &(at, width) in &fields {
-        let left = (payload.len() - at - width) as u64;
-        let mut values = vec![0, 1, left, left + 1, u64::from(u32::MAX), u64::MAX];
-        if width == 4 {
-            values
-                .iter_mut()
-                .for_each(|v| *v = (*v).min(u64::from(u32::MAX)));
-        }
-        values.dedup();
-        for value in values {
-            let mut inflated = payload.to_vec();
-            inflated[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+    let (mut tried, mut worst) = (0, 0);
+    for &(what, field, held) in &fields {
+        for (value, inflated) in inflations(payload, field) {
             let input = resealed(&sealed, &inflated);
-
             let base = reset_peak();
             let result = decode_year(&input);
             let peak = peak_above(base);
             (tried, worst) = (tried + 1, worst.max(peak));
-            let what = format!("count at payload byte {at} set to {value}");
+            // Only the value the field already held loads: the clean slice.
+            let lie = format!("{what} at payload byte {} set to {value}", field.0);
+            assert_eq!(result.is_ok(), value == held, "{lie} (holds {held})");
             assert!(
                 peak <= max_decode_bytes(input.len()),
-                "{what}: decoding {} B peaked at {peak} B",
+                "{lie}: decoding {} B peaked at {peak} B",
                 input.len()
             );
-            if let Ok(decoded) = result {
-                assert!(
-                    encode_year(&decoded) == input,
-                    "{what}: loaded non-canonically"
-                );
-                loaded += 1;
-            }
         }
     }
     eprintln!(
@@ -579,17 +586,6 @@ fn an_inflated_count_in_a_slice_is_refused_within_a_bounded_heap() {
         fields.len(),
         sealed.len()
     );
-    // Only the values each field already held load: the clean slice, once
-    // per field whose count is 0 or 1.
-    let untouched = fields
-        .iter()
-        .filter(|&&(at, width)| {
-            let mut bytes = [0u8; 8];
-            bytes[..width].copy_from_slice(&payload[at..at + width]);
-            u64::from_le_bytes(bytes) <= 1
-        })
-        .count();
-    assert_eq!(loaded, untouched);
 }
 
 /// A collector whose one source has an open scan: twenty destinations over
@@ -658,22 +654,13 @@ fn an_inflated_count_in_an_open_scan_is_refused_within_a_bounded_heap() {
     assert_eq!(clean, Ok(Some(collector)));
 
     let mut worst = 0;
-    for &((at, width), held) in &fields {
-        let left = (blob.len() - at - width) as u64;
-        let cap = u64::MAX >> (64 - 8 * width);
-        let mut values: Vec<u64> = [0, 1, left, left + 1, u64::from(u32::MAX), u64::MAX]
-            .into_iter()
-            .map(|v| v.min(cap))
-            .collect();
-        values.dedup();
-        for value in values {
+    for &(field, held) in &fields {
+        for (value, inflated) in inflations(&blob, field) {
             assert_ne!(value, held, "every value tried is a lie");
-            let mut inflated = blob.clone();
-            inflated[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
             let input = inflated.len();
             let (result, peak) = decode_shard(inflated);
             worst = worst.max(peak);
-            let what = format!("count at blob byte {at} set to {value}");
+            let what = format!("count at blob byte {} set to {value}", field.0);
             assert!(result.is_err(), "{what}: loaded");
             assert!(
                 peak <= max_decode_bytes(input),
@@ -773,6 +760,133 @@ fn port_rows_that_disagree_with_the_day_port_cells_are_corrupt() {
     assert!(
         matches!(result, Err(CheckpointError::Corrupt(_))),
         "a row no record made restored: {result:?}"
+    );
+}
+
+/// A collector with a count in every section of its blob, each set in both
+/// of its shapes: a finished campaign and a rejected sequence, an open scan,
+/// a port whose twenty sources fill a bitmap, a source whose forty ports
+/// fill one, closed one-day volatility periods before the open one, and an
+/// evicting heavy-hitter sketch.
+fn every_section_collector() -> YearCollector {
+    let config = CampaignConfig {
+        min_distinct_dests: 5,
+        min_rate_pps: 1.0,
+        expiry_secs: 3600.0,
+        monitored_addresses: 1 << 16,
+    };
+    let mut collector = YearCollector::with_period(2020, config, 1.0);
+    let heavy = HeavyHitterConfig {
+        k: 2,
+        width: 4,
+        depth: 2,
+    };
+    SizeHints::none()
+        .with_heavy(Some(heavy))
+        .apply_to(&mut collector);
+    let day = 86_400_000_000u64;
+    let mut offer = |ts: u64, src: u32, dst: u32, port: u16| {
+        collector.offer(&ProbeRecord {
+            ts_micros: ts,
+            src_ip: Ipv4Address(src),
+            dst_ip: Ipv4Address(dst),
+            src_port: 40_000,
+            dst_port: port,
+            seq: mix64(ts) as u32,
+            ip_id: if src == 0x0b00_0001 { 54_321 } else { 7 },
+            ttl: 55,
+            flags: TcpFlags::SYN,
+            window: 1024,
+        });
+    };
+    // Day 0: a ZMap campaign of 40 destinations, twenty one-probe sources on
+    // port 80, and one source over forty ports.
+    for i in 0..40u32 {
+        offer(u64::from(i) * 1_000, 0x0b00_0001, 0x0a00_0100 + i, 443);
+    }
+    for i in 0..20u32 {
+        offer(
+            100_000 + u64::from(i),
+            0x0c00_0000 + (i << 16),
+            0x0a00_0200,
+            80,
+        );
+    }
+    for i in 0..40u16 {
+        offer(200_000 + u64::from(i), 0x0d00_0001, 0x0a00_0300, 1_000 + i);
+    }
+    // Day 3: every day-0 scan has expired, and a new one is still open.
+    let later = 3 * day;
+    for i in 0..23u32 {
+        offer(
+            later + u64::from(i) * 1_000,
+            0x0e00_0001,
+            0x0a00_0400 + i % 20,
+            [22, 80, 443][i as usize % 3],
+        );
+    }
+    collector.housekeeping(later + 23_000);
+    collector
+}
+
+#[test]
+fn an_inflated_count_anywhere_in_a_collector_blob_is_refused_within_a_bounded_heap() {
+    let _turn = take_turn();
+    let collector = every_section_collector();
+    let blob = Checkpoint::encode_collector(Some(&collector));
+    let fields = collector_count_fields(&blob);
+    let (clean, _) = decode_shard(blob.clone());
+    assert_eq!(clean, Ok(Some(collector)));
+    for section in [
+        "interned sources",
+        "open-scan destinations",
+        "campaigns",
+        "campaign tools",
+        "rejected sequences",
+        "a port's sources",
+        "a source's ports",
+        "(week, /16) cells",
+        "space-saving slots",
+    ] {
+        assert!(
+            fields
+                .iter()
+                .any(|&(what, _, held)| what == section && held > 0),
+            "the fixture holds {section}"
+        );
+    }
+    // Both set shapes: a bitmap adds a 4-byte member count.
+    for set in ["a port's sources", "a source's ports"] {
+        assert!(
+            fields
+                .iter()
+                .any(|&(what, (_, width), _)| what == set && width == 4),
+            "the fixture holds {set} as a bitmap"
+        );
+    }
+
+    let (mut tried, mut worst) = (0, 0);
+    for &(what, field, held) in &fields {
+        for (value, inflated) in inflations(&blob, field) {
+            let input = inflated.len();
+            let (result, peak) = decode_shard(inflated);
+            (tried, worst) = (tried + 1, worst.max(peak));
+            let lie = format!("{what} at blob byte {} set to {value}", field.0);
+            assert_eq!(
+                result.is_ok(),
+                value == held,
+                "{lie} (holds {held}): {result:?}"
+            );
+            assert!(
+                peak <= max_decode_bytes(input),
+                "{lie}: decoding {input} B peaked at {peak} B"
+            );
+        }
+    }
+    eprintln!(
+        "{} count fields of a {} B collector blob, {tried} inflated decodes: worst peak {worst} B",
+        fields.len(),
+        blob.len()
     );
 }
 

@@ -20,8 +20,10 @@ use synscan::{GeneratorConfig, RunOptions, YearConfig};
 
 fn run(year: u16, mode: PipelineMode) -> synscan::experiment::YearRun {
     Experiment::new(GeneratorConfig::tiny())
-        .with_pipeline_mode(mode)
-        .run_year(year)
+        .year(&YearConfig::for_year(year), mode, &RunOptions::default())
+        .expect("clean year")
+        .completed()
+        .expect("nothing interrupts a plain run")
 }
 
 fn decade(experiment: Experiment) -> DecadeRun {
@@ -64,23 +66,6 @@ fn sharded_run_still_detects_real_structure() {
     assert!(!run.analysis.campaigns.is_empty());
     assert!(!run.analysis.port_packets.contains_key(&23));
     assert!(run.analysis.total_packets == run.capture.admitted);
-}
-
-#[test]
-fn decade_budget_composes_with_sharding() {
-    // A sharded decade run equals the sequential decade run year by year
-    // (with_budget may collapse the per-year share to sequential on small
-    // machines — that is exactly the point).
-    let sequential = decade(Experiment::new(GeneratorConfig::tiny()));
-    let sharded = decade(
-        Experiment::new(GeneratorConfig::tiny())
-            .with_pipeline_mode(PipelineMode::Sharded { workers: 8 }),
-    );
-    assert_eq!(sequential.years.len(), sharded.years.len());
-    for (a, b) in sequential.years.iter().zip(&sharded.years) {
-        assert_eq!(a.analysis, b.analysis, "year {}", a.analysis.year);
-        assert_eq!(a.capture, b.capture);
-    }
 }
 
 #[test]

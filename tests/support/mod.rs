@@ -75,8 +75,9 @@ pub struct CountFields<'a> {
     payload: &'a [u8],
     /// The offset of the next field.
     pub at: usize,
-    /// Every count noted so far, as `(offset, width)`.
-    pub fields: Vec<(usize, usize)>,
+    /// Every count noted so far: what it counts, where it sits as
+    /// `(offset, width)`, and the count it holds.
+    pub fields: Vec<(&'static str, (usize, usize), u64)>,
 }
 
 impl<'a> CountFields<'a> {
@@ -98,27 +99,55 @@ impl<'a> CountFields<'a> {
         self.payload[self.at - 1]
     }
 
-    /// A count of `width` bytes: noted, then read.
-    pub fn count(&mut self, width: usize) -> u64 {
+    /// A field of `width` bytes that is not a count: read, not noted.
+    pub fn value(&mut self, width: usize) -> u64 {
         let mut bytes = [0u8; 8];
         bytes[..width].copy_from_slice(&self.payload[self.at..self.at + width]);
-        self.fields.push((self.at, width));
         self.at += width;
         u64::from_le_bytes(bytes)
     }
 
-    /// A section of `count` entries of `entry` bytes each.
-    pub fn column(&mut self, entry: u64) {
-        let n = self.count(8);
+    /// A count of `what`, `width` bytes wide: noted, then read.
+    pub fn count(&mut self, what: &'static str, width: usize) -> u64 {
+        let at = self.at;
+        let held = self.value(width);
+        self.fields.push((what, (at, width), held));
+        held
+    }
+
+    /// A section of `what`: its count, then that many `entry`-byte entries.
+    pub fn column(&mut self, what: &'static str, entry: u64) {
+        let n = self.count(what, 8);
         self.skip(n * entry);
+    }
+
+    /// A set of source ids as a checkpoint writes it: tag 0 and the sorted
+    /// ids, or tag 1, the member count and the bitmap's words.
+    pub fn id_set(&mut self, what: &'static str) {
+        if self.tag() == 1 {
+            self.count(what, 4);
+            self.column(what, 8);
+        } else {
+            self.column(what, 4);
+        }
+    }
+
+    /// A set of ports as a checkpoint writes it: tag 0 and the sorted
+    /// ports, or tag 1, the member count and the 1 024 words of its bitmap.
+    pub fn port_set(&mut self, what: &'static str) {
+        if self.tag() == 1 {
+            self.count(what, 4);
+            self.skip(8 << 10);
+        } else {
+            self.column(what, 2);
+        }
     }
 }
 
-/// Where a one-source collector blob (`Checkpoint::encode_collector`) keeps
-/// its open scan's destination count, port count and window length, and
-/// the collector's port-row count, as `(offset, width)`, with the count each
-/// holds.
-pub fn open_scan_count_fields(blob: &[u8]) -> Vec<((usize, usize), u64)> {
+/// Every length or count field of a collector blob
+/// (`Checkpoint::encode_collector`), in blob order: what it counts, where
+/// it sits as `(offset, width)`, and the count it holds.
+pub fn collector_count_fields(blob: &[u8]) -> Vec<(&'static str, (usize, usize), u64)> {
     let mut walk = CountFields::new(blob);
     assert_eq!(walk.tag(), 1, "a collector");
     walk.skip(4 * 8 + 2 + 2 * 8); // thresholds, year, monitored, period
@@ -126,30 +155,72 @@ pub fn open_scan_count_fields(blob: &[u8]) -> Vec<((usize, usize), u64)> {
         walk.skip(8); // the origin
     }
     walk.skip(2 * 8); // end, total packets
-    let sources = walk.count(8);
-    walk.skip(4 * sources); // the interner
-    assert_eq!(walk.count(8), 1, "one slot");
-    assert_ne!(walk.count(4), u64::from(u32::MAX), "its scan is open");
-    walk.skip(2 * 8 + 8); // first and last timestamps, packets
-    let mut noted = Vec::new();
-    let mut note = |walk: &mut CountFields, width: usize| {
-        let count = walk.count(width);
-        noted.push((*walk.fields.last().expect("just noted"), count));
-        count
-    };
-    let dests = note(&mut walk, 8);
-    walk.skip(4 * dests);
-    let ports = note(&mut walk, 8);
-    walk.skip(10 * ports + 6 * 8); // port counts, tool votes
-    let window = note(&mut walk, 1);
-    walk.skip(12 * window);
-    if walk.tag() == 1 {
-        walk.skip(1); // the confirmed tool
+    walk.column("interned sources", 4);
+    for _ in 0..walk.count("source slots", 8) {
+        let open = walk.value(4) != u64::from(u32::MAX);
+        walk.skip(2 * 8); // first and last timestamps
+        if open {
+            walk.skip(8); // packets
+            walk.column("open-scan destinations", 4);
+            walk.column("open-scan ports", 10);
+            walk.skip(6 * 8); // tool votes
+            let window = walk.count("fingerprint window", 1);
+            walk.skip(12 * window);
+            if walk.tag() == 1 {
+                walk.skip(1); // the confirmed tool
+            }
+        }
     }
-    walk.column(4); // the active list
-    assert_eq!(walk.count(8), 0, "no finished campaign");
-    walk.column(9); // noise: rejected sequences
+    walk.column("active list", 4);
+    for _ in 0..walk.count("campaigns", 8) {
+        walk.skip(4 + 4 * 8); // source, first, last, packets, destinations
+        walk.column("campaign ports", 10);
+        walk.column("campaign tools", 9);
+    }
+    walk.column("rejected sequences", 9);
     walk.skip(8);
-    note(&mut walk, 8); // the collector's port rows
-    noted
+    for _ in 0..walk.count("port rows", 8) {
+        walk.skip(2 + 8); // port, packets
+        walk.id_set("a port's sources");
+    }
+    walk.column("source packets", 8);
+    for _ in 0..walk.count("source port sets", 8) {
+        walk.port_set("a source's ports");
+    }
+    walk.column("(day, port) cells", 16);
+    walk.column("(tool, port) cells", 12);
+    for _ in 0..walk.count("(week, /16) cells", 8) {
+        walk.skip(2 * 8); // key, packets
+        walk.id_set("a (week, /16) cell's sources");
+    }
+    if walk.tag() == 1 {
+        walk.count("heavy-hitter k", 4);
+        walk.count("heavy-hitter width", 4);
+        walk.count("heavy-hitter depth", 4);
+        let width = walk.count("count-min width", 4);
+        let depth = walk.count("count-min depth", 4);
+        walk.skip(8 + 8 * width * depth); // total, cells
+        walk.count("space-saving capacity", 4);
+        walk.skip(2 * 8); // total, evictions
+        walk.column("space-saving slots", 8 * 12);
+    }
+    assert_eq!(walk.at, blob.len(), "the walk covers the blob");
+    walk.fields
+}
+
+/// Where a collector blob keeps its open scans' destination counts, port
+/// counts and window lengths, and the collector's port-row count, as
+/// `(offset, width)`, with the count each holds.
+pub fn open_scan_count_fields(blob: &[u8]) -> Vec<((usize, usize), u64)> {
+    let wanted = [
+        "open-scan destinations",
+        "open-scan ports",
+        "fingerprint window",
+        "port rows",
+    ];
+    collector_count_fields(blob)
+        .into_iter()
+        .filter(|(what, ..)| wanted.contains(what))
+        .map(|(_, field, held)| (field, held))
+        .collect()
 }

@@ -283,25 +283,6 @@ impl IdSet {
             t => Err(CheckpointError::Corrupt(format!("IdSet tag {t}"))),
         }
     }
-
-    /// Merge `other` into `self` (set union) — the cross-shard combine for
-    /// compact sets. Sorted inputs merge sequentially; anything else inserts
-    /// `other`'s members one by one. Either way the result is the variant
-    /// inserting the union into a fresh set would give.
-    pub fn union_with(&mut self, other: &IdSet) {
-        match (self.sorted(), other.sorted()) {
-            (Some(mine), Some(theirs)) if mine.len() + theirs.len() <= ID_SMALL_MAX => {
-                // The bound check guarantees the merged set is still sorted
-                // (it can only shrink under dedup).
-                *self = IdSet::from_sorted(sorted_union(mine, theirs));
-            }
-            _ => {
-                for id in other.iter() {
-                    self.insert(id);
-                }
-            }
-        }
-    }
 }
 
 /// A set of dense ids that costs a few bytes per member however large its
@@ -1035,68 +1016,6 @@ mod tests {
     }
 
     #[test]
-    fn idset_union_small_small_inline() {
-        // Empty × non-empty, overlapping, all staying inline.
-        let mut a = IdSet::new();
-        let mut b = IdSet::new();
-        a.union_with(&b);
-        assert!(a.is_empty(), "empty ∪ empty");
-        for id in [1u32, 5, 9] {
-            b.insert(id);
-        }
-        a.union_with(&b);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 5, 9], "empty ∪ b = b");
-        let mut c = IdSet::new();
-        for id in [5u32, 7] {
-            c.insert(id);
-        }
-        a.union_with(&c);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 5, 7, 9]);
-        assert!(matches!(a, IdSet::Inline { .. }), "four ids stay inline");
-    }
-
-    #[test]
-    fn idset_union_spilling_and_mixed_reprs() {
-        // Cross-shard shape: two disjoint dense ranges, each inline, whose
-        // union must spill; then union a bitmap into a small set.
-        let mut low = IdSet::new();
-        let mut high = IdSet::new();
-        for id in 0..12u32 {
-            low.insert(id);
-            high.insert(100 + id);
-        }
-        low.union_with(&high);
-        assert_eq!(low.len(), 24);
-        assert!(low.contains(0) && low.contains(111));
-
-        let mut big = IdSet::new();
-        for id in 0..50u32 {
-            big.insert(id * 2);
-        }
-        let mut small = IdSet::new();
-        small.insert(1);
-        small.insert(4); // overlaps big
-        small.union_with(&big);
-        assert_eq!(small.len(), 51);
-        let mut expected: Vec<u32> = (0..50u32).map(|i| i * 2).collect();
-        expected.push(1);
-        expected.sort_unstable();
-        assert_eq!(small.iter().collect::<Vec<_>>(), expected);
-    }
-
-    #[test]
-    fn idset_union_is_idempotent() {
-        let mut a = IdSet::new();
-        for id in 0..30u32 {
-            a.insert(id);
-        }
-        let snapshot = a.clone();
-        let b = a.clone();
-        a.union_with(&b);
-        assert_eq!(a, snapshot, "self-union changes nothing");
-    }
-
-    #[test]
     fn portset_inserts_and_spills() {
         let mut set = PortSet::new();
         assert!(set.insert(443));
@@ -1316,35 +1235,6 @@ mod tests {
             assert_eq!(back, set, "{n} ids restore to the same variant");
             assert_eq!(idset_bytes(&back), bytes, "{n} ids re-encode");
             assert!(set.iter().all(|id| back.contains(id)));
-        }
-    }
-
-    #[test]
-    fn idset_union_over_every_variant_pair_matches_fresh_inserts() {
-        // Overlapping (shared ids) and disjoint (shifted ids) partners for
-        // every pair of sizes around the bounds.
-        let left = idset_at_each_bound();
-        for (n, mine) in &left {
-            for (m, base) in idset_at_each_bound() {
-                for shift in [0u32, 1_000_000] {
-                    let theirs: IdSet = {
-                        let mut set = IdSet::new();
-                        base.iter().for_each(|id| {
-                            set.insert(id + shift);
-                        });
-                        set
-                    };
-                    let mut union = mine.clone();
-                    union.union_with(&theirs);
-                    let mut fresh = IdSet::new();
-                    for id in mine.iter().chain(theirs.iter()) {
-                        fresh.insert(id);
-                    }
-                    assert_eq!(union, fresh, "{n} ∪ {m} ids, shift {shift}");
-                    let back = round_trip_idset(&union);
-                    assert_eq!(idset_bytes(&back), idset_bytes(&union));
-                }
-            }
         }
     }
 

@@ -13,8 +13,11 @@
 //!    (≥100 distinct telescope destinations, ≥100 pps Internet-wide
 //!    estimated rate, 1 h idle expiry), plus speed and IPv4-coverage
 //!    estimation via the geometric telescope model.
-//! 3. **Scanner-type classification** ([`classify`], §6.6): labeling sources
-//!    institutional / hosting / enterprise / residential / unknown.
+//! 3. **Scanner-type classification** (§6.6): labeling sources
+//!    institutional / hosting / enterprise / residential / unknown through
+//!    [`synscan_netmodel::InternetRegistry::class`], which stands in for the
+//!    paper's Greynoise feed and AS-category matching (known-org overlay
+//!    first, then AS category, `Unknown` as the fallback).
 //! 4. **Longitudinal analysis** ([`analysis`]): every table and figure of
 //!    the evaluation — yearly summaries (Table 1), scanner types (Table 2),
 //!    event decay (Fig. 1), weekly /16 volatility (Fig. 2), ports per source
@@ -52,7 +55,6 @@
 pub mod analysis;
 pub mod campaign;
 pub mod checkpoint;
-pub mod classify;
 pub mod compact;
 pub mod distrib;
 pub mod envelope;

@@ -93,15 +93,12 @@ impl std::str::FromStr for PipelineMode {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let lower = s.to_ascii_lowercase();
-        match lower.as_str() {
-            "sequential" | "seq" => Ok(PipelineMode::Sequential),
+        match s {
+            "sequential" => Ok(PipelineMode::Sequential),
             "auto" => Ok(PipelineMode::auto()),
             other => other
                 .strip_prefix("sharded:")
-                .unwrap_or(other)
-                .parse::<usize>()
-                .ok()
+                .and_then(|n| n.parse::<usize>().ok())
                 .filter(|&n| n >= 1)
                 .map(|n| PipelineMode::Sharded { workers: n })
                 .ok_or_else(|| {
@@ -806,15 +803,19 @@ mod tests {
         assert_eq!(PipelineMode::Sharded { workers: 3 }.workers(), 3);
         assert_eq!(PipelineMode::Sequential.workers(), 1);
 
-        assert_eq!("seq".parse::<PipelineMode>(), Ok(PipelineMode::Sequential));
+        assert_eq!(
+            "sequential".parse::<PipelineMode>(),
+            Ok(PipelineMode::Sequential)
+        );
         assert_eq!(
             "sharded:6".parse::<PipelineMode>(),
             Ok(PipelineMode::Sharded { workers: 6 })
         );
-        assert_eq!(
-            "4".parse::<PipelineMode>(),
-            Ok(PipelineMode::Sharded { workers: 4 })
-        );
+        // One spelling per setting: no abbreviation, no bare count, no case
+        // folding.
+        for other in ["seq", "4", "Sequential", "SHARDED:2"] {
+            assert!(other.parse::<PipelineMode>().is_err(), "{other}");
+        }
         assert!("sharded:0".parse::<PipelineMode>().is_err());
         assert!("bogus".parse::<PipelineMode>().is_err());
         assert!("auto".parse::<PipelineMode>().is_ok());

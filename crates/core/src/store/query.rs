@@ -100,9 +100,9 @@ pub enum Request {
 pub struct HealthCounters {
     /// Milliseconds since the daemon started.
     pub uptime_ms: u64,
-    /// Connections currently queued or being served.
+    /// Connections currently being served.
     pub in_flight: u64,
-    /// Connections served to completion since start.
+    /// Requests answered since start.
     pub served: u64,
     /// Connections shed by the admission gate since start.
     pub shed: u64,

@@ -90,6 +90,40 @@ mod tests {
     }
 
     #[test]
+    fn as_category_drives_the_class() {
+        let reg = InternetRegistry::build(12, &[]);
+        let mut rng = Rng::seed_from_u64(1);
+        for class in [
+            ScannerClass::Hosting,
+            ScannerClass::Enterprise,
+            ScannerClass::Residential,
+        ] {
+            let ip = reg
+                .sample_source(&mut rng, Country::Germany, class)
+                .unwrap();
+            assert_eq!(reg.class(ip), class);
+        }
+    }
+
+    #[test]
+    fn known_org_sources_are_institutional() {
+        let reg = InternetRegistry::build(11, &[]);
+        let org = &reg.orgs()[0];
+        let ip = reg.org_source_ip(org.id, 0);
+        assert_eq!(reg.class(ip), ScannerClass::Institutional);
+        assert_eq!(reg.known_org(ip).unwrap().id, org.id);
+    }
+
+    #[test]
+    fn unassigned_space_is_unknown() {
+        let reg = InternetRegistry::build(13, &[]);
+        assert_eq!(
+            reg.class(Ipv4Address::new(10, 0, 0, 1)),
+            ScannerClass::Unknown
+        );
+    }
+
+    #[test]
     fn known_org_lookup_round_trips() {
         let reg = InternetRegistry::build(6, &[]);
         for org in reg.orgs().iter().take(5) {

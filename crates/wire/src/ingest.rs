@@ -2,7 +2,7 @@
 //!
 //! Nobody holds a year of telescope pcap in memory, so nothing here does
 //! either. A capture is read through one recycled *window*, and every reader
-//! in the workspace — the `Read` path, `--ingest mmap`, `mmap:N` — is the
+//! in the workspace — the `Read` path, `--ingest read`, `mmap:N` — is the
 //! same three stages:
 //!
 //! * **Framer.** One sequential reader refills a window buffer from any
@@ -86,10 +86,10 @@ impl core::str::FromStr for IngestMode {
 
     fn from_str(s: &str) -> core::result::Result<Self, Self::Err> {
         let queues = match s {
-            "read" | "mmap" => 1,
+            "read" => 1,
             other => {
                 let n = other.strip_prefix("mmap:").ok_or_else(|| {
-                    format!("unknown ingest mode {other:?} (expected read, mmap, or mmap:N)")
+                    format!("unknown ingest mode {other:?} (expected read or mmap:N)")
                 })?;
                 n.parse()
                     .map_err(|_| format!("bad queue count in ingest mode {other:?}"))?
@@ -1694,7 +1694,7 @@ mod tests {
     fn ingest_mode_parses_and_displays() {
         let queues = |s: &str| s.parse::<IngestMode>().map(|mode| mode.queues);
         assert_eq!(queues("read"), Ok(1));
-        assert_eq!(queues("mmap"), Ok(1));
+        assert!(queues("mmap").is_err(), "one spelling per setting");
         assert_eq!(queues("mmap:4"), Ok(4));
         assert!(queues("mapped:2").is_err(), "one spelling per setting");
         assert!(queues("mmap:0").is_err());

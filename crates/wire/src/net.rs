@@ -5,9 +5,9 @@
 //! requests, or vanish mid-line. This module holds the two defenses the
 //! daemon threads through its transport:
 //!
-//! * [`Deadline`] / [`HasDeadlines`] — per-read/per-write socket timeouts,
-//!   whose expiry [`is_timeout`] recognizes, so a silent peer costs a typed
-//!   [`NetError::TimedOut`] instead of an indefinite block;
+//! * [`is_timeout`] — recognizes an expired per-read/per-write socket
+//!   timeout, so a silent peer costs a typed [`NetError::TimedOut`] instead
+//!   of an indefinite block;
 //! * [`BoundedLineReader`] — newline-delimited request admission with a hard
 //!   byte cap (slow-loris and oversized-request defense for NDJSON).
 
@@ -27,7 +27,7 @@ pub const DEFAULT_REQUEST_DEADLINE_MS: u64 = 10_000;
 pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// Default admission-gate width for the serve daemon: connections beyond
-/// this many simultaneously queued-or-served are shed with a typed reply.
+/// this many simultaneously served are shed with a typed reply.
 pub const DEFAULT_MAX_IN_FLIGHT: usize = 64;
 
 /// Typed failure from the resilience layer.
@@ -89,63 +89,6 @@ pub fn is_timeout(err: &io::Error) -> bool {
     )
 }
 
-/// Read/write budgets for one stream. `None` means block indefinitely
-/// (the pre-hardening behavior, kept available for trusted local pipes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Deadline {
-    /// Budget for a single read call.
-    pub read: Option<Duration>,
-    /// Budget for a single write call.
-    pub write: Option<Duration>,
-}
-
-impl Deadline {
-    /// No deadlines: reads and writes may block forever.
-    pub fn none() -> Self {
-        Deadline::default()
-    }
-
-    /// The same budget for reads and writes.
-    pub fn rw(budget: Duration) -> Self {
-        Deadline {
-            read: Some(budget),
-            write: Some(budget),
-        }
-    }
-
-    /// [`Deadline::rw`] from a millisecond figure; 0 means no deadline.
-    pub fn from_millis(ms: u64) -> Self {
-        if ms == 0 {
-            Deadline::none()
-        } else {
-            Deadline::rw(Duration::from_millis(ms))
-        }
-    }
-}
-
-/// A stream whose native socket timeouts can be set. Implemented for the two
-/// transports the daemon serves on; an expired budget then surfaces as an error
-/// that [`is_timeout`] recognizes.
-pub trait HasDeadlines {
-    /// Apply the budgets as native socket timeouts.
-    fn set_deadline(&self, deadline: Deadline) -> io::Result<()>;
-}
-
-impl HasDeadlines for std::net::TcpStream {
-    fn set_deadline(&self, deadline: Deadline) -> io::Result<()> {
-        self.set_read_timeout(deadline.read)?;
-        self.set_write_timeout(deadline.write)
-    }
-}
-
-#[cfg(unix)]
-impl HasDeadlines for std::os::unix::net::UnixStream {
-    fn set_deadline(&self, deadline: Deadline) -> io::Result<()> {
-        self.set_read_timeout(deadline.read)?;
-        self.set_write_timeout(deadline.write)
-    }
-}
-
 /// Newline-delimited request reader with a hard byte cap and cumulative
 /// per-line deadlines.
 ///
@@ -161,8 +104,9 @@ impl HasDeadlines for std::os::unix::net::UnixStream {
 ///   `idle_deadline` (the stall timeout), allowing keep-alive clients a
 ///   longer leash between requests than within one.
 ///
-/// The underlying stream's socket read timeout should be set (via
-/// [`Deadline`]) to at most `request_deadline` so the cumulative checks run.
+/// The underlying stream's socket read timeout should be set (its
+/// `set_read_timeout`) to at most `request_deadline` so the cumulative
+/// checks run.
 #[derive(Debug)]
 pub struct BoundedLineReader<R> {
     inner: R,
@@ -402,11 +346,8 @@ mod tests {
         // The peer connects and stays silent.
         let peer = std::net::TcpStream::connect(addr).unwrap();
         let (mut conn, _) = listener.accept().unwrap();
-        conn.set_deadline(Deadline {
-            read: Some(Duration::from_millis(50)),
-            write: None,
-        })
-        .unwrap();
+        conn.set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
         let started = Instant::now();
         let err = conn.read(&mut [0u8; 16]).unwrap_err();
         assert!(is_timeout(&err), "{err:?}");

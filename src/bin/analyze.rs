@@ -3,7 +3,7 @@
 //! ```text
 //! analyze <capture.pcap | -> [--monitored N] [--year Y] [--top N]
 //!         [--pipeline sequential|auto|sharded:N] [--materialize]
-//!         [--ingest read|mmap|mmap:N] [--heavy-hitters K[,WIDTH,DEPTH]]
+//!         [--ingest read|mmap:N] [--heavy-hitters K[,WIDTH,DEPTH]]
 //!         [--fault-policy fail|skip|stop] [--chaos-seed N]
 //!         [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
 //!         [--die-after-checkpoints K] [--store-dir DIR]
@@ -80,7 +80,7 @@ use cli::{flag_dir, flag_value, sig, CheckpointFlags};
 
 const USAGE: &str = "usage: analyze <capture.pcap | -> [--monitored N] [--year Y] [--top N] \
                      [--pipeline sequential|auto|sharded:N] [--materialize] \
-                     [--ingest read|mmap|mmap:N] [--heavy-hitters K[,WIDTH,DEPTH]] \
+                     [--ingest read|mmap:N] [--heavy-hitters K[,WIDTH,DEPTH]] \
                      [--fault-policy fail|skip|stop] [--chaos-seed N] \
                      [--checkpoint-dir DIR] [--checkpoint-every N] [--resume] \
                      [--die-after-checkpoints K] [--store-dir DIR]\n\
@@ -133,7 +133,7 @@ fn run() -> Result<(), String> {
                 options.pipeline = flag_value(&mut args, "--pipeline", "sequential|auto|sharded:N")?
             }
             "--materialize" => options.materialize = true,
-            "--ingest" => options.ingest = flag_value(&mut args, "--ingest", "read|mmap|mmap:N")?,
+            "--ingest" => options.ingest = flag_value(&mut args, "--ingest", "read|mmap:N")?,
             "--heavy-hitters" => options.heavy = Some(cli::heavy_hitters(&mut args)?),
             "--fault-policy" => {
                 options.policy = flag_value(&mut args, "--fault-policy", "fail|skip|stop")?

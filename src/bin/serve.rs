@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! # daemon: load the store, answer NDJSON queries until `shutdown`
-//! synscan-serve --store-dir out/store --listen 127.0.0.1:7070 [--readers N]
+//! synscan-serve --store-dir out/store --listen 127.0.0.1:7070 [--max-in-flight N]
 //! synscan-serve --store-dir out/store --listen unix:/tmp/synscan.sock
 //!
 //! # client: send a query file (or stdin) to a running daemon
@@ -36,12 +36,11 @@ mod cli;
 use cli::{flag_dir, flag_value};
 
 const USAGE: &str = "usage: synscan-serve (--listen SPEC | --connect SPEC | --query FILE) \
-                     [--store-dir DIR] [--readers N] [--query FILE] [--bodies]\n\
+                     [--store-dir DIR] [--query FILE] [--bodies]\n\
                      \n  --store-dir DIR     analysis store directory (default out/store)\
                      \n  --listen SPEC       run the daemon on [tcp:]HOST:PORT or unix:PATH\
-                     \n  --readers N         daemon reader threads (default 4)\
-                     \n  --max-in-flight N   admission gate: shed connections beyond N \
-                     queued-or-served (default 64)\
+                     \n  --max-in-flight N   admission gate: serve at most N connections, \
+                     one thread each, and shed the rest (default 64)\
                      \n  --request-deadline MS  per-request read/write budget in \
                      milliseconds, 0 disables (default 10000)\
                      \n  --stall-timeout SECS   idle-connection cutoff in seconds (default 30)\
@@ -98,7 +97,6 @@ fn run() -> Result<(), Failure> {
                 )?)
             }
             "--query" => query = Some(flag_value(&mut args, "--query", "a file path or -")?),
-            "--readers" => options.readers = flag_value(&mut args, "--readers", "a thread count")?,
             "--max-in-flight" => {
                 options.max_in_flight =
                     flag_value(&mut args, "--max-in-flight", "a connection count")?
@@ -145,12 +143,11 @@ fn run_daemon(
     options: ServeOptions,
 ) -> Result<(), Failure> {
     let listen = Endpoint::parse(spec).map_err(|e| Failure::Usage(format!("--listen: {e}")))?;
-    let readers = options.readers.max(1);
     let max_in_flight = options.max_in_flight.max(1);
     let server = Server::start(store_dir, &listen, options)
         .map_err(|e| format!("cannot start daemon: {e}"))?;
     eprintln!(
-        "[synscan-serve] serving {} on {} ({readers} readers, max {max_in_flight} in flight)",
+        "[synscan-serve] serving {} on {} (max {max_in_flight} in flight)",
         store_dir.display(),
         server.endpoint(),
     );
@@ -234,12 +231,11 @@ fn exchange<S: Read + Write>(stream: S, queries: &[String], bodies: bool) -> Res
     let mut chan = BufReader::new(stream);
     let mut line = String::new();
     for request in queries {
+        // One write for the line and its newline: a separate newline write
+        // waits under Nagle's algorithm for the daemon's delayed ACK.
         let out = chan.get_mut();
-        out.write_all(request.as_bytes())
-            .map_err(|e| Failure::Runtime(format!("cannot send request: {e}")))?;
-        out.write_all(b"\n")
-            .map_err(|e| Failure::Runtime(format!("cannot send request: {e}")))?;
-        out.flush()
+        out.write_all(format!("{request}\n").as_bytes())
+            .and_then(|()| out.flush())
             .map_err(|e| Failure::Runtime(format!("cannot send request: {e}")))?;
         line.clear();
         let n = chan

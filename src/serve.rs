@@ -2,41 +2,40 @@
 //!
 //! A [`Server`] loads an [`AnalysisStore`] into a read-mostly
 //! [`StoreImage`] published through an [`ImageCell`], binds a line-delimited
-//! JSON endpoint (TCP or Unix socket), and answers queries from a pool of
-//! reader threads:
+//! JSON endpoint (TCP or Unix socket), and runs two kinds of thread:
 //!
-//! - **Readers** (N threads) pull accepted connections off a shared queue
-//!   and answer data ops straight from their cached [`ImageReader`] — one
-//!   atomic load per query, zero locks in the steady state.
-//! - **One writer thread** owns all store I/O: a `reload` request is
-//!   forwarded to it over a channel, it rebuilds the image from disk and
-//!   installs it in the cell, and every reader observes the new generation
-//!   on its next query. Readers never touch the filesystem.
-//! - **One acceptor thread** hands connections to the pool; `shutdown`
-//!   stops the daemon by flipping the stop flag and unblocking the
-//!   acceptor with a self-connect.
+//! - **One acceptor** admits connections through the gate — at most
+//!   `max_in_flight` are being served, the rest get a typed shed reply —
+//!   and gives each admitted connection its own scoped thread. `shutdown`
+//!   stops it by flipping the stop flag and unblocking `accept()` with a
+//!   self-connect; leaving its scope joins every conversation.
+//! - **One thread per connection** answers data ops straight from its own
+//!   [`ImageReader`](synscan_core::store::ImageReader) — one atomic load
+//!   per query, zero locks in the steady state — and runs a `reload`
+//!   itself: it loads the image under the store mutex, so reloads
+//!   serialize, and installs it in the cell, where every other connection
+//!   observes the new generation on its next query.
+//!
+//! So the daemon runs at most `max_in_flight` + 1 threads.
 //!
 //! The protocol itself (request parsing, response rendering) lives in
 //! [`synscan_core::store::query`] so the offline client and tests answer
 //! queries byte-identically to the daemon.
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::thread::{Builder, JoinHandle, Scope};
 use std::time::{Duration, Instant};
 
 use synscan_core::store::query::{
     answer, err_line, health_line, ok_line, parse_request, HealthCounters, Request,
 };
-use synscan_core::store::{AnalysisStore, ImageCell, ImageReader, StoreError, StoreImage};
-use synscan_wire::net::{
-    self, BoundedLineReader, Deadline, HasDeadlines, NetError, MAX_REQUEST_BYTES,
-};
+use synscan_core::store::{AnalysisStore, ImageCell, StoreError, StoreImage};
+use synscan_wire::net::{self, BoundedLineReader, NetError, MAX_REQUEST_BYTES};
 
 /// Everything that can go wrong starting or running the daemon.
 #[derive(Debug)]
@@ -108,10 +107,8 @@ impl fmt::Display for Endpoint {
 /// [`synscan_wire::net`] constants.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeOptions {
-    /// Reader-thread pool size.
-    pub readers: usize,
     /// Admission-gate width: connections beyond this many simultaneously
-    /// queued-or-served are shed with a typed `overloaded` reply.
+    /// served are shed with a typed `overloaded` reply.
     pub max_in_flight: usize,
     /// Budget for one request to arrive in full (slow-loris cutoff) and for
     /// each response write. Zero disables the deadline.
@@ -124,23 +121,9 @@ pub struct ServeOptions {
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
-            readers: 4,
             max_in_flight: net::DEFAULT_MAX_IN_FLIGHT,
             request_deadline: Duration::from_millis(net::DEFAULT_REQUEST_DEADLINE_MS),
             stall_timeout: Duration::from_millis(net::DEFAULT_STALL_TIMEOUT_MS),
-        }
-    }
-}
-
-impl ServeOptions {
-    fn conn_deadline(&self) -> Deadline {
-        // The socket-level read timeout is the request budget (the bounded
-        // reader turns repeated timeout ticks on an idle connection into the
-        // longer stall cutoff); writes get the request budget directly.
-        let read = nonzero(self.request_deadline).or_else(|| nonzero(self.stall_timeout));
-        Deadline {
-            read,
-            write: nonzero(self.request_deadline),
         }
     }
 }
@@ -154,10 +137,11 @@ fn nonzero(d: Duration) -> Option<Duration> {
 }
 
 /// The admission gate and liveness counters, shared by the acceptor (shed
-/// decisions), the readers (health answers), and [`ServerControl`] (drain).
+/// decisions), the connection threads (health answers), and
+/// [`ServerControl`] (drain).
 struct GateState {
     started: Instant,
-    /// Connections currently queued or being served.
+    /// Connections currently being served.
     active: AtomicUsize,
     /// Requests answered since start.
     served: AtomicU64,
@@ -187,62 +171,31 @@ impl GateState {
             draining: self.draining.load(Ordering::Acquire),
         }
     }
+
+    /// Count a connection the gate is not admitting and send it a
+    /// best-effort typed refusal. The socket's write deadline is already
+    /// set, so a peer that never reads cannot park the acceptor past the
+    /// budget.
+    fn shed(&self, mut conn: Box<dyn Conn>, msg: &str) {
+        self.shed.fetch_add(1, Ordering::Relaxed);
+        let _ = send_line(&mut conn, err_line(msg));
+    }
 }
 
-/// A duplex byte stream: the only thing the reader pool needs to know
+/// Write `line` and its newline in one call, so a reply leaves as one
+/// segment: a separate newline write waits under Nagle's algorithm for the
+/// peer's delayed ACK, about 40 ms a reply on a kept-alive connection.
+fn send_line(out: &mut dyn Write, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    out.write_all(line.as_bytes())?;
+    out.flush()
+}
+
+/// A duplex byte stream: the only thing a connection thread needs to know
 /// about a connection.
 trait Conn: Read + Write + Send {}
 
 impl<T: Read + Write + Send> Conn for T {}
-
-/// The accepted-connection hand-off between the acceptor and the readers.
-struct ConnQueue {
-    queue: Mutex<VecDeque<Box<dyn Conn>>>,
-    ready: Condvar,
-}
-
-impl ConnQueue {
-    fn new() -> Self {
-        Self {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn push(&self, conn: Box<dyn Conn>) {
-        self.queue
-            .lock()
-            .expect("conn queue poisoned")
-            .push_back(conn);
-        self.ready.notify_one();
-    }
-
-    /// Pop the next connection, or `None` once the stop flag is up and the
-    /// queue has drained.
-    fn pop(&self, stop: &AtomicBool) -> Option<Box<dyn Conn>> {
-        let mut queue = self.queue.lock().expect("conn queue poisoned");
-        loop {
-            if let Some(conn) = queue.pop_front() {
-                return Some(conn);
-            }
-            if stop.load(Ordering::Acquire) {
-                return None;
-            }
-            queue = self.ready.wait(queue).expect("conn queue poisoned");
-        }
-    }
-
-    fn wake_all(&self) {
-        self.ready.notify_all();
-    }
-}
-
-/// What the reader threads send to the single writer thread.
-enum WriterMsg {
-    /// Rebuild the image from disk and install it; reply with the new
-    /// generation.
-    Reload(mpsc::Sender<Result<u64, StoreError>>),
-}
 
 enum Listener {
     Tcp(TcpListener),
@@ -273,19 +226,25 @@ impl Listener {
         }
     }
 
-    /// Accept one connection with the per-connection deadlines already set
-    /// as native socket timeouts, boxed for the queue. Errors are transient
-    /// (the acceptor logs and keeps going).
-    fn accept(&self, deadline: Deadline) -> std::io::Result<Box<dyn Conn>> {
+    /// Accept one connection with the per-connection deadlines set as
+    /// native socket timeouts. The read timeout is the request budget (the
+    /// bounded reader turns repeated timeout ticks on an idle connection
+    /// into the longer stall cutoff); writes get the request budget
+    /// directly. Errors are transient (the acceptor keeps going).
+    fn accept(&self, options: &ServeOptions) -> io::Result<Box<dyn Conn>> {
+        let write = nonzero(options.request_deadline);
+        let read = write.or_else(|| nonzero(options.stall_timeout));
         match self {
             Listener::Tcp(listener) => {
                 let (stream, _) = listener.accept()?;
-                stream.set_deadline(deadline)?;
+                stream.set_read_timeout(read)?;
+                stream.set_write_timeout(write)?;
                 Ok(Box::new(stream))
             }
             Listener::Unix(listener) => {
                 let (stream, _) = listener.accept()?;
-                stream.set_deadline(deadline)?;
+                stream.set_read_timeout(read)?;
+                stream.set_write_timeout(write)?;
                 Ok(Box::new(stream))
             }
         }
@@ -309,18 +268,13 @@ fn self_connect(endpoint: &Endpoint) {
 /// [`Server::join`] to block until a client sends `shutdown` (or
 /// [`Server::stop`] first to initiate one).
 pub struct Server {
-    endpoint: Endpoint,
-    stop: Arc<AtomicBool>,
-    queue: Arc<ConnQueue>,
-    gate: Arc<GateState>,
-    writer_tx: mpsc::Sender<WriterMsg>,
-    threads: Vec<JoinHandle<()>>,
+    control: ServerControl,
+    acceptor: JoinHandle<()>,
 }
 
 impl Server {
     /// Open the store under `store_dir`, load it, bind `listen`, and start
-    /// the acceptor, the reader pool, and the writer thread under the
-    /// hardening `options`.
+    /// the acceptor under the hardening `options`.
     ///
     /// An empty store is allowed — the daemon starts with no years and is
     /// fed by later `reload`s.
@@ -330,175 +284,49 @@ impl Server {
         options: ServeOptions,
     ) -> Result<Self, ServeError> {
         let store = AnalysisStore::open(store_dir)?;
-        let image = StoreImage::load(&store)?;
-        let cell = ImageCell::new(image);
+        let cell = ImageCell::new(StoreImage::load(&store)?);
         let (listener, endpoint) = Listener::bind(listen)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(ConnQueue::new());
-        let gate = Arc::new(GateState::new());
-        let (writer_tx, writer_rx) = mpsc::channel::<WriterMsg>();
-
-        let mut threads = Vec::new();
-
-        // The single writer: owns all store I/O after startup. A failed
-        // reload (corrupt slice, vanished directory) keeps the last-good
-        // image installed — the error goes back to the requesting client,
-        // never into the cell.
-        {
-            let cell = Arc::clone(&cell);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("serve-writer".to_string())
-                    .spawn(move || {
-                        while let Ok(WriterMsg::Reload(reply)) = writer_rx.recv() {
-                            let outcome = StoreImage::load(&store).map(|image| cell.install(image));
-                            // A vanished requester is not the writer's
-                            // problem; keep serving.
-                            let _ = reply.send(outcome);
-                        }
-                    })
-                    .map_err(|e| ServeError::Io(format!("spawn writer: {e}")))?,
-            );
-        }
-
-        // The reader pool.
-        for n in 0..options.readers.max(1) {
-            let queue = Arc::clone(&queue);
-            let stop = Arc::clone(&stop);
-            let gate = Arc::clone(&gate);
-            let mut reader = cell.reader();
-            let writer_tx = writer_tx.clone();
-            let endpoint = endpoint.clone();
-            let options = options.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-reader-{n}"))
-                    .spawn(move || {
-                        while let Some(conn) = queue.pop(&stop) {
-                            let outcome =
-                                serve_connection(conn, &mut reader, &writer_tx, &gate, &options);
-                            gate.active.fetch_sub(1, Ordering::AcqRel);
-                            match outcome {
-                                Ok(true) => {
-                                    // A client asked for shutdown: raise the
-                                    // flag, wake the pool, unpark the
-                                    // acceptor.
-                                    stop.store(true, Ordering::Release);
-                                    queue.wake_all();
-                                    self_connect(&endpoint);
-                                }
-                                Ok(false) => {}
-                                // A dropped client mid-conversation only
-                                // loses that conversation.
-                                Err(_) => {}
-                            }
-                        }
-                    })
-                    .map_err(|e| ServeError::Io(format!("spawn reader: {e}")))?,
-            );
-        }
-
-        // The acceptor: admission decisions happen here, before a
-        // connection can occupy a reader.
-        {
-            let queue = Arc::clone(&queue);
-            let stop = Arc::clone(&stop);
-            let gate = Arc::clone(&gate);
-            let deadline = options.conn_deadline();
-            let max_in_flight = options.max_in_flight.max(1);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("serve-acceptor".to_string())
-                    .spawn(move || loop {
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        match listener.accept(deadline) {
-                            Ok(mut conn) => {
-                                if stop.load(Ordering::Acquire) {
-                                    break;
-                                }
-                                if gate.draining.load(Ordering::Acquire) {
-                                    gate.shed.fetch_add(1, Ordering::Relaxed);
-                                    let _ = shed_reply(
-                                        conn.as_mut(),
-                                        "draining: daemon is shutting down, refusing new \
-                                         connections",
-                                    );
-                                    continue;
-                                }
-                                if gate.active.load(Ordering::Acquire) >= max_in_flight {
-                                    gate.shed.fetch_add(1, Ordering::Relaxed);
-                                    let _ = shed_reply(
-                                        conn.as_mut(),
-                                        &format!(
-                                            "overloaded: {max_in_flight} connections in flight; \
-                                             retry later"
-                                        ),
-                                    );
-                                    continue;
-                                }
-                                gate.active.fetch_add(1, Ordering::AcqRel);
-                                queue.push(conn);
-                            }
-                            // Transient accept failures (e.g. aborted
-                            // handshakes) must not take the daemon down.
-                            Err(_) => continue,
-                        }
-                    })
-                    .map_err(|e| ServeError::Io(format!("spawn acceptor: {e}")))?,
-            );
-        }
-
-        Ok(Self {
+        let control = ServerControl {
             endpoint,
-            stop,
-            queue,
-            gate,
-            writer_tx,
-            threads,
-        })
+            stop: Arc::new(AtomicBool::new(false)),
+            gate: Arc::new(GateState::new()),
+        };
+        let shared = Shared {
+            store: Mutex::new(store),
+            cell,
+            control: control.clone(),
+            options,
+        };
+        let acceptor = Builder::new()
+            .name("serve-acceptor".to_string())
+            .spawn(move || shared.accept_loop(&listener))
+            .map_err(|e| ServeError::Io(format!("spawn acceptor: {e}")))?;
+        Ok(Self { control, acceptor })
     }
 
     /// The endpoint actually bound (TCP port 0 resolved to the ephemeral
     /// port).
     pub fn endpoint(&self) -> &Endpoint {
-        &self.endpoint
+        &self.control.endpoint
     }
 
     /// A cloneable handle for drain/stop from signal hooks and tests while
     /// another thread blocks in [`Server::join`].
     pub fn control(&self) -> ServerControl {
-        ServerControl {
-            endpoint: self.endpoint.clone(),
-            stop: Arc::clone(&self.stop),
-            queue: Arc::clone(&self.queue),
-            gate: Arc::clone(&self.gate),
-        }
+        self.control.clone()
     }
 
     /// Initiate shutdown from outside the protocol (tests, signal hooks).
     pub fn stop(&self) {
-        self.control().stop();
+        self.control.stop();
     }
 
     /// Block until the daemon has shut down and every thread has exited.
     pub fn join(self) -> Result<(), ServeError> {
-        let Server {
-            endpoint,
-            writer_tx,
-            threads,
-            ..
-        } = self;
-        // The writer exits when the last sender drops: ours now, the reader
-        // pool's as each reader thread ends.
-        drop(writer_tx);
-        for handle in threads {
-            handle
-                .join()
-                .map_err(|_| ServeError::Io("daemon thread panicked".to_string()))?;
-        }
-        if let Endpoint::Unix(path) = &endpoint {
+        self.acceptor
+            .join()
+            .map_err(|_| ServeError::Io("daemon thread panicked".to_string()))?;
+        if let Endpoint::Unix(path) = &self.control.endpoint {
             let _ = std::fs::remove_file(path);
         }
         Ok(())
@@ -512,7 +340,6 @@ impl Server {
 pub struct ServerControl {
     endpoint: Endpoint,
     stop: Arc<AtomicBool>,
-    queue: Arc<ConnQueue>,
     gate: Arc<GateState>,
 }
 
@@ -523,7 +350,7 @@ impl ServerControl {
         self.gate.draining.store(true, Ordering::Release);
     }
 
-    /// Whether no connection is queued or being served.
+    /// Whether no connection is being served.
     pub(crate) fn idle(&self) -> bool {
         self.gate.active.load(Ordering::Acquire) == 0
     }
@@ -533,10 +360,9 @@ impl ServerControl {
         self.gate.counters()
     }
 
-    /// Flip the stop flag and unblock every daemon thread.
+    /// Flip the stop flag and unblock the acceptor.
     pub(crate) fn stop(&self) {
         self.stop.store(true, Ordering::Release);
-        self.queue.wake_all();
         self_connect(&self.endpoint);
     }
 
@@ -555,87 +381,153 @@ impl ServerControl {
     }
 }
 
-/// Best-effort typed refusal on a connection the gate is not admitting.
-/// The socket's write deadline is already set, so a peer that never reads
-/// cannot park the acceptor past the budget.
-fn shed_reply(conn: &mut dyn Conn, msg: &str) -> std::io::Result<()> {
-    conn.write_all(err_line(msg).as_bytes())?;
-    conn.write_all(b"\n")?;
-    conn.flush()
+/// What the acceptor owns and every connection thread borrows.
+struct Shared {
+    /// Held for the whole of a reload, so reloads serialize.
+    store: Mutex<AnalysisStore>,
+    cell: Arc<ImageCell>,
+    control: ServerControl,
+    options: ServeOptions,
 }
 
-/// Ask the writer thread for a reload and wait for the new generation.
-fn request_reload(writer_tx: &mpsc::Sender<WriterMsg>) -> Result<u64, String> {
-    let (reply_tx, reply_rx) = mpsc::channel();
-    writer_tx
-        .send(WriterMsg::Reload(reply_tx))
-        .map_err(|_| "writer thread is gone".to_string())?;
-    match reply_rx.recv() {
-        Ok(Ok(generation)) => Ok(generation),
-        Ok(Err(e)) => Err(e.to_string()),
-        Err(_) => Err("writer thread dropped the reload".to_string()),
-    }
-}
-
-/// Serve one connection to completion: one JSON request per line, one
-/// response line each. Returns `Ok(true)` if the client requested daemon
-/// shutdown.
-///
-/// Hostile input is answered typed, never absorbed: an oversized line or an
-/// expired deadline gets one `{"ok":false,…}` reply and the connection is
-/// closed; garbage bytes get a parse-error reply and the connection lives.
-fn serve_connection(
-    mut conn: Box<dyn Conn>,
-    reader: &mut ImageReader,
-    writer_tx: &mpsc::Sender<WriterMsg>,
-    gate: &GateState,
-    options: &ServeOptions,
-) -> std::io::Result<bool> {
-    let mut lines = BoundedLineReader::with_deadlines(
-        &mut conn,
-        MAX_REQUEST_BYTES,
-        nonzero(options.request_deadline),
-        nonzero(options.stall_timeout),
-    );
-    loop {
-        let line = match lines.next_line() {
-            Ok(Some(line)) => line,
-            Ok(None) => return Ok(false),
-            Err(err @ (NetError::TooLarge { .. } | NetError::TimedOut { .. })) => {
-                // Typed rejection, then hang up — the peer is hostile,
-                // stalled, or gone.
-                let out = lines.get_mut();
-                let _ = out.write_all(err_line(&err.to_string()).as_bytes());
-                let _ = out.write_all(b"\n");
-                let _ = out.flush();
-                return Ok(false);
+impl Shared {
+    /// Admit connections until the stop flag goes up, each on its own
+    /// scoped thread; returns once every conversation has ended.
+    fn accept_loop(&self, listener: &Listener) {
+        let gate = &self.control.gate;
+        std::thread::scope(|scope| {
+            while !self.control.stop.load(Ordering::Acquire) {
+                // Transient accept failures (e.g. aborted handshakes) must
+                // not take the daemon down.
+                let Ok(conn) = listener.accept(&self.options) else {
+                    continue;
+                };
+                if self.control.stop.load(Ordering::Acquire) {
+                    break;
+                }
+                if gate.draining.load(Ordering::Acquire) {
+                    gate.shed(
+                        conn,
+                        "draining: daemon is shutting down, refusing new connections",
+                    );
+                } else if gate.active.load(Ordering::Acquire) >= self.max_in_flight() {
+                    gate.shed(conn, &self.overloaded());
+                } else {
+                    self.admit(scope, Builder::new().name("serve-conn".to_string()), conn);
+                }
             }
-            Err(NetError::Io(msg)) => return Err(std::io::Error::other(msg)),
-        };
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
+        });
+    }
+
+    fn max_in_flight(&self) -> usize {
+        self.options.max_in_flight.max(1)
+    }
+
+    fn overloaded(&self) -> String {
+        format!(
+            "overloaded: {} connections in flight; retry later",
+            self.max_in_flight()
+        )
+    }
+
+    /// Serve `conn` on a new `thread` within `scope`. A thread that cannot
+    /// be spawned is answered as the gate answers: a typed `overloaded`
+    /// reply, counted as shed.
+    fn admit<'scope>(
+        &'scope self,
+        scope: &'scope Scope<'scope, '_>,
+        thread: Builder,
+        conn: Box<dyn Conn>,
+    ) {
+        let gate = &self.control.gate;
+        gate.active.fetch_add(1, Ordering::AcqRel);
+        // The connection is handed over only once the thread exists, so a
+        // failed spawn still holds it to reply on.
+        let (hand_over, take) = mpsc::channel::<Box<dyn Conn>>();
+        let spawned = thread.spawn_scoped(scope, move || {
+            if let Ok(conn) = take.recv() {
+                // A dropped client mid-conversation only loses that
+                // conversation.
+                let shutdown = self.serve_connection(conn);
+                gate.active.fetch_sub(1, Ordering::AcqRel);
+                if matches!(shutdown, Ok(true)) {
+                    self.control.stop();
+                }
+            }
+        });
+        match spawned {
+            Ok(_) => {
+                let _ = hand_over.send(conn);
+            }
+            Err(_) => {
+                gate.active.fetch_sub(1, Ordering::AcqRel);
+                gate.shed(conn, &self.overloaded());
+            }
         }
-        let (response, shutdown) = match parse_request(trimmed) {
-            Err(error) => (err_line(&error.to_string()), false),
-            Ok(Request::Reload) => match request_reload(writer_tx) {
-                Ok(generation) => (
-                    ok_line(&format!("reloaded: generation {generation}")),
-                    false,
-                ),
-                Err(error) => (err_line(&format!("reload failed: {error}")), false),
-            },
-            Ok(Request::Health) => (health_line(reader.image(), &gate.counters()), false),
-            Ok(Request::Shutdown) => (ok_line("shutting down"), true),
-            Ok(request) => (answer(reader.image(), &request), false),
-        };
-        gate.served.fetch_add(1, Ordering::Relaxed);
-        let out = lines.get_mut();
-        out.write_all(response.as_bytes())?;
-        out.write_all(b"\n")?;
-        out.flush()?;
-        if shutdown {
-            return Ok(true);
+    }
+
+    /// Rebuild the image from disk and install it; returns the new
+    /// generation. A failed reload (corrupt slice, vanished directory)
+    /// keeps the last good image installed — the error goes back to the
+    /// requesting client, never into the cell.
+    fn reload(&self) -> Result<u64, StoreError> {
+        // The store is only read under the lock, so a reload that panicked
+        // left nothing half-updated.
+        let store = self.store.lock().unwrap_or_else(PoisonError::into_inner);
+        StoreImage::load(&store).map(|image| self.cell.install(image))
+    }
+
+    /// Serve one connection to completion: one JSON request per line, one
+    /// response line each. Returns `Ok(true)` if the client requested
+    /// daemon shutdown.
+    ///
+    /// Hostile input is answered typed, never absorbed: an oversized line or
+    /// an expired deadline gets one `{"ok":false,…}` reply and the
+    /// connection is closed; garbage bytes get a parse-error reply and the
+    /// connection lives.
+    fn serve_connection(&self, conn: Box<dyn Conn>) -> io::Result<bool> {
+        let gate = &self.control.gate;
+        let mut reader = self.cell.reader();
+        let mut lines = BoundedLineReader::with_deadlines(
+            conn,
+            MAX_REQUEST_BYTES,
+            nonzero(self.options.request_deadline),
+            nonzero(self.options.stall_timeout),
+        );
+        loop {
+            let line = match lines.next_line() {
+                Ok(Some(line)) => line,
+                Ok(None) => return Ok(false),
+                Err(err @ (NetError::TooLarge { .. } | NetError::TimedOut { .. })) => {
+                    // Typed rejection, then hang up — the peer is hostile,
+                    // stalled, or gone.
+                    let _ = send_line(lines.get_mut(), err_line(&err.to_string()));
+                    return Ok(false);
+                }
+                Err(NetError::Io(msg)) => return Err(io::Error::other(msg)),
+            };
+            let trimmed = line.trim();
+            if trimmed.is_empty() {
+                continue;
+            }
+            let (response, shutdown) = match parse_request(trimmed) {
+                Err(error) => (err_line(&error.to_string()), false),
+                Ok(Request::Reload) => match self.reload() {
+                    Ok(generation) => (
+                        ok_line(&format!("reloaded: generation {generation}")),
+                        false,
+                    ),
+                    Err(error) => (err_line(&format!("reload failed: {error}")), false),
+                },
+                Ok(Request::Health) => (health_line(reader.image(), &gate.counters()), false),
+                Ok(Request::Shutdown) => (ok_line("shutting down"), true),
+                Ok(request) => (answer(reader.image(), &request), false),
+            };
+            gate.served.fetch_add(1, Ordering::Relaxed);
+            send_line(lines.get_mut(), response)?;
+            if shutdown {
+                return Ok(true);
+            }
         }
     }
 }
@@ -706,10 +598,7 @@ mod tests {
         let server = Server::start(
             &dir,
             &Endpoint::Tcp("127.0.0.1:0".to_string()),
-            ServeOptions {
-                readers: 2,
-                ..ServeOptions::default()
-            },
+            ServeOptions::default(),
         )
         .expect("daemon starts");
         let addr = match server.endpoint() {
@@ -732,6 +621,37 @@ mod tests {
         // Shutdown stops every thread.
         assert!(query(&addr, "{\"op\":\"shutdown\"}").contains("shutting down"));
         server.join().expect("clean join");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_connection_thread_that_cannot_be_spawned_is_shed_typed() {
+        let dir = std::env::temp_dir().join(format!("synscan-serve-spawn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = AnalysisStore::open(&dir).expect("open empty store");
+        let shared = Shared {
+            cell: ImageCell::new(StoreImage::load(&store).expect("empty image")),
+            store: Mutex::new(store),
+            control: ServerControl {
+                endpoint: Endpoint::Tcp("127.0.0.1:0".to_string()),
+                stop: Arc::new(AtomicBool::new(false)),
+                gate: Arc::new(GateState::new()),
+            },
+            options: ServeOptions::default(),
+        };
+        let (conn, mut peer) = std::os::unix::net::UnixStream::pair().expect("socket pair");
+        // No address space holds this stack, so the spawn fails before any
+        // thread starts.
+        let thread = Builder::new().stack_size(1 << 62);
+        std::thread::scope(|scope| shared.admit(scope, thread, Box::new(conn)));
+        let mut reply = String::new();
+        peer.read_to_string(&mut reply).expect("shed reply");
+        assert!(
+            reply.starts_with("{\"ok\":false") && reply.contains("overloaded"),
+            "{reply}"
+        );
+        let counters = shared.control.counters();
+        assert_eq!((counters.in_flight, counters.shed), (0, 1), "{counters:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

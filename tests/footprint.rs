@@ -9,7 +9,7 @@
 //! of the volatility periods it has closed, of a bare campaign detector
 //! whose sources open and close their scans one after another, of the
 //! output path, of a frame reader told a length the peer never sends, of
-//! decoding a store slice or a checkpoint's collector blob whose counts
+//! decoding a store slice, a checkpoint or its collector blob whose counts
 //! lie, and of parsing a hostile request line. The tests take turns through one lock, so no other test allocates
 //! while one counts.
 
@@ -887,6 +887,98 @@ fn an_inflated_count_anywhere_in_a_collector_blob_is_refused_within_a_bounded_he
         "{} count fields of a {} B collector blob, {tried} inflated decodes: worst peak {worst} B",
         fields.len(),
         blob.len()
+    );
+}
+
+/// Bytes before a `SYNCKPT` payload: the same envelope header as a slice's.
+const CHECKPOINT_HEADER: usize = STORE_HEADER;
+
+/// The length and count fields of a checkpoint payload around its
+/// collector blobs: the admit-state blob's length, the shard count and each
+/// shard blob's length, as `count_fields` notes a slice's.
+fn checkpoint_count_fields(payload: &[u8]) -> Vec<(&'static str, (usize, usize), u64)> {
+    let mut walk = CountFields::new(payload);
+    walk.skip(2 + 8 + 4 + 8 + 8); // year, identity, workers, cursor, seq
+    if walk.tag() == 1 {
+        walk.skip(8); // the origin
+    }
+    if walk.tag() == 1 {
+        walk.skip(30); // the fault gate's last record
+    }
+    walk.skip(4 * 8); // fault counters
+    let admit = walk.count("admit-state bytes", 8);
+    walk.skip(admit);
+    for _ in 0..walk.count("shards", 4) {
+        let blob = walk.count("a shard's blob bytes", 8);
+        walk.skip(blob);
+    }
+    assert_eq!(walk.at, payload.len(), "the walk covers the payload");
+    walk.fields
+}
+
+/// `input` decoded the way a resume decodes it — the envelope and its
+/// sections, then every shard's collector, all held at once — and the peak
+/// heap above what was live before.
+fn decode_checkpoint(input: &[u8]) -> (Result<Vec<Option<YearCollector>>, CheckpointError>, isize) {
+    let base = reset_peak();
+    let result = Checkpoint::from_bytes(input).and_then(|checkpoint| {
+        (0..checkpoint.shards.len())
+            .map(|shard| checkpoint.shard_collector(shard))
+            .collect()
+    });
+    (result, peak_above(base))
+}
+
+#[test]
+fn an_inflated_length_around_the_collector_blobs_is_refused_within_a_bounded_heap() {
+    let _turn = take_turn();
+    // A real cut: two shards of a generated year and the capture
+    // statistics as its admit state.
+    let sealed = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/ckpt/year-2015-sharded2-v3.ckpt"
+    ))
+    .expect("golden checkpoint");
+    let payload = &sealed[CHECKPOINT_HEADER..];
+    let fields = checkpoint_count_fields(payload);
+    let names: Vec<&str> = fields.iter().map(|&(what, ..)| what).collect();
+    assert_eq!(
+        names,
+        [
+            "admit-state bytes",
+            "shards",
+            "a shard's blob bytes",
+            "a shard's blob bytes"
+        ]
+    );
+    assert!(fields.iter().all(|&(_, _, held)| held > 0), "{fields:?}");
+    let (clean, _) = decode_checkpoint(&sealed);
+    assert!(clean.is_ok(), "{clean:?}");
+
+    let (mut tried, mut worst) = (0, 0);
+    for &(what, field, held) in &fields {
+        for (value, inflated) in inflations(payload, field) {
+            let input = resealed(&sealed, &inflated);
+            let (result, peak) = decode_checkpoint(&input);
+            (tried, worst) = (tried + 1, worst.max(peak));
+            let lie = format!("{what} at payload byte {} set to {value}", field.0);
+            assert_eq!(
+                result.is_ok(),
+                value == held,
+                "{lie} (holds {held}): {:?}",
+                result.err()
+            );
+            assert!(
+                peak <= max_decode_bytes(input.len()),
+                "{lie}: decoding {} B peaked at {peak} B",
+                input.len()
+            );
+        }
+    }
+    eprintln!(
+        "{} length fields of a {} B checkpoint, {tried} inflated decodes: worst peak {worst} B",
+        fields.len(),
+        sealed.len()
     );
 }
 

@@ -1,6 +1,6 @@
 //! Hostile-network drill for `synscan_wire::net`: a real-TCP hostile-client
 //! matrix against a mini NDJSON responder built on the same hardening the
-//! daemon uses (`HasDeadlines` socket budgets + `BoundedLineReader`):
+//! daemon uses (socket read/write timeouts + `BoundedLineReader`):
 //! slow-loris, oversized request, garbage bytes, mid-request disconnect,
 //! connection burst past the admission gate, a client that trickles its
 //! request in one-byte writes (must be absorbed) and one whose request
@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use synscan_wire::net::{BoundedLineReader, Deadline, HasDeadlines, NetError};
+use synscan_wire::net::{BoundedLineReader, NetError};
 
 /// The mini responder's request cap — small so the oversized drill is quick.
 const LIMIT: usize = 4_096;
@@ -84,7 +84,9 @@ fn start_responder() -> Responder {
                     break;
                 }
                 let Ok(mut stream) = conn else { continue };
-                let _ = stream.set_deadline(Deadline::rw(Duration::from_millis(REQUEST_MS)));
+                let budget = Some(Duration::from_millis(REQUEST_MS));
+                let _ = stream.set_read_timeout(budget);
+                let _ = stream.set_write_timeout(budget);
                 if in_flight.load(Ordering::Relaxed) >= MAX_IN_FLIGHT {
                     shed.fetch_add(1, Ordering::Relaxed);
                     reply(&mut stream, "error: overloaded");

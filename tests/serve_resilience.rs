@@ -30,7 +30,6 @@ fn temp_store(name: &str) -> PathBuf {
 /// request, 1 s idle, 2 connections in flight.
 fn tight_options() -> ServeOptions {
     ServeOptions {
-        readers: 2,
         max_in_flight: 2,
         request_deadline: Duration::from_millis(300),
         stall_timeout: Duration::from_secs(1),
@@ -97,7 +96,7 @@ fn slow_loris_is_cut_off_with_a_typed_deadline_reply() {
     // Cut off by the request budget (300 ms), not the idle cutoff or worse.
     assert!(
         started.elapsed() < Duration::from_secs(5),
-        "slow-loris held a reader for {:?}",
+        "slow-loris held its connection for {:?}",
         started.elapsed()
     );
     // The daemon is unharmed.
@@ -170,10 +169,56 @@ fn mid_request_disconnect_leaves_the_daemon_serving() {
         stream.write_all(b"{\"op\":\"tab").expect("partial");
         drop(stream); // vanish mid-request
     }
-    // The corpses hold gate slots only until the readers reap them; a
+    // The corpses hold gate slots only until their threads reap them; a
     // retrying client must get service back within the budget.
     assert!(query_retry(&addr, "{\"op\":\"years\"}").starts_with("{\"ok\":true"));
 
+    server.stop();
+    server.join().expect("clean join");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn idle_connections_do_not_delay_an_admitted_one() {
+    let dir = temp_store("idle-held");
+    let (server, addr) = start(
+        &dir,
+        ServeOptions {
+            max_in_flight: 4,
+            request_deadline: Duration::from_millis(300),
+            stall_timeout: Duration::from_secs(2),
+        },
+    );
+    let control = server.control();
+
+    // Three kept-alive clients that never send a request.
+    let held: Vec<TcpStream> = (0..3)
+        .map(|_| TcpStream::connect(addr).expect("held connect"))
+        .collect();
+    let started = Instant::now();
+    while control.counters().in_flight < 3 {
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "held connections never admitted: {:?}",
+            control.counters()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // The fourth connection has its own thread: it is answered at once,
+    // not after the held ones reach the 2 s stall cutoff.
+    let started = Instant::now();
+    assert_eq!(
+        query(&addr, "{\"op\":\"ping\"}"),
+        "{\"ok\":true,\"body\":\"pong\"}"
+    );
+    assert!(
+        started.elapsed() < Duration::from_millis(500),
+        "an admitted ping waited {:?} behind idle connections",
+        started.elapsed()
+    );
+
+    drop(held);
     server.stop();
     server.join().expect("clean join");
     let _ = std::fs::remove_dir_all(&dir);
@@ -291,7 +336,7 @@ fn a_failed_reload_keeps_the_last_good_image() {
     let dir = temp_store("reload");
     let (server, addr) = start(&dir, tight_options());
 
-    let before = query(&addr, "{\"op\":\"table1\"}");
+    let before = query_retry(&addr, "{\"op\":\"table1\"}");
     assert!(before.starts_with("{\"ok\":true"));
 
     // Corrupt every slice on disk: the next reload must fail...
@@ -301,7 +346,7 @@ fn a_failed_reload_keeps_the_last_good_image() {
             std::fs::write(&path, b"not a store slice").expect("corrupt slice");
         }
     }
-    let reply = query(&addr, "{\"op\":\"reload\"}");
+    let reply = query_retry(&addr, "{\"op\":\"reload\"}");
     assert!(
         reply.starts_with("{\"ok\":false") && reply.contains("reload failed"),
         "reload over a corrupt store must fail typed: {reply}"
@@ -309,7 +354,7 @@ fn a_failed_reload_keeps_the_last_good_image() {
 
     // ...and the daemon must keep answering from the last good image.
     assert_eq!(
-        query(&addr, "{\"op\":\"table1\"}"),
+        query_retry(&addr, "{\"op\":\"table1\"}"),
         before,
         "a failed reload replaced the last-good image"
     );
@@ -323,7 +368,7 @@ fn a_failed_reload_keeps_the_last_good_image() {
 fn a_reload_that_meets_two_slices_for_one_year_fails_naming_both() {
     let dir = temp_store("duplicate");
     let (server, addr) = start(&dir, tight_options());
-    let before = query(&addr, "{\"op\":\"table1\"}");
+    let before = query_retry(&addr, "{\"op\":\"table1\"}");
     assert!(before.starts_with("{\"ok\":true"));
 
     // A partial a crash left beside the year's full slice would count the
@@ -331,7 +376,7 @@ fn a_reload_that_meets_two_slices_for_one_year_fails_naming_both() {
     let full = dir.join("year-2020.store");
     let leftover = dir.join("year-2020.part-p0of2.store");
     std::fs::copy(&full, &leftover).expect("leftover slice");
-    let reply = query(&addr, "{\"op\":\"reload\"}");
+    let reply = query_retry(&addr, "{\"op\":\"reload\"}");
     assert!(
         reply.starts_with("{\"ok\":false") && reply.contains("reload failed"),
         "a reload over two slices for one year must fail typed: {reply}"
@@ -342,7 +387,7 @@ fn a_reload_that_meets_two_slices_for_one_year_fails_naming_both() {
     }
 
     // The last good generation keeps answering.
-    assert_eq!(query(&addr, "{\"op\":\"table1\"}"), before);
+    assert_eq!(query_retry(&addr, "{\"op\":\"table1\"}"), before);
 
     server.stop();
     server.join().expect("clean join");
@@ -354,8 +399,8 @@ fn health_reports_liveness_counters() {
     let dir = temp_store("health");
     let (server, addr) = start(&dir, tight_options());
 
-    query(&addr, "{\"op\":\"years\"}");
-    let reply = query(&addr, "{\"op\":\"health\"}");
+    query_retry(&addr, "{\"op\":\"years\"}");
+    let reply = query_retry(&addr, "{\"op\":\"health\"}");
     assert!(reply.starts_with("{\"ok\":true"), "health failed: {reply}");
     for field in [
         "generation",
@@ -404,7 +449,7 @@ fn idle_connections_are_reaped_by_the_stall_cutoff() {
         started.elapsed()
     );
 
-    // The reader slot is free again.
+    // The gate slot is free again.
     let settled = Instant::now();
     while control.counters().in_flight > 0 {
         assert!(

@@ -15,25 +15,12 @@ use crate::traits::{mix64, ProbeCrafter, ProbeHeaders, ToolKind};
 #[derive(Debug, Clone)]
 pub struct CustomScanner {
     seed: u64,
-    /// Some custom tools keep one source port per run, others roll per probe.
-    fixed_src_port: Option<u16>,
 }
 
 impl CustomScanner {
     /// A custom tool with a per-probe random source port.
     pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            fixed_src_port: None,
-        }
-    }
-
-    /// A custom tool with one run-constant source port.
-    pub fn with_fixed_port(seed: u64) -> Self {
-        Self {
-            seed,
-            fixed_src_port: Some(30_000 + (mix64(seed) % 30_000) as u16),
-        }
+        Self { seed }
     }
 }
 
@@ -48,7 +35,7 @@ impl ProbeCrafter for CustomScanner {
             seq ^= 0x8000_0001;
         }
         ProbeHeaders {
-            src_port: self.fixed_src_port.unwrap_or(1024 + (r % 64_000) as u16),
+            src_port: 1024 + (r % 64_000) as u16,
             seq,
             ip_id: (mix64(r) & 0xffff) as u16,
             ttl: 64,
@@ -109,14 +96,6 @@ mod tests {
         }
         // Chance level 2^-16: with ~11k pairs, expect < 3 hits.
         assert!(nmap_hits < 4, "{nmap_hits} of {pairs} pairs matched NMap");
-    }
-
-    #[test]
-    fn fixed_port_variant_keeps_its_port() {
-        let c = CustomScanner::with_fixed_port(8);
-        let p0 = c.craft(Ipv4Address(1), 80, 0).src_port;
-        let p1 = c.craft(Ipv4Address(2), 443, 1).src_port;
-        assert_eq!(p0, p1);
     }
 
     #[test]

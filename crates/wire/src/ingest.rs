@@ -36,7 +36,7 @@
 //! framer → decoder → merger → framer, so a warm pass allocates no buffer
 //! (only the decoder's small gather scratch, per chunk).
 //! [`MappedCapture`] names *where* the bytes are (a file, reopened per
-//! stream; or a buffer, for stdin and tests) and reads none of them.
+//! stream; or a buffer, for tests) and reads none of them.
 //!
 //! IPv4 and TCP checksums are not verified: telescope captures were
 //! checksummed by the capture hardware, and synthetic streams are trusted by
@@ -57,9 +57,9 @@ use crate::stream::{FaultCounters, FaultPolicy, StreamError, TryRecordStream, BA
 use crate::tcp::TcpFlags;
 use crate::Ipv4Address;
 
-/// How many threads decode a capture. Parsed from the binaries' `--ingest`
-/// flag: `read` and `mmap` are one queue, decoded on the calling thread, and
-/// `mmap:N` is N decode threads behind one sequential reader.
+/// How many threads decode a capture. Parsed from `analyze`'s `--ingest`
+/// flag: `read` is one queue, decoded on the calling thread, and `mmap:N`
+/// is N decode threads behind one sequential reader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestMode {
     /// Decode threads feeding the ordered merge (at least 1).
@@ -104,7 +104,7 @@ impl core::str::FromStr for IngestMode {
 
 /// A capture that can be read from the start any number of times: a file
 /// (opened by path for every stream, so streams share no cursor) or an
-/// in-memory image (stdin, tests).
+/// in-memory image (tests).
 ///
 /// The name is historical. This was once the whole file in one buffer; it
 /// is now a handle that reads nothing until a stream is opened over it, and
@@ -153,14 +153,6 @@ impl MappedCapture {
         Ok(Self {
             source: CaptureSource::File { path, len },
         })
-    }
-
-    /// Buffer a source that cannot be reopened (stdin, a pipe) whole — the
-    /// documented price of reading it more than once.
-    pub fn from_reader<R: Read>(mut reader: R) -> io::Result<Self> {
-        let mut bytes = Vec::new();
-        reader.read_to_end(&mut bytes)?;
-        Ok(Self::from_bytes(bytes))
     }
 
     /// Wrap an already-materialized capture image.
@@ -282,9 +274,16 @@ impl<'a> PcapSlice<'a> {
         let data = &self.data[self.cursor..self.cursor + incl_len as usize];
         self.cursor += incl_len as usize;
         // The body is consumed either way, so this check runs after the
-        // cursor advance: a skip-faults consumer stays aligned.
-        if orig_len == 0 && incl_len > 0 {
-            return Err(PcapError::ZeroLengthRecord { incl: incl_len });
+        // cursor advance: a skip-faults consumer stays aligned. A capture
+        // cannot exceed its frame; a zero-length frame is the named case.
+        if orig_len < incl_len {
+            return Err(match orig_len {
+                0 => PcapError::ZeroLengthRecord { incl: incl_len },
+                orig => PcapError::CaptureExceedsWire {
+                    incl: incl_len,
+                    orig,
+                },
+            });
         }
         let ts_micros = if self.meta.nanos {
             ts_sec * 1_000_000 + ts_frac / 1000
@@ -1705,9 +1704,9 @@ mod tests {
     }
 
     #[test]
-    fn mapped_capture_from_reader_buffers_pipes() {
+    fn mapped_capture_readers_are_independent() {
         let bytes = capture_of(&(0..10).map(record).collect::<Vec<_>>());
-        let capture = MappedCapture::from_reader(Cursor::new(bytes.clone())).unwrap();
+        let capture = MappedCapture::from_bytes(bytes.clone());
         assert_eq!(capture.len(), bytes.len());
         assert!(!capture.is_empty());
         // Every reader starts at the first byte, whatever the others did.

@@ -68,6 +68,16 @@ pub enum PcapError {
         /// Captured bytes carried by the bogus record.
         incl: u32,
     },
+    /// The header claims more captured bytes than were on the wire: a
+    /// capture cannot exceed its frame, so one of the two lengths lies (an
+    /// `incl_len` that lies swallows the records behind it). Recoverable as
+    /// a zero-length record is: the `incl_len` bytes were consumed.
+    CaptureExceedsWire {
+        /// Captured bytes the header claims.
+        incl: u32,
+        /// Wire length the header claims (at least 1, below `incl`).
+        orig: u32,
+    },
 }
 
 impl PcapError {
@@ -75,7 +85,10 @@ impl PcapError {
     /// this error — i.e. a skip-faults consumer may keep reading. Length
     /// corruption and truncation lose framing for good.
     pub fn recoverable(&self) -> bool {
-        matches!(self, PcapError::ZeroLengthRecord { .. })
+        matches!(
+            self,
+            PcapError::ZeroLengthRecord { .. } | PcapError::CaptureExceedsWire { .. }
+        )
     }
 
     /// Capture bytes rendered unusable by this error (for fault counters).
@@ -83,7 +96,9 @@ impl PcapError {
         match self {
             PcapError::TruncatedRecordHeader { got } => u64::from(*got),
             PcapError::TruncatedRecordBody { got, .. } => u64::from(*got),
-            PcapError::ZeroLengthRecord { incl } => u64::from(*incl),
+            PcapError::ZeroLengthRecord { incl } | PcapError::CaptureExceedsWire { incl, .. } => {
+                u64::from(*incl)
+            }
             _ => 0,
         }
     }
@@ -112,6 +127,12 @@ impl core::fmt::Display for PcapError {
                     "pcap record claims zero wire length but carries {incl} bytes"
                 )
             }
+            PcapError::CaptureExceedsWire { incl, orig } => {
+                write!(
+                    f,
+                    "pcap record carries {incl} captured bytes of a {orig}-byte frame"
+                )
+            }
         }
     }
 }
@@ -126,7 +147,8 @@ impl From<PcapError> for WireError {
             | PcapError::TruncatedRecordBody { .. } => WireError::Truncated,
             PcapError::BadMagic(_)
             | PcapError::SnapLenOverflow(_)
-            | PcapError::ZeroLengthRecord { .. } => WireError::Malformed,
+            | PcapError::ZeroLengthRecord { .. }
+            | PcapError::CaptureExceedsWire { .. } => WireError::Malformed,
         }
     }
 }

@@ -36,11 +36,6 @@ pub struct ProbeRecord {
 }
 
 impl ProbeRecord {
-    /// Seconds since the epoch, as `f64` (for rate computations).
-    pub fn ts_secs(&self) -> f64 {
-        self.ts_micros as f64 / 1e6
-    }
-
     /// True if this probe is a pure SYN (the scan filter of §3.2).
     pub fn is_syn_scan(&self) -> bool {
         self.flags.is_pure_syn()
@@ -226,11 +221,5 @@ mod tests {
         assert!(!record.is_syn_scan());
         record.flags = TcpFlags::RST;
         assert!(!record.is_syn_scan());
-    }
-
-    #[test]
-    fn timestamp_conversion() {
-        let record = sample_record();
-        assert!((record.ts_secs() - 1_700_000_000.0).abs() < 1e-9);
     }
 }

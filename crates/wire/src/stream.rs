@@ -58,8 +58,8 @@ impl core::str::FromStr for FaultPolicy {
     fn from_str(s: &str) -> core::result::Result<Self, Self::Err> {
         match s {
             "fail" => Ok(FaultPolicy::Fail),
-            "skip" | "skip-record" => Ok(FaultPolicy::SkipRecord),
-            "stop" | "stop-clean" => Ok(FaultPolicy::StopClean),
+            "skip" => Ok(FaultPolicy::SkipRecord),
+            "stop" => Ok(FaultPolicy::StopClean),
             other => Err(format!(
                 "unknown fault policy {other:?} (expected fail, skip, or stop)"
             )),
@@ -199,8 +199,7 @@ impl RecordSink for NullSink {
 }
 
 /// A [`TryRecordStream`] over an in-memory, already-sorted slice — the bridge
-/// from materialized buffers (benches, tests, the `--materialize` escape
-/// hatch) into the streaming pipeline.
+/// from materialized buffers (benches, tests) into the streaming pipeline.
 #[derive(Debug)]
 pub struct SliceStream<'a> {
     records: &'a [ProbeRecord],
@@ -395,14 +394,14 @@ mod tests {
         for (text, policy) in [
             ("fail", FaultPolicy::Fail),
             ("skip", FaultPolicy::SkipRecord),
-            ("skip-record", FaultPolicy::SkipRecord),
             ("stop", FaultPolicy::StopClean),
-            ("stop-clean", FaultPolicy::StopClean),
         ] {
             assert_eq!(text.parse::<FaultPolicy>().unwrap(), policy);
+            assert_eq!(policy.to_string(), text, "one spelling per policy");
         }
-        assert!("lenient".parse::<FaultPolicy>().is_err());
-        assert_eq!(FaultPolicy::SkipRecord.to_string(), "skip");
+        for other in ["lenient", "skip-record", "stop-clean"] {
+            assert!(other.parse::<FaultPolicy>().is_err(), "{other}");
+        }
         assert_eq!(FaultPolicy::default(), FaultPolicy::Fail);
     }
 

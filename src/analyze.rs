@@ -9,18 +9,18 @@
 //!
 //! The capture is parsed incrementally, on one decode queue or several
 //! ([`AnalyzeOptions::ingest`]), and fed batch-by-batch through the
-//! supervised driver in O(batch) memory. That needs the capture to be
-//! time-ordered (real telescope captures are); unordered input is rejected
-//! with [`AnalyzeError::UnorderedCapture`] unless
-//! [`AnalyzeOptions::materialize`] loads and sorts it in memory first.
+//! supervised driver in O(batch) memory: no path holds the whole capture.
+//! That needs the capture to be time-ordered (real telescope captures are).
+//! A one-shot input (stdin, a pipe) is read exactly once, so the dark set
+//! cannot be inferred from it: without [`AnalyzeOptions::monitored`] it is
+//! refused before a byte is read.
 //!
 //! Real archives decay, so the analysis takes a [`FaultPolicy`]: strict
 //! (`Fail`, the default) turns the first malformed record, truncation, or
 //! timestamp regression into a typed [`AnalyzeError`]; `SkipRecord` /
 //! `StopClean` degrade gracefully instead and tally everything dropped in
-//! [`AnalyzeResult::faults`] so no loss is silent. A `chaos_seed` wires a
-//! deterministic [`synscan_wire::chaos::ChaosReader`] under the parser for
-//! reproducible fault drills.
+//! [`AnalyzeResult::faults`] so no loss is silent — under `SkipRecord` each
+//! record that goes back in time is dropped and counted as skipped.
 //!
 //! For captures large enough that a crash mid-analysis hurts, the
 //! [`RunOptions`] carry the same checkpoint, stop flag and store as an
@@ -28,8 +28,8 @@
 //! census) checkpoints atomically to a directory, a raised stop flag
 //! triggers a final checkpoint, and a resumed run re-reads the capture only
 //! to fast-forward the parser, producing output bit-identical to an
-//! uninterrupted one — in every ingest mode, materialized or not, with the
-//! dark set given or inferred.
+//! uninterrupted one — in every ingest mode, with the dark set given or
+//! inferred.
 
 use std::collections::{BTreeMap, HashSet};
 use std::io::Read;
@@ -45,9 +45,8 @@ use synscan_core::{
     PipelineOutcome, RunError, RunOptions, RunSpec, RunStatus,
 };
 use synscan_telescope::capture::{classify_technique, PcapStream, ScanTechnique};
-use synscan_wire::chaos::{ChaosPlan, ChaosReader};
 use synscan_wire::ingest::{IngestMode, IngestQueues, MappedCapture};
-use synscan_wire::stream::{FaultCounters, FaultPolicy, SliceStream, StreamError, TryRecordStream};
+use synscan_wire::stream::{FaultCounters, FaultPolicy, StreamError, TryRecordStream};
 use synscan_wire::{PcapError, ProbeRecord};
 
 /// Options for an external-capture analysis.
@@ -64,19 +63,11 @@ pub struct AnalyzeOptions {
     /// How the measurement loop executes; sharded and sequential runs
     /// produce bit-identical results.
     pub pipeline: PipelineMode,
-    /// Load and sort the whole capture in memory instead of streaming it.
-    /// Required for captures that are not time-ordered.
-    pub materialize: bool,
     /// What to do when the capture is malformed: fail fast (default), skip
     /// the faulty records, or keep the clean prefix.
     pub policy: FaultPolicy,
-    /// Inject deterministic byte-level faults under the parser (testing /
-    /// drills): `Some(seed)` wraps the input in a
-    /// [`synscan_wire::chaos::ChaosReader`] with [`ChaosPlan::byte_noise`].
-    /// The dark-set inference pass reads the capture as it is.
-    pub chaos_seed: Option<u64>,
-    /// How many threads decode the capture: one (`read` and plain `mmap`, on
-    /// the calling thread) or N behind one sequential reader. The records,
+    /// How many threads decode the capture: one (`read`, on the calling
+    /// thread) or N (`mmap:N`) behind one sequential reader. The records,
     /// counters and terminal error are the same.
     pub ingest: IngestMode,
     /// Sublinear heavy-hitter tracking (`--heavy-hitters`): when set, the
@@ -92,9 +83,7 @@ impl Default for AnalyzeOptions {
             year: 2024,
             top_ports: 10,
             pipeline: PipelineMode::Sequential,
-            materialize: false,
             policy: FaultPolicy::Fail,
-            chaos_seed: None,
             ingest: IngestMode::default(),
             heavy: None,
         }
@@ -105,8 +94,8 @@ impl Default for AnalyzeOptions {
 pub enum CaptureInput<'a> {
     /// A capture that can be read from the start any number of times.
     Capture(&'a MappedCapture),
-    /// A one-shot byte source (stdin, a pipe). It is buffered whole when the
-    /// dark set has to be inferred, and cannot be checkpointed.
+    /// A one-shot byte source (stdin, a pipe). It is read once, so it needs
+    /// [`AnalyzeOptions::monitored`] and cannot be checkpointed.
     Reader(Box<dyn Read + Send>),
 }
 
@@ -128,8 +117,9 @@ pub enum AnalyzeError {
         /// Records successfully parsed before the cut.
         records_seen: u64,
     },
-    /// The capture is not time-ordered, so the single-pass streaming
-    /// pipeline cannot analyze it. Re-run materialized to sort it first.
+    /// The capture is not time-ordered under the strict policy. Under
+    /// [`FaultPolicy::SkipRecord`] each record that goes back in time is
+    /// dropped and counted instead.
     UnorderedCapture {
         /// Consecutive timestamp inversions observed in the capture.
         violations: u64,
@@ -143,8 +133,9 @@ pub enum AnalyzeError {
     Checkpoint(CheckpointError),
     /// The analysis was computed but could not be persisted.
     Store(StoreError),
-    /// A one-shot input could not be buffered for the dark-set inference.
-    Io(String),
+    /// The dark set was to be inferred from a one-shot input, which would
+    /// take a second read of it: refused before a byte is read.
+    MonitoredRequired,
     /// A checkpoint was asked for over a one-shot input: a resumed run has
     /// to re-read the capture, and this one cannot be.
     NotReopenable,
@@ -165,14 +156,19 @@ impl std::fmt::Display for AnalyzeError {
             AnalyzeError::UnorderedCapture { violations } => write!(
                 f,
                 "capture is not time-ordered ({violations} timestamp inversions); \
-                 re-run with --materialize to sort it in memory"
+                 re-run with --fault-policy skip to drop and count each record that \
+                 goes back in time"
             ),
             AnalyzeError::WorkerFailed { shard } => {
                 write!(f, "analysis pipeline worker for shard {shard} failed")
             }
             AnalyzeError::Checkpoint(e) => write!(f, "{}", RunError::Checkpoint(e.clone())),
             AnalyzeError::Store(e) => write!(f, "{e}"),
-            AnalyzeError::Io(e) => write!(f, "cannot buffer the capture: {e}"),
+            AnalyzeError::MonitoredRequired => write!(
+                f,
+                "the dark set cannot be inferred from a one-shot input (stdin, a pipe), \
+                 which is read only once; pass --monitored N or a file"
+            ),
             AnalyzeError::NotReopenable => write!(
                 f,
                 "a checkpointed analysis needs a file input (a resume re-reads the \
@@ -239,22 +235,12 @@ pub struct AnalyzeResult {
 }
 
 /// Open `reader` as a record stream on the decode queues `options` asks
-/// for, decayed by byte noise when `chaos_seed` is set.
+/// for.
 fn open(
     reader: Box<dyn Read + Send>,
-    chaos_seed: Option<u64>,
     options: &AnalyzeOptions,
 ) -> Result<PcapStream<Box<dyn Read + Send>>, PcapError> {
-    let queues = options.ingest.queues;
-    let plan = match chaos_seed {
-        Some(seed) => IngestQueues::over(
-            ChaosReader::new(reader, ChaosPlan::byte_noise(seed)),
-            queues,
-            options.policy,
-        ),
-        None => IngestQueues::over(reader, queues, options.policy),
-    }?;
-    Ok(plan.spawn())
+    Ok(IngestQueues::over(reader, options.ingest.queues, options.policy)?.spawn())
 }
 
 /// Count the distinct probed destinations of a capture in one streaming
@@ -263,7 +249,7 @@ fn open(
 /// the policy could salvage; the analysis pass meets (and tallies) the same
 /// faults again.
 fn infer_monitored(capture: &MappedCapture, options: &AnalyzeOptions) -> Result<u64, AnalyzeError> {
-    let mut stream = open(capture.reader(), None, options)?;
+    let mut stream = open(capture.reader(), options)?;
     let mut dsts = HashSet::new();
     while let Some(batch) = stream.try_next_batch()? {
         dsts.extend(batch.iter().map(|record| record.dst_ip.0));
@@ -273,38 +259,31 @@ fn infer_monitored(capture: &MappedCapture, options: &AnalyzeOptions) -> Result<
 
 /// Run the pipeline over a capture: infer the dark set when
 /// `options.monitored` is absent, open the capture on the decode queues
-/// `options.ingest` asks for, sort it in memory first iff
-/// `options.materialize`, and drive it once — plain under
-/// `RunOptions::default()`, checkpointed, interruptible and persisted as
-/// `run` says.
+/// `options.ingest` asks for, and stream it once through the driver — plain
+/// under `RunOptions::default()`, checkpointed, interruptible and persisted
+/// as `run` says.
 ///
 /// With resuming [`CheckpointOptions`](synscan_core::CheckpointOptions) the
 /// analysis restarts from its latest checkpoint in the directory and the
 /// finished result is bit-identical to an uninterrupted run's. The
 /// checkpoint's identity word covers the capture's byte length, the
-/// monitored-address count, `materialize`, the fault policy, the chaos seed
-/// and the heavy-hitter configuration, so a resume against another capture
-/// or under other options is a typed mismatch.
+/// monitored-address count, the fault policy and the heavy-hitter
+/// configuration, so a resume against another capture or under other
+/// options is a typed mismatch.
 pub fn analyze(
     input: CaptureInput<'_>,
     options: &AnalyzeOptions,
     run: &RunOptions<'_>,
 ) -> Result<RunStatus<AnalyzeResult>, AnalyzeError> {
-    // Two things read a capture more than once: a resume, which a one-shot
-    // input cannot serve, and the dark-set inference, which it serves from a
-    // buffer. `len` is the byte length of a re-readable capture (0 for a
-    // one-shot one).
+    // Two things read a capture more than once, a resume and the dark-set
+    // inference, and a one-shot input serves neither. `len` is the byte
+    // length of a re-readable capture (0 for a one-shot one).
     let (monitored, len, reader) = match (input, options.monitored) {
         (CaptureInput::Reader(_), _) if run.checkpoint.is_some() => {
             return Err(AnalyzeError::NotReopenable)
         }
+        (CaptureInput::Reader(_), None) => return Err(AnalyzeError::MonitoredRequired),
         (CaptureInput::Reader(reader), Some(monitored)) => (monitored, 0, reader),
-        (CaptureInput::Reader(reader), None) => {
-            let buffered =
-                MappedCapture::from_reader(reader).map_err(|e| AnalyzeError::Io(e.to_string()))?;
-            let monitored = infer_monitored(&buffered, options)?;
-            (monitored, buffered.len(), buffered.reader())
-        }
         (CaptureInput::Capture(capture), monitored) => {
             let monitored = match monitored {
                 Some(monitored) => monitored,
@@ -313,10 +292,7 @@ pub fn analyze(
             (monitored, capture.len(), capture.reader())
         }
     };
-    let identity = format!(
-        "{len} {monitored} {} {:?} {:?} {:?}",
-        options.materialize, options.policy, options.chaos_seed, options.heavy,
-    );
+    let identity = format!("{len} {monitored} {:?} {:?}", options.policy, options.heavy);
     let spec = RunSpec {
         year: options.year,
         config: CampaignConfig::scaled(monitored.max(1)),
@@ -326,20 +302,10 @@ pub fn analyze(
         policy: options.policy,
         identity: identity_word(identity.as_bytes()),
     };
-    let mut stream = open(reader, options.chaos_seed, options)?;
+    let mut stream = open(reader, options)?;
     // The SYN filter doubles as the technique census.
     let mut census = TechniqueAdmit::default();
-    let status = if options.materialize {
-        let mut records = Vec::new();
-        while let Some(batch) = stream.try_next_batch()? {
-            records.extend_from_slice(batch);
-        }
-        records.sort_by_key(|r| r.ts_micros);
-        let mut sorted = SliceStream::new(&records);
-        run_year_supervised(&spec, run, &mut sorted, &mut census)?
-    } else {
-        run_year_supervised(&spec, run, &mut stream, &mut census)?
-    };
+    let status = run_year_supervised(&spec, run, &mut stream, &mut census)?;
     // The parser's own tallies, which the driver never sees. A resumed run
     // re-reads the whole capture (the fast-forward replays it), so they
     // cover the full file either way.
@@ -495,15 +461,20 @@ mod tests {
     use synscan_scanners::traits::craft_record;
     use synscan_scanners::zmap::ZmapScanner;
     use synscan_telescope::capture::export_pcap;
+    use synscan_wire::chaos::{ChaosPlan, ChaosReader};
     use synscan_wire::Ipv4Address;
 
-    /// A plain analysis of an in-memory capture, read once.
+    /// A plain analysis of an in-memory capture.
     fn analyze_bytes(
         bytes: Vec<u8>,
         options: &AnalyzeOptions,
     ) -> Result<AnalyzeResult, AnalyzeError> {
-        let input = CaptureInput::reader(std::io::Cursor::new(bytes));
-        let status = analyze(input, options, &RunOptions::default())?;
+        let capture = MappedCapture::from_bytes(bytes);
+        let status = analyze(
+            CaptureInput::Capture(&capture),
+            options,
+            &RunOptions::default(),
+        )?;
         Ok(status.completed().expect("nothing interrupts a plain run"))
     }
 
@@ -545,7 +516,7 @@ mod tests {
     }
 
     #[test]
-    fn unordered_capture_streams_to_an_error_but_materializes_fine() {
+    fn unordered_capture_is_an_error_under_fail_and_counted_under_skip() {
         let z = ZmapScanner::new(5);
         let records: Vec<ProbeRecord> = (0..50u64)
             .map(|i| {
@@ -561,24 +532,27 @@ mod tests {
             })
             .collect();
         let bytes = export_pcap(&records, Vec::new()).unwrap();
-        let streaming_options = AnalyzeOptions {
+        let strict = AnalyzeOptions {
             monitored: Some(10),
             ..AnalyzeOptions::default()
         };
-        let err = analyze_bytes(bytes.clone(), &streaming_options)
-            .expect_err("unordered capture must not stream");
+        let err = analyze_bytes(bytes.clone(), &strict)
+            .expect_err("unordered capture must not stream under fail");
         assert!(matches!(err, AnalyzeError::UnorderedCapture { violations } if violations > 0));
-        assert!(err.to_string().contains("--materialize"));
+        assert!(err.to_string().contains("--fault-policy skip"));
 
-        let materialized = analyze_bytes(
+        // Every record after the first goes back in time: each is dropped
+        // and counted, and the first alone is analyzed.
+        let skipped = analyze_bytes(
             bytes,
             &AnalyzeOptions {
-                materialize: true,
-                ..streaming_options
+                policy: FaultPolicy::SkipRecord,
+                ..strict
             },
         )
-        .expect("materialized path sorts");
-        assert_eq!(materialized.analysis.total_packets, 50);
+        .expect("skip drops each regression");
+        assert_eq!(skipped.analysis.total_packets, 1);
+        assert_eq!(skipped.faults.records_skipped, 49);
     }
 
     #[test]
@@ -758,26 +732,17 @@ mod tests {
             .expect("heavy option enables sketch state");
         assert_eq!(heavy.count_min().total(), 200);
 
-        // Sharded, materialized, and streamed runs agree on the sketch too
-        // (it rides inside YearAnalysis equality).
+        // Sharded and sequential runs agree on the sketch too (it rides
+        // inside YearAnalysis equality).
         let sharded = analyze_bytes(
-            bytes.clone(),
-            &AnalyzeOptions {
-                pipeline: PipelineMode::Sharded { workers: 3 },
-                ..options.clone()
-            },
-        )
-        .unwrap();
-        assert_eq!(streamed.analysis, sharded.analysis);
-        let materialized = analyze_bytes(
             bytes,
             &AnalyzeOptions {
-                materialize: true,
+                pipeline: PipelineMode::Sharded { workers: 3 },
                 ..options
             },
         )
         .unwrap();
-        assert_eq!(streamed.analysis, materialized.analysis);
+        assert_eq!(streamed.analysis, sharded.analysis);
 
         let report = render_report(&streamed);
         assert!(report.contains("network impact"), "report: {report}");
@@ -803,24 +768,29 @@ mod tests {
         let options = AnalyzeOptions {
             monitored: Some(100),
             policy: FaultPolicy::SkipRecord,
-            chaos_seed: Some(0xc0ffee),
             ..AnalyzeOptions::default()
         };
-        let a = analyze_bytes(bytes.clone(), &options).expect("skip policy survives byte noise");
-        let b = analyze_bytes(bytes.clone(), &options).unwrap();
+        let noisy = |bytes: &Vec<u8>| {
+            let reader = ChaosReader::new(
+                std::io::Cursor::new(bytes.clone()),
+                ChaosPlan::byte_noise(0xc0ffee),
+            );
+            let status = analyze(
+                CaptureInput::reader(reader),
+                &options,
+                &RunOptions::default(),
+            )
+            .expect("skip policy survives byte noise");
+            status.completed().expect("nothing interrupts a plain run")
+        };
+        let a = noisy(&bytes);
+        let b = noisy(&bytes);
         assert_eq!(a.analysis, b.analysis, "same seed, same outcome");
         assert_eq!(a.faults, b.faults);
         // Byte noise over a ~13KB capture lands somewhere: either a frame
         // stopped parsing (non-TCP), a record was skipped, or the stream was
         // cut — but never a panic, and the clean run is unaffected.
-        let clean = analyze_bytes(
-            bytes,
-            &AnalyzeOptions {
-                chaos_seed: None,
-                ..options
-            },
-        )
-        .unwrap();
+        let clean = analyze_bytes(bytes, &options).unwrap();
         assert!(!clean.faults.any());
         assert!(
             a.faults.any() || a.non_tcp_frames > 0 || a.analysis != clean.analysis,

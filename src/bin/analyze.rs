@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! analyze <capture.pcap | -> [--monitored N] [--year Y] [--top N]
-//!         [--pipeline sequential|auto|sharded:N] [--materialize]
+//!         [--pipeline sequential|auto|sharded:N]
 //!         [--ingest read|mmap:N] [--heavy-hitters K[,WIDTH,DEPTH]]
-//!         [--fault-policy fail|skip|stop] [--chaos-seed N]
+//!         [--fault-policy fail|skip|stop]
 //!         [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
 //!         [--die-after-checkpoints K] [--store-dir DIR]
 //! ```
@@ -17,37 +17,36 @@
 //! The capture is *streamed* through the pipeline in O(batch) memory: one
 //! cheap inference pass (distinct destinations) unless `--monitored N` is
 //! given, then one analysis pass. Pass `-` as the path to read a classic
-//! pcap from stdin — stdin cannot be rewound, so it is buffered whole when
-//! the dark set has to be inferred; with `--monitored N` it stays
-//! single-pass. `--materialize` loads and sorts the capture before the
-//! analysis pass, which also accepts captures that are not time-ordered.
+//! pcap from stdin, together with `--monitored N`: stdin is read only once,
+//! so the dark set cannot be inferred from it, and without `--monitored` it
+//! is refused before a byte is read. The capture must be time-ordered (real
+//! telescope captures are): under `--fault-policy fail` a record that goes
+//! back in time is an error, under `skip` it is dropped and counted.
 //!
 //! `--ingest mmap:N` decodes the capture's windows on N threads (clamped to
 //! the core count) behind one sequential reader, merged back in capture
-//! order; `read` (the default) and plain `mmap` are N = 1, decoded on the
-//! calling thread. A file is opened once per pass and streamed through a
-//! recycled window — never read whole. Results are byte-identical under
-//! every mode on every input, including corrupt ones.
+//! order; `read` (the default) is N = 1, decoded on the calling thread. A
+//! file is opened once per pass and streamed through a recycled window —
+//! never read whole. Results are byte-identical under every mode on every
+//! input, including corrupt ones.
 //!
 //! Real captures get torn and corrupted; by default (`--fault-policy
 //! fail`) the first malformed record aborts with a typed error.
 //! `--fault-policy skip` skips recoverable records and treats a torn tail
 //! as end-of-capture, reporting what was dropped in the summary;
 //! `--fault-policy stop` ends the capture cleanly at the first fault.
-//! `--chaos-seed N` XORs seeded byte noise into the capture before parsing
-//! — a reproducible robustness drill for the policies.
 //!
 //! `--checkpoint-dir DIR` makes the analysis crash-safe: the full pipeline
 //! state checkpoints atomically into the directory, SIGINT/SIGTERM
 //! checkpoint before exiting, and `--resume` restarts from the latest
 //! checkpoint with bit-identical output — under every `--ingest` mode, with
-//! `--materialize`, with the dark set given or inferred. It needs a file
-//! input (a resume re-reads the capture) and refuses a checkpoint cut from
-//! another capture or under other options. A failed shard worker ends the
-//! run with an error that says to re-run with `--resume`; nothing retries it
-//! on its own. `--die-after-checkpoints K` is the kill-and-resume drill
-//! hook: it aborts right after K periodic checkpoints, and a capture too
-//! short for K is an error, never exit 0.
+//! the dark set given or inferred. It needs a file input (a resume re-reads
+//! the capture) and refuses a checkpoint cut from another capture or under
+//! other options. A failed shard worker ends the run with an error that
+//! says to re-run with `--resume`; nothing retries it on its own.
+//! `--die-after-checkpoints K` is the kill-and-resume drill hook: it aborts
+//! right after K periodic checkpoints, and a capture too short for K is an
+//! error, never exit 0.
 //!
 //! `--heavy-hitters K[,WIDTH,DEPTH]` adds the sublinear heavy-hitter layer:
 //! the analysis carries a space-saving top-K tracker and count-min rate
@@ -79,28 +78,25 @@ mod cli;
 use cli::{flag_dir, flag_value, sig, CheckpointFlags};
 
 const USAGE: &str = "usage: analyze <capture.pcap | -> [--monitored N] [--year Y] [--top N] \
-                     [--pipeline sequential|auto|sharded:N] [--materialize] \
+                     [--pipeline sequential|auto|sharded:N] \
                      [--ingest read|mmap:N] [--heavy-hitters K[,WIDTH,DEPTH]] \
-                     [--fault-policy fail|skip|stop] [--chaos-seed N] \
+                     [--fault-policy fail|skip|stop] \
                      [--checkpoint-dir DIR] [--checkpoint-every N] [--resume] \
                      [--die-after-checkpoints K] [--store-dir DIR]\n\
-                     \n  <capture.pcap | ->  classic pcap file, or `-` for stdin\
+                     \n  <capture.pcap | ->  classic pcap file, or `-` for stdin (needs \
+                     --monitored)\
                      \n  --monitored N       dark (monitored) address count; default: inferred \
-                     from the capture\
+                     from the capture file\
                      \n  --year Y            label year for the report (default 2024)\
                      \n  --top N             top ports to summarize (default 10)\
                      \n  --pipeline MODE     sequential | auto | sharded:N (default sequential)\
-                     \n  --materialize       load and sort the whole capture instead of \
-                     streaming it (required for unordered captures)\
-                     \n  --ingest MODE       read (default) | mmap (one decode thread) | \
-                     mmap:N (N decode threads)\
+                     \n  --ingest MODE       read (default, decoded inline) | mmap:N \
+                     (N decode threads)\
                      \n  --heavy-hitters K[,WIDTH,DEPTH]  track the top-K sources in \
                      sublinear space (space-saving + count-min; default sketch 2048x4) \
                      and report the network-impact section\
-                     \n  --fault-policy P    fail | skip | stop: how malformed records are \
-                     handled (default fail)\
-                     \n  --chaos-seed N      XOR seeded byte noise into the capture before \
-                     parsing (robustness drill)\
+                     \n  --fault-policy P    fail | skip | stop: how malformed or out-of-order \
+                     records are handled (default fail)\
                      \n  --checkpoint-dir D  persist pipeline checkpoints into D \
                      (needs a file input)\
                      \n  --checkpoint-every N  records between periodic checkpoints \
@@ -132,14 +128,10 @@ fn run() -> Result<(), String> {
             "--pipeline" => {
                 options.pipeline = flag_value(&mut args, "--pipeline", "sequential|auto|sharded:N")?
             }
-            "--materialize" => options.materialize = true,
             "--ingest" => options.ingest = flag_value(&mut args, "--ingest", "read|mmap:N")?,
             "--heavy-hitters" => options.heavy = Some(cli::heavy_hitters(&mut args)?),
             "--fault-policy" => {
                 options.policy = flag_value(&mut args, "--fault-policy", "fail|skip|stop")?
-            }
-            "--chaos-seed" => {
-                options.chaos_seed = Some(flag_value(&mut args, "--chaos-seed", "a u64 seed")?)
             }
             "--help" | "-h" => {
                 eprintln!("{USAGE}");

@@ -3,7 +3,6 @@
 //! ```text
 //! repro [--scale tiny|small|default] [--out DIR] [--store-dir DIR]
 //!       [--heavy-hitters K[,WIDTH,DEPTH]]
-//!       [--chaos-seed N] [--fault-policy fail|skip|stop]
 //!       [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
 //!       [--die-after-checkpoints K] [TARGET...]
 //!
@@ -17,17 +16,11 @@
 //! `analyze --pipeline sharded:N`, for one capture; `repro` refuses
 //! `--pipeline` and `--ingest` as usage errors that say so.
 //!
-//! `--chaos-seed N` decays every year's record stream with the seeded
-//! benign fault plan (duplicate injection) — a robustness drill: combined
-//! with `--fault-policy skip` the run completes, reports what was dropped,
-//! and reproduces the clean run's numbers exactly. Under the default
-//! `fail` policy the first injected fault aborts the run with an error.
-//!
 //! `--checkpoint-dir DIR` makes the run crash-safe: each year periodically
 //! persists an atomic checkpoint of its full pipeline state, SIGINT/SIGTERM
 //! trigger a final checkpoint before exiting, and `--resume` restarts a
 //! killed run from the per-year checkpoints with bit-identical output — and
-//! refuses checkpoints cut at another scale, seed or fault policy.
+//! refuses checkpoints cut at another scale or seed.
 //! `--die-after-checkpoints K` is the kill-and-resume drill: abort the
 //! process (as a crash would) right after K periodic checkpoints per year. A
 //! run in which no year reaches K cannot crash where asked, so it exits
@@ -66,13 +59,12 @@ use synscan::core::analysis::{
 use synscan::core::report::render_series;
 use synscan::core::sketch::HeavyHitterConfig;
 use synscan::core::store::{AnalysisStore, StoreImage};
-use synscan::core::PipelineError;
 use synscan::experiment::{DecadeRun, DecadeStatus, Experiment};
 use synscan::netmodel::{InternetRegistry, ScannerClass};
 use synscan::synthesis::fanout;
 use synscan::wire::ingest::{IngestQueues, MappedCapture};
 use synscan::wire::json::{self, ToJson};
-use synscan::wire::{ChaosPlan, FaultPolicy};
+use synscan::wire::FaultPolicy;
 use synscan::{GeneratorConfig, RunError, RunOptions, ToolKind, YearConfig};
 
 mod cli;
@@ -80,7 +72,6 @@ use cli::{flag_dir, flag_value, sig, CheckpointFlags};
 
 const USAGE: &str = "usage: repro [--scale tiny|small|default] [--seed N] [--out DIR] \
                      [--store-dir DIR] [--heavy-hitters K[,WIDTH,DEPTH]] \
-                     [--chaos-seed N] [--fault-policy fail|skip|stop] \
                      [--checkpoint-dir DIR] [--checkpoint-every N] [--resume] \
                      [--die-after-checkpoints K] [TARGET...]\
                      \n  --scale NAME        generator scale: tiny | small | default\
@@ -92,10 +83,6 @@ const USAGE: &str = "usage: repro [--scale tiny|small|default] [--seed N] [--out
                      \n  --heavy-hitters K[,WIDTH,DEPTH]  track the top-K sources per year \
                      in sublinear space (space-saving + count-min; default sketch \
                      2048x4) and emit the network-impact section\
-                     \n  --chaos-seed N      decay every year's stream with the seeded benign \
-                     fault plan (robustness drill)\
-                     \n  --fault-policy P    fail | skip | stop: how the pipeline reacts to \
-                     faulty records (default fail)\
                      \n  --checkpoint-dir D  persist per-year pipeline checkpoints into D; \
                      SIGINT/SIGTERM checkpoint before exiting\
                      \n  --checkpoint-every N  records between periodic checkpoints \
@@ -119,8 +106,6 @@ fn run() -> Result<(), String> {
     let mut store_dir: Option<PathBuf> = None;
     let mut seed_override: Option<u64> = None;
     let mut heavy: Option<HeavyHitterConfig> = None;
-    let mut chaos_seed: Option<u64> = None;
-    let mut fault_policy = FaultPolicy::Fail;
     let mut checkpoint = CheckpointFlags::default();
     let mut targets: Vec<String> = Vec::new();
     while let Some(arg) = args.next() {
@@ -139,12 +124,6 @@ fn run() -> Result<(), String> {
                 ));
             }
             "--heavy-hitters" => heavy = Some(cli::heavy_hitters(&mut args)?),
-            "--chaos-seed" => {
-                chaos_seed = Some(flag_value(&mut args, "--chaos-seed", "a u64 seed")?)
-            }
-            "--fault-policy" => {
-                fault_policy = flag_value(&mut args, "--fault-policy", "fail|skip|stop")?
-            }
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
                 return Ok(());
@@ -189,24 +168,15 @@ fn run() -> Result<(), String> {
 
     eprintln!(
         "[repro] scale={scale}: telescope 1/{}, population 1/{}, {} days/year, \
-         one thread per year ({} at once){}",
+         one thread per year ({} at once)",
         gen.telescope_denominator,
         gen.population_denominator,
         gen.days,
         YearConfig::decade().len().min(fanout::width()),
-        match chaos_seed {
-            Some(seed) => format!(", chaos seed {seed} ({fault_policy} policy)"),
-            None => String::new(),
-        }
     );
     eprintln!("[repro] generating and measuring the decade ...");
     let started = std::time::Instant::now();
-    let mut experiment = Experiment::new(gen)
-        .with_fault_policy(fault_policy)
-        .with_heavy_hitters(heavy);
-    if let Some(seed) = chaos_seed {
-        experiment = experiment.with_chaos(ChaosPlan::benign(seed));
-    }
+    let experiment = Experiment::new(gen).with_heavy_hitters(heavy);
     let spec = checkpoint.spec()?;
     let opts = RunOptions {
         checkpoint: spec.as_ref(),
@@ -217,10 +187,6 @@ fn run() -> Result<(), String> {
         store: Some(&store),
     };
     let status = experiment.decade(&opts).map_err(|e| match e {
-        // Only a faulty record is something a lossy policy gets past.
-        RunError::Pipeline(PipelineError::Stream(_)) => {
-            format!("decade run failed: {e} (try --fault-policy skip)")
-        }
         RunError::Checkpoint(_) => format!("decade run failed: {e}"),
         _ => format!("decade run failed: {e}{}", checkpoint.resume_hint()),
     })?;
@@ -252,10 +218,6 @@ fn run() -> Result<(), String> {
             .map(|y| y.analysis.campaigns.len())
             .sum::<usize>(),
     );
-    let faults = run.total_faults();
-    if faults.any() {
-        eprintln!("[repro] capture faults across the decade: {faults}");
-    }
 
     // Render from the *reloaded* store image, not the in-memory run: every
     // artifact below is proof the slices on disk round-trip the analyses

@@ -36,21 +36,28 @@ fn corpus_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-fn corpus_file(name: &str) -> BufReader<File> {
-    BufReader::new(File::open(corpus_path(name)).expect("corpus file exists"))
+/// A corpus file as a one-shot input.
+fn corpus_input(name: &str) -> CaptureInput<'static> {
+    let file = File::open(corpus_path(name)).expect("corpus file exists");
+    CaptureInput::reader(BufReader::new(file))
 }
 
-/// A plain analysis of a capture read once.
+/// A plain analysis of `input`.
 fn analyze_once(
-    reader: impl std::io::Read + Send + 'static,
+    input: CaptureInput<'_>,
     options: &AnalyzeOptions,
 ) -> Result<AnalyzeResult, AnalyzeError> {
-    let status = analyze(
-        CaptureInput::reader(reader),
-        options,
-        &RunOptions::default(),
-    )?;
+    let status = analyze(input, options, &RunOptions::default())?;
     Ok(status.completed().expect("nothing interrupts a plain run"))
+}
+
+/// A plain analysis of an in-memory capture, which can be read again to
+/// infer the dark set.
+fn analyze_bytes(bytes: Vec<u8>, options: &AnalyzeOptions) -> Result<AnalyzeResult, AnalyzeError> {
+    analyze_once(
+        CaptureInput::Capture(&MappedCapture::from_bytes(bytes)),
+        options,
+    )
 }
 
 /// A plain 2020 in `mode`, as a `Result`.
@@ -141,8 +148,8 @@ fn garbage_frames_in_a_pcap_are_counted_but_do_not_change_the_analysis() {
     assert_eq!((dirty.len(), fnv1a(&dirty)), (3070590, 147164344901557489));
 
     let options = AnalyzeOptions::default();
-    let clean = analyze_once(std::io::Cursor::new(bytes), &options).expect("clean capture");
-    let decayed = analyze_once(std::io::Cursor::new(dirty), &options).expect("garbage is benign");
+    let clean = analyze_bytes(bytes, &options).expect("clean capture");
+    let decayed = analyze_bytes(dirty, &options).expect("garbage is benign");
     assert_eq!(clean.analysis, decayed.analysis);
     assert!(!decayed.faults.any(), "nothing was skipped — only ignored");
 }
@@ -162,8 +169,8 @@ fn duplicated_pcap_records_are_dropped_under_skip_and_match_the_clean_run() {
         policy: FaultPolicy::SkipRecord,
         ..AnalyzeOptions::default()
     };
-    let clean = analyze_once(std::io::Cursor::new(bytes), &options).expect("clean capture");
-    let decayed = analyze_once(std::io::Cursor::new(dirty), &options).expect("skip drops dupes");
+    let clean = analyze_bytes(bytes, &options).expect("clean capture");
+    let decayed = analyze_bytes(dirty, &options).expect("skip drops dupes");
     assert_eq!(clean.analysis, decayed.analysis);
     // Any duplicates native to the capture are dropped in both runs; the
     // decayed run drops the injected ones on top.
@@ -316,16 +323,19 @@ fn no_corpus_file_panics_any_policy_or_pipeline_path() {
             FaultPolicy::SkipRecord,
             FaultPolicy::StopClean,
         ] {
-            for materialize in [false, true] {
+            for pipeline in [
+                PipelineMode::Sequential,
+                PipelineMode::Sharded { workers: 3 },
+            ] {
                 let options = AnalyzeOptions {
                     monitored: Some(64),
                     policy,
-                    materialize,
+                    pipeline,
                     ..AnalyzeOptions::default()
                 };
                 // Ok (recovered to an empty/partial analysis) or a typed
                 // error — anything but a panic.
-                let _ = analyze_once(corpus_file(name), &options);
+                let _ = analyze_once(corpus_input(name), &options);
             }
         }
     }
@@ -340,12 +350,12 @@ fn skip_policy_recovers_what_the_corpus_allows() {
         policy: FaultPolicy::SkipRecord,
         ..AnalyzeOptions::default()
     };
-    let torn = analyze_once(corpus_file("truncated_record.pcap"), &options)
+    let torn = analyze_once(corpus_input("truncated_record.pcap"), &options)
         .expect("skip policy survives a torn record");
     assert_eq!(torn.analysis.total_packets, 0);
     assert_eq!(torn.faults.streams_truncated, 1);
 
-    let zero = analyze_once(corpus_file("zero_length.pcap"), &options)
+    let zero = analyze_once(corpus_input("zero_length.pcap"), &options)
         .expect("skip policy steps over a zero-length record");
     assert_eq!(zero.faults.records_skipped, 1);
     assert_eq!(zero.faults.bytes_dropped, 8);
@@ -356,11 +366,11 @@ fn skip_policy_recovers_what_the_corpus_allows() {
         ..options
     };
     assert!(matches!(
-        analyze_once(corpus_file("truncated_record.pcap"), &strict),
+        analyze_once(corpus_input("truncated_record.pcap"), &strict),
         Err(AnalyzeError::Pcap(PcapError::TruncatedRecordBody { .. }))
     ));
     assert!(matches!(
-        analyze_once(corpus_file("zero_length.pcap"), &strict),
+        analyze_once(corpus_input("zero_length.pcap"), &strict),
         Err(AnalyzeError::Pcap(PcapError::ZeroLengthRecord { .. }))
     ));
 }

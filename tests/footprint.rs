@@ -10,13 +10,16 @@
 //! whose sources open and close their scans one after another, of the
 //! output path, of a frame reader told a length the peer never sends, of
 //! decoding a store slice, a checkpoint or its collector blob whose counts
-//! lie, and of parsing a hostile request line. The tests take turns through one lock, so no other test allocates
-//! while one counts.
+//! lie, of parsing a hostile request line, of reading a capture whose record
+//! lengths lie, and of analyzing a capture end to end. The tests take turns
+//! through one lock, so no other test allocates while one counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hash::Hasher as _;
-use std::sync::atomic::{AtomicIsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use synscan::analyze::{analyze, AnalyzeError, AnalyzeOptions, CaptureInput};
 
 use synscan::core::analysis::{YearAnalysis, YearCollector};
 use synscan::core::campaign::{CampaignConfig, CampaignDetector};
@@ -30,9 +33,14 @@ use synscan::core::store::{decode_year, encode_year, AnalysisStore};
 use synscan::core::Checkpoint;
 use synscan::core::FxHasher;
 use synscan::stats::mix64;
+use synscan::wire::ingest::{IngestQueues, MappedCapture, PcapStream};
 use synscan::wire::net::MAX_REQUEST_BYTES;
-use synscan::wire::stream::{FaultCounters, FaultPolicy, SliceStream};
-use synscan::wire::{Ipv4Address, ProbeRecord, TcpFlags};
+use synscan::wire::pcap::{PcapWriter, LINKTYPE_ETHERNET};
+use synscan::wire::stream::{
+    FaultCounters, FaultPolicy, SliceStream, StreamError, TryRecordStream,
+};
+use synscan::wire::{Ipv4Address, ProbeRecord, SynFrameBuilder, TcpFlags};
+use synscan::RunOptions;
 
 mod support;
 
@@ -1039,4 +1047,207 @@ fn a_hostile_request_line_is_refused_within_a_bounded_heap() {
             line.len()
         );
     }
+}
+
+/// The largest record a pcap reader accepts (`MAX_SNAPLEN` in
+/// `synscan_wire::pcap`); one byte more loses framing.
+const MAX_SNAPLEN: u64 = 1 << 18;
+
+/// Heap one framer window takes. Every pcap stream reads through a window
+/// buffer of this size per chunk in flight, and a capture smaller than one
+/// window is a single chunk, decoded inline or on three queues alike. It is
+/// the one allowance above [`max_decode_bytes`] for reading a capture.
+const FRAMER_WINDOW: isize = 1 << 20;
+
+/// Offset of the first record header in a classic pcap.
+const PCAP_GLOBAL_HEADER: usize = 24;
+
+/// One canonical probe record in a capture: its header and a 54-byte frame.
+const PCAP_RECORD: usize = 16 + 54;
+
+/// A time-ordered capture of `count` canonical probes from `sources`
+/// sources, each probing the same 256 dark addresses over and over, a
+/// millisecond apart.
+fn repeated_capture(count: usize, sources: u32) -> Vec<u8> {
+    let builder = SynFrameBuilder::default();
+    let mut frame = vec![0u8; ProbeRecord::frame_len()];
+    let mut writer = PcapWriter::new(Vec::new(), LINKTYPE_ETHERNET).expect("in-memory header");
+    for i in 0..count as u64 {
+        let record = ProbeRecord {
+            ts_micros: 1_000_000 + i * 1_000,
+            src_ip: Ipv4Address(0xcb00_7100 + (i % u64::from(sources)) as u32),
+            dst_ip: Ipv4Address(0x0a00_0000 + (i * 7 % 256) as u32),
+            src_port: 40_000 + (i % 1000) as u16,
+            dst_port: [23u16, 80, 443][(i % 3) as usize],
+            seq: (i as u32).wrapping_mul(2_654_435_761),
+            ip_id: 54_321,
+            ttl: 51,
+            flags: TcpFlags::SYN,
+            window: 1024,
+        };
+        builder.build_into(&record, &mut frame);
+        writer
+            .write_record(record.ts_micros, &frame)
+            .expect("in-memory record");
+    }
+    writer.into_inner().expect("in-memory flush")
+}
+
+/// What one pcap stream yields: its records, fault counters and non-TCP
+/// census, or its terminal error.
+type Drained = Result<(Vec<ProbeRecord>, FaultCounters, u64), StreamError>;
+
+fn drain<R: std::io::Read>(mut stream: PcapStream<R>) -> Drained {
+    let mut records = Vec::new();
+    while let Some(batch) = stream.try_next_batch()? {
+        records.extend_from_slice(batch);
+    }
+    Ok((records, stream.faults(), stream.non_tcp_frames()))
+}
+
+/// Every record header length a capture can lie with — `incl_len` and
+/// `orig_len` of the first, a middle and the last record, each set to 0, 1,
+/// the bytes left behind the header, one more, `MAX_SNAPLEN`, one more and
+/// `u32::MAX` — read inline and on three decode queues under every policy:
+/// the same typed error or counted skip on both paths, never a panic, and a
+/// heap within the decode bound plus one framer window.
+#[test]
+fn a_record_header_whose_lengths_lie_is_typed_and_bounded_on_every_ingest_path() {
+    let _turn = take_turn();
+    const RECORDS: usize = 8;
+    let clean = repeated_capture(RECORDS, 3);
+    assert_eq!(clean.len(), PCAP_GLOBAL_HEADER + RECORDS * PCAP_RECORD);
+    let reference = drain(PcapStream::new(clean.as_slice()).expect("valid header"))
+        .expect("clean capture drains");
+    let mut cases = 0;
+    for record in [0, RECORDS / 2, RECORDS - 1] {
+        let header = PCAP_GLOBAL_HEADER + record * PCAP_RECORD;
+        let left = (clean.len() - header - 16) as u64;
+        for (field, at) in [("incl_len", header + 8), ("orig_len", header + 12)] {
+            for value in [
+                0,
+                1,
+                left,
+                left + 1,
+                MAX_SNAPLEN,
+                MAX_SNAPLEN + 1,
+                u64::from(u32::MAX),
+            ] {
+                let mut bytes = clean.clone();
+                bytes[at..at + 4].copy_from_slice(&(value as u32).to_le_bytes());
+                let capture = Arc::new(MappedCapture::from_bytes(bytes.clone()));
+                for policy in [
+                    FaultPolicy::Fail,
+                    FaultPolicy::SkipRecord,
+                    FaultPolicy::StopClean,
+                ] {
+                    let label = format!("record {record} {field} = {value} under {policy}");
+                    let base = reset_peak();
+                    let inline = drain(
+                        PcapStream::with_policy(bytes.as_slice(), policy).expect("valid header"),
+                    );
+                    let inline_peak = peak_above(base);
+                    let base = reset_peak();
+                    let queued = drain(
+                        IngestQueues::exact(Arc::clone(&capture), 3, policy)
+                            .expect("valid header")
+                            .spawn(),
+                    );
+                    let queued_peak = peak_above(base);
+                    assert_eq!(inline, queued, "{label}: inline and queued ingest differ");
+                    match (&inline, policy) {
+                        (Err(_), FaultPolicy::Fail) => {}
+                        (Err(e), _) => panic!("{label}: a lossy policy surfaced {e:?}"),
+                        (Ok(outcome), _) => assert!(
+                            *outcome == reference || outcome.1.any() || outcome.2 > 0,
+                            "{label}: the capture read differently and nothing was counted"
+                        ),
+                    }
+                    let bound = max_decode_bytes(bytes.len()) + FRAMER_WINDOW;
+                    assert!(
+                        inline_peak <= bound && queued_peak <= bound,
+                        "{label}: peaked at {inline_peak} B inline and {queued_peak} B \
+                         queued (bound {bound})"
+                    );
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 3 * 2 * 7 * 3);
+}
+
+/// A reader that counts the bytes it hands out.
+struct Counted {
+    inner: std::io::Cursor<Vec<u8>>,
+    read: Arc<AtomicUsize>,
+}
+
+impl std::io::Read for Counted {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.read.fetch_add(n, Ordering::Relaxed);
+        Ok(n)
+    }
+}
+
+/// Analyzing a capture holds a window and the analysis state, never the
+/// capture: four times as many records of the same sources peak within one
+/// framer window, read once with the dark set given or read twice to infer
+/// it. And a one-shot input cannot infer the dark set, so it is refused
+/// before a byte is read.
+#[test]
+fn analyzing_a_capture_holds_a_window_not_the_capture() {
+    let _turn = take_turn();
+    let analyzed_peak = |input: CaptureInput<'_>, options: &AnalyzeOptions| {
+        let base = reset_peak();
+        let result = analyze(input, options, &RunOptions::default())
+            .expect("clean capture")
+            .completed()
+            .expect("plain run");
+        let peak = peak_above(base);
+        assert_eq!(result.monitored, 256);
+        (result.analysis.total_packets, peak)
+    };
+    let given = AnalyzeOptions {
+        monitored: Some(256),
+        ..AnalyzeOptions::default()
+    };
+    let mut one_shot = Vec::new();
+    let mut inferred = Vec::new();
+    for windows in [4, 16] {
+        let count = windows * FRAMER_WINDOW as usize / PCAP_RECORD;
+        let bytes = repeated_capture(count, 64);
+        let capture = MappedCapture::from_bytes(bytes.clone());
+        let reader = CaptureInput::reader(std::io::Cursor::new(bytes));
+        let (packets, peak) = analyzed_peak(reader, &given);
+        assert_eq!(packets, count as u64);
+        one_shot.push(peak);
+        let (packets, peak) =
+            analyzed_peak(CaptureInput::Capture(&capture), &AnalyzeOptions::default());
+        assert_eq!(packets, count as u64);
+        inferred.push(peak);
+        eprintln!(
+            "{windows} windows ({count} records): one-shot peak {} B, inferred peak {} B",
+            one_shot.last().unwrap(),
+            inferred.last().unwrap()
+        );
+    }
+    for (shape, peaks) in [("one-shot", &one_shot), ("inferred", &inferred)] {
+        assert!(
+            (peaks[1] - peaks[0]).abs() <= FRAMER_WINDOW,
+            "{shape}: 4 windows peaked at {} B, 16 at {} B",
+            peaks[0],
+            peaks[1]
+        );
+    }
+
+    let read = Arc::new(AtomicUsize::new(0));
+    let input = CaptureInput::reader(Counted {
+        inner: std::io::Cursor::new(repeated_capture(1_000, 64)),
+        read: Arc::clone(&read),
+    });
+    let refused = analyze(input, &AnalyzeOptions::default(), &RunOptions::default());
+    assert_eq!(refused.unwrap_err(), AnalyzeError::MonitoredRequired);
+    assert_eq!(read.load(Ordering::Relaxed), 0, "refused after reading");
 }

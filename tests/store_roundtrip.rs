@@ -63,8 +63,8 @@ fn slices_are_byte_identical_across_pipeline_modes() {
 
 #[test]
 fn slices_are_byte_identical_across_ingest_modes() {
-    // Export a small capture, then analyze it off an open file and as a
-    // reopenable capture: the persisted slices must match.
+    // Export a small capture, then analyze it on one decode queue and on
+    // two: the persisted slices must match.
     let experiment = Experiment::new(GeneratorConfig::tiny());
     let output = synscan::synthesis::generate::generate_year(
         &YearConfig::for_year(2020),
@@ -86,9 +86,8 @@ fn slices_are_byte_identical_across_ingest_modes() {
         let status = analyze(input, options, &RunOptions::default()).expect("clean capture");
         status.completed().expect("plain run")
     };
-    let file = std::fs::File::open(&pcap).expect("open pcap");
-    let streamed = analyzed(CaptureInput::reader(file), &options);
     let capture = synscan::wire::ingest::MappedCapture::load(&pcap).expect("open pcap");
+    let streamed = analyzed(CaptureInput::Capture(&capture), &options);
     let mapped = analyzed(
         CaptureInput::Capture(&capture),
         &AnalyzeOptions {
